@@ -32,7 +32,7 @@ class OpKind(enum.Enum):
     WRITE = "w"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Operation:
     """One read or write in the global history.
 

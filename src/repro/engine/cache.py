@@ -25,9 +25,10 @@ reply came back), ``retries``/``busy``/``batched_writes``, latencies.
 from __future__ import annotations
 
 import enum
+import heapq
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.clocks.base import Ordering
 from repro.engine.stats import ClientStats
@@ -105,7 +106,16 @@ class _CacheBase:
 
 class CacheEngine(_CacheBase):
     """Physical-clock lifetime cache: SC when ``delta`` is infinite,
-    TSC(delta) otherwise."""
+    TSC(delta) otherwise.
+
+    Ending times are real numbers, so the entries rules 1-3 must demote
+    are a prefix of the omega order.  ``_expiry`` is a min-heap of
+    ``(omega, obj)`` records with lazy deletion: every entry that is
+    cached and not *old* has a record carrying its current omega, pushed
+    by :meth:`_store` and :meth:`apply_still_valid` — the only places an
+    entry becomes fresh or has its omega advanced.  A rule costs
+    amortised O(log n) per install/validation plus one demotion per entry
+    that actually expires, not a scan of the cache (DESIGN.md section 7)."""
 
     def __init__(
         self,
@@ -121,6 +131,10 @@ class CacheEngine(_CacheBase):
             delta_overrides=delta_overrides, stats=stats,
         )
         self.context = 0.0
+        # The overrides are fixed at construction; ``delta`` is not (the
+        # TCP client exposes a setter), so only their maximum is cached.
+        self._loosest_override = max(self.delta_overrides.values(), default=0.0)
+        self._expiry: List[Tuple[float, str]] = []
 
     # -- the rules ------------------------------------------------------------
 
@@ -131,9 +145,7 @@ class CacheEngine(_CacheBase):
         bound in force (tighter per-object bounds are enforced in
         :meth:`usable`), so a loose override is not defeated by the
         global context."""
-        loosest = self.delta
-        if self.delta_overrides:
-            loosest = max(loosest, max(self.delta_overrides.values()))
+        loosest = max(self.delta, self._loosest_override)
         if math.isinf(loosest):
             return
         self.advance_context(now - loosest)
@@ -144,9 +156,32 @@ class CacheEngine(_CacheBase):
         if candidate <= self.context:
             return
         self.context = candidate
-        for obj, entry in list(self.cache.items()):
-            if entry.version.omega < self.context and not entry.old:
+        expiry = self._expiry
+        while expiry and expiry[0][0] < candidate:
+            obj = heapq.heappop(expiry)[1]
+            entry = self.cache.get(obj)
+            if entry is not None and not entry.old and entry.version.omega < candidate:
                 self._demote(obj, entry)
+
+    def _track(self, obj: str, omega: float) -> None:
+        """Record that ``obj`` is fresh with ending time ``omega``.
+
+        Superseded records wait for Context_i to pass them — with an
+        infinite delta and server invalidations, for ever — so past twice
+        the cache's size (plus slack, for small caches) the heap is
+        rebuilt from the entries that can still expire."""
+        expiry = self._expiry
+        heapq.heappush(expiry, (omega, obj))
+        if len(expiry) > 2 * len(self.cache) + 64:
+            expiry[:] = [
+                (entry.version.omega, name)
+                for name, entry in self.cache.items() if not entry.old
+            ]
+            heapq.heapify(expiry)
+
+    def _store(self, version: PhysicalVersion, fetched_at: float) -> None:
+        super()._store(version, fetched_at)
+        self._track(version.obj, version.omega)
 
     def usable(self, entry: CacheEntry, now: Optional[float] = None) -> bool:
         """May this cached version be returned with no messages?
@@ -199,6 +234,7 @@ class CacheEngine(_CacheBase):
             return False, None
         entry.version.advance_omega(omega)
         entry.old = False
+        self._track(obj, entry.version.omega)
         return True, entry.version.value
 
     def apply_write_ack(
@@ -272,6 +308,9 @@ class CausalCacheEngine(_CacheBase):
         )
         self.vclock = vclock
         self.context = zero_timestamp
+        # The context as of the last sweep, while no entry has since been
+        # made fresh with an ending time already behind it; else None.
+        self._swept: Any = None
 
     # -- the rules ------------------------------------------------------------
 
@@ -311,6 +350,7 @@ class CausalCacheEngine(_CacheBase):
                 continue
             if entry.version.omega_causally_before(self.context):
                 self._demote(obj, entry)
+        self._swept = self.context
 
     # -- local writes and server replies --------------------------------------
 
@@ -346,8 +386,14 @@ class CausalCacheEngine(_CacheBase):
             self.stats.fetch_check_failures += 1
         self.vclock.merge(version.alpha)
         self.context = self.context.join(version.alpha)
-        self.sweep()
+        # Vector omegas are only partially ordered, so the sweep stays a
+        # full scan — skipped when the last one ran at this same context
+        # and nothing was left behind it since: it would find nothing.
+        if self._swept is None or self.context.compare(self._swept) is not Ordering.EQUAL:
+            self.sweep()
         self._store(version, fetched_at)
+        if version.omega_causally_before(self.context):
+            self._swept = None
 
     def apply_still_valid(
         self, obj: str, omega: Any, beta: Optional[float]
@@ -361,6 +407,8 @@ class CausalCacheEngine(_CacheBase):
         if beta is not None:
             entry.version.advance_beta(beta)
         entry.old = False
+        if entry.version.omega_causally_before(self.context):
+            self._swept = None
         return True, entry.version.value
 
     def apply_write_beta(self, obj: str, beta: Optional[float]) -> None:

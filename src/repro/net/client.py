@@ -391,17 +391,6 @@ class NetCacheClient:
         """This client's contribution to Definition 2's ``epsilon``."""
         return self.clock.epsilon_bound
 
-    # -- the lifetime rules (the engine's; thin aliases) -----------------------
-
-    def _advance_context(self, candidate: float) -> None:
-        """Rules 1-3's common clause — see
-        :meth:`repro.engine.CacheEngine.advance_context`."""
-        self.engine.advance_context(candidate)
-
-    def _install(self, version: PhysicalVersion) -> None:
-        """Rule 1 — see :meth:`repro.engine.CacheEngine.install_fetched`."""
-        self.engine.install_fetched(version, self.now())
-
     async def read(self, obj: str) -> Any:
         """Read ``obj`` under the mode's freshness rule."""
         self.stats.reads += 1

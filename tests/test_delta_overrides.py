@@ -6,6 +6,8 @@ import pytest
 
 from repro.analysis.metrics import read_staleness
 from repro.checkers import check_sc
+from repro.engine import CacheEngine
+from repro.engine.versions import PhysicalVersion
 from repro.protocol import ObjectDirectory, PhysicalServer, TimedCacheClient
 from repro.protocol.cache_client import CausalCacheClient
 from repro.sim.kernel import Simulator
@@ -137,3 +139,53 @@ class TestCausalOverrides:
         sim.run()
         assert client.stats.validations == 1
         assert client.stats.fresh_hits == 1
+
+
+class TestRule3LoosestBound:
+    """Rule 3 advances the global context by the *loosest* bound in
+    force; the engine caches the overrides' maximum at construction, so
+    these pin what that number must keep meaning."""
+
+    @staticmethod
+    def engine_with(delta, overrides, *objs):
+        engine = CacheEngine(delta=delta, delta_overrides=overrides)
+        for obj in objs:
+            engine.install_fetched(PhysicalVersion(obj, 0, 0.0, 0.0), 0.0)
+        return engine
+
+    def test_loose_override_defeats_the_global_context(self):
+        engine = self.engine_with(0.2, {"archive": 5.0}, "hot", "archive")
+        engine.rule3(1.0)
+        assert engine.context == 0.0  # 1.0 - 5.0, not 1.0 - 0.2
+        assert not engine.cache["archive"].old and not engine.cache["hot"].old
+        assert engine.usable(engine.cache["archive"], now=1.0)
+        assert not engine.usable(engine.cache["hot"], now=1.0)  # global 0.2
+        engine.rule3(6.0)  # now even the loosest bound has run out
+        assert engine.context == 1.0
+        assert engine.cache["archive"].old and engine.cache["hot"].old
+
+    def test_tight_override_is_enforced_in_usable_not_by_the_context(self):
+        engine = self.engine_with(math.inf, {"hot": 0.2}, "hot", "cold")
+        engine.rule3(1.0)
+        assert engine.context == 0.0 and engine.stats.marked_old == 0
+        assert not engine.usable(engine.cache["hot"], now=1.0)
+        assert engine.usable(engine.cache["cold"], now=1.0)
+        assert engine.lookup("hot", now=1.0).action == "validate"
+        assert engine.lookup("cold", now=1.0).hit
+
+    def test_tight_override_does_not_tighten_the_global_advance(self):
+        engine = self.engine_with(1.0, {"hot": 0.1}, "hot", "cold")
+        engine.rule3(0.5)
+        assert engine.context == 0.0
+        assert engine.usable(engine.cache["cold"], now=0.5)
+        assert not engine.usable(engine.cache["hot"], now=0.5)
+
+    def test_delta_set_after_construction_is_still_honoured(self):
+        """``NetCacheClient.delta`` has a setter that writes through to
+        the engine, so only the overrides' share may be precomputed."""
+        engine = self.engine_with(math.inf, {"archive": 0.5}, "x", "archive")
+        engine.rule3(10.0)
+        assert engine.context == 0.0
+        engine.delta = 0.1
+        engine.rule3(10.0)
+        assert engine.context == 9.5  # loosest of 0.1 and the 0.5 override
