@@ -280,7 +280,7 @@ class _LocalSourceTransport:
         return version.value
 
     async def write(self, device_id: int, obj: str, value: Any) -> float:
-        from repro.protocol import messages
+        from repro.engine import messages
 
         link = await self.agent._link(device_id)
         reply = await link.request(

@@ -15,9 +15,12 @@ stacks now drive:
   :class:`EngineResult` describing every effect — the reply frame, the
   versions to WAL-log *before* the ack, the versions to propagate — for
   the transport driver to carry out.
-* :class:`CacheEngine` / :class:`CausalCacheEngine` — the client half:
-  the cache structure (versions with lifetimes, ``Context_i``, *old*
-  entries), rules 1-3, and the read/validate/fetch decision.
+* :class:`CacheEngine` / :class:`CausalCacheEngine` — the client half,
+  in the same shape: ``begin_read``/``begin_write`` hand the driver the
+  request frame to send (or a cache hit), ``finish_read``/
+  ``finish_write`` take the reply frame, ``on_server_frame`` takes
+  pushes and invalidations.  Underneath: the cache structure (versions
+  with lifetimes, ``Context_i``, *old* entries) and rules 1-3.
 
 Engines are pure state machines: no sockets, no event loop, no
 simulator.  Time enters only through the injected ``clock`` (the node's
@@ -32,6 +35,7 @@ from repro.engine.cache import (
     CausalCacheEngine,
     ReadDecision,
     StalenessAction,
+    WriteOp,
 )
 from repro.engine.effects import EngineResult
 from repro.engine.reply_cache import ReplyCache
@@ -52,5 +56,6 @@ __all__ = [
     "ReplyCache",
     "ServerEngine",
     "StalenessAction",
+    "WriteOp",
     "version_payload",
 ]

@@ -2,24 +2,43 @@
 
 :class:`CacheEngine` is the physical-clock cache of Sections 5.1-5.2
 (rules 1-3); :class:`CausalCacheEngine` the vector-clock cache of
-Section 5.3.  The transport drivers — the simulator's
-:class:`repro.protocol.cache_client.TimedCacheClient`, the TCP
+Section 5.3.  Like :meth:`repro.engine.ServerEngine.execute`, they speak
+*frames*: :meth:`~_CacheBase.begin_read` classifies a read and — unless
+the cache can serve it — returns the request frame to send;
+:meth:`~_CacheBase.finish_read` takes the reply frame, applies rule 1 or
+the ``still-valid`` renewal and returns the value;
+:meth:`~_CacheBase.begin_write` / :meth:`~_CacheBase.finish_write` do the
+same for a write-through (physical: rule 2 on the ack; causal: the local
+write event, then the server's checking time), and
+:meth:`~_CacheBase.on_server_frame` takes ``push``/``invalidate``.  The
+rule methods underneath (``rule3``, ``lookup``, ``install_fetched``,
+``apply_still_valid``, ``apply_write_ack`` ...) stay public — the expiry
+oracle and the layered benchmark's tracer address them by name — but no
+driver calls them.
+
+The transport drivers — the simulator's
+:class:`repro.protocol.cache_client.SimCacheClient`, the TCP
 :class:`repro.net.client.NetCacheClient`, and the asyncio twin in
 :mod:`repro.sim.aio` — own request ids, retransmission, futures/events
-and trace recording; every cache mutation and freshness judgement lives
-here, once.
+and trace recording, and nothing else: a driver adds its ``req`` to the
+frame an operation hands it, sends it, and feeds the reply back.
 
-Time is a parameter, not an import: the driver passes its own reading
-(``now``) into :meth:`CacheEngine.rule3` / :meth:`CacheEngine.lookup`,
-and the instant to record as ``fetched_at`` into the install methods, so
-the same engine runs under simulated, synchronized, and wall clocks.
+Time is a parameter, not an import.  ``now`` is the site's protocol
+clock ``t_i``: it arms rule 3 and the per-object bound, and ``None``
+leaves a read untimed (the TCP client's push mode, which trusts the
+server's pushes for freshness).  ``at`` is the same instant on the
+driver's bookkeeping timescale — where it keeps ``fetched_at`` and
+measures latency — and defaults to ``now``; only the simulator, whose
+nodes read skewed clocks while its trace is kept in ground-truth time,
+passes both.
 
-Division of stat-keeping: the engine counts what cache *state* decides —
-``fresh_hits``/``validations``/``fetches`` (the read decision),
-``marked_old``/``invalidations`` (demotions), ``fetch_check_failures``,
-``pushes``/``push_invalidations``.  The driver counts what transport
-decides: ``reads``/``writes``, ``revalidated``/``refreshed`` (which
-reply came back), ``retries``/``busy``/``batched_writes``, latencies.
+Stat-keeping: the engine counts everything cache state or a reply frame
+decides — ``reads``/``writes``, ``fresh_hits``/``validations``/
+``fetches`` (the read decision), ``revalidated``/``refreshed`` (which
+reply came back), ``read_latencies``, ``marked_old``/``invalidations``
+(demotions), ``fetch_check_failures``, ``pushes``/
+``push_invalidations``, ``batched_writes``.  A driver counts only what
+its transport decides: ``retries`` and ``busy``.
 """
 
 from __future__ import annotations
@@ -28,9 +47,10 @@ import enum
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.clocks.base import Ordering
+from repro.engine import messages
 from repro.engine.stats import ClientStats
 from repro.engine.versions import CacheEntry, LogicalVersion, PhysicalVersion
 
@@ -44,20 +64,39 @@ class StalenessAction(enum.Enum):
 
 @dataclass
 class ReadDecision:
-    """How a read of ``obj`` can complete given the cache state.
+    """One read, from the cache's classification to its completion.
 
     ``action`` is ``"hit"`` (serve ``value`` with no messages),
-    ``"validate"`` (if-modified-since with the cached ``alpha``), or
-    ``"fetch"`` (cold miss: ask for the full version).
+    ``"validate"`` (if-modified-since with the cached ``alpha``;
+    ``value`` is the cached value the server is asked to vouch for), or
+    ``"fetch"`` (cold miss: ask for the full version).  For the two that
+    need the server, :meth:`_CacheBase.begin_read` fills in ``obj``,
+    ``started`` and the request ``frame``.
     """
 
     action: str
     value: Any = None
     alpha: Any = None
+    obj: str = ""
+    started: float = 0.0
+    frame: Optional[Dict[str, Any]] = None
 
     @property
     def hit(self) -> bool:
         return self.action == "hit"
+
+
+@dataclass
+class WriteOp:
+    """A write-through awaiting its ack: the request ``frame`` to send,
+    and what :meth:`_CacheBase.finish_write` and the driver's trace need
+    back (``ltime`` is the write's logical timestamp, causal only)."""
+
+    obj: str
+    value: Any
+    started: float
+    frame: Dict[str, Any]
+    ltime: Any = None
 
 
 class _CacheBase:
@@ -102,6 +141,110 @@ class _CacheBase:
             self.cache[version.obj] = CacheEntry(version, fetched_at=fetched_at)
         else:
             entry.refresh(version, fetched_at)
+
+    # -- the operation API: frames in, frames out -------------------------------
+
+    def begin_read(
+        self, obj: str, now: Optional[float], at: Optional[float] = None
+    ) -> ReadDecision:
+        """Start a read.  A ``hit`` is complete — serve ``value``; any
+        other decision carries the request ``frame`` to send, and the
+        reply goes to :meth:`finish_read`."""
+        self.stats.reads += 1
+        if now is not None:
+            self.rule3(now)
+        op = self.lookup(obj, now)
+        if op.action == "hit":
+            self.stats.read_latencies.append(0.0)
+            return op
+        op.obj = obj
+        op.started = now if at is None else at
+        if op.action == "validate":
+            op.frame = {"kind": messages.VALIDATE, "obj": obj, "alpha": op.alpha}
+        else:
+            op.frame = {"kind": messages.FETCH, "obj": obj}
+        return op
+
+    def finish_read(self, op: ReadDecision, reply: Dict[str, Any], now: float) -> Any:
+        """Apply the reply to a read begun earlier; returns the value.
+
+        A ``version`` reply is rule 1.  ``still-valid`` renews the entry
+        the read validated — if it is still that entry: a reordered
+        ``invalidate`` or ``push`` may have dropped or replaced it while
+        the validation was in flight.  The server vouched for the
+        validated value at ``omega``, inside this read's interval, so
+        the read completes with it either way; only the renewal is
+        skipped, and nothing is re-cached."""
+        kind = reply.get("kind")
+        if kind == messages.VERSION:
+            version = self._version_of(reply)
+            self.install_fetched(version, now)
+            if op.action == "validate":
+                self.stats.refreshed += 1
+            value = version.value
+        elif kind == messages.STILL_VALID and op.action == "validate":
+            entry = self.cache.get(op.obj)
+            if entry is not None and entry.version.alpha == op.alpha:
+                self._renew(op.obj, reply)
+            self.stats.revalidated += 1
+            value = op.value
+        else:
+            raise ValueError(f"bad {op.action} reply: {reply!r}")
+        self.stats.read_latencies.append(now - op.started)
+        return value
+
+    def on_server_frame(self, frame: Dict[str, Any], now: float) -> None:
+        """Server-initiated traffic: a ``push`` or an ``invalidate``."""
+        kind = frame.get("kind")
+        if kind == messages.PUSH:
+            self.apply_push(self._version_of(frame), now)
+        elif kind == messages.INVALIDATE:
+            self.apply_invalidate(frame["obj"], frame["alpha"])
+        else:
+            raise ValueError(f"not a server-initiated frame: {frame!r}")
+
+    def logical_time(self) -> Any:
+        """The site's logical clock reading, for trace records (``None``
+        on the physical engine, which has none)."""
+        return None
+
+    # -- shared rule plumbing ---------------------------------------------------
+
+    def rule3(self, now: float) -> None:
+        """Rule 3's global context advance; the causal engine has none
+        (it enforces delta per entry, through ``beta`` in ``usable``)."""
+
+    def lookup(self, obj: str, now: Optional[float] = None) -> ReadDecision:
+        """Classify a read (counting the decision's stats): fresh hit,
+        if-modified-since validation, or cold fetch."""
+        entry = self.cache.get(obj)
+        if entry is not None and self.usable(entry, now):
+            entry.hits += 1
+            self.stats.fresh_hits += 1
+            return ReadDecision("hit", value=entry.version.value)
+        if entry is not None:
+            self.stats.validations += 1
+            return ReadDecision(
+                "validate", value=entry.version.value, alpha=entry.version.alpha
+            )
+        self.stats.fetches += 1
+        return ReadDecision("fetch")
+
+    def usable_snapshot(self, now: Optional[float] = None) -> Dict[str, Any]:
+        """The versions this cache would serve right now, per object."""
+        return {
+            obj: entry.version
+            for obj, entry in self.cache.items()
+            if self.usable(entry, now)
+        }
+
+
+def _expect(reply: Dict[str, Any], kind: str, items: str, count: int) -> List[Any]:
+    """The per-item list of a batch ack, after checking its shape."""
+    found = reply.get(items)
+    if reply.get("kind") != kind or not isinstance(found, list) or len(found) != count:
+        raise ValueError(f"bad {kind} reply for {count} items: {reply!r}")
+    return found
 
 
 class CacheEngine(_CacheBase):
@@ -187,9 +330,8 @@ class CacheEngine(_CacheBase):
         """May this cached version be returned with no messages?
 
         ``now`` arms the per-object delta bound; passing ``None`` skips
-        it — the TCP client's behaviour, where pull mode enforces delta
-        through rule 3 alone and push mode trusts the server's pushes
-        for freshness."""
+        it — the TCP client's push mode, which trusts the server's
+        pushes for freshness."""
         if entry.old or entry.version.omega < self.context:
             return False
         if now is not None:
@@ -199,19 +341,69 @@ class CacheEngine(_CacheBase):
                     return False
         return True
 
-    def lookup(self, obj: str, now: Optional[float] = None) -> ReadDecision:
-        """Classify a read (counting the decision's stats): fresh hit,
-        if-modified-since validation, or cold fetch."""
-        entry = self.cache.get(obj)
-        if entry is not None and self.usable(entry, now):
-            entry.hits += 1
-            self.stats.fresh_hits += 1
-            return ReadDecision("hit", value=entry.version.value)
-        if entry is not None:
-            self.stats.validations += 1
-            return ReadDecision("validate", alpha=entry.version.alpha)
-        self.stats.fetches += 1
-        return ReadDecision("fetch")
+    # -- writes, batches, and reading reply frames ------------------------------
+
+    def begin_write(
+        self, obj: str, value: Any, now: float, at: Optional[float] = None
+    ) -> WriteOp:
+        """Start a write-through: the server stamps the install time, so
+        the frame carries only the object and the value."""
+        self.stats.writes += 1
+        return WriteOp(
+            obj, value, now if at is None else at,
+            {"kind": messages.WRITE, "obj": obj, "value": value},
+        )
+
+    def finish_write(self, op: WriteOp, reply: Dict[str, Any], now: float) -> float:
+        """Rule 2 on the ack; returns the server-assigned install time."""
+        if reply.get("kind") != messages.WRITE_ACK:
+            raise ValueError(f"bad write reply: {reply!r}")
+        return self._acked(op, reply, now)
+
+    def _acked(self, op: WriteOp, ack: Dict[str, Any], now: float) -> float:
+        alpha = float(ack["alpha"])
+        self.apply_write_ack(op.obj, op.value, alpha, now)
+        return alpha
+
+    def write_batch_frame(self, ops: Sequence[WriteOp]) -> Dict[str, Any]:
+        """Several begun writes as one ``write-batch`` frame."""
+        self.stats.batched_writes += len(ops)
+        return {
+            "kind": messages.WRITE_BATCH,
+            "writes": [{"obj": op.obj, "value": op.value} for op in ops],
+        }
+
+    def finish_write_batch(
+        self, ops: Sequence[WriteOp], reply: Dict[str, Any], now: float
+    ) -> List[float]:
+        """Rule 2 per item of a ``write-batch-ack``, in item order."""
+        acks = _expect(reply, messages.WRITE_BATCH_ACK, "acks", len(ops))
+        return [self._acked(op, ack, now) for op, ack in zip(ops, acks)]
+
+    def read_batch_frame(self, ops: Sequence[ReadDecision]) -> Dict[str, Any]:
+        """Several begun reads as one ``validate-batch`` frame (a cold
+        fetch travels as a null ``alpha``)."""
+        return {
+            "kind": messages.VALIDATE_BATCH,
+            "items": [{"obj": op.obj, "alpha": op.alpha} for op in ops],
+        }
+
+    def finish_read_batch(
+        self, ops: Sequence[ReadDecision], reply: Dict[str, Any], now: float
+    ) -> List[Any]:
+        """:meth:`finish_read` per item of a ``validate-batch-ack``."""
+        results = _expect(reply, messages.VALIDATE_BATCH_ACK, "results", len(ops))
+        return [self.finish_read(op, result, now) for op, result in zip(ops, results)]
+
+    def _version_of(self, frame: Dict[str, Any]) -> PhysicalVersion:
+        return PhysicalVersion(
+            str(frame["obj"]), frame["value"],
+            float(frame["alpha"]), float(frame["omega"]),
+            int(frame.get("writer", -1)),
+        )
+
+    def _renew(self, obj: str, reply: Dict[str, Any]) -> None:
+        self.apply_still_valid(obj, float(reply["omega"]))
 
     # -- applying server replies ----------------------------------------------
 
@@ -263,14 +455,6 @@ class CacheEngine(_CacheBase):
             self._demote(obj, entry)
 
     # -- invariants -----------------------------------------------------------
-
-    def usable_snapshot(self, now: Optional[float] = None) -> Dict[str, PhysicalVersion]:
-        """The versions this cache would serve right now, per object."""
-        return {
-            obj: entry.version
-            for obj, entry in self.cache.items()
-            if self.usable(entry, now)
-        }
 
     def snapshot_mutually_consistent(self, now: Optional[float] = None) -> bool:
         """Section 5.1's cache-consistency invariant: the usable entries'
@@ -330,19 +514,6 @@ class CausalCacheEngine(_CacheBase):
                     return False
         return True
 
-    def lookup(self, obj: str, now: Optional[float] = None) -> ReadDecision:
-        """Classify a read (counting the decision's stats)."""
-        entry = self.cache.get(obj)
-        if entry is not None and self.usable(entry, now):
-            entry.hits += 1
-            self.stats.fresh_hits += 1
-            return ReadDecision("hit", value=entry.version.value)
-        if entry is not None:
-            self.stats.validations += 1
-            return ReadDecision("validate", alpha=entry.version.alpha)
-        self.stats.fetches += 1
-        return ReadDecision("fetch")
-
     def sweep(self) -> None:
         """Invalidate (or mark old) entries causally behind Context_i."""
         for obj, entry in list(self.cache.items()):
@@ -351,6 +522,46 @@ class CausalCacheEngine(_CacheBase):
             if entry.version.omega_causally_before(self.context):
                 self._demote(obj, entry)
         self._swept = self.context
+
+    # -- writes, and reading reply frames ---------------------------------------
+
+    def begin_read(
+        self, obj: str, now: Optional[float], at: Optional[float] = None
+    ) -> ReadDecision:
+        """As the base, and the request carries ``Context_i``: the server
+        answers with an ending time valid for this site's causal past."""
+        op = super().begin_read(obj, now, at)
+        if op.frame is not None:
+            op.frame["context"] = self.context
+        return op
+
+    def begin_write(
+        self, obj: str, value: Any, now: float, at: Optional[float] = None
+    ) -> WriteOp:
+        """Start a write-through: the write is a local event (see
+        :meth:`local_write`) and the frame ships the stamped version."""
+        self.stats.writes += 1
+        started = now if at is None else at
+        version = self.local_write(obj, value, now, started)
+        return WriteOp(
+            obj, value, started, {"kind": messages.WRITE, "version": version},
+            ltime=version.alpha,
+        )
+
+    def finish_write(self, op: WriteOp, reply: Dict[str, Any], now: float) -> None:
+        """The ack brings the server's checking time for our copy."""
+        if reply.get("kind") != messages.WRITE_ACK:
+            raise ValueError(f"bad write reply: {reply!r}")
+        self.apply_write_beta(op.obj, reply.get("beta"))
+
+    def logical_time(self) -> Any:
+        return self.vclock.now()
+
+    def _version_of(self, frame: Dict[str, Any]) -> LogicalVersion:
+        return frame["version"]
+
+    def _renew(self, obj: str, reply: Dict[str, Any]) -> None:
+        self.apply_still_valid(obj, reply["omega"], reply.get("beta"))
 
     # -- local writes and server replies --------------------------------------
 
@@ -434,14 +645,6 @@ class CausalCacheEngine(_CacheBase):
             self._demote(obj, entry)
 
     # -- invariants -----------------------------------------------------------
-
-    def usable_snapshot(self, now: Optional[float] = None) -> Dict[str, LogicalVersion]:
-        """The versions this cache would serve right now, per object."""
-        return {
-            obj: entry.version
-            for obj, entry in self.cache.items()
-            if self.usable(entry, now)
-        }
 
     def snapshot_mutually_consistent(self, now: Optional[float] = None) -> bool:
         """Section 5.1's invariant under logical lifetimes: no usable

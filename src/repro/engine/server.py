@@ -5,7 +5,7 @@
 Section 5.3.  Both consume request *frames* — plain dicts with a
 ``kind`` and the request's fields — via :meth:`execute` and return an
 :class:`~repro.engine.effects.EngineResult`; the transport drivers
-(:class:`repro.protocol.server.PhysicalServer` on the simulator,
+(:class:`repro.protocol.server.SimServer` on the simulator,
 :class:`repro.net.server.NetObjectServer` on TCP) own sockets, locks,
 persistence and propagation fan-out, but no protocol logic.
 
@@ -118,6 +118,15 @@ class _EngineBase:
             "kind": ERROR, "error": message, "req": frame.get("req"),
         })
 
+    # -- propagation frames (the driver decides whether and to whom) ----------
+
+    @staticmethod
+    def invalidate_frame(version: Any) -> Dict[str, Any]:
+        """The small invalidation of an installed version."""
+        return {
+            "kind": messages.INVALIDATE, "obj": version.obj, "alpha": version.alpha,
+        }
+
     # -- ring epochs (repro.cluster; docs/CLUSTER.md) -------------------------
 
     def stamp(self, reply: Dict[str, Any]) -> Dict[str, Any]:
@@ -225,6 +234,10 @@ class ServerEngine(_EngineBase):
                 "kind": messages.STILL_VALID, "obj": obj, "omega": version.omega,
             }
         return {"kind": messages.VERSION, **version_payload(version.copy())}
+
+    def push_frame(self, version: PhysicalVersion) -> Dict[str, Any]:
+        """The eager push of an installed version."""
+        return {"kind": messages.PUSH, **version_payload(version)}
 
     # -- failover (repro.cluster; docs/CLUSTER.md) ----------------------------
 
@@ -360,7 +373,7 @@ class CausalServerEngine(_EngineBase):
 
     Causal frames carry timestamp/version *objects*, not JSON scalars:
     there is no wire transport for this variant yet, only the simulator
-    driver (:class:`repro.protocol.server.CausalServer`).
+    driver (:func:`repro.protocol.server.CausalServer`).
     """
 
     def __init__(
@@ -439,6 +452,11 @@ class CausalServerEngine(_EngineBase):
             return stored, True
         self.writes_discarded += 1
         return incoming, False
+
+    def push_frame(self, version: LogicalVersion) -> Dict[str, Any]:
+        """The eager push of an installed version — one copy per
+        receiver: a cache advances its entry's omega in place."""
+        return {"kind": messages.PUSH, "version": version.copy()}
 
     def _execute(self, client_id: int, frame: Dict[str, Any], kind: str) -> EngineResult:
         if kind == messages.FETCH:

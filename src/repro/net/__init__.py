@@ -7,7 +7,7 @@ simulator (:mod:`repro.sim`) or on in-process asyncio
 * :mod:`repro.net.framing` — length-prefixed JSON frames over TCP;
 * :mod:`repro.net.server` — the authoritative object server
   (``asyncio.start_server``), speaking the protocol kinds of
-  :mod:`repro.protocol.messages` plus the clock-sync handshake;
+  :mod:`repro.engine.messages` plus the clock-sync handshake;
 * :mod:`repro.net.client` — the Sections 5.1-5.2 cache client with
   request retry/backoff and push/invalidate handling;
 * :mod:`repro.net.clocksync` — NTP-style offset/epsilon estimation so

@@ -43,7 +43,8 @@ import math
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
-from repro.engine import CacheEngine
+from repro.engine import CacheEngine, WriteOp, messages
+from repro.engine.versions import CacheEntry
 from repro.net.clocksync import SyncedClock
 from repro.net.faults import FaultInjector
 from repro.net.framing import (
@@ -61,9 +62,6 @@ from repro.net.framing import (
     FrameConnection,
     FrameError,
 )
-from repro.protocol import messages
-from repro.protocol.stats import ClientStats
-from repro.protocol.versions import CacheEntry, PhysicalVersion
 from repro.sim.trace import TraceRecorder
 
 FRESHNESS_MODES = ("pull", "push")
@@ -79,14 +77,6 @@ class RequestTimeout(NetError):
 
 class ProtocolError(NetError):
     """The server answered with an error frame or nonsense."""
-
-
-def _version_from(frame: Dict[str, Any]) -> PhysicalVersion:
-    return PhysicalVersion(
-        str(frame["obj"]), frame["value"],
-        float(frame["alpha"]), float(frame["omega"]),
-        int(frame.get("writer", -1)),
-    )
 
 
 class NetCacheClient:
@@ -170,10 +160,8 @@ class NetCacheClient:
         self.max_retries = max_retries
         self.backoff = backoff
         self.clock = clock if clock is not None else SyncedClock(skew=skew)
-        self.stats = ClientStats()
-        self.engine = CacheEngine(
-            site_id=client_id, delta=delta, stats=self.stats
-        )
+        self.engine = CacheEngine(site_id=client_id, delta=delta)
+        self.stats = self.engine.stats
         self.conn: Optional[FrameConnection] = None
         # Cluster awareness: the highest ring epoch any server frame has
         # carried (0 for a standalone server), a subscriber called on
@@ -192,9 +180,9 @@ class NetCacheClient:
         # the one connection; ids themselves are never reused, so a
         # reply that outlives its request cannot resolve a later future.
         self._issue_slots = asyncio.Semaphore(pipeline_depth)
-        # Write coalescing: (obj, value, future, started) tuples drained
-        # by one flusher task into write-batch frames.
-        self._batch_queue: Deque[Tuple[str, Any, asyncio.Future, float]] = deque()
+        # Write coalescing: (begun write, future) pairs drained by one
+        # flusher task into write-batch frames.
+        self._batch_queue: Deque[Tuple[WriteOp, asyncio.Future]] = deque()
         self._batch_flusher: Optional[asyncio.Task] = None
         self.registry = registry
         self._rtt = None
@@ -391,59 +379,31 @@ class NetCacheClient:
         """This client's contribution to Definition 2's ``epsilon``."""
         return self.clock.epsilon_bound
 
+    def _rule_clock(self, now: float) -> Optional[float]:
+        """The protocol clock handed to the engine: pull mode enforces
+        delta against the synchronized clock (rule 3); push mode hands
+        ``None`` — untimed — and trusts the server's pushes."""
+        return now if self.mode == "pull" else None
+
     async def read(self, obj: str) -> Any:
         """Read ``obj`` under the mode's freshness rule."""
-        self.stats.reads += 1
-        if self.mode == "pull":
-            # Rule 3, against the synchronized clock (no-op when delta
-            # is infinite); push mode trusts the server's pushes.
-            self.engine.rule3(self.now())
-        # ``now=None``: the per-read delta bound is not re-checked here —
-        # pull mode enforces delta through rule 3 alone, push mode
-        # through the pushes (see the module docstring).
-        decision = self.engine.lookup(obj, None)
-        if decision.hit:
-            self.stats.read_latencies.append(0.0)
-            self._record_read(obj, decision.value, start=self.now())
-            return decision.value
-        started = self.now()
-        if decision.action == "validate":
-            reply = await self._request({
-                "kind": messages.VALIDATE, "obj": obj, "alpha": decision.alpha,
-            })
-            if reply.get("kind") == messages.STILL_VALID:
-                _, value = self.engine.apply_still_valid(obj, float(reply["omega"]))
-                self.stats.revalidated += 1
-            elif reply.get("kind") == messages.VERSION:
-                version = _version_from(reply)
-                self.engine.install_fetched(version, self.now())
-                self.stats.refreshed += 1
-                value = version.value
-            else:
-                raise ProtocolError(f"bad validate reply: {reply!r}")
-        else:
-            reply = await self._request({"kind": messages.FETCH, "obj": obj})
-            if reply.get("kind") != messages.VERSION:
-                raise ProtocolError(f"bad fetch reply: {reply!r}")
-            version = _version_from(reply)
-            self.engine.install_fetched(version, self.now())
-            value = version.value
-        self.stats.read_latencies.append(self.now() - started)
-        self._record_read(obj, value, start=started)
+        now = self.now()
+        op = self.engine.begin_read(obj, self._rule_clock(now), now)
+        if op.hit:
+            self._record_read(obj, op.value, now, now)
+            return op.value
+        reply = await self._request(op.frame)
+        now = self.now()
+        value = self.engine.finish_read(op, reply, now)
+        self._record_read(obj, value, op.started, now)
         return value
 
-    def _apply_write_ack(
-        self, obj: str, value: Any, alpha: float, started: float
-    ) -> float:
-        """The local half of a completed write: Rule 2, cache install,
-        trace record.  Shared by the single, batched, and coalesced
-        write paths."""
-        self.engine.apply_write_ack(obj, value, alpha, self.now())
+    def _record_write(self, op: WriteOp, alpha: float) -> None:
         if self.recorder is not None:
             self.recorder.record_write(
-                self.client_id, obj, value, alpha, start=started, end=self.now()
+                self.client_id, op.obj, op.value, alpha,
+                start=op.started, end=self.now(),
             )
-        return alpha
 
     async def write(
         self, obj: str, value: Any, *, req: Optional[int] = None
@@ -456,28 +416,23 @@ class NetCacheClient:
         A pinned write bypasses coalescing: a batch frame cannot carry a
         per-write id.
         """
+        op = self.engine.begin_write(obj, value, self.now())
         if req is None and self.batch > 1:
-            return await self._write_coalesced(obj, value)
-        self.stats.writes += 1
-        started = self.now()
-        reply = await self._request(
-            {"kind": messages.WRITE, "obj": obj, "value": value}, req=req
-        )
-        if reply.get("kind") != messages.WRITE_ACK:
-            raise ProtocolError(f"bad write reply: {reply!r}")
-        return self._apply_write_ack(obj, value, float(reply["alpha"]), started)
+            return await self._write_coalesced(op)
+        reply = await self._request(op.frame, req=req)
+        alpha = self.engine.finish_write(op, reply, self.now())
+        self._record_write(op, alpha)
+        return alpha
 
     def next_request_id(self) -> int:
         """Allocate a request id for a pinned :meth:`write` (ids are
         never reused; allocating without sending is safe)."""
         return next(self._requests)
 
-    async def _write_coalesced(self, obj: str, value: Any) -> float:
+    async def _write_coalesced(self, op: WriteOp) -> float:
         """Queue the write for the flusher task; await its own ack."""
-        self.stats.writes += 1
-        started = self.now()
         future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._batch_queue.append((obj, value, future, started))
+        self._batch_queue.append((op, future))
         if self._batch_flusher is None or self._batch_flusher.done():
             self._batch_flusher = asyncio.ensure_future(self._flush_batches())
         return await future
@@ -492,52 +447,35 @@ class NetCacheClient:
                 for _ in range(min(len(self._batch_queue), self.batch))
             ]
             try:
-                acks = await self._send_write_batch(
-                    [(obj, value) for obj, value, _, _ in group]
-                )
+                alphas = await self._write_batch([op for op, _ in group])
             except Exception as exc:
-                for _, _, future, _ in group:
+                for _, future in group:
                     if not future.done():
                         future.set_exception(exc)
                 continue
-            for (obj, value, future, started), alpha in zip(group, acks):
-                self._apply_write_ack(obj, value, alpha, started)
+            for (_, future), alpha in zip(group, alphas):
                 if not future.done():
                     future.set_result(alpha)
 
-    async def _send_write_batch(
-        self, items: List[Tuple[str, Any]]
-    ) -> List[float]:
-        """One write-batch round trip; returns per-item alphas in order."""
-        reply = await self._request({
-            "kind": messages.WRITE_BATCH,
-            "writes": [{"obj": obj, "value": value} for obj, value in items],
-        })
-        if reply.get("kind") != messages.WRITE_BATCH_ACK:
-            raise ProtocolError(f"bad write-batch reply: {reply!r}")
-        acks = reply.get("acks")
-        if not isinstance(acks, list) or len(acks) != len(items):
-            raise ProtocolError(f"write-batch ack shape mismatch: {reply!r}")
-        self.stats.batched_writes += len(items)
+    async def _write_batch(self, ops: List[WriteOp]) -> List[float]:
+        """One write-batch round trip: rule 2 and a trace record per
+        item; returns the per-item alphas in order."""
+        reply = await self._request(self.engine.write_batch_frame(ops))
+        alphas = self.engine.finish_write_batch(ops, reply, self.now())
         if self.pipeline is not None:
-            self.pipeline.on_batch(len(items))
-        return [float(ack["alpha"]) for ack in acks]
+            self.pipeline.on_batch(len(ops))
+        for op, alpha in zip(ops, alphas):
+            self._record_write(op, alpha)
+        return alphas
 
     async def write_many(self, items: Iterable[Tuple[str, Any]]) -> List[float]:
         """Write several objects in one ``write-batch`` frame; returns
         the server-assigned effective times in item order.  One round
         trip, one server lock acquisition, one WAL fsync — each item
         still gets its own effective time and Rule 2 is applied per ack."""
-        pairs = list(items)
-        if not pairs:
-            return []
-        self.stats.writes += len(pairs)
-        started = self.now()
-        acks = await self._send_write_batch(pairs)
-        return [
-            self._apply_write_ack(obj, value, alpha, started)
-            for (obj, value), alpha in zip(pairs, acks)
-        ]
+        now = self.now()
+        ops = [self.engine.begin_write(obj, value, now) for obj, value in items]
+        return await self._write_batch(ops) if ops else []
 
     async def validate_many(self, objs: Iterable[str]) -> Dict[str, Any]:
         """Refresh several objects in one ``validate-batch`` frame;
@@ -548,71 +486,38 @@ class NetCacheClient:
         as if-modified-since items, cold ones with a null ``alpha`` that
         asks for the full version.  Each result is applied under the
         same lifetime rules as :meth:`read` and recorded as a read."""
-        wanted = list(dict.fromkeys(objs))
-        if not wanted:
-            return {}
-        self.stats.reads += len(wanted)
-        if self.mode == "pull":
-            self.engine.rule3(self.now())  # Rule 3, once for the batch
+        now = self.now()
+        rule_now = self._rule_clock(now)
         out: Dict[str, Any] = {}
-        remote: List[Tuple[str, Any]] = []  # (obj, decision)
-        for obj in wanted:
-            decision = self.engine.lookup(obj, None)
-            if decision.hit:
-                self.stats.read_latencies.append(0.0)
-                self._record_read(obj, decision.value, start=self.now())
-                out[obj] = decision.value
+        ops = []
+        for obj in dict.fromkeys(objs):
+            op = self.engine.begin_read(obj, rule_now, now)
+            if op.hit:
+                self._record_read(obj, op.value, now, now)
+                out[obj] = op.value
             else:
-                remote.append((obj, decision))
-        if not remote:
+                ops.append(op)
+        if not ops:
             return out
-        started = self.now()
-        items = [
-            {"obj": obj, "alpha": decision.alpha}  # alpha None = cold fetch
-            for obj, decision in remote
-        ]
-        validated = {
-            obj for obj, decision in remote if decision.action == "validate"
-        }
-        reply = await self._request({
-            "kind": messages.VALIDATE_BATCH, "items": items,
-        })
-        if reply.get("kind") != messages.VALIDATE_BATCH_ACK:
-            raise ProtocolError(f"bad validate-batch reply: {reply!r}")
-        results = reply.get("results")
-        if not isinstance(results, list) or len(results) != len(remote):
-            raise ProtocolError(f"validate-batch ack shape mismatch: {reply!r}")
+        reply = await self._request(self.engine.read_batch_frame(ops))
+        now = self.now()
+        values = self.engine.finish_read_batch(ops, reply, now)
         if self.pipeline is not None:
-            self.pipeline.on_batch(len(remote))
-        for (obj, _), result in zip(remote, results):
-            if result.get("kind") == messages.STILL_VALID:
-                _, value = self.engine.apply_still_valid(obj, float(result["omega"]))
-                self.stats.revalidated += 1
-            elif result.get("kind") == messages.VERSION:
-                version = _version_from(result)
-                self.engine.install_fetched(version, self.now())
-                if obj in validated:
-                    self.stats.refreshed += 1
-                value = version.value
-            else:
-                raise ProtocolError(f"bad validate-batch item: {result!r}")
-            self.stats.read_latencies.append(self.now() - started)
-            self._record_read(obj, value, start=started)
-            out[obj] = value
+            self.pipeline.on_batch(len(ops))
+        for op, value in zip(ops, values):
+            self._record_read(op.obj, value, op.started, now)
+            out[op.obj] = value
         return out
 
     # -- server-initiated traffic ----------------------------------------------
 
-    def _on_push(self, frame: Dict[str, Any]) -> None:
-        version = _version_from(frame)
-        if self._push_lag is not None:
-            lag = self.now() - version.alpha
+    def _on_server_frame(self, frame: Dict[str, Any]) -> None:
+        now = self.now()
+        if self._push_lag is not None and frame["kind"] == messages.PUSH:
+            lag = now - float(frame["alpha"])
             if lag >= 0.0:
                 self._push_lag.observe(lag)
-        self.engine.apply_push(version, self.now())
-
-    def _on_invalidate(self, frame: Dict[str, Any]) -> None:
-        self.engine.apply_invalidate(str(frame["obj"]), float(frame["alpha"]))
+        self.engine.on_server_frame(frame, now)
 
     # -- cluster awareness ------------------------------------------------------
 
@@ -750,11 +655,8 @@ class NetCacheClient:
                     if future is not None and not future.done():
                         future.set_result(frame)
                     continue  # unknown id: duplicate of an answered request
-                kind = frame.get("kind")
-                if kind == messages.PUSH:
-                    self._on_push(frame)
-                elif kind == messages.INVALIDATE:
-                    self._on_invalidate(frame)
+                if frame.get("kind") in (messages.PUSH, messages.INVALIDATE):
+                    self._on_server_frame(frame)
                 # anything else without an id is noise; ignore it
         except (FrameError, ConnectionError):
             pass
@@ -766,9 +668,8 @@ class NetCacheClient:
 
     # -- tracing -----------------------------------------------------------------
 
-    def _record_read(self, obj: str, value: Any, start: float) -> None:
+    def _record_read(self, obj: str, value: Any, start: float, now: float) -> None:
         if self.recorder is not None:
-            now = self.now()
             self.recorder.record_read(
                 self.client_id, obj, value, now, start=start, end=now
             )

@@ -33,11 +33,11 @@ from repro.checkers import check_sc, check_tsc
 from repro.checkers.online import OnlineTimedMonitor, ReadVerdict
 from repro.checkers.result import CheckResult
 from repro.core.history import History
+from repro.engine import messages
+from repro.engine.stats import ClientStats
 from repro.net.client import NetCacheClient
 from repro.net.faults import FaultConfig, FaultInjector
 from repro.net.server import NetObjectServer
-from repro.protocol import messages
-from repro.protocol.stats import ClientStats
 from repro.sim.trace import TraceRecorder, UniqueValueFactory
 
 

@@ -35,7 +35,7 @@ PROTOCOL_VERSION = 1
 
 # Handshake and housekeeping kinds specific to the wire protocol; the
 # data-plane kinds (fetch/validate/write/push/...) come from
-# :mod:`repro.protocol.messages`.
+# :mod:`repro.engine.messages`.
 HELLO = "hello"
 HELLO_ACK = "hello-ack"
 SYNC = "sync"

@@ -41,10 +41,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.clocks.rebase import RebasedClock
+from repro.engine.stats import ClientStats
 from repro.net.client import NetCacheClient, NetError
 from repro.net.clocksync import SyncedClock
 from repro.net.faults import FaultInjector
-from repro.protocol.stats import ClientStats
 from repro.ring.placement import PlacementError, ReplicatedPlacement
 from repro.ring.ring import Ring
 from repro.sim.trace import TraceRecorder

@@ -2,7 +2,7 @@
 
 ``asyncio.start_server`` plus the frame codec of
 :mod:`repro.net.framing`, speaking the lifetime protocol's message kinds
-(:mod:`repro.protocol.messages`):
+(:mod:`repro.engine.messages`):
 
 * ``fetch``    -> ``version``        (cache miss: ship the full object);
 * ``validate`` -> ``still-valid`` | ``version``  (if-modified-since by
@@ -63,8 +63,9 @@ import asyncio
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.clocks.rebase import RebasedClock
-from repro.engine import ReplyCache, ServerEngine, version_payload  # noqa: F401
+from repro.engine import ReplyCache, ServerEngine, messages
 from repro.engine.effects import EngineResult
+from repro.engine.versions import PhysicalVersion
 from repro.net.faults import FaultInjector
 from repro.net.framing import (
     BUSY,
@@ -89,8 +90,6 @@ from repro.net.framing import (
     FrameConnection,
     FrameError,
 )
-from repro.protocol import messages
-from repro.protocol.versions import PhysicalVersion
 from repro.sim.trace import TraceRecorder
 
 #: Propagation policies: what the server does after installing a write.
@@ -650,12 +649,9 @@ class NetObjectServer:
         if self.propagation == "none":
             return
         if self.propagation == "push":
-            frame = {"kind": messages.PUSH, **version_payload(version)}
+            frame = self.engine.push_frame(version)
         else:
-            frame = {
-                "kind": messages.INVALIDATE,
-                "obj": version.obj, "alpha": version.alpha,
-            }
+            frame = self.engine.invalidate_frame(version)
         for conn in list(self._subscribers):
             if conn is writer_conn:
                 continue

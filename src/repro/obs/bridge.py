@@ -1,7 +1,7 @@
 """Pull-model bridges: export the existing stat structs into a registry.
 
 Every layer of the repo already keeps counters in plain structs —
-:class:`~repro.protocol.stats.ClientStats` in the cache clients,
+:class:`~repro.engine.stats.ClientStats` in the cache clients,
 :class:`~repro.checkers.search.SearchStats` in the serialization-search
 engine, :class:`~repro.ring.placement.PlacementStats` and
 :class:`~repro.net.ring_router.RouterStats` in the ring stack, ad-hoc
@@ -35,7 +35,7 @@ def _with(labels: Optional[Mapping[str, Any]], **extra: Any) -> Labels:
 def bind_client_stats(
     registry: Registry, stats: Any, **labels: Any
 ) -> Callable:
-    """Export a :class:`~repro.protocol.stats.ClientStats` (anything with
+    """Export a :class:`~repro.engine.stats.ClientStats` (anything with
     its ``collect_families`` bridge) under the given constant labels —
     typically ``site=<client id>`` and a ``stack`` discriminator."""
     base = _with(labels)
@@ -178,8 +178,7 @@ def bind_sim_server(
     registry: Registry, server: Any, **labels: Any
 ) -> Callable:
     """Export a sim-side authoritative server
-    (:class:`~repro.protocol.server.PhysicalServer` /
-    :class:`~repro.protocol.server.CausalServer`): installs, discards,
+    (:class:`~repro.protocol.server.SimServer`): installs, discards,
     store size, subscribers."""
     base = _with(labels)
 

@@ -1,6 +1,8 @@
 """Lifetime-based consistency protocols (Section 5 of the paper)."""
 
-from repro.protocol import messages
+from repro.engine import messages
+from repro.engine.stats import ClientStats
+from repro.engine.versions import CacheEntry, LogicalVersion, PhysicalVersion
 from repro.protocol.cache_client import (
     CausalCacheClient,
     StalenessAction,
@@ -13,8 +15,6 @@ from repro.protocol.server import (
     PhysicalServer,
     PushPolicy,
 )
-from repro.protocol.stats import ClientStats
-from repro.protocol.versions import CacheEntry, LogicalVersion, PhysicalVersion
 
 __all__ = [
     "CacheEntry",

@@ -1,23 +1,25 @@
 """Cache clients implementing the lifetime consistency protocols.
 
-:class:`TimedCacheClient` implements the physical-clock protocol of
+:func:`TimedCacheClient` runs the physical-clock protocol of
 Sections 5.1-5.2: rules 1-2 give sequential consistency, and rule 3 —
 ``Context_i := max(t_i - delta, Context_i)`` — upgrades it to TSC(delta).
 ``delta = math.inf`` disables rule 3 and yields the plain SC protocol;
 ``delta = 0`` makes every access revalidate (local caches become useless,
 the LIN end of Figure 4b).
 
-:class:`CausalCacheClient` implements the logical-clock protocol of
+:func:`CausalCacheClient` runs the logical-clock protocol of
 Section 5.3: lifetimes and ``Context_i`` are vector timestamps, and the
 TCC upgrade adds the *checking time* ``beta`` — a version whose ``beta``
 is older than ``t_i - delta`` must be revalidated before use.
 
 The protocol rules live in the transport-free cache engines of
-:mod:`repro.engine.cache`; the classes here are the *simulator drivers*:
-request ids, retransmission, pending-operation events, the trace
-recorder, and the translation between simulator messages and engine
-calls.  The TCP client (:class:`repro.net.client.NetCacheClient`) drives
-the same :class:`~repro.engine.CacheEngine`.
+:mod:`repro.engine.cache`; both names construct the one *simulator
+driver*, :class:`SimCacheClient`, over the matching engine.  The driver
+owns request ids, retransmission, pending-operation events and the trace
+recorder: it sends the frame an engine operation hands it and feeds the
+reply frame back.  The TCP client
+(:class:`repro.net.client.NetCacheClient`) drives the same
+:class:`~repro.engine.CacheEngine` the same way.
 
 Design notes (see DESIGN.md):
 
@@ -53,388 +55,65 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.clocks.vector import VectorClock, VectorTimestamp
-from repro.engine import CacheEngine, CausalCacheEngine, StalenessAction  # noqa: F401
-from repro.protocol import messages
+from repro.engine import CacheEngine, CausalCacheEngine, StalenessAction, messages
+from repro.engine.versions import CacheEntry
 from repro.protocol.server import ObjectDirectory
-from repro.protocol.stats import ClientStats
-from repro.protocol.versions import CacheEntry, LogicalVersion, PhysicalVersion
 from repro.sim.kernel import Event, Simulator
 from repro.sim.network import Message, Network
 from repro.sim.node import Node
 from repro.sim.trace import TraceRecorder
 
 
-class _PendingRead:
-    """Bookkeeping for a read awaiting a server reply."""
+class _Pending(NamedTuple):
+    """A request awaiting its reply: the engine operation(s) it carries,
+    the caller's event, how to complete it, and how to re-send it."""
 
-    __slots__ = ("obj", "event", "issued_at", "was_validation", "resend")
-
-    def __init__(self, obj: str, event: Event, issued_at: float, was_validation: bool):
-        self.obj = obj
-        self.event = event
-        self.issued_at = issued_at
-        self.was_validation = was_validation
-        self.resend = None  # set by _arm_retry
+    op: Any
+    event: Event
+    finish: Callable
+    resend: Callable
 
 
-class _PendingWrite:
-    """Bookkeeping for a write awaiting the server's ack."""
+class SimCacheClient(Node):
+    """A lifetime cache on the simulator — the driver over whichever
+    cache engine it is handed (``stats`` is the engine's).
 
-    __slots__ = ("obj", "value", "event", "issued_at", "ltime", "resend")
-
-    def __init__(self, obj: str, value: Any, event: Event, issued_at: float, ltime=None):
-        self.obj = obj
-        self.value = value
-        self.event = event
-        self.issued_at = issued_at
-        self.ltime = ltime
-        self.resend = None  # set by _arm_retry
-
-
-class _PendingBatch:
-    """Bookkeeping for a write batch awaiting its per-item acks."""
-
-    __slots__ = ("writes", "event", "issued_at", "resend")
-
-    def __init__(
-        self, writes: List[Tuple[str, Any]], event: Event, issued_at: float
-    ):
-        self.writes = writes
-        self.event = event
-        self.issued_at = issued_at
-        self.resend = None  # set by _arm_retry
-
-
-class _RetryMixin:
-    """Request retransmission for lossy networks.
-
-    When ``retry_timeout`` is set, every outstanding request re-sends
-    itself until a reply arrives.  The same request id is reused, and
-    the server's exactly-once reply cache turns the duplicate into a
-    replay of the original reply (same ``alpha``), so a retransmitted
-    write is never installed twice — even with several writes
-    outstanding, where the old one-deep per-client memo failed.  A
-    duplicate *reply* simply finds no pending entry and is ignored.
+    Request retransmission for lossy networks: when ``retry_timeout`` is
+    set, every outstanding request re-sends itself until a reply
+    arrives.  The same request id is reused, and the server's
+    exactly-once reply cache turns the duplicate into a replay of the
+    original reply (same ``alpha``), so a retransmitted write is never
+    installed twice — even with several writes outstanding, where the
+    old one-deep per-client memo failed.  A duplicate *reply* simply
+    finds no pending entry and is ignored.
     """
 
-    retry_timeout: Optional[float] = None
-
-    def _arm_retry(self, req: int, resend: Callable[[], None]) -> None:
-        pending = self._pending.get(req)
-        if pending is not None:
-            pending.resend = resend
-        if self.retry_timeout is not None:
-            self.sim.schedule(self.retry_timeout, self._maybe_retry, req)
-
-    def _maybe_retry(self, req: int) -> None:
-        pending = self._pending.get(req)
-        if pending is None or pending.resend is None:
-            return
-        self.stats.retries += 1
-        pending.resend()
-        self.sim.schedule(self.retry_timeout, self._maybe_retry, req)
-
-
-class TimedCacheClient(Node, _RetryMixin):
-    """Physical-clock lifetime cache: SC when ``delta`` is infinite,
-    TSC(delta) otherwise — the simulator driver over
-    :class:`repro.engine.CacheEngine`."""
-
     def __init__(
         self,
         node_id: int,
         sim: Simulator,
         network: Network,
         directory: ObjectDirectory,
-        delta: float = math.inf,
-        staleness_action: StalenessAction = StalenessAction.MARK_OLD,
+        engine: Any,
         recorder: Optional[TraceRecorder] = None,
         clock=None,
         retry_timeout: Optional[float] = None,
-        delta_overrides: Optional[Dict[str, float]] = None,
     ) -> None:
-        """``delta_overrides`` maps object names to per-object freshness
-        bounds — the S-DSO idea of West et al. [41] that the paper's
-        Section 4 cites: applications specify *which* objects must be seen
-        how quickly.  An override tighter than ``delta`` forces earlier
-        revalidation of that object only; looser overrides relax it.
-        """
         super().__init__(node_id, sim, network, clock)
         if retry_timeout is not None and retry_timeout <= 0:
             raise ValueError(f"retry_timeout must be positive, got {retry_timeout}")
         self.directory = directory
         self.recorder = recorder
         self.retry_timeout = retry_timeout
-        self.stats = ClientStats()
-        self.engine = CacheEngine(
-            site_id=node_id, delta=delta, staleness_action=staleness_action,
-            delta_overrides=delta_overrides, stats=self.stats,
-        )
+        self.engine = engine
+        self.stats = engine.stats
         self._requests = itertools.count()
-        self._pending: Dict[int, Any] = {}
+        self._pending: Dict[int, _Pending] = {}
 
-    # -- engine state, exposed under the pre-refactor names --------------------
-
-    @property
-    def cache(self) -> Dict[str, CacheEntry]:
-        return self.engine.cache
-
-    @property
-    def context(self) -> float:
-        return self.engine.context
-
-    @context.setter
-    def context(self, value: float) -> None:
-        self.engine.context = value
-
-    @property
-    def delta(self) -> float:
-        return self.engine.delta
-
-    @property
-    def delta_overrides(self) -> Dict[str, float]:
-        return self.engine.delta_overrides
-
-    @property
-    def staleness_action(self) -> StalenessAction:
-        return self.engine.staleness_action
-
-    def delta_for(self, obj: str) -> float:
-        """The freshness bound in force for ``obj``."""
-        return self.engine.delta_for(obj)
-
-    def usable_snapshot(self) -> Dict[str, PhysicalVersion]:
-        """The versions this cache would serve right now, per object."""
-        return self.engine.usable_snapshot(self.local_time())
-
-    def snapshot_mutually_consistent(self) -> bool:
-        """Section 5.1's cache-consistency invariant (see
-        :meth:`repro.engine.CacheEngine.snapshot_mutually_consistent`)."""
-        return self.engine.snapshot_mutually_consistent(self.local_time())
-
-    # -- public operation API ----------------------------------------------
-
-    def read(self, obj: str) -> Event:
-        """Start a read; the returned event succeeds with the value."""
-        self.stats.reads += 1
-        self.engine.rule3(self.local_time())
-        decision = self.engine.lookup(obj, self.local_time())
-        event = self.sim.event()
-        if decision.hit:
-            self.stats.read_latencies.append(0.0)
-            self._record_read(obj, decision.value)
-            event.succeed(decision.value)
-            return event
-        req = next(self._requests)
-        issued = self.sim.now
-        if decision.action == "validate":
-            self._pending[req] = _PendingRead(obj, event, issued, True)
-            payload = {"obj": obj, "alpha": decision.alpha, "req": req}
-            send = lambda: self._send_server(obj, messages.VALIDATE, payload)
-        else:
-            self._pending[req] = _PendingRead(obj, event, issued, False)
-            payload = {"obj": obj, "req": req}
-            send = lambda: self._send_server(obj, messages.FETCH, payload)
-        send()
-        self._arm_retry(req, send)
-        return event
-
-    def write(self, obj: str, value: Any) -> Event:
-        """Start a write; the returned event succeeds when the server acks."""
-        self.stats.writes += 1
-        event = self.sim.event()
-        req = next(self._requests)
-        self._pending[req] = _PendingWrite(obj, value, event, self.sim.now)
-        payload = {"obj": obj, "value": value, "req": req}
-        send = lambda: self._send_server(obj, messages.WRITE, payload)
-        send()
-        self._arm_retry(req, send)
-        return event
-
-    def write_many(self, writes: List[Tuple[str, Any]]) -> Event:
-        """Start a batch of writes as one ``WRITE_BATCH`` frame; the
-        returned event succeeds with the list of install times.
-
-        One frame, one server visit, per-item acks.  Caveat: the
-        simulator's clocks only advance between events, so every item in
-        the batch gets the *same* install stamp — batch distinct objects
-        (a same-object duplicate inside one frame loses the
-        latest-write-wins race).
-        """
-        if not writes:
-            raise ValueError("write_many needs at least one write")
-        self.stats.writes += len(writes)
-        self.stats.batched_writes += len(writes)
-        event = self.sim.event()
-        req = next(self._requests)
-        self._pending[req] = _PendingBatch(list(writes), event, self.sim.now)
-        payload = {
-            "writes": [{"obj": obj, "value": value} for obj, value in writes],
-            "req": req,
-        }
-        obj = writes[0][0]  # single-server sim: any object routes the frame
-        send = lambda: self._send_server(obj, messages.WRITE_BATCH, payload)
-        send()
-        self._arm_retry(req, send)
-        return event
-
-    # -- message handling ----------------------------------------------------
-
-    def on_message(self, message: Message) -> None:
-        if message.kind == messages.VERSION:
-            self._on_version(message)
-        elif message.kind == messages.STILL_VALID:
-            self._on_still_valid(message)
-        elif message.kind == messages.WRITE_ACK:
-            self._on_ack(message)
-        elif message.kind == messages.WRITE_BATCH_ACK:
-            self._on_batch_ack(message)
-        elif message.kind == messages.PUSH:
-            self._on_push(message)
-        elif message.kind == messages.INVALIDATE:
-            self._on_invalidate(message)
-        else:
-            raise ValueError(f"{self!r} cannot handle {message.kind}")
-
-    def _on_version(self, message: Message) -> None:
-        version: PhysicalVersion = message.payload["version"]
-        pending = self._pending.pop(message.payload.get("req"), None)
-        self.engine.install_fetched(version, self.sim.now)
-        if pending is not None:
-            if pending.was_validation:
-                self.stats.refreshed += 1
-            self._complete_read(pending, version.value)
-
-    def _on_still_valid(self, message: Message) -> None:
-        obj = message.payload["obj"]
-        pending = self._pending.pop(message.payload.get("req"), None)
-        _, value = self.engine.apply_still_valid(obj, message.payload["omega"])
-        if pending is not None:
-            self.stats.revalidated += 1
-            self._complete_read(pending, value)
-
-    def _on_ack(self, message: Message) -> None:
-        pending: Optional[_PendingWrite] = self._pending.pop(
-            message.payload["req"], None
-        )
-        if pending is None:
-            return  # duplicate ack from a retransmitted write
-        alpha = message.payload["alpha"]
-        true_time = message.payload["true_time"]
-        self.engine.apply_write_ack(pending.obj, pending.value, alpha, self.sim.now)
-        if self.recorder is not None:
-            self.recorder.record_write(
-                self.node_id, pending.obj, pending.value, true_time,
-                start=pending.issued_at, end=self.sim.now,
-            )
-        pending.event.succeed(alpha)
-
-    def _on_batch_ack(self, message: Message) -> None:
-        pending: Optional[_PendingBatch] = self._pending.pop(
-            message.payload["req"], None
-        )
-        if pending is None:
-            return  # duplicate ack from a retransmitted batch
-        true_time = message.payload["true_time"]
-        alphas: List[float] = []
-        for (obj, value), ack in zip(pending.writes, message.payload["acks"]):
-            alpha = ack["alpha"]
-            self.engine.apply_write_ack(obj, value, alpha, self.sim.now)
-            if self.recorder is not None:
-                self.recorder.record_write(
-                    self.node_id, obj, value, true_time,
-                    start=pending.issued_at, end=self.sim.now,
-                )
-            alphas.append(alpha)
-        pending.event.succeed(alphas)
-
-    def _on_push(self, message: Message) -> None:
-        self.engine.apply_push(message.payload["version"], self.sim.now)
-
-    def _on_invalidate(self, message: Message) -> None:
-        self.engine.apply_invalidate(
-            message.payload["obj"], message.payload["alpha"]
-        )
-
-    # -- helpers --------------------------------------------------------------
-
-    def _send_server(self, obj: str, kind: str, payload: Dict[str, Any]) -> None:
-        self.send(
-            self.directory.server_for(obj), kind, payload, size=messages.size_of(kind)
-        )
-
-    def _complete_read(self, pending: _PendingRead, value: Any) -> None:
-        self.stats.read_latencies.append(self.sim.now - pending.issued_at)
-        self._record_read(pending.obj, value, start=pending.issued_at)
-        pending.event.succeed(value)
-
-    def _record_read(self, obj: str, value: Any, start: Optional[float] = None) -> None:
-        if self.recorder is not None:
-            self.recorder.record_read(
-                self.node_id, obj, value, self.sim.now,
-                start=self.sim.now if start is None else start,
-                end=self.sim.now,
-            )
-
-
-class CausalCacheClient(Node, _RetryMixin):
-    """Vector-clock lifetime cache: CC when ``delta`` is infinite,
-    TCC(delta) otherwise (via the checking time ``beta``) — the
-    simulator driver over :class:`repro.engine.CausalCacheEngine`."""
-
-    def __init__(
-        self,
-        node_id: int,
-        sim: Simulator,
-        network: Network,
-        directory: ObjectDirectory,
-        slot: int,
-        vector_width: int,
-        delta: float = math.inf,
-        staleness_action: StalenessAction = StalenessAction.MARK_OLD,
-        recorder: Optional[TraceRecorder] = None,
-        clock=None,
-        lclock=None,
-        zero_timestamp=None,
-        retry_timeout: Optional[float] = None,
-        delta_overrides: Optional[Dict[str, float]] = None,
-    ) -> None:
-        """``lclock``/``zero_timestamp`` override the default exact vector
-        clock, e.g. with a constant-size plausible clock
-        (:class:`repro.clocks.plausible.REVClock`).  Plausible timestamps
-        keep the protocol *safe in the causal direction they report*, but
-        their folding can hide a genuine supersession, so causal
-        consistency becomes approximate; the bench suite measures the
-        violation rate as a function of clock precision.
-
-        ``delta_overrides`` gives per-object freshness bounds (the S-DSO
-        idea [41]); see :class:`TimedCacheClient`.
-        """
-        super().__init__(node_id, sim, network, clock)
-        if retry_timeout is not None and retry_timeout <= 0:
-            raise ValueError(f"retry_timeout must be positive, got {retry_timeout}")
-        self.directory = directory
-        self.recorder = recorder
-        self.retry_timeout = retry_timeout
-        self.stats = ClientStats()
-        self.engine = CausalCacheEngine(
-            site_id=node_id,
-            vclock=lclock if lclock is not None else VectorClock(slot, vector_width),
-            zero_timestamp=(
-                zero_timestamp
-                if zero_timestamp is not None
-                else VectorTimestamp.zero(vector_width)
-            ),
-            delta=delta, staleness_action=staleness_action,
-            delta_overrides=delta_overrides, stats=self.stats,
-        )
-        self._requests = itertools.count()
-        self._pending: Dict[int, Any] = {}
-
-    # -- engine state, exposed under the pre-refactor names --------------------
+    # -- engine state, readable through the driver -------------------------------
 
     @property
     def cache(self) -> Dict[str, CacheEntry]:
@@ -444,10 +123,6 @@ class CausalCacheClient(Node, _RetryMixin):
     def context(self):
         return self.engine.context
 
-    @context.setter
-    def context(self, value) -> None:
-        self.engine.context = value
-
     @property
     def vclock(self):
         return self.engine.vclock
@@ -456,154 +131,202 @@ class CausalCacheClient(Node, _RetryMixin):
     def delta(self) -> float:
         return self.engine.delta
 
-    @property
-    def delta_overrides(self) -> Dict[str, float]:
-        return self.engine.delta_overrides
-
-    @property
-    def staleness_action(self) -> StalenessAction:
-        return self.engine.staleness_action
-
     def delta_for(self, obj: str) -> float:
         """The freshness bound in force for ``obj``."""
         return self.engine.delta_for(obj)
 
-    def usable_snapshot(self) -> Dict[str, LogicalVersion]:
+    def usable_snapshot(self) -> Dict[str, Any]:
         """The versions this cache would serve right now, per object."""
         return self.engine.usable_snapshot(self.local_time())
 
     def snapshot_mutually_consistent(self) -> bool:
-        """Section 5.1's invariant under logical lifetimes (see
-        :meth:`repro.engine.CausalCacheEngine.snapshot_mutually_consistent`)."""
+        """Section 5.1's cache-consistency invariant (see the engines'
+        ``snapshot_mutually_consistent``)."""
         return self.engine.snapshot_mutually_consistent(self.local_time())
 
     # -- public operation API ----------------------------------------------
 
     def read(self, obj: str) -> Event:
         """Start a read; the returned event succeeds with the value."""
-        self.stats.reads += 1
-        decision = self.engine.lookup(obj, self.local_time())
-        event = self.sim.event()
-        if decision.hit:
-            self.stats.read_latencies.append(0.0)
-            self._record_read(obj, decision.value)
-            event.succeed(decision.value)
+        op = self.engine.begin_read(obj, self.local_time(), self.sim.now)
+        if op.hit:
+            event = self.sim.event()
+            self._record_read(obj, op.value, self.sim.now)
+            event.succeed(op.value)
             return event
-        req = next(self._requests)
-        issued = self.sim.now
-        if decision.action == "validate":
-            self._pending[req] = _PendingRead(obj, event, issued, True)
-            payload = {
-                "obj": obj,
-                "alpha": decision.alpha,
-                "context": self.engine.context,
-                "req": req,
-            }
-            send = lambda: self._send_server(obj, messages.VALIDATE, payload)
-        else:
-            self._pending[req] = _PendingRead(obj, event, issued, False)
-            payload = {"obj": obj, "context": self.engine.context, "req": req}
-            send = lambda: self._send_server(obj, messages.FETCH, payload)
-        send()
-        self._arm_retry(req, send)
-        return event
+        return self._issue(obj, op.frame, op, self._finish_read)
 
     def write(self, obj: str, value: Any) -> Event:
-        """Start a write; the returned event succeeds when the server acks.
+        """Start a write; the returned event succeeds when the server
+        acks (with the install time on the physical protocol)."""
+        op = self.engine.begin_write(obj, value, self.local_time(), self.sim.now)
+        return self._issue(obj, op.frame, op, self._finish_write)
 
-        The write is a local event: the vector clock ticks and the
-        version's start time is the new local timestamp (rule 2 adapted to
-        logical clocks: ``Context_i := alpha := local logical time``).
+    def write_many(self, writes: List[Tuple[str, Any]]) -> Event:
+        """Start a batch of writes as one ``WRITE_BATCH`` frame; the
+        returned event succeeds with the list of install times
+        (physical protocol only).
+
+        One frame, one server visit, per-item acks.  Caveat: the
+        simulator's clocks only advance between events, so every item in
+        the batch gets the *same* install stamp — batch distinct objects
+        (a same-object duplicate inside one frame loses the
+        latest-write-wins race).
         """
-        self.stats.writes += 1
-        version = self.engine.local_write(
-            obj, value, birth=self.local_time(), fetched_at=self.sim.now
+        if not writes:
+            raise ValueError("write_many needs at least one write")
+        ops = [
+            self.engine.begin_write(obj, value, self.local_time(), self.sim.now)
+            for obj, value in writes
+        ]
+        # Single-server sim: any object routes the frame.
+        return self._issue(
+            writes[0][0], self.engine.write_batch_frame(ops), ops, self._finish_batch
         )
-        event = self.sim.event()
-        req = next(self._requests)
-        self._pending[req] = _PendingWrite(
-            obj, value, event, self.sim.now, ltime=version.alpha
-        )
-        payload = {"version": version, "req": req}
-        send = lambda: self._send_server(obj, messages.WRITE, payload)
-        send()
-        self._arm_retry(req, send)
-        return event
 
     # -- message handling ----------------------------------------------------
 
-    def on_message(self, message: Message) -> None:
-        if message.kind == messages.VERSION:
-            self._on_version(message)
-        elif message.kind == messages.STILL_VALID:
-            self._on_still_valid(message)
-        elif message.kind == messages.WRITE_ACK:
-            self._on_ack(message)
-        elif message.kind == messages.PUSH:
-            self._on_push(message)
-        elif message.kind == messages.INVALIDATE:
-            self._on_invalidate(message)
-        else:
-            raise ValueError(f"{self!r} cannot handle {message.kind}")
+    def _issue(self, obj: str, frame: Dict[str, Any], op: Any, finish: Callable) -> Event:
+        """Send ``frame`` under a fresh request id and park ``op`` until
+        the reply with that id arrives."""
+        event = self.sim.event()
+        req = frame["req"] = next(self._requests)
+        kind, dst = frame["kind"], self.directory.server_for(obj)
+        resend = lambda: self.send(dst, kind, frame, size=messages.size_of(kind))
+        self._pending[req] = _Pending(op, event, finish, resend)
+        resend()
+        if self.retry_timeout is not None:
+            self.sim.schedule(self.retry_timeout, self._maybe_retry, req)
+        return event
 
-    def _on_version(self, message: Message) -> None:
-        version: LogicalVersion = message.payload["version"]
-        pending = self._pending.pop(message.payload.get("req"), None)
-        self.engine.install_fetched(version, self.sim.now)
-        if pending is not None:
-            if pending.was_validation:
-                self.stats.refreshed += 1
-            self._complete_read(pending, version.value)
-
-    def _on_still_valid(self, message: Message) -> None:
-        obj = message.payload["obj"]
-        pending = self._pending.pop(message.payload.get("req"), None)
-        _, value = self.engine.apply_still_valid(
-            obj, message.payload["omega"], message.payload.get("beta")
-        )
-        if pending is not None:
-            self.stats.revalidated += 1
-            self._complete_read(pending, value)
-
-    def _on_ack(self, message: Message) -> None:
-        pending: Optional[_PendingWrite] = self._pending.pop(
-            message.payload["req"], None
-        )
+    def _maybe_retry(self, req: int) -> None:
+        pending = self._pending.get(req)
         if pending is None:
-            return  # duplicate ack from a retransmitted write
-        true_time = message.payload["true_time"]
-        self.engine.apply_write_beta(pending.obj, message.payload.get("beta"))
-        if self.recorder is not None:
-            self.recorder.record_write(
-                self.node_id, pending.obj, pending.value, true_time,
-                ltime=pending.ltime, start=pending.issued_at, end=self.sim.now,
-            )
-        pending.event.succeed(None)
+            return
+        self.stats.retries += 1
+        pending.resend()
+        self.sim.schedule(self.retry_timeout, self._maybe_retry, req)
 
-    def _on_push(self, message: Message) -> None:
-        self.engine.apply_push(message.payload["version"], self.sim.now)
+    def on_message(self, message: Message) -> None:
+        frame = message.payload
+        req = frame.get("req")
+        if req is None:
+            self.engine.on_server_frame(frame, self.sim.now)
+            return
+        pending = self._pending.pop(req, None)
+        if pending is not None:  # else: a duplicate of an answered request
+            pending.event.succeed(pending.finish(pending.op, frame))
 
-    def _on_invalidate(self, message: Message) -> None:
-        self.engine.apply_invalidate(
-            message.payload["obj"], message.payload["alpha"]
-        )
+    def _finish_read(self, op: Any, reply: Dict[str, Any]) -> Any:
+        value = self.engine.finish_read(op, reply, self.sim.now)
+        self._record_read(op.obj, value, op.started)
+        return value
 
-    # -- helpers --------------------------------------------------------------
+    def _finish_write(self, op: Any, reply: Dict[str, Any]) -> Any:
+        result = self.engine.finish_write(op, reply, self.sim.now)
+        self._record_write(op, reply["true_time"])
+        return result
 
-    def _send_server(self, obj: str, kind: str, payload: Dict[str, Any]) -> None:
-        self.send(
-            self.directory.server_for(obj), kind, payload, size=messages.size_of(kind)
-        )
+    def _finish_batch(self, ops: List[Any], reply: Dict[str, Any]) -> List[float]:
+        alphas = self.engine.finish_write_batch(ops, reply, self.sim.now)
+        for op in ops:
+            self._record_write(op, reply["true_time"])
+        return alphas
 
-    def _complete_read(self, pending: _PendingRead, value: Any) -> None:
-        self.stats.read_latencies.append(self.sim.now - pending.issued_at)
-        self._record_read(pending.obj, value, start=pending.issued_at)
-        pending.event.succeed(value)
+    # -- tracing ----------------------------------------------------------------
+    #
+    # The *effective time* recorded is ground truth: a read's is the
+    # simulation time at completion, a write's the instant the server
+    # installed it — both inside the operation's execution interval.
 
-    def _record_read(self, obj: str, value: Any, start: Optional[float] = None) -> None:
+    def _record_read(self, obj: str, value: Any, start: float) -> None:
         if self.recorder is not None:
             self.recorder.record_read(
-                self.node_id, obj, value, self.sim.now, ltime=self.vclock.now(),
-                start=self.sim.now if start is None else start,
-                end=self.sim.now,
+                self.node_id, obj, value, self.sim.now,
+                ltime=self.engine.logical_time(), start=start, end=self.sim.now,
             )
+
+    def _record_write(self, op: Any, true_time: float) -> None:
+        if self.recorder is not None:
+            self.recorder.record_write(
+                self.node_id, op.obj, op.value, true_time,
+                ltime=op.ltime, start=op.started, end=self.sim.now,
+            )
+
+
+def TimedCacheClient(
+    node_id: int,
+    sim: Simulator,
+    network: Network,
+    directory: ObjectDirectory,
+    delta: float = math.inf,
+    staleness_action: StalenessAction = StalenessAction.MARK_OLD,
+    recorder: Optional[TraceRecorder] = None,
+    clock=None,
+    retry_timeout: Optional[float] = None,
+    delta_overrides: Optional[Dict[str, float]] = None,
+) -> SimCacheClient:
+    """Physical-clock lifetime cache: SC when ``delta`` is infinite,
+    TSC(delta) otherwise — a :class:`SimCacheClient` over
+    :class:`repro.engine.CacheEngine`.
+
+    ``delta_overrides`` maps object names to per-object freshness
+    bounds — the S-DSO idea of West et al. [41] that the paper's
+    Section 4 cites: applications specify *which* objects must be seen
+    how quickly.  An override tighter than ``delta`` forces earlier
+    revalidation of that object only; looser overrides relax it.
+    """
+    engine = CacheEngine(
+        site_id=node_id, delta=delta, staleness_action=staleness_action,
+        delta_overrides=delta_overrides,
+    )
+    return SimCacheClient(
+        node_id, sim, network, directory, engine, recorder, clock, retry_timeout
+    )
+
+
+def CausalCacheClient(
+    node_id: int,
+    sim: Simulator,
+    network: Network,
+    directory: ObjectDirectory,
+    slot: int,
+    vector_width: int,
+    delta: float = math.inf,
+    staleness_action: StalenessAction = StalenessAction.MARK_OLD,
+    recorder: Optional[TraceRecorder] = None,
+    clock=None,
+    lclock=None,
+    zero_timestamp=None,
+    retry_timeout: Optional[float] = None,
+    delta_overrides: Optional[Dict[str, float]] = None,
+) -> SimCacheClient:
+    """Vector-clock lifetime cache: CC when ``delta`` is infinite,
+    TCC(delta) otherwise (via the checking time ``beta``) — a
+    :class:`SimCacheClient` over :class:`repro.engine.CausalCacheEngine`.
+
+    ``lclock``/``zero_timestamp`` override the default exact vector
+    clock, e.g. with a constant-size plausible clock
+    (:class:`repro.clocks.plausible.REVClock`).  Plausible timestamps
+    keep the protocol *safe in the causal direction they report*, but
+    their folding can hide a genuine supersession, so causal
+    consistency becomes approximate; the bench suite measures the
+    violation rate as a function of clock precision.
+
+    ``delta_overrides`` gives per-object freshness bounds (the S-DSO
+    idea [41]); see :func:`TimedCacheClient`.
+    """
+    engine = CausalCacheEngine(
+        site_id=node_id,
+        vclock=lclock if lclock is not None else VectorClock(slot, vector_width),
+        zero_timestamp=(
+            zero_timestamp
+            if zero_timestamp is not None
+            else VectorTimestamp.zero(vector_width)
+        ),
+        delta=delta, staleness_action=staleness_action,
+        delta_overrides=delta_overrides,
+    )
+    return SimCacheClient(
+        node_id, sim, network, directory, engine, recorder, clock, retry_timeout
+    )

@@ -19,6 +19,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.clocks.physical import PerfectClock, SynchronizedClock, TimeServer
 from repro.core.history import History
+from repro.engine.stats import ClientStats
 from repro.protocol.cache_client import (
     CausalCacheClient,
     StalenessAction,
@@ -30,7 +31,6 @@ from repro.protocol.server import (
     PhysicalServer,
     PushPolicy,
 )
-from repro.protocol.stats import ClientStats
 from repro.sim.kernel import Simulator
 from repro.sim.network import LatencyModel, Network, UniformLatency
 from repro.sim.rng import RngRegistry

@@ -19,12 +19,12 @@ its objects and answers:
   now that both drive the same engine).
 
 The protocol logic lives in the transport-free engines of
-:mod:`repro.engine`; the classes here are the *simulator drivers*: they
-translate :class:`~repro.sim.network.Message` payloads into engine
-frames, run them through the engine, and turn the resulting
-:class:`~repro.engine.effects.EngineResult` into simulator sends
+:mod:`repro.engine`; :class:`SimServer` is the one *simulator driver*
+for both of them.  A simulator message's payload *is* an engine frame:
+the driver runs it through ``execute`` and sends what comes back
 (propagation first, then the reply — preserving the simulator's
-historical event order).  The TCP driver
+historical event order), and the cache engines at the other end read
+the same frames, so nothing is translated on the way.  The TCP driver
 (:class:`repro.net.server.NetObjectServer`) runs the *same* engine,
 which is what the conformance suite asserts.
 
@@ -42,11 +42,10 @@ to every subscribed client.
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, List
+from functools import partial
+from typing import Any, Callable, Dict, List
 
-from repro.engine import CausalServerEngine, ServerEngine
-from repro.protocol import messages
-from repro.protocol.versions import LogicalVersion, PhysicalVersion
+from repro.engine import ERROR, CausalServerEngine, ServerEngine, messages
 from repro.sim.kernel import Simulator
 from repro.sim.network import Message, Network
 from repro.sim.node import Node
@@ -110,40 +109,29 @@ class ObjectDirectory:
         return self.ring.replicas_for(obj)
 
 
-class PhysicalServer(Node):
-    """Authoritative store for the SC/TSC (physical-clock) protocols —
-    the simulator driver over :class:`repro.engine.ServerEngine`."""
-
-    #: Frame kinds this driver accepts (anything else is a harness bug).
-    HANDLED = frozenset({
-        messages.FETCH, messages.VALIDATE, messages.WRITE,
-        messages.WRITE_BATCH, messages.VALIDATE_BATCH,
-    })
+class SimServer(Node):
+    """Authoritative store on the simulator — the driver over whichever
+    server engine it is handed (``make_engine(clock, wall=...)``).  It
+    only moves messages; see the engines' docstrings for the protocol."""
 
     def __init__(
         self,
         node_id: int,
         sim: Simulator,
         network: Network,
-        initial_value: Any = 0,
+        make_engine: Callable[..., Any],
         push_policy: PushPolicy = PushPolicy.NONE,
         clock=None,
-        reply_cache_size: int = 1024,
     ) -> None:
         super().__init__(node_id, sim, network, clock)
-        self.initial_value = initial_value
         self.push_policy = push_policy
-        self.engine = ServerEngine(
-            self.local_time, initial_value=initial_value,
-            reply_cache_size=reply_cache_size,
-            wall=lambda: self.sim.now,
-        )
+        self.engine = make_engine(self.local_time, wall=lambda: self.sim.now)
         self.subscribers: List[int] = []
 
-    # -- engine state, exposed under the pre-refactor names --------------------
+    # -- engine state, readable through the driver -------------------------------
 
     @property
-    def store(self) -> Dict[str, PhysicalVersion]:
+    def store(self) -> Dict[str, Any]:
         return self.engine.store
 
     @property
@@ -166,203 +154,77 @@ class PhysicalServer(Node):
         if client_id not in self.subscribers:
             self.subscribers.append(client_id)
 
-    def current_version(self, obj: str) -> PhysicalVersion:
-        """The stored version, materializing the initial value on demand."""
-        return self.engine.current(obj)
-
     # -- message handling ------------------------------------------------------
 
     def on_message(self, message: Message) -> None:
-        if message.kind not in self.HANDLED:
-            raise ValueError(f"{self!r} cannot handle {message.kind}")
-        frame = self._frame(message)
-        key = self.engine.dedup_key(message.src, frame)
-        cached = self.engine.replay(key)
-        if cached is not None:
-            # A retransmission of an answered request: replay the
-            # original reply (same alpha / true_time), execute nothing —
-            # in particular, never re-install (a re-install after an
-            # interleaved competing write would resurrect the old value).
-            self._send_reply(message.src, cached)
-            return
-        result = self.engine.execute(message.src, frame)
-        # Propagate before the ack: the simulator's historical event
-        # order, which timed-consistency checkers of push traces rely on.
-        for version in result.installed:
-            self._propagate(version, exclude=message.src)
-        self._send_reply(message.src, result.reply)
-
-    def _frame(self, message: Message) -> Dict[str, Any]:
-        """Translate a simulator payload into an engine frame."""
-        payload = message.payload
-        if message.kind == messages.WRITE and "version" in payload:
-            # Legacy write shape: the client shipped a stamped version
-            # object.  The engine re-stamps on install anyway, so only
-            # the object name and value survive the translation.
-            version: PhysicalVersion = payload["version"]
-            return {
-                "kind": messages.WRITE, "obj": version.obj,
-                "value": version.value, "req": payload.get("req"),
-            }
-        return {"kind": message.kind, **{k: v for k, v in payload.items()}}
-
-    def _send_reply(self, dst: int, reply: Dict[str, Any]) -> None:
-        """Translate an engine reply frame into a simulator message.
-
-        The engine speaks JSON scalars (shared with the TCP wire); the
-        simulator's clients historically receive version *objects*, so
-        ``version`` frames are re-materialized here.
-        """
-        kind = str(reply["kind"])
-        payload = {k: v for k, v in reply.items() if k != "kind"}
-        if kind == messages.VERSION:
-            payload = {
-                "version": PhysicalVersion(
-                    reply["obj"], reply["value"], reply["alpha"],
-                    reply["omega"], reply["writer"],
-                ),
-                "req": reply.get("req"),
-            }
-        self.send(dst, kind, payload, size=messages.size_of(kind))
-
-    def _propagate(self, version: PhysicalVersion, exclude: int) -> None:
-        if self.push_policy is PushPolicy.NONE:
-            return
-        for client_id in self.subscribers:
-            if client_id == exclude:
-                continue
-            if self.push_policy is PushPolicy.PUSH:
-                self.send(
-                    client_id,
-                    messages.PUSH,
-                    {"version": version.copy()},
-                    size=messages.size_of(messages.PUSH),
-                )
-            else:
-                self.send(
-                    client_id,
-                    messages.INVALIDATE,
-                    {"obj": version.obj, "alpha": version.alpha},
-                    size=messages.size_of(messages.INVALIDATE),
-                )
-
-
-class CausalServer(Node):
-    """Authoritative store for the CC/TCC (logical-clock) protocols —
-    the simulator driver over :class:`repro.engine.CausalServerEngine`.
-
-    See that engine's docstring for the knowledge-vector / ending-time
-    soundness argument; this class only moves messages.
-    """
-
-    HANDLED = frozenset({messages.FETCH, messages.VALIDATE, messages.WRITE})
-
-    #: The supersession rule (install-order last-writer-wins for
-    #: concurrent writes) — lives on the engine, aliased here.
-    _wins = staticmethod(CausalServerEngine._wins)
-
-    def __init__(
-        self,
-        node_id: int,
-        sim: Simulator,
-        network: Network,
-        vector_width: int,
-        initial_value: Any = 0,
-        push_policy: PushPolicy = PushPolicy.NONE,
-        clock=None,
-        zero_timestamp=None,
-        reply_cache_size: int = 1024,
-    ) -> None:
-        super().__init__(node_id, sim, network, clock)
-        self.initial_value = initial_value
-        self.push_policy = push_policy
-        self.vector_width = vector_width
-        self.engine = CausalServerEngine(
-            self.local_time, vector_width=vector_width,
-            initial_value=initial_value, zero_timestamp=zero_timestamp,
-            reply_cache_size=reply_cache_size,
-            wall=lambda: self.sim.now,
-        )
-        self.subscribers: List[int] = []
-
-    # -- engine state, exposed under the pre-refactor names --------------------
-
-    @property
-    def store(self) -> Dict[str, LogicalVersion]:
-        return self.engine.store
-
-    @property
-    def knowledge(self):
-        return self.engine.knowledge
-
-    @property
-    def zero_timestamp(self):
-        return self.engine.zero_timestamp
-
-    @property
-    def writes_installed(self) -> int:
-        return self.engine.writes_installed
-
-    @property
-    def writes_discarded(self) -> int:
-        return self.engine.writes_discarded
-
-    @property
-    def requests(self) -> int:
-        return self.engine.requests
-
-    @property
-    def dedup_replays(self) -> int:
-        return self.engine.dedup_replays
-
-    def subscribe(self, client_id: int) -> None:
-        if client_id not in self.subscribers:
-            self.subscribers.append(client_id)
-
-    def current_version(
-        self, obj: str, requester_context=None
-    ) -> LogicalVersion:
-        """A *copy* of the stored version, tailored to the requester."""
-        return self.engine.current(obj, requester_context)
-
-    # -- message handling ------------------------------------------------------
-
-    def on_message(self, message: Message) -> None:
-        if message.kind not in self.HANDLED:
-            raise ValueError(f"{self!r} cannot handle {message.kind}")
         frame = {"kind": message.kind, **message.payload}
-        key = self.engine.dedup_key(message.src, frame)
-        cached = self.engine.replay(key)
-        if cached is not None:
-            self._send_reply(message.src, cached)
-            return
-        result = self.engine.execute(message.src, frame)
-        for version in result.installed:
-            self._propagate(version, exclude=message.src)
-        self._send_reply(message.src, result.reply)
+        # A retransmission of an answered request: replay the original
+        # reply (same alpha / true_time), execute nothing — in
+        # particular, never re-install (a re-install after an
+        # interleaved competing write would resurrect the old value).
+        reply = self.engine.replay(self.engine.dedup_key(message.src, frame))
+        if reply is None:
+            result = self.engine.execute(message.src, frame)
+            reply = result.reply
+            if reply["kind"] == ERROR:  # a harness bug, not a protocol event
+                raise ValueError(f"{self!r} cannot handle {message.kind}: {reply}")
+            # Propagate before the ack: the simulator's historical event
+            # order, which timed-consistency checkers of push traces rely on.
+            for version in result.installed:
+                self._propagate(version, exclude=message.src)
+        self._send_frame(message.src, reply)
 
-    def _send_reply(self, dst: int, reply: Dict[str, Any]) -> None:
-        kind = str(reply["kind"])
-        payload = {k: v for k, v in reply.items() if k != "kind"}
-        self.send(dst, kind, payload, size=messages.size_of(kind))
+    def _send_frame(self, dst: int, frame: Dict[str, Any]) -> None:
+        kind = frame["kind"]
+        self.send(dst, kind, frame, size=messages.size_of(kind))
 
-    def _propagate(self, version: LogicalVersion, exclude: int) -> None:
+    def _propagate(self, version: Any, exclude: int) -> None:
         if self.push_policy is PushPolicy.NONE:
             return
         for client_id in self.subscribers:
             if client_id == exclude:
                 continue
             if self.push_policy is PushPolicy.PUSH:
-                self.send(
-                    client_id,
-                    messages.PUSH,
-                    {"version": version.copy()},
-                    size=messages.size_of(messages.PUSH),
-                )
+                self._send_frame(client_id, self.engine.push_frame(version))
             else:
-                self.send(
-                    client_id,
-                    messages.INVALIDATE,
-                    {"obj": version.obj, "alpha": version.alpha},
-                    size=messages.size_of(messages.INVALIDATE),
-                )
+                self._send_frame(client_id, self.engine.invalidate_frame(version))
+
+
+def PhysicalServer(
+    node_id: int,
+    sim: Simulator,
+    network: Network,
+    initial_value: Any = 0,
+    push_policy: PushPolicy = PushPolicy.NONE,
+    clock=None,
+    reply_cache_size: int = 1024,
+) -> SimServer:
+    """Authoritative store for the SC/TSC (physical-clock) protocols: a
+    :class:`SimServer` over :class:`repro.engine.ServerEngine`."""
+    make_engine = partial(
+        ServerEngine, initial_value=initial_value, reply_cache_size=reply_cache_size
+    )
+    return SimServer(node_id, sim, network, make_engine, push_policy, clock)
+
+
+def CausalServer(
+    node_id: int,
+    sim: Simulator,
+    network: Network,
+    vector_width: int,
+    initial_value: Any = 0,
+    push_policy: PushPolicy = PushPolicy.NONE,
+    clock=None,
+    zero_timestamp=None,
+    reply_cache_size: int = 1024,
+) -> SimServer:
+    """Authoritative store for the CC/TCC (logical-clock) protocols: a
+    :class:`SimServer` over :class:`repro.engine.CausalServerEngine`
+    (see its docstring for the knowledge-vector / ending-time soundness
+    argument)."""
+    make_engine = partial(
+        CausalServerEngine, vector_width=vector_width,
+        initial_value=initial_value, zero_timestamp=zero_timestamp,
+        reply_cache_size=reply_cache_size,
+    )
+    return SimServer(node_id, sim, network, make_engine, push_policy, clock)

@@ -11,9 +11,9 @@ of timing precision (wall-clock scheduling jitter), which is why the
 quantitative experiments stay on the simulator.
 
 Both halves drive the shared engines of :mod:`repro.engine` — the same
-:class:`~repro.engine.ServerEngine` install/validate logic and
-:class:`~repro.engine.CacheEngine` lifetime rules that the simulator and
-TCP stacks run — wrapped here in asyncio latency and locking only.
+:class:`~repro.engine.ServerEngine` and :class:`~repro.engine.CacheEngine`
+the simulator and TCP stacks run, exchanging the same frames — wrapped
+here in asyncio latency and locking only.
 
 The clock is ``loop.time()`` rebased to 0 at session start; all deltas
 and latencies are in (real) seconds, so keep them small in tests.
@@ -28,8 +28,8 @@ from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
 from repro.clocks.rebase import RebasedClock
 from repro.core.history import History
 from repro.engine import CacheEngine, ServerEngine
-from repro.protocol.stats import ClientStats
-from repro.protocol.versions import CacheEntry, PhysicalVersion
+from repro.engine.stats import ClientStats
+from repro.engine.versions import CacheEntry, PhysicalVersion
 from repro.sim.trace import TraceRecorder, UniqueValueFactory
 
 
@@ -56,38 +56,13 @@ class AioObjectServer:
     def requests(self) -> int:
         return self.engine.requests
 
-    def _current(self, obj: str) -> PhysicalVersion:
-        return self.engine.current(obj)
-
-    async def fetch(self, obj: str) -> PhysicalVersion:
+    async def request(self, client_id: int, frame: Dict[str, Any]) -> Dict[str, Any]:
+        """One request frame in, its reply frame out, after the injected
+        latency.  (No request ids here — a call cannot be lost — so there
+        is nothing to replay.)"""
         await asyncio.sleep(self.latency)
         async with self._lock:
-            self.engine.requests += 1
-            return self.engine.current(obj).copy()
-
-    async def validate(self, obj: str, alpha: float):
-        """Returns ``("valid", omega)`` or ``("version", version)``."""
-        await asyncio.sleep(self.latency)
-        async with self._lock:
-            self.engine.requests += 1
-            version = self.engine.current(obj)
-            if version.alpha == alpha:
-                return ("valid", version.omega)
-            return ("version", version.copy())
-
-    async def write(self, obj: str, value: Any, writer: int) -> PhysicalVersion:
-        """Install synchronously; the install instant is the effective time.
-
-        The returned version always describes *this* write (the writer
-        keeps its own value cached even in the measure-zero case of an
-        exact install-time tie, which is SC-safe: its reads serialize
-        before the winner's).
-        """
-        await asyncio.sleep(self.latency)
-        async with self._lock:
-            self.engine.requests += 1
-            version, _ = self.engine.install(obj, value, writer)
-            return version
+            return self.engine.execute(client_id, frame).reply
 
 
 class AioTimedCacheClient:
@@ -106,8 +81,8 @@ class AioTimedCacheClient:
         self.server = server
         self.clock = clock
         self.recorder = recorder
-        self.stats = ClientStats()
-        self.engine = CacheEngine(site_id=client_id, delta=delta, stats=self.stats)
+        self.engine = CacheEngine(site_id=client_id, delta=delta)
+        self.stats = self.engine.stats
 
     @property
     def cache(self) -> Dict[str, CacheEntry]:
@@ -122,39 +97,26 @@ class AioTimedCacheClient:
         return self.engine.delta
 
     async def read(self, obj: str) -> Any:
-        self.stats.reads += 1
-        self.engine.rule3(self.clock())
-        decision = self.engine.lookup(obj, None)
-        if decision.hit:
-            self._record_read(obj, decision.value)
-            return decision.value
-        if decision.action == "validate":
-            kind, payload = await self.server.validate(obj, decision.alpha)
-            if kind == "valid":
-                _, value = self.engine.apply_still_valid(obj, payload)
-                self.stats.revalidated += 1
-            else:
-                self.engine.install_fetched(payload, self.clock())
-                self.stats.refreshed += 1
-                value = payload.value
-        else:
-            version = await self.server.fetch(obj)
-            self.engine.install_fetched(version, self.clock())
-            value = version.value
-        self._record_read(obj, value)
+        op = self.engine.begin_read(obj, self.clock())
+        value = op.value
+        if not op.hit:
+            reply = await self.server.request(self.client_id, op.frame)
+            value = self.engine.finish_read(op, reply, self.clock())
+        if self.recorder is not None:
+            self.recorder.record_read(self.client_id, obj, value, self.clock())
         return value
 
     async def write(self, obj: str, value: Any) -> float:
-        self.stats.writes += 1
-        version = await self.server.write(obj, value, self.client_id)
-        self.engine.apply_write_ack(obj, value, version.alpha, self.clock())
+        """Write through; the install instant is the effective time (the
+        writer keeps its own value cached even in the measure-zero case
+        of an exact install-time tie, which is SC-safe: its reads
+        serialize before the winner's)."""
+        op = self.engine.begin_write(obj, value, self.clock())
+        reply = await self.server.request(self.client_id, op.frame)
+        alpha = self.engine.finish_write(op, reply, self.clock())
         if self.recorder is not None:
-            self.recorder.record_write(self.client_id, obj, value, version.alpha)
-        return version.alpha
-
-    def _record_read(self, obj: str, value: Any) -> None:
-        if self.recorder is not None:
-            self.recorder.record_read(self.client_id, obj, value, self.clock())
+            self.recorder.record_write(self.client_id, obj, value, alpha)
+        return alpha
 
 
 class AioSession:

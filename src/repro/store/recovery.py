@@ -62,7 +62,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set
 from repro.core.history import History
 from repro.core.io import atomic_write_json
 from repro.core.operations import Operation, write
-from repro.protocol.versions import PhysicalVersion
+from repro.engine.versions import PhysicalVersion
 from repro.store.snapshot import (
     SnapshotError,
     load_snapshot,

@@ -38,7 +38,7 @@ import zlib
 from typing import Any, Dict, Optional
 
 from repro.core.io import atomic_write_json
-from repro.protocol.versions import PhysicalVersion
+from repro.engine.versions import PhysicalVersion
 
 SNAPSHOT_VERSION = 1
 

@@ -16,10 +16,10 @@ import asyncio
 
 import pytest
 
+from repro.engine import messages
 from repro.net.client import NetCacheClient
 from repro.net.faults import FaultConfig, FaultInjector
 from repro.net.server import NetObjectServer
-from repro.protocol import messages
 from repro.protocol.server import PhysicalServer
 from repro.sim.kernel import Simulator
 from repro.sim.network import ConstantLatency, Network
@@ -105,23 +105,6 @@ class TestSimStack:
         assert server.writes_installed == 3
         assert server.dedup_replays == 1
         assert probe.acks(0)[1]["alpha"] == alpha1
-
-    def test_legacy_version_payload_shape_dedups_too(self):
-        """The pre-engine wire shape (a stamped version object in the
-        payload) goes through the same frame translation and dedup key."""
-        from repro.protocol.versions import PhysicalVersion
-
-        sim, server, probe = sim_rig()
-        stamped = PhysicalVersion("x", "v1", alpha=0.0, omega=0.0, writer=1)
-        payload = {"version": stamped, "req": 7}
-        probe.send(0, messages.WRITE, payload, size=messages.size_of(messages.WRITE))
-        sim.run()
-        probe.send(0, messages.WRITE, payload, size=messages.size_of(messages.WRITE))
-        sim.run()
-        assert server.writes_installed == 1
-        assert server.dedup_replays == 1
-        acks = probe.acks(7)
-        assert len(acks) == 2 and acks[0] == acks[1]
 
 
 class DropFirst(FaultInjector):

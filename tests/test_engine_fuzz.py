@@ -17,9 +17,8 @@ import random
 
 from repro.checkers import check_tcc, check_tsc
 from repro.clocks.vector import VectorClock, VectorTimestamp
-from repro.engine import CausalServerEngine, ServerEngine
+from repro.engine import CausalServerEngine, ServerEngine, messages
 from repro.engine.versions import LogicalVersion
-from repro.protocol import messages
 from repro.sim.trace import TraceRecorder
 
 N_CLIENTS = 4

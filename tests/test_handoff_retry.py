@@ -11,7 +11,7 @@ import asyncio
 
 import pytest
 
-from repro.protocol.versions import PhysicalVersion
+from repro.engine.versions import PhysicalVersion
 from repro.ring import MemoryTransport, Rebalancer, replay_handoff
 from repro.ring.ring import RingBuilder
 from repro.store import DurableStore, SnapshotCatalog

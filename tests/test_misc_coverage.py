@@ -12,7 +12,7 @@ from repro.clocks.xi import figure7_examples
 from repro.core.history import History
 from repro.core.operations import read, write
 from repro.core.render import describe_violation
-from repro.protocol import messages
+from repro.engine import messages
 from repro.sim.aio import run_aio_session
 from repro.workloads import uniform_workload
 

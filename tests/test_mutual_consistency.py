@@ -13,8 +13,8 @@ import math
 
 import pytest
 
+from repro.engine.versions import PhysicalVersion
 from repro.protocol import Cluster
-from repro.protocol.versions import PhysicalVersion
 from repro.workloads import uniform_workload
 
 

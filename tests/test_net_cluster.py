@@ -13,11 +13,11 @@ import math
 import pytest
 
 from repro.checkers import check_sc
+from repro.engine import messages
 from repro.net.client import NetCacheClient, RequestTimeout
 from repro.net.demo import random_net_cluster, run_push_staleness_demo
 from repro.net.faults import FaultConfig, FaultInjector
 from repro.net.server import NetObjectServer
-from repro.protocol import messages
 from repro.sim.trace import TraceRecorder
 
 pytestmark = pytest.mark.net

@@ -17,10 +17,10 @@ import math
 import pytest
 
 from repro.checkers import check_tsc
+from repro.engine import messages
 from repro.net.client import NetCacheClient, RequestTimeout
 from repro.net.faults import FaultConfig, FaultInjector
 from repro.net.server import NetObjectServer
-from repro.protocol import messages
 from repro.sim.trace import TraceRecorder, UniqueValueFactory
 from repro.store import DurableStore
 from repro.store.recovery import REC_WRITE

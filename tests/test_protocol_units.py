@@ -5,7 +5,8 @@ import math
 import pytest
 
 from repro.clocks.vector import VectorTimestamp
-from repro.protocol import messages
+from repro.engine import CausalServerEngine
+from repro.engine.versions import LogicalVersion
 from repro.protocol.cache_client import (
     CausalCacheClient,
     StalenessAction,
@@ -17,7 +18,6 @@ from repro.protocol.server import (
     PhysicalServer,
     PushPolicy,
 )
-from repro.protocol.versions import LogicalVersion
 from repro.sim.kernel import Simulator
 from repro.sim.network import ConstantLatency, Network
 from repro.sim.trace import TraceRecorder
@@ -417,9 +417,9 @@ class TestCausalProtocol:
             writer=1, beta=3.0, birth=3.0,
         )
         # Concurrent: the arriving write wins (install-order LWW).
-        assert CausalServer._wins(v2, v1)
-        assert CausalServer._wins(v1, v2)
+        assert CausalServerEngine._wins(v2, v1)
+        assert CausalServerEngine._wins(v1, v2)
         # Causally later wins; causally older and equal lose.
-        assert CausalServer._wins(later, v1)
-        assert not CausalServer._wins(v1, later)
-        assert not CausalServer._wins(v1, v1)
+        assert CausalServerEngine._wins(later, v1)
+        assert not CausalServerEngine._wins(v1, later)
+        assert not CausalServerEngine._wins(v1, v1)

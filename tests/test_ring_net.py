@@ -7,10 +7,10 @@ import math
 
 import pytest
 
+from repro.engine import messages
 from repro.net.ring_demo import ring_cluster, run_ring_soak
 from repro.net.ring_router import RingRouter
 from repro.net.server import NetObjectServer
-from repro.protocol import messages
 from repro.ring import RingBuilder, uniform_ring
 from tests.test_net_pipeline import DropFirst
 

@@ -11,7 +11,7 @@ import os
 import pytest
 
 from repro.cli import main
-from repro.protocol.versions import PhysicalVersion
+from repro.engine.versions import PhysicalVersion
 from repro.store import DurableStore, load_state
 
 

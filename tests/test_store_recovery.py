@@ -27,9 +27,9 @@ import pytest
 
 from repro.checkers import check_tsc, history_from_wal
 from repro.core.history import History
+from repro.engine.versions import PhysicalVersion
 from repro.net.client import NetCacheClient, NetError
 from repro.net.server import NetObjectServer
-from repro.protocol.versions import PhysicalVersion
 from repro.sim.trace import TraceRecorder
 from repro.store import DurableStore, SnapshotCatalog, load_state
 

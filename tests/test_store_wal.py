@@ -14,8 +14,8 @@ import zlib
 import pytest
 
 from repro.core.io import atomic_write_json, atomic_write_text
+from repro.engine.versions import PhysicalVersion
 from repro.obs.metrics import Registry, load_snapshot as load_metrics_snapshot
-from repro.protocol.versions import PhysicalVersion
 from repro.store import (
     SnapshotError,
     WalError,

@@ -4,7 +4,7 @@ import pytest
 
 from repro.clocks.vector import VectorTimestamp
 from repro.core.history import HistoryError
-from repro.protocol.versions import CacheEntry, LogicalVersion, PhysicalVersion
+from repro.engine.versions import CacheEntry, LogicalVersion, PhysicalVersion
 from repro.sim.trace import TraceRecorder, UniqueValueFactory
 
 
