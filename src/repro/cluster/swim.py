@@ -73,6 +73,7 @@ from repro.net.framing import (
     RING_FETCH,
     FrameConnection,
     FrameError,
+    dial,
 )
 from repro.cluster.failover import FailoverPlan, failover_ring, join_ring
 from repro.cluster.view import (
@@ -179,18 +180,25 @@ class AgentLink:
         return self.conn is not None and not self._lost
 
     async def connect(self) -> "AgentLink":
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(self.host, self.port),
-            self.connect_timeout,
+        conn = await asyncio.wait_for(
+            dial(self.host, self.port), self.connect_timeout
         )
-        self.conn = FrameConnection(reader, writer)
-        await self.conn.send({
-            "kind": HELLO,
-            "client_id": CLUSTER_CLIENT_BASE + self.member_id,
-        })
-        ack = await asyncio.wait_for(self.conn.recv(), self.connect_timeout)
-        if ack is None or ack.get("kind") != HELLO_ACK:
-            raise ConnectionError(f"bad agent handshake from {self.peer_id}: {ack!r}")
+        try:
+            await conn.send({
+                "kind": HELLO,
+                "client_id": CLUSTER_CLIENT_BASE + self.member_id,
+            })
+            ack = await asyncio.wait_for(conn.recv(), self.connect_timeout)
+            if ack is None or ack.get("kind") != HELLO_ACK:
+                raise ConnectionError(
+                    f"bad agent handshake from {self.peer_id}: {ack!r}"
+                )
+        except BaseException:
+            # The loop keeps a registered transport alive: a link that
+            # never formed has to be dropped here, or its socket stays.
+            conn.transport.abort()
+            raise
+        self.conn = conn
         # Faults attach only after the handshake, like the data client:
         # the link always *forms*; the protocol runs over the cut.
         self.conn.faults = self.faults
@@ -241,10 +249,7 @@ class AgentLink:
 
     async def close(self) -> None:
         if self.conn is not None:
-            try:
-                await self.conn.send({"kind": BYE})
-            except (ConnectionError, FrameError):
-                pass
+            await self.conn.send({"kind": BYE})
         if self._recv_task is not None:
             self._recv_task.cancel()
             try:
@@ -325,6 +330,7 @@ class SwimAgent:
         self._rotation: List[int] = []
         self._suspect_deadlines: Dict[int, float] = {}
         self._task: Optional[asyncio.Task] = None
+        self._stopping = False
         self._catchup_task: Optional[asyncio.Task] = None
         self._failover_task: Optional[asyncio.Task] = None
         self._self_dead = False
@@ -365,10 +371,15 @@ class SwimAgent:
         self.server.agent = self
         if self.view.ring is not None:
             self.server.set_ring(self.view.ring)
+        self._stopping = False
         self._task = asyncio.ensure_future(self._loop())
         return self
 
     async def stop(self) -> None:
+        # Before Python 3.12 ``wait_for`` swallows a cancellation that
+        # lands just as its future completes (a probe's reply arriving):
+        # the flag ends the loop after that round, or stop() never returns.
+        self._stopping = True
         for task in (self._task, self._catchup_task, self._failover_task):
             if task is not None and not task.done():
                 task.cancel()
@@ -404,7 +415,7 @@ class SwimAgent:
     # -- the probe loop ------------------------------------------------------
 
     async def _loop(self) -> None:
-        while True:
+        while not self._stopping:
             await asyncio.sleep(self.config.probe_period)
             try:
                 self._expire_suspects()

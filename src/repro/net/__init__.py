@@ -4,9 +4,10 @@ Everything else in this repository runs either on the deterministic
 simulator (:mod:`repro.sim`) or on in-process asyncio
 (:mod:`repro.sim.aio`).  This package is the *distributed* counterpart:
 
-* :mod:`repro.net.framing` — length-prefixed JSON frames over TCP;
-* :mod:`repro.net.server` — the authoritative object server
-  (``asyncio.start_server``), speaking the protocol kinds of
+* :mod:`repro.net.framing` — length-prefixed JSON frames over TCP and
+  the one ``asyncio.Protocol`` that carries them;
+* :mod:`repro.net.server` — the authoritative object server, speaking
+  the protocol kinds of
   :mod:`repro.engine.messages` plus the clock-sync handshake;
 * :mod:`repro.net.client` — the Sections 5.1-5.2 cache client with
   request retry/backoff and push/invalidate handling;
@@ -45,8 +46,9 @@ from repro.net.framing import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     decode_frame,
+    dial,
     encode_frame,
-    read_frame,
+    listen,
 )
 from repro.net.ring_demo import RingReport, ring_cluster, run_ring_soak
 from repro.net.ring_router import RingRouter, RouterStats
@@ -72,8 +74,9 @@ __all__ = [
     "SyncSample",
     "SyncedClock",
     "decode_frame",
+    "dial",
     "encode_frame",
-    "read_frame",
+    "listen",
     "ring_cluster",
     "run_push_staleness_demo",
     "run_ring_soak",

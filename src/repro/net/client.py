@@ -61,6 +61,7 @@ from repro.net.framing import (
     SYNC_ACK,
     FrameConnection,
     FrameError,
+    dial,
 )
 from repro.sim.trace import TraceRecorder
 
@@ -77,6 +78,15 @@ class RequestTimeout(NetError):
 
 class ProtocolError(NetError):
     """The server answered with an error frame or nonsense."""
+
+
+#: What a request's retransmit timer puts in its reply future.
+_TIMED_OUT: Dict[str, Any] = {}
+
+
+def _expire(future: asyncio.Future) -> None:
+    if not future.done():
+        future.set_result(_TIMED_OUT)
 
 
 class NetCacheClient:
@@ -175,7 +185,6 @@ class NetCacheClient:
         self.batch = batch
         self._requests = itertools.count()
         self._pending: Dict[int, asyncio.Future] = {}
-        self._recv_task: Optional[asyncio.Task] = None
         # Pipelining: the semaphore bounds outstanding request ids over
         # the one connection; ids themselves are never reused, so a
         # reply that outlives its request cannot resolve a later future.
@@ -292,12 +301,11 @@ class NetCacheClient:
         # workload runs over the unreliable link.
         self.conn.faults = self.faults
         self._conn_lost = False
-        self._recv_task = asyncio.ensure_future(self._recv_loop())
+        self.conn.deliver(self._on_frame, self._on_connection_end)
         return self
 
     async def _handshake(self) -> None:
-        reader, writer = await asyncio.open_connection(self.host, self.port)
-        self.conn = FrameConnection(reader, writer)
+        self.conn = await dial(self.host, self.port)
         await self.conn.send({
             "kind": HELLO,
             "client_id": self.client_id,
@@ -347,18 +355,7 @@ class NetCacheClient:
             except Exception:
                 pass
         if self.conn is not None:
-            try:
-                await self.conn.send({"kind": BYE})
-            except (ConnectionError, FrameError):
-                pass
-        if self._recv_task is not None:
-            self._recv_task.cancel()
-            try:
-                await self._recv_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._recv_task = None
-        if self.conn is not None:
+            await self.conn.send({"kind": BYE})
             await self.conn.close()
             self.conn = None
 
@@ -540,7 +537,7 @@ class NetCacheClient:
             try:
                 self.on_epoch(epoch, self)
             except Exception:
-                pass  # a broken subscriber must not kill the recv loop
+                pass  # a broken subscriber must not kill the connection
 
     async def fetch_ring(self) -> Tuple[int, Optional[Dict[str, Any]]]:
         """Ask the server for its current ring: ``(epoch, ring dict or
@@ -583,7 +580,7 @@ class NetCacheClient:
         if self.conn is None:
             raise NetError("client is not connected")
         if self._conn_lost:
-            # Fail fast: the recv loop saw the connection die.  Burning
+            # Fail fast: the connection was seen to die.  Burning
             # the full retransmit ladder against a dead server would add
             # seconds to every failover (docs/CLUSTER.md time-to-recover
             # accounting); the caller's replica fallback handles it now.
@@ -592,7 +589,8 @@ class NetCacheClient:
             req = next(self._requests)
         message = dict(message, req=req)
         async with self._issue_slots:
-            future: asyncio.Future = asyncio.get_running_loop().create_future()
+            loop = asyncio.get_running_loop()
+            future: asyncio.Future = loop.create_future()
             self._pending[req] = future
             wait = timeout if timeout is not None else self.request_timeout
             rtt_child = self._rtt.get(message["kind"]) if self._rtt else None
@@ -603,17 +601,24 @@ class NetCacheClient:
             try:
                 while True:
                     await self.conn.send(message)
+                    # One timer per attempt; when it fires first it
+                    # resolves the reply future itself, with a sentinel.
+                    timer = loop.call_later(wait, _expire, future)
                     try:
-                        reply = await asyncio.wait_for(asyncio.shield(future), wait)
-                    except asyncio.TimeoutError:
+                        reply = await future
+                    finally:
+                        timer.cancel()
+                    if reply is _TIMED_OUT:
                         if attempt == self.max_retries:
                             raise RequestTimeout(
                                 f"no reply to {message['kind']} #{req} after "
                                 f"{self.max_retries + 1} attempts"
-                            ) from None
+                            )
                         attempt += 1
                         self.stats.retries += 1
                         wait *= self.backoff
+                        future = loop.create_future()
+                        self._pending[req] = future
                         continue
                     if reply.get("kind") == BUSY:
                         # Shed unexecuted: same id, fresh future, capped
@@ -627,7 +632,7 @@ class NetCacheClient:
                         self.stats.busy += 1
                         if self.pipeline is not None:
                             self.pipeline.on_busy()
-                        future = asyncio.get_running_loop().create_future()
+                        future = loop.create_future()
                         self._pending[req] = future
                         await asyncio.sleep(busy_wait)
                         busy_wait = min(busy_wait * self.backoff, wait)
@@ -642,29 +647,24 @@ class NetCacheClient:
                 if not future.done():
                     future.cancel()
 
-    async def _recv_loop(self) -> None:
-        try:
-            while True:
-                frame = await self.conn.recv()
-                if frame is None:
-                    break
-                self._note_epoch(frame)
-                req = frame.get("req")
-                if req is not None:
-                    future = self._pending.get(req)
-                    if future is not None and not future.done():
-                        future.set_result(frame)
-                    continue  # unknown id: duplicate of an answered request
-                if frame.get("kind") in (messages.PUSH, messages.INVALIDATE):
-                    self._on_server_frame(frame)
-                # anything else without an id is noise; ignore it
-        except (FrameError, ConnectionError):
-            pass
-        finally:
-            self._conn_lost = True
-            for future in self._pending.values():
-                if not future.done():
-                    future.set_exception(ConnectionError("connection lost"))
+    def _on_frame(self, frame: Dict[str, Any]) -> None:
+        """Every inbound frame after the handshake, from ``data_received``."""
+        self._note_epoch(frame)
+        req = frame.get("req")
+        if req is not None:
+            future = self._pending.get(req)
+            if future is not None and not future.done():
+                future.set_result(frame)
+            # else an unknown id: duplicate of an answered request
+        elif frame.get("kind") in (messages.PUSH, messages.INVALIDATE):
+            self._on_server_frame(frame)
+        # anything else without an id is noise; ignore it
+
+    def _on_connection_end(self, error: Optional[Exception]) -> None:
+        self._conn_lost = True
+        for future in self._pending.values():
+            if not future.done():
+                future.set_exception(ConnectionError("connection lost"))
 
     # -- tracing -----------------------------------------------------------------
 

@@ -128,9 +128,9 @@ class FaultInjector:
 
     def drops_inbound(self, kind: str) -> bool:
         """Whether an arriving frame of ``kind`` is lost to an inbound
-        partition (consulted by :meth:`FrameConnection.recv`).  Like the
-        outbound check, a partition severs *every* kind, ignoring this
-        injector's kind filter."""
+        partition (consulted by :class:`FrameConnection` as it cuts each
+        frame).  Like the outbound check, a partition severs *every*
+        kind, ignoring this injector's kind filter."""
         if "in" not in self._cut:
             return False
         self.stats.dropped_inbound += 1

@@ -14,9 +14,12 @@ boundaries explicit so a frame is either delivered whole or not at all.
 Payload values are restricted to JSON scalars, which is all the lifetime
 protocol needs (object names, values, timestamps).
 
-:class:`FrameConnection` pairs an ``asyncio`` stream reader/writer with
-the codec and an optional :class:`repro.net.faults.FaultInjector` that
-drops, delays, duplicates, or partitions outbound frames.
+:class:`FrameConnection` is the one transport of ``repro.net`` and
+``repro.cluster``: an ``asyncio.Protocol`` that cuts frames out of the
+bytes the socket delivers, with an optional
+:class:`repro.net.faults.FaultInjector` that drops, delays, duplicates,
+or partitions frames.  :func:`dial` opens one, :func:`listen` accepts
+them.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from typing import Any, Dict, Optional, Set
+from collections import deque
+from typing import Any, Awaitable, Callable, Deque, Dict, Optional, Set
 
 #: Hard cap on a frame's payload size; a peer announcing more is corrupt
 #: (or malicious) and the connection is torn down rather than buffered.
@@ -85,6 +89,7 @@ CLUSTER_KINDS = frozenset({
 })
 
 _LENGTH = struct.Struct(">I")
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class FrameError(Exception):
@@ -93,7 +98,7 @@ class FrameError(Exception):
 
 def encode_frame(message: Dict[str, Any]) -> bytes:
     """Serialize one message to ``length || JSON`` bytes."""
-    payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    payload = _encode_json(message).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise FrameError(f"frame of {len(payload)} bytes exceeds {MAX_FRAME_BYTES}")
     return _LENGTH.pack(len(payload)) + payload
@@ -110,113 +115,225 @@ def decode_frame(payload: bytes) -> Dict[str, Any]:
     return message
 
 
-async def read_frame(reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]:
-    """Read one frame; ``None`` on clean EOF at a frame boundary."""
-    try:
-        header = await reader.readexactly(_LENGTH.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise FrameError("connection closed mid-header") from None
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise FrameError(f"announced frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError:
-        raise FrameError("connection closed mid-frame") from None
-    return decode_frame(payload)
+class FrameConnection(asyncio.Protocol):
+    """One framed duplex connection, with optional fault injection.
 
+    Inbound, ``data_received`` appends to one buffer and cuts every
+    complete frame out of it in one pass.  Frames go to the ``on_frame``
+    callback once :meth:`deliver` has installed one (the steady-state
+    cache client), and before that to a queue behind :meth:`recv`
+    (handshakes, agent links, the server's per-connection handler).
 
-class FrameConnection:
-    """One framed duplex connection, with optional outbound fault injection.
-
-    ``send`` is fire-and-forget: a frame selected for delay by the
-    injector is written later by a background task (frames may therefore
+    Outbound, ``send`` is fire-and-forget: a frame selected for delay by
+    the injector is written later by a timer (frames may therefore
     reorder, as on a real network); a dropped frame is simply never
-    written.  Each frame is buffered with a single ``write`` call, so
-    concurrent senders never interleave bytes mid-frame.
+    written.  Each frame is handed to the transport whole, so concurrent
+    senders never interleave bytes mid-frame, and ``send`` suspends only
+    while the transport has paused writing; to a peer that is gone it
+    is a no-op, never an error (the receive side reports the loss).
+
+    ``handler``, on an accepted connection (:func:`listen`), is started
+    as the task ``handler(conn)`` once the transport is up; the task is
+    kept in :attr:`handler_task` for whoever has to wait for it.
     """
 
     def __init__(
         self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        faults: Optional["FaultInjector"] = None,  # noqa: F821
+        handler: Optional[Callable[["FrameConnection"], Awaitable[None]]] = None,
     ) -> None:
-        self.reader = reader
-        self.writer = writer
-        self.faults = faults
+        #: Set by the owner (a client: once the handshake is through).
+        self.faults: Optional["FaultInjector"] = None  # noqa: F821
+        self.transport: Optional[asyncio.Transport] = None
+        self.handler_task: Optional[asyncio.Task] = None
         self.sent = 0
         self.received = 0
         self.bytes_sent = 0
         self.bytes_received = 0
-        self._delayed: Set[asyncio.Task] = set()
+        self._start_handler = handler
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._buffer = bytearray()
+        self._inbox: Deque[Dict[str, Any]] = deque()
+        self._on_frame: Optional[Callable[[Dict[str, Any]], None]] = None
+        self._on_end: Optional[Callable[[Optional[Exception]], None]] = None
+        self._recv_waiter: Optional[asyncio.Future] = None
+        self._ended = False  # EOF, a framing error, or the connection lost
+        self._error: Optional[Exception] = None
+        self._paused = False
+        self._send_waiters: Deque[asyncio.Future] = deque()
+        self._delayed: Set[asyncio.TimerHandle] = set()
+        self._closed: Optional[asyncio.Future] = None
 
-    @property
-    def peername(self) -> str:
-        peer = self.writer.get_extra_info("peername")
-        return f"{peer[0]}:{peer[1]}" if peer else "?"
+    # -- asyncio.Protocol -------------------------------------------------------
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self._loop = asyncio.get_running_loop()
+        self._closed = self._loop.create_future()
+        if self._start_handler is not None:
+            self.handler_task = self._loop.create_task(self._start_handler(self))
+
+    def data_received(self, data: bytes) -> None:
+        if self._ended:
+            return  # after a framing error the stream has no boundaries left
+        buffer = self._buffer
+        buffer += data
+        end = len(buffer)
+        start = 0
+        deliver = self._on_frame or self._inbox.append
+        faults = self.faults
+        try:
+            while end - start >= 4:
+                (length,) = _LENGTH.unpack_from(buffer, start)
+                if length > MAX_FRAME_BYTES:
+                    raise FrameError(
+                        f"announced frame of {length} bytes exceeds {MAX_FRAME_BYTES}"
+                    )
+                stop = start + 4 + length
+                if stop > end:
+                    break
+                frame = decode_frame(buffer[start + 4:stop])
+                start = stop
+                self.received += 1
+                self.bytes_received += 4 + length
+                if faults is not None and faults.drops_inbound(
+                    str(frame.get("kind", ""))
+                ):
+                    continue  # asymmetric partition: arrived, never delivered
+                deliver(frame)
+        except FrameError as exc:
+            buffer.clear()
+            self._end(exc)
+            return
+        del buffer[:start]
+        if self._inbox:
+            self._wake_recv()
+
+    def eof_received(self) -> bool:
+        if self._buffer:
+            where = "mid-header" if len(self._buffer) < 4 else "mid-frame"
+            self._end(FrameError(f"connection closed {where}"))
+        else:
+            self._end(None)
+        return True  # the write side stays open: queued requests are still owed replies
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._end(exc)
+        self.resume_writing()
+        if not self._closed.done():
+            self._closed.set_result(None)
+
+    def pause_writing(self) -> None:
+        self._paused = True
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        for waiter in self._send_waiters:
+            if not waiter.done():
+                waiter.set_result(None)
+
+    # -- inbound ----------------------------------------------------------------
+
+    def _end(self, error: Optional[Exception]) -> None:
+        if self._ended:
+            return
+        self._ended = True
+        self._error = error
+        if self._on_end is not None:
+            self._on_end(error)
+        self._wake_recv()
+
+    def _wake_recv(self) -> None:
+        waiter = self._recv_waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
+    def deliver(
+        self,
+        on_frame: Callable[[Dict[str, Any]], None],
+        on_end: Callable[[Optional[Exception]], None],
+    ) -> None:
+        """From now on call ``on_frame(frame)`` from ``data_received`` for
+        every inbound frame instead of queueing it for :meth:`recv`, and
+        ``on_end(error)`` once when the stream ends: ``None`` on a clean
+        EOF or close, else the :class:`FrameError` or transport error."""
+        self._on_frame, self._on_end = on_frame, on_end
+        while self._inbox:
+            on_frame(self._inbox.popleft())
+        if self._ended:
+            on_end(self._error)
+
+    async def recv(self) -> Optional[Dict[str, Any]]:
+        """The next queued frame; ``None`` on clean EOF at a frame
+        boundary, :class:`FrameError` on EOF inside a frame."""
+        inbox = self._inbox
+        while not inbox:
+            if self._ended:
+                if self._error is not None:
+                    raise self._error
+                return None
+            self._recv_waiter = self._loop.create_future()
+            try:
+                await self._recv_waiter
+            finally:
+                self._recv_waiter = None
+        return inbox.popleft()
+
+    # -- outbound ---------------------------------------------------------------
 
     async def send(self, message: Dict[str, Any]) -> None:
         data = encode_frame(message)
-        deliveries = (
-            [0.0]
-            if self.faults is None
-            else self.faults.plan(message.get("kind", ""))
-        )
-        for delay in deliveries:
-            if delay <= 0.0:
-                self._write(data)
-            else:
-                task = asyncio.ensure_future(self._write_later(data, delay))
-                self._delayed.add(task)
-                task.add_done_callback(self._delayed.discard)
-        if any(delay <= 0.0 for delay in deliveries):
-            await self._drain()
+        if self.faults is None:
+            self._write(data)
+        else:
+            for delay in self.faults.plan(message.get("kind", "")):
+                if delay <= 0.0:
+                    self._write(data)
+                else:
+                    self._write_later(delay, data)
+        if self._paused:
+            waiter = self._loop.create_future()
+            self._send_waiters.append(waiter)
+            try:
+                await waiter
+            finally:
+                self._send_waiters.remove(waiter)
 
     def _write(self, data: bytes) -> None:
-        if self.writer.is_closing():
+        if self.transport.is_closing():
             return
-        self.writer.write(data)
         self.sent += 1
         self.bytes_sent += len(data)
+        self.transport.write(data)
 
-    async def _write_later(self, data: bytes, delay: float) -> None:
-        await asyncio.sleep(delay)
-        self._write(data)
-        await self._drain()
+    def _write_later(self, delay: float, data: bytes) -> None:
+        def fire() -> None:
+            self._delayed.discard(handle)
+            self._write(data)
 
-    async def _drain(self) -> None:
-        try:
-            await self.writer.drain()
-        except (ConnectionError, RuntimeError):
-            pass  # peer went away; the reader side will notice
-
-    async def recv(self) -> Optional[Dict[str, Any]]:
-        while True:
-            frame = await read_frame(self.reader)
-            if frame is None:
-                return None
-            self.received += 1
-            # Approximate (re-encoded) payload size: the reader consumed
-            # the original bytes already; close enough for byte gauges.
-            self.bytes_received += _LENGTH.size + len(
-                json.dumps(frame, separators=(",", ":"))
-            )
-            if self.faults is not None and self.faults.drops_inbound(
-                str(frame.get("kind", ""))
-            ):
-                continue  # asymmetric partition: arrived, never delivered
-            return frame
+        handle = self._loop.call_later(delay, fire)
+        self._delayed.add(handle)
 
     async def close(self) -> None:
-        for task in list(self._delayed):
-            task.cancel()
+        for handle in self._delayed:
+            handle.cancel()
         self._delayed.clear()
-        if not self.writer.is_closing():
-            self.writer.close()
-        try:
-            await self.writer.wait_closed()
-        except (ConnectionError, asyncio.CancelledError):
-            pass
+        self.transport.close()
+        await asyncio.shield(self._closed)
+
+
+async def dial(host: str, port: int) -> FrameConnection:
+    """Connect to ``host:port``."""
+    _, conn = await asyncio.get_running_loop().create_connection(
+        FrameConnection, host, port
+    )
+    return conn
+
+
+async def listen(
+    handler: Callable[[FrameConnection], Awaitable[None]], host: str, port: int
+) -> asyncio.AbstractServer:
+    """Accept connections on ``host:port``, each served by the task
+    ``handler(conn)`` (kept in ``conn.handler_task``)."""
+    return await asyncio.get_running_loop().create_server(
+        lambda: FrameConnection(handler), host, port
+    )

@@ -311,7 +311,7 @@ class RingRouter:
     def _note_epoch(self, epoch: int, client: NetCacheClient) -> None:
         """A server frame carried a higher ring epoch than ours: some
         layout we don't know is in force.  Schedule one refresh (the
-        callback fires from recv loops — never block them)."""
+        callback fires from ``data_received`` — never block it)."""
         if epoch <= self.epoch:
             return
         if self._refresh_task is None or self._refresh_task.done():

@@ -1,7 +1,8 @@
 """The authoritative object server, over real TCP.
 
-``asyncio.start_server`` plus the frame codec of
-:mod:`repro.net.framing`, speaking the lifetime protocol's message kinds
+The framed transport of :mod:`repro.net.framing` (:func:`listen`, one
+:class:`FrameConnection` per client), speaking the lifetime protocol's
+message kinds
 (:mod:`repro.engine.messages`):
 
 * ``fetch``    -> ``version``        (cache miss: ship the full object);
@@ -41,8 +42,9 @@ Observability: pass a :class:`repro.obs.metrics.Registry` and the server
 registers a pull-model collector over its native counters (requests by
 kind, propagation fan-out, connection/frame/byte accounting, in-flight
 depth) — zero cost on the request path.  ``shutdown()`` drains
-gracefully: stop accepting, let in-flight requests finish, flush reply
-buffers, send each peer a clean ``bye`` frame, then close; ``healthy``
+gracefully: stop accepting, let in-flight requests finish and their
+pushes reach every subscriber's transport, send each peer a clean
+``bye`` frame, then close; ``healthy``
 flips false the moment a drain starts so a ``/healthz`` probe can steer
 load away first.
 
@@ -60,6 +62,7 @@ sharding seam a multi-server deployment will plug into.
 from __future__ import annotations
 
 import asyncio
+import logging
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.clocks.rebase import RebasedClock
@@ -89,11 +92,19 @@ from repro.net.framing import (
     SYNC_ACK,
     FrameConnection,
     FrameError,
+    listen,
 )
 from repro.sim.trace import TraceRecorder
 
+logger = logging.getLogger(__name__)
+
 #: Propagation policies: what the server does after installing a write.
 PROPAGATION_POLICIES = ("push", "invalidate", "none")
+
+#: Pushes/invalidations one subscriber may have waiting for its socket
+#: (on top of what its transport buffers up to the high-water mark).  A
+#: subscriber this far behind has stopped reading and is disconnected.
+SUBSCRIBER_BACKLOG = 1024
 
 
 class NetObjectServer:
@@ -166,11 +177,14 @@ class NetObjectServer:
         self._lock = asyncio.Lock()
         self._server: Optional[asyncio.base_events.Server] = None
         self._connections: Set[FrameConnection] = set()
-        self._subscribers: Dict[FrameConnection, int] = {}
+        # Each subscriber's outbox of pushes/invalidations, emptied by
+        # its own feeder task at the pace of its socket.
+        self._subscribers: Dict[FrameConnection, asyncio.Queue] = {}
         self.requests_by_kind: Dict[str, int] = {}
         self.connections_accepted = 0
         self.pushes_sent = 0
         self.invalidations_sent = 0
+        self.subscribers_dropped = 0  # outbox full: stopped reading
         # Exactly-once machinery: the engine's reply cache replays
         # answered requests; _executing parks a duplicate that races its
         # original (the duplicate awaits the original's reply future).
@@ -290,7 +304,7 @@ class NetObjectServer:
             self.engine.epoch = max(self.engine.epoch, recovered.ring_epoch)
         else:
             self.clock()  # pin the timescale's zero to server start
-        self._server = await asyncio.start_server(self._handle, self.host, self.port)
+        self._server = await listen(self._serve, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         return self
 
@@ -319,8 +333,9 @@ class NetObjectServer:
         return {"frames": frames, "bytes": octets}
 
     async def shutdown(self, grace: float = 2.0) -> None:
-        """Graceful drain: stop accepting, finish in-flight requests
-        (up to ``grace`` seconds), flush replies, say ``bye``, close.
+        """Graceful drain: stop accepting, finish in-flight requests and
+        hand their pushes to the subscribers (up to ``grace`` seconds),
+        say ``bye``, close.
 
         Safe to call from a signal handler via ``create_task``; a second
         call (or a later :meth:`close`) is a no-op for the parts already
@@ -328,14 +343,11 @@ class NetObjectServer:
         """
         self.draining = True
         if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self._inflight:
-            try:
-                await asyncio.wait_for(self._idle.wait(), grace)
-            except asyncio.TimeoutError:
-                pass  # grace expired: close anyway, replies may be lost
+            self._server.close()  # stop accepting; close() awaits it
+        try:
+            await asyncio.wait_for(self._drained(), grace)
+        except asyncio.TimeoutError:
+            pass  # grace expired: close anyway, replies may be lost
         if self.durable is not None:
             # Clean-shutdown persistence, before the BYE frames: every
             # acknowledged write fsynced, a final snapshot marked clean —
@@ -345,27 +357,41 @@ class NetObjectServer:
                     self.engine.store, self.engine.context, self.clock()
                 )
         for conn in list(self._connections):
-            try:
-                await conn.send({"kind": BYE, "reason": "server shutdown"})
-            except (ConnectionError, FrameError):
-                pass
+            await conn.send({"kind": BYE, "reason": "server shutdown"})
         await self.close()
 
+    async def _drained(self) -> None:
+        """In-flight requests answered, then what they propagated handed
+        to every subscriber's transport."""
+        await self._idle.wait()
+        for outbox in list(self._subscribers.values()):
+            await outbox.join()
+
     async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for conn in list(self._connections):
-            await conn.close()
-        self._connections.clear()
-        self._subscribers.clear()
+        await self._close_connections()
         if self.durable is not None:
             self.durable.close(sync=True)  # no-op after a clean shutdown
         # The collector stays registered: a registry is scoped to one
         # deployment/run, and post-run snapshots must still carry the
         # server's final counters.  Unregister explicitly for reuse:
         #     registry.unregister_collector(server._collector)
+
+    async def _close_connections(self) -> None:
+        """Stop accepting, close every connection, then wait for the
+        listener and for the tasks this server started.  The order
+        matters since Python 3.12: ``wait_closed()`` there waits for the
+        accepted connections too, so it has to come after closing them."""
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        tasks = [conn.handler_task for conn in self._connections]
+        for conn in list(self._connections):
+            await conn.close()
+        self._connections.clear()
+        self._subscribers.clear()
+        if server is not None:
+            await server.wait_closed()
+        await asyncio.gather(*tasks, return_exceptions=True)
 
     async def __aenter__(self) -> "NetObjectServer":
         return await self.start()
@@ -375,13 +401,17 @@ class NetObjectServer:
 
     # -- connection handling -------------------------------------------------
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        faults = self.fault_factory() if self.fault_factory is not None else None
-        conn = FrameConnection(reader, writer, faults=faults)
+    async def _serve(self, conn: FrameConnection) -> None:
+        if self._server is None:
+            # Accepted while the server was closing, started after it
+            # closed the others: nobody else will close this one.
+            await conn.close()
+            return
+        if self.fault_factory is not None:
+            conn.faults = self.fault_factory()
         self._connections.add(conn)
         self.connections_accepted += 1
+        feeder: Optional[asyncio.Task] = None
         try:
             hello = await conn.recv()
             if hello is None or hello.get("kind") != HELLO:
@@ -395,7 +425,8 @@ class NetObjectServer:
                 "propagation": self.propagation,
             }))
             if hello.get("subscribe"):
-                self._subscribers[conn] = client_id
+                outbox = self._subscribers[conn] = asyncio.Queue(SUBSCRIBER_BACKLOG)
+                feeder = asyncio.ensure_future(self._feed(conn, outbox))
             tasks: Set[asyncio.Task] = set()
             try:
                 while True:
@@ -414,18 +445,28 @@ class NetObjectServer:
                         # shedding — a shed probe would read as a dead
                         # server), but as a task so a slow indirect
                         # probe or handoff never blocks this loop.
-                        task = asyncio.ensure_future(
-                            self._on_cluster(conn, frame)
-                        )
-                        tasks.add(task)
-                        task.add_done_callback(tasks.discard)
+                        work = self._on_cluster(conn, frame)
+                    elif self.latency:
+                        # A simulated latency is a sleep per request:
+                        # one task each, so that pipelined requests on a
+                        # single connection overlap; replies carry
+                        # request ids, so their order does not matter.
+                        work = self._dispatch(conn, client_id, frame)
+                    else:
+                        # Nothing to wait for: serve the request in
+                        # place, in arrival order, with no task.
+                        try:
+                            await self._dispatch(conn, client_id, frame)
+                        except Exception:
+                            # Only this request is lost (its caller
+                            # retransmits, then times out); the
+                            # connection serves the others.
+                            logger.exception(
+                                "request %r from client %d failed",
+                                frame.get("kind"), client_id,
+                            )
                         continue
-                    # One task per frame: pipelined requests on a single
-                    # connection overlap; replies carry request ids, so
-                    # their order does not matter.
-                    task = asyncio.ensure_future(
-                        self._dispatch(conn, client_id, frame)
-                    )
+                    task = asyncio.ensure_future(work)
                     tasks.add(task)
                     task.add_done_callback(tasks.discard)
             finally:
@@ -435,6 +476,9 @@ class NetObjectServer:
             pass  # corrupt or vanished peer: drop the connection
         finally:
             self._subscribers.pop(conn, None)
+            if feeder is not None:
+                feeder.cancel()
+                await asyncio.gather(feeder, return_exceptions=True)
             self._connections.discard(conn)
             self._closed_frames["sent"] += conn.sent
             self._closed_frames["received"] += conn.received
@@ -537,14 +581,7 @@ class NetObjectServer:
         process leaves: a WAL suffix and a stale snapshot.
         """
         self.draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for conn in list(self._connections):
-            await conn.close()
-        self._connections.clear()
-        self._subscribers.clear()
+        await self._close_connections()
         if self.durable is not None:
             try:
                 self.durable.flush()
@@ -609,7 +646,8 @@ class NetObjectServer:
                     self.recorder.record_write(
                         client_id, version.obj, version.value, version.alpha
                     )
-                await self._propagate(conn, version)
+                if self._subscribers and self.propagation != "none":
+                    self._propagate(conn, version)
         finally:
             waiter = self._executing.pop(key, None) if key is not None else None
             if waiter is not None and not waiter.done():
@@ -642,24 +680,36 @@ class NetObjectServer:
                 self.pipeline.on_batch(len(result.reply["results"]))
         return result
 
-    async def _propagate(
+    def _propagate(
         self, writer_conn: FrameConnection, version: PhysicalVersion
     ) -> None:
-        """Server-initiated propagation to every other subscriber."""
-        if self.propagation == "none":
-            return
+        """Server-initiated propagation to every other subscriber: queue
+        the frame for each one's feeder.  Never waits — a subscriber that
+        stopped reading must not park the writer's connection handler —
+        and never queues without bound: one whose outbox is full is
+        disconnected (its handler then cleans up as for any lost peer)."""
         if self.propagation == "push":
             frame = self.engine.push_frame(version)
         else:
             frame = self.engine.invalidate_frame(version)
-        for conn in list(self._subscribers):
+        for conn, outbox in list(self._subscribers.items()):
             if conn is writer_conn:
                 continue
             try:
-                await conn.send(frame)
-            except ConnectionError:
-                continue
-            if self.propagation == "push":
+                outbox.put_nowait(frame)
+            except asyncio.QueueFull:
+                del self._subscribers[conn]
+                self.subscribers_dropped += 1
+                conn.transport.abort()
+
+    async def _feed(self, conn: FrameConnection, outbox: asyncio.Queue) -> None:
+        """One subscriber's pushes/invalidations, in order; ``send``
+        suspends while its transport has paused writing."""
+        while True:
+            frame = await outbox.get()
+            await conn.send(frame)
+            if frame["kind"] == messages.PUSH:
                 self.pushes_sent += 1
             else:
                 self.invalidations_sent += 1
+            outbox.task_done()

@@ -361,6 +361,73 @@ class TestSwimLive:
 
 
 @pytest.mark.net
+class TestAgentLink:
+    def test_a_link_whose_handshake_fails_leaves_no_socket_behind(self):
+        """The event loop keeps a registered transport alive, so a link
+        that never formed is not collected: it has to be dropped."""
+        from repro.cluster import AgentLink
+        from repro.net.framing import listen
+
+        async def scenario():
+            ended = asyncio.get_running_loop().create_future()
+
+            async def mute_member(conn):
+                try:
+                    await conn.recv()  # the hello, never answered
+                    ended.set_result(await conn.recv())
+                except ConnectionError as exc:
+                    ended.set_result(exc)
+                finally:
+                    await conn.close()
+
+            listener = await listen(mute_member, "127.0.0.1", 0)
+            port = listener.sockets[0].getsockname()[1]
+            link = AgentLink(0, 1, "127.0.0.1", port, connect_timeout=0.1)
+            try:
+                with pytest.raises(asyncio.TimeoutError):
+                    await link.connect()
+                assert not link.connected
+                return await asyncio.wait_for(ended, 1.0)
+            finally:
+                listener.close()
+                await listener.wait_closed()
+
+        end = asyncio.run(scenario())
+        assert end is None or isinstance(end, ConnectionError)  # EOF or a reset
+
+
+@pytest.mark.net
+class TestAgentStop:
+    def test_stop_returns_when_a_probe_swallows_its_cancellation(self):
+        """``asyncio.wait_for`` before Python 3.12 returns its result
+        instead of raising when the cancellation lands as its future
+        completes; a probe round that loses a cancellation that way must
+        not make ``stop()`` wait for a loop that never ends (it did, in
+        about one kill-the-primary soak in two hundred)."""
+
+        async def scenario():
+            servers, agents, _ = await start_members(2, TestSwimLive.CONFIG)
+            agent = agents[0]
+            probing = asyncio.Event()
+
+            async def probe_that_swallows(target):
+                probing.set()
+                try:
+                    await asyncio.sleep(30)
+                except asyncio.CancelledError:
+                    pass  # what wait_for does to a reply that just arrived
+
+            agent._probe = probe_that_swallows
+            try:
+                await asyncio.wait_for(probing.wait(), 2.0)
+                await asyncio.wait_for(agent.stop(), 2.0)
+            finally:
+                await stop_members(servers, agents)
+
+        asyncio.run(scenario())
+
+
+@pytest.mark.net
 class TestIndirectProbing:
     """The false-positive suppression argument: sever one pairwise link
     (both directions — neither endpoint can reach the other directly)

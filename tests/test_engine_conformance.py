@@ -48,7 +48,7 @@ from repro.engine import (
 )
 from repro.engine.versions import LogicalVersion, PhysicalVersion
 from repro.net.client import NetCacheClient
-from repro.net.framing import BYE, HELLO, HELLO_ACK, FrameConnection
+from repro.net.framing import BYE, HELLO, HELLO_ACK, dial, listen
 from repro.net.server import NetObjectServer
 from repro.protocol import Cluster, ObjectDirectory, PushPolicy
 from repro.protocol.cache_client import SimCacheClient
@@ -173,8 +173,7 @@ async def run_net():
     server = NetObjectServer(propagation="none")
     await server.start()
     try:
-        reader, writer = await asyncio.open_connection(server.host, server.port)
-        conn = FrameConnection(reader, writer)
+        conn = await dial(server.host, server.port)
         try:
             await conn.send({"kind": HELLO, "client_id": 1})
             ack = await conn.recv()
@@ -396,19 +395,22 @@ async def run_net_client(script):
     clock = ScriptClock()
     state = {"reply": None, "last": None, "conn": None}
 
-    async def serve(reader, writer):
-        conn = state["conn"] = FrameConnection(reader, writer)
-        assert (await conn.recv())["kind"] == HELLO
-        await conn.send({"kind": HELLO_ACK})
-        while True:
-            frame = await conn.recv()
-            if frame is None or frame["kind"] == BYE:
-                return
-            state["last"] = {**state["reply"][1], "req": frame["req"]}
-            clock.t = state["reply"][0]
-            await conn.send(state["last"])
+    async def serve(conn):
+        state["conn"] = conn
+        try:
+            assert (await conn.recv())["kind"] == HELLO
+            await conn.send({"kind": HELLO_ACK})
+            while True:
+                frame = await conn.recv()
+                if frame is None or frame["kind"] == BYE:
+                    return
+                state["last"] = {**state["reply"][1], "req": frame["req"]}
+                clock.t = state["reply"][0]
+                await conn.send(state["last"])
+        finally:
+            await conn.close()
 
-    listener = await asyncio.start_server(serve, "127.0.0.1", 0)
+    listener = await listen(serve, "127.0.0.1", 0)
     port = listener.sockets[0].getsockname()[1]
     client = NetCacheClient(
         1, "127.0.0.1", port, delta=DELTA, clock=clock, sync_rounds=0)

@@ -121,11 +121,9 @@ class _FlakyServer:
         self._server = None
 
     async def start(self):
-        import asyncio
+        from repro.net.framing import listen
 
-        self._server = await asyncio.start_server(
-            self._handle, "127.0.0.1", 0
-        )
+        self._server = await listen(self._handle, "127.0.0.1", 0)
         self.port = self._server.sockets[0].getsockname()[1]
         return self
 
@@ -133,19 +131,13 @@ class _FlakyServer:
         self._server.close()
         await self._server.wait_closed()
 
-    async def _handle(self, reader, writer):
+    async def _handle(self, conn):
         import asyncio
 
-        from repro.net.framing import (
-            HELLO_ACK,
-            SYNC,
-            SYNC_ACK,
-            FrameConnection,
-        )
+        from repro.net.framing import HELLO_ACK, SYNC, SYNC_ACK
 
         self.accepts += 1
         failing = self.accepts <= self.fail_first
-        conn = FrameConnection(reader, writer)
         try:
             await conn.recv()  # HELLO
             if failing and self.fail_point == "hello":

@@ -181,10 +181,10 @@ class TestGracefulDrain:
             try:
                 await client.write("x", 1)
                 await server.shutdown(grace=1.0)
-                # The recv loop saw the BYE / EOF and ended cleanly
+                # The client saw the BYE / EOF and ended cleanly
                 # without poisoning completed requests.
                 await asyncio.sleep(0.05)
-                assert client._recv_task.done()
+                assert not client.connected
             finally:
                 await client.close()
 
