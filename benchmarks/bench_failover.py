@@ -2,7 +2,7 @@
 the SWIM probing cadence varies.
 
 Every cell kills the primary of a live 3-server / 2-replica ring soak
-(:func:`repro.net.ring_demo.ring_cluster` with ``kill_primary_midway``)
+(:func:`repro.net.workloads.ring_cluster` with ``kill_primary_midway``)
 and measures the two latencies the cluster layer promises
 (docs/CLUSTER.md):
 
@@ -30,7 +30,7 @@ import asyncio
 import sys
 import time
 
-from repro.net.ring_demo import ring_cluster
+from repro.net.workloads import ring_cluster
 
 SERVERS = 3
 REPLICAS = 2
@@ -55,20 +55,21 @@ def run_cell(probe_period, suspect_timeout, rounds=ROUNDS, seed=13):
         )
     )
     wall = time.perf_counter() - start
+    fault = report.fault
     row = {
         "probe_s": probe_period,
         "suspect_s": suspect_timeout,
-        "bound_s": round(report.detection_bound, 3),
+        "bound_s": round(fault.detection_bound, 3),
         "detect_s": (
-            round(report.time_to_detect, 3)
-            if report.time_to_detect is not None else None
+            round(fault.time_to_detect, 3)
+            if fault.time_to_detect is not None else None
         ),
         "recover_s": (
-            round(report.time_to_recover, 3)
-            if report.time_to_recover is not None else None
+            round(fault.time_to_recover, 3)
+            if fault.time_to_recover is not None else None
         ),
-        "promotions": report.promotions,
-        "epoch": report.failover_epoch,
+        "promotions": fault.promotions,
+        "epoch": fault.failover_epoch,
         "wall_s": round(wall, 2),
     }
     return row, report
@@ -80,29 +81,30 @@ def run_sweep(cells, rounds=ROUNDS):
     for probe_period, suspect_timeout in cells:
         row, report = run_cell(probe_period, suspect_timeout, rounds=rounds)
         rows.append(row)
+        fault = report.fault
         cell = f"probe={probe_period}/suspect={suspect_timeout}"
-        if report.time_to_detect is None:
+        if fault.time_to_detect is None:
             failures.append(f"{cell}: victim never declared DEAD")
             continue
-        if report.time_to_recover is None:
+        if fault.time_to_recover is None:
             failures.append(f"{cell}: no write re-acked after the kill")
             continue
-        if report.promotions < 1:
+        if fault.promotions < 1:
             failures.append(f"{cell}: no server ran the promotion rule")
-        if report.failover_epoch is None or report.failover_epoch <= 1:
+        if fault.failover_epoch is None or fault.failover_epoch <= 1:
             failures.append(f"{cell}: cluster never cut over to a new epoch")
         # Generous slack over the analytic bound: the bound is about the
         # protocol, the slack about a loaded CI host's scheduler.
-        if report.time_to_detect > report.detection_bound + 2.0:
+        if fault.time_to_detect > fault.detection_bound + 2.0:
             failures.append(
-                f"{cell}: detect {report.time_to_detect:.3f}s exceeds "
-                f"bound {report.detection_bound:.3f}s (+2s slack)"
+                f"{cell}: detect {fault.time_to_detect:.3f}s exceeds "
+                f"bound {fault.detection_bound:.3f}s (+2s slack)"
             )
     return rows, failures
 
 
 NOTES = (
-    "Real localhost TCP clusters (repro.net.ring_demo): "
+    "Real localhost TCP clusters (repro.net.workloads): "
     f"{SERVERS} servers x {REPLICAS} replicas, {CLIENTS} ring-routed "
     "clients; the primary of the first object is killed mid-soak. "
     "bound_s = 3*probe_period + suspect_timeout is the detection bound "

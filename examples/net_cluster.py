@@ -22,7 +22,7 @@ a push design holds the timed bound only while propagation is on time.
 Run:  python examples/net_cluster.py
 """
 
-from repro.net.demo import run_push_staleness_demo
+from repro.net.workloads import run_push_staleness_demo
 
 DELTA = 0.3  # seconds: every write must be visible cluster-wide by t + delta
 SKEW = 0.15  # injected per-client clock error, corrected by sync

@@ -30,42 +30,6 @@ from typing import List, Optional
 
 from repro.cli import check, cluster, load, net, obs, ring, simulate, store
 
-# Compatibility re-exports: the pre-package ``repro/cli.py`` exposed the
-# command functions at module level; keep them importable from the same
-# place.
-from repro.cli.check import (  # noqa: F401
-    CHECKERS,
-    cmd_check,
-    cmd_render,
-    cmd_threshold,
-)
-from repro.cli.cluster import cmd_cluster_status, cmd_cluster_watch  # noqa: F401
-from repro.cli.load import (  # noqa: F401
-    cmd_load_compare,
-    cmd_load_report,
-    cmd_load_run,
-)
-from repro.cli.net import (  # noqa: F401
-    cmd_client,
-    cmd_merge,
-    cmd_net_demo,
-    cmd_serve,
-)
-from repro.cli.obs import cmd_obs_diff, cmd_obs_dump, cmd_obs_serve  # noqa: F401
-from repro.cli.ring import (  # noqa: F401
-    cmd_ring_add,
-    cmd_ring_build,
-    cmd_ring_rebalance,
-    cmd_ring_serve_set,
-    cmd_ring_soak,
-)
-from repro.cli.simulate import cmd_sweep, cmd_webcache  # noqa: F401
-from repro.cli.store import (  # noqa: F401
-    cmd_store_compact,
-    cmd_store_inspect,
-    cmd_store_verify,
-)
-
 #: Command-group modules, in help-listing order.
 COMMAND_MODULES = (check, simulate, net, ring, store, obs, cluster, load)
 

@@ -216,7 +216,7 @@ def cmd_client(args: argparse.Namespace) -> int:
 
 
 def cmd_net_demo(args: argparse.Namespace) -> int:
-    from repro.net.demo import run_push_staleness_demo
+    from repro.net.workloads import run_push_staleness_demo
 
     report = run_push_staleness_demo(
         n_clients=args.clients, delta=args.delta,

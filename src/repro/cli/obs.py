@@ -14,7 +14,7 @@ def cmd_obs_dump(args: argparse.Namespace) -> int:
     from repro.obs.metrics import load_snapshot
 
     if args.demo:
-        from repro.net.ring_demo import run_ring_soak
+        from repro.net.workloads import run_ring_soak
         from repro.obs.metrics import Registry
 
         registry = Registry()

@@ -120,7 +120,7 @@ def cmd_ring_serve_set(args: argparse.Namespace) -> int:
             # One shared registry; per-device collectors differentiate
             # by a device=<id> label.
             registry = Registry()
-        servers = []
+        servers = {}
         for index, dev_id in enumerate(ring.device_ids()):
             address = ring.device(dev_id).address
             if address:
@@ -152,39 +152,23 @@ def cmd_ring_serve_set(args: argparse.Namespace) -> int:
                 store=store,
             )
             await server.start()
-            servers.append(server)
+            servers[dev_id] = server
             recovered = ""
             if server.recovered is not None and not server.recovered.empty:
                 recovered = (f" (recovered {len(server.recovered.objects)} "
                              f"objects, {len(server.recovered.old_objects)} "
                              f"old)")
             print(f"device {dev_id}: serving on {server.address}{recovered}")
-        agents = []
+        agents = {}
         if args.cluster:
-            from repro.cluster import ClusterConfig, ClusterView, SwimAgent
+            from repro.cluster import ClusterConfig
+            from repro.net.local import start_agents
 
-            device_ids = list(ring.device_ids())
-            addresses = {
-                dev_id: server.address
-                for dev_id, server in zip(device_ids, servers)
-            }
             config = ClusterConfig(
                 probe_period=args.probe_period,
                 suspect_timeout=args.suspect_timeout,
             )
-            for dev_id, server in zip(device_ids, servers):
-                instruments = None
-                if registry is not None:
-                    from repro.obs.instruments import ClusterInstruments
-
-                    instruments = ClusterInstruments(registry, member=dev_id)
-                agent = SwimAgent(
-                    dev_id, server,
-                    ClusterView.seed(addresses, ring=ring.as_dict()),
-                    config, instruments=instruments,
-                )
-                await agent.start()
-                agents.append(agent)
+            agents = await start_agents(servers, ring, config, registry)
             print(f"cluster: {len(agents)} members probing every "
                   f"{args.probe_period:g}s (suspect timeout "
                   f"{args.suspect_timeout:g}s, detection bound "
@@ -202,17 +186,17 @@ def cmd_ring_serve_set(args: argparse.Namespace) -> int:
 
             metrics = await MetricsServer(
                 registry, args.host, args.metrics_port,
-                health=lambda: all(s.healthy for s in servers),
+                health=lambda: all(s.healthy for s in servers.values()),
             ).start()
             print(f"metrics on http://{metrics.address}/metrics")
         print("SIGINT/SIGTERM to stop")
         try:
             await stop.wait()
         finally:
-            for agent in agents:
+            for agent in agents.values():
                 await agent.stop()
             await asyncio.gather(*(s.shutdown(grace=args.grace)
-                                   for s in servers))
+                                   for s in servers.values()))
             if metrics is not None:
                 await metrics.close()
 
@@ -224,7 +208,7 @@ def cmd_ring_serve_set(args: argparse.Namespace) -> int:
 
 
 def cmd_ring_soak(args: argparse.Namespace) -> int:
-    from repro.net.ring_demo import run_ring_soak
+    from repro.net.workloads import run_ring_soak
 
     registry = None
     if (args.metrics_port is not None or args.metrics_snapshot
@@ -264,30 +248,28 @@ def cmd_ring_soak(args: argparse.Namespace) -> int:
     print_table(rows, title=f"ring soak: {args.servers} servers x "
                 f"{args.replicas} replicas, {args.clients} clients, "
                 f"delta={args.delta:g}")
-    queued, done, late_repairs = (
-        sum(s.repairs_queued for s in report.placement_stats.values()),
-        sum(s.repairs_done for s in report.placement_stats.values()),
-        sum(s.repairs_late for s in report.placement_stats.values()),
-    )
+    queued, done, late_repairs = report.repairs()
     if args.grow:
         print(f"\nmid-run growth: {len(report.moves)} slots moved, "
               f"handoff copied {report.handoff.objects_copied} objects "
               f"across {report.handoff.partitions_touched} partitions")
-    if args.kill_primary:
-        ttd = (f"{report.time_to_detect:.3f}s"
-               if report.time_to_detect is not None else "never")
-        ttr = (f"{report.time_to_recover:.3f}s"
-               if report.time_to_recover is not None else "never")
-        print(f"\nkilled device {report.killed_device} mid-run: "
+    fault = report.fault
+    if fault is not None:
+        ttd = (f"{fault.time_to_detect:.3f}s"
+               if fault.time_to_detect is not None else "never")
+        ttr = (f"{fault.time_to_recover:.3f}s"
+               if fault.time_to_recover is not None else "never")
+        print(f"\nkilled device {fault.killed_device} mid-run: "
               f"detected in {ttd}, first write re-acked in {ttr} "
-              f"(bound {report.detection_bound:.3f}s); "
-              f"{report.promotions} promotions, failed over to ring "
-              f"epoch {report.failover_epoch}")
+              f"(bound {fault.detection_bound:.3f}s); "
+              f"{fault.promotions} promotions, failed over to ring "
+              f"epoch {fault.failover_epoch}")
     print(f"\nclock-sync epsilon (composed across servers): "
           f"{report.epsilon:.6f}s")
     print(f"off-ring reads: {report.off_ring_reads}; "
           f"anti-entropy repairs: {queued} queued, {done} done, "
           f"{late_repairs} late")
+    print(f"unmatched reads dropped from the trace: {report.unmatched_reads}")
     late = len(report.late_reads)
     total = len(report.verdicts)
     checked = report.tsc if args.criterion == "tsc" else report.tcc
@@ -298,8 +280,8 @@ def cmd_ring_soak(args: argparse.Namespace) -> int:
     if checked.violation:
         print(f"  {checked.violation}")
     ok = checked.satisfied and report.off_ring_reads == 0
-    if args.kill_primary:
-        ok = ok and report.time_to_recover is not None
+    if fault is not None:
+        ok = ok and fault.time_to_recover is not None
     if report.ontime is not None:
         o = report.ontime
         judged = o["reads_on_time"] + o["reads_late"]

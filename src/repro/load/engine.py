@@ -2,20 +2,22 @@
 
 ``run_scenario`` owns the whole experiment for one scenario file:
 
-1. **Target**: start the real stack in-process — a single
-   :class:`~repro.net.server.NetObjectServer` or a ring of them (each on
-   its own skewed clock, optionally with SWIM agents for fault phases);
+1. **Target**: start the real stack in-process through
+   :class:`~repro.net.local.LocalStack` — a single server or a ring of
+   them (each on its own skewed clock, optionally with SWIM agents for
+   fault phases);
 2. **Seed**: write every key in the workload's key space once through
-   an engine-owned router, so no read ever depends on a server's
+   an engine-owned site, so no read ever depends on a server's
    initial value;
 3. **Workers**: write one config JSON per worker (the scenario's total
    offered rate divided across them), spawn
    ``python -m repro.load.worker`` subprocesses, and give them a shared
    wall-clock start barrier so their open-loop schedules line up;
 4. **Faults**: a phase tagged ``"fault": "kill-primary"`` aborts the
-   primary of the hottest key mid-phase through the cluster layer (no
-   BYE, no manual ring swap) and measures time-to-detect /
-   time-to-recover exactly like the failover soak;
+   primary of the hottest key mid-phase
+   (:meth:`~repro.net.local.LocalStack.kill_primary`, the failover
+   soak's own sequence) and reports its time-to-detect /
+   time-to-recover;
 5. **Merge**: fold the workers' histograms (bucket-exact
    :meth:`~repro.load.hdr.LatencyHistogram.merge`), on-time counters,
    and traces into one report; the merged history (seed + workers +
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 import os
 import sys
 import tempfile
@@ -45,6 +46,7 @@ from repro.load.arrivals import scale_arrivals
 from repro.load.scenario import PhaseSpec, Scenario
 from repro.load.worker import PhaseStats
 from repro.load.workload import key_name, make_workload
+from repro.net.local import FaultOutcome, LocalStack, judge, merge_history
 
 #: Site id of the engine's own router (seeding + recovery probes);
 #: workers get ``WORKER_SITE_BASE + index``.  Distinct sites keep every
@@ -63,20 +65,6 @@ class SLOCheck:
     bound: float
     actual: Optional[float]
     ok: bool
-
-
-@dataclass
-class FaultOutcome:
-    fault: str
-    killed_device: Optional[int] = None
-    time_to_detect: Optional[float] = None
-    time_to_recover: Optional[float] = None
-    failover_epoch: Optional[int] = None
-    promotions: int = 0
-    detection_bound: Optional[float] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        return dict(self.__dict__)
 
 
 @dataclass
@@ -227,38 +215,6 @@ def _merge_ontime(summaries: List[Dict[str, Any]]) -> Dict[str, Any]:
     return merged
 
 
-def _merge_history(
-    op_lists: List[List[Any]], initial_value: Any = 0
-) -> Tuple[Any, int]:
-    """One validated History from many partial traces.
-
-    Every worker (and the engine) records only its own operations, so a
-    read may return a value whose *write* ack raced a crash and was never
-    recorded, or a value installed by a write retry whose first attempt
-    half-landed.  Those reads cannot be attributed to any recorded write;
-    they are dropped and counted (``unmatched_reads``) rather than
-    invalidating the merge — the same tolerance ``repro merge`` applies.
-    """
-    from repro.core.history import History
-
-    ops: List[Any] = []
-    written = set()
-    for op_list in op_lists:
-        for op in op_list:
-            ops.append(op)
-            if getattr(op.kind, "value", op.kind) == "w":
-                written.add(op.value)
-    kept = []
-    unmatched = 0
-    for op in ops:
-        kind = getattr(op.kind, "value", op.kind)
-        if kind == "r" and op.value not in written and op.value != initial_value:
-            unmatched += 1
-            continue
-        kept.append(op)
-    return History(kept, initial_value=initial_value, validate=True), unmatched
-
-
 def _python_env() -> Dict[str, str]:
     import repro
 
@@ -277,272 +233,167 @@ def _python_env() -> Dict[str, str]:
 async def _run_scenario_async(
     scenario: Scenario, out_dir: str, *, quiet: bool = False
 ) -> LoadReport:
-    from repro.checkers import check_tcc
-    from repro.clocks.rebase import RebasedClock
     from repro.core.io import load_history
-    from repro.net.client import NetError
-    from repro.net.demo import _judge, default_skews
-    from repro.net.server import NetObjectServer
     from repro.sim.trace import TraceRecorder, UniqueValueFactory
 
     target = scenario.target
-    host = "127.0.0.1"
+    ring_target = target.kind == "ring"
     recorder = TraceRecorder()
     values = UniqueValueFactory()
     workload = make_workload(scenario.workload)
     keys = workload.sampler.keys()
 
-    servers: Dict[int, NetObjectServer] = {}
-    cluster_agents: Dict[int, Any] = {}
     cluster_config = None
-    ring = None
-    seeder = None
+    if ring_target and target.cluster:
+        from repro.cluster import ClusterConfig
+
+        cluster_config = ClusterConfig(
+            probe_period=target.probe_period,
+            suspect_timeout=target.suspect_timeout,
+            seed=scenario.seed,
+        )
     procs: List[Any] = []
     fault: Optional[FaultOutcome] = None
-    try:
-        # -- 1. target ----------------------------------------------------
-        server_skews = default_skews(max(target.servers, 1) + 1, target.server_skew)
-        if target.kind == "ring":
-            from repro.ring.ring import RingBuilder
-
-            builder = RingBuilder(target.part_power, target.replicas)
-            for dev_id in range(target.servers):
-                builder.add_device(dev_id)
-            ring, _ = builder.rebalance()
-            for dev_id in range(target.servers):
-                server = NetObjectServer(
-                    host, 0, propagation="none",
-                    clock=RebasedClock(offset=server_skews[dev_id]),
-                )
-                await server.start()
-                servers[dev_id] = server
-            endpoints = {
-                dev_id: (host, srv.port) for dev_id, srv in servers.items()
+    # -- 1. target --------------------------------------------------------
+    async with LocalStack(
+        servers=target.servers if ring_target else 1,
+        replicas=target.replicas if ring_target else None,
+        part_power=target.part_power,
+        propagation="none" if ring_target else target.propagation,
+        server_skew=target.server_skew,
+        cluster=cluster_config,
+    ) as stack:
+        try:
+            # -- 2. seed ------------------------------------------------------
+            router_options = {
+                "write_quorum": target.write_quorum,
+                "read_policy": target.read_policy,
+                "pipeline_depth": target.pipeline_depth,
             }
-            if target.cluster:
-                from repro.cluster import ClusterConfig, ClusterView, SwimAgent
+            seeder = await stack.connect(
+                SEED_SITE, delta=scenario.delta, recorder=recorder,
+                **(router_options if ring_target else {}),
+            )
+            for key in keys:
+                await seeder.write(key, values.next_value(SEED_SITE))
+            endpoints = stack.endpoints
 
-                cluster_config = ClusterConfig(
-                    probe_period=target.probe_period,
-                    suspect_timeout=target.suspect_timeout,
-                    seed=scenario.seed,
-                )
-                addresses = {
-                    dev_id: srv.address for dev_id, srv in servers.items()
+            # -- 3. workers ---------------------------------------------------
+            fault_phase: Optional[PhaseSpec] = None
+            fault_offset = 0.0
+            offset = 0.0
+            for phase in scenario.phases:
+                if phase.fault is not None:
+                    fault_phase = phase
+                    fault_offset = offset + phase.fault_at * phase.duration
+                offset += phase.duration
+            grace = 1.5 + 0.25 * scenario.workers
+            start_at = time.time() + grace
+            env = _python_env()
+            out_paths: List[str] = []
+            trace_paths: List[str] = []
+            for index in range(scenario.workers):
+                config = {
+                    "schema": 1,
+                    "worker_id": index,
+                    "site": WORKER_SITE_BASE + index,
+                    "seed": scenario.seed + index,
+                    "delta": scenario.delta,
+                    "skew": scenario.client_skew,
+                    "max_concurrency": scenario.max_concurrency,
+                    "op_retries": scenario.op_retries,
+                    "start_at": start_at,
+                    "workload": scenario.workload,
+                    "phases": [
+                        {
+                            "name": p.name,
+                            "duration": p.duration,
+                            "arrivals": scale_arrivals(
+                                p.arrivals, 1.0 / scenario.workers
+                            ),
+                            "measure": p.measure,
+                        }
+                        for p in scenario.phases
+                    ],
+                    "target": (
+                        {
+                            "kind": "ring",
+                            "ring": stack.ring.as_dict(),
+                            "endpoints": {
+                                str(d): [h, p] for d, (h, p) in endpoints.items()
+                            },
+                            "write_quorum": target.write_quorum,
+                            "read_policy": target.read_policy,
+                            "pipeline_depth": target.pipeline_depth,
+                            "batch": target.batch,
+                            "epoch_watch_period": (
+                                target.probe_period if target.cluster else None
+                            ),
+                        }
+                        if ring_target
+                        else {
+                            "kind": "server",
+                            "host": endpoints[0][0],
+                            "port": endpoints[0][1],
+                            "pipeline_depth": target.pipeline_depth,
+                            "batch": target.batch,
+                        }
+                    ),
+                    "trace_path": os.path.join(out_dir, f"trace_{index}.json"),
+                    "out_path": os.path.join(out_dir, f"result_{index}.json"),
                 }
-                for dev_id, server in servers.items():
-                    agent = SwimAgent(
-                        dev_id, server,
-                        ClusterView.seed(addresses, ring=ring.as_dict()),
-                        cluster_config,
-                    )
-                    await agent.start()
-                    cluster_agents[dev_id] = agent
-        else:
-            server = NetObjectServer(
-                host, 0, propagation=target.propagation,
-                clock=RebasedClock(offset=server_skews[0]),
-            )
-            await server.start()
-            servers[0] = server
-            endpoints = {0: (host, server.port)}
-
-        # -- 2. seed ------------------------------------------------------
-        if target.kind == "ring":
-            from repro.net.ring_router import RingRouter
-
-            seeder = RingRouter(
-                SEED_SITE, ring, endpoints,
-                delta=scenario.delta,
-                write_quorum=target.write_quorum,
-                read_policy=target.read_policy,
-                recorder=recorder,
-                pipeline_depth=target.pipeline_depth,
-            )
-            await seeder.connect()
-            seeder.start_anti_entropy(
-                period=min(0.05, scenario.delta / 4.0)
-                if not math.isinf(scenario.delta) else 0.05
-            )
-            if target.cluster:
-                seeder.start_epoch_watch(period=target.probe_period)
-        else:
-            from repro.net.client import NetCacheClient
-
-            seeder = NetCacheClient(
-                SEED_SITE, host, endpoints[0][1],
-                delta=scenario.delta, recorder=recorder,
-            )
-            await seeder.connect()
-        for key in keys:
-            await seeder.write(key, values.next_value(SEED_SITE))
-
-        # -- 3. workers ---------------------------------------------------
-        fault_phase: Optional[PhaseSpec] = None
-        fault_offset = 0.0
-        offset = 0.0
-        for phase in scenario.phases:
-            if phase.fault is not None:
-                fault_phase = phase
-                fault_offset = offset + phase.fault_at * phase.duration
-            offset += phase.duration
-        grace = 1.5 + 0.25 * scenario.workers
-        start_at = time.time() + grace
-        env = _python_env()
-        out_paths: List[str] = []
-        trace_paths: List[str] = []
-        for index in range(scenario.workers):
-            config = {
-                "schema": 1,
-                "worker_id": index,
-                "site": WORKER_SITE_BASE + index,
-                "seed": scenario.seed + index,
-                "delta": scenario.delta,
-                "skew": scenario.client_skew,
-                "max_concurrency": scenario.max_concurrency,
-                "op_retries": scenario.op_retries,
-                "start_at": start_at,
-                "workload": scenario.workload,
-                "phases": [
-                    {
-                        "name": p.name,
-                        "duration": p.duration,
-                        "arrivals": scale_arrivals(
-                            p.arrivals, 1.0 / scenario.workers
-                        ),
-                        "measure": p.measure,
-                    }
-                    for p in scenario.phases
-                ],
-                "target": (
-                    {
-                        "kind": "ring",
-                        "ring": ring.as_dict(),
-                        "endpoints": {
-                            str(d): [h, p] for d, (h, p) in endpoints.items()
-                        },
-                        "write_quorum": target.write_quorum,
-                        "read_policy": target.read_policy,
-                        "pipeline_depth": target.pipeline_depth,
-                        "batch": target.batch,
-                        "epoch_watch_period": (
-                            target.probe_period if target.cluster else None
-                        ),
-                    }
-                    if target.kind == "ring"
-                    else {
-                        "kind": "server",
-                        "host": host,
-                        "port": endpoints[0][1],
-                        "pipeline_depth": target.pipeline_depth,
-                        "batch": target.batch,
-                    }
-                ),
-                "trace_path": os.path.join(out_dir, f"trace_{index}.json"),
-                "out_path": os.path.join(out_dir, f"result_{index}.json"),
-            }
-            config_path = os.path.join(out_dir, f"worker_{index}.json")
-            with open(config_path, "w", encoding="utf-8") as fh:
-                json.dump(config, fh, indent=1)
-            out_paths.append(config["out_path"])
-            trace_paths.append(config["trace_path"])
-            stderr_path = os.path.join(out_dir, f"worker_{index}.err")
-            stderr_fh = open(stderr_path, "wb")
-            try:
-                proc = await asyncio.create_subprocess_exec(
-                    sys.executable, "-m", "repro.load.worker",
-                    "--config", config_path,
-                    env=env,
-                    stdout=asyncio.subprocess.DEVNULL,
-                    stderr=stderr_fh,
-                )
-            finally:
-                stderr_fh.close()
-            procs.append((proc, stderr_path))
-
-        # -- 4. fault -----------------------------------------------------
-        if fault_phase is not None:
-            from repro.cluster import DEAD
-            from repro.ring.placement import PlacementError
-
-            fault_wall = start_at + fault_offset
-            await asyncio.sleep(max(0.0, fault_wall - time.time()))
-            victim = ring.primary_for(keys[0])
-            fault = FaultOutcome(
-                fault=fault_phase.fault, killed_device=victim,
-                detection_bound=cluster_config.detection_bound,
-            )
-            kill_at = time.monotonic()
-            await servers[victim].abort()
-            await cluster_agents[victim].stop()
-            if not quiet:
-                print(f"[load] killed device {victim} "
-                      f"(primary of {keys[0]}) mid-run")
-
-            deadline = kill_at + cluster_config.detection_bound + 10.0
-            recovered_at = None
-            while time.monotonic() < deadline:
+                config_path = os.path.join(out_dir, f"worker_{index}.json")
+                with open(config_path, "w", encoding="utf-8") as fh:
+                    json.dump(config, fh, indent=1)
+                out_paths.append(config["out_path"])
+                trace_paths.append(config["trace_path"])
+                stderr_path = os.path.join(out_dir, f"worker_{index}.err")
+                stderr_fh = open(stderr_path, "wb")
                 try:
-                    await seeder.write(
-                        keys[0], values.next_value(SEED_SITE)
+                    proc = await asyncio.create_subprocess_exec(
+                        sys.executable, "-m", "repro.load.worker",
+                        "--config", config_path,
+                        env=env,
+                        stdout=asyncio.subprocess.DEVNULL,
+                        stderr=stderr_fh,
                     )
-                    recovered_at = time.monotonic()
-                    break
-                except (PlacementError, NetError):
-                    await asyncio.sleep(target.probe_period / 4.0)
-            if recovered_at is not None:
-                fault.time_to_recover = recovered_at - kill_at
-            survivors = {
-                d: a for d, a in cluster_agents.items() if d != victim
-            }
-            while time.monotonic() < deadline:
-                if all(
-                    victim in a.view.ids(DEAD)
-                    and a.server.epoch > ring.epoch
-                    for a in survivors.values()
-                ):
-                    break
-                await asyncio.sleep(target.probe_period / 2.0)
-            detected = [
-                a.dead_detected[victim] for a in survivors.values()
-                if victim in a.dead_detected
-            ]
-            if detected:
-                fault.time_to_detect = min(detected) - kill_at
-            fault.promotions = sum(
-                s.promotions for d, s in servers.items() if d != victim
-            )
-            fault.failover_epoch = max(
-                a.server.epoch for a in survivors.values()
-            )
+                finally:
+                    stderr_fh.close()
+                procs.append((proc, stderr_path))
 
-        # -- 5. wait for the workers --------------------------------------
-        budget = grace + scenario.total_duration() + 60.0
-        for proc, stderr_path in procs:
-            try:
-                await asyncio.wait_for(proc.wait(), timeout=budget)
-            except asyncio.TimeoutError:
-                proc.kill()
-                raise LoadEngineError(
-                    f"worker did not finish within {budget:.0f}s "
-                    f"(stderr: {stderr_path})"
+            # -- 4. fault -----------------------------------------------------
+            if fault_phase is not None:
+                fault_wall = start_at + fault_offset
+                await asyncio.sleep(max(0.0, fault_wall - time.time()))
+                fault = await stack.kill_primary(
+                    keys[0],
+                    lambda: seeder.write(keys[0], values.next_value(SEED_SITE)),
                 )
+                if not quiet:
+                    print(f"[load] killed device {fault.killed_device} "
+                          f"(primary of {keys[0]}) mid-run")
 
-        if seeder is not None and hasattr(seeder, "placement"):
-            await seeder.placement.drain()
-    finally:
-        for proc, _stderr in procs:
-            if proc.returncode is None:
+            # -- 5. wait for the workers --------------------------------------
+            budget = grace + scenario.total_duration() + 60.0
+            for proc, stderr_path in procs:
                 try:
+                    await asyncio.wait_for(proc.wait(), timeout=budget)
+                except asyncio.TimeoutError:
                     proc.kill()
-                except ProcessLookupError:
-                    pass
-        for agent in cluster_agents.values():
-            await agent.stop()
-        if seeder is not None:
-            await seeder.close()
-        for server in servers.values():
-            await server.close()
+                    raise LoadEngineError(
+                        f"worker did not finish within {budget:.0f}s "
+                        f"(stderr: {stderr_path})"
+                    )
+
+            if ring_target:
+                await seeder.placement.drain()
+        finally:
+            for proc, _stderr in procs:
+                if proc.returncode is None:
+                    try:
+                        proc.kill()
+                    except ProcessLookupError:
+                        pass
 
     # -- 6. merge + judge -------------------------------------------------
     results: List[Dict[str, Any]] = []
@@ -590,15 +441,14 @@ async def _run_scenario_async(
     }
     epsilon = max(
         [float(r.get("epsilon_bound", 0.0)) for r in results]
-        + [seeder.epsilon_bound if seeder is not None else 0.0]
+        + [seeder.epsilon_bound]
     )
 
     op_lists = [list(recorder.operations)]
     for trace_path in trace_paths:
         op_lists.append(list(load_history(trace_path, validate=False).operations))
-    history, unmatched = _merge_history(op_lists)
-    tsc, sc, verdicts = _judge(history, scenario.delta, epsilon)
-    tcc = check_tcc(history, scenario.delta, epsilon)
+    history, unmatched = merge_history(op_lists)
+    tsc, tcc, sc, verdicts = judge(history, scenario.delta, epsilon)
     offline_late = sum(1 for v in verdicts if not v.on_time)
 
     report = LoadReport(

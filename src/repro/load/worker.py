@@ -348,10 +348,9 @@ def _build_executor(config: Dict[str, Any], recorder: Any) -> Any:
 
 
 async def _amain(config: Dict[str, Any]) -> Dict[str, Any]:
-    import math
-
     from repro.core.io import dump_history
     from repro.net.client import NetError
+    from repro.net.local import anti_entropy_period
     from repro.obs.instruments import TimedInstruments
     from repro.obs.metrics import Registry
     from repro.ring.placement import PlacementError
@@ -375,9 +374,7 @@ async def _amain(config: Dict[str, Any]) -> Dict[str, Any]:
     for judge in deadline_judges.values():
         judge.epsilon = epsilon
     if config["target"].get("kind", "ring") == "ring":
-        executor.start_anti_entropy(
-            period=min(0.05, delta / 4.0) if not math.isinf(delta) else 0.05
-        )
+        executor.start_anti_entropy(period=anti_entropy_period(delta))
         watch = config["target"].get("epoch_watch_period")
         if watch:
             executor.start_epoch_watch(period=float(watch))

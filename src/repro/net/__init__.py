@@ -15,13 +15,18 @@ simulator (:mod:`repro.sim`) or on in-process asyncio
   every client runs an approximately synchronized clock (Definition 2);
 * :mod:`repro.net.faults` — frame-level delay/drop/duplicate/partition
   injection;
-* :mod:`repro.net.demo` — in-process localhost clusters whose recorded
-  traces are verified by the offline checkers (the acceptance loop);
 * :mod:`repro.net.ring_router` — the multi-server client: one
   connection per ring device, W-of-N replicated writes, primary-first
   reads, per-server clock sync composed onto one reference timescale;
-* :mod:`repro.net.ring_demo` — the multi-server soak harness behind
-  ``repro ring soak`` and the acceptance tests.
+* :mod:`repro.net.local` — the one localhost fixture: ``LocalStack``
+  stands the stack up (servers, ring, stores, SWIM agents, connected
+  sites), kills a primary and tears everything down; ``judge`` is the
+  one verdict function over a recorded trace;
+* :mod:`repro.net.workloads` — the in-process workloads on that fixture
+  whose recorded traces are verified by the checkers: the single-server
+  push-staleness scenario and random mix (``repro net-demo``) and the
+  multi-server soak with its grow and failover phases (``repro ring
+  soak``).
 
 See docs/NET_PROTOCOL.md for the wire format and failure semantics,
 docs/RING.md for placement and the multi-clock epsilon composition.
@@ -34,11 +39,6 @@ from repro.net.client import (
     RequestTimeout,
 )
 from repro.net.clocksync import ClockSyncEstimator, SyncedClock, SyncSample
-from repro.net.demo import (
-    ClusterReport,
-    run_push_staleness_demo,
-    run_random_net_workload,
-)
 from repro.net.faults import FaultConfig, FaultInjector
 from repro.net.framing import (
     FrameConnection,
@@ -50,17 +50,27 @@ from repro.net.framing import (
     encode_frame,
     listen,
 )
-from repro.net.ring_demo import RingReport, ring_cluster, run_ring_soak
+from repro.net.local import FaultOutcome, Judgement, LocalStack, judge
 from repro.net.ring_router import RingRouter, RouterStats
 from repro.net.server import NetObjectServer
+from repro.net.workloads import (
+    ClusterReport,
+    RingReport,
+    ring_cluster,
+    run_push_staleness_demo,
+    run_ring_soak,
+)
 
 __all__ = [
     "ClockSyncEstimator",
     "ClusterReport",
     "FaultConfig",
     "FaultInjector",
+    "FaultOutcome",
     "FrameConnection",
     "FrameError",
+    "Judgement",
+    "LocalStack",
     "MAX_FRAME_BYTES",
     "NetCacheClient",
     "NetError",
@@ -76,9 +86,9 @@ __all__ = [
     "decode_frame",
     "dial",
     "encode_frame",
+    "judge",
     "listen",
     "ring_cluster",
     "run_push_staleness_demo",
     "run_ring_soak",
-    "run_random_net_workload",
 ]

@@ -1,0 +1,381 @@
+"""One localhost stack: stood up, faulted and torn down in one place.
+
+Every harness that runs the live stack in-process — the workloads of
+:mod:`repro.net.workloads` behind ``repro net-demo`` and ``repro ring
+soak``, the scenario engine of :mod:`repro.load`, ``repro ring
+serve-set`` for its agents — goes through this module for the five
+sequences they used to write out themselves:
+
+* servers on skewed clocks, each with a store under
+  ``<store_root>/dev<id>``, plus the ring over them
+  (:meth:`LocalStack.add_server`);
+* one SWIM agent per server, seeded with every address and the ring
+  (:func:`start_agents`);
+* a connected site with anti-entropy every
+  :func:`anti_entropy_period` and, when clustered, the epoch watch
+  (:meth:`LocalStack.connect`);
+* the crash-and-measure sequence (:meth:`LocalStack.kill_primary`,
+  returning the one :class:`FaultOutcome`);
+* teardown, agents before sites before servers
+  (:meth:`LocalStack.close`).
+
+Next to it sits the one verdict function, :func:`judge`, and the one
+way a recorded trace with reads of unrecorded writes becomes a history,
+:func:`merge_history`.  ``benchmarks/layers/rep.py::build_stack`` is the
+remaining copy of the stand-up (ROADMAP item 4).
+"""
+
+from __future__ import annotations
+
+import asyncio
+import math
+import os
+import time
+from dataclasses import dataclass
+from typing import (
+    Any, Awaitable, Callable, Dict, List, NamedTuple, Optional, Sequence,
+    Tuple, Union,
+)
+
+from repro.checkers import check_sc, check_tcc, check_tsc
+from repro.checkers.online import OnlineTimedMonitor, ReadVerdict
+from repro.checkers.result import CheckResult
+from repro.clocks.rebase import RebasedClock
+from repro.core.history import History
+from repro.core.operations import Operation
+from repro.net.client import NetCacheClient, NetError
+from repro.net.faults import FaultInjector
+from repro.net.ring_router import RingRouter
+from repro.net.server import NetObjectServer
+from repro.ring.placement import PlacementError
+from repro.ring.ring import Ring, RingBuilder
+from repro.store import DurableStore
+
+HOST = "127.0.0.1"
+
+
+class Judgement(NamedTuple):
+    """What :func:`judge` says about one recorded execution."""
+
+    tsc: CheckResult
+    tcc: CheckResult
+    sc: CheckResult
+    verdicts: List[ReadVerdict]
+
+
+def judge(history: History, delta: float, epsilon: float) -> Judgement:
+    """Offline TSC, TCC and SC verdicts plus the online monitor's
+    per-read Definition-1/2 verdicts, all at the same delta and epsilon."""
+    monitor = OnlineTimedMonitor(delta, epsilon=epsilon,
+                                 initial_value=history.initial_value)
+    ordered = sorted(history.operations, key=lambda op: (op.time, op.uid))
+    return Judgement(
+        tsc=check_tsc(history, delta, epsilon),
+        tcc=check_tcc(history, delta, epsilon),
+        sc=check_sc(history),
+        verdicts=monitor.observe_all(ordered),
+    )
+
+
+def merge_history(
+    op_lists: Sequence[Sequence[Operation]], initial_value: Any = 0
+) -> Tuple[History, int]:
+    """One validated History from one or many partial traces.
+
+    A recorder holds only the operations its own sites completed, so a
+    read may return a value whose *write* ack raced a crash and was never
+    recorded, or a value installed by a write retry whose first attempt
+    half-landed.  Those reads cannot be attributed to any recorded write;
+    they are dropped and counted (``unmatched_reads``) rather than
+    invalidating the merge — the same tolerance ``repro merge`` applies.
+    """
+    ops = [op for op_list in op_lists for op in op_list]
+    written = {op.value for op in ops if op.is_write}
+    kept = [
+        op for op in ops
+        if op.is_write or op.value in written or op.value == initial_value
+    ]
+    history = History(kept, initial_value=initial_value, validate=True)
+    return history, len(ops) - len(kept)
+
+
+def default_skews(n_clients: int, magnitude: float) -> List[float]:
+    """Alternating +/- skews so no two clients share a clock error."""
+    return [
+        magnitude * (1 + i // 2) * (1 if i % 2 == 0 else -1)
+        for i in range(n_clients)
+    ]
+
+
+def anti_entropy_period(delta: float) -> float:
+    """How often a router re-pushes lagging replicas: four passes inside
+    every delta, never slower than the router's own default."""
+    return 0.05 if math.isinf(delta) else min(0.05, delta / 4.0)
+
+
+@dataclass
+class FaultOutcome:
+    """What :meth:`LocalStack.kill_primary` measured: the killed device,
+    crash-to-DEAD-transition and crash-to-first-re-acked-write latencies
+    (seconds; ``None`` = never), the epoch the cluster converged on, how
+    many servers ran the promotion rule, and the analytic bound."""
+
+    fault: str
+    killed_device: Optional[int] = None
+    time_to_detect: Optional[float] = None
+    time_to_recover: Optional[float] = None
+    failover_epoch: Optional[int] = None
+    promotions: int = 0
+    detection_bound: Optional[float] = None
+
+    def to_dict(self) -> Dict[str, Any]:
+        return dict(self.__dict__)
+
+
+async def start_agents(
+    servers: Dict[int, NetObjectServer],
+    ring: Ring,
+    config: Any,
+    registry: Optional[Any] = None,
+) -> Dict[int, Any]:
+    """One started :class:`~repro.cluster.SwimAgent` per server, each
+    seeded with every member's address and ``ring``; with a ``registry``
+    each gets its :class:`~repro.obs.instruments.ClusterInstruments`.
+    If one fails to start, the ones already started are stopped."""
+    from repro.cluster import ClusterView, SwimAgent
+
+    addresses = {dev_id: srv.address for dev_id, srv in servers.items()}
+    agents: Dict[int, Any] = {}
+    try:
+        for dev_id, server in servers.items():
+            instruments = None
+            if registry is not None:
+                from repro.obs.instruments import ClusterInstruments
+
+                instruments = ClusterInstruments(registry, member=dev_id)
+            agents[dev_id] = SwimAgent(
+                dev_id, server,
+                ClusterView.seed(addresses, ring=ring.as_dict()),
+                config, instruments=instruments,
+            )
+            await agents[dev_id].start()
+    except BaseException:
+        for agent in agents.values():
+            await agent.stop()
+        raise
+    return agents
+
+
+class LocalStack:
+    """The live stack on localhost, as an async context manager.
+
+    ``replicas=None`` is a single server and :meth:`connect` returns a
+    :class:`~repro.net.client.NetCacheClient`; with ``replicas`` set the
+    ``servers`` devices (ids ``0..servers-1``) form a ``2**part_power``
+    partition ring and :meth:`connect` returns a
+    :class:`~repro.net.ring_router.RingRouter`.  Server ``i`` runs on the
+    ``i``-th clock of ``default_skews(…, server_skew)``.  ``cluster`` (a
+    :class:`~repro.cluster.ClusterConfig`) attaches a SWIM agent to every
+    server; ``registry`` instruments servers (``device=<id>``), stores
+    (``store=dev<id>``), agents and ring-routed sites.
+
+    Arguments are checked before the first socket opens, and a start-up
+    that fails half way closes what it had started.
+    """
+
+    def __init__(
+        self,
+        *,
+        servers: int = 1,
+        replicas: Optional[int] = None,
+        part_power: int = 6,
+        propagation: str = "none",
+        server_skew: float = 0.02,
+        store_root: Optional[str] = None,
+        fsync: str = "interval",
+        cluster: Optional[Any] = None,
+        registry: Optional[Any] = None,
+        fault_factory: Optional[Callable[[], FaultInjector]] = None,
+    ) -> None:
+        if servers < 1:
+            raise ValueError(f"need at least one server, got {servers}")
+        if replicas is None and servers != 1:
+            raise ValueError(f"{servers} servers need a ring: set replicas")
+        if replicas is not None and replicas > servers:
+            raise ValueError(
+                f"replication factor {replicas} exceeds {servers} servers"
+            )
+        if cluster is not None and replicas is None:
+            raise ValueError("cluster agents need a ring: set replicas")
+        self.propagation = propagation
+        self.server_skew = server_skew
+        self.store_root = store_root
+        self.fsync = fsync
+        self.cluster = cluster
+        self.registry = registry
+        self.fault_factory = fault_factory
+        self.builder: Optional[RingBuilder] = None
+        self.ring: Optional[Ring] = None
+        if replicas is not None:
+            self.builder = RingBuilder(part_power, replicas)
+            for dev_id in range(servers):
+                self.builder.add_device(dev_id)
+            self.ring, _ = self.builder.rebalance()
+        self._initial_servers = servers
+        self.servers: Dict[int, NetObjectServer] = {}
+        self.agents: Dict[int, Any] = {}
+        self.sites: List[Union[NetCacheClient, RingRouter]] = []
+
+    async def __aenter__(self) -> "LocalStack":
+        try:
+            for _ in range(self._initial_servers):
+                await self.add_server()
+            if self.cluster is not None:
+                self.agents = await start_agents(
+                    self.servers, self.ring, self.cluster, self.registry
+                )
+        except BaseException:
+            await self.close()
+            raise
+        return self
+
+    async def __aexit__(self, *exc) -> None:
+        await self.close()
+
+    @property
+    def endpoints(self) -> Dict[int, Tuple[str, int]]:
+        return {d: (srv.host, srv.port) for d, srv in self.servers.items()}
+
+    async def add_server(self) -> int:
+        """Start the next device (the one constructor path: skewed clock,
+        store, metric labels) and return its id.  It serves at once but
+        joins the ring only when the caller rebalances ``builder``."""
+        dev_id = len(self.servers)
+        labelled = self.registry is not None
+        store = None
+        if self.store_root is not None:
+            store = DurableStore(
+                os.path.join(self.store_root, f"dev{dev_id}"),
+                fsync=self.fsync,
+                registry=self.registry,
+                metric_labels={"store": f"dev{dev_id}"} if labelled else None,
+            )
+        server = NetObjectServer(
+            HOST, 0, propagation=self.propagation,
+            clock=RebasedClock(
+                offset=default_skews(dev_id + 1, self.server_skew)[dev_id]
+            ),
+            fault_factory=self.fault_factory,
+            registry=self.registry,
+            metric_labels={"device": dev_id} if labelled else None,
+            store=store,
+        )
+        self.servers[dev_id] = server  # before start: a failed one is closed too
+        await server.start()
+        return dev_id
+
+    async def connect(
+        self, site_id: int, *, delta: float, **client_options: Any
+    ) -> Union[NetCacheClient, RingRouter]:
+        """A connected site, closed with the stack.  ``client_options``
+        go to the client's (or router's) constructor."""
+        if self.ring is None:
+            host, port = self.endpoints[0]
+            site = NetCacheClient(
+                site_id, host, port, delta=delta, **client_options
+            )
+        else:
+            site = RingRouter(
+                site_id, self.ring, self.endpoints, delta=delta,
+                registry=self.registry, **client_options,
+            )
+        self.sites.append(site)  # before connect: a failed one is closed too
+        await site.connect()
+        if self.ring is not None:
+            site.start_anti_entropy(period=anti_entropy_period(delta))
+            if self.cluster is not None:
+                # Belt to the reply-stamp suspenders: poll for higher
+                # epochs too, so an idle router still converges.
+                site.start_epoch_watch(period=self.cluster.probe_period)
+        return site
+
+    async def kill_primary(
+        self, key: str, rewrite: Callable[[], Awaitable[Any]]
+    ) -> FaultOutcome:
+        """Crash the primary of ``key`` and measure the failover.
+
+        No BYE, no clean snapshot, no manual ``swap_ring``: detection,
+        promotion and the routers' cutover all happen through the
+        cluster subsystem.  ``rewrite()`` writes ``key`` once through a
+        connected site; it is retried until a write is acknowledged
+        again (recovery from the client's seat), then every survivor
+        must hold the victim DEAD at a higher epoch.  Afterwards
+        ``ring`` is the failed-over ring the coordinator published.
+        """
+        from repro.cluster import DEAD
+
+        config = self.cluster
+        if config is None:
+            raise ValueError("kill_primary needs a clustered stack: set cluster")
+        victim = self.ring.primary_for(key)
+        outcome = FaultOutcome(
+            "kill-primary", killed_device=victim,
+            detection_bound=config.detection_bound,
+        )
+        kill_at = time.monotonic()
+        await self.servers[victim].abort()
+        await self.agents[victim].stop()
+
+        # PlacementError triggers the router's refresh-then-retry; until
+        # a survivor serves the new epoch the retry fails and we back off.
+        deadline = kill_at + config.detection_bound + 10.0
+        while time.monotonic() < deadline:
+            try:
+                await rewrite()
+                outcome.time_to_recover = time.monotonic() - kill_at
+                break
+            except (PlacementError, NetError):
+                await asyncio.sleep(config.probe_period / 4.0)
+
+        survivors = [a for d, a in self.agents.items() if d != victim]
+        while time.monotonic() < deadline:
+            if all(
+                victim in a.view.ids(DEAD) and a.server.epoch > self.ring.epoch
+                for a in survivors
+            ):
+                break
+            await asyncio.sleep(config.probe_period / 2.0)
+        detected = [
+            a.dead_detected[victim] for a in survivors
+            if victim in a.dead_detected
+        ]
+        if detected:
+            outcome.time_to_detect = min(detected) - kill_at
+        outcome.promotions = sum(
+            s.promotions for d, s in self.servers.items() if d != victim
+        )
+        outcome.failover_epoch = max(a.server.epoch for a in survivors)
+        for agent in survivors:
+            published = agent.server.ring
+            if (published is not None
+                    and int(published.get("epoch", 0)) == outcome.failover_epoch):
+                self.ring = Ring.from_dict(published)
+                break
+        for agent in survivors:
+            if agent.instruments is None:
+                continue
+            if outcome.time_to_detect is not None:
+                agent.instruments.set_time_to_detect(outcome.time_to_detect)
+            if outcome.time_to_recover is not None:
+                agent.instruments.set_time_to_recover(outcome.time_to_recover)
+        return outcome
+
+    async def close(self) -> None:
+        """Agents, then sites, then servers: a probe must not outlive
+        its target, nor a client's drain the server it drains into."""
+        for agent in self.agents.values():
+            await agent.stop()
+        for site in self.sites:
+            await site.close()
+        for server in self.servers.values():
+            await server.close()

@@ -523,7 +523,7 @@ class TestFailoverEndToEnd:
     def test_kill_primary_midsoak_checker_clean(self, tmp_path):
         from repro.checkers import check_tcc, check_tsc, history_from_wal
         from repro.core.history import History
-        from repro.net.ring_demo import ring_cluster
+        from repro.net.workloads import ring_cluster
 
         report = asyncio.run(
             ring_cluster(
@@ -542,16 +542,16 @@ class TestFailoverEndToEnd:
         )
 
         # -- detection and recovery happened, automatically, in bound.
-        assert report.killed_device is not None
-        assert report.detection_bound is not None
-        assert report.time_to_detect is not None, "victim was never declared DEAD"
-        assert report.time_to_recover is not None, "no write re-acked after the kill"
-        assert report.time_to_detect <= report.detection_bound + 2.0, (
-            report.time_to_detect, report.detection_bound)
-        assert report.promotions >= 1
-        assert report.failover_epoch is not None
-        assert report.failover_epoch > 1
-        assert report.killed_device not in report.ring.device_ids()
+        assert report.fault.killed_device is not None
+        assert report.fault.detection_bound is not None
+        assert report.fault.time_to_detect is not None, "victim was never declared DEAD"
+        assert report.fault.time_to_recover is not None, "no write re-acked after the kill"
+        assert report.fault.time_to_detect <= report.fault.detection_bound + 2.0, (
+            report.fault.time_to_detect, report.fault.detection_bound)
+        assert report.fault.promotions >= 1
+        assert report.fault.failover_epoch is not None
+        assert report.fault.failover_epoch > 1
+        assert report.fault.killed_device not in report.ring.device_ids()
 
         # -- merge the clients' trace with every server's durable WAL
         # history (the victim's included: its acked writes are ground

@@ -1,0 +1,350 @@
+"""The one localhost fixture (``repro.net.local``): stand-up that cleans
+up after itself, one constructor path per device, teardown order, the
+shared verdict and unmatched-read path, and pins that keep the harness
+sequences from being written out a second time."""
+
+import ast
+import asyncio
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import repro
+from repro.checkers import check_sc, check_tcc, check_tsc
+from repro.checkers.online import OnlineTimedMonitor
+from repro.cluster import ClusterConfig, SwimAgent
+from repro.load import engine as load_engine
+from repro.net import local
+from repro.net.local import LocalStack, judge, merge_history
+from repro.net.ring_router import RingRouter
+from repro.net.server import NetObjectServer
+from repro.net.workloads import RingReport, ring_cluster
+from repro.obs.metrics import Registry
+from repro.paperdata import figure5, figure6
+from repro.sim.trace import TraceRecorder
+
+SRC = pathlib.Path(repro.__file__).parent
+
+
+async def pending_tasks():
+    """Tasks that outlive a close.  A handler whose peer hung up unwinds
+    over a few loop trips, so give the loop a moment first."""
+    for _ in range(50):
+        pending = [
+            task for task in asyncio.all_tasks()
+            if task is not asyncio.current_task() and not task.done()
+        ]
+        if not pending:
+            break
+        await asyncio.sleep(0.01)
+    return pending
+
+
+@pytest.mark.net
+class TestStartUp:
+    def test_a_start_that_fails_half_way_closes_what_it_started(
+        self, monkeypatch
+    ):
+        listeners = []
+        real_start = NetObjectServer.start
+
+        async def third_start_fails(server):
+            if len(listeners) == 2:
+                raise OSError("no third port")
+            await real_start(server)
+            listeners.append(server._server)
+            return server
+
+        monkeypatch.setattr(NetObjectServer, "start", third_start_fails)
+
+        async def scenario():
+            with pytest.raises(OSError, match="no third port"):
+                async with LocalStack(servers=3, replicas=2):
+                    pytest.fail("the stack must not come up")
+            return await pending_tasks()
+
+        assert asyncio.run(scenario()) == []
+        assert len(listeners) == 2
+        assert not any(listener.is_serving() for listener in listeners)
+
+    def test_a_failed_agent_start_stops_agents_and_servers(self, monkeypatch):
+        started = []
+        real_start = SwimAgent.start
+
+        async def second_start_fails(agent):
+            if started:
+                raise RuntimeError("agent 1 cannot start")
+            started.append(await real_start(agent))
+            return agent
+
+        monkeypatch.setattr(SwimAgent, "start", second_start_fails)
+        stacks = []
+
+        async def scenario():
+            stack = LocalStack(servers=2, replicas=2, cluster=ClusterConfig())
+            stacks.append(stack)
+            with pytest.raises(RuntimeError, match="cannot start"):
+                async with stack:
+                    pytest.fail("the stack must not come up")
+            return await pending_tasks()
+
+        assert asyncio.run(scenario()) == []
+        assert started[0]._task is None  # the probe loop was stopped
+        assert all(s._server is None for s in stacks[0].servers.values())
+
+    @pytest.mark.parametrize("run", [
+        lambda: ring_cluster(n_servers=3, replicas=2, rounds=1,
+                             kill_primary_midway=True),
+        lambda: ring_cluster(n_servers=3, replicas=2, rounds=1, cluster=True,
+                             kill_primary_midway=True,
+                             add_device_midway=True),
+        lambda: ring_cluster(n_servers=2, replicas=3, rounds=1),
+    ], ids=["kill-without-cluster", "kill-and-grow", "replicas>servers"])
+    def test_bad_arguments_open_no_socket(self, monkeypatch, run):
+        starts = []
+
+        async def record_start(server):
+            starts.append(server)
+            raise AssertionError("a server was started")
+
+        monkeypatch.setattr(NetObjectServer, "start", record_start)
+        with pytest.raises(ValueError):
+            asyncio.run(run())
+        assert starts == []
+
+    @pytest.mark.parametrize("kwargs", [
+        {"servers": 0},
+        {"servers": 2},
+        {"servers": 2, "replicas": 3},
+        {"cluster": ClusterConfig()},
+    ])
+    def test_the_fixture_rejects_them_in_its_constructor(self, kwargs):
+        with pytest.raises(ValueError):
+            LocalStack(**kwargs)
+
+
+@pytest.mark.net
+class TestOneConstructorPath:
+    def test_a_grown_stack_labels_the_new_device_like_the_others(
+        self, tmp_path
+    ):
+        registry = Registry()
+
+        async def scenario():
+            async with LocalStack(servers=3, replicas=2, registry=registry,
+                                  store_root=str(tmp_path)) as stack:
+                assert await stack.add_server() == 3
+                return stack.servers[3].clock.offset
+
+        offset = asyncio.run(scenario())
+        assert offset == local.default_skews(4, 0.02)[3]
+        labels = [
+            sample["labels"]
+            for family in registry.snapshot()["metrics"]
+            for sample in family["samples"]
+        ]
+        served = {l["device"] for l in labels if l.get("side") == "server"}
+        assert served == {"0", "1", "2", "3"}
+        stores = {l["store"] for l in labels if "store" in l}
+        assert stores == {"dev0", "dev1", "dev2", "dev3"}
+        assert (tmp_path / "dev3").is_dir()
+
+
+@pytest.mark.net
+class TestTeardown:
+    def test_agents_stop_before_sites_before_servers(self, monkeypatch):
+        order = []
+
+        def recording(cls, method, tag):
+            real = getattr(cls, method)
+
+            async def wrapper(self, *args, **kwargs):
+                order.append(tag)
+                return await real(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, method, wrapper)
+
+        recording(SwimAgent, "stop", "agent")
+        recording(RingRouter, "close", "site")
+        recording(NetObjectServer, "close", "server")
+
+        async def scenario():
+            config = ClusterConfig(probe_period=0.05, suspect_timeout=0.1)
+            async with LocalStack(servers=2, replicas=2,
+                                  cluster=config) as stack:
+                site = await stack.connect(0, delta=0.4)
+                await site.write("x", "s0.1")
+                assert await site.read("x") == "s0.1"
+                # connect() set up what the harnesses used to: repairs
+                # four times per delta (capped) and the epoch watch.
+                assert site._anti_entropy_task is not None
+                assert site._epoch_watch_task is not None
+            return await pending_tasks()
+
+        assert asyncio.run(scenario()) == []
+        assert order == ["agent", "agent", "site", "server", "server"]
+
+    def test_anti_entropy_period(self):
+        assert local.anti_entropy_period(0.4) == 0.05
+        assert local.anti_entropy_period(0.1) == pytest.approx(0.025)
+        assert local.anti_entropy_period(float("inf")) == 0.05
+
+
+def old_call_sites(history, delta, epsilon):
+    """What ``net.demo._judge`` plus the hand-bolted ``check_tcc`` of
+    ``ring_demo`` and ``load.engine`` computed."""
+    monitor = OnlineTimedMonitor(delta, epsilon=epsilon,
+                                 initial_value=history.initial_value)
+    ordered = sorted(history.operations, key=lambda op: (op.time, op.uid))
+    return (check_tsc(history, delta, epsilon), check_tcc(history, delta, epsilon),
+            check_sc(history), monitor.observe_all(ordered))
+
+
+def assert_same_judgement(got, expected):
+    for new, old in zip(got[:3], expected[:3]):
+        assert (new.criterion, new.satisfied, new.violation, new.parameters) \
+            == (old.criterion, old.satisfied, old.violation, old.parameters)
+    assert got.verdicts == expected[3]
+
+
+class TestOneJudge:
+    @pytest.mark.parametrize("history, delta, epsilon", [
+        (figure5(), 50.0, 0.0),
+        (figure5(), 100.0, 5.0),
+        (figure6(), 30.0, 0.0),
+    ], ids=["fig5-violated", "fig5-satisfied", "fig6"])
+    def test_judge_matches_the_old_call_sites_on_the_figures(
+        self, history, delta, epsilon
+    ):
+        assert_same_judgement(
+            judge(history, delta, epsilon),
+            old_call_sites(history, delta, epsilon),
+        )
+
+    @pytest.mark.net
+    def test_judge_matches_the_old_call_sites_on_a_recorded_soak(self):
+        report = asyncio.run(ring_cluster(
+            n_servers=2, replicas=2, n_clients=2, rounds=8, seed=5,
+        ))
+        assert len(report.history) > 16
+        assert report.fault is None and report.unmatched_reads == 0
+        got = local.Judgement(
+            report.tsc, report.tcc, report.sc, report.verdicts
+        )
+        assert_same_judgement(
+            got, old_call_sites(report.history, report.delta, report.epsilon)
+        )
+
+    def test_a_read_of_an_unrecorded_write_is_counted_and_dropped(self):
+        # What a kill leaves behind: w0(x)s0.2 was installed but its
+        # attempt raised, so only the read of it reached the recorder.
+        recorder = TraceRecorder()
+        recorder.record_write(0, "x", "s0.1", 1.0)
+        recorder.record_read(1, "x", "s0.1", 1.2)
+        recorder.record_read(1, "x", "s0.2", 1.5)
+        recorder.record_write(0, "x", "s0.3", 2.0)
+        recorder.record_read(1, "x", "s0.3", 2.1)
+        with pytest.raises(ValueError, match="never written"):
+            recorder.history()
+        history, unmatched = merge_history([recorder.operations])
+        assert unmatched == 1
+        assert [op.value for op in history.operations] == [
+            "s0.1", "s0.1", "s0.3", "s0.3",
+        ]
+        verdict = judge(history, delta=0.4, epsilon=0.0)
+        assert verdict.tsc.satisfied and verdict.tcc.satisfied
+        assert verdict.sc.satisfied and len(verdict.verdicts) == 2
+
+    def test_both_harnesses_report_the_one_fault_outcome(self):
+        assert load_engine.FaultOutcome is local.FaultOutcome
+        assert "fault" in RingReport.__dataclass_fields__
+        assert "fault" in load_engine.LoadReport.__dataclass_fields__
+        assert "unmatched_reads" in RingReport.__dataclass_fields__
+        assert local.FaultOutcome("kill-primary", killed_device=2).to_dict() == {
+            "fault": "kill-primary", "killed_device": 2,
+            "time_to_detect": None, "time_to_recover": None,
+            "failover_epoch": None, "promotions": 0, "detection_bound": None,
+        }
+
+
+def names_in(path):
+    """Every identifier, attribute and imported name a module mentions."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        else:
+            names.add(getattr(node, "attr", None) or getattr(node, "id", None))
+    return names
+
+
+def callers_of(name, receiver_not=None):
+    """Source files (relative to ``src/repro``) that call ``name(...)`` or
+    ``<x>.name(...)``, skipping calls on an attribute ``receiver_not``."""
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = getattr(func, "attr", None) or getattr(func, "id", None)
+            receiver = getattr(getattr(func, "value", None), "attr", None)
+            if called == name and (receiver_not is None
+                                   or receiver != receiver_not):
+                found.add(str(path.relative_to(SRC)))
+    return found
+
+
+class TestOneStandUp:
+    """Replace, not fork: the harnesses hold workloads, the fixture holds
+    the stack, and each sequence has one home."""
+
+    STACK_PARTS = {
+        "NetObjectServer", "SwimAgent", "ClusterView", "RingBuilder",
+        "DurableStore",
+    }
+
+    @pytest.mark.parametrize("module", ["net/workloads.py", "load/engine.py"])
+    def test_the_harnesses_name_no_part_of_the_stack(self, module):
+        assert names_in(SRC / module) & self.STACK_PARTS == set()
+        assert "LocalStack" in names_in(SRC / module)
+
+    def test_each_sequence_is_written_once(self):
+        assert callers_of("SwimAgent") == {"net/local.py", "cli/net.py"}
+        assert callers_of("RingBuilder") == {
+            "net/local.py", "ring/ring.py", "cli/ring.py",
+        }
+        # A server crash; ``transport.abort()`` is the framing layer's.
+        assert callers_of("abort", receiver_not="transport") == {"net/local.py"}
+        assert callers_of("start_agents") == {"net/local.py", "cli/ring.py"}
+        sources = {
+            str(path.relative_to(SRC)): path.read_text(encoding="utf-8")
+            for path in SRC.rglob("*.py")
+        }
+        assert [m for m, text in sources.items() if "min(0.05," in text] \
+            == ["net/local.py"]
+        assert sources["net/local.py"].count("min(0.05, delta / 4.0)") == 1
+        assert [m for m, text in sources.items()
+                if "class FaultOutcome" in text] == ["net/local.py"]
+
+    def test_importing_the_package_stays_as_light_as_it_was(self):
+        # benchmarks/layers imports repro.net.client, hence this package:
+        # the cluster and observability layers must stay lazy.
+        listed = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.net; print(*sorted(sys.modules))"],
+            env={"PYTHONPATH": str(SRC.parent)}, check=True,
+            capture_output=True, text=True,
+        ).stdout.split()
+        assert "repro.net.local" in listed
+        assert [m for m in listed
+                if m.startswith(("repro.cluster", "repro.obs", "repro.load"))] == []
+
+    def test_the_old_modules_and_the_private_judge_are_gone(self):
+        assert not (SRC / "net" / "demo.py").exists()
+        assert not (SRC / "net" / "ring_demo.py").exists()
+        assert not hasattr(local, "_judge")
+        for path in SRC.rglob("*.py"):
+            assert "_merge_history" not in path.read_text(encoding="utf-8")

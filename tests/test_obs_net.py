@@ -7,7 +7,7 @@ import asyncio
 import pytest
 
 from repro.net.client import NetCacheClient, NetError
-from repro.net.ring_demo import ring_cluster
+from repro.net.workloads import ring_cluster
 from repro.net.server import NetObjectServer
 from repro.obs.expo import MetricsServer, scrape
 from repro.obs.metrics import Registry

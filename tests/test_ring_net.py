@@ -8,7 +8,7 @@ import math
 import pytest
 
 from repro.engine import messages
-from repro.net.ring_demo import ring_cluster, run_ring_soak
+from repro.net.workloads import ring_cluster, run_ring_soak
 from repro.net.ring_router import RingRouter
 from repro.net.server import NetObjectServer
 from repro.ring import RingBuilder, uniform_ring
@@ -55,6 +55,19 @@ class TestRingSoak:
         assert report.tsc.satisfied, report.tsc.violation
         queued, done, late = report.repairs()
         assert late == 0  # no repair missed its delta deadline
+
+    @pytest.mark.parametrize("n_servers, replicas", [(1, 1), (2, 1), (5, 3)])
+    def test_other_shapes_stay_timed_with_no_off_ring_read(
+        self, n_servers, replicas
+    ):
+        # Shapes no test above runs: the degenerate one-device ring,
+        # sharding without replication, and three replicas.
+        report = run_ring_soak(
+            n_servers=n_servers, replicas=replicas, n_clients=2, rounds=12,
+            delta=0.4, seed=7,
+        )
+        assert report.tsc.satisfied, report.tsc.violation
+        assert report.off_ring_reads == 0
 
 
 class TestGrowthHandoff:

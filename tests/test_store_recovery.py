@@ -338,7 +338,7 @@ class TestServerRecovery:
         assert recovered.replayed_records == 0
 
     def test_ring_cluster_with_stores_and_snapshot_handoff(self, tmp_path):
-        from repro.net.ring_demo import ring_cluster
+        from repro.net.workloads import ring_cluster
 
         report = asyncio.run(ring_cluster(
             n_servers=2, replicas=2, n_clients=2, rounds=8,
