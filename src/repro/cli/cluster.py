@@ -7,21 +7,23 @@ import argparse
 from repro.analysis import print_table
 
 def _cluster_fetch(host: str, port: int, timeout: float = 2.0):
-    """One status round trip over a bare agent link (no clock sync):
-    the member's cluster view plus the ring it currently serves."""
+    """One status round trip over a bare channel (no clock sync): the
+    member's cluster view plus the ring it currently serves."""
     import asyncio
 
-    from repro.cluster.swim import AgentLink
+    from repro.net.channel import Channel
     from repro.net.framing import CLUSTER_STATE, RING_FETCH
 
     async def _fetch():
-        link = AgentLink(999_999, -1, host, port, connect_timeout=timeout)
-        await link.connect()
+        # An id no cache client and no member's agent connects under.
+        channel = Channel(1_999_999, host, port)
+        await channel.open(timeout)
+        channel.start()
         try:
-            view = await link.request({"kind": CLUSTER_STATE}, timeout)
-            ring = await link.request({"kind": RING_FETCH}, timeout)
+            view = await channel.call({"kind": CLUSTER_STATE}, timeout)
+            ring = await channel.call({"kind": RING_FETCH}, timeout)
         finally:
-            await link.close()
+            await channel.close()
         return view, ring
 
     return asyncio.run(_fetch())

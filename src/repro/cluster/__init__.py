@@ -21,7 +21,6 @@ from repro.cluster.failover import (
 )
 from repro.cluster.swim import (
     CLUSTER_CLIENT_BASE,
-    AgentLink,
     ClusterConfig,
     SwimAgent,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "DEAD",
     "LEFT",
     "STATES",
-    "AgentLink",
     "CLUSTER_CLIENT_BASE",
     "ClusterConfig",
     "ClusterView",

@@ -50,21 +50,19 @@ join_ring` (the stock :class:`~repro.ring.rebalance.Rebalancer`).
 from __future__ import annotations
 
 import asyncio
-import itertools
 import logging
 import random
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.engine import messages
+from repro.net.channel import Channel
 from repro.net.faults import FaultInjector
 from repro.net.framing import (
-    BYE,
     ERROR,
     HANDOFF,
     HANDOFF_ACK,
-    HELLO,
-    HELLO_ACK,
     PING,
     PING_ACK,
     PING_REQ,
@@ -73,7 +71,6 @@ from repro.net.framing import (
     RING_FETCH,
     FrameConnection,
     FrameError,
-    dial,
 )
 from repro.cluster.failover import FailoverPlan, failover_ring, join_ring
 from repro.cluster.view import (
@@ -140,135 +137,13 @@ class ClusterConfig:
         return 3.0 * self.probe_period + self.suspect_timeout
 
 
-class AgentLink:
-    """One agent's framed connection to a peer member's server port.
-
-    Deliberately minimal next to :class:`~repro.net.client.NetCacheClient`:
-    a HELLO handshake (no clock sync — probes measure liveness, not
-    time), request/reply matching by id, a single attempt per request
-    (SWIM's probe rounds *are* the retry mechanism; a retransmit ladder
-    here would blur the detector's timing).  An optional
-    :class:`~repro.net.faults.FaultInjector` attaches after the
-    handshake, so tests can sever this one pairwise link — including
-    asymmetrically (the half-open case).
-    """
-
-    def __init__(
-        self,
-        member_id: int,
-        peer_id: int,
-        host: str,
-        port: int,
-        *,
-        faults: Optional[FaultInjector] = None,
-        connect_timeout: float = 1.0,
-    ) -> None:
-        self.member_id = member_id
-        self.peer_id = peer_id
-        self.host = host
-        self.port = port
-        self.faults = faults
-        self.connect_timeout = connect_timeout
-        self.conn: Optional[FrameConnection] = None
-        self._pending: Dict[int, asyncio.Future] = {}
-        self._requests = itertools.count()
-        self._recv_task: Optional[asyncio.Task] = None
-        self._lost = False
-
-    @property
-    def connected(self) -> bool:
-        return self.conn is not None and not self._lost
-
-    async def connect(self) -> "AgentLink":
-        conn = await asyncio.wait_for(
-            dial(self.host, self.port), self.connect_timeout
-        )
-        try:
-            await conn.send({
-                "kind": HELLO,
-                "client_id": CLUSTER_CLIENT_BASE + self.member_id,
-            })
-            ack = await asyncio.wait_for(conn.recv(), self.connect_timeout)
-            if ack is None or ack.get("kind") != HELLO_ACK:
-                raise ConnectionError(
-                    f"bad agent handshake from {self.peer_id}: {ack!r}"
-                )
-        except BaseException:
-            # The loop keeps a registered transport alive: a link that
-            # never formed has to be dropped here, or its socket stays.
-            conn.transport.abort()
-            raise
-        self.conn = conn
-        # Faults attach only after the handshake, like the data client:
-        # the link always *forms*; the protocol runs over the cut.
-        self.conn.faults = self.faults
-        self._lost = False
-        self._recv_task = asyncio.ensure_future(self._recv_loop())
-        return self
-
-    async def request(
-        self, message: Dict[str, Any], timeout: float
-    ) -> Dict[str, Any]:
-        """One attempt, one timeout; raises ``asyncio.TimeoutError`` or
-        ``ConnectionError``.  An ``error`` reply raises ``FrameError``."""
-        if not self.connected:
-            raise ConnectionError(f"link to member {self.peer_id} is down")
-        req = next(self._requests)
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._pending[req] = future
-        try:
-            await self.conn.send(dict(message, req=req))
-            reply = await asyncio.wait_for(future, timeout)
-        finally:
-            self._pending.pop(req, None)
-        if reply.get("kind") == ERROR:
-            raise FrameError(str(reply.get("error")))
-        return reply
-
-    async def _recv_loop(self) -> None:
-        try:
-            while True:
-                frame = await self.conn.recv()
-                if frame is None:
-                    break
-                req = frame.get("req")
-                if req is None:
-                    continue  # pushes are for data clients, not agents
-                future = self._pending.get(req)
-                if future is not None and not future.done():
-                    future.set_result(frame)
-        except (FrameError, ConnectionError):
-            pass
-        finally:
-            self._lost = True
-            for future in self._pending.values():
-                if not future.done():
-                    future.set_exception(
-                        ConnectionError(f"link to member {self.peer_id} lost")
-                    )
-
-    async def close(self) -> None:
-        if self.conn is not None:
-            await self.conn.send({"kind": BYE})
-        if self._recv_task is not None:
-            self._recv_task.cancel()
-            try:
-                await self._recv_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._recv_task = None
-        if self.conn is not None:
-            await self.conn.close()
-            self.conn = None
-
-
 class _LocalSourceTransport:
     """The handoff transport of an agent acting as a move *source*:
     reads come from its own server's store (never a remote fetch — a
     ``fetch`` would manufacture initial values for never-written
-    objects), writes go to the destination over agent links as ordinary
-    data-plane ``write`` frames, so the destination's install follows
-    the same log-before-ack path as any client write."""
+    objects), writes go to the destination over the agent's channels as
+    ordinary data-plane ``write`` frames, so the destination's install
+    follows the same log-before-ack path as any client write."""
 
     def __init__(self, agent: "SwimAgent") -> None:
         self.agent = agent
@@ -285,13 +160,15 @@ class _LocalSourceTransport:
         return version.value
 
     async def write(self, device_id: int, obj: str, value: Any) -> float:
-        from repro.engine import messages
-
-        link = await self.agent._link(device_id)
-        reply = await link.request(
+        reply = await self.agent._ask(
+            device_id,
             {"kind": messages.WRITE, "obj": obj, "value": value},
             self.agent.config.rpc_timeout,
         )
+        if reply is None:  # replay_handoff retries, then reports the move
+            raise ConnectionError(
+                f"write of {obj!r} to device {device_id} got no answer"
+            )
         return float(reply.get("alpha", 0.0))
 
 
@@ -322,7 +199,11 @@ class SwimAgent:
         self.link_faults = link_faults
         self.instruments = instruments
         self.incarnation = 0
-        self.links: Dict[int, AgentLink] = {}
+        #: One :class:`Channel` per peer, opened as ``CLUSTER_CLIENT_BASE
+        #: + member_id``; ``_opening`` holds the ones still being opened,
+        #: so concurrent askers of one peer share one connection.
+        self.links: Dict[int, Channel] = {}
+        self._opening: Dict[int, asyncio.Task] = {}
         self.rng = random.Random(
             self.config.seed if self.config.seed is None
             else self.config.seed + member_id
@@ -377,10 +258,14 @@ class SwimAgent:
 
     async def stop(self) -> None:
         # Before Python 3.12 ``wait_for`` swallows a cancellation that
-        # lands just as its future completes (a probe's reply arriving):
-        # the flag ends the loop after that round, or stop() never returns.
+        # lands just as its future completes.  A probe round that loses
+        # its cancellation, that way or another, must not keep stop()
+        # from returning: the flag ends the loop after that round.
         self._stopping = True
-        for task in (self._task, self._catchup_task, self._failover_task):
+        for task in (
+            self._task, self._catchup_task, self._failover_task,
+            *self._opening.values(),
+        ):
             if task is not None and not task.done():
                 task.cancel()
                 try:
@@ -462,15 +347,12 @@ class SwimAgent:
         self._suspect(target)
 
     async def _direct_ping(self, target: int) -> bool:
-        try:
-            link = await self._link(target)
-            reply = await link.request(
-                {"kind": PING, "from": self.member_id, "gossip": self._gossip()},
-                self.config.probe_timeout,
-            )
-        except asyncio.CancelledError:
-            raise
-        except (asyncio.TimeoutError, ConnectionError, FrameError, OSError):
+        reply = await self._ask(
+            target,
+            {"kind": PING, "from": self.member_id, "gossip": self._gossip()},
+            self.config.probe_timeout,
+        )
+        if reply is None:
             return False
         self._merge_gossip(reply.get("gossip"))
         return True
@@ -489,21 +371,18 @@ class SwimAgent:
         proxies = proxies[: self.config.indirect_probes]
 
         async def ask(proxy: int) -> bool:
-            try:
-                link = await self._link(proxy)
-                self.indirect_probes_sent += 1
-                reply = await link.request(
-                    {
-                        "kind": PING_REQ, "from": self.member_id,
-                        "target": target, "gossip": self._gossip(),
-                    },
-                    # The proxy needs its own probe_timeout to reach the
-                    # target; allow both legs.
-                    2.0 * self.config.probe_timeout,
-                )
-            except asyncio.CancelledError:
-                raise
-            except (asyncio.TimeoutError, ConnectionError, FrameError, OSError):
+            self.indirect_probes_sent += 1
+            reply = await self._ask(
+                proxy,
+                {
+                    "kind": PING_REQ, "from": self.member_id,
+                    "target": target, "gossip": self._gossip(),
+                },
+                # The proxy needs its own probe_timeout to reach the
+                # target; allow both legs.
+                2.0 * self.config.probe_timeout,
+            )
+            if reply is None:
                 return False
             self._merge_gossip(reply.get("gossip"))
             return bool(reply.get("ok"))
@@ -511,24 +390,61 @@ class SwimAgent:
         results = await asyncio.gather(*(ask(p) for p in proxies))
         return any(results)
 
-    async def _link(self, peer: int) -> AgentLink:
+    async def _ask(
+        self, peer: int, frame: Dict[str, Any], timeout: float
+    ) -> Optional[Dict[str, Any]]:
+        """One request to ``peer``: one attempt, one timeout (SWIM's
+        probe rounds *are* the retry mechanism; a retransmit ladder here
+        would blur the detector's timing).  Returns the reply, or
+        ``None`` when there is no usable one — no connection, no answer
+        in time, or an ``error`` frame."""
+        try:
+            link = await self._link(peer)
+            reply = await link.call(frame, timeout)
+            if reply.get("kind") != ERROR:
+                return reply
+            failure = reply.get("error")
+        except (OSError, FrameError) as exc:
+            failure = exc
+        logger.debug(
+            "member %s: %s to member %s failed: %r",
+            self.member_id, frame["kind"], peer, failure,
+        )
+        return None
+
+    async def _link(self, peer: int) -> Channel:
+        """The live channel to ``peer``, dialled if there is none.  A
+        caller arriving while a dial to that peer is in flight awaits the
+        same dial — a second one would replace, and close, the channel
+        the first had already handed to its caller."""
         link = self.links.get(peer)
         if link is not None and link.connected:
             return link
+        opening = self._opening.get(peer)
+        if opening is None:
+            opening = asyncio.ensure_future(self._open_link(peer))
+            self._opening[peer] = opening
+            opening.add_done_callback(lambda _: self._opening.pop(peer, None))
+        # Shielded: one asker's cancellation must not fail the others.
+        return await asyncio.shield(opening)
+
+    async def _open_link(self, peer: int) -> Channel:
         info = self.view.get(peer)
         if info is None or not info.address:
             raise ConnectionError(f"no address known for member {peer}")
         host, _, port = info.address.rpartition(":")
-        link = AgentLink(
-            self.member_id, peer, host, int(port),
+        # The faults attach once the link has formed (Channel.start):
+        # tests sever one pairwise link, possibly one direction only.
+        link = Channel(
+            CLUSTER_CLIENT_BASE + self.member_id, host, int(port),
             faults=self.link_faults(peer) if self.link_faults else None,
-            connect_timeout=max(self.config.probe_timeout, 0.2),
         )
-        await link.connect()
+        await link.open(max(self.config.probe_timeout, 0.2))
+        link.start()
         old = self.links.get(peer)
+        self.links[peer] = link
         if old is not None:
             await old.close()
-        self.links[peer] = link
         return link
 
     # -- membership transitions ----------------------------------------------
@@ -648,14 +564,10 @@ class SwimAgent:
         for peer in candidates:
             if peer == self.member_id:
                 continue
-            try:
-                link = await self._link(peer)
-                reply = await link.request(
-                    {"kind": RING_FETCH}, self.config.rpc_timeout
-                )
-            except asyncio.CancelledError:
-                raise
-            except (asyncio.TimeoutError, ConnectionError, FrameError, OSError):
+            reply = await self._ask(
+                peer, {"kind": RING_FETCH}, self.config.rpc_timeout
+            )
+            if reply is None:
                 continue
             ring = reply.get("ring")
             if isinstance(ring, dict) and int(ring.get("epoch", 0)) >= wanted:
@@ -727,25 +639,16 @@ class SwimAgent:
             if src == self.member_id:
                 await self._replay_moves(moves)
                 continue
-            try:
-                link = await self._link(src)
-                await link.request(
-                    {
-                        "kind": HANDOFF,
-                        "moves": [
-                            [m.partition, m.replica, m.src, m.dst]
-                            for m in moves
-                        ],
-                        "epoch": plan.ring.epoch,
-                    },
-                    self.config.rpc_timeout,
-                )
-            except asyncio.CancelledError:
-                raise
-            except (asyncio.TimeoutError, ConnectionError, FrameError, OSError) as exc:
+            handoff = {
+                "kind": HANDOFF,
+                "moves": [
+                    [m.partition, m.replica, m.src, m.dst] for m in moves
+                ],
+                "epoch": plan.ring.epoch,
+            }
+            if await self._ask(src, handoff, self.config.rpc_timeout) is None:
                 logger.warning(
-                    "handoff to member %s failed: %r (anti-entropy repairs)",
-                    src, exc,
+                    "handoff to member %s failed (anti-entropy repairs)", src
                 )
         # 2. Promotion: every device gaining primary authority runs the
         #    recovery-shaped rule before the cutover reaches routers.
@@ -755,16 +658,9 @@ class SwimAgent:
                 await self.server.promote(bound)
                 self.events.append((self._mono(), "promoted", self.member_id))
                 continue
-            try:
-                link = await self._link(dev)
-                await link.request(
-                    {"kind": PROMOTE, "bound": bound, "ring": new_dict},
-                    self.config.rpc_timeout,
-                )
-            except asyncio.CancelledError:
-                raise
-            except (asyncio.TimeoutError, ConnectionError, FrameError, OSError) as exc:
-                logger.warning("promote of member %s failed: %r", dev, exc)
+            promote = {"kind": PROMOTE, "bound": bound, "ring": new_dict}
+            if await self._ask(dev, promote, self.config.rpc_timeout) is None:
+                logger.warning("promote of member %s failed", dev)
         # 3. Cutover: install + announce.  Gossip spreads the epoch;
         #    members and routers pull the layout when they see it.
         self.server.set_ring(new_dict)

@@ -162,15 +162,3 @@ class ClientStats:
                    "Fraction of reads served without any message",
                    [(base, self.hit_ratio)]),
         ]
-
-    def bind(self, registry, **labels: Any):
-        """Register this struct as a collector on ``registry`` (labels
-        typically ``site=<client id>`` plus a ``stack`` discriminator).
-        Returns the collector for later unregistration."""
-
-        def collector() -> List[Dict[str, Any]]:
-            return self.collect_families(
-                {k: str(v) for k, v in labels.items()}
-            )
-
-        return registry.register_collector(collector)

@@ -9,6 +9,9 @@ simulator (:mod:`repro.sim`) or on in-process asyncio
 * :mod:`repro.net.server` — the authoritative object server, speaking
   the protocol kinds of
   :mod:`repro.engine.messages` plus the clock-sync handshake;
+* :mod:`repro.net.channel` — the asking end of one connection: dial,
+  ``hello``, request ids, reply matching and the per-attempt timeout,
+  once, for the cache client, the cluster agents and the CLI;
 * :mod:`repro.net.client` — the Sections 5.1-5.2 cache client with
   request retry/backoff and push/invalidate handling;
 * :mod:`repro.net.clocksync` — NTP-style offset/epsilon estimation so
@@ -32,6 +35,7 @@ See docs/NET_PROTOCOL.md for the wire format and failure semantics,
 docs/RING.md for placement and the multi-clock epsilon composition.
 """
 
+from repro.net.channel import Channel
 from repro.net.client import (
     NetCacheClient,
     NetError,
@@ -62,6 +66,7 @@ from repro.net.workloads import (
 )
 
 __all__ = [
+    "Channel",
     "ClockSyncEstimator",
     "ClusterReport",
     "FaultConfig",

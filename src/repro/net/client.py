@@ -4,8 +4,9 @@
 ``TimedCacheClient`` and of ``repro.sim.aio.AioTimedCacheClient``: all
 three drive the same :class:`repro.engine.CacheEngine` — the cache
 structure (versions with lifetimes, ``Context_i``, *old* entries) and
-every freshness judgement live there; this class owns the socket, the
-synchronized clock, request ids, retransmission, and trace recording.
+every freshness judgement live there; the connection, request ids and
+reply matching are a :class:`repro.net.channel.Channel`; this class
+owns the synchronized clock, retransmission, and trace recording.
 
 Two freshness modes:
 
@@ -38,30 +39,24 @@ server's timescale and can be checked offline with
 from __future__ import annotations
 
 import asyncio
-import itertools
 import math
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.engine import CacheEngine, WriteOp, messages
 from repro.engine.versions import CacheEntry
+from repro.net.channel import Channel
 from repro.net.clocksync import SyncedClock
 from repro.net.faults import FaultInjector
 from repro.net.framing import (
     BUSY,
-    BYE,
-    CLUSTER_STATE,
-    CLUSTER_VIEW,
     ERROR,
-    HELLO,
-    HELLO_ACK,
     RING_FETCH,
     RING_STATE,
     SYNC,
     SYNC_ACK,
     FrameConnection,
     FrameError,
-    dial,
 )
 from repro.sim.trace import TraceRecorder
 
@@ -78,15 +73,6 @@ class RequestTimeout(NetError):
 
 class ProtocolError(NetError):
     """The server answered with an error frame or nonsense."""
-
-
-#: What a request's retransmit timer puts in its reply future.
-_TIMED_OUT: Dict[str, Any] = {}
-
-
-def _expire(future: asyncio.Future) -> None:
-    if not future.done():
-        future.set_result(_TIMED_OUT)
 
 
 class NetCacheClient:
@@ -163,7 +149,6 @@ class NetCacheClient:
         self.port = port
         self.mode = mode
         self.recorder = recorder
-        self.faults = faults
         self.sync_rounds = sync_rounds
         self.sync_retries = sync_retries
         self.request_timeout = request_timeout
@@ -172,19 +157,17 @@ class NetCacheClient:
         self.clock = clock if clock is not None else SyncedClock(skew=skew)
         self.engine = CacheEngine(site_id=client_id, delta=delta)
         self.stats = self.engine.stats
-        self.conn: Optional[FrameConnection] = None
+        self.channel = Channel(
+            client_id, host, port,
+            subscribe=mode == "push", faults=faults, on_frame=self._on_frame,
+        )
         # Cluster awareness: the highest ring epoch any server frame has
-        # carried (0 for a standalone server), a subscriber called on
-        # each advance, and the dead-connection latch that makes requests
-        # fail fast instead of burning the retransmit ladder against a
-        # server that is gone (docs/CLUSTER.md).
+        # carried (0 for a standalone server) and a subscriber called on
+        # each advance.
         self.server_epoch = 0
         self.on_epoch: Optional[Callable[[int, "NetCacheClient"], None]] = None
-        self._conn_lost = False
         self.pipeline_depth = pipeline_depth
         self.batch = batch
-        self._requests = itertools.count()
-        self._pending: Dict[int, asyncio.Future] = {}
         # Pipelining: the semaphore bounds outstanding request ids over
         # the one connection; ids themselves are never reused, so a
         # reply that outlives its request cannot resolve a later future.
@@ -270,10 +253,14 @@ class NetCacheClient:
         self.pipeline = PipelineInstruments(
             self.registry, side="client", labels=labels
         )
-        self.pipeline.bind_outstanding(lambda: len(self._pending))
+        self.pipeline.bind_outstanding(lambda: len(self.channel.pending))
         self.pipeline.bind_queue_depth(lambda: len(self._batch_queue))
 
     # -- connection lifecycle -------------------------------------------------
+
+    @property
+    def conn(self) -> Optional[FrameConnection]:
+        return self.channel.conn
 
     async def connect(self) -> "NetCacheClient":
         """Connect and synchronize; one bad handshake round is not fatal.
@@ -286,10 +273,11 @@ class NetCacheClient:
         wait = 0.05
         for attempt in range(self.sync_retries + 1):
             try:
-                await self._handshake()
+                self._note_epoch(await self.channel.open())
+                await self._sync_clock(self.sync_rounds)
                 break
             except (ConnectionError, FrameError) as exc:
-                await self._abandon_connection()
+                await self.channel.close(bye=False)
                 if attempt == self.sync_retries:
                     raise NetError(
                         f"clock-sync handshake failed after {attempt + 1} "
@@ -299,39 +287,15 @@ class NetCacheClient:
                 wait = min(wait * self.backoff, 1.0)
         # Faults attach only now: the handshake always completes, the
         # workload runs over the unreliable link.
-        self.conn.faults = self.faults
-        self._conn_lost = False
-        self.conn.deliver(self._on_frame, self._on_connection_end)
+        self.channel.start()
         return self
 
-    async def _handshake(self) -> None:
-        self.conn = await dial(self.host, self.port)
-        await self.conn.send({
-            "kind": HELLO,
-            "client_id": self.client_id,
-            "subscribe": self.mode == "push",
-        })
-        ack = await self.conn.recv()
-        if ack is None:
-            raise ConnectionError("server closed during handshake")
-        if ack.get("kind") != HELLO_ACK:
-            raise ProtocolError(f"bad handshake reply: {ack!r}")
-        self._note_epoch(ack)
-        await self._sync_clock(self.sync_rounds)
-
-    async def _abandon_connection(self) -> None:
-        if self.conn is not None:
-            try:
-                await self.conn.close()
-            except Exception:
-                pass
-            self.conn = None
-
     async def _sync_clock(self, rounds: int) -> None:
+        conn = self.channel.conn
         for _ in range(rounds):
             t0 = self.clock.local()
-            await self.conn.send({"kind": SYNC, "t0": t0})
-            reply = await self.conn.recv()
+            await conn.send({"kind": SYNC, "t0": t0})
+            reply = await conn.recv()
             t3 = self.clock.local()
             if reply is None:
                 raise ConnectionError("server closed during clock sync")
@@ -354,10 +318,7 @@ class NetCacheClient:
                 await self._batch_flusher
             except Exception:
                 pass
-        if self.conn is not None:
-            await self.conn.send({"kind": BYE})
-            await self.conn.close()
-            self.conn = None
+        await self.channel.close()
 
     async def __aenter__(self) -> "NetCacheClient":
         return await self.connect()
@@ -424,7 +385,7 @@ class NetCacheClient:
     def next_request_id(self) -> int:
         """Allocate a request id for a pinned :meth:`write` (ids are
         never reused; allocating without sending is safe)."""
-        return next(self._requests)
+        return self.channel.next_id()
 
     async def _write_coalesced(self, op: WriteOp) -> float:
         """Queue the write for the flusher task; await its own ack."""
@@ -521,7 +482,7 @@ class NetCacheClient:
     @property
     def connected(self) -> bool:
         """False once the connection is known dead (requests fail fast)."""
-        return self.conn is not None and not self._conn_lost
+        return self.channel.connected
 
     def _note_epoch(self, frame: Dict[str, Any]) -> None:
         """Track the server's ring epoch from any stamped frame; notify
@@ -547,14 +508,6 @@ class NetCacheClient:
             raise ProtocolError(f"bad ring-fetch reply: {reply!r}")
         return int(reply.get("epoch", 0)), reply.get("ring")
 
-    async def fetch_cluster_view(self) -> Tuple[int, Optional[Dict[str, Any]]]:
-        """Ask the server for its cluster view: ``(epoch, view dict or
-        None)`` — ``repro cluster status`` runs on this."""
-        reply = await self._request({"kind": CLUSTER_STATE})
-        if reply.get("kind") != CLUSTER_VIEW:
-            raise ProtocolError(f"bad cluster-state reply: {reply!r}")
-        return int(reply.get("epoch", 0)), reply.get("view")
-
     # -- transport --------------------------------------------------------------
 
     #: Upper bound on consecutive busy reissues before the request fails
@@ -571,100 +524,74 @@ class NetCacheClient:
         backoff until a reply with the matching id arrives.
 
         Up to ``pipeline_depth`` requests may be in flight at once (the
-        semaphore); ids are never reused, so duplicate and orphan replies
-        are recognized and dropped.  A ``busy`` reply means the server
-        shed the request *unexecuted*: back off briefly and reissue under
-        the same id.  ``req`` pins the id for caller-level idempotent
-        retries (the ring's repair path).
+        semaphore); every attempt is one :meth:`Channel.call` under the
+        same id, so duplicate and orphan replies are recognized and
+        dropped.  A ``busy`` reply means the server shed the request
+        *unexecuted*: back off briefly and reissue under the same id.
+        ``req`` pins the id for caller-level idempotent retries (the
+        ring's repair path).
         """
-        if self.conn is None:
+        channel = self.channel
+        if channel.conn is None:
             raise NetError("client is not connected")
-        if self._conn_lost:
+        if not channel.connected:
             # Fail fast: the connection was seen to die.  Burning
             # the full retransmit ladder against a dead server would add
             # seconds to every failover (docs/CLUSTER.md time-to-recover
             # accounting); the caller's replica fallback handles it now.
             raise NetError(f"connection to {self.host}:{self.port} is down")
         if req is None:
-            req = next(self._requests)
-        message = dict(message, req=req)
+            req = channel.next_id()
         async with self._issue_slots:
-            loop = asyncio.get_running_loop()
-            future: asyncio.Future = loop.create_future()
-            self._pending[req] = future
             wait = timeout if timeout is not None else self.request_timeout
             rtt_child = self._rtt.get(message["kind"]) if self._rtt else None
             issued = self.clock.local() if rtt_child is not None else 0.0
             attempt = 0
             busy_retries = 0
             busy_wait = 0.005
-            try:
-                while True:
-                    await self.conn.send(message)
-                    # One timer per attempt; when it fires first it
-                    # resolves the reply future itself, with a sentinel.
-                    timer = loop.call_later(wait, _expire, future)
-                    try:
-                        reply = await future
-                    finally:
-                        timer.cancel()
-                    if reply is _TIMED_OUT:
-                        if attempt == self.max_retries:
-                            raise RequestTimeout(
-                                f"no reply to {message['kind']} #{req} after "
-                                f"{self.max_retries + 1} attempts"
-                            )
-                        attempt += 1
-                        self.stats.retries += 1
-                        wait *= self.backoff
-                        future = loop.create_future()
-                        self._pending[req] = future
-                        continue
-                    if reply.get("kind") == BUSY:
-                        # Shed unexecuted: same id, fresh future, capped
-                        # exponential backoff before the reissue.
-                        busy_retries += 1
-                        if busy_retries > self.MAX_BUSY_RETRIES:
-                            raise RequestTimeout(
-                                f"server busy for {message['kind']} #{req} "
-                                f"after {busy_retries} reissues"
-                            )
-                        self.stats.busy += 1
-                        if self.pipeline is not None:
-                            self.pipeline.on_busy()
-                        future = loop.create_future()
-                        self._pending[req] = future
-                        await asyncio.sleep(busy_wait)
-                        busy_wait = min(busy_wait * self.backoff, wait)
-                        continue
-                    if reply.get("kind") == ERROR:
-                        raise ProtocolError(str(reply.get("error")))
-                    if rtt_child is not None:
-                        rtt_child.observe(self.clock.local() - issued)
-                    return reply
-            finally:
-                self._pending.pop(req, None)
-                if not future.done():
-                    future.cancel()
+            while True:
+                try:
+                    reply = await channel.call(message, wait, req)
+                except TimeoutError:
+                    if attempt == self.max_retries:
+                        raise RequestTimeout(
+                            f"no reply to {message['kind']} #{req} after "
+                            f"{self.max_retries + 1} attempts"
+                        ) from None
+                    attempt += 1
+                    self.stats.retries += 1
+                    wait *= self.backoff
+                    continue
+                if reply.get("kind") == BUSY:
+                    # Shed unexecuted: same id, capped exponential
+                    # backoff before the reissue.
+                    busy_retries += 1
+                    if busy_retries > self.MAX_BUSY_RETRIES:
+                        raise RequestTimeout(
+                            f"server busy for {message['kind']} #{req} "
+                            f"after {busy_retries} reissues"
+                        )
+                    self.stats.busy += 1
+                    if self.pipeline is not None:
+                        self.pipeline.on_busy()
+                    await asyncio.sleep(busy_wait)
+                    busy_wait = min(busy_wait * self.backoff, wait)
+                    continue
+                if reply.get("kind") == ERROR:
+                    raise ProtocolError(str(reply.get("error")))
+                if rtt_child is not None:
+                    rtt_child.observe(self.clock.local() - issued)
+                return reply
 
     def _on_frame(self, frame: Dict[str, Any]) -> None:
-        """Every inbound frame after the handshake, from ``data_received``."""
+        """Every inbound frame once the channel has started, before the
+        call it may answer resumes."""
         self._note_epoch(frame)
-        req = frame.get("req")
-        if req is not None:
-            future = self._pending.get(req)
-            if future is not None and not future.done():
-                future.set_result(frame)
-            # else an unknown id: duplicate of an answered request
-        elif frame.get("kind") in (messages.PUSH, messages.INVALIDATE):
+        if frame.get("req") is None and frame.get("kind") in (
+            messages.PUSH, messages.INVALIDATE
+        ):
             self._on_server_frame(frame)
         # anything else without an id is noise; ignore it
-
-    def _on_connection_end(self, error: Optional[Exception]) -> None:
-        self._conn_lost = True
-        for future in self._pending.values():
-            if not future.done():
-                future.set_exception(ConnectionError("connection lost"))
 
     # -- tracing -----------------------------------------------------------------
 

@@ -120,9 +120,9 @@ class FrameConnection(asyncio.Protocol):
 
     Inbound, ``data_received`` appends to one buffer and cuts every
     complete frame out of it in one pass.  Frames go to the ``on_frame``
-    callback once :meth:`deliver` has installed one (the steady-state
-    cache client), and before that to a queue behind :meth:`recv`
-    (handshakes, agent links, the server's per-connection handler).
+    callback once :meth:`deliver` has installed one (a started
+    :class:`~repro.net.channel.Channel`), and before that to a queue
+    behind :meth:`recv` (handshakes, the server's per-connection handler).
 
     Outbound, ``send`` is fire-and-forget: a frame selected for delay by
     the injector is written later by a timer (frames may therefore

@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.clocks.rebase import RebasedClock
-from repro.engine.stats import ClientStats
 from repro.net.client import NetCacheClient, NetError
 from repro.net.clocksync import SyncedClock
 from repro.net.faults import FaultInjector
@@ -165,8 +164,6 @@ class RingRouter:
         self.endpoints = dict(endpoints)
         self.delta = delta
         self.read_policy = read_policy
-        self.pipeline_depth = pipeline_depth
-        self.batch = batch
         self.recorder = recorder
         self.stats = RouterStats()
         # One local clock shared by every per-device estimator: offsets
@@ -174,21 +171,18 @@ class RingRouter:
         self.local_clock = RebasedClock(offset=skew)
         self.registry = registry
         self.instruments = instruments
-        injectors = fault_injectors or {}
-        self.clients: Dict[int, NetCacheClient] = {}
-        for dev_id in ring.device_ids():
-            host, port = endpoints[dev_id]
-            self.clients[dev_id] = NetCacheClient(
-                client_id, host, port,
-                delta=delta, mode=mode, recorder=None,
-                clock=SyncedClock(local=self.local_clock),
-                sync_rounds=sync_rounds,
-                request_timeout=request_timeout, max_retries=max_retries,
-                faults=injectors.get(dev_id),
-                registry=registry,
-                metric_labels={"device": dev_id} if registry is not None else None,
-                pipeline_depth=pipeline_depth, batch=batch,
-            )
+        self._fault_injectors = fault_injectors or {}
+        # What every per-device client is built with, the first ones and
+        # the ones that join later (_device_client).
+        self._client_options = dict(
+            delta=delta, mode=mode, sync_rounds=sync_rounds,
+            request_timeout=request_timeout, max_retries=max_retries,
+            registry=registry, pipeline_depth=pipeline_depth, batch=batch,
+        )
+        self.clients: Dict[int, NetCacheClient] = {
+            dev_id: self._device_client(dev_id, *endpoints[dev_id])
+            for dev_id in ring.device_ids()
+        }
         self.reference = min(self.clients)
         # The reference *clock* outlives the reference client: when the
         # reference device dies and is swapped out, later stamps keep
@@ -213,6 +207,19 @@ class RingRouter:
 
             bind_router_stats(registry, self.stats, site=client_id)
             bind_placement_stats(registry, self.placement.stats, site=client_id)
+
+    def _device_client(self, dev_id: int, host: str, port: int) -> NetCacheClient:
+        """The one way this router builds a device's client: shared local
+        clock, the router's own options, ``device=<id>`` on its metrics."""
+        return NetCacheClient(
+            self.client_id, host, port,
+            clock=SyncedClock(local=self.local_clock),
+            faults=self._fault_injectors.get(dev_id),
+            metric_labels=(
+                {"device": dev_id} if self.registry is not None else None
+            ),
+            **self._client_options,
+        )
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -289,18 +296,9 @@ class RingRouter:
             self._retired.add(task)
             task.add_done_callback(self._retired.discard)
 
-    async def connect_device(
-        self, dev_id: int, host: str, port: int, **kwargs
-    ) -> None:
+    async def connect_device(self, dev_id: int, host: str, port: int) -> None:
         """Open a connection to a device about to join the ring."""
-        kwargs.setdefault("pipeline_depth", self.pipeline_depth)
-        kwargs.setdefault("batch", self.batch)
-        client = NetCacheClient(
-            self.client_id, host, port,
-            delta=self.delta, recorder=None,
-            clock=SyncedClock(local=self.local_clock),
-            **kwargs,
-        )
+        client = self._device_client(dev_id, host, port)
         await client.connect()
         client.on_epoch = self._note_epoch
         self.clients[dev_id] = client
@@ -547,11 +545,3 @@ class RingRouter:
             pass  # the cancellation we just requested
         except Exception:
             pass  # already counted and logged by _anti_entropy_done
-
-    # -- reporting -------------------------------------------------------------
-
-    def merged_client_stats(self) -> ClientStats:
-        total = ClientStats()
-        for client in self.clients.values():
-            total = total.merge(client.stats)
-        return total

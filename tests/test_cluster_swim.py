@@ -365,7 +365,7 @@ class TestAgentLink:
     def test_a_link_whose_handshake_fails_leaves_no_socket_behind(self):
         """The event loop keeps a registered transport alive, so a link
         that never formed is not collected: it has to be dropped."""
-        from repro.cluster import AgentLink
+        from repro.net.channel import Channel
         from repro.net.framing import listen
 
         async def scenario():
@@ -382,10 +382,10 @@ class TestAgentLink:
 
             listener = await listen(mute_member, "127.0.0.1", 0)
             port = listener.sockets[0].getsockname()[1]
-            link = AgentLink(0, 1, "127.0.0.1", port, connect_timeout=0.1)
+            link = Channel(0, "127.0.0.1", port)
             try:
                 with pytest.raises(asyncio.TimeoutError):
-                    await link.connect()
+                    await link.open(0.1)
                 assert not link.connected
                 return await asyncio.wait_for(ended, 1.0)
             finally:
@@ -394,6 +394,66 @@ class TestAgentLink:
 
         end = asyncio.run(scenario())
         assert end is None or isinstance(end, ConnectionError)  # EOF or a reset
+
+    def test_concurrent_askers_of_one_peer_share_one_connection(self):
+        """The probe loop, the ping-req tasks, ring catch-up and the
+        failover RPCs all ask for links concurrently.  Two of them
+        dialling the same peer used to end with the later one closing the
+        link the earlier had already been handed."""
+        config = ClusterConfig(probe_period=30.0, probe_timeout=0.5)
+
+        async def scenario():
+            servers, agents, _ = await start_members(2, config)
+            try:
+                a, b = await asyncio.gather(
+                    agents[0]._link(1), agents[0]._link(1)
+                )
+                return a is b, a.connected, servers[1].connections_accepted
+            finally:
+                await stop_members(servers, agents)
+
+        assert asyncio.run(scenario()) == (True, True, 1)
+
+    @pytest.mark.parametrize("failure", ["timeout", "refused", "error reply"])
+    def test_ask_turns_every_failure_into_none_and_probing_goes_on(
+        self, failure
+    ):
+        from repro.net.framing import HANDOFF, PING
+
+        from tests.test_net_channel import peer
+
+        config = ClusterConfig(probe_period=0.05, probe_timeout=0.1)
+
+        async def answer_nothing(conn, frame):
+            pass
+
+        async def scenario():
+            servers, agents, _ = await start_members(1, config)
+            agent = agents[0]
+            bare = await NetObjectServer("127.0.0.1", 0).start()  # no agent
+            try:
+                async with peer(answer_nothing) as (port, _):
+                    frame = {"kind": PING, "from": 0}
+                    if failure == "refused":
+                        port = bare.port
+                        await bare.close()
+                    elif failure == "error reply":
+                        port, frame = bare.port, {"kind": HANDOFF, "moves": []}
+                    agent.view.update(MemberInfo(1, f"127.0.0.1:{port}"), now=0.0)
+                    reply = await agent._ask(1, frame, 0.1)
+                    probed = agent.probes_sent
+                    await wait_until(
+                        lambda: agent.probes_sent > probed,
+                        time.monotonic() + 2.0,
+                    )
+                    return reply, agent.probes_sent - probed, agent._task.done()
+            finally:
+                await stop_members(servers, agents)
+                await bare.close()
+
+        reply, more_probes, loop_ended = asyncio.run(scenario())
+        assert reply is None
+        assert more_probes > 0 and not loop_ended
 
 
 @pytest.mark.net

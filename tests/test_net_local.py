@@ -135,18 +135,27 @@ class TestOneConstructorPath:
         async def scenario():
             async with LocalStack(servers=3, replicas=2, registry=registry,
                                   store_root=str(tmp_path)) as stack:
+                router = await stack.connect(100, delta=0.5, mode="push")
                 assert await stack.add_server() == 3
+                await router.connect_device(3, *stack.endpoints[3])
+                assert {c.mode for c in router.clients.values()} == {"push"}
                 return stack.servers[3].clock.offset
 
         offset = asyncio.run(scenario())
         assert offset == local.default_skews(4, 0.02)[3]
-        labels = [
-            sample["labels"]
+        families = {
+            family["name"]: [sample["labels"] for sample in family["samples"]]
             for family in registry.snapshot()["metrics"]
-            for sample in family["samples"]
-        ]
+        }
+        labels = [l for samples in families.values() for l in samples]
         served = {l["device"] for l in labels if l.get("side") == "server"}
         assert served == {"0", "1", "2", "3"}
+        # The router speaks to the joiner as it does to the others.
+        asking = {l["device"] for l in labels if l.get("side") == "client"}
+        assert asking == {"0", "1", "2", "3"}
+        for name in ("repro_client_ops_total", "repro_net_request_rtt_seconds",
+                     "repro_net_clock_error_seconds"):
+            assert {l["device"] for l in families[name]} == asking, name
         stores = {l["store"] for l in labels if "store" in l}
         assert stores == {"dev0", "dev1", "dev2", "dev3"}
         assert (tmp_path / "dev3").is_dir()

@@ -306,7 +306,7 @@ class TestOrphanReplies:
                     # Let the orphan write-ack arrive and be dropped.
                     await asyncio.sleep(0.3)
                     value = await client.read("x")
-                    pending = dict(client._pending)
+                    pending = dict(client.channel.pending)
             finally:
                 await server.close()
             return value, pending
