@@ -69,7 +69,6 @@ from repro.net.framing import (
     PING_REQ_ACK,
     PROMOTE,
     RING_FETCH,
-    FrameConnection,
     FrameError,
 )
 from repro.cluster.failover import FailoverPlan, failover_ring, join_ring
@@ -154,7 +153,7 @@ class _LocalSourceTransport:
                 f"agent {self.agent.member_id} cannot source objects "
                 f"for device {device_id}"
             )
-        version = self.agent.server.store.get(obj)
+        version = self.agent.server.engine.store.get(obj)
         if version is None:
             raise KeyError(obj)
         return version.value
@@ -230,7 +229,7 @@ class SwimAgent:
                 MemberInfo(member_id, server.address), now=self._mono()
             )
         if self.instruments is not None:
-            self.instruments.bind_epoch(lambda: self.server.epoch)
+            self.instruments.bind_epoch(lambda: self.server.engine.epoch)
             self.instruments.bind_gossip(
                 lambda: sum(
                     link.conn.bytes_sent
@@ -289,7 +288,7 @@ class SwimAgent:
             "member": self.member_id,
             "incarnation": self.incarnation,
             "coordinator": self.coordinator,
-            "epoch": self.server.epoch,
+            "epoch": self.server.engine.epoch,
             "members": self.view.wire_payload()["members"],
             "probes_sent": self.probes_sent,
             "probes_failed": self.probes_failed,
@@ -547,8 +546,8 @@ class SwimAgent:
 
     def _maybe_catch_up_ring(self) -> None:
         held = int((self.view.ring or {}).get("epoch", -1))
-        if self.view.ring_epoch <= max(held, self.server.epoch):
-            if self.view.ring is not None and held > self.server.epoch:
+        if self.view.ring_epoch <= max(held, self.server.engine.epoch):
+            if self.view.ring is not None and held > self.server.engine.epoch:
                 self.server.set_ring(self.view.ring)
             return
         if self._catchup_task is None or self._catchup_task.done():
@@ -584,7 +583,7 @@ class SwimAgent:
             self._failover_task = asyncio.ensure_future(self._run_repairs())
 
     def _ring_in_force(self) -> Optional[Ring]:
-        ring_dict = self.server.ring or self.view.ring
+        ring_dict = self.server.engine.ring or self.view.ring
         if ring_dict is None:
             return None
         return Ring.from_dict(ring_dict)
@@ -685,7 +684,7 @@ class SwimAgent:
         ring = self._ring_in_force()
         if not mine or ring is None:
             return
-        objects = list(self.server.store.keys())
+        objects = list(self.server.engine.store.keys())
         report = await replay_handoff(
             mine, objects, ring, _LocalSourceTransport(self),
             retries=2, backoff=0.05,
@@ -698,41 +697,32 @@ class SwimAgent:
 
     # -- inbound frames (routed here by the server) ---------------------------
 
-    async def on_frame(self, conn: FrameConnection, frame: Dict[str, Any]) -> None:
-        kind = str(frame.get("kind"))
-        req = frame.get("req")
+    async def answer(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+        """The reply to a ``ping``, ``ping-req`` or ``handoff``; the
+        server adds the request id and its ring epoch, and sends it."""
+        kind = frame.get("kind")
         if kind == PING:
             self._merge_gossip(frame.get("gossip"))
-            await conn.send({
-                "kind": PING_ACK, "req": req, "from": self.member_id,
-                "gossip": self._gossip(), "epoch": self.server.epoch,
-            })
-            return
+            return {
+                "kind": PING_ACK, "from": self.member_id,
+                "gossip": self._gossip(),
+            }
         if kind == PING_REQ:
             self._merge_gossip(frame.get("gossip"))
             target = int(frame.get("target", -1))
             ok = await self._direct_ping(target) if target >= 0 else False
-            await conn.send({
-                "kind": PING_REQ_ACK, "req": req, "from": self.member_id,
-                "target": target, "ok": ok,
-                "gossip": self._gossip(), "epoch": self.server.epoch,
-            })
-            return
+            return {
+                "kind": PING_REQ_ACK, "from": self.member_id,
+                "target": target, "ok": ok, "gossip": self._gossip(),
+            }
         if kind == HANDOFF:
             moves = [
                 PartitionMove(int(p), int(r), int(s), int(d))
                 for p, r, s, d in frame.get("moves", [])
             ]
             await self._replay_moves(moves)
-            await conn.send({
-                "kind": HANDOFF_ACK, "req": req,
-                "moves": len(moves), "epoch": self.server.epoch,
-            })
-            return
-        await conn.send({
-            "kind": ERROR, "req": req,
-            "error": f"agent cannot handle {kind!r}",
-        })
+            return {"kind": HANDOFF_ACK, "moves": len(moves)}
+        return {"kind": ERROR, "error": f"agent cannot handle {kind!r}"}
 
     def on_promoted(
         self, frame: Dict[str, Any], outcome: Dict[str, Any]

@@ -36,5 +36,10 @@ class ReplyCache:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
+    def discard(self, key: Tuple[int, int]) -> None:
+        """Forget ``key``'s reply: the driver could not make the request's
+        effects durable, so a retransmission must re-execute."""
+        self._entries.pop(key, None)
+
     def __len__(self) -> int:
         return len(self._entries)

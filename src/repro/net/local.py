@@ -340,7 +340,7 @@ class LocalStack:
         survivors = [a for d, a in self.agents.items() if d != victim]
         while time.monotonic() < deadline:
             if all(
-                victim in a.view.ids(DEAD) and a.server.epoch > self.ring.epoch
+                victim in a.view.ids(DEAD) and a.server.engine.epoch > self.ring.epoch
                 for a in survivors
             ):
                 break
@@ -352,11 +352,11 @@ class LocalStack:
         if detected:
             outcome.time_to_detect = min(detected) - kill_at
         outcome.promotions = sum(
-            s.promotions for d, s in self.servers.items() if d != victim
+            s.engine.promotions for d, s in self.servers.items() if d != victim
         )
-        outcome.failover_epoch = max(a.server.epoch for a in survivors)
+        outcome.failover_epoch = max(a.server.engine.epoch for a in survivors)
         for agent in survivors:
-            published = agent.server.ring
+            published = agent.server.engine.ring
             if (published is not None
                     and int(published.get("epoch", 0)) == outcome.failover_epoch):
                 self.ring = Ring.from_dict(published)

@@ -38,7 +38,7 @@ import logging
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.clocks.rebase import RebasedClock
 from repro.net.client import NetCacheClient, NetError
@@ -423,35 +423,11 @@ class RingRouter:
         start = self._spread_cursor % len(devices)
         return devices[start:] + devices[:start]
 
-    async def _read_attempt(self, obj: str) -> Tuple[int, Any, int]:
-        """One fallback walk over the current ring's replica order."""
-        order = self._read_order(obj)
-        # Reuse the placement engine's fallback walk, over this read's
-        # device order (primary-first or rotated).
-        outcome = None
-        errors: List[str] = []
-        for index, dev in enumerate(order):
-            try:
-                value = await self.clients[dev].read(obj)
-            except asyncio.CancelledError:
-                raise
-            except (NetError, ConnectionError) as exc:
-                errors.append(f"device {dev}: {exc!r}")
-                continue
-            outcome = (dev, value, index)
-            break
-        self.placement.stats.reads += 1
-        if outcome is None:
-            raise PlacementError(
-                f"read of {obj!r} failed on every replica: " + "; ".join(errors)
-            )
-        return outcome
-
     async def read(self, obj: str) -> Any:
         self.stats.reads += 1
         started = self.now()
         try:
-            outcome = await self._read_attempt(obj)
+            outcome = await self.placement.read(obj, self._read_order(obj))
         except PlacementError:
             # Every replica of the layout we hold failed — the layout
             # itself may be the stale thing.  Refresh, and iff a newer
@@ -459,10 +435,8 @@ class RingRouter:
             if not await self.refresh_ring():
                 raise
             self.stats.stale_retries += 1
-            outcome = await self._read_attempt(obj)
-        dev, value, fallbacks = outcome
-        if fallbacks:
-            self.placement.stats.fallback_reads += 1
+            outcome = await self.placement.read(obj, self._read_order(obj))
+        dev, value = outcome.device, outcome.value
         if dev not in self.ring.replicas_for(obj):
             self.stats.off_ring_reads += 1
         by_dev = self.stats.reads_by_device

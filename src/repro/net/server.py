@@ -19,13 +19,23 @@ message kinds
 
 The protocol itself — install logic, currency checks, the exactly-once
 reply cache, ring-epoch adoption, the promotion rule — lives in the
-transport-free :class:`repro.engine.ServerEngine`; this class is the TCP
-*driver*: it owns the sockets, the asyncio lock, the in-flight
+transport-free :class:`repro.engine.ServerEngine` (read its state as
+``server.engine.store``, ``.context``, ``.epoch``, ...); this class is
+the TCP *driver*: it owns the sockets, the asyncio lock, the in-flight
 accounting and busy shedding, the durable store, and the propagation
 fan-out, and turns each :class:`~repro.engine.effects.EngineResult` into
 wire effects in order (WAL append, reply, pushes).  The simulator's
 ``PhysicalServer`` drives the *same* engine, which is what the
 conformance suite asserts.
+
+It is also the *answering* end of the wire, once.  After the
+``hello``/``hello-ack`` handshake every handler maps a frame to a reply
+frame — the NTP-style ``sync`` exchange of :mod:`repro.net.clocksync`,
+the data plane (``_on_request``), the control plane (``_on_cluster``,
+which hands ``ping``/``ping-req``/``handoff`` to the attached cluster
+agent) — and ``_answer`` alone counts the request, runs its handler,
+turns a raised exception into a logged ``error`` reply, gives the reply
+the request's id and the ring epoch of the moment, and sends it.
 
 Requests are executed **exactly once**: a per-client LRU reply cache
 keyed ``(client_id, req)`` replays answered requests, so a write whose
@@ -34,9 +44,6 @@ original ``alpha``.  ``inflight_limit`` bounds concurrently executing
 requests; excess frames are shed *unexecuted* with a ``busy`` reply the
 client honors by backing off and reissuing under the same id
 (docs/NET_PROTOCOL.md).
-
-Plus the transport handshake: ``hello``/``hello-ack`` and the NTP-style
-``sync``/``sync-ack`` exchange of :mod:`repro.net.clocksync`.
 
 Observability: pass a :class:`repro.obs.metrics.Registry` and the server
 registers a pull-model collector over its native counters (requests by
@@ -52,21 +59,16 @@ The server's clock is the cluster's time reference: install times
 (``alpha``) and validation times (``omega``) are stamped with it, and
 clients synchronize to it, so a merged trace lives on one timescale with
 the clients' residual sync error as Definition 2's ``epsilon``.
-
-This is the single-server configuration of the paper's Section 5 (one
-authoritative server per object; here one server for all objects).  The
-``ObjectDirectory`` abstraction in :mod:`repro.protocol.server` is the
-sharding seam a multi-server deployment will plug into.
 """
 
 from __future__ import annotations
 
 import asyncio
 import logging
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Set, Tuple
 
 from repro.clocks.rebase import RebasedClock
-from repro.engine import ReplyCache, ServerEngine, messages
+from repro.engine import ServerEngine, messages
 from repro.engine.effects import EngineResult
 from repro.engine.versions import PhysicalVersion
 from repro.net.faults import FaultInjector
@@ -219,68 +221,6 @@ class NetObjectServer:
         if self.durable is not None and self.durable.instruments is not None:
             self.durable.instruments.on_revalidation()
 
-    # -- engine state, exposed under the pre-refactor names --------------------
-
-    @property
-    def store(self) -> Dict[str, PhysicalVersion]:
-        return self.engine.store
-
-    @property
-    def context(self) -> float:
-        return self.engine.context
-
-    @context.setter
-    def context(self, value: float) -> None:
-        self.engine.context = value
-
-    @property
-    def recovered_old(self) -> Set[str]:
-        return self.engine.recovered_old
-
-    @recovered_old.setter
-    def recovered_old(self, value: Set[str]) -> None:
-        self.engine.recovered_old = value
-
-    @property
-    def revalidations(self) -> int:
-        return self.engine.revalidations
-
-    @property
-    def epoch(self) -> int:
-        return self.engine.epoch
-
-    @epoch.setter
-    def epoch(self, value: int) -> None:
-        self.engine.epoch = value
-
-    @property
-    def ring(self) -> Optional[Dict[str, Any]]:
-        return self.engine.ring
-
-    @property
-    def promotions(self) -> int:
-        return self.engine.promotions
-
-    @property
-    def requests(self) -> int:
-        return self.engine.requests
-
-    @property
-    def replies(self) -> ReplyCache:
-        return self.engine.replies
-
-    @property
-    def dedup_replays(self) -> int:
-        return self.engine.dedup_replays
-
-    @property
-    def batch_frames(self) -> int:
-        return self.engine.batch_frames
-
-    @property
-    def batched_writes(self) -> int:
-        return self.engine.batched_writes
-
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> "NetObjectServer":
@@ -413,12 +353,14 @@ class NetObjectServer:
         self.connections_accepted += 1
         feeder: Optional[asyncio.Task] = None
         try:
-            hello = await conn.recv()
-            if hello is None or hello.get("kind") != HELLO:
-                await conn.send({"kind": ERROR, "error": "expected hello"})
+            hello = await conn.recv() or {}
+            client_id = hello.get("client_id", -1)
+            if hello.get("kind") != HELLO or not isinstance(client_id, int):
+                await conn.send({
+                    "kind": ERROR, "error": "expected hello with an integer client_id",
+                })
                 return
-            client_id = int(hello.get("client_id", -1))
-            await conn.send(self._stamped({
+            await conn.send(self.engine.stamp({
                 "kind": HELLO_ACK,
                 "protocol": PROTOCOL_VERSION,
                 "server_time": self.clock(),
@@ -433,42 +375,24 @@ class NetObjectServer:
                     frame = await conn.recv()
                     if frame is None or frame.get("kind") == BYE:
                         break
-                    if frame.get("kind") == SYNC:
-                        # Serve sync inline: the exchange measures the
-                        # genuine transport; task scheduling would add
-                        # noise to (t2 - t1).
-                        await self._on_sync(conn, frame)
-                        continue
-                    if frame.get("kind") in CLUSTER_KINDS:
-                        # Control plane: like SYNC, outside the
-                        # exactly-once data plane (no dedup, no busy
-                        # shedding — a shed probe would read as a dead
-                        # server), but as a task so a slow indirect
-                        # probe or handoff never blocks this loop.
-                        work = self._on_cluster(conn, frame)
-                    elif self.latency:
-                        # A simulated latency is a sleep per request:
-                        # one task each, so that pipelined requests on a
-                        # single connection overlap; replies carry
-                        # request ids, so their order does not matter.
-                        work = self._dispatch(conn, client_id, frame)
+                    kind = str(frame.get("kind"))
+                    answer = self._answer(conn, client_id, frame)
+                    if kind in CLUSTER_KINDS or (self.latency and kind != SYNC):
+                        # What may wait gets a task.  The control plane,
+                        # so that a slow indirect probe or handoff never
+                        # blocks this loop; a simulated latency, a sleep
+                        # per request, so that pipelined requests on one
+                        # connection overlap (replies carry request ids,
+                        # their order does not matter).
+                        task = asyncio.ensure_future(answer)
+                        tasks.add(task)
+                        task.add_done_callback(tasks.discard)
                     else:
-                        # Nothing to wait for: serve the request in
-                        # place, in arrival order, with no task.
-                        try:
-                            await self._dispatch(conn, client_id, frame)
-                        except Exception:
-                            # Only this request is lost (its caller
-                            # retransmits, then times out); the
-                            # connection serves the others.
-                            logger.exception(
-                                "request %r from client %d failed",
-                                frame.get("kind"), client_id,
-                            )
-                        continue
-                    task = asyncio.ensure_future(work)
-                    tasks.add(task)
-                    task.add_done_callback(tasks.discard)
+                        # Nothing to wait for: answered in place, in
+                        # arrival order.  SYNC always is — the exchange
+                        # measures the genuine transport, and scheduling
+                        # a task would add noise to (t2 - t1).
+                        await answer
             finally:
                 if tasks:
                     await asyncio.gather(*list(tasks), return_exceptions=True)
@@ -486,26 +410,55 @@ class NetObjectServer:
             self._closed_bytes["received"] += conn.bytes_received
             await conn.close()
 
-    async def _on_sync(
-        self, conn: FrameConnection, frame: Dict[str, Any]
+    async def _answer(
+        self, conn: FrameConnection, client_id: int, frame: Dict[str, Any]
     ) -> None:
-        # No artificial latency here: the sync exchange measures the
-        # genuine transport, and (t2 - t1) excludes server time anyway.
-        # Never cached/deduped either — a replayed timestamp would
-        # poison the client's NTP estimator.  The request id is echoed
-        # so a pipelined resync() can match the reply.
-        self.requests_by_kind[SYNC] = self.requests_by_kind.get(SYNC, 0) + 1
-        t1 = self.clock()
-        await conn.send({
-            "kind": SYNC_ACK, "req": frame.get("req"),
-            "t0": frame.get("t0"), "t1": t1, "t2": self.clock(),
-        })
+        """The answering end of one request, whatever its kind: count
+        it, run its handler, send the handler's reply, then record and
+        propagate what the request installed.
+
+        A handler that raises is logged and answered with an ``error``
+        frame.  Silence is the one answer a timed protocol cannot
+        afford: the asker would walk its whole retransmit ladder —
+        seconds, against a Δ of milliseconds — to learn the same thing.
+        """
+        kind = str(frame.get("kind"))
+        self.requests_by_kind[kind] = self.requests_by_kind.get(kind, 0) + 1
+        installed: Sequence[PhysicalVersion] = ()
+        try:
+            if kind == SYNC:
+                # Outside the exactly-once data plane: never cached or
+                # deduped (a replayed timestamp would poison the
+                # client's NTP estimator), never delayed.  The request
+                # id is echoed so a pipelined resync() can match it.
+                t1 = self.clock()
+                reply = {
+                    "kind": SYNC_ACK, "req": frame.get("req"),
+                    "t0": frame.get("t0"), "t1": t1, "t2": self.clock(),
+                }
+            elif kind in CLUSTER_KINDS:
+                reply = await self._on_cluster(frame)
+            else:
+                reply, installed = await self._on_request(client_id, frame)
+                if reply is None:
+                    return
+        except Exception as exc:
+            logger.exception("request %r from client %d failed", kind, client_id)
+            reply = {"kind": ERROR, "error": f"{type(exc).__name__}: {exc}"}
+        if "req" not in reply:
+            reply = {**reply, "req": frame.get("req")}
+        # The epoch of *now*, which a replayed reply's may not be; stamp
+        # copies, so a reply the engine cached is never mutated.
+        await conn.send(self.engine.stamp(reply))
+        for version in installed:
+            if self.recorder is not None:
+                self.recorder.record_write(
+                    client_id, version.obj, version.value, version.alpha
+                )
+            if self._subscribers and self.propagation != "none":
+                self._propagate(conn, version)
 
     # -- the cluster control plane (repro.cluster; docs/CLUSTER.md) -----------
-
-    def _stamped(self, reply: Dict[str, Any]) -> Dict[str, Any]:
-        """Stamp a reply with this server's ring epoch at send time."""
-        return self.engine.stamp(reply)
 
     def set_ring(self, ring_dict: Dict[str, Any], *, persist: bool = True) -> bool:
         """Adopt a serialized ring iff its epoch is not behind ours;
@@ -526,27 +479,21 @@ class NetObjectServer:
         async with self._lock:
             return self.engine.promote(bound)
 
-    async def _on_cluster(
-        self, conn: FrameConnection, frame: Dict[str, Any]
-    ) -> None:
-        kind = str(frame.get("kind"))
-        self.requests_by_kind[kind] = self.requests_by_kind.get(kind, 0) + 1
-        req = frame.get("req")
+    async def _on_cluster(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+        """The reply to a control-plane frame.  Like SYNC these are
+        outside the exactly-once data plane: no dedup, and no busy
+        shedding — a shed probe would read as a dead server."""
+        kind = frame.get("kind")
         if kind == RING_FETCH:
-            await conn.send({
-                "kind": RING_STATE, "req": req,
+            return {
+                "kind": RING_STATE,
                 "epoch": self.engine.epoch, "ring": self.engine.ring,
-            })
-            return
+            }
         if kind == CLUSTER_STATE:
-            view = None
-            if self.agent is not None:
-                view = self.agent.view.as_dict()
-            await conn.send({
-                "kind": CLUSTER_VIEW, "req": req,
-                "epoch": self.engine.epoch, "view": view,
-            })
-            return
+            view = self.agent.view.as_dict() if self.agent is not None else None
+            return {
+                "kind": CLUSTER_VIEW, "epoch": self.engine.epoch, "view": view,
+            }
         if kind == PROMOTE:
             ring = frame.get("ring")
             if isinstance(ring, dict):
@@ -554,22 +501,15 @@ class NetObjectServer:
             outcome = await self.promote(float(frame.get("bound", 0.0)))
             if self.agent is not None:
                 self.agent.on_promoted(frame, outcome)
-            await conn.send({
-                "kind": PROMOTE_ACK, "req": req,
-                "epoch": self.engine.epoch, **outcome,
-            })
-            return
-        if self.agent is not None and kind in (PING, PING_REQ, HANDOFF):
-            await self.agent.on_frame(conn, frame)
-            return
+            return {"kind": PROMOTE_ACK, "epoch": self.engine.epoch, **outcome}
+        if self.agent is not None:  # PING, PING_REQ, HANDOFF
+            return await self.agent.answer(frame)
         if kind == PING:
             # No agent attached: still answer — a bare server is alive.
-            await conn.send(self._stamped({"kind": PING_ACK, "req": req}))
-            return
-        await conn.send({
-            "kind": ERROR, "req": req,
-            "error": f"no cluster agent attached for {kind!r}",
-        })
+            return {"kind": PING_ACK}
+        return {
+            "kind": ERROR, "error": f"no cluster agent attached for {kind!r}",
+        }
 
     async def abort(self) -> None:
         """Crash simulation: vanish mid-flight — no BYE, no clean
@@ -588,39 +528,36 @@ class NetObjectServer:
             finally:
                 self.durable.close(sync=False)
 
-    async def _dispatch(
-        self, conn: FrameConnection, client_id: int, frame: Dict[str, Any]
-    ) -> None:
-        kind = str(frame.get("kind"))
-        self.requests_by_kind[kind] = self.requests_by_kind.get(kind, 0) + 1
-        req = frame.get("req")
+    async def _on_request(
+        self, client_id: int, frame: Dict[str, Any]
+    ) -> Tuple[Optional[Dict[str, Any]], Sequence[PhysicalVersion]]:
+        """The reply to a data-plane request and the versions it
+        installed, executing it at most once: a retransmission is
+        replayed, a saturated server sheds.  ``None`` for a reply means
+        there is nothing to say (yet)."""
         key = self.engine.dedup_key(client_id, frame)
         if key is not None:
             cached = self.engine.replay(key)
             if cached is not None:
                 # A retransmission of an answered request: replay the
                 # original reply (same alpha), execute nothing.
-                await conn.send(self._stamped(cached))
-                return
+                return cached, ()
             original = self._executing.get(key)
             if original is not None:
                 # The retransmission raced its original, which is still
                 # executing: wait for that reply and replay it.
                 self.engine.dedup_replays += 1
                 try:
-                    reply = await asyncio.shield(original)
+                    return await asyncio.shield(original), ()
                 except (asyncio.CancelledError, Exception):
-                    return  # original died unexecuted; a later retry re-runs
-                await conn.send(self._stamped(reply))
-                return
+                    return None, ()  # original died unexecuted; a later retry re-runs
         if self.inflight_limit is not None and self._inflight >= self.inflight_limit:
             # Shed *unexecuted*: the client backs off and reissues under
             # the same id, so no exactly-once state is created here.
             self.busy_sent += 1
             if self.pipeline is not None:
                 self.pipeline.on_busy()
-            await conn.send({"kind": BUSY, "req": req})
-            return
+            return {"kind": BUSY, "req": frame.get("req")}, ()
         self._inflight += 1
         self._idle.clear()
         if key is not None:
@@ -629,29 +566,26 @@ class NetObjectServer:
             if self.latency:
                 await asyncio.sleep(self.latency)
             result = await self._execute(client_id, frame)
-            reply = result.reply
-            # The engine cached the reply before we send: if the ack is
-            # lost on a dying connection, the retransmit (possibly after
-            # a reconnect) still replays rather than re-executes.
-            if key is not None and reply.get("kind") != ERROR:
+            if key is not None and result.reply.get("kind") != ERROR:
                 original = self._executing.pop(key)
                 if not original.done():
-                    original.set_result(reply)
-            # Stamp at send time, not in the cache: the epoch may have
-            # advanced between execution and a much later replay, and the
-            # retransmitting router deserves the *current* epoch.
-            await conn.send(self._stamped(reply))
-            for version in result.installed:
-                if self.recorder is not None:
-                    self.recorder.record_write(
-                        client_id, version.obj, version.value, version.alpha
-                    )
-                if self._subscribers and self.propagation != "none":
-                    self._propagate(conn, version)
+                    original.set_result(result.reply)
+            return result.reply, result.installed
+        except Exception:
+            # The engine caches a reply as it executes, before the WAL
+            # append that can still fail.  What failed is answered
+            # ``error`` on the retransmit too, not replayed: an unlogged
+            # write is never acknowledged (docs/STORE.md).
+            if key is not None:
+                self.engine.replies.discard(key)
+            raise
         finally:
             waiter = self._executing.pop(key, None) if key is not None else None
             if waiter is not None and not waiter.done():
                 waiter.cancel()
+            # No suspension point between here and the reply's write to
+            # the transport (``_answer``), so a drain that sees the
+            # server idle finds every reply handed over.
             self._inflight -= 1
             if self._inflight == 0:
                 self._idle.set()

@@ -114,7 +114,7 @@ def _cluster_report(
         verdicts=verdict.verdicts,
         client_stats={c.client_id: c.stats for c in clients},
         client_offsets={c.client_id: c.clock.estimator.offset for c in clients},
-        server_requests=server.requests,
+        server_requests=server.engine.requests,
         pushes_sent=server.pushes_sent,
     )
 
@@ -497,7 +497,7 @@ async def ring_cluster(
         verdicts=verdict.verdicts,
         router_stats={r.client_id: r.stats for r in routers},
         placement_stats={r.client_id: r.placement.stats for r in routers},
-        server_requests={d: s.requests for d, s in stack.servers.items()},
+        server_requests={d: s.engine.requests for d, s in stack.servers.items()},
         moves=list(moves),
         handoff=handoff,
         ontime=instruments.summary() if instruments is not None else None,

@@ -246,20 +246,20 @@ def bind_net_server(
             family("repro_net_dedup_replays_total", "counter",
                    "Retransmitted requests answered from the reply cache "
                    "(executed exactly once)",
-                   [(base, server.dedup_replays)]),
+                   [(base, server.engine.dedup_replays)]),
             family("repro_net_busy_sent_total", "counter",
                    "Requests shed unexecuted with a busy frame "
                    "(inflight_limit backpressure)",
                    [(base, server.busy_sent)]),
             family("repro_net_reply_cache_entries", "gauge",
                    "Replies retained for exactly-once replay",
-                   [(base, len(server.replies))]),
+                   [(base, len(server.engine.replies))]),
             family("repro_net_batched_writes_total", "counter",
                    "Writes installed via write-batch frames",
-                   [(base, server.batched_writes)]),
+                   [(base, server.engine.batched_writes)]),
             family("repro_net_objects", "gauge",
                    "Objects materialized in the server store",
-                   [(base, len(server.store))]),
+                   [(base, len(server.engine.store))]),
             family("repro_net_draining", "gauge",
                    "1 while a graceful shutdown drain is in progress",
                    [(base, 1 if server.draining else 0)]),

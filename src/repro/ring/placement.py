@@ -39,7 +39,7 @@ import inspect
 import math
 import time
 from dataclasses import dataclass
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.ring.ring import Ring
 
@@ -287,10 +287,13 @@ class ReplicatedPlacement:
 
     # -- reads ----------------------------------------------------------------
 
-    async def read(self, obj: str) -> ReadOutcome:
-        """Primary-first read with replica fallback."""
+    async def read(
+        self, obj: str, order: Optional[Sequence[int]] = None
+    ) -> ReadOutcome:
+        """Read with replica fallback, over ``order`` — by default the
+        ring's replica row, primary first."""
         self.stats.reads += 1
-        devices = self.ring.replicas_for(obj)
+        devices = self.ring.replicas_for(obj) if order is None else order
         errors: List[str] = []
         for index, dev in enumerate(devices):
             try:

@@ -293,7 +293,7 @@ class TestSwimLive:
                 assert await wait_until(
                     lambda: all(
                         victim in a.view.ids(DEAD)
-                        and a.server.epoch == ring.epoch + 1
+                        and a.server.engine.epoch == ring.epoch + 1
                         for a in survivors.values()
                     ),
                     killed_at + self.CONFIG.detection_bound + 5.0,
@@ -310,10 +310,10 @@ class TestSwimLive:
                 # and every new primary ran the promotion rule.
                 assert sum(a.failovers for a in survivors.values()) == 1
                 assert sum(
-                    s.promotions for d, s in servers.items() if d != victim
+                    s.engine.promotions for d, s in servers.items() if d != victim
                 ) >= 1
                 for agent in survivors.values():
-                    new_ring = Ring.from_dict(agent.server.ring)
+                    new_ring = Ring.from_dict(agent.server.engine.ring)
                     assert victim not in new_ring.devices
                     assert new_ring.epoch == ring.epoch + 1
             finally:
@@ -344,13 +344,13 @@ class TestSwimLive:
                 everyone = {**agents, 3: joiner}
                 assert await wait_until(
                     lambda: all(
-                        a.server.ring is not None
-                        and 3 in Ring.from_dict(a.server.ring).devices
-                        and a.server.epoch > ring.epoch
+                        a.server.engine.ring is not None
+                        and 3 in Ring.from_dict(a.server.engine.ring).devices
+                        and a.server.engine.epoch > ring.epoch
                         for a in everyone.values()
                     ),
                     time.monotonic() + 8.0,
-                ), {d: a.server.epoch for d, a in everyone.items()}
+                ), {d: a.server.engine.epoch for d, a in everyone.items()}
             finally:
                 if joiner is not None:
                     await joiner.stop()

@@ -146,14 +146,14 @@ class TestNetStack:
                         client.write("x", "v1"), client.write("y", "v2")
                     )
                     retries = client.stats.retries
-                stored = {obj: server.store[obj] for obj in ("x", "y")}
+                stored = {obj: server.engine.store[obj] for obj in ("x", "y")}
             finally:
                 await server.close()
             return alphas, stored, retries, server
 
         (ax, ay), stored, retries, server = asyncio.run(scenario())
         assert retries >= 1  # an ack really was lost
-        assert server.dedup_replays >= 1
+        assert server.engine.dedup_replays >= 1
         assert server.engine.writes_installed == 2, (
             "each unique write installs exactly once"
         )

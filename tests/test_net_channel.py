@@ -1,14 +1,21 @@
-"""repro.net.channel: the asking end of the wire, once.
+"""Each end of the wire, once.
 
-A scripted peer on a real loopback socket plays the answering end, so
-each case says exactly which frames come back and when.  The last class
-pins the layering: dial, hello, reply matching and the per-attempt wait
-live in ``net/channel.py`` and nowhere else under ``src/``.
+The asking end is ``repro.net.channel``: a scripted peer on a real
+loopback socket plays the answering end, so each case says exactly which
+frames come back and when, and ``TestOneAskingEnd`` pins the layering —
+dial, hello, reply matching and the per-attempt wait live in
+``net/channel.py`` and nowhere else under ``src/``.
+
+The answering end is ``NetObjectServer._answer``: ``TestAnswer`` plays
+the asking end by hand over a bare connection, and ``TestOneAnsweringEnd``
+pins that every request is counted, run, failed, stamped and sent there.
 """
 
 import argparse
+import ast
 import asyncio
 import contextlib
+import gc
 import pathlib
 import socket
 
@@ -16,9 +23,11 @@ import pytest
 
 import repro
 from repro.cli.cluster import cmd_cluster_status
+from repro.cluster import ClusterConfig, ClusterView, SwimAgent
 from repro.net.channel import Channel
 from repro.net.faults import FaultConfig, FaultInjector
-from repro.net.framing import HELLO_ACK, listen
+from repro.net.framing import HELLO_ACK, dial, listen
+from repro.net.server import NetObjectServer
 
 from tests.test_net_local import callers_of, names_in
 
@@ -276,3 +285,157 @@ class TestOneAskingEnd:
         for gone in ("_recv_loop", "_handshake", "_abandon_connection",
                      "_on_connection_end", "_conn_lost", "fetch_cluster_view"):
             assert [m for m, text in sources.items() if gone in text] == [], gone
+
+
+GREETING = {"kind": "hello", "client_id": 1}
+
+#: Frames that used to be met with EOF (the hello) or with silence.
+MALFORMED = {
+    "hello, client_id no integer": {"kind": "hello", "client_id": "abc"},
+    "promote, negative bound": {"kind": "promote", "bound": -1, "req": 7},
+    "promote, bound no number": {"kind": "promote", "bound": "x", "req": 7},
+    "write, no obj": {"kind": "write", "value": 1, "req": 7},
+    "handoff, short moves rows": {"kind": "handoff", "moves": [[0, 1]], "req": 7},
+}
+
+
+@pytest.mark.net
+@pytest.mark.filterwarnings("error")
+class TestAnswer:
+    """A request that cannot be served is answered ``error``, at once, on
+    a connection that goes on serving — whichever way it was scheduled."""
+
+    @pytest.mark.parametrize("frame", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_a_malformed_frame_gets_an_error_and_the_next_request_is_served(
+        self, frame
+    ):
+        greeted = frame["kind"] != "hello"  # else the frame *is* the greeting
+
+        async def scenario():
+            # What asyncio would print at loop close ("Task exception was
+            # never retrieved") comes through this handler.
+            reported = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: reported.append(context)
+            )
+            server = await NetObjectServer(propagation="none").start()
+            agent = await SwimAgent(
+                0, server, ClusterView(), ClusterConfig(probe_period=30.0)
+            ).start()
+            try:
+                conn = await dial(server.host, server.port)
+                if greeted:
+                    await conn.send(GREETING)
+                    assert (await conn.recv())["kind"] == HELLO_ACK
+                await conn.send(frame)
+                error = await asyncio.wait_for(conn.recv(), 1.0)
+                if greeted:
+                    await conn.send({"kind": "fetch", "obj": "x", "req": 8})
+                after = await asyncio.wait_for(conn.recv(), 1.0)
+                await conn.close()
+            finally:
+                await agent.stop()
+                await server.close()
+            gc.collect()
+            return error, after, reported
+
+        error, after, reported = asyncio.run(scenario())
+        assert error is not None and error["kind"] == "error" and error["error"]
+        assert error.get("req") == frame.get("req")
+        if greeted:
+            assert (after["kind"], after["req"], after["obj"]) == ("version", 8, "x")
+        else:
+            assert after is None  # refused: a clean EOF follows the error
+        assert reported == []
+
+    @pytest.mark.parametrize("latency", [0.0, 0.05], ids=["in place", "as a task"])
+    def test_a_request_that_raises_is_answered_and_logged_once_on_either_path(
+        self, latency, caplog
+    ):
+        async def scenario():
+            server = await NetObjectServer(
+                propagation="none", latency=latency
+            ).start()
+            try:
+                conn = await dial(server.host, server.port)
+                await conn.send(GREETING)
+                await conn.recv()
+                await conn.send({"kind": "write", "value": 1, "req": 0})
+                reply = await asyncio.wait_for(conn.recv(), 1.0)
+                await conn.close()
+                return reply, dict(server.requests_by_kind)
+            finally:
+                await server.close()
+
+        with caplog.at_level("ERROR", logger="repro.net.server"):
+            reply, counted = asyncio.run(scenario())
+        assert reply == {"kind": "error", "error": "KeyError: 'obj'", "req": 0}
+        assert counted == {"write": 1}
+        logged = [r for r in caplog.records if r.name == "repro.net.server"]
+        assert [r.getMessage() for r in logged] == [
+            "request 'write' from client 1 failed"
+        ]
+        assert logged[0].exc_info[0] is KeyError
+
+
+def methods_where(class_name, path, matches):
+    """Names of the methods of ``class_name`` in which some node satisfies
+    ``matches``, one entry per matching node."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (cls,) = [n for n in ast.walk(tree)
+              if isinstance(n, ast.ClassDef) and n.name == class_name]
+    return sorted(
+        method.name
+        for method in cls.body
+        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(method) if matches(node)
+    )
+
+
+class TestOneAnsweringEnd:
+    """Replace, not fork: handlers return frames; counting, failing,
+    stamping and sending a reply happen in ``_answer`` and nowhere else."""
+
+    SERVER = SRC / "net" / "server.py"
+    SWIM = SRC / "cluster" / "swim.py"
+
+    def test_a_connection_is_written_to_in_five_places(self):
+        def sends_on_conn(node):
+            return (isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "send"
+                    and getattr(node.func.value, "id", None) == "conn")
+
+        # _serve: the hello refusal and the hello-ack; shutdown: the bye.
+        assert methods_where("NetObjectServer", self.SERVER, sends_on_conn) == [
+            "_answer", "_feed", "_serve", "_serve", "shutdown",
+        ]
+        assert self.SERVER.read_text(encoding="utf-8").count(".send(") == 5
+
+    def test_requests_are_counted_in_one_place(self):
+        def counts_a_request(node):
+            return (isinstance(node, ast.Subscript)
+                    and isinstance(node.ctx, ast.Store)
+                    and getattr(node.value, "attr", None) == "requests_by_kind")
+
+        assert methods_where(
+            "NetObjectServer", self.SERVER, counts_a_request
+        ) == ["_answer"]
+
+    def test_the_agent_touches_no_connection(self):
+        assert "FrameConnection" not in names_in(self.SWIM)
+        assert "send" not in names_in(self.SWIM)
+        assert not hasattr(SwimAgent, "on_frame")
+
+    def test_engine_state_is_read_from_the_engine(self):
+        assert set(vars(NetObjectServer)) & {
+            "store", "context", "recovered_old", "revalidations", "epoch",
+            "ring", "promotions", "requests", "replies", "dedup_replays",
+            "batch_frames", "batched_writes",
+        } == set()
+
+    def test_the_scattered_handlers_are_gone(self):
+        for gone in ("_on_sync", "_stamped", "_dispatch", "_read_attempt"):
+            assert [
+                str(path.relative_to(SRC)) for path in SRC.rglob("*.py")
+                if gone in path.read_text(encoding="utf-8")
+            ] == [], gone

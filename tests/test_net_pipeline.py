@@ -12,13 +12,14 @@ so deprecated asyncio API usage in the ``repro.net`` stack (e.g.
 """
 
 import asyncio
+import errno
 import math
 
 import pytest
 
 from repro.checkers import check_tsc
 from repro.engine import messages
-from repro.net.client import NetCacheClient, RequestTimeout
+from repro.net.client import NetCacheClient, ProtocolError, RequestTimeout
 from repro.net.faults import FaultConfig, FaultInjector
 from repro.net.framing import HELLO, HELLO_ACK, FrameError, dial, encode_frame
 from repro.net.server import NetObjectServer
@@ -71,14 +72,14 @@ class TestExactlyOnce:
                 ) as client:
                     alpha = await client.write("x", "v1")
                     retries = client.stats.retries
-                stored_alpha = server.store["x"].alpha
+                stored_alpha = server.engine.store["x"].alpha
             finally:
                 await server.close()
             return alpha, stored_alpha, retries, server, recorder
 
         alpha, stored_alpha, retries, server, recorder = asyncio.run(scenario())
         assert retries >= 1  # the ack really was lost
-        assert server.dedup_replays >= 1  # ... and the retransmit replayed
+        assert server.engine.dedup_replays >= 1  # ... and the retransmit replayed
         assert alpha == stored_alpha  # the replay carried the original alpha
         writes = [op for op in recorder.history(validate=False).operations
                   if op.is_write]
@@ -88,6 +89,49 @@ class TestExactlyOnce:
                       if r.get("k") == REC_WRITE]
         assert len(wal_writes) == 1, "one install => one WAL record"
         assert wal_writes[0]["t"] == alpha
+
+    def test_a_write_whose_log_append_failed_is_never_acknowledged(self, tmp_path):
+        """Log-before-ack, on the retransmit too.  The engine caches the
+        ack as it executes; when the WAL append then fails (a full disk),
+        the request is answered ``error`` and its cache entry dropped —
+        a replay would acknowledge a write that is in no log."""
+
+        async def scenario():
+            store = DurableStore(str(tmp_path), fsync="always")
+            log_write, logged = store.log_write, []
+
+            def log_write_failing_once(version):
+                logged.append(version.value)
+                if len(logged) == 1:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                log_write(version)
+
+            store.log_write = log_write_failing_once
+            server = await NetObjectServer(propagation="none", store=store).start()
+            acked = {}
+            try:
+                async with NetCacheClient(
+                    0, server.host, server.port,
+                    request_timeout=0.1, max_retries=4,
+                ) as client:
+                    req = client.next_request_id()
+                    with pytest.raises(ProtocolError, match="No space left"):
+                        await client.write("x", "v1", req=req)
+                    retries = client.stats.retries
+                    await client.write("x", "v2", req=req)
+                    acked["x"] = "v2"
+                    await client.write("y", "v3")
+                    acked["y"] = "v3"
+            finally:
+                await server.abort()  # a crash: what is on disk is what was logged
+            return retries, logged, acked, server.engine.dedup_replays
+
+        retries, logged, acked, replays = asyncio.run(scenario())
+        assert retries == 0  # told at once, not after a retransmit ladder
+        # The second write under the same id was executed, not replayed.
+        assert logged == ["v1", "v2", "v3"] and replays == 0
+        recovered = DurableStore(str(tmp_path)).open().objects
+        assert {obj: version.value for obj, version in recovered.items()} == acked
 
     def test_duplicate_racing_its_original_parks_on_its_future(self):
         """A retransmit that arrives while the original is still
@@ -103,15 +147,15 @@ class TestExactlyOnce:
                 ) as client:
                     alpha = await client.write("x", "v1")
                     retries = client.stats.retries
-                stored_alpha = server.store["x"].alpha
+                stored_alpha = server.engine.store["x"].alpha
             finally:
                 await server.close()
             return alpha, stored_alpha, retries, server
 
         alpha, stored_alpha, retries, server = asyncio.run(scenario())
         assert retries >= 1  # at least one retransmit raced the original
-        assert server.dedup_replays >= 1
-        assert server.requests == 1, "the write must execute exactly once"
+        assert server.engine.dedup_replays >= 1
+        assert server.engine.requests == 1, "the write must execute exactly once"
         assert alpha == stored_alpha
 
     def test_reply_cache_is_bounded_lru(self):
@@ -122,7 +166,7 @@ class TestExactlyOnce:
                 async with NetCacheClient(0, server.host, server.port) as client:
                     for i in range(12):
                         await client.write("x", i)
-                return len(server.replies)
+                return len(server.engine.replies)
             finally:
                 await server.close()
 
@@ -153,7 +197,7 @@ class TestBackpressure:
         assert server.busy_sent >= 3  # depth 4 against a 1-slot server
         assert busy == server.busy_sent  # every shed was honored, none lost
         # Shedding happens before execution: exactly 4 requests ran.
-        assert server.requests == 4
+        assert server.engine.requests == 4
 
     def test_depth_one_keeps_the_old_lockstep_behaviour(self):
         async def scenario():
@@ -195,7 +239,7 @@ class TestBatching:
         assert sorted(alphas) == alphas and len(set(alphas)) == 3, (
             "batched writes keep strictly increasing per-item install times"
         )
-        assert server.batch_frames == 1 and server.batched_writes == 3
+        assert server.engine.batch_frames == 1 and server.engine.batched_writes == 3
         assert batched == 3
         assert value == 3 and hits == 1  # acks installed into the cache
 
@@ -226,7 +270,7 @@ class TestBatching:
         assert stats.fetches == 3  # the cold bulk round
         assert stats.refreshed == 1  # only a shipped a new version
         assert stats.revalidated == 2  # b and c answered still-valid
-        assert server.batch_frames == 3  # one write-batch + two validates
+        assert server.engine.batch_frames == 3  # one write-batch + two validates
 
     def test_coalesced_writes_share_frames_and_stay_timed(self):
         async def scenario():
@@ -253,8 +297,8 @@ class TestBatching:
 
         recorder, epsilon, stats, server = asyncio.run(scenario())
         assert stats.batched_writes == 16  # every write coalesced
-        assert server.batched_writes == 16
-        assert server.batch_frames >= 4  # frames of at most `batch` items
+        assert server.engine.batched_writes == 16
+        assert server.engine.batch_frames >= 4  # frames of at most `batch` items
         result = check_tsc(recorder.history(), math.inf, epsilon)
         assert result.satisfied, result.violation
 
@@ -282,8 +326,8 @@ class TestBatching:
         # Same id => the second call replayed the first reply: the
         # original alpha, and v2 was never installed.
         assert replay == alpha
-        assert server.store["x"].value == "v"
-        assert server.dedup_replays == 1
+        assert server.engine.store["x"].value == "v"
+        assert server.engine.dedup_replays == 1
 
 
 class TestOrphanReplies:
@@ -494,8 +538,8 @@ class TestWirePath:
         # Two write frames arrived, one executed: the second carried the
         # first's id, or the reply cache could not have matched it.
         assert server.requests_by_kind[messages.WRITE] == 2
-        assert server.requests == 1 and server.dedup_replays == 1
-        assert server.store["x"].alpha == alpha
+        assert server.engine.requests == 1 and server.engine.dedup_replays == 1
+        assert server.engine.store["x"].alpha == alpha
         assert timers == 2  # one per attempt
         assert armed == []
 

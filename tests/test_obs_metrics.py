@@ -18,7 +18,10 @@ from repro.obs.metrics import (
     load_snapshot,
     merge_snapshots,
 )
+from repro.obs import bind_client_stats, bind_sim_server, bind_simulator
 from repro.obs.expo import render_prometheus, snapshot_rows
+from repro.protocol import Cluster
+from repro.workloads import uniform_workload
 
 
 class TestCounters:
@@ -302,3 +305,27 @@ class TestModuleFactories:
         assert reg.get("repro_f_total") is c
         assert reg.get("repro_f_gauge") is g
         assert reg.get("repro_f_seconds") is h
+
+
+class TestSimulatorBridge:
+    def test_a_registry_bound_to_a_simulated_cluster_reads_its_counters(self):
+        """Pull collectors: the simulated hot path keeps its native int
+        counters and the registry reads them when a snapshot is taken."""
+        cluster = Cluster(n_clients=4, n_servers=2, variant="tsc", delta=0.5, seed=11)
+        registry = Registry()
+        bind_simulator(registry, cluster.sim)
+        for server in cluster.servers:
+            bind_sim_server(registry, server, node=str(server.node_id))
+        for client in cluster.clients:
+            bind_client_stats(registry, client.stats, site=str(client.node_id))
+        cluster.spawn(uniform_workload([f"obj{i}" for i in range(8)], n_ops=50))
+        cluster.run()
+        families = {f["name"]: f for f in registry.snapshot()["metrics"]}
+        events = families["repro_sim_events_total"]["samples"]
+        assert [s["value"] for s in events] == [cluster.sim.events_processed]
+        assert cluster.sim.events_processed > 0
+        ops = families["repro_client_ops_total"]["samples"]
+        assert {s["labels"]["site"] for s in ops} == {
+            str(client.node_id) for client in cluster.clients
+        }
+        assert sum(s["value"] for s in ops) == 4 * 50

@@ -150,7 +150,7 @@ class TestRingRouterUnit:
                         replicas = set(ring.replicas_for(f"obj{i}"))
                         # every copy landed inside the replica set
                         for dev, server in enumerate(servers):
-                            if f"obj{i}" in server.store:
+                            if f"obj{i}" in server.engine.store:
                                 assert dev in replicas
                     assert router.stats.off_ring_reads == 0
             finally:
@@ -274,8 +274,8 @@ class TestRouterRegressions:
                     completed = await router.placement.repair_once()
                     return (
                         queued, completed, router.placement.stats,
-                        lossy.requests, lossy.dedup_replays,
-                        lossy.store[obj].value,
+                        lossy.engine.requests, lossy.engine.dedup_replays,
+                        lossy.engine.store[obj].value,
                     )
             finally:
                 await healthy.close()

@@ -254,7 +254,7 @@ class TestServerRecovery:
                 await client.write("x", "s1.1")
                 await client.write("y", "s1.2")
                 await client.write("x", "s1.3")
-            alpha = server.store["x"].alpha
+            alpha = server.engine.store["x"].alpha
             # No shutdown(): the process just stops, as in a crash (the
             # WAL was fsynced per append, so everything acked survives).
             await server.close()
@@ -272,7 +272,7 @@ class TestServerRecovery:
                 assert await client.read("y") == "s1.2"
                 await client.write("x", "s2.1")
                 assert await client.read("x") == "s2.1"
-            new_alpha = server.store["x"].alpha
+            new_alpha = server.engine.store["x"].alpha
             await server.close()
             return new_alpha
 
@@ -304,11 +304,11 @@ class TestServerRecovery:
                 store=DurableStore(root, recovery_delta=0.0),
             )
             await server.start()
-            assert server.recovered_old == {"x"}
+            assert server.engine.recovered_old == {"x"}
             async with NetCacheClient(2, server.host, server.port) as client:
                 assert await client.read("x") == "s1.1"
-            assert server.recovered_old == set()
-            assert server.revalidations == 1
+            assert server.engine.recovered_old == set()
+            assert server.engine.revalidations == 1
             await server.close()
 
         asyncio.run(first_life())
