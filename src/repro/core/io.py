@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, IO, List, Union
+from typing import Any, Dict, IO, List, Optional, Union
 
 from repro.clocks.vector import VectorTimestamp
 from repro.core.history import History
@@ -56,7 +56,7 @@ def atomic_write_json(
     path: str,
     payload: Any,
     *,
-    indent: int = 1,
+    indent: Optional[int] = 1,
     sort_keys: bool = True,
     fsync: bool = True,
 ) -> None:

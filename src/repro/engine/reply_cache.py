@@ -36,9 +36,10 @@ class ReplyCache:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
-    def discard(self, key: Tuple[int, int]) -> None:
+    def discard(self, key: Optional[Tuple[int, int]]) -> None:
         """Forget ``key``'s reply: the driver could not make the request's
-        effects durable, so a retransmission must re-execute."""
+        effects durable, so a retransmission must re-execute.  ``None``
+        (the key of a request that is never cached) is a no-op."""
         self._entries.pop(key, None)
 
     def __len__(self) -> int:

@@ -28,7 +28,9 @@ import asyncio
 import json
 import struct
 from collections import deque
-from typing import Any, Awaitable, Callable, Deque, Dict, Optional, Set
+from typing import (
+    Any, Awaitable, Callable, Container, Deque, Dict, List, Optional, Set,
+)
 
 #: Hard cap on a frame's payload size; a peer announcing more is corrupt
 #: (or malicious) and the connection is torn down rather than buffered.
@@ -277,6 +279,16 @@ class FrameConnection(asyncio.Protocol):
             finally:
                 self._recv_waiter = None
         return inbox.popleft()
+
+    def take_queued(self, stop_kinds: Container[str]) -> List[Dict[str, Any]]:
+        """Without waiting: the frames already cut out of the stream and
+        queued for :meth:`recv`, up to the first whose kind is in
+        ``stop_kinds`` (which stays queued) — what a peer pipelined
+        behind the frame its handler is serving."""
+        inbox, taken = self._inbox, []
+        while inbox and str(inbox[0].get("kind")) not in stop_kinds:
+            taken.append(inbox.popleft())
+        return taken
 
     # -- outbound ---------------------------------------------------------------
 

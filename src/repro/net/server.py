@@ -103,6 +103,10 @@ logger = logging.getLogger(__name__)
 #: Propagation policies: what the server does after installing a write.
 PROPAGATION_POLICIES = ("push", "invalidate", "none")
 
+#: Kinds a pipelined burst never includes (``_serve``): the control plane
+#: gets its own task, ``bye`` ends the connection, ``sync`` is never held.
+_ENDS_BURST = CLUSTER_KINDS | {BYE, SYNC}
+
 #: Pushes/invalidations one subscriber may have waiting for its socket
 #: (on top of what its transport buffers up to the high-water mark).  A
 #: subscriber this far behind has stopped reading and is disconnected.
@@ -376,7 +380,6 @@ class NetObjectServer:
                     if frame is None or frame.get("kind") == BYE:
                         break
                     kind = str(frame.get("kind"))
-                    answer = self._answer(conn, client_id, frame)
                     if kind in CLUSTER_KINDS or (self.latency and kind != SYNC):
                         # What may wait gets a task.  The control plane,
                         # so that a slow indirect probe or handoff never
@@ -384,15 +387,22 @@ class NetObjectServer:
                         # per request, so that pipelined requests on one
                         # connection overlap (replies carry request ids,
                         # their order does not matter).
-                        task = asyncio.ensure_future(answer)
+                        task = asyncio.ensure_future(
+                            self._answer(conn, client_id, frame)
+                        )
                         tasks.add(task)
                         task.add_done_callback(tasks.discard)
-                    else:
-                        # Nothing to wait for: answered in place, in
-                        # arrival order.  SYNC always is — the exchange
-                        # measures the genuine transport, and scheduling
-                        # a task would add noise to (t2 - t1).
-                        await answer
+                        continue
+                    # Nothing to wait for: answered in place, in arrival
+                    # order.  SYNC always is, and alone — the exchange
+                    # measures the genuine transport, and scheduling a
+                    # task would add noise to (t2 - t1).  With a store,
+                    # what the peer pipelined behind this frame is
+                    # answered with it: one log sync for the burst.
+                    burst = ()
+                    if self.durable is not None and kind != SYNC:
+                        burst = conn.take_queued(_ENDS_BURST)
+                    await self._answer(conn, client_id, frame, *burst)
             finally:
                 if tasks:
                     await asyncio.gather(*list(tasks), return_exceptions=True)
@@ -411,61 +421,100 @@ class NetObjectServer:
             await conn.close()
 
     async def _answer(
-        self, conn: FrameConnection, client_id: int, frame: Dict[str, Any]
+        self, conn: FrameConnection, client_id: int, *frames: Dict[str, Any]
     ) -> None:
-        """The answering end of one request, whatever its kind: count
+        """The answering end of every request, whatever its kind: count
         it, run its handler, send the handler's reply, then record and
         propagate what the request installed.
+
+        With a store, a reply leaves once everything executed before it
+        is on disk: ``_execute`` appends to the log without syncing it,
+        and from the first such append on the replies of ``frames`` — a
+        burst pipelined on one connection, or just one request — are
+        held until the burst has run, the log is committed once, and
+        then leave in request order.  If the commit fails every held
+        request is answered ``error`` and forgotten by the reply cache,
+        so a retransmission is re-executed, never replayed as an ack.
 
         A handler that raises is logged and answered with an ``error``
         frame.  Silence is the one answer a timed protocol cannot
         afford: the asker would walk its whole retransmit ladder —
         seconds, against a Δ of milliseconds — to learn the same thing.
         """
-        kind = str(frame.get("kind"))
-        self.requests_by_kind[kind] = self.requests_by_kind.get(kind, 0) + 1
-        installed: Sequence[PhysicalVersion] = ()
-        try:
-            if kind == SYNC:
-                # Outside the exactly-once data plane: never cached or
-                # deduped (a replayed timestamp would poison the
-                # client's NTP estimator), never delayed.  The request
-                # id is echoed so a pipelined resync() can match it.
-                t1 = self.clock()
-                reply = {
-                    "kind": SYNC_ACK, "req": frame.get("req"),
-                    "t0": frame.get("t0"), "t1": t1, "t2": self.clock(),
-                }
-            elif kind in CLUSTER_KINDS:
-                reply = await self._on_cluster(frame)
-            else:
-                reply, installed = await self._on_request(client_id, frame)
-                if reply is None:
-                    return
-        except Exception as exc:
-            logger.exception("request %r from client %d failed", kind, client_id)
-            reply = {"kind": ERROR, "error": f"{type(exc).__name__}: {exc}"}
-        if "req" not in reply:
-            reply = {**reply, "req": frame.get("req")}
-        # The epoch of *now*, which a replayed reply's may not be; stamp
-        # copies, so a reply the engine cached is never mutated.
-        await conn.send(self.engine.stamp(reply))
-        for version in installed:
-            if self.recorder is not None:
-                self.recorder.record_write(
-                    client_id, version.obj, version.value, version.alpha
-                )
-            if self._subscribers and self.propagation != "none":
-                self._propagate(conn, version)
+        store = self.durable
+        held = []  # (request, reply, versions it installed)
+        for frame in frames:
+            kind = str(frame.get("kind"))
+            self.requests_by_kind[kind] = self.requests_by_kind.get(kind, 0) + 1
+            installed: Sequence[PhysicalVersion] = ()
+            try:
+                if kind == SYNC:
+                    # Outside the exactly-once data plane: never cached or
+                    # deduped (a replayed timestamp would poison the
+                    # client's NTP estimator), never delayed.  The request
+                    # id is echoed so a pipelined resync() can match it.
+                    t1 = self.clock()
+                    reply = {
+                        "kind": SYNC_ACK, "req": frame.get("req"),
+                        "t0": frame.get("t0"), "t1": t1, "t2": self.clock(),
+                    }
+                elif kind in CLUSTER_KINDS:
+                    reply = await self._on_cluster(frame)
+                else:
+                    reply, installed = await self._on_request(client_id, frame)
+            except Exception as exc:
+                logger.exception("request %r from client %d failed", kind, client_id)
+                reply, installed = self._refusal(client_id, frame, exc), ()
+            if reply is not None:
+                held.append((frame, reply, installed))
+            if store is not None and store.uncommitted:
+                if frame is not frames[-1]:
+                    continue
+                try:
+                    store.commit()
+                    store.maybe_snapshot(
+                        self.engine.store, self.engine.context, self.clock()
+                    )
+                except Exception as exc:
+                    logger.exception("log commit for client %d failed", client_id)
+                    held = [
+                        (asked, self._refusal(client_id, asked, exc), ())
+                        for asked, _, _ in held
+                    ]
+            for asked, reply, installed in held:
+                if "req" not in reply:
+                    reply = {**reply, "req": asked.get("req")}
+                # The epoch of *now*, which a replayed reply's may not be;
+                # stamp copies, so a reply the engine cached is never mutated.
+                await conn.send(self.engine.stamp(reply))
+                for version in installed:
+                    if self.recorder is not None:
+                        self.recorder.record_write(
+                            client_id, version.obj, version.value, version.alpha
+                        )
+                    if self._subscribers and self.propagation != "none":
+                        self._propagate(conn, version)
+            held.clear()
+
+    def _refusal(
+        self, client_id: int, frame: Dict[str, Any], exc: Exception
+    ) -> Dict[str, Any]:
+        """The ``error`` reply to a request that failed, or whose log
+        commit did.  The engine caches a reply as it executes, before the
+        WAL append and the commit that can still fail; what failed is
+        answered ``error`` on the retransmit too, not replayed: an
+        unlogged write is never acknowledged (docs/STORE.md)."""
+        self.engine.replies.discard(self.engine.dedup_key(client_id, frame))
+        return {"kind": ERROR, "error": f"{type(exc).__name__}: {exc}"}
 
     # -- the cluster control plane (repro.cluster; docs/CLUSTER.md) -----------
 
-    def set_ring(self, ring_dict: Dict[str, Any], *, persist: bool = True) -> bool:
+    def set_ring(self, ring_dict: Dict[str, Any]) -> bool:
         """Adopt a serialized ring iff its epoch is not behind ours;
         persists the acknowledged epoch into ``meta.json`` so a restart
         never resumes trusting a layout the cluster moved past."""
         adopted = self.engine.adopt_ring(ring_dict)
-        if adopted and persist and self.durable is not None:
+        if adopted and self.durable is not None:
             self.durable.save_epoch(self.engine.epoch)
         return adopted
 
@@ -474,8 +523,6 @@ class NetObjectServer:
         the engine's promotion rule (store recovery with the detection
         bound playing Δ; see :meth:`repro.engine.ServerEngine.promote`),
         run under the server lock."""
-        if bound < 0:
-            raise ValueError(f"bound must be non-negative, got {bound}")
         async with self._lock:
             return self.engine.promote(bound)
 
@@ -513,20 +560,17 @@ class NetObjectServer:
 
     async def abort(self) -> None:
         """Crash simulation: vanish mid-flight — no BYE, no clean
-        snapshot, no drain.  Buffered WAL records are flushed first
-        (log-before-ack means every *acknowledged* write already had its
-        append; the flush models it having reached the disk, which a
-        real SIGKILL — covered by the CI shell smoke — also guarantees
-        under ``fsync=always``).  What remains is exactly what a crashed
+        snapshot, no drain.  The WAL is synced as it closes
+        (log-before-ack means every *acknowledged* write was committed
+        to it; the sync models it having reached the disk, which a real
+        SIGKILL — covered by the CI shell smoke — also guarantees under
+        ``fsync=always``).  What remains is exactly what a crashed
         process leaves: a WAL suffix and a stale snapshot.
         """
         self.draining = True
         await self._close_connections()
         if self.durable is not None:
-            try:
-                self.durable.flush()
-            finally:
-                self.durable.close(sync=False)
+            self.durable.close(sync=True)
 
     async def _on_request(
         self, client_id: int, frame: Dict[str, Any]
@@ -571,41 +615,31 @@ class NetObjectServer:
                 if not original.done():
                     original.set_result(result.reply)
             return result.reply, result.installed
-        except Exception:
-            # The engine caches a reply as it executes, before the WAL
-            # append that can still fail.  What failed is answered
-            # ``error`` on the retransmit too, not replayed: an unlogged
-            # write is never acknowledged (docs/STORE.md).
-            if key is not None:
-                self.engine.replies.discard(key)
-            raise
         finally:
             waiter = self._executing.pop(key, None) if key is not None else None
             if waiter is not None and not waiter.done():
                 waiter.cancel()
             # No suspension point between here and the reply's write to
-            # the transport (``_answer``), so a drain that sees the
-            # server idle finds every reply handed over.
+            # the transport (``_answer`` runs the rest of a burst, commits
+            # and sends without giving up the loop), so a drain that sees
+            # the server idle finds every reply handed over.
             self._inflight -= 1
             if self._inflight == 0:
                 self._idle.set()
 
     async def _execute(self, client_id: int, frame: Dict[str, Any]) -> EngineResult:
-        """Run one request through the engine under the server lock,
-        carrying out its durability effect (log before the ack leaves
-        the lock: an acknowledged write is always in the WAL, which is
-        what makes the recovery replay complete — batches amortize the
-        append and its fsync)."""
+        """Run one request through the engine under the server lock and
+        append what it wrote to the log, grouped: ``_answer`` commits the
+        log before the ack leaves (an acknowledged write is always in
+        the WAL, which is what makes the recovery replay complete)."""
         async with self._lock:
             result = self.engine.execute(client_id, frame)
             if self.durable is not None and result.wal:
-                if len(result.wal) == 1:
-                    self.durable.log_write(result.wal[0])
-                else:
-                    self.durable.log_writes(result.wal)
-                self.durable.maybe_snapshot(
-                    self.engine.store, self.engine.context, result.wal[-1].alpha
-                )
+                with self.durable.group():
+                    if len(result.wal) == 1:
+                        self.durable.log_write(result.wal[0])
+                    else:
+                        self.durable.log_writes(result.wal)
         if self.pipeline is not None:
             kind = result.reply.get("kind")
             if kind == messages.WRITE_BATCH_ACK:

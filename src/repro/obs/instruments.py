@@ -454,10 +454,6 @@ class StoreInstruments:
     def on_fsync(self, seconds: float) -> None:
         self.fsync_seconds.observe(seconds)
 
-    def on_append(self, nbytes: int) -> None:
-        self.wal_records.inc()
-        self.wal_bytes.inc(nbytes)
-
     def on_append_many(self, count: int, nbytes: int) -> None:
         self.wal_records.inc(count)
         self.wal_bytes.inc(nbytes)

@@ -51,13 +51,14 @@ values straight from on-disk stores for ring handoff replay.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 import signal
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set
 
 from repro.core.history import History
 from repro.core.io import atomic_write_json
@@ -252,6 +253,8 @@ class DurableStore:
         self.wal: Optional[WriteAheadLog] = None
         self.recovered: Optional[RecoveredState] = None
         self._appends_since_snapshot = 0
+        self._grouped = False  # inside a group() bracket
+        self.uncommitted = False  # a grouped append waits for commit()
         self._last_snapshot_wall: Optional[float] = None
         self._origin_unix: Optional[float] = None
         self._meta: Dict[str, Any] = {}
@@ -355,33 +358,18 @@ class DurableStore:
 
     def log_write(self, version: PhysicalVersion) -> None:
         """Append one installed write; call *before* acknowledging it."""
-        if self.wal is None:
-            raise RuntimeError("store is not open; call open() first")
-        nbytes = self.wal.append({
-            "k": REC_WRITE,
-            "t": version.alpha,
-            "obj": version.obj,
-            "value": version.value,
-            "writer": version.writer,
-        })
-        self._appends_since_snapshot += 1
-        if self.instruments is not None:
-            self.instruments.on_append(nbytes)
-        if self.crash_after_appends is not None:
-            self.crash_after_appends -= 1
-            if self.crash_after_appends <= 0:
-                self.wal.flush(sync=True)  # the append must hit the disk
-                os.kill(os.getpid(), signal.SIGKILL)
+        self._log((version,))
 
     def log_writes(self, versions: Sequence[PhysicalVersion]) -> None:
         """Append a batch of installed writes with a single flush/fsync;
         call *before* acknowledging any of them.  The batch write path
         (``write-batch`` frames) amortizes the fsync across the batch
         while keeping the log-before-ack invariant per item."""
+        self._log(versions)
+
+    def _log(self, versions: Sequence[PhysicalVersion]) -> None:
         if self.wal is None:
             raise RuntimeError("store is not open; call open() first")
-        if not versions:
-            return
         nbytes = self.wal.append_many([
             {
                 "k": REC_WRITE,
@@ -391,7 +379,9 @@ class DurableStore:
                 "writer": version.writer,
             }
             for version in versions
-        ])
+        ], commit=not self._grouped)
+        if self._grouped:
+            self.uncommitted = True
         self._appends_since_snapshot += len(versions)
         if self.instruments is not None:
             self.instruments.on_append_many(len(versions), nbytes)
@@ -401,10 +391,24 @@ class DurableStore:
                 self.wal.flush(sync=True)  # the appends must hit the disk
                 os.kill(os.getpid(), signal.SIGKILL)
 
-    def flush(self) -> None:
-        """Force buffered records to stable storage (drain path)."""
+    @contextlib.contextmanager
+    def group(self) -> Iterator[None]:
+        """The group-commit bracket: a ``log_write``/``log_writes`` made
+        inside it only appends — :attr:`uncommitted` turns true — and is
+        durable, under the fsync policy, once :meth:`commit` has
+        returned.  Outside it each call commits itself."""
+        self._grouped = True
+        try:
+            yield
+        finally:
+            self._grouped = False
+
+    def commit(self) -> None:
+        """One flush and one policy fsync for every grouped append so
+        far.  If it raises, none of them may be acknowledged."""
         if self.wal is not None:
-            self.wal.flush(sync=True)
+            self.wal.commit()
+        self.uncommitted = False
 
     # -- cluster epoch -------------------------------------------------------
 

@@ -90,7 +90,11 @@ def versions_from_state(state: Dict[str, Any]) -> Dict[str, PhysicalVersion]:
 
 
 def write_snapshot(path: str, state: Dict[str, Any]) -> None:
-    """Atomically persist one snapshot state (tmp + rename, CRC)."""
+    """Atomically persist one snapshot state (tmp + rename, CRC).
+
+    One line, no indent: an indent drops ``json`` to its pure-Python
+    encoder, and the live server writes a snapshot every
+    ``snapshot_every`` appends.  ``repro store inspect`` pretty-prints."""
     atomic_write_json(
         path,
         {
@@ -98,6 +102,7 @@ def write_snapshot(path: str, state: Dict[str, Any]) -> None:
             "crc": zlib.crc32(_canonical(state)),
             "state": state,
         },
+        indent=None,
     )
 
 

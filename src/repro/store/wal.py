@@ -18,7 +18,8 @@ log debuggable — ``repro store inspect`` is a pretty-printer, but so is
 Durability is a policy, not a constant (the classic group-commit
 trade-off; cf. Redis AOF ``appendfsync``):
 
-* ``"always"``   — fsync after every append; an acknowledged write
+* ``"always"``   — fsync at every commit (one per append, or one per
+  group of ``append_many(..., commit=False)``); an acknowledged write
   survives an immediate power cut.
 * ``"interval"`` — fsync at most once per ``fsync_interval`` seconds
   (appends in between are written to the OS but not forced); bounds the
@@ -210,26 +211,16 @@ class WriteAheadLog:
     def append(self, record: Dict[str, Any]) -> int:
         """Append one record; returns the bytes written.  Whether the
         record is *durable* on return depends on the fsync policy."""
-        if self._fh.closed:
-            raise WalError(f"log {self.path} is closed")
-        data = encode_record(record)
-        self._fh.write(data)
-        self._fh.flush()  # out of the process: a plain crash loses nothing
-        self._dirty = True
-        self.records_appended += 1
-        self.bytes_appended += len(data)
-        if self.fsync == "always":
-            self._sync()
-        elif self.fsync == "interval":
-            if time.monotonic() - self._last_sync >= self.fsync_interval:
-                self._sync()
-        return len(data)
+        return self.append_many((record,))
 
-    def append_many(self, records: Sequence[Dict[str, Any]]) -> int:
-        """Append several records with one flush and (at most) one fsync;
-        returns the bytes written.  This is the batching seam the write
-        path amortizes fsyncs through: under ``fsync="always"`` a batch
-        of N writes pays one fsync instead of N."""
+    def append_many(
+        self, records: Sequence[Dict[str, Any]], *, commit: bool = True
+    ) -> int:
+        """Append several records and :meth:`commit` them once; returns
+        the bytes written.  With ``commit=False`` the records stay in the
+        process's buffer and the caller owes the :meth:`commit` — the
+        seam group commit amortizes fsyncs through: under
+        ``fsync="always"`` N appends pay one fsync instead of N."""
         if self._fh.closed:
             raise WalError(f"log {self.path} is closed")
         total = 0
@@ -237,18 +228,25 @@ class WriteAheadLog:
             data = encode_record(record)
             self._fh.write(data)
             self.records_appended += 1
-            self.bytes_appended += len(data)
             total += len(data)
-        if not records:
-            return 0
-        self._fh.flush()
-        self._dirty = True
-        if self.fsync == "always":
-            self._sync()
-        elif self.fsync == "interval":
-            if time.monotonic() - self._last_sync >= self.fsync_interval:
-                self._sync()
+        self.bytes_appended += total
+        if total:
+            self._dirty = True
+            if commit:
+                self.commit()
         return total
+
+    def commit(self) -> None:
+        """Hand every appended record to the OS (a plain crash then loses
+        nothing) and fsync as the policy says: the one durability point
+        of the write path.  Raises what the disk raises, and then still
+        owes the records: the next commit tries again."""
+        self._fh.flush()
+        if self._dirty and (self.fsync == "always" or (
+            self.fsync == "interval"
+            and time.monotonic() - self._last_sync >= self.fsync_interval
+        )):
+            self._sync()
 
     def flush(self, sync: bool = True) -> None:
         """Flush buffered records; ``sync`` forces them to stable storage

@@ -13,7 +13,10 @@ so deprecated asyncio API usage in the ``repro.net`` stack (e.g.
 
 import asyncio
 import errno
+import json
 import math
+import os
+import shutil
 
 import pytest
 
@@ -646,6 +649,278 @@ class TestWirePath:
             ("push", "k0"), ("push", "k1"), ("push", "k2"), ("bye", None),
         ]
         assert {frame for frame in frames[:-4]} == {("push", "big")}
+
+
+def spy_on_writes(conn, seen):
+    """Call ``seen(frame)`` for every frame ``conn`` hands its transport,
+    at the moment it does."""
+    write = conn.transport.write
+
+    def spy(data):
+        seen(json.loads(bytes(data[4:])))
+        write(data)
+
+    conn.transport.write = spy
+
+
+def writes_burst(n, first_req=0, prefix="o"):
+    return [
+        {"kind": messages.WRITE, "obj": f"{prefix}{i}", "value": f"v{first_req + i}",
+         "req": first_req + i}
+        for i in range(n)
+    ]
+
+
+async def exchange(conn, frames):
+    """``frames`` in one TCP segment; one reply per frame."""
+    conn.transport.write(b"".join(encode_frame(f) for f in frames))
+    return [await asyncio.wait_for(conn.recv(), 2.0) for _ in frames]
+
+
+class TestGroupCommit:
+    """With a store, a reply leaves once everything executed before it is
+    on disk: a pipelined burst is executed, logged, synced once and then
+    acknowledged (ROADMAP 1(d))."""
+
+    @staticmethod
+    async def durable_server(root, propagation="none", **store_options):
+        store_options.setdefault("fsync", "always")
+        return await NetObjectServer(
+            propagation=propagation, store=DurableStore(str(root), **store_options)
+        ).start()
+
+    def test_a_burst_of_eight_writes_pays_one_fsync(self, tmp_path):
+        async def scenario():
+            server = await self.durable_server(tmp_path)
+            try:
+                conn = await raw_peer(server, 7)
+                wal = server.durable.wal
+                before = wal.fsyncs
+                replies = await exchange(conn, writes_burst(8))
+                fsyncs = wal.fsyncs - before
+                await exchange(conn, writes_burst(1, first_req=8))
+                await conn.close()
+                return replies, fsyncs, wal.fsyncs - before
+            finally:
+                await server.abort()
+
+        replies, fsyncs, after_a_single = asyncio.run(scenario())
+        assert fsyncs == 1
+        assert after_a_single == 2  # a burst of one is the ordinary case
+        assert [r["kind"] for r in replies] == [messages.WRITE_ACK] * 8
+        assert [r["req"] for r in replies] == list(range(8))
+        alphas = [r["alpha"] for r in replies]
+        assert alphas == sorted(alphas) and len(set(alphas)) == 8
+        logged = [r for r in replay_wal(str(tmp_path / "wal.log")).records
+                  if r.get("k") == REC_WRITE]
+        assert [r["t"] for r in logged[:8]] == alphas
+
+    def test_every_ack_is_of_a_write_the_disk_already_has(self, tmp_path):
+        """Crash the disk, not the process: at the moment an ack is
+        handed to the transport, the log holds nothing beyond what was
+        fsynced, and what was fsynced recovers the acknowledged write."""
+        root, copies = tmp_path / "store", tmp_path / "copies"
+        acks = []
+
+        async def scenario():
+            server = await self.durable_server(root)
+            wal = server.durable.wal
+            synced = [wal.size]
+            wal.on_fsync = lambda elapsed: synced.append(wal.size)
+
+            def seen(frame):
+                if frame["kind"] != messages.WRITE_ACK:
+                    return
+                assert wal.size == synced[-1]
+                survivor = str(copies / str(len(acks)))
+                shutil.copytree(root, survivor)
+                with open(os.path.join(survivor, "wal.log"), "r+b") as fh:
+                    fh.truncate(synced[-1])
+                acks.append((frame["obj"], frame["alpha"], survivor))
+
+            try:
+                one, other = await raw_peer(server, 1), await raw_peer(server, 2)
+                for conn in server._connections:
+                    spy_on_writes(conn, seen)
+                await exchange(one, writes_burst(8))
+                await asyncio.gather(
+                    exchange(one, writes_burst(3, first_req=8)),
+                    exchange(other, writes_burst(5, prefix="p")),
+                )
+                await exchange(other, writes_burst(1, first_req=5))
+                await one.close()
+                await other.close()
+            finally:
+                await server.abort()
+
+        asyncio.run(scenario())
+        assert len(acks) == 17
+        for obj, alpha, survivor in acks:
+            recovered = DurableStore(survivor)
+            assert recovered.open().objects[obj].alpha >= alpha, (obj, alpha)
+            recovered.close()
+
+    def test_a_failed_commit_answers_the_whole_burst_error(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        """Log-before-ack per batch: the sync of a burst fails, so none
+        of its held acks leaves, and none is replayed to a retransmit."""
+        fsync, failures = os.fsync, [OSError(errno.EIO, "Input/output error")]
+
+        def fsync_failing_once(fd):
+            if failures:
+                raise failures.pop()
+            fsync(fd)
+
+        async def scenario():
+            server = await self.durable_server(tmp_path)
+            try:
+                conn = await raw_peer(server, 7)
+                burst = writes_burst(8)
+                monkeypatch.setattr(os, "fsync", fsync_failing_once)
+                with caplog.at_level("CRITICAL", logger="repro.net.server"):
+                    refused = await exchange(conn, burst)
+                cached = len(server.engine.replies)
+                again = await exchange(conn, burst)  # the retransmits
+                after = await exchange(conn, writes_burst(8, first_req=8, prefix="p"))
+                await conn.close()
+                return refused, cached, again, after, server.engine
+            finally:
+                await server.abort()
+
+        refused, cached, again, after, engine = asyncio.run(scenario())
+        assert [r["kind"] for r in refused] == ["error"] * 8
+        assert [r["req"] for r in refused] == list(range(8))
+        assert all("Input/output error" in r["error"] for r in refused)
+        assert cached == 0
+        # Re-executed under the same ids, not replayed.
+        assert [r["kind"] for r in again] == [messages.WRITE_ACK] * 8
+        assert engine.dedup_replays == 0 and engine.requests == 24
+        assert [r["kind"] for r in after] == [messages.WRITE_ACK] * 8
+        recovered = DurableStore(str(tmp_path)).open().objects
+        assert {obj: v.alpha for obj, v in recovered.items()} == {
+            r["obj"]: r["alpha"] for r in again + after
+        }
+
+    def test_nothing_executed_behind_a_write_leaves_before_its_sync(self, tmp_path):
+        """A ``validate`` queued behind a write and the write's push wait
+        for the fsync; a ``validate`` queued ahead of it does not."""
+        events = []
+
+        async def scenario():
+            server = await self.durable_server(tmp_path, propagation="push")
+            server.durable.wal.on_fsync = lambda elapsed: events.append("fsync")
+            try:
+                writer = await raw_peer(server, 1)
+                subscriber = await raw_peer(server, 2, subscribe=True)
+                for conn in server._connections:
+                    spy_on_writes(
+                        conn, lambda f: events.append((f["kind"], f.get("req")))
+                    )
+                await exchange(writer, [
+                    {"kind": messages.VALIDATE, "obj": "a", "alpha": 0.0, "req": 0},
+                    {"kind": messages.WRITE, "obj": "x", "value": 1, "req": 1},
+                    {"kind": messages.VALIDATE, "obj": "x", "alpha": 0.0, "req": 2},
+                ])
+                assert (await asyncio.wait_for(subscriber.recv(), 2.0))["kind"] == "push"
+                await writer.close()
+                await subscriber.close()
+            finally:
+                await server.abort()
+
+        asyncio.run(scenario())
+        assert events == [
+            (messages.STILL_VALID, 0), "fsync",
+            (messages.WRITE_ACK, 1), (messages.VERSION, 2), ("push", None),
+        ]
+
+    def test_a_burst_is_executed_and_answered_in_one_loop_iteration(self, tmp_path):
+        """No suspension between a burst's first ``execute`` and its last
+        reply's ``transport.write``: a drain that finds the server idle
+        finds every held reply handed over."""
+
+        async def scenario():
+            server = await self.durable_server(tmp_path)
+            try:
+                conn = await raw_peer(server, 7)
+                iterations = LoopIterations(asyncio.get_running_loop())
+                marks = {}
+                execute = server.engine.execute
+
+                def executing(client_id, frame):
+                    marks.setdefault("first execute", iterations.count)
+                    return execute(client_id, frame)
+
+                server.engine.execute = executing
+                (served,) = server._connections
+                spy_on_writes(
+                    served, lambda f: marks.update({f["req"]: iterations.count})
+                )
+                await exchange(conn, writes_burst(8))
+                iterations.stop()
+                await conn.close()
+                return marks
+            finally:
+                await server.abort()
+
+        marks = asyncio.run(scenario())
+        assert [marks[req] for req in range(8)] == [marks["first execute"]] * 8
+
+    @pytest.mark.parametrize("policy, fsyncs", [("interval", 1), ("never", 0)])
+    def test_the_fsync_policy_is_consulted_once_per_burst(
+        self, tmp_path, policy, fsyncs
+    ):
+        async def scenario():
+            server = await self.durable_server(
+                tmp_path, fsync=policy, fsync_interval=1e-9
+            )
+            try:
+                conn = await raw_peer(server, 7)
+                wal = server.durable.wal
+                before = wal.fsyncs
+                replies = await exchange(conn, writes_burst(8))
+                on_disk = [r for r in replay_wal(wal.path).records
+                           if r.get("k") == REC_WRITE]
+                await conn.close()
+                return replies, on_disk, wal.fsyncs - before
+            finally:
+                await server.abort()
+
+        replies, on_disk, synced = asyncio.run(scenario())
+        assert synced == fsyncs
+        # Whatever the policy, an ack leaves after its record left the process.
+        assert [(r["obj"], r["t"]) for r in on_disk] == [
+            (r["obj"], r["alpha"]) for r in replies
+        ]
+
+    def test_sync_and_the_control_plane_are_not_part_of_a_burst(self, tmp_path):
+        """A ``sync`` pipelined behind writes is answered alone, after
+        their acks; a ``bye`` still ends the connection."""
+
+        async def scenario():
+            server = await self.durable_server(tmp_path)
+            try:
+                conn = await raw_peer(server, 7)
+                wal = server.durable.wal
+                before = wal.fsyncs
+                replies = await exchange(conn, [
+                    *writes_burst(2),
+                    {"kind": "sync", "t0": 1.0, "req": 2},
+                    {"kind": "ping", "req": 3},
+                    *writes_burst(2, first_req=4),
+                ])
+                conn.transport.write(encode_frame({"kind": "bye"}))
+                end = await asyncio.wait_for(conn.recv(), 2.0)
+                await conn.close()
+                return replies, end, wal.fsyncs - before
+            finally:
+                await server.abort()
+
+        replies, end, fsyncs = asyncio.run(scenario())
+        assert sorted(r["req"] for r in replies) == list(range(6))
+        in_place = [r["req"] for r in replies if r["kind"] != "ping-ack"]
+        assert in_place == [0, 1, 2, 4, 5]  # the ping's task answers when it runs
+        assert fsyncs == 2 and end is None
 
 
 class TestLifecycle:

@@ -44,6 +44,34 @@ class TestDurableStore:
             store.log_write(PhysicalVersion(obj, value, t, t, 1))
         store.close()
 
+    def test_group_bracket_defers_to_one_commit(self, tmp_path):
+        """Inside ``group()`` a logged write is only appended and the
+        caller owes ``commit()``; outside it ``log_write`` is durable on
+        return, as it always was."""
+        store = DurableStore(str(tmp_path), fsync="always")
+        store.open(now_wall=1000.0)
+        wal = store.wal
+        before = wal.fsyncs
+        store.log_write(PhysicalVersion("x", "s1.0", 1.0, 1.0, 1))
+        assert wal.fsyncs == before + 1 and not store.uncommitted
+        for i in range(1, 4):
+            with store.group():
+                store.log_write(PhysicalVersion("x", f"s1.{i}", 1.0 + i, 1.0 + i, 1))
+        with store.group():
+            store.log_writes([
+                PhysicalVersion("y", f"s1.{i}", 1.0 + i, 1.0 + i, 1) for i in (4, 5)
+            ])
+        assert wal.fsyncs == before + 1 and store.uncommitted
+        store.commit()
+        assert wal.fsyncs == before + 2 and not store.uncommitted
+        store.log_write(PhysicalVersion("z", "s1.6", 7.0, 7.0, 1))
+        assert wal.fsyncs == before + 3
+        store.close(sync=False)
+        recovered = DurableStore(str(tmp_path)).open(now_wall=1001.0).objects
+        assert {obj: v.value for obj, v in recovered.items()} == {
+            "x": "s1.3", "y": "s1.5", "z": "s1.6",
+        }
+
     def test_fresh_store_is_empty(self, tmp_path):
         store = DurableStore(str(tmp_path))
         recovered = store.open(now_wall=1000.0)
@@ -383,6 +411,41 @@ class TestCrashRecoveryEndToEnd:
                 break
         assert port is not None, "serve subprocess never reported its port"
         return proc, port
+
+    def test_sigkill_inside_a_burst_logs_the_write_and_sends_no_ack(self, tmp_path):
+        """Five writes in one segment, the third append SIGKILLs: it is
+        on disk with the two before it, and nothing was acknowledged —
+        the burst's acks were held for a commit that never came."""
+        from repro.net.framing import HELLO, dial, encode_frame
+
+        store_dir = str(tmp_path / "store")
+        proc, port = self._spawn_serve(store_dir, crash_after=3)
+        try:
+            async def burst():
+                conn = await dial("127.0.0.1", port)
+                await conn.send({"kind": HELLO, "client_id": 1})
+                await conn.recv()
+                conn.transport.write(b"".join(
+                    encode_frame({"kind": "write", "obj": f"o{i}", "value": f"s1.{i}",
+                                  "req": i})
+                    for i in range(5)
+                ))
+                replies = []
+                try:
+                    while (frame := await asyncio.wait_for(conn.recv(), 5.0)):
+                        replies.append(frame)
+                except ConnectionError:
+                    pass
+                await conn.close()
+                return replies
+
+            assert asyncio.run(burst()) == []
+            assert proc.wait(timeout=10) == -signal.SIGKILL
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+        logged = [op.value for op in history_from_wal(store_dir).operations]
+        assert logged == ["s1.0", "s1.1", "s1.2"]
 
     def test_sigkill_restart_verify_and_tsc(self, tmp_path):
         from repro.cli import main as cli_main

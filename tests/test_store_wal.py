@@ -92,6 +92,58 @@ class TestWalRoundtrip:
         assert len(durations) == 2
         assert all(d >= 0 for d in durations)
 
+    def test_grouped_appends_are_committed_once(self, tmp_path):
+        """``append_many(..., commit=False)`` owes one ``commit()``: one
+        flush and one policy check for all, and the hook runs after both
+        (``size`` inside it is what the disk has)."""
+        path = str(tmp_path / "wal.log")
+        synced = []
+        log = WriteAheadLog(path, fsync="always")
+        log.on_fsync = lambda elapsed: synced.append(log.size)
+        for i in range(8):
+            log.append_many([{"i": i}], commit=False)
+        assert log.fsyncs == 0 and log.size == 0  # still in the process
+        assert log.records_appended == 8
+        log.commit()
+        assert log.fsyncs == 1
+        assert synced == [log.size] and log.size == log.bytes_appended
+        log.commit()  # nothing appended since: nothing to do
+        assert log.fsyncs == 1
+        log.append_many([{"i": 8}, {"i": 9}])  # commits itself, as append does
+        assert log.fsyncs == 2
+        log.close()
+        assert [r["i"] for r in replay(path).records] == list(range(10))
+
+    @pytest.mark.parametrize("policy, interval, fsyncs", [
+        ("interval", 1e-9, 1), ("interval", 3600.0, 0), ("never", 1e-9, 0),
+    ])
+    def test_a_commit_consults_the_policy_once(self, tmp_path, policy, interval, fsyncs):
+        path = str(tmp_path / "wal.log")
+        log = WriteAheadLog(path, fsync=policy, fsync_interval=interval)
+        for i in range(8):
+            log.append_many([{"i": i}], commit=False)
+        log.commit()
+        assert log.fsyncs == fsyncs
+        assert len(replay(path).records) == 8  # out of the process either way
+        log.close(sync=False)
+
+    def test_a_failed_commit_still_owes_the_records(self, tmp_path, monkeypatch):
+        log = WriteAheadLog(str(tmp_path / "wal.log"), fsync="always")
+        log.append_many([{"a": 1}], commit=False)
+        fsync = os.fsync
+
+        def no_fsync(fd):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(os, "fsync", no_fsync)
+        with pytest.raises(OSError):
+            log.commit()
+        assert log.fsyncs == 0
+        monkeypatch.setattr(os, "fsync", fsync)
+        log.commit()
+        assert log.fsyncs == 1
+        log.close()
+
     def test_truncate_drops_everything(self, tmp_path):
         path = str(tmp_path / "wal.log")
         log = WriteAheadLog(path, fsync="never")
