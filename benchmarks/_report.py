@@ -39,21 +39,3 @@ def report(
     print()
     print(text)
 
-
-def bench_json(
-    name: str,
-    config: Dict[str, Any],
-    metrics: Dict[str, Any],
-    notes: str = "",
-) -> pathlib.Path:
-    """Write ``benchmarks/BENCH_<name>.json`` (the machine-readable twin
-    of :func:`report`) through the canonical schema-stable writer in
-    :mod:`repro.load.report`, so every bench's headline numbers are
-    diffable PR over PR via ``repro load compare``."""
-    from repro.load.report import write_bench_json
-
-    path = pathlib.Path(__file__).parent / f"BENCH_{name}.json"
-    with _lock:
-        write_bench_json(str(path), name, config, metrics, notes)
-    print(f"wrote {path}")
-    return path

@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """A real TCP replica cluster, checker-verified end to end.
 
-The other live example (``live_asyncio.py``) shares one process and one
-clock.  This one runs the full distributed stack of ``repro.net``: a TCP
+The live example: the full distributed stack of ``repro.net`` — a TCP
 object server, three cache clients with *skewed* local clocks that
 synchronize to the server NTP-style (Definition 2's approximately
 synchronized clocks), push propagation, and frame-level fault injection.

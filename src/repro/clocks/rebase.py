@@ -1,17 +1,37 @@
-"""A monotonic wall-clock source rebased to 0 at first reading.
+"""The live stack's one clock, and a source rebased to 0 at first reading.
 
-The live modules (:mod:`repro.sim.aio` and :mod:`repro.net`) measure time
-with the event loop's monotonic clock, whose absolute value is arbitrary
-(and differs across processes).  Rebasing to 0 at session start keeps
-recorded traces small and human-readable, and gives every live module the
-*same* convention: deltas and latencies are real seconds since the node
-came up.  Cross-process offsets between two rebased clocks are exactly
-what :class:`repro.net.clocksync.ClockSyncEstimator` estimates.
+Under :mod:`repro.net`, :mod:`repro.cluster`, :mod:`repro.ring` and the
+load worker "now" is the running event loop's ``time()`` — the clock its
+``call_later`` timers and ``asyncio.sleep`` already run on — read through
+:func:`loop_clock`/:func:`loop_time`.  On the stock loop that *is*
+``time.monotonic``; on :class:`repro.sim.vtime.VirtualTimeLoop` it is a
+counter, and the stack cannot tell which.  Its absolute value is
+arbitrary (and differs across processes).  Rebasing to 0 at session start
+keeps recorded traces small and human-readable, and gives every live
+module the *same* convention: deltas and latencies are seconds since the
+node came up.  Cross-process offsets between two rebased clocks are
+exactly what :class:`repro.net.clocksync.ClockSyncEstimator` estimates.
 """
 
 from __future__ import annotations
 
+import asyncio
+import time
 from typing import Callable, Optional
+
+
+def loop_clock() -> Callable[[], float]:
+    """The running loop's ``time`` — or, with no loop running
+    (offline/sim use), the monotonic clock the stock loop would read."""
+    try:
+        return asyncio.get_running_loop().time
+    except RuntimeError:
+        return time.monotonic
+
+
+def loop_time() -> float:
+    """One reading of :func:`loop_clock`: "now" for every live module."""
+    return loop_clock()()
 
 
 class RebasedClock:
@@ -35,16 +55,7 @@ class RebasedClock:
 
     def _read(self) -> float:
         if self._source is None:
-            import asyncio
-
-            try:
-                self._source = asyncio.get_running_loop().time
-            except RuntimeError:
-                # No loop running (offline/sim use): fall back to the
-                # same monotonic clock the loop would use.
-                import time
-
-                self._source = time.monotonic
+            self._source = loop_clock()
         return self._source()
 
     def pin(self) -> None:

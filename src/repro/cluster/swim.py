@@ -34,8 +34,8 @@ last probe answer is discovered no later than::
 to fail, one slack for a serialized in-flight probe, then the suspicion
 must age out).  This bound is exactly the Δ the coordinator passes to
 :meth:`~repro.net.server.NetObjectServer.promote` — the new primary's
-blind window — and the bound ``bench_failover`` measures against
-(docs/CLUSTER.md).
+blind window — and the bound the tier-1 cadence sweep asserts in
+virtual seconds, without slack (docs/CLUSTER.md).
 
 **Failover.**  On a dead transition the *coordinator* (lowest-id alive
 member — deterministic over a converged view, no election) runs
@@ -52,10 +52,10 @@ from __future__ import annotations
 import asyncio
 import logging
 import random
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.clocks.rebase import loop_time
 from repro.engine import messages
 from repro.net.channel import Channel
 from repro.net.faults import FaultInjector
@@ -132,7 +132,7 @@ class ClusterConfig:
     @property
     def detection_bound(self) -> float:
         """Worst-case crash-to-dead latency; the Δ of a promotion's
-        blind window and the bound ``bench_failover`` asserts."""
+        blind window."""
         return 3.0 * self.probe_period + self.suspect_timeout
 
 
@@ -226,7 +226,7 @@ class SwimAgent:
         self.probes_failed = 0
         if self.view.get(member_id) is None:
             self.view.update(
-                MemberInfo(member_id, server.address), now=self._mono()
+                MemberInfo(member_id, server.address), now=loop_time()
             )
         if self.instruments is not None:
             self.instruments.bind_epoch(lambda: self.server.engine.epoch)
@@ -242,10 +242,6 @@ class SwimAgent:
             )
 
     # -- lifecycle -----------------------------------------------------------
-
-    @staticmethod
-    def _mono() -> float:
-        return time.monotonic()
 
     async def start(self) -> "SwimAgent":
         self.server.agent = self
@@ -331,18 +327,18 @@ class SwimAgent:
 
     async def _probe(self, target: int) -> None:
         self.probes_sent += 1
-        started = self._mono()
+        started = loop_time()
         if await self._direct_ping(target):
             if self.instruments is not None:
-                self.instruments.on_probe(self._mono() - started, "ack")
+                self.instruments.on_probe(loop_time() - started, "ack")
             return
         if await self._indirect_ping(target):
             if self.instruments is not None:
-                self.instruments.on_probe(self._mono() - started, "indirect")
+                self.instruments.on_probe(loop_time() - started, "indirect")
             return
         self.probes_failed += 1
         if self.instruments is not None:
-            self.instruments.on_probe(self._mono() - started, "failed")
+            self.instruments.on_probe(loop_time() - started, "failed")
         self._suspect(target)
 
     async def _direct_ping(self, target: int) -> bool:
@@ -454,13 +450,13 @@ class SwimAgent:
             return
         change = self.view.update(
             MemberInfo(target, info.address, info.incarnation, SUSPECT),
-            now=self._mono(),
+            now=loop_time(),
         )
         if change is not None:
             self._on_transitions([(target, change[0], change[1])])
 
     def _expire_suspects(self) -> None:
-        now = self._mono()
+        now = loop_time()
         for member, deadline in list(self._suspect_deadlines.items()):
             info = self.view.get(member)
             if info is None or info.state != SUSPECT:
@@ -479,7 +475,7 @@ class SwimAgent:
     def _merge_gossip(self, payload: Optional[Dict[str, Any]]) -> None:
         if not isinstance(payload, dict):
             return
-        transitions = self.view.merge(payload, now=self._mono())
+        transitions = self.view.merge(payload, now=loop_time())
         self._refute_if_suspected()
         if transitions:
             self._on_transitions(transitions)
@@ -499,10 +495,10 @@ class SwimAgent:
                     self.member_id, self.server.address,
                     self.incarnation, ALIVE,
                 ),
-                now=self._mono(),
+                now=loop_time(),
             )
             self.refutations += 1
-            self.events.append((self._mono(), "refuted", self.incarnation))
+            self.events.append((loop_time(), "refuted", self.incarnation))
             if self.instruments is not None:
                 self.instruments.on_refutation()
         elif own.state in (DEAD, LEFT) and not self._self_dead:
@@ -518,7 +514,7 @@ class SwimAgent:
     def _on_transitions(
         self, transitions: Sequence[Tuple[int, Optional[str], str]]
     ) -> None:
-        now = self._mono()
+        now = loop_time()
         dead_seen = False
         join_seen = False
         for member, old_state, new_state in transitions:
@@ -629,7 +625,7 @@ class SwimAgent:
             )
 
     async def _execute_plan(self, plan: FailoverPlan, kind: str) -> None:
-        started = self._mono()
+        started = loop_time()
         new_dict = plan.ring.as_dict()
         bound = self.config.detection_bound
         # 1. Handoff: copies into refilled rows, before any router can
@@ -655,7 +651,7 @@ class SwimAgent:
             if dev == self.member_id:
                 self.server.set_ring(new_dict)
                 await self.server.promote(bound)
-                self.events.append((self._mono(), "promoted", self.member_id))
+                self.events.append((loop_time(), "promoted", self.member_id))
                 continue
             promote = {"kind": PROMOTE, "bound": bound, "ring": new_dict}
             if await self._ask(dev, promote, self.config.rpc_timeout) is None:
@@ -664,10 +660,10 @@ class SwimAgent:
         #    members and routers pull the layout when they see it.
         self.server.set_ring(new_dict)
         self.view.install_ring(new_dict)
-        elapsed = self._mono() - started
+        elapsed = loop_time() - started
         self.failovers += 1
         self.last_failover_seconds = elapsed
-        self.events.append((self._mono(), kind, plan.ring.epoch))
+        self.events.append((loop_time(), kind, plan.ring.epoch))
         if self.instruments is not None:
             self.instruments.on_failover(elapsed)
         logger.info(
@@ -690,7 +686,7 @@ class SwimAgent:
             retries=2, backoff=0.05,
         )
         self.events.append(
-            (self._mono(), "handoff", {
+            (loop_time(), "handoff", {
                 "moves": report.moves, "copied": report.objects_copied,
             }),
         )
@@ -731,4 +727,4 @@ class SwimAgent:
         ring = frame.get("ring")
         if isinstance(ring, dict):
             self.view.install_ring(ring)
-        self.events.append((self._mono(), "promoted", outcome))
+        self.events.append((loop_time(), "promoted", outcome))

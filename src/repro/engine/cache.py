@@ -17,11 +17,11 @@ oracle and the layered benchmark's tracer address them by name — but no
 driver calls them.
 
 The transport drivers — the simulator's
-:class:`repro.protocol.cache_client.SimCacheClient`, the TCP
-:class:`repro.net.client.NetCacheClient`, and the asyncio twin in
-:mod:`repro.sim.aio` — own request ids, retransmission, futures/events
-and trace recording, and nothing else: a driver adds its ``req`` to the
-frame an operation hands it, sends it, and feeds the reply back.
+:class:`repro.protocol.cache_client.SimCacheClient` and the TCP
+:class:`repro.net.client.NetCacheClient` — own request ids,
+retransmission, futures/events and trace recording, and nothing else: a
+driver adds its ``req`` to the frame an operation hands it, sends it,
+and feeds the reply back.
 
 Time is a parameter, not an import.  ``now`` is the site's protocol
 clock ``t_i``: it arms rule 3 and the per-object bound, and ``None``

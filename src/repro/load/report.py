@@ -7,9 +7,8 @@ Two jobs:
   block the CLI prints;
 * machine output — :func:`write_bench_json` is the canonical writer for
   ``BENCH_<name>.json`` files (stable schema, version-stamped), used by
-  ``repro load run --bench-json`` **and** by the benchmark suite via
-  ``benchmarks/_report.bench_json``, so every benchmark's headline
-  numbers become machine-diffable PR over PR.
+  ``repro load run --bench-json``, so a run's headline numbers are
+  machine-diffable PR over PR.
 
 The BENCH schema::
 

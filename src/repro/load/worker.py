@@ -31,8 +31,9 @@ import asyncio
 import json
 import sys
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.clocks.rebase import loop_time
 from repro.load.arrivals import ArrivalProcess, make_arrivals
 from repro.load.hdr import LatencyHistogram
 from repro.load.workload import PlannedOp, WorkloadMix, make_workload
@@ -145,7 +146,6 @@ class LoadWorker:
         retryable: Tuple[type, ...] = (),
         instruments: Any = None,
         deadline_judges: Optional[Dict[str, Any]] = None,
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.executor = executor
         self.workload = workload
@@ -159,7 +159,6 @@ class LoadWorker:
         self.retryable = tuple(retryable)
         self.instruments = instruments
         self.deadline_judges = deadline_judges or {}
-        self._clock = clock
         self._sem = asyncio.Semaphore(self.max_concurrency)
         self._tasks: List[asyncio.Future] = []
         self.stats: List[PhaseStats] = []
@@ -231,19 +230,19 @@ class LoadWorker:
         # slot counts toward response time — capping concurrency must not
         # reintroduce coordinated omission through the back door.
         async with self._sem:
-            start = self._clock()
+            start = loop_time()
             try:
                 await self._execute(planned)
             except Exception as exc:  # noqa: BLE001 - recorded, not hidden
                 stats.record_error(exc)
                 return
-            end = self._clock()
+            end = loop_time()
             stats.service.record(end - start)
             stats.response.record(max(end - intended, 0.0))
 
     async def run(self, start_mono: float) -> List[PhaseStats]:
         """Run every phase back to back, anchored at ``start_mono`` (a
-        ``time.monotonic`` value — the engine's shared start barrier)."""
+        loop-clock reading — the engine's shared start barrier)."""
         import random
 
         offset = 0.0
@@ -257,7 +256,7 @@ class LoadWorker:
                 schedule = phase.arrivals.schedule(phase.duration, rng)
                 for rel in schedule:
                     intended = start_mono + offset + rel
-                    delay = intended - self._clock()
+                    delay = intended - loop_time()
                     if delay > 0:
                         await asyncio.sleep(delay)
                     # Never skip a late slot: fire immediately with the
@@ -272,18 +271,18 @@ class LoadWorker:
             else:
                 think = getattr(phase.arrivals, "think", 0.0)
                 phase_end = start_mono + offset + phase.duration
-                while self._clock() < phase_end:
+                while loop_time() < phase_end:
                     planned = self.workload.next_op(rng)
                     stats.offered += 1
                     # Closed loop: intended == actual start, by definition
                     # — the coordinated-omission control arm.
-                    await self._one_op(stats, planned, self._clock())
+                    await self._one_op(stats, planned, loop_time())
                     if think > 0:
                         await asyncio.sleep(think)
             offset += phase.duration
             # Let the phase boundary pass before starting the next phase
             # (open-loop dispatch may finish early; ops keep completing).
-            remaining = (start_mono + offset) - self._clock()
+            remaining = (start_mono + offset) - loop_time()
             if remaining > 0:
                 await asyncio.sleep(remaining)
         if self._tasks:
@@ -395,21 +394,22 @@ async def _amain(config: Dict[str, Any]) -> Dict[str, Any]:
     recorder.add_listener(worker.on_op_recorded)
 
     # Shared start barrier: every worker converts the engine's wall-clock
-    # rendezvous into its own monotonic anchor, then sleeps up to it.
+    # rendezvous (it crosses processes, so it is wall time — the one
+    # ``time`` read here) into its own loop-clock anchor, then sleeps up to it.
     start_at = float(config["start_at"])
-    start_mono = time.monotonic() + (start_at - time.time())
-    delay = start_mono - time.monotonic()
+    start_mono = loop_time() + (start_at - time.time())
+    delay = start_mono - loop_time()
     if delay > 0:
         await asyncio.sleep(delay)
 
-    began = time.monotonic()
+    began = loop_time()
     try:
         await worker.run(start_mono)
         if hasattr(executor, "placement"):
             await executor.placement.drain()
     finally:
         await executor.close()
-    wall = time.monotonic() - began
+    wall = loop_time() - began
 
     dump_history(recorder.history(validate=False), config["trace_path"])
     result = worker.result()

@@ -1,8 +1,10 @@
 """A real TCP replica cluster running the lifetime protocol.
 
-Everything else in this repository runs either on the deterministic
-simulator (:mod:`repro.sim`) or on in-process asyncio
-(:mod:`repro.sim.aio`).  This package is the *distributed* counterpart:
+Everything else in this repository runs on the deterministic simulator
+(:mod:`repro.sim`).  This package is the *distributed* counterpart —
+asyncio over real sockets, every timer and stamp on the event loop's
+clock (:mod:`repro.clocks.rebase`), so :mod:`repro.sim.vtime` can run it
+unmodified in virtual time:
 
 * :mod:`repro.net.framing` — length-prefixed JSON frames over TCP and
   the one ``asyncio.Protocol`` that carries them;

@@ -1,8 +1,8 @@
 """The TCP cache client: the lifetime rules of Sections 5.1-5.2, live.
 
 :class:`NetCacheClient` is the transport twin of the simulator's
-``TimedCacheClient`` and of ``repro.sim.aio.AioTimedCacheClient``: all
-three drive the same :class:`repro.engine.CacheEngine` — the cache
+``TimedCacheClient``: both drive the same
+:class:`repro.engine.CacheEngine` — the cache
 structure (versions with lifetimes, ``Context_i``, *old* entries) and
 every freshness judgement live there; the connection, request ids and
 reply matching are a :class:`repro.net.channel.Channel`; this class
@@ -357,10 +357,13 @@ class NetCacheClient:
         return value
 
     def _record_write(self, op: WriteOp, alpha: float) -> None:
+        # alpha is the server's clock, the interval this site's: they
+        # may disagree by up to epsilon (Definition 2), so an acknowledged
+        # write is recorded with its interval widened to hold its stamp.
         if self.recorder is not None:
             self.recorder.record_write(
                 self.client_id, op.obj, op.value, alpha,
-                start=op.started, end=self.now(),
+                start=min(op.started, alpha), end=max(self.now(), alpha),
             )
 
     async def write(

@@ -24,7 +24,7 @@ cluster-wide precision is ``epsilon = 2 * max_i err_i``: the value the
 recorded trace is checked with.
 
 Local time itself comes from a :class:`repro.clocks.RebasedClock` — the
-same helper :mod:`repro.sim.aio` uses — optionally with a constant
+running event loop's clock, rebased to 0 — optionally with a constant
 ``offset`` to inject known skew for experiments.
 """
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 import asyncio
 import math
 import os
-import time
 from dataclasses import dataclass
 from typing import (
     Any, Awaitable, Callable, Dict, List, NamedTuple, Optional, Sequence,
@@ -40,7 +39,7 @@ from typing import (
 from repro.checkers import check_sc, check_tcc, check_tsc
 from repro.checkers.online import OnlineTimedMonitor, ReadVerdict
 from repro.checkers.result import CheckResult
-from repro.clocks.rebase import RebasedClock
+from repro.clocks.rebase import RebasedClock, loop_time
 from repro.core.history import History
 from repro.core.operations import Operation
 from repro.net.client import NetCacheClient, NetError
@@ -322,23 +321,23 @@ class LocalStack:
             "kill-primary", killed_device=victim,
             detection_bound=config.detection_bound,
         )
-        kill_at = time.monotonic()
+        kill_at = loop_time()
         await self.servers[victim].abort()
         await self.agents[victim].stop()
 
         # PlacementError triggers the router's refresh-then-retry; until
         # a survivor serves the new epoch the retry fails and we back off.
         deadline = kill_at + config.detection_bound + 10.0
-        while time.monotonic() < deadline:
+        while loop_time() < deadline:
             try:
                 await rewrite()
-                outcome.time_to_recover = time.monotonic() - kill_at
+                outcome.time_to_recover = loop_time() - kill_at
                 break
             except (PlacementError, NetError):
                 await asyncio.sleep(config.probe_period / 4.0)
 
         survivors = [a for d, a in self.agents.items() if d != victim]
-        while time.monotonic() < deadline:
+        while loop_time() < deadline:
             if all(
                 victim in a.view.ids(DEAD) and a.server.engine.epoch > self.ring.epoch
                 for a in survivors

@@ -471,15 +471,17 @@ class RingRouter:
         # (concurrent rebalance); re-asking it now could name a device
         # whose clock offset has nothing to do with outcome.alpha.
         alpha_ref = outcome.alpha + self.offset_to_reference(outcome.primary)
+        # The stamp is a device's clock, the interval this router's: they
+        # may disagree by up to epsilon (Definition 2), so the recorded
+        # interval is widened to hold the stamp.
+        start, end = min(started, alpha_ref), max(self.now(), alpha_ref)
         if self.recorder is not None:
             self.recorder.record_write(
-                self.client_id, obj, value, alpha_ref,
-                start=started, end=self.now(),
+                self.client_id, obj, value, alpha_ref, start=start, end=end
             )
         if self.instruments is not None:
             self.instruments.on_write(
-                self.client_id, obj, value, alpha_ref,
-                start=started, end=self.now(),
+                self.client_id, obj, value, alpha_ref, start=start, end=end
             )
         return alpha_ref
 

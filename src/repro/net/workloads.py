@@ -39,12 +39,12 @@ from __future__ import annotations
 import asyncio
 import math
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.checkers.online import ReadVerdict
 from repro.checkers.result import CheckResult
+from repro.clocks.rebase import loop_time
 from repro.core.history import History, HistoryError
 from repro.engine import messages
 from repro.engine.stats import ClientStats
@@ -359,7 +359,7 @@ async def ring_cluster(
     ) -> None:
         rng = random.Random(seed + 31 * router.client_id + salt)
         issued = 0
-        while (time.monotonic() < until) if until is not None else (
+        while (loop_time() < until) if until is not None else (
             issued < n
         ):
             issued += 1
@@ -412,7 +412,7 @@ async def ring_cluster(
             await routers[0].write(obj, values.next_value(routers[0].client_id))
 
         until = (
-            time.monotonic() + duration if duration is not None else None
+            loop_time() + duration if duration is not None else None
         )
         await asyncio.gather(*(mixed(r, rounds, 0, until) for r in routers))
 

@@ -568,8 +568,8 @@ class ClusterInstruments:
     * ``repro_cluster_failovers_total`` plus the two latency gauges —
       ``time_to_detect`` (crash → dead transition, set by harnesses
       that know the crash instant) and ``time_to_recover`` (crash →
-      new epoch serving, the bound ``bench_failover`` checks against
-      ``3·probe_period + suspect_timeout``).
+      new epoch serving; detection is what
+      ``3·probe_period + suspect_timeout`` bounds).
     """
 
     def __init__(self, registry: Registry, member: Any = 0) -> None:

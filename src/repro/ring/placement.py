@@ -37,10 +37,10 @@ from __future__ import annotations
 import asyncio
 import inspect
 import math
-import time
 from dataclasses import dataclass
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.clocks.rebase import loop_time
 from repro.ring.ring import Ring
 
 
@@ -148,21 +148,13 @@ class ReplicatedPlacement:
         self.transport = transport
         self.write_quorum = write_quorum
         self.delta = delta
-        self._clock = clock
+        self._clock = clock or loop_time
         self.max_repair_attempts = max_repair_attempts
         self.stats = PlacementStats()
         self.repairs: List[RepairTask] = []
         self._stragglers: List[asyncio.Task] = []
         self._write_seq = 0
         self._dedup_aware: Optional[bool] = None
-
-    def _now(self) -> float:
-        if self._clock is not None:
-            return self._clock()
-        try:
-            return asyncio.get_running_loop().time()
-        except RuntimeError:
-            return time.monotonic()
 
     def _transport_write(
         self, dev: int, obj: str, value: Any, dedup: Optional[str]
@@ -196,7 +188,7 @@ class ReplicatedPlacement:
         devices = self.ring.replicas_for(obj)
         primary = devices[0]
         quorum = self.quorum_for(len(devices))
-        started = self._now()
+        started = self._clock()
         # One token per logical write: every fan-out copy (and any
         # later anti-entropy re-push of it) retries under the same
         # per-device request id, so a lost ack replays instead of
@@ -349,7 +341,7 @@ class ReplicatedPlacement:
             if task in self.repairs:  # not superseded mid-round
                 self.repairs.remove(task)
             self.stats.repairs_done += 1
-            if self._now() > task.deadline:
+            if self._clock() > task.deadline:
                 self.stats.repairs_late += 1
             completed += 1
         return completed
@@ -384,17 +376,9 @@ class MemoryTransport:
         }
         self.down: set = set()
         self.write_delay: Dict[int, float] = {}
-        self._clock = clock
+        self._clock = clock or loop_time
         self.write_log: List[Tuple[int, str, Any]] = []
         self._dedup_done: Dict[Tuple[int, str], float] = {}
-
-    def _now(self) -> float:
-        if self._clock is not None:
-            return self._clock()
-        try:
-            return asyncio.get_running_loop().time()
-        except RuntimeError:
-            return time.monotonic()
 
     async def write(
         self, device_id: int, obj: str, value: Any,
@@ -413,7 +397,7 @@ class MemoryTransport:
             done = self._dedup_done.get(key)
             if done is not None:
                 return done
-        alpha = self._now()
+        alpha = self._clock()
         self.stores[device_id][obj] = (value, alpha)
         self.write_log.append((device_id, obj, value))
         if dedup is not None:

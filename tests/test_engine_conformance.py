@@ -19,8 +19,9 @@ times — shows up as a journal diff.
 Client side.  One golden script of operations and scripted reply frames
 (cold fetch, hit, validate answered ``still-valid``, write ack, push,
 validate answered with a version, invalidate, a duplicated reply) runs
-through a bare :class:`~repro.engine.CacheEngine`, the simulator driver,
-real sockets and ``sim.aio`` under identical injected clock readings;
+through a bare :class:`~repro.engine.CacheEngine`, the simulator driver
+and real sockets — on the stock event loop and on the virtual-time one
+(:mod:`repro.sim.vtime`) — under identical injected clock readings;
 cache state, ``Context_i`` and every ``ClientStats`` field must come out
 identical — and the same for :class:`~repro.engine.CausalCacheEngine` on
 the bare engine and the simulator.  An ``ast`` walk pins the layering
@@ -53,7 +54,7 @@ from repro.net.server import NetObjectServer
 from repro.protocol import Cluster, ObjectDirectory, PushPolicy
 from repro.protocol.cache_client import SimCacheClient
 from repro.protocol.server import PhysicalServer
-from repro.sim.aio import AioTimedCacheClient
+from repro.sim import vtime
 from repro.sim.kernel import Simulator
 from repro.sim.network import ConstantLatency, Network
 from repro.sim.node import Node
@@ -225,13 +226,16 @@ class TestNetConformance:
         assert net_journal == reference
 
     def test_all_three_drivers_agree(self):
-        """The transitive statement the refactor exists to make true."""
+        """The transitive statement the refactor exists to make true —
+        and the TCP driver makes it on either loop."""
         reference = run_reference()
         assert run_sim() == reference == asyncio.run(run_net())
+        assert vtime.run(run_net()) == reference
 
 
 # ---------------------------------------------------------------------------
-# Client side: one script of operations and reply frames, four drivers.
+# Client side: one script of operations and reply frames, three drivers
+# (the TCP one on two loops).
 # ---------------------------------------------------------------------------
 
 DELTA = 5.0
@@ -440,35 +444,6 @@ async def run_net_client(script):
     return observed(client.engine, values)
 
 
-async def run_aio_client(script):
-    """``sim.aio`` has no channel for server-initiated frames and a call
-    cannot be duplicated; those steps go to its engine as the bare run's
-    do, so the rest of the script meets the same cache."""
-    clock = ScriptClock()
-
-    class ScriptedAioServer:
-        reply = None
-
-        async def request(self, client_id, frame):
-            await asyncio.sleep(0)
-            clock.t = self.reply[0]
-            return self.reply[1]
-
-    server = ScriptedAioServer()
-    client = AioTimedCacheClient(1, server, clock, delta=DELTA)
-    values = []
-    for step in script:
-        if step[0] in ("read", "write"):
-            clock.t = step[-2]
-            server.reply = (step[-2] + 2 * HALF_RTT, step[-1])
-            values.append(
-                await client.read(step[1]) if step[0] == "read"
-                else await client.write(step[1], step[2]))
-        elif step[0] == "server":
-            client.engine.on_server_frame(step[2], step[1])
-    return observed(client.engine, values)
-
-
 def causal_engine():
     return CausalCacheEngine(
         site_id=1, vclock=VectorClock(0, 3),
@@ -493,15 +468,18 @@ class TestClientConformance:
         assert run_sim_client(
             CacheEngine(site_id=1, delta=DELTA), physical_script()) == reference
 
-    def test_aio_driver_matches_bare_engine(self):
-        reference = run_bare(CacheEngine(site_id=1, delta=DELTA), physical_script())
-        assert asyncio.run(run_aio_client(physical_script())) == reference
-
     @pytest.mark.net
     @pytest.mark.filterwarnings("error::DeprecationWarning")
     def test_net_driver_matches_bare_engine(self):
         reference = run_bare(CacheEngine(site_id=1, delta=DELTA), physical_script())
         assert asyncio.run(run_net_client(physical_script())) == reference
+
+    @pytest.mark.net
+    @pytest.mark.filterwarnings("error::DeprecationWarning")
+    def test_net_driver_matches_bare_engine_on_the_virtual_loop(self):
+        """The same driver, untouched, when the loop's clock is a counter."""
+        reference = run_bare(CacheEngine(site_id=1, delta=DELTA), physical_script())
+        assert vtime.run(run_net_client(physical_script())) == reference
 
     def test_causal_sim_driver_matches_bare_engine(self):
         reference = run_bare(causal_engine(), causal_script())
@@ -543,11 +521,6 @@ class TestLayering:
         assert offenders == []
         for package in ("net", "protocol", "sim"):  # the walk saw the drivers
             assert any((self.SRC / package).glob("*.py"))
-
-    def test_aio_reaches_the_server_engine_only_through_execute(self):
-        calls = {name for name, _ in method_calls(self.SRC / "sim" / "aio.py")}
-        assert "execute" in calls
-        assert not calls & {"current", "install", "validate_one", "replay"}
 
 
 class TestStillValidForAVanishedEntry:

@@ -2,14 +2,18 @@
 the open-loop *response* tail (arrivals kept coming and queued) while
 the closed-loop arm quietly hides the stall by issuing fewer requests.
 Also covers the worker's retry discipline and phase accounting — all
-against an in-process stub executor, no sockets."""
+against an in-process stub executor, no sockets.  The two open-loop
+stall tests run in virtual time (:mod:`repro.sim.vtime`): the stub's
+sleeps and the worker's schedule both read the loop's clock, so a stall
+is exactly as long as it says; the rest stay on the real loop."""
 
 import asyncio
-import random
 
 import pytest
 
+from repro.clocks.rebase import loop_time
 from repro.load import LoadWorker, PhasePlan, make_arrivals, make_workload
+from repro.sim import vtime
 
 
 class StubValues:
@@ -42,7 +46,7 @@ class StallingExecutor:
         await self._serve()
 
 
-def _run(arrival_spec, executor, duration=1.0, **worker_kw):
+def _run(arrival_spec, executor, duration=1.0, run=asyncio.run, **worker_kw):
     workload = make_workload(
         {"write_fraction": 0.3, "keys": {"kind": "uniform", "n": 4}}
     )
@@ -59,21 +63,21 @@ def _run(arrival_spec, executor, duration=1.0, **worker_kw):
     )
 
     async def _go():
-        import time
+        return await worker.run(loop_time())
 
-        return await worker.run(time.monotonic())
-
-    (stats,) = asyncio.run(_go())
+    (stats,) = run(_go())
     return stats
 
 
-@pytest.mark.net(timeout=30)  # wall-clock sleeps; reuse the hard timeout
+@pytest.mark.net(timeout=5)  # virtual seconds: only a hang takes this long
 def test_open_loop_exposes_the_stall_closed_loop_hides_it():
     open_stats = _run(
-        {"kind": "fixed", "rate": 100}, StallingExecutor(), duration=1.0
+        {"kind": "fixed", "rate": 100}, StallingExecutor(), duration=1.0,
+        run=vtime.run,
     )
     closed_stats = _run(
-        {"kind": "closed", "think": 0.0}, StallingExecutor(), duration=1.0
+        {"kind": "closed", "think": 0.0}, StallingExecutor(), duration=1.0,
+        run=vtime.run,
     )
 
     # Open loop: every intended arrival is offered, the ~50 arrivals the
@@ -92,12 +96,12 @@ def test_open_loop_exposes_the_stall_closed_loop_hides_it():
     assert closed_stats.offered < 100 + (1.0 - 0.5) / 0.001
 
 
-@pytest.mark.net(timeout=30)
+@pytest.mark.net(timeout=5)
 def test_open_loop_response_includes_queueing_service_does_not():
     stats = _run(
         {"kind": "fixed", "rate": 200},
         StallingExecutor(base=0.002, stall_at=1, stall=0.3),
-        duration=0.5,
+        duration=0.5, run=vtime.run,
     )
     assert stats.offered == 100
     # Everything behind the head-of-line stall queued: median response

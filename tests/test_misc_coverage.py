@@ -1,6 +1,5 @@
 """Coverage for smaller helpers across the package."""
 
-import asyncio
 import math
 
 import pytest
@@ -13,20 +12,7 @@ from repro.core.history import History
 from repro.core.operations import read, write
 from repro.core.render import describe_violation
 from repro.engine import messages
-from repro.sim.aio import run_aio_session
 from repro.workloads import uniform_workload
-
-
-class TestAioHelper:
-    def test_run_aio_session_returns_history_and_session(self):
-        async def workload(session, client):
-            await client.write("x", session.values.next_value(client.client_id))
-            await client.read("x")
-
-        history, session = run_aio_session(2, workload, delta=math.inf,
-                                           latency=0.001)
-        assert len(history) == 4
-        assert session.aggregate_stats().writes == 2
 
 
 class TestSweepHelpers:

@@ -1,5 +1,6 @@
 """Clock rebasing and the NTP-style offset/epsilon estimator."""
 
+import asyncio
 import math
 
 import pytest
@@ -28,12 +29,26 @@ class TestRebasedClock:
         assert clock.now() == pytest.approx(0.2)
         assert clock.now() == pytest.approx(1.2)
 
-    def test_aio_session_uses_shared_helper(self):
-        # The satellite refactor: sim.aio and repro.net agree on rebasing.
-        from repro.sim.aio import AioSession
+    def test_default_source_is_the_running_loops_clock(self):
+        """The one fallback every live module reads "now" through: the
+        running loop's ``time`` — whichever loop that is — and
+        ``time.monotonic`` only when there is none."""
+        import time
 
-        session = AioSession(n_clients=1)
-        assert isinstance(session._clock, RebasedClock)
+        from repro.clocks.rebase import loop_clock, loop_time
+        from repro.sim import vtime
+
+        async def readings():
+            clock = RebasedClock()
+            clock.pin()
+            await asyncio.sleep(3600)
+            loop = asyncio.get_running_loop()
+            return clock.now(), loop_clock() == loop.time, loop_time() - loop.time()
+
+        elapsed, same_source, gap = vtime.run(readings())
+        assert 3600 <= elapsed < 3600.001
+        assert same_source and -1e-3 < gap < 0
+        assert loop_clock() is time.monotonic
 
 
 def exchange(true_offset, up, down, t0=10.0, server_work=0.001):
@@ -132,8 +147,6 @@ class _FlakyServer:
         await self._server.wait_closed()
 
     async def _handle(self, conn):
-        import asyncio
-
         from repro.net.framing import HELLO_ACK, SYNC, SYNC_ACK
 
         self.accepts += 1
@@ -164,8 +177,6 @@ class TestHandshakeRetry:
     """Satellite: one bad sync round must not hard-fail the client."""
 
     def _connect(self, fail_first, fail_point="sync", sync_retries=3):
-        import asyncio
-
         from repro.net.client import NetCacheClient
 
         async def _run():
@@ -194,8 +205,6 @@ class TestHandshakeRetry:
         assert synced
 
     def test_clean_neterror_after_retries_exhausted(self):
-        import asyncio
-
         from repro.net.client import NetCacheClient, NetError
 
         async def _run():
@@ -214,8 +223,6 @@ class TestHandshakeRetry:
         assert asyncio.run(_run()) == 2
 
     def test_zero_retries_fails_on_first_tear(self):
-        import asyncio
-
         from repro.net.client import NetCacheClient, NetError
 
         async def _run():
@@ -230,3 +237,61 @@ class TestHandshakeRetry:
                 await server.close()
 
         asyncio.run(_run())
+
+
+@pytest.mark.net
+class TestAckStampedOutsideTheCallersInterval:
+    """``alpha`` is read on the server's clock, ``[start, end]`` on the
+    site's synchronized one, and Definition 2 lets the two disagree by
+    epsilon.  A one-sided 4 ms delay on the sync exchange skews the
+    estimate by 2 ms — inside the estimator's own claimed bound — while a
+    loopback write takes far less, so the stamp falls outside the
+    interval.  The acknowledged, installed write used to raise at the
+    caller and vanish from the trace; it is recorded with the interval
+    widened to hold its stamp."""
+
+    @staticmethod
+    async def _write_once(server_faults=None, resync=0, shape=None, **site):
+        """One write and a read of it through a connected site; returns
+        the ack's stamp and the write as the trace holds it."""
+        from repro.net.local import LocalStack
+        from repro.sim.trace import TraceRecorder
+
+        recorder = TraceRecorder()
+        async with LocalStack(fault_factory=server_faults, **(shape or {})) as stack:
+            client = await stack.connect(0, delta=1.0, recorder=recorder, **site)
+            if resync:
+                await client.resync(resync)
+            alpha = await client.write("x", "v1")
+            assert await client.read("x") == "v1"
+            held = {s.engine.store["x"].value for s in stack.servers.values()}
+        assert held == {"v1"}
+        write, read = recorder.history().operations  # validates: no unmatched read
+        assert (write.value, write.time, read.value) == ("v1", alpha, "v1")
+        assert write.start <= alpha <= write.end
+        return alpha, write
+
+    @staticmethod
+    def _delaying(kind):
+        from repro.net.faults import FaultConfig, FaultInjector
+
+        return FaultInjector(FaultConfig(delay=0.004), kinds={kind})
+
+    def test_stamp_after_the_interval_is_recorded_not_raised(self):
+        # sync-ack delayed: the site's clock runs 2 ms behind the server's.
+        alpha, write = asyncio.run(self._write_once(
+            server_faults=lambda: self._delaying("sync-ack")))
+        assert write.end == alpha
+
+    def test_stamp_before_the_interval_is_recorded_not_raised(self):
+        # The client->server leg delayed instead (over the live link,
+        # where a client's faults apply): the site's clock runs ahead.
+        alpha, write = asyncio.run(self._write_once(
+            faults=self._delaying("sync"), sync_rounds=0, resync=4))
+        assert write.start == alpha
+
+    def test_router_records_the_widened_interval_too(self):
+        alpha, write = asyncio.run(self._write_once(
+            server_faults=lambda: self._delaying("sync-ack"),
+            shape={"servers": 2, "replicas": 2}))
+        assert write.end == alpha

@@ -1,10 +1,11 @@
 """Integration tests: the real TCP cluster, verified by the checkers.
 
-Everything here opens localhost sockets and runs wall-clock workloads,
-so the tests are marked ``net`` (hard SIGALRM timeout, see conftest) and
-quantitative assertions carry generous scheduling slack; the protocol
-*correctness* assertions (SC, TSC verdicts, clock-sync recovery) are
-exact.
+Everything here opens localhost sockets, so the tests are marked ``net``
+(hard SIGALRM timeout, see conftest).  The workloads run in virtual time
+(:mod:`repro.sim.vtime`): sleeps cost nothing and a verdict does not
+depend on how busy the host is.  The one real-loop smoke is
+``test_healthy_cluster_passes_tsc`` (``run_push_staleness_demo`` is the
+``asyncio.run`` wrapper ``repro net-demo`` calls).
 """
 
 import asyncio
@@ -15,9 +16,14 @@ import pytest
 from repro.checkers import check_sc
 from repro.engine import messages
 from repro.net.client import NetCacheClient, RequestTimeout
-from repro.net.workloads import random_net_cluster, run_push_staleness_demo
+from repro.net.workloads import (
+    push_staleness_cluster,
+    random_net_cluster,
+    run_push_staleness_demo,
+)
 from repro.net.faults import FaultConfig, FaultInjector
 from repro.net.server import NetObjectServer
+from repro.sim import vtime
 from repro.sim.trace import TraceRecorder
 
 pytestmark = pytest.mark.net
@@ -39,7 +45,7 @@ class TestBasicOperation:
                     assert client.stats.fresh_hits == 1
                 return recorder.history()
 
-        history = asyncio.run(scenario())
+        history = vtime.run(scenario())
         assert len(history) == 3
         assert check_sc(history)
 
@@ -54,7 +60,7 @@ class TestBasicOperation:
                     await client.read("x")  # rule 3 forces revalidation
                     return client.stats
 
-        stats = scenario_stats = asyncio.run(scenario())
+        stats = scenario_stats = vtime.run(scenario())
         assert scenario_stats.fetches == 1
         assert stats.validations + stats.revalidated >= 1
 
@@ -82,9 +88,9 @@ class TestThreeClientCluster:
         assert report.pushes_sent >= 2  # both readers got the update
 
     def test_delay_beyond_delta_is_flagged_by_the_checkers(self):
-        report = run_push_staleness_demo(
+        report = vtime.run(push_staleness_cluster(
             n_clients=3, delta=DELTA, push_delay=3 * DELTA, skew=0.1,
-        )
+        ))
         # The ordering criterion survives; the *timed* one is violated.
         assert report.sc.satisfied
         assert not report.tsc.satisfied
@@ -100,9 +106,9 @@ class TestThreeClientCluster:
             assert DELTA < verdict.required_delta <= 3 * DELTA + 0.5
 
     def test_clock_sync_recovers_injected_skew(self):
-        report = run_push_staleness_demo(
+        report = vtime.run(push_staleness_cluster(
             n_clients=3, delta=DELTA, push_delay=0.0, skew=0.2,
-        )
+        ))
         from repro.net.local import default_skews
 
         for client_id, skew in enumerate(default_skews(3, 0.2)):
@@ -119,7 +125,7 @@ class TestThreeClientCluster:
             )
             return report
 
-        report = asyncio.run(scenario())
+        report = vtime.run(scenario())
         assert report.sc.satisfied
         assert report.tsc.satisfied, report.tsc.violation
 
@@ -128,10 +134,10 @@ class TestThreeClientCluster:
         # at the delta it ran with, and loosening delta never costs
         # cache hits and never adds validation traffic.  A client comes
         # back to an object about every 60 ms, so at delta = 50 ms most
-        # re-reads have expired and the gap dwarfs wall-clock jitter.
+        # re-reads have expired.
         totals = {}
         for delta in (0.05, 0.5, math.inf):
-            report = asyncio.run(random_net_cluster(
+            report = vtime.run(random_net_cluster(
                 n_clients=3, delta=delta, rounds=18, objects=("x", "y"),
                 write_fraction=0.25, think=0.03, skew=0.05, seed=23,
             ))
@@ -155,7 +161,7 @@ class TestFaultInjection:
             )
             return report
 
-        report = asyncio.run(scenario())
+        report = vtime.run(scenario())
         totals = report.totals()
         # The workload completed despite 40% request loss...
         assert totals.reads + totals.writes == 20
@@ -174,7 +180,7 @@ class TestFaultInjection:
                 client_faults=faults,
             )
 
-        report = asyncio.run(scenario())
+        report = vtime.run(scenario())
         assert report.sc.satisfied
         assert report.tsc.satisfied, report.tsc.violation
 
@@ -195,7 +201,7 @@ class TestFaultInjection:
                     assert client.stats.retries >= 1
                     assert injector.stats.dropped >= 1
 
-        asyncio.run(scenario())
+        vtime.run(scenario())
 
     def test_partition_drops_kinds_outside_filter(self):
         """Regression: a kind-filtered injector must still drop everything
@@ -234,5 +240,5 @@ class TestPropagationPolicies:
                     assert reader.stats.marked_old >= 1
                 return recorder.history()
 
-        history = asyncio.run(scenario())
+        history = vtime.run(scenario())
         assert check_sc(history)

@@ -357,3 +357,86 @@ class TestOneStandUp:
         assert not hasattr(local, "_judge")
         for path in SRC.rglob("*.py"):
             assert "_merge_history" not in path.read_text(encoding="utf-8")
+
+
+def time_reads(path):
+    """``(enclosing function, attribute)`` for every use of the ``time``
+    module in a source file (``from time import ...`` reads as a use of
+    each name at module level)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name == "time"
+    }
+    found = [
+        ("<module>", alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "time"
+        for alias in node.names
+    ]
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            found.append((scope, node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+class TestOneClock:
+    """Under ``repro.net``, ``repro.cluster``, ``repro.ring`` and the load
+    worker "now" is the running loop's ``time()`` — directly, or through
+    ``clocks.rebase.loop_time`` — so whichever loop runs the stack owns
+    its time.  What still reads the ``time`` module says why."""
+
+    LIVE = [
+        *sorted((SRC / "net").glob("*.py")),
+        *sorted((SRC / "cluster").glob("*.py")),
+        *sorted((SRC / "ring").glob("*.py")),
+        SRC / "load" / "worker.py",
+    ]
+    ALLOWED = {
+        ("load/worker.py", "_amain", "time"):
+            "the load engine's start barrier is an instant agreed between "
+            "processes, whose loop clocks share no origin: it is wall time, "
+            "converted to a loop-clock anchor on arrival",
+    }
+
+    def test_nothing_live_reads_the_time_module(self):
+        assert {path.parent.name for path in self.LIVE} == {
+            "net", "cluster", "ring", "load"}  # the walk saw the packages
+        found = {
+            (str(path.relative_to(SRC)), scope, attr)
+            for path in self.LIVE for scope, attr in time_reads(path)
+        }
+        assert found == set(self.ALLOWED)
+
+    def test_the_scanner_sees_what_it_is_there_to_see(self, tmp_path):
+        source = tmp_path / "m.py"
+        source.write_text(
+            "import time as _t\nfrom time import perf_counter\n"
+            "class A:\n    def now(self):\n        return _t.monotonic()\n"
+        )
+        assert sorted(time_reads(source)) == [
+            ("<module>", "perf_counter"), ("now", "monotonic"),
+        ]
+
+    def test_the_virtual_loop_is_stdlib_only_and_nothing_live_imports_it(self):
+        tree = ast.parse((SRC / "sim" / "vtime.py").read_text(encoding="utf-8"))
+        roots = {
+            (alias.name if isinstance(node, ast.Import) else node.module)
+            .partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        assert {"asyncio", "selectors"} <= roots <= set(sys.stdlib_module_names)
+        for package in ("net", "cluster", "ring", "store", "load"):
+            for path in (SRC / package).glob("*.py"):
+                assert "vtime" not in names_in(path), path

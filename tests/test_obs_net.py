@@ -1,6 +1,8 @@
 """Observability over the live TCP stack: the instrumented ring soak
 with a live /metrics scrape, online/offline verdict agreement, and the
-server's graceful drain."""
+server's graceful drain — in virtual time (:mod:`repro.sim.vtime`): the
+mid-run scrape lands at 0.2 s of the soak's own clock, not the host's.
+The one real-loop smoke is ``test_single_server_families``."""
 
 import asyncio
 
@@ -11,6 +13,7 @@ from repro.net.workloads import ring_cluster
 from repro.net.server import NetObjectServer
 from repro.obs.expo import MetricsServer, scrape
 from repro.obs.metrics import Registry
+from repro.sim import vtime
 
 pytestmark = pytest.mark.net
 
@@ -38,7 +41,7 @@ class TestInstrumentedSoak:
                 await metrics.close()
             return report, mid, (status, body)
 
-        return asyncio.run(inner())
+        return vtime.run(inner())
 
     def test_soak_exposes_metrics_and_agrees_with_checker(self):
         report, mid, (status, body) = self._run(
@@ -83,7 +86,7 @@ class TestInstrumentedSoak:
                 delta=0.5, seed=3,
             )
 
-        report = asyncio.run(inner())
+        report = vtime.run(inner())
         assert report.ontime is None
 
 
@@ -156,7 +159,7 @@ class TestGracefulDrain:
             finally:
                 await client.close()
 
-        assert asyncio.run(inner()) > 0.0
+        assert vtime.run(inner()) > 0.0
 
     def test_new_connections_refused_after_drain(self):
         async def inner():
@@ -170,7 +173,7 @@ class TestGracefulDrain:
                 )
                 await client.connect()
 
-        asyncio.run(inner())
+        vtime.run(inner())
 
     def test_peers_receive_clean_bye(self):
         async def inner():
@@ -188,7 +191,7 @@ class TestGracefulDrain:
             finally:
                 await client.close()
 
-        asyncio.run(inner())
+        vtime.run(inner())
 
     def test_shutdown_is_idempotent(self):
         async def inner():
@@ -198,4 +201,4 @@ class TestGracefulDrain:
             await server.shutdown(grace=0.1)  # no-op second drain
             await server.close()
 
-        asyncio.run(inner())
+        vtime.run(inner())

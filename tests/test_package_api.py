@@ -25,7 +25,7 @@ MODULES = PACKAGES + [
     "repro.checkers.extensions",
     "repro.core.io",
     "repro.core.render",
-    "repro.sim.aio",
+    "repro.sim.vtime",
     "repro.broadcast.replicated_store",
     "repro.paperdata",
     "repro.cli",

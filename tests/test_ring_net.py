@@ -1,6 +1,10 @@
 """The tentpole acceptance tests: a real multi-server TCP cluster,
 ring-routed and replicated, whose merged trace passes the timed
-checkers — including across a live rebalance + handoff."""
+checkers — including across a live rebalance + handoff.  The soaks run
+in virtual time (:mod:`repro.sim.vtime`), so each seed is one schedule;
+the one real-loop smoke is ``test_three_servers_two_replicas_trace_is_tsc``
+(``run_ring_soak`` is the ``asyncio.run`` wrapper ``repro ring soak``
+calls)."""
 
 import asyncio
 import math
@@ -12,9 +16,14 @@ from repro.net.workloads import ring_cluster, run_ring_soak
 from repro.net.ring_router import RingRouter
 from repro.net.server import NetObjectServer
 from repro.ring import RingBuilder, uniform_ring
+from repro.sim import vtime
 from tests.test_net_pipeline import DropFirst
 
 pytestmark = pytest.mark.net
+
+
+def soak(**kwargs):
+    return vtime.run(ring_cluster(**kwargs))
 
 
 class TestRingSoak:
@@ -32,7 +41,7 @@ class TestRingSoak:
         assert len([d for d, n in report.server_requests.items() if n]) == 3
 
     def test_trace_satisfies_tcc_as_well(self):
-        report = run_ring_soak(
+        report = soak(
             n_servers=3, replicas=2, n_clients=2, rounds=12, delta=0.4, seed=3
         )
         assert report.tcc.satisfied, report.tcc.violation
@@ -40,7 +49,7 @@ class TestRingSoak:
     def test_spread_reads_stay_timed(self):
         # Round-robin reads over the replica set: freshness is carried by
         # the full-N write fan-out, so the trace must still check out.
-        report = run_ring_soak(
+        report = soak(
             n_servers=3, replicas=2, n_clients=2, rounds=15, delta=0.4,
             read_policy="spread", seed=9,
         )
@@ -48,7 +57,7 @@ class TestRingSoak:
         assert report.off_ring_reads == 0
 
     def test_write_quorum_one_stays_timed_after_drain(self):
-        report = run_ring_soak(
+        report = soak(
             n_servers=3, replicas=2, n_clients=2, rounds=12, delta=0.4,
             write_quorum=1, seed=5,
         )
@@ -62,7 +71,7 @@ class TestRingSoak:
     ):
         # Shapes no test above runs: the degenerate one-device ring,
         # sharding without replication, and three replicas.
-        report = run_ring_soak(
+        report = soak(
             n_servers=n_servers, replicas=replicas, n_clients=2, rounds=12,
             delta=0.4, seed=7,
         )
@@ -72,7 +81,7 @@ class TestRingSoak:
 
 class TestGrowthHandoff:
     def test_midrun_growth_keeps_the_trace_timed(self):
-        report = run_ring_soak(
+        report = soak(
             n_servers=3, replicas=2, n_clients=2, rounds=14, delta=0.4,
             add_device_midway=True, seed=7,
         )
@@ -130,7 +139,7 @@ class TestRingRouterUnit:
                 for server in servers:
                     await server.close()
 
-        asyncio.run(scenario())
+        vtime.run(scenario())
 
     def test_reads_and_writes_route_within_the_replica_set(self):
         ring = uniform_ring(3, part_power=5, replicas=2)
@@ -157,13 +166,13 @@ class TestRingRouterUnit:
                 for server in servers:
                     await server.close()
 
-        asyncio.run(scenario())
+        vtime.run(scenario())
 
 
 class TestRingSoakCoroutine:
     def test_ring_cluster_rejects_impossible_replication(self):
         with pytest.raises(ValueError, match="exceeds"):
-            asyncio.run(ring_cluster(n_servers=2, replicas=3, rounds=1))
+            vtime.run(ring_cluster(n_servers=2, replicas=3, rounds=1))
 
 
 class TestRouterRegressions:
@@ -214,7 +223,7 @@ class TestRouterRegressions:
                 for server in servers:
                     await server.close()
 
-        assert asyncio.run(scenario()) == [0]
+        assert vtime.run(scenario()) == [0]
 
     def test_anti_entropy_loop_death_is_surfaced(self):
         ring = uniform_ring(1, part_power=4)
@@ -240,7 +249,7 @@ class TestRouterRegressions:
             finally:
                 await server.close()
 
-        errors_live, errors_final = asyncio.run(scenario())
+        errors_live, errors_final = vtime.run(scenario())
         assert errors_live == 1, "the loop death must be counted, not eaten"
         assert errors_final == 1  # stop() does not double-count
 
@@ -282,7 +291,7 @@ class TestRouterRegressions:
                 await lossy.close()
 
         (queued, completed, stats, requests, replays, value) = (
-            asyncio.run(scenario())
+            vtime.run(scenario())
         )
         assert queued == 1  # the replica copy's lost ack queued a repair
         assert completed == 1 and stats.repairs_done == 1
