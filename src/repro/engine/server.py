@@ -56,8 +56,8 @@ class _EngineBase:
         self.replies = ReplyCache(reply_cache_size)
         # Cluster plumbing (repro.cluster; docs/CLUSTER.md).  ``epoch``
         # is the monotone ring-layout version this server acknowledges;
-        # 0 means "no cluster" and keeps every reply epoch-free, so a
-        # standalone server's wire traffic is byte-identical to before.
+        # 0 means "no cluster" and keeps every reply epoch-free: a
+        # standalone server sets no flag and sends no epoch.
         self.epoch = 0
         self.ring: Optional[Dict[str, Any]] = None  #: serialized Ring of ``epoch``
         self.requests = 0
@@ -132,7 +132,7 @@ class _EngineBase:
     def stamp(self, reply: Dict[str, Any]) -> Dict[str, Any]:
         """Stamp a reply with this server's ring epoch — the staleness
         signal routers act on.  Epoch 0 (standalone server) stamps
-        nothing, keeping the legacy wire format byte-identical.  Called
+        nothing: its replies set no flag and send no epoch.  Called
         by the driver at *send* time, not at execution: the epoch may
         advance between execution and a much later replay, and the
         retransmitting router deserves the current one."""

@@ -6,8 +6,9 @@ asyncio over real sockets, every timer and stamp on the event loop's
 clock (:mod:`repro.clocks.rebase`), so :mod:`repro.sim.vtime` can run it
 unmodified in virtual time:
 
-* :mod:`repro.net.framing` — length-prefixed JSON frames over TCP and
-  the one ``asyncio.Protocol`` that carries them;
+* :mod:`repro.net.framing` — length-prefixed frames over TCP (JSON, or
+  ``struct``-packed for the five hot kinds; one codec, both forms decode
+  to the same dict) and the one ``asyncio.Protocol`` that carries them;
 * :mod:`repro.net.server` — the authoritative object server, speaking
   the protocol kinds of
   :mod:`repro.engine.messages` plus the clock-sync handshake;

@@ -23,7 +23,9 @@ import itertools
 from typing import Any, Callable, Dict, Optional
 
 from repro.net.faults import FaultInjector
-from repro.net.framing import BYE, HELLO, HELLO_ACK, FrameConnection, dial
+from repro.net.framing import (
+    BYE, HELLO, HELLO_ACK, PROTOCOL_VERSION, FrameConnection, dial,
+)
 
 
 def _expire(future: asyncio.Future, sent: Dict[str, Any], timeout: float) -> None:
@@ -97,6 +99,7 @@ class Channel:
         try:
             await conn.send({
                 "kind": HELLO,
+                "protocol": PROTOCOL_VERSION,
                 "client_id": self.client_id,
                 "subscribe": self.subscribe,
             })
@@ -105,6 +108,11 @@ class Channel:
                 raise ConnectionError("server closed during handshake")
             if ack.get("kind") != HELLO_ACK:
                 raise ConnectionError(f"bad handshake reply: {ack!r}")
+            if ack.get("protocol") != PROTOCOL_VERSION:
+                raise ConnectionError(
+                    f"{self.host}:{self.port} speaks wire protocol "
+                    f"{ack.get('protocol')!r}, this end {PROTOCOL_VERSION}"
+                )
         except BaseException:
             # The loop keeps a registered transport alive: a connection
             # that never formed has to be dropped here, or its socket stays.

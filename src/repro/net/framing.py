@@ -1,18 +1,27 @@
-"""Length-prefixed JSON frames over a byte stream.
+"""Length-prefixed frames over a byte stream: JSON, or packed.
 
 The wire format of ``repro.net`` (see docs/NET_PROTOCOL.md): every
 message is one *frame* —
 
     +----------------+----------------------------------+
     | 4 bytes        | N bytes                          |
-    | N (big-endian) | UTF-8 JSON object                |
+    | N (big-endian) | UTF-8 JSON object | packed frame |
     +----------------+----------------------------------+
 
-JSON keeps the protocol language-agnostic and debuggable (``nc`` plus a
-hex dump is enough to follow a session); the length prefix makes message
-boundaries explicit so a frame is either delivered whole or not at all.
-Payload values are restricted to JSON scalars, which is all the lifetime
-protocol needs (object names, values, timestamps).
+JSON keeps the protocol language-agnostic and debuggable; the length
+prefix makes message boundaries explicit so a frame is either delivered
+whole or not at all.  Payload values are restricted to JSON scalars,
+which is all the lifetime protocol needs (object names, values,
+timestamps).  The five kinds a loaded connection is made of — the 1-unit
+control messages of Section 5.2 and the write — also have a
+``struct``-*packed* form (:data:`PACKED_LAYOUTS`), told from JSON by the
+payload's first byte.  There is one codec and no switch:
+:func:`encode_frame` packs a message that is exactly its kind's layout
+and emits JSON for any other, :func:`decode_frame` takes both and
+returns the same dict, so nothing above this module sees which form
+travelled.  ``nc``, a hex dump and ``python -m repro.net.framing <
+captured`` (one JSON line per frame, either form) are enough to follow
+a session.
 
 :class:`FrameConnection` is the one transport of ``repro.net`` and
 ``repro.cluster``: an ``asyncio.Protocol`` that cuts frames out of the
@@ -27,17 +36,20 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
+import sys
 from collections import deque
 from typing import (
     Any, Awaitable, Callable, Container, Deque, Dict, List, Optional, Set,
 )
+
+from repro.engine import messages
 
 #: Hard cap on a frame's payload size; a peer announcing more is corrupt
 #: (or malicious) and the connection is torn down rather than buffered.
 MAX_FRAME_BYTES = 1 << 20
 
 #: Wire protocol version carried in the HELLO exchange.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 # Handshake and housekeeping kinds specific to the wire protocol; the
 # data-plane kinds (fetch/validate/write/push/...) come from
@@ -91,23 +103,155 @@ CLUSTER_KINDS = frozenset({
 })
 
 _LENGTH = struct.Struct(">I")
+_U32 = _LENGTH  # a packed ``epoch`` has the prefix's shape
 _encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+#: Bits of a packed frame's flags byte.
+PACKED_FLAGS = {"epoch": 0x01, "installed": 0x02, "json-value": 0x04}
+
+#: The packed layouts, ``tag: (kind, fields in wire order, flags the kind
+#: may set)`` — the table of docs/NET_PROTOCOL.md, which a test compares
+#: with this one.  After the tag and flags bytes ``req`` is a u32, a time
+#: (``alpha``/``omega``) an IEEE double, ``obj`` u8-counted UTF-8,
+#: ``epoch`` a u32 sent iff its flag is set and ``value`` the tail: the
+#: UTF-8 of a string, or under ``json-value`` the JSON text of another
+#: scalar.  ``installed`` is its flag.  Tags stay below 0x09, where no
+#: JSON payload can start.
+PACKED_LAYOUTS = {
+    0x01: (messages.VALIDATE, ("req", "alpha", "obj", "epoch"), ("epoch",)),
+    0x02: (messages.STILL_VALID, ("req", "omega", "obj", "epoch"), ("epoch",)),
+    0x03: (messages.WRITE, ("req", "obj", "epoch", "value"),
+           ("epoch", "json-value")),
+    0x04: (messages.WRITE_ACK, ("req", "alpha", "obj", "epoch"),
+           ("epoch", "installed")),
+    0x05: (BUSY, ("req", "epoch"), ("epoch",)),
+}
+_EPOCH, _INSTALLED, _JSON_VALUE = PACKED_FLAGS.values()
+_JSON_SCALARS = (int, float, bool, type(None))
+
+
+def _codec_row(tag: int) -> tuple:
+    kind, fields, flags = PACKED_LAYOUTS[tag]
+    time = next((f for f in fields if f in ("alpha", "omega")), None)
+    # The fixed head: tag, flags, req, then the time and the length of
+    # ``obj`` where the kind has them.
+    has_obj = "obj" in fields
+    head = struct.Struct(">BBI" + "d" * (time is not None) + "B" * has_obj)
+    allowed = sum(PACKED_FLAGS[flag] for flag in flags)
+    # A message without ``epoch`` holds ``kind`` and the other fields,
+    # plus ``installed``, which travels as a flag.
+    keys = len(fields) + ("installed" in flags)
+    return tag, kind, head, time, has_obj, allowed, keys
+
+
+_BY_TAG = {tag: _codec_row(tag) for tag in PACKED_LAYOUTS}
+_BY_KIND = {row[1]: row for row in _BY_TAG.values()}
 
 
 class FrameError(Exception):
-    """A malformed frame: oversized, truncated, or not a JSON object."""
+    """A malformed frame: oversized, truncated, not a JSON object and
+    not a packed layout either."""
+
+
+def _pack(row: tuple, message: Dict[str, Any]) -> Optional[bytes]:
+    """The packed payload of ``message`` — iff its keys are exactly its
+    layout's (``epoch`` optional) and every field fits, else ``None``."""
+    tag, _, head, time, has_obj, allowed, keys = row
+    flags, tail = 0, b""
+    try:
+        req = message["req"]
+        if type(req) is not int:
+            return None
+        if len(message) != keys:
+            epoch = message["epoch"]
+            if len(message) != keys + 1 or type(epoch) is not int:
+                return None
+            flags = _EPOCH
+            tail = _U32.pack(epoch)
+        if allowed & _INSTALLED:
+            installed = message["installed"]
+            if installed is True:
+                flags |= _INSTALLED
+            elif installed is not False:
+                return None
+        elif allowed & _JSON_VALUE:
+            value = message["value"]
+            if type(value) is str:
+                tail += value.encode()
+            elif type(value) in _JSON_SCALARS:
+                flags |= _JSON_VALUE
+                tail += _encode_json(value).encode()
+            else:
+                return None
+        if not has_obj:
+            return head.pack(tag, flags, req) + tail
+        obj = message["obj"]
+        if type(obj) is not str:
+            return None
+        obj = obj.encode()
+        if time is None:
+            return head.pack(tag, flags, req, len(obj)) + obj + tail
+        t = message[time]
+        if type(t) is not float:
+            return None
+        return head.pack(tag, flags, req, t, len(obj)) + obj + tail
+    except (KeyError, ValueError, struct.error):
+        return None  # a key missing, a lone surrogate, a number out of range
+
+
+def _unpack(row: tuple, payload: bytes) -> Dict[str, Any]:
+    _, kind, head, time, has_obj, allowed, _ = row
+    try:
+        fixed = head.unpack_from(payload)
+        flags = fixed[1]
+        if flags & ~allowed:
+            raise FrameError(f"flags {flags:#04x} on a packed {kind}")
+        message = {"kind": kind, "req": fixed[2]}
+        at = head.size
+        if time is not None:
+            message[time] = fixed[3]
+        if has_obj:
+            start, at = at, at + fixed[-1]
+            if at > len(payload):
+                raise FrameError(f"packed {kind} ends inside obj")
+            message["obj"] = payload[start:at].decode()
+        if flags & _EPOCH:
+            (message["epoch"],) = _U32.unpack_from(payload, at)
+            at += 4
+        if allowed & _INSTALLED:
+            message["installed"] = (flags & _INSTALLED) != 0
+        elif allowed & _JSON_VALUE:
+            value = payload[at:].decode()
+            message["value"] = json.loads(value) if flags & _JSON_VALUE else value
+            at = len(payload)
+        if at != len(payload):
+            raise FrameError(f"{len(payload) - at} bytes trail a packed {kind}")
+    except (struct.error, ValueError) as exc:
+        # Cut short, or bad UTF-8 or JSON text (both are ValueErrors).
+        raise FrameError(f"undecodable packed {kind}: {exc}") from None
+    return message
 
 
 def encode_frame(message: Dict[str, Any]) -> bytes:
-    """Serialize one message to ``length || JSON`` bytes."""
-    payload = _encode_json(message).encode("utf-8")
+    """Serialize one message to ``length || payload`` bytes: packed if
+    it is exactly one of :data:`PACKED_LAYOUTS`, JSON otherwise."""
+    row = _BY_KIND.get(message.get("kind"))
+    payload = None if row is None else _pack(row, message)
+    if payload is None:
+        payload = _encode_json(message).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise FrameError(f"frame of {len(payload)} bytes exceeds {MAX_FRAME_BYTES}")
     return _LENGTH.pack(len(payload)) + payload
 
 
 def decode_frame(payload: bytes) -> Dict[str, Any]:
-    """Parse a frame payload; the top-level value must be an object."""
+    """Parse a frame payload of either form to the same dict: packed if
+    its first byte is a tag of :data:`PACKED_LAYOUTS`, else JSON whose
+    top-level value must be an object — which no payload starting with
+    an unassigned tag is."""
+    row = _BY_TAG.get(payload[0]) if payload else None
+    if row is not None:
+        return _unpack(row, payload)
     try:
         message = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -349,3 +493,29 @@ async def listen(
     return await asyncio.get_running_loop().create_server(
         lambda: FrameConnection(handler), host, port
     )
+
+
+def _dump(stream: bytes) -> int:
+    """``python -m repro.net.framing < captured``: one JSON line per frame
+    of a captured byte stream, whatever its form; exit 1, naming the
+    offset, at the first frame a receiver would refuse."""
+    at = 0
+    try:
+        while at < len(stream):
+            if len(stream) - at < 4:
+                raise FrameError("stream ends mid-header")
+            (length,) = _LENGTH.unpack_from(stream, at)
+            if length > MAX_FRAME_BYTES:
+                raise FrameError(f"announced frame of {length} bytes")
+            if at + 4 + length > len(stream):
+                raise FrameError("stream ends mid-frame")
+            print(_encode_json(decode_frame(stream[at + 4:at + 4 + length])))
+            at += 4 + length
+    except FrameError as exc:
+        print(f"offset {at}: {exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(_dump(sys.stdin.buffer.read()))

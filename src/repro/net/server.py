@@ -359,10 +359,16 @@ class NetObjectServer:
         try:
             hello = await conn.recv() or {}
             client_id = hello.get("client_id", -1)
+            refusal = None
             if hello.get("kind") != HELLO or not isinstance(client_id, int):
-                await conn.send({
-                    "kind": ERROR, "error": "expected hello with an integer client_id",
-                })
+                refusal = "expected hello with an integer client_id"
+            elif hello.get("protocol", PROTOCOL_VERSION) != PROTOCOL_VERSION:
+                # Stated and not ours; a hello that states none (a raw
+                # peer, ``nc``) is served.
+                refusal = (f"wire protocol {hello['protocol']!r} asked for, "
+                           f"this server speaks {PROTOCOL_VERSION}")
+            if refusal is not None:
+                await conn.send({"kind": ERROR, "error": refusal})
                 return
             await conn.send(self.engine.stamp({
                 "kind": HELLO_ACK,

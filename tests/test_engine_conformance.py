@@ -49,7 +49,9 @@ from repro.engine import (
 )
 from repro.engine.versions import LogicalVersion, PhysicalVersion
 from repro.net.client import NetCacheClient
-from repro.net.framing import BYE, HELLO, HELLO_ACK, dial, listen
+from repro.net.framing import (
+    BYE, HELLO, HELLO_ACK, PROTOCOL_VERSION, dial, listen,
+)
 from repro.net.server import NetObjectServer
 from repro.protocol import Cluster, ObjectDirectory, PushPolicy
 from repro.protocol.cache_client import SimCacheClient
@@ -403,7 +405,7 @@ async def run_net_client(script):
         state["conn"] = conn
         try:
             assert (await conn.recv())["kind"] == HELLO
-            await conn.send({"kind": HELLO_ACK})
+            await conn.send({"kind": HELLO_ACK, "protocol": PROTOCOL_VERSION})
             while True:
                 frame = await conn.recv()
                 if frame is None or frame["kind"] == BYE:

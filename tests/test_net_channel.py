@@ -26,7 +26,7 @@ from repro.cli.cluster import cmd_cluster_status
 from repro.cluster import ClusterConfig, ClusterView, SwimAgent
 from repro.net.channel import Channel
 from repro.net.faults import FaultConfig, FaultInjector
-from repro.net.framing import HELLO_ACK, dial, listen
+from repro.net.framing import HELLO_ACK, PROTOCOL_VERSION, dial, listen
 from repro.net.server import NetObjectServer
 
 from tests.test_net_local import callers_of, names_in
@@ -35,7 +35,7 @@ SRC = pathlib.Path(repro.__file__).parent
 
 
 @contextlib.asynccontextmanager
-async def peer(serve, hello_ack=HELLO_ACK):
+async def peer(serve, hello_ack=HELLO_ACK, protocol=PROTOCOL_VERSION):
     """A listener that answers ``hello`` with a ``hello_ack`` frame and
     then runs ``serve(conn, frame)`` for every frame; yields its port
     and a future holding how the first connection ended."""
@@ -44,7 +44,7 @@ async def peer(serve, hello_ack=HELLO_ACK):
     async def handler(conn):
         try:
             await conn.recv()  # the hello
-            await conn.send({"kind": hello_ack})
+            await conn.send({"kind": hello_ack, "protocol": protocol})
             while True:
                 frame = await conn.recv()
                 if frame is None or frame["kind"] == "bye":
@@ -208,6 +208,55 @@ class TestOpen:
 
         end = asyncio.run(scenario())
         assert end is None or isinstance(end, ConnectionError)  # EOF or a reset
+
+    def test_a_peer_of_another_protocol_version_is_refused_by_name(self):
+        """Before PR 24 ``hello-ack["protocol"]`` was never read: a v1
+        peer would fail later, with "undecodable frame"."""
+        async def scenario():
+            async with peer(echo, protocol=1) as (port, ended):
+                channel = Channel(7, "127.0.0.1", port)
+                with pytest.raises(
+                    ConnectionError,
+                    match=rf"speaks wire protocol 1, this end {PROTOCOL_VERSION}",
+                ):
+                    await channel.open(1.0)
+                assert not channel.connected and channel.conn is None
+                return await asyncio.wait_for(ended, 1.0)
+
+        end = asyncio.run(scenario())
+        assert end is None or isinstance(end, ConnectionError)  # aborted too
+
+    def test_the_server_refuses_a_stated_mismatch_and_serves_an_unstated_one(self):
+        async def greet(server, **stated):
+            conn = await dial(server.host, server.port)
+            try:
+                await conn.send({"kind": "hello", "client_id": 7, **stated})
+                first = await asyncio.wait_for(conn.recv(), 1.0)
+                return first, await asyncio.wait_for(conn.recv(), 1.0)
+            finally:
+                await conn.close()
+
+        async def scenario():
+            server = await NetObjectServer(propagation="none").start()
+            try:
+                refused = await greet(server, protocol=1)
+                conn = await dial(server.host, server.port)  # raw peer, ``nc``
+                await conn.send({"kind": "hello", "client_id": 8})
+                ack = await asyncio.wait_for(conn.recv(), 1.0)
+                await conn.close()
+                channel = Channel(9, server.host, server.port)  # states ours
+                stated = await channel.open(1.0)
+                await channel.close()
+                return refused, ack, stated
+            finally:
+                await server.close()
+
+        (error, eof), ack, stated = asyncio.run(scenario())
+        assert error["kind"] == "error" and eof is None  # error, then close
+        assert f"wire protocol 1 asked for, this server speaks {PROTOCOL_VERSION}" \
+            in error["error"]
+        assert ack["kind"] == stated["kind"] == HELLO_ACK
+        assert ack["protocol"] == stated["protocol"] == PROTOCOL_VERSION == 2
 
     def test_faults_are_consulted_after_start_and_never_before(self):
         faults = FaultInjector(FaultConfig())

@@ -147,7 +147,7 @@ class _FlakyServer:
         await self._server.wait_closed()
 
     async def _handle(self, conn):
-        from repro.net.framing import HELLO_ACK, SYNC, SYNC_ACK
+        from repro.net.framing import HELLO_ACK, PROTOCOL_VERSION, SYNC, SYNC_ACK
 
         self.accepts += 1
         failing = self.accepts <= self.fail_first
@@ -155,7 +155,7 @@ class _FlakyServer:
             await conn.recv()  # HELLO
             if failing and self.fail_point == "hello":
                 return
-            await conn.send({"kind": HELLO_ACK, "version": 1})
+            await conn.send({"kind": HELLO_ACK, "protocol": PROTOCOL_VERSION})
             while True:
                 frame = await conn.recv()
                 if frame is None:

@@ -13,7 +13,6 @@ so deprecated asyncio API usage in the ``repro.net`` stack (e.g.
 
 import asyncio
 import errno
-import json
 import math
 import os
 import shutil
@@ -24,7 +23,9 @@ from repro.checkers import check_tsc
 from repro.engine import messages
 from repro.net.client import NetCacheClient, ProtocolError, RequestTimeout
 from repro.net.faults import FaultConfig, FaultInjector
-from repro.net.framing import HELLO, HELLO_ACK, FrameError, dial, encode_frame
+from repro.net.framing import (
+    HELLO, HELLO_ACK, FrameError, decode_frame, dial, encode_frame,
+)
 from repro.net.server import NetObjectServer
 from repro.sim.trace import TraceRecorder, UniqueValueFactory
 from repro.store import DurableStore
@@ -657,7 +658,7 @@ def spy_on_writes(conn, seen):
     write = conn.transport.write
 
     def spy(data):
-        seen(json.loads(bytes(data[4:])))
+        seen(decode_frame(bytes(data[4:])))
         write(data)
 
     conn.transport.write = spy
