@@ -44,12 +44,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
             )
         server = NetObjectServer(
             args.host, args.port,
-            propagation=args.propagation, latency=args.latency,
+            propagation=args.propagation,
             recorder=recorder,
             registry=registry,
             metric_labels={"role": "server"} if registry is not None else None,
             store=store,
-            inflight_limit=args.inflight_limit,
         )
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
@@ -110,7 +109,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         try:
             await stop.wait()
         finally:
-            # Graceful drain: finish in-flight replies, say bye, close;
+            # Graceful drain: hand queued pushes over, say bye, close;
             # /healthz flips to 503 the moment the drain starts.
             if agent is not None:
                 await agent.stop()
@@ -252,13 +251,15 @@ def cmd_net_demo(args: argparse.Namespace) -> int:
 
 def register(sub: "argparse._SubParsersAction") -> None:
     """Attach this module's subcommands to the ``repro`` parser."""
-    p_serve = sub.add_parser("serve", help="run a TCP object server")
+    p_serve = sub.add_parser(
+        "serve", help="run a TCP object server",
+        description="Serve the lifetime protocol over TCP: every request "
+        "is answered in place, in arrival order (docs/NET_PROTOCOL.md).",
+    )
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=7459)
     p_serve.add_argument("--propagation", choices=["push", "invalidate", "none"],
                          default="push")
-    p_serve.add_argument("--latency", type=float, default=0.0,
-                         help="artificial per-request processing latency (s)")
     p_serve.add_argument("--trace", default=None,
                          help="dump installed writes as a JSON trace on exit")
     p_serve.add_argument("--metrics-port", type=int, default=None,
@@ -272,10 +273,6 @@ def register(sub: "argparse._SubParsersAction") -> None:
     p_serve.add_argument("--fsync", choices=["always", "interval", "never"],
                          default="interval",
                          help="WAL durability policy (default: interval)")
-    p_serve.add_argument("--inflight-limit", type=int, default=None,
-                         help="max concurrently executing requests per "
-                         "connection; excess requests are shed with a busy "
-                         "frame the client reissues (default: unbounded)")
     p_serve.add_argument("--recovery-delta", type=float,
                          default=float("inf"),
                          help="freshness bound used by recovery: versions "

@@ -10,7 +10,7 @@ target for the acked history; whatever the dying primary acknowledged in
 its final moments but failed to replicate is exactly what its WAL
 surfaces at merge time, and what the new primary's ``promote(bound)``
 old-marking covers semantically (see
-:meth:`repro.net.server.NetObjectServer.promote`).
+:meth:`repro.engine.ServerEngine.promote`).
 
 The surgery is deliberately *promotion-first*, not a fresh rebalance: a
 fresh rebalance would reshuffle partitions whose primaries are perfectly

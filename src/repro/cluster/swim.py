@@ -33,7 +33,7 @@ last probe answer is discovered no later than::
 (one period until its next probe slot, one for the direct+indirect round
 to fail, one slack for a serialized in-flight probe, then the suspicion
 must age out).  This bound is exactly the Δ the coordinator passes to
-:meth:`~repro.net.server.NetObjectServer.promote` — the new primary's
+:meth:`~repro.engine.ServerEngine.promote` — the new primary's
 blind window — and the bound the tier-1 cadence sweep asserts in
 virtual seconds, without slack (docs/CLUSTER.md).
 
@@ -650,7 +650,7 @@ class SwimAgent:
         for dev in plan.promoted:
             if dev == self.member_id:
                 self.server.set_ring(new_dict)
-                await self.server.promote(bound)
+                self.server.engine.promote(bound)
                 self.events.append((loop_time(), "promoted", self.member_id))
                 continue
             promote = {"kind": PROMOTE, "bound": bound, "ring": new_dict}

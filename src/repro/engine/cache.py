@@ -38,7 +38,7 @@ decides — ``reads``/``writes``, ``fresh_hits``/``validations``/
 reply came back), ``read_latencies``, ``marked_old``/``invalidations``
 (demotions), ``fetch_check_failures``, ``pushes``/
 ``push_invalidations``, ``batched_writes``.  A driver counts only what
-its transport decides: ``retries`` and ``busy``.
+its transport decides: ``retries``.
 """
 
 from __future__ import annotations
@@ -274,8 +274,8 @@ class CacheEngine(_CacheBase):
             delta_overrides=delta_overrides, stats=stats,
         )
         self.context = 0.0
-        # The overrides are fixed at construction; ``delta`` is not (the
-        # TCP client exposes a setter), so only their maximum is cached.
+        # The overrides are fixed at construction; ``delta`` is a plain
+        # attribute its owner may reassign, so only their maximum is cached.
         self._loosest_override = max(self.delta_overrides.values(), default=0.0)
         self._expiry: List[Tuple[float, str]] = []
 

@@ -6,7 +6,7 @@ Section 5.3.  Both consume request *frames* — plain dicts with a
 ``kind`` and the request's fields — via :meth:`execute` and return an
 :class:`~repro.engine.effects.EngineResult`; the transport drivers
 (:class:`repro.protocol.server.SimServer` on the simulator,
-:class:`repro.net.server.NetObjectServer` on TCP) own sockets, locks,
+:class:`repro.net.server.NetObjectServer` on TCP) own sockets,
 persistence and propagation fan-out, but no protocol logic.
 
 Time is injected: ``clock`` is the server's protocol timescale (install
@@ -305,7 +305,7 @@ class ServerEngine(_EngineBase):
 
     def _execute_write_batch(self, client_id: int, frame: Dict[str, Any]) -> EngineResult:
         """Install a batch of writes as one frame: the driver amortizes
-        its lock acquisition and WAL append (one fsync under
+        its WAL append (one fsync under
         ``fsync=always``) over ``result.wal``; per-item acks in item
         order.  Each item still gets its own install stamp — under a
         strictly monotone clock (the TCP stack's) strictly later per

@@ -52,7 +52,6 @@ class ClientStats:
     push_invalidations: int = 0
     fetch_check_failures: int = 0
     retries: int = 0
-    busy: int = 0  #: server busy frames honored (request reissued, same id)
     batched_writes: int = 0  #: writes that travelled in write-batch frames
     read_latencies: List[float] = field(default_factory=list)
 
@@ -81,7 +80,7 @@ class ClientStats:
             "reads", "writes", "fresh_hits", "validations", "revalidated",
             "refreshed", "fetches", "invalidations", "marked_old", "pushes",
             "push_invalidations", "fetch_check_failures", "retries",
-            "busy", "batched_writes",
+            "batched_writes",
         ):
             setattr(merged, name, getattr(self, name) + getattr(other, name))
         merged.read_latencies = self.read_latencies + other.read_latencies
@@ -146,9 +145,6 @@ class ClientStats:
             family("repro_client_retries_total", "counter",
                    "Request retransmissions on lossy links",
                    [(base, self.retries)]),
-            family("repro_client_busy_total", "counter",
-                   "Server busy frames honored (backoff + same-id reissue)",
-                   [(base, self.busy)]),
             family("repro_client_batched_writes_total", "counter",
                    "Writes carried by write-batch frames",
                    [(base, self.batched_writes)]),

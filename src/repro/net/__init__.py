@@ -7,8 +7,10 @@ clock (:mod:`repro.clocks.rebase`), so :mod:`repro.sim.vtime` can run it
 unmodified in virtual time:
 
 * :mod:`repro.net.framing` — length-prefixed frames over TCP (JSON, or
-  ``struct``-packed for the five hot kinds; one codec, both forms decode
+  ``struct``-packed for the four hot kinds; one codec, both forms decode
   to the same dict) and the one ``asyncio.Protocol`` that carries them;
+  ``python -m repro.net < captured`` prints a captured stream, one JSON
+  line per frame;
 * :mod:`repro.net.server` — the authoritative object server, speaking
   the protocol kinds of
   :mod:`repro.engine.messages` plus the clock-sync handshake;

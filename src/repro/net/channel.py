@@ -133,8 +133,8 @@ class Channel:
         self, frame: Dict[str, Any], timeout: float, req: Optional[int] = None
     ) -> Dict[str, Any]:
         """Send ``frame`` under a fresh id (or the pinned ``req``) and
-        return the reply that carries it — ``error`` and ``busy`` replies
-        included.  One attempt: ``TimeoutError`` after ``timeout``
+        return the reply that carries it — an ``error`` reply included.
+        One attempt: ``TimeoutError`` after ``timeout``
         seconds, ``ConnectionError`` when the connection is or goes down
         (nothing is written to one already known dead)."""
         conn = self.conn

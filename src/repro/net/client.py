@@ -4,9 +4,10 @@
 ``TimedCacheClient``: both drive the same
 :class:`repro.engine.CacheEngine` — the cache
 structure (versions with lifetimes, ``Context_i``, *old* entries) and
-every freshness judgement live there; the connection, request ids and
-reply matching are a :class:`repro.net.channel.Channel`; this class
-owns the synchronized clock, retransmission, and trace recording.
+every freshness judgement live there, read as ``client.engine.cache``,
+``.context``, ``.delta``; the connection, request ids and reply
+matching are a :class:`repro.net.channel.Channel`; this class owns the
+synchronized clock, retransmission, and trace recording.
 
 Two freshness modes:
 
@@ -25,7 +26,9 @@ Two freshness modes:
 
 Requests carry a request id; the client retransmits after a timeout with
 exponential backoff, reusing the id so duplicate replies are recognized
-and dropped.  Fault injection (:mod:`repro.net.faults`) attaches to the
+and dropped.  The server answers every request or closes the connection
+(``error`` for one it cannot serve), so a timeout is the only reason to
+ask again.  Fault injection (:mod:`repro.net.faults`) attaches to the
 client's outbound frames *after* the handshake, so connect/sync always
 complete and the workload exercises the faults.
 
@@ -44,12 +47,10 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.engine import CacheEngine, WriteOp, messages
-from repro.engine.versions import CacheEntry
 from repro.net.channel import Channel
 from repro.net.clocksync import SyncedClock
 from repro.net.faults import FaultInjector
 from repro.net.framing import (
-    BUSY,
     ERROR,
     RING_FETCH,
     RING_STATE,
@@ -122,8 +123,7 @@ class NetCacheClient:
 
         ``pipeline_depth`` bounds how many requests may be outstanding
         over the one connection at a time (a semaphore; depth 1 is the
-        old lockstep behaviour).  A server ``busy`` frame is honored by
-        backing off and reissuing under the same request id.
+        old lockstep behaviour).
 
         ``batch`` > 1 turns on write coalescing: concurrent
         :meth:`write` calls are drained into ``write-batch`` frames of
@@ -183,30 +183,6 @@ class NetCacheClient:
         self.pipeline = None
         if registry is not None:
             self._bind_metrics(metric_labels or {})
-
-    # -- engine state, exposed under the pre-refactor names --------------------
-
-    @property
-    def cache(self) -> Dict[str, CacheEntry]:
-        return self.engine.cache
-
-    @property
-    def context(self) -> float:
-        return self.engine.context
-
-    @context.setter
-    def context(self, value: float) -> None:
-        self.engine.context = value
-
-    @property
-    def delta(self) -> float:
-        return self.engine.delta
-
-    @delta.setter
-    def delta(self, value: float) -> None:
-        if value < 0:
-            raise ValueError(f"delta must be non-negative, got {value}")
-        self.engine.delta = value
 
     def _bind_metrics(self, extra: Dict[str, Any]) -> None:
         from repro.obs.bridge import bind_client_stats
@@ -432,7 +408,7 @@ class NetCacheClient:
     async def write_many(self, items: Iterable[Tuple[str, Any]]) -> List[float]:
         """Write several objects in one ``write-batch`` frame; returns
         the server-assigned effective times in item order.  One round
-        trip, one server lock acquisition, one WAL fsync — each item
+        trip, one WAL fsync — each item
         still gets its own effective time and Rule 2 is applied per ack."""
         now = self.now()
         ops = [self.engine.begin_write(obj, value, now) for obj, value in items]
@@ -513,10 +489,6 @@ class NetCacheClient:
 
     # -- transport --------------------------------------------------------------
 
-    #: Upper bound on consecutive busy reissues before the request fails
-    #: (a saturated-forever server should surface, not spin).
-    MAX_BUSY_RETRIES = 256
-
     async def _request(
         self,
         message: Dict[str, Any],
@@ -529,10 +501,9 @@ class NetCacheClient:
         Up to ``pipeline_depth`` requests may be in flight at once (the
         semaphore); every attempt is one :meth:`Channel.call` under the
         same id, so duplicate and orphan replies are recognized and
-        dropped.  A ``busy`` reply means the server shed the request
-        *unexecuted*: back off briefly and reissue under the same id.
-        ``req`` pins the id for caller-level idempotent retries (the
-        ring's repair path).
+        dropped.  An ``error`` reply raises :class:`ProtocolError` at
+        once.  ``req`` pins the id for caller-level idempotent retries
+        (the ring's repair path).
         """
         channel = self.channel
         if channel.conn is None:
@@ -550,8 +521,6 @@ class NetCacheClient:
             rtt_child = self._rtt.get(message["kind"]) if self._rtt else None
             issued = self.clock.local() if rtt_child is not None else 0.0
             attempt = 0
-            busy_retries = 0
-            busy_wait = 0.005
             while True:
                 try:
                     reply = await channel.call(message, wait, req)
@@ -564,21 +533,6 @@ class NetCacheClient:
                     attempt += 1
                     self.stats.retries += 1
                     wait *= self.backoff
-                    continue
-                if reply.get("kind") == BUSY:
-                    # Shed unexecuted: same id, capped exponential
-                    # backoff before the reissue.
-                    busy_retries += 1
-                    if busy_retries > self.MAX_BUSY_RETRIES:
-                        raise RequestTimeout(
-                            f"server busy for {message['kind']} #{req} "
-                            f"after {busy_retries} reissues"
-                        )
-                    self.stats.busy += 1
-                    if self.pipeline is not None:
-                        self.pipeline.on_busy()
-                    await asyncio.sleep(busy_wait)
-                    busy_wait = min(busy_wait * self.backoff, wait)
                     continue
                 if reply.get("kind") == ERROR:
                     raise ProtocolError(str(reply.get("error")))

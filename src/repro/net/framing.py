@@ -12,16 +12,15 @@ JSON keeps the protocol language-agnostic and debuggable; the length
 prefix makes message boundaries explicit so a frame is either delivered
 whole or not at all.  Payload values are restricted to JSON scalars,
 which is all the lifetime protocol needs (object names, values,
-timestamps).  The five kinds a loaded connection is made of — the 1-unit
-control messages of Section 5.2 and the write — also have a
+timestamps).  The four kinds a loaded connection is made of — the 1-unit
+control messages of Section 5.2, the write and its ack — also have a
 ``struct``-*packed* form (:data:`PACKED_LAYOUTS`), told from JSON by the
 payload's first byte.  There is one codec and no switch:
 :func:`encode_frame` packs a message that is exactly its kind's layout
 and emits JSON for any other, :func:`decode_frame` takes both and
 returns the same dict, so nothing above this module sees which form
-travelled.  ``nc``, a hex dump and ``python -m repro.net.framing <
-captured`` (one JSON line per frame, either form) are enough to follow
-a session.
+travelled.  ``nc``, a hex dump and ``python -m repro.net < captured``
+(one JSON line per frame, either form) are enough to follow a session.
 
 :class:`FrameConnection` is the one transport of ``repro.net`` and
 ``repro.cluster``: an ``asyncio.Protocol`` that cuts frames out of the
@@ -36,7 +35,6 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-import sys
 from collections import deque
 from typing import (
     Any, Awaitable, Callable, Container, Deque, Dict, List, Optional, Set,
@@ -49,7 +47,7 @@ from repro.engine import messages
 MAX_FRAME_BYTES = 1 << 20
 
 #: Wire protocol version carried in the HELLO exchange.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 # Handshake and housekeeping kinds specific to the wire protocol; the
 # data-plane kinds (fetch/validate/write/push/...) come from
@@ -60,15 +58,10 @@ SYNC = "sync"
 SYNC_ACK = "sync-ack"
 BYE = "bye"
 ERROR = "error"
-#: Server -> client backpressure: the request was shed *unexecuted*
-#: because the server's ``inflight_limit`` was reached; the client backs
-#: off and reissues under the same request id.
-BUSY = "busy"
 
 # Cluster control plane (repro.cluster; docs/CLUSTER.md).  Probe frames
-# piggyback gossip (a ClusterView wire payload) and are served inline by
-# the server like SYNC — never deduped, never queued behind data-plane
-# backpressure.
+# piggyback gossip (a ClusterView wire payload) and are answered by the
+# server's handler task for them — never deduped.
 #: Agent -> agent: direct liveness probe, carries piggybacked gossip.
 PING = "ping"
 #: The probe's answer, carrying the responder's gossip back.
@@ -124,7 +117,6 @@ PACKED_LAYOUTS = {
            ("epoch", "json-value")),
     0x04: (messages.WRITE_ACK, ("req", "alpha", "obj", "epoch"),
            ("epoch", "installed")),
-    0x05: (BUSY, ("req", "epoch"), ("epoch",)),
 }
 _EPOCH, _INSTALLED, _JSON_VALUE = PACKED_FLAGS.values()
 _JSON_SCALARS = (int, float, bool, type(None))
@@ -133,15 +125,14 @@ _JSON_SCALARS = (int, float, bool, type(None))
 def _codec_row(tag: int) -> tuple:
     kind, fields, flags = PACKED_LAYOUTS[tag]
     time = next((f for f in fields if f in ("alpha", "omega")), None)
-    # The fixed head: tag, flags, req, then the time and the length of
-    # ``obj`` where the kind has them.
-    has_obj = "obj" in fields
-    head = struct.Struct(">BBI" + "d" * (time is not None) + "B" * has_obj)
+    # The fixed head: tag, flags, req, the time where the kind has one,
+    # and the length of ``obj``.
+    head = struct.Struct(">BBI" + "d" * (time is not None) + "B")
     allowed = sum(PACKED_FLAGS[flag] for flag in flags)
     # A message without ``epoch`` holds ``kind`` and the other fields,
     # plus ``installed``, which travels as a flag.
     keys = len(fields) + ("installed" in flags)
-    return tag, kind, head, time, has_obj, allowed, keys
+    return tag, kind, head, time, allowed, keys
 
 
 _BY_TAG = {tag: _codec_row(tag) for tag in PACKED_LAYOUTS}
@@ -156,7 +147,7 @@ class FrameError(Exception):
 def _pack(row: tuple, message: Dict[str, Any]) -> Optional[bytes]:
     """The packed payload of ``message`` — iff its keys are exactly its
     layout's (``epoch`` optional) and every field fits, else ``None``."""
-    tag, _, head, time, has_obj, allowed, keys = row
+    tag, _, head, time, allowed, keys = row
     flags, tail = 0, b""
     try:
         req = message["req"]
@@ -183,8 +174,6 @@ def _pack(row: tuple, message: Dict[str, Any]) -> Optional[bytes]:
                 tail += _encode_json(value).encode()
             else:
                 return None
-        if not has_obj:
-            return head.pack(tag, flags, req) + tail
         obj = message["obj"]
         if type(obj) is not str:
             return None
@@ -200,21 +189,19 @@ def _pack(row: tuple, message: Dict[str, Any]) -> Optional[bytes]:
 
 
 def _unpack(row: tuple, payload: bytes) -> Dict[str, Any]:
-    _, kind, head, time, has_obj, allowed, _ = row
+    _, kind, head, time, allowed, _ = row
     try:
         fixed = head.unpack_from(payload)
         flags = fixed[1]
         if flags & ~allowed:
             raise FrameError(f"flags {flags:#04x} on a packed {kind}")
         message = {"kind": kind, "req": fixed[2]}
-        at = head.size
         if time is not None:
             message[time] = fixed[3]
-        if has_obj:
-            start, at = at, at + fixed[-1]
-            if at > len(payload):
-                raise FrameError(f"packed {kind} ends inside obj")
-            message["obj"] = payload[start:at].decode()
+        start, at = head.size, head.size + fixed[-1]
+        if at > len(payload):
+            raise FrameError(f"packed {kind} ends inside obj")
+        message["obj"] = payload[start:at].decode()
         if flags & _EPOCH:
             (message["epoch"],) = _U32.unpack_from(payload, at)
             at += 4
@@ -493,29 +480,3 @@ async def listen(
     return await asyncio.get_running_loop().create_server(
         lambda: FrameConnection(handler), host, port
     )
-
-
-def _dump(stream: bytes) -> int:
-    """``python -m repro.net.framing < captured``: one JSON line per frame
-    of a captured byte stream, whatever its form; exit 1, naming the
-    offset, at the first frame a receiver would refuse."""
-    at = 0
-    try:
-        while at < len(stream):
-            if len(stream) - at < 4:
-                raise FrameError("stream ends mid-header")
-            (length,) = _LENGTH.unpack_from(stream, at)
-            if length > MAX_FRAME_BYTES:
-                raise FrameError(f"announced frame of {length} bytes")
-            if at + 4 + length > len(stream):
-                raise FrameError("stream ends mid-frame")
-            print(_encode_json(decode_frame(stream[at + 4:at + 4 + length])))
-            at += 4 + length
-    except FrameError as exc:
-        print(f"offset {at}: {exc}", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(_dump(sys.stdin.buffer.read()))

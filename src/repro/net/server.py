@@ -11,9 +11,9 @@ message kinds
   of large objects");
 * ``write``    -> ``write-ack``      (synchronous install; the install
   instant on the *server's* clock is the write's effective time);
-* ``write-batch`` / ``validate-batch`` -> per-item acks (one lock
-  acquisition and one WAL append for the whole frame; every item still
-  gets its own effective time);
+* ``write-batch`` / ``validate-batch`` -> per-item acks (one WAL
+  append for the whole frame; every item still gets its own effective
+  time);
 * ``push`` / ``invalidate``          (server-initiated propagation to
   subscribed clients, per the ``propagation`` policy).
 
@@ -21,12 +21,11 @@ The protocol itself — install logic, currency checks, the exactly-once
 reply cache, ring-epoch adoption, the promotion rule — lives in the
 transport-free :class:`repro.engine.ServerEngine` (read its state as
 ``server.engine.store``, ``.context``, ``.epoch``, ...); this class is
-the TCP *driver*: it owns the sockets, the asyncio lock, the in-flight
-accounting and busy shedding, the durable store, and the propagation
-fan-out, and turns each :class:`~repro.engine.effects.EngineResult` into
-wire effects in order (WAL append, reply, pushes).  The simulator's
-``PhysicalServer`` drives the *same* engine, which is what the
-conformance suite asserts.
+the TCP *driver*: it owns the sockets, the durable store and the
+propagation fan-out, and turns each
+:class:`~repro.engine.effects.EngineResult` into wire effects in order
+(WAL append, reply, pushes).  The simulator's ``PhysicalServer`` drives
+the *same* engine, which is what the conformance suite asserts.
 
 It is also the *answering* end of the wire, once.  After the
 ``hello``/``hello-ack`` handshake every handler maps a frame to a reply
@@ -37,23 +36,25 @@ agent) — and ``_answer`` alone counts the request, runs its handler,
 turns a raised exception into a logged ``error`` reply, gives the reply
 the request's id and the ring epoch of the moment, and sends it.
 
+There is one way to serve a data-plane request: in place, in arrival
+order, by a plain function that runs the engine and appends to the log
+without giving up the event loop — so no other request can run in the
+middle of one, and the engine needs no lock.  The one wait a reply can
+take is the group-commit hold of a store-backed server (``_answer``).
+
 Requests are executed **exactly once**: a per-client LRU reply cache
 keyed ``(client_id, req)`` replays answered requests, so a write whose
-ack was lost is installed once and every retransmission returns the
-original ``alpha``.  ``inflight_limit`` bounds concurrently executing
-requests; excess frames are shed *unexecuted* with a ``busy`` reply the
-client honors by backing off and reissuing under the same id
-(docs/NET_PROTOCOL.md).
+ack was lost is installed once and every retransmission — which can only
+arrive after its original executed — returns the original ``alpha``.
 
 Observability: pass a :class:`repro.obs.metrics.Registry` and the server
 registers a pull-model collector over its native counters (requests by
-kind, propagation fan-out, connection/frame/byte accounting, in-flight
-depth) — zero cost on the request path.  ``shutdown()`` drains
-gracefully: stop accepting, let in-flight requests finish and their
-pushes reach every subscriber's transport, send each peer a clean
-``bye`` frame, then close; ``healthy``
-flips false the moment a drain starts so a ``/healthz`` probe can steer
-load away first.
+kind, propagation fan-out, connection/frame/byte accounting) — zero cost
+on the request path.  ``shutdown()`` drains gracefully: stop accepting,
+let the pushes of answered requests reach every subscriber's transport,
+send each peer a clean ``bye`` frame, then close; ``healthy`` flips
+false the moment a drain starts so a ``/healthz`` probe can steer load
+away first.
 
 The server's clock is the cluster's time reference: install times
 (``alpha``) and validation times (``omega``) are stamped with it, and
@@ -69,11 +70,9 @@ from typing import Any, Callable, Dict, Optional, Sequence, Set, Tuple
 
 from repro.clocks.rebase import RebasedClock
 from repro.engine import ServerEngine, messages
-from repro.engine.effects import EngineResult
 from repro.engine.versions import PhysicalVersion
 from repro.net.faults import FaultInjector
 from repro.net.framing import (
-    BUSY,
     BYE,
     CLUSTER_KINDS,
     CLUSTER_STATE,
@@ -142,14 +141,12 @@ class NetObjectServer:
         *,
         initial_value: Any = 0,
         propagation: str = "push",
-        latency: float = 0.0,
         recorder: Optional[TraceRecorder] = None,
         clock: Optional[Callable[[], float]] = None,
         fault_factory: Optional[Callable[[], FaultInjector]] = None,
         registry: Optional[Any] = None,
         metric_labels: Optional[Dict[str, Any]] = None,
         store: Optional[Any] = None,
-        inflight_limit: Optional[int] = None,
         reply_cache_size: int = 1024,
     ) -> None:
         if propagation not in PROPAGATION_POLICIES:
@@ -157,17 +154,10 @@ class NetObjectServer:
                 f"propagation must be one of {PROPAGATION_POLICIES}, "
                 f"got {propagation!r}"
             )
-        if latency < 0:
-            raise ValueError(f"latency must be non-negative, got {latency}")
-        if inflight_limit is not None and inflight_limit < 1:
-            raise ValueError(
-                f"inflight_limit must be >= 1, got {inflight_limit}"
-            )
         self.host = host
         self.port = port
         self.initial_value = initial_value
         self.propagation = propagation
-        self.latency = latency
         self.recorder = recorder
         self.clock = clock if clock is not None else RebasedClock()
         self.fault_factory = fault_factory
@@ -180,7 +170,6 @@ class NetObjectServer:
         self.agent: Optional[Any] = None  #: attached cluster SwimAgent
         if store is not None:
             self.engine.on_revalidation = self._on_store_revalidation
-        self._lock = asyncio.Lock()
         self._server: Optional[asyncio.base_events.Server] = None
         self._connections: Set[FrameConnection] = set()
         # Each subscriber's outbox of pushes/invalidations, emptied by
@@ -191,19 +180,13 @@ class NetObjectServer:
         self.pushes_sent = 0
         self.invalidations_sent = 0
         self.subscribers_dropped = 0  # outbox full: stopped reading
-        # Exactly-once machinery: the engine's reply cache replays
-        # answered requests; _executing parks a duplicate that races its
-        # original (the duplicate awaits the original's reply future).
-        self.inflight_limit = inflight_limit
-        self._executing: Dict[Tuple[int, int], asyncio.Future] = {}
+        # Always 0: nothing sheds a request.  Its one reader is
+        # benchmarks/layers/rep.py::counters.
         self.busy_sent = 0
         # Frame/byte totals of connections that already closed; live
         # connections are summed at scrape time.
         self._closed_frames = {"sent": 0, "received": 0}
         self._closed_bytes = {"sent": 0, "received": 0}
-        self._inflight = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
         self.draining = False
         self.registry = registry
         self.metric_labels = {
@@ -219,7 +202,6 @@ class NetObjectServer:
             self.pipeline = PipelineInstruments(
                 registry, side="server", labels=self.metric_labels
             )
-            self.pipeline.bind_outstanding(lambda: self._inflight)
 
     def _on_store_revalidation(self) -> None:
         if self.durable is not None and self.durable.instruments is not None:
@@ -277,9 +259,9 @@ class NetObjectServer:
         return {"frames": frames, "bytes": octets}
 
     async def shutdown(self, grace: float = 2.0) -> None:
-        """Graceful drain: stop accepting, finish in-flight requests and
-        hand their pushes to the subscribers (up to ``grace`` seconds),
-        say ``bye``, close.
+        """Graceful drain: stop accepting, hand the pushes of answered
+        requests to the subscribers (up to ``grace`` seconds), say
+        ``bye``, close.
 
         Safe to call from a signal handler via ``create_task``; a second
         call (or a later :meth:`close`) is a no-op for the parts already
@@ -296,18 +278,17 @@ class NetObjectServer:
             # Clean-shutdown persistence, before the BYE frames: every
             # acknowledged write fsynced, a final snapshot marked clean —
             # the next start loads it and replays nothing.
-            async with self._lock:
-                self.durable.close_clean(
-                    self.engine.store, self.engine.context, self.clock()
-                )
+            self.durable.close_clean(
+                self.engine.store, self.engine.context, self.clock()
+            )
         for conn in list(self._connections):
             await conn.send({"kind": BYE, "reason": "server shutdown"})
         await self.close()
 
     async def _drained(self) -> None:
-        """In-flight requests answered, then what they propagated handed
-        to every subscriber's transport."""
-        await self._idle.wait()
+        """What answered requests propagated, handed to every
+        subscriber's transport.  No request is mid-execution while this
+        waits: each is executed without giving up the loop."""
         for outbox in list(self._subscribers.values()):
             await outbox.join()
 
@@ -358,9 +339,11 @@ class NetObjectServer:
         feeder: Optional[asyncio.Task] = None
         try:
             hello = await conn.recv() or {}
-            client_id = hello.get("client_id", -1)
+            client_id = hello.get("client_id")
             refusal = None
-            if hello.get("kind") != HELLO or not isinstance(client_id, int):
+            # Not isinstance: ``true`` would be served as client 1 and
+            # share its exactly-once keys.
+            if hello.get("kind") != HELLO or type(client_id) is not int:
                 refusal = "expected hello with an integer client_id"
             elif hello.get("protocol", PROTOCOL_VERSION) != PROTOCOL_VERSION:
                 # Stated and not ours; a hello that states none (a raw
@@ -386,13 +369,10 @@ class NetObjectServer:
                     if frame is None or frame.get("kind") == BYE:
                         break
                     kind = str(frame.get("kind"))
-                    if kind in CLUSTER_KINDS or (self.latency and kind != SYNC):
-                        # What may wait gets a task.  The control plane,
-                        # so that a slow indirect probe or handoff never
-                        # blocks this loop; a simulated latency, a sleep
-                        # per request, so that pipelined requests on one
-                        # connection overlap (replies carry request ids,
-                        # their order does not matter).
+                    if kind in CLUSTER_KINDS:
+                        # The control plane may wait (an indirect probe,
+                        # a handoff): it gets a task, so that it never
+                        # blocks this loop.
                         task = asyncio.ensure_future(
                             self._answer(conn, client_id, frame)
                         )
@@ -400,11 +380,11 @@ class NetObjectServer:
                         task.add_done_callback(tasks.discard)
                         continue
                     # Nothing to wait for: answered in place, in arrival
-                    # order.  SYNC always is, and alone — the exchange
-                    # measures the genuine transport, and scheduling a
-                    # task would add noise to (t2 - t1).  With a store,
-                    # what the peer pipelined behind this frame is
-                    # answered with it: one log sync for the burst.
+                    # order.  SYNC alone — the exchange measures the
+                    # genuine transport, and holding it would add noise
+                    # to (t2 - t1).  With a store, what the peer
+                    # pipelined behind this frame is answered with it:
+                    # one log sync for the burst.
                     burst = ()
                     if self.durable is not None and kind != SYNC:
                         burst = conn.take_queued(_ENDS_BURST)
@@ -434,7 +414,7 @@ class NetObjectServer:
         propagate what the request installed.
 
         With a store, a reply leaves once everything executed before it
-        is on disk: ``_execute`` appends to the log without syncing it,
+        is on disk: ``_on_request`` appends to the log without syncing it,
         and from the first such append on the replies of ``frames`` — a
         burst pipelined on one connection, or just one request — are
         held until the burst has run, the log is committed once, and
@@ -467,12 +447,11 @@ class NetObjectServer:
                 elif kind in CLUSTER_KINDS:
                     reply = await self._on_cluster(frame)
                 else:
-                    reply, installed = await self._on_request(client_id, frame)
+                    reply, installed = self._on_request(client_id, frame)
             except Exception as exc:
                 logger.exception("request %r from client %d failed", kind, client_id)
                 reply, installed = self._refusal(client_id, frame, exc), ()
-            if reply is not None:
-                held.append((frame, reply, installed))
+            held.append((frame, reply, installed))
             if store is not None and store.uncommitted:
                 if frame is not frames[-1]:
                     continue
@@ -524,18 +503,9 @@ class NetObjectServer:
             self.durable.save_epoch(self.engine.epoch)
         return adopted
 
-    async def promote(self, bound: float) -> Dict[str, Any]:
-        """Become write authority for partitions a dead primary held —
-        the engine's promotion rule (store recovery with the detection
-        bound playing Δ; see :meth:`repro.engine.ServerEngine.promote`),
-        run under the server lock."""
-        async with self._lock:
-            return self.engine.promote(bound)
-
     async def _on_cluster(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         """The reply to a control-plane frame.  Like SYNC these are
-        outside the exactly-once data plane: no dedup, and no busy
-        shedding — a shed probe would read as a dead server."""
+        outside the exactly-once data plane: no dedup."""
         kind = frame.get("kind")
         if kind == RING_FETCH:
             return {
@@ -551,7 +521,9 @@ class NetObjectServer:
             ring = frame.get("ring")
             if isinstance(ring, dict):
                 self.set_ring(ring)
-            outcome = await self.promote(float(frame.get("bound", 0.0)))
+            # The engine's promotion rule (store recovery with the
+            # detection bound playing Δ), synchronous like every request.
+            outcome = self.engine.promote(float(frame.get("bound", 0.0)))
             if self.agent is not None:
                 self.agent.on_promoted(frame, outcome)
             return {"kind": PROMOTE_ACK, "epoch": self.engine.epoch, **outcome}
@@ -578,81 +550,38 @@ class NetObjectServer:
         if self.durable is not None:
             self.durable.close(sync=True)
 
-    async def _on_request(
+    def _on_request(
         self, client_id: int, frame: Dict[str, Any]
-    ) -> Tuple[Optional[Dict[str, Any]], Sequence[PhysicalVersion]]:
+    ) -> Tuple[Dict[str, Any], Sequence[PhysicalVersion]]:
         """The reply to a data-plane request and the versions it
-        installed, executing it at most once: a retransmission is
-        replayed, a saturated server sheds.  ``None`` for a reply means
-        there is nothing to say (yet)."""
-        key = self.engine.dedup_key(client_id, frame)
-        if key is not None:
-            cached = self.engine.replay(key)
-            if cached is not None:
-                # A retransmission of an answered request: replay the
-                # original reply (same alpha), execute nothing.
-                return cached, ()
-            original = self._executing.get(key)
-            if original is not None:
-                # The retransmission raced its original, which is still
-                # executing: wait for that reply and replay it.
-                self.engine.dedup_replays += 1
-                try:
-                    return await asyncio.shield(original), ()
-                except (asyncio.CancelledError, Exception):
-                    return None, ()  # original died unexecuted; a later retry re-runs
-        if self.inflight_limit is not None and self._inflight >= self.inflight_limit:
-            # Shed *unexecuted*: the client backs off and reissues under
-            # the same id, so no exactly-once state is created here.
-            self.busy_sent += 1
-            if self.pipeline is not None:
-                self.pipeline.on_busy()
-            return {"kind": BUSY, "req": frame.get("req")}, ()
-        self._inflight += 1
-        self._idle.clear()
-        if key is not None:
-            self._executing[key] = asyncio.get_running_loop().create_future()
-        try:
-            if self.latency:
-                await asyncio.sleep(self.latency)
-            result = await self._execute(client_id, frame)
-            if key is not None and result.reply.get("kind") != ERROR:
-                original = self._executing.pop(key)
-                if not original.done():
-                    original.set_result(result.reply)
-            return result.reply, result.installed
-        finally:
-            waiter = self._executing.pop(key, None) if key is not None else None
-            if waiter is not None and not waiter.done():
-                waiter.cancel()
-            # No suspension point between here and the reply's write to
-            # the transport (``_answer`` runs the rest of a burst, commits
-            # and sends without giving up the loop), so a drain that sees
-            # the server idle finds every reply handed over.
-            self._inflight -= 1
-            if self._inflight == 0:
-                self._idle.set()
+        installed, executing it at most once: a retransmission of an
+        answered request replays the original reply (same alpha) and
+        executes nothing; anything else runs through the engine and
+        appends what it wrote to the log, grouped — ``_answer`` commits
+        the log before the ack leaves (an acknowledged write is always
+        in the WAL, which is what makes the recovery replay complete).
 
-    async def _execute(self, client_id: int, frame: Dict[str, Any]) -> EngineResult:
-        """Run one request through the engine under the server lock and
-        append what it wrote to the log, grouped: ``_answer`` commits the
-        log before the ack leaves (an acknowledged write is always in
-        the WAL, which is what makes the recovery replay complete)."""
-        async with self._lock:
-            result = self.engine.execute(client_id, frame)
-            if self.durable is not None and result.wal:
-                with self.durable.group():
-                    if len(result.wal) == 1:
-                        self.durable.log_write(result.wal[0])
-                    else:
-                        self.durable.log_writes(result.wal)
+        A plain ``def``, so nothing else runs in the middle of it (the
+        engine needs no lock) and an ``await`` here is a syntax error,
+        not a race.  A retransmission is therefore looked up only after
+        its original has executed: it cannot race it."""
+        cached = self.engine.replay(self.engine.dedup_key(client_id, frame))
+        if cached is not None:
+            return cached, ()
+        result = self.engine.execute(client_id, frame)
+        if self.durable is not None and result.wal:
+            with self.durable.group():
+                if len(result.wal) == 1:
+                    self.durable.log_write(result.wal[0])
+                else:
+                    self.durable.log_writes(result.wal)
         if self.pipeline is not None:
             kind = result.reply.get("kind")
             if kind == messages.WRITE_BATCH_ACK:
                 self.pipeline.on_batch(len(result.reply["acks"]))
             elif kind == messages.VALIDATE_BATCH_ACK:
                 self.pipeline.on_batch(len(result.reply["results"]))
-        return result
+        return result.reply, result.installed
 
     def _propagate(
         self, writer_conn: FrameConnection, version: PhysicalVersion

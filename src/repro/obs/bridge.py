@@ -203,8 +203,8 @@ def bind_net_server(
     registry: Registry, server: Any, **labels: Any
 ) -> Callable:
     """Export a :class:`~repro.net.server.NetObjectServer`: requests by
-    kind, propagation fan-out, connection/frame/byte accounting,
-    in-flight depth, and the draining flag (labels typically
+    kind, propagation fan-out, connection/frame/byte accounting, the
+    exactly-once layer, and the draining flag (labels typically
     ``device=<id>`` in a ring, or ``role=server`` standalone)."""
     base = _with(labels)
 
@@ -240,17 +240,10 @@ def bind_net_server(
                    "Bytes moved over server connections, by direction",
                    [(_with(base, direction=d), v)
                     for d, v in sorted(transport["bytes"].items())]),
-            family("repro_net_inflight_requests", "gauge",
-                   "Requests currently being served",
-                   [(base, server._inflight)]),
             family("repro_net_dedup_replays_total", "counter",
                    "Retransmitted requests answered from the reply cache "
                    "(executed exactly once)",
                    [(base, server.engine.dedup_replays)]),
-            family("repro_net_busy_sent_total", "counter",
-                   "Requests shed unexecuted with a busy frame "
-                   "(inflight_limit backpressure)",
-                   [(base, server.busy_sent)]),
             family("repro_net_reply_cache_entries", "gauge",
                    "Replies retained for exactly-once replay",
                    [(base, len(server.engine.replies))]),

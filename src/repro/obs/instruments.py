@@ -486,12 +486,12 @@ class PipelineInstruments:
 
     * ``repro_net_batch_size`` — operations coalesced per batch frame
       (:meth:`on_batch`);
-    * ``repro_net_busy_events_total`` — ``busy`` backpressure frames
-      (sent, on the server side; honored, on the client side);
     * ``repro_net_outstanding_requests`` — pipelined requests in flight,
       pulled at scrape time (:meth:`bind_outstanding`);
     * ``repro_net_batch_queue_depth`` — writes waiting in the client's
       coalescing queue, pulled at scrape time (:meth:`bind_queue_depth`).
+
+    The two gauges exist for an endpoint that binds them: the client.
     """
 
     LABEL_NAMES = ("side", "site", "device")
@@ -510,40 +510,33 @@ class PipelineInstruments:
         given = {k: str(v) for k, v in (labels or {}).items()}
         label = {name: given.get(name, "") for name in self.LABEL_NAMES}
         label["side"] = str(side)
+        self._label = label
         self.batch_size = registry.histogram(
             "repro_net_batch_size",
             "Operations coalesced into one batch frame",
             labels=self.LABEL_NAMES,
             buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
         ).labels(**label)
-        self.busy_events = registry.counter(
-            "repro_net_busy_events_total",
-            "Busy backpressure frames (server side: sent; client side: "
-            "honored with backoff and an identical-id reissue)",
-            labels=self.LABEL_NAMES,
-        ).labels(**label)
-        self._outstanding = registry.gauge(
-            "repro_net_outstanding_requests",
-            "Pipelined requests issued and not yet answered",
-            labels=self.LABEL_NAMES,
-        ).labels(**label)
-        self._queue_depth = registry.gauge(
-            "repro_net_batch_queue_depth",
-            "Writes waiting in the client's batch-coalescing queue",
-            labels=self.LABEL_NAMES,
-        ).labels(**label)
 
     def on_batch(self, size: int) -> None:
         self.batch_size.observe(size)
 
-    def on_busy(self) -> None:
-        self.busy_events.inc()
+    def _bind_gauge(self, name: str, help: str, fn) -> None:
+        self.registry.gauge(
+            name, help, labels=self.LABEL_NAMES
+        ).labels(**self._label).set_function(fn)
 
     def bind_outstanding(self, fn) -> None:
-        self._outstanding.set_function(fn)
+        self._bind_gauge(
+            "repro_net_outstanding_requests",
+            "Pipelined requests issued and not yet answered", fn,
+        )
 
     def bind_queue_depth(self, fn) -> None:
-        self._queue_depth.set_function(fn)
+        self._bind_gauge(
+            "repro_net_batch_queue_depth",
+            "Writes waiting in the client's batch-coalescing queue", fn,
+        )
 
 
 class ClusterInstruments:

@@ -181,8 +181,8 @@ class TestRule3LoosestBound:
         assert not engine.usable(engine.cache["hot"], now=0.5)
 
     def test_delta_set_after_construction_is_still_honoured(self):
-        """``NetCacheClient.delta`` has a setter that writes through to
-        the engine, so only the overrides' share may be precomputed."""
+        """``engine.delta`` is a plain attribute its owner may assign at
+        any time, so only the overrides' share may be precomputed."""
         engine = self.engine_with(math.inf, {"archive": 0.5}, "x", "archive")
         engine.rule3(10.0)
         assert engine.context == 0.0

@@ -8,7 +8,8 @@ dial, hello, reply matching and the per-attempt wait live in
 
 The answering end is ``NetObjectServer._answer``: ``TestAnswer`` plays
 the asking end by hand over a bare connection, and ``TestOneAnsweringEnd``
-pins that every request is counted, run, failed, stamped and sent there.
+pins that every request is counted, run, failed, stamped and sent there;
+``TestOneExecutionModel`` that a data-plane request is run in place.
 """
 
 import argparse
@@ -16,15 +17,18 @@ import ast
 import asyncio
 import contextlib
 import gc
+import inspect
 import pathlib
 import socket
 
 import pytest
 
 import repro
+from repro.cli import build_parser
 from repro.cli.cluster import cmd_cluster_status
 from repro.cluster import ClusterConfig, ClusterView, SwimAgent
 from repro.net.channel import Channel
+from repro.net.client import NetCacheClient
 from repro.net.faults import FaultConfig, FaultInjector
 from repro.net.framing import HELLO_ACK, PROTOCOL_VERSION, dial, listen
 from repro.net.server import NetObjectServer
@@ -239,7 +243,7 @@ class TestOpen:
         async def scenario():
             server = await NetObjectServer(propagation="none").start()
             try:
-                refused = await greet(server, protocol=1)
+                refused = await greet(server, protocol=2)
                 conn = await dial(server.host, server.port)  # raw peer, ``nc``
                 await conn.send({"kind": "hello", "client_id": 8})
                 ack = await asyncio.wait_for(conn.recv(), 1.0)
@@ -253,10 +257,10 @@ class TestOpen:
 
         (error, eof), ack, stated = asyncio.run(scenario())
         assert error["kind"] == "error" and eof is None  # error, then close
-        assert f"wire protocol 1 asked for, this server speaks {PROTOCOL_VERSION}" \
+        assert f"wire protocol 2 asked for, this server speaks {PROTOCOL_VERSION}" \
             in error["error"]
         assert ack["kind"] == stated["kind"] == HELLO_ACK
-        assert ack["protocol"] == stated["protocol"] == PROTOCOL_VERSION == 2
+        assert ack["protocol"] == stated["protocol"] == PROTOCOL_VERSION == 3
 
     def test_faults_are_consulted_after_start_and_never_before(self):
         faults = FaultInjector(FaultConfig())
@@ -341,6 +345,10 @@ GREETING = {"kind": "hello", "client_id": 1}
 #: Frames that used to be met with EOF (the hello) or with silence.
 MALFORMED = {
     "hello, client_id no integer": {"kind": "hello", "client_id": "abc"},
+    # Served as clients -1 and 1, these would share their exactly-once
+    # keys with any other peer served under that id.
+    "hello, no client_id": {"kind": "hello"},
+    "hello, client_id true": {"kind": "hello", "client_id": True},
     "promote, negative bound": {"kind": "promote", "bound": -1, "req": 7},
     "promote, bound no number": {"kind": "promote", "bound": "x", "req": 7},
     "write, no obj": {"kind": "write", "value": 1, "req": 7},
@@ -397,19 +405,23 @@ class TestAnswer:
             assert after is None  # refused: a clean EOF follows the error
         assert reported == []
 
-    @pytest.mark.parametrize("latency", [0.0, 0.05], ids=["in place", "as a task"])
+    @pytest.mark.parametrize("frame, error, raised", [
+        # The data plane, served in place ...
+        ({"kind": "write", "value": 1, "req": 0}, "KeyError: 'obj'", KeyError),
+        # ... and the control plane, served by a task.
+        ({"kind": "promote", "bound": "x", "req": 0},
+         "ValueError: could not convert string to float: 'x'", ValueError),
+    ], ids=["in place", "as a task"])
     def test_a_request_that_raises_is_answered_and_logged_once_on_either_path(
-        self, latency, caplog
+        self, frame, error, raised, caplog
     ):
         async def scenario():
-            server = await NetObjectServer(
-                propagation="none", latency=latency
-            ).start()
+            server = await NetObjectServer(propagation="none").start()
             try:
                 conn = await dial(server.host, server.port)
                 await conn.send(GREETING)
                 await conn.recv()
-                await conn.send({"kind": "write", "value": 1, "req": 0})
+                await conn.send(frame)
                 reply = await asyncio.wait_for(conn.recv(), 1.0)
                 await conn.close()
                 return reply, dict(server.requests_by_kind)
@@ -418,13 +430,13 @@ class TestAnswer:
 
         with caplog.at_level("ERROR", logger="repro.net.server"):
             reply, counted = asyncio.run(scenario())
-        assert reply == {"kind": "error", "error": "KeyError: 'obj'", "req": 0}
-        assert counted == {"write": 1}
+        assert reply == {"kind": "error", "error": error, "req": 0}
+        assert counted == {frame["kind"]: 1}
         logged = [r for r in caplog.records if r.name == "repro.net.server"]
         assert [r.getMessage() for r in logged] == [
-            "request 'write' from client 1 failed"
+            f"request {frame['kind']!r} from client 1 failed"
         ]
-        assert logged[0].exc_info[0] is KeyError
+        assert logged[0].exc_info[0] is raised
 
 
 def methods_where(class_name, path, matches):
@@ -488,3 +500,60 @@ class TestOneAnsweringEnd:
                 str(path.relative_to(SRC)) for path in SRC.rglob("*.py")
                 if gone in path.read_text(encoding="utf-8")
             ] == [], gone
+
+
+class TestOneExecutionModel:
+    """A data-plane request is served one way: in place, by a plain
+    function, with nothing to wait for — so nothing else can run in the
+    middle of it, and there is nothing to lock, shed, park or count."""
+
+    SERVER = SRC / "net" / "server.py"
+
+    def test_the_server_has_no_latency_and_no_inflight_limit(self):
+        params = list(inspect.signature(NetObjectServer).parameters)
+        assert len(params) == 11
+        assert {"latency", "inflight_limit"} & set(params) == set()
+        (sub,) = [action for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+        flags = {flag for action in sub.choices["serve"]._actions
+                 for flag in action.option_strings}
+        assert {"--latency", "--inflight-limit"} & flags == set()
+
+    def test_nothing_on_the_server_waits_locks_or_parks(self):
+        names = names_in(self.SERVER)
+        assert {"Lock", "sleep", "shield", "create_future"} & names == set()
+        tree = ast.parse(self.SERVER.read_text(encoding="utf-8"))
+        (handler,) = [node for node in ast.walk(tree)
+                      if getattr(node, "name", None) == "_on_request"]
+        assert isinstance(handler, ast.FunctionDef)  # an await would not compile
+        assert "promote" not in vars(NetObjectServer)
+
+    def test_a_task_is_started_for_the_feeder_and_the_control_plane_only(self):
+        def starts_a_task(node):
+            return (isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "ensure_future")
+
+        assert methods_where("NetObjectServer", self.SERVER, starts_a_task) == [
+            "_serve", "_serve",
+        ]
+        (serve,) = [node for node in ast.walk(ast.parse(
+            self.SERVER.read_text(encoding="utf-8")
+        )) if getattr(node, "name", None) == "_serve"]
+        started = sorted(node.args[0].func.attr for node in ast.walk(serve)
+                         if starts_a_task(node))
+        assert started == ["_answer", "_feed"]
+        # ... and _answer only behind the control-plane test.
+        (branch,) = [node for node in ast.walk(serve) if isinstance(node, ast.If)
+                     and ast.unparse(node.test) == "kind in CLUSTER_KINDS"]
+        assert any(starts_a_task(node) for node in ast.walk(branch))
+
+    def test_busy_is_gone_from_the_wire(self):
+        for path in SRC.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                assert getattr(node, "id", None) != "BUSY", path
+                assert getattr(node, "attr", None) != "BUSY", path
+                assert getattr(node, "value", None) != "busy", path
+        assert PROTOCOL_VERSION == 3
+
+    def test_the_client_reads_engine_state_from_the_engine(self):
+        assert {"cache", "context", "delta"} & set(vars(NetCacheClient)) == set()

@@ -1,5 +1,5 @@
 """Unit tests for the frame codec — length-prefixed JSON, packed for the
-five hot kinds — and for the one transport that carries it,
+four hot kinds — and for the one transport that carries it,
 :class:`repro.net.framing.FrameConnection`."""
 
 import ast
@@ -306,8 +306,8 @@ class TestConnection:
 
 #: One literal per packed kind and flag combination: the layout cannot
 #: drift silently.  Keys in the order ``decode_frame`` builds them, so
-#: ``json.dumps`` of a message is its line of ``python -m
-#: repro.net.framing``'s output (CI pipes these bytes through it).
+#: ``json.dumps`` of a message is its line of ``python -m repro.net``'s
+#: output (CI pipes these bytes through it).
 GOLDEN = [
     ({"kind": "validate", "req": 9, "alpha": 1.5, "obj": "k0007"},
      "01 00 00000009 3ff8000000000000 05 6b30303037"),
@@ -337,11 +337,9 @@ GOLDEN = [
     ({"kind": "write-ack", "req": 10, "alpha": 2.5, "obj": "k0007", "epoch": 3,
       "installed": False},
      "04 01 0000000a 4004000000000000 05 6b30303037 00000003"),
-    ({"kind": "busy", "req": 2 ** 32 - 1}, "05 00 ffffffff"),
-    ({"kind": "busy", "req": 12, "epoch": 3}, "05 01 0000000c 00000003"),
 ]
 GOLDEN_PAYLOADS = [bytes.fromhex(text) for _, text in GOLDEN]
-_HELLO = {"kind": "hello", "protocol": 2, "client_id": 7}
+_HELLO = {"kind": "hello", "protocol": 3, "client_id": 7}
 
 
 def golden_capture() -> bytes:
@@ -350,7 +348,7 @@ def golden_capture() -> bytes:
 
 
 def golden_dump() -> str:
-    """What ``python -m repro.net.framing`` prints for that stream."""
+    """What ``python -m repro.net`` prints for that stream."""
     return "".join(
         json.dumps(message, separators=(",", ":")) + "\n"
         for message in [_HELLO] + [message for message, _ in GOLDEN]
@@ -448,12 +446,14 @@ FALL_BACK = {
     "int alpha": {"kind": "validate", "obj": "k", "alpha": 0, "req": 1},
     "null alpha": {"kind": "validate", "obj": "k", "alpha": None, "req": 1},
     "no req": {"kind": "validate", "obj": "k", "alpha": 1.5},
-    "null req": {"kind": "busy", "req": None},
-    "bool req": {"kind": "busy", "req": True},
-    "negative req": {"kind": "busy", "req": -1},
-    "req of 2**32": {"kind": "busy", "req": 2 ** 32},
-    "epoch of 2**32": {"kind": "busy", "req": 1, "epoch": 2 ** 32},
-    "float epoch": {"kind": "busy", "req": 1, "epoch": 3.0},
+    "null req": {"kind": "still-valid", "req": None, "obj": "k", "omega": 1.5},
+    "bool req": {"kind": "still-valid", "req": True, "obj": "k", "omega": 1.5},
+    "negative req": {"kind": "still-valid", "req": -1, "obj": "k", "omega": 1.5},
+    "req of 2**32": {"kind": "still-valid", "req": 2 ** 32, "obj": "k", "omega": 1.5},
+    "epoch of 2**32": {"kind": "still-valid", "req": 1, "obj": "k", "omega": 1.5,
+                       "epoch": 2 ** 32},
+    "float epoch": {"kind": "still-valid", "req": 1, "obj": "k", "omega": 1.5,
+                    "epoch": 3.0},
     "obj of 256 bytes": {"kind": "validate", "obj": "é" * 128, "alpha": 1.5, "req": 1},
     "int obj": {"kind": "validate", "obj": 7, "alpha": 1.5, "req": 1},
     "lone surrogate": {"kind": "write", "obj": "k", "value": "\ud800", "req": 1},
@@ -533,12 +533,15 @@ class TestCodecProperties:
 
     @pytest.mark.parametrize("text, why", [
         ("00", "undecodable frame"),  # no such tag, and no JSON either
+        ("05 00 0000000c", "undecodable frame"),  # busy's, up to protocol 2
+        ("05 01 0000000c 00000003", "undecodable frame"),
+        ("05 02 0000000c", "undecodable frame"),
         ("06 00 00000001", "undecodable frame"),
         ("08", "undecodable frame"),
-        ("05 02 0000000c", "flags"),  # installed, on a busy
+        ("02 02 0000000c 4002000000000000 01 6b", "flags"),  # installed, on a still-valid
         ("01 08 00000009 3ff8000000000000 00", "flags"),  # a bit nobody has
-        ("05 00 0000000c 00", "trail"),
-        ("05 01 0000000c 0000", "undecodable"),  # half an epoch
+        ("02 00 0000000c 4002000000000000 01 6b 00", "trail"),
+        ("02 01 0000000c 4002000000000000 01 6b 0000", "undecodable"),  # half an epoch
         ("01 00 00000009 3ff8000000000000 05 6b30", "ends inside obj"),
         ("01 00 00000009 3ff8000000000000 02 c328", "undecodable"),  # obj not UTF-8
         ("03 00 0000000a 01 6b ff", "undecodable"),  # value not UTF-8
@@ -554,19 +557,19 @@ class TestMixedStream:
     """Both forms on one connection, through the real buffer parser."""
 
     FRAMES = [
-        {"kind": "hello", "protocol": 2, "client_id": 7, "subscribe": False},
+        {"kind": "hello", "protocol": 3, "client_id": 7, "subscribe": False},
         {"kind": "validate", "obj": "k0007", "alpha": 1.5, "req": 0},
         {"kind": "fetch", "obj": "ключ", "req": 1},
         {"kind": "write", "obj": "k0007", "value": "é⏱", "req": 2},
         {"kind": "write", "obj": "k0007", "value": [1, 2], "req": 3},  # stays JSON
-        {"kind": "busy", "req": 3, "epoch": 2},
+        {"kind": "still-valid", "req": 0, "omega": 2.5, "obj": "k0007", "epoch": 2},
         {"kind": "bye"},
     ]
 
     def test_split_at_every_byte_offset_delivers_the_same_frames(self):
         data = b"".join(encode_frame(f) for f in self.FRAMES)
         forms = [data[4] for data in map(encode_frame, self.FRAMES)]
-        assert forms == [0x7B, 0x01, 0x7B, 0x03, 0x7B, 0x05, 0x7B]
+        assert forms == [0x7B, 0x01, 0x7B, 0x03, 0x7B, 0x02, 0x7B]
         assert read_all(data) == self.FRAMES  # one segment
         for cut in range(len(data) + 1):
             assert read_all(data[:cut], data[cut:]) == self.FRAMES, cut
@@ -617,23 +620,24 @@ class TestMixedStream:
 
 
 class TestDump:
-    """``python -m repro.net.framing``: a captured stream, one JSON line
-    per frame whatever its form."""
+    """``python -m repro.net``: a captured stream, one JSON line per frame
+    whatever its form."""
 
     def run(self, stream: bytes):
         return subprocess.run(
-            [sys.executable, "-W", "ignore::RuntimeWarning", "-m", "repro.net.framing"],
+            [sys.executable, "-m", "repro.net"],
             input=stream, capture_output=True, timeout=30,
             env={"PYTHONPATH": str(ROOT / "src")},
         )
 
     def test_the_golden_capture_prints_as_its_messages(self):
         done = self.run(golden_capture())
+        # Nothing on stderr: no runpy warning, the module runs once.
         assert (done.returncode, done.stderr) == (0, b"")
         assert done.stdout.decode("utf-8") == golden_dump()
 
     def test_a_bad_frame_is_exit_1_with_its_offset(self, capsys):
-        from repro.net.framing import _dump  # what ``-m`` runs on stdin
+        from repro.net.__main__ import _dump  # what ``-m`` runs on stdin
 
         good = golden_capture()
         for tail, why in [

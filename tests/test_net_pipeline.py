@@ -1,5 +1,5 @@
 """The exactly-once request layer: dedup replay, pipelining, batching,
-busy backpressure, and orphan-reply hygiene over the real TCP stack.
+and orphan-reply hygiene over the real TCP stack.
 
 The regression at the heart of this file: a write whose ack is lost is
 *retransmitted*, and before the server grew a reply cache the retransmit
@@ -53,6 +53,11 @@ class DropFirst(FaultInjector):
             self.stats.dropped += 1
             return []
         return [0.0]
+
+
+def late(kind, by):
+    """Every outbound ``kind`` frame is written ``by`` seconds late."""
+    return lambda: FaultInjector(FaultConfig(delay=by), kinds={kind})
 
 
 class TestExactlyOnce:
@@ -137,12 +142,15 @@ class TestExactlyOnce:
         recovered = DurableStore(str(tmp_path)).open().objects
         assert {obj: version.value for obj, version in recovered.items()} == acked
 
-    def test_duplicate_racing_its_original_parks_on_its_future(self):
-        """A retransmit that arrives while the original is still
-        executing must wait for that execution, not start a second."""
+    def test_a_retransmit_whose_ack_is_late_is_replayed(self):
+        """The ack is on its way, only slower than the client's timeout:
+        every retransmit reaches a server that has already executed the
+        write, and is answered from the reply cache."""
 
         async def scenario():
-            server = NetObjectServer(propagation="none", latency=0.15)
+            server = NetObjectServer(
+                propagation="none", fault_factory=late(messages.WRITE_ACK, 0.15)
+            )
             await server.start()
             try:
                 async with NetCacheClient(
@@ -157,7 +165,7 @@ class TestExactlyOnce:
             return alpha, stored_alpha, retries, server
 
         alpha, stored_alpha, retries, server = asyncio.run(scenario())
-        assert retries >= 1  # at least one retransmit raced the original
+        assert retries >= 1  # the client did give up waiting, at least once
         assert server.engine.dedup_replays >= 1
         assert server.engine.requests == 1, "the write must execute exactly once"
         assert alpha == stored_alpha
@@ -175,49 +183,6 @@ class TestExactlyOnce:
                 await server.close()
 
         assert asyncio.run(scenario()) == 4
-
-
-class TestBackpressure:
-    def test_busy_sheds_unexecuted_and_client_reissues(self):
-        async def scenario():
-            server = NetObjectServer(
-                propagation="none", latency=0.03, inflight_limit=1
-            )
-            await server.start()
-            try:
-                async with NetCacheClient(
-                    0, server.host, server.port, pipeline_depth=4
-                ) as client:
-                    alphas = await asyncio.gather(
-                        *(client.write(f"o{i}", i) for i in range(4))
-                    )
-                    busy = client.stats.busy
-            finally:
-                await server.close()
-            return alphas, busy, server
-
-        alphas, busy, server = asyncio.run(scenario())
-        assert len(set(alphas)) == 4  # every write landed, own alpha each
-        assert server.busy_sent >= 3  # depth 4 against a 1-slot server
-        assert busy == server.busy_sent  # every shed was honored, none lost
-        # Shedding happens before execution: exactly 4 requests ran.
-        assert server.engine.requests == 4
-
-    def test_depth_one_keeps_the_old_lockstep_behaviour(self):
-        async def scenario():
-            server = NetObjectServer(propagation="none", inflight_limit=1)
-            await server.start()
-            try:
-                async with NetCacheClient(
-                    0, server.host, server.port, pipeline_depth=1
-                ) as client:
-                    for i in range(5):
-                        await client.write("x", i)
-                    return client.stats.busy
-            finally:
-                await server.close()
-
-        assert asyncio.run(scenario()) == 0  # lockstep never trips the limit
 
 
 class TestBatching:
@@ -341,7 +306,9 @@ class TestOrphanReplies:
         request's future, and it must not warn or wedge the loop."""
 
         async def scenario():
-            server = NetObjectServer(propagation="none", latency=0.2)
+            server = NetObjectServer(
+                propagation="none", fault_factory=late(messages.WRITE_ACK, 0.2)
+            )
             await server.start()
             try:
                 async with NetCacheClient(
@@ -350,7 +317,6 @@ class TestOrphanReplies:
                 ) as client:
                     with pytest.raises(RequestTimeout):
                         await client.write("x", "v0")
-                    server.latency = 0.0
                     # Let the orphan write-ack arrive and be dropped.
                     await asyncio.sleep(0.3)
                     value = await client.read("x")
@@ -922,6 +888,56 @@ class TestGroupCommit:
         in_place = [r["req"] for r in replies if r["kind"] != "ping-ack"]
         assert in_place == [0, 1, 2, 4, 5]  # the ping's task answers when it runs
         assert fsyncs == 2 and end is None
+
+
+class TestPipelinedWaves:
+    """The ``write_durable`` shape against a store-backed server: several
+    sites, each with waves of writes pipelined as deep as it may go."""
+
+    SITES, WAVES, DEPTH = 4, 5, 8
+
+    def test_every_write_is_executed_and_acknowledged_once_in_order(self, tmp_path):
+        async def scenario():
+            server = await TestGroupCommit.durable_server(tmp_path)
+            wal = server.durable.wal
+            before = wal.fsyncs
+            replies = {}  # site -> request ids, in the order replies arrived
+
+            async def site(client_id):
+                async with NetCacheClient(
+                    client_id, server.host, server.port, pipeline_depth=self.DEPTH
+                ) as client:
+                    seen = replies[client_id] = []
+                    on_frame = client.channel.on_frame
+                    client.channel.on_frame = lambda f: (
+                        seen.append(f.get("req")), on_frame(f)
+                    )
+                    alphas = []
+                    for wave in range(self.WAVES):
+                        alphas += await asyncio.gather(*(
+                            client.write(f"s{client_id}-{wave}-{i}", i)
+                            for i in range(self.DEPTH)
+                        ))
+                    return alphas, client.stats.retries
+
+            try:
+                outcomes = await asyncio.gather(
+                    *(site(client_id) for client_id in range(self.SITES))
+                )
+                return outcomes, replies, server.engine, wal.fsyncs - before
+            finally:
+                await server.abort()
+
+        outcomes, replies, engine, fsyncs = asyncio.run(scenario())
+        writes = self.SITES * self.WAVES * self.DEPTH
+        alphas = [alpha for site_alphas, _ in outcomes for alpha in site_alphas]
+        assert len(alphas) == len(set(alphas)) == writes  # an alpha of its own each
+        assert [retries for _, retries in outcomes] == [0] * self.SITES
+        assert engine.requests == writes and engine.dedup_replays == 0
+        for seen in replies.values():
+            # Acknowledged once each, and in the order they were asked.
+            assert seen == sorted(set(seen)) and len(seen) == writes // self.SITES
+        assert fsyncs < writes  # bursts shared their log syncs
 
 
 class TestLifecycle:
