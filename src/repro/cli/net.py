@@ -174,7 +174,7 @@ def cmd_client(args: argparse.Namespace) -> int:
         client = NetCacheClient(
             args.client_id, args.host, args.port,
             delta=delta, mode=args.mode, recorder=recorder, skew=args.skew,
-            pipeline_depth=args.pipeline_depth, batch=args.batch,
+            pipeline_depth=args.pipeline_depth,
         )
         await client.connect()
         rng = random.Random(args.seed + args.client_id)
@@ -309,9 +309,6 @@ def register(sub: "argparse._SubParsersAction") -> None:
     p_client.add_argument("--pipeline-depth", type=int, default=8,
                           help="max requests in flight on the connection "
                           "(default: 8)")
-    p_client.add_argument("--batch", type=int, default=0,
-                          help="coalesce up to N queued writes into one "
-                          "write-batch frame (0 disables)")
     p_client.add_argument("--seed", type=int, default=7)
     p_client.add_argument("--trace", default=None,
                           help="dump this client's recorded trace to a file")

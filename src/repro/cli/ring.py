@@ -234,7 +234,7 @@ def cmd_ring_soak(args: argparse.Namespace) -> int:
         kill_primary_midway=args.kill_primary,
         registry=registry, metrics_port=args.metrics_port,
         store_root=args.store_dir, fsync=args.fsync,
-        pipeline_depth=args.pipeline_depth, batch=args.batch,
+        pipeline_depth=args.pipeline_depth,
     )
     rows = []
     load = report.ring.load()
@@ -414,9 +414,6 @@ def register(sub: "argparse._SubParsersAction") -> None:
                         "cutover, all inside the checked trace")
     r_soak.add_argument("--pipeline-depth", type=int, default=8,
                         help="per-device request pipelining depth")
-    r_soak.add_argument("--batch", type=int, default=0,
-                        help="client-side write coalescing for non-placement "
-                        "traffic (0 disables)")
     r_soak.add_argument("--seed", type=int, default=7)
     r_soak.add_argument("--metrics", action="store_true",
                         help="instrument the soak (live on-time ratio, "

@@ -8,7 +8,7 @@ TCP side.  This package is the single canonical implementation both
 stacks now drive:
 
 * :class:`ServerEngine` / :class:`CausalServerEngine` — the server half:
-  fetch/validate/write/write-batch install logic, the timescale +
+  fetch/validate/write install logic, the timescale +
   ``Context`` rule, the exactly-once :class:`ReplyCache`, ring-epoch
   adoption and the promotion (failover) rule.  ``execute(client_id,
   frame)`` consumes one request frame (a plain dict) and returns an

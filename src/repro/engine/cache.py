@@ -37,7 +37,7 @@ decides — ``reads``/``writes``, ``fresh_hits``/``validations``/
 ``fetches`` (the read decision), ``revalidated``/``refreshed`` (which
 reply came back), ``read_latencies``, ``marked_old``/``invalidations``
 (demotions), ``fetch_check_failures``, ``pushes``/
-``push_invalidations``, ``batched_writes``.  A driver counts only what
+``push_invalidations``.  A driver counts only what
 its transport decides: ``retries``.
 """
 
@@ -239,14 +239,6 @@ class _CacheBase:
         }
 
 
-def _expect(reply: Dict[str, Any], kind: str, items: str, count: int) -> List[Any]:
-    """The per-item list of a batch ack, after checking its shape."""
-    found = reply.get(items)
-    if reply.get("kind") != kind or not isinstance(found, list) or len(found) != count:
-        raise ValueError(f"bad {kind} reply for {count} items: {reply!r}")
-    return found
-
-
 class CacheEngine(_CacheBase):
     """Physical-clock lifetime cache: SC when ``delta`` is infinite,
     TSC(delta) otherwise.
@@ -341,7 +333,7 @@ class CacheEngine(_CacheBase):
                     return False
         return True
 
-    # -- writes, batches, and reading reply frames ------------------------------
+    # -- writes, read batches, and reading reply frames -------------------------
 
     def begin_write(
         self, obj: str, value: Any, now: float, at: Optional[float] = None
@@ -358,27 +350,9 @@ class CacheEngine(_CacheBase):
         """Rule 2 on the ack; returns the server-assigned install time."""
         if reply.get("kind") != messages.WRITE_ACK:
             raise ValueError(f"bad write reply: {reply!r}")
-        return self._acked(op, reply, now)
-
-    def _acked(self, op: WriteOp, ack: Dict[str, Any], now: float) -> float:
-        alpha = float(ack["alpha"])
+        alpha = float(reply["alpha"])
         self.apply_write_ack(op.obj, op.value, alpha, now)
         return alpha
-
-    def write_batch_frame(self, ops: Sequence[WriteOp]) -> Dict[str, Any]:
-        """Several begun writes as one ``write-batch`` frame."""
-        self.stats.batched_writes += len(ops)
-        return {
-            "kind": messages.WRITE_BATCH,
-            "writes": [{"obj": op.obj, "value": op.value} for op in ops],
-        }
-
-    def finish_write_batch(
-        self, ops: Sequence[WriteOp], reply: Dict[str, Any], now: float
-    ) -> List[float]:
-        """Rule 2 per item of a ``write-batch-ack``, in item order."""
-        acks = _expect(reply, messages.WRITE_BATCH_ACK, "acks", len(ops))
-        return [self._acked(op, ack, now) for op, ack in zip(ops, acks)]
 
     def read_batch_frame(self, ops: Sequence[ReadDecision]) -> Dict[str, Any]:
         """Several begun reads as one ``validate-batch`` frame (a cold
@@ -392,7 +366,10 @@ class CacheEngine(_CacheBase):
         self, ops: Sequence[ReadDecision], reply: Dict[str, Any], now: float
     ) -> List[Any]:
         """:meth:`finish_read` per item of a ``validate-batch-ack``."""
-        results = _expect(reply, messages.VALIDATE_BATCH_ACK, "results", len(ops))
+        results = reply.get("results")
+        if (reply.get("kind") != messages.VALIDATE_BATCH_ACK
+                or not isinstance(results, list) or len(results) != len(ops)):
+            raise ValueError(f"bad validate-batch reply for {len(ops)} items: {reply!r}")
         return [self.finish_read(op, result, now) for op, result in zip(ops, results)]
 
     def _version_of(self, frame: Dict[str, Any]) -> PhysicalVersion:

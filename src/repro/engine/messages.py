@@ -24,10 +24,6 @@ WRITE_ACK = "write-ack"
 PUSH = "push"
 #: Server -> client: invalidation of an object (invalidation policy).
 INVALIDATE = "invalidate"
-#: Client -> server: several writes in one frame (``writes: [{obj, value}]``).
-WRITE_BATCH = "write-batch"
-#: Server -> client: per-item acks for a WRITE_BATCH (``acks: [{obj, alpha}]``).
-WRITE_BATCH_ACK = "write-batch-ack"
 #: Client -> server: several validations in one frame
 #: (``items: [{obj, alpha}]``; a null ``alpha`` asks for the full version).
 VALIDATE_BATCH = "validate-batch"
@@ -47,7 +43,7 @@ BULK_KINDS = frozenset({VERSION, PUSH, WRITE})
 #: one of these replays the cached reply instead of re-executing (the
 #: reply cache in :mod:`repro.net.server`).  ``sync`` is deliberately
 #: absent — a clock-sync exchange is time-sensitive and must re-execute.
-DEDUP_KINDS = frozenset({FETCH, VALIDATE, WRITE, WRITE_BATCH, VALIDATE_BATCH})
+DEDUP_KINDS = frozenset({FETCH, VALIDATE, WRITE, VALIDATE_BATCH})
 
 
 def size_of(kind: str) -> int:

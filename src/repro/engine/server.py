@@ -65,7 +65,6 @@ class _EngineBase:
         self.writes_discarded = 0
         self.dedup_replays = 0
         self.batch_frames = 0
-        self.batched_writes = 0
         #: When set (a list), every executed (frame, result) pair is
         #: appended — the conformance suite's effect journal.
         self.journal: Optional[List[Dict[str, Any]]] = None
@@ -297,45 +296,9 @@ class ServerEngine(_EngineBase):
                 reply["true_time"] = self.wall()
             return EngineResult(reply, wal=[version],
                                 installed=[version] if installed else [])
-        if kind == messages.WRITE_BATCH:
-            return self._execute_write_batch(client_id, frame)
         if kind == messages.VALIDATE_BATCH:
             return self._execute_validate_batch(frame)
         return self._error(frame, f"unknown message kind {kind!r}")
-
-    def _execute_write_batch(self, client_id: int, frame: Dict[str, Any]) -> EngineResult:
-        """Install a batch of writes as one frame: the driver amortizes
-        its WAL append (one fsync under
-        ``fsync=always``) over ``result.wal``; per-item acks in item
-        order.  Each item still gets its own install stamp — under a
-        strictly monotone clock (the TCP stack's) strictly later per
-        item, so batching amortizes cost without merging effective
-        times.  Under a stalled clock (the simulator's, where time only
-        moves between events) items stamp identically, and a same-object
-        duplicate inside one frame loses the latest-write-wins race —
-        batch distinct objects there."""
-        writes = frame.get("writes")
-        if not isinstance(writes, list) or not writes:
-            return self._error(frame, "write-batch needs a non-empty 'writes' list")
-        self.batch_frames += 1
-        self.batched_writes += len(writes)
-        self.requests += len(writes)
-        wal: List[PhysicalVersion] = []
-        installed: List[PhysicalVersion] = []
-        acks: List[Dict[str, Any]] = []
-        for item in writes:
-            version, ok = self.install(str(item["obj"]), item["value"], client_id)
-            wal.append(version)
-            if ok:
-                installed.append(version)
-            acks.append({"obj": version.obj, "alpha": version.alpha, "installed": ok})
-        reply = {
-            "kind": messages.WRITE_BATCH_ACK, "req": frame.get("req"),
-            "acks": acks,
-        }
-        if self.wall is not None:
-            reply["true_time"] = self.wall()
-        return EngineResult(reply, wal=wal, installed=installed)
 
     def _execute_validate_batch(self, frame: Dict[str, Any]) -> EngineResult:
         """Judge a batch of validations in one frame; a null ``alpha``

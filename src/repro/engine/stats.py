@@ -52,7 +52,6 @@ class ClientStats:
     push_invalidations: int = 0
     fetch_check_failures: int = 0
     retries: int = 0
-    batched_writes: int = 0  #: writes that travelled in write-batch frames
     read_latencies: List[float] = field(default_factory=list)
 
     @property
@@ -80,7 +79,6 @@ class ClientStats:
             "reads", "writes", "fresh_hits", "validations", "revalidated",
             "refreshed", "fetches", "invalidations", "marked_old", "pushes",
             "push_invalidations", "fetch_check_failures", "retries",
-            "batched_writes",
         ):
             setattr(merged, name, getattr(self, name) + getattr(other, name))
         merged.read_latencies = self.read_latencies + other.read_latencies
@@ -145,9 +143,6 @@ class ClientStats:
             family("repro_client_retries_total", "counter",
                    "Request retransmissions on lossy links",
                    [(base, self.retries)]),
-            family("repro_client_batched_writes_total", "counter",
-                   "Writes carried by write-batch frames",
-                   [(base, self.batched_writes)]),
             family("repro_client_read_latency_seconds_sum", "counter",
                    "Summed read completion latency",
                    [(base, sum(self.read_latencies))]),

@@ -325,7 +325,6 @@ async def _run_scenario_async(
                             "write_quorum": target.write_quorum,
                             "read_policy": target.read_policy,
                             "pipeline_depth": target.pipeline_depth,
-                            "batch": target.batch,
                             "epoch_watch_period": (
                                 target.probe_period if target.cluster else None
                             ),
@@ -336,7 +335,6 @@ async def _run_scenario_async(
                             "host": endpoints[0][0],
                             "port": endpoints[0][1],
                             "pipeline_depth": target.pipeline_depth,
-                            "batch": target.batch,
                         }
                     ),
                     "trace_path": os.path.join(out_dir, f"trace_{index}.json"),

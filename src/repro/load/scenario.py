@@ -62,7 +62,6 @@ class TargetSpec:
     server_skew: float = 0.02
     propagation: str = "none"
     pipeline_depth: int = 8
-    batch: int = 0
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "TargetSpec":

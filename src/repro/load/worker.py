@@ -323,7 +323,6 @@ def _build_executor(config: Dict[str, Any], recorder: Any) -> Any:
             delta=delta, mode=target.get("mode", "pull"),
             recorder=recorder, skew=float(config.get("skew", 0.0)),
             pipeline_depth=int(target.get("pipeline_depth", 8)),
-            batch=int(target.get("batch", 0)),
         )
     if kind == "ring":
         from repro.net.ring_router import RingRouter
@@ -341,7 +340,6 @@ def _build_executor(config: Dict[str, Any], recorder: Any) -> Any:
             read_policy=target.get("read_policy", "primary"),
             recorder=recorder, skew=float(config.get("skew", 0.0)),
             pipeline_depth=int(target.get("pipeline_depth", 8)),
-            batch=int(target.get("batch", 0)),
         )
     raise ValueError(f"unknown target kind {kind!r}")
 

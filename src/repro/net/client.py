@@ -43,10 +43,9 @@ from __future__ import annotations
 
 import asyncio
 import math
-from collections import deque
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
-from repro.engine import CacheEngine, WriteOp, messages
+from repro.engine import CacheEngine, messages
 from repro.net.channel import Channel
 from repro.net.clocksync import SyncedClock
 from repro.net.faults import FaultInjector
@@ -99,7 +98,6 @@ class NetCacheClient:
         registry: Optional[Any] = None,
         metric_labels: Optional[Dict[str, Any]] = None,
         pipeline_depth: int = 8,
-        batch: int = 0,
     ) -> None:
         """``sync_retries`` bounds how often a failed connect/clock-sync
         handshake is redone (fresh connection, capped exponential backoff
@@ -123,13 +121,7 @@ class NetCacheClient:
 
         ``pipeline_depth`` bounds how many requests may be outstanding
         over the one connection at a time (a semaphore; depth 1 is the
-        old lockstep behaviour).
-
-        ``batch`` > 1 turns on write coalescing: concurrent
-        :meth:`write` calls are drained into ``write-batch`` frames of
-        up to ``batch`` items, amortizing framing and the server's
-        log-before-ack fsync.  Each write still receives its own
-        server-assigned effective time."""
+        old lockstep behaviour)."""
         if mode not in FRESHNESS_MODES:
             raise ValueError(f"mode must be one of {FRESHNESS_MODES}, got {mode!r}")
         if request_timeout <= 0:
@@ -142,8 +134,6 @@ class NetCacheClient:
             raise ValueError(f"sync_retries must be non-negative, got {sync_retries}")
         if pipeline_depth < 1:
             raise ValueError(f"pipeline_depth must be >= 1, got {pipeline_depth}")
-        if batch < 0:
-            raise ValueError(f"batch must be non-negative, got {batch}")
         self.client_id = client_id
         self.host = host
         self.port = port
@@ -167,15 +157,10 @@ class NetCacheClient:
         self.server_epoch = 0
         self.on_epoch: Optional[Callable[[int, "NetCacheClient"], None]] = None
         self.pipeline_depth = pipeline_depth
-        self.batch = batch
         # Pipelining: the semaphore bounds outstanding request ids over
         # the one connection; ids themselves are never reused, so a
         # reply that outlives its request cannot resolve a later future.
         self._issue_slots = asyncio.Semaphore(pipeline_depth)
-        # Write coalescing: (begun write, future) pairs drained by one
-        # flusher task into write-batch frames.
-        self._batch_queue: Deque[Tuple[WriteOp, asyncio.Future]] = deque()
-        self._batch_flusher: Optional[asyncio.Task] = None
         self.registry = registry
         self._rtt = None
         self._push_lag = None
@@ -201,7 +186,7 @@ class NetCacheClient:
             kind: rtt.labels(**labels, kind=kind)
             for kind in (
                 messages.FETCH, messages.VALIDATE, messages.WRITE,
-                messages.WRITE_BATCH, messages.VALIDATE_BATCH, SYNC,
+                messages.VALIDATE_BATCH, SYNC,
             )
         }
         self._push_lag = self.registry.histogram(
@@ -230,7 +215,6 @@ class NetCacheClient:
             self.registry, side="client", labels=labels
         )
         self.pipeline.bind_outstanding(lambda: len(self.channel.pending))
-        self.pipeline.bind_queue_depth(lambda: len(self._batch_queue))
 
     # -- connection lifecycle -------------------------------------------------
 
@@ -287,13 +271,6 @@ class NetCacheClient:
             self.clock.estimator.add_sample(reply["t0"], reply["t1"], reply["t2"], t3)
 
     async def close(self) -> None:
-        if self._batch_flusher is not None and not self._batch_flusher.done():
-            # Queued writes have futures their callers await: let the
-            # flusher drain them before the connection goes away.
-            try:
-                await self._batch_flusher
-            except Exception:
-                pass
         await self.channel.close()
 
     async def __aenter__(self) -> "NetCacheClient":
@@ -332,16 +309,6 @@ class NetCacheClient:
         self._record_read(obj, value, op.started, now)
         return value
 
-    def _record_write(self, op: WriteOp, alpha: float) -> None:
-        # alpha is the server's clock, the interval this site's: they
-        # may disagree by up to epsilon (Definition 2), so an acknowledged
-        # write is recorded with its interval widened to hold its stamp.
-        if self.recorder is not None:
-            self.recorder.record_write(
-                self.client_id, op.obj, op.value, alpha,
-                start=min(op.started, alpha), end=max(self.now(), alpha),
-            )
-
     async def write(
         self, obj: str, value: Any, *, req: Optional[int] = None
     ) -> float:
@@ -350,69 +317,24 @@ class NetCacheClient:
         ``req`` pins the request id (from :meth:`next_request_id`) so a
         caller-level retry — e.g. the ring's anti-entropy re-push — hits
         the server's reply cache instead of installing a second version.
-        A pinned write bypasses coalescing: a batch frame cannot carry a
-        per-write id.
         """
         op = self.engine.begin_write(obj, value, self.now())
-        if req is None and self.batch > 1:
-            return await self._write_coalesced(op)
         reply = await self._request(op.frame, req=req)
         alpha = self.engine.finish_write(op, reply, self.now())
-        self._record_write(op, alpha)
+        # alpha is the server's clock, the interval this site's: they
+        # may disagree by up to epsilon (Definition 2), so an acknowledged
+        # write is recorded with its interval widened to hold its stamp.
+        if self.recorder is not None:
+            self.recorder.record_write(
+                self.client_id, obj, value, alpha,
+                start=min(op.started, alpha), end=max(self.now(), alpha),
+            )
         return alpha
 
     def next_request_id(self) -> int:
         """Allocate a request id for a pinned :meth:`write` (ids are
         never reused; allocating without sending is safe)."""
         return self.channel.next_id()
-
-    async def _write_coalesced(self, op: WriteOp) -> float:
-        """Queue the write for the flusher task; await its own ack."""
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._batch_queue.append((op, future))
-        if self._batch_flusher is None or self._batch_flusher.done():
-            self._batch_flusher = asyncio.ensure_future(self._flush_batches())
-        return await future
-
-    async def _flush_batches(self) -> None:
-        """Drain the coalescing queue in write-batch frames of up to
-        ``batch`` items.  Writes queued while a frame is in flight form
-        the next frame — same-tick writes share one round trip."""
-        while self._batch_queue:
-            group = [
-                self._batch_queue.popleft()
-                for _ in range(min(len(self._batch_queue), self.batch))
-            ]
-            try:
-                alphas = await self._write_batch([op for op, _ in group])
-            except Exception as exc:
-                for _, future in group:
-                    if not future.done():
-                        future.set_exception(exc)
-                continue
-            for (_, future), alpha in zip(group, alphas):
-                if not future.done():
-                    future.set_result(alpha)
-
-    async def _write_batch(self, ops: List[WriteOp]) -> List[float]:
-        """One write-batch round trip: rule 2 and a trace record per
-        item; returns the per-item alphas in order."""
-        reply = await self._request(self.engine.write_batch_frame(ops))
-        alphas = self.engine.finish_write_batch(ops, reply, self.now())
-        if self.pipeline is not None:
-            self.pipeline.on_batch(len(ops))
-        for op, alpha in zip(ops, alphas):
-            self._record_write(op, alpha)
-        return alphas
-
-    async def write_many(self, items: Iterable[Tuple[str, Any]]) -> List[float]:
-        """Write several objects in one ``write-batch`` frame; returns
-        the server-assigned effective times in item order.  One round
-        trip, one WAL fsync — each item
-        still gets its own effective time and Rule 2 is applied per ack."""
-        now = self.now()
-        ops = [self.engine.begin_write(obj, value, now) for obj, value in items]
-        return await self._write_batch(ops) if ops else []
 
     async def validate_many(self, objs: Iterable[str]) -> Dict[str, Any]:
         """Refresh several objects in one ``validate-batch`` frame;

@@ -47,7 +47,7 @@ from repro.engine import messages
 MAX_FRAME_BYTES = 1 << 20
 
 #: Wire protocol version carried in the HELLO exchange.
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 # Handshake and housekeeping kinds specific to the wire protocol; the
 # data-plane kinds (fetch/validate/write/push/...) come from

@@ -150,7 +150,6 @@ class RingRouter:
         registry: Optional[Any] = None,
         instruments: Optional[Any] = None,
         pipeline_depth: int = 8,
-        batch: int = 0,
     ) -> None:
         if read_policy not in READ_POLICIES:
             raise ValueError(
@@ -177,7 +176,7 @@ class RingRouter:
         self._client_options = dict(
             delta=delta, mode=mode, sync_rounds=sync_rounds,
             request_timeout=request_timeout, max_retries=max_retries,
-            registry=registry, pipeline_depth=pipeline_depth, batch=batch,
+            registry=registry, pipeline_depth=pipeline_depth,
         )
         self.clients: Dict[int, NetCacheClient] = {
             dev_id: self._device_client(dev_id, *endpoints[dev_id])

@@ -11,9 +11,8 @@ message kinds
   of large objects");
 * ``write``    -> ``write-ack``      (synchronous install; the install
   instant on the *server's* clock is the write's effective time);
-* ``write-batch`` / ``validate-batch`` -> per-item acks (one WAL
-  append for the whole frame; every item still gets its own effective
-  time);
+* ``validate-batch`` -> per-item results (bulk refresh: a
+  ``still-valid`` or a ``version`` per item);
 * ``push`` / ``invalidate``          (server-initiated propagation to
   subscribed clients, per the ``propagation`` policy).
 
@@ -571,16 +570,11 @@ class NetObjectServer:
         result = self.engine.execute(client_id, frame)
         if self.durable is not None and result.wal:
             with self.durable.group():
-                if len(result.wal) == 1:
-                    self.durable.log_write(result.wal[0])
-                else:
-                    self.durable.log_writes(result.wal)
-        if self.pipeline is not None:
-            kind = result.reply.get("kind")
-            if kind == messages.WRITE_BATCH_ACK:
-                self.pipeline.on_batch(len(result.reply["acks"]))
-            elif kind == messages.VALIDATE_BATCH_ACK:
-                self.pipeline.on_batch(len(result.reply["results"]))
+                for version in result.wal:
+                    self.durable.log_write(version)
+        if (self.pipeline is not None
+                and result.reply.get("kind") == messages.VALIDATE_BATCH_ACK):
+            self.pipeline.on_batch(len(result.reply["results"]))
         return result.reply, result.installed
 
     def _propagate(

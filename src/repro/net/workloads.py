@@ -299,7 +299,6 @@ async def ring_cluster(
     store_root: Optional[str] = None,
     fsync: str = "interval",
     pipeline_depth: int = 8,
-    batch: int = 0,
 ) -> RingReport:
     """Run one ring-routed cluster end to end; see the module docstring.
 
@@ -402,7 +401,7 @@ async def ring_cluster(
                 i, delta=delta, write_quorum=write_quorum,
                 read_policy=read_policy, recorder=recorder,
                 skew=client_skews[i], instruments=instruments,
-                pipeline_depth=pipeline_depth, batch=batch,
+                pipeline_depth=pipeline_depth,
             )
             for i in range(n_clients)
         ]

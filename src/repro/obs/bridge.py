@@ -247,9 +247,6 @@ def bind_net_server(
             family("repro_net_reply_cache_entries", "gauge",
                    "Replies retained for exactly-once replay",
                    [(base, len(server.engine.replies))]),
-            family("repro_net_batched_writes_total", "counter",
-                   "Writes installed via write-batch frames",
-                   [(base, server.engine.batched_writes)]),
             family("repro_net_objects", "gauge",
                    "Objects materialized in the server store",
                    [(base, len(server.engine.store))]),

@@ -484,14 +484,12 @@ class PipelineInstruments:
     label *names* are fixed so routers, standalone clients, and servers
     can all share one registry (a family's label names must agree).
 
-    * ``repro_net_batch_size`` — operations coalesced per batch frame
+    * ``repro_net_batch_size`` — objects per ``validate-batch`` frame
       (:meth:`on_batch`);
     * ``repro_net_outstanding_requests`` — pipelined requests in flight,
-      pulled at scrape time (:meth:`bind_outstanding`);
-    * ``repro_net_batch_queue_depth`` — writes waiting in the client's
-      coalescing queue, pulled at scrape time (:meth:`bind_queue_depth`).
+      pulled at scrape time (:meth:`bind_outstanding`).
 
-    The two gauges exist for an endpoint that binds them: the client.
+    The gauge exists for an endpoint that binds it: the client.
     """
 
     LABEL_NAMES = ("side", "site", "device")
@@ -513,7 +511,7 @@ class PipelineInstruments:
         self._label = label
         self.batch_size = registry.histogram(
             "repro_net_batch_size",
-            "Operations coalesced into one batch frame",
+            "Objects carried by one validate-batch frame",
             labels=self.LABEL_NAMES,
             buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
         ).labels(**label)
@@ -521,22 +519,12 @@ class PipelineInstruments:
     def on_batch(self, size: int) -> None:
         self.batch_size.observe(size)
 
-    def _bind_gauge(self, name: str, help: str, fn) -> None:
-        self.registry.gauge(
-            name, help, labels=self.LABEL_NAMES
-        ).labels(**self._label).set_function(fn)
-
     def bind_outstanding(self, fn) -> None:
-        self._bind_gauge(
+        self.registry.gauge(
             "repro_net_outstanding_requests",
-            "Pipelined requests issued and not yet answered", fn,
-        )
-
-    def bind_queue_depth(self, fn) -> None:
-        self._bind_gauge(
-            "repro_net_batch_queue_depth",
-            "Writes waiting in the client's batch-coalescing queue", fn,
-        )
+            "Pipelined requests issued and not yet answered",
+            labels=self.LABEL_NAMES,
+        ).labels(**self._label).set_function(fn)
 
 
 class ClusterInstruments:

@@ -46,16 +46,14 @@ Design notes (see DESIGN.md):
   operation's execution interval, as Section 2 requires.
 * Writes go to the wire as ``{"obj", "value", "req"}`` scalars (the
   server stamps the install time; a client-side stamp would be
-  discarded anyway), matching the TCP wire format.  ``write_many``
-  ships several writes in one ``WRITE_BATCH`` frame — the sim stack
-  shares the TCP stack's batching now that both drive the same engine.
+  discarded anyway), matching the TCP wire format.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional
 
 from repro.clocks.vector import VectorClock, VectorTimestamp
 from repro.engine import CacheEngine, CausalCacheEngine, StalenessAction, messages
@@ -162,28 +160,6 @@ class SimCacheClient(Node):
         op = self.engine.begin_write(obj, value, self.local_time(), self.sim.now)
         return self._issue(obj, op.frame, op, self._finish_write)
 
-    def write_many(self, writes: List[Tuple[str, Any]]) -> Event:
-        """Start a batch of writes as one ``WRITE_BATCH`` frame; the
-        returned event succeeds with the list of install times
-        (physical protocol only).
-
-        One frame, one server visit, per-item acks.  Caveat: the
-        simulator's clocks only advance between events, so every item in
-        the batch gets the *same* install stamp — batch distinct objects
-        (a same-object duplicate inside one frame loses the
-        latest-write-wins race).
-        """
-        if not writes:
-            raise ValueError("write_many needs at least one write")
-        ops = [
-            self.engine.begin_write(obj, value, self.local_time(), self.sim.now)
-            for obj, value in writes
-        ]
-        # Single-server sim: any object routes the frame.
-        return self._issue(
-            writes[0][0], self.engine.write_batch_frame(ops), ops, self._finish_batch
-        )
-
     # -- message handling ----------------------------------------------------
 
     def _issue(self, obj: str, frame: Dict[str, Any], op: Any, finish: Callable) -> Event:
@@ -226,12 +202,6 @@ class SimCacheClient(Node):
         result = self.engine.finish_write(op, reply, self.sim.now)
         self._record_write(op, reply["true_time"])
         return result
-
-    def _finish_batch(self, ops: List[Any], reply: Dict[str, Any]) -> List[float]:
-        alphas = self.engine.finish_write_batch(ops, reply, self.sim.now)
-        for op in ops:
-            self._record_write(op, reply["true_time"])
-        return alphas
 
     # -- tracing ----------------------------------------------------------------
     #

@@ -14,9 +14,9 @@ its objects and answers:
 * ``WRITE`` — install a client's write-through if it is newer than the
   stored version (physical: larger start time wins; causal: causally later
   wins, with a deterministic total tiebreak for concurrent writes);
-* ``WRITE_BATCH`` / ``VALIDATE_BATCH`` — many writes/validations in one
-  message, per-item acks (the sim stack shares the TCP stack's batching
-  now that both drive the same engine).
+* ``VALIDATE_BATCH`` — many validations in one message, per-item
+  results (the engine answers it for either driver; only the TCP
+  client sends one).
 
 The protocol logic lives in the transport-free engines of
 :mod:`repro.engine`; :class:`SimServer` is the one *simulator driver*

@@ -361,10 +361,11 @@ class DurableStore:
         self._log((version,))
 
     def log_writes(self, versions: Sequence[PhysicalVersion]) -> None:
-        """Append a batch of installed writes with a single flush/fsync;
-        call *before* acknowledging any of them.  The batch write path
-        (``write-batch`` frames) amortizes the fsync across the batch
-        while keeping the log-before-ack invariant per item."""
+        """Append several installed writes with a single flush/fsync;
+        call *before* acknowledging any of them.  Nothing in the package
+        calls it any more (a pipelined burst shares one fsync through
+        :meth:`group`); it stays because the layered benchmark's tracer
+        patches it by name."""
         self._log(versions)
 
     def _log(self, versions: Sequence[PhysicalVersion]) -> None:

@@ -90,11 +90,7 @@ def golden_script():
     yield {"kind": messages.WRITE, "obj": "x", "value": "v2", "req": 3}
     # Now stale: answered with the full v2 version.
     yield {"kind": messages.VALIDATE, "obj": "x", "alpha": alpha1, "req": 4}
-    yield {
-        "kind": messages.WRITE_BATCH,
-        "writes": [{"obj": "a", "value": 1}, {"obj": "b", "value": 2}],
-        "req": 5,
-    }
+    yield {"kind": messages.WRITE, "obj": "a", "value": 1, "req": 5}
     yield {
         "kind": messages.VALIDATE_BATCH,
         "items": [{"obj": "a", "alpha": None}, {"obj": "x", "alpha": alpha1}],
@@ -207,14 +203,14 @@ class TestSimConformance:
 
     def test_journal_covers_every_effect_kind(self):
         """The golden script is only a conformance oracle if it exercises
-        the full effect surface: replies of every kind, multi-version
-        WAL batches, and an LWW-discarded write would all be nice — keep
-        at least one install, one discard-free batch, one still-valid,
-        one version refresh and one cold batch item in the journal."""
+        the full effect surface: replies of every kind and an
+        LWW-discarded write would all be nice — keep at least two
+        installs, one still-valid, one version refresh and one cold
+        batch item in the journal."""
         kinds = [entry["reply"]["kind"] for entry in run_reference()]
         assert kinds == [
             messages.VERSION, messages.WRITE_ACK, messages.STILL_VALID,
-            messages.WRITE_ACK, messages.VERSION, messages.WRITE_BATCH_ACK,
+            messages.WRITE_ACK, messages.VERSION, messages.WRITE_ACK,
             messages.VALIDATE_BATCH_ACK, messages.VERSION,
         ]
 

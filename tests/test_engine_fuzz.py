@@ -1,6 +1,6 @@
 """Seeded property-based fuzzing of the transport-free server engines.
 
-Random interleavings of write / write-batch / validate / fetch /
+Random interleavings of write / validate / validate-batch / fetch /
 duplicate frames from several synthetic clients run against a bare
 :class:`~repro.engine.ServerEngine` (and its causal sibling) under a
 deterministic seeded clock.  Per run we assert the engine's structural
@@ -44,8 +44,7 @@ def random_frame(rng, req, known_alphas):
     previously acked for it (to make validates plausibly hit)."""
     kind = rng.choice(
         [messages.WRITE] * 4 + [messages.FETCH] * 2
-        + [messages.VALIDATE] * 2 + [messages.WRITE_BATCH]
-        + [messages.VALIDATE_BATCH]
+        + [messages.VALIDATE] * 2 + [messages.VALIDATE_BATCH]
     )
     obj = rng.choice(OBJECTS)
     if kind == messages.WRITE:
@@ -55,14 +54,6 @@ def random_frame(rng, req, known_alphas):
     if kind == messages.VALIDATE:
         alpha = known_alphas.get(obj) if rng.random() < 0.5 else None
         return {"kind": kind, "obj": obj, "alpha": alpha, "req": req}
-    if kind == messages.WRITE_BATCH:
-        batch = rng.sample(OBJECTS, rng.randint(1, len(OBJECTS)))
-        return {
-            "kind": kind, "req": req,
-            "writes": [
-                {"obj": o, "value": f"v{req}.{i}"} for i, o in enumerate(batch)
-            ],
-        }
     return {
         "kind": messages.VALIDATE_BATCH, "req": req,
         "items": [
@@ -118,12 +109,6 @@ def record(recorder, client, frame, reply, known_alphas):
         recorder.record_write(
             client, frame["obj"], frame["value"], reply["alpha"]
         )
-    elif kind == messages.WRITE_BATCH_ACK:
-        for item, ack in zip(frame["writes"], reply["acks"]):
-            known_alphas[item["obj"]] = ack["alpha"]
-            recorder.record_write(
-                client, item["obj"], item["value"], ack["alpha"]
-            )
     elif kind == messages.VERSION:
         # Reads of the untouched initial value (0) are valid history too:
         # the recorder's History carries initial_value=0.

@@ -31,6 +31,8 @@ from repro.net.channel import Channel
 from repro.net.client import NetCacheClient
 from repro.net.faults import FaultConfig, FaultInjector
 from repro.net.framing import HELLO_ACK, PROTOCOL_VERSION, dial, listen
+from repro.load.scenario import TargetSpec
+from repro.net.ring_router import RingRouter
 from repro.net.server import NetObjectServer
 
 from tests.test_net_local import callers_of, names_in
@@ -243,7 +245,7 @@ class TestOpen:
         async def scenario():
             server = await NetObjectServer(propagation="none").start()
             try:
-                refused = await greet(server, protocol=2)
+                refused = [await greet(server, protocol=v) for v in (2, 3)]
                 conn = await dial(server.host, server.port)  # raw peer, ``nc``
                 await conn.send({"kind": "hello", "client_id": 8})
                 ack = await asyncio.wait_for(conn.recv(), 1.0)
@@ -255,12 +257,13 @@ class TestOpen:
             finally:
                 await server.close()
 
-        (error, eof), ack, stated = asyncio.run(scenario())
-        assert error["kind"] == "error" and eof is None  # error, then close
-        assert f"wire protocol 2 asked for, this server speaks {PROTOCOL_VERSION}" \
-            in error["error"]
+        refused, ack, stated = asyncio.run(scenario())
+        for version, (error, eof) in zip((2, 3), refused):
+            assert error["kind"] == "error" and eof is None  # error, then close
+            assert (f"wire protocol {version} asked for, this server speaks "
+                    f"{PROTOCOL_VERSION}") in error["error"]
         assert ack["kind"] == stated["kind"] == HELLO_ACK
-        assert ack["protocol"] == stated["protocol"] == PROTOCOL_VERSION == 3
+        assert ack["protocol"] == stated["protocol"] == PROTOCOL_VERSION == 4
 
     def test_faults_are_consulted_after_start_and_never_before(self):
         faults = FaultInjector(FaultConfig())
@@ -491,15 +494,30 @@ class TestOneAnsweringEnd:
         assert set(vars(NetObjectServer)) & {
             "store", "context", "recovered_old", "revalidations", "epoch",
             "ring", "promotions", "requests", "replies", "dedup_replays",
-            "batch_frames", "batched_writes",
+            "batch_frames",
         } == set()
 
     def test_the_scattered_handlers_are_gone(self):
-        for gone in ("_on_sync", "_stamped", "_dispatch", "_read_attempt"):
+        for gone in ("_on_sync", "_stamped", "_dispatch", "_read_attempt",
+                     "write-batch", "WRITE_BATCH", "_flush_batches",
+                     "write_many", "batched_writes"):
             assert [
                 str(path.relative_to(SRC)) for path in SRC.rglob("*.py")
                 if gone in path.read_text(encoding="utf-8")
             ] == [], gone
+
+    def test_a_write_has_no_batch_knob(self):
+        assert "batch" not in TargetSpec.__dataclass_fields__
+        for cls in (NetCacheClient, RingRouter):
+            assert "batch" not in inspect.signature(cls).parameters, cls
+        (sub,) = [action for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+        (ring,) = [action for action in sub.choices["ring"]._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+        for parser in (sub.choices["client"], ring.choices["soak"]):
+            flags = {flag for action in parser._actions
+                     for flag in action.option_strings}
+            assert "--batch" not in flags, parser.prog
 
 
 class TestOneExecutionModel:
@@ -553,7 +571,7 @@ class TestOneExecutionModel:
                 assert getattr(node, "id", None) != "BUSY", path
                 assert getattr(node, "attr", None) != "BUSY", path
                 assert getattr(node, "value", None) != "busy", path
-        assert PROTOCOL_VERSION == 3
+        assert PROTOCOL_VERSION == 4
 
     def test_the_client_reads_engine_state_from_the_engine(self):
         assert {"cache", "context", "delta"} & set(vars(NetCacheClient)) == set()

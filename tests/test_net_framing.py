@@ -240,7 +240,8 @@ class TestConnection:
                     0, server.host, server.port, delta=0.0
                 ) as client:
                     await client.write("x", "héllo ⏱")  # not one byte per character
-                    await client.write_many([("a", 1), ("b", 2.5), ("c", None)])
+                    for obj, value in [("a", 1), ("b", 2.5), ("c", None)]:
+                        await client.write(obj, value)
                     assert await client.read("x") == "héllo ⏱"
                     await client.validate_many(["a", "b", "never written"])
                     conn = client.conn
@@ -339,7 +340,7 @@ GOLDEN = [
      "04 01 0000000a 4004000000000000 05 6b30303037 00000003"),
 ]
 GOLDEN_PAYLOADS = [bytes.fromhex(text) for _, text in GOLDEN]
-_HELLO = {"kind": "hello", "protocol": 3, "client_id": 7}
+_HELLO = {"kind": "hello", "protocol": 4, "client_id": 7}
 
 
 def golden_capture() -> bytes:
@@ -557,7 +558,7 @@ class TestMixedStream:
     """Both forms on one connection, through the real buffer parser."""
 
     FRAMES = [
-        {"kind": "hello", "protocol": 3, "client_id": 7, "subscribe": False},
+        {"kind": "hello", "protocol": 4, "client_id": 7, "subscribe": False},
         {"kind": "validate", "obj": "k0007", "alpha": 1.5, "req": 0},
         {"kind": "fetch", "obj": "ключ", "req": 1},
         {"kind": "write", "obj": "k0007", "value": "é⏱", "req": 2},

@@ -1,5 +1,5 @@
-"""The exactly-once request layer: dedup replay, pipelining, batching,
-and orphan-reply hygiene over the real TCP stack.
+"""The exactly-once request layer: dedup replay, pipelining, bulk
+validation, and orphan-reply hygiene over the real TCP stack.
 
 The regression at the heart of this file: a write whose ack is lost is
 *retransmitted*, and before the server grew a reply cache the retransmit
@@ -20,7 +20,7 @@ import shutil
 import pytest
 
 from repro.checkers import check_tsc
-from repro.engine import messages
+from repro.engine import ServerEngine, messages
 from repro.net.client import NetCacheClient, ProtocolError, RequestTimeout
 from repro.net.faults import FaultConfig, FaultInjector
 from repro.net.framing import (
@@ -186,32 +186,6 @@ class TestExactlyOnce:
 
 
 class TestBatching:
-    def test_write_many_is_one_frame_with_distinct_alphas(self):
-        async def scenario():
-            server = NetObjectServer(propagation="none")
-            await server.start()
-            try:
-                async with NetCacheClient(0, server.host, server.port) as client:
-                    alphas = await client.write_many(
-                        [("a", 1), ("b", 2), ("c", 3)]
-                    )
-                    # Rule 2 ran per ack, so Context sits at c's alpha —
-                    # c is the one entry still inside its known lifetime.
-                    value = await client.read("c")
-                    hits = client.stats.fresh_hits
-                    batched = client.stats.batched_writes
-            finally:
-                await server.close()
-            return alphas, value, hits, batched, server
-
-        alphas, value, hits, batched, server = asyncio.run(scenario())
-        assert sorted(alphas) == alphas and len(set(alphas)) == 3, (
-            "batched writes keep strictly increasing per-item install times"
-        )
-        assert server.engine.batch_frames == 1 and server.engine.batched_writes == 3
-        assert batched == 3
-        assert value == 3 and hits == 1  # acks installed into the cache
-
     def test_validate_many_mixes_still_valid_and_refresh(self):
         async def scenario():
             server = NetObjectServer(propagation="none")
@@ -222,7 +196,8 @@ class TestBatching:
                 ) as writer, NetCacheClient(
                     1, server.host, server.port, delta=0.05
                 ) as reader:
-                    await writer.write_many([("a", "a0"), ("b", "b0")])
+                    await writer.write("a", "a0")
+                    await writer.write("b", "b0")
                     # Cold bulk fetch: a, b cached plus never-written c.
                     first = await reader.validate_many(["a", "b", "c"])
                     await writer.write("a", "a1")
@@ -239,9 +214,13 @@ class TestBatching:
         assert stats.fetches == 3  # the cold bulk round
         assert stats.refreshed == 1  # only a shipped a new version
         assert stats.revalidated == 2  # b and c answered still-valid
-        assert server.engine.batch_frames == 3  # one write-batch + two validates
+        assert server.engine.batch_frames == 2  # the two validate-batches
 
-    def test_coalesced_writes_share_frames_and_stay_timed(self):
+    def test_concurrent_pipelined_writes_stay_timed(self):
+        """Sixteen writes in flight at once travel as sixteen ``write``
+        frames over the one connection: one request each, each with its
+        own install stamp, and the trace stays timed."""
+
         async def scenario():
             recorder = TraceRecorder()
             values = UniqueValueFactory()
@@ -250,53 +229,112 @@ class TestBatching:
             try:
                 async with NetCacheClient(
                     0, server.host, server.port, recorder=recorder,
-                    pipeline_depth=8, batch=4,
+                    pipeline_depth=8,
                 ) as client:
-                    await asyncio.gather(*(
+                    before = server.engine.requests
+                    alphas = await asyncio.gather(*(
                         client.write(f"x{i % 3}", values.next_value(0))
                         for i in range(16)
                     ))
+                    requests = server.engine.requests - before
                     for i in range(3):
                         await client.read(f"x{i}")
                     epsilon = client.epsilon_bound
-                    stats = client.stats
             finally:
                 await server.close()
-            return recorder, epsilon, stats, server
+            return recorder, epsilon, alphas, requests
 
-        recorder, epsilon, stats, server = asyncio.run(scenario())
-        assert stats.batched_writes == 16  # every write coalesced
-        assert server.engine.batched_writes == 16
-        assert server.engine.batch_frames >= 4  # frames of at most `batch` items
+        recorder, epsilon, alphas, requests = asyncio.run(scenario())
+        assert len(set(alphas)) == 16
+        assert requests == 16
         result = check_tsc(recorder.history(), math.inf, epsilon)
         assert result.satisfied, result.violation
 
-    def test_pinned_request_ids_bypass_coalescing(self):
-        """A pinned write (the ring repair path) cannot ride a batch
-        frame — the frame has one id for many writes."""
+    def test_pinned_request_id_replays_the_first_write(self):
+        """A second write under a pinned id (the ring repair path) is a
+        retransmission: the server replays the first reply and installs
+        nothing."""
 
         async def scenario():
             server = NetObjectServer(propagation="none")
             await server.start()
             try:
-                async with NetCacheClient(
-                    0, server.host, server.port, batch=4
-                ) as client:
+                async with NetCacheClient(0, server.host, server.port) as client:
                     req = client.next_request_id()
                     alpha = await client.write("x", "v", req=req)
                     replay = await client.write("x", "v2", req=req)
-                    batched = client.stats.batched_writes
             finally:
                 await server.close()
-            return alpha, replay, batched, server
+            return alpha, replay, server
 
-        alpha, replay, batched, server = asyncio.run(scenario())
-        assert batched == 0
+        alpha, replay, server = asyncio.run(scenario())
         # Same id => the second call replayed the first reply: the
         # original alpha, and v2 was never installed.
         assert replay == alpha
         assert server.engine.store["x"].value == "v"
+        assert server.engine.writes_installed == 1
         assert server.engine.dedup_replays == 1
+
+
+class TestOneWritePath:
+    """A write travels as a ``write`` frame, pipelined and group-committed,
+    and no other way.  The old ``write-batch`` frame installed its items
+    one by one before reading the next: a malformed second item left the
+    first installed and visible to readers, answered ``error`` and
+    absent from the WAL — a write no one acknowledged, lost in a crash."""
+
+    def test_a_write_batch_frame_is_refused_and_installs_nothing(self, tmp_path):
+        async def scenario():
+            server = await NetObjectServer(
+                propagation="none",
+                store=DurableStore(str(tmp_path), fsync="always"),
+            ).start()
+            try:
+                conn = await dial(server.host, server.port)
+                await conn.send({"kind": HELLO, "client_id": 1})
+                assert (await conn.recv())["kind"] == HELLO_ACK
+                before = dict(server.engine.store)
+                replies = []
+                for req, writes in enumerate([
+                    [{"obj": "a", "value": 1}, {"obj": "b", "value": 2}],
+                    [{"obj": "a", "value": 1}, {"obj": "b"}],  # no "value"
+                ]):
+                    await conn.send({"kind": "write-batch", "writes": writes,
+                                     "req": req})
+                    replies.append(await asyncio.wait_for(conn.recv(), 1.0))
+                after = dict(server.engine.store)
+                installed = server.engine.writes_installed
+                logged = replay_wal(str(tmp_path / "wal.log")).records
+                await conn.send({"kind": "write", "obj": "a", "value": 3,
+                                 "req": 2})
+                ack = await asyncio.wait_for(conn.recv(), 1.0)
+                await conn.close()
+            finally:
+                await server.close()
+            return replies, before, after, installed, logged, ack
+
+        replies, before, after, installed, logged, ack = asyncio.run(scenario())
+        assert [(r["kind"], r["req"]) for r in replies] == [
+            ("error", 0), ("error", 1),
+        ]
+        assert after == before and installed == 0
+        assert [r for r in logged if r.get("k") == REC_WRITE] == []
+        assert (ack["kind"], ack["req"], ack["obj"]) == ("write-ack", 2, "a")
+        wal = replay_wal(str(tmp_path / "wal.log")).records
+        assert [r["value"] for r in wal if r.get("k") == REC_WRITE] == [3]
+
+    def test_the_engine_answers_write_batch_as_an_unknown_kind(self):
+        engine = ServerEngine(lambda: 0.0)
+        frame = {"kind": "write-batch", "writes": [{"obj": "a", "value": 1}],
+                 "req": 0}
+        result = engine.execute(1, frame)
+        assert result.reply == {
+            "kind": "error", "error": "unknown message kind 'write-batch'",
+            "req": 0,
+        }
+        assert result.wal == [] and result.installed == []
+        assert engine.replay(engine.dedup_key(1, frame)) is None
+        assert len(engine.replies) == 0 and engine.writes_installed == 0
 
 
 class TestOrphanReplies:
