@@ -3,9 +3,10 @@
 The protocol of Sections 5.1-5.2 is request/reply between a site and an
 object's server.  :class:`Channel` is the side that asks: it dials,
 says ``hello``, numbers requests, matches replies to them by ``req``
-and bounds each wait with one timer.  Everyone who asks goes through
-it — the cache client (:class:`~repro.net.client.NetCacheClient`, which
-adds clock sync and a retransmit ladder on top), the cluster agents
+and bounds each wait by a deadline, all kept by one timer.  Everyone who
+asks goes through it — the cache client
+(:class:`~repro.net.client.NetCacheClient`, which adds clock sync and a
+retransmit ladder on top), the cluster agents
 (:class:`~repro.cluster.swim.SwimAgent`, whose probe rounds *are* the
 retry mechanism) and ``repro cluster status``.
 
@@ -20,19 +21,13 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-from typing import Any, Callable, Dict, Optional
+import math
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.net.faults import FaultInjector
 from repro.net.framing import (
     BYE, HELLO, HELLO_ACK, PROTOCOL_VERSION, FrameConnection, dial,
 )
-
-
-def _expire(future: asyncio.Future, sent: Dict[str, Any], timeout: float) -> None:
-    if not future.done():
-        future.set_exception(TimeoutError(
-            f"no reply to {sent['kind']} #{sent['req']} in {timeout:g}s"
-        ))
 
 
 class Channel:
@@ -65,6 +60,10 @@ class Channel:
         self.conn: Optional[FrameConnection] = None
         #: Calls awaiting their reply, by request id.
         self.pending: Dict[int, asyncio.Future] = {}
+        # Their (deadline, kind, timeout); one timer, at the earliest.
+        self._deadlines: Dict[int, Tuple[float, Any, float]] = {}
+        self._timer: Optional[asyncio.TimerHandle] = None
+        self._armed_at = math.inf
         self._ids = itertools.count()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._lost = False
@@ -127,7 +126,7 @@ class Channel:
         """Attach the faults and take inbound frames from ``data_received``
         from now on: each goes to ``on_frame``, then to its call."""
         self.conn.faults = self.faults
-        self.conn.deliver(self._on_frame, self._on_end)
+        self.conn.deliver(self._on_frames, self._on_end)
 
     async def call(
         self, frame: Dict[str, Any], timeout: float, req: Optional[int] = None
@@ -147,23 +146,45 @@ class Channel:
         sent = dict(frame, req=req)
         loop = self._loop
         future = self.pending[req] = loop.create_future()
-        timer = loop.call_later(timeout, _expire, future, sent, timeout)
+        deadline = loop.time() + timeout
+        self._deadlines[req] = (deadline, frame.get("kind"), timeout)
+        if deadline < self._armed_at:
+            self._arm(deadline)
         try:
             await conn.send(sent)
             return await future
         finally:
-            timer.cancel()
             self.pending.pop(req, None)
+            self._deadlines.pop(req, None)
 
-    def _on_frame(self, frame: Dict[str, Any]) -> None:
-        if self.on_frame is not None:
-            self.on_frame(frame)
-        future = self.pending.get(frame.get("req"))
-        # An unknown id is the duplicate of an answered request, or the
-        # reply to one that timed out: ids are never reused, so it can
-        # resolve nobody else's call.
-        if future is not None and not future.done():
-            future.set_result(frame)
+    def _arm(self, when: float) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+        self._timer = self._loop.call_at(when, self._expire) if when < math.inf else None
+        self._armed_at = when
+
+    def _expire(self) -> None:
+        """Fail every call past its deadline; re-arm at the next one."""
+        due, self._timer = max(self._armed_at, self._loop.time()), None
+        for req, (deadline, kind, timeout) in self._deadlines.items():
+            future = self.pending.get(req)
+            if deadline <= due and future is not None and not future.done():
+                future.set_exception(TimeoutError(
+                    f"no reply to {kind} #{req} in {timeout:g}s"))
+        self._arm(min((d for d, _, _ in self._deadlines.values() if d > due),
+                      default=math.inf))
+
+    def _on_frames(self, frames: List[Dict[str, Any]]) -> None:
+        on_frame, pending = self.on_frame, self.pending
+        for frame in frames:
+            if on_frame is not None:
+                on_frame(frame)
+            future = pending.get(frame.get("req"))
+            # An unknown id is the duplicate of an answered request, or
+            # the reply to one that timed out: ids are never reused, so
+            # it can resolve nobody else's call.
+            if future is not None and not future.done():
+                future.set_result(frame)
 
     def _on_end(self, error: Optional[Exception]) -> None:
         self._lost = True
@@ -177,6 +198,7 @@ class Channel:
         """Say ``bye`` (a clean leave) and close; pending calls fail with
         ``ConnectionError``."""
         conn, self.conn = self.conn, None
+        self._arm(math.inf)
         if conn is not None:
             if bye:
                 await conn.send({"kind": BYE})

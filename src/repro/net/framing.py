@@ -36,9 +36,7 @@ import asyncio
 import json
 import struct
 from collections import deque
-from typing import (
-    Any, Awaitable, Callable, Container, Deque, Dict, List, Optional, Set,
-)
+from typing import Any, Awaitable, Callable, Deque, Dict, List, Optional, Set
 
 from repro.engine import messages
 
@@ -60,8 +58,8 @@ BYE = "bye"
 ERROR = "error"
 
 # Cluster control plane (repro.cluster; docs/CLUSTER.md).  Probe frames
-# piggyback gossip (a ClusterView wire payload) and are answered by the
-# server's handler task for them — never deduped.
+# piggyback gossip (a ClusterView wire payload) and are answered by a
+# server task of their own — never deduped.
 #: Agent -> agent: direct liveness probe, carries piggybacked gossip.
 PING = "ping"
 #: The probe's answer, carrying the responder's gossip back.
@@ -252,22 +250,26 @@ class FrameConnection(asyncio.Protocol):
     """One framed duplex connection, with optional fault injection.
 
     Inbound, ``data_received`` appends to one buffer and cuts every
-    complete frame out of it in one pass.  Frames go to the ``on_frame``
-    callback once :meth:`deliver` has installed one (a started
-    :class:`~repro.net.channel.Channel`), and before that to a queue
-    behind :meth:`recv` (handshakes, the server's per-connection handler).
+    complete frame out of it in one pass.  The frames of each call go
+    together to the ``on_frames`` callback once :meth:`deliver` has
+    installed one (a started :class:`~repro.net.channel.Channel`, the
+    server past the handshake), and before that to a queue behind
+    :meth:`recv`.
 
-    Outbound, ``send`` is fire-and-forget: a frame selected for delay by
+    Outbound, ``write`` is fire-and-forget: a frame selected for delay by
     the injector is written later by a timer (frames may therefore
     reorder, as on a real network); a dropped frame is simply never
     written.  Each frame is handed to the transport whole, so concurrent
-    senders never interleave bytes mid-frame, and ``send`` suspends only
-    while the transport has paused writing; to a peer that is gone it
-    is a no-op, never an error (the receive side reports the loss).
+    senders never interleave bytes mid-frame, and ``send`` writes, then
+    suspends while the transport has paused writing; to a peer that is
+    gone either is a no-op, never an error (the receive side reports it).
 
     ``handler``, on an accepted connection (:func:`listen`), is started
     as the task ``handler(conn)`` once the transport is up; the task is
-    kept in :attr:`handler_task` for whoever has to wait for it.
+    kept in :attr:`handler_task` for whoever has to wait for it.  That
+    end answers, so while its transport has paused writing it stops
+    reading too: a peer that never reads is left with its own requests.
+    The asking end reads on, or two such peers would wait for each other.
     """
 
     def __init__(
@@ -286,7 +288,7 @@ class FrameConnection(asyncio.Protocol):
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._buffer = bytearray()
         self._inbox: Deque[Dict[str, Any]] = deque()
-        self._on_frame: Optional[Callable[[Dict[str, Any]], None]] = None
+        self._on_frames: Optional[Callable[[List[Dict[str, Any]]], None]] = None
         self._on_end: Optional[Callable[[Optional[Exception]], None]] = None
         self._recv_waiter: Optional[asyncio.Future] = None
         self._ended = False  # EOF, a framing error, or the connection lost
@@ -312,8 +314,9 @@ class FrameConnection(asyncio.Protocol):
         buffer += data
         end = len(buffer)
         start = 0
-        deliver = self._on_frame or self._inbox.append
+        frames: List[Dict[str, Any]] = []
         faults = self.faults
+        error = None
         try:
             while end - start >= 4:
                 (length,) = _LENGTH.unpack_from(buffer, start)
@@ -332,14 +335,20 @@ class FrameConnection(asyncio.Protocol):
                     str(frame.get("kind", ""))
                 ):
                     continue  # asymmetric partition: arrived, never delivered
-                deliver(frame)
+                frames.append(frame)
         except FrameError as exc:
+            error = exc
             buffer.clear()
-            self._end(exc)
-            return
-        del buffer[:start]
-        if self._inbox:
-            self._wake_recv()
+        else:
+            del buffer[:start]
+        if frames:
+            if self._on_frames is not None:
+                self._on_frames(frames)
+            else:
+                self._inbox.extend(frames)
+                self._wake_recv()
+        if error is not None:
+            self._end(error)
 
     def eof_received(self) -> bool:
         if self._buffer:
@@ -357,8 +366,12 @@ class FrameConnection(asyncio.Protocol):
 
     def pause_writing(self) -> None:
         self._paused = True
+        if self._start_handler is not None:  # the answering end
+            self.transport.pause_reading()
 
     def resume_writing(self) -> None:
+        if self._start_handler is not None:
+            self.transport.resume_reading()  # a no-op once closing
         self._paused = False
         for waiter in self._send_waiters:
             if not waiter.done():
@@ -382,17 +395,19 @@ class FrameConnection(asyncio.Protocol):
 
     def deliver(
         self,
-        on_frame: Callable[[Dict[str, Any]], None],
-        on_end: Callable[[Optional[Exception]], None],
+        on_frames: Callable[[List[Dict[str, Any]]], None],
+        on_end: Optional[Callable[[Optional[Exception]], None]] = None,
     ) -> None:
-        """From now on call ``on_frame(frame)`` from ``data_received`` for
-        every inbound frame instead of queueing it for :meth:`recv`, and
-        ``on_end(error)`` once when the stream ends: ``None`` on a clean
-        EOF or close, else the :class:`FrameError` or transport error."""
-        self._on_frame, self._on_end = on_frame, on_end
-        while self._inbox:
-            on_frame(self._inbox.popleft())
-        if self._ended:
+        """From now on hand the frames of each ``data_received`` call to
+        ``on_frames`` instead of :meth:`recv`, which then only waits for
+        the end, and call ``on_end(error)`` once when the stream ends:
+        ``None`` on a clean EOF or close, else the :class:`FrameError`
+        or transport error."""
+        self._on_frames, self._on_end = on_frames, on_end
+        if self._inbox:
+            on_frames(list(self._inbox))
+            self._inbox.clear()
+        if self._ended and on_end is not None:
             on_end(self._error)
 
     async def recv(self) -> Optional[Dict[str, Any]]:
@@ -411,19 +426,11 @@ class FrameConnection(asyncio.Protocol):
                 self._recv_waiter = None
         return inbox.popleft()
 
-    def take_queued(self, stop_kinds: Container[str]) -> List[Dict[str, Any]]:
-        """Without waiting: the frames already cut out of the stream and
-        queued for :meth:`recv`, up to the first whose kind is in
-        ``stop_kinds`` (which stays queued) — what a peer pipelined
-        behind the frame its handler is serving."""
-        inbox, taken = self._inbox, []
-        while inbox and str(inbox[0].get("kind")) not in stop_kinds:
-            taken.append(inbox.popleft())
-        return taken
-
     # -- outbound ---------------------------------------------------------------
 
-    async def send(self, message: Dict[str, Any]) -> None:
+    def write(self, message: Dict[str, Any]) -> None:
+        """Hand ``message`` to the transport now (:class:`FrameError` if
+        it is too large to frame)."""
         data = encode_frame(message)
         if self.faults is None:
             self._write(data)
@@ -433,6 +440,10 @@ class FrameConnection(asyncio.Protocol):
                     self._write(data)
                 else:
                     self._write_later(delay, data)
+
+    async def send(self, message: Dict[str, Any]) -> None:
+        """:meth:`write`, then wait while the transport has paused writing."""
+        self.write(message)
         if self._paused:
             waiter = self._loop.create_future()
             self._send_waiters.append(waiter)

@@ -31,15 +31,16 @@ It is also the *answering* end of the wire, once.  After the
 frame — the NTP-style ``sync`` exchange of :mod:`repro.net.clocksync`,
 the data plane (``_on_request``), the control plane (``_on_cluster``,
 which hands ``ping``/``ping-req``/``handoff`` to the attached cluster
-agent) — and ``_answer`` alone counts the request, runs its handler,
-turns a raised exception into a logged ``error`` reply, gives the reply
-the request's id and the ring epoch of the moment, and sends it.
+agent) — and ``_answer`` alone counts the request, runs its handler and
+turns a raised exception into a logged ``error`` reply; ``_release``
+gives it the request's id and the ring epoch of the moment, and sends.
 
 There is one way to serve a data-plane request: in place, in arrival
-order, by a plain function that runs the engine and appends to the log
-without giving up the event loop — so no other request can run in the
-middle of one, and the engine needs no lock.  The one wait a reply can
-take is the group-commit hold of a store-backed server (``_answer``).
+order, inside the ``data_received`` that brought it, by plain functions
+that run the engine and append to the log without giving up the event
+loop — so no other request can run in the middle of one, and the engine
+needs no lock.  The one wait a reply can take is the group-commit hold
+of a store-backed server (``_answer``).
 
 Requests are executed **exactly once**: a per-client LRU reply cache
 keyed ``(client_id, req)`` replays answered requests, so a write whose
@@ -64,8 +65,9 @@ the clients' residual sync error as Definition 2's ``epsilon``.
 from __future__ import annotations
 
 import asyncio
+import functools
 import logging
-from typing import Any, Callable, Dict, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.clocks.rebase import RebasedClock
 from repro.engine import ServerEngine, messages
@@ -100,10 +102,6 @@ logger = logging.getLogger(__name__)
 
 #: Propagation policies: what the server does after installing a write.
 PROPAGATION_POLICIES = ("push", "invalidate", "none")
-
-#: Kinds a pipelined burst never includes (``_serve``): the control plane
-#: gets its own task, ``bye`` ends the connection, ``sync`` is never held.
-_ENDS_BURST = CLUSTER_KINDS | {BYE, SYNC}
 
 #: Pushes/invalidations one subscriber may have waiting for its socket
 #: (on top of what its transport buffers up to the high-water mark).  A
@@ -336,6 +334,7 @@ class NetObjectServer:
         self._connections.add(conn)
         self.connections_accepted += 1
         feeder: Optional[asyncio.Task] = None
+        tasks: Set[asyncio.Task] = set()  # the control plane's, in flight
         try:
             hello = await conn.recv() or {}
             client_id = hello.get("client_id")
@@ -361,39 +360,15 @@ class NetObjectServer:
             if hello.get("subscribe"):
                 outbox = self._subscribers[conn] = asyncio.Queue(SUBSCRIBER_BACKLOG)
                 feeder = asyncio.ensure_future(self._feed(conn, outbox))
-            tasks: Set[asyncio.Task] = set()
-            try:
-                while True:
-                    frame = await conn.recv()
-                    if frame is None or frame.get("kind") == BYE:
-                        break
-                    kind = str(frame.get("kind"))
-                    if kind in CLUSTER_KINDS:
-                        # The control plane may wait (an indirect probe,
-                        # a handoff): it gets a task, so that it never
-                        # blocks this loop.
-                        task = asyncio.ensure_future(
-                            self._answer(conn, client_id, frame)
-                        )
-                        tasks.add(task)
-                        task.add_done_callback(tasks.discard)
-                        continue
-                    # Nothing to wait for: answered in place, in arrival
-                    # order.  SYNC alone — the exchange measures the
-                    # genuine transport, and holding it would add noise
-                    # to (t2 - t1).  With a store, what the peer
-                    # pipelined behind this frame is answered with it:
-                    # one log sync for the burst.
-                    burst = ()
-                    if self.durable is not None and kind != SYNC:
-                        burst = conn.take_queued(_ENDS_BURST)
-                    await self._answer(conn, client_id, frame, *burst)
-            finally:
-                if tasks:
-                    await asyncio.gather(*list(tasks), return_exceptions=True)
+            # From here on requests are answered from data_received, in
+            # place; this task only waits for the stream to end.
+            conn.deliver(functools.partial(self._answer, conn, client_id, tasks))
+            await conn.recv()
         except (FrameError, ConnectionError):
             pass  # corrupt or vanished peer: drop the connection
         finally:
+            if tasks:  # still owed replies, if the peer only half-closed
+                await asyncio.gather(*list(tasks), return_exceptions=True)
             self._subscribers.pop(conn, None)
             if feeder is not None:
                 feeder.cancel()
@@ -405,21 +380,21 @@ class NetObjectServer:
             self._closed_bytes["received"] += conn.bytes_received
             await conn.close()
 
-    async def _answer(
-        self, conn: FrameConnection, client_id: int, *frames: Dict[str, Any]
+    def _answer(
+        self, conn: FrameConnection, client_id: int,
+        tasks: Set[asyncio.Task], frames: List[Dict[str, Any]],
     ) -> None:
         """The answering end of every request, whatever its kind: count
-        it, run its handler, send the handler's reply, then record and
-        propagate what the request installed.
+        each frame of one ``data_received`` call and run its handler, in
+        arrival order; ``_release`` sends the replies.
 
-        With a store, a reply leaves once everything executed before it
-        is on disk: ``_on_request`` appends to the log without syncing it,
-        and from the first such append on the replies of ``frames`` — a
-        burst pipelined on one connection, or just one request — are
-        held until the burst has run, the log is committed once, and
-        then leave in request order.  If the commit fails every held
-        request is answered ``error`` and forgotten by the reply cache,
-        so a retransmission is re-executed, never replayed as an ack.
+        The data-plane frames form one burst: with a store, once
+        ``_on_request`` has appended to the log unsynced, the replies are
+        held until the burst has run, for one commit.  ``sync`` is never
+        held (the commit would add noise to t2 - t1), so it, ``bye`` and
+        the control plane — which may wait (an indirect probe, a
+        handoff), so each request runs in a task, kept in ``tasks`` —
+        release what is held first.
 
         A handler that raises is logged and answered with an ``error``
         frame.  Silence is the one answer a timed protocol cannot
@@ -427,58 +402,95 @@ class NetObjectServer:
         seconds, against a Δ of milliseconds — to learn the same thing.
         """
         store = self.durable
-        held = []  # (request, reply, versions it installed)
+        held: List[tuple] = []  # (request, reply, versions it installed)
         for frame in frames:
             kind = str(frame.get("kind"))
+            if kind == BYE:
+                self._release(conn, client_id, held)
+                conn.transport.close()  # and no frame after it is read
+                return
             self.requests_by_kind[kind] = self.requests_by_kind.get(kind, 0) + 1
+            if kind in CLUSTER_KINDS:
+                self._release(conn, client_id, held)
+                task = asyncio.ensure_future(self._control(conn, client_id, frame))
+                tasks.add(task)
+                task.add_done_callback(tasks.discard)
+                continue
             installed: Sequence[PhysicalVersion] = ()
-            try:
-                if kind == SYNC:
-                    # Outside the exactly-once data plane: never cached or
-                    # deduped (a replayed timestamp would poison the
-                    # client's NTP estimator), never delayed.  The request
-                    # id is echoed so a pipelined resync() can match it.
-                    t1 = self.clock()
-                    reply = {
-                        "kind": SYNC_ACK, "req": frame.get("req"),
-                        "t0": frame.get("t0"), "t1": t1, "t2": self.clock(),
-                    }
-                elif kind in CLUSTER_KINDS:
-                    reply = await self._on_cluster(frame)
-                else:
-                    reply, installed = self._on_request(client_id, frame)
-            except Exception as exc:
-                logger.exception("request %r from client %d failed", kind, client_id)
-                reply, installed = self._refusal(client_id, frame, exc), ()
-            held.append((frame, reply, installed))
-            if store is not None and store.uncommitted:
-                if frame is not frames[-1]:
-                    continue
+            if kind == SYNC:
+                # Never cached or deduped: a replayed timestamp would poison
+                # the client's NTP estimator.  ``req`` is echoed for resync().
+                self._release(conn, client_id, held)
+                t1 = self.clock()
+                reply = {
+                    "kind": SYNC_ACK, "req": frame.get("req"),
+                    "t0": frame.get("t0"), "t1": t1, "t2": self.clock(),
+                }
+            else:
                 try:
-                    store.commit()
-                    store.maybe_snapshot(
-                        self.engine.store, self.engine.context, self.clock()
-                    )
+                    reply, installed = self._on_request(client_id, frame)
                 except Exception as exc:
-                    logger.exception("log commit for client %d failed", client_id)
-                    held = [
-                        (asked, self._refusal(client_id, asked, exc), ())
-                        for asked, _, _ in held
-                    ]
-            for asked, reply, installed in held:
-                if "req" not in reply:
-                    reply = {**reply, "req": asked.get("req")}
+                    logger.exception("request %r from client %d failed", kind, client_id)
+                    reply = self._refusal(client_id, frame, exc)
+            held.append((frame, reply, installed))
+            if store is None or not store.uncommitted or kind == SYNC:
+                self._release(conn, client_id, held)
+        if held:
+            self._release(conn, client_id, held)
+
+    async def _control(
+        self, conn: FrameConnection, client_id: int, frame: Dict[str, Any]
+    ) -> None:
+        """One control-plane request, in its own task (``_answer``)."""
+        try:
+            reply = await self._on_cluster(frame)
+        except Exception as exc:
+            logger.exception("request %r from client %d failed",
+                             frame.get("kind"), client_id)
+            reply = self._refusal(client_id, frame, exc)
+        self._release(conn, client_id, [(frame, reply, ())])
+
+    def _release(self, conn: FrameConnection, client_id: int, held: List[tuple]) -> None:
+        """Send the replies in ``held`` and empty it: one log commit first
+        if anything executed is not yet on disk, and after each reply what
+        its request installed recorded and propagated.  If the commit
+        fails every held request is answered ``error`` and forgotten by
+        the reply cache, so a retransmission is re-executed, never
+        replayed as an ack.  A reply too large to frame ends the
+        connection; its asker fails fast."""
+        if not held:
+            return
+        store = self.durable
+        if store is not None and store.uncommitted:
+            try:
+                store.commit()
+                store.maybe_snapshot(
+                    self.engine.store, self.engine.context, self.clock()
+                )
+            except Exception as exc:
+                logger.exception("log commit for client %d failed", client_id)
+                held[:] = [
+                    (asked, self._refusal(client_id, asked, exc), ())
+                    for asked, _, _ in held
+                ]
+        for asked, reply, installed in held:
+            if "req" not in reply:
+                reply = {**reply, "req": asked.get("req")}
+            try:
                 # The epoch of *now*, which a replayed reply's may not be;
                 # stamp copies, so a reply the engine cached is never mutated.
-                await conn.send(self.engine.stamp(reply))
-                for version in installed:
-                    if self.recorder is not None:
-                        self.recorder.record_write(
-                            client_id, version.obj, version.value, version.alpha
-                        )
-                    if self._subscribers and self.propagation != "none":
-                        self._propagate(conn, version)
-            held.clear()
+                conn.write(self.engine.stamp(reply))
+            except FrameError:
+                logger.exception("reply to client %d cannot be framed", client_id)
+                conn.transport.close()
+            for version in installed:
+                if self.recorder is not None:
+                    self.recorder.record_write(
+                        client_id, version.obj, version.value, version.alpha
+                    )
+                if self._subscribers and self.propagation != "none":
+                    self._propagate(conn, version)
+        held.clear()
 
     def _refusal(
         self, client_id: int, frame: Dict[str, Any], exc: Exception

@@ -8,8 +8,9 @@ dial, hello, reply matching and the per-attempt wait live in
 
 The answering end is ``NetObjectServer._answer``: ``TestAnswer`` plays
 the asking end by hand over a bare connection, and ``TestOneAnsweringEnd``
-pins that every request is counted, run, failed, stamped and sent there;
-``TestOneExecutionModel`` that a data-plane request is run in place.
+pins that every request is counted, run and failed there, and its reply
+stamped and sent by ``_release``; ``TestOneExecutionModel`` that a
+data-plane request is run in place, from ``data_received``.
 """
 
 import argparse
@@ -30,7 +31,9 @@ from repro.cluster import ClusterConfig, ClusterView, SwimAgent
 from repro.net.channel import Channel
 from repro.net.client import NetCacheClient
 from repro.net.faults import FaultConfig, FaultInjector
-from repro.net.framing import HELLO_ACK, PROTOCOL_VERSION, dial, listen
+from repro.net.framing import (
+    HELLO_ACK, MAX_FRAME_BYTES, PROTOCOL_VERSION, FrameError, dial, listen,
+)
 from repro.load.scenario import TargetSpec
 from repro.net.ring_router import RingRouter
 from repro.net.server import NetObjectServer
@@ -305,15 +308,16 @@ class TestOpen:
 
 
 class TestOneAskingEnd:
-    """Replace, not fork: nobody but the channel dials, says hello,
-    takes frames from ``data_received`` or keeps a reply table."""
+    """Replace, not fork: nobody but the channel dials, says hello or
+    keeps a reply table, and only the two ends of the wire take frames
+    from ``data_received``."""
 
-    def test_only_the_channel_dials_and_takes_delivery(self):
+    def test_only_the_channel_dials_and_both_ends_take_delivery(self):
         assert callers_of("dial") == {"net/channel.py"}
-        assert [
+        assert sorted(
             str(path.relative_to(SRC)) for path in SRC.rglob("*.py")
             if ".deliver(" in path.read_text(encoding="utf-8")
-        ] == ["net/channel.py"]
+        ) == ["net/channel.py", "net/server.py"]
 
     def test_hello_is_named_by_the_framing_the_server_and_the_channel(self):
         named = {
@@ -441,6 +445,48 @@ class TestAnswer:
         ]
         assert logged[0].exc_info[0] is raised
 
+    def test_a_reply_too_large_to_frame_ends_only_its_connection(self, caplog):
+        """The write fits in a frame, the ``version`` that ships it to a
+        cold reader does not.  Raised inside ``data_received``, it ends
+        that reader's connection — which fails its call at once, with no
+        retransmit ladder — and asyncio reports no failed protocol
+        callback; everybody else is still served."""
+        # The packed write's head is 10 bytes with a 3-byte obj; the JSON
+        # version reply adds its keys, alpha and req around the value.
+        blob = "x" * (MAX_FRAME_BYTES - 16)
+
+        async def scenario():
+            reported = []
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda loop, context: reported.append(context))
+            server = await NetObjectServer(propagation="none").start()
+            try:
+                async with NetCacheClient(1, server.host, server.port) as writer, \
+                        NetCacheClient(2, server.host, server.port) as reader:
+                    await writer.write("big", blob)
+                    started = loop.time()
+                    with pytest.raises(ConnectionError):
+                        await reader.read("big")
+                    took = loop.time() - started
+                    async with NetCacheClient(3, server.host, server.port) as late:
+                        await late.write("small", 1)
+                    await writer.write("small", 2)
+                    return (took, reader.request_timeout, reader.stats.retries,
+                            reader.connected, reported, server.engine.store["small"])
+            finally:
+                await server.close()
+
+        with caplog.at_level("ERROR", logger="repro.net.server"):
+            took, timeout, retries, connected, reported, small = asyncio.run(scenario())
+        assert took < timeout and retries == 0 and not connected
+        assert reported == []  # no "Fatal error: protocol.data_received() ..."
+        assert small.value == 2
+        logged = [r for r in caplog.records if r.name == "repro.net.server"]
+        assert [r.getMessage() for r in logged] == [
+            "reply to client 2 cannot be framed"
+        ]
+        assert logged[0].exc_info[0] is FrameError
+
 
 def methods_where(class_name, path, matches):
     """Names of the methods of ``class_name`` in which some node satisfies
@@ -457,23 +503,26 @@ def methods_where(class_name, path, matches):
 
 
 class TestOneAnsweringEnd:
-    """Replace, not fork: handlers return frames; counting, failing,
-    stamping and sending a reply happen in ``_answer`` and nowhere else."""
+    """Replace, not fork: handlers return frames; counting a request and
+    running its handler happen in ``_answer``, stamping and writing its
+    reply in ``_release``, and nowhere else."""
 
     SERVER = SRC / "net" / "server.py"
     SWIM = SRC / "cluster" / "swim.py"
 
     def test_a_connection_is_written_to_in_five_places(self):
-        def sends_on_conn(node):
+        def writes_to_conn(node):
             return (isinstance(node, ast.Call)
-                    and getattr(node.func, "attr", None) == "send"
+                    and getattr(node.func, "attr", None) in ("send", "write")
                     and getattr(node.func.value, "id", None) == "conn")
 
-        # _serve: the hello refusal and the hello-ack; shutdown: the bye.
-        assert methods_where("NetObjectServer", self.SERVER, sends_on_conn) == [
-            "_answer", "_feed", "_serve", "_serve", "shutdown",
+        # Every reply without waiting, in _release; _serve: the hello
+        # refusal and the hello-ack; shutdown: the bye.
+        assert methods_where("NetObjectServer", self.SERVER, writes_to_conn) == [
+            "_feed", "_release", "_serve", "_serve", "shutdown",
         ]
-        assert self.SERVER.read_text(encoding="utf-8").count(".send(") == 5
+        text = self.SERVER.read_text(encoding="utf-8")
+        assert (text.count(".send("), text.count(".write(")) == (4, 1)
 
     def test_requests_are_counted_in_one_place(self):
         def counts_a_request(node):
@@ -500,7 +549,8 @@ class TestOneAnsweringEnd:
     def test_the_scattered_handlers_are_gone(self):
         for gone in ("_on_sync", "_stamped", "_dispatch", "_read_attempt",
                      "write-batch", "WRITE_BATCH", "_flush_batches",
-                     "write_many", "batched_writes"):
+                     "write_many", "batched_writes", "take_queued",
+                     "_ENDS_BURST"):
             assert [
                 str(path.relative_to(SRC)) for path in SRC.rglob("*.py")
                 if gone in path.read_text(encoding="utf-8")
@@ -549,21 +599,36 @@ class TestOneExecutionModel:
     def test_a_task_is_started_for_the_feeder_and_the_control_plane_only(self):
         def starts_a_task(node):
             return (isinstance(node, ast.Call)
-                    and getattr(node.func, "attr", None) == "ensure_future")
+                    and getattr(node.func, "attr", None) in (
+                        "ensure_future", "create_task"))
 
         assert methods_where("NetObjectServer", self.SERVER, starts_a_task) == [
-            "_serve", "_serve",
+            "_answer", "_serve",
         ]
-        (serve,) = [node for node in ast.walk(ast.parse(
-            self.SERVER.read_text(encoding="utf-8")
-        )) if getattr(node, "name", None) == "_serve"]
-        started = sorted(node.args[0].func.attr for node in ast.walk(serve)
-                         if starts_a_task(node))
-        assert started == ["_answer", "_feed"]
-        # ... and _answer only behind the control-plane test.
-        (branch,) = [node for node in ast.walk(serve) if isinstance(node, ast.If)
+        functions = {
+            node.name: node for node in ast.walk(ast.parse(
+                self.SERVER.read_text(encoding="utf-8")
+            )) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        started = {
+            name: [node.args[0].func.attr for node in ast.walk(functions[name])
+                   if starts_a_task(node)]
+            for name in ("_serve", "_answer")
+        }
+        assert started == {"_serve": ["_feed"], "_answer": ["_control"]}
+        # ... the control plane's only behind its test, and _answer, which
+        # data_received calls, is a plain function: it cannot wait.
+        (branch,) = [node for node in ast.walk(functions["_answer"])
+                     if isinstance(node, ast.If)
                      and ast.unparse(node.test) == "kind in CLUSTER_KINDS"]
         assert any(starts_a_task(node) for node in ast.walk(branch))
+        for plain in ("_answer", "_release", "_on_request"):
+            assert isinstance(functions[plain], ast.FunctionDef), plain
+        # The handler task takes no request from a queue: after the hello
+        # it reads only the end of the stream.
+        recvs = [node for node in ast.walk(functions["_serve"])
+                 if getattr(node, "attr", None) == "recv"]
+        assert len(recvs) == 2
 
     def test_busy_is_gone_from_the_wire(self):
         for path in SRC.rglob("*.py"):

@@ -16,6 +16,7 @@ import errno
 import math
 import os
 import shutil
+import socket
 
 import pytest
 
@@ -24,7 +25,8 @@ from repro.engine import ServerEngine, messages
 from repro.net.client import NetCacheClient, ProtocolError, RequestTimeout
 from repro.net.faults import FaultConfig, FaultInjector
 from repro.net.framing import (
-    HELLO, HELLO_ACK, FrameError, decode_frame, dial, encode_frame,
+    HELLO, HELLO_ACK, FrameConnection, FrameError, decode_frame, dial,
+    encode_frame,
 )
 from repro.net.server import NetObjectServer
 from repro.sim.trace import TraceRecorder, UniqueValueFactory
@@ -428,17 +430,19 @@ class TestWirePath:
     serving requests in place must not cost anybody else (ROADMAP 1(a))."""
 
     ROUNDS = 500
-    #: client sends | server reads, wakes its handler | handler serves
-    #: and replies | client reads, wakes the caller.
-    BUDGET = 4
+    #: client sends | server reads, serves and replies from
+    #: ``data_received`` | client reads, wakes the caller.
+    BUDGET = 3
     #: What a round trip cost with streams, ``wait_for(shield(...))``, a
     #: task per request frame and a receive task: 8 (7 on Python 3.12+).
     OLD_COST = 7
 
-    def test_a_round_trip_is_four_loop_iterations(self):
-        """Fails if ``wait_for``/``shield``, a task per request frame or
-        a client receive task comes back: each is one more trip through
-        the loop between a frame arriving and its caller resuming."""
+    def test_a_round_trip_is_three_loop_iterations(self):
+        """Fails if the server's handler task takes requests from a
+        queue again, or ``wait_for``/``shield``, a task per request frame
+        or a client receive task comes back: each is one more trip
+        through the loop between a frame arriving and its caller
+        resuming."""
 
         async def scenario():
             server = NetObjectServer(propagation="none")
@@ -504,24 +508,33 @@ class TestWirePath:
         alphas = [r["alpha"] for r in replies]
         assert alphas == sorted(alphas) and len(set(alphas)) == 8
 
-    def test_lost_reply_is_retransmitted_under_its_id_and_leaves_no_timer(self):
+    def test_lost_reply_is_retransmitted_under_its_id_with_no_timer_per_attempt(self):
+        """Every deadline of a channel is kept by one timer, armed at the
+        earliest: 500 calls re-arm it only as deadlines pass, never is
+        more than one armed — yet a dropped ack is still retransmitted
+        after ``request_timeout``."""
+        timeout = 0.05
+
         async def scenario():
             loop = asyncio.get_running_loop()
-            timers = []
-            call_later = loop.call_later
+            timers = []  # (handle, [fired]) for every timer made from now on
+            call_at = loop.call_at
 
-            def recording_call_later(delay, callback, *args):
+            def recording_call_at(when, callback, *args, **kwargs):
                 fired = []
 
                 def run(*args):
                     fired.append(True)
                     callback(*args)
 
-                handle = call_later(delay, run, *args)
+                handle = call_at(when, run, *args, **kwargs)
                 timers.append((handle, fired))
                 return handle
 
-            loop.call_later = recording_call_later
+            def armed():
+                return sum(not fired and not handle.cancelled()
+                           for handle, fired in timers)
+
             server = NetObjectServer(
                 propagation="none",
                 fault_factory=lambda: DropFirst({messages.WRITE_ACK}),
@@ -529,27 +542,39 @@ class TestWirePath:
             await server.start()
             try:
                 async with NetCacheClient(
-                    0, server.host, server.port,
-                    request_timeout=0.05, max_retries=4,
+                    0, server.host, server.port, delta=0.0,
+                    request_timeout=timeout, max_retries=4,
                 ) as client:
+                    loop.call_at = recording_call_at  # call_later goes through it
+                    started = loop.time()
                     alpha = await client.write("x", "v1")
-                    armed = [
-                        handle for handle, fired in timers
-                        if not fired and not handle.cancelled()
-                    ]
-                    return alpha, armed, len(timers), client.stats, server
+                    took = loop.time() - started
+                    timers_for_the_write = len(timers)
+                    most_armed = 0
+                    for i in range(500):
+                        await client.read("x") if i % 2 else await client.write("y", i)
+                        most_armed = max(most_armed, armed())
+                    return (alpha, took, timers_for_the_write, len(timers),
+                            most_armed, client.stats, server)
             finally:
+                loop.call_at = call_at
                 await server.close()
 
-        alpha, armed, timers, stats, server = asyncio.run(scenario())
-        assert stats.retries == 1
+        (alpha, took, for_the_write, made, most_armed, stats,
+         server) = asyncio.run(scenario())
+        assert stats.retries == 1 and took >= timeout
         # Two write frames arrived, one executed: the second carried the
         # first's id, or the reply cache could not have matched it.
-        assert server.requests_by_kind[messages.WRITE] == 2
-        assert server.engine.requests == 1 and server.engine.dedup_replays == 1
+        assert server.requests_by_kind[messages.WRITE] == 2 + 250
+        assert server.engine.requests == 1 + 500  # delta 0: every read asks
+        assert server.engine.dedup_replays == 1
         assert server.engine.store["x"].alpha == alpha
-        assert timers == 2  # one per attempt
-        assert armed == []
+        # The first attempt's deadline and the retransmit's, re-armed
+        # after the first fired.
+        assert for_the_write == 2
+        # Not one per call: only re-arms after a deadline passes.
+        assert made - for_the_write < 50
+        assert most_armed == 1
 
     @staticmethod
     async def stall(server, writer):
@@ -654,6 +679,116 @@ class TestWirePath:
             ("push", "k0"), ("push", "k1"), ("push", "k2"), ("bye", None),
         ]
         assert {frame for frame in frames[:-4]} == {("push", "big")}
+
+
+def shrink_send_buffer(conn, size=4096):
+    """Make the kernel take little of what ``conn`` writes, so that its
+    transport's buffer and high-water mark decide.  (The receive side is
+    left alone: shrinking a window already advertised makes loopback TCP
+    crawl on retransmissions.)"""
+    sock = conn.transport.get_extra_info("socket")
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, size)
+
+
+class TestBackpressure:
+    """The answering end stops reading while its transport has paused
+    writing; the asking end never does."""
+
+    REQUESTS = 30_000
+    HIGH = 4096
+
+    def test_a_peer_that_asks_and_never_reads_stops_being_read(self):
+        """Before, the handler parked in ``send`` while ``data_received``
+        decoded every frame the peer pipelined into a queue without
+        bound; now the requests stay in the peer's buffers, and all are
+        answered, in order and once, when it reads."""
+
+        async def scenario():
+            server = await NetObjectServer(propagation="none").start()
+            try:
+                conn = await raw_peer(server, 7)
+                (served,) = server._connections
+                served.transport.set_write_buffer_limits(high=self.HIGH)
+                shrink_send_buffer(served)
+                conn.transport.pause_reading()
+                conn.transport.write(b"".join(
+                    encode_frame({"kind": messages.VALIDATE, "obj": f"k{i % 64}",
+                                  "alpha": 0.0, "req": i})
+                    for i in range(self.REQUESTS)
+                ))
+                readings = [served.received]
+                while len(readings) < 3 or readings[-1] != readings[-3]:
+                    await asyncio.sleep(0.05)  # until two still readings
+                    readings.append(served.received)
+                stalled = (served.received, served.transport.is_reading(),
+                           len(served._inbox), served.transport.get_write_buffer_size())
+                conn.transport.resume_reading()
+
+                async def every_reply():
+                    return [await conn.recv() for _ in range(self.REQUESTS)]
+
+                replies = await asyncio.wait_for(every_reply(), 20.0)
+                await asyncio.sleep(0.05)
+                extra = len(conn._inbox)
+                await conn.close()
+                return stalled, replies, extra, server
+            finally:
+                await server.close()
+
+        stalled, replies, extra, server = asyncio.run(scenario())
+        received, reading, queued, buffered = stalled
+        assert received < self.REQUESTS and not reading and queued == 0
+        # What it read in the last data_received before it stopped: one
+        # socket read (256 KiB in asyncio) of 24-byte requests, answered.
+        assert buffered < self.HIGH + (256 * 1024 // 24 + 1) * 28
+        assert [r["req"] for r in replies] == list(range(self.REQUESTS))
+        assert {r["kind"] for r in replies} == {messages.STILL_VALID}
+        assert extra == 0
+        assert server.requests_by_kind == {messages.VALIDATE: self.REQUESTS}
+
+    def test_a_client_and_a_server_both_past_high_water_still_finish(
+        self, monkeypatch
+    ):
+        """Big writes fill the client's transport while big cold reads
+        fill the server's: the server stops reading, the client's calls
+        park in ``send``, and the client's channel goes on reading, which
+        is what lets either side move."""
+        blob = "x" * 65536
+        sides, both_paused = [], []  # the client's end and the server's
+        pause_writing = FrameConnection.pause_writing
+
+        def pausing(conn):
+            pause_writing(conn)
+            both_paused.append(all(side._paused for side in sides))
+
+        async def scenario():
+            server = await NetObjectServer(propagation="none").start()
+            try:
+                async with NetCacheClient(1, server.host, server.port) as writer:
+                    await asyncio.gather(*(writer.write(f"r{i}", blob) for i in range(64)))
+                async with NetCacheClient(2, server.host, server.port) as client:
+                    here = client.conn.transport.get_extra_info("sockname")
+                    sides.append(client.conn)
+                    sides.extend(
+                        c for c in server._connections
+                        if c.transport.get_extra_info("peername") == here
+                    )
+                    for side in sides:
+                        side.transport.set_write_buffer_limits(high=1024)
+                        shrink_send_buffer(side)
+                    monkeypatch.setattr(FrameConnection, "pause_writing", pausing)
+                    values = await asyncio.wait_for(asyncio.gather(
+                        *(client.read(f"r{i}") for i in range(64)),
+                        *(client.write(f"w{i}", blob) for i in range(64)),
+                    ), 20.0)
+                    return values, client.stats.retries
+            finally:
+                await server.close()
+
+        values, retries = asyncio.run(scenario())
+        assert len(sides) == 2
+        assert values[:64] == [blob] * 64 and retries == 0
+        assert any(both_paused)
 
 
 def spy_on_writes(conn, seen):
