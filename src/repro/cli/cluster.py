@@ -18,7 +18,7 @@ def _cluster_fetch(host: str, port: int, timeout: float = 2.0):
         # An id no cache client and no member's agent connects under.
         channel = Channel(1_999_999, host, port)
         await channel.open(timeout)
-        channel.start()
+        channel.attach()
         try:
             view = await channel.call({"kind": CLUSTER_STATE}, timeout)
             ring = await channel.call({"kind": RING_FETCH}, timeout)

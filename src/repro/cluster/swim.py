@@ -428,14 +428,14 @@ class SwimAgent:
         if info is None or not info.address:
             raise ConnectionError(f"no address known for member {peer}")
         host, _, port = info.address.rpartition(":")
-        # The faults attach once the link has formed (Channel.start):
+        # The faults attach once the link has formed (Channel.attach):
         # tests sever one pairwise link, possibly one direction only.
         link = Channel(
             CLUSTER_CLIENT_BASE + self.member_id, host, int(port),
             faults=self.link_faults(peer) if self.link_faults else None,
         )
         await link.open(max(self.config.probe_timeout, 0.2))
-        link.start()
+        link.attach()
         old = self.links.get(peer)
         self.links[peer] = link
         if old is not None:

@@ -1,20 +1,28 @@
 """The asking end of one framed connection.
 
 The protocol of Sections 5.1-5.2 is request/reply between a site and an
-object's server.  :class:`Channel` is the side that asks: it dials,
-says ``hello``, numbers requests, matches replies to them by ``req``
-and bounds each wait by a deadline, all kept by one timer.  Everyone who
-asks goes through it — the cache client
-(:class:`~repro.net.client.NetCacheClient`, which adds clock sync and a
-retransmit ladder on top), the cluster agents
+object's server.  :class:`Channel` is the side that asks: it dials, says
+``hello``, and keeps the whole life of every request in one registry.
+It numbers the request, holds it back while the window is full, sends
+it, re-sends it under the same id when its deadline passes, and resolves
+it where the reply lands, all with one timer armed at the earliest
+deadline.  Everyone who asks goes through it — the cache client
+(:class:`~repro.net.client.NetCacheClient`, which adds clock sync and the
+lifetime rules on top), the cluster agents
 (:class:`~repro.cluster.swim.SwimAgent`, whose probe rounds *are* the
 retry mechanism) and ``repro cluster status``.
 
-A call is *one attempt*: what to do about a timeout — retransmit under
-the same id, suspect the peer, report ``unreachable`` — is the caller's
-protocol, not the channel's.  Failures are the builtin ``TimeoutError``
-and ``ConnectionError`` (both ``OSError`` on every supported Python),
-each with a message that names the peer.
+Each request carries its own retransmit ladder: after ``timeout`` it is
+re-sent under the same id, then after ``timeout * backoff``, and so on
+for ``retries`` re-sends; the reply to any attempt answers it, and a
+duplicate reply is dropped.  ``TimeoutError`` comes after the last
+attempt.  With ``retries=0``, a call is one attempt, and what to do about
+a timeout (suspect the peer, report ``unreachable``) is the caller's
+protocol.  ``window`` bounds how many requests are outstanding at once;
+one past it waits unsent, in FIFO order, and its deadline starts when it
+leaves.  Failures are the builtin ``TimeoutError`` and
+``ConnectionError`` (both ``OSError`` on every supported Python), each
+with a message that names the peer or the request.
 """
 
 from __future__ import annotations
@@ -22,7 +30,9 @@ from __future__ import annotations
 import asyncio
 import itertools
 import math
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from collections import deque
+from dataclasses import dataclass
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.net.faults import FaultInjector
 from repro.net.framing import (
@@ -30,15 +40,33 @@ from repro.net.framing import (
 )
 
 
+@dataclass(eq=False, slots=True)
+class _Request:
+    """One request in the registry: the frame as sent, its ladder, and
+    what turns its reply into the future's result."""
+
+    future: asyncio.Future
+    sent: Dict[str, Any]
+    timeout: float
+    retries: int
+    backoff: float
+    finish: Optional[Callable[[Dict[str, Any]], Any]]
+    attempts: int = 0
+    #: ``None`` while it waits for the window.
+    deadline: Optional[float] = None
+
+
 class Channel:
     """One connection to ``host:port``, opened as ``client_id``.
 
     ``subscribe`` asks the server for its pushes.  ``faults`` attach to
-    the connection at :meth:`start`, never before: the connection always
+    the connection at :meth:`attach`, never before: the connection always
     *forms*, the protocol then runs over the unreliable link.
-    ``on_frame(frame)`` sees every inbound frame after :meth:`start` —
-    replies included, before the call they answer resumes — which is
-    where a client reads epoch stamps and takes pushes.
+    ``on_frame(frame)`` sees every inbound frame after :meth:`attach` —
+    replies included, before the request they answer resolves — which is
+    where a client reads epoch stamps and takes pushes.  ``window`` bounds
+    the outstanding requests (``None``: no bound) and ``on_retry()`` is
+    called for every re-send.
     """
 
     def __init__(
@@ -50,18 +78,24 @@ class Channel:
         subscribe: bool = False,
         faults: Optional[FaultInjector] = None,
         on_frame: Optional[Callable[[Dict[str, Any]], None]] = None,
+        window: Optional[int] = None,
+        on_retry: Optional[Callable[[], None]] = None,
     ) -> None:
+        if window is not None and window < 1:
+            raise ValueError(f"window must be >= 1, got {window}")
         self.client_id = client_id
         self.host = host
         self.port = port
         self.subscribe = subscribe
         self.faults = faults
         self.on_frame = on_frame
+        self.window = math.inf if window is None else window
+        self.on_retry = on_retry
         self.conn: Optional[FrameConnection] = None
-        #: Calls awaiting their reply, by request id.
-        self.pending: Dict[int, asyncio.Future] = {}
-        # Their (deadline, kind, timeout); one timer, at the earliest.
-        self._deadlines: Dict[int, Tuple[float, Any, float]] = {}
+        #: Requests sent and not yet settled (at most ``window``).
+        self.in_flight = 0
+        self._requests: Dict[int, _Request] = {}
+        self._waiting: Deque[int] = deque()
         self._timer: Optional[asyncio.TimerHandle] = None
         self._armed_at = math.inf
         self._ids = itertools.count()
@@ -71,17 +105,22 @@ class Channel:
     @property
     def connected(self) -> bool:
         """False before :meth:`open`, after :meth:`close`, and once the
-        connection is known dead (calls then fail fast)."""
+        connection is known dead (requests then fail fast)."""
         return self.conn is not None and not self._lost
 
+    @property
+    def pending(self) -> Dict[int, asyncio.Future]:
+        """Unsettled requests by id, sent or waiting for the window."""
+        return {req: request.future for req, request in self._requests.items()}
+
     def next_id(self) -> int:
-        """Allocate a request id for a pinned :meth:`call` (ids are never
-        reused; allocating without sending is safe)."""
+        """Allocate a request id to pin (ids are never reused;
+        allocating without sending is safe)."""
         return next(self._ids)
 
     async def open(self, timeout: Optional[float] = None) -> Dict[str, Any]:
         """Dial and say hello; returns the ``hello-ack``.  ``timeout``
-        bounds the whole exchange.  Until :meth:`start`, inbound frames
+        bounds the whole exchange.  Until :meth:`attach`, inbound frames
         queue behind ``conn.recv()`` (the cache client's clock-sync
         rounds run there)."""
         if timeout is None:
@@ -122,40 +161,106 @@ class Channel:
         self._lost = False
         return ack
 
-    def start(self) -> None:
+    def attach(self) -> None:
         """Attach the faults and take inbound frames from ``data_received``
-        from now on: each goes to ``on_frame``, then to its call."""
+        from now on: each goes to ``on_frame``, then to its request."""
         self.conn.faults = self.faults
         self.conn.deliver(self._on_frames, self._on_end)
 
+    # -- the two entry points ---------------------------------------------------
+
     async def call(
-        self, frame: Dict[str, Any], timeout: float, req: Optional[int] = None
+        self, frame: Dict[str, Any], timeout: float, req: Optional[int] = None,
+        *, retries: int = 0, backoff: float = 1.0,
     ) -> Dict[str, Any]:
-        """Send ``frame`` under a fresh id (or the pinned ``req``) and
-        return the reply that carries it — an ``error`` reply included.
-        One attempt: ``TimeoutError`` after ``timeout``
-        seconds, ``ConnectionError`` when the connection is or goes down
-        (nothing is written to one already known dead)."""
-        conn = self.conn
-        if conn is None or self._lost:
+        """Send ``frame`` under a fresh id (or the pinned ``req``) through
+        the awaited ``FrameConnection.send`` and return the reply that
+        carries it — an ``error`` reply included.  ``TimeoutError`` after
+        the last attempt, ``ConnectionError`` when the connection is or
+        goes down (nothing is written to one already known dead)."""
+        request = self._enter(frame, timeout, req, retries, backoff, None)
+        future = request.future
+        try:
+            if request.deadline is not None:
+                await self.conn.send(request.sent)
+            return await future
+        finally:
+            req = request.sent["req"]
+            if self._requests.get(req) is request:  # cancelled, or unsendable
+                self._settle(req)
+
+    def start(
+        self, frame: Dict[str, Any], timeout: float, req: Optional[int] = None,
+        *, retries: int = 0, backoff: float = 1.0,
+        finish: Optional[Callable[[Dict[str, Any]], Any]] = None,
+    ) -> asyncio.Future:
+        """:meth:`call` without waiting: write ``frame`` now (or when the
+        window opens) and return the future of its reply — or of
+        ``finish(reply)``, run where the reply lands, whose exception
+        fails the future instead.  Raises ``ConnectionError`` at once on
+        a connection known dead."""
+        request = self._enter(frame, timeout, req, retries, backoff, finish)
+        if request.deadline is not None:
+            try:
+                self.conn.write(request.sent)
+            except BaseException:
+                self._settle(request.sent["req"])
+                raise
+        return request.future
+
+    def _enter(
+        self, frame: Dict[str, Any], timeout: float, req: Optional[int],
+        retries: int, backoff: float,
+        finish: Optional[Callable[[Dict[str, Any]], Any]],
+    ) -> _Request:
+        """Register a request; it leaves now iff the window has room
+        (its ``deadline`` is then set, and the caller writes it)."""
+        if self.conn is None or self._lost:
             raise ConnectionError(
                 f"connection to {self.host}:{self.port} is down"
             )
         if req is None:
             req = next(self._ids)
-        sent = dict(frame, req=req)
-        loop = self._loop
-        future = self.pending[req] = loop.create_future()
-        deadline = loop.time() + timeout
-        self._deadlines[req] = (deadline, frame.get("kind"), timeout)
+        elif req in self._requests:
+            raise ValueError(f"request #{req} is still outstanding")
+        request = self._requests[req] = _Request(
+            self._loop.create_future(), dict(frame, req=req),
+            timeout, retries, backoff, finish,
+        )
+        if self.in_flight < self.window:
+            self._leave(request)
+        else:
+            self._waiting.append(req)
+        return request
+
+    # -- the registry -------------------------------------------------------------
+
+    def _leave(self, request: _Request) -> None:
+        """Count ``request`` as outstanding and start its deadline."""
+        self.in_flight += 1
+        request.attempts = 1
+        request.deadline = deadline = self._loop.time() + request.timeout
         if deadline < self._armed_at:
             self._arm(deadline)
-        try:
-            await conn.send(sent)
-            return await future
-        finally:
-            self.pending.pop(req, None)
-            self._deadlines.pop(req, None)
+
+    def _settle(self, req: int) -> _Request:
+        """Take ``req`` out of the registry; the slot it held goes to the
+        first request waiting for the window, which leaves now."""
+        request = self._requests.pop(req)
+        if request.deadline is None:
+            self._waiting.remove(req)
+            return request
+        self.in_flight -= 1
+        waiting, conn = self._waiting, self.conn
+        while waiting and self.in_flight < self.window and self.connected:
+            following = self._requests[waiting.popleft()]
+            self._leave(following)
+            try:
+                conn.write(following.sent)
+            except Exception as exc:  # unframeable: fail it, not the caller
+                self._settle(following.sent["req"])
+                following.future.set_exception(exc)
+        return request
 
     def _arm(self, when: float) -> None:
         if self._timer is not None:
@@ -164,39 +269,73 @@ class Channel:
         self._armed_at = when
 
     def _expire(self) -> None:
-        """Fail every call past its deadline; re-arm at the next one."""
-        due, self._timer = max(self._armed_at, self._loop.time()), None
-        for req, (deadline, kind, timeout) in self._deadlines.items():
-            future = self.pending.get(req)
-            if deadline <= due and future is not None and not future.done():
+        """Re-send every request past its deadline that has a rung left,
+        fail the others; re-arm at the next deadline."""
+        now = self._loop.time()
+        due, self._timer = max(self._armed_at, now), None
+        for req, request in list(self._requests.items()):
+            deadline = request.deadline
+            if deadline is None or deadline > due:
+                continue
+            future = request.future
+            if future.done():  # cancelled by whoever started it
+                self._settle(req)
+            elif request.attempts <= request.retries:
+                request.attempts += 1
+                request.timeout *= request.backoff
+                request.deadline = now + request.timeout
+                if self.on_retry is not None:
+                    self.on_retry()
+                self.conn.write(request.sent)
+            else:
+                self._settle(req)
+                kind = request.sent.get("kind")
                 future.set_exception(TimeoutError(
-                    f"no reply to {kind} #{req} in {timeout:g}s"))
-        self._arm(min((d for d, _, _ in self._deadlines.values() if d > due),
-                      default=math.inf))
+                    f"no reply to {kind} #{req} in {request.timeout:g}s"
+                    if request.attempts == 1 else
+                    f"no reply to {kind} #{req} after {request.attempts} attempts"
+                ))
+        self._arm(min((r.deadline for r in self._requests.values()
+                       if r.deadline is not None), default=math.inf))
 
     def _on_frames(self, frames: List[Dict[str, Any]]) -> None:
-        on_frame, pending = self.on_frame, self.pending
+        on_frame, requests = self.on_frame, self._requests
         for frame in frames:
             if on_frame is not None:
                 on_frame(frame)
-            future = pending.get(frame.get("req"))
+            req = frame.get("req")
             # An unknown id is the duplicate of an answered request, or
             # the reply to one that timed out: ids are never reused, so
-            # it can resolve nobody else's call.
-            if future is not None and not future.done():
+            # it can resolve nobody else's request.
+            if req not in requests:
+                continue
+            request = self._settle(req)
+            future = request.future
+            if future.done():
+                continue
+            if request.finish is None:
                 future.set_result(frame)
+                continue
+            try:
+                future.set_result(request.finish(frame))
+            except Exception as exc:
+                future.set_exception(exc)
 
     def _on_end(self, error: Optional[Exception]) -> None:
         self._lost = True
-        for future in self.pending.values():
-            if not future.done():
-                future.set_exception(ConnectionError(
+        requests, self._requests = self._requests, {}
+        self._waiting.clear()
+        self.in_flight = 0
+        self._arm(math.inf)
+        for request in requests.values():
+            if not request.future.done():
+                request.future.set_exception(ConnectionError(
                     f"connection to {self.host}:{self.port} lost"
                 ))
 
     async def close(self, bye: bool = True) -> None:
-        """Say ``bye`` (a clean leave) and close; pending calls fail with
-        ``ConnectionError``."""
+        """Say ``bye`` (a clean leave) and close; unsettled requests fail
+        with ``ConnectionError``."""
         conn, self.conn = self.conn, None
         self._arm(math.inf)
         if conn is not None:

@@ -6,8 +6,9 @@
 structure (versions with lifetimes, ``Context_i``, *old* entries) and
 every freshness judgement live there, read as ``client.engine.cache``,
 ``.context``, ``.delta``; the connection, request ids and reply
-matching are a :class:`repro.net.channel.Channel`; this class owns the
-synchronized clock, retransmission, and trace recording.
+matching, the retransmit ladder and the pipeline window are a
+:class:`repro.net.channel.Channel`; this class owns the synchronized
+clock and trace recording.
 
 Two freshness modes:
 
@@ -24,7 +25,7 @@ Two freshness modes:
   observation that delta-causality fails when "late messages are never
   delivered"; cf. ``bench_push_vs_pull``).
 
-Requests carry a request id; the client retransmits after a timeout with
+Requests carry a request id; the channel retransmits after a timeout with
 exponential backoff, reusing the id so duplicate replies are recognized
 and dropped.  The server answers every request or closes the connection
 (``error`` for one it cannot serve), so a timeout is the only reason to
@@ -120,8 +121,8 @@ class NetCacheClient:
         ``site=<client_id>``.
 
         ``pipeline_depth`` bounds how many requests may be outstanding
-        over the one connection at a time (a semaphore; depth 1 is the
-        old lockstep behaviour)."""
+        over the one connection at a time (the channel's window; depth 1
+        is the old lockstep behaviour)."""
         if mode not in FRESHNESS_MODES:
             raise ValueError(f"mode must be one of {FRESHNESS_MODES}, got {mode!r}")
         if request_timeout <= 0:
@@ -147,9 +148,13 @@ class NetCacheClient:
         self.clock = clock if clock is not None else SyncedClock(skew=skew)
         self.engine = CacheEngine(site_id=client_id, delta=delta)
         self.stats = self.engine.stats
+        # The channel numbers, windows, retransmits and matches every
+        # request; ids are never reused, so a reply that outlives its
+        # request cannot resolve a later one.
         self.channel = Channel(
             client_id, host, port,
             subscribe=mode == "push", faults=faults, on_frame=self._on_frame,
+            window=pipeline_depth, on_retry=self._count_retry,
         )
         # Cluster awareness: the highest ring epoch any server frame has
         # carried (0 for a standalone server) and a subscriber called on
@@ -157,10 +162,6 @@ class NetCacheClient:
         self.server_epoch = 0
         self.on_epoch: Optional[Callable[[int, "NetCacheClient"], None]] = None
         self.pipeline_depth = pipeline_depth
-        # Pipelining: the semaphore bounds outstanding request ids over
-        # the one connection; ids themselves are never reused, so a
-        # reply that outlives its request cannot resolve a later future.
-        self._issue_slots = asyncio.Semaphore(pipeline_depth)
         self.registry = registry
         self._rtt = None
         self._push_lag = None
@@ -214,7 +215,7 @@ class NetCacheClient:
         self.pipeline = PipelineInstruments(
             self.registry, side="client", labels=labels
         )
-        self.pipeline.bind_outstanding(lambda: len(self.channel.pending))
+        self.pipeline.bind_outstanding(lambda: self.channel.in_flight)
 
     # -- connection lifecycle -------------------------------------------------
 
@@ -247,7 +248,7 @@ class NetCacheClient:
                 wait = min(wait * self.backoff, 1.0)
         # Faults attach only now: the handshake always completes, the
         # workload runs over the unreliable link.
-        self.channel.start()
+        self.channel.attach()
         return self
 
     async def _sync_clock(self, rounds: int) -> None:
@@ -319,15 +320,38 @@ class NetCacheClient:
         the server's reply cache instead of installing a second version.
         """
         op = self.engine.begin_write(obj, value, self.now())
-        reply = await self._request(op.frame, req=req)
-        alpha = self.engine.finish_write(op, reply, self.now())
+        return self._finish_write(op, await self._request(op.frame, req=req))
+
+    def start_write(
+        self, obj: str, value: Any, *, req: Optional[int] = None
+    ) -> "asyncio.Future[float]":
+        """:meth:`write`, sent now: returns the future of the install
+        time, with rule 2 applied where the ack lands.  It fails as the
+        channel does (``TimeoutError`` after the retransmit ladder,
+        ``ConnectionError``), or with :class:`ProtocolError` on an
+        ``error`` reply."""
+        channel = self._live_channel()
+        op = self.engine.begin_write(obj, value, self.now())
+        observe = self._rtt_observer(messages.WRITE)
+
+        def finish(reply: Dict[str, Any]) -> float:
+            return self._finish_write(op, self._checked(reply, observe))
+
+        return channel.start(
+            op.frame, self.request_timeout, req,
+            retries=self.max_retries, backoff=self.backoff, finish=finish,
+        )
+
+    def _finish_write(self, op: Any, reply: Dict[str, Any]) -> float:
+        now = self.now()
+        alpha = self.engine.finish_write(op, reply, now)
         # alpha is the server's clock, the interval this site's: they
         # may disagree by up to epsilon (Definition 2), so an acknowledged
         # write is recorded with its interval widened to hold its stamp.
         if self.recorder is not None:
             self.recorder.record_write(
-                self.client_id, obj, value, alpha,
-                start=min(op.started, alpha), end=max(self.now(), alpha),
+                self.client_id, op.obj, op.value, alpha,
+                start=min(op.started, alpha), end=max(now, alpha),
             )
         return alpha
 
@@ -411,22 +435,7 @@ class NetCacheClient:
 
     # -- transport --------------------------------------------------------------
 
-    async def _request(
-        self,
-        message: Dict[str, Any],
-        timeout: Optional[float] = None,
-        req: Optional[int] = None,
-    ) -> Dict[str, Any]:
-        """Issue a request down the pipeline; retransmit with exponential
-        backoff until a reply with the matching id arrives.
-
-        Up to ``pipeline_depth`` requests may be in flight at once (the
-        semaphore); every attempt is one :meth:`Channel.call` under the
-        same id, so duplicate and orphan replies are recognized and
-        dropped.  An ``error`` reply raises :class:`ProtocolError` at
-        once.  ``req`` pins the id for caller-level idempotent retries
-        (the ring's repair path).
-        """
+    def _live_channel(self) -> Channel:
         channel = self.channel
         if channel.conn is None:
             raise NetError("client is not connected")
@@ -436,31 +445,53 @@ class NetCacheClient:
             # seconds to every failover (docs/CLUSTER.md time-to-recover
             # accounting); the caller's replica fallback handles it now.
             raise NetError(f"connection to {self.host}:{self.port} is down")
-        if req is None:
-            req = channel.next_id()
-        async with self._issue_slots:
-            wait = timeout if timeout is not None else self.request_timeout
-            rtt_child = self._rtt.get(message["kind"]) if self._rtt else None
-            issued = self.clock.local() if rtt_child is not None else 0.0
-            attempt = 0
-            while True:
-                try:
-                    reply = await channel.call(message, wait, req)
-                except TimeoutError:
-                    if attempt == self.max_retries:
-                        raise RequestTimeout(
-                            f"no reply to {message['kind']} #{req} after "
-                            f"{self.max_retries + 1} attempts"
-                        ) from None
-                    attempt += 1
-                    self.stats.retries += 1
-                    wait *= self.backoff
-                    continue
-                if reply.get("kind") == ERROR:
-                    raise ProtocolError(str(reply.get("error")))
-                if rtt_child is not None:
-                    rtt_child.observe(self.clock.local() - issued)
-                return reply
+        return channel
+
+    async def _request(
+        self, message: Dict[str, Any], req: Optional[int] = None
+    ) -> Dict[str, Any]:
+        """Issue a request down the pipeline and return its reply.
+
+        The channel holds it while ``pipeline_depth`` requests are
+        outstanding and retransmits it under the same id with
+        exponential backoff, so duplicate and orphan replies are
+        recognized and dropped.  An ``error`` reply raises
+        :class:`ProtocolError` at once.  ``req`` pins the id for
+        caller-level idempotent retries (the ring's repair path).
+        """
+        channel = self._live_channel()
+        observe = self._rtt_observer(message["kind"])
+        try:
+            reply = await channel.call(
+                message, self.request_timeout, req,
+                retries=self.max_retries, backoff=self.backoff,
+            )
+        except TimeoutError as exc:
+            raise RequestTimeout(str(exc)) from None
+        return self._checked(reply, observe)
+
+    def _rtt_observer(self, kind: str) -> Optional[Callable[[], None]]:
+        """With a registry, a callable that observes the RTT of a request
+        of ``kind`` issued now; else ``None``."""
+        child = self._rtt.get(kind) if self._rtt else None
+        if child is None:
+            return None
+        local = self.clock.local
+        issued = local()
+        return lambda: child.observe(local() - issued)
+
+    @staticmethod
+    def _checked(
+        reply: Dict[str, Any], observe: Optional[Callable[[], None]]
+    ) -> Dict[str, Any]:
+        if reply.get("kind") == ERROR:
+            raise ProtocolError(str(reply.get("error")))
+        if observe is not None:
+            observe()
+        return reply
+
+    def _count_retry(self) -> None:
+        self.stats.retries += 1
 
     def _on_frame(self, frame: Dict[str, Any]) -> None:
         """Every inbound frame once the channel has started, before the

@@ -74,6 +74,10 @@ class ClockSyncEstimator:
     def __init__(self) -> None:
         self.samples: List[SyncSample] = []
         self.best: Optional[SyncSample] = None
+        #: Best estimate of ``server clock - local clock`` (0 if unsynced):
+        #: the best sample's, kept as a plain attribute because every
+        #: synchronized-clock reading adds it.
+        self.offset = 0.0
 
     def add_sample(self, t0: float, t1: float, t2: float, t3: float) -> SyncSample:
         if t3 < t0:
@@ -84,16 +88,12 @@ class ClockSyncEstimator:
         self.samples.append(sample)
         if self.best is None or sample.rtt < self.best.rtt:
             self.best = sample
+            self.offset = sample.offset
         return sample
 
     @property
     def synchronized(self) -> bool:
         return self.best is not None
-
-    @property
-    def offset(self) -> float:
-        """Best estimate of ``server clock - local clock`` (0 if unsynced)."""
-        return self.best.offset if self.best is not None else 0.0
 
     @property
     def error_bound(self) -> float:

@@ -76,6 +76,10 @@ class _ClientTransport:
     pins a fresh request id and retries (anti-entropy re-pushes) reuse
     it, so the device's reply cache replays a lost ack instead of
     installing a second version with a second effective time.
+
+    A write's primary copy is awaited through :meth:`write`, its replica
+    copies are sent at once by :meth:`start`: their acks resolve futures
+    where they land, with no task per copy.
     """
 
     #: Bound on remembered (device, token) -> request id pins; entries
@@ -87,26 +91,52 @@ class _ClientTransport:
         self.router = router
         self._pinned: "OrderedDict[Tuple[int, str], int]" = OrderedDict()
 
+    def _pin(
+        self, client: NetCacheClient, device_id: int, dedup: Optional[str]
+    ) -> Optional[int]:
+        if dedup is None:
+            return None
+        key = (device_id, dedup)
+        req = self._pinned.get(key)
+        if req is None:
+            req = client.next_request_id()
+            self._pinned[key] = req
+            while len(self._pinned) > self.MAX_PINNED:
+                self._pinned.popitem(last=False)
+        return req
+
+    def _acked(self, device_id: int, dedup: Optional[str]) -> None:
+        if dedup is not None:
+            self._pinned.pop((device_id, dedup), None)
+        stats = self.router.stats.writes_by_device
+        stats[device_id] = stats.get(device_id, 0) + 1
+
     async def write(
         self, device_id: int, obj: str, value: Any,
         dedup: Optional[str] = None,
     ) -> float:
         client = self.router.clients[device_id]
-        req: Optional[int] = None
-        if dedup is not None:
-            key = (device_id, dedup)
-            req = self._pinned.get(key)
-            if req is None:
-                req = client.next_request_id()
-                self._pinned[key] = req
-                while len(self._pinned) > self.MAX_PINNED:
-                    self._pinned.popitem(last=False)
-        alpha = await client.write(obj, value, req=req)
-        if dedup is not None:
-            self._pinned.pop((device_id, dedup), None)
-        stats = self.router.stats.writes_by_device
-        stats[device_id] = stats.get(device_id, 0) + 1
+        alpha = await client.write(
+            obj, value, req=self._pin(client, device_id, dedup)
+        )
+        self._acked(device_id, dedup)
         return alpha
+
+    def start(
+        self, device_id: int, obj: str, value: Any,
+        dedup: Optional[str] = None,
+    ) -> "asyncio.Future[float]":
+        client = self.router.clients[device_id]
+        future = client.start_write(
+            obj, value, req=self._pin(client, device_id, dedup)
+        )
+
+        def acked(done: "asyncio.Future[float]") -> None:
+            if not done.cancelled() and done.exception() is None:
+                self._acked(device_id, dedup)
+
+        future.add_done_callback(acked)
+        return future
 
     async def read(self, device_id: int, obj: str) -> Any:
         return await self.router.clients[device_id].read(obj)
@@ -178,6 +208,11 @@ class RingRouter:
             request_timeout=request_timeout, max_retries=max_retries,
             registry=registry, pipeline_depth=pipeline_depth,
         )
+        #: Every device's clock, by device id.  Like the reference clock,
+        #: it outlives its client: a write whose primary left the ring
+        #: while its ack was on the way still rebases with the clock of
+        #: the connection that served it.
+        self.clocks: Dict[int, SyncedClock] = {}
         self.clients: Dict[int, NetCacheClient] = {
             dev_id: self._device_client(dev_id, *endpoints[dev_id])
             for dev_id in ring.device_ids()
@@ -210,9 +245,10 @@ class RingRouter:
     def _device_client(self, dev_id: int, host: str, port: int) -> NetCacheClient:
         """The one way this router builds a device's client: shared local
         clock, the router's own options, ``device=<id>`` on its metrics."""
+        clock = self.clocks[dev_id] = SyncedClock(local=self.local_clock)
         return NetCacheClient(
             self.client_id, host, port,
-            clock=SyncedClock(local=self.local_clock),
+            clock=clock,
             faults=self._fault_injectors.get(dev_id),
             metric_labels=(
                 {"device": dev_id} if self.registry is not None else None
@@ -264,9 +300,10 @@ class RingRouter:
         Every device of the new ring must already be connected (adding
         one needs `connect_device` first).  Devices *leaving* the ring
         are closed and dropped here — their clients would otherwise leak
-        sockets, clock estimators, and metric collectors for layouts
-        that no longer exist — and their queued anti-entropy repairs are
-        discarded (the new ring re-homed those partitions).
+        sockets and metric collectors for layouts that no longer exist;
+        only their clocks stay, in :attr:`clocks` — and their queued
+        anti-entropy repairs are discarded (the new ring re-homed those
+        partitions).
         """
         missing = set(ring.device_ids()) - set(self.clients)
         if missing:
@@ -397,10 +434,10 @@ class RingRouter:
         return self.reference_clock.now()
 
     def offset_to_reference(self, dev_id: int) -> float:
-        """Maps a stamp on ``dev_id``'s timescale onto the reference's."""
-        ref = self.reference_clock.estimator.offset
-        dev = self.clients[dev_id].clock.estimator.offset
-        return ref - dev
+        """Maps a stamp on ``dev_id``'s timescale onto the reference's
+        (``dev_id`` may have left the ring since: :attr:`clocks`)."""
+        return (self.reference_clock.estimator.offset
+                - self.clocks[dev_id].estimator.offset)
 
     @property
     def epsilon_bound(self) -> float:
@@ -468,7 +505,8 @@ class RingRouter:
         # Rebase with the device that actually served as primary.  The
         # ring may have been swapped while the write was in flight
         # (concurrent rebalance); re-asking it now could name a device
-        # whose clock offset has nothing to do with outcome.alpha.
+        # whose clock offset has nothing to do with outcome.alpha, and
+        # the primary itself may have left (its clock has not).
         alpha_ref = outcome.alpha + self.offset_to_reference(outcome.primary)
         # The stamp is a device's clock, the interval this router's: they
         # may disagree by up to epsilon (Definition 2), so the recorded

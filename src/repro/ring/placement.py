@@ -16,29 +16,30 @@ The transport is duck-typed so the same engine drives the in-memory
 stores of the tests, the simulator, and the TCP stack's per-device
 :class:`~repro.net.client.NetCacheClient` connections:
 
-    async def write(device_id, obj, value) -> float   # install time
+    async def write(device_id, obj, value, dedup) -> float   # install time
+    def start(device_id, obj, value, dedup) -> Future[float] # the same, sent now
     async def read(device_id, obj) -> value
 
-A transport may additionally accept ``write(..., dedup=<token>)``: the
-engine then tags every fan-out copy (and its anti-entropy re-pushes)
-with one token per logical write, so a dedup-aware transport can retry
-idempotently — the TCP transport maps the token to a pinned request id
-and the server's reply cache replays a lost ack instead of
-re-installing.  Plain 3-argument transports keep working unchanged.
+A write starts its replica copies first, awaits the primary's copy in
+place, then joins the replicas' acks as they arrive (docs/RING.md).
+``dedup`` is one token per logical write, carried by every fan-out copy
+and its anti-entropy re-pushes, so a transport can retry idempotently —
+the TCP transport maps the token to a pinned request id and the
+server's reply cache replays a lost ack instead of re-installing.
 
 Transport failures must surface as exceptions (``ConnectionError``,
-:class:`repro.net.client.NetError`, ...); any exception from a replica
-write queues a repair, any exception from a read triggers fallback to
-the next replica.
+:class:`repro.net.client.NetError`, ...), raised by ``start`` or
+carried by its future; any exception from a replica write queues a
+repair, any exception from a read triggers fallback to the next
+replica.
 """
 
 from __future__ import annotations
 
 import asyncio
-import inspect
 import math
 from dataclasses import dataclass
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.clocks.rebase import loop_time
 from repro.ring.ring import Ring
@@ -101,9 +102,9 @@ class RepairTask:
     """A replica copy that must be re-pushed before ``deadline``.
 
     ``dedup`` carries the originating write's dedup token: a re-push is
-    a *retry* of the original fan-out copy, so a dedup-aware transport
-    reuses the same request id and a copy whose ack was merely lost is
-    replayed (original ``alpha``) instead of installed twice.
+    a *retry* of the original fan-out copy, so the TCP transport reuses
+    the same request id and a copy whose ack was merely lost is replayed
+    (original ``alpha``) instead of installed twice.
     """
 
     device: int
@@ -123,7 +124,9 @@ class ReplicatedPlacement:
     The primary's ack is always required — W only varies how many of the
     *other* replicas may lag.  Stragglers keep running in the background:
     a late ack is recorded, a late failure queues an anti-entropy repair
-    with deadline ``write time + delta``.
+    with deadline ``write time + delta``.  A write whose primary copy
+    fails raises :class:`PlacementError` at once, its replica copies
+    running on as stragglers.
 
     ``clock`` supplies "now" for deadlines (defaults to the running event
     loop's clock); the TCP router passes its reference-synchronized clock
@@ -152,28 +155,8 @@ class ReplicatedPlacement:
         self.max_repair_attempts = max_repair_attempts
         self.stats = PlacementStats()
         self.repairs: List[RepairTask] = []
-        self._stragglers: List[asyncio.Task] = []
+        self._stragglers: Set[asyncio.Future] = set()
         self._write_seq = 0
-        self._dedup_aware: Optional[bool] = None
-
-    def _transport_write(
-        self, dev: int, obj: str, value: Any, dedup: Optional[str]
-    ) -> Awaitable[float]:
-        """Write through the transport, passing the dedup token when the
-        transport understands it (duck-typed: plain 3-argument
-        transports keep working, just without idempotent retries)."""
-        if self._dedup_aware is None:
-            try:
-                params = inspect.signature(self.transport.write).parameters
-                self._dedup_aware = "dedup" in params or any(
-                    p.kind is inspect.Parameter.VAR_KEYWORD
-                    for p in params.values()
-                )
-            except (TypeError, ValueError):
-                self._dedup_aware = False
-        if self._dedup_aware and dedup is not None:
-            return self.transport.write(dev, obj, value, dedup=dedup)
-        return self.transport.write(dev, obj, value)
 
     def quorum_for(self, n_replicas: int) -> int:
         if self.write_quorum is None:
@@ -183,7 +166,12 @@ class ReplicatedPlacement:
     # -- writes ---------------------------------------------------------------
 
     async def write(self, obj: str, value: Any) -> WriteOutcome:
-        """Fan the write out to the object's replica set; W-of-N acks."""
+        """Fan the write out to the object's replica set; W-of-N acks.
+
+        The replica copies leave first, through the transport's
+        ``start``; the primary's copy is awaited in place; then replica
+        acks are joined in the order they arrive until W devices have
+        the write."""
         self.stats.writes += 1
         devices = self.ring.replicas_for(obj)
         primary = devices[0]
@@ -195,42 +183,63 @@ class ReplicatedPlacement:
         # installing a second version.
         self._write_seq += 1
         token = f"{obj}#{self._write_seq}"
-        tasks = {
-            asyncio.ensure_future(
-                self._transport_write(dev, obj, value, token)
-            ): dev
-            for dev in devices
-        }
         acked: Dict[int, float] = {}
         failed: List[int] = []
-        pending = set(tasks)
-        while pending and not (len(acked) >= quorum and primary in acked):
-            done, pending = await asyncio.wait(
-                pending, return_when=asyncio.FIRST_COMPLETED
-            )
-            for task in done:
-                dev = tasks[task]
-                exc = task.exception()
-                if exc is None:
-                    acked[dev] = task.result()
-                    if dev != primary:
-                        self.stats.replica_acks += 1
-                else:
-                    failed.append(dev)
-                    self._queue_repair(dev, obj, value, started, token)
-        # Stragglers past the quorum run on; their outcome is recorded
-        # (late ack) or repaired (late failure) when they resolve.
-        for task in pending:
-            dev = tasks[task]
-            task.add_done_callback(
-                self._straggler_done(dev, primary, obj, value, started, token)
-            )
-            self._stragglers.append(task)
-        if primary not in acked:
-            raise PlacementError(
-                f"write of {obj!r} lost its primary (device {primary}); "
-                f"acks from {sorted(acked)}"
-            )
+        copies: Dict[asyncio.Future, int] = {}
+        for dev in devices[1:]:
+            try:
+                copies[self.transport.start(dev, obj, value, dedup=token)] = dev
+            except Exception:
+                failed.append(dev)
+                self._queue_repair(dev, obj, value, started, token)
+        pending = set(copies)
+
+        def settle(copy: asyncio.Future) -> None:
+            pending.discard(copy)
+            dev = copies[copy]
+            exc = copy.exception()
+            if exc is None:
+                acked[dev] = copy.result()
+                self.stats.replica_acks += 1
+            else:
+                failed.append(dev)
+                self._queue_repair(dev, obj, value, started, token)
+
+        try:
+            try:
+                acked[primary] = await self.transport.write(
+                    primary, obj, value, dedup=token
+                )
+            except Exception as exc:
+                failed.append(primary)
+                self._queue_repair(primary, obj, value, started, token)
+                raise PlacementError(
+                    f"write of {obj!r} lost its primary (device {primary}): "
+                    f"{exc!r}"
+                ) from exc
+            if quorum == len(devices):
+                # Every copy is waited for, so the order does not matter.
+                for copy in copies:
+                    try:
+                        await copy
+                    except Exception:
+                        pass  # settle() reads it off the future
+                    settle(copy)
+            while pending and len(acked) < quorum:
+                done, _ = await asyncio.wait(
+                    pending, return_when=asyncio.FIRST_COMPLETED
+                )
+                for copy in done:
+                    settle(copy)
+        finally:
+            # Stragglers past the quorum run on; their outcome is
+            # recorded (late ack) or repaired (late failure) when they
+            # resolve.
+            for copy in pending:
+                copy.add_done_callback(
+                    self._straggler_done(copies[copy], obj, value, started, token)
+                )
+                self._stragglers.add(copy)
         if len(acked) < quorum and not pending:
             self.stats.quorum_failures += 1
         return WriteOutcome(
@@ -240,17 +249,15 @@ class ReplicatedPlacement:
         )
 
     def _straggler_done(
-        self, dev: int, primary: int, obj: str, value: Any, started: float,
+        self, dev: int, obj: str, value: Any, started: float,
         token: Optional[str] = None,
-    ) -> Callable[[asyncio.Task], None]:
-        def _on_done(task: asyncio.Task) -> None:
-            if task in self._stragglers:
-                self._stragglers.remove(task)
-            if task.cancelled():
+    ) -> Callable[[asyncio.Future], None]:
+        def _on_done(copy: asyncio.Future) -> None:
+            self._stragglers.discard(copy)
+            if copy.cancelled():
                 return
-            if task.exception() is None:
-                if dev != primary:
-                    self.stats.replica_acks += 1
+            if copy.exception() is None:
+                self.stats.replica_acks += 1
             else:
                 self._queue_repair(dev, obj, value, started, token)
 
@@ -318,7 +325,9 @@ class ReplicatedPlacement:
         whose ack was lost replays the original install."""
         round_tasks = [
             (task, asyncio.ensure_future(
-                self._transport_write(task.device, task.obj, task.value, task.dedup)
+                self.transport.write(
+                    task.device, task.obj, task.value, dedup=task.dedup
+                )
             ))
             for task in list(self.repairs)
         ]
@@ -379,6 +388,12 @@ class MemoryTransport:
         self._clock = clock or loop_time
         self.write_log: List[Tuple[int, str, Any]] = []
         self._dedup_done: Dict[Tuple[int, str], float] = {}
+
+    def start(
+        self, device_id: int, obj: str, value: Any,
+        dedup: Optional[str] = None,
+    ) -> "asyncio.Future[float]":
+        return asyncio.ensure_future(self.write(device_id, obj, value, dedup))
 
     async def write(
         self, device_id: int, obj: str, value: Any,

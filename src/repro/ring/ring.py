@@ -29,6 +29,7 @@ moves" property the tests assert.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -40,12 +41,14 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 FORMAT_VERSION = 1
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def stable_hash(name: str) -> int:
     """A deterministic 64-bit hash of an object name.
 
     md5 of the UTF-8 bytes, top 8 bytes, big-endian — identical across
     interpreter restarts, ``PYTHONHASHSEED`` values, and platforms,
-    unlike Python's builtin ``hash()``.
+    unlike Python's builtin ``hash()``.  Cached (bounded): a routed read
+    asks for the same name's replicas more than once.
     """
     digest = hashlib.md5(name.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")

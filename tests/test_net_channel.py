@@ -2,9 +2,10 @@
 
 The asking end is ``repro.net.channel``: a scripted peer on a real
 loopback socket plays the answering end, so each case says exactly which
-frames come back and when, and ``TestOneAskingEnd`` pins the layering —
-dial, hello, reply matching and the per-attempt wait live in
-``net/channel.py`` and nowhere else under ``src/``.
+frames come back and when (``TestLadder`` and ``TestWindow`` in virtual
+time, to the millisecond), and ``TestOneAskingEnd`` pins the layering —
+dial, hello, reply matching, the retransmit ladder and the pipeline
+window live in ``net/channel.py`` and nowhere else under ``src/``.
 
 The answering end is ``NetObjectServer._answer``: ``TestAnswer`` plays
 the asking end by hand over a bare connection, and ``TestOneAnsweringEnd``
@@ -29,7 +30,7 @@ from repro.cli import build_parser
 from repro.cli.cluster import cmd_cluster_status
 from repro.cluster import ClusterConfig, ClusterView, SwimAgent
 from repro.net.channel import Channel
-from repro.net.client import NetCacheClient
+from repro.net.client import NetCacheClient, RequestTimeout
 from repro.net.faults import FaultConfig, FaultInjector
 from repro.net.framing import (
     HELLO_ACK, MAX_FRAME_BYTES, PROTOCOL_VERSION, FrameError, dial, listen,
@@ -37,6 +38,7 @@ from repro.net.framing import (
 from repro.load.scenario import TargetSpec
 from repro.net.ring_router import RingRouter
 from repro.net.server import NetObjectServer
+from repro.sim import vtime
 
 from tests.test_net_local import callers_of, names_in
 
@@ -83,7 +85,7 @@ async def echo(conn, frame):
 async def opened(port, **options):
     channel = Channel(7, "127.0.0.1", port, **options)
     await channel.open(1.0)
-    channel.start()
+    channel.attach()
     try:
         yield channel
     finally:
@@ -203,6 +205,222 @@ class TestLoss:
         assert not connected and pending == {}
         assert written == 0
 
+    def test_a_lost_connection_fails_every_started_request(self):
+        """Sent or still waiting for the window, each started future
+        fails with ``ConnectionError``; none is left behind."""
+
+        async def hang_up(conn, frame):
+            conn.transport.abort()
+
+        async def scenario():
+            async with peer(hang_up) as (port, _), opened(port, window=2) as channel:
+                futures = [channel.start({"kind": "ask", "n": n}, 2.0)
+                           for n in range(3)]
+                outcomes = await asyncio.gather(*futures, return_exceptions=True)
+                with pytest.raises(ConnectionError, match="is down"):
+                    channel.start({"kind": "ask", "n": 3}, 2.0)
+                return outcomes, channel.pending, channel.in_flight
+
+        outcomes, pending, in_flight = vtime.run(scenario())
+        assert [type(o) for o in outcomes] == [ConnectionError] * 3
+        assert all("lost" in str(o) for o in outcomes)
+        assert pending == {} and in_flight == 0
+
+
+class ArmedTimers:
+    """Wraps ``loop.call_at`` (which ``call_later`` goes through) and
+    records the most timers ever armed at once from then on."""
+
+    def __init__(self, loop):
+        self.handles, self.most = [], 0
+        call_at = loop.call_at
+
+        def recording(when, callback, *args, **kwargs):
+            fired = []
+
+            def run(*args):
+                fired.append(True)
+                callback(*args)
+
+            handle = call_at(when, run, *args, **kwargs)
+            self.handles.append((handle, fired))
+            self.most = max(self.most, sum(
+                not fired and not handle.cancelled() for handle, fired in self.handles
+            ))
+            return handle
+
+        loop.call_at = recording
+
+
+@pytest.mark.net
+class TestLadder:
+    """A request is re-sent under its own id, each rung ``backoff`` times
+    longer than the last, from the channel's one timer."""
+
+    def test_the_same_id_is_resent_after_each_rung_then_times_out(self):
+        asked = []
+
+        async def silent(conn, frame):
+            asked.append((frame["req"], asyncio.get_running_loop().time()))
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            retries = []
+            async with peer(silent) as (port, _), \
+                    opened(port, on_retry=lambda: retries.append(1)) as channel:
+                timers = ArmedTimers(loop)
+                started = loop.time()
+                with pytest.raises(TimeoutError) as caught:
+                    await channel.call(
+                        {"kind": "ask", "n": 0}, 0.1, retries=2, backoff=2.0
+                    )
+                ended = loop.time()
+                # Three requests on ladders of their own, side by side.
+                outcomes = await asyncio.gather(*(
+                    channel.call({"kind": "ask", "n": n}, 0.05 * n, retries=1)
+                    for n in (1, 2, 3)
+                ), return_exceptions=True)
+                return (started, ended, str(caught.value), len(retries),
+                        outcomes, timers.most, channel.pending, channel.in_flight)
+
+        (started, ended, message, retries, outcomes, most_armed, pending,
+         in_flight) = vtime.run(scenario())
+        first = [t - started for req, t in asked if req == 0]
+        assert first == pytest.approx([0.0, 0.1, 0.3], abs=1e-3)
+        assert ended - started == pytest.approx(0.7, abs=1e-3)
+        assert message == "no reply to ask #0 after 3 attempts"
+        assert [type(o) for o in outcomes] == [TimeoutError] * 3
+        assert [req for req, _ in asked] == [0, 0, 0, 1, 2, 3, 1, 2, 3]
+        assert retries == 2 + 3  # one call per re-send
+        assert most_armed == 1
+        assert pending == {} and in_flight == 0
+
+    def test_a_late_duplicate_reply_is_ignored(self):
+        async def answer_late(conn, frame):
+            reply = {"kind": "echo", "req": frame["req"], "of": frame["n"]}
+            asyncio.get_running_loop().call_later(0.15, conn.write, reply)
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            seen = []
+            async with peer(answer_late) as (port, _), \
+                    opened(port, on_frame=seen.append) as channel:
+                started = loop.time()
+                reply = await channel.call(
+                    {"kind": "ask", "n": 0}, 0.1, retries=1
+                )
+                answered = loop.time() - started
+                await asyncio.sleep(0.2)  # the re-send's reply lands
+                after = await channel.call({"kind": "ask", "n": 1}, 1.0)
+                return reply, answered, seen, after, channel.pending
+
+        reply, answered, seen, after, pending = vtime.run(scenario())
+        # The first attempt's reply answered the call; the re-send's,
+        # under the same id, arrived later and resolved nothing.
+        assert reply["req"] == 0 and answered == pytest.approx(0.15, abs=1e-3)
+        assert [f["req"] for f in seen] == [0, 0, 1]
+        assert (after["req"], after["of"]) == (1, 1)
+        assert pending == {}
+
+    def test_client_stats_count_every_resend(self):
+        async def scenario():
+            server = NetObjectServer(
+                propagation="none",
+                fault_factory=lambda: FaultInjector(
+                    FaultConfig(drop_probability=1.0), kinds={"write-ack"}
+                ),
+            )
+            await server.start()
+            try:
+                async with NetCacheClient(
+                    0, server.host, server.port, request_timeout=0.05,
+                    max_retries=3,
+                ) as client:
+                    with pytest.raises(RequestTimeout, match="after 4 attempts"):
+                        await client.write("x", "v")
+                    return client.stats.retries, dict(server.requests_by_kind)
+            finally:
+                await server.close()
+
+        retries, asked = vtime.run(scenario())
+        assert retries == 3
+        assert asked["write"] == 4  # one id, four frames
+
+
+@pytest.mark.net
+class TestWindow:
+    """At most ``window`` requests are outstanding; the rest wait unsent,
+    in order, and a request's deadline starts when it leaves."""
+
+    def test_a_request_past_the_window_leaves_when_a_reply_lands(self):
+        held = []
+
+        async def hold(conn, frame):
+            held.append((conn, frame, asyncio.get_running_loop().time()))
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            async with peer(hold) as (port, _), opened(port, window=2) as channel:
+                started, sent = loop.time(), channel.conn.sent
+                futures = [
+                    channel.start({"kind": "ask", "n": n}, timeout)
+                    for n, timeout in enumerate((1.0, 1.0, 0.1))
+                ]
+                await asyncio.sleep(0.05)
+                waited = ([f["n"] for _, f, _ in held], channel.conn.sent - sent,
+                          channel.in_flight)
+                conn, frame, _ = held[0]
+                await echo(conn, frame)  # a slot opens: n=2 leaves now
+                await asyncio.sleep(0.07)
+                # 0.12 s after n=2 was started, 0.07 s after it left.
+                conn, frame, _ = held[2]
+                await echo(conn, frame)
+                await echo(*held[1][:2])
+                replies = await asyncio.gather(*futures)
+                return started, waited, held, replies, channel.pending
+
+        started, waited, held, replies, pending = vtime.run(scenario())
+        assert waited == ([0, 1], 2, 2)  # the third is not written yet
+        assert [f["n"] for _, f, _ in held] == [0, 1, 2]
+        assert held[2][2] - started == pytest.approx(0.05, abs=1e-3)
+        assert [r["of"] for r in replies] == [0, 1, 2]
+        assert pending == {}
+
+    def test_pipeline_depth_bounds_a_clients_outstanding_requests(self):
+        """Four awaited writes and two started ones through a window of
+        two, every ack 50 ms late: three rounds of two."""
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            server = NetObjectServer(
+                propagation="none", fault_factory=lambda: FaultInjector(
+                    FaultConfig(delay=0.05), kinds={"write-ack"}
+                ),
+            )
+            await server.start()
+            try:
+                async with NetCacheClient(
+                    0, server.host, server.port, pipeline_depth=2,
+                ) as client:
+                    most = []
+                    on_frame = client.channel.on_frame
+                    client.channel.on_frame = lambda f: (
+                        most.append(client.channel.in_flight), on_frame(f)
+                    )
+                    started = loop.time()
+                    alphas = await asyncio.gather(
+                        *(client.write(f"w{i}", i) for i in range(4)),
+                        *(client.start_write(f"s{i}", i) for i in range(2)),
+                    )
+                    return loop.time() - started, alphas, max(most)
+            finally:
+                await server.close()
+
+        took, alphas, most = vtime.run(scenario())
+        assert len(set(alphas)) == 6
+        assert most == 2
+        assert took == pytest.approx(0.15, abs=5e-3)
+
 
 @pytest.mark.net
 class TestOpen:
@@ -277,7 +495,7 @@ class TestOpen:
                 channel = Channel(7, "127.0.0.1", port, faults=faults)
                 await channel.open(1.0)
                 before = faults.stats.planned
-                channel.start()
+                channel.attach()
                 try:
                     with pytest.raises(TimeoutError):
                         await channel.call({"kind": "ask", "n": 0}, 0.05)
@@ -345,6 +563,25 @@ class TestOneAskingEnd:
         for gone in ("_recv_loop", "_handshake", "_abandon_connection",
                      "_on_connection_end", "_conn_lost", "fetch_cluster_view"):
             assert [m for m, text in sources.items() if gone in text] == [], gone
+
+    def test_the_ladder_and_the_window_are_the_channels(self):
+        """Retransmission and pipelining have one home: no semaphore,
+        no private asyncio attribute and no retry counting beside the
+        channel, and a replicated write starts no task per copy."""
+        assert callers_of("Semaphore") & {
+            "net/client.py", "net/channel.py", "net/ring_router.py",
+        } == set()
+        assert "_value" not in names_in(SRC / "net" / "client.py")
+        counts_retries = {
+            str(path.relative_to(SRC)) for path in (SRC / "net").glob("*.py")
+            if "stats.retries += 1" in path.read_text(encoding="utf-8")
+        }
+        assert counts_retries == {"net/client.py"}  # the channel's on_retry
+        assert methods_where(
+            "ReplicatedPlacement", SRC / "ring" / "placement.py",
+            lambda node: isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) in ("ensure_future", "wait"),
+        ) == ["repair_once", "write"]  # write: asyncio.wait, for W < N only
 
 
 GREETING = {"kind": "hello", "client_id": 1}

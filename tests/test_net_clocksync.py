@@ -95,6 +95,17 @@ class TestClockSyncEstimator:
         assert est.error_bound == pytest.approx(0.001)
         assert len(est.samples) == 3
 
+    def test_the_offset_is_the_best_samples_after_every_sample(self):
+        """A plain attribute, read by every synchronized-clock reading:
+        0.0 while unsynced, then the minimum-RTT sample's offset."""
+        est = ClockSyncEstimator()
+        assert est.offset == 0.0 and "offset" in vars(est)
+        for true_offset, up, down in [(1.0, 0.05, 0.002), (1.2, 0.001, 0.001),
+                                      (0.7, 0.04, 0.01), (1.1, 0.0005, 0.0004)]:
+            est.add_sample(*exchange(true_offset=true_offset, up=up, down=down))
+            assert est.offset == est.best.offset
+        assert est.offset == pytest.approx(1.1 + (0.0005 - 0.0004) / 2)
+
     def test_negative_rtt_rejected(self):
         est = ClockSyncEstimator()
         with pytest.raises(ValueError):

@@ -28,7 +28,9 @@ from repro.net.framing import (
     HELLO, HELLO_ACK, FrameConnection, FrameError, decode_frame, dial,
     encode_frame,
 )
+from repro.net.ring_router import RingRouter
 from repro.net.server import NetObjectServer
+from repro.ring import uniform_ring
 from repro.sim.trace import TraceRecorder, UniqueValueFactory
 from repro.store import DurableStore
 from repro.store.recovery import REC_WRITE
@@ -479,6 +481,54 @@ class TestWirePath:
             # the mean only has to stay under what the old path cost.
             assert sorted(costs)[self.ROUNDS // 2] <= self.BUDGET
             assert sum(costs) < self.OLD_COST * self.ROUNDS
+
+    def test_a_routed_write_costs_what_a_routed_read_does(self):
+        """Over a two-server ring a write is two copies, yet it takes the
+        read's three iterations and starts no task: the replica's copy
+        leaves first and its ack resolves a future where it lands, the
+        primary's is awaited in place.  A task per copy joined by
+        ``asyncio.wait`` took six iterations and two tasks."""
+        rounds = 300
+
+        async def scenario():
+            servers = [await NetObjectServer(propagation="none").start()
+                       for _ in range(2)]
+            ring = uniform_ring(2, part_power=4, replicas=2)
+            endpoints = {dev: (s.host, s.port) for dev, s in enumerate(servers)}
+            try:
+                async with RingRouter(0, ring, endpoints, delta=0.0) as router:
+                    await router.write("x", "v")
+                    loop = asyncio.get_running_loop()
+                    tasks = []
+                    loop.set_task_factory(
+                        lambda loop, coro, **kw: tasks.append(coro)
+                        or asyncio.Task(coro, loop=loop, **kw)
+                    )
+                    iterations = LoopIterations(loop)
+                    await asyncio.sleep(0)
+                    writes, reads = [], []
+                    for i in range(rounds):
+                        before = iterations.count
+                        await router.write("y", i)
+                        writes.append(iterations.count - before)
+                    started_by_writes = len(tasks)
+                    for _ in range(rounds):
+                        before = iterations.count
+                        assert await router.read("x") == "v"
+                        reads.append(iterations.count - before)
+                    iterations.stop()
+                    loop.set_task_factory(None)
+                    return writes, reads, started_by_writes, router.placement.stats
+            finally:
+                for server in servers:
+                    await server.close()
+
+        writes, reads, tasks, stats = asyncio.run(scenario())
+        assert stats.replica_acks == rounds + 1 and stats.quorum_failures == 0
+        assert tasks == 0
+        median = sorted(writes)[rounds // 2]
+        assert median <= self.BUDGET
+        assert median == sorted(reads)[rounds // 2]
 
     def test_a_burst_is_answered_in_arrival_order(self):
         """Eight requests in one segment are served in place, one after

@@ -31,6 +31,18 @@ class TestStableHash:
         hashes = {stable_hash(f"obj{i}") for i in range(200)}
         assert len(hashes) == 200
 
+    def test_the_cache_is_bounded_and_changes_no_placement(self):
+        """A routed read hashes its key more than once, so the hash is
+        cached; the md5 it caches must still decide every placement."""
+        assert stable_hash.cache_info().maxsize is not None
+        md5_hash = stable_hash.__wrapped__
+        ring = uniform_ring(5, part_power=8, replicas=3)
+        shift = 64 - ring.part_power
+        for i in range(10_000):
+            name = f"acct/cont/obj{i}"
+            assert ring.replicas_for(name) == ring.assignment[md5_hash(name) >> shift]
+            assert ring.replicas_for(name) == ring.replicas_for(name)
+
 
 class TestRing:
     def test_partition_in_range(self):

@@ -17,6 +17,7 @@ from repro.net.ring_router import RingRouter
 from repro.net.server import NetObjectServer
 from repro.ring import RingBuilder, uniform_ring
 from repro.sim import vtime
+from repro.sim.trace import TraceRecorder
 from tests.test_net_pipeline import DropFirst
 
 pytestmark = pytest.mark.net
@@ -224,6 +225,52 @@ class TestRouterRegressions:
                     await server.close()
 
         assert vtime.run(scenario()) == [0]
+
+    def test_a_write_whose_primary_leaves_after_its_ack_is_recorded(self):
+        """The primary's ack has landed, the writer has not resumed yet,
+        and a ``swap_ring`` drops the primary.  The write is installed on
+        both of its devices; it used to raise ``KeyError`` when rebasing
+        with the departed device's clock and vanish from the trace."""
+        ring = uniform_ring(3, part_power=4, replicas=2)
+        obj = next(f"k{i}" for i in range(200) if ring.primary_for(f"k{i}") == 2)
+        without_2 = uniform_ring(2, part_power=4, replicas=2)
+        without_2.epoch = ring.epoch + 1
+
+        async def scenario():
+            servers = [
+                await NetObjectServer("127.0.0.1", 0, propagation="none").start()
+                for _ in range(3)
+            ]
+            endpoints = {i: ("127.0.0.1", s.port) for i, s in enumerate(servers)}
+            recorder = TraceRecorder()
+            try:
+                async with RingRouter(
+                    0, ring, endpoints, delta=1.0, recorder=recorder
+                ) as router:
+                    acked = []
+                    channel = router.clients[2].channel
+                    on_frame = channel.on_frame
+                    channel.on_frame = lambda f: (
+                        acked.append(f["kind"] == messages.WRITE_ACK), on_frame(f)
+                    )
+                    writing = asyncio.ensure_future(router.write(obj, "v1"))
+                    while not any(acked):
+                        await asyncio.sleep(0)
+                    router.swap_ring(without_2)  # before the writer resumes
+                    alpha = await writing
+                    installed = sorted(
+                        dev for dev, server in enumerate(servers)
+                        if obj in server.engine.store
+                    )
+                    return alpha, installed, recorder
+            finally:
+                for server in servers:
+                    await server.close()
+
+        alpha, installed, recorder = vtime.run(scenario())
+        assert installed == sorted(ring.replicas_for(obj))
+        (write,) = recorder.history(validate=False).operations
+        assert (write.obj, write.value, write.time) == (obj, "v1", alpha)
 
     def test_anti_entropy_loop_death_is_surfaced(self):
         ring = uniform_ring(1, part_power=4)

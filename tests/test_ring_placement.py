@@ -1,5 +1,6 @@
 """Replicated placement: W-of-N writes, fallback reads, anti-entropy,
-and handoff replay — all over the in-memory transport."""
+and handoff replay — all over the in-memory transport (the timed cases
+in virtual time)."""
 
 import asyncio
 
@@ -13,6 +14,7 @@ from repro.ring import (
     replay_handoff,
 )
 from repro.ring.ring import RingBuilder, uniform_ring
+from repro.sim import vtime
 
 
 def run(coro):
@@ -78,6 +80,67 @@ class TestWrites:
         transport.down.add(ring.primary_for("obj"))
         with pytest.raises(PlacementError, match="primary"):
             run(placement.write("obj", "v1"))
+
+    def test_the_first_acks_make_the_quorum_not_the_device_order(self):
+        """N = 3, W = 2, the first replica slow: the write returns on the
+        second replica's ack.  Awaiting the copies in device order would
+        wait for the slow one."""
+        ring, transport, placement = make_placement(
+            n=3, replicas=3, write_quorum=2
+        )
+        devices = ring.replicas_for("obj")
+        transport.write_delay[devices[1]] = 0.1
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            outcome = await placement.write("obj", "v1")
+            took = loop.time() - started
+            await placement.drain()
+            return outcome, took
+
+        outcome, took = vtime.run(scenario())
+        assert took < 0.1
+        assert sorted(outcome.acked) == sorted([devices[0], devices[2]])
+        assert outcome.quorum_met
+        assert placement.stats.replica_acks == 2  # the straggler's, late
+
+    def test_a_lost_primary_raises_without_waiting_for_the_replicas(self):
+        ring, transport, placement = make_placement()
+        primary, replica = ring.replicas_for("obj")
+        transport.down.add(primary)
+        transport.write_delay[replica] = 0.1
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            with pytest.raises(PlacementError, match="lost its primary"):
+                await placement.write("obj", "v1")
+            took = loop.time() - started
+            await placement.drain()
+            return took
+
+        assert vtime.run(scenario()) < 0.1
+        # The replica's copy ran on and its late ack was counted.
+        assert transport.stores[replica]["obj"][0] == "v1"
+        assert placement.stats.replica_acks == 1
+
+    def test_a_stragglers_late_failure_still_queues_a_repair(self):
+        ring, transport, placement = make_placement(write_quorum=1, delta=0.5)
+        replica = ring.replicas_for("obj")[1]
+        transport.down.add(replica)
+        transport.write_delay[replica] = 0.1
+
+        async def scenario():
+            await placement.write("obj", "v1")
+            queued = len(placement.pending_repairs())
+            await placement.drain()
+            return queued
+
+        assert vtime.run(scenario()) == 0  # not yet: the copy was in flight
+        [task] = placement.pending_repairs()
+        assert (task.device, task.obj, task.value) == (replica, "obj", "v1")
+        assert placement.stats.replica_acks == 0
 
     def test_replica_failure_queues_repair(self):
         ring, transport, placement = make_placement(delta=0.5)
