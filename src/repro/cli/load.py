@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import asyncio
 import sys
+
 
 def cmd_load_run(args: argparse.Namespace) -> int:
     from repro.load import (
@@ -29,7 +31,9 @@ def cmd_load_run(args: argparse.Namespace) -> int:
         )
     try:
         if args.find_max:
-            result = run_find_max(scenario, args.out, quiet=args.quiet)
+            result = asyncio.run(
+                run_find_max(scenario, args.out, quiet=args.quiet)
+            )
             if result.max_rate is not None:
                 print(f"max sustainable rate: {result.max_rate:.1f} ops/s "
                       f"({result.iterations} probes in "
@@ -44,7 +48,9 @@ def cmd_load_run(args: argparse.Namespace) -> int:
             metrics = result.metrics()
             ok = result.max_rate is not None
         else:
-            report = run_scenario(scenario, args.out, quiet=args.quiet)
+            report = asyncio.run(
+                run_scenario(scenario, args.out, quiet=args.quiet)
+            )
             print(render_report(report))
             metrics = report.metrics()
             ok = report.ok
@@ -107,10 +113,13 @@ def register(sub: "argparse._SubParsersAction") -> None:
     l_run.add_argument("--scenario", required=True,
                        help="scenario JSON file (benchmarks/scenarios/)")
     l_run.add_argument("--workers", type=int, default=None,
-                       help="override the scenario's worker-process count")
+                       help="override the scenario's worker count, one "
+                       "site each")
     l_run.add_argument("--out", default=None,
-                       help="keep per-worker artifacts (configs, results, "
-                       "traces, stderr) in this directory")
+                       help="write the merged history the verdict was "
+                       "computed on to DIR/history.json (per probe, "
+                       "DIR/probe_<i>/history.json, with --find-max)",
+                       metavar="DIR")
     l_run.add_argument("--bench-json", default=None, metavar="FILE",
                        help="also write the machine-readable BENCH result")
     l_run.add_argument("--find-max", action="store_true",

@@ -1,9 +1,10 @@
 """repro.load — coordinated-omission-free load generation.
 
-Open/closed-loop arrival processes, workload mixes, multi-process
-workers recording intended-start-anchored latencies into log-bucketed
-histograms, and a scenario engine with an SLO gate and a binary-search
-max-sustainable-throughput mode.  See docs/LOAD.md.
+Open/closed-loop arrival processes, workload mixes, workers recording
+intended-start-anchored latencies into log-bucketed histograms, and a
+scenario engine that runs them as tasks on the stack's own loop, with an
+SLO gate and a binary-search max-sustainable-throughput mode.  See
+docs/LOAD.md.
 """
 
 from repro.load.arrivals import (

@@ -1,6 +1,8 @@
-"""The scenario engine: stand the stack up, fan workers out, judge SLOs.
+"""The scenario engine: stand the stack up, run workers on its loop, judge SLOs.
 
-``run_scenario`` owns the whole experiment for one scenario file:
+``run_scenario`` owns the whole experiment for one scenario file, all of
+it on the one loop that runs the stack, so every stamp in the merged
+trace comes from that loop's clock:
 
 1. **Target**: start the real stack in-process through
    :class:`~repro.net.local.LocalStack` — a single server or a ring of
@@ -9,12 +11,12 @@
 2. **Seed**: write every key in the workload's key space once through
    an engine-owned site, so no read ever depends on a server's
    initial value;
-3. **Workers**: write one config JSON per worker (the scenario's total
-   offered rate divided across them), spawn
-   ``python -m repro.load.worker`` subprocesses, and give them a shared
-   wall-clock start barrier so their open-loop schedules line up;
+3. **Workers**: connect one site per worker (the scenario's total
+   offered rate divided across them) and run every
+   :class:`~repro.load.worker.LoadWorker` as a task from one
+   ``loop_time()`` anchor, so their open-loop schedules line up;
 4. **Faults**: a phase tagged ``"fault": "kill-primary"`` aborts the
-   primary of the hottest key mid-phase
+   primary of the hottest key at its loop-clock offset from that anchor
    (:meth:`~repro.net.local.LocalStack.kill_primary`, the failover
    soak's own sequence) and reports its time-to-detect /
    time-to-recover;
@@ -28,25 +30,30 @@
 ``run_find_max`` wraps that in a binary search over the total offered
 rate: the highest rate whose probe run passes the SLO is the measured
 max sustainable throughput — the paper's currency/performance frontier
-as a number.
+as a number.  Both are coroutines: ``repro load run`` drives them with
+``asyncio.run``, and ``repro.sim.vtime.run`` replays a seed in virtual
+time.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import os
-import sys
-import tempfile
-import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Awaitable, Dict, List, Optional, Tuple
 
-from repro.load.arrivals import scale_arrivals
-from repro.load.scenario import PhaseSpec, Scenario
-from repro.load.worker import PhaseStats
-from repro.load.workload import key_name, make_workload
+from repro.clocks.rebase import loop_time
+from repro.core.io import dump_history
+from repro.load.arrivals import make_arrivals, scale_arrivals
+from repro.load.scenario import Scenario
+from repro.load.worker import LoadWorker, PhasePlan, PhaseStats
+from repro.load.workload import make_workload
+from repro.net.client import NetError
 from repro.net.local import FaultOutcome, LocalStack, judge, merge_history
+from repro.obs.instruments import TimedInstruments
+from repro.obs.metrics import Registry
+from repro.ring.placement import PlacementError
+from repro.sim.trace import TraceRecorder, UniqueValueFactory
 
 #: Site id of the engine's own router (seeding + recovery probes);
 #: workers get ``WORKER_SITE_BASE + index``.  Distinct sites keep every
@@ -215,33 +222,63 @@ def _merge_ontime(summaries: List[Dict[str, Any]]) -> Dict[str, Any]:
     return merged
 
 
-def _python_env() -> Dict[str, str]:
-    import repro
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH", "")
-    env["PYTHONPATH"] = (
-        src if not existing else os.pathsep.join([src, existing])
-    )
-    return env
-
-
 # -- the engine -----------------------------------------------------------
 
 
-async def _run_scenario_async(
-    scenario: Scenario, out_dir: str, *, quiet: bool = False
-) -> LoadReport:
-    from repro.core.io import load_history
-    from repro.sim.trace import TraceRecorder, UniqueValueFactory
+async def _connect_worker(
+    stack: LocalStack,
+    scenario: Scenario,
+    index: int,
+    values: UniqueValueFactory,
+    site_options: Dict[str, Any],
+) -> LoadWorker:
+    """Worker ``index`` on its own connected site, recorder and judges,
+    offering its share of every phase's total rate."""
+    site = WORKER_SITE_BASE + index
+    recorder = TraceRecorder()
+    executor = await stack.connect(
+        site, delta=scenario.delta, recorder=recorder,
+        skew=scenario.client_skew, **site_options,
+    )
+    epsilon = executor.epsilon_bound
+    workload = make_workload(scenario.workload)
+    share = 1.0 / scenario.workers
+    worker = LoadWorker(
+        executor=executor,
+        workload=workload,
+        phases=[
+            PhasePlan(p.name, p.duration,
+                      make_arrivals(scale_arrivals(p.arrivals, share)),
+                      p.measure)
+            for p in scenario.phases
+        ],
+        site=site,
+        seed=scenario.seed + index,
+        values=values,
+        max_concurrency=scenario.max_concurrency,
+        op_retries=scenario.op_retries,
+        retryable=(NetError, PlacementError),
+        instruments=TimedInstruments(Registry(), scenario.delta, epsilon),
+        deadline_judges={
+            d.name: TimedInstruments(Registry(), d.delta, epsilon)
+            for d in workload.deadlines
+        },
+    )
+    recorder.add_listener(worker.on_op_recorded)
+    return worker
 
+
+async def run_scenario(
+    scenario: Scenario, out_dir: Optional[str] = None, *, quiet: bool = False
+) -> LoadReport:
+    """Run one scenario on the running loop.  With ``out_dir`` the
+    merged history the verdict was computed on is written there as
+    ``history.json``."""
     target = scenario.target
     ring_target = target.kind == "ring"
     recorder = TraceRecorder()
     values = UniqueValueFactory()
-    workload = make_workload(scenario.workload)
-    keys = workload.sampler.keys()
+    keys = make_workload(scenario.workload).sampler.keys()
 
     cluster_config = None
     if ring_target and target.cluster:
@@ -252,8 +289,18 @@ async def _run_scenario_async(
             suspect_timeout=target.suspect_timeout,
             seed=scenario.seed,
         )
-    procs: List[Any] = []
-    fault: Optional[FaultOutcome] = None
+    site_options: Dict[str, Any] = {"pipeline_depth": target.pipeline_depth}
+    if ring_target:
+        site_options.update(
+            write_quorum=target.write_quorum, read_policy=target.read_policy,
+        )
+    fault_offset: Optional[float] = None
+    offset = 0.0
+    for phase in scenario.phases:
+        if phase.fault is not None:
+            fault_offset = offset + phase.fault_at * phase.duration
+        offset += phase.duration
+
     # -- 1. target --------------------------------------------------------
     async with LocalStack(
         servers=target.servers if ring_target else 1,
@@ -263,162 +310,50 @@ async def _run_scenario_async(
         server_skew=target.server_skew,
         cluster=cluster_config,
     ) as stack:
-        try:
-            # -- 2. seed ------------------------------------------------------
-            router_options = {
-                "write_quorum": target.write_quorum,
-                "read_policy": target.read_policy,
-                "pipeline_depth": target.pipeline_depth,
-            }
-            seeder = await stack.connect(
-                SEED_SITE, delta=scenario.delta, recorder=recorder,
-                **(router_options if ring_target else {}),
+        # -- 2. seed ----------------------------------------------------------
+        seeder = await stack.connect(
+            SEED_SITE, delta=scenario.delta, recorder=recorder, **site_options,
+        )
+        for key in keys:
+            await seeder.write(key, values.next_value(SEED_SITE))
+
+        # -- 3. workers, one anchor ------------------------------------------
+        workers = [
+            await _connect_worker(stack, scenario, index, values, site_options)
+            for index in range(scenario.workers)
+        ]
+        start = loop_time()
+        runs: List[Awaitable[Any]] = [w.run(start) for w in workers]
+
+        # -- 4. fault ---------------------------------------------------------
+        async def kill_primary() -> FaultOutcome:
+            await asyncio.sleep(start + fault_offset - loop_time())
+            outcome = await stack.kill_primary(
+                keys[0],
+                lambda: seeder.write(keys[0], values.next_value(SEED_SITE)),
             )
-            for key in keys:
-                await seeder.write(key, values.next_value(SEED_SITE))
-            endpoints = stack.endpoints
+            if not quiet:
+                print(f"[load] killed device {outcome.killed_device} "
+                      f"(primary of {keys[0]}) mid-run")
+            return outcome
 
-            # -- 3. workers ---------------------------------------------------
-            fault_phase: Optional[PhaseSpec] = None
-            fault_offset = 0.0
-            offset = 0.0
-            for phase in scenario.phases:
-                if phase.fault is not None:
-                    fault_phase = phase
-                    fault_offset = offset + phase.fault_at * phase.duration
-                offset += phase.duration
-            grace = 1.5 + 0.25 * scenario.workers
-            start_at = time.time() + grace
-            env = _python_env()
-            out_paths: List[str] = []
-            trace_paths: List[str] = []
-            for index in range(scenario.workers):
-                config = {
-                    "schema": 1,
-                    "worker_id": index,
-                    "site": WORKER_SITE_BASE + index,
-                    "seed": scenario.seed + index,
-                    "delta": scenario.delta,
-                    "skew": scenario.client_skew,
-                    "max_concurrency": scenario.max_concurrency,
-                    "op_retries": scenario.op_retries,
-                    "start_at": start_at,
-                    "workload": scenario.workload,
-                    "phases": [
-                        {
-                            "name": p.name,
-                            "duration": p.duration,
-                            "arrivals": scale_arrivals(
-                                p.arrivals, 1.0 / scenario.workers
-                            ),
-                            "measure": p.measure,
-                        }
-                        for p in scenario.phases
-                    ],
-                    "target": (
-                        {
-                            "kind": "ring",
-                            "ring": stack.ring.as_dict(),
-                            "endpoints": {
-                                str(d): [h, p] for d, (h, p) in endpoints.items()
-                            },
-                            "write_quorum": target.write_quorum,
-                            "read_policy": target.read_policy,
-                            "pipeline_depth": target.pipeline_depth,
-                            "epoch_watch_period": (
-                                target.probe_period if target.cluster else None
-                            ),
-                        }
-                        if ring_target
-                        else {
-                            "kind": "server",
-                            "host": endpoints[0][0],
-                            "port": endpoints[0][1],
-                            "pipeline_depth": target.pipeline_depth,
-                        }
-                    ),
-                    "trace_path": os.path.join(out_dir, f"trace_{index}.json"),
-                    "out_path": os.path.join(out_dir, f"result_{index}.json"),
-                }
-                config_path = os.path.join(out_dir, f"worker_{index}.json")
-                with open(config_path, "w", encoding="utf-8") as fh:
-                    json.dump(config, fh, indent=1)
-                out_paths.append(config["out_path"])
-                trace_paths.append(config["trace_path"])
-                stderr_path = os.path.join(out_dir, f"worker_{index}.err")
-                stderr_fh = open(stderr_path, "wb")
-                try:
-                    proc = await asyncio.create_subprocess_exec(
-                        sys.executable, "-m", "repro.load.worker",
-                        "--config", config_path,
-                        env=env,
-                        stdout=asyncio.subprocess.DEVNULL,
-                        stderr=stderr_fh,
-                    )
-                finally:
-                    stderr_fh.close()
-                procs.append((proc, stderr_path))
+        if fault_offset is not None:
+            runs.append(kill_primary())
+        done = await asyncio.gather(*runs)
+        fault = done[-1] if fault_offset is not None else None
+        if ring_target:
+            for site in stack.sites:
+                await site.placement.drain()
+        epsilon = max(
+            [seeder.epsilon_bound] + [w.instruments.epsilon for w in workers]
+        )
 
-            # -- 4. fault -----------------------------------------------------
-            if fault_phase is not None:
-                fault_wall = start_at + fault_offset
-                await asyncio.sleep(max(0.0, fault_wall - time.time()))
-                fault = await stack.kill_primary(
-                    keys[0],
-                    lambda: seeder.write(keys[0], values.next_value(SEED_SITE)),
-                )
-                if not quiet:
-                    print(f"[load] killed device {fault.killed_device} "
-                          f"(primary of {keys[0]}) mid-run")
-
-            # -- 5. wait for the workers --------------------------------------
-            budget = grace + scenario.total_duration() + 60.0
-            for proc, stderr_path in procs:
-                try:
-                    await asyncio.wait_for(proc.wait(), timeout=budget)
-                except asyncio.TimeoutError:
-                    proc.kill()
-                    raise LoadEngineError(
-                        f"worker did not finish within {budget:.0f}s "
-                        f"(stderr: {stderr_path})"
-                    )
-
-            if ring_target:
-                await seeder.placement.drain()
-        finally:
-            for proc, _stderr in procs:
-                if proc.returncode is None:
-                    try:
-                        proc.kill()
-                    except ProcessLookupError:
-                        pass
-
-    # -- 6. merge + judge -------------------------------------------------
-    results: List[Dict[str, Any]] = []
-    for (proc, stderr_path), out_path in zip(procs, out_paths):
-        try:
-            with open(out_path, "r", encoding="utf-8") as fh:
-                result = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            result = None
-        if result is None or "error" in (result or {}):
-            tail = ""
-            try:
-                with open(stderr_path, "r", encoding="utf-8") as fh:
-                    tail = fh.read()[-2000:]
-            except OSError:
-                pass
-            detail = (result or {}).get("error", "no result file")
-            raise LoadEngineError(
-                f"worker failed: {detail}\n--- stderr tail ---\n{tail}"
-            )
-        results.append(result)
-
+    # -- 5. merge + judge -------------------------------------------------
     merged_phases: List[PhaseStats] = []
     for number, phase in enumerate(scenario.phases):
         agg = PhaseStats(phase.name, phase.measure)
-        for result in results:
-            agg.merge(PhaseStats.from_dict(result["phases"][number]))
+        for worker in workers:
+            agg.merge(worker.stats[number])
         merged_phases.append(agg)
     measured = PhaseStats("measured", True)
     measured_duration = 0.0
@@ -427,25 +362,21 @@ async def _run_scenario_async(
             measured.merge(agg)
             measured_duration += phase.duration
 
-    ontime = _merge_ontime([r.get("ontime", {}) for r in results])
-    deadline_names = sorted(
-        {name for r in results for name in r.get("deadlines", {})}
-    )
+    ontime = _merge_ontime([w.instruments.summary() for w in workers])
     deadlines = {
         name: _merge_ontime(
-            [r["deadlines"][name] for r in results if name in r.get("deadlines", {})]
+            [w.deadline_judges[name].summary() for w in workers]
         )
-        for name in deadline_names
+        for name in sorted(workers[0].deadline_judges)
     }
-    epsilon = max(
-        [float(r.get("epsilon_bound", 0.0)) for r in results]
-        + [seeder.epsilon_bound]
-    )
 
-    op_lists = [list(recorder.operations)]
-    for trace_path in trace_paths:
-        op_lists.append(list(load_history(trace_path, validate=False).operations))
-    history, unmatched = merge_history(op_lists)
+    history, unmatched = merge_history(
+        [recorder.operations]
+        + [w.executor.recorder.operations for w in workers]
+    )
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        dump_history(history, os.path.join(out_dir, "history.json"))
     tsc, tcc, sc, verdicts = judge(history, scenario.delta, epsilon)
     offline_late = sum(1 for v in verdicts if not v.on_time)
 
@@ -497,26 +428,6 @@ def _evaluate_slo(scenario: Scenario, report: LoadReport) -> List[SLOCheck]:
     return checks
 
 
-def run_scenario(
-    scenario: Scenario,
-    out_dir: Optional[str] = None,
-    *,
-    workers: Optional[int] = None,
-    quiet: bool = False,
-) -> LoadReport:
-    """Synchronous front door; ``workers`` overrides the scenario's
-    worker count (the CLI's ``--workers``)."""
-    if workers is not None:
-        scenario = Scenario.from_dict(
-            {**_scenario_dict(scenario), "workers": workers}
-        )
-    if out_dir is None:
-        with tempfile.TemporaryDirectory(prefix="repro-load-") as tmp:
-            return asyncio.run(_run_scenario_async(scenario, tmp, quiet=quiet))
-    os.makedirs(out_dir, exist_ok=True)
-    return asyncio.run(_run_scenario_async(scenario, out_dir, quiet=quiet))
-
-
 def _scenario_dict(scenario: Scenario) -> Dict[str, Any]:
     data = scenario.describe()
     data["op_retries"] = scenario.op_retries
@@ -547,7 +458,7 @@ def _probe_scenario(
     return Scenario.from_dict(base)
 
 
-def run_find_max(
+async def run_find_max(
     scenario: Scenario,
     out_dir: Optional[str] = None,
     *,
@@ -573,7 +484,7 @@ def run_find_max(
         probe_dir = (
             os.path.join(out_dir, f"probe_{iteration}") if out_dir else None
         )
-        report = run_scenario(probe, probe_dir, quiet=True)
+        report = await run_scenario(probe, probe_dir, quiet=True)
         row = {
             "rate": round(rate, 2),
             "ok": report.ok,

@@ -22,15 +22,15 @@ Quantiles return the bucket's **upper** edge, so an estimate never
 flatters the tail: ``true <= estimate <= true * (1 + 2**-SUB_BITS)``
 (plus the half-tick from rounding to microseconds).
 
-Buckets are a sparse dict, so a histogram is cheap to serialise
-(:meth:`LatencyHistogram.to_dict`) and to :meth:`merge` across worker
-processes — the multi-process aggregation path of `repro.load`.
+Buckets are a sparse dict, so a histogram is cheap to :meth:`merge`
+bucket-exactly — how the scenario engine folds its workers' histograms
+into one.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional
 
 #: Linear sub-buckets per power-of-two: relative error <= 2**-5 ~ 3.1%.
 SUB_BITS = 5
@@ -133,33 +133,6 @@ class LatencyHistogram:
             label = f"{q * 100:g}"
             out[f"p{label}"] = self.quantile(q)
         return out
-
-    # -- serialisation ---------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "sub_bits": SUB_BITS,
-            "counts": {str(i): c for i, c in sorted(self.counts.items())},
-            "count": self.count,
-            "sum_ticks": self.sum_ticks,
-            "min_ticks": self.min_ticks,
-            "max_ticks": self.max_ticks,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "LatencyHistogram":
-        if data.get("sub_bits", SUB_BITS) != SUB_BITS:
-            raise ValueError(
-                f"histogram recorded with sub_bits={data.get('sub_bits')}, "
-                f"this build uses {SUB_BITS}"
-            )
-        hist = cls()
-        hist.counts = {int(i): int(c) for i, c in data.get("counts", {}).items()}
-        hist.count = int(data.get("count", 0))
-        hist.sum_ticks = int(data.get("sum_ticks", 0))
-        hist.min_ticks = data.get("min_ticks")
-        hist.max_ticks = data.get("max_ticks")
-        return hist
 
     def __len__(self) -> int:
         return self.count

@@ -25,7 +25,7 @@ fixtures):
 ```
 
 Arrival rates are the **total offered rate across all workers**; the
-engine divides by ``workers`` when it writes per-worker configs.  A
+engine gives each worker ``1 / workers`` of every phase's rate.  A
 phase may carry ``"fault": "kill-primary"`` (requires a clustered ring
 target) and the SLO gate only judges phases with ``measure: true``.
 ``find_max`` configures the binary-search max-sustainable-throughput

@@ -17,29 +17,21 @@ making the generator slow down, which is exactly the coordinated
 omission failure of closed-loop harnesses (kept available as the
 ``closed`` arrival kind for comparison).
 
-Run as a module (``python -m repro.load.worker --config cfg.json``) the
-worker is the multi-process half of the scenario engine: it connects to
-the already-running stack, waits for a shared wall-clock start barrier,
-runs the plan, and writes its trace (portable history JSON) and a result
-JSON (serialised histograms + on-time summaries) for the engine to merge.
+The scenario engine (:mod:`repro.load.engine`) runs one worker per site
+as a task on the loop that runs the stack, every worker anchored at the
+same loop-clock reading, and merges their :class:`PhaseStats` and traces
+in memory.
 """
 
 from __future__ import annotations
 
-import argparse
 import asyncio
-import json
-import sys
-import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.clocks.rebase import loop_time
-from repro.load.arrivals import ArrivalProcess, make_arrivals
+from repro.load.arrivals import ArrivalProcess
 from repro.load.hdr import LatencyHistogram
-from repro.load.workload import PlannedOp, WorkloadMix, make_workload
-
-#: Result/config schema version, bumped on breaking changes.
-SCHEMA = 1
+from repro.load.workload import PlannedOp, WorkloadMix
 
 
 class PhaseStats:
@@ -70,29 +62,6 @@ class PhaseStats:
         self.response.merge(other.response)
         return self
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "measure": self.measure,
-            "offered": self.offered,
-            "completed": self.completed,
-            "errors": self.errors,
-            "errors_by_kind": dict(sorted(self.errors_by_kind.items())),
-            "service": self.service.to_dict(),
-            "response": self.response.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "PhaseStats":
-        stats = cls(data["name"], data.get("measure", True))
-        stats.offered = int(data.get("offered", 0))
-        stats.completed = int(data.get("completed", 0))
-        stats.errors = int(data.get("errors", 0))
-        stats.errors_by_kind = dict(data.get("errors_by_kind", {}))
-        stats.service = LatencyHistogram.from_dict(data.get("service", {}))
-        stats.response = LatencyHistogram.from_dict(data.get("response", {}))
-        return stats
-
 
 class PhasePlan:
     """One phase: a name, a duration, an arrival process, a measure flag."""
@@ -110,15 +79,6 @@ class PhasePlan:
         self.duration = float(duration)
         self.arrivals = arrivals
         self.measure = measure
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "PhasePlan":
-        return cls(
-            str(data.get("name", "phase")),
-            float(data["duration"]),
-            make_arrivals(data["arrivals"]),
-            bool(data.get("measure", True)),
-        )
 
 
 class LoadWorker:
@@ -208,12 +168,18 @@ class LoadWorker:
                 if planned.kind == "write":
                     value = self.values.next_value(self.site)
                     await self.executor.write(planned.obj, value)
-                else:
-                    if planned.deadline is not None:
-                        self._pending_deadline.setdefault(
-                            planned.obj, []
-                        ).append(planned.deadline)
+                elif planned.deadline is None:
                     await self.executor.read(planned.obj)
+                else:
+                    pending = self._pending_deadline.setdefault(planned.obj, [])
+                    pending.append(planned.deadline)
+                    try:
+                        await self.executor.read(planned.obj)
+                    except BaseException:
+                        # An attempt that raises records nothing, so the
+                        # listener would never pop its class.
+                        pending.remove(planned.deadline)
+                        raise
                 return
             except self.retryable as exc:  # noqa: B030 - tuple by design
                 last = exc
@@ -242,7 +208,7 @@ class LoadWorker:
 
     async def run(self, start_mono: float) -> List[PhaseStats]:
         """Run every phase back to back, anchored at ``start_mono`` (a
-        loop-clock reading — the engine's shared start barrier)."""
+        loop-clock reading — every worker of a scenario shares it)."""
         import random
 
         offset = 0.0
@@ -290,159 +256,3 @@ class LoadWorker:
         for stats in self.stats:
             stats.completed = stats.offered - stats.errors
         return self.stats
-
-    def result(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
-            "schema": SCHEMA,
-            "site": self.site,
-            "phases": [s.to_dict() for s in self.stats],
-        }
-        if self.instruments is not None:
-            out["ontime"] = self.instruments.summary()
-        if self.deadline_judges:
-            out["deadlines"] = {
-                name: judge.summary()
-                for name, judge in self.deadline_judges.items()
-            }
-        return out
-
-
-# -- subprocess entry point ----------------------------------------------
-
-
-def _build_executor(config: Dict[str, Any], recorder: Any) -> Any:
-    target = config["target"]
-    kind = target.get("kind", "ring")
-    site = int(config["site"])
-    delta = float(config.get("delta", 1.0))
-    if kind == "server":
-        from repro.net.client import NetCacheClient
-
-        return NetCacheClient(
-            site, target["host"], int(target["port"]),
-            delta=delta, mode=target.get("mode", "pull"),
-            recorder=recorder, skew=float(config.get("skew", 0.0)),
-            pipeline_depth=int(target.get("pipeline_depth", 8)),
-        )
-    if kind == "ring":
-        from repro.net.ring_router import RingRouter
-        from repro.ring.ring import Ring
-
-        ring = Ring.from_dict(target["ring"])
-        endpoints = {
-            int(dev): (host, int(port))
-            for dev, (host, port) in target["endpoints"].items()
-        }
-        return RingRouter(
-            site, ring, endpoints,
-            delta=delta,
-            write_quorum=target.get("write_quorum"),
-            read_policy=target.get("read_policy", "primary"),
-            recorder=recorder, skew=float(config.get("skew", 0.0)),
-            pipeline_depth=int(target.get("pipeline_depth", 8)),
-        )
-    raise ValueError(f"unknown target kind {kind!r}")
-
-
-async def _amain(config: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.core.io import dump_history
-    from repro.net.client import NetError
-    from repro.net.local import anti_entropy_period
-    from repro.obs.instruments import TimedInstruments
-    from repro.obs.metrics import Registry
-    from repro.ring.placement import PlacementError
-    from repro.sim.trace import TraceRecorder, UniqueValueFactory
-
-    delta = float(config.get("delta", 1.0))
-    recorder = TraceRecorder()
-    values = UniqueValueFactory()
-    instruments = TimedInstruments(Registry(), delta)
-    workload = make_workload(config.get("workload", {}))
-    deadline_judges = {
-        d.name: TimedInstruments(Registry(), d.delta)
-        for d in workload.deadlines
-    }
-    phases = [PhasePlan.from_dict(p) for p in config["phases"]]
-
-    executor = _build_executor(config, recorder)
-    await executor.connect()
-    epsilon = executor.epsilon_bound
-    instruments.epsilon = epsilon
-    for judge in deadline_judges.values():
-        judge.epsilon = epsilon
-    if config["target"].get("kind", "ring") == "ring":
-        executor.start_anti_entropy(period=anti_entropy_period(delta))
-        watch = config["target"].get("epoch_watch_period")
-        if watch:
-            executor.start_epoch_watch(period=float(watch))
-
-    worker = LoadWorker(
-        executor=executor,
-        workload=workload,
-        phases=phases,
-        site=int(config["site"]),
-        seed=int(config.get("seed", 0)),
-        values=values,
-        max_concurrency=int(config.get("max_concurrency", 64)),
-        op_retries=int(config.get("op_retries", 8)),
-        retryable=(NetError, PlacementError),
-        instruments=instruments,
-        deadline_judges=deadline_judges,
-    )
-    recorder.add_listener(worker.on_op_recorded)
-
-    # Shared start barrier: every worker converts the engine's wall-clock
-    # rendezvous (it crosses processes, so it is wall time — the one
-    # ``time`` read here) into its own loop-clock anchor, then sleeps up to it.
-    start_at = float(config["start_at"])
-    start_mono = loop_time() + (start_at - time.time())
-    delay = start_mono - loop_time()
-    if delay > 0:
-        await asyncio.sleep(delay)
-
-    began = loop_time()
-    try:
-        await worker.run(start_mono)
-        if hasattr(executor, "placement"):
-            await executor.placement.drain()
-    finally:
-        await executor.close()
-    wall = loop_time() - began
-
-    dump_history(recorder.history(validate=False), config["trace_path"])
-    result = worker.result()
-    result["worker_id"] = config.get("worker_id", 0)
-    result["epsilon_bound"] = epsilon
-    result["wall_s"] = wall
-    return result
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="one load-generation worker process (spawned by the "
-        "scenario engine; see repro.load.engine)"
-    )
-    parser.add_argument("--config", required=True, help="worker config JSON")
-    args = parser.parse_args(argv)
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
-    try:
-        result = asyncio.run(_amain(config))
-    except Exception as exc:  # noqa: BLE001 - reported to the engine
-        failure = {
-            "schema": SCHEMA,
-            "worker_id": config.get("worker_id", 0),
-            "error": f"{type(exc).__name__}: {exc}",
-        }
-        from repro.core.io import atomic_write_json
-
-        atomic_write_json(config["out_path"], failure, fsync=False)
-        return 1
-    from repro.core.io import atomic_write_json
-
-    atomic_write_json(config["out_path"], result, fsync=False)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

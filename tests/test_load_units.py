@@ -1,6 +1,6 @@
 """Unit tests for the repro.load building blocks: histograms, arrival
 processes (determinism + rates), key samplers, workload mixes, and
-scenario validation.  The multi-process engine is covered separately in
+scenario validation.  The scenario engine is covered separately in
 ``test_load_engine.py`` (net-marked)."""
 
 import math
@@ -64,19 +64,6 @@ class TestLatencyHistogram:
         assert a.counts == whole.counts
         for q in (0.5, 0.9, 0.99, 0.999, 1.0):
             assert a.quantile(q) == whole.quantile(q)
-
-    def test_serialisation_roundtrip(self):
-        h = LatencyHistogram()
-        for v in (0.0001, 0.0042, 0.5, 2.0):
-            h.record(v)
-        back = LatencyHistogram.from_dict(h.to_dict())
-        assert back.counts == h.counts
-        assert back.quantile(0.99) == h.quantile(0.99)
-        assert back.mean == h.mean
-
-    def test_serialisation_rejects_other_sub_bits(self):
-        with pytest.raises(ValueError):
-            LatencyHistogram.from_dict({"sub_bits": 3})
 
     def test_percentile_labels(self):
         h = LatencyHistogram()

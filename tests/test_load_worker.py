@@ -8,11 +8,13 @@ sleeps and the worker's schedule both read the loop's clock, so a stall
 is exactly as long as it says; the rest stay on the real loop."""
 
 import asyncio
+from types import SimpleNamespace
 
 import pytest
 
 from repro.clocks.rebase import loop_time
 from repro.load import LoadWorker, PhasePlan, make_arrivals, make_workload
+from repro.load.workload import PlannedOp
 from repro.sim import vtime
 
 
@@ -184,7 +186,7 @@ def test_retry_exhaustion_counts_one_error():
     assert sum(executor.attempts.values()) == 2 * 4
 
 
-def test_phase_stats_merge_and_serialisation_roundtrip():
+def test_phase_stats_merge():
     from repro.load import PhaseStats
 
     a = _run({"kind": "fixed", "rate": 100}, StallingExecutor(
@@ -192,8 +194,66 @@ def test_phase_stats_merge_and_serialisation_roundtrip():
     b = _run({"kind": "fixed", "rate": 100}, StallingExecutor(
         base=0.0001, stall_at=10 ** 9), duration=0.1)
     total = a.offered + b.offered
-    back = PhaseStats.from_dict(a.to_dict())
-    back.merge(PhaseStats.from_dict(b.to_dict()))
-    assert back.offered == total
-    assert back.completed == total
-    assert back.response.count == total
+    merged = PhaseStats("main").merge(a).merge(b)
+    assert merged.offered == total
+    assert merged.completed == total
+    assert merged.response.count == total
+
+
+class CountingJudge:
+    def __init__(self):
+        self.reads = 0
+
+    def on_read(self, *args, **kwargs):
+        self.reads += 1
+
+    def on_write(self, *args, **kwargs):
+        pass
+
+
+class FirstReadFailsExecutor:
+    """Records each completed read through the worker's trace listener,
+    the way a connected site's recorder does; the very first read raises."""
+
+    def __init__(self):
+        self.worker = None
+        self.reads = 0
+
+    async def read(self, obj):
+        self.reads += 1
+        if self.reads == 1:
+            raise ConnectionError("first read lost")
+        self.worker.on_op_recorded(SimpleNamespace(
+            kind="r", site=self.worker.site, obj=obj, value=0,
+            time=loop_time(), start=None, end=None,
+        ))
+
+    async def write(self, obj, value):
+        raise AssertionError("no writes planned")
+
+
+def test_a_retried_read_is_judged_under_its_own_deadline_class():
+    executor = FirstReadFailsExecutor()
+    judges = {"fresh": CountingJudge(), "lax": CountingJudge()}
+    worker = LoadWorker(
+        executor=executor,
+        workload=make_workload({"keys": {"kind": "uniform", "n": 1}}),
+        phases=[],
+        site=100,
+        seed=7,
+        values=StubValues(),
+        retry_backoff=0.0,
+        retryable=(ConnectionError,),
+        deadline_judges=judges,
+    )
+    executor.worker = worker
+
+    async def _go():
+        await worker._execute(PlannedOp("read", "k0000", "fresh"))
+        await worker._execute(PlannedOp("read", "k0000", "lax"))
+
+    asyncio.run(_go())
+    assert executor.reads == 3  # the fresh read was retried once
+    assert {name: j.reads for name, j in judges.items()} == {
+        "fresh": 1, "lax": 1}
+    assert not any(worker._pending_deadline.values())

@@ -391,22 +391,18 @@ def time_reads(path):
 
 class TestOneClock:
     """Under ``repro.net``, ``repro.cluster``, ``repro.ring`` and the load
-    worker "now" is the running loop's ``time()`` — directly, or through
-    ``clocks.rebase.loop_time`` — so whichever loop runs the stack owns
-    its time.  What still reads the ``time`` module says why."""
+    worker and engine "now" is the running loop's ``time()`` — directly,
+    or through ``clocks.rebase.loop_time`` — so whichever loop runs the
+    stack owns its time.  What still reads the ``time`` module says why."""
 
     LIVE = [
         *sorted((SRC / "net").glob("*.py")),
         *sorted((SRC / "cluster").glob("*.py")),
         *sorted((SRC / "ring").glob("*.py")),
         SRC / "load" / "worker.py",
+        SRC / "load" / "engine.py",
     ]
-    ALLOWED = {
-        ("load/worker.py", "_amain", "time"):
-            "the load engine's start barrier is an instant agreed between "
-            "processes, whose loop clocks share no origin: it is wall time, "
-            "converted to a loop-clock anchor on arrival",
-    }
+    ALLOWED = {}
 
     def test_nothing_live_reads_the_time_module(self):
         assert {path.parent.name for path in self.LIVE} == {
@@ -416,6 +412,14 @@ class TestOneClock:
             for path in self.LIVE for scope, attr in time_reads(path)
         }
         assert found == set(self.ALLOWED)
+
+    def test_the_load_harness_spawns_no_process(self):
+        # Its workers are tasks on the stack's loop: one clock, no
+        # second interpreter to start or to agree an instant with.
+        for path in (SRC / "load").glob("*.py"):
+            assert names_in(path) & {
+                "subprocess", "create_subprocess_exec", "executable",
+            } == set(), path
 
     def test_the_scanner_sees_what_it_is_there_to_see(self, tmp_path):
         source = tmp_path / "m.py"
