@@ -164,6 +164,7 @@ def cmd_client(args: argparse.Namespace) -> int:
 
     from repro.core.io import dump_history
     from repro.net.client import NetCacheClient
+    from repro.net.workloads import drive_site
     from repro.sim.trace import TraceRecorder, UniqueValueFactory
 
     recorder = TraceRecorder()
@@ -177,16 +178,12 @@ def cmd_client(args: argparse.Namespace) -> int:
             pipeline_depth=args.pipeline_depth,
         )
         await client.connect()
-        rng = random.Random(args.seed + args.client_id)
-        objects = args.objects.split(",")
         try:
-            for _ in range(args.ops):
-                await asyncio.sleep(rng.uniform(0.0, 2 * args.think))
-                obj = rng.choice(objects)
-                if rng.random() < args.write_fraction:
-                    await client.write(obj, values.next_value(args.client_id))
-                else:
-                    await client.read(obj)
+            await drive_site(
+                client, random.Random(args.seed + args.client_id),
+                args.objects.split(","), args.write_fraction, args.think,
+                values, ops=args.ops,
+            )
         finally:
             await client.close()
         return client

@@ -221,6 +221,9 @@ class SwimAgent:
         self.refutations = 0
         self.failovers = 0
         self.last_failover_seconds: Optional[float] = None
+        #: The replica count of the largest ring this member has held:
+        #: what a join after a degraded failover restores.
+        self.replicas = int((view.ring or {}).get("replicas", 0))
         self.probes_sent = 0
         self.indirect_probes_sent = 0
         self.probes_failed = 0
@@ -582,7 +585,9 @@ class SwimAgent:
         ring_dict = self.server.engine.ring or self.view.ring
         if ring_dict is None:
             return None
-        return Ring.from_dict(ring_dict)
+        ring = Ring.from_dict(ring_dict)
+        self.replicas = max(self.replicas, ring.replicas)
+        return ring
 
     async def _run_repairs(self) -> None:
         """Drive every pending membership repair: dead devices out
@@ -611,8 +616,10 @@ class SwimAgent:
                 )
                 if joiner is not None and self.config.auto_join:
                     info = self.view.get(joiner)
+                    replicas = min(self.replicas, len(ring.devices) + 1)
                     await self._execute_plan(
-                        join_ring(ring, joiner, info.address),
+                        join_ring(ring, joiner, info.address,
+                                  replicas=replicas),
                         kind="join",
                     )
                     continue

@@ -1,7 +1,7 @@
 """repro.load — coordinated-omission-free load generation.
 
 Open/closed-loop arrival processes, workload mixes, workers recording
-intended-start-anchored latencies into log-bucketed histograms, and a
+intended-start-anchored latencies into exponential-bucket histograms, and a
 scenario engine that runs them as tasks on the stack's own loop, with an
 SLO gate and a binary-search max-sustainable-throughput mode.  See
 docs/LOAD.md.
@@ -24,7 +24,6 @@ from repro.load.engine import (
     run_find_max,
     run_scenario,
 )
-from repro.load.hdr import LatencyHistogram
 from repro.load.report import (
     compare_bench,
     load_bench_json,
@@ -49,7 +48,6 @@ __all__ = [
     "FindMaxResult",
     "FixedRate",
     "HotsetKeys",
-    "LatencyHistogram",
     "LoadEngineError",
     "LoadReport",
     "LoadWorker",

@@ -20,12 +20,15 @@ trace comes from that loop's clock:
    (:meth:`~repro.net.local.LocalStack.kill_primary`, the failover
    soak's own sequence) and reports its time-to-detect /
    time-to-recover;
-5. **Merge**: fold the workers' histograms (bucket-exact
-   :meth:`~repro.load.hdr.LatencyHistogram.merge`), on-time counters,
-   and traces into one report; the merged history (seed + workers +
-   recovery probes) must pass the offline timed checkers;
+5. **Judge**: the history (seed + workers + recovery probes) must pass
+   the offline timed checkers;
 6. **SLO gate**: evaluate the scenario's SLO over the measured phases
    and report every check with its bound and actual.
+
+One loop keeps one set of books for all of it: every site records into
+one recorder, whose listener feeds the :class:`OnlineJudges`, and every
+worker counts into one :class:`~repro.load.worker.PhaseStats` per phase,
+so nothing is merged across workers.
 
 ``run_find_max`` wraps that in a binary search over the total offered
 rate: the highest rate whose probe run passes the SLO is the measured
@@ -40,14 +43,15 @@ from __future__ import annotations
 import asyncio
 import os
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Dict, List, Optional, Tuple
+from typing import Any, Awaitable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.clocks.rebase import loop_time
 from repro.core.io import dump_history
+from repro.core.operations import Operation
 from repro.load.arrivals import make_arrivals, scale_arrivals
 from repro.load.scenario import Scenario
 from repro.load.worker import LoadWorker, PhasePlan, PhaseStats
-from repro.load.workload import make_workload
+from repro.load.workload import DeadlineClass, make_workload
 from repro.net.client import NetError
 from repro.net.local import FaultOutcome, LocalStack, judge, merge_history
 from repro.obs.instruments import TimedInstruments
@@ -123,9 +127,9 @@ class LoadReport:
 
     @property
     def ontime_ratio(self) -> float:
-        """Definition-1/2 on-time ratio from the merged offline verdicts
-        (complete cross-worker information, unlike the per-worker online
-        judges which only see their own writes)."""
+        """Definition-1/2 on-time ratio from the offline verdicts over
+        the whole history (the online judges keep a bounded window of
+        writes per object)."""
         if self.offline_judged == 0:
             return 1.0
         return 1.0 - self.offline_late / self.offline_judged
@@ -200,85 +204,84 @@ class FindMaxResult:
         return out
 
 
-# -- merging helpers ------------------------------------------------------
+class OnlineJudges:
+    """The scenario's online on-time judges: one at its Δ and one per
+    deadline class.  The recorder every site records into calls
+    :meth:`on_op_recorded` once per operation, so each judge sees every
+    write — Definition 2's W_r is the set of *all* writes to the read's
+    object, not one site's.
 
+    A read whose value no recorded write has produced yet waits for that
+    write: its writer may still be waiting for replica acks, or may never
+    record at all (an ack that raced a crash).  The offline merge drops
+    the second kind as unmatched, and so do the judges."""
 
-def _merge_ontime(summaries: List[Dict[str, Any]]) -> Dict[str, Any]:
-    merged = {
-        "reads_on_time": 0, "reads_late": 0, "reads_unjudged": 0,
-        "writes": 0, "delta": None, "epsilon": 0.0,
-    }
-    for s in summaries:
-        merged["reads_on_time"] += int(s.get("reads_on_time", 0))
-        merged["reads_late"] += int(s.get("reads_late", 0))
-        merged["reads_unjudged"] += int(s.get("reads_unjudged", 0))
-        merged["writes"] += int(s.get("writes", 0))
-        merged["delta"] = s.get("delta", merged["delta"])
-        merged["epsilon"] = max(merged["epsilon"], float(s.get("epsilon", 0.0)))
-    judged = merged["reads_on_time"] + merged["reads_late"]
-    merged["ontime_ratio"] = (
-        merged["reads_on_time"] / judged if judged else 1.0
-    )
-    return merged
+    def __init__(self, delta: float, deadlines: Sequence[DeadlineClass]) -> None:
+        self.ontime = TimedInstruments(Registry(), delta)
+        self.deadlines = {
+            d.name: TimedInstruments(Registry(), d.delta) for d in deadlines
+        }
+        #: The load worker of each site, which knows a read's class.
+        self.workers: Dict[int, LoadWorker] = {}
+        self._written: Set[Any] = {self.ontime.ontime.initial_value}
+        self._waiting: Dict[Any, List[Tuple[Operation, Optional[str]]]] = {}
+
+    def set_epsilon(self, epsilon: float) -> None:
+        for judge in (self.ontime, *self.deadlines.values()):
+            judge.epsilon = epsilon
+
+    def on_op_recorded(self, op: Operation) -> None:
+        """A write goes to every judge; a read to the Δ judge and, when
+        its worker planned it in a deadline class, to that class's."""
+        if op.is_write:
+            self._written.add(op.value)
+            for judge in (self.ontime, *self.deadlines.values()):
+                judge.on_write(op.site, op.obj, op.value, op.time,
+                               start=op.start, end=op.end)
+            for read, name in self._waiting.pop(op.value, ()):
+                self._judge_read(read, name)
+            return
+        worker = self.workers.get(op.site)
+        name = worker.deadline_of(op.obj) if worker is not None else None
+        if op.value in self._written:
+            self._judge_read(op, name)
+        else:
+            self._waiting.setdefault(op.value, []).append((op, name))
+
+    def _judge_read(self, op: Operation, name: Optional[str]) -> None:
+        judges = [self.ontime]
+        if name is not None:
+            judges.append(self.deadlines[name])
+        for judge in judges:
+            judge.on_read(op.site, op.obj, op.value, op.time,
+                          start=op.start, end=op.end)
 
 
 # -- the engine -----------------------------------------------------------
-
-
-async def _connect_worker(
-    stack: LocalStack,
-    scenario: Scenario,
-    index: int,
-    values: UniqueValueFactory,
-    site_options: Dict[str, Any],
-) -> LoadWorker:
-    """Worker ``index`` on its own connected site, recorder and judges,
-    offering its share of every phase's total rate."""
-    site = WORKER_SITE_BASE + index
-    recorder = TraceRecorder()
-    executor = await stack.connect(
-        site, delta=scenario.delta, recorder=recorder,
-        skew=scenario.client_skew, **site_options,
-    )
-    epsilon = executor.epsilon_bound
-    workload = make_workload(scenario.workload)
-    share = 1.0 / scenario.workers
-    worker = LoadWorker(
-        executor=executor,
-        workload=workload,
-        phases=[
-            PhasePlan(p.name, p.duration,
-                      make_arrivals(scale_arrivals(p.arrivals, share)),
-                      p.measure)
-            for p in scenario.phases
-        ],
-        site=site,
-        seed=scenario.seed + index,
-        values=values,
-        max_concurrency=scenario.max_concurrency,
-        op_retries=scenario.op_retries,
-        retryable=(NetError, PlacementError),
-        instruments=TimedInstruments(Registry(), scenario.delta, epsilon),
-        deadline_judges={
-            d.name: TimedInstruments(Registry(), d.delta, epsilon)
-            for d in workload.deadlines
-        },
-    )
-    recorder.add_listener(worker.on_op_recorded)
-    return worker
 
 
 async def run_scenario(
     scenario: Scenario, out_dir: Optional[str] = None, *, quiet: bool = False
 ) -> LoadReport:
     """Run one scenario on the running loop.  With ``out_dir`` the
-    merged history the verdict was computed on is written there as
+    history the verdict was computed on is written there as
     ``history.json``."""
     target = scenario.target
     ring_target = target.kind == "ring"
+    workload = make_workload(scenario.workload)
+    keys = workload.sampler.keys()
+    judges = OnlineJudges(scenario.delta, workload.deadlines)
     recorder = TraceRecorder()
+    recorder.add_listener(judges.on_op_recorded)
     values = UniqueValueFactory()
-    keys = make_workload(scenario.workload).sampler.keys()
+    # Every worker offers its share of each phase's total rate, so they
+    # all run the same plans and count into the same tallies.
+    share = 1.0 / scenario.workers
+    plans = [
+        PhasePlan(p.name, p.duration,
+                  make_arrivals(scale_arrivals(p.arrivals, share)), p.measure)
+        for p in scenario.phases
+    ]
 
     cluster_config = None
     if ring_target and target.cluster:
@@ -289,7 +292,10 @@ async def run_scenario(
             suspect_timeout=target.suspect_timeout,
             seed=scenario.seed,
         )
-    site_options: Dict[str, Any] = {"pipeline_depth": target.pipeline_depth}
+    site_options: Dict[str, Any] = {
+        "delta": scenario.delta, "recorder": recorder,
+        "pipeline_depth": target.pipeline_depth,
+    }
     if ring_target:
         site_options.update(
             write_quorum=target.write_quorum, read_policy=target.read_policy,
@@ -311,19 +317,34 @@ async def run_scenario(
         cluster=cluster_config,
     ) as stack:
         # -- 2. seed ----------------------------------------------------------
-        seeder = await stack.connect(
-            SEED_SITE, delta=scenario.delta, recorder=recorder, **site_options,
-        )
+        seeder = await stack.connect(SEED_SITE, **site_options)
         for key in keys:
             await seeder.write(key, values.next_value(SEED_SITE))
 
         # -- 3. workers, one anchor ------------------------------------------
-        workers = [
-            await _connect_worker(stack, scenario, index, values, site_options)
-            for index in range(scenario.workers)
-        ]
+        for index in range(scenario.workers):
+            site = WORKER_SITE_BASE + index
+            executor = await stack.connect(
+                site, skew=scenario.client_skew, **site_options
+            )
+            judges.workers[site] = LoadWorker(
+                executor=executor,
+                workload=workload,
+                phases=plans,
+                site=site,
+                seed=scenario.seed + index,
+                values=values,
+                max_concurrency=scenario.max_concurrency,
+                op_retries=scenario.op_retries,
+                retryable=(NetError, PlacementError),
+            )
+        # The residual sync error is known only after the last handshake.
+        epsilon = max(site.epsilon_bound for site in stack.sites)
+        judges.set_epsilon(epsilon)
         start = loop_time()
-        runs: List[Awaitable[Any]] = [w.run(start) for w in workers]
+        runs: List[Awaitable[Any]] = [
+            w.run(start) for w in judges.workers.values()
+        ]
 
         # -- 4. fault ---------------------------------------------------------
         async def kill_primary() -> FaultOutcome:
@@ -344,36 +365,17 @@ async def run_scenario(
         if ring_target:
             for site in stack.sites:
                 await site.placement.drain()
-        epsilon = max(
-            [seeder.epsilon_bound] + [w.instruments.epsilon for w in workers]
-        )
 
-    # -- 5. merge + judge -------------------------------------------------
-    merged_phases: List[PhaseStats] = []
-    for number, phase in enumerate(scenario.phases):
-        agg = PhaseStats(phase.name, phase.measure)
-        for worker in workers:
-            agg.merge(worker.stats[number])
-        merged_phases.append(agg)
+    # -- 5. judge ---------------------------------------------------------
+    phases = [plan.stats for plan in plans]
     measured = PhaseStats("measured", True)
     measured_duration = 0.0
-    for phase, agg in zip(scenario.phases, merged_phases):
+    for phase, stats in zip(scenario.phases, phases):
         if phase.measure:
-            measured.merge(agg)
+            measured.merge(stats)
             measured_duration += phase.duration
 
-    ontime = _merge_ontime([w.instruments.summary() for w in workers])
-    deadlines = {
-        name: _merge_ontime(
-            [w.deadline_judges[name].summary() for w in workers]
-        )
-        for name in sorted(workers[0].deadline_judges)
-    }
-
-    history, unmatched = merge_history(
-        [recorder.operations]
-        + [w.executor.recorder.operations for w in workers]
-    )
+    history, unmatched = merge_history([recorder.operations])
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         dump_history(history, os.path.join(out_dir, "history.json"))
@@ -382,13 +384,15 @@ async def run_scenario(
 
     report = LoadReport(
         scenario=scenario.describe(),
-        phases=merged_phases,
+        phases=phases,
         measured=measured,
         measured_duration=measured_duration,
         workers=scenario.workers,
         epsilon=epsilon,
-        ontime=ontime,
-        deadlines=deadlines,
+        ontime=judges.ontime.summary(),
+        deadlines={
+            name: j.summary() for name, j in sorted(judges.deadlines.items())
+        },
         offline_late=offline_late,
         offline_judged=len(verdicts),
         tsc_ok=tsc.satisfied,

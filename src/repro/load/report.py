@@ -105,7 +105,7 @@ def render_report(report: Any) -> str:
         f"on-time ratio (offline Definition-1/2): "
         f"{report.ontime_ratio:.4f} "
         f"({report.offline_judged - report.offline_late}/"
-        f"{report.offline_judged} reads; online per-worker "
+        f"{report.offline_judged} reads; online "
         f"{report.ontime.get('ontime_ratio', 1.0):.4f})"
     )
     for name, summary in sorted(report.deadlines.items()):

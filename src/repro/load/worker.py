@@ -19,8 +19,8 @@ omission failure of closed-loop harnesses (kept available as the
 
 The scenario engine (:mod:`repro.load.engine`) runs one worker per site
 as a task on the loop that runs the stack, every worker anchored at the
-same loop-clock reading, and merges their :class:`PhaseStats` and traces
-in memory.
+same loop-clock reading and every one counting into the same
+:class:`PhaseStats` per phase.
 """
 
 from __future__ import annotations
@@ -30,22 +30,36 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.clocks.rebase import loop_time
 from repro.load.arrivals import ArrivalProcess
-from repro.load.hdr import LatencyHistogram
 from repro.load.workload import PlannedOp, WorkloadMix
+from repro.obs.metrics import HISTOGRAM, Metric, exponential_buckets
+
+#: Latency bucket edges from 1 µs to 1 000 s, each ``1 + 2**-5`` times
+#: the last: an upper-edge quantile is never below the true value and at
+#: most 3.1 % above it.
+LATENCY_BUCKETS = exponential_buckets(1e-6, 1 + 2 ** -5, 675)
+
+
+def _latency_histogram(name: str) -> Any:
+    return Metric(name, HISTOGRAM, buckets=LATENCY_BUCKETS).labels()
 
 
 class PhaseStats:
-    """Counters and histograms for one phase of one worker."""
+    """Counters and latency histograms (seconds) for one phase, shared by
+    every worker that runs it.  Phases roll up into a scenario's
+    ``measured`` tally with :meth:`merge`, bucket-exact."""
 
     def __init__(self, name: str, measure: bool = True) -> None:
         self.name = name
         self.measure = measure
         self.offered = 0
-        self.completed = 0
         self.errors = 0
         self.errors_by_kind: Dict[str, int] = {}
-        self.service = LatencyHistogram()
-        self.response = LatencyHistogram()
+        self.service = _latency_histogram("repro_load_service_seconds")
+        self.response = _latency_histogram("repro_load_response_seconds")
+
+    @property
+    def completed(self) -> int:
+        return self.offered - self.errors
 
     def record_error(self, exc: BaseException) -> None:
         self.errors += 1
@@ -54,7 +68,6 @@ class PhaseStats:
 
     def merge(self, other: "PhaseStats") -> "PhaseStats":
         self.offered += other.offered
-        self.completed += other.completed
         self.errors += other.errors
         for kind, count in other.errors_by_kind.items():
             self.errors_by_kind[kind] = self.errors_by_kind.get(kind, 0) + count
@@ -64,7 +77,9 @@ class PhaseStats:
 
 
 class PhasePlan:
-    """One phase: a name, a duration, an arrival process, a measure flag."""
+    """One phase: a duration, an arrival process, and the tally its
+    operations count into (one :class:`PhaseStats` per plan, so workers
+    that share a plan share its books)."""
 
     def __init__(
         self,
@@ -75,10 +90,9 @@ class PhasePlan:
     ) -> None:
         if duration <= 0:
             raise ValueError(f"phase {name!r} needs a positive duration")
-        self.name = name
         self.duration = float(duration)
         self.arrivals = arrivals
-        self.measure = measure
+        self.stats = PhaseStats(name, measure)
 
 
 class LoadWorker:
@@ -104,8 +118,6 @@ class LoadWorker:
         op_retries: int = 8,
         retry_backoff: float = 0.05,
         retryable: Tuple[type, ...] = (),
-        instruments: Any = None,
-        deadline_judges: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.executor = executor
         self.workload = workload
@@ -117,47 +129,19 @@ class LoadWorker:
         self.op_retries = max(0, int(op_retries))
         self.retry_backoff = retry_backoff
         self.retryable = tuple(retryable)
-        self.instruments = instruments
-        self.deadline_judges = deadline_judges or {}
         self._sem = asyncio.Semaphore(self.max_concurrency)
         self._tasks: List[asyncio.Future] = []
-        self.stats: List[PhaseStats] = []
-        #: Pending deadline-class names per object, popped by the trace
-        #: listener as reads record (FIFO per object: reads of one object
-        #: ride one primary connection, so completion order matches).
+        #: Pending deadline-class names per object, popped by
+        #: :meth:`deadline_of` as reads record (FIFO per object: reads of
+        #: one object ride one primary connection, so completion order
+        #: matches).
         self._pending_deadline: Dict[str, List[str]] = {}
 
-    # -- trace listener (on-time judging) --------------------------------
-
-    def on_op_recorded(self, op: Any) -> None:
-        """Feed every recorded operation to the online judges.  Register
-        with ``recorder.add_listener(worker.on_op_recorded)``."""
-        kind = getattr(op.kind, "value", op.kind)
-        if kind == "w":
-            if self.instruments is not None:
-                self.instruments.on_write(
-                    op.site, op.obj, op.value, op.time,
-                    start=op.start, end=op.end,
-                )
-            for judge in self.deadline_judges.values():
-                judge.on_write(
-                    op.site, op.obj, op.value, op.time,
-                    start=op.start, end=op.end,
-                )
-        else:
-            if self.instruments is not None:
-                self.instruments.on_read(
-                    op.site, op.obj, op.value, op.time,
-                    start=op.start, end=op.end,
-                )
-            pending = self._pending_deadline.get(op.obj)
-            if pending:
-                judge = self.deadline_judges.get(pending.pop(0))
-                if judge is not None:
-                    judge.on_read(
-                        op.site, op.obj, op.value, op.time,
-                        start=op.start, end=op.end,
-                    )
+    def deadline_of(self, obj: str) -> Optional[str]:
+        """The deadline class of this site's read of ``obj`` that just
+        recorded (``None`` for a read planned without one)."""
+        pending = self._pending_deadline.get(obj)
+        return pending.pop(0) if pending else None
 
     # -- execution -------------------------------------------------------
 
@@ -176,8 +160,8 @@ class LoadWorker:
                     try:
                         await self.executor.read(planned.obj)
                     except BaseException:
-                        # An attempt that raises records nothing, so the
-                        # listener would never pop its class.
+                        # An attempt that raises records nothing, so
+                        # deadline_of would never pop its class.
                         pending.remove(planned.deadline)
                         raise
                 return
@@ -203,8 +187,8 @@ class LoadWorker:
                 stats.record_error(exc)
                 return
             end = loop_time()
-            stats.service.record(end - start)
-            stats.response.record(max(end - intended, 0.0))
+            stats.service.observe(end - start)
+            stats.response.observe(max(end - intended, 0.0))
 
     async def run(self, start_mono: float) -> List[PhaseStats]:
         """Run every phase back to back, anchored at ``start_mono`` (a
@@ -213,8 +197,7 @@ class LoadWorker:
 
         offset = 0.0
         for number, phase in enumerate(self.phases):
-            stats = PhaseStats(phase.name, phase.measure)
-            self.stats.append(stats)
+            stats = phase.stats
             rng = random.Random(
                 self.rng_seed * 1_000_003 + self.site * 101 + number
             )
@@ -253,6 +236,4 @@ class LoadWorker:
                 await asyncio.sleep(remaining)
         if self._tasks:
             await asyncio.gather(*self._tasks)
-        for stats in self.stats:
-            stats.completed = stats.offered - stats.errors
-        return self.stats
+        return [phase.stats for phase in self.phases]

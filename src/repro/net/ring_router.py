@@ -43,7 +43,6 @@ from typing import Any, Dict, Optional, Set, Tuple
 from repro.clocks.rebase import RebasedClock
 from repro.net.client import NetCacheClient, NetError
 from repro.net.clocksync import SyncedClock
-from repro.net.faults import FaultInjector
 from repro.ring.placement import PlacementError, ReplicatedPlacement
 from repro.ring.ring import Ring
 from repro.sim.trace import TraceRecorder
@@ -176,7 +175,6 @@ class RingRouter:
         sync_rounds: int = 5,
         request_timeout: float = 0.5,
         max_retries: int = 4,
-        fault_injectors: Optional[Dict[int, FaultInjector]] = None,
         registry: Optional[Any] = None,
         instruments: Optional[Any] = None,
         pipeline_depth: int = 8,
@@ -200,7 +198,6 @@ class RingRouter:
         self.local_clock = RebasedClock(offset=skew)
         self.registry = registry
         self.instruments = instruments
-        self._fault_injectors = fault_injectors or {}
         # What every per-device client is built with, the first ones and
         # the ones that join later (_device_client).
         self._client_options = dict(
@@ -249,7 +246,6 @@ class RingRouter:
         return NetCacheClient(
             self.client_id, host, port,
             clock=clock,
-            faults=self._fault_injectors.get(dev_id),
             metric_labels=(
                 {"device": dev_id} if self.registry is not None else None
             ),

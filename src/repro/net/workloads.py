@@ -40,7 +40,7 @@ import asyncio
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Awaitable, Dict, List, Optional, Sequence, Tuple
 
 from repro.checkers.online import ReadVerdict
 from repro.checkers.result import CheckResult
@@ -119,14 +119,48 @@ def _cluster_report(
     )
 
 
+async def drive_site(
+    site: Any,
+    rng: random.Random,
+    objects: Sequence[str],
+    write_fraction: float,
+    think: float,
+    values: UniqueValueFactory,
+    *,
+    ops: int = 0,
+    until: Optional[float] = None,
+    retry: Optional[float] = None,
+) -> None:
+    """One site's closed loop: sleep U(0, 2·think), pick an object, write
+    it a fresh value with probability ``write_fraction``, else read it.
+    ``ops`` operations, or until the loop clock reaches ``until``.  With
+    ``retry`` an operation that fails on the ring or the wire is tried
+    again ``retry`` seconds later, up to 40 times, then dropped."""
+    issued = 0
+    while (loop_time() < until) if until is not None else (issued < ops):
+        issued += 1
+        await asyncio.sleep(rng.uniform(0.0, 2 * think))
+        obj = rng.choice(objects)
+        write = rng.random() < write_fraction
+        for _attempt in range(1 if retry is None else 40):
+            try:
+                if write:
+                    await site.write(obj, values.next_value(site.client_id))
+                else:
+                    await site.read(obj)
+                break
+            except (PlacementError, NetError):
+                if retry is None:
+                    raise
+                await asyncio.sleep(retry)
+
+
 async def push_staleness_cluster(
     *,
     n_clients: int = 3,
     delta: float = 0.3,
     push_delay: float = 0.0,
     skew: float = 0.1,
-    hold: Optional[float] = None,
-    read_period: float = 0.02,
 ) -> ClusterReport:
     """The acceptance scenario, as a coroutine (see module docstring)."""
     if n_clients < 2:
@@ -153,14 +187,14 @@ async def push_staleness_cluster(
             await reader.read("x")
         # The step: v1 is installed; its push is (possibly) delayed.
         await writer.write("x", values.next_value(writer.client_id))
-        window = hold if hold is not None else max(push_delay, delta) + 0.3
+        window = max(push_delay, delta) + 0.3
 
         async def read_loop(reader: NetCacheClient) -> None:
             loop = asyncio.get_running_loop()
             deadline = loop.time() + window
             while loop.time() < deadline:
                 await reader.read("x")
-                await asyncio.sleep(read_period)
+                await asyncio.sleep(0.02)
 
         await asyncio.gather(*(read_loop(reader) for reader in readers))
     return _cluster_report(recorder, delta, clients, stack)
@@ -198,18 +232,11 @@ async def random_net_cluster(
             )
             for i in range(n_clients)
         ]
-
-        async def workload(client: NetCacheClient) -> None:
-            rng = random.Random(seed + client.client_id)
-            for _ in range(rounds):
-                await asyncio.sleep(rng.uniform(0.0, 2 * think))
-                obj = rng.choice(list(objects))
-                if rng.random() < write_fraction:
-                    await client.write(obj, values.next_value(client.client_id))
-                else:
-                    await client.read(obj)
-
-        await asyncio.gather(*(workload(client) for client in clients))
+        await asyncio.gather(*(
+            drive_site(client, random.Random(seed + client.client_id),
+                       objects, write_fraction, think, values, ops=rounds)
+            for client in clients
+        ))
     return _cluster_report(recorder, delta, clients, stack)
 
 
@@ -352,44 +379,9 @@ async def ring_cluster(
     handoff: Optional[HandoffReport] = None
     fault: Optional[FaultOutcome] = None
 
-    async def mixed(
-        router: RingRouter, n: int, salt: int,
-        until: Optional[float] = None,
-    ) -> None:
-        rng = random.Random(seed + 31 * router.client_id + salt)
-        issued = 0
-        while (loop_time() < until) if until is not None else (
-            issued < n
-        ):
-            issued += 1
-            await asyncio.sleep(rng.uniform(0.0, 2 * think))
-            obj = rng.choice(list(objects))
-            if rng.random() < write_fraction:
-                await router.write(obj, values.next_value(router.client_id))
-            else:
-                await router.read(obj)
-
-    # After a kill the workload resumes against the survivors; early
-    # rounds may still race the routers' cutover, so tolerate and retry.
-    # A write whose attempt raised after a server installed it stays
-    # readable but unrecorded: merge_history counts such reads below.
-    async def mixed_after_failover(router: RingRouter, n: int) -> None:
-        rng = random.Random(seed + 97 * router.client_id)
-        for _ in range(n):
-            await asyncio.sleep(rng.uniform(0.0, 2 * think))
-            obj = rng.choice(list(objects))
-            write = rng.random() < write_fraction
-            for _attempt in range(40):
-                try:
-                    if write:
-                        await router.write(
-                            obj, values.next_value(router.client_id)
-                        )
-                    else:
-                        await router.read(obj)
-                    break
-                except (PlacementError, NetError):
-                    await asyncio.sleep(probe_period / 4.0)
+    def mixed(router: RingRouter, rng_seed: int, **run: Any) -> Awaitable[None]:
+        return drive_site(router, random.Random(rng_seed), objects,
+                          write_fraction, think, values, **run)
 
     async with LocalStack(
         servers=n_servers, replicas=replicas, part_power=part_power,
@@ -413,7 +405,10 @@ async def ring_cluster(
         until = (
             loop_time() + duration if duration is not None else None
         )
-        await asyncio.gather(*(mixed(r, rounds, 0, until) for r in routers))
+        await asyncio.gather(*(
+            mixed(r, seed + 31 * r.client_id, ops=rounds, until=until)
+            for r in routers
+        ))
 
         if kill_primary_midway:
             fault = await stack.kill_primary(
@@ -422,10 +417,15 @@ async def ring_cluster(
                     objects[0], values.next_value(routers[0].client_id)
                 ),
             )
-            await asyncio.gather(
-                *(mixed_after_failover(r, max(rounds // 2, 5))
-                  for r in routers)
-            )
+            # The workload resumes against the survivors; early rounds
+            # may still race the routers' cutover, so they retry.  A write
+            # whose attempt raised after a server installed it stays
+            # readable but unrecorded: merge_history counts such reads.
+            await asyncio.gather(*(
+                mixed(r, seed + 97 * r.client_id, ops=max(rounds // 2, 5),
+                      retry=probe_period / 4.0)
+                for r in routers
+            ))
 
         if add_device_midway:
             old_ring = stack.ring
@@ -468,9 +468,10 @@ async def ring_cluster(
             for router in routers:
                 router.swap_ring(new_ring)
             stack.ring = new_ring
-            await asyncio.gather(
-                *(mixed(r, max(rounds // 2, 5), 1) for r in routers)
-            )
+            await asyncio.gather(*(
+                mixed(r, seed + 31 * r.client_id + 1, ops=max(rounds // 2, 5))
+                for r in routers
+            ))
 
         for router in routers:
             await router.placement.drain()
@@ -508,13 +509,12 @@ async def ring_cluster(
 def run_ring_soak(
     *,
     metrics_port: Optional[int] = None,
-    metrics_host: str = "127.0.0.1",
     **kwargs,
 ) -> RingReport:
     """Synchronous wrapper around :func:`ring_cluster`.
 
     ``metrics_port`` (0 for an ephemeral port) serves the soak's
-    registry on ``http://<metrics_host>:<port>/metrics`` for the run's
+    registry on ``http://127.0.0.1:<port>/metrics`` for the run's
     duration — a registry is created if the caller did not pass one.
     """
 
@@ -529,7 +529,7 @@ def run_ring_soak(
             from repro.obs.expo import MetricsServer
 
             metrics = await MetricsServer(
-                registry, metrics_host, metrics_port
+                registry, "127.0.0.1", metrics_port
             ).start()
         try:
             return await ring_cluster(registry=registry, **kwargs)

@@ -10,11 +10,9 @@ the on-time-ratio semantics relative to the paper's Definitions 1–2.
 
 from repro.obs.bridge import (
     bind_client_stats,
-    bind_monitor_stats,
     bind_net_server,
     bind_placement_stats,
     bind_router_stats,
-    bind_search_stats,
     bind_sim_server,
     bind_simulator,
 )
@@ -46,7 +44,6 @@ from repro.obs.metrics import (
     diff_snapshots,
     exponential_buckets,
     family,
-    get_registry,
     load_snapshot,
     merge_snapshots,
 )
@@ -70,17 +67,14 @@ __all__ = [
     "TimedInstruments",
     "VisibilityLag",
     "bind_client_stats",
-    "bind_monitor_stats",
     "bind_net_server",
     "bind_placement_stats",
     "bind_router_stats",
-    "bind_search_stats",
     "bind_sim_server",
     "bind_simulator",
     "diff_snapshots",
     "exponential_buckets",
     "family",
-    "get_registry",
     "load_snapshot",
     "merge_snapshots",
     "render_prometheus",

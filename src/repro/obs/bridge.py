@@ -2,8 +2,7 @@
 
 Every layer of the repo already keeps counters in plain structs —
 :class:`~repro.engine.stats.ClientStats` in the cache clients,
-:class:`~repro.checkers.search.SearchStats` in the serialization-search
-engine, :class:`~repro.ring.placement.PlacementStats` and
+:class:`~repro.ring.placement.PlacementStats` and
 :class:`~repro.net.ring_router.RouterStats` in the ring stack, ad-hoc
 ints in the servers and the sim kernel.  Rewriting those hot paths to
 push into metric children would tax the sim's tight loops for nothing;
@@ -19,7 +18,7 @@ bound object's run ends.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional
 
 from repro.obs.metrics import Registry, family
 
@@ -42,41 +41,6 @@ def bind_client_stats(
 
     def collector() -> Iterable[Dict[str, Any]]:
         return stats.collect_families(base)
-
-    return registry.register_collector(collector)
-
-
-def bind_search_stats(
-    registry: Registry, stats: Any, **labels: Any
-) -> Callable:
-    """Export a checker :class:`~repro.checkers.search.SearchStats`:
-    states, memo hits, per-reason prunes, frontier depth, wall time."""
-    base = _with(labels)
-
-    def collector() -> Iterable[Dict[str, Any]]:
-        prunes = [
-            (_with(base, reason=reason), count)
-            for reason, count in sorted(stats.prunes.items())
-        ]
-        return [
-            family("repro_checker_states_total", "counter",
-                   "Serialization-search states expanded",
-                   [(base, stats.states)]),
-            family("repro_checker_memo_hits_total", "counter",
-                   "States skipped via the failure memo",
-                   [(base, stats.memo_hits)]),
-            family("repro_checker_prunes_total", "counter",
-                   "Search prunes by reason", prunes),
-            family("repro_checker_frontier_depth", "gauge",
-                   "Deepest partial serialization reached",
-                   [(base, stats.max_frontier_depth)]),
-            family("repro_checker_wall_seconds_total", "counter",
-                   "Seconds spent inside the search engine",
-                   [(base, stats.wall_time)]),
-            family("repro_checker_budget", "gauge",
-                   "Configured search state budget",
-                   [(base, stats.budget)]),
-        ]
 
     return registry.register_collector(collector)
 
@@ -257,33 +221,3 @@ def bind_net_server(
 
     return registry.register_collector(collector)
 
-
-def bind_monitor_stats(
-    registry: Registry, stats: Any, **labels: Any
-) -> Callable:
-    """Export an online-monitor
-    :class:`~repro.checkers.online.MonitorStats` (reads/writes/late
-    reads and the running threshold)."""
-    base = _with(labels)
-
-    def collector() -> Iterable[Dict[str, Any]]:
-        late = [
-            (_with(base, obj=obj), count)
-            for obj, count in sorted(stats.late_by_object.items())
-        ]
-        return [
-            family("repro_monitor_ops_total", "counter",
-                   "Operations seen by the online monitor",
-                   [(_with(base, kind="read"), stats.reads),
-                    (_with(base, kind="write"), stats.writes)]),
-            family("repro_monitor_late_reads_total", "counter",
-                   "Reads the online monitor flagged late",
-                   [(base, stats.late_reads)]),
-            family("repro_monitor_late_reads_by_object_total", "counter",
-                   "Late reads split by object", late),
-            family("repro_monitor_threshold_seconds", "gauge",
-                   "Running timedness threshold of the observed stream",
-                   [(base, stats.threshold)]),
-        ]
-
-    return registry.register_collector(collector)

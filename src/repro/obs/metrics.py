@@ -21,10 +21,10 @@ Two update models coexist deliberately:
   per event afterwards); used where the event itself carries information
   the struct-of-ints style cannot (latency samples, per-label splits);
 * **pull** — a *collector* callable registered with the registry reads
-  an existing stats struct (``ClientStats``, ``SearchStats``,
-  ``PlacementStats``, a :class:`~repro.sim.kernel.Simulator`) only at
-  scrape/snapshot time, so instrumented hot paths keep their native
-  ``int`` arithmetic and pay nothing between scrapes.
+  an existing stats struct (``ClientStats``, ``PlacementStats``, a
+  :class:`~repro.sim.kernel.Simulator`) only at scrape/snapshot time, so
+  instrumented hot paths keep their native ``int`` arithmetic and pay
+  nothing between scrapes.
 
 Metric names follow ``repro_<layer>_<quantity>_<unit>`` (see
 docs/OBSERVABILITY.md for the catalogue and label conventions).
@@ -570,10 +570,6 @@ def load_snapshot(path: str) -> Dict[str, Any]:
 #: The default process-wide registry (components accept a ``registry``
 #: argument and fall back to this one).
 REGISTRY = Registry()
-
-
-def get_registry() -> Registry:
-    return REGISTRY
 
 
 def Counter(

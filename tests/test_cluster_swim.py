@@ -361,6 +361,50 @@ class TestSwimLive:
 
         vtime.run(scenario())
 
+    def test_a_join_after_a_degraded_failover_restores_the_replicas(self):
+        async def scenario():
+            servers, agents, ring = await start_members(2, self.CONFIG)
+            assert ring.replicas == 2
+            joiner_server = NetObjectServer("127.0.0.1", 0, propagation="none")
+            await joiner_server.start()
+            joiner = None
+            try:
+                await servers[1].abort()
+                await agents[1].stop()
+                survivor = agents[0]
+                assert await wait_until(
+                    lambda: survivor.server.engine.epoch == ring.epoch + 1,
+                    loop_time() + self.CONFIG.detection_bound + 5.0,
+                )
+                degraded = Ring.from_dict(survivor.server.engine.ring)
+                assert degraded.replicas == 1
+                joiner = SwimAgent(
+                    2, joiner_server,
+                    ClusterView.seed(
+                        {0: servers[0].address, 2: joiner_server.address},
+                        ring=degraded.as_dict(),
+                    ),
+                    self.CONFIG,
+                )
+                await joiner.start()
+                assert await wait_until(
+                    lambda: survivor.server.engine.epoch > degraded.epoch,
+                    loop_time() + 8.0,
+                )
+                in_force = Ring.from_dict(survivor.server.engine.ring)
+                assert sorted(in_force.devices) == [0, 2]
+                assert in_force.replicas == 2
+                assert all(
+                    sorted(slots) == [0, 2] for slots in in_force.assignment
+                )
+            finally:
+                if joiner is not None:
+                    await joiner.stop()
+                await joiner_server.close()
+                await stop_members({0: servers[0]}, {0: agents[0]})
+
+        vtime.run(scenario())
+
 
 @pytest.mark.net
 class TestAgentLink:

@@ -6,6 +6,7 @@ percentiles.  ``test_two_worker_ring_scenario_passes_slo`` is the real-loop
 smoke.  The unit layer is ``test_load_units.py`` / ``test_load_worker.py``."""
 
 import asyncio
+import pathlib
 
 import pytest
 
@@ -97,6 +98,10 @@ def test_kill_primary_scenario_recovers_and_stays_timed():
     # satisfies the timed criterion at the scenario's delta.
     assert report.tsc_ok
     assert report.ok, [c for c in report.slo_checks if not c.ok]
+    # Reads of a write whose ack raced the crash: dropped from the
+    # merged history as unmatched, and left unjudged online too.
+    assert report.unmatched_reads > 0
+    assert report.ontime["reads_late"] == report.offline_late == 0
 
 
 @pytest.mark.net(timeout=30)
@@ -108,6 +113,27 @@ def test_a_seed_replays_to_the_same_merged_history(tmp_path):
         ))
         histories.append((tmp_path / run / "history.json").read_bytes())
     assert histories[0] == histories[1]
+
+
+@pytest.mark.net(timeout=30)
+def test_online_judges_see_every_write_and_agree_with_the_offline_ones():
+    # Judged per worker, against only its own site's writes, this run
+    # counted 131 of its 414 reads late and 103 unjudged.
+    fixture = pathlib.Path(__file__).parent.parent / "benchmarks" / "scenarios"
+    scenario = Scenario.load(str(fixture / "ring_smoke.json"))
+    report = vtime.run(run_scenario(scenario, quiet=True))
+    assert (report.offline_judged, report.offline_late) == (414, 0)
+    ontime = report.ontime
+    assert ontime["reads_late"] == report.offline_late
+    assert ontime["reads_unjudged"] == 0
+    assert ontime["reads_on_time"] == report.offline_judged
+    assert ontime["ontime_ratio"] == 1.0
+    # The seeder's writes included: every write of the history.
+    assert ontime["writes"] == 224 == report.history_ops - report.offline_judged
+    for summary in report.deadlines.values():
+        assert summary["reads_late"] == summary["reads_unjudged"] == 0
+        assert summary["writes"] == ontime["writes"]
+    assert sum(s["reads_on_time"] for s in report.deadlines.values()) == 414
 
 
 @pytest.mark.net(timeout=30)

@@ -1,9 +1,8 @@
-"""Unit tests for the repro.load building blocks: histograms, arrival
+"""Unit tests for the repro.load building blocks: latency histograms, arrival
 processes (determinism + rates), key samplers, workload mixes, and
 scenario validation.  The scenario engine is covered separately in
 ``test_load_engine.py`` (net-marked)."""
 
-import math
 import random
 
 import pytest
@@ -13,7 +12,7 @@ from repro.load import (
     Burst,
     ClosedLoop,
     FixedRate,
-    LatencyHistogram,
+    PhaseStats,
     Poisson,
     Ramp,
     Scenario,
@@ -24,56 +23,60 @@ from repro.load import (
     make_workload,
     scale_arrivals,
 )
-from repro.load.hdr import SUB_BITS
+from repro.load.worker import LATENCY_BUCKETS
 from repro.load.workload import HotsetKeys, key_name
 
 
 class TestLatencyHistogram:
-    def test_small_ticks_are_exact(self):
-        # Values below 2*2**SUB_BITS microseconds get one bucket each.
-        h = LatencyHistogram()
-        for us in (0, 1, 17, 63):
-            h.record(us / 1e6)
-        assert h.quantile(0.0) == 0.0
-        assert h.quantile(1.0) == 63 / 1e6
-        assert h.min == 0.0 and h.max == 63 / 1e6
+    """The phase tallies' histogram: the metrics registry's, on
+    ``LATENCY_BUCKETS``."""
+
+    REL = 2 ** -5
 
     def test_quantile_never_underestimates_and_bounds_error(self):
+        # Every value from 1 us to 1 000 s: the bucket edges themselves,
+        # values just above an edge (the worst case), and a log-uniform
+        # sample in between.
         rng = random.Random(42)
-        rel = 2 ** -SUB_BITS
-        for _ in range(2000):
-            v = rng.uniform(1e-6, 10.0)
-            h = LatencyHistogram()
-            h.record(v)
+        values = [1e-6, 1e3]
+        values += [b for b in LATENCY_BUCKETS if b <= 1e3]
+        values += [b * (1 + 1e-12) for b in LATENCY_BUCKETS if b < 1e3]
+        values += [10 ** rng.uniform(-6, 3) for _ in range(2000)]
+        for v in values:
+            h = PhaseStats("p").service
+            h.observe(v)
             est = h.quantile(0.5)
-            assert est >= v - 1e-6  # never flatters (half-tick slack)
-            assert est <= v * (1 + rel) + 1e-6
+            assert v <= est <= v * (1 + self.REL), v
+
+    def test_buckets_tile_1us_to_1000s(self):
+        assert LATENCY_BUCKETS[0] == 1e-6
+        assert LATENCY_BUCKETS[-2] < 1e3 <= LATENCY_BUCKETS[-1]
+        for low, high in zip(LATENCY_BUCKETS, LATENCY_BUCKETS[1:]):
+            assert high / low == pytest.approx(1 + self.REL, rel=1e-9)
 
     def test_merge_is_bucket_exact(self):
+        # Rolling phases into ``measured`` gives the histogram of one
+        # tally that saw every observation.
         rng = random.Random(7)
-        whole, a, b = (
-            LatencyHistogram(), LatencyHistogram(), LatencyHistogram(),
-        )
-        for i in range(1000):
+        phases = [PhaseStats(name) for name in ("warmup", "ramp", "steady")]
+        whole = PhaseStats("whole")
+        for i in range(3000):
             v = rng.expovariate(100.0)
-            whole.record(v)
-            (a if i % 2 else b).record(v)
-        a.merge(b)
-        assert a.count == whole.count
-        assert a.sum_ticks == whole.sum_ticks
-        assert a.counts == whole.counts
+            whole.response.observe(v)
+            phases[i % 3].response.observe(v)
+        measured = PhaseStats("measured")
+        for phase in phases:
+            measured.merge(phase)
+        assert measured.response.counts == whole.response.counts
+        assert measured.response.count == whole.response.count == 3000
+        assert measured.response.sum == pytest.approx(whole.response.sum)
         for q in (0.5, 0.9, 0.99, 0.999, 1.0):
-            assert a.quantile(q) == whole.quantile(q)
-
-    def test_percentile_labels(self):
-        h = LatencyHistogram()
-        h.record(0.001)
-        assert set(h.percentiles()) == {"p50", "p99", "p99.9"}
+            assert measured.response.quantile(q) == whole.response.quantile(q)
 
     def test_empty_histogram(self):
-        h = LatencyHistogram()
-        assert h.quantile(0.99) == 0.0
-        assert h.mean == 0.0 and len(h) == 0
+        stats = PhaseStats("p")
+        assert stats.response.quantile(0.99) == 0.0
+        assert stats.response.count == 0 and stats.completed == 0
 
 
 class TestArrivals:
@@ -332,18 +335,3 @@ def test_burst_schedule_covers_mean_rate():
         assert realised == pytest.approx(
             proc.mean_rate(5.0), rel=0.2
         ), spec
-
-
-def test_index_math_has_no_gaps():
-    # Consecutive ticks map to the same or the next index — the tiling
-    # property the docstring claims.
-    from repro.load.hdr import _index_for, _upper_ticks
-
-    last = -1
-    for ticks in list(range(0, 4096)) + [2 ** k for k in range(12, 31)]:
-        index = _index_for(ticks)
-        assert index in (last, last + 1) or ticks > 4095
-        assert _upper_ticks(index) >= ticks
-        assert index >= last
-        last = index
-    assert math.isfinite(_upper_ticks(_index_for(10 ** 9)))

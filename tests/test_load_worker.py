@@ -1,21 +1,23 @@
 """The coordinated-omission regression: a stalled executor must inflate
 the open-loop *response* tail (arrivals kept coming and queued) while
 the closed-loop arm quietly hides the stall by issuing fewer requests.
-Also covers the worker's retry discipline and phase accounting — all
-against an in-process stub executor, no sockets.  The two open-loop
+Also covers the worker's retry discipline, phase accounting and how
+its reads reach the scenario's online judges — all against an
+in-process stub executor, no sockets.  The two open-loop
 stall tests run in virtual time (:mod:`repro.sim.vtime`): the stub's
 sleeps and the worker's schedule both read the loop's clock, so a stall
 is exactly as long as it says; the rest stay on the real loop."""
 
 import asyncio
-from types import SimpleNamespace
 
 import pytest
 
 from repro.clocks.rebase import loop_time
 from repro.load import LoadWorker, PhasePlan, make_arrivals, make_workload
-from repro.load.workload import PlannedOp
+from repro.load.engine import OnlineJudges
+from repro.load.workload import DeadlineClass, PlannedOp
 from repro.sim import vtime
+from repro.sim.trace import TraceRecorder
 
 
 class StubValues:
@@ -200,41 +202,30 @@ def test_phase_stats_merge():
     assert merged.response.count == total
 
 
-class CountingJudge:
-    def __init__(self):
-        self.reads = 0
-
-    def on_read(self, *args, **kwargs):
-        self.reads += 1
-
-    def on_write(self, *args, **kwargs):
-        pass
-
-
 class FirstReadFailsExecutor:
-    """Records each completed read through the worker's trace listener,
-    the way a connected site's recorder does; the very first read raises."""
+    """Records each completed read, the way a connected site does; the
+    very first read raises."""
 
-    def __init__(self):
-        self.worker = None
+    def __init__(self, recorder):
+        self.recorder = recorder
         self.reads = 0
 
     async def read(self, obj):
         self.reads += 1
         if self.reads == 1:
             raise ConnectionError("first read lost")
-        self.worker.on_op_recorded(SimpleNamespace(
-            kind="r", site=self.worker.site, obj=obj, value=0,
-            time=loop_time(), start=None, end=None,
-        ))
+        self.recorder.record_read(100, obj, 0, loop_time())
 
     async def write(self, obj, value):
         raise AssertionError("no writes planned")
 
 
 def test_a_retried_read_is_judged_under_its_own_deadline_class():
-    executor = FirstReadFailsExecutor()
-    judges = {"fresh": CountingJudge(), "lax": CountingJudge()}
+    recorder = TraceRecorder()
+    judges = OnlineJudges(0.4, [DeadlineClass("fresh", 0.2, 1.0),
+                                DeadlineClass("lax", 1.0, 1.0)])
+    recorder.add_listener(judges.on_op_recorded)
+    executor = FirstReadFailsExecutor(recorder)
     worker = LoadWorker(
         executor=executor,
         workload=make_workload({"keys": {"kind": "uniform", "n": 1}}),
@@ -244,9 +235,8 @@ def test_a_retried_read_is_judged_under_its_own_deadline_class():
         values=StubValues(),
         retry_backoff=0.0,
         retryable=(ConnectionError,),
-        deadline_judges=judges,
     )
-    executor.worker = worker
+    judges.workers[100] = worker
 
     async def _go():
         await worker._execute(PlannedOp("read", "k0000", "fresh"))
@@ -254,6 +244,24 @@ def test_a_retried_read_is_judged_under_its_own_deadline_class():
 
     asyncio.run(_go())
     assert executor.reads == 3  # the fresh read was retried once
-    assert {name: j.reads for name, j in judges.items()} == {
-        "fresh": 1, "lax": 1}
+    assert {name: j.summary()["reads_on_time"]
+            for name, j in judges.deadlines.items()} == {"fresh": 1, "lax": 1}
+    assert judges.ontime.summary()["reads_on_time"] == 2
     assert not any(worker._pending_deadline.values())
+
+
+def test_a_read_that_records_before_its_write_is_judged_when_it_does():
+    # A writer awaiting its replica acks records after a reader that got
+    # the new value from the primary.  Judged at once, the read would
+    # look late against the object's older write.
+    recorder = TraceRecorder()
+    judges = OnlineJudges(0.4, [])
+    recorder.add_listener(judges.on_op_recorded)
+    recorder.record_write(999, "k", "s999.1", 0.0)
+    recorder.record_read(100, "k", "s101.2", 1.0)
+    recorder.record_read(100, "k", "s101.3", 1.1)  # its write never records
+    assert judges.ontime.summary()["reads_on_time"] == 0
+    recorder.record_write(101, "k", "s101.2", 0.99, start=0.98, end=1.01)
+    summary = judges.ontime.summary()
+    assert (summary["reads_on_time"], summary["reads_late"],
+            summary["reads_unjudged"]) == (1, 0, 0)
