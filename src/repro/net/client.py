@@ -10,6 +10,12 @@ matching, the retransmit ladder and the pipeline window are a
 :class:`repro.net.channel.Channel`; this class owns the synchronized
 clock and trace recording.
 
+Built with ``site=`` (a :class:`~repro.net.ring_router.RingRouter`), a
+client is one device link of that site: it drives the site's one engine,
+handing it every stamp rebased onto the site's timescale, and unasked
+only what the object's primary pushes (docs/THEORY.md, Result 3); its
+``delta`` and ``skew`` are the site's, and setting them is an error.
+
 Two freshness modes:
 
 * ``"pull"`` — rule 3 (``Context_i := max(t_i - delta, Context_i)``)
@@ -44,7 +50,7 @@ from __future__ import annotations
 
 import asyncio
 import math
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Tuple
 
 from repro.engine import CacheEngine, messages
 from repro.net.channel import Channel
@@ -61,7 +67,12 @@ from repro.net.framing import (
 )
 from repro.sim.trace import TraceRecorder
 
+if TYPE_CHECKING:
+    from repro.net.ring_router import RingRouter
+
 FRESHNESS_MODES = ("pull", "push")
+
+BACKOFF = 2.0  #: each retransmission or redone handshake waits this much longer
 
 
 class NetError(Exception):
@@ -94,8 +105,7 @@ class NetCacheClient:
         sync_retries: int = 3,
         request_timeout: float = 0.5,
         max_retries: int = 4,
-        backoff: float = 2.0,
-        clock: Optional[SyncedClock] = None,
+        site: Optional["RingRouter"] = None,
         registry: Optional[Any] = None,
         metric_labels: Optional[Dict[str, Any]] = None,
         pipeline_depth: int = 8,
@@ -104,11 +114,6 @@ class NetCacheClient:
         handshake is redone (fresh connection, capped exponential backoff
         — the :class:`~repro.net.faults` ``_RetryMixin`` pattern at the
         handshake layer) before a clean :class:`NetError` surfaces.
-
-        ``clock`` substitutes a caller-owned :class:`SyncedClock` — the
-        :class:`~repro.net.ring_router.RingRouter` passes per-device
-        clocks sharing one local timescale so cross-server offsets
-        compose (docs/RING.md).
 
         ``registry`` (a :class:`repro.obs.metrics.Registry`) turns on
         client-side telemetry: the :class:`ClientStats` struct binds as a
@@ -129,12 +134,12 @@ class NetCacheClient:
             raise ValueError(f"request_timeout must be positive, got {request_timeout}")
         if max_retries < 0:
             raise ValueError(f"max_retries must be non-negative, got {max_retries}")
-        if backoff < 1.0:
-            raise ValueError(f"backoff must be >= 1, got {backoff}")
         if sync_retries < 0:
             raise ValueError(f"sync_retries must be non-negative, got {sync_retries}")
         if pipeline_depth < 1:
             raise ValueError(f"pipeline_depth must be >= 1, got {pipeline_depth}")
+        if site is not None and (delta != math.inf or skew != 0.0):
+            raise ValueError("a site's device link takes delta and skew from the site")
         self.client_id = client_id
         self.host = host
         self.port = port
@@ -144,10 +149,17 @@ class NetCacheClient:
         self.sync_retries = sync_retries
         self.request_timeout = request_timeout
         self.max_retries = max_retries
-        self.backoff = backoff
-        self.clock = clock if clock is not None else SyncedClock(skew=skew)
-        self.engine = CacheEngine(site_id=client_id, delta=delta)
+        self.site = site
+        if site is None:
+            self.clock = SyncedClock(skew=skew)
+            self.engine = CacheEngine(site_id=client_id, delta=delta)
+        else:
+            self.clock = SyncedClock(local=site.local_clock)
+            self.engine = site.engine
         self.stats = self.engine.stats
+        #: obj -> (alpha on the site's timescale, this device's own alpha)
+        #: of the versions this link handed a site's engine (_asked).
+        self._stamps: Dict[str, Tuple[float, Any]] = {}
         # The channel numbers, windows, retransmits and matches every
         # request; ids are never reused, so a reply that outlives its
         # request cannot resolve a later one.
@@ -157,15 +169,13 @@ class NetCacheClient:
             window=pipeline_depth, on_retry=self._count_retry,
         )
         # Cluster awareness: the highest ring epoch any server frame has
-        # carried (0 for a standalone server) and a subscriber called on
-        # each advance.
+        # carried (0 for a standalone server); each advance is news to the
+        # site.
         self.server_epoch = 0
-        self.on_epoch: Optional[Callable[[int, "NetCacheClient"], None]] = None
         self.pipeline_depth = pipeline_depth
         self.registry = registry
         self._rtt = None
         self._push_lag = None
-        self._clock_collector = None
         self.pipeline = None
         if registry is not None:
             self._bind_metrics(metric_labels or {})
@@ -176,7 +186,8 @@ class NetCacheClient:
 
         labels = {"site": str(self.client_id)}
         labels.update({k: str(v) for k, v in extra.items()})
-        bind_client_stats(self.registry, self.stats, **labels)
+        if self.site is None:
+            bind_client_stats(self.registry, self.stats, **labels)
         rtt = self.registry.histogram(
             "repro_net_request_rtt_seconds",
             "Request round-trip time as seen by the cache client",
@@ -208,7 +219,7 @@ class NetCacheClient:
                        [(labels, est.offset)]),
             ]
 
-        self._clock_collector = self.registry.register_collector(clock_collector)
+        self.registry.register_collector(clock_collector)
 
         from repro.obs.instruments import PipelineInstruments
 
@@ -245,7 +256,7 @@ class NetCacheClient:
                         f"attempts: {exc}"
                     ) from exc
                 await asyncio.sleep(wait)
-                wait = min(wait * self.backoff, 1.0)
+                wait = min(wait * BACKOFF, 1.0)
         # Faults attach only now: the handshake always completes, the
         # workload runs over the unreliable link.
         self.channel.attach()
@@ -283,8 +294,10 @@ class NetCacheClient:
     # -- clocks ---------------------------------------------------------------
 
     def now(self) -> float:
-        """The approximately synchronized clock ``t_i`` (server timescale)."""
-        return self.clock.now()
+        """The approximately synchronized clock ``t_i`` on the engine's
+        timescale: the server's, or in a site the reference device's."""
+        clock = self.clock if self.site is None else self.site.reference_clock
+        return clock.now()
 
     @property
     def epsilon_bound(self) -> float:
@@ -304,9 +317,9 @@ class NetCacheClient:
         if op.hit:
             self._record_read(obj, op.value, now, now)
             return op.value
-        reply = await self._request(op.frame)
+        reply = await self._request(self._asked(op))
         now = self.now()
-        value = self.engine.finish_read(op, reply, now)
+        value = self.engine.finish_read(op, self._rebased(reply), now)
         self._record_read(obj, value, op.started, now)
         return value
 
@@ -315,34 +328,12 @@ class NetCacheClient:
     ) -> float:
         """Write through; returns the server-assigned effective time.
 
-        ``req`` pins the request id (from :meth:`next_request_id`) so a
-        caller-level retry — e.g. the ring's anti-entropy re-push — hits
-        the server's reply cache instead of installing a second version.
+        ``req`` pins the request id (from ``channel.next_id()``) so a
+        caller-level retry hits the server's reply cache instead of
+        installing a second version.
         """
         op = self.engine.begin_write(obj, value, self.now())
-        return self._finish_write(op, await self._request(op.frame, req=req))
-
-    def start_write(
-        self, obj: str, value: Any, *, req: Optional[int] = None
-    ) -> "asyncio.Future[float]":
-        """:meth:`write`, sent now: returns the future of the install
-        time, with rule 2 applied where the ack lands.  It fails as the
-        channel does (``TimeoutError`` after the retransmit ladder,
-        ``ConnectionError``), or with :class:`ProtocolError` on an
-        ``error`` reply."""
-        channel = self._live_channel()
-        op = self.engine.begin_write(obj, value, self.now())
-        observe = self._rtt_observer(messages.WRITE)
-
-        def finish(reply: Dict[str, Any]) -> float:
-            return self._finish_write(op, self._checked(reply, observe))
-
-        return channel.start(
-            op.frame, self.request_timeout, req,
-            retries=self.max_retries, backoff=self.backoff, finish=finish,
-        )
-
-    def _finish_write(self, op: Any, reply: Dict[str, Any]) -> float:
+        reply = self._rebased(await self._request(op.frame, req=req))
         now = self.now()
         alpha = self.engine.finish_write(op, reply, now)
         # alpha is the server's clock, the interval this site's: they
@@ -354,11 +345,6 @@ class NetCacheClient:
                 start=min(op.started, alpha), end=max(now, alpha),
             )
         return alpha
-
-    def next_request_id(self) -> int:
-        """Allocate a request id for a pinned :meth:`write` (ids are
-        never reused; allocating without sending is safe)."""
-        return self.channel.next_id()
 
     async def validate_many(self, objs: Iterable[str]) -> Dict[str, Any]:
         """Refresh several objects in one ``validate-batch`` frame;
@@ -382,7 +368,13 @@ class NetCacheClient:
                 ops.append(op)
         if not ops:
             return out
-        reply = await self._request(self.engine.read_batch_frame(ops))
+        frame = self.engine.read_batch_frame(ops)
+        for item, op in zip(frame["items"], ops):
+            item["alpha"] = self._asked(op).get("alpha")
+        reply = await self._request(frame)
+        results = reply.get("results")
+        if isinstance(results, list):
+            reply = dict(reply, results=[self._rebased(r) for r in results])
         now = self.now()
         values = self.engine.finish_read_batch(ops, reply, now)
         if self.pipeline is not None:
@@ -394,13 +386,57 @@ class NetCacheClient:
 
     # -- server-initiated traffic ----------------------------------------------
 
-    def _on_server_frame(self, frame: Dict[str, Any]) -> None:
-        now = self.now()
-        if self._push_lag is not None and frame["kind"] == messages.PUSH:
-            lag = now - float(frame["alpha"])
+    def _on_frame(self, frame: Dict[str, Any]) -> None:
+        """Every inbound frame once the channel has started, before the
+        call it may answer resumes.  Unasked, only a push or invalidate
+        means something, and in a site only from the object's primary: a
+        replica may install one object's writes in another order, and its
+        later stamp would win over the primary's last version
+        (docs/THEORY.md, Result 3)."""
+        self._note_epoch(frame)
+        kind = frame.get("kind")
+        if frame.get("req") is not None or kind not in (
+            messages.PUSH, messages.INVALIDATE
+        ):
+            return
+        if self._push_lag is not None and kind == messages.PUSH:
+            lag = self.clock.now() - float(frame["alpha"])
             if lag >= 0.0:
                 self._push_lag.observe(lag)
-        self.engine.on_server_frame(frame, now)
+        if self.site is None or self.site.homes(self, frame["obj"]):
+            self.engine.on_server_frame(self._rebased(frame), self.now())
+
+    # -- one site, one timescale ----------------------------------------------
+
+    def _rebased(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+        """``frame`` with its stamps on the engine's timescale, ``t +
+        (offset_ref - offset_d)`` (docs/RING.md): the one place a device's
+        stamp meets the site's ``Context``.  A version's own alpha is
+        kept in ``_stamps``, for :meth:`_asked`."""
+        site = self.site
+        if site is None:
+            return frame
+        shift = site.reference_clock.estimator.offset - self.clock.estimator.offset
+        rebased = dict(frame)
+        if "omega" in frame:
+            rebased["omega"] = float(frame["omega"]) + shift
+        if "alpha" in frame:
+            rebased["alpha"] = alpha = float(frame["alpha"]) + shift
+            if frame["kind"] != messages.INVALIDATE:
+                self._stamps[frame["obj"]] = (alpha, frame["alpha"])
+        return rebased
+
+    def _asked(self, op: Any) -> Dict[str, Any]:
+        """The request frame for a read the cache cannot serve.  A server
+        compares a validate's alpha with ``==``, so in a site it carries
+        the stamping device's own alpha, and only to that device; any
+        other device is asked for the full version."""
+        if self.site is None or op.action != "validate":
+            return op.frame
+        stamp = self._stamps.get(op.obj)
+        if stamp is not None and stamp[0] == op.alpha:
+            return dict(op.frame, alpha=stamp[1])
+        return {"kind": messages.FETCH, "obj": op.obj}
 
     # -- cluster awareness ------------------------------------------------------
 
@@ -410,8 +446,8 @@ class NetCacheClient:
         return self.channel.connected
 
     def _note_epoch(self, frame: Dict[str, Any]) -> None:
-        """Track the server's ring epoch from any stamped frame; notify
-        the subscriber (the router) on each advance."""
+        """Track the server's ring epoch from any stamped frame; tell the
+        site (the router) on each advance."""
         epoch = frame.get("epoch")
         if epoch is None:
             return
@@ -419,11 +455,8 @@ class NetCacheClient:
         if epoch <= self.server_epoch:
             return
         self.server_epoch = epoch
-        if self.on_epoch is not None:
-            try:
-                self.on_epoch(epoch, self)
-            except Exception:
-                pass  # a broken subscriber must not kill the connection
+        if self.site is not None:
+            self.site.note_epoch(epoch)
 
     async def fetch_ring(self) -> Tuple[int, Optional[Dict[str, Any]]]:
         """Ask the server for its current ring: ``(epoch, ring dict or
@@ -460,48 +493,23 @@ class NetCacheClient:
         caller-level idempotent retries (the ring's repair path).
         """
         channel = self._live_channel()
-        observe = self._rtt_observer(message["kind"])
+        rtt = self._rtt.get(message["kind"]) if self._rtt else None
+        issued = self.clock.local() if rtt is not None else 0.0
         try:
             reply = await channel.call(
                 message, self.request_timeout, req,
-                retries=self.max_retries, backoff=self.backoff,
+                retries=self.max_retries, backoff=BACKOFF,
             )
         except TimeoutError as exc:
             raise RequestTimeout(str(exc)) from None
-        return self._checked(reply, observe)
-
-    def _rtt_observer(self, kind: str) -> Optional[Callable[[], None]]:
-        """With a registry, a callable that observes the RTT of a request
-        of ``kind`` issued now; else ``None``."""
-        child = self._rtt.get(kind) if self._rtt else None
-        if child is None:
-            return None
-        local = self.clock.local
-        issued = local()
-        return lambda: child.observe(local() - issued)
-
-    @staticmethod
-    def _checked(
-        reply: Dict[str, Any], observe: Optional[Callable[[], None]]
-    ) -> Dict[str, Any]:
         if reply.get("kind") == ERROR:
             raise ProtocolError(str(reply.get("error")))
-        if observe is not None:
-            observe()
+        if rtt is not None:
+            rtt.observe(self.clock.local() - issued)
         return reply
 
     def _count_retry(self) -> None:
         self.stats.retries += 1
-
-    def _on_frame(self, frame: Dict[str, Any]) -> None:
-        """Every inbound frame once the channel has started, before the
-        call it may answer resumes."""
-        self._note_epoch(frame)
-        if frame.get("req") is None and frame.get("kind") in (
-            messages.PUSH, messages.INVALIDATE
-        ):
-            self._on_server_frame(frame)
-        # anything else without an id is noise; ignore it
 
     # -- tracing -----------------------------------------------------------------
 

@@ -1,18 +1,21 @@
 """Client-side ring routing for the TCP lifetime protocol.
 
 A :class:`RingRouter` is one *site* of a multi-server deployment: it
-holds one :class:`~repro.net.client.NetCacheClient` connection per ring
-device, routes every operation to the owning device(s) via a
+owns the site's one :class:`~repro.engine.CacheEngine` (one cache, one
+``Context_i``, one ``ClientStats``), drives it through one
+:class:`~repro.net.client.NetCacheClient` link per ring device, routes
+every operation to the owning device(s) via a
 :class:`~repro.ring.placement.ReplicatedPlacement`, and records the
 site's trace on a single reference timescale.
 
-**Clocks.** Every server stamps times with its own clock; a merged
-multi-server trace needs one timescale.  All of a router's per-device
-clients share one *local* clock (a :class:`RebasedClock`, optionally
-skewed), so each device's NTP-estimated offset maps the shared local
-clock onto that device's timescale.  Device timescales then compose
-through the local clock: a stamp ``t`` from device ``d`` rebases onto
-the *reference* device (the lowest device id) as::
+**Clocks.** Every server stamps times with its own clock; one
+``Context`` and a merged trace need one timescale.  All of a router's
+device links share one *local* clock (a :class:`RebasedClock`,
+optionally skewed), so each device's NTP-estimated offset maps the
+shared local clock onto that device's timescale.  Device timescales then
+compose through the local clock: a stamp ``t`` from device ``d`` rebases
+onto the *reference* device (the lowest device id), before the engine
+sees it, as::
 
     t_ref = t + (offset_ref - offset_d)
 
@@ -22,13 +25,16 @@ therefore ``2 * (err_ref + max_d err_d)`` — the epsilon a merged trace
 must be checked with (Definition 2's pairwise precision, now across
 server clocks as well as client clocks; see docs/RING.md).
 
-**Placement.** Writes fan out W-of-N through the per-device clients
-(the primary's ack is the write's effective time); reads route
-primary-first with replica fallback; failed fan-out copies are queued
-for delta-bounded anti-entropy (:meth:`start_anti_entropy`).  Reads are
-guarded: serving a read from a device outside the object's replica set
-is a routing bug, counted in ``off_ring_reads`` and asserted zero by
-the acceptance tests.
+**Placement.** A write runs rule 2 once, on the primary's ack (the
+write's effective time); its replica copies are bare ``write`` frames
+whose acks count toward the W-of-N quorum and touch no cache.  Reads
+route primary-first with replica fallback; failed fan-out copies are
+queued for delta-bounded anti-entropy (:meth:`start_anti_entropy`).
+In push mode every device pushes every install it makes, replica copies
+included; the engine takes only the object's primary's (:meth:`homes`).
+Reads are guarded: serving a read from a device outside the object's
+replica set is a routing bug, counted in ``off_ring_reads`` and asserted
+zero by the acceptance tests.
 """
 
 from __future__ import annotations
@@ -41,8 +47,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.clocks.rebase import RebasedClock
-from repro.net.client import NetCacheClient, NetError
-from repro.net.clocksync import SyncedClock
+from repro.engine import CacheEngine, messages
+from repro.net.client import BACKOFF, NetCacheClient, NetError, ProtocolError
 from repro.ring.placement import PlacementError, ReplicatedPlacement
 from repro.ring.ring import Ring
 from repro.sim.trace import TraceRecorder
@@ -54,7 +60,7 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class RouterStats:
-    """Routing-level counters, on top of the per-device client stats."""
+    """Routing-level counters, on top of the site's ``ClientStats``."""
 
     reads: int = 0
     writes: int = 0
@@ -67,8 +73,20 @@ class RouterStats:
     writes_by_device: Dict[int, int] = field(default_factory=dict)
 
 
+async def _cancelled(task: Optional[asyncio.Task]) -> None:
+    """Cancel ``task`` and wait for it to end.  A failure of its own was
+    already reported where it happened (a done callback, a log line)."""
+    if task is None:
+        return
+    task.cancel()
+    try:
+        await task
+    except (asyncio.CancelledError, Exception):
+        pass
+
+
 class _ClientTransport:
-    """Bridges :class:`ReplicatedPlacement` onto per-device clients.
+    """Bridges :class:`ReplicatedPlacement` onto the device links.
 
     Dedup-aware: the placement engine tags each logical write's fan-out
     copies with one token; the first attempt per ``(device, token)``
@@ -76,9 +94,11 @@ class _ClientTransport:
     it, so the device's reply cache replays a lost ack instead of
     installing a second version with a second effective time.
 
-    A write's primary copy is awaited through :meth:`write`, its replica
-    copies are sent at once by :meth:`start`: their acks resolve futures
-    where they land, with no task per copy.
+    A write's primary copy is awaited through :meth:`write`, which runs
+    rule 2 on the site's engine; its replica copies and their repairs are
+    bare ``write`` frames sent at once by :meth:`start`: their acks
+    resolve futures where they land, with no task per copy, and touch no
+    cache.
     """
 
     #: Bound on remembered (device, token) -> request id pins; entries
@@ -98,7 +118,7 @@ class _ClientTransport:
         key = (device_id, dedup)
         req = self._pinned.get(key)
         if req is None:
-            req = client.next_request_id()
+            req = client.channel.next_id()
             self._pinned[key] = req
             while len(self._pinned) > self.MAX_PINNED:
                 self._pinned.popitem(last=False)
@@ -126,16 +146,18 @@ class _ClientTransport:
         dedup: Optional[str] = None,
     ) -> "asyncio.Future[float]":
         client = self.router.clients[device_id]
-        future = client.start_write(
-            obj, value, req=self._pin(client, device_id, dedup)
+
+        def acked(reply: Dict[str, Any]) -> float:
+            if reply.get("kind") != messages.WRITE_ACK:
+                raise ProtocolError(f"bad write reply: {reply!r}")
+            self._acked(device_id, dedup)
+            return float(reply["alpha"])  # the device's own timescale
+
+        return client.channel.start(
+            {"kind": messages.WRITE, "obj": obj, "value": value},
+            client.request_timeout, self._pin(client, device_id, dedup),
+            retries=client.max_retries, backoff=BACKOFF, finish=acked,
         )
-
-        def acked(done: "asyncio.Future[float]") -> None:
-            if not done.cancelled() and done.exception() is None:
-                self._acked(device_id, dedup)
-
-        future.add_done_callback(acked)
-        return future
 
     async def read(self, device_id: int, obj: str) -> Any:
         return await self.router.clients[device_id].read(obj)
@@ -151,9 +173,9 @@ class RingRouter:
     fan-out plus anti-entropy within delta).
 
     ``registry`` (a :class:`repro.obs.metrics.Registry`) binds the
-    router's and placement's counters as pull collectors and propagates
-    to the per-device clients (RTT / push-lag histograms, clock gauges,
-    per-device ClientStats).  ``instruments`` (a
+    router's, placement's and the site's ClientStats counters as pull
+    collectors and propagates to the device links (RTT / push-lag
+    histograms and clock gauges, per device).  ``instruments`` (a
     :class:`repro.obs.instruments.TimedInstruments`) feeds every routed
     read/write into the live on-time-ratio / visibility-lag monitors;
     :meth:`connect` sets its ``epsilon`` from :attr:`epsilon_bound` once
@@ -189,27 +211,23 @@ class RingRouter:
         self.client_id = client_id
         self.ring = ring
         self.endpoints = dict(endpoints)
-        self.delta = delta
         self.read_policy = read_policy
         self.recorder = recorder
         self.stats = RouterStats()
+        #: The site's one engine: every device link drives it.
+        self.engine = CacheEngine(site_id=client_id, delta=delta)
         # One local clock shared by every per-device estimator: offsets
         # then compose across devices (module docstring).
         self.local_clock = RebasedClock(offset=skew)
         self.registry = registry
         self.instruments = instruments
-        # What every per-device client is built with, the first ones and
-        # the ones that join later (_device_client).
+        # What every device link is built with, the first ones and the
+        # ones that join later (_device_client).
         self._client_options = dict(
-            delta=delta, mode=mode, sync_rounds=sync_rounds,
+            mode=mode, sync_rounds=sync_rounds,
             request_timeout=request_timeout, max_retries=max_retries,
             registry=registry, pipeline_depth=pipeline_depth,
         )
-        #: Every device's clock, by device id.  Like the reference clock,
-        #: it outlives its client: a write whose primary left the ring
-        #: while its ack was on the way still rebases with the clock of
-        #: the connection that served it.
-        self.clocks: Dict[int, SyncedClock] = {}
         self.clients: Dict[int, NetCacheClient] = {
             dev_id: self._device_client(dev_id, *endpoints[dev_id])
             for dev_id in ring.device_ids()
@@ -222,8 +240,6 @@ class RingRouter:
         # measure (docs/CLUSTER.md).
         self.reference_clock = self.clients[self.reference].clock
         self.epoch = ring.epoch
-        for client in self.clients.values():
-            client.on_epoch = self._note_epoch
         self.placement = ReplicatedPlacement(
             ring, _ClientTransport(self),
             write_quorum=write_quorum, delta=delta, clock=self.now,
@@ -234,18 +250,21 @@ class RingRouter:
         self._refresh_task: Optional[asyncio.Task] = None
         self._retired: Set[asyncio.Task] = set()
         if registry is not None:
-            from repro.obs.bridge import bind_placement_stats, bind_router_stats
+            from repro.obs.bridge import (
+                bind_client_stats, bind_placement_stats, bind_router_stats,
+            )
 
+            bind_client_stats(registry, self.engine.stats, site=client_id)
             bind_router_stats(registry, self.stats, site=client_id)
             bind_placement_stats(registry, self.placement.stats, site=client_id)
 
     def _device_client(self, dev_id: int, host: str, port: int) -> NetCacheClient:
-        """The one way this router builds a device's client: shared local
-        clock, the router's own options, ``device=<id>`` on its metrics."""
-        clock = self.clocks[dev_id] = SyncedClock(local=self.local_clock)
+        """The one way this router builds a device link: this site's
+        engine and local clock, the router's own options, ``device=<id>``
+        on its metrics."""
         return NetCacheClient(
             self.client_id, host, port,
-            clock=clock,
+            site=self,
             metric_labels=(
                 {"device": dev_id} if self.registry is not None else None
             ),
@@ -269,13 +288,8 @@ class RingRouter:
 
     async def close(self) -> None:
         await self.stop_epoch_watch()
-        if self._refresh_task is not None:
-            self._refresh_task.cancel()
-            try:
-                await self._refresh_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._refresh_task = None
+        await _cancelled(self._refresh_task)
+        self._refresh_task = None
         await self.stop_anti_entropy()
         await self.placement.drain()
         if self._retired:
@@ -295,11 +309,10 @@ class RingRouter:
 
         Every device of the new ring must already be connected (adding
         one needs `connect_device` first).  Devices *leaving* the ring
-        are closed and dropped here — their clients would otherwise leak
-        sockets and metric collectors for layouts that no longer exist;
-        only their clocks stay, in :attr:`clocks` — and their queued
-        anti-entropy repairs are discarded (the new ring re-homed those
-        partitions).
+        are closed and dropped here — their links would otherwise leak
+        sockets and metric collectors for layouts that no longer exist —
+        and their queued anti-entropy repairs are discarded (the new
+        ring re-homed those partitions).
         """
         missing = set(ring.device_ids()) - set(self.clients)
         if missing:
@@ -320,7 +333,6 @@ class RingRouter:
         for dev_id in sorted(removed):
             client = self.clients.pop(dev_id)
             self.endpoints.pop(dev_id, None)
-            client.on_epoch = None
             try:
                 task = asyncio.ensure_future(client.close())
             except RuntimeError:
@@ -332,16 +344,21 @@ class RingRouter:
         """Open a connection to a device about to join the ring."""
         client = self._device_client(dev_id, host, port)
         await client.connect()
-        client.on_epoch = self._note_epoch
         self.clients[dev_id] = client
         self.endpoints[dev_id] = (host, port)
 
+    def homes(self, link: NetCacheClient, obj: str) -> bool:
+        """Whether ``link`` reaches ``obj``'s primary under the current
+        ring: the one device whose pushes and invalidations the site's
+        engine takes (docs/THEORY.md, Result 3)."""
+        return self.clients.get(self.ring.primary_for(obj)) is link
+
     # -- epoch subscription (docs/CLUSTER.md) ---------------------------------
 
-    def _note_epoch(self, epoch: int, client: NetCacheClient) -> None:
+    def note_epoch(self, epoch: int) -> None:
         """A server frame carried a higher ring epoch than ours: some
-        layout we don't know is in force.  Schedule one refresh (the
-        callback fires from ``data_received`` — never block it)."""
+        layout we don't know is in force.  Schedule one refresh (a link
+        calls this from ``data_received`` — never block it)."""
         if epoch <= self.epoch:
             return
         if self._refresh_task is None or self._refresh_task.done():
@@ -411,15 +428,8 @@ class RingRouter:
                 )
 
     async def stop_epoch_watch(self) -> None:
-        task = self._epoch_watch_task
-        if task is None:
-            return
-        self._epoch_watch_task = None
-        task.cancel()
-        try:
-            await task
-        except (asyncio.CancelledError, Exception):
-            pass
+        task, self._epoch_watch_task = self._epoch_watch_task, None
+        await _cancelled(task)
 
     # -- clocks ---------------------------------------------------------------
 
@@ -428,12 +438,6 @@ class RingRouter:
         Survives the reference device's departure: the estimator's last
         offset keeps mapping the shared local clock onto its timescale."""
         return self.reference_clock.now()
-
-    def offset_to_reference(self, dev_id: int) -> float:
-        """Maps a stamp on ``dev_id``'s timescale onto the reference's
-        (``dev_id`` may have left the ring since: :attr:`clocks`)."""
-        return (self.reference_clock.estimator.offset
-                - self.clocks[dev_id].estimator.offset)
 
     @property
     def epsilon_bound(self) -> float:
@@ -486,7 +490,7 @@ class RingRouter:
 
     async def write(self, obj: str, value: Any) -> float:
         """Replicated write; returns the effective (primary) install time
-        on the reference timescale."""
+        on the reference timescale, rebased by the link that served it."""
         self.stats.writes += 1
         started = self.now()
         try:
@@ -498,25 +502,20 @@ class RingRouter:
                 raise
             self.stats.stale_retries += 1
             outcome = await self.placement.write(obj, value)
-        # Rebase with the device that actually served as primary.  The
-        # ring may have been swapped while the write was in flight
-        # (concurrent rebalance); re-asking it now could name a device
-        # whose clock offset has nothing to do with outcome.alpha, and
-        # the primary itself may have left (its clock has not).
-        alpha_ref = outcome.alpha + self.offset_to_reference(outcome.primary)
+        alpha = outcome.alpha
         # The stamp is a device's clock, the interval this router's: they
         # may disagree by up to epsilon (Definition 2), so the recorded
         # interval is widened to hold the stamp.
-        start, end = min(started, alpha_ref), max(self.now(), alpha_ref)
+        start, end = min(started, alpha), max(self.now(), alpha)
         if self.recorder is not None:
             self.recorder.record_write(
-                self.client_id, obj, value, alpha_ref, start=start, end=end
+                self.client_id, obj, value, alpha, start=start, end=end
             )
         if self.instruments is not None:
             self.instruments.on_write(
-                self.client_id, obj, value, alpha_ref, start=start, end=end
+                self.client_id, obj, value, alpha, start=start, end=end
             )
-        return alpha_ref
+        return alpha
 
     # -- anti-entropy ----------------------------------------------------------
 
@@ -543,14 +542,5 @@ class RingRouter:
             )
 
     async def stop_anti_entropy(self) -> None:
-        task = self._anti_entropy_task
-        if task is None:
-            return
-        self._anti_entropy_task = None
-        task.cancel()
-        try:
-            await task
-        except asyncio.CancelledError:
-            pass  # the cancellation we just requested
-        except Exception:
-            pass  # already counted and logged by _anti_entropy_done
+        task, self._anti_entropy_task = self._anti_entropy_task, None
+        await _cancelled(task)

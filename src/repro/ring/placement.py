@@ -13,15 +13,18 @@ read.  That is what the anti-entropy queue enforces: every fan-out copy
 that failed is re-pushed with a deadline of ``write time + delta``.
 
 The transport is duck-typed so the same engine drives the in-memory
-stores of the tests, the simulator, and the TCP stack's per-device
-:class:`~repro.net.client.NetCacheClient` connections:
+stores of the tests, the simulator, and the TCP stack's device links
+(:class:`~repro.net.client.NetCacheClient`):
 
     async def write(device_id, obj, value, dedup) -> float   # install time
-    def start(device_id, obj, value, dedup) -> Future[float] # the same, sent now
+    def start(device_id, obj, value, dedup) -> Future[float] # a copy, sent now
     async def read(device_id, obj) -> value
 
 A write starts its replica copies first, awaits the primary's copy in
 place, then joins the replicas' acks as they arrive (docs/RING.md).
+Only the primary's copy goes through ``write``, so a caching transport
+runs its write protocol once per logical write; replica copies and
+anti-entropy re-pushes go through ``start``.
 ``dedup`` is one token per logical write, carried by every fan-out copy
 and its anti-entropy re-pushes, so a transport can retry idempotently —
 the TCP transport maps the token to a pinned request id and the
@@ -74,13 +77,9 @@ class WriteOutcome:
     obj: str
     value: Any
     alpha: float  #: the primary's install time (the write's effective time)
-    acked: Dict[int, float]  #: device id -> that device's install time
+    acked: Dict[int, float]  #: device id -> install time, as the transport returned it
     failed: Tuple[int, ...]  #: devices whose copy failed and was queued
     quorum: int
-    #: The device that actually served as primary for this write.  The
-    #: caller must rebase ``alpha`` with *this* device's clock offset —
-    #: re-asking the ring after the fact races a concurrent ``swap_ring``.
-    primary: int = -1
 
     @property
     def quorum_met(self) -> bool:
@@ -245,7 +244,6 @@ class ReplicatedPlacement:
         return WriteOutcome(
             obj=obj, value=value, alpha=acked[primary],
             acked=acked, failed=tuple(failed), quorum=quorum,
-            primary=primary,
         )
 
     def _straggler_done(
@@ -323,16 +321,17 @@ class ReplicatedPlacement:
         injection can force this; healthy runs keep it at 0).  Re-pushes
         reuse the originating write's dedup token, so retrying a copy
         whose ack was lost replays the original install."""
-        round_tasks = [
-            (task, asyncio.ensure_future(
-                self.transport.write(
+        round_tasks = []
+        for task in list(self.repairs):
+            task.attempts += 1
+            try:
+                copy = self.transport.start(
                     task.device, task.obj, task.value, dedup=task.dedup
                 )
-            ))
-            for task in list(self.repairs)
-        ]
-        for task, _ in round_tasks:
-            task.attempts += 1
+            except Exception as exc:  # refused at once: fails this round
+                copy = asyncio.get_running_loop().create_future()
+                copy.set_exception(exc)
+            round_tasks.append((task, copy))
         results = await asyncio.gather(
             *(fut for _, fut in round_tasks), return_exceptions=True
         )

@@ -414,8 +414,8 @@ async def run_net_client(script):
 
     listener = await listen(serve, "127.0.0.1", 0)
     port = listener.sockets[0].getsockname()[1]
-    client = NetCacheClient(
-        1, "127.0.0.1", port, delta=DELTA, clock=clock, sync_rounds=0)
+    client = NetCacheClient(1, "127.0.0.1", port, delta=DELTA, sync_rounds=0)
+    client.clock = clock
     values = []
     try:
         await client.connect()

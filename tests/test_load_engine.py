@@ -6,12 +6,15 @@ percentiles.  ``test_two_worker_ring_scenario_passes_slo`` is the real-loop
 smoke.  The unit layer is ``test_load_units.py`` / ``test_load_worker.py``."""
 
 import asyncio
+import json
 import pathlib
 
 import pytest
 
 from repro.load import Scenario, run_find_max, run_scenario
 from repro.sim import vtime
+
+FIXTURES = pathlib.Path(__file__).parent.parent / "benchmarks" / "scenarios"
 
 
 def _scenario(**over):
@@ -119,8 +122,7 @@ def test_a_seed_replays_to_the_same_merged_history(tmp_path):
 def test_online_judges_see_every_write_and_agree_with_the_offline_ones():
     # Judged per worker, against only its own site's writes, this run
     # counted 131 of its 414 reads late and 103 unjudged.
-    fixture = pathlib.Path(__file__).parent.parent / "benchmarks" / "scenarios"
-    scenario = Scenario.load(str(fixture / "ring_smoke.json"))
+    scenario = Scenario.load(str(FIXTURES / "ring_smoke.json"))
     report = vtime.run(run_scenario(scenario, quiet=True))
     assert (report.offline_judged, report.offline_late) == (414, 0)
     ontime = report.ontime
@@ -134,6 +136,32 @@ def test_online_judges_see_every_write_and_agree_with_the_offline_ones():
         assert summary["reads_late"] == summary["reads_unjudged"] == 0
         assert summary["writes"] == ontime["writes"]
     assert sum(s["reads_on_time"] for s in report.deadlines.values()) == 414
+
+
+def _ring_smoke(seed, steady_rate=None):
+    """``ring_smoke.json`` at ``seed``; with ``steady_rate``, its steady
+    phase runs 3 s at that rate (10 s would triple the checkers' time)."""
+    data = json.loads((FIXTURES / "ring_smoke.json").read_text())
+    data["seed"] = seed
+    if steady_rate is not None:
+        (steady,) = [p for p in data["phases"] if p["name"] == "steady"]
+        steady["arrivals"]["rate"] = steady_rate
+        steady["duration"] = 3.0
+    return Scenario.from_dict(data)
+
+
+@pytest.mark.net(timeout=30)
+@pytest.mark.parametrize("seed, steady_rate", [
+    (7, None), (24, None), *((seed, 180) for seed in range(6)),
+])
+def test_ring_smoke_is_timed_serial_at_other_seeds_and_at_load(seed, steady_rate):
+    """With one engine per device, seed 24 failed SC and TSC on every
+    run and seed 7 on about one in three (ROADMAP item 2), and at a
+    steady 180 ops/s all six of seeds 0..5 failed: the cross-object
+    cache chains docs/LOAD.md used to call the measured frontier."""
+    report = vtime.run(run_scenario(_ring_smoke(seed, steady_rate), quiet=True))
+    assert report.tsc_ok and report.sc_ok
+    assert report.offline_late == 0
 
 
 @pytest.mark.net(timeout=30)

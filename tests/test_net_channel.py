@@ -387,8 +387,9 @@ class TestWindow:
         assert pending == {}
 
     def test_pipeline_depth_bounds_a_clients_outstanding_requests(self):
-        """Four awaited writes and two started ones through a window of
-        two, every ack 50 ms late: three rounds of two."""
+        """Four awaited writes and two bare copies started on the channel
+        (a ring's replica path) through a window of two, every ack 50 ms
+        late: three rounds of two."""
 
         async def scenario():
             loop = asyncio.get_running_loop()
@@ -408,10 +409,16 @@ class TestWindow:
                         most.append(client.channel.in_flight), on_frame(f)
                     )
                     started = loop.time()
-                    alphas = await asyncio.gather(
-                        *(client.write(f"w{i}", i) for i in range(4)),
-                        *(client.start_write(f"s{i}", i) for i in range(2)),
-                    )
+                    writes = [client.write(f"w{i}", i) for i in range(4)]
+                    copies = [
+                        client.channel.start(
+                            {"kind": "write", "obj": f"s{i}", "value": i},
+                            client.request_timeout,
+                            finish=lambda reply: reply["alpha"],
+                        )
+                        for i in range(2)
+                    ]
+                    alphas = await asyncio.gather(*writes, *copies)
                     return loop.time() - started, alphas, max(most)
             finally:
                 await server.close()
@@ -581,7 +588,7 @@ class TestOneAskingEnd:
             "ReplicatedPlacement", SRC / "ring" / "placement.py",
             lambda node: isinstance(node, ast.Call)
             and getattr(node.func, "attr", None) in ("ensure_future", "wait"),
-        ) == ["repair_once", "write"]  # write: asyncio.wait, for W < N only
+        ) == ["write"]  # asyncio.wait, for W < N only; repairs are started copies
 
 
 GREETING = {"kind": "hello", "client_id": 1}

@@ -153,9 +153,15 @@ class TestOneConstructorPath:
         # The router speaks to the joiner as it does to the others.
         asking = {l["device"] for l in labels if l.get("side") == "client"}
         assert asking == {"0", "1", "2", "3"}
-        for name in ("repro_client_ops_total", "repro_net_request_rtt_seconds",
+        for name in ("repro_net_request_rtt_seconds",
                      "repro_net_clock_error_seconds"):
             assert {l["device"] for l in families[name]} == asking, name
+        # One engine per site, so its stats are the site's, not a device's.
+        ops = families["repro_client_ops_total"]
+        assert sorted(sorted(l.items()) for l in ops) == [
+            [("kind", "read"), ("site", "100")],
+            [("kind", "write"), ("site", "100")],
+        ]
         stores = {l["store"] for l in labels if "store" in l}
         assert stores == {"dev0", "dev1", "dev2", "dev3"}
         assert (tmp_path / "dev3").is_dir()

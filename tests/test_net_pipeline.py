@@ -127,7 +127,7 @@ class TestExactlyOnce:
                     0, server.host, server.port,
                     request_timeout=0.1, max_retries=4,
                 ) as client:
-                    req = client.next_request_id()
+                    req = client.channel.next_id()
                     with pytest.raises(ProtocolError, match="No space left"):
                         await client.write("x", "v1", req=req)
                     retries = client.stats.retries
@@ -264,7 +264,7 @@ class TestBatching:
             await server.start()
             try:
                 async with NetCacheClient(0, server.host, server.port) as client:
-                    req = client.next_request_id()
+                    req = client.channel.next_id()
                     alpha = await client.write("x", "v", req=req)
                     replay = await client.write("x", "v2", req=req)
             finally:

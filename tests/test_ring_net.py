@@ -7,11 +7,16 @@ the one real-loop smoke is ``test_three_servers_two_replicas_trace_is_tsc``
 calls)."""
 
 import asyncio
+import itertools
 import math
 
 import pytest
 
+from repro.checkers.tsc import check_tsc
+from repro.clocks.rebase import RebasedClock
 from repro.engine import messages
+from repro.net.client import NetCacheClient
+from repro.net.local import LocalStack
 from repro.net.workloads import ring_cluster, run_ring_soak
 from repro.net.ring_router import RingRouter
 from repro.net.server import NetObjectServer
@@ -117,6 +122,12 @@ class TestRingRouterUnit:
         with pytest.raises(ValueError, match="not connected"):
             router.swap_ring(grown)
 
+    @pytest.mark.parametrize("option", [{"delta": 1.0}, {"skew": 0.01}])
+    def test_a_device_link_takes_delta_and_skew_from_its_site(self, option):
+        router = RingRouter(0, uniform_ring(1, part_power=4), {0: ("h", 1)})
+        with pytest.raises(ValueError, match="from the site"):
+            NetCacheClient(0, "h", 2, site=router, **option)
+
     def test_epsilon_composes_across_device_estimators(self):
         ring = uniform_ring(2, part_power=4)
 
@@ -134,8 +145,12 @@ class TestRingRouterUnit:
                     }
                     expected = 2.0 * (errs[router.reference] + max(errs.values()))
                     assert router.epsilon_bound == pytest.approx(expected)
-                    # The reference device rebases onto itself exactly.
-                    assert router.offset_to_reference(router.reference) == 0.0
+                    # The reference device's stamps reach the engine exactly.
+                    reference = router.clients[router.reference]
+                    still_valid = {
+                        "kind": messages.STILL_VALID, "obj": "x", "omega": 1.25,
+                    }
+                    assert reference._rebased(still_valid)["omega"] == 1.25
             finally:
                 for server in servers:
                     await server.close()
@@ -170,6 +185,125 @@ class TestRingRouterUnit:
         vtime.run(scenario())
 
 
+class TestOneContextPerSite:
+    """A site's device links drive one engine, and every stamp meets its
+    ``Context`` rebased onto the reference device's timescale.  The two
+    servers' clocks are 40 ms apart, far more than the virtual time the
+    steps take, so stamps compared unrebased would decide the other way."""
+
+    def test_stamps_meet_one_context_rebased(self):
+        async def scenario():
+            async with LocalStack(servers=2, replicas=1, server_skew=0.02) as stack:
+                def on(dev):
+                    return (f"k{i}" for i in itertools.count()
+                            if stack.ring.primary_for(f"k{i}") == dev)
+
+                (x, c), y = itertools.islice(on(1), 2), next(on(0))
+                writer = await stack.connect(2, delta=math.inf)
+                reader = await stack.connect(1, delta=math.inf)
+                cache, stats = reader.engine.cache, reader.engine.stats
+                await writer.write(y, "y1")
+                await writer.write(x, "x1")
+                await reader.read(x)  # from device 1
+                await reader.read(y)  # written before x was read: x stays
+                kept = (cache[x].old,
+                        cache[x].version.omega < cache[y].version.alpha)
+                await writer.write(c, "c1")
+                await reader.read(c)  # from device 1, written after both reads
+                alpha = cache[c].version.alpha
+                demoted = [(cache[obj].old, cache[obj].version.omega < alpha)
+                           for obj in (x, y)]
+                asked = (stats.revalidated, stats.refreshed)
+                values = [await reader.read(x), await reader.read(y)]
+                answered = (stats.revalidated - asked[0],
+                            stats.refreshed - asked[1])
+                return kept, demoted, values, answered
+
+        kept, demoted, values, answered = vtime.run(scenario())
+        assert kept == (False, False)
+        assert demoted == [(True, True), (True, True)]
+        # Both revalidations carried their device's own alpha bit for
+        # bit, the non-reference device's included: still-valid, twice.
+        assert values == ["x1", "y1"] and answered == (2, 0)
+
+    def test_a_site_holds_one_engine_as_devices_join(self):
+        async def scenario():
+            async with LocalStack(servers=2, replicas=1) as stack:
+                router = await stack.connect(1, delta=1.0)
+
+                def engines():
+                    return {(id(c.engine), id(c.stats))
+                            for c in router.clients.values()}
+
+                seen = [engines()]
+                joined = await stack.add_server()
+                await router.connect_device(joined, *stack.endpoints[joined])
+                seen.append(engines())
+                adopted = await stack.add_server()
+                host, port = stack.endpoints[adopted]
+                stack.builder.add_device(joined)
+                stack.builder.add_device(adopted, address=f"{host}:{port}")
+                ring, _ = stack.builder.rebalance()
+                assert await router.adopt_ring(ring)
+                seen.append(engines())
+                one = {(id(router.engine), id(router.engine.stats))}
+                return seen, one, sorted(router.clients)
+
+        seen, one, devices = vtime.run(scenario())
+        assert seen == [one] * 3 and devices == [0, 1, 2, 3]
+
+    def test_a_push_mode_site_takes_only_the_primarys_pushes(self):
+        """Two sites write one key close together, and the first one's
+        replica copy is held back 50 ms, so the replica installs the two
+        writes in the other order and its last version is the older write
+        under the later stamp.  A third site subscribes to both devices;
+        it must end on the primary's last version, and the merged trace
+        must pass TSC."""
+        delta = 0.2
+
+        async def scenario():
+            recorder = TraceRecorder()
+            async with LocalStack(
+                servers=2, replicas=2, propagation="push"
+            ) as stack:
+                a, b, c = [
+                    await stack.connect(
+                        site, delta=delta, mode="push", write_quorum=1,
+                        recorder=recorder,
+                    )
+                    for site in (1, 2, 3)
+                ]
+                await a.write("k", "v0")
+                await asyncio.sleep(delta)
+                assert await c.read("k") == "v0"
+                transport = a.placement.transport
+                start = transport.start
+
+                async def held_back(*args, **kwargs):
+                    await asyncio.sleep(0.05)
+                    return await start(*args, **kwargs)
+
+                transport.start = lambda *args, **kwargs: asyncio.ensure_future(
+                    held_back(*args, **kwargs)
+                )
+                await a.write("k", "a")
+                transport.start = start
+                await b.write("k", "b")
+                await asyncio.sleep(4 * delta)
+                primary, replica = stack.ring.replicas_for("k")
+                stores = [stack.servers[dev].engine.store["k"].value
+                          for dev in (primary, replica)]
+                values = [await site.read("k") for site in (a, b, c)]
+                epsilon = max(site.epsilon_bound for site in (a, b, c))
+                return stores, values, recorder.history(), epsilon
+
+        stores, values, history, epsilon = vtime.run(scenario())
+        assert stores == ["b", "a"]  # the replica really did reorder them
+        assert values == ["b", "b", "b"]
+        result = check_tsc(history, delta, epsilon)
+        assert result.satisfied, result.violation
+
+
 class TestRingSoakCoroutine:
     def test_ring_cluster_rejects_impossible_replication(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -179,9 +313,10 @@ class TestRingSoakCoroutine:
 class TestRouterRegressions:
     def test_write_rebases_with_the_primary_that_served_it(self):
         """A concurrent ``swap_ring`` must not change which device's
-        clock offset rebases a completed write: the offset belongs to
-        the device that actually installed it, not to whatever the new
-        ring would name as primary."""
+        clock offset rebases a completed write: the link that served the
+        ack rebases it, once, before rule 2 sees it — not whatever the
+        new ring would name as primary.  The servers' clocks are 40 ms
+        apart, so the other device's offset would miss by about that."""
         ring_a = uniform_ring(2, part_power=4)
         builder = RingBuilder(4, 1)
         builder.add_device(0, weight=1.0)
@@ -189,14 +324,17 @@ class TestRouterRegressions:
         ring_b, _ = builder.rebalance()
         obj = next(
             f"swap{i}" for i in range(200)
-            if ring_a.primary_for(f"swap{i}") == 0
-            and ring_b.primary_for(f"swap{i}") == 1
+            if ring_a.primary_for(f"swap{i}") == 1
+            and ring_b.primary_for(f"swap{i}") == 0
         )
 
         async def scenario():
             servers = [
-                await NetObjectServer("127.0.0.1", 0, propagation="none").start()
-                for _ in range(2)
+                await NetObjectServer(
+                    "127.0.0.1", 0, propagation="none",
+                    clock=RebasedClock(offset=skew),
+                ).start()
+                for skew in (0.02, -0.02)
             ]
             endpoints = {i: ("127.0.0.1", servers[i].port) for i in range(2)}
             try:
@@ -209,22 +347,24 @@ class TestRouterRegressions:
                         return outcome
 
                     router.placement.write = write_then_swap
-                    rebased_with = []
-                    offset_to_reference = router.offset_to_reference
-
-                    def spying_offset(dev_id):
-                        rebased_with.append(dev_id)
-                        return offset_to_reference(dev_id)
-
-                    router.offset_to_reference = spying_offset
-                    await router.write(obj, "v1")
-                    return rebased_with
-
+                    alpha = await router.write(obj, "v1")
+                    offsets = {
+                        dev: client.clock.estimator.offset
+                        for dev, client in router.clients.items()
+                    }
+                    return (
+                        alpha, servers[1].engine.store[obj].alpha, offsets,
+                        router.engine.cache[obj].version.alpha,
+                        router.clients[1]._stamps[obj],
+                    )
             finally:
                 for server in servers:
                     await server.close()
 
-        assert vtime.run(scenario()) == [0]
+        alpha, native, offsets, cached, stamp = vtime.run(scenario())
+        assert alpha == native + (offsets[0] - offsets[1])
+        assert abs(alpha - native) > 0.03  # device 0's offset would give ~0
+        assert cached == alpha and stamp == (alpha, native)
 
     def test_a_write_whose_primary_leaves_after_its_ack_is_recorded(self):
         """The primary's ack has landed, the writer has not resumed yet,

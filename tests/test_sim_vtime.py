@@ -89,37 +89,41 @@ class TestOneSeedOneTrace:
             assert there.stdout.strip() == here, hash_seed
 
 
-class StillViolated(Exception):
-    """The soak's merged trace is not timed-serial — the expected state."""
+#: ROADMAP item 2's sweep: the soak with one field changed per arm.  With
+#: one engine per device the first four arms were violated on 41, 50, 41
+#: and 50 of seeds 0..49; only the one-device arm, one engine per site by
+#: construction, read 0.
+SWEEP_ARMS = {
+    "as-pinned": {},
+    "replicas-1": {"replicas": 1},
+    "no-swim": {"cluster": False},
+    "replicas-1-no-swim": {"replicas": 1, "cluster": False},
+    "one-device": {"n_servers": 1, "replicas": 1},
+}
 
 
-#: First seed of 0..49 whose soak (no fault at all) the checkers reject,
-#: and the cycle they name — ROADMAP item 2's "Reproduce and shrink".
-VIOLATED_SEED = 0
-WITNESS = (
-    "w2(apple)s2.13 is forced strictly between w1(apple)s1.12 and "
-    "r1(apple)s1.12"
-)
+def violated_seeds(seeds, **over):
+    """The seeds whose soak the TSC or the SC checker rejects."""
+    violated = []
+    for seed in seeds:
+        report = vtime.run(ring_cluster(seed=seed, **dict(SOAK, **over)))
+        if not (report.tsc.satisfied and report.sc.satisfied):
+            violated.append(seed)
+    return violated
 
 
 @pytest.mark.net
-@pytest.mark.xfail(strict=True, raises=StillViolated, reason="ROADMAP item 2")
 def test_three_router_soak_is_timed_serial():
-    """The microscope: under virtual time the per-device-``Context`` race
-    is not a 13 %-of-runs event but a property of the seed.  Only the
-    verdict is an expected failure; a run that disagrees with another, or
-    a witness that moved, fails outright."""
-    outcomes = set()
-    for _ in range(20):
-        report = vtime.run(ring_cluster(seed=VIOLATED_SEED, **SOAK))
-        outcomes.add(
-            (report.tsc.satisfied, report.sc.satisfied, report.tsc.violation)
-        )
-    assert len(outcomes) == 1, outcomes
-    tsc, sc, violation = outcomes.pop()
-    if not tsc:
-        assert not sc and violation.startswith(WITNESS), violation
-        raise StillViolated(violation)
+    """ROADMAP item 2's witness, now the proof: with one ``Context`` per
+    site, seed 0 no longer forces ``w2(apple)s2.13`` strictly between
+    ``w1(apple)s1.12`` and ``r1(apple)s1.12``, nor does any seed after it."""
+    assert violated_seeds(range(10)) == []
+
+
+@pytest.mark.net
+@pytest.mark.parametrize("arm", list(SWEEP_ARMS))
+def test_every_sweep_arm_is_timed_serial(arm):
+    assert violated_seeds(range(50), **SWEEP_ARMS[arm]) == []
 
 
 class TestTheLoop:
