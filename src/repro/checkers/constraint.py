@@ -20,23 +20,34 @@ Gibbons & Korach's study of the problem the paper cites as NP-complete):
    polynomial.
 
 Reachability is a dense boolean matrix updated incrementally on edge
-insertion (numpy when available, pure-Python bytearrays otherwise), so a
+insertion (numpy when available, imported on first use; pure-Python
+bytearrays otherwise), so a
 single edge add costs O(V^2) worst case and saturation stays comfortable
 for a few thousand operations.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is an optional accelerator
-    _np = None
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.checkers.result import CheckResult, SearchBudgetExceeded
 from repro.core.history import History
 from repro.core.operations import Operation
+
+#: numpy, an optional accelerator, or ``None`` without it: imported by
+#: the first :class:`_Reach`, not with this module, which every process
+#: that may check a trace imports and most never use.  ``...`` until then.
+_np: Any = ...
+
+
+def _numpy() -> Any:
+    global _np
+    if _np is ...:
+        try:
+            import numpy as _np
+        except ImportError:  # pragma: no cover - numpy is an optional accelerator
+            _np = None
+    return _np
 
 
 class _Reach:
@@ -44,7 +55,7 @@ class _Reach:
 
     def __init__(self, n: int) -> None:
         self.n = n
-        if _np is not None:
+        if _numpy() is not None:
             self.m = _np.zeros((n, n), dtype=bool)
         else:
             self.m = [bytearray(n) for _ in range(n)]

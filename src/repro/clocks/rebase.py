@@ -42,6 +42,13 @@ class RebasedClock:
     any loop exists.  ``offset`` adds a constant skew to every reading —
     the live analogue of :class:`repro.clocks.physical.SkewedClock`, used
     to inject imperfect synchronization into ``repro.net`` experiments.
+
+    A reading is the one expression ``source() - t0 + offset``.  Until
+    the first reading ``source`` is a stand-in that resolves the real
+    source and pins ``t0`` before the rest of the expression reads it,
+    so the expression holds from the first reading on and costs one call
+    after it; :class:`repro.net.clocksync.SyncedClock` evaluates it in
+    place, in its own single call.
     """
 
     def __init__(
@@ -49,26 +56,24 @@ class RebasedClock:
         source: Optional[Callable[[], float]] = None,
         offset: float = 0.0,
     ) -> None:
-        self._source = source
-        self._t0: Optional[float] = None
+        self._given = source
+        self.source: Callable[[], float] = self._first
+        self.t0: Optional[float] = None
         self.offset = float(offset)
 
-    def _read(self) -> float:
-        if self._source is None:
-            self._source = loop_clock()
-        return self._source()
+    def _first(self) -> float:
+        source = self._given if self._given is not None else loop_clock()
+        reading = source()
+        self.source, self.t0 = source, reading
+        return reading
 
     def pin(self) -> None:
         """Fix t0 now (instead of at the first :meth:`now` call)."""
-        if self._t0 is None:
-            self._t0 = self._read()
+        if self.t0 is None:
+            self.source()
 
     def now(self) -> float:
         """Seconds since the first reading, plus the configured offset."""
-        reading = self._read()
-        if self._t0 is None:
-            self._t0 = reading
-        return reading - self._t0 + self.offset
+        return self.source() - self.t0 + self.offset
 
-    def __call__(self) -> float:
-        return self.now()
+    __call__ = now

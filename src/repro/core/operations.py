@@ -51,7 +51,7 @@ class Operation:
     start: Optional[float] = None
     end: Optional[float] = None
     ltime: Optional[LogicalTimestamp] = None
-    uid: int = field(default_factory=lambda: next(_op_ids))
+    uid: int = field(default_factory=_op_ids.__next__)
 
     def __post_init__(self) -> None:
         if self.site < 0:

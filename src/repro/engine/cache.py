@@ -132,7 +132,7 @@ class _CacheBase:
             del self.cache[obj]
             self.stats.invalidations += 1
         elif not entry.old:
-            entry.mark_old()
+            entry.old = True
             self.stats.marked_old += 1
 
     def _store(self, version: Any, fetched_at: float) -> None:

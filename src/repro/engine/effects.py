@@ -20,8 +20,8 @@ the object's current version.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from dataclasses import dataclass
+from typing import Any, Dict, Sequence
 
 
 @dataclass
@@ -32,6 +32,6 @@ class EngineResult:
     reply: Dict[str, Any]
     #: Stamped versions to log before the reply leaves (may include
     #: LWW-discarded stamps; the WAL records acknowledgements).
-    wal: List[Any] = field(default_factory=list)
+    wal: Sequence[Any] = ()
     #: Versions that took the install slot: record + propagate these.
-    installed: List[Any] = field(default_factory=list)
+    installed: Sequence[Any] = ()

@@ -31,10 +31,12 @@ class ReplyCache:
         return reply
 
     def put(self, key: Tuple[int, int], reply: Dict[str, Any]) -> None:
-        self._entries[key] = reply
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        entries = self._entries
+        if key in entries:  # a new key is inserted last already
+            entries.move_to_end(key)
+        entries[key] = reply
+        while len(entries) > self.capacity:
+            entries.popitem(last=False)
 
     def discard(self, key: Optional[Tuple[int, int]]) -> None:
         """Forget ``key``'s reply: the driver could not make the request's

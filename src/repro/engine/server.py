@@ -90,11 +90,15 @@ class _EngineBase:
         return reply
 
     def execute(self, client_id: int, frame: Dict[str, Any]) -> EngineResult:
-        """Run one request exactly once; replays never reach here (the
-        driver consults :meth:`replay` first)."""
-        kind = str(frame.get("kind"))
-        result = self._execute(client_id, frame, kind)
+        """Run one request at most once.  A retransmission of an answered
+        request is replayed (:meth:`replay`): the original reply, counted,
+        with nothing executed, logged or installed.  The dedup key is
+        computed here, once per request."""
         key = self.dedup_key(client_id, frame)
+        cached = self.replay(key)
+        if cached is not None:
+            return EngineResult(cached)
+        result = self._execute(client_id, frame, str(frame.get("kind")))
         if key is not None and result.reply.get("kind") != ERROR:
             # Cache before the driver sends: if the ack is lost, the
             # retransmit (possibly after a reconnect) must replay rather
@@ -294,8 +298,8 @@ class ServerEngine(_EngineBase):
             }
             if self.wall is not None:
                 reply["true_time"] = self.wall()
-            return EngineResult(reply, wal=[version],
-                                installed=[version] if installed else [])
+            return EngineResult(reply, wal=(version,),
+                                installed=(version,) if installed else ())
         if kind == messages.VALIDATE_BATCH:
             return self._execute_validate_batch(frame)
         return self._error(frame, f"unknown message kind {kind!r}")
@@ -455,6 +459,6 @@ class CausalServerEngine(_EngineBase):
             }
             if self.wall is not None:
                 reply["true_time"] = self.wall()
-            return EngineResult(reply, wal=[stored] if installed else [],
-                                installed=[stored] if installed else [])
+            return EngineResult(reply, wal=(stored,) if installed else (),
+                                installed=(stored,) if installed else ())
         return self._error(frame, f"unknown message kind {kind!r}")

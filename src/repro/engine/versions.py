@@ -50,7 +50,7 @@ class PhysicalVersion:
         return max(self.alpha, other.alpha) <= min(self.omega, other.omega)
 
     def copy(self) -> "PhysicalVersion":
-        return replace(self)
+        return PhysicalVersion(self.obj, self.value, self.alpha, self.omega, self.writer)
 
     def __repr__(self) -> str:
         return (

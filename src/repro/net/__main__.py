@@ -21,7 +21,7 @@ def _dump(stream: bytes) -> int:
                 raise FrameError(f"announced frame of {length} bytes")
             if at + 4 + length > len(stream):
                 raise FrameError("stream ends mid-frame")
-            print(_encode_json(decode_frame(stream[at + 4:at + 4 + length])))
+            print(_encode_json(decode_frame(stream, at + 4, at + 4 + length)))
             at += 4 + length
     except FrameError as exc:
         print(f"offset {at}: {exc}", file=sys.stderr)

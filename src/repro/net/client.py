@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import asyncio
 import math
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Optional, Tuple
 
 from repro.engine import CacheEngine, messages
 from repro.net.channel import Channel
@@ -157,6 +157,10 @@ class NetCacheClient:
             self.clock = SyncedClock(local=site.local_clock)
             self.engine = site.engine
         self.stats = self.engine.stats
+        #: ``now()``: the approximately synchronized clock ``t_i`` on the
+        #: engine's timescale, read in one call — the server's; in a
+        #: site, the reference device's (the router points it there).
+        self.now: Callable[[], float] = self.clock.now
         #: obj -> (alpha on the site's timescale, this device's own alpha)
         #: of the versions this link handed a site's engine (_asked).
         self._stamps: Dict[str, Tuple[float, Any]] = {}
@@ -293,28 +297,19 @@ class NetCacheClient:
 
     # -- clocks ---------------------------------------------------------------
 
-    def now(self) -> float:
-        """The approximately synchronized clock ``t_i`` on the engine's
-        timescale: the server's, or in a site the reference device's."""
-        clock = self.clock if self.site is None else self.site.reference_clock
-        return clock.now()
-
     @property
     def epsilon_bound(self) -> float:
         """This client's contribution to Definition 2's ``epsilon``."""
         return self.clock.epsilon_bound
 
-    def _rule_clock(self, now: float) -> Optional[float]:
-        """The protocol clock handed to the engine: pull mode enforces
-        delta against the synchronized clock (rule 3); push mode hands
-        ``None`` — untimed — and trusts the server's pushes."""
-        return now if self.mode == "pull" else None
-
     async def read(self, obj: str) -> Any:
-        """Read ``obj`` under the mode's freshness rule."""
+        """Read ``obj`` under the mode's freshness rule.  The protocol
+        clock handed to the engine: pull mode enforces delta against the
+        synchronized clock (rule 3); push mode hands ``None`` — untimed —
+        and trusts the server's pushes."""
         now = self.now()
-        op = self.engine.begin_read(obj, self._rule_clock(now), now)
-        if op.hit:
+        op = self.engine.begin_read(obj, now if self.mode == "pull" else None, now)
+        if op.action == "hit":
             self._record_read(obj, op.value, now, now)
             return op.value
         reply = await self._request(self._asked(op))
@@ -356,7 +351,7 @@ class NetCacheClient:
         asks for the full version.  Each result is applied under the
         same lifetime rules as :meth:`read` and recorded as a read."""
         now = self.now()
-        rule_now = self._rule_clock(now)
+        rule_now = now if self.mode == "pull" else None
         out: Dict[str, Any] = {}
         ops = []
         for obj in dict.fromkeys(objs):
@@ -393,11 +388,12 @@ class NetCacheClient:
         replica may install one object's writes in another order, and its
         later stamp would win over the primary's last version
         (docs/THEORY.md, Result 3)."""
-        self._note_epoch(frame)
+        if frame.get("epoch") is not None:
+            self._note_epoch(frame)
+        if frame.get("req") is not None:
+            return  # a reply: the request it answers takes it
         kind = frame.get("kind")
-        if frame.get("req") is not None or kind not in (
-            messages.PUSH, messages.INVALIDATE
-        ):
+        if kind not in (messages.PUSH, messages.INVALIDATE):
             return
         if self._push_lag is not None and kind == messages.PUSH:
             lag = self.clock.now() - float(frame["alpha"])
@@ -468,18 +464,6 @@ class NetCacheClient:
 
     # -- transport --------------------------------------------------------------
 
-    def _live_channel(self) -> Channel:
-        channel = self.channel
-        if channel.conn is None:
-            raise NetError("client is not connected")
-        if not channel.connected:
-            # Fail fast: the connection was seen to die.  Burning
-            # the full retransmit ladder against a dead server would add
-            # seconds to every failover (docs/CLUSTER.md time-to-recover
-            # accounting); the caller's replica fallback handles it now.
-            raise NetError(f"connection to {self.host}:{self.port} is down")
-        return channel
-
     async def _request(
         self, message: Dict[str, Any], req: Optional[int] = None
     ) -> Dict[str, Any]:
@@ -492,7 +476,15 @@ class NetCacheClient:
         :class:`ProtocolError` at once.  ``req`` pins the id for
         caller-level idempotent retries (the ring's repair path).
         """
-        channel = self._live_channel()
+        channel = self.channel
+        if channel.conn is None:
+            raise NetError("client is not connected")
+        if not channel.connected:
+            # Fail fast: the connection was seen to die.  Burning
+            # the full retransmit ladder against a dead server would add
+            # seconds to every failover (docs/CLUSTER.md time-to-recover
+            # accounting); the caller's replica fallback handles it now.
+            raise NetError(f"connection to {self.host}:{self.port} is down")
         rtt = self._rtt.get(message["kind"]) if self._rtt else None
         issued = self.clock.local() if rtt is not None else 0.0
         try:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.clocks.rebase import RebasedClock
 
@@ -113,12 +113,14 @@ class SyncedClock:
     ``now()`` returns the best estimate of the *server's* current clock
     reading — the approximately synchronized clock ``t_i`` the lifetime
     rules and the recorded trace use.  ``local()`` is the uncorrected
-    reading (including any injected skew).
+    reading (including any injected skew) of the :class:`RebasedClock`
+    it corrects — its own, or one shared with other clocks (a ring
+    site's device links share one, so their offsets compose).
     """
 
     def __init__(
         self,
-        local: Optional[Callable[[], float]] = None,
+        local: Optional[RebasedClock] = None,
         skew: float = 0.0,
     ) -> None:
         self._local = local if local is not None else RebasedClock(offset=skew)
@@ -129,10 +131,12 @@ class SyncedClock:
         return self._local()
 
     def now(self) -> float:
-        return self._local() + self.estimator.offset
+        # The local reading in place, as RebasedClock defines it: a
+        # synchronized reading is one call.
+        local = self._local
+        return local.source() - local.t0 + local.offset + self.estimator.offset
 
-    def __call__(self) -> float:
-        return self.now()
+    __call__ = now
 
     @property
     def epsilon_bound(self) -> float:

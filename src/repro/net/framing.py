@@ -36,7 +36,7 @@ import asyncio
 import json
 import struct
 from collections import deque
-from typing import Any, Awaitable, Callable, Deque, Dict, List, Optional, Set
+from typing import Any, Awaitable, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.engine import messages
 
@@ -120,125 +120,147 @@ _EPOCH, _INSTALLED, _JSON_VALUE = PACKED_FLAGS.values()
 _JSON_SCALARS = (int, float, bool, type(None))
 
 
-def _codec_row(tag: int) -> tuple:
-    kind, fields, flags = PACKED_LAYOUTS[tag]
-    time = next((f for f in fields if f in ("alpha", "omega")), None)
-    # The fixed head: tag, flags, req, the time where the kind has one,
-    # and the length of ``obj``.
-    head = struct.Struct(">BBI" + "d" * (time is not None) + "B")
-    allowed = sum(PACKED_FLAGS[flag] for flag in flags)
-    # A message without ``epoch`` holds ``kind`` and the other fields,
-    # plus ``installed``, which travels as a flag.
-    keys = len(fields) + ("installed" in flags)
-    return tag, kind, head, time, allowed, keys
-
-
-_BY_TAG = {tag: _codec_row(tag) for tag in PACKED_LAYOUTS}
-_BY_KIND = {row[1]: row for row in _BY_TAG.values()}
-
-
 class FrameError(Exception):
     """A malformed frame: oversized, truncated, not a JSON object and
     not a packed layout either."""
 
 
-def _pack(row: tuple, message: Dict[str, Any]) -> Optional[bytes]:
-    """The packed payload of ``message`` — iff its keys are exactly its
-    layout's (``epoch`` optional) and every field fits, else ``None``."""
-    tag, _, head, time, allowed, keys = row
-    flags, tail = 0, b""
-    try:
-        req = message["req"]
-        if type(req) is not int:
-            return None
-        if len(message) != keys:
-            epoch = message["epoch"]
-            if len(message) != keys + 1 or type(epoch) is not int:
-                return None
-            flags = _EPOCH
-            tail = _U32.pack(epoch)
-        if allowed & _INSTALLED:
-            installed = message["installed"]
-            if installed is True:
-                flags |= _INSTALLED
-            elif installed is not False:
-                return None
-        elif allowed & _JSON_VALUE:
-            value = message["value"]
-            if type(value) is str:
-                tail += value.encode()
-            elif type(value) in _JSON_SCALARS:
-                flags |= _JSON_VALUE
-                tail += _encode_json(value).encode()
-            else:
-                return None
-        obj = message["obj"]
-        if type(obj) is not str:
-            return None
-        obj = obj.encode()
-        if time is None:
-            return head.pack(tag, flags, req, len(obj)) + obj + tail
-        t = message[time]
-        if type(t) is not float:
-            return None
-        return head.pack(tag, flags, req, t, len(obj)) + obj + tail
-    except (KeyError, ValueError, struct.error):
-        return None  # a key missing, a lone surrogate, a number out of range
+def _compile(tag: int) -> Tuple[Callable, Callable]:
+    """The encoder and the decoder of one :data:`PACKED_LAYOUTS` row,
+    with the row's shape bound in.  ``encode(message)`` is the whole
+    frame, length prefix included, or ``None`` unless the message is
+    exactly the layout (``epoch`` optional) and every field fits.
+    ``decode(payload, start, stop)`` parses the payload between the two
+    offsets where it lies."""
+    kind, fields, flags = PACKED_LAYOUTS[tag]
+    time = next((f for f in fields if f in ("alpha", "omega")), None)
+    # The fixed head: tag, flags, req, the time where the kind has one,
+    # and the length of ``obj``; the encoder packs the prefix with it.
+    shape = "BBI" + "d" * (time is not None) + "B"
+    pack = struct.Struct(">I" + shape).pack
+    head = struct.Struct(">" + shape)
+    unpack_from, size = head.unpack_from, head.size
+    allowed = sum(PACKED_FLAGS[flag] for flag in flags)
+    installs = "installed" in flags
+    json_value = "json-value" in flags
+    # A message without ``epoch`` holds ``kind`` and the other fields,
+    # plus ``installed``, which travels as a flag.
+    keys = len(fields) + installs
 
+    def encode(message: Dict[str, Any]) -> Optional[bytes]:
+        try:
+            req, obj = message["req"], message["obj"]
+            if type(req) is not int or type(obj) is not str:
+                return None
+            flags, tail = 0, b""
+            if len(message) != keys:
+                epoch = message["epoch"]
+                if len(message) != keys + 1 or type(epoch) is not int:
+                    return None
+                flags, tail = _EPOCH, _U32.pack(epoch)
+            if installs:
+                installed = message["installed"]
+                if installed is True:
+                    flags |= _INSTALLED
+                elif installed is not False:
+                    return None
+            elif json_value:
+                value = message["value"]
+                if type(value) is str:
+                    tail += value.encode()
+                elif type(value) in _JSON_SCALARS:
+                    flags |= _JSON_VALUE
+                    tail += _encode_json(value).encode()
+                else:
+                    return None
+            obj = obj.encode()
+            length = size + len(obj) + len(tail)
+            if time is None:
+                return pack(length, tag, flags, req, len(obj)) + obj + tail
+            t = message[time]
+            if type(t) is not float:
+                return None
+            return pack(length, tag, flags, req, t, len(obj)) + obj + tail
+        except (KeyError, ValueError, struct.error):
+            return None  # a key missing, a lone surrogate, a number out of range
 
-def _unpack(row: tuple, payload: bytes) -> Dict[str, Any]:
-    _, kind, head, time, allowed, _ = row
-    try:
-        fixed = head.unpack_from(payload)
+    def decode(payload: bytes, start: int, stop: int) -> Dict[str, Any]:
+        # Every bound is ``stop``, not the buffer's end: the next frame's
+        # bytes may follow.
+        if stop - start < size:
+            raise FrameError(f"undecodable packed {kind}: {stop - start} bytes")
+        fixed = unpack_from(payload, start)
         flags = fixed[1]
         if flags & ~allowed:
             raise FrameError(f"flags {flags:#04x} on a packed {kind}")
-        message = {"kind": kind, "req": fixed[2]}
-        if time is not None:
-            message[time] = fixed[3]
-        start, at = head.size, head.size + fixed[-1]
-        if at > len(payload):
+        at = start + size
+        end = at + fixed[-1]
+        if end > stop:
             raise FrameError(f"packed {kind} ends inside obj")
-        message["obj"] = payload[start:at].decode()
-        if flags & _EPOCH:
-            (message["epoch"],) = _U32.unpack_from(payload, at)
-            at += 4
-        if allowed & _INSTALLED:
-            message["installed"] = (flags & _INSTALLED) != 0
-        elif allowed & _JSON_VALUE:
-            value = payload[at:].decode()
-            message["value"] = json.loads(value) if flags & _JSON_VALUE else value
-            at = len(payload)
-        if at != len(payload):
-            raise FrameError(f"{len(payload) - at} bytes trail a packed {kind}")
-    except (struct.error, ValueError) as exc:
-        # Cut short, or bad UTF-8 or JSON text (both are ValueErrors).
-        raise FrameError(f"undecodable packed {kind}: {exc}") from None
-    return message
+        try:
+            if time is None:
+                message = {"kind": kind, "req": fixed[2],
+                           "obj": payload[at:end].decode()}
+            else:
+                message = {"kind": kind, "req": fixed[2], time: fixed[3],
+                           "obj": payload[at:end].decode()}
+            if flags & _EPOCH:
+                if end + 4 > stop:
+                    raise FrameError(f"undecodable packed {kind}: half an epoch")
+                (message["epoch"],) = _U32.unpack_from(payload, end)
+                end += 4
+            if installs:
+                message["installed"] = (flags & _INSTALLED) != 0
+            elif json_value:
+                value = payload[end:stop].decode()
+                message["value"] = json.loads(value) if flags & _JSON_VALUE else value
+                end = stop
+        except ValueError as exc:  # bad UTF-8 or JSON text
+            raise FrameError(f"undecodable packed {kind}: {exc}") from None
+        if end != stop:
+            raise FrameError(f"{stop - end} bytes trail a packed {kind}")
+        return message
+
+    return encode, decode
+
+
+_CODECS = {tag: _compile(tag) for tag in PACKED_LAYOUTS}
+_ENCODERS = {PACKED_LAYOUTS[tag][0]: encode for tag, (encode, _) in _CODECS.items()}
+_DECODERS = {tag: decode for tag, (_, decode) in _CODECS.items()}
+_MAX_DATA = 4 + MAX_FRAME_BYTES  # the longest frame, prefix included
 
 
 def encode_frame(message: Dict[str, Any]) -> bytes:
     """Serialize one message to ``length || payload`` bytes: packed if
     it is exactly one of :data:`PACKED_LAYOUTS`, JSON otherwise."""
-    row = _BY_KIND.get(message.get("kind"))
-    payload = None if row is None else _pack(row, message)
-    if payload is None:
+    encode = _ENCODERS.get(message.get("kind"))
+    data = None if encode is None else encode(message)
+    if data is None:
         payload = _encode_json(message).encode("utf-8")
-    if len(payload) > MAX_FRAME_BYTES:
-        raise FrameError(f"frame of {len(payload)} bytes exceeds {MAX_FRAME_BYTES}")
-    return _LENGTH.pack(len(payload)) + payload
+        if len(payload) > MAX_FRAME_BYTES:
+            raise FrameError(
+                f"frame of {len(payload)} bytes exceeds {MAX_FRAME_BYTES}")
+        return _LENGTH.pack(len(payload)) + payload
+    if len(data) > _MAX_DATA:
+        raise FrameError(f"frame of {len(data) - 4} bytes exceeds {MAX_FRAME_BYTES}")
+    return data
 
 
-def decode_frame(payload: bytes) -> Dict[str, Any]:
-    """Parse a frame payload of either form to the same dict: packed if
-    its first byte is a tag of :data:`PACKED_LAYOUTS`, else JSON whose
-    top-level value must be an object — which no payload starting with
-    an unassigned tag is."""
-    row = _BY_TAG.get(payload[0]) if payload else None
-    if row is not None:
-        return _unpack(row, payload)
+def decode_frame(
+    payload: bytes, start: int = 0, stop: Optional[int] = None
+) -> Dict[str, Any]:
+    """Parse the frame payload ``payload[start:stop]`` where it lies (a
+    receive buffer is never sliced) to the same dict whatever its form:
+    packed if its first byte is a tag of :data:`PACKED_LAYOUTS`, else
+    JSON whose top-level value must be an object — which no payload
+    starting with an unassigned tag is."""
+    if stop is None:
+        stop = len(payload)
+    decode = _DECODERS.get(payload[start]) if stop > start else None
+    if decode is not None:
+        return decode(payload, start, stop)
     try:
-        message = json.loads(payload.decode("utf-8"))
+        message = json.loads(payload[start:stop].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FrameError(f"undecodable frame: {exc}") from None
     if not isinstance(message, dict):
@@ -249,8 +271,9 @@ def decode_frame(payload: bytes) -> Dict[str, Any]:
 class FrameConnection(asyncio.Protocol):
     """One framed duplex connection, with optional fault injection.
 
-    Inbound, ``data_received`` appends to one buffer and cuts every
-    complete frame out of it in one pass.  The frames of each call go
+    Inbound, ``data_received`` decodes every complete frame in one pass,
+    where it lies in the bytes delivered; only a partial frame is kept,
+    in one buffer, for the next call.  The frames of each call go
     together to the ``on_frames`` callback once :meth:`deliver` has
     installed one (a started :class:`~repro.net.channel.Channel`, the
     server past the handshake), and before that to a queue behind
@@ -310,16 +333,19 @@ class FrameConnection(asyncio.Protocol):
     def data_received(self, data: bytes) -> None:
         if self._ended:
             return  # after a framing error the stream has no boundaries left
+        # Frames are decoded where they lie: in ``data`` itself unless a
+        # partial frame was left over from the last call.
         buffer = self._buffer
-        buffer += data
-        end = len(buffer)
+        if buffer:
+            buffer += data
+            data = buffer
+        end = len(data)
         start = 0
         frames: List[Dict[str, Any]] = []
-        faults = self.faults
         error = None
         try:
             while end - start >= 4:
-                (length,) = _LENGTH.unpack_from(buffer, start)
+                (length,) = _LENGTH.unpack_from(data, start)
                 if length > MAX_FRAME_BYTES:
                     raise FrameError(
                         f"announced frame of {length} bytes exceeds {MAX_FRAME_BYTES}"
@@ -327,20 +353,23 @@ class FrameConnection(asyncio.Protocol):
                 stop = start + 4 + length
                 if stop > end:
                     break
-                frame = decode_frame(buffer[start + 4:stop])
+                frames.append(decode_frame(data, start + 4, stop))
                 start = stop
-                self.received += 1
-                self.bytes_received += 4 + length
-                if faults is not None and faults.drops_inbound(
-                    str(frame.get("kind", ""))
-                ):
-                    continue  # asymmetric partition: arrived, never delivered
-                frames.append(frame)
         except FrameError as exc:
             error = exc
+        self.received += len(frames)
+        self.bytes_received += start
+        if error is not None:
             buffer.clear()
-        else:
+        elif data is buffer:
             del buffer[:start]
+        elif start < end:
+            buffer += data[start:]
+        faults = self.faults
+        if faults is not None:
+            # Asymmetric partition: arrived, never delivered.
+            frames = [frame for frame in frames
+                      if not faults.drops_inbound(str(frame.get("kind", "")))]
         if frames:
             if self._on_frames is not None:
                 self._on_frames(frames)
@@ -433,7 +462,11 @@ class FrameConnection(asyncio.Protocol):
         it is too large to frame)."""
         data = encode_frame(message)
         if self.faults is None:
-            self._write(data)
+            transport = self.transport  # _write, in place: the hot path
+            if not transport.is_closing():
+                self.sent += 1
+                self.bytes_sent += len(data)
+                transport.write(data)
         else:
             for delay in self.faults.plan(message.get("kind", "")):
                 if delay <= 0.0:

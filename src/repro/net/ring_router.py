@@ -44,7 +44,7 @@ import logging
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Awaitable, Dict, Optional, Set, Tuple
 
 from repro.clocks.rebase import RebasedClock
 from repro.engine import CacheEngine, messages
@@ -159,8 +159,10 @@ class _ClientTransport:
             retries=client.max_retries, backoff=BACKOFF, finish=acked,
         )
 
-    async def read(self, device_id: int, obj: str) -> Any:
-        return await self.router.clients[device_id].read(obj)
+    def read(self, device_id: int, obj: str) -> Awaitable[Any]:
+        # The link's read itself, for the placement to await: no
+        # coroutine of this one in between.
+        return self.router.clients[device_id].read(obj)
 
 
 class RingRouter:
@@ -239,6 +241,14 @@ class RingRouter:
         # merged timescale would corrupt every interval the checkers
         # measure (docs/CLUSTER.md).
         self.reference_clock = self.clients[self.reference].clock
+        #: ``now()``: the reference device's timescale — the merged
+        #: trace's clock — read in one call, by the router and by every
+        #: link.  It survives the reference device's departure: the
+        #: estimator's last offset keeps mapping the shared local clock
+        #: onto its timescale.
+        self.now = self.reference_clock.now
+        for client in self.clients.values():
+            client.now = self.now
         self.epoch = ring.epoch
         self.placement = ReplicatedPlacement(
             ring, _ClientTransport(self),
@@ -343,6 +353,7 @@ class RingRouter:
     async def connect_device(self, dev_id: int, host: str, port: int) -> None:
         """Open a connection to a device about to join the ring."""
         client = self._device_client(dev_id, host, port)
+        client.now = self.now
         await client.connect()
         self.clients[dev_id] = client
         self.endpoints[dev_id] = (host, port)
@@ -433,12 +444,6 @@ class RingRouter:
 
     # -- clocks ---------------------------------------------------------------
 
-    def now(self) -> float:
-        """The reference device's timescale — the merged trace's clock.
-        Survives the reference device's departure: the estimator's last
-        offset keeps mapping the shared local clock onto its timescale."""
-        return self.reference_clock.now()
-
     @property
     def epsilon_bound(self) -> float:
         """This site's contribution to the merged trace's epsilon."""
@@ -451,8 +456,9 @@ class RingRouter:
 
     # -- operations -----------------------------------------------------------
 
-    def _read_order(self, obj: str) -> Tuple[int, ...]:
-        devices = self.ring.replicas_for(obj)
+    def _read_order(self, devices: Tuple[int, ...]) -> Tuple[int, ...]:
+        """The replica row ``devices`` in the order the read policy asks
+        them."""
         if self.read_policy == "primary" or len(devices) == 1:
             return devices
         self._spread_cursor += 1
@@ -462,8 +468,10 @@ class RingRouter:
     async def read(self, obj: str) -> Any:
         self.stats.reads += 1
         started = self.now()
+        ring = self.ring
+        devices = ring.replicas_for(obj)
         try:
-            outcome = await self.placement.read(obj, self._read_order(obj))
+            outcome = await self.placement.read(obj, self._read_order(devices))
         except PlacementError:
             # Every replica of the layout we hold failed — the layout
             # itself may be the stale thing.  Refresh, and iff a newer
@@ -471,9 +479,13 @@ class RingRouter:
             if not await self.refresh_ring():
                 raise
             self.stats.stale_retries += 1
-            outcome = await self.placement.read(obj, self._read_order(obj))
+            ring = self.ring
+            devices = ring.replicas_for(obj)
+            outcome = await self.placement.read(obj, self._read_order(devices))
         dev, value = outcome.device, outcome.value
-        if dev not in self.ring.replicas_for(obj):
+        if self.ring is not ring:  # swapped while the read was out
+            devices = self.ring.replicas_for(obj)
+        if dev not in devices:
             self.stats.off_ring_reads += 1
         by_dev = self.stats.reads_by_device
         by_dev[dev] = by_dev.get(dev, 0) + 1

@@ -576,9 +576,6 @@ class NetObjectServer:
         engine needs no lock) and an ``await`` here is a syntax error,
         not a race.  A retransmission is therefore looked up only after
         its original has executed: it cannot race it."""
-        cached = self.engine.replay(self.engine.dedup_key(client_id, frame))
-        if cached is not None:
-            return cached, ()
         result = self.engine.execute(client_id, frame)
         if self.durable is not None and result.wal:
             with self.durable.group():

@@ -158,20 +158,18 @@ class SimServer(Node):
 
     def on_message(self, message: Message) -> None:
         frame = {"kind": message.kind, **message.payload}
-        # A retransmission of an answered request: replay the original
-        # reply (same alpha / true_time), execute nothing — in
-        # particular, never re-install (a re-install after an
-        # interleaved competing write would resurrect the old value).
-        reply = self.engine.replay(self.engine.dedup_key(message.src, frame))
-        if reply is None:
-            result = self.engine.execute(message.src, frame)
-            reply = result.reply
-            if reply["kind"] == ERROR:  # a harness bug, not a protocol event
-                raise ValueError(f"{self!r} cannot handle {message.kind}: {reply}")
-            # Propagate before the ack: the simulator's historical event
-            # order, which timed-consistency checkers of push traces rely on.
-            for version in result.installed:
-                self._propagate(version, exclude=message.src)
+        # A retransmission of an answered request is replayed by the
+        # engine: the original reply (same alpha / true_time), nothing
+        # executed — in particular, never re-installed (a re-install after
+        # an interleaved competing write would resurrect the old value).
+        result = self.engine.execute(message.src, frame)
+        reply = result.reply
+        if reply["kind"] == ERROR:  # a harness bug, not a protocol event
+            raise ValueError(f"{self!r} cannot handle {message.kind}: {reply}")
+        # Propagate before the ack: the simulator's historical event
+        # order, which timed-consistency checkers of push traces rely on.
+        for version in result.installed:
+            self._propagate(version, exclude=message.src)
         self._send_frame(message.src, reply)
 
     def _send_frame(self, dst: int, frame: Dict[str, Any]) -> None:

@@ -134,11 +134,11 @@ class Ring:
 
     def replicas_for(self, obj: str) -> Tuple[int, ...]:
         """All devices holding ``obj`` — primary first."""
-        return self.assignment[self.partition_for(obj)]
+        return self.assignment[stable_hash(obj) >> self._part_shift]
 
     def primary_for(self, obj: str) -> int:
         """The object's single authoritative device."""
-        return self.assignment[self.partition_for(obj)][0]
+        return self.assignment[stable_hash(obj) >> self._part_shift][0]
 
     def load(self) -> Dict[int, int]:
         """Assigned partition-replica count per device."""

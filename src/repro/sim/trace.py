@@ -13,7 +13,7 @@ from typing import Any, List, Optional
 
 from repro.clocks.base import LogicalTimestamp
 from repro.core.history import History
-from repro.core.operations import Operation, read, write
+from repro.core.operations import Operation, OpKind
 
 
 class TraceRecorder:
@@ -50,9 +50,8 @@ class TraceRecorder:
         start: Optional[float] = None,
         end: Optional[float] = None,
     ) -> Operation:
-        return self._emit(
-            read(site, obj, value, time, ltime=ltime, start=start, end=end)
-        )
+        op = Operation(OpKind.READ, site, obj, value, float(time), start, end, ltime)
+        return self._emit(op)
 
     def record_write(
         self,
@@ -64,9 +63,8 @@ class TraceRecorder:
         start: Optional[float] = None,
         end: Optional[float] = None,
     ) -> Operation:
-        return self._emit(
-            write(site, obj, value, time, ltime=ltime, start=start, end=end)
-        )
+        op = Operation(OpKind.WRITE, site, obj, value, float(time), start, end, ltime)
+        return self._emit(op)
 
     def history(self, validate: bool = True) -> History:
         """Snapshot the trace as a :class:`History`."""

@@ -20,7 +20,7 @@ written after it.  The file is one JSON document,
 ```
 
 written atomically (tmp + fsync + rename, the shared
-:func:`repro.core.io.atomic_write_json` helper) so a crash mid-snapshot
+:func:`repro.core.io.atomic_write_text` helper) so a crash mid-snapshot
 leaves the previous snapshot intact, and checksummed (CRC32 over the
 canonical ``state`` serialization) so a torn or rotted file is detected
 rather than trusted.  ``taken_at`` and every lifetime live on the
@@ -37,7 +37,7 @@ import os
 import zlib
 from typing import Any, Dict, Optional
 
-from repro.core.io import atomic_write_json
+from repro.core.io import atomic_write_text
 from repro.engine.versions import PhysicalVersion
 
 SNAPSHOT_VERSION = 1
@@ -47,8 +47,8 @@ class SnapshotError(Exception):
     """A snapshot file that cannot be trusted (bad CRC, bad shape)."""
 
 
-def _canonical(state: Dict[str, Any]) -> bytes:
-    return json.dumps(state, separators=(",", ":"), sort_keys=True).encode("utf-8")
+def _canonical(state: Dict[str, Any]) -> str:
+    return json.dumps(state, separators=(",", ":"), sort_keys=True)
 
 
 def state_from_versions(
@@ -92,17 +92,17 @@ def versions_from_state(state: Dict[str, Any]) -> Dict[str, PhysicalVersion]:
 def write_snapshot(path: str, state: Dict[str, Any]) -> None:
     """Atomically persist one snapshot state (tmp + rename, CRC).
 
-    One line, no indent: an indent drops ``json`` to its pure-Python
-    encoder, and the live server writes a snapshot every
-    ``snapshot_every`` appends.  ``repro store inspect`` pretty-prints."""
-    atomic_write_json(
+    The state is serialized once: the document is written around the
+    canonical text the CRC covers, ``{"crc":…,"state":<canonical>,
+    "version":1}`` on one line (the live server writes a snapshot every
+    ``snapshot_every`` appends).  :func:`load_snapshot` reads it as it
+    reads the spaced form earlier versions wrote.  ``repro store
+    inspect`` pretty-prints."""
+    canonical = _canonical(state)
+    atomic_write_text(
         path,
-        {
-            "version": SNAPSHOT_VERSION,
-            "crc": zlib.crc32(_canonical(state)),
-            "state": state,
-        },
-        indent=None,
+        f'{{"crc":{zlib.crc32(canonical.encode("utf-8"))},"state":{canonical},'
+        f'"version":{SNAPSHOT_VERSION}}}\n',
     )
 
 
@@ -122,7 +122,7 @@ def load_snapshot(path: str) -> Optional[Dict[str, Any]]:
     if not isinstance(document, dict) or "state" not in document:
         raise SnapshotError(f"{path} is not a snapshot file")
     state = document["state"]
-    if zlib.crc32(_canonical(state)) != document.get("crc"):
+    if zlib.crc32(_canonical(state).encode("utf-8")) != document.get("crc"):
         raise SnapshotError(f"snapshot CRC mismatch in {path}")
     return state
 

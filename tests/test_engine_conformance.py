@@ -416,6 +416,7 @@ async def run_net_client(script):
     port = listener.sockets[0].getsockname()[1]
     client = NetCacheClient(1, "127.0.0.1", port, delta=DELTA, sync_rounds=0)
     client.clock = clock
+    client.now = clock.now  # a reading is bound at construction
     values = []
     try:
         await client.connect()

@@ -117,7 +117,7 @@ class TestClockSyncEstimator:
 class TestSyncedClock:
     def test_now_applies_estimated_offset(self):
         ticks = iter([0.0, 1.0, 2.0])
-        clock = SyncedClock(local=lambda: next(ticks))
+        clock = SyncedClock(local=RebasedClock(source=lambda: next(ticks)))
         assert clock.now() == 0.0  # unsynced: offset 0
         clock.estimator.add_sample(*exchange(true_offset=3.0, up=0.01, down=0.01))
         assert clock.now() == pytest.approx(4.0)

@@ -13,12 +13,19 @@ so deprecated asyncio API usage in the ``repro.net`` stack (e.g.
 
 import asyncio
 import errno
+import itertools
+import json
 import math
 import os
+import pathlib
 import shutil
 import socket
+import subprocess
+import sys
 
 import pytest
+
+import repro
 
 from repro.checkers import check_tsc
 from repro.engine import ServerEngine, messages
@@ -336,7 +343,7 @@ class TestOneWritePath:
             "kind": "error", "error": "unknown message kind 'write-batch'",
             "req": 0,
         }
-        assert result.wal == [] and result.installed == []
+        assert not result.wal and not result.installed
         assert engine.replay(engine.dedup_key(1, frame)) is None
         assert len(engine.replies) == 0 and engine.writes_installed == 0
 
@@ -419,6 +426,89 @@ class LoopIterations:
         self._running = False
 
 
+def call_counts(rounds=300):
+    """Python calls into ``src/repro`` per operation, server side
+    included: the median over ``rounds`` operations of the
+    ``sys.setprofile`` call events (a coroutine's resumption is one) at
+    delta 0, where every read is a validation.  Three operations: the
+    single-server validate read, and the routed read and the routed
+    write over ``uniform_ring(2, part_power=4, replicas=2)``.  A count,
+    not a time: it repeats exactly, so a wrapper more shows without a
+    bench run (CI prints these into the step summary)."""
+    package = os.path.dirname(repro.__file__) + os.sep
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls += 1
+
+    async def median(operation):
+        costs = []
+        for _ in range(rounds):
+            before = calls
+            sys.setprofile(profile)
+            try:
+                await operation()
+            finally:
+                sys.setprofile(None)
+            costs.append(calls - before)
+        return sorted(costs)[rounds // 2]
+
+    async def scenario():
+        counts = {}
+        server = await NetObjectServer(propagation="none").start()
+        try:
+            async with NetCacheClient(
+                0, server.host, server.port, delta=0.0
+            ) as client:
+                await client.write("x", "v")
+                counts["validate_read"] = await median(lambda: client.read("x"))
+        finally:
+            await server.close()
+        servers = [await NetObjectServer(propagation="none").start()
+                   for _ in range(2)]
+        ring = uniform_ring(2, part_power=4, replicas=2)
+        endpoints = {dev: (s.host, s.port) for dev, s in enumerate(servers)}
+        try:
+            async with RingRouter(0, ring, endpoints, delta=0.0) as router:
+                await router.write("x", "v")
+                values = itertools.count()
+                counts["routed_read"] = await median(lambda: router.read("x"))
+                counts["routed_write"] = await median(
+                    lambda: router.write("y", next(values)))
+        finally:
+            for server in servers:
+                await server.close()
+        return counts
+
+    return asyncio.run(scenario())
+
+
+def import_footprint():
+    """What a fresh interpreter holds once it has imported the live stack
+    and the checkers (``repro.net.ring_router``, ``repro.checkers``, as
+    ``benchmarks/layers`` does): its resident set in MiB (``None``
+    without ``/proc``) and whether numpy came with them."""
+    code = (
+        "import json, sys, repro.net.ring_router, repro.checkers\n"
+        "rss = None\n"
+        "try:\n"
+        "    with open('/proc/self/status', encoding='ascii') as fh:\n"
+        "        rss = next(int(line.split()[1]) / 1024.0 for line in fh\n"
+        "                   if line.startswith('VmRSS:'))\n"
+        "except OSError:\n"
+        "    pass\n"
+        "print(json.dumps({'rss_mb': rss, 'numpy': 'numpy' in sys.modules}))\n"
+    )
+    src = pathlib.Path(repro.__file__).parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        check=True, capture_output=True, text=True,
+    ).stdout
+    return json.loads(out)
+
+
 async def raw_peer(server, client_id, subscribe=False):
     """A hand-driven connection past the handshake."""
     conn = await dial(server.host, server.port)
@@ -438,6 +528,25 @@ class TestWirePath:
     #: What a round trip cost with streams, ``wait_for(shield(...))``, a
     #: task per request frame and a receive task: 8 (7 on Python 3.12+).
     OLD_COST = 7
+
+    #: Python calls per operation (``call_counts``), pinned at what the
+    #: compiled codec, one-call clock readings and the leaner server and
+    #: routed paths reach; before them: 73 / 94 / 141.
+    CALLS = {"validate_read": 55, "routed_read": 64, "routed_write": 106}
+
+    def test_an_operation_makes_no_more_python_calls_than_pinned(self):
+        """Fails when a wrapper, a clock indirection or a second codec
+        path comes back onto the path of a frame or an operation."""
+        counts = call_counts()
+        assert set(counts) == set(self.CALLS)
+        for kind, pinned in self.CALLS.items():
+            assert counts[kind] <= pinned, (kind, counts[kind], pinned)
+
+    def test_the_live_stack_and_the_checkers_import_no_numpy(self):
+        """numpy is the constraint checker's accelerator, imported by its
+        first reachability matrix: a process that only may check a trace
+        (every timed one) does not carry it."""
+        assert import_footprint()["numpy"] is False
 
     def test_a_round_trip_is_three_loop_iterations(self):
         """Fails if the server's handler task takes requests from a

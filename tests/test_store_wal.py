@@ -290,6 +290,24 @@ class TestSnapshot:
         assert rebuilt["x"].omega == 4.5
         assert rebuilt["y"].writer == 0
 
+    def test_both_document_forms_load(self, tmp_path):
+        """The state is written once, verbatim, as the canonical text the
+        CRC covers; a snapshot in the spaced form of earlier versions
+        loads the same."""
+        state = state_from_versions(
+            self._versions(), taken_at=5.0, context=4.0, clean=True
+        )
+        new, old = str(tmp_path / "new.json"), str(tmp_path / "old.json")
+        write_snapshot(new, state)
+        canonical = json.dumps(state, separators=(",", ":"), sort_keys=True)
+        crc = zlib.crc32(canonical.encode("utf-8"))
+        assert open(new).read() == (
+            f'{{"crc":{crc},"state":{canonical},"version":1}}\n')
+        with open(old, "w") as fh:
+            json.dump({"version": 1, "crc": crc, "state": state}, fh,
+                      sort_keys=True)
+        assert load_snapshot(new) == load_snapshot(old) == state
+
     def test_missing_snapshot_is_none(self, tmp_path):
         assert load_snapshot(str(tmp_path / "absent.json")) is None
 
