@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Live timedness monitoring of a running system.
 
-Attaches an online Definition-1 monitor to a cluster's trace stream (via
-a reordering buffer, since a write's effective time precedes its ack) and
-alerts the moment any read violates the delta bound — then cross-checks
-against the offline analysis.
+Attaches the live Definition-1 judge (:class:`TimedInstruments`, the
+bundle a live stack exports from ``/metrics``) to a cluster's trace
+stream and counts an alert the moment any read violates the delta bound
+— then cross-checks against the offline analysis.  Operations arrive in
+completion order, so a read can arrive before the write it returns; the
+judge holds such a read until its writer arrives, then judges it at its
+own time.
 
 The demo runs the *plain SC* protocol while monitoring against a 0.5s
 freshness requirement: SC makes no timeliness promise, so the monitor
@@ -13,61 +16,59 @@ fires; running the same workload under TSC(0.5) silences it.
 Run:  python examples/live_monitoring.py
 """
 
-from repro.checkers import OnlineTimedMonitor, ReorderingMonitor
-from repro.core.timed import late_reads
+import math
+
+from repro.core.timed import late_reads, w_r_set
+from repro.obs import Registry, TimedInstruments
 from repro.protocol import Cluster
 from repro.workloads import read_heavy_hotspot
 
 DELTA = 0.5
-HORIZON = 0.2  # upper bound on ack lag: one protocol round trip
 
 
 def run_with_monitor(variant: str, delta, seed: int = 23):
+    """Run ``variant`` at ``delta`` under a live judge at :data:`DELTA`;
+    returns the cluster and the judge."""
     cluster = Cluster(
         n_clients=5, n_servers=1, variant=variant, delta=delta, seed=seed
     )
-    inner = OnlineTimedMonitor(delta=DELTA)
-    monitor = ReorderingMonitor(inner, horizon=HORIZON)
-    alerts = []
+    live = TimedInstruments(Registry(), DELTA)
 
     def on_operation(op):
-        for verdict in monitor.push(op, now=cluster.sim.now):
-            if not verdict.on_time:
-                alerts.append(verdict)
+        feed = live.on_write if op.is_write else live.on_read
+        feed(op.site, op.obj, op.value, op.time)
 
     cluster.recorder.add_listener(on_operation)
     cluster.spawn(read_heavy_hotspot(n_ops=80, mean_think_time=0.1,
                                      write_fraction=0.08))
     cluster.run()
-    # Drain the tail of the stream (ops still inside the reorder horizon).
-    alerts = [v for v in monitor.flush() if not v.on_time]
-    return cluster, inner, alerts
+    return cluster, live
 
 
 def main() -> None:
-    import math
-
     print(f"monitoring requirement: every read fresh within {DELTA}s\n")
 
-    cluster, inner, alerts = run_with_monitor("sc", math.inf)
-    print(f"== plain SC protocol ==")
-    print(f"  reads observed: {inner.stats.reads}")
-    print(f"  LIVE ALERTS:    {len(alerts)} late reads "
-          f"(worst lag {max((v.required_delta for v in alerts), default=0):.2f}s)")
-    for verdict in alerts[:3]:
-        w_label, w_time = verdict.missed[0]
-        print(f"    {verdict.read.label()}@{verdict.read.time:.2f} missed "
-              f"{w_label}@{w_time:.2f}")
-    offline = late_reads(cluster.history(), DELTA)
+    cluster, live = run_with_monitor("sc", math.inf)
+    counts = live.ontime.counts
+    history = cluster.history()
+    print("== plain SC protocol ==")
+    print(f"  reads observed: {len(history.reads)}")
+    print(f"  LIVE ALERTS:    {counts['late']} late reads "
+          f"(worst lag {live.ontime.required_delta:.2f}s)")
+    offline = late_reads(history, DELTA)
+    for read_op in offline[:3]:
+        missed = w_r_set(history, read_op, DELTA)[0]
+        print(f"    {read_op.label()}@{read_op.time:.2f} missed "
+              f"{missed.label()}@{missed.time:.2f}")
     print(f"  offline cross-check: {len(offline)} late reads — "
-          f"{'match' if len(offline) == len(alerts) else 'MISMATCH'}")
+          f"{'match' if len(offline) == counts['late'] else 'MISMATCH'}")
 
-    cluster, inner, alerts = run_with_monitor("tsc", DELTA)
+    cluster, live = run_with_monitor("tsc", DELTA)
     print(f"\n== TSC(delta={DELTA}) protocol, same workload ==")
-    print(f"  reads observed: {inner.stats.reads}")
-    print(f"  LIVE ALERTS:    {len(alerts)}")
-    print(f"  running threshold (max lag seen): {inner.stats.threshold:.3f}s "
-          f"<= delta + round trip")
+    print(f"  reads observed: {len(cluster.history().reads)}")
+    print(f"  LIVE ALERTS:    {live.ontime.counts['late']}")
+    print(f"  running threshold (max lag seen): "
+          f"{live.ontime.required_delta:.3f}s <= delta + round trip")
 
 
 if __name__ == "__main__":

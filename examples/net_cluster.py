@@ -13,7 +13,8 @@ Two runs of the same workload:
    layer measured;
 2. **degraded** — the fault injector delays every push frame beyond
    delta; readers keep serving the superseded version from cache and the
-   checkers (offline TSC and the online monitor) flag the late reads.
+   checkers (TSC and the Definition 2 late-read list) flag the late
+   reads.
 
 That is the paper's push-vs-pull observation reproduced on live sockets:
 a push design holds the timed bound only while propagation is on time.
@@ -21,6 +22,7 @@ a push design holds the timed bound only while propagation is on time.
 Run:  python examples/net_cluster.py
 """
 
+from repro.core.timed import min_timed_delta, w_r_set
 from repro.net.workloads import run_push_staleness_demo
 
 DELTA = 0.3  # seconds: every write must be visible cluster-wide by t + delta
@@ -41,12 +43,14 @@ def run(push_delay: float, label: str) -> None:
         print(f"    client {client_id}: estimated offset {offset * 1000:8.2f} ms")
     print(f"  trace is SC:            {bool(result.sc)}")
     print(f"  trace is TSC(delta):    {bool(result.tsc)}")
-    print(f"  late reads flagged:     {len(late)}/{len(result.verdicts)}")
+    print(f"  late reads flagged:     {len(late)}/{len(result.history.reads)}")
     if late:
         first = late[0]
-        print(f"    e.g. {first.read.label()} at T={first.read.time:.3f} "
-              f"missed {[w for w, _ in first.missed]} "
-              f"(would need delta >= {first.required_delta:.3f})")
+        missed = w_r_set(result.history, first, DELTA, result.epsilon)
+        need = min_timed_delta(result.history, result.epsilon)
+        print(f"    e.g. {first.label()} at T={first.time:.3f} "
+              f"missed {[w.label() for w in missed]} "
+              f"(the trace would need delta >= {need:.3f})")
 
 
 def main() -> None:

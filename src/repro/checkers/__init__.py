@@ -30,12 +30,6 @@ from repro.checkers.extensions import (
     check_timed,
 )
 from repro.checkers.lin import check_interval_linearizability, check_lin
-from repro.checkers.online import (
-    MonitorStats,
-    OnlineTimedMonitor,
-    ReadVerdict,
-    ReorderingMonitor,
-)
 from repro.checkers.result import CheckResult, SearchBudgetExceeded
 from repro.checkers.sc import check_sc
 from repro.checkers.search import (
@@ -83,11 +77,7 @@ __all__ = [
     "CheckResult",
     "Classification",
     "DEFAULT_BUDGET",
-    "MonitorStats",
-    "OnlineTimedMonitor",
     "PRUNE_REASONS",
-    "ReadVerdict",
-    "ReorderingMonitor",
     "SearchBudgetExceeded",
     "SearchStats",
     "SessionViolation",

@@ -24,13 +24,15 @@ variants come for free:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from functools import partial
+from typing import Callable, Dict, List, Optional
 
 from repro.checkers.constraint import find_constrained_serialization
 from repro.checkers.result import CheckResult
+from repro.clocks.xi import XiMap
 from repro.core.history import History
 from repro.core.operations import Operation
-from repro.core.timed import late_reads, w_r_set
+from repro.core.timed import w_r_set, w_r_set_logical
 
 
 def _per_writer_program_order(history: History, ops: List[Operation]):
@@ -145,33 +147,55 @@ def check_timed(
     base_checker: Callable[[History], CheckResult],
     delta: float,
     epsilon: float = 0.0,
+    *,
+    criterion: Optional[str] = None,
+    xi: Optional[XiMap] = None,
 ) -> CheckResult:
     """The paper's construction, generalized: *timed X* = X + on-time.
 
     Because written values are unique, whether each read occurs on time
     (Definitions 1-2) is independent of the serialization choice, so any
     ordering criterion combines with timedness by conjunction — exactly
-    how the paper builds TSC from SC and TCC from CC.
+    how the paper builds TSC from SC and TCC from CC.  This is the one
+    place that conjunction is written: :func:`~repro.checkers.check_tsc`,
+    :func:`~repro.checkers.check_tcc` and
+    :func:`~repro.checkers.check_tcc_logical` are this function under
+    their own ``criterion`` name, whose late-read violation also says how
+    old the missed writes were.  With ``xi`` the reads are judged by
+    Definition 6 instead (times ``xi(L(op))``, no epsilon).
     """
-    late = late_reads(history, delta, epsilon)
-    if late:
-        r = late[0]
-        missed = w_r_set(history, r, delta, epsilon)
+    if xi is None:
+        params = {"delta": delta, "epsilon": epsilon}
+        w_r = partial(w_r_set, history, delta=delta, epsilon=epsilon)
+    else:
+        params = {"delta": delta}
+        w_r = partial(w_r_set_logical, history, delta=delta, xi=xi)
+    for r in history.reads:
+        labels = [w.label() for w in w_r(r)]
+        if not labels:
+            continue
+        if xi is not None:
+            violation = (
+                f"{r.label()} is late under xi={xi.name}: it misses {labels} "
+                f"(more than delta={delta:g} units of global activity old)"
+            )
+        else:
+            violation = (
+                f"{r.label()} at T={r.time:g} is late: it misses {labels}"
+            )
+            if criterion is not None:
+                violation += f" written more than delta={delta:g} before it"
         return CheckResult(
-            "Timed",
-            False,
-            violation=(
-                f"{r.label()} at T={r.time:g} is late: it misses "
-                f"{[w.label() for w in missed]}"
-            ),
-            parameters={"delta": delta, "epsilon": epsilon},
+            criterion or "Timed", False, violation=violation, parameters=params
         )
     base = base_checker(history)
     return CheckResult(
-        f"Timed-{base.criterion}",
+        criterion or f"Timed-{base.criterion}",
         base.satisfied,
         witness=base.witness,
         site_witnesses=base.site_witnesses,
         violation=base.violation,
-        parameters={"delta": delta, "epsilon": epsilon},
+        states_explored=base.states_explored,
+        parameters=params,
+        stats=base.stats,
     )

@@ -6,6 +6,7 @@ TSC, the unique-values assumption decomposes the check::
 
     TCC(delta)  <=>  CC  and  every read on time
 
+which is :func:`~repro.checkers.extensions.check_timed` over CC.
 :func:`check_tcc_direct` runs the literal Definition-4 per-site search with
 an on-time read filter instead; the tests cross-validate the two.
 
@@ -16,21 +17,17 @@ check needs no physical clocks at all.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from repro.checkers.cc import check_cc
+from repro.checkers.extensions import check_timed
 from repro.checkers.result import CheckResult
 from repro.checkers.search import DEFAULT_BUDGET
 from repro.clocks.xi import XiMap
 from repro.core.history import History
 from repro.core.operations import Operation
-from repro.core.timed import (
-    late_reads,
-    read_occurs_on_time,
-    read_occurs_on_time_logical,
-    w_r_set,
-    w_r_set_logical,
-)
+from repro.core.timed import read_occurs_on_time
 
 
 def check_tcc(
@@ -41,31 +38,8 @@ def check_tcc(
     method: str = "constraint",
 ) -> CheckResult:
     """Decide TCC(delta) under clock precision ``epsilon`` (decomposed)."""
-    params = {"delta": delta, "epsilon": epsilon}
-    late = late_reads(history, delta, epsilon)
-    if late:
-        r = late[0]
-        missed = w_r_set(history, r, delta, epsilon)
-        return CheckResult(
-            "TCC",
-            False,
-            violation=(
-                f"{r.label()} at T={r.time:g} is late: it misses "
-                f"{[w.label() for w in missed]} written more than "
-                f"delta={delta:g} before it"
-            ),
-            parameters=params,
-        )
-    cc = check_cc(history, budget=budget, method=method)
-    return CheckResult(
-        "TCC",
-        cc.satisfied,
-        site_witnesses=cc.site_witnesses,
-        violation=None if cc.satisfied else cc.violation,
-        states_explored=cc.states_explored,
-        parameters=params,
-        stats=cc.stats,
-    )
+    cc = partial(check_cc, budget=budget, method=method)
+    return check_timed(history, cc, delta, epsilon, criterion="TCC")
 
 
 def check_tcc_direct(
@@ -102,27 +76,5 @@ def check_tcc_logical(
 ) -> CheckResult:
     """Decide the Section 5.4 logical-clock TCC: CC plus Definition-6
     timedness under ``xi`` (every operation must carry ``ltime``)."""
-    params = {"delta": delta}
-    for r in history.reads:
-        if not read_occurs_on_time_logical(history, r, delta, xi):
-            missed = w_r_set_logical(history, r, delta, xi)
-            return CheckResult(
-                "TCC-logical",
-                False,
-                violation=(
-                    f"{r.label()} is late under xi={xi.name}: it misses "
-                    f"{[w.label() for w in missed]} (more than delta={delta:g} "
-                    "units of global activity old)"
-                ),
-                parameters=params,
-            )
-    cc = check_cc(history, budget=budget)
-    return CheckResult(
-        "TCC-logical",
-        cc.satisfied,
-        site_witnesses=cc.site_witnesses,
-        violation=None if cc.satisfied else cc.violation,
-        states_explored=cc.states_explored,
-        parameters=params,
-        stats=cc.stats,
-    )
+    cc = partial(check_cc, budget=budget)
+    return check_timed(history, cc, delta, criterion="TCC-logical", xi=xi)

@@ -7,7 +7,8 @@ respecting every program order.  Two equivalent implementations:
   unique, so the write each read returns is fixed by its value; whether a
   read is on time (``W_r`` empty, Definitions 1-2) is therefore a property
   of the history, independent of the chosen serialization.  Hence
-  ``TSC(delta) <=> SC and all reads on time``.
+  ``TSC(delta) <=> SC and all reads on time``, which is
+  :func:`~repro.checkers.extensions.check_timed` over SC.
 * :func:`check_tsc_direct` — the literal Definition-3 search: the SC
   backtracking engine with a read filter that refuses to schedule a read
   that would not occur on time given the writer it would read from *in the
@@ -18,14 +19,16 @@ The test suite cross-validates the two on random histories.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
+from repro.checkers.extensions import check_timed
 from repro.checkers.result import CheckResult
 from repro.checkers.sc import check_sc
 from repro.checkers.search import DEFAULT_BUDGET
 from repro.core.history import History
 from repro.core.operations import Operation
-from repro.core.timed import late_reads, read_occurs_on_time, w_r_set
+from repro.core.timed import read_occurs_on_time
 
 
 def check_tsc(
@@ -36,31 +39,8 @@ def check_tsc(
     method: str = "constraint",
 ) -> CheckResult:
     """Decide TSC(delta) under clock precision ``epsilon`` (decomposed)."""
-    late = late_reads(history, delta, epsilon)
-    params = {"delta": delta, "epsilon": epsilon}
-    if late:
-        r = late[0]
-        missed = w_r_set(history, r, delta, epsilon)
-        return CheckResult(
-            "TSC",
-            False,
-            violation=(
-                f"{r.label()} at T={r.time:g} is late: it misses "
-                f"{[w.label() for w in missed]} written more than "
-                f"delta={delta:g} before it"
-            ),
-            parameters=params,
-        )
-    sc = check_sc(history, budget=budget, method=method)
-    return CheckResult(
-        "TSC",
-        sc.satisfied,
-        witness=sc.witness,
-        violation=None if sc.satisfied else sc.violation,
-        states_explored=sc.states_explored,
-        parameters=params,
-        stats=sc.stats,
-    )
+    sc = partial(check_sc, budget=budget, method=method)
+    return check_timed(history, sc, delta, epsilon, criterion="TSC")
 
 
 def check_tsc_direct(

@@ -229,7 +229,7 @@ def cmd_net_demo(args: argparse.Namespace) -> int:
                 f"delta={args.delta:g}, push delay={args.push_delay:g}, "
                 f"skew ±{args.skew:g}")
     late = len(report.late_reads)
-    total = len(report.verdicts)
+    total = len(report.history.reads)
     print(f"\nclock-sync epsilon: {report.epsilon:.6f}s "
           f"(clients synchronized to the server's clock)")
     print(f"recorded trace: SC {'holds' if report.sc.satisfied else 'VIOLATED'}; "

@@ -271,7 +271,7 @@ def cmd_ring_soak(args: argparse.Namespace) -> int:
           f"{late_repairs} late")
     print(f"unmatched reads dropped from the trace: {report.unmatched_reads}")
     late = len(report.late_reads)
-    total = len(report.verdicts)
+    total = len(report.history.reads)
     checked = report.tsc if args.criterion == "tsc" else report.tcc
     print(f"recorded trace: SC {'holds' if report.sc.satisfied else 'VIOLATED'}; "
           f"{args.criterion.upper()}(delta={args.delta:g}) "

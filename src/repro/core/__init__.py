@@ -24,6 +24,7 @@ from repro.core.timed import (
     min_timed_delta_logical,
     read_occurs_on_time,
     read_occurs_on_time_logical,
+    required_delta,
     w_r_set,
     w_r_set_logical,
 )
@@ -55,6 +56,7 @@ __all__ = [
     "reads_from_in",
     "render_serialization",
     "render_timeline",
+    "required_delta",
     "respects",
     "respects_effective_times",
     "respects_program_order",

@@ -37,7 +37,10 @@ test suite cross-validates the two.)
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from operator import attrgetter
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.clocks.xi import XiMap
 from repro.core.history import History
@@ -46,6 +49,69 @@ from repro.core.serialization import reads_from_in
 
 #: ``delta = INFINITE_DELTA`` recovers plain SC/CC (Figure 4b's right end).
 INFINITE_DELTA = math.inf
+
+#: How an operation is placed in time: ``T(op)`` (Definitions 1-2) or
+#: ``xi(L(op))`` (Definition 6).
+TimeOf = Callable[[Operation], float]
+
+
+def required_delta(
+    t_read: float,
+    t_writer: float,
+    write_times: Iterable[float],
+    epsilon: float = 0.0,
+) -> float:
+    """The smallest delta for which a read occurs on time — Definition 2's
+    test, and the only place it is written.
+
+    ``t_read`` is the read's time, ``t_writer`` that of the write whose
+    value it returns (``-inf`` for the initial value) and ``write_times``
+    the times of the writes to the same object (the writer's own time may
+    be among them: ``T(w) + epsilon < T(w)`` never holds).  A write ``w'``
+    belongs to ``W_r`` iff ``T(w) + epsilon < T(w')`` and ``T(w') +
+    epsilon < T(r) - delta``; the second clause is a bound on delta, so
+    the read is **late iff the returned value exceeds delta**.
+    Definition 1 is ``epsilon = 0``; Definition 6 is ``epsilon = 0`` over
+    ``xi(L(op))``.  Because the window is strict, the returned value
+    itself is on time.
+    """
+    need = 0.0
+    for t in write_times:
+        if t_writer + epsilon < t:
+            bound = t_read - t - epsilon
+            if bound > need:
+                need = bound
+    return need
+
+
+_physical_time: TimeOf = attrgetter("time")
+
+
+def _writer_time(writer: Optional[Operation], time_of: TimeOf) -> float:
+    return -math.inf if writer is None else time_of(writer)
+
+
+def _w_r(history: History, read_op: Operation, delta: float, epsilon: float,
+         writer: Optional[Operation], time_of: TimeOf) -> List[Operation]:
+    t_r, t_w = time_of(read_op), _writer_time(writer, time_of)
+    return [
+        w for w in history.writes_to(read_op.obj)
+        if required_delta(t_r, t_w, (time_of(w),), epsilon) > delta
+    ]
+
+
+def _required_deltas(
+    history: History, epsilon: float, time_of: TimeOf
+) -> Iterator[Tuple[Operation, float]]:
+    """Every read with its :func:`required_delta` under ``time_of``."""
+    times: Dict[str, List[float]] = {}
+    for w in history.writes:
+        times.setdefault(w.obj, []).append(time_of(w))
+    for read_op in history.reads:
+        t_w = _writer_time(history.writer_of(read_op), time_of)
+        yield read_op, required_delta(
+            time_of(read_op), t_w, times.get(read_op.obj, ()), epsilon
+        )
 
 
 def w_r_set(
@@ -69,17 +135,7 @@ def w_r_set(
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     if writer is None:
         writer = history.writer_of(read_op)
-    t_w = -math.inf if writer is None else writer.time
-    out: List[Operation] = []
-    for cand in history.writes_to(read_op.obj):
-        if cand is writer:
-            continue
-        # The second clause is algebraically "T(w') + eps < T(r) - delta",
-        # written as a bound on delta so it is bit-for-bit consistent with
-        # :func:`min_timed_delta` (same subtractions, same rounding).
-        if t_w + epsilon < cand.time and delta < read_op.time - cand.time - epsilon:
-            out.append(cand)
-    return out
+    return _w_r(history, read_op, delta, epsilon, writer, _physical_time)
 
 
 def read_occurs_on_time(
@@ -100,10 +156,13 @@ def late_reads(
 ) -> List[Operation]:
     """All reads of the history that do *not* occur on time (assuming each
     read returns the value of its unique writer)."""
+    if delta < 0:
+        raise ValueError(f"delta must be non-negative, got {delta}")
+    if epsilon < 0:
+        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     return [
-        r
-        for r in history.reads
-        if not read_occurs_on_time(history, r, delta, epsilon)
+        r for r, need in _required_deltas(history, epsilon, _physical_time)
+        if need > delta
     ]
 
 
@@ -140,30 +199,22 @@ def min_timed_delta(
     epsilon: float = 0.0,
 ) -> float:
     """The smallest ``delta`` for which every read of the history occurs on
-    time (the *timedness threshold* used by the Figure 4b/5/6 benches).
-
-    For each read ``r`` (with writer ``w``) and each newer same-object write
-    ``w'`` with ``T(w) + epsilon < T(w')``, on-time requires
-    ``T(w') + epsilon >= T(r) - delta``, i.e. ``delta >= T(r) - T(w') -
-    epsilon``.  The threshold is the max of those lower bounds (0 if there
-    are none); because Definition 1's window is strict, the threshold value
-    itself already satisfies timedness.
-    """
-    worst = 0.0
-    for read_op in history.reads:
-        writer = history.writer_of(read_op)
-        t_w = -math.inf if writer is None else writer.time
-        for cand in history.writes_to(read_op.obj):
-            if cand is writer:
-                continue
-            if t_w + epsilon < cand.time:
-                bound = read_op.time - cand.time - epsilon
-                if bound > worst:
-                    worst = bound
-    return worst
+    time (the *timedness threshold* used by the Figure 4b/5/6 benches): the
+    largest :func:`required_delta` of any read, 0 if there are none."""
+    reads = _required_deltas(history, epsilon, _physical_time)
+    return max((need for _, need in reads), default=0.0)
 
 
 # -- Definition 6: logical clocks -------------------------------------------
+
+
+def _xi_time(xi: XiMap) -> TimeOf:
+    def time_of(op: Operation) -> float:
+        if op.ltime is None:
+            raise ValueError(f"{op!r} carries no logical timestamp")
+        return xi(op.ltime)
+
+    return time_of
 
 
 def w_r_set_logical(
@@ -181,26 +232,9 @@ def w_r_set_logical(
     """
     if not read_op.is_read:
         raise ValueError(f"{read_op!r} is not a read")
-    if read_op.ltime is None:
-        raise ValueError(f"{read_op!r} carries no logical timestamp")
     if writer is None:
         writer = history.writer_of(read_op)
-    if writer is not None and writer.ltime is None:
-        raise ValueError(f"{writer!r} carries no logical timestamp")
-    xi_w = -math.inf if writer is None else xi(writer.ltime)
-    xi_r = xi(read_op.ltime)
-    out: List[Operation] = []
-    for cand in history.writes_to(read_op.obj):
-        if cand is writer:
-            continue
-        if cand.ltime is None:
-            raise ValueError(f"{cand!r} carries no logical timestamp")
-        xi_c = xi(cand.ltime)
-        # "xi_c < xi_r - delta" written as a bound on delta, consistent
-        # with :func:`min_timed_delta_logical`.
-        if xi_w < xi_c and delta < xi_r - xi_c:
-            out.append(cand)
-    return out
+    return _w_r(history, read_op, delta, 0.0, writer, _xi_time(xi))
 
 
 def read_occurs_on_time_logical(
@@ -223,17 +257,5 @@ def all_reads_on_time_logical(history: History, delta: float, xi: XiMap) -> bool
 
 def min_timed_delta_logical(history: History, xi: XiMap) -> float:
     """Smallest Definition-6 ``delta`` making every read on time."""
-    worst = 0.0
-    for read_op in history.reads:
-        writer = history.writer_of(read_op)
-        xi_w = -math.inf if writer is None else xi(writer.ltime)
-        xi_r = xi(read_op.ltime)
-        for cand in history.writes_to(read_op.obj):
-            if cand is writer:
-                continue
-            xi_c = xi(cand.ltime)
-            if xi_w < xi_c:
-                bound = xi_r - xi_c
-                if bound > worst:
-                    worst = bound
-    return worst
+    reads = _required_deltas(history, 0.0, _xi_time(xi))
+    return max((need for _, need in reads), default=0.0)

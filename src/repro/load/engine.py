@@ -43,7 +43,7 @@ from __future__ import annotations
 import asyncio
 import os
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Awaitable, Dict, List, Optional, Sequence, Tuple
 
 from repro.clocks.rebase import loop_time
 from repro.core.io import dump_history
@@ -209,12 +209,8 @@ class OnlineJudges:
     deadline class.  The recorder every site records into calls
     :meth:`on_op_recorded` once per operation, so each judge sees every
     write — Definition 2's W_r is the set of *all* writes to the read's
-    object, not one site's.
-
-    A read whose value no recorded write has produced yet waits for that
-    write: its writer may still be waiting for replica acks, or may never
-    record at all (an ack that raced a crash).  The offline merge drops
-    the second kind as unmatched, and so do the judges."""
+    object, not one site's.  A read that arrives before its writer waits
+    for it inside the judge (:class:`TimedInstruments`)."""
 
     def __init__(self, delta: float, deadlines: Sequence[DeadlineClass]) -> None:
         self.ontime = TimedInstruments(Registry(), delta)
@@ -223,8 +219,6 @@ class OnlineJudges:
         }
         #: The load worker of each site, which knows a read's class.
         self.workers: Dict[int, LoadWorker] = {}
-        self._written: Set[Any] = {self.ontime.ontime.initial_value}
-        self._waiting: Dict[Any, List[Tuple[Operation, Optional[str]]]] = {}
 
     def set_epsilon(self, epsilon: float) -> None:
         for judge in (self.ontime, *self.deadlines.values()):
@@ -234,21 +228,12 @@ class OnlineJudges:
         """A write goes to every judge; a read to the Δ judge and, when
         its worker planned it in a deadline class, to that class's."""
         if op.is_write:
-            self._written.add(op.value)
             for judge in (self.ontime, *self.deadlines.values()):
                 judge.on_write(op.site, op.obj, op.value, op.time,
                                start=op.start, end=op.end)
-            for read, name in self._waiting.pop(op.value, ()):
-                self._judge_read(read, name)
             return
         worker = self.workers.get(op.site)
         name = worker.deadline_of(op.obj) if worker is not None else None
-        if op.value in self._written:
-            self._judge_read(op, name)
-        else:
-            self._waiting.setdefault(op.value, []).append((op, name))
-
-    def _judge_read(self, op: Operation, name: Optional[str]) -> None:
         judges = [self.ontime]
         if name is not None:
             judges.append(self.deadlines[name])
@@ -379,8 +364,7 @@ async def run_scenario(
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         dump_history(history, os.path.join(out_dir, "history.json"))
-    tsc, tcc, sc, verdicts = judge(history, scenario.delta, epsilon)
-    offline_late = sum(1 for v in verdicts if not v.on_time)
+    tsc, tcc, sc, late = judge(history, scenario.delta, epsilon)
 
     report = LoadReport(
         scenario=scenario.describe(),
@@ -393,8 +377,8 @@ async def run_scenario(
         deadlines={
             name: j.summary() for name, j in sorted(judges.deadlines.items())
         },
-        offline_late=offline_late,
-        offline_judged=len(verdicts),
+        offline_late=len(late),
+        offline_judged=len(history.reads),
         tsc_ok=tsc.satisfied,
         tcc_ok=tcc.satisfied,
         sc_ok=sc.satisfied,

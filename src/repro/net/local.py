@@ -37,11 +37,11 @@ from typing import (
 )
 
 from repro.checkers import check_sc, check_tcc, check_tsc
-from repro.checkers.online import OnlineTimedMonitor, ReadVerdict
 from repro.checkers.result import CheckResult
 from repro.clocks.rebase import RebasedClock, loop_time
 from repro.core.history import History
 from repro.core.operations import Operation
+from repro.core.timed import late_reads
 from repro.net.client import NetCacheClient, NetError
 from repro.net.faults import FaultInjector
 from repro.net.ring_router import RingRouter
@@ -59,20 +59,18 @@ class Judgement(NamedTuple):
     tsc: CheckResult
     tcc: CheckResult
     sc: CheckResult
-    verdicts: List[ReadVerdict]
+    late_reads: List[Operation]
 
 
 def judge(history: History, delta: float, epsilon: float) -> Judgement:
-    """Offline TSC, TCC and SC verdicts plus the online monitor's
-    per-read Definition-1/2 verdicts, all at the same delta and epsilon."""
-    monitor = OnlineTimedMonitor(delta, epsilon=epsilon,
-                                 initial_value=history.initial_value)
-    ordered = sorted(history.operations, key=lambda op: (op.time, op.uid))
+    """Offline TSC, TCC and SC verdicts plus the reads that are not on
+    time (Definitions 1-2), all at the same delta and epsilon.  A read is
+    judged at its recorded time, the end of its interval."""
     return Judgement(
         tsc=check_tsc(history, delta, epsilon),
         tcc=check_tcc(history, delta, epsilon),
         sc=check_sc(history),
-        verdicts=monitor.observe_all(ordered),
+        late_reads=late_reads(history, delta, epsilon),
     )
 
 

@@ -16,8 +16,8 @@ Three workloads:
   skew on every client, and a fault injector delaying only ``push``
   frames.  With delay within the bound the trace satisfies TSC(delta);
   with delay > delta the readers keep serving the old version from cache
-  past its deadline and the checkers (offline TSC and the online
-  monitor) flag the late reads.
+  past its deadline and the checkers (TSC and the late-read list) flag
+  the late reads.
 * :func:`random_net_cluster` — a uniform read/write mix over one
   ``pull``-mode server, optionally through lossy client links.
 * :func:`ring_cluster` — the multi-server soak: ``n_servers`` servers on
@@ -42,10 +42,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Awaitable, Dict, List, Optional, Sequence, Tuple
 
-from repro.checkers.online import ReadVerdict
 from repro.checkers.result import CheckResult
 from repro.clocks.rebase import loop_time
 from repro.core.history import History, HistoryError
+from repro.core.operations import Operation
 from repro.engine import messages
 from repro.engine.stats import ClientStats
 from repro.net.client import NetCacheClient, NetError
@@ -77,15 +77,12 @@ class ClusterReport:
     tsc: CheckResult
     tcc: CheckResult
     sc: CheckResult
-    verdicts: List[ReadVerdict]
+    #: The reads that are not on time at ``delta`` and ``epsilon``.
+    late_reads: List[Operation]
     client_stats: Dict[int, ClientStats]
     client_offsets: Dict[int, float] = field(default_factory=dict)
     server_requests: int = 0
     pushes_sent: int = 0
-
-    @property
-    def late_reads(self) -> List[ReadVerdict]:
-        return [v for v in self.verdicts if not v.on_time]
 
     def totals(self) -> ClientStats:
         merged = ClientStats()
@@ -111,7 +108,7 @@ def _cluster_report(
         tsc=verdict.tsc,
         tcc=verdict.tcc,
         sc=verdict.sc,
-        verdicts=verdict.verdicts,
+        late_reads=verdict.late_reads,
         client_stats={c.client_id: c.stats for c in clients},
         client_offsets={c.client_id: c.clock.estimator.offset for c in clients},
         server_requests=server.engine.requests,
@@ -251,7 +248,8 @@ class RingReport:
     tsc: CheckResult
     tcc: CheckResult
     sc: CheckResult
-    verdicts: List[ReadVerdict]
+    #: The reads that are not on time at ``delta`` and ``epsilon``.
+    late_reads: List[Operation]
     router_stats: Dict[int, RouterStats]
     placement_stats: Dict[int, PlacementStats]
     server_requests: Dict[int, int]
@@ -267,10 +265,6 @@ class RingReport:
     #: *recorded* write wrote (:func:`~repro.net.local.merge_history`);
     #: always 0 in a soak that injected no fault.
     unmatched_reads: int = 0
-
-    @property
-    def late_reads(self) -> List[ReadVerdict]:
-        return [v for v in self.verdicts if not v.on_time]
 
     @property
     def off_ring_reads(self) -> int:
@@ -494,7 +488,7 @@ async def ring_cluster(
         tsc=verdict.tsc,
         tcc=verdict.tcc,
         sc=verdict.sc,
-        verdicts=verdict.verdicts,
+        late_reads=verdict.late_reads,
         router_stats={r.client_id: r.stats for r in routers},
         placement_stats={r.client_id: r.placement.stats for r in routers},
         server_requests={d: s.engine.requests for d, s in stack.servers.items()},

@@ -10,16 +10,17 @@ the sim's async twin) can export them from ``/metrics`` continuously:
   versions (``now - T(w)``), as a histogram against the freshness bound
   ``delta``, with a violation counter;
 * :class:`OnTimeRatio` — the Definition 1/2 on-time read fraction,
-  judged per read from a bounded per-object window of recent writes
-  (the online sibling of
-  :class:`repro.checkers.online.OnlineTimedMonitor`, trading unbounded
-  write memory for an explicit *unjudged* bucket — see
-  docs/OBSERVABILITY.md for the window-tolerance semantics);
+  judged per read by :func:`repro.core.timed.required_delta` from a
+  bounded per-object window of recent writes (the online sibling of
+  :func:`repro.core.timed.late_reads`, trading unbounded write memory
+  for an explicit *unjudged* bucket — see docs/OBSERVABILITY.md for the
+  window-tolerance semantics);
 * :class:`EventTrace` — a ring buffer of structured operation events
   with JSONL export in the docs/TRACE_FORMAT.md operation shape, so the
   tail of a live run can always be handed to the offline checkers;
 * :class:`TimedInstruments` — the bundle the net stack wires in: one
-  call per completed read/write feeds all three.
+  call per completed read/write feeds all three, and a read that arrives
+  before its writer waits for it.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from typing import Any, Deque, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Deque, Dict, List, NamedTuple, Optional, Set, Tuple
 
+from repro.core.timed import required_delta
 from repro.obs.metrics import Registry, exponential_buckets
 
 #: Default per-object recent-write window of :class:`OnTimeRatio`.
@@ -145,10 +147,11 @@ class OnTimeRatio:
 
         T(w') > T(w) + epsilon   and   T(w') < T(r) - delta - epsilon
 
-    (Definition 2's comparison; ``epsilon = 0`` gives Definition 1).
-    The offline monitor keeps every write; this instrument keeps the
-    last ``window`` writes per object.  When the writer is still in the
-    window the judgement is *exact*.  When it is not, a retained write
+    (Definition 2's comparison; ``epsilon = 0`` gives Definition 1),
+    decided by the offline judge's own rule,
+    :func:`repro.core.timed.required_delta`.  The offline judge sees every
+    write; this instrument keeps the last ``window`` writes per object.
+    When the writer is still in the window the judgement is *exact*.  When it is not, a retained write
     older than ``T(r) - delta - epsilon`` still proves the read late
     (every retained write is newer than the evicted writer); otherwise
     the read is counted **unjudged** — the documented window tolerance
@@ -210,55 +213,33 @@ class OnTimeRatio:
     def observe_read(self, obj: str, value: Any, time: float) -> OnTimeVerdict:
         window = self._objects.get(obj)
         writes = window.writes if window is not None else ()
-        cutoff = time - self.delta - self.epsilon
-        writer_at = None
-        for index in range(len(writes) - 1, -1, -1):
-            if writes[index][1] == value:
-                writer_at = index
-                break
-        if writer_at is not None:
-            writer_time = writes[writer_at][0]
-            verdict = self._judge(writes, writer_at, writer_time, time, cutoff)
-        elif value == self.initial_value and (window is None or window.evicted == 0):
-            # Reading the pre-history value: every retained write is a
-            # candidate newer write.
-            verdict = self._judge(writes, -1, -math.inf, time, cutoff)
-        else:
-            # The writer predates the window.  A retained write older
-            # than the cutoff still proves lateness; otherwise the
-            # window cannot decide.
-            if writes and writes[0][0] < cutoff:
-                verdict = OnTimeVerdict(False, None, time - writes[0][0] - self.epsilon)
-            else:
-                verdict = OnTimeVerdict(None, None, 0.0)
-        if verdict.on_time is True:
-            self._on_time.inc()
-        elif verdict.on_time is False:
+        writer_time = next(
+            (t for t, v in reversed(writes) if v == value), None
+        )
+        # The writer is known when retained, or when the read returns the
+        # pre-history value and nothing has been evicted.  An evicted
+        # writer is older than every retained write, so judging against
+        # all of them can still prove the read late, never on time.
+        known = writer_time is not None or (
+            value == self.initial_value
+            and (window is None or window.evicted == 0)
+        )
+        t_w = -math.inf if writer_time is None else writer_time
+        required = required_delta(
+            time, t_w, (t for t, _ in writes), self.epsilon
+        )
+        lag = None if writer_time is None else time - writer_time
+        if required > self.delta:
+            verdict = OnTimeVerdict(False, lag, required)
             self._late.inc()
+        elif known:
+            verdict = OnTimeVerdict(True, lag, required)
+            self._on_time.inc()
         else:
+            verdict = OnTimeVerdict(None, None, 0.0)
             self._unjudged.inc()
         self.required_delta = max(self.required_delta, verdict.required_delta)
         return verdict
-
-    def _judge(
-        self,
-        writes,
-        writer_at: int,
-        writer_time: float,
-        time: float,
-        cutoff: float,
-    ) -> OnTimeVerdict:
-        lag = None if math.isinf(writer_time) else time - writer_time
-        late = False
-        required = 0.0
-        for index in range(writer_at + 1, len(writes)):
-            w_time = writes[index][0]
-            if w_time <= writer_time + self.epsilon:
-                continue  # within the clock precision of the writer
-            required = max(required, time - w_time - self.epsilon)
-            if w_time < cutoff:
-                late = True
-        return OnTimeVerdict(not late, lag, max(required, 0.0))
 
     # -- summary ---------------------------------------------------------
 
@@ -650,6 +631,14 @@ class TimedInstruments:
     the read judgement, not raw age), and the event-trace ring.
     ``epsilon`` may be assigned after construction — clock-sync error
     bounds are only known once the transport handshakes finish.
+
+    Operations arrive in completion order, so a read can arrive before
+    the write it returns: that writer may still be collecting replica
+    acks, or may never be recorded at all (an ack that raced a crash).
+    Such a read **waits for its writer** and is judged, at its own time,
+    when the write arrives; one whose writer never arrives is never
+    judged, as the offline merge drops it.  Telling a writer not yet
+    seen from one evicted from the window takes one set entry per write.
     """
 
     def __init__(
@@ -671,6 +660,10 @@ class TimedInstruments:
         self.trace = EventTrace(
             trace_capacity, registry=registry, initial_value=initial_value,
         )
+        #: Every (object, value) written so far, and the times of the
+        #: reads still waiting for theirs.
+        self._written: Set[Tuple[str, Any]] = set()
+        self._waiting: Dict[Tuple[str, Any], List[float]] = {}
 
     @property
     def epsilon(self) -> float:
@@ -698,6 +691,9 @@ class TimedInstruments:
     ) -> None:
         self.ontime.observe_write(obj, value, time)
         self.trace.record_write(site, obj, value, time, start=start, end=end)
+        self._written.add((obj, value))
+        for read_time in self._waiting.pop((obj, value), ()):
+            self._judge(obj, value, read_time)
 
     def on_read(
         self,
@@ -707,7 +703,17 @@ class TimedInstruments:
         time: float,
         start: Optional[float] = None,
         end: Optional[float] = None,
-    ) -> OnTimeVerdict:
+    ) -> Optional[OnTimeVerdict]:
+        """Judge one read at ``time``; ``None`` while it waits for its
+        writer, and the read is judged when that write arrives."""
+        self.trace.record_read(site, obj, value, time, start=start, end=end)
+        key = (obj, value)
+        if key not in self._written and value != self.ontime.initial_value:
+            self._waiting.setdefault(key, []).append(time)
+            return None
+        return self._judge(obj, value, time)
+
+    def _judge(self, obj: str, value: Any, time: float) -> OnTimeVerdict:
         verdict = self.ontime.observe_read(obj, value, time)
         if verdict.lag is not None:
             self.visibility.observe(
@@ -715,7 +721,6 @@ class TimedInstruments:
             )
         elif verdict.on_time is False:
             self.visibility.violations.inc()
-        self.trace.record_read(site, obj, value, time, start=start, end=end)
         return verdict
 
     def summary(self) -> Dict[str, Any]:

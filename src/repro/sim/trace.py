@@ -21,8 +21,10 @@ class TraceRecorder:
 
     ``listeners`` are called with each operation as it is recorded (in
     completion order, which is non-decreasing *recording* time but not
-    necessarily effective-time order — see
-    :class:`repro.checkers.online.ReorderingMonitor` for live checking).
+    necessarily effective-time order: a read can arrive before the write
+    it returns).  For live checking, feed them to
+    :class:`repro.obs.instruments.TimedInstruments`, whose reads wait for
+    their writers.
     """
 
     def __init__(self, initial_value: Any = 0) -> None:

@@ -13,8 +13,10 @@ import pytest
 
 import repro
 from repro.checkers import check_sc, check_tcc, check_tsc
-from repro.checkers.online import OnlineTimedMonitor
 from repro.cluster import ClusterConfig, SwimAgent
+from repro.core.history import History
+from repro.core.operations import read, write
+from repro.core.timed import late_reads
 from repro.load import engine as load_engine
 from repro.net import local
 from repro.net.local import LocalStack, judge, merge_history
@@ -209,19 +211,17 @@ class TestTeardown:
 
 def old_call_sites(history, delta, epsilon):
     """What ``net.demo._judge`` plus the hand-bolted ``check_tcc`` of
-    ``ring_demo`` and ``load.engine`` computed."""
-    monitor = OnlineTimedMonitor(delta, epsilon=epsilon,
-                                 initial_value=history.initial_value)
-    ordered = sorted(history.operations, key=lambda op: (op.time, op.uid))
+    ``ring_demo`` and ``load.engine`` computed, with the late reads from
+    the one offline judge."""
     return (check_tsc(history, delta, epsilon), check_tcc(history, delta, epsilon),
-            check_sc(history), monitor.observe_all(ordered))
+            check_sc(history), late_reads(history, delta, epsilon))
 
 
 def assert_same_judgement(got, expected):
     for new, old in zip(got[:3], expected[:3]):
         assert (new.criterion, new.satisfied, new.violation, new.parameters) \
             == (old.criterion, old.satisfied, old.violation, old.parameters)
-    assert got.verdicts == expected[3]
+    assert got.late_reads == expected[3]
 
 
 class TestOneJudge:
@@ -246,7 +246,7 @@ class TestOneJudge:
         assert len(report.history) > 16
         assert report.fault is None and report.unmatched_reads == 0
         got = local.Judgement(
-            report.tsc, report.tcc, report.sc, report.verdicts
+            report.tsc, report.tcc, report.sc, report.late_reads
         )
         assert_same_judgement(
             got, old_call_sites(report.history, report.delta, report.epsilon)
@@ -270,7 +270,19 @@ class TestOneJudge:
         ]
         verdict = judge(history, delta=0.4, epsilon=0.0)
         assert verdict.tsc.satisfied and verdict.tcc.satisfied
-        assert verdict.sc.satisfied and len(verdict.verdicts) == 2
+        assert verdict.sc.satisfied and verdict.late_reads == []
+
+    def test_a_read_stamped_before_its_writer_is_judged(self):
+        # A live read is stamped on its site's clock and its writer on
+        # the server's; within epsilon (Definition 2) the read's stamp may
+        # precede the write's.  The history is valid and TSC holds.
+        writer = write(1, "x", "a", 1.000)
+        reader = read(2, "x", "a", 0.999)
+        history = History([writer, reader])
+        verdict = judge(history, delta=0.4, epsilon=0.005)
+        assert check_tsc(history, 0.4, 0.005).satisfied
+        assert verdict.tsc.satisfied
+        assert verdict.late_reads == []
 
     def test_both_harnesses_report_the_one_fault_outcome(self):
         assert load_engine.FaultOutcome is local.FaultOutcome

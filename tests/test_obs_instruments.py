@@ -1,5 +1,5 @@
 """The timed-consistency instruments: visibility lag, the online
-on-time ratio (cross-validated against the offline monitor), and the
+on-time ratio (cross-validated against the offline judge), and the
 event-trace ring."""
 
 import json
@@ -8,9 +8,10 @@ import random
 
 import pytest
 
-from repro.checkers.online import OnlineTimedMonitor
+from repro.core.history import History
 from repro.core.io import load_history
 from repro.core.operations import read, write
+from repro.core.timed import late_reads, min_timed_delta
 from repro.obs.instruments import (
     EventTrace,
     OnTimeRatio,
@@ -122,16 +123,16 @@ class TestOnTimeRatio:
     def test_cross_validates_against_offline_monitor(self):
         # Random unique-value histories, window large enough to retain
         # everything: the online judgement must match the offline
-        # Definition 1/2 monitor read for read, including the running
-        # threshold.
+        # Definition 1/2 judge of repro.core.timed read for read,
+        # including the running threshold.
         for seed in range(8):
             rng = random.Random(seed)
             delta = rng.choice([0.05, 0.2, 1.0])
             epsilon = rng.choice([0.0, 0.05])
             objects = ["x", "y"]
-            monitor = OnlineTimedMonitor(delta, epsilon)
             ot = OnTimeRatio(Registry(), delta, epsilon, window=256)
             written = {obj: [0] for obj in objects}
+            ops, online_late = [], set()
             t = 0.0
             value = iter(range(1, 10_000))
             for _ in range(120):
@@ -139,26 +140,24 @@ class TestOnTimeRatio:
                 obj = rng.choice(objects)
                 if rng.random() < 0.4:
                     v = next(value)
-                    monitor.observe(write(0, obj, v, t))
+                    ops.append(write(0, obj, v, t))
                     ot.observe_write(obj, v, t)
                     written[obj].append(v)
                 else:
                     v = rng.choice(written[obj][-4:])
-                    offline = monitor.observe(read(0, obj, v, t))
-                    online = ot.observe_read(obj, v, t)
-                    assert online.on_time == offline.on_time, (
-                        seed, obj, v, t
-                    )
-                    assert online.required_delta == pytest.approx(
-                        offline.required_delta
-                    )
+                    ops.append(read(0, obj, v, t))
+                    if not ot.observe_read(obj, v, t).on_time:
+                        online_late.add(ops[-1].uid)
+            history = History(ops)
+            offline_late = late_reads(history, delta, epsilon)
+            assert online_late == {r.uid for r in offline_late}, seed
             assert ot.counts["unjudged"] == 0
             assert ot.required_delta == pytest.approx(
-                monitor.stats.threshold
+                min_timed_delta(history, epsilon)
             )
             judged = ot.counts["on_time"] + ot.counts["late"]
-            assert judged == monitor.stats.reads
-            assert ot.counts["late"] == monitor.stats.late_reads
+            assert judged == len(history.reads)
+            assert ot.counts["late"] == len(offline_late)
 
 
 class TestEventTrace:
@@ -215,6 +214,28 @@ class TestTimedInstruments:
         assert summary["trace_events"] == 4
         assert summary["violations"] == 1
         assert 0.0 <= summary["ontime_ratio"] <= 1.0
+
+    def test_a_read_waits_for_its_writer(self):
+        # Completion order: the read of 2 is recorded before the write
+        # of 2, whose ack came later.  It is judged when the write
+        # arrives, at its own time, against every write seen by then.
+        inst = TimedInstruments(Registry(), delta=0.5)
+        inst.on_write(0, "x", 1, 1.0)
+        assert inst.on_read(1, "x", 2, 2.1) is None
+        assert inst.ontime.counts["on_time"] == 0
+        inst.on_write(0, "x", 2, 2.0)
+        assert inst.summary()["reads_on_time"] == 1
+        # Reads of the initial value and of known writes never wait.
+        assert inst.on_read(1, "y", 0, 2.2).on_time is True
+        assert inst.on_read(1, "x", 1, 3.0).on_time is False
+
+    def test_a_read_whose_writer_never_arrives_is_never_judged(self):
+        inst = TimedInstruments(Registry(), delta=0.5)
+        assert inst.on_read(1, "x", "lost", 1.0) is None
+        summary = inst.summary()
+        assert (summary["reads_on_time"], summary["reads_late"],
+                summary["reads_unjudged"]) == (0, 0, 0)
+        assert summary["trace_events"] == 1
 
     def test_epsilon_settable_after_handshake(self):
         inst = TimedInstruments(Registry(), delta=0.5)

@@ -72,7 +72,7 @@ class TestInstrumentedSoak:
         assert report.ontime["reads_late"] == len(report.late_reads)
         judged = (report.ontime["reads_on_time"]
                   + report.ontime["reads_late"])
-        assert judged == len(report.verdicts)
+        assert judged == len(report.history.reads)
         if report.late_reads:
             expected = 1.0 - len(report.late_reads) / judged
         else:

@@ -9,26 +9,47 @@ Two regimes the satellite tasks call out:
   inequality ``T(w') < T(r) - delta``, so the boundary read is on time
   and the required delta equals the gap exactly.
 
-Both are checked against the streaming monitor *and* the offline TSC
-checker, which must agree.
+Both are checked against the live judge (``OnTimeRatio``), the offline
+one (``repro.core.timed``) *and* the offline TSC checker, which must
+agree.
 """
 
 import math
+from typing import List, NamedTuple, Optional
 
 import pytest
 
 from repro.checkers import check_tsc
-from repro.checkers.online import OnlineTimedMonitor
 from repro.core.history import History
-from repro.core.operations import read, write
+from repro.core.operations import Operation, read, write
+from repro.core.timed import min_timed_delta, w_r_set
+from repro.obs.instruments import OnTimeRatio
+from repro.obs.metrics import Registry
+
+
+class Verdict(NamedTuple):
+    """The live verdict on the stream's last read, with its offline W_r."""
+
+    on_time: Optional[bool]
+    required_delta: float
+    missed: List[Operation]
 
 
 def verdict_for(ops, delta, epsilon=0.0):
-    """Feed ops (already effective-time-ordered) and return the last verdict."""
-    monitor = OnlineTimedMonitor(delta, epsilon=epsilon)
-    verdicts = monitor.observe_all(ops)
-    assert verdicts, "stream contained no read"
-    return monitor, verdicts[-1]
+    """Feed ops (already effective-time-ordered) to the live judge;
+    return it and its verdict on the last read, which must agree with
+    the offline W_r."""
+    live = OnTimeRatio(Registry(), delta, epsilon)
+    verdict = None
+    for op in ops:
+        if op.is_write:
+            live.observe_write(op.obj, op.value, op.time)
+        else:
+            verdict = live.observe_read(op.obj, op.value, op.time)
+    assert verdict is not None, "stream contained no read"
+    missed = w_r_set(History(ops), ops[-1], delta, epsilon)
+    assert verdict.on_time == (not missed)
+    return live, Verdict(verdict.on_time, verdict.required_delta, missed)
 
 
 class TestWritesWithinEpsilon:
@@ -41,11 +62,11 @@ class TestWritesWithinEpsilon:
     ]
 
     def test_indistinguishable_writes_excuse_the_read(self):
-        monitor, verdict = verdict_for(self.OPS, delta=0.5, epsilon=0.5)
+        live, verdict = verdict_for(self.OPS, delta=0.5, epsilon=0.5)
         assert verdict.on_time
-        assert verdict.missed == ()
+        assert verdict.missed == []
         assert verdict.required_delta == 0.0
-        assert monitor.stats.late_reads == 0
+        assert live.counts["late"] == 0
 
     def test_epsilon_exactly_the_gap_still_excuses(self):
         # t_w + epsilon < T(w') is strict: 10.0 + 0.4 < 10.4 is False.
@@ -53,12 +74,12 @@ class TestWritesWithinEpsilon:
         assert verdict.on_time
 
     def test_smaller_epsilon_restores_the_miss(self):
-        monitor, verdict = verdict_for(self.OPS, delta=0.5, epsilon=0.3)
+        live, verdict = verdict_for(self.OPS, delta=0.5, epsilon=0.3)
         assert not verdict.on_time
-        assert [label for label, _ in verdict.missed] == ["w1(x)2"]
+        assert [w.label() for w in verdict.missed] == ["w1(x)2"]
         # Definition 2's bound: T(r) - T(w') - epsilon.
         assert verdict.required_delta == pytest.approx(50.0 - 10.4 - 0.3)
-        assert monitor.stats.late_reads == 1
+        assert live.counts["late"] == 1
 
     def test_offline_checker_agrees(self):
         history = History(self.OPS)
@@ -79,16 +100,18 @@ class TestBoundaryRead:
         ]
 
     def test_read_exactly_at_deadline_is_on_time(self):
-        monitor, verdict = verdict_for(self.ops(10.0 + self.DELTA), self.DELTA)
+        live, verdict = verdict_for(self.ops(10.0 + self.DELTA), self.DELTA)
         assert verdict.on_time
         # ... but only just: the running threshold equals delta exactly.
         assert verdict.required_delta == pytest.approx(self.DELTA)
-        assert monitor.stats.threshold == pytest.approx(self.DELTA)
+        assert live.required_delta == pytest.approx(self.DELTA)
+        assert min_timed_delta(History(self.ops(10.0 + self.DELTA))) == \
+            pytest.approx(self.DELTA)
 
     def test_read_a_hair_past_deadline_is_late(self):
         _, verdict = verdict_for(self.ops(10.0 + self.DELTA + 1e-6), self.DELTA)
         assert not verdict.on_time
-        assert [label for label, _ in verdict.missed] == ["w1(x)2"]
+        assert [w.label() for w in verdict.missed] == ["w1(x)2"]
 
     def test_offline_checker_agrees_at_the_boundary(self):
         on_time = History(self.ops(10.0 + self.DELTA))
@@ -98,6 +121,17 @@ class TestBoundaryRead:
         # The boundary trace fails for any tighter delta.
         assert not check_tsc(on_time, self.DELTA - 1e-6).satisfied
 
+    def test_live_and_offline_round_the_boundary_alike(self):
+        # 0.8 - 0.5 rounds to 0.30000000000000004 > 0.3, while 0.8 - 0.3
+        # rounds to exactly 0.5: "T(w') < T(r) - delta" says on time and
+        # "delta < T(r) - T(w')" says late.  Both judges take the second.
+        ops = [
+            write(0, "x", 1, 0.0), write(1, "x", 2, 0.5), read(2, "x", 1, 0.8),
+        ]
+        _, verdict = verdict_for(ops, 0.3)
+        assert not verdict.on_time
+        assert not check_tsc(History(ops), 0.3).satisfied
+
     def test_fresh_read_at_deadline_needs_no_delta(self):
         # The read returns w' itself: W_r is empty however tight delta is.
         ops = [
@@ -105,21 +139,15 @@ class TestBoundaryRead:
             write(1, "x", 2, 10.0),
             read(2, "x", 2, 10.0 + self.DELTA),
         ]
-        monitor, verdict = verdict_for(ops, 0.0)
+        _, verdict = verdict_for(ops, 0.0)
         assert verdict.on_time
         assert verdict.required_delta == 0.0
 
 
 class TestStreamDiscipline:
-    def test_out_of_order_stream_rejected(self):
-        monitor = OnlineTimedMonitor(delta=1.0)
-        monitor.observe(write(0, "x", 1, 5.0))
-        with pytest.raises(ValueError, match="out-of-order"):
-            monitor.observe(write(0, "x", 2, 4.0))
-
     def test_equal_times_accepted(self):
-        # Non-decreasing, not strictly increasing: ties are legal.
-        monitor = OnlineTimedMonitor(delta=math.inf)
-        monitor.observe(write(0, "x", 1, 5.0))
-        verdict = monitor.observe(read(1, "x", 1, 5.0))
+        # A read at the very time of its write: ties are legal.
+        _, verdict = verdict_for(
+            [write(0, "x", 1, 5.0), read(1, "x", 1, 5.0)], math.inf
+        )
         assert verdict.on_time

@@ -19,7 +19,6 @@ PACKAGES = [
 ]
 
 MODULES = PACKAGES + [
-    "repro.checkers.online",
     "repro.checkers.sessions",
     "repro.checkers.transactions",
     "repro.checkers.extensions",

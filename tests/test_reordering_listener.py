@@ -1,106 +1,47 @@
-"""Tests for ReorderingMonitor and TraceRecorder listeners."""
+"""Tests for TraceRecorder listeners and the live judge they feed."""
 
-import pytest
-
-from repro.checkers import OnlineTimedMonitor, ReorderingMonitor, check_sc
-from repro.core.operations import read, write
+from repro.checkers import check_sc
 from repro.core.timed import late_reads
+from repro.obs import Registry, TimedInstruments
 from repro.protocol import Cluster
 from repro.sim.trace import TraceRecorder
 from repro.workloads import uniform_workload
 
 
 class TestReorderingMonitor:
-    def test_reorders_within_horizon(self):
-        monitor = ReorderingMonitor(OnlineTimedMonitor(delta=1.0), horizon=1.0)
-        # Arrivals out of effective-time order, within the horizon.
-        monitor.push(write(0, "x", 1, 1.0), now=1.2)
-        monitor.push(read(1, "x", 0, 0.5), now=1.3)  # effectively earlier
-        verdicts = monitor.flush()
-        assert len(verdicts) == 1
-        assert verdicts[0].on_time  # initial read before the write: fine
-
-    def test_drains_past_watermark_only(self):
-        monitor = ReorderingMonitor(OnlineTimedMonitor(delta=1.0), horizon=1.0)
-        released = monitor.push(write(0, "x", 1, 1.0), now=1.1)
-        assert released == []  # 1.0 > 1.1 - 1.0 watermark: still buffered
-        released = monitor.push(read(1, "x", 1, 1.5), now=3.0)
-        # watermark 2.0 releases both ops, producing one verdict.
-        assert len(released) == 1
-
-    def test_negative_horizon_rejected(self):
-        with pytest.raises(ValueError):
-            ReorderingMonitor(OnlineTimedMonitor(delta=1.0), horizon=-0.5)
-
-    def test_heap_drain_order_matches_sort_drain(self):
-        """The heapq buffer must release operations in exactly the order
-        the old sort-the-buffer-and-pop(0) implementation did."""
-        import random
-
-        class SortDrainMonitor(ReorderingMonitor):
-            # The pre-heapq implementation, kept verbatim as the oracle.
-            def __init__(self, monitor, horizon):
-                super().__init__(monitor, horizon)
-                self._ops = []
-
-            def push(self, op, now):
-                self._ops.append(op)
-                return self._drain(now - self.horizon)
-
-            def _drain(self, watermark):
-                self._ops.sort(key=lambda o: (o.time, o.uid))
-                released = []
-                while self._ops and self._ops[0].time <= watermark:
-                    verdict = self.monitor.observe(self._ops.pop(0))
-                    if verdict is not None:
-                        released.append(verdict)
-                self.verdicts.extend(released)
-                return released
-
-        rng = random.Random(42)
-        ops = []
-        t = 0.0
-        for i in range(200):
-            t += rng.uniform(0.0, 0.2)
-            if rng.random() < 0.4:
-                ops.append(write(i % 5, "x", i, t))
-            else:
-                ops.append(read(i % 5, "x", ops[-1].value if ops else 0, t))
-        # Each op surfaces up to 0.4s after its effective time — strictly
-        # within the monitors' 0.5s horizon.
-        arrivals = sorted(
-            ((op.time + rng.uniform(0.0, 0.4), op) for op in ops),
-            key=lambda pair: pair[0],
-        )
-
-        new = ReorderingMonitor(OnlineTimedMonitor(delta=0.5), horizon=0.5)
-        old = SortDrainMonitor(OnlineTimedMonitor(delta=0.5), horizon=0.5)
-        for now, op in arrivals:
-            new.push(op, now=now)
-            old.push(op, now=now)
-        new_verdicts = new.flush()
-        old_verdicts = old.flush()
-        assert [(v.read.uid, v.on_time, v.missed, v.required_delta)
-                for v in new_verdicts] == \
-               [(v.read.uid, v.on_time, v.missed, v.required_delta)
-                for v in old_verdicts]
+    """Live monitoring of a stream in completion order, which reorders
+    operations against their effective times."""
 
     def test_live_cluster_monitoring_matches_offline(self):
+        # Completion order is not effective-time order: a write is
+        # recorded at its ack, after reads of its value at other sites.
+        # Each such read waits for its writer inside the live judge.
         delta = 0.3
         cluster = Cluster(n_clients=4, n_servers=1, variant="sc", seed=3)
-        inner = OnlineTimedMonitor(delta=delta)
-        monitor = ReorderingMonitor(inner, horizon=0.2)
-        cluster.recorder.add_listener(
-            lambda op: monitor.push(op, now=cluster.sim.now)
-        )
+        live = TimedInstruments(Registry(), delta)
+        verdicts = {}
+
+        def on_operation(op):
+            if op.is_write:
+                live.on_write(op.site, op.obj, op.value, op.time)
+            else:
+                verdicts[op] = live.on_read(op.site, op.obj, op.value, op.time)
+
+        cluster.recorder.add_listener(on_operation)
         cluster.spawn(uniform_workload(["A", "B"], n_ops=20, write_fraction=0.3))
         cluster.run()
-        verdicts = monitor.flush()
         history = cluster.history()
-        online_late = {v.read.uid for v in verdicts if not v.on_time}
-        offline_late = {r.uid for r in late_reads(history, delta)}
-        assert online_late == offline_late
-        assert inner.stats.reads == len(history.reads)
+        offline_late = late_reads(history, delta)
+        counts = live.ontime.counts
+        assert counts["on_time"] + counts["late"] == len(history.reads)
+        assert counts["unjudged"] == 0
+        assert counts["late"] == len(offline_late)
+        # One read here arrived before its writer and waited for it.
+        assert list(verdicts.values()).count(None) == 1
+        # Every read judged on arrival agrees with the offline judge.
+        judged = {r.uid for r, v in verdicts.items()
+                  if v is not None and not v.on_time}
+        assert judged <= {r.uid for r in offline_late}
 
 
 class TestRecorderListeners:
