@@ -39,8 +39,8 @@ There is one way to serve a data-plane request: in place, in arrival
 order, inside the ``data_received`` that brought it, by plain functions
 that run the engine and append to the log without giving up the event
 loop — so no other request can run in the middle of one, and the engine
-needs no lock.  The one wait a reply can take is the group-commit hold
-of a store-backed server (``_answer``).
+needs no lock.  The one wait a reply can take is a store-backed server's
+group-commit hold (``_waits``), for an fsync on the store's thread.
 
 Requests are executed **exactly once**: a per-client LRU reply cache
 keyed ``(client_id, req)`` replays answered requests, so a write whose
@@ -169,6 +169,12 @@ class NetObjectServer:
             self.engine.on_revalidation = self._on_store_revalidation
         self._server: Optional[asyncio.base_events.Server] = None
         self._connections: Set[FrameConnection] = set()
+        # Reply groups held for the log, ``_covered`` of them for ``_syncing``.
+        self._held: List[Tuple[FrameConnection, int, List[tuple]]] = []
+        self._covered = 0
+        self._syncing: Optional[asyncio.Future] = None
+        self._unsynced: Dict[str, int] = {}  # obj -> commit of its last write
+        self._handed_off = self._on_disk = 0  # commits begun; last one synced
         # Each subscriber's outbox of pushes/invalidations, emptied by
         # its own feeder task at the pace of its socket.
         self._subscribers: Dict[FrameConnection, asyncio.Queue] = {}
@@ -283,15 +289,18 @@ class NetObjectServer:
         await self.close()
 
     async def _drained(self) -> None:
-        """What answered requests propagated, handed to every
-        subscriber's transport.  No request is mid-execution while this
-        waits: each is executed without giving up the loop."""
+        """Every held reply, and what answered requests propagated, handed
+        to its transport.  No request is mid-execution while this waits:
+        each is executed without giving up the loop."""
+        while self._syncing is not None:  # and so a reply is held
+            await asyncio.wait((self._syncing,))
         for outbox in list(self._subscribers.values()):
             await outbox.join()
 
     async def close(self) -> None:
         await self._close_connections()
         if self.durable is not None:
+            await self._drained()  # the worker returns before the log closes
             self.durable.close(sync=True)  # no-op after a clean shutdown
         # The collector stays registered: a registry is scoped to one
         # deployment/run, and post-run snapshots must still carry the
@@ -367,7 +376,9 @@ class NetObjectServer:
         except (FrameError, ConnectionError):
             pass  # corrupt or vanished peer: drop the connection
         finally:
-            if tasks:  # still owed replies, if the peer only half-closed
+            while any(group[0] is conn for group in self._held):
+                await asyncio.wait((self._syncing,))  # owed, if half-closed
+            if tasks:
                 await asyncio.gather(*list(tasks), return_exceptions=True)
             self._subscribers.pop(conn, None)
             if feeder is not None:
@@ -388,13 +399,13 @@ class NetObjectServer:
         each frame of one ``data_received`` call and run its handler, in
         arrival order; ``_release`` sends the replies.
 
-        The data-plane frames form one burst: with a store, once
-        ``_on_request`` has appended to the log unsynced, the replies are
-        held until the burst has run, for one commit.  ``sync`` is never
-        held (the commit would add noise to t2 - t1), so it, ``bye`` and
-        the control plane — which may wait (an indirect probe, a
-        handoff), so each request runs in a task, kept in ``tasks`` —
-        release what is held first.
+        The data-plane frames form one burst: with a store, from the first
+        reply that must wait for the log (``_waits``) on, its replies are
+        held, for one commit (``_hold``).  ``sync``, ``bye`` and the
+        control plane — which may wait (an indirect probe, a handoff), so
+        each request runs in a task, kept in ``tasks`` — end the burst.  A
+        ``sync`` held behind its connection's replies is a loose clock
+        sample, which the client's minimum-round-trip filter passes over.
 
         A handler that raises is logged and answered with an ``error``
         frame.  Silence is the one answer a timed protocol cannot
@@ -406,12 +417,13 @@ class NetObjectServer:
         for frame in frames:
             kind = str(frame.get("kind"))
             if kind == BYE:
-                self._release(conn, client_id, held)
-                conn.transport.close()  # and no frame after it is read
+                conn.transport.pause_reading()  # no frame after it is read
+                held.append((frame, None, ()))
+                self._hold(conn, client_id, held)
                 return
             self.requests_by_kind[kind] = self.requests_by_kind.get(kind, 0) + 1
             if kind in CLUSTER_KINDS:
-                self._release(conn, client_id, held)
+                self._hold(conn, client_id, held)
                 task = asyncio.ensure_future(self._control(conn, client_id, frame))
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
@@ -420,7 +432,7 @@ class NetObjectServer:
             if kind == SYNC:
                 # Never cached or deduped: a replayed timestamp would poison
                 # the client's NTP estimator.  ``req`` is echoed for resync().
-                self._release(conn, client_id, held)
+                self._hold(conn, client_id, held)
                 t1 = self.clock()
                 reply = {
                     "kind": SYNC_ACK, "req": frame.get("req"),
@@ -432,11 +444,12 @@ class NetObjectServer:
                 except Exception as exc:
                     logger.exception("request %r from client %d failed", kind, client_id)
                     reply = self._refusal(client_id, frame, exc)
+            wait = store is not None and (held or self._waits(conn, reply))
             held.append((frame, reply, installed))
-            if store is None or not store.uncommitted or kind == SYNC:
+            if not wait:
                 self._release(conn, client_id, held)
         if held:
-            self._release(conn, client_id, held)
+            self._hold(conn, client_id, held)
 
     async def _control(
         self, conn: FrameConnection, client_id: int, frame: Dict[str, Any]
@@ -448,32 +461,76 @@ class NetObjectServer:
             logger.exception("request %r from client %d failed",
                              frame.get("kind"), client_id)
             reply = self._refusal(client_id, frame, exc)
-        self._release(conn, client_id, [(frame, reply, ())])
+        self._hold(conn, client_id, [(frame, reply, ())])
 
-    def _release(self, conn: FrameConnection, client_id: int, held: List[tuple]) -> None:
-        """Send the replies in ``held`` and empty it: one log commit first
-        if anything executed is not yet on disk, and after each reply what
-        its request installed recorded and propagated.  If the commit
-        fails every held request is answered ``error`` and forgotten by
-        the reply cache, so a retransmission is re-executed, never
-        replayed as an ack.  A reply too large to frame ends the
-        connection; its asker fails fast."""
+    def _waits(self, conn: FrameConnection, reply: Optional[Dict[str, Any]]) -> bool:
+        """Whether a reply must wait for the log: a reply before it on
+        ``conn`` is held, or it reflects a write not yet on disk."""
+        if any(group[0] is conn for group in self._held):
+            return True
+        return reply is not None and any(
+            self._unsynced.get(result.get("obj"), 0) > self._on_disk
+            for result in reply.get("results") or (reply,))
+
+    def _hold(self, conn: FrameConnection, client_id: int, held: List[tuple]) -> None:
+        """``_release`` ``held``, or if its first reply waits, queue it."""
         if not held:
             return
-        store = self.durable
-        if store is not None and store.uncommitted:
-            try:
-                store.commit()
-                store.maybe_snapshot(
-                    self.engine.store, self.engine.context, self.clock()
-                )
-            except Exception as exc:
-                logger.exception("log commit for client %d failed", client_id)
+        if self.durable is None or not self._waits(conn, held[0][1]):
+            self._release(conn, client_id, held)
+            return
+        self._held.append((conn, client_id, held[:]))
+        held.clear()
+        if self._syncing is None:
+            self._commit()
+
+    def _commit(self) -> None:
+        """Snapshot if due, then hand the log to the OS and its fsync to
+        the store's thread, for every held group; the loop serves on."""
+        self._covered = len(self._held)
+        handoff = self._handed_off = self._handed_off + 1
+        try:
+            self.durable.maybe_snapshot(self.engine.store, self.engine.context,
+                                        self.clock())
+            self._syncing = self.durable.commit_soon()
+        except Exception as exc:
+            self._committed(handoff, exc)
+            return
+        if self._syncing is None:
+            self._committed(handoff, None)
+        else:
+            self._syncing.add_done_callback(
+                lambda done: self._committed(handoff, done.exception()))
+
+    def _committed(self, handoff: int, failure: Optional[BaseException]) -> None:
+        """Commit ``handoff`` is done: release the groups it covered, in
+        execution order, and commit those held since.  If it failed, each
+        reply it covered is answered ``error`` and forgotten by the reply
+        cache: a retransmission is re-executed, never replayed as an ack."""
+        self._syncing = None
+        if failure is None:
+            self._on_disk = handoff
+        else:
+            logger.error("log commit failed", exc_info=failure)
+        covered, self._held = self._held[:self._covered], self._held[self._covered:]
+        for conn, client_id, held in covered:
+            if failure is not None:
                 held[:] = [
-                    (asked, self._refusal(client_id, asked, exc), ())
+                    (asked, self._refusal(client_id, asked, failure), ())
                     for asked, _, _ in held
                 ]
+            self._release(conn, client_id, held)
+        if self._held:
+            self._commit()
+
+    def _release(self, conn: FrameConnection, client_id: int, held: List[tuple]) -> None:
+        """Send the replies in ``held`` and empty it, and after each reply
+        record and propagate what its request installed.  A reply too
+        large to frame ends the connection; its asker fails fast."""
         for asked, reply, installed in held:
+            if reply is None:  # a bye: the connection ends once it is reached
+                conn.transport.close()
+                continue
             if "req" not in reply:
                 reply = {**reply, "req": asked.get("req")}
             try:
@@ -554,12 +611,11 @@ class NetObjectServer:
         to it; the sync models it having reached the disk, which a real
         SIGKILL — covered by the CI shell smoke — also guarantees under
         ``fsync=always``).  What remains is exactly what a crashed
-        process leaves: a WAL suffix and a stale snapshot.
+        process leaves: a WAL suffix and a stale snapshot; no held reply.
         """
         self.draining = True
-        await self._close_connections()
-        if self.durable is not None:
-            self.durable.close(sync=True)
+        self._held, self._covered = [], 0
+        await self.close()
 
     def _on_request(
         self, client_id: int, frame: Dict[str, Any]
@@ -581,6 +637,7 @@ class NetObjectServer:
             with self.durable.group():
                 for version in result.wal:
                     self.durable.log_write(version)
+                    self._unsynced[version.obj] = self._handed_off + 1
         if (self.pipeline is not None
                 and result.reply.get("kind") == messages.VALIDATE_BATCH_ACK):
             self.pipeline.on_batch(len(result.reply["results"]))

@@ -9,10 +9,10 @@ timeout to a counter instead of sleeping: a soak of seconds runs in
 milliseconds and — loopback TCP delivers a sent frame before ``send``
 returns, so what is readable never depends on the host's speed — to the
 same trace every time.  That argument covers one process on 127.0.0.1:
-a subprocess, a thread (``run_in_executor``, so a host *name* to
-resolve) or a real network answers in wall time and loses the race
-against the counter.  Tests pick this loop by calling :func:`run` in
-place of ``asyncio.run``; the stack never knows.
+a subprocess or a real network answers in wall time and loses the race
+against the counter; a thread would too, so ``run_in_executor`` (an
+fsync, a host *name*) runs inline, done at the next iteration.  Tests
+pick this loop by calling :func:`run` in place of ``asyncio.run``.
 """
 
 from __future__ import annotations
@@ -51,6 +51,14 @@ class VirtualTimeLoop(asyncio.SelectorEventLoop):
     def time(self) -> float:
         self._skipper.now += TICK
         return self._skipper.now
+
+    def run_in_executor(self, executor: Any, func: Any, *args: Any) -> asyncio.Future:
+        done = self.create_future()
+        try:
+            done.set_result(func(*args))
+        except Exception as exc:
+            done.set_exception(exc)
+        return done
 
 
 def run(main: Coroutine[Any, Any, T]) -> T:

@@ -51,6 +51,7 @@ values straight from on-disk stores for ring handoff replay.
 
 from __future__ import annotations
 
+import asyncio
 import contextlib
 import json
 import math
@@ -254,7 +255,6 @@ class DurableStore:
         self.recovered: Optional[RecoveredState] = None
         self._appends_since_snapshot = 0
         self._grouped = False  # inside a group() bracket
-        self.uncommitted = False  # a grouped append waits for commit()
         self._last_snapshot_wall: Optional[float] = None
         self._origin_unix: Optional[float] = None
         self._meta: Dict[str, Any] = {}
@@ -381,8 +381,6 @@ class DurableStore:
             }
             for version in versions
         ], commit=not self._grouped)
-        if self._grouped:
-            self.uncommitted = True
         self._appends_since_snapshot += len(versions)
         if self.instruments is not None:
             self.instruments.on_append_many(len(versions), nbytes)
@@ -395,21 +393,20 @@ class DurableStore:
     @contextlib.contextmanager
     def group(self) -> Iterator[None]:
         """The group-commit bracket: a ``log_write``/``log_writes`` made
-        inside it only appends — :attr:`uncommitted` turns true — and is
-        durable, under the fsync policy, once :meth:`commit` has
-        returned.  Outside it each call commits itself."""
+        inside it only appends, and is durable, under the fsync policy,
+        once the log is committed (:meth:`commit_soon`, ``wal.commit()``).
+        Outside it each call commits itself."""
         self._grouped = True
         try:
             yield
         finally:
             self._grouped = False
 
-    def commit(self) -> None:
-        """One flush and one policy fsync for every grouped append so
-        far.  If it raises, none of them may be acknowledged."""
-        if self.wal is not None:
-            self.wal.commit()
-        self.uncommitted = False
+    def commit_soon(self) -> "Optional[asyncio.Future[None]]":
+        """Commit every grouped append so far, the fsync on the log's
+        worker thread (:meth:`WriteAheadLog.commit_soon`).  If it fails,
+        none of them may be acknowledged."""
+        return self.wal.commit_soon() if self.wal is not None else None
 
     # -- cluster epoch -------------------------------------------------------
 

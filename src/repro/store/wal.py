@@ -38,6 +38,7 @@ at a clean boundary.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import struct
@@ -163,7 +164,8 @@ class WriteAheadLog:
 
     ``on_fsync`` (when given) is called with each fsync's duration in
     seconds — the hook :class:`repro.obs.instruments.StoreInstruments`
-    feeds its latency histogram from.
+    feeds its latency histogram from — on the caller's thread, before
+    any later record reaches the OS: :attr:`size` in it is on disk.
     """
 
     def __init__(
@@ -190,8 +192,13 @@ class WriteAheadLog:
         self.bytes_appended = 0
         self.fsyncs = 0
         self._fh = open(path, "ab")
+        self._pending: List[bytes] = []  # appended, not yet handed to the OS
         self._last_sync = time.monotonic()
-        self._dirty = False
+        self._dirty = False  # handed to the OS, not yet synced
+        # commit_soon's fsync thread, started at its first job; imported
+        # here so that a stack without a log loads no thread machinery.
+        from concurrent.futures import ThreadPoolExecutor
+        self._worker = ThreadPoolExecutor(1, thread_name_prefix="wal-fsync")
 
     @classmethod
     def open_recovered(
@@ -218,7 +225,7 @@ class WriteAheadLog:
     ) -> int:
         """Append several records and :meth:`commit` them once; returns
         the bytes written.  With ``commit=False`` the records stay in the
-        process's buffer and the caller owes the :meth:`commit` — the
+        process's memory and the caller owes the :meth:`commit` — the
         seam group commit amortizes fsyncs through: under
         ``fsync="always"`` N appends pay one fsync instead of N."""
         if self._fh.closed:
@@ -226,46 +233,66 @@ class WriteAheadLog:
         total = 0
         for record in records:
             data = encode_record(record)
-            self._fh.write(data)
+            self._pending.append(data)
             self.records_appended += 1
             total += len(data)
         self.bytes_appended += total
-        if total:
-            self._dirty = True
-            if commit:
-                self.commit()
+        if total and commit:
+            self.commit()
         return total
 
-    def commit(self) -> None:
+    def hand_off(self) -> bool:
         """Hand every appended record to the OS (a plain crash then loses
-        nothing) and fsync as the policy says: the one durability point
-        of the write path.  Raises what the disk raises, and then still
-        owes the records: the next commit tries again."""
-        self._fh.flush()
-        if self._dirty and (self.fsync == "always" or (
+        nothing); returns whether the policy owes an fsync now."""
+        if self._pending:
+            self._fh.write(b"".join(self._pending))
+            self._pending.clear()
+            self._fh.flush()
+            self._dirty = True
+        return self._dirty and (self.fsync == "always" or (
             self.fsync == "interval"
             and time.monotonic() - self._last_sync >= self.fsync_interval
-        )):
+        ))
+
+    def commit(self) -> None:
+        """:meth:`hand_off`, then the fsync it owes: the one durability
+        point.  Raises what the disk raises, still owing the records."""
+        if self.hand_off():
             self._sync()
 
+    def commit_soon(self) -> "Optional[asyncio.Future[None]]":
+        """:meth:`commit`, its fsync on the log's one thread: ``None`` if
+        none is owed, else its future, resolved on the loop once the
+        completion is applied.  Appends meanwhile stay in memory."""
+        if not self.hand_off():
+            return None
+        started = time.perf_counter()
+        syncing = asyncio.get_running_loop().run_in_executor(
+            self._worker, os.fsync, self._fh.fileno())
+        syncing.add_done_callback(lambda done: done.cancelled()
+                                  or done.exception() or self._synced(started))
+        return syncing
+
     def flush(self, sync: bool = True) -> None:
-        """Flush buffered records; ``sync`` forces them to stable storage
-        regardless of policy (the shutdown path uses this)."""
+        """Hand appended records to the OS; ``sync`` forces them to stable
+        storage regardless of policy (the shutdown path uses this)."""
         if self._fh.closed:
             return
-        self._fh.flush()
+        self.hand_off()
         if sync and self._dirty:
             self._sync()
 
     def _sync(self) -> None:
         started = time.perf_counter()
         os.fsync(self._fh.fileno())
-        elapsed = time.perf_counter() - started
+        self._synced(started)
+
+    def _synced(self, started: float) -> None:
         self._last_sync = time.monotonic()
         self._dirty = False
         self.fsyncs += 1
         if self.on_fsync is not None:
-            self.on_fsync(elapsed)
+            self.on_fsync(time.perf_counter() - started)
 
     def truncate(self) -> None:
         """Drop every record (a snapshot has superseded them)."""
@@ -281,6 +308,7 @@ class WriteAheadLog:
     def close(self, sync: bool = True) -> None:
         if self._fh.closed:
             return
+        self._worker.shutdown()  # an fsync in flight returns first
         self.flush(sync=sync)
         self._fh.close()
 

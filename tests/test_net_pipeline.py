@@ -22,6 +22,7 @@ import shutil
 import socket
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -976,10 +977,42 @@ async def exchange(conn, frames):
     return [await asyncio.wait_for(conn.recv(), 2.0) for _ in frames]
 
 
+class GatedFsync:
+    """``os.fsync`` whose first call, on the store's worker thread, waits
+    for :attr:`gate` and then syncs, or raises ``failure``; later calls
+    sync at once."""
+
+    def __init__(self, monkeypatch, failure=None):
+        self.entered, self.gate = threading.Event(), threading.Event()
+        fsync = os.fsync
+
+        def gated(fd):
+            if not self.entered.is_set():
+                self.entered.set()
+                self.gate.wait(5.0)
+                if failure is not None:
+                    raise failure
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", gated)
+
+    async def held(self):
+        """Return once the first fsync is waiting at the gate."""
+        while not self.entered.is_set():
+            await asyncio.sleep(0.001)
+
+
+async def executed(server, requests):
+    """Return once the server has executed ``requests`` requests."""
+    while server.engine.requests < requests:
+        await asyncio.sleep(0.001)
+
+
 class TestGroupCommit:
-    """With a store, a reply leaves once everything executed before it is
-    on disk: a pipelined burst is executed, logged, synced once and then
-    acknowledged (ROADMAP 1(d))."""
+    """With a store, a reply leaves once every write it reflects is on
+    disk, and after every reply before it on its connection: a pipelined
+    burst is executed, logged, synced once — on the store's worker thread,
+    while the loop serves on — and then acknowledged (ROADMAP 1(d))."""
 
     @staticmethod
     async def durable_server(root, propagation="none", **store_options):
@@ -1133,37 +1166,150 @@ class TestGroupCommit:
             (messages.WRITE_ACK, 1), (messages.VERSION, 2), ("push", None),
         ]
 
-    def test_a_burst_is_executed_and_answered_in_one_loop_iteration(self, tmp_path):
-        """No suspension between a burst's first ``execute`` and its last
-        reply's ``transport.write``: a drain that finds the server idle
-        finds every held reply handed over."""
+    def test_another_connection_is_served_while_a_commit_syncs(
+        self, tmp_path, monkeypatch
+    ):
+        """The fsync runs on the store's worker thread, so the loop
+        executes a second connection's burst while the first burst's
+        fsync is held, and holds its replies behind it: each burst's
+        acks leave after the fsync that covered it."""
+        events = []
+
+        async def scenario():
+            server = await self.durable_server(tmp_path)
+            wal = server.durable.wal
+            before = wal.fsyncs
+            wal.on_fsync = lambda elapsed: events.append("fsync")
+            try:
+                one, other = await raw_peer(server, 1), await raw_peer(server, 2)
+                for conn in server._connections:
+                    spy_on_writes(
+                        conn, lambda f: events.append((f["kind"], f["obj"]))
+                    )
+                fsync = GatedFsync(monkeypatch)
+                first = asyncio.ensure_future(exchange(one, writes_burst(8)))
+                await fsync.held()
+                served_before = server.engine.requests
+                second = asyncio.ensure_future(
+                    exchange(other, writes_burst(8, prefix="p"))
+                )
+                await asyncio.wait_for(executed(server, served_before + 8), 2.0)
+                while_held = list(events)
+                fsync.gate.set()
+                await asyncio.gather(first, second)
+                await one.close()
+                await other.close()
+                return served_before, while_held, wal.fsyncs - before
+            finally:
+                await server.abort()
+
+        served_before, while_held, fsyncs = asyncio.run(scenario())
+        assert served_before == 8
+        assert while_held == []  # neither burst's replies left
+        assert events == [
+            "fsync", *((messages.WRITE_ACK, f"o{i}") for i in range(8)),
+            "fsync", *((messages.WRITE_ACK, f"p{i}") for i in range(8)),
+        ]
+        assert fsyncs == 2
+
+    def test_a_reply_waits_for_the_writes_it_reflects_and_its_connection(
+        self, tmp_path, monkeypatch
+    ):
+        """While the first burst's fsync is held, another connection's
+        read of an object already on disk is answered at once; its read
+        of an object the burst wrote waits for the fsync, and so does
+        the reply behind it on that connection."""
+        events = []
+
+        def fetch(obj, req):
+            return {"kind": messages.FETCH, "obj": obj, "req": req}
 
         async def scenario():
             server = await self.durable_server(tmp_path)
             try:
-                conn = await raw_peer(server, 7)
-                iterations = LoopIterations(asyncio.get_running_loop())
-                marks = {}
-                execute = server.engine.execute
-
-                def executing(client_id, frame):
-                    marks.setdefault("first execute", iterations.count)
-                    return execute(client_id, frame)
-
-                server.engine.execute = executing
-                (served,) = server._connections
-                spy_on_writes(
-                    served, lambda f: marks.update({f["req"]: iterations.count})
+                one, other = await raw_peer(server, 1), await raw_peer(server, 2)
+                await exchange(other, [
+                    {"kind": messages.WRITE, "obj": "q", "value": 0, "req": 100},
+                ])
+                server.durable.wal.on_fsync = lambda elapsed: events.append("fsync")
+                for conn in server._connections:
+                    spy_on_writes(
+                        conn, lambda f: events.append((f["kind"], f["req"]))
+                    )
+                fsync = GatedFsync(monkeypatch)
+                first = asyncio.ensure_future(exchange(one, writes_burst(8)))
+                await fsync.held()
+                (free,) = await exchange(other, [fetch("q", 101)])
+                while_held = list(events)
+                behind = asyncio.ensure_future(
+                    exchange(other, [fetch("o3", 102), fetch("q", 103)])
                 )
-                await exchange(conn, writes_burst(8))
-                iterations.stop()
-                await conn.close()
-                return marks
+                await asyncio.wait_for(executed(server, 12), 2.0)
+                fsync.gate.set()
+                await asyncio.gather(first, behind)
+                await one.close()
+                await other.close()
+                return free, while_held
             finally:
                 await server.abort()
 
-        marks = asyncio.run(scenario())
-        assert [marks[req] for req in range(8)] == [marks["first execute"]] * 8
+        free, while_held = asyncio.run(scenario())
+        assert free["value"] == 0
+        assert while_held == [(messages.VERSION, 101)]
+        assert events == [
+            (messages.VERSION, 101), "fsync",
+            *((messages.WRITE_ACK, req) for req in range(8)),
+            (messages.VERSION, 102), (messages.VERSION, 103),
+        ]
+
+    def test_a_failed_fsync_answers_only_the_bursts_it_covered_error(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        """The first burst's fsync fails while a second connection's
+        burst waits behind it: the first is refused and forgotten by the
+        reply cache, the second is committed by the next fsync and
+        acknowledged, and what that fsync covered recovers every ack."""
+        root, survivor = tmp_path / "store", tmp_path / "survivor"
+
+        async def scenario():
+            server = await self.durable_server(root)
+            wal = server.durable.wal
+            synced = []
+            wal.on_fsync = lambda elapsed: synced.append(wal.size)
+            try:
+                one, other = await raw_peer(server, 1), await raw_peer(server, 2)
+                fsync = GatedFsync(
+                    monkeypatch, OSError(errno.EIO, "Input/output error")
+                )
+                first = asyncio.ensure_future(exchange(one, writes_burst(8)))
+                await fsync.held()
+                second = asyncio.ensure_future(
+                    exchange(other, writes_burst(8, prefix="p"))
+                )
+                await asyncio.wait_for(executed(server, 16), 2.0)
+                with caplog.at_level("CRITICAL", logger="repro.net.server"):
+                    fsync.gate.set()
+                    refused, acked = await asyncio.gather(first, second)
+                shutil.copytree(root, survivor)
+                with open(survivor / "wal.log", "r+b") as fh:
+                    fh.truncate(synced[-1])
+                await one.close()
+                await other.close()
+                return refused, acked, len(server.engine.replies), synced
+            finally:
+                await server.abort()
+
+        refused, acked, cached, synced = asyncio.run(scenario())
+        assert [r["kind"] for r in refused] == ["error"] * 8
+        assert all("Input/output error" in r["error"] for r in refused)
+        assert [r["kind"] for r in acked] == [messages.WRITE_ACK] * 8
+        assert cached == 8  # the second burst's replies only
+        assert len(synced) == 1
+        store = DurableStore(str(survivor))
+        recovered = store.open().objects
+        store.close()
+        for reply in acked:
+            assert recovered[reply["obj"]].alpha == reply["alpha"], reply
 
     @pytest.mark.parametrize("policy, fsyncs", [("interval", 1), ("never", 0)])
     def test_the_fsync_policy_is_consulted_once_per_burst(
@@ -1308,3 +1454,78 @@ class TestLifecycle:
                 await conn.close()
 
         assert asyncio.run(scenario()) is None  # EOF, not an orphan
+
+
+class TestAnFsyncInFlight:
+    """Stopping a store-backed server while its worker thread syncs."""
+
+    @staticmethod
+    async def holding(server, monkeypatch, client_id=7):
+        """A peer whose burst of eight writes waits for a held fsync."""
+        conn = await raw_peer(server, client_id)
+        fsync = GatedFsync(monkeypatch)
+        conn.transport.write(b"".join(encode_frame(f) for f in writes_burst(8)))
+        await fsync.held()
+        return conn, fsync
+
+    def test_abort_sends_no_held_reply_and_closes_the_log_after_the_worker(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        sent = []
+
+        async def scenario():
+            server = await TestGroupCommit.durable_server(tmp_path)
+            conn, fsync = await self.holding(server, monkeypatch)
+            for served in server._connections:
+                spy_on_writes(served, sent.append)
+            aborting = asyncio.ensure_future(server.abort())
+            await asyncio.sleep(0.05)
+            waiting = not aborting.done() and server.durable.wal is not None
+            fsync.gate.set()
+            await asyncio.wait_for(aborting, 2.0)
+            await conn.close()
+            return waiting, server.durable.wal
+
+        with caplog.at_level("DEBUG"):
+            waiting, wal = asyncio.run(scenario())
+        assert waiting and wal is None
+        assert sent == []
+        assert [r for r in caplog.records if r.levelname in ("ERROR", "CRITICAL")] == []
+        store = DurableStore(str(tmp_path))
+        assert sorted(store.open().objects) == [f"o{i}" for i in range(8)]  # synced
+        store.close()
+
+    def test_shutdown_hands_every_held_ack_over_before_bye(self, tmp_path, monkeypatch):
+        async def scenario():
+            server = await TestGroupCommit.durable_server(tmp_path)
+            conn, fsync = await self.holding(server, monkeypatch)
+            draining = asyncio.ensure_future(server.shutdown())
+            await asyncio.sleep(0.05)
+            fsync.gate.set()
+            frames = []
+            while (frame := await asyncio.wait_for(conn.recv(), 2.0)) is not None:
+                frames.append(frame)
+            await asyncio.wait_for(draining, 2.0)
+            await conn.close()
+            return frames
+
+        frames = asyncio.run(scenario())
+        assert [f["kind"] for f in frames] == [messages.WRITE_ACK] * 8 + ["bye"]
+        assert [f.get("req") for f in frames[:8]] == list(range(8))
+
+    @pytest.mark.parametrize("how", ["close", "shutdown", "abort"])
+    def test_no_fsync_worker_outlives_the_server(self, tmp_path, how):
+        before = set(threading.enumerate())
+
+        async def scenario():
+            server = await TestGroupCommit.durable_server(tmp_path)
+            conn = await raw_peer(server, 7)
+            await exchange(conn, writes_burst(8))
+            started = set(threading.enumerate()) - before
+            await getattr(server, how)()
+            await conn.close()
+            return started, set(threading.enumerate()) - before
+
+        started, left = asyncio.run(scenario())
+        assert len(started) == 1  # the store's one worker, started lazily
+        assert left == set()

@@ -14,6 +14,7 @@ import time
 import pytest
 
 import repro
+from repro.core.io import dumps_history
 from repro.net.workloads import ring_cluster
 from repro.sim import vtime
 from tests.test_net_channel import echo, opened, peer
@@ -126,7 +127,41 @@ def test_every_sweep_arm_is_timed_serial(arm):
     assert violated_seeds(range(50), **SWEEP_ARMS[arm]) == []
 
 
+@pytest.mark.net
+def test_a_store_backed_soak_is_one_trace_though_its_fsyncs_run_on_a_worker(tmp_path):
+    """A store syncs its log on a worker thread (``run_in_executor``);
+    a real thread finishes in wall time, and the selector skips virtual
+    time to the next timer meanwhile — retransmits and SWIM timeouts
+    that never happened.  The virtual loop runs the job inline."""
+
+    def merged(root):
+        report = vtime.run(ring_cluster(
+            n_servers=3, replicas=2, n_clients=2, rounds=20, seed=13,
+            cluster=True, kill_primary_midway=True, store_root=str(root),
+            fsync="always",
+        ))
+        return dumps_history(report.history).encode()
+
+    first = merged(tmp_path / "first")
+    assert first == merged(tmp_path / "second")
+    assert len(json.loads(first)["operations"]) > 50
+
+
 class TestTheLoop:
+    def test_an_executor_job_runs_inline_and_completes_next_iteration(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            ran, began = [], loop.time()
+            done = loop.run_in_executor(None, ran.append, "job")
+            assert ran == ["job"] and done.done()
+            assert await done is None
+            failing = loop.run_in_executor(None, int, "not a number")
+            with pytest.raises(ValueError):
+                await failing
+            return loop.time() - began
+
+        assert vtime.run(scenario()) < 0.001
+
     def test_an_hour_long_timer_fires_at_once(self):
         async def scenario():
             loop = asyncio.get_running_loop()

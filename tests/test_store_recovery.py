@@ -46,14 +46,15 @@ class TestDurableStore:
 
     def test_group_bracket_defers_to_one_commit(self, tmp_path):
         """Inside ``group()`` a logged write is only appended and the
-        caller owes ``commit()``; outside it ``log_write`` is durable on
-        return, as it always was."""
+        caller owes the log's commit; outside it ``log_write`` is durable
+        on return, as it always was."""
         store = DurableStore(str(tmp_path), fsync="always")
         store.open(now_wall=1000.0)
         wal = store.wal
         before = wal.fsyncs
         store.log_write(PhysicalVersion("x", "s1.0", 1.0, 1.0, 1))
-        assert wal.fsyncs == before + 1 and not store.uncommitted
+        assert wal.fsyncs == before + 1
+        committed = wal.size
         for i in range(1, 4):
             with store.group():
                 store.log_write(PhysicalVersion("x", f"s1.{i}", 1.0 + i, 1.0 + i, 1))
@@ -61,9 +62,9 @@ class TestDurableStore:
             store.log_writes([
                 PhysicalVersion("y", f"s1.{i}", 1.0 + i, 1.0 + i, 1) for i in (4, 5)
             ])
-        assert wal.fsyncs == before + 1 and store.uncommitted
-        store.commit()
-        assert wal.fsyncs == before + 2 and not store.uncommitted
+        assert wal.fsyncs == before + 1 and wal.size == committed  # in memory
+        wal.commit()
+        assert wal.fsyncs == before + 2 and wal.size > committed
         store.log_write(PhysicalVersion("z", "s1.6", 7.0, 7.0, 1))
         assert wal.fsyncs == before + 3
         store.close(sync=False)
