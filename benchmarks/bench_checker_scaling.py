@@ -19,19 +19,22 @@ Runs two ways:
   history and the speedup floor.
 """
 
+import os
+import random
 import sys
 import time
 
 from repro.checkers import (
     SearchStats,
     find_serialization,
-    find_serialization_recursive,
     find_site_ordered_serialization,
     restrict_edges,
 )
 from repro.workloads import random_linearizable_history
 
-import random
+# The recursive engines are a test oracle, kept under tests/.
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from tests.search_reference import find_serialization_recursive  # noqa: E402
 
 COMPARE_AT = 2000  # history length of the iterative-vs-recursive race
 SPEEDUP_FLOOR = 5.0  # acceptance floor for the full bench

@@ -40,10 +40,6 @@ from repro.checkers.search import (
     find_site_ordered_serialization,
     restrict_edges,
 )
-from repro.checkers.search_reference import (
-    find_serialization_recursive,
-    find_site_ordered_serialization_recursive,
-)
 from repro.checkers.sessions import (
     SessionViolation,
     satisfies_session_guarantees,
@@ -102,9 +98,7 @@ __all__ = [
     "classify",
     "delta_spectrum",
     "find_serialization",
-    "find_serialization_recursive",
     "find_site_ordered_serialization",
-    "find_site_ordered_serialization_recursive",
     "hierarchy_violations",
     "history_from_wal",
     "lin_equals_tsc_zero",

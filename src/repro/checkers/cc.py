@@ -45,10 +45,8 @@ def check_cc(
     site_witnesses: Dict[int, List[Operation]] = {}
     for site in history.sites:
         ops = history.site_plus_writes(site)
-        opset = {op.uid for op in ops}
-        preds = {
-            op: {p for p in closure[op] if p.uid in opset} for op in ops
-        }
+        opset = set(ops)
+        preds = {op: closure[op] & opset for op in ops}
         witness = find_serialization(
             ops,
             preds,

@@ -125,7 +125,7 @@ def find_constrained_serialization(
     discovered only inside branching carries no single-cycle witness.)
     """
     ops = list(operations)
-    index = {op.uid: i for i, op in enumerate(ops)}
+    index = {op: i for i, op in enumerate(ops)}
     n = len(ops)
     reach = _Reach(n)
     edges: List[Tuple[int, int]] = []
@@ -166,7 +166,7 @@ def find_constrained_serialization(
         return ok
 
     for a, b in base_edges:
-        ia, ib = index.get(a.uid), index.get(b.uid)
+        ia, ib = index.get(a), index.get(b)
         if ia is None or ib is None or ia == ib:
             continue
         if not add(ia, ib, reach):
@@ -185,7 +185,7 @@ def find_constrained_serialization(
         writer = reads_from.get(op)
         iw: Optional[int] = None
         if writer is not None:
-            iw = index.get(writer.uid)
+            iw = index.get(writer)
             if iw is not None and not add(iw, i, reach):
                 return None
         for j in writes_by_obj.get(op.obj, ()):
@@ -364,12 +364,12 @@ def check_cc_constraint(
     site_witnesses: Dict[int, List[Operation]] = {}
     for site in history.sites:
         ops = history.site_plus_writes(site)
-        opset = {op.uid for op in ops}
+        opset = set(ops)
         base = [
             (p, op)
             for op in ops
             for p in closure[op]
-            if p.uid in opset
+            if p in opset
         ]
         reads_from = {
             r: history.writer_of(r) for r in ops if r.is_read

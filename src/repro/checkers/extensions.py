@@ -37,11 +37,11 @@ from repro.core.timed import w_r_set, w_r_set_logical
 
 def _per_writer_program_order(history: History, ops: List[Operation]):
     """Program-order edges restricted to the given operation set."""
-    keep = {op.uid for op in ops}
+    keep = set(ops)
     return [
         (a, b)
         for a, b in history.immediate_program_order()
-        if a.uid in keep and b.uid in keep
+        if a in keep and b in keep
     ]
 
 
@@ -120,10 +120,10 @@ def check_processor(history: History, branch_budget: int = 10_000) -> CheckResul
     site_witnesses: Dict[int, List[Operation]] = {}
     for site in history.sites:
         ops = history.site_plus_writes(site)
-        keep = {op.uid for op in ops}
+        keep = set(ops)
         base = _per_writer_program_order(history, ops) + [
             (a, b) for a, b in write_order_edges
-            if a.uid in keep and b.uid in keep
+            if a in keep and b in keep
         ]
         reads_from = {r: history.writer_of(r) for r in ops if r.is_read}
         witness = find_constrained_serialization(

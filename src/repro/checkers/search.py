@@ -15,17 +15,20 @@ exact backtracking with three standard accelerations:
   writes plus the reads that can legally return each object's current
   value) instead of rescanning the whole history;
 * **a time-ordered branching heuristic**: enabled candidates are tried in
-  effective-time order through a lazily-popped heap (built by ``heapify``,
-  never fully sorted), which finds the witness quickly on the
+  effective-time order, ties by *rank* (the operation's position in what
+  the search was given: the sequence, or the site sequences one after
+  another in site order), through a lazily-popped heap of
+  ``(time, rank, op)`` entries (built by ``heapify``, never fully
+  sorted), which finds the witness quickly on the
   overwhelmingly common "almost linearizable" histories produced by real
   protocols — usually after a single pop.
 
 The search itself runs on an **explicit stack** (one `_Frame` per partial
 serialization), not on Python recursion, so histories of tens of thousands
 of operations check without ``RecursionError`` regardless of
-``sys.getrecursionlimit()``.  The original recursive engines are kept in
-:mod:`repro.checkers.search_reference` and the test suite cross-validates
-the two on randomized histories.
+``sys.getrecursionlimit()``.  The original recursive engines are kept
+beside the tests that cross-validate the two on randomized histories
+(``tests/search_reference.py``).
 
 Two entry points:
 
@@ -187,9 +190,10 @@ class _CandidateIndex:
     prunes arithmetically).
     """
 
-    __slots__ = ("writes", "reads", "read_count")
+    __slots__ = ("rank", "writes", "reads", "read_count")
 
-    def __init__(self) -> None:
+    def __init__(self, rank: Dict[Operation, int]) -> None:
+        self.rank = rank
         self.writes: Set[Operation] = set()
         self.reads: Dict[str, Dict[Any, Set[Operation]]] = {}
         self.read_count = 0
@@ -225,9 +229,10 @@ class _CandidateIndex:
         read_filter: Optional[ReadFilter],
         stats: SearchStats,
     ) -> List[Tuple[float, int, Operation]]:
-        """Heap entries ``(time, uid, op)`` for this state's candidates."""
+        """Heap entries ``(time, rank, op)`` for this state's candidates."""
+        rank = self.rank
         out: List[Tuple[float, int, Operation]] = [
-            (op.time, op.uid, op) for op in self.writes
+            (op.time, rank[op], op) for op in self.writes
         ]
         enabled_reads = 0
         for obj, by_value in self.reads.items():
@@ -236,14 +241,14 @@ class _CandidateIndex:
                 continue
             if read_filter is None:
                 for op in group:
-                    out.append((op.time, op.uid, op))
+                    out.append((op.time, rank[op], op))
                 enabled_reads += len(group)
             else:
                 writer = last_writer.get(obj)
                 for op in group:
                     enabled_reads += 1
                     if read_filter(op, writer):
-                        out.append((op.time, op.uid, op))
+                        out.append((op.time, rank[op], op))
                     else:
                         stats.note_prune("read_filter")
         stats.note_prune("value_mismatch", self.read_count - enabled_reads)
@@ -296,41 +301,39 @@ def find_serialization(
     Returns the serialization, or ``None`` if none exists.
     Raises :class:`SearchBudgetExceeded` past the state budget.
     """
-    ops = sorted(operations, key=lambda op: (op.time, op.uid))
+    rank = {op: i for i, op in enumerate(operations)}
+    ops = sorted(operations, key=lambda op: op.time)  # stable: ties by rank
     total = len(ops)
     if stats is None:
         stats = SearchStats(budget)
     if total == 0:
         return []
 
-    opset = {op.uid for op in ops}
-    blocking: Dict[int, int] = {}
-    successors: Dict[int, List[Operation]] = {op.uid: [] for op in ops}
+    blocking: Dict[Operation, int] = {}
+    successors: Dict[Operation, List[Operation]] = {op: [] for op in ops}
     for op in ops:
-        pred_uids = {
-            p.uid for p in predecessor_edges.get(op, ()) if p.uid in opset
-        }
-        blocking[op.uid] = len(pred_uids)
-        for uid in pred_uids:
-            if uid != op.uid:  # a self-edge just blocks op forever
-                successors[uid].append(op)
+        preds = {p for p in predecessor_edges.get(op, ()) if p in rank}
+        blocking[op] = len(preds)
+        for pred in preds:
+            if pred is not op:  # a self-edge just blocks op forever
+                successors[pred].append(op)
 
-    index = _CandidateIndex()
+    index = _CandidateIndex(rank)
     for op in ops:
-        if blocking[op.uid] == 0:
+        if blocking[op] == 0:
             index.add(op)
 
     last_vals: Dict[str, Any] = {}
     last_writer: Dict[str, Optional[Operation]] = {}
     sequence: List[Operation] = []
-    failed: Set[Tuple[FrozenSet[int], Tuple[Tuple[str, Any], ...]]] = set()
+    failed: Set[Tuple[FrozenSet[Operation], Tuple[Tuple[str, Any], ...]]] = set()
 
     def schedule(op: Operation) -> Tuple[Any, Optional[Operation]]:
         sequence.append(op)
         index.remove(op)
-        for succ in successors[op.uid]:
-            blocking[succ.uid] -= 1
-            if blocking[succ.uid] == 0:
+        for succ in successors[op]:
+            blocking[succ] -= 1
+            if blocking[succ] == 0:
                 index.add(succ)
         prev_val: Any = _MISSING
         prev_writer: Optional[Operation] = None
@@ -348,10 +351,10 @@ def find_serialization(
             else:
                 last_vals[op.obj] = prev_val
             last_writer[op.obj] = prev_writer
-        for succ in successors[op.uid]:
-            if blocking[succ.uid] == 0:
+        for succ in successors[op]:
+            if blocking[succ] == 0:
                 index.remove(succ)
-            blocking[succ.uid] += 1
+            blocking[succ] += 1
         index.add(op)
         sequence.pop()
 
@@ -366,12 +369,9 @@ def find_serialization(
             heapify(heap)
         return heap
 
-    def current_key() -> Tuple[FrozenSet[int], Tuple[Tuple[str, Any], ...]]:
+    def current_key() -> Tuple[FrozenSet[Operation], Tuple[Tuple[str, Any], ...]]:
         """Memo key of the *current* state (the top frame's state)."""
-        return (
-            frozenset(op.uid for op in sequence),
-            _last_value_key(last_vals),
-        )
+        return frozenset(sequence), _last_value_key(last_vals)
 
     stats.start_timer()
     try:
@@ -427,13 +427,15 @@ def find_site_ordered_serialization(
     if total == 0:
         return []
 
-    site_of: Dict[int, int] = {}
+    site_of: Dict[Operation, int] = {}
+    rank: Dict[Operation, int] = {}
     for k, seq in enumerate(seqs):
         for op in seq:
-            site_of[op.uid] = k
+            site_of[op] = k
+            rank[op] = len(rank)
 
     indices = [0] * len(seqs)
-    index = _CandidateIndex()
+    index = _CandidateIndex(rank)
     for k, seq in enumerate(seqs):
         if seq:
             index.add(seq[0])
@@ -446,7 +448,7 @@ def find_site_ordered_serialization(
     def schedule(op: Operation) -> Tuple[Any, Optional[Operation]]:
         sequence.append(op)
         index.remove(op)
-        k = site_of[op.uid]
+        k = site_of[op]
         indices[k] += 1
         if indices[k] < len(seqs[k]):
             index.add(seqs[k][indices[k]])
@@ -466,7 +468,7 @@ def find_site_ordered_serialization(
             else:
                 last_vals[op.obj] = prev_val
             last_writer[op.obj] = prev_writer
-        k = site_of[op.uid]
+        k = site_of[op]
         if indices[k] < len(seqs[k]):
             index.remove(seqs[k][indices[k]])
         indices[k] -= 1
@@ -524,10 +526,8 @@ def restrict_edges(
     operations: Sequence[Operation],
 ) -> Dict[Operation, Set[Operation]]:
     """Turn (a, b) order pairs into a predecessor map over ``operations``."""
-    keep = {op.uid for op in operations}
-    by_uid = {op.uid: op for op in operations}
     preds: Dict[Operation, Set[Operation]] = {op: set() for op in operations}
     for a, b in pairs:
-        if a.uid in keep and b.uid in keep:
-            preds[by_uid[b.uid]].add(by_uid[a.uid])
+        if a in preds and b in preds:
+            preds[b].add(a)
     return preds

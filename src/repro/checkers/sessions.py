@@ -49,12 +49,12 @@ class SessionViolation:
         )
 
 
-def _version_index(history: History) -> Dict[int, int]:
-    """Map write uid -> its position in the object's version order."""
-    out: Dict[int, int] = {}
+def _version_index(history: History) -> Dict[Operation, int]:
+    """Map each write to its position in the object's version order."""
+    out: Dict[Operation, int] = {}
     for obj in history.objects:
         for rank, w in enumerate(history.writes_to(obj)):
-            out[w.uid] = rank + 1  # 0 is the initial value
+            out[w] = rank + 1  # 0 is the initial value
     return out
 
 
@@ -72,8 +72,8 @@ def read_your_writes_violations(history: History) -> List[SessionViolation]:
                 if own is None:
                     continue
                 writer = history.writer_of(op)
-                got = 0 if writer is None else rank[writer.uid]
-                if got < rank[own.uid]:
+                got = 0 if writer is None else rank[writer]
+                if got < rank[own]:
                     violations.append(
                         SessionViolation("read-your-writes", site, op, own)
                     )
@@ -90,11 +90,11 @@ def monotonic_reads_violations(history: History) -> List[SessionViolation]:
             if not op.is_read:
                 continue
             writer = history.writer_of(op)
-            got = 0 if writer is None else rank[writer.uid]
+            got = 0 if writer is None else rank[writer]
             prev = best.get(op.obj)
             if prev is not None:
                 prev_writer = history.writer_of(prev)
-                prev_rank = 0 if prev_writer is None else rank[prev_writer.uid]
+                prev_rank = 0 if prev_writer is None else rank[prev_writer]
                 if got < prev_rank:
                     violations.append(
                         SessionViolation("monotonic-reads", site, op, prev)
@@ -134,11 +134,11 @@ def writes_follow_reads_violations(history: History) -> List[SessionViolation]:
                 if writer is None:
                     continue
                 prev = highest_read.get(op.obj)
-                if prev is None or rank[writer.uid] > rank[prev.uid]:
+                if prev is None or rank[writer] > rank[prev]:
                     highest_read[op.obj] = writer
             else:
                 seen = highest_read.get(op.obj)
-                if seen is not None and rank[op.uid] < rank[seen.uid]:
+                if seen is not None and rank[op] < rank[seen]:
                     violations.append(
                         SessionViolation("writes-follow-reads", site, op, seen)
                     )

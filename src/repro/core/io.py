@@ -128,7 +128,8 @@ def history_to_dict(history: History) -> Dict[str, Any]:
         "initial_value": history.initial_value,
         "operations": [
             operation_to_dict(op)
-            for op in sorted(history.operations, key=lambda o: (o.time, o.uid))
+            # A stable sort: simultaneous operations keep the history's order.
+            for op in sorted(history.operations, key=lambda o: o.time)
         ],
     }
 

@@ -16,13 +16,10 @@ the checkers rely on it to recover the reads-from relation from values.
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.clocks.base import LogicalTimestamp
-
-_op_ids = itertools.count()
 
 
 class OpKind(enum.Enum):
@@ -36,8 +33,11 @@ class OpKind(enum.Enum):
 class Operation:
     """One read or write in the global history.
 
-    Identity (not structure) defines equality: two reads of the same value
-    at the same site are distinct operations.  ``time`` is the effective
+    Identity (not structure) defines equality and the hash: two reads of
+    the same value at the same site are distinct operations, and sets and
+    dicts of operations key by the operation itself.  Where an order must
+    break ties between equal times, it is the position in the sequence a
+    history or a checker was given.  ``time`` is the effective
     time ``T(op)``; ``start``/``end`` optionally record the full execution
     interval (``start <= time <= end`` when given); ``ltime`` optionally
     records the logical timestamp ``L(op)`` for Definition 6.
@@ -51,7 +51,6 @@ class Operation:
     start: Optional[float] = None
     end: Optional[float] = None
     ltime: Optional[LogicalTimestamp] = None
-    uid: int = field(default_factory=_op_ids.__next__)
 
     def __post_init__(self) -> None:
         if self.site < 0:

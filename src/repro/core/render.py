@@ -45,7 +45,7 @@ def render_timeline(
     for site in history.sites:
         cells = ["-"] * width
         cursor = -1
-        positions: Dict[int, int] = {}
+        positions: Dict[Operation, int] = {}
         for op in history.site_ops(site):
             label = op.label()
             start = max(column(op), cursor + 2)
@@ -53,12 +53,12 @@ def render_timeline(
                 cells.extend(["-"] * (start + len(label) - width))
             for i, ch in enumerate(label):
                 cells[start + i] = ch
-            positions[op.uid] = start
+            positions[op] = start
             cursor = start + len(label) - 1
         prefix = f"Site {site}".ljust(site_width)
         lines.append(f"{prefix} |{''.join(cells)}|")
-        if mark is not None and mark.uid in positions:
-            pad = " " * (site_width + 2 + positions[mark.uid])
+        if mark is not None and mark in positions:
+            pad = " " * (site_width + 2 + positions[mark])
             marker_line = pad + "^" * len(mark.label())
             lines.append(marker_line)
     axis = (

@@ -9,7 +9,7 @@ partial order ``~`` iff ``a ~ b`` implies ``a`` precedes ``b`` in ``S``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.history import DEFAULT_INITIAL_VALUE
 from repro.core.operations import Operation
@@ -62,13 +62,11 @@ def respects(
 def respects_program_order(sequence: Sequence[Operation]) -> bool:
     """``True`` iff same-site operations keep their effective-time order."""
     last_time: Dict[int, float] = {}
-    last_uid: Dict[int, int] = {}
     for op in sequence:
         prev = last_time.get(op.site)
         if prev is not None and op.time < prev:
             return False
         last_time[op.site] = op.time
-        last_uid[op.site] = op.uid
     return True
 
 
@@ -111,8 +109,7 @@ class Serialization:
     ) -> None:
         self.sequence: Tuple[Operation, ...] = tuple(sequence)
         self.initial_value = initial_value
-        uids = [op.uid for op in self.sequence]
-        if len(set(uids)) != len(uids):
+        if len(set(self.sequence)) != len(self.sequence):
             raise ValueError("serialization contains a duplicated operation")
 
     def is_legal(self) -> bool:
@@ -132,9 +129,7 @@ class Serialization:
 
     def covers(self, ops: Iterable[Operation]) -> bool:
         """``True`` iff the sequence contains exactly the given operations."""
-        mine: Set[int] = {op.uid for op in self.sequence}
-        theirs: Set[int] = {op.uid for op in ops}
-        return mine == theirs
+        return set(self.sequence) == set(ops)
 
     def __len__(self) -> int:
         return len(self.sequence)

@@ -162,7 +162,7 @@ class Channel:
         return ack
 
     def attach(self) -> None:
-        """Attach the faults and take inbound frames from ``data_received``
+        """Attach the faults and take inbound frames from ``buffer_updated``
         from now on: each goes to ``on_frame``, then to its request."""
         self.conn.faults = self.faults
         self.conn.deliver(self._on_frames, self._on_end)

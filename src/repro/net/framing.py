@@ -23,8 +23,9 @@ travelled.  ``nc``, a hex dump and ``python -m repro.net < captured``
 (one JSON line per frame, either form) are enough to follow a session.
 
 :class:`FrameConnection` is the one transport of ``repro.net`` and
-``repro.cluster``: an ``asyncio.Protocol`` that cuts frames out of the
-bytes the socket delivers, with an optional
+``repro.cluster``: an ``asyncio.BufferedProtocol`` that has the socket
+receive into one buffer per connection and cuts frames out of it where
+they lie, with an optional
 :class:`repro.net.faults.FaultInjector` that drops, delays, duplicates,
 or partitions frames.  :func:`dial` opens one, :func:`listen` accepts
 them.
@@ -33,6 +34,7 @@ them.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import struct
 from collections import deque
@@ -229,6 +231,11 @@ _ENCODERS = {PACKED_LAYOUTS[tag][0]: encode for tag, (encode, _) in _CODECS.item
 _DECODERS = {tag: decode for tag, (_, decode) in _CODECS.items()}
 _MAX_DATA = 4 + MAX_FRAME_BYTES  # the longest frame, prefix included
 
+#: A connection's receive buffer, in bytes: what one socket read may
+#: fill.  A frame longer than this grows the buffer to its own length
+#: until it is consumed.
+RECEIVE_BUFFER_BYTES = 1 << 16
+
 
 def encode_frame(message: Dict[str, Any]) -> bytes:
     """Serialize one message to ``length || payload`` bytes: packed if
@@ -268,16 +275,19 @@ def decode_frame(
     return message
 
 
-class FrameConnection(asyncio.Protocol):
+class FrameConnection(asyncio.BufferedProtocol):
     """One framed duplex connection, with optional fault injection.
 
-    Inbound, ``data_received`` decodes every complete frame in one pass,
-    where it lies in the bytes delivered; only a partial frame is kept,
-    in one buffer, for the next call.  The frames of each call go
-    together to the ``on_frames`` callback once :meth:`deliver` has
-    installed one (a started :class:`~repro.net.channel.Channel`, the
-    server past the handshake), and before that to a queue behind
-    :meth:`recv`.
+    Inbound, the socket receives into one buffer of
+    :data:`RECEIVE_BUFFER_BYTES` (``get_buffer`` hands it the free tail),
+    and ``buffer_updated`` decodes (:func:`decode_frame`) every complete
+    frame in one pass, where it lies, then moves a partial frame to the
+    front for the next read.  A frame longer than the buffer grows it to
+    that frame's length, and the buffer shrinks back once the frame is
+    consumed.  The frames of each read go together to the ``on_frames``
+    callback once :meth:`deliver` has installed one (a started
+    :class:`~repro.net.channel.Channel`, the server past the handshake),
+    and before that to a queue behind :meth:`recv`.
 
     Outbound, ``write`` is fire-and-forget: a frame selected for delay by
     the injector is written later by a timer (frames may therefore
@@ -309,7 +319,14 @@ class FrameConnection(asyncio.Protocol):
         self.bytes_received = 0
         self._start_handler = handler
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._buffer = bytearray()
+        self._buffer = bytearray(RECEIVE_BUFFER_BYTES)
+        self._filled = 0  # bytes of a partial frame at the buffer's front
+        self._free = memoryview(self._buffer)  # what the next read may fill
+        # ``get_buffer(sizehint)`` is ``getattr(self, "_free", sizehint)``.
+        # The transport asks for it before every socket read; made of C
+        # callables, it adds no Python frame to a read (TestWirePath.CALLS
+        # in tests/test_net_pipeline.py counts them).
+        self.get_buffer = functools.partial(getattr, self, "_free")
         self._inbox: Deque[Dict[str, Any]] = deque()
         self._on_frames: Optional[Callable[[List[Dict[str, Any]]], None]] = None
         self._on_end: Optional[Callable[[Optional[Exception]], None]] = None
@@ -321,7 +338,7 @@ class FrameConnection(asyncio.Protocol):
         self._delayed: Set[asyncio.TimerHandle] = set()
         self._closed: Optional[asyncio.Future] = None
 
-    # -- asyncio.Protocol -------------------------------------------------------
+    # -- asyncio.BufferedProtocol -----------------------------------------------
 
     def connection_made(self, transport: asyncio.Transport) -> None:
         self.transport = transport
@@ -330,41 +347,46 @@ class FrameConnection(asyncio.Protocol):
         if self._start_handler is not None:
             self.handler_task = self._loop.create_task(self._start_handler(self))
 
-    def data_received(self, data: bytes) -> None:
+    def buffer_updated(self, nbytes: int) -> None:
         if self._ended:
             return  # after a framing error the stream has no boundaries left
-        # Frames are decoded where they lie: in ``data`` itself unless a
-        # partial frame was left over from the last call.
         buffer = self._buffer
-        if buffer:
-            buffer += data
-            data = buffer
-        end = len(data)
+        end = self._filled + nbytes
         start = 0
+        need = 0  # the length of the partial frame left, once its prefix is in
         frames: List[Dict[str, Any]] = []
         error = None
         try:
             while end - start >= 4:
-                (length,) = _LENGTH.unpack_from(data, start)
+                (length,) = _LENGTH.unpack_from(buffer, start)
                 if length > MAX_FRAME_BYTES:
                     raise FrameError(
                         f"announced frame of {length} bytes exceeds {MAX_FRAME_BYTES}"
                     )
                 stop = start + 4 + length
                 if stop > end:
+                    need = stop - start
                     break
-                frames.append(decode_frame(data, start + 4, stop))
+                frames.append(decode_frame(buffer, start + 4, stop))
                 start = stop
         except FrameError as exc:
             error = exc
         self.received += len(frames)
         self.bytes_received += start
         if error is not None:
-            buffer.clear()
-        elif data is buffer:
-            del buffer[:start]
-        elif start < end:
-            buffer += data[start:]
+            start = end  # the rest has no boundaries: dropped
+        rest = end - start
+        size = need if need > RECEIVE_BUFFER_BYTES else RECEIVE_BUFFER_BYTES
+        if size != len(buffer):
+            self._buffer = bytearray(size)
+            self._buffer[:rest] = buffer[start:end]
+            self._free = memoryview(self._buffer)[rest:]
+        else:
+            if start and rest:
+                buffer[:rest] = buffer[start:end]
+            if rest != self._filled:
+                self._free = memoryview(buffer)[rest:]
+        self._filled = rest
         faults = self.faults
         if faults is not None:
             # Asymmetric partition: arrived, never delivered.
@@ -380,8 +402,8 @@ class FrameConnection(asyncio.Protocol):
             self._end(error)
 
     def eof_received(self) -> bool:
-        if self._buffer:
-            where = "mid-header" if len(self._buffer) < 4 else "mid-frame"
+        if self._filled:
+            where = "mid-header" if self._filled < 4 else "mid-frame"
             self._end(FrameError(f"connection closed {where}"))
         else:
             self._end(None)
@@ -427,7 +449,7 @@ class FrameConnection(asyncio.Protocol):
         on_frames: Callable[[List[Dict[str, Any]]], None],
         on_end: Optional[Callable[[Optional[Exception]], None]] = None,
     ) -> None:
-        """From now on hand the frames of each ``data_received`` call to
+        """From now on hand the frames of each ``buffer_updated`` call to
         ``on_frames`` instead of :meth:`recv`, which then only waits for
         the end, and call ``on_end(error)`` once when the stream ends:
         ``None`` on a clean EOF or close, else the :class:`FrameError`

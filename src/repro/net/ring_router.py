@@ -369,7 +369,7 @@ class RingRouter:
     def note_epoch(self, epoch: int) -> None:
         """A server frame carried a higher ring epoch than ours: some
         layout we don't know is in force.  Schedule one refresh (a link
-        calls this from ``data_received`` — never block it)."""
+        calls this from ``buffer_updated`` — never block it)."""
         if epoch <= self.epoch:
             return
         if self._refresh_task is None or self._refresh_task.done():

@@ -36,7 +36,7 @@ turns a raised exception into a logged ``error`` reply; ``_release``
 gives it the request's id and the ring epoch of the moment, and sends.
 
 There is one way to serve a data-plane request: in place, in arrival
-order, inside the ``data_received`` that brought it, by plain functions
+order, inside the ``buffer_updated`` that brought it, by plain functions
 that run the engine and append to the log without giving up the event
 loop — so no other request can run in the middle of one, and the engine
 needs no lock.  The one wait a reply can take is a store-backed server's
@@ -369,7 +369,7 @@ class NetObjectServer:
             if hello.get("subscribe"):
                 outbox = self._subscribers[conn] = asyncio.Queue(SUBSCRIBER_BACKLOG)
                 feeder = asyncio.ensure_future(self._feed(conn, outbox))
-            # From here on requests are answered from data_received, in
+            # From here on requests are answered from buffer_updated, in
             # place; this task only waits for the stream to end.
             conn.deliver(functools.partial(self._answer, conn, client_id, tasks))
             await conn.recv()
@@ -396,7 +396,7 @@ class NetObjectServer:
         tasks: Set[asyncio.Task], frames: List[Dict[str, Any]],
     ) -> None:
         """The answering end of every request, whatever its kind: count
-        each frame of one ``data_received`` call and run its handler, in
+        each frame of one ``buffer_updated`` call and run its handler, in
         arrival order; ``_release`` sends the replies.
 
         The data-plane frames form one burst: with a store, from the first

@@ -106,8 +106,8 @@ class TestCC:
         for site, witness in result.site_witnesses.items():
             assert is_legal(witness, fig6.initial_value)
             assert respects(witness, closure_pairs)
-            expected = {op.uid for op in fig6.site_plus_writes(site)}
-            assert {op.uid for op in witness} == expected
+            expected = set(fig6.site_plus_writes(site))
+            assert set(witness) == expected
 
     def test_empty_history(self, method):
         assert check_cc(History([]), method=method)

@@ -40,8 +40,7 @@ class TestViews:
     def test_site_plus_writes_no_duplicates_for_writer_site(self):
         h = simple_history()
         hw = h.site_plus_writes(0)
-        uids = [op.uid for op in hw]
-        assert len(uids) == len(set(uids))
+        assert len(hw) == len(set(hw))
 
     def test_reads_and_writes_split(self):
         h = simple_history()
@@ -157,10 +156,7 @@ class TestConstructors:
         h = simple_history()
         subset = [h.operations[0], h.operations[2]]
         restricted = h.restricted_to(subset)
-        assert [op.uid for op in restricted] == sorted(
-            (op.uid for op in subset),
-            key=lambda uid: next(o.time for o in subset if o.uid == uid),
-        )
+        assert restricted == sorted(subset, key=lambda op: op.time)
 
     def test_repr(self):
         assert "6 ops" in repr(simple_history())

@@ -11,7 +11,7 @@ The answering end is ``NetObjectServer._answer``: ``TestAnswer`` plays
 the asking end by hand over a bare connection, and ``TestOneAnsweringEnd``
 pins that every request is counted, run and failed there, and its reply
 stamped and sent by ``_release``; ``TestOneExecutionModel`` that a
-data-plane request is run in place, from ``data_received``.
+data-plane request is run in place, from ``buffer_updated``.
 """
 
 import argparse
@@ -535,7 +535,7 @@ class TestOpen:
 class TestOneAskingEnd:
     """Replace, not fork: nobody but the channel dials, says hello or
     keeps a reply table, and only the two ends of the wire take frames
-    from ``data_received``."""
+    from ``buffer_updated``."""
 
     def test_only_the_channel_dials_and_both_ends_take_delivery(self):
         assert callers_of("dial") == {"net/channel.py"}
@@ -691,7 +691,7 @@ class TestAnswer:
 
     def test_a_reply_too_large_to_frame_ends_only_its_connection(self, caplog):
         """The write fits in a frame, the ``version`` that ships it to a
-        cold reader does not.  Raised inside ``data_received``, it ends
+        cold reader does not.  Raised inside ``buffer_updated``, it ends
         that reader's connection — which fails its call at once, with no
         retransmit ladder — and asyncio reports no failed protocol
         callback; everybody else is still served."""
@@ -723,7 +723,7 @@ class TestAnswer:
         with caplog.at_level("ERROR", logger="repro.net.server"):
             took, timeout, retries, connected, reported, small = asyncio.run(scenario())
         assert took < timeout and retries == 0 and not connected
-        assert reported == []  # no "Fatal error: protocol.data_received() ..."
+        assert reported == []  # no "Fatal error: protocol.buffer_updated() ..."
         assert small.value == 2
         logged = [r for r in caplog.records if r.name == "repro.net.server"]
         assert [r.getMessage() for r in logged] == [
@@ -861,7 +861,7 @@ class TestOneExecutionModel:
         }
         assert started == {"_serve": ["_feed"], "_answer": ["_control"]}
         # ... the control plane's only behind its test, and _answer, which
-        # data_received calls, is a plain function: it cannot wait.
+        # buffer_updated calls, is a plain function: it cannot wait.
         (branch,) = [node for node in ast.walk(functions["_answer"])
                      if isinstance(node, ast.If)
                      and ast.unparse(node.test) == "kind in CLUSTER_KINDS"]

@@ -20,6 +20,7 @@ from repro.net.framing import (
     MAX_FRAME_BYTES,
     PACKED_FLAGS,
     PACKED_LAYOUTS,
+    RECEIVE_BUFFER_BYTES,
     FrameConnection,
     FrameError,
     decode_frame,
@@ -56,6 +57,19 @@ def same(a, b) -> bool:
                        or math.copysign(1, a) == math.copysign(1, b))
 
 
+def feed(conn: FrameConnection, chunk: bytes) -> None:
+    """Hand ``chunk`` to ``conn`` the way the socket transport does: copy
+    what fits into the buffer ``get_buffer`` returns, report it with
+    ``buffer_updated``, repeat."""
+    chunk = memoryview(chunk)
+    while chunk:
+        buf = conn.get_buffer(-1)
+        n = min(len(buf), len(chunk))
+        buf[:n] = chunk[:n]
+        conn.buffer_updated(n)
+        chunk = chunk[n:]
+
+
 def read_all(*chunks: bytes):
     """Feed the chunks to a FrameConnection's buffer parser, then EOF,
     and collect every frame ``recv()`` hands out."""
@@ -64,7 +78,7 @@ def read_all(*chunks: bytes):
         conn = FrameConnection()
         conn.connection_made(NullTransport())
         for chunk in chunks:
-            conn.data_received(chunk)
+            feed(conn, chunk)
         conn.eof_received()
         frames = []
         while True:
@@ -147,14 +161,13 @@ class TestStreamReading:
         async def _scenario():
             conn = FrameConnection()
             conn.connection_made(NullTransport())
-            conn.data_received(
-                encode_frame({"kind": "fetch", "req": 0})
-                + struct.pack(">I", MAX_FRAME_BYTES + 1) + b"never buffered"
-            )
+            feed(conn,
+                 encode_frame({"kind": "fetch", "req": 0})
+                 + struct.pack(">I", MAX_FRAME_BYTES + 1) + b"never buffered")
             assert await conn.recv() == {"kind": "fetch", "req": 0}
             with pytest.raises(FrameError, match="exceeds"):
                 await conn.recv()
-            return len(conn._buffer)
+            return conn._filled
 
         assert asyncio.run(_scenario()) == 0
 
@@ -170,6 +183,49 @@ class TestStreamReading:
                   for i in range(200)]
         data = b"".join(encode_frame(f) for f in frames)
         assert read_all(data[:-3], data[-3:]) == frames
+
+
+class TestReceiveBuffer:
+    """The one receive buffer: it grows for a long frame only, and not
+    for an announcement it is going to refuse."""
+
+    def scenario(self, *chunks):
+        async def _run():
+            conn = FrameConnection()
+            conn.connection_made(NullTransport())
+            sizes = []
+            for chunk in chunks:
+                feed(conn, chunk)
+                sizes.append(len(conn._buffer))
+            return conn, sizes
+
+        return asyncio.run(_run())
+
+    def test_a_300_kib_value_arrives_whole_through_1_kib_reads(self):
+        message = {"kind": "write", "obj": "k", "value": "v" * (300 << 10), "req": 1}
+        data = encode_frame(message) + encode_frame({"kind": "bye"})
+        conn, sizes = self.scenario(
+            *(data[at:at + 1024] for at in range(0, len(data), 1024)))
+        assert list(conn._inbox) == [message, {"kind": "bye"}]
+        assert max(sizes) == len(data) - len(encode_frame({"kind": "bye"}))
+        assert sizes[-1] == len(conn._buffer) == RECEIVE_BUFFER_BYTES
+        assert conn._filled == 0
+
+    def test_an_oversized_announcement_fails_before_the_buffer_grows(self):
+        conn, sizes = self.scenario(
+            struct.pack(">I", MAX_FRAME_BYTES + 1), b"x" * (RECEIVE_BUFFER_BYTES + 1))
+        assert sizes == [RECEIVE_BUFFER_BYTES] * 2
+        assert isinstance(conn._error, FrameError) and conn._filled == 0
+
+    def test_after_a_frame_error_what_arrives_is_ignored(self):
+        good = encode_frame({"kind": "bye"})
+        conn, _ = self.scenario(frame_of(b"[]") + good)
+        assert isinstance(conn._error, FrameError)
+        before = (conn.received, conn.bytes_received)
+        assert len(conn.get_buffer(-1)) > 0
+        feed(conn, good * 3)
+        assert (conn.received, conn.bytes_received, conn._filled) == (*before, 0)
+        assert not conn._inbox
 
 
 # ``{"blob":""}`` is 11 bytes of JSON scaffolding around the blob, so a
@@ -585,14 +641,14 @@ class TestMixedStream:
             conn = FrameConnection()
             conn.connection_made(NullTransport())
             good = encode_frame(self.FRAMES[1])
-            conn.data_received(good + corrupt + good)
+            feed(conn, good + corrupt + good)
             assert await conn.recv() == self.FRAMES[1]
             with pytest.raises(FrameError):
                 await conn.recv()
-            conn.data_received(good)  # no boundaries left: ignored
+            feed(conn, good)  # no boundaries left: ignored
             with pytest.raises(FrameError):
                 await conn.recv()
-            return conn.received, len(conn._buffer)
+            return conn.received, conn._filled
 
         assert asyncio.run(_scenario()) == (1, 0)
 
@@ -672,3 +728,9 @@ class TestOneTransport:
                     if name in self.BANNED:
                         named.append(f"{path.relative_to(root)}:{node.lineno}")
         assert named == []
+
+    def test_one_receive_path(self):
+        """The socket receives into the connection's buffer; no second,
+        ``data_received`` path exists for a fix to miss."""
+        assert issubclass(FrameConnection, asyncio.BufferedProtocol)
+        assert not hasattr(FrameConnection, "data_received")

@@ -23,12 +23,14 @@ import socket
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
 import repro
 
 from repro.checkers import check_tsc
+from repro.core.operations import read
 from repro.engine import ServerEngine, messages
 from repro.net.client import NetCacheClient, ProtocolError, RequestTimeout
 from repro.net.faults import FaultConfig, FaultInjector
@@ -510,6 +512,43 @@ def import_footprint():
     return json.loads(out)
 
 
+def receive_peak_bytes(reads=300):
+    """The transient memory of the receive path: ``tracemalloc``'s peak
+    minus what is still held after ``reads`` validate reads (delta 0) by
+    a warm client of a live loopback server.  A socket read into a fresh
+    256 KiB ``bytes`` shows here as a quarter of a mebibyte; the socket
+    receiving into its connection's own buffer, as next to nothing (CI
+    prints it into the step summary)."""
+
+    async def scenario():
+        server = await NetObjectServer(propagation="none").start()
+        try:
+            async with NetCacheClient(
+                0, server.host, server.port, delta=0.0
+            ) as client:
+                await client.write("x", "v")
+                await client.read("x")
+                tracemalloc.start()
+                try:
+                    tracemalloc.reset_peak()
+                    for _ in range(reads):
+                        await client.read("x")
+                    current, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+        finally:
+            await server.close()
+        return peak - current
+
+    return asyncio.run(scenario())
+
+
+def recorded_read_bytes():
+    """``sys.getsizeof`` of one read as a trace keeps it: what every
+    recorded operation costs a run, before its fields' own objects."""
+    return sys.getsizeof(TraceRecorder().record_read(0, "x", "v", 1.0))
+
+
 async def raw_peer(server, client_id, subscribe=False):
     """A hand-driven connection past the handshake."""
     conn = await dial(server.host, server.port)
@@ -524,7 +563,7 @@ class TestWirePath:
 
     ROUNDS = 500
     #: client sends | server reads, serves and replies from
-    #: ``data_received`` | client reads, wakes the caller.
+    #: ``buffer_updated`` | client reads, wakes the caller.
     BUDGET = 3
     #: What a round trip cost with streams, ``wait_for(shield(...))``, a
     #: task per request frame and a receive task: 8 (7 on Python 3.12+).
@@ -542,6 +581,18 @@ class TestWirePath:
         assert set(counts) == set(self.CALLS)
         for kind, pinned in self.CALLS.items():
             assert counts[kind] <= pinned, (kind, counts[kind], pinned)
+
+    def test_the_receive_path_allocates_no_read_sized_buffer(self):
+        """Fails when a socket read allocates its own buffer again, as
+        asyncio does for a plain ``Protocol`` (256 KiB per read)."""
+        assert receive_peak_bytes() < 64 * 1024
+
+    def test_a_recorded_read_has_no_counter_field(self):
+        """A recorded operation is its eight fields and the object's
+        headers, 96 bytes (a run keeps every one): identity is its hash,
+        and a tie is broken by position."""
+        assert recorded_read_bytes() <= 96
+        assert not hasattr(read(0, "x", "v", 1.0), "uid")
 
     def test_the_live_stack_and_the_checkers_import_no_numpy(self):
         """numpy is the constraint checker's accelerator, imported by its
@@ -858,7 +909,7 @@ class TestBackpressure:
     HIGH = 4096
 
     def test_a_peer_that_asks_and_never_reads_stops_being_read(self):
-        """Before, the handler parked in ``send`` while ``data_received``
+        """Before, the handler parked in ``send`` while ``buffer_updated``
         decoded every frame the peer pipelined into a queue without
         bound; now the requests stay in the peer's buffers, and all are
         answered, in order and once, when it reads."""
@@ -898,7 +949,7 @@ class TestBackpressure:
         stalled, replies, extra, server = asyncio.run(scenario())
         received, reading, queued, buffered = stalled
         assert received < self.REQUESTS and not reading and queued == 0
-        # What it read in the last data_received before it stopped: one
+        # What it read in the last buffer_updated before it stopped: one
         # socket read (256 KiB in asyncio) of 24-byte requests, answered.
         assert buffered < self.HIGH + (256 * 1024 // 24 + 1) * 28
         assert [r["req"] for r in replies] == list(range(self.REQUESTS))

@@ -147,10 +147,10 @@ class TestOnTimeRatio:
                     v = rng.choice(written[obj][-4:])
                     ops.append(read(0, obj, v, t))
                     if not ot.observe_read(obj, v, t).on_time:
-                        online_late.add(ops[-1].uid)
+                        online_late.add(ops[-1])
             history = History(ops)
             offline_late = late_reads(history, delta, epsilon)
-            assert online_late == {r.uid for r in offline_late}, seed
+            assert online_late == set(offline_late), seed
             assert ot.counts["unjudged"] == 0
             assert ot.required_delta == pytest.approx(
                 min_timed_delta(history, epsilon)

@@ -94,8 +94,8 @@ class TestAgreementWithOffline:
         history = factory()
         _, verdicts = judge_stream(stream_of(history), delta,
                                    initial_value=history.initial_value)
-        online_late = {r.uid for r, v in verdicts.items() if not v.on_time}
-        offline_late = {r.uid for r in late_reads(history, delta)}
+        online_late = {r for r, v in verdicts.items() if not v.on_time}
+        offline_late = set(late_reads(history, delta))
         assert online_late == offline_late
 
     @pytest.mark.parametrize("factory", [figure1, figure5, figure6])
@@ -113,8 +113,8 @@ class TestAgreementWithOffline:
             history = random_replica_history(rng)
             delta = rng.uniform(0.0, 10.0)
             _, verdicts = judge_stream(stream_of(history), delta)
-            online_late = {r.uid for r, v in verdicts.items() if not v.on_time}
-            offline_late = {r.uid for r in late_reads(history, delta)}
+            online_late = {r for r, v in verdicts.items() if not v.on_time}
+            offline_late = set(late_reads(history, delta))
             assert online_late == offline_late
 
 

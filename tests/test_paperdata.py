@@ -127,8 +127,8 @@ class TestFigure6:
         for site, seq in figure6_serializations(fig6).items():
             assert is_legal(seq, fig6.initial_value), f"S{site} illegal"
             assert respects(seq, pairs), f"S{site} breaks causal order"
-            expected = {op.uid for op in fig6.site_plus_writes(site)}
-            assert {op.uid for op in seq} == expected, f"S{site} wrong op set"
+            expected = set(fig6.site_plus_writes(site))
+            assert set(seq) == expected, f"S{site} wrong op set"
 
     def test_figure6b_shows_concurrent_writes_in_different_orders(self, fig6):
         """The point of Figure 6(b): different sites may serialize the

@@ -39,9 +39,9 @@ class TestReorderingMonitor:
         # One read here arrived before its writer and waited for it.
         assert list(verdicts.values()).count(None) == 1
         # Every read judged on arrival agrees with the offline judge.
-        judged = {r.uid for r, v in verdicts.items()
+        judged = {r for r, v in verdicts.items()
                   if v is not None and not v.on_time}
-        assert judged <= {r.uid for r in offline_late}
+        assert judged <= set(offline_late)
 
 
 class TestRecorderListeners:

@@ -32,9 +32,7 @@ from repro.checkers import (
     census,
     delta_spectrum,
     find_serialization,
-    find_serialization_recursive,
     find_site_ordered_serialization,
-    find_site_ordered_serialization_recursive,
     hierarchy_violations,
     restrict_edges,
     threshold_report,
@@ -45,6 +43,10 @@ from repro.workloads import (
     random_history,
     random_linearizable_history,
     random_sc_history,
+)
+from tests.search_reference import (
+    find_serialization_recursive,
+    find_site_ordered_serialization_recursive,
 )
 
 seeds = st.integers(min_value=0, max_value=10**6)

@@ -61,7 +61,7 @@ def with_vector_clocks(history):
     clocks = {site: [0] * len(sites) for site in sites}
     written = {}
     ops = []
-    for op in sorted(history.operations, key=lambda o: (o.time, o.uid)):
+    for op in sorted(history.operations, key=lambda o: o.time):
         clock = clocks[op.site]
         if op.is_read and (op.obj, op.value) in written:
             clock[:] = map(max, clock, written[op.obj, op.value])
