@@ -36,7 +36,7 @@ def run_with_monitor(variant: str, delta, seed: int = 23):
 
     def on_operation(op):
         feed = live.on_write if op.is_write else live.on_read
-        feed(op.site, op.obj, op.value, op.time)
+        feed(op.obj, op.value, op.time)
 
     cluster.recorder.add_listener(on_operation)
     cluster.spawn(read_heavy_hotspot(n_ops=80, mean_think_time=0.1,

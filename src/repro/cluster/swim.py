@@ -106,7 +106,6 @@ class ClusterConfig:
     #: Bound on one handoff/promote RPC during failover.
     rpc_timeout: float = 2.0
     auto_failover: bool = True  #: coordinator repairs the ring on death
-    auto_join: bool = True  #: coordinator rebalances onto joiners
     seed: Optional[int] = None  #: rotation-shuffle determinism for tests
 
     def __post_init__(self) -> None:
@@ -232,17 +231,7 @@ class SwimAgent:
                 MemberInfo(member_id, server.address), now=loop_time()
             )
         if self.instruments is not None:
-            self.instruments.bind_epoch(lambda: self.server.engine.epoch)
-            self.instruments.bind_gossip(
-                lambda: sum(
-                    link.conn.bytes_sent
-                    for link in self.links.values() if link.conn is not None
-                ),
-                lambda: sum(
-                    link.conn.bytes_received
-                    for link in self.links.values() if link.conn is not None
-                ),
-            )
+            self.instruments.bind(self)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -502,8 +491,6 @@ class SwimAgent:
             )
             self.refutations += 1
             self.events.append((loop_time(), "refuted", self.incarnation))
-            if self.instruments is not None:
-                self.instruments.on_refutation()
         elif own.state in (DEAD, LEFT) and not self._self_dead:
             # A false positive became terminal before our refutation
             # landed: this id is unrecoverable (rejoin needs a fresh
@@ -538,7 +525,7 @@ class SwimAgent:
                 dead_seen = True
         if dead_seen and self.config.auto_failover:
             self._maybe_run_failover()
-        if join_seen and self.config.auto_join:
+        if join_seen:
             self._maybe_run_failover()  # same driver handles joins
 
     # -- ring catch-up (gossip said a newer epoch exists) ---------------------
@@ -614,7 +601,7 @@ class SwimAgent:
                     ),
                     None,
                 )
-                if joiner is not None and self.config.auto_join:
+                if joiner is not None:
                     info = self.view.get(joiner)
                     replicas = min(self.replicas, len(ring.devices) + 1)
                     await self._execute_plan(
@@ -671,8 +658,6 @@ class SwimAgent:
         self.failovers += 1
         self.last_failover_seconds = elapsed
         self.events.append((loop_time(), kind, plan.ring.epoch))
-        if self.instruments is not None:
-            self.instruments.on_failover(elapsed)
         logger.info(
             "%s to ring epoch %d by coordinator %s in %.3fs "
             "(promoted=%s moves=%d)",

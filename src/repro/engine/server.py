@@ -177,9 +177,6 @@ class ServerEngine(_EngineBase):
         self.recovered_old: Set[str] = set()
         self.revalidations = 0
         self.promotions = 0
-        #: Driver hook: called once per recovered-old re-proof (the net
-        #: driver wires it to the durable store's instruments).
-        self.on_revalidation: Optional[Callable[[], None]] = None
 
     # -- the lifetime protocol, server side -----------------------------------
 
@@ -200,8 +197,6 @@ class ServerEngine(_EngineBase):
             # advance below becomes its new checking time.
             self.recovered_old.discard(obj)
             self.revalidations += 1
-            if self.on_revalidation is not None:
-                self.on_revalidation()
         version.advance_omega(self.clock())
         return version
 

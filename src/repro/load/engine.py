@@ -229,8 +229,7 @@ class OnlineJudges:
         its worker planned it in a deadline class, to that class's."""
         if op.is_write:
             for judge in (self.ontime, *self.deadlines.values()):
-                judge.on_write(op.site, op.obj, op.value, op.time,
-                               start=op.start, end=op.end)
+                judge.on_write(op.obj, op.value, op.time)
             return
         worker = self.workers.get(op.site)
         name = worker.deadline_of(op.obj) if worker is not None else None
@@ -238,8 +237,7 @@ class OnlineJudges:
         if name is not None:
             judges.append(self.deadlines[name])
         for judge in judges:
-            judge.on_read(op.site, op.obj, op.value, op.time,
-                          start=op.start, end=op.end)
+            judge.on_read(op.obj, op.value, op.time)
 
 
 # -- the engine -----------------------------------------------------------

@@ -495,9 +495,7 @@ class RingRouter:
                 self.client_id, obj, value, end, start=started, end=end
             )
         if self.instruments is not None:
-            self.instruments.on_read(
-                self.client_id, obj, value, end, start=started, end=end
-            )
+            self.instruments.on_read(obj, value, end)
         return value
 
     async def write(self, obj: str, value: Any) -> float:
@@ -524,9 +522,7 @@ class RingRouter:
                 self.client_id, obj, value, alpha, start=start, end=end
             )
         if self.instruments is not None:
-            self.instruments.on_write(
-                self.client_id, obj, value, alpha, start=start, end=end
-            )
+            self.instruments.on_write(obj, value, alpha)
         return alpha
 
     # -- anti-entropy ----------------------------------------------------------

@@ -165,8 +165,8 @@ class NetObjectServer:
         self.durable = store
         self.recovered: Optional[Any] = None
         self.agent: Optional[Any] = None  #: attached cluster SwimAgent
-        if store is not None:
-            self.engine.on_revalidation = self._on_store_revalidation
+        if store is not None and store.instruments is not None:
+            store.instruments.engine = self.engine
         self._server: Optional[asyncio.base_events.Server] = None
         self._connections: Set[FrameConnection] = set()
         # Reply groups held for the log, ``_covered`` of them for ``_syncing``.
@@ -205,10 +205,6 @@ class NetObjectServer:
             self.pipeline = PipelineInstruments(
                 registry, side="server", labels=self.metric_labels
             )
-
-    def _on_store_revalidation(self) -> None:
-        if self.durable is not None and self.durable.instruments is not None:
-            self.durable.instruments.on_revalidation()
 
     # -- lifecycle -----------------------------------------------------------
 

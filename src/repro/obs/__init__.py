@@ -13,8 +13,6 @@ from repro.obs.bridge import (
     bind_net_server,
     bind_placement_stats,
     bind_router_stats,
-    bind_sim_server,
-    bind_simulator,
 )
 from repro.obs.expo import (
     MetricsServer,
@@ -23,10 +21,8 @@ from repro.obs.expo import (
     snapshot_rows,
 )
 from repro.obs.instruments import (
-    DEFAULT_TRACE_CAPACITY,
     DEFAULT_WINDOW,
     ClusterInstruments,
-    EventTrace,
     OnTimeRatio,
     OnTimeVerdict,
     PipelineInstruments,
@@ -35,28 +31,17 @@ from repro.obs.instruments import (
     VisibilityLag,
 )
 from repro.obs.metrics import (
-    REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
     MetricError,
     Registry,
     diff_snapshots,
     exponential_buckets,
     family,
     load_snapshot,
-    merge_snapshots,
 )
 
 __all__ = [
-    "REGISTRY",
     "ClusterInstruments",
-    "Counter",
-    "DEFAULT_TRACE_CAPACITY",
     "DEFAULT_WINDOW",
-    "EventTrace",
-    "Gauge",
-    "Histogram",
     "MetricError",
     "MetricsServer",
     "OnTimeRatio",
@@ -70,13 +55,10 @@ __all__ = [
     "bind_net_server",
     "bind_placement_stats",
     "bind_router_stats",
-    "bind_sim_server",
-    "bind_simulator",
     "diff_snapshots",
     "exponential_buckets",
     "family",
     "load_snapshot",
-    "merge_snapshots",
     "render_prometheus",
     "scrape",
     "snapshot_rows",

@@ -1,15 +1,13 @@
 """Pull-model bridges: export the existing stat structs into a registry.
 
-Every layer of the repo already keeps counters in plain structs —
+The live stack already keeps its counters in plain structs —
 :class:`~repro.engine.stats.ClientStats` in the cache clients,
 :class:`~repro.ring.placement.PlacementStats` and
-:class:`~repro.net.ring_router.RouterStats` in the ring stack, ad-hoc
-ints in the servers and the sim kernel.  Rewriting those hot paths to
-push into metric children would tax the sim's tight loops for nothing;
-instead each ``bind_*`` function registers a *collector* that reads the
-struct only at scrape/snapshot time.  The struct keeps native ``int``
-arithmetic (the ≤5 % overhead budget of ISSUE 4 is met by construction)
-and the registry stays the single export surface.
+:class:`~repro.net.ring_router.RouterStats` in the ring stack, plain
+ints on :class:`~repro.net.server.NetObjectServer`.  Each ``bind_*``
+function registers a *collector* that reads the struct only at
+scrape/snapshot time: the struct keeps native ``int`` arithmetic, the
+registry stays the single export surface, and no count is kept twice.
 
 Every binder returns the collector so callers can
 :meth:`~repro.obs.metrics.Registry.unregister_collector` it when the
@@ -110,54 +108,6 @@ def bind_router_stats(
             family("repro_ring_anti_entropy_errors_total", "counter",
                    "Anti-entropy loop deaths from non-cancellation errors",
                    [(base, stats.anti_entropy_errors)]),
-        ]
-
-    return registry.register_collector(collector)
-
-
-def bind_simulator(
-    registry: Registry, sim: Any, **labels: Any
-) -> Callable:
-    """Export a :class:`~repro.sim.kernel.Simulator`'s kernel gauges:
-    events processed, pending queue depth, simulated now."""
-    base = _with(labels)
-
-    def collector() -> Iterable[Dict[str, Any]]:
-        return [
-            family("repro_sim_events_total", "counter",
-                   "Events processed by the simulation kernel",
-                   [(base, sim.events_processed)]),
-            family("repro_sim_pending_events", "gauge",
-                   "Scheduled-but-unprocessed kernel events",
-                   [(base, sim.pending)]),
-            family("repro_sim_now_seconds", "gauge",
-                   "Current simulated time",
-                   [(base, sim.now)]),
-        ]
-
-    return registry.register_collector(collector)
-
-
-def bind_sim_server(
-    registry: Registry, server: Any, **labels: Any
-) -> Callable:
-    """Export a sim-side authoritative server
-    (:class:`~repro.protocol.server.SimServer`): installs, discards,
-    store size, subscribers."""
-    base = _with(labels)
-
-    def collector() -> Iterable[Dict[str, Any]]:
-        return [
-            family("repro_server_writes_total", "counter",
-                   "Write installs by outcome",
-                   [(_with(base, outcome="installed"), server.writes_installed),
-                    (_with(base, outcome="discarded"), server.writes_discarded)]),
-            family("repro_server_objects", "gauge",
-                   "Objects materialized in the store",
-                   [(base, len(server.store))]),
-            family("repro_server_subscribers", "gauge",
-                   "Clients subscribed for push propagation",
-                   [(base, len(server.subscribers))]),
         ]
 
     return registry.register_collector(collector)

@@ -2,9 +2,11 @@
 
 The paper's Section 6 evaluates the lifetime protocol by the fraction of
 operations that execute *on time*; the offline checkers establish that
-number after the fact.  These instruments compute the same quantities
-online, with bounded memory, so a live stack (TCP servers, ring routers,
-the sim's async twin) can export them from ``/metrics`` continuously:
+number after the fact, from the run's one operation record (the
+:class:`~repro.sim.trace.TraceRecorder` history).  These instruments
+judge the same quantity online, with bounded memory, so a live stack
+(TCP servers, ring routers, the load generator) can export it from
+``/metrics`` continuously.  They keep no copy of the operations:
 
 * :class:`VisibilityLag` — the observed age of served/propagated
   versions (``now - T(w)``), as a histogram against the freshness bound
@@ -15,29 +17,28 @@ the sim's async twin) can export them from ``/metrics`` continuously:
   :func:`repro.core.timed.late_reads`, trading unbounded write memory
   for an explicit *unjudged* bucket — see docs/OBSERVABILITY.md for the
   window-tolerance semantics);
-* :class:`EventTrace` — a ring buffer of structured operation events
-  with JSONL export in the docs/TRACE_FORMAT.md operation shape, so the
-  tail of a live run can always be handed to the offline checkers;
-* :class:`TimedInstruments` — the bundle the net stack wires in: one
-  call per completed read/write feeds all three, and a read that arrives
+* :class:`TimedInstruments` — the judge the live stack wires in: one
+  call per completed read/write feeds both, and a read that arrives
   before its writer waits for it.
+
+:class:`StoreInstruments`, :class:`PipelineInstruments` and
+:class:`ClusterInstruments` export the store, the request pipeline and
+the failure detector.  Each pushes only what exists only at the event
+(latencies, transitions, the snapshot count) and reads every count its
+component already keeps at scrape time.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from typing import Any, Deque, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.core.timed import required_delta
-from repro.obs.metrics import Registry, exponential_buckets
+from repro.obs.metrics import Registry, exponential_buckets, family
 
 #: Default per-object recent-write window of :class:`OnTimeRatio`.
 DEFAULT_WINDOW = 64
-
-#: Default capacity of :class:`EventTrace`.
-DEFAULT_TRACE_CAPACITY = 4096
 
 
 class OnTimeVerdict(NamedTuple):
@@ -73,9 +74,6 @@ class VisibilityLag:
         registry: Registry,
         delta: float,
         epsilon: float = 0.0,
-        *,
-        name: str = "repro_visibility_lag_seconds",
-        buckets: Optional[Tuple[float, ...]] = None,
     ) -> None:
         if delta < 0:
             raise ValueError(f"delta must be non-negative, got {delta}")
@@ -84,9 +82,8 @@ class VisibilityLag:
         self.delta = delta
         self.epsilon = epsilon
         self.histogram = registry.histogram(
-            name,
+            "repro_visibility_lag_seconds",
             "Age of the observed version at observation time (seconds)",
-            buckets=buckets if buckets is not None else exponential_buckets(),
         )
         self.violations = registry.counter(
             "repro_visibility_violations_total",
@@ -266,114 +263,24 @@ class OnTimeRatio:
         return self._on_time.value / judged
 
 
-class EventTrace:
-    """A bounded ring of structured operation events.
+class StoreInstruments:
+    """WAL / snapshot / recovery metrics for one :mod:`repro.store`
+    durable store (``durable``, a
+    :class:`~repro.store.recovery.DurableStore`).
 
-    Events carry the docs/TRACE_FORMAT.md operation fields (``kind``,
-    ``site``, ``obj``, ``value``, ``time``, optional ``start``/``end``),
-    so the retained tail of a live run can be exported as JSONL or as a
-    checkable history payload at any moment.  ``dropped`` counts events
-    the ring has forgotten.
+    Families carry a ``store`` label so several stores (one per ring
+    device, say) can share a registry.  Two numbers exist only at their
+    event and are pushed: the fsync latency histogram, fed by the WAL's
+    ``on_fsync`` hook, and the snapshot count.  Everything else is a
+    count the store's parts already keep, read at scrape time: the
+    log's ``records_appended``/``bytes_appended``, the store's
+    ``recovered`` state and snapshot age, and the serving engine's
+    ``revalidations``.
     """
 
     def __init__(
-        self,
-        capacity: int = DEFAULT_TRACE_CAPACITY,
-        *,
-        registry: Optional[Registry] = None,
-        initial_value: Any = 0,
+        self, registry: Registry, durable: Any, store: Any = "server"
     ) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.initial_value = initial_value
-        self._events: Deque[Dict[str, Any]] = deque(maxlen=capacity)
-        self.dropped = 0
-        if registry is not None:
-            registry.gauge(
-                "repro_trace_events",
-                "Operation events currently retained by the trace ring",
-            ).set_function(lambda: len(self._events))
-            self._dropped_counter = registry.counter(
-                "repro_trace_dropped_total",
-                "Operation events evicted from the trace ring",
-            )
-            self._dropped_counter.labels()  # materialize the zero sample
-        else:
-            self._dropped_counter = None
-
-    def record(
-        self,
-        kind: str,
-        site: int,
-        obj: str,
-        value: Any,
-        time: float,
-        start: Optional[float] = None,
-        end: Optional[float] = None,
-        **extra: Any,
-    ) -> None:
-        if kind not in ("r", "w"):
-            raise ValueError(f"kind must be 'r' or 'w', got {kind!r}")
-        if len(self._events) == self._events.maxlen:
-            self.dropped += 1
-            if self._dropped_counter is not None:
-                self._dropped_counter.inc()
-        event: Dict[str, Any] = {
-            "kind": kind, "site": site, "obj": obj, "value": value,
-            "time": time,
-        }
-        if start is not None:
-            event["start"] = start
-        if end is not None:
-            event["end"] = end
-        event.update(extra)
-        self._events.append(event)
-
-    def record_read(self, site: int, obj: str, value: Any, time: float,
-                    **kw: Any) -> None:
-        self.record("r", site, obj, value, time, **kw)
-
-    def record_write(self, site: int, obj: str, value: Any, time: float,
-                     **kw: Any) -> None:
-        self.record("w", site, obj, value, time, **kw)
-
-    def events(self) -> List[Dict[str, Any]]:
-        return list(self._events)
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def export_jsonl(self, path: str) -> int:
-        """One operation object per line; returns the number written."""
-        events = self.events()
-        with open(path, "w", encoding="utf-8") as fh:
-            for event in events:
-                fh.write(json.dumps(event, sort_keys=True))
-                fh.write("\n")
-        return len(events)
-
-    def to_history_payload(self) -> Dict[str, Any]:
-        """The docs/TRACE_FORMAT.md top-level payload for the retained
-        tail (operations sorted by effective time)."""
-        return {
-            "initial_value": self.initial_value,
-            "operations": sorted(self.events(), key=lambda e: e["time"]),
-        }
-
-
-class StoreInstruments:
-    """WAL / snapshot / recovery metrics for one :mod:`repro.store`
-    durable store.
-
-    Families carry a ``store`` label so several stores (one per ring
-    device, say) can share a registry.  The histogram is fed by the
-    WAL's ``on_fsync`` duration hook; the snapshot-age gauge is pulled
-    at scrape time from the store itself (:meth:`bind_snapshot_age`).
-    """
-
-    def __init__(self, registry: Registry, store: Any = "server") -> None:
-        self.registry = registry
         label = {"store": str(store)}
         self.fsync_seconds = registry.histogram(
             "repro_store_fsync_seconds",
@@ -381,80 +288,58 @@ class StoreInstruments:
             labels=("store",),
             buckets=exponential_buckets(start=0.00001, count=16),
         ).labels(**label)
-        self.wal_records = registry.counter(
-            "repro_store_wal_records_total",
-            "Records appended to the write-ahead log",
-            labels=("store",),
-        ).labels(**label)
-        self.wal_bytes = registry.counter(
-            "repro_store_wal_bytes_total",
-            "Bytes appended to the write-ahead log",
-            labels=("store",),
-        ).labels(**label)
         self.snapshots = registry.counter(
             "repro_store_snapshots_total",
             "Compacted snapshots written",
             labels=("store",),
         ).labels(**label)
-        self._snapshot_age = registry.gauge(
+        registry.gauge(
             "repro_store_snapshot_age_seconds",
             "Wall seconds since the last snapshot (+inf when none)",
             labels=("store",),
-        ).labels(**label)
-        self.recoveries = registry.counter(
-            "repro_store_recoveries_total",
-            "Recovery (open) events",
-            labels=("store",),
-        ).labels(**label)
-        self.recovery_seconds = registry.counter(
-            "repro_store_recovery_seconds_total",
-            "Wall time spent in recovery",
-            labels=("store",),
-        ).labels(**label)
-        self.replayed_records = registry.counter(
-            "repro_store_replayed_records_total",
-            "WAL records replayed during recoveries",
-            labels=("store",),
-        ).labels(**label)
-        self.quarantined_bytes = registry.counter(
-            "repro_store_quarantined_bytes_total",
-            "Corrupt WAL-tail bytes quarantined during recoveries",
-            labels=("store",),
-        ).labels(**label)
-        self.old_versions = registry.counter(
-            "repro_store_old_marked_total",
-            "Versions marked old at recovery (checking time < t - delta)",
-            labels=("store",),
-        ).labels(**label)
-        self.revalidations = registry.counter(
-            "repro_store_revalidations_total",
-            "Recovered-old versions re-proved current on first touch",
-            labels=("store",),
-        ).labels(**label)
+        ).labels(**label).set_function(lambda: durable.snapshot_age)
+        #: The log the store opened (kept past its close, so a final
+        #: snapshot still reads its counts) and the engine serving from
+        #: the store; their owners set them.
+        self.wal: Optional[Any] = None
+        self.engine: Optional[Any] = None
+        registry.register_collector(lambda: self._collect(durable, label))
+
+    def _collect(
+        self, durable: Any, label: Dict[str, str]
+    ) -> List[Dict[str, Any]]:
+        wal, recovered, engine = self.wal, durable.recovered, self.engine
+        opened = recovered is not None
+        counts = (
+            ("wal_records", "Records appended to the write-ahead log",
+             wal.records_appended if wal is not None else 0),
+            ("wal_bytes", "Bytes appended to the write-ahead log",
+             wal.bytes_appended if wal is not None else 0),
+            ("recoveries", "Recovery (open) events", int(opened)),
+            ("recovery_seconds", "Wall time spent in recovery",
+             recovered.recovery_seconds if opened else 0.0),
+            ("replayed_records", "WAL records replayed during recoveries",
+             recovered.replayed_records if opened else 0),
+            ("quarantined_bytes",
+             "Corrupt WAL-tail bytes quarantined during recoveries",
+             recovered.quarantined_bytes if opened else 0),
+            ("old_marked",
+             "Versions marked old at recovery (checking time < t - delta)",
+             len(recovered.old_objects) if opened else 0),
+            ("revalidations",
+             "Recovered-old versions re-proved current on first touch",
+             engine.revalidations if engine is not None else 0),
+        )
+        return [
+            family(f"repro_store_{name}_total", "counter", help, [(label, value)])
+            for name, help, value in counts
+        ]
 
     def on_fsync(self, seconds: float) -> None:
         self.fsync_seconds.observe(seconds)
 
-    def on_append_many(self, count: int, nbytes: int) -> None:
-        self.wal_records.inc(count)
-        self.wal_bytes.inc(nbytes)
-
     def on_snapshot(self) -> None:
         self.snapshots.inc()
-
-    def on_revalidation(self) -> None:
-        self.revalidations.inc()
-
-    def on_recovery(self, recovered: Any) -> None:
-        """Record one :class:`~repro.store.recovery.RecoveredState`."""
-        self.recoveries.inc()
-        self.recovery_seconds.inc(max(recovered.recovery_seconds, 0.0))
-        self.replayed_records.inc(recovered.replayed_records)
-        self.quarantined_bytes.inc(recovered.quarantined_bytes)
-        self.old_versions.inc(len(recovered.old_objects))
-
-    def bind_snapshot_age(self, fn) -> None:
-        self._snapshot_age.set_function(fn)
 
 
 class PipelineInstruments:
@@ -520,23 +405,22 @@ class ClusterInstruments:
       proxy-confirmed, ``failed``);
     * ``repro_cluster_transitions_total`` — member state transitions by
       target ``state`` (``suspect``/``dead`` are the detector firing);
-    * ``repro_cluster_refutations_total`` — incarnation bumps answering
-      a false suspicion;
-    * ``repro_cluster_ring_epoch`` — the ring epoch this member serves
-      at, pulled at scrape time (:meth:`bind_epoch`) — the gauge a
-      converged cluster agrees on;
-    * ``repro_cluster_gossip_bytes`` — agent-link octets by
-      ``direction``, pulled at scrape time (:meth:`bind_gossip`);
-    * ``repro_cluster_failovers_total`` plus the two latency gauges —
-      ``time_to_detect`` (crash → dead transition, set by harnesses
-      that know the crash instant) and ``time_to_recover`` (crash →
-      new epoch serving; detection is what
+    * the two latency gauges — ``time_to_detect`` (crash → dead
+      transition, set by harnesses that know the crash instant) and
+      ``time_to_recover`` (crash → new epoch serving; detection is what
       ``3·probe_period + suspect_timeout`` bounds).
+
+    Once the agent calls :meth:`bind`, its own counts are read at scrape
+    time: ``repro_cluster_ring_epoch`` (the gauge a converged cluster
+    agrees on), ``repro_cluster_gossip_bytes`` (agent-link octets by
+    ``direction``) and ``repro_cluster_{refutations,failovers}_total``
+    (incarnation bumps answering a false suspicion; failover/join plans
+    run as coordinator).
     """
 
     def __init__(self, registry: Registry, member: Any = 0) -> None:
         self.registry = registry
-        label = {"member": str(member)}
+        self._label = label = {"member": str(member)}
         probe_family = registry.histogram(
             "repro_cluster_probe_rtt_seconds",
             "Round-trip of one probe attempt (direct or via proxies)",
@@ -556,18 +440,11 @@ class ClusterInstruments:
             state: transitions.labels(member=str(member), state=state)
             for state in ("alive", "suspect", "dead", "left")
         }
-        self.refutations = registry.counter(
-            "repro_cluster_refutations_total",
-            "Incarnation bumps refuting a false suspicion of this member",
-            labels=("member",),
-        ).labels(**label)
         self._epoch = registry.gauge(
             "repro_cluster_ring_epoch",
             "Ring epoch this member currently serves at",
             labels=("member",),
         ).labels(**label)
-        # Gauges bound to pull functions: the monotone totals live in
-        # the agent links' FrameConnections; scraping reads them.
         gossip = registry.gauge(
             "repro_cluster_gossip_bytes",
             "Octets over this member's agent links, by direction",
@@ -577,11 +454,6 @@ class ClusterInstruments:
         self._gossip_received = gossip.labels(
             member=str(member), direction="received"
         )
-        self.failovers = registry.counter(
-            "repro_cluster_failovers_total",
-            "Failover/join plans executed by this member as coordinator",
-            labels=("member",),
-        ).labels(**label)
         self._time_to_detect = registry.gauge(
             "repro_cluster_time_to_detect_seconds",
             "Crash-to-dead-transition latency of the last detected death",
@@ -603,18 +475,27 @@ class ClusterInstruments:
         if counter is not None:
             counter.inc()
 
-    def on_refutation(self) -> None:
-        self.refutations.inc()
+    def bind(self, agent: Any) -> None:
+        """Read ``agent``'s (a :class:`~repro.cluster.swim.SwimAgent`)
+        epoch, link octet totals and counts at scrape time."""
+        label = self._label
 
-    def on_failover(self, seconds: float) -> None:
-        self.failovers.inc()
+        def links() -> List[Any]:
+            return [l.conn for l in agent.links.values() if l.conn is not None]
 
-    def bind_epoch(self, fn) -> None:
-        self._epoch.set_function(fn)
-
-    def bind_gossip(self, sent_fn, received_fn) -> None:
-        self._gossip_sent.set_function(sent_fn)
-        self._gossip_received.set_function(received_fn)
+        self._epoch.set_function(lambda: agent.server.engine.epoch)
+        self._gossip_sent.set_function(
+            lambda: sum(conn.bytes_sent for conn in links()))
+        self._gossip_received.set_function(
+            lambda: sum(conn.bytes_received for conn in links()))
+        self.registry.register_collector(lambda: [
+            family("repro_cluster_refutations_total", "counter",
+                   "Incarnation bumps refuting a false suspicion of this member",
+                   [(label, agent.refutations)]),
+            family("repro_cluster_failovers_total", "counter",
+                   "Failover/join plans executed by this member as coordinator",
+                   [(label, agent.failovers)]),
+        ])
 
     def set_time_to_detect(self, seconds: float) -> None:
         self._time_to_detect.set(max(seconds, 0.0))
@@ -624,13 +505,15 @@ class ClusterInstruments:
 
 
 class TimedInstruments:
-    """The bundle a live stack wires into its read/write completions.
+    """The judge a live stack wires into its read/write completions.
 
     One ``on_read``/``on_write`` call per completed operation feeds the
-    on-time judgement, the visibility-lag histogram (violations tied to
-    the read judgement, not raw age), and the event-trace ring.
-    ``epsilon`` may be assigned after construction — clock-sync error
-    bounds are only known once the transport handshakes finish.
+    on-time judgement and the visibility-lag histogram (violations tied
+    to the read judgement, not raw age).  The operations themselves are
+    recorded once, by the run's :class:`~repro.sim.trace.TraceRecorder`;
+    the judge keeps only its bounded windows.  ``epsilon`` may be
+    assigned after construction — clock-sync error bounds are only
+    known once the transport handshakes finish.
 
     Operations arrive in completion order, so a read can arrive before
     the write it returns: that writer may still be collecting replica
@@ -642,24 +525,11 @@ class TimedInstruments:
     """
 
     def __init__(
-        self,
-        registry: Registry,
-        delta: float,
-        epsilon: float = 0.0,
-        *,
-        window: int = DEFAULT_WINDOW,
-        initial_value: Any = 0,
-        trace_capacity: int = DEFAULT_TRACE_CAPACITY,
+        self, registry: Registry, delta: float, epsilon: float = 0.0
     ) -> None:
         self.registry = registry
         self.visibility = VisibilityLag(registry, delta, epsilon)
-        self.ontime = OnTimeRatio(
-            registry, delta, epsilon,
-            window=window, initial_value=initial_value,
-        )
-        self.trace = EventTrace(
-            trace_capacity, registry=registry, initial_value=initial_value,
-        )
+        self.ontime = OnTimeRatio(registry, delta, epsilon)
         #: Every (object, value) written so far, and the times of the
         #: reads still waiting for theirs.
         self._written: Set[Tuple[str, Any]] = set()
@@ -680,33 +550,17 @@ class TimedInstruments:
     def delta(self) -> float:
         return self.ontime.delta
 
-    def on_write(
-        self,
-        site: int,
-        obj: str,
-        value: Any,
-        time: float,
-        start: Optional[float] = None,
-        end: Optional[float] = None,
-    ) -> None:
+    def on_write(self, obj: str, value: Any, time: float) -> None:
         self.ontime.observe_write(obj, value, time)
-        self.trace.record_write(site, obj, value, time, start=start, end=end)
         self._written.add((obj, value))
         for read_time in self._waiting.pop((obj, value), ()):
             self._judge(obj, value, read_time)
 
     def on_read(
-        self,
-        site: int,
-        obj: str,
-        value: Any,
-        time: float,
-        start: Optional[float] = None,
-        end: Optional[float] = None,
+        self, obj: str, value: Any, time: float
     ) -> Optional[OnTimeVerdict]:
         """Judge one read at ``time``; ``None`` while it waits for its
         writer, and the read is judged when that write arrives."""
-        self.trace.record_read(site, obj, value, time, start=start, end=end)
         key = (obj, value)
         if key not in self._written and value != self.ontime.initial_value:
             self._waiting.setdefault(key, []).append(time)
@@ -738,6 +592,4 @@ class TimedInstruments:
             "lag_p50": self.visibility.histogram._default.quantile(0.5),
             "lag_p99": self.visibility.histogram._default.quantile(0.99),
             "violations": int(self.visibility.violations.value),
-            "trace_events": len(self.trace),
-            "trace_dropped": self.trace.dropped,
         }

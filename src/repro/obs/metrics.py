@@ -1,30 +1,33 @@
 """A dependency-free metrics core: counters, gauges, histograms, registry.
 
-The runtime layers (sim protocol, TCP servers, ring routers, checkers)
-each grew ad-hoc counter structs; this module gives them one substrate,
-shaped after the Prometheus data model but built from scratch:
+One substrate for every runtime layer (TCP servers, ring routers, the
+store, the cluster agents, the load generator), shaped after the
+Prometheus data model but built from scratch:
 
-* :class:`Counter` — monotone accumulator, optional labels;
-* :class:`Gauge` — settable value, optional callback-backed;
-* :class:`Histogram` — exponential (or custom) buckets, cumulative
-  counts, sum and count, for latency/lag distributions;
-* :class:`Registry` — a named family store with get-or-create
-  accessors, *collector* registration (pull-model bridges over the
-  existing stat structs, see :mod:`repro.obs.bridge`), JSON-able
-  :meth:`Registry.snapshot`, snapshot :func:`merge_snapshots` /
-  :func:`diff_snapshots`, and :meth:`Registry.reset`.
+* counters, gauges and histograms — the kinds of a :class:`Metric`
+  family, made by :meth:`Registry.counter` / :meth:`Registry.gauge` /
+  :meth:`Registry.histogram`, each with optional labels; histograms
+  take exponential (or custom) buckets and keep cumulative counts, sum
+  and count for latency/lag distributions;
+* :class:`Registry` — one run's family store: get-or-create accessors,
+  *collector* registration (pull-model bridges over the existing stat
+  structs, see :mod:`repro.obs.bridge`), JSON-able
+  :meth:`Registry.snapshot`, :func:`diff_snapshots` and
+  :meth:`Registry.reset`.  There is no process-wide registry: a
+  component exports only into the registry it is handed, so one run's
+  counts never leak into the next run in the same process.
 
-Two update models coexist deliberately:
+Every exported number has one source, by one of two update models:
 
-* **push** — hot paths call ``child.inc()`` / ``child.observe()`` on a
+* **push** — an event calls ``child.inc()`` / ``child.observe()`` on a
   pre-bound label child (one dict lookup at bind time, an attribute add
-  per event afterwards); used where the event itself carries information
-  the struct-of-ints style cannot (latency samples, per-label splits);
-* **pull** — a *collector* callable registered with the registry reads
-  an existing stats struct (``ClientStats``, ``PlacementStats``, a
-  :class:`~repro.sim.kernel.Simulator`) only at scrape/snapshot time, so
-  instrumented hot paths keep their native ``int`` arithmetic and pay
-  nothing between scrapes.
+  per event afterwards).  Only for a number that exists only at the
+  event: latency samples, verdicts, state transitions;
+* **pull** — a *collector* registered with the registry (or a gauge
+  bound with :meth:`Metric.set_function`) reads a count the component
+  already keeps (``ClientStats``, ``PlacementStats``, a WAL's record
+  count) only at scrape/snapshot time, so the component keeps its
+  native ``int`` arithmetic and no second copy of the count exists.
 
 Metric names follow ``repro_<layer>_<quantity>_<unit>`` (see
 docs/OBSERVABILITY.md for the catalogue and label conventions).
@@ -338,7 +341,7 @@ Collector = Callable[[], Iterable[Dict[str, Any]]]
 
 
 class Registry:
-    """A process-wide (or scoped) store of metric families.
+    """The metric families of one run (one deployment, one soak).
 
     ``counter``/``gauge``/``histogram`` are get-or-create: a second call
     with the same name returns the existing family (kind and label names
@@ -466,65 +469,6 @@ def _sample_key(sample: Dict[str, Any]) -> Tuple[Tuple[str, str], ...]:
     return tuple(sorted(sample.get("labels", {}).items()))
 
 
-def merge_snapshots(*snapshots: Dict[str, Any]) -> Dict[str, Any]:
-    """Sum counters/histograms across snapshots; gauges take the last
-    snapshot's value.  The fleet-level aggregation for per-process dumps
-    (the ``ClientStats.merge`` idea, at registry granularity)."""
-    merged: Dict[str, Dict[str, Any]] = {}
-    order: List[str] = []
-    for snapshot in snapshots:
-        for fam in snapshot.get("metrics", ()):
-            name = fam["name"]
-            if name not in merged:
-                merged[name] = {
-                    "name": name, "kind": fam["kind"],
-                    "help": fam.get("help", ""), "samples": {},
-                }
-                order.append(name)
-            target = merged[name]["samples"]
-            for sample in fam["samples"]:
-                key = _sample_key(sample)
-                if key not in target:
-                    target[key] = json.loads(json.dumps(sample))
-                    continue
-                existing = target[key]
-                if fam["kind"] == GAUGE:
-                    existing["value"] = sample["value"]
-                elif fam["kind"] == HISTOGRAM:
-                    if (
-                        [b for b, _ in existing["buckets"]]
-                        != [b for b, _ in sample["buckets"]]
-                    ):
-                        raise MetricError(
-                            f"snapshot merge: histogram {name!r} has "
-                            "mismatched bucket bounds across snapshots"
-                        )
-                    existing["sum"] += sample["sum"]
-                    existing["count"] += sample["count"]
-                    existing["buckets"] = [
-                        [a_bound, a_count + b_count]
-                        for (a_bound, a_count), (_b, b_count)
-                        in zip(existing["buckets"], sample["buckets"])
-                    ]
-                else:
-                    existing["value"] += sample["value"]
-    return {
-        "version": 1,
-        "metrics": [
-            {
-                "name": merged[name]["name"],
-                "kind": merged[name]["kind"],
-                "help": merged[name]["help"],
-                "samples": [
-                    merged[name]["samples"][key]
-                    for key in sorted(merged[name]["samples"])
-                ],
-            }
-            for name in order
-        ],
-    }
-
-
 def diff_snapshots(
     before: Dict[str, Any], after: Dict[str, Any]
 ) -> Dict[str, Any]:
@@ -565,48 +509,3 @@ def load_snapshot(path: str) -> Dict[str, Any]:
     if not isinstance(snapshot, dict) or "metrics" not in snapshot:
         raise MetricError(f"{path} is not a registry snapshot")
     return snapshot
-
-
-#: The default process-wide registry (components accept a ``registry``
-#: argument and fall back to this one).
-REGISTRY = Registry()
-
-
-def Counter(
-    name: str,
-    help: str = "",
-    labels: Sequence[str] = (),
-    *,
-    registry: Optional[Registry] = None,
-) -> Metric:
-    """Get-or-create a counter (in ``registry`` or the process default)."""
-    return (registry if registry is not None else REGISTRY).counter(
-        name, help, labels
-    )
-
-
-def Gauge(
-    name: str,
-    help: str = "",
-    labels: Sequence[str] = (),
-    *,
-    registry: Optional[Registry] = None,
-) -> Metric:
-    """Get-or-create a gauge (in ``registry`` or the process default)."""
-    return (registry if registry is not None else REGISTRY).gauge(
-        name, help, labels
-    )
-
-
-def Histogram(
-    name: str,
-    help: str = "",
-    labels: Sequence[str] = (),
-    buckets: Optional[Sequence[float]] = None,
-    *,
-    registry: Optional[Registry] = None,
-) -> Metric:
-    """Get-or-create a histogram (in ``registry`` or the process default)."""
-    return (registry if registry is not None else REGISTRY).histogram(
-        name, help, labels, buckets
-    )

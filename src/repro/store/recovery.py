@@ -221,8 +221,8 @@ class DurableStore:
 
     ``registry`` (a :class:`repro.obs.metrics.Registry`) binds
     :class:`~repro.obs.instruments.StoreInstruments`: fsync latency
-    histogram, WAL record/byte counters, snapshot age gauge, recovery
-    counters.
+    histogram and snapshot count, and — read from the store at scrape
+    time — WAL record/byte counts, snapshot age and recovery counts.
     """
 
     def __init__(
@@ -263,9 +263,8 @@ class DurableStore:
             from repro.obs.instruments import StoreInstruments
 
             self.instruments = StoreInstruments(
-                registry, **(metric_labels or {})
+                registry, self, **(metric_labels or {})
             )
-            self.instruments.bind_snapshot_age(lambda: self.snapshot_age)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -297,6 +296,8 @@ class DurableStore:
             fsync_interval=self.fsync_interval,
             on_fsync=on_fsync,
         )
+        if self.instruments is not None:
+            self.instruments.wal = self.wal
 
         # Timescale resume: never earlier than anything already persisted.
         t_restart = max(now_wall - self._origin_unix, state.last_time, 0.0)
@@ -337,8 +338,6 @@ class DurableStore:
         self._last_snapshot_wall = (
             time.time() if state.snapshot_state is not None else None
         )
-        if self.instruments is not None:
-            self.instruments.on_recovery(recovered)
         return recovered
 
     def close(self, sync: bool = True) -> None:
@@ -371,7 +370,7 @@ class DurableStore:
     def _log(self, versions: Sequence[PhysicalVersion]) -> None:
         if self.wal is None:
             raise RuntimeError("store is not open; call open() first")
-        nbytes = self.wal.append_many([
+        self.wal.append_many([
             {
                 "k": REC_WRITE,
                 "t": version.alpha,
@@ -382,8 +381,6 @@ class DurableStore:
             for version in versions
         ], commit=not self._grouped)
         self._appends_since_snapshot += len(versions)
-        if self.instruments is not None:
-            self.instruments.on_append_many(len(versions), nbytes)
         if self.crash_after_appends is not None:
             self.crash_after_appends -= len(versions)
             if self.crash_after_appends <= 0:

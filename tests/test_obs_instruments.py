@@ -1,19 +1,15 @@
-"""The timed-consistency instruments: visibility lag, the online
-on-time ratio (cross-validated against the offline judge), and the
-event-trace ring."""
+"""The timed-consistency instruments: visibility lag and the online
+on-time ratio (cross-validated against the offline judge)."""
 
-import json
 import math
 import random
 
 import pytest
 
 from repro.core.history import History
-from repro.core.io import load_history
 from repro.core.operations import read, write
 from repro.core.timed import late_reads, min_timed_delta
 from repro.obs.instruments import (
-    EventTrace,
     OnTimeRatio,
     TimedInstruments,
     VisibilityLag,
@@ -160,58 +156,18 @@ class TestOnTimeRatio:
             assert ot.counts["late"] == len(offline_late)
 
 
-class TestEventTrace:
-    def test_ring_drops_oldest_and_counts(self):
-        reg = Registry()
-        trace = EventTrace(capacity=2, registry=reg)
-        for i in range(4):
-            trace.record_write(0, "x", i, float(i))
-        assert len(trace) == 2
-        assert trace.dropped == 2
-        assert [e["value"] for e in trace.events()] == [2, 3]
-        assert reg.get("repro_trace_dropped_total").value == 2
-        assert reg.get("repro_trace_events").value == 2
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            EventTrace().record("q", 0, "x", 1, 0.0)
-
-    def test_jsonl_export_roundtrips(self, tmp_path):
-        trace = EventTrace()
-        trace.record_write(0, "x", 1, 1.0, start=0.9, end=1.1)
-        trace.record_read(1, "x", 1, 2.0)
-        path = str(tmp_path / "tail.jsonl")
-        assert trace.export_jsonl(path) == 2
-        lines = [json.loads(l) for l in open(path)]
-        assert lines[0]["kind"] == "w" and lines[0]["start"] == 0.9
-        assert lines[1] == {"kind": "r", "site": 1, "obj": "x",
-                            "value": 1, "time": 2.0}
-
-    def test_history_payload_loads_as_checkable_trace(self, tmp_path):
-        # The retained tail must load through the TRACE_FORMAT.md path.
-        trace = EventTrace(initial_value=0)
-        trace.record_write(0, "x", 1, 1.0)
-        trace.record_read(1, "x", 1, 2.0)
-        path = tmp_path / "tail.json"
-        path.write_text(json.dumps(trace.to_history_payload()))
-        history = load_history(str(path))
-        assert len(history.operations) == 2
-        assert history.initial_value == 0
-
-
 class TestTimedInstruments:
     def test_bundle_feeds_all_three(self):
         reg = Registry()
         inst = TimedInstruments(reg, delta=0.5)
-        inst.on_write(0, "x", 1, 1.0)
-        inst.on_write(0, "x", 2, 2.0)
-        assert inst.on_read(1, "x", 2, 2.1).on_time is True
-        assert inst.on_read(1, "x", 1, 3.0).on_time is False
+        inst.on_write("x", 1, 1.0)
+        inst.on_write("x", 2, 2.0)
+        assert inst.on_read("x", 2, 2.1).on_time is True
+        assert inst.on_read("x", 1, 3.0).on_time is False
         summary = inst.summary()
         assert summary["reads_on_time"] == 1
         assert summary["reads_late"] == 1
         assert summary["writes"] == 2
-        assert summary["trace_events"] == 4
         assert summary["violations"] == 1
         assert 0.0 <= summary["ontime_ratio"] <= 1.0
 
@@ -220,22 +176,21 @@ class TestTimedInstruments:
         # of 2, whose ack came later.  It is judged when the write
         # arrives, at its own time, against every write seen by then.
         inst = TimedInstruments(Registry(), delta=0.5)
-        inst.on_write(0, "x", 1, 1.0)
-        assert inst.on_read(1, "x", 2, 2.1) is None
+        inst.on_write("x", 1, 1.0)
+        assert inst.on_read("x", 2, 2.1) is None
         assert inst.ontime.counts["on_time"] == 0
-        inst.on_write(0, "x", 2, 2.0)
+        inst.on_write("x", 2, 2.0)
         assert inst.summary()["reads_on_time"] == 1
         # Reads of the initial value and of known writes never wait.
-        assert inst.on_read(1, "y", 0, 2.2).on_time is True
-        assert inst.on_read(1, "x", 1, 3.0).on_time is False
+        assert inst.on_read("y", 0, 2.2).on_time is True
+        assert inst.on_read("x", 1, 3.0).on_time is False
 
     def test_a_read_whose_writer_never_arrives_is_never_judged(self):
         inst = TimedInstruments(Registry(), delta=0.5)
-        assert inst.on_read(1, "x", "lost", 1.0) is None
+        assert inst.on_read("x", "lost", 1.0) is None
         summary = inst.summary()
         assert (summary["reads_on_time"], summary["reads_late"],
                 summary["reads_unjudged"]) == (0, 0, 0)
-        assert summary["trace_events"] == 1
 
     def test_epsilon_settable_after_handshake(self):
         inst = TimedInstruments(Registry(), delta=0.5)

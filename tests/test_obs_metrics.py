@@ -7,18 +7,14 @@ import math
 import pytest
 
 from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
     MetricError,
     Registry,
     diff_snapshots,
     exponential_buckets,
     family,
     load_snapshot,
-    merge_snapshots,
 )
-from repro.obs import bind_client_stats, bind_sim_server, bind_simulator
+from repro.obs import bind_client_stats
 from repro.obs.expo import render_prometheus, snapshot_rows
 from repro.protocol import Cluster
 from repro.workloads import uniform_workload
@@ -231,21 +227,6 @@ class TestSnapshots:
         with pytest.raises(MetricError):
             load_snapshot(str(path))
 
-    def test_merge_sums_counters_gauges_take_last(self):
-        merged = merge_snapshots(self._snap(1, 10), self._snap(2, 20))
-        by_name = {f["name"]: f for f in merged["metrics"]}
-        assert by_name["repro_c_total"]["samples"][0]["value"] == 3.0
-        assert by_name["repro_g"]["samples"][0]["value"] == 20.0
-        hist = by_name["repro_h_seconds"]["samples"][0]
-        assert hist["count"] == 2
-        assert hist["buckets"][0][1] == 2
-
-    def test_merge_rejects_mismatched_histogram_bounds(self):
-        other = Registry()
-        other.histogram("repro_h_seconds", buckets=(2.0,)).observe(0.5)
-        with pytest.raises(MetricError):
-            merge_snapshots(self._snap(), other.snapshot())
-
     def test_diff_subtracts_counters_and_histograms(self):
         before, after = self._snap(1, 10), self._snap(5, 99)
         diff = diff_snapshots(before, after)
@@ -296,34 +277,17 @@ class TestPrometheusText:
         assert as_map[("repro_h_seconds_count", "")] == 1
 
 
-class TestModuleFactories:
-    def test_factories_target_explicit_registry(self):
-        reg = Registry()
-        c = Counter("repro_f_total", registry=reg)
-        g = Gauge("repro_f_gauge", registry=reg)
-        h = Histogram("repro_f_seconds", registry=reg)
-        assert reg.get("repro_f_total") is c
-        assert reg.get("repro_f_gauge") is g
-        assert reg.get("repro_f_seconds") is h
-
-
 class TestSimulatorBridge:
     def test_a_registry_bound_to_a_simulated_cluster_reads_its_counters(self):
         """Pull collectors: the simulated hot path keeps its native int
         counters and the registry reads them when a snapshot is taken."""
         cluster = Cluster(n_clients=4, n_servers=2, variant="tsc", delta=0.5, seed=11)
         registry = Registry()
-        bind_simulator(registry, cluster.sim)
-        for server in cluster.servers:
-            bind_sim_server(registry, server, node=str(server.node_id))
         for client in cluster.clients:
             bind_client_stats(registry, client.stats, site=str(client.node_id))
         cluster.spawn(uniform_workload([f"obj{i}" for i in range(8)], n_ops=50))
         cluster.run()
         families = {f["name"]: f for f in registry.snapshot()["metrics"]}
-        events = families["repro_sim_events_total"]["samples"]
-        assert [s["value"] for s in events] == [cluster.sim.events_processed]
-        assert cluster.sim.events_processed > 0
         ops = families["repro_client_ops_total"]["samples"]
         assert {s["labels"]["site"] for s in ops} == {
             str(client.node_id) for client in cluster.clients

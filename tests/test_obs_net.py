@@ -1,14 +1,21 @@
 """Observability over the live TCP stack: the instrumented ring soak
-with a live /metrics scrape, online/offline verdict agreement, and the
-server's graceful drain — in virtual time (:mod:`repro.sim.vtime`): the
-mid-run scrape lands at 0.2 s of the soak's own clock, not the host's.
-The one real-loop smoke is ``test_single_server_families``."""
+with a live /metrics scrape, online/offline verdict agreement, every
+scrape-time family pinned to the count it reads, the metric catalogue
+checked against what a soak exports, and the server's graceful drain —
+in virtual time (:mod:`repro.sim.vtime`): the mid-run scrape lands at
+0.2 s of the soak's own clock, not the host's.  The one real-loop smoke
+is ``test_single_server_families``."""
 
 import asyncio
+import itertools
+import pathlib
+import re
+import tempfile
 
 import pytest
 
 from repro.net.client import NetCacheClient, NetError
+from repro.net.local import LocalStack
 from repro.net.workloads import ring_cluster
 from repro.net.server import NetObjectServer
 from repro.obs.expo import MetricsServer, scrape
@@ -16,6 +23,114 @@ from repro.obs.metrics import Registry
 from repro.sim import vtime
 
 pytestmark = pytest.mark.net
+
+CATALOGUE = pathlib.Path(__file__).parents[1] / "docs" / "OBSERVABILITY.md"
+
+
+def failover_soak(root):
+    """The store-backed, clustered kill-primary soak in virtual time with
+    one registry: ``(registry, stack, wals)``.  ``wals`` is each device's
+    log, taken at the kill: the victim's store drops its log as it
+    closes, and a closed log keeps its counts."""
+    registry = Registry()
+    seen = {}
+    kill_primary = LocalStack.kill_primary
+
+    async def spy(stack, *args, **kwargs):
+        seen["stack"] = stack
+        seen["wals"] = {d: s.durable.wal for d, s in stack.servers.items()}
+        return await kill_primary(stack, *args, **kwargs)
+
+    LocalStack.kill_primary = spy
+    try:
+        vtime.run(ring_cluster(
+            n_servers=3, replicas=2, n_clients=2, rounds=20, seed=13,
+            cluster=True, kill_primary_midway=True, probe_period=0.1,
+            suspect_timeout=0.3, store_root=str(root), fsync="always",
+            registry=registry,
+        ))
+    finally:
+        LocalStack.kill_primary = kill_primary
+    return registry, seen["stack"], seen["wals"]
+
+
+def exported_families(registry):
+    """The family names a registry exports: ``(collected, direct)`` —
+    those only collectors produce (counts read at scrape time), and the
+    registry's own metrics."""
+    direct = set(registry.names())
+    collected = {f["name"] for f in registry.collect()} - direct
+    return collected, direct
+
+
+def family_counts():
+    """How many families the kill-primary soak exports, by source."""
+    with tempfile.TemporaryDirectory() as root:
+        collected, direct = exported_families(failover_soak(root)[0])
+    return {"collector": len(collected), "direct": len(direct)}
+
+
+def catalogue_families(text):
+    """Every family named in the catalogue table, ``{a,b}`` expanded."""
+    names = set()
+    for row in re.findall(r"^\| (`repro_.*?) \|", text, re.M):
+        for name in re.findall(r"`(repro_[^`]*)`", row):
+            parts = re.split(r"\{([^}]*)\}", name)
+            choices = [
+                part.split(",") if i % 2 else [part]
+                for i, part in enumerate(parts)
+            ]
+            names.update("".join(p) for p in itertools.product(*choices))
+    return names
+
+
+@pytest.fixture(scope="module")
+def soak(tmp_path_factory):
+    return failover_soak(tmp_path_factory.mktemp("stores"))
+
+
+class TestOneSource:
+    """Each family the store and the cluster export at scrape time reads
+    the count its component keeps, so no second copy can drift."""
+
+    def test_every_scrape_time_family_is_the_count_it_reads(self, soak):
+        registry, stack, wals = soak
+        families = {f["name"]: f for f in registry.collect()}
+
+        def value(name, **labels):
+            (sample,) = [
+                s for s in families[name]["samples"] if s["labels"] == labels
+            ]
+            return sample["value"] if "value" in sample else sample["count"]
+
+        for dev, server in stack.servers.items():
+            store, wal = f"dev{dev}", wals[dev]
+            recovered = server.durable.recovered
+            assert wal.records_appended > 0
+            assert value("repro_store_wal_records_total", store=store) == wal.records_appended
+            assert value("repro_store_wal_bytes_total", store=store) == wal.bytes_appended
+            assert value("repro_store_fsync_seconds", store=store) == wal.fsyncs
+            assert value("repro_store_revalidations_total", store=store) == (
+                server.engine.revalidations)
+            assert value("repro_store_recoveries_total", store=store) == 1
+            assert value("repro_store_recovery_seconds_total", store=store) == (
+                recovered.recovery_seconds)
+            assert value("repro_store_replayed_records_total", store=store) == (
+                recovered.replayed_records)
+            assert value("repro_store_quarantined_bytes_total", store=store) == (
+                recovered.quarantined_bytes)
+            assert value("repro_store_old_marked_total", store=store) == (
+                len(recovered.old_objects))
+            agent = stack.agents[dev]
+            assert value("repro_cluster_refutations_total", member=str(dev)) == (
+                agent.refutations)
+            assert value("repro_cluster_failovers_total", member=str(dev)) == (
+                agent.failovers)
+        assert sum(a.failovers for a in stack.agents.values()) >= 1
+
+    def test_the_catalogue_lists_exactly_what_the_soak_exports(self, soak):
+        collected, direct = exported_families(soak[0])
+        assert catalogue_families(CATALOGUE.read_text()) == collected | direct
 
 
 class TestInstrumentedSoak:

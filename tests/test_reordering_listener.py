@@ -23,9 +23,9 @@ class TestReorderingMonitor:
 
         def on_operation(op):
             if op.is_write:
-                live.on_write(op.site, op.obj, op.value, op.time)
+                live.on_write(op.obj, op.value, op.time)
             else:
-                verdicts[op] = live.on_read(op.site, op.obj, op.value, op.time)
+                verdicts[op] = live.on_read(op.obj, op.value, op.time)
 
         cluster.recorder.add_listener(on_operation)
         cluster.spawn(uniform_workload(["A", "B"], n_ops=20, write_fraction=0.3))
