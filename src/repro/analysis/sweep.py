@@ -89,19 +89,17 @@ def delta_cost_sweep(
     workload_factory: WorkloadFactory,
     variant: str = "tsc",
     base_variant: str = "sc",
-    include_untimed_baseline: bool = True,
     **kwargs: Any,
 ) -> List[Dict[str, Any]]:
-    """Sweep delta for a timed variant, optionally appending the untimed
-    baseline (delta = inf) for comparison — Figure 4b as a cost curve."""
+    """Sweep delta for a timed variant, then the untimed baseline
+    (delta = inf) for comparison — Figure 4b as a cost curve."""
     rows = [
         run_cluster_experiment(variant, delta, workload_factory, **kwargs)
         for delta in deltas
     ]
-    if include_untimed_baseline:
-        rows.append(
-            run_cluster_experiment(base_variant, math.inf, workload_factory, **kwargs)
-        )
+    rows.append(
+        run_cluster_experiment(base_variant, math.inf, workload_factory, **kwargs)
+    )
     return rows
 
 

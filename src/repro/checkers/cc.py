@@ -16,7 +16,6 @@ from typing import Dict, List, Optional
 
 from repro.checkers.result import CheckResult
 from repro.checkers.search import (
-    DEFAULT_BUDGET,
     ReadFilter,
     SearchStats,
     find_serialization,
@@ -27,7 +26,7 @@ from repro.core.operations import Operation
 
 def check_cc(
     history: History,
-    budget: int = DEFAULT_BUDGET,
+    budget: Optional[int] = None,
     read_filter: Optional[ReadFilter] = None,
     method: str = "constraint",
 ) -> CheckResult:
@@ -39,7 +38,7 @@ def check_cc(
     if read_filter is None and method == "constraint":
         from repro.checkers.constraint import check_cc_constraint
 
-        return check_cc_constraint(history)
+        return check_cc_constraint(history, budget)
     closure = history.causal_predecessors()
     stats = SearchStats(budget)
     site_witnesses: Dict[int, List[Operation]] = {}

@@ -34,6 +34,9 @@ from repro.checkers.result import CheckResult, SearchBudgetExceeded
 from repro.core.history import History
 from repro.core.operations import Operation
 
+#: Default cap on branch nodes before giving up (``budget=None``).
+BRANCH_BUDGET = 10_000
+
 #: numpy, an optional accelerator, or ``None`` without it: imported by
 #: the first :class:`_Reach`, not with this module, which every process
 #: that may check a trace imports and most never use.  ``...`` until then.
@@ -108,7 +111,7 @@ def find_constrained_serialization(
     operations: Sequence[Operation],
     base_edges: Iterable[Tuple[Operation, Operation]],
     reads_from: Dict[Operation, Optional[Operation]],
-    branch_budget: int = 10_000,
+    budget: Optional[int] = None,
     explain: Optional[Dict[str, List[Operation]]] = None,
 ) -> Optional[List[Operation]]:
     """Find a legal serialization of ``operations`` respecting
@@ -117,7 +120,8 @@ def find_constrained_serialization(
     ``reads_from`` maps every read in ``operations`` to its writer
     (``None`` = initial value); writers that are not in ``operations`` are
     ignored.  Raises :class:`SearchBudgetExceeded` if more than
-    ``branch_budget`` branch nodes are explored.
+    ``budget`` branch nodes (``None``: :data:`BRANCH_BUDGET`) are
+    explored.
 
     When ``explain`` (a dict) is supplied and the *deterministic* part of
     the analysis finds a contradiction, ``explain["cycle"]`` receives the
@@ -193,7 +197,8 @@ def find_constrained_serialization(
                 continue
             disjunctions.append((i, iw, j))
 
-    budget = [branch_budget]
+    cap = BRANCH_BUDGET if budget is None else budget
+    left = [cap]
 
     def saturate(r: _Reach, pending: List[_Disjunction], local_edges: List[Tuple[int, int]]):
         """Apply forced disjuncts to fixpoint.  Returns the still-unresolved
@@ -245,9 +250,9 @@ def find_constrained_serialization(
                 return work
 
     def solve(r: _Reach, pending: List[_Disjunction], local_edges: List[Tuple[int, int]]):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise SearchBudgetExceeded(branch_budget)
+        left[0] -= 1
+        if left[0] < 0:
+            raise SearchBudgetExceeded(cap)
         remaining = saturate(r, pending, local_edges)
         if remaining is None:
             return None
@@ -330,8 +335,7 @@ def _violation_text(explain: Dict[str, List[Operation]], what: str) -> str:
 
 
 def check_sc_constraint(
-    history: History,
-    branch_budget: int = 10_000,
+    history: History, budget: Optional[int] = None
 ) -> CheckResult:
     """SC via constraint saturation — the scalable checker."""
     ops = list(history.operations)
@@ -341,7 +345,7 @@ def check_sc_constraint(
         ops,
         history.immediate_program_order(),
         reads_from,
-        branch_budget=branch_budget,
+        budget=budget,
         explain=explain,
     )
     if witness is not None:
@@ -356,8 +360,7 @@ def check_sc_constraint(
 
 
 def check_cc_constraint(
-    history: History,
-    branch_budget: int = 10_000,
+    history: History, budget: Optional[int] = None
 ) -> CheckResult:
     """CC via constraint saturation, per site over ``H_{i+w}``."""
     closure = history.causal_predecessors()
@@ -376,7 +379,7 @@ def check_cc_constraint(
         }
         explain: Dict[str, List[Operation]] = {}
         witness = find_constrained_serialization(
-            ops, base, reads_from, branch_budget=branch_budget, explain=explain
+            ops, base, reads_from, budget=budget, explain=explain
         )
         if witness is None:
             return CheckResult(

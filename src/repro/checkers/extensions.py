@@ -45,7 +45,7 @@ def _per_writer_program_order(history: History, ops: List[Operation]):
     ]
 
 
-def check_pram(history: History, branch_budget: int = 10_000) -> CheckResult:
+def check_pram(history: History, budget: Optional[int] = None) -> CheckResult:
     """PRAM (FIFO) consistency: per site i, a legal serialization of
     ``H_{i+w}`` respecting every site's program order (but not causality
     through reads, which is what separates it from CC)."""
@@ -55,7 +55,7 @@ def check_pram(history: History, branch_budget: int = 10_000) -> CheckResult:
         base = _per_writer_program_order(history, ops)
         reads_from = {r: history.writer_of(r) for r in ops if r.is_read}
         witness = find_constrained_serialization(
-            ops, base, reads_from, branch_budget=branch_budget
+            ops, base, reads_from, budget=budget
         )
         if witness is None:
             return CheckResult(
@@ -70,7 +70,7 @@ def check_pram(history: History, branch_budget: int = 10_000) -> CheckResult:
     return CheckResult("PRAM", True, site_witnesses=site_witnesses)
 
 
-def check_coherence(history: History, branch_budget: int = 10_000) -> CheckResult:
+def check_coherence(history: History, budget: Optional[int] = None) -> CheckResult:
     """Coherence (cache consistency): for each object, one global legal
     serialization of that object's operations respecting program order."""
     witnesses: Dict[str, List[Operation]] = {}
@@ -79,7 +79,7 @@ def check_coherence(history: History, branch_budget: int = 10_000) -> CheckResul
         base = _per_writer_program_order(history, ops)
         reads_from = {r: history.writer_of(r) for r in ops if r.is_read}
         witness = find_constrained_serialization(
-            ops, base, reads_from, branch_budget=branch_budget
+            ops, base, reads_from, budget=budget
         )
         if witness is None:
             return CheckResult(
@@ -97,7 +97,7 @@ def check_coherence(history: History, branch_budget: int = 10_000) -> CheckResul
     )
 
 
-def check_processor(history: History, branch_budget: int = 10_000) -> CheckResult:
+def check_processor(history: History, budget: Optional[int] = None) -> CheckResult:
     """Processor consistency: per site i, one serialization of H_{i+w}
     that respects the writers' program orders *and* agrees with a single
     global per-object write order (coherence).
@@ -109,7 +109,7 @@ def check_processor(history: History, branch_budget: int = 10_000) -> CheckResul
     "not PC under the canonical write order" — exact enough for the
     hierarchy experiments, and exact whenever the write order is forced.
     """
-    coherent = check_coherence(history, branch_budget)
+    coherent = check_coherence(history, budget)
     if not coherent.satisfied:
         return CheckResult("PC", False, violation=coherent.violation)
     # The agreed per-object write order, from the coherence witnesses.
@@ -127,7 +127,7 @@ def check_processor(history: History, branch_budget: int = 10_000) -> CheckResul
         ]
         reads_from = {r: history.writer_of(r) for r in ops if r.is_read}
         witness = find_constrained_serialization(
-            ops, base, reads_from, branch_budget=branch_budget
+            ops, base, reads_from, budget=budget
         )
         if witness is None:
             return CheckResult(

@@ -22,7 +22,6 @@ from repro.checkers.cc import check_cc
 from repro.checkers.lin import check_lin
 from repro.checkers.result import CheckResult, SearchBudgetExceeded
 from repro.checkers.sc import check_sc
-from repro.checkers.search import DEFAULT_BUDGET
 from repro.checkers.tcc import check_tcc
 from repro.checkers.tsc import check_tsc
 from repro.core.history import History
@@ -83,7 +82,7 @@ def classify(
     history: History,
     delta: float,
     epsilon: float = 0.0,
-    budget: int = DEFAULT_BUDGET,
+    budget: Optional[int] = None,
     method: str = "constraint",
 ) -> Classification:
     """Evaluate LIN, SC, CC, TSC(delta), TCC(delta) on one execution.
@@ -157,7 +156,7 @@ def census(
     histories: Iterable[History],
     delta: float,
     epsilon: float = 0.0,
-    budget: int = DEFAULT_BUDGET,
+    budget: Optional[int] = None,
     method: str = "constraint",
 ) -> Dict[str, int]:
     """Count how many executions land in each Figure 4a region, plus any
@@ -180,7 +179,7 @@ def census(
 
 
 def lin_equals_tsc_zero(
-    history: History, budget: int = DEFAULT_BUDGET
+    history: History, budget: Optional[int] = None
 ) -> bool:
     """Check the paper's claim that TSC(delta=0) coincides with LIN on this
     execution (Section 3: "when delta is 0, timed consistency becomes
@@ -191,7 +190,7 @@ def lin_equals_tsc_zero(
 
 
 def sc_equals_tsc_infinity(
-    history: History, budget: int = DEFAULT_BUDGET
+    history: History, budget: Optional[int] = None
 ) -> bool:
     """Check that TSC(delta=inf) coincides with SC on this execution
     (Figure 4b's right end)."""

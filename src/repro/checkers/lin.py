@@ -19,13 +19,13 @@ import itertools
 from typing import Dict, List, Optional
 
 from repro.checkers.result import CheckResult
-from repro.checkers.search import DEFAULT_BUDGET, SearchStats, find_serialization
+from repro.checkers.search import SearchStats, find_serialization
 from repro.core.history import History
 from repro.core.operations import Operation
 from repro.core.serialization import first_legality_violation
 
 
-def check_lin(history: History, budget: int = DEFAULT_BUDGET) -> CheckResult:
+def check_lin(history: History, budget: Optional[int] = None) -> CheckResult:
     """Decide LIN for ``history`` (effective-time order)."""
     ops = sorted(history.operations, key=lambda op: op.time)
     stats = SearchStats(budget)
@@ -109,7 +109,7 @@ def _search_with_ties(
 
 
 def check_interval_linearizability(
-    history: History, budget: int = DEFAULT_BUDGET
+    history: History, budget: Optional[int] = None
 ) -> CheckResult:
     """LIN over execution intervals: respect ``a.end < b.start``.
 

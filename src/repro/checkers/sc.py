@@ -18,7 +18,6 @@ from typing import Optional
 
 from repro.checkers.result import CheckResult
 from repro.checkers.search import (
-    DEFAULT_BUDGET,
     ReadFilter,
     SearchStats,
     find_site_ordered_serialization,
@@ -28,7 +27,7 @@ from repro.core.history import History
 
 def check_sc(
     history: History,
-    budget: int = DEFAULT_BUDGET,
+    budget: Optional[int] = None,
     read_filter: Optional[ReadFilter] = None,
     method: str = "constraint",
 ) -> CheckResult:
@@ -40,7 +39,7 @@ def check_sc(
     if read_filter is None and method == "constraint":
         from repro.checkers.constraint import check_sc_constraint
 
-        return check_sc_constraint(history)
+        return check_sc_constraint(history, budget)
     site_sequences = {site: history.site_ops(site) for site in history.sites}
     stats = SearchStats(budget)
     witness = find_site_ordered_serialization(

@@ -97,7 +97,8 @@ class SearchStats:
     """Instrumentation for one search invocation (sharable across calls).
 
     ``states`` counts expanded states and is checked against ``budget``
-    (exceeding it raises :class:`SearchBudgetExceeded`); ``memo_hits``
+    (``None``: :data:`DEFAULT_BUDGET`; exceeding it raises
+    :class:`SearchBudgetExceeded`); ``memo_hits``
     counts states skipped because an identical state already failed;
     ``prunes`` maps each reason in :data:`PRUNE_REASONS` to a count;
     ``max_frontier_depth`` is the deepest partial serialization reached;
@@ -114,8 +115,8 @@ class SearchStats:
         "_t0",
     )
 
-    def __init__(self, budget: int = DEFAULT_BUDGET) -> None:
-        self.budget = budget
+    def __init__(self, budget: Optional[int] = None) -> None:
+        self.budget = DEFAULT_BUDGET if budget is None else budget
         self.states = 0
         self.memo_hits = 0
         self.prunes: Dict[str, int] = dict.fromkeys(PRUNE_REASONS, 0)
@@ -291,7 +292,7 @@ def find_serialization(
     predecessor_edges: Dict[Operation, Set[Operation]],
     initial_value: Any = DEFAULT_INITIAL_VALUE,
     read_filter: Optional[ReadFilter] = None,
-    budget: int = DEFAULT_BUDGET,
+    budget: Optional[int] = None,
     stats: Optional[SearchStats] = None,
 ) -> Optional[List[Operation]]:
     """Find a legal serialization of ``operations`` respecting the edges.
@@ -410,7 +411,7 @@ def find_site_ordered_serialization(
     site_sequences: Dict[int, List[Operation]],
     initial_value: Any = DEFAULT_INITIAL_VALUE,
     read_filter: Optional[ReadFilter] = None,
-    budget: int = DEFAULT_BUDGET,
+    budget: Optional[int] = None,
     stats: Optional[SearchStats] = None,
 ) -> Optional[List[Operation]]:
     """Find a legal serialization respecting each site's program order.

@@ -23,7 +23,6 @@ from typing import Optional
 from repro.checkers.cc import check_cc
 from repro.checkers.extensions import check_timed
 from repro.checkers.result import CheckResult
-from repro.checkers.search import DEFAULT_BUDGET
 from repro.clocks.xi import XiMap
 from repro.core.history import History
 from repro.core.operations import Operation
@@ -34,7 +33,7 @@ def check_tcc(
     history: History,
     delta: float,
     epsilon: float = 0.0,
-    budget: int = DEFAULT_BUDGET,
+    budget: Optional[int] = None,
     method: str = "constraint",
 ) -> CheckResult:
     """Decide TCC(delta) under clock precision ``epsilon`` (decomposed)."""
@@ -46,7 +45,7 @@ def check_tcc_direct(
     history: History,
     delta: float,
     epsilon: float = 0.0,
-    budget: int = DEFAULT_BUDGET,
+    budget: Optional[int] = None,
 ) -> CheckResult:
     """Decide TCC(delta) by the literal Definition-4 per-site search."""
 
@@ -72,7 +71,7 @@ def check_tcc_logical(
     history: History,
     delta: float,
     xi: XiMap,
-    budget: int = DEFAULT_BUDGET,
+    budget: Optional[int] = None,
 ) -> CheckResult:
     """Decide the Section 5.4 logical-clock TCC: CC plus Definition-6
     timedness under ``xi`` (every operation must carry ``ltime``)."""

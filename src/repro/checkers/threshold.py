@@ -17,7 +17,7 @@ from typing import Optional
 from repro.checkers.cc import check_cc
 from repro.checkers.result import SearchBudgetExceeded
 from repro.checkers.sc import check_sc
-from repro.checkers.search import DEFAULT_BUDGET, SearchStats
+from repro.checkers.search import SearchStats
 from repro.clocks.xi import XiMap
 from repro.core.history import History
 from repro.core.timed import min_timed_delta, min_timed_delta_logical
@@ -67,7 +67,7 @@ class ThresholdReport:
 def threshold_report(
     history: History,
     epsilon: float = 0.0,
-    budget: int = DEFAULT_BUDGET,
+    budget: Optional[int] = None,
     method: str = "constraint",
 ) -> ThresholdReport:
     """Compute the full threshold report for one execution.
@@ -110,7 +110,7 @@ def threshold_report(
 def tsc_threshold(
     history: History,
     epsilon: float = 0.0,
-    budget: int = DEFAULT_BUDGET,
+    budget: Optional[int] = None,
 ) -> float:
     """Smallest delta with TSC(delta); ``math.inf`` if SC fails."""
     if not check_sc(history, budget=budget).satisfied:
@@ -121,7 +121,7 @@ def tsc_threshold(
 def tcc_threshold(
     history: History,
     epsilon: float = 0.0,
-    budget: int = DEFAULT_BUDGET,
+    budget: Optional[int] = None,
 ) -> float:
     """Smallest delta with TCC(delta); ``math.inf`` if CC fails."""
     if not check_cc(history, budget=budget).satisfied:
@@ -132,7 +132,7 @@ def tcc_threshold(
 def tcc_logical_threshold(
     history: History,
     xi: XiMap,
-    budget: int = DEFAULT_BUDGET,
+    budget: Optional[int] = None,
 ) -> float:
     """Smallest Definition-6 delta with logical TCC; ``math.inf`` if CC
     fails (operations must carry logical timestamps)."""
@@ -145,7 +145,7 @@ def delta_spectrum(
     history: History,
     deltas: Optional[list] = None,
     epsilon: float = 0.0,
-    budget: int = DEFAULT_BUDGET,
+    budget: Optional[int] = None,
     method: str = "constraint",
 ) -> dict:
     """Evaluate TSC/TCC satisfaction across a range of deltas.

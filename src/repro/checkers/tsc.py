@@ -25,7 +25,6 @@ from typing import Optional
 from repro.checkers.extensions import check_timed
 from repro.checkers.result import CheckResult
 from repro.checkers.sc import check_sc
-from repro.checkers.search import DEFAULT_BUDGET
 from repro.core.history import History
 from repro.core.operations import Operation
 from repro.core.timed import read_occurs_on_time
@@ -35,7 +34,7 @@ def check_tsc(
     history: History,
     delta: float,
     epsilon: float = 0.0,
-    budget: int = DEFAULT_BUDGET,
+    budget: Optional[int] = None,
     method: str = "constraint",
 ) -> CheckResult:
     """Decide TSC(delta) under clock precision ``epsilon`` (decomposed)."""
@@ -47,7 +46,7 @@ def check_tsc_direct(
     history: History,
     delta: float,
     epsilon: float = 0.0,
-    budget: int = DEFAULT_BUDGET,
+    budget: Optional[int] = None,
 ) -> CheckResult:
     """Decide TSC(delta) by the literal Definition-3 search."""
 

@@ -8,7 +8,6 @@ import sys
 
 from repro.analysis import print_table
 from repro.checkers import (
-    DEFAULT_BUDGET,
     SearchBudgetExceeded,
     check_cc,
     check_lin,
@@ -214,8 +213,10 @@ def register(sub: "argparse._SubParsersAction") -> None:
                          default="constraint",
                          help="checking engine for sc/cc/tsc/tcc "
                          "(default: constraint saturation)")
-    p_check.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                         help="search state budget; exhaustion reports "
+    p_check.add_argument("--budget", type=int, default=None,
+                         help="search states (--method search) or branch "
+                         "nodes (constraint) before giving up; default "
+                         "each engine's own cap; exhaustion reports "
                          "UNKNOWN and exits 3")
     p_check.add_argument("--stats", action="store_true",
                          help="print search instrumentation (states, memo "

@@ -27,7 +27,7 @@ so they plug directly into :mod:`repro.sim`.
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 TimeSource = Callable[[], float]
 
@@ -211,12 +211,8 @@ class ManualTime:
         self._now = float(t)
 
 
-def measured_epsilon(
-    clocks: List[PhysicalClock],
-    sample_times: Optional[List[float]] = None,
-) -> float:
-    """Empirical pairwise skew of an ensemble at the current instant (or
-    maximum over ``sample_times`` if the time source is a ManualTime)."""
+def measured_epsilon(clocks: List[PhysicalClock]) -> float:
+    """Empirical pairwise skew of an ensemble at the current instant."""
     readings = [c.now() for c in clocks]
     if not readings:
         return 0.0

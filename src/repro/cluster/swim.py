@@ -90,6 +90,11 @@ logger = logging.getLogger(__name__)
 #: the server's exactly-once reply cache.
 CLUSTER_CLIENT_BASE = 1_000_000
 
+#: Bound on one handoff, promote or ring-fetch RPC.
+RPC_TIMEOUT = 2.0
+#: Asks of one ``promote`` before the coordinator gives the plan up.
+PROMOTE_ATTEMPTS = 3
+
 
 @dataclass
 class ClusterConfig:
@@ -97,14 +102,8 @@ class ClusterConfig:
     ``--suspect-timeout``)."""
 
     probe_period: float = 0.2
-    #: Per-attempt bound on a ping round trip; defaults to half the
-    #: probe period so a serialized direct+indirect round never eats a
-    #: whole extra probe slot.
-    probe_timeout: Optional[float] = None
     suspect_timeout: float = 0.6
     indirect_probes: int = 2  #: k proxy members for a ping-req round
-    #: Bound on one handoff/promote RPC during failover.
-    rpc_timeout: float = 2.0
     auto_failover: bool = True  #: coordinator repairs the ring on death
     seed: Optional[int] = None  #: rotation-shuffle determinism for tests
 
@@ -112,12 +111,6 @@ class ClusterConfig:
         if self.probe_period <= 0:
             raise ValueError(
                 f"probe_period must be positive, got {self.probe_period}"
-            )
-        if self.probe_timeout is None:
-            self.probe_timeout = self.probe_period / 2.0
-        if self.probe_timeout <= 0:
-            raise ValueError(
-                f"probe_timeout must be positive, got {self.probe_timeout}"
             )
         if self.suspect_timeout < 0:
             raise ValueError(
@@ -127,6 +120,13 @@ class ClusterConfig:
             raise ValueError(
                 f"indirect_probes must be non-negative, got {self.indirect_probes}"
             )
+
+    @property
+    def probe_timeout(self) -> float:
+        """Per-attempt bound on a ping round trip: half the probe period,
+        so a serialized direct+indirect round never eats a whole extra
+        probe slot."""
+        return self.probe_period / 2.0
 
     @property
     def detection_bound(self) -> float:
@@ -161,7 +161,7 @@ class _LocalSourceTransport:
         reply = await self.agent._ask(
             device_id,
             {"kind": messages.WRITE, "obj": obj, "value": value},
-            self.agent.config.rpc_timeout,
+            RPC_TIMEOUT,
         )
         if reply is None:  # replay_handoff retries, then reports the move
             raise ConnectionError(
@@ -550,7 +550,7 @@ class SwimAgent:
             if peer == self.member_id:
                 continue
             reply = await self._ask(
-                peer, {"kind": RING_FETCH}, self.config.rpc_timeout
+                peer, {"kind": RING_FETCH}, RPC_TIMEOUT
             )
             if reply is None:
                 continue
@@ -589,11 +589,6 @@ class SwimAgent:
                 dead = [
                     m for m in self.view.ids(DEAD, LEFT) if m in ring.devices
                 ]
-                if dead:
-                    await self._execute_plan(
-                        failover_ring(ring, dead), kind="failover"
-                    )
-                    continue
                 joiner = next(
                     (
                         m for m in self.view.ids(ALIVE)
@@ -601,16 +596,17 @@ class SwimAgent:
                     ),
                     None,
                 )
-                if joiner is not None:
-                    info = self.view.get(joiner)
+                if dead:
+                    plan, kind = failover_ring(ring, dead), "failover"
+                elif joiner is not None:
                     replicas = min(self.replicas, len(ring.devices) + 1)
-                    await self._execute_plan(
-                        join_ring(ring, joiner, info.address,
-                                  replicas=replicas),
-                        kind="join",
-                    )
-                    continue
-                return
+                    plan = join_ring(ring, joiner, self.view.get(joiner).address,
+                                     replicas=replicas)
+                    kind = "join"
+                else:
+                    return
+                if not await self._execute_plan(plan, kind):
+                    await asyncio.sleep(self.config.probe_period)
         except asyncio.CancelledError:
             raise
         except Exception as exc:
@@ -618,9 +614,13 @@ class SwimAgent:
                 "coordinator %s repair failed: %r", self.member_id, exc
             )
 
-    async def _execute_plan(self, plan: FailoverPlan, kind: str) -> None:
+    async def _execute_plan(self, plan: FailoverPlan, kind: str) -> bool:
+        """Hand off, promote, cut over; whether the new ring was
+        published.  It is not when a promoted member never acknowledged
+        its ``promote``: nothing shows it ran the promotion rule, and it
+        must not serve as primary without it, so the caller waits a
+        probe period and plans again from the view as it is then."""
         started = loop_time()
-        new_dict = plan.ring.as_dict()
         bound = self.config.detection_bound
         # 1. Handoff: copies into refilled rows, before any router can
         #    route by the new layout.
@@ -635,23 +635,36 @@ class SwimAgent:
                 ],
                 "epoch": plan.ring.epoch,
             }
-            if await self._ask(src, handoff, self.config.rpc_timeout) is None:
+            if await self._ask(src, handoff, RPC_TIMEOUT) is None:
                 logger.warning(
                     "handoff to member %s failed (anti-entropy repairs)", src
                 )
         # 2. Promotion: every device gaining primary authority runs the
-        #    recovery-shaped rule before the cutover reaches routers.
+        #    recovery-shaped rule before the cutover reaches routers —
+        #    this member first, then the others on a ``promote`` frame.
+        #    Neither installs the new ring: members adopt it only from
+        #    the cutover's gossip, so a plan given up publishes nothing.
+        #    Asking again is safe: a second promotion of one member can
+        #    only raise its Context and mark more versions old.
+        if self.member_id in plan.promoted:
+            self.server.engine.promote(bound)
+            self.events.append((loop_time(), "promoted", self.member_id))
+        promote = {"kind": PROMOTE, "bound": bound}
         for dev in plan.promoted:
             if dev == self.member_id:
-                self.server.set_ring(new_dict)
-                self.server.engine.promote(bound)
-                self.events.append((loop_time(), "promoted", self.member_id))
                 continue
-            promote = {"kind": PROMOTE, "bound": bound, "ring": new_dict}
-            if await self._ask(dev, promote, self.config.rpc_timeout) is None:
-                logger.warning("promote of member %s failed", dev)
+            for _ in range(PROMOTE_ATTEMPTS):
+                if await self._ask(dev, promote, RPC_TIMEOUT) is not None:
+                    break
+            else:
+                logger.warning(
+                    "promote of member %s unanswered: ring epoch %d not "
+                    "published", dev, plan.ring.epoch,
+                )
+                return False
         # 3. Cutover: install + announce.  Gossip spreads the epoch;
         #    members and routers pull the layout when they see it.
+        new_dict = plan.ring.as_dict()
         self.server.set_ring(new_dict)
         self.view.install_ring(new_dict)
         elapsed = loop_time() - started
@@ -664,6 +677,7 @@ class SwimAgent:
             kind, plan.ring.epoch, self.member_id, elapsed,
             list(plan.promoted), len(plan.moves),
         )
+        return True
 
     async def _replay_moves(self, moves: Sequence[PartitionMove]) -> None:
         """Source-side handoff: push this member's copies of the moved
@@ -674,8 +688,7 @@ class SwimAgent:
             return
         objects = list(self.server.engine.store.keys())
         report = await replay_handoff(
-            mine, objects, ring, _LocalSourceTransport(self),
-            retries=2, backoff=0.05,
+            mine, objects, ring, _LocalSourceTransport(self), retries=2
         )
         self.events.append(
             (loop_time(), "handoff", {
@@ -712,11 +725,6 @@ class SwimAgent:
             return {"kind": HANDOFF_ACK, "moves": len(moves)}
         return {"kind": ERROR, "error": f"agent cannot handle {kind!r}"}
 
-    def on_promoted(
-        self, frame: Dict[str, Any], outcome: Dict[str, Any]
-    ) -> None:
+    def on_promoted(self, outcome: Dict[str, Any]) -> None:
         """Server hook: a PROMOTE frame was applied to our store."""
-        ring = frame.get("ring")
-        if isinstance(ring, dict):
-            self.view.install_ring(ring)
         self.events.append((loop_time(), "promoted", outcome))

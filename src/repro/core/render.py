@@ -71,14 +71,15 @@ def render_timeline(
     return "\n".join(lines)
 
 
-def render_serialization(sequence: Sequence[Operation], per_line: int = 6) -> str:
-    """Render a serialization as the paper's Figure 5(b)/6(b) style list."""
+def render_serialization(sequence: Sequence[Operation]) -> str:
+    """Render a serialization as the paper's Figure 5(b)/6(b) style list,
+    six operations a line."""
     if not sequence:
         return "(empty serialization)"
     labels = [op.label() for op in sequence]
     lines = []
-    for i in range(0, len(labels), per_line):
-        lines.append("  " + "  ".join(labels[i : i + per_line]))
+    for i in range(0, len(labels), 6):
+        lines.append("  " + "  ".join(labels[i : i + 6]))
     return "\n".join(lines)
 
 

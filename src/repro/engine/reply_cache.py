@@ -5,6 +5,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
+#: Replies kept, least recently used first out: far more than one
+#: client's retransmit window, so a retransmission finds its reply.
+REPLY_CACHE_SIZE = 1024
+
 
 class ReplyCache:
     """An LRU of ``(client_id, req) -> reply frame`` — the server half of
@@ -18,10 +22,7 @@ class ReplyCache:
     survives a reconnect.
     """
 
-    def __init__(self, capacity: int = 1024) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
+    def __init__(self) -> None:
         self._entries: "OrderedDict[Tuple[int, int], Dict[str, Any]]" = OrderedDict()
 
     def get(self, key: Tuple[int, int]) -> Optional[Dict[str, Any]]:
@@ -35,7 +36,7 @@ class ReplyCache:
         if key in entries:  # a new key is inserted last already
             entries.move_to_end(key)
         entries[key] = reply
-        while len(entries) > self.capacity:
+        while len(entries) > REPLY_CACHE_SIZE:
             entries.popitem(last=False)
 
     def discard(self, key: Optional[Tuple[int, int]]) -> None:

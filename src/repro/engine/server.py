@@ -49,11 +49,11 @@ class _EngineBase:
     """State and plumbing shared by both server engines: the exactly-once
     reply cache, the ring epoch, counters, and the journal tap."""
 
-    def __init__(self, clock: Callable[[], float], *, reply_cache_size: int,
+    def __init__(self, clock: Callable[[], float], *,
                  wall: Optional[Callable[[], float]]) -> None:
         self.clock = clock
         self.wall = wall
-        self.replies = ReplyCache(reply_cache_size)
+        self.replies = ReplyCache()
         # Cluster plumbing (repro.cluster; docs/CLUSTER.md).  ``epoch``
         # is the monotone ring-layout version this server acknowledges;
         # 0 means "no cluster" and keeps every reply epoch-free: a
@@ -167,10 +167,9 @@ class ServerEngine(_EngineBase):
         clock: Callable[[], float],
         *,
         initial_value: Any = 0,
-        reply_cache_size: int = 1024,
         wall: Optional[Callable[[], float]] = None,
     ) -> None:
-        super().__init__(clock, reply_cache_size=reply_cache_size, wall=wall)
+        super().__init__(clock, wall=wall)
         self.initial_value = initial_value
         self.store: Dict[str, PhysicalVersion] = {}
         self.context = 0.0
@@ -345,10 +344,9 @@ class CausalServerEngine(_EngineBase):
         vector_width: int,
         initial_value: Any = 0,
         zero_timestamp: Optional[Any] = None,
-        reply_cache_size: int = 1024,
         wall: Optional[Callable[[], float]] = None,
     ) -> None:
-        super().__init__(clock, reply_cache_size=reply_cache_size, wall=wall)
+        super().__init__(clock, wall=wall)
         self.initial_value = initial_value
         self.vector_width = vector_width
         self.zero_timestamp = (

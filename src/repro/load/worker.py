@@ -38,6 +38,9 @@ from repro.obs.metrics import HISTOGRAM, Metric, exponential_buckets
 #: most 3.1 % above it.
 LATENCY_BUCKETS = exponential_buckets(1e-6, 1 + 2 ** -5, 675)
 
+#: Retry ``n`` of an op waits ``n * RETRY_BACKOFF`` seconds, at most 0.25.
+RETRY_BACKOFF = 0.05
+
 
 def _latency_histogram(name: str) -> Any:
     return Metric(name, HISTOGRAM, buckets=LATENCY_BUCKETS).labels()
@@ -116,7 +119,6 @@ class LoadWorker:
         values: Any,
         max_concurrency: int = 64,
         op_retries: int = 8,
-        retry_backoff: float = 0.05,
         retryable: Tuple[type, ...] = (),
     ) -> None:
         self.executor = executor
@@ -127,7 +129,6 @@ class LoadWorker:
         self.values = values
         self.max_concurrency = max(1, int(max_concurrency))
         self.op_retries = max(0, int(op_retries))
-        self.retry_backoff = retry_backoff
         self.retryable = tuple(retryable)
         self._sem = asyncio.Semaphore(self.max_concurrency)
         self._tasks: List[asyncio.Future] = []
@@ -167,9 +168,7 @@ class LoadWorker:
                 return
             except self.retryable as exc:  # noqa: B030 - tuple by design
                 last = exc
-                await asyncio.sleep(
-                    min(self.retry_backoff * (attempt + 1), 0.25)
-                )
+                await asyncio.sleep(min(RETRY_BACKOFF * (attempt + 1), 0.25))
         assert last is not None
         raise last
 

@@ -73,6 +73,10 @@ if TYPE_CHECKING:
 FRESHNESS_MODES = ("pull", "push")
 
 BACKOFF = 2.0  #: each retransmission or redone handshake waits this much longer
+REQUEST_TIMEOUT = 0.5  #: seconds the first attempt of a request waits
+MAX_RETRIES = 4  #: retransmissions before RequestTimeout: 15.5 s in all
+SYNC_ROUNDS = 5  #: clock-sync exchanges of the connect handshake
+SYNC_RETRIES = 3  #: handshakes redone before connect raises NetError
 
 
 class NetError(Exception):
@@ -101,21 +105,12 @@ class NetCacheClient:
         recorder: Optional[TraceRecorder] = None,
         skew: float = 0.0,
         faults: Optional[FaultInjector] = None,
-        sync_rounds: int = 5,
-        sync_retries: int = 3,
-        request_timeout: float = 0.5,
-        max_retries: int = 4,
         site: Optional["RingRouter"] = None,
         registry: Optional[Any] = None,
         metric_labels: Optional[Dict[str, Any]] = None,
         pipeline_depth: int = 8,
     ) -> None:
-        """``sync_retries`` bounds how often a failed connect/clock-sync
-        handshake is redone (fresh connection, capped exponential backoff
-        — the :class:`~repro.net.faults` ``_RetryMixin`` pattern at the
-        handshake layer) before a clean :class:`NetError` surfaces.
-
-        ``registry`` (a :class:`repro.obs.metrics.Registry`) turns on
+        """``registry`` (a :class:`repro.obs.metrics.Registry`) turns on
         client-side telemetry: the :class:`ClientStats` struct binds as a
         pull collector, request RTTs land in
         ``repro_net_request_rtt_seconds{kind}``, server pushes in
@@ -130,12 +125,6 @@ class NetCacheClient:
         is the old lockstep behaviour)."""
         if mode not in FRESHNESS_MODES:
             raise ValueError(f"mode must be one of {FRESHNESS_MODES}, got {mode!r}")
-        if request_timeout <= 0:
-            raise ValueError(f"request_timeout must be positive, got {request_timeout}")
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be non-negative, got {max_retries}")
-        if sync_retries < 0:
-            raise ValueError(f"sync_retries must be non-negative, got {sync_retries}")
         if pipeline_depth < 1:
             raise ValueError(f"pipeline_depth must be >= 1, got {pipeline_depth}")
         if site is not None and (delta != math.inf or skew != 0.0):
@@ -145,10 +134,6 @@ class NetCacheClient:
         self.port = port
         self.mode = mode
         self.recorder = recorder
-        self.sync_rounds = sync_rounds
-        self.sync_retries = sync_retries
-        self.request_timeout = request_timeout
-        self.max_retries = max_retries
         self.site = site
         if site is None:
             self.clock = SyncedClock(skew=skew)
@@ -243,18 +228,18 @@ class NetCacheClient:
 
         A server that closes mid-sync (restart, accept-queue overflow) is
         retried on a fresh connection with capped exponential backoff;
-        only after ``sync_retries + 1`` failed handshakes does a clean
+        only after ``SYNC_RETRIES + 1`` failed handshakes does a clean
         :class:`NetError` surface.
         """
         wait = 0.05
-        for attempt in range(self.sync_retries + 1):
+        for attempt in range(SYNC_RETRIES + 1):
             try:
                 self._note_epoch(await self.channel.open())
-                await self._sync_clock(self.sync_rounds)
+                await self._sync_clock(SYNC_ROUNDS)
                 break
             except (ConnectionError, FrameError) as exc:
                 await self.channel.close(bye=False)
-                if attempt == self.sync_retries:
+                if attempt == SYNC_RETRIES:
                     raise NetError(
                         f"clock-sync handshake failed after {attempt + 1} "
                         f"attempts: {exc}"
@@ -281,7 +266,7 @@ class NetCacheClient:
 
     async def resync(self, rounds: Optional[int] = None) -> None:
         """Run additional sync exchanges over the live connection."""
-        for _ in range(rounds if rounds is not None else self.sync_rounds):
+        for _ in range(rounds if rounds is not None else SYNC_ROUNDS):
             reply = await self._request({"kind": SYNC, "t0": self.clock.local()})
             t3 = self.clock.local()
             self.clock.estimator.add_sample(reply["t0"], reply["t1"], reply["t2"], t3)
@@ -489,8 +474,8 @@ class NetCacheClient:
         issued = self.clock.local() if rtt is not None else 0.0
         try:
             reply = await channel.call(
-                message, self.request_timeout, req,
-                retries=self.max_retries, backoff=BACKOFF,
+                message, REQUEST_TIMEOUT, req,
+                retries=MAX_RETRIES, backoff=BACKOFF,
             )
         except TimeoutError as exc:
             raise RequestTimeout(str(exc)) from None

@@ -48,7 +48,9 @@ from typing import Any, Awaitable, Dict, Optional, Set, Tuple
 
 from repro.clocks.rebase import RebasedClock
 from repro.engine import CacheEngine, messages
-from repro.net.client import BACKOFF, NetCacheClient, NetError, ProtocolError
+from repro.net.client import (
+    BACKOFF, MAX_RETRIES, REQUEST_TIMEOUT, NetCacheClient, NetError, ProtocolError,
+)
 from repro.ring.placement import PlacementError, ReplicatedPlacement
 from repro.ring.ring import Ring
 from repro.sim.trace import TraceRecorder
@@ -155,8 +157,8 @@ class _ClientTransport:
 
         return client.channel.start(
             {"kind": messages.WRITE, "obj": obj, "value": value},
-            client.request_timeout, self._pin(client, device_id, dedup),
-            retries=client.max_retries, backoff=BACKOFF, finish=acked,
+            REQUEST_TIMEOUT, self._pin(client, device_id, dedup),
+            retries=MAX_RETRIES, backoff=BACKOFF, finish=acked,
         )
 
     def read(self, device_id: int, obj: str) -> Awaitable[Any]:
@@ -196,9 +198,6 @@ class RingRouter:
         read_policy: str = "primary",
         recorder: Optional[TraceRecorder] = None,
         skew: float = 0.0,
-        sync_rounds: int = 5,
-        request_timeout: float = 0.5,
-        max_retries: int = 4,
         registry: Optional[Any] = None,
         instruments: Optional[Any] = None,
         pipeline_depth: int = 8,
@@ -226,9 +225,7 @@ class RingRouter:
         # What every device link is built with, the first ones and the
         # ones that join later (_device_client).
         self._client_options = dict(
-            mode=mode, sync_rounds=sync_rounds,
-            request_timeout=request_timeout, max_retries=max_retries,
-            registry=registry, pipeline_depth=pipeline_depth,
+            mode=mode, registry=registry, pipeline_depth=pipeline_depth,
         )
         self.clients: Dict[int, NetCacheClient] = {
             dev_id: self._device_client(dev_id, *endpoints[dev_id])

@@ -136,7 +136,6 @@ class NetObjectServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        initial_value: Any = 0,
         propagation: str = "push",
         recorder: Optional[TraceRecorder] = None,
         clock: Optional[Callable[[], float]] = None,
@@ -144,7 +143,6 @@ class NetObjectServer:
         registry: Optional[Any] = None,
         metric_labels: Optional[Dict[str, Any]] = None,
         store: Optional[Any] = None,
-        reply_cache_size: int = 1024,
     ) -> None:
         if propagation not in PROPAGATION_POLICIES:
             raise ValueError(
@@ -153,15 +151,11 @@ class NetObjectServer:
             )
         self.host = host
         self.port = port
-        self.initial_value = initial_value
         self.propagation = propagation
         self.recorder = recorder
         self.clock = clock if clock is not None else RebasedClock()
         self.fault_factory = fault_factory
-        self.engine = ServerEngine(
-            self.clock, initial_value=initial_value,
-            reply_cache_size=reply_cache_size,
-        )
+        self.engine = ServerEngine(self.clock)
         self.durable = store
         self.recovered: Optional[Any] = None
         self.agent: Optional[Any] = None  #: attached cluster SwimAgent
@@ -582,14 +576,11 @@ class NetObjectServer:
                 "kind": CLUSTER_VIEW, "epoch": self.engine.epoch, "view": view,
             }
         if kind == PROMOTE:
-            ring = frame.get("ring")
-            if isinstance(ring, dict):
-                self.set_ring(ring)
             # The engine's promotion rule (store recovery with the
             # detection bound playing Δ), synchronous like every request.
             outcome = self.engine.promote(float(frame.get("bound", 0.0)))
             if self.agent is not None:
-                self.agent.on_promoted(frame, outcome)
+                self.agent.on_promoted(outcome)
             return {"kind": PROMOTE_ACK, "epoch": self.engine.epoch, **outcome}
         if self.agent is not None:  # PING, PING_REQ, HANDOFF
             return await self.agent.answer(frame)

@@ -349,8 +349,7 @@ class Registry:
     differentiate by labels.
     """
 
-    def __init__(self, namespace: str = "") -> None:
-        self.namespace = namespace
+    def __init__(self) -> None:
         self._metrics: Dict[str, Metric] = {}
         self._collectors: List[Collector] = []
 

@@ -195,13 +195,10 @@ def PhysicalServer(
     initial_value: Any = 0,
     push_policy: PushPolicy = PushPolicy.NONE,
     clock=None,
-    reply_cache_size: int = 1024,
 ) -> SimServer:
     """Authoritative store for the SC/TSC (physical-clock) protocols: a
     :class:`SimServer` over :class:`repro.engine.ServerEngine`."""
-    make_engine = partial(
-        ServerEngine, initial_value=initial_value, reply_cache_size=reply_cache_size
-    )
+    make_engine = partial(ServerEngine, initial_value=initial_value)
     return SimServer(node_id, sim, network, make_engine, push_policy, clock)
 
 
@@ -214,7 +211,6 @@ def CausalServer(
     push_policy: PushPolicy = PushPolicy.NONE,
     clock=None,
     zero_timestamp=None,
-    reply_cache_size: int = 1024,
 ) -> SimServer:
     """Authoritative store for the CC/TCC (logical-clock) protocols: a
     :class:`SimServer` over :class:`repro.engine.CausalServerEngine`
@@ -223,6 +219,5 @@ def CausalServer(
     make_engine = partial(
         CausalServerEngine, vector_width=vector_width,
         initial_value=initial_value, zero_timestamp=zero_timestamp,
-        reply_cache_size=reply_cache_size,
     )
     return SimServer(node_id, sim, network, make_engine, push_policy, clock)

@@ -47,6 +47,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.clocks.rebase import loop_time
 from repro.ring.ring import Ring
 
+#: A queued repair is dropped after this many failed rounds (and its
+#: give-up shows as ``repairs_queued - repairs_done``).
+MAX_REPAIR_ATTEMPTS = 8
+
 
 class PlacementError(Exception):
     """A placement operation could not complete (primary unreachable,
@@ -140,7 +144,6 @@ class ReplicatedPlacement:
         write_quorum: Optional[int] = None,
         delta: float = math.inf,
         clock: Optional[Callable[[], float]] = None,
-        max_repair_attempts: int = 8,
     ) -> None:
         if write_quorum is not None and write_quorum < 1:
             raise ValueError(f"write_quorum must be >= 1, got {write_quorum}")
@@ -151,7 +154,6 @@ class ReplicatedPlacement:
         self.write_quorum = write_quorum
         self.delta = delta
         self._clock = clock or loop_time
-        self.max_repair_attempts = max_repair_attempts
         self.stats = PlacementStats()
         self.repairs: List[RepairTask] = []
         self._stragglers: Set[asyncio.Future] = set()
@@ -341,7 +343,7 @@ class ReplicatedPlacement:
                 raise result
             if isinstance(result, BaseException):
                 if (
-                    task.attempts >= self.max_repair_attempts
+                    task.attempts >= MAX_REPAIR_ATTEMPTS
                     and task in self.repairs
                 ):
                     self.repairs.remove(task)  # give up; surfaced in stats

@@ -27,6 +27,11 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.ring.ring import Ring, RingBuilder
 
+#: A failed handoff read or write is retried after BACKOFF seconds,
+#: the wait doubling up to MAX_BACKOFF.
+BACKOFF = 0.05
+MAX_BACKOFF = 1.0
+
 
 @dataclass(frozen=True)
 class PartitionMove:
@@ -51,11 +56,7 @@ class HandoffReport:
 
 
 async def _with_retry(
-    operation: Callable[[], Any],
-    *,
-    retries: int,
-    backoff: float,
-    max_backoff: float,
+    operation: Callable[[], Any], *, retries: int
 ) -> Tuple[Any, int]:
     """Run ``operation`` with bounded retry and capped exponential
     backoff (the client clock-sync handshake discipline applied to
@@ -63,7 +64,7 @@ async def _with_retry(
     failure propagates.  :class:`KeyError` is a *definitive* answer
     ("this device never stored that object"), not a transient fault, so
     it propagates immediately."""
-    wait = backoff
+    wait = BACKOFF
     used = 0
     for attempt in range(retries + 1):
         try:
@@ -75,7 +76,7 @@ async def _with_retry(
                 raise
             used += 1
             await asyncio.sleep(wait)
-            wait = min(wait * 2.0, max_backoff)
+            wait = min(wait * 2.0, MAX_BACKOFF)
     raise AssertionError("unreachable")
 
 
@@ -103,8 +104,6 @@ async def replay_handoff(
     *,
     snapshots: Optional[Any] = None,
     retries: int = 3,
-    backoff: float = 0.05,
-    max_backoff: float = 1.0,
 ) -> HandoffReport:
     """Copy every moved object from its old device to its new one.
 
@@ -115,8 +114,8 @@ async def replay_handoff(
     is only correct for never-written objects, hence the counter.
 
     Each read and write is attempted up to ``1 + retries`` times with
-    capped exponential backoff (``backoff`` doubling up to
-    ``max_backoff``), so one transient connection error no longer aborts
+    capped exponential backoff (``BACKOFF`` doubling up to
+    ``MAX_BACKOFF``), so one transient connection error no longer aborts
     the whole handoff; the attempts used are summed in
     ``HandoffReport.retries``.
 
@@ -149,9 +148,7 @@ async def replay_handoff(
             if value is _absent:
                 try:
                     value, used = await _with_retry(
-                        lambda: transport.read(move.src, obj),
-                        retries=retries, backoff=backoff,
-                        max_backoff=max_backoff,
+                        lambda: transport.read(move.src, obj), retries=retries
                     )
                     retried += used
                 except asyncio.CancelledError:
@@ -165,8 +162,7 @@ async def replay_handoff(
                     continue
             send = value  # bind for the closure below
             _, used = await _with_retry(
-                lambda: transport.write(move.dst, obj, send),
-                retries=retries, backoff=backoff, max_backoff=max_backoff,
+                lambda: transport.write(move.dst, obj, send), retries=retries
             )
             retried += used
             copied += 1

@@ -80,6 +80,10 @@ SNAPSHOT_FILE = "snapshot.json"
 
 META_VERSION = 1
 
+#: A serving store snapshots (and truncates its log) once this many
+#: appends accumulated: recovery replays at most this many records.
+SNAPSHOT_EVERY = 512
+
 #: Record kinds in the WAL.
 REC_WRITE = "w"  #: one installed write: obj, value, t (= alpha), writer
 REC_OPEN = "open"  #: a recovery/open event: t (= t_restart), context
@@ -230,9 +234,7 @@ class DurableStore:
         root: str,
         *,
         fsync: str = "interval",
-        fsync_interval: float = 0.05,
         recovery_delta: float = math.inf,
-        snapshot_every: int = 512,
         registry: Optional[Any] = None,
         metric_labels: Optional[Dict[str, Any]] = None,
         crash_after_appends: Optional[int] = None,
@@ -241,15 +243,9 @@ class DurableStore:
             raise ValueError(
                 f"recovery_delta must be non-negative, got {recovery_delta}"
             )
-        if snapshot_every < 1:
-            raise ValueError(
-                f"snapshot_every must be >= 1, got {snapshot_every}"
-            )
         self.root = root
         self.fsync = fsync
-        self.fsync_interval = fsync_interval
         self.recovery_delta = recovery_delta
-        self.snapshot_every = snapshot_every
         self.crash_after_appends = crash_after_appends
         self.wal: Optional[WriteAheadLog] = None
         self.recovered: Optional[RecoveredState] = None
@@ -293,7 +289,6 @@ class DurableStore:
         self.wal, result, wal_sidecar = WriteAheadLog.open_recovered(
             os.path.join(self.root, WAL_FILE),
             fsync=self.fsync,
-            fsync_interval=self.fsync_interval,
             on_fsync=on_fsync,
         )
         if self.instruments is not None:
@@ -453,9 +448,9 @@ class DurableStore:
     def maybe_snapshot(
         self, objects: Dict[str, PhysicalVersion], context: float, now: float
     ) -> bool:
-        """Snapshot iff ``snapshot_every`` appends accumulated since the
+        """Snapshot iff ``SNAPSHOT_EVERY`` appends accumulated since the
         last one; returns whether a snapshot was written."""
-        if self._appends_since_snapshot < self.snapshot_every:
+        if self._appends_since_snapshot < SNAPSHOT_EVERY:
             return False
         self.snapshot(objects, context, now=now)
         return True
@@ -510,7 +505,6 @@ def history_from_wal(
     path: str,
     *,
     initial_value: Any = 0,
-    include_snapshot: bool = True,
     validate: bool = False,
 ) -> History:
     """A recovered store (or bare WAL file) as checker input.
@@ -524,12 +518,11 @@ def history_from_wal(
     timed consistency — including for writes that were logged but whose
     acknowledgement the crash ate.
 
-    ``path`` may be a store directory or a WAL file.  With
-    ``include_snapshot`` (directories only), writes compacted into the
-    snapshot are reconstructed from its object states, so compaction
-    does not hide history from the checker.  Validation defaults off: a
-    WAL holds only writes, and reads-from validation needs the merged
-    trace.
+    ``path`` may be a store directory or a WAL file.  For a directory,
+    writes compacted into the snapshot are reconstructed from its object
+    states, so compaction does not hide history from the checker.
+    Validation defaults off: a WAL holds only writes, and reads-from
+    validation needs the merged trace.
     """
     operations: List[Operation] = []
     seen = set()
@@ -543,7 +536,7 @@ def history_from_wal(
 
     if os.path.isdir(path):
         state = load_state(path)
-        if include_snapshot and state.snapshot_state is not None:
+        if state.snapshot_state is not None:
             for obj, fields in state.snapshot_state.get("objects", {}).items():
                 writer = int(fields.get("writer", -1))
                 alpha = float(fields["alpha"])

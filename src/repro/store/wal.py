@@ -21,7 +21,7 @@ trade-off; cf. Redis AOF ``appendfsync``):
 * ``"always"``   — fsync at every commit (one per append, or one per
   group of ``append_many(..., commit=False)``); an acknowledged write
   survives an immediate power cut.
-* ``"interval"`` — fsync at most once per ``fsync_interval`` seconds
+* ``"interval"`` — fsync at most once per ``FSYNC_INTERVAL`` seconds
   (appends in between are written to the OS but not forced); bounds the
   loss window to the interval while amortizing the fsync cost.
 * ``"never"``    — never fsync explicitly; the OS flushes when it
@@ -54,6 +54,10 @@ _HEADER = struct.Struct(">II")  # payload length, CRC32(payload)
 MAX_RECORD_BYTES = 1 << 20
 
 FSYNC_POLICIES = ("always", "interval", "never")
+
+#: Under ``fsync="interval"``, a commit fsyncs iff this many seconds
+#: passed since the last fsync: the most a power cut can take.
+FSYNC_INTERVAL = 0.05
 
 
 class WalError(Exception):
@@ -173,20 +177,14 @@ class WriteAheadLog:
         path: str,
         *,
         fsync: str = "interval",
-        fsync_interval: float = 0.05,
         on_fsync: Optional[Callable[[float], None]] = None,
     ) -> None:
         if fsync not in FSYNC_POLICIES:
             raise ValueError(
                 f"fsync must be one of {FSYNC_POLICIES}, got {fsync!r}"
             )
-        if fsync_interval <= 0:
-            raise ValueError(
-                f"fsync_interval must be positive, got {fsync_interval}"
-            )
         self.path = path
         self.fsync = fsync
-        self.fsync_interval = fsync_interval
         self.on_fsync = on_fsync
         self.records_appended = 0
         self.bytes_appended = 0
@@ -251,7 +249,7 @@ class WriteAheadLog:
             self._dirty = True
         return self._dirty and (self.fsync == "always" or (
             self.fsync == "interval"
-            and time.monotonic() - self._last_sync >= self.fsync_interval
+            and time.monotonic() - self._last_sync >= FSYNC_INTERVAL
         ))
 
     def commit(self) -> None:

@@ -49,7 +49,6 @@ class ModificationProcess:
         rng,
         mean_interval: float = 5.0,
         model: str = "exponential",
-        hot_docs_change_faster: bool = True,
     ) -> None:
         if model not in ("exponential", "lognormal"):
             raise ValueError(f"unknown modification model {model!r}")
@@ -59,15 +58,12 @@ class ModificationProcess:
         self.rng = rng
         self.mean_interval = mean_interval
         self.model = model
-        self.hot_docs_change_faster = hot_docs_change_faster
         self._counter = 0
         for i in range(n_docs):
             sim.process(self._modify_loop(i), name=f"modify:{doc_name(i)}")
 
     def _interval(self, rank: int) -> float:
-        mean = self.mean_interval
-        if self.hot_docs_change_faster:
-            mean = self.mean_interval * (1.0 + rank / 4.0)
+        mean = self.mean_interval * (1.0 + rank / 4.0)
         if self.model == "exponential":
             return exponential(self.rng, 1.0 / mean)
         return lognormal(self.rng, mean, sigma=1.0)

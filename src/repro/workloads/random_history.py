@@ -175,11 +175,10 @@ def jitter_times(
     history: History,
     rng: random.Random,
     scale: float = 1.0,
-    keep_program_order: bool = True,
 ) -> History:
     """Return a copy of ``history`` with effective times multiplied by
-    ``scale`` and per-site jitter added (program order preserved when
-    requested) — used to explore how thresholds move with the time axis."""
+    ``scale`` and per-site jitter added (program order preserved) — used
+    to explore how thresholds move with the time axis."""
     ops: List[Operation] = []
     by_site: Dict[int, List[Operation]] = {}
     for op in history.operations:
@@ -188,9 +187,7 @@ def jitter_times(
         site_ops.sort(key=lambda o: o.time)
         last = 0.0
         for op in site_ops:
-            t = op.time * scale + rng.uniform(0.0, 0.5 * scale)
-            if keep_program_order:
-                t = max(t, last + 1e-6)
+            t = max(op.time * scale + rng.uniform(0.0, 0.5 * scale), last + 1e-6)
             last = t
             ctor = read if op.is_read else write
             ops.append(ctor(op.site, op.obj, op.value, t))

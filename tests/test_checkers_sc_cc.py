@@ -118,7 +118,7 @@ class TestBudget:
         with pytest.raises(SearchBudgetExceeded):
             check_sc(fig5, budget=1, method="search")
 
-    def test_constraint_branch_budget(self):
+    def test_constraint_budget(self):
         from repro.checkers.constraint import find_constrained_serialization
 
         h = cc_not_sc()
@@ -128,8 +128,17 @@ class TestBudget:
                 list(h.operations),
                 h.immediate_program_order(),
                 reads_from,
-                branch_budget=0,
+                budget=0,
             )
+
+    @pytest.mark.parametrize("check", [check_sc, check_cc])
+    def test_the_default_engine_takes_the_budget(self, check, fig5):
+        """``budget`` caps the constraint engine too: it used to stop
+        at its own 10 000 branch nodes whatever the caller asked."""
+        with pytest.raises(SearchBudgetExceeded) as raised:
+            check(fig5, budget=0)
+        assert raised.value.budget == 0
+        assert check(fig5, budget=None)  # None: the engine's own cap
 
 
 class TestViolationExplanations:

@@ -46,6 +46,11 @@ class TestExitCodes:
         assert code == 3
         assert "UNKNOWN" in capsys.readouterr().out
 
+    def test_the_budget_reaches_the_default_engine(self, fig1_path, capsys):
+        assert main(["check", fig1_path, "--criterion", "sc",
+                     "--budget", "0"]) == 3
+        assert "UNKNOWN" in capsys.readouterr().out
+
 
 class TestJsonShape:
     def test_stats_payload_shape(self, fig1_path, capsys):

@@ -34,7 +34,9 @@ from repro.cluster import (
     join_ring,
     supersedes,
 )
+from repro.cluster.swim import PROMOTE_ATTEMPTS, RPC_TIMEOUT
 from repro.net.faults import FaultConfig, FaultInjector
+from repro.net.framing import PROMOTE, PROMOTE_ACK
 from repro.net.server import NetObjectServer
 from repro.ring.ring import Ring, RingBuilder
 
@@ -215,18 +217,38 @@ class TestClusterConfig:
             ClusterConfig(indirect_probes=-1)
 
 
-async def start_members(n, config, *, replicas=None, link_faults=None):
-    """n servers + agents sharing one seed ring; returns (servers, agents,
-    ring)."""
+class DropWhileCut(FaultInjector):
+    """Drop every outbound frame of ``kind`` while ``cut`` is set."""
+
+    def __init__(self, kind):
+        super().__init__(FaultConfig(), kinds={kind})
+        self.cut = False
+
+    def plan(self, kind):
+        if self.cut and self.applies_to(kind):
+            self.stats.dropped += 1
+            return []
+        return super().plan(kind)
+
+
+async def start_members(n, config, *, replicas=None, link_faults=None,
+                        fault_factory=None, assignment=None):
+    """n servers + agents sharing one seed ring (the builder's layout, or
+    ``assignment``); returns (servers, agents, ring)."""
     servers = {}
     for dev in range(n):
-        server = NetObjectServer("127.0.0.1", 0, propagation="none")
+        server = NetObjectServer(
+            "127.0.0.1", 0, propagation="none", fault_factory=fault_factory,
+        )
         await server.start()
         servers[dev] = server
     builder = RingBuilder(3, replicas if replicas is not None else n)
     for dev, server in servers.items():
         builder.add_device(dev, address=server.address)
     ring, _ = builder.rebalance()
+    if assignment is not None:
+        ring = Ring(ring.part_power, ring.replicas, ring.devices, assignment,
+                    epoch=ring.epoch)
     addresses = {dev: server.address for dev, server in servers.items()}
     agents = {}
     for dev, server in servers.items():
@@ -325,6 +347,93 @@ class TestSwimLive:
                 )
 
         vtime.run(scenario())
+
+    @pytest.mark.parametrize("lost", [PROMOTE, PROMOTE_ACK])
+    def test_the_cutover_waits_for_every_promote_ack(self, lost):
+        """A ``promote`` that is never acknowledged publishes nothing,
+        whether the frame is lost or its ack is: the coordinator promotes
+        itself, asks again, gives the plan up, and plans again a probe
+        period later.  No member — the target included, on its server or
+        in its gossiped view — installs the new ring epoch until every
+        promoted member, the coordinator too, has run the promotion rule."""
+        config = self.CONFIG
+        # Member 2 is the primary of rows whose survivors differ, so its
+        # failover promotes member 0 (the coordinator) and member 1.
+        assignment = ((2, 0), (2, 1), (0, 1), (1, 0)) * 2
+        victim, promoted = 2, (0, 1)
+        cut = DropWhileCut(lost)  # only member 0 sends promote, only 1 acks
+
+        async def scenario():
+            servers, agents, ring = await start_members(
+                3, config, replicas=2, assignment=assignment,
+                link_faults=lambda member: lambda peer: cut,
+                fault_factory=lambda: cut,
+            )
+            assert failover_ring(ring, [victim]).promoted == promoted
+            survivors = {d: a for d, a in agents.items() if d != victim}
+
+            def promotions():
+                return [servers[d].engine.promotions for d in promoted]
+
+            installs = []  # (member, epoch, promotions() then)
+            for dev, agent in agents.items():
+                for owner, name in ((servers[dev], "set_ring"),
+                                    (agent.view, "install_ring")):
+                    def install(ring_dict, dev=dev, inner=getattr(owner, name)):
+                        installs.append(
+                            (dev, int(ring_dict["epoch"]), promotions())
+                        )
+                        return inner(ring_dict)
+
+                    setattr(owner, name, install)
+            cut.cut = True
+            try:
+                assert await wait_until(
+                    lambda: all(
+                        a.view.ids(ALIVE) == [0, 1, 2]
+                        for a in agents.values()
+                    ),
+                    loop_time() + 5.0,
+                )
+                await servers[victim].abort()
+                await agents[victim].stop()
+                # Two whole rounds of asks go unanswered.
+                await asyncio.sleep(
+                    config.detection_bound + 2 * PROMOTE_ATTEMPTS * RPC_TIMEOUT + 3.0
+                )
+                stalled = {
+                    (a.server.engine.epoch, a.view.ring_epoch)
+                    for a in survivors.values()
+                }
+                promoted_while_cut = promotions()
+                cut.cut = False
+                assert await wait_until(
+                    lambda: all(
+                        a.server.engine.epoch == ring.epoch + 1
+                        for a in survivors.values()
+                    ),
+                    loop_time() + 10.0,
+                ), {d: a.view.as_dict() for d, a in survivors.items()}
+                return (ring.epoch, stalled, promoted_while_cut, installs,
+                        sum(a.failovers for a in survivors.values()))
+            finally:
+                await stop_members(
+                    {d: s for d, s in servers.items() if d != victim},
+                    survivors,
+                )
+
+        epoch, stalled, promoted_while_cut, installs, failovers = vtime.run(
+            scenario()
+        )
+        assert stalled == {(epoch, epoch)}
+        assert cut.stats.dropped >= 2 * PROMOTE_ATTEMPTS  # asked, gave up, asked again
+        coordinator_runs, target_runs = promoted_while_cut
+        assert coordinator_runs >= 2  # once a round
+        # The target ran the rule on every promote that reached it.
+        assert target_runs == (0 if lost == PROMOTE else cut.stats.dropped)
+        cutover = [runs for _, new, runs in installs if new > epoch]
+        assert cutover and all(min(runs) >= 1 for runs in cutover)
+        assert failovers == 1
 
     def test_auto_join_rebalances_onto_new_member(self):
         async def scenario():
@@ -446,7 +555,7 @@ class TestAgentLink:
         failover RPCs all ask for links concurrently.  Two of them
         dialling the same peer used to end with the later one closing the
         link the earlier had already been handed."""
-        config = ClusterConfig(probe_period=30.0, probe_timeout=0.5)
+        config = ClusterConfig(probe_period=30.0)
 
         async def scenario():
             servers, agents, _ = await start_members(2, config)
@@ -468,7 +577,7 @@ class TestAgentLink:
 
         from tests.test_net_channel import peer
 
-        config = ClusterConfig(probe_period=0.05, probe_timeout=0.1)
+        config = ClusterConfig(probe_period=0.05)
 
         async def answer_nothing(conn, frame):
             pass

@@ -50,7 +50,7 @@ from repro.engine import (
 from repro.engine.versions import LogicalVersion, PhysicalVersion
 from repro.net.client import NetCacheClient
 from repro.net.framing import (
-    BYE, HELLO, HELLO_ACK, PROTOCOL_VERSION, dial, listen,
+    BYE, HELLO, HELLO_ACK, PROTOCOL_VERSION, SYNC, SYNC_ACK, dial, listen,
 )
 from repro.net.server import NetObjectServer
 from repro.protocol import Cluster, ObjectDirectory, PushPolicy
@@ -406,6 +406,10 @@ async def run_net_client(script):
                 frame = await conn.recv()
                 if frame is None or frame["kind"] == BYE:
                     return
+                if frame["kind"] == SYNC:  # the handshake, before the script
+                    await conn.send({"kind": SYNC_ACK, "t0": frame["t0"],
+                                     "t1": 0.0, "t2": 0.0})
+                    continue
                 state["last"] = {**state["reply"][1], "req": frame["req"]}
                 clock.t = state["reply"][0]
                 await conn.send(state["last"])
@@ -414,12 +418,12 @@ async def run_net_client(script):
 
     listener = await listen(serve, "127.0.0.1", 0)
     port = listener.sockets[0].getsockname()[1]
-    client = NetCacheClient(1, "127.0.0.1", port, delta=DELTA, sync_rounds=0)
-    client.clock = clock
-    client.now = clock.now  # a reading is bound at construction
+    client = NetCacheClient(1, "127.0.0.1", port, delta=DELTA)
     values = []
     try:
         await client.connect()
+        client.clock = clock
+        client.now = clock.now  # a reading is bound at construction
         for step in script:
             if step[0] in ("read", "write"):
                 clock.t = step[-2]

@@ -21,6 +21,7 @@ from repro.net.client import NetCacheClient
 from repro.net.faults import FaultConfig, FaultInjector
 from repro.net.server import NetObjectServer
 from repro.protocol.server import PhysicalServer
+from repro.sim import vtime
 from repro.sim.kernel import Simulator
 from repro.sim.network import ConstantLatency, Network
 from repro.sim.node import Node
@@ -139,8 +140,7 @@ class TestNetStack:
             await server.start()
             try:
                 async with NetCacheClient(
-                    0, server.host, server.port,
-                    request_timeout=0.1, max_retries=4, pipeline_depth=4,
+                    0, server.host, server.port, pipeline_depth=4,
                 ) as client:
                     alphas = await asyncio.gather(
                         client.write("x", "v1"), client.write("y", "v2")
@@ -151,7 +151,7 @@ class TestNetStack:
                 await server.close()
             return alphas, stored, retries, server
 
-        (ax, ay), stored, retries, server = asyncio.run(scenario())
+        (ax, ay), stored, retries, server = vtime.run(scenario())
         assert retries >= 1  # an ack really was lost
         assert server.engine.dedup_replays >= 1
         assert server.engine.writes_installed == 2, (

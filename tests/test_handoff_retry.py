@@ -7,18 +7,17 @@ transient faults the retry loop must absorb.  ``KeyError`` stays a
 definitive answer ("never stored") and must *not* burn retry budget.
 """
 
-import asyncio
-
 import pytest
 
 from repro.engine.versions import PhysicalVersion
 from repro.ring import MemoryTransport, Rebalancer, replay_handoff
 from repro.ring.ring import RingBuilder
+from repro.sim import vtime
 from repro.store import DurableStore, SnapshotCatalog
 
 
 def run(coro):
-    return asyncio.run(coro)
+    return vtime.run(coro)
 
 
 class FlakyTransport:
@@ -76,8 +75,7 @@ class TestRetry:
             await seed(memory, old_ring, objects)
             _, moves = rebalancer.add_device(3)
             return moves, await replay_handoff(
-                moves, objects, old_ring, flaky,
-                retries=3, backoff=0.001, max_backoff=0.002,
+                moves, objects, old_ring, flaky, retries=3,
             )
 
         moves, report = run(scenario())
@@ -96,8 +94,7 @@ class TestRetry:
             await seed(memory, old_ring, objects)
             _, moves = rebalancer.add_device(3)
             return await replay_handoff(
-                moves, objects, old_ring, flaky,
-                retries=2, backoff=0.001, max_backoff=0.002,
+                moves, objects, old_ring, flaky, retries=2,
             )
 
         report = run(scenario())
@@ -114,7 +111,7 @@ class TestRetry:
             _, moves = rebalancer.add_device(3)
             return await replay_handoff(
                 moves, ["never-written"], old_ring, memory,
-                retries=5, backoff=0.5,  # would take seconds if retried
+                retries=5,  # would take seconds if retried
             )
 
         report = run(scenario())
@@ -135,10 +132,7 @@ class TestRetry:
             )
             await seed(memory, old_ring, [obj])
             memory.down.add(3)  # the destination, not the source
-            return await replay_handoff(
-                moves, [obj], old_ring, memory,
-                retries=1, backoff=0.001,
-            )
+            return await replay_handoff(moves, [obj], old_ring, memory, retries=1)
 
         # A destination that stays down is not a per-object miss — the
         # whole handoff must fail loudly rather than cut over silently.
@@ -175,7 +169,7 @@ class TestSnapshotSource:
             _, moves = rebalancer.add_device(3)
             return moves, await replay_handoff(
                 moves, objects, old_ring, memory_dst(flaky, memory),
-                snapshots=catalog, retries=1, backoff=0.001,
+                snapshots=catalog, retries=1,
             )
 
         def memory_dst(flaky_src, memory_inner):

@@ -143,8 +143,8 @@ def test_retryable_errors_are_retried_with_fresh_write_values():
         executor,
         duration=0.2,
         op_retries=4,
-        retry_backoff=0.0,
         retryable=(ConnectionError,),
+        run=vtime.run,
     )
     assert stats.errors == 0
     assert stats.completed == stats.offered == 10
@@ -160,7 +160,6 @@ def test_non_retryable_errors_are_counted_not_raised():
         executor,
         duration=0.2,
         op_retries=2,
-        retry_backoff=0.0,
         retryable=(ConnectionError,),  # ValueError is NOT retryable
     )
     assert stats.offered == 10
@@ -178,8 +177,8 @@ def test_retry_exhaustion_counts_one_error():
         executor,
         duration=0.1,
         op_retries=3,
-        retry_backoff=0.0,
         retryable=(ConnectionError,),
+        run=vtime.run,
     )
     assert stats.offered == 2
     assert stats.errors == 2
@@ -233,7 +232,6 @@ def test_a_retried_read_is_judged_under_its_own_deadline_class():
         site=100,
         seed=7,
         values=StubValues(),
-        retry_backoff=0.0,
         retryable=(ConnectionError,),
     )
     judges.workers[100] = worker
@@ -242,7 +240,7 @@ def test_a_retried_read_is_judged_under_its_own_deadline_class():
         await worker._execute(PlannedOp("read", "k0000", "fresh"))
         await worker._execute(PlannedOp("read", "k0000", "lax"))
 
-    asyncio.run(_go())
+    vtime.run(_go())
     assert executor.reads == 3  # the fresh read was retried once
     assert {name: j.summary()["reads_on_time"]
             for name, j in judges.deadlines.items()} == {"fresh": 1, "lax": 1}

@@ -30,7 +30,9 @@ from repro.cli import build_parser
 from repro.cli.cluster import cmd_cluster_status
 from repro.cluster import ClusterConfig, ClusterView, SwimAgent
 from repro.net.channel import Channel
-from repro.net.client import NetCacheClient, RequestTimeout
+from repro.net.client import (
+    MAX_RETRIES, REQUEST_TIMEOUT, NetCacheClient, RequestTimeout,
+)
 from repro.net.faults import FaultConfig, FaultInjector
 from repro.net.framing import (
     HELLO_ACK, MAX_FRAME_BYTES, PROTOCOL_VERSION, FrameError, dial, listen,
@@ -332,19 +334,18 @@ class TestLadder:
             )
             await server.start()
             try:
-                async with NetCacheClient(
-                    0, server.host, server.port, request_timeout=0.05,
-                    max_retries=3,
-                ) as client:
-                    with pytest.raises(RequestTimeout, match="after 4 attempts"):
+                async with NetCacheClient(0, server.host, server.port) as client:
+                    with pytest.raises(
+                        RequestTimeout, match=f"after {MAX_RETRIES + 1} attempts"
+                    ):
                         await client.write("x", "v")
                     return client.stats.retries, dict(server.requests_by_kind)
             finally:
                 await server.close()
 
         retries, asked = vtime.run(scenario())
-        assert retries == 3
-        assert asked["write"] == 4  # one id, four frames
+        assert retries == MAX_RETRIES
+        assert asked["write"] == MAX_RETRIES + 1  # one id, one frame per attempt
 
 
 @pytest.mark.net
@@ -413,7 +414,7 @@ class TestWindow:
                     copies = [
                         client.channel.start(
                             {"kind": "write", "obj": f"s{i}", "value": i},
-                            client.request_timeout,
+                            REQUEST_TIMEOUT,
                             finish=lambda reply: reply["alpha"],
                         )
                         for i in range(2)
@@ -715,7 +716,7 @@ class TestAnswer:
                     async with NetCacheClient(3, server.host, server.port) as late:
                         await late.write("small", 1)
                     await writer.write("small", 2)
-                    return (took, reader.request_timeout, reader.stats.retries,
+                    return (took, REQUEST_TIMEOUT, reader.stats.retries,
                             reader.connected, reported, server.engine.store["small"])
             finally:
                 await server.close()
@@ -823,7 +824,7 @@ class TestOneExecutionModel:
 
     def test_the_server_has_no_latency_and_no_inflight_limit(self):
         params = list(inspect.signature(NetObjectServer).parameters)
-        assert len(params) == 11
+        assert len(params) == 9
         assert {"latency", "inflight_limit"} & set(params) == set()
         (sub,) = [action for action in build_parser()._actions
                   if isinstance(action, argparse._SubParsersAction)]

@@ -187,15 +187,14 @@ class _FlakyServer:
 class TestHandshakeRetry:
     """Satellite: one bad sync round must not hard-fail the client."""
 
-    def _connect(self, fail_first, fail_point="sync", sync_retries=3):
+    def _connect(self, fail_first, fail_point="sync"):
         from repro.net.client import NetCacheClient
+        from repro.sim import vtime
 
         async def _run():
             server = await _FlakyServer(fail_first, fail_point).start()
             try:
-                client = NetCacheClient(
-                    0, "127.0.0.1", server.port, sync_retries=sync_retries
-                )
+                client = NetCacheClient(0, "127.0.0.1", server.port)
                 await client.connect()
                 synced = client.clock.estimator.synchronized
                 await client.close()
@@ -203,7 +202,7 @@ class TestHandshakeRetry:
             finally:
                 await server.close()
 
-        return asyncio.run(_run())
+        return vtime.run(_run())
 
     def test_recovers_from_flaky_sync_rounds(self):
         accepts, synced = self._connect(fail_first=2)
@@ -216,38 +215,23 @@ class TestHandshakeRetry:
         assert synced
 
     def test_clean_neterror_after_retries_exhausted(self):
-        from repro.net.client import NetCacheClient, NetError
+        from repro.net.client import SYNC_RETRIES, NetCacheClient, NetError
+        from repro.sim import vtime
 
         async def _run():
             server = await _FlakyServer(fail_first=99).start()
             try:
-                client = NetCacheClient(
-                    0, "127.0.0.1", server.port, sync_retries=1
-                )
-                with pytest.raises(NetError, match="after 2 attempts"):
+                client = NetCacheClient(0, "127.0.0.1", server.port)
+                with pytest.raises(
+                    NetError, match=f"after {SYNC_RETRIES + 1} attempts"
+                ):
                     await client.connect()
                 assert client.conn is None  # no half-open connection left
                 return server.accepts
             finally:
                 await server.close()
 
-        assert asyncio.run(_run()) == 2
-
-    def test_zero_retries_fails_on_first_tear(self):
-        from repro.net.client import NetCacheClient, NetError
-
-        async def _run():
-            server = await _FlakyServer(fail_first=1).start()
-            try:
-                client = NetCacheClient(
-                    0, "127.0.0.1", server.port, sync_retries=0
-                )
-                with pytest.raises(NetError, match="after 1 attempts"):
-                    await client.connect()
-            finally:
-                await server.close()
-
-        asyncio.run(_run())
+        assert vtime.run(_run()) == SYNC_RETRIES + 1
 
 
 @pytest.mark.net
@@ -294,11 +278,15 @@ class TestAckStampedOutsideTheCallersInterval:
             server_faults=lambda: self._delaying("sync-ack")))
         assert write.end == alpha
 
-    def test_stamp_before_the_interval_is_recorded_not_raised(self):
+    def test_stamp_before_the_interval_is_recorded_not_raised(self, monkeypatch):
         # The client->server leg delayed instead (over the live link,
         # where a client's faults apply): the site's clock runs ahead.
+        # The handshake's clean samples would win (the estimator keeps
+        # the shortest round trip), so it runs none: every sample is a
+        # delayed resync.
+        monkeypatch.setattr("repro.net.client.SYNC_ROUNDS", 0)
         alpha, write = asyncio.run(self._write_once(
-            faults=self._delaying("sync"), sync_rounds=0, resync=4))
+            faults=self._delaying("sync"), resync=4))
         assert write.start == alpha
 
     def test_router_records_the_widened_interval_too(self):

@@ -192,7 +192,6 @@ class TestFaultInjection:
                 injector = FaultInjector(FaultConfig(), kinds={messages.FETCH})
                 client = NetCacheClient(
                     0, server.host, server.port, faults=injector,
-                    request_timeout=0.05, max_retries=1,
                 )
                 async with client:
                     injector.partition()

@@ -32,7 +32,11 @@ import repro
 from repro.checkers import check_tsc
 from repro.core.operations import read
 from repro.engine import ServerEngine, messages
-from repro.net.client import NetCacheClient, ProtocolError, RequestTimeout
+from repro.engine.reply_cache import REPLY_CACHE_SIZE
+from repro.net.client import (
+    BACKOFF, MAX_RETRIES, REQUEST_TIMEOUT, NetCacheClient, ProtocolError,
+    RequestTimeout,
+)
 from repro.net.faults import FaultConfig, FaultInjector
 from repro.net.framing import (
     HELLO, HELLO_ACK, FrameConnection, FrameError, decode_frame, dial,
@@ -41,10 +45,11 @@ from repro.net.framing import (
 from repro.net.ring_router import RingRouter
 from repro.net.server import NetObjectServer
 from repro.ring import uniform_ring
+from repro.sim import vtime
 from repro.sim.trace import TraceRecorder, UniqueValueFactory
 from repro.store import DurableStore
 from repro.store.recovery import REC_WRITE
-from repro.store.wal import replay as replay_wal
+from repro.store.wal import FSYNC_INTERVAL, replay as replay_wal
 
 pytestmark = [
     pytest.mark.net,
@@ -53,16 +58,17 @@ pytestmark = [
 
 
 class DropFirst(FaultInjector):
-    """Drop the first outbound frame of each kind in ``kinds``; deliver
-    everything afterwards intact (deterministic single-loss injector)."""
+    """Drop the first ``times`` outbound frames of each kind in ``kinds``;
+    deliver everything afterwards intact (deterministic loss injector)."""
 
-    def __init__(self, kinds):
+    def __init__(self, kinds, times=1):
         super().__init__(FaultConfig(), kinds=kinds)
-        self._dropped = set()
+        self._dropped = {}
+        self.times = times
 
     def plan(self, kind):
-        if self.applies_to(kind) and kind not in self._dropped:
-            self._dropped.add(kind)
+        if self.applies_to(kind) and self._dropped.get(kind, 0) < self.times:
+            self._dropped[kind] = self._dropped.get(kind, 0) + 1
             self.stats.planned += 1
             self.stats.dropped += 1
             return []
@@ -89,10 +95,7 @@ class TestExactlyOnce:
             )
             await server.start()
             try:
-                async with NetCacheClient(
-                    0, server.host, server.port,
-                    request_timeout=0.1, max_retries=4,
-                ) as client:
+                async with NetCacheClient(0, server.host, server.port) as client:
                     alpha = await client.write("x", "v1")
                     retries = client.stats.retries
                 stored_alpha = server.engine.store["x"].alpha
@@ -100,7 +103,7 @@ class TestExactlyOnce:
                 await server.close()
             return alpha, stored_alpha, retries, server, recorder
 
-        alpha, stored_alpha, retries, server, recorder = asyncio.run(scenario())
+        alpha, stored_alpha, retries, server, recorder = vtime.run(scenario())
         assert retries >= 1  # the ack really was lost
         assert server.engine.dedup_replays >= 1  # ... and the retransmit replayed
         assert alpha == stored_alpha  # the replay carried the original alpha
@@ -133,10 +136,7 @@ class TestExactlyOnce:
             server = await NetObjectServer(propagation="none", store=store).start()
             acked = {}
             try:
-                async with NetCacheClient(
-                    0, server.host, server.port,
-                    request_timeout=0.1, max_retries=4,
-                ) as client:
+                async with NetCacheClient(0, server.host, server.port) as client:
                     req = client.channel.next_id()
                     with pytest.raises(ProtocolError, match="No space left"):
                         await client.write("x", "v1", req=req)
@@ -149,7 +149,7 @@ class TestExactlyOnce:
                 await server.abort()  # a crash: what is on disk is what was logged
             return retries, logged, acked, server.engine.dedup_replays
 
-        retries, logged, acked, replays = asyncio.run(scenario())
+        retries, logged, acked, replays = vtime.run(scenario())
         assert retries == 0  # told at once, not after a retransmit ladder
         # The second write under the same id was executed, not replayed.
         assert logged == ["v1", "v2", "v3"] and replays == 0
@@ -163,14 +163,12 @@ class TestExactlyOnce:
 
         async def scenario():
             server = NetObjectServer(
-                propagation="none", fault_factory=late(messages.WRITE_ACK, 0.15)
+                propagation="none",
+                fault_factory=late(messages.WRITE_ACK, 1.5 * REQUEST_TIMEOUT),
             )
             await server.start()
             try:
-                async with NetCacheClient(
-                    0, server.host, server.port,
-                    request_timeout=0.05, max_retries=4,
-                ) as client:
+                async with NetCacheClient(0, server.host, server.port) as client:
                     alpha = await client.write("x", "v1")
                     retries = client.stats.retries
                 stored_alpha = server.engine.store["x"].alpha
@@ -178,7 +176,7 @@ class TestExactlyOnce:
                 await server.close()
             return alpha, stored_alpha, retries, server
 
-        alpha, stored_alpha, retries, server = asyncio.run(scenario())
+        alpha, stored_alpha, retries, server = vtime.run(scenario())
         assert retries >= 1  # the client did give up waiting, at least once
         assert server.engine.dedup_replays >= 1
         assert server.engine.requests == 1, "the write must execute exactly once"
@@ -186,17 +184,23 @@ class TestExactlyOnce:
 
     def test_reply_cache_is_bounded_lru(self):
         async def scenario():
-            server = NetObjectServer(propagation="none", reply_cache_size=4)
+            server = NetObjectServer(propagation="none")
             await server.start()
             try:
                 async with NetCacheClient(0, server.host, server.port) as client:
-                    for i in range(12):
+                    first = client.channel.next_id()
+                    await client.write("x", -1, req=first)
+                    for i in range(REPLY_CACHE_SIZE + 8):
                         await client.write("x", i)
-                return len(server.engine.replies)
+                    last = client.channel.next_id() - 1
+                return server.engine.replies, (0, first), (0, last)
             finally:
                 await server.close()
 
-        assert asyncio.run(scenario()) == 4
+        replies, first, last = vtime.run(scenario())
+        assert len(replies) == REPLY_CACHE_SIZE
+        assert replies.get(first) is None  # the oldest went first
+        assert replies.get(last) is not None
 
 
 class TestBatching:
@@ -357,27 +361,28 @@ class TestOrphanReplies:
         ignored: ids are never reused, so it cannot resolve a later
         request's future, and it must not warn or wedge the loop."""
 
+        # The whole retransmit ladder: the last attempt waits longest.
+        ladder = sum(REQUEST_TIMEOUT * BACKOFF ** i for i in range(MAX_RETRIES + 1))
+
         async def scenario():
             server = NetObjectServer(
-                propagation="none", fault_factory=late(messages.WRITE_ACK, 0.2)
+                propagation="none",
+                fault_factory=late(messages.WRITE_ACK, ladder + 1.0),
             )
             await server.start()
             try:
-                async with NetCacheClient(
-                    0, server.host, server.port,
-                    request_timeout=0.05, max_retries=0,
-                ) as client:
+                async with NetCacheClient(0, server.host, server.port) as client:
                     with pytest.raises(RequestTimeout):
                         await client.write("x", "v0")
-                    # Let the orphan write-ack arrive and be dropped.
-                    await asyncio.sleep(0.3)
+                    # Let every orphan write-ack arrive and be dropped.
+                    await asyncio.sleep(ladder + 2.0)
                     value = await client.read("x")
                     pending = dict(client.channel.pending)
             finally:
                 await server.close()
             return value, pending
 
-        value, pending = asyncio.run(scenario())
+        value, pending = vtime.run(scenario())
         # The timed-out write still executed server-side (at-most-once
         # would need the id to be retransmitted to dedup) — the fresh
         # read observes it, proving the later request resolved with its
@@ -723,8 +728,7 @@ class TestWirePath:
         """Every deadline of a channel is kept by one timer, armed at the
         earliest: 500 calls re-arm it only as deadlines pass, never is
         more than one armed — yet a dropped ack is still retransmitted
-        after ``request_timeout``."""
-        timeout = 0.05
+        after ``REQUEST_TIMEOUT``."""
 
         async def scenario():
             loop = asyncio.get_running_loop()
@@ -754,7 +758,6 @@ class TestWirePath:
             try:
                 async with NetCacheClient(
                     0, server.host, server.port, delta=0.0,
-                    request_timeout=timeout, max_retries=4,
                 ) as client:
                     loop.call_at = recording_call_at  # call_later goes through it
                     started = loop.time()
@@ -772,8 +775,8 @@ class TestWirePath:
                 await server.close()
 
         (alpha, took, for_the_write, made, most_armed, stats,
-         server) = asyncio.run(scenario())
-        assert stats.retries == 1 and took >= timeout
+         server) = vtime.run(scenario())
+        assert stats.retries == 1 and took >= REQUEST_TIMEOUT
         # Two write frames arrived, one executed: the second carried the
         # first's id, or the reply cache could not have matched it.
         assert server.requests_by_kind[messages.WRITE] == 2 + 250
@@ -1367,13 +1370,12 @@ class TestGroupCommit:
         self, tmp_path, policy, fsyncs
     ):
         async def scenario():
-            server = await self.durable_server(
-                tmp_path, fsync=policy, fsync_interval=1e-9
-            )
+            server = await self.durable_server(tmp_path, fsync=policy)
             try:
                 conn = await raw_peer(server, 7)
                 wal = server.durable.wal
                 before = wal.fsyncs
+                await asyncio.sleep(FSYNC_INTERVAL)  # the interval is due
                 replies = await exchange(conn, writes_burst(8))
                 on_disk = [r for r in replay_wal(wal.path).records
                            if r.get("k") == REC_WRITE]

@@ -262,9 +262,7 @@ class TestGracefulDrain:
             host, port = server.host, server.port
             await server.shutdown(grace=0.1)
             with pytest.raises((ConnectionError, NetError, OSError)):
-                client = NetCacheClient(
-                    0, host, port, sync_retries=0,
-                )
+                client = NetCacheClient(0, host, port)
                 await client.connect()
 
         vtime.run(inner())

@@ -15,7 +15,7 @@ import pytest
 from repro.checkers.tsc import check_tsc
 from repro.clocks.rebase import RebasedClock
 from repro.engine import messages
-from repro.net.client import NetCacheClient
+from repro.net.client import MAX_RETRIES, NetCacheClient
 from repro.net.local import LocalStack
 from repro.net.workloads import ring_cluster, run_ring_soak
 from repro.net.ring_router import RingRouter
@@ -442,8 +442,10 @@ class TestRouterRegressions:
 
     def test_repair_replays_instead_of_reinstalling(self):
         """Anti-entropy re-pushes reuse the originating write's request
-        id, so a replica whose ack was merely lost ends up with exactly
-        one install (the server replays the original alpha)."""
+        id, so a replica whose acks were merely lost — every attempt of
+        the copy's retransmit ladder — ends up with exactly one install
+        (the server replays the original alpha)."""
+        attempts = MAX_RETRIES + 1
         ring = uniform_ring(2, part_power=4, replicas=2)
         obj = next(
             f"rep{i}" for i in range(100)
@@ -456,15 +458,13 @@ class TestRouterRegressions:
             ).start()
             lossy = await NetObjectServer(
                 "127.0.0.1", 0, propagation="none",
-                fault_factory=lambda: DropFirst({messages.WRITE_ACK}),
+                fault_factory=lambda: DropFirst({messages.WRITE_ACK}, attempts),
             ).start()
             endpoints = {0: ("127.0.0.1", healthy.port),
                          1: ("127.0.0.1", lossy.port)}
             try:
-                async with RingRouter(
-                    0, ring, endpoints, delta=5.0,
-                    request_timeout=0.15, max_retries=0,
-                ) as router:
+                # Δ outlasts the ladder: the repair is due after it.
+                async with RingRouter(0, ring, endpoints, delta=60.0) as router:
                     await router.write(obj, "v1")
                     queued = len(router.placement.pending_repairs())
                     completed = await router.placement.repair_once()
@@ -483,6 +483,6 @@ class TestRouterRegressions:
         assert queued == 1  # the replica copy's lost ack queued a repair
         assert completed == 1 and stats.repairs_done == 1
         assert requests == 1, "the re-push must replay, not re-execute"
-        assert replays == 1
+        assert replays == attempts  # every retransmit, then the re-push
         assert value == "v1"
         assert stats.repairs_late == 0

@@ -13,6 +13,7 @@ from repro.ring import (
     ReplicatedPlacement,
     replay_handoff,
 )
+from repro.ring.placement import MAX_REPAIR_ATTEMPTS
 from repro.ring.ring import RingBuilder, uniform_ring
 from repro.sim import vtime
 
@@ -251,19 +252,20 @@ class TestAntiEntropy:
         assert transport.stores[replica]["obj"][0] == "v2"
 
     def test_repair_gives_up_after_max_attempts(self):
-        ring, transport, placement = make_placement(
-            delta=5.0, max_repair_attempts=2
-        )
+        ring, transport, placement = make_placement(delta=5.0)
         replica = ring.replicas_for("obj")[1]
 
         async def scenario():
             transport.down.add(replica)
             await placement.write("obj", "v1")
             await placement.drain()
+            for _ in range(MAX_REPAIR_ATTEMPTS - 1):
+                await placement.repair_once()
+            still_queued = len(placement.pending_repairs())
             await placement.repair_once()
-            await placement.repair_once()
+            return still_queued
 
-        run(scenario())
+        assert run(scenario()) == 1  # one round short: still trying
         assert not placement.pending_repairs()
         assert placement.stats.repairs_done == 0
 

@@ -32,6 +32,7 @@ from repro.net.client import NetCacheClient, NetError
 from repro.net.server import NetObjectServer
 from repro.sim.trace import TraceRecorder
 from repro.store import DurableStore, SnapshotCatalog, load_state
+from repro.store.recovery import SNAPSHOT_EVERY
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -135,21 +136,25 @@ class TestDurableStore:
         assert recovered.old_objects == {"x"}
 
     def test_corrupt_snapshot_quarantined_and_wal_replayed(self, tmp_path):
-        store = DurableStore(str(tmp_path), fsync="always", snapshot_every=2)
+        store = DurableStore(str(tmp_path), fsync="never")
         store.open(now_wall=1000.0)
-        store.log_write(PhysicalVersion("x", "s1.1", 1.0, 1.0, 1))
-        store.log_write(PhysicalVersion("x", "s1.2", 2.0, 2.0, 1))
-        # Two appends crossed snapshot_every: the snapshot is written
-        # and the WAL truncated behind it.
-        assert store.maybe_snapshot(
-            {"x": PhysicalVersion("x", "s1.2", 2.0, 2.0, 1)}, 2.0, 2.0
-        ) is True
-        store.log_write(PhysicalVersion("y", "s1.3", 3.0, 3.0, 1))
+        xs = [PhysicalVersion("x", f"s1.{t}", float(t), float(t), 1)
+              for t in range(1, SNAPSHOT_EVERY + 1)]
+        for x in xs[:-1]:
+            store.log_write(x)
+        # One append short of SNAPSHOT_EVERY: no snapshot yet.
+        assert store.maybe_snapshot({"x": xs[-2]}, xs[-2].alpha, xs[-2].alpha) is False
+        store.log_write(xs[-1])
+        # SNAPSHOT_EVERY appends: the snapshot is written and the WAL
+        # truncated behind it.
+        assert store.maybe_snapshot({"x": xs[-1]}, xs[-1].alpha, xs[-1].alpha) is True
+        t = xs[-1].alpha + 1.0
+        store.log_write(PhysicalVersion("y", "s1.y", t, t, 1))
         store.close()
         snapshot_path = str(tmp_path / "snapshot.json")
         with open(snapshot_path, "w") as fh:
             fh.write("{torn")
-        recovered = DurableStore(str(tmp_path)).open(now_wall=1003.0)
+        recovered = DurableStore(str(tmp_path)).open(now_wall=1000.0 + t)
         # The corrupt snapshot is moved aside, and recovery proceeds
         # from what the log still holds (the suffix after compaction).
         assert recovered.snapshot_quarantined is not None
@@ -182,8 +187,6 @@ class TestDurableStore:
     def test_validation_errors(self, tmp_path):
         with pytest.raises(ValueError):
             DurableStore(str(tmp_path), recovery_delta=-1.0)
-        with pytest.raises(ValueError):
-            DurableStore(str(tmp_path), snapshot_every=0)
         store = DurableStore(str(tmp_path))
         with pytest.raises(RuntimeError):
             store.log_write(PhysicalVersion("x", 1, 0.0, 0.0, 0))
@@ -461,7 +464,6 @@ class TestCrashRecoveryEndToEnd:
             async def first_client():
                 async with NetCacheClient(
                     1, "127.0.0.1", port, recorder=recorder,
-                    request_timeout=0.3,
                 ) as client:
                     await client.write("x", "s1.1")
                     await client.write("y", "s1.2")

@@ -9,6 +9,8 @@ saves go through (a torn file must never be observable).
 import json
 import os
 import struct
+import time
+import types
 import zlib
 
 import pytest
@@ -29,8 +31,20 @@ from repro.store import (
     versions_from_state,
     write_snapshot,
 )
+from repro.store.wal import FSYNC_INTERVAL
 
 _HEADER = struct.Struct(">II")
+
+
+@pytest.fixture
+def monotonic(monkeypatch):
+    """The WAL's ``time.monotonic`` as a list to set: ``[seconds]``."""
+    now = [0.0]
+    fake = types.SimpleNamespace(
+        monotonic=lambda: now[0], perf_counter=time.perf_counter
+    )
+    monkeypatch.setattr("repro.store.wal.time", fake)
+    return now
 
 
 def _append_raw(path, data: bytes) -> None:
@@ -70,14 +84,20 @@ class TestWalRoundtrip:
                 assert log.fsyncs == 0
             log.close(sync=False)
 
-    def test_interval_policy_amortizes(self, tmp_path):
+    def test_interval_policy_amortizes(self, tmp_path, monotonic):
         path = str(tmp_path / "interval.log")
-        log = WriteAheadLog(path, fsync="interval", fsync_interval=3600.0)
+        log = WriteAheadLog(path, fsync="interval")
         for i in range(50):
+            monotonic[0] += FSYNC_INTERVAL / 100
             log.append({"i": i})
         assert log.fsyncs == 0  # interval never elapsed
+        monotonic[0] = FSYNC_INTERVAL  # since the log opened
+        log.append({"i": 50})
+        assert log.fsyncs == 1  # now it had: the append synced
+        log.append({"i": 51})
+        assert log.fsyncs == 1  # and the interval restarts there
         log.flush(sync=True)
-        assert log.fsyncs == 1  # the explicit flush forced one
+        assert log.fsyncs == 2  # the explicit flush forced one
         log.close()
 
     def test_fsync_hook_reports_durations(self, tmp_path):
@@ -114,14 +134,18 @@ class TestWalRoundtrip:
         log.close()
         assert [r["i"] for r in replay(path).records] == list(range(10))
 
-    @pytest.mark.parametrize("policy, interval, fsyncs", [
-        ("interval", 1e-9, 1), ("interval", 3600.0, 0), ("never", 1e-9, 0),
+    @pytest.mark.parametrize("policy, elapsed, fsyncs", [
+        ("interval", FSYNC_INTERVAL, 1), ("interval", 0.0, 0),
+        ("never", FSYNC_INTERVAL, 0),
     ])
-    def test_a_commit_consults_the_policy_once(self, tmp_path, policy, interval, fsyncs):
+    def test_a_commit_consults_the_policy_once(
+        self, tmp_path, monotonic, policy, elapsed, fsyncs
+    ):
         path = str(tmp_path / "wal.log")
-        log = WriteAheadLog(path, fsync=policy, fsync_interval=interval)
+        log = WriteAheadLog(path, fsync=policy)
         for i in range(8):
             log.append_many([{"i": i}], commit=False)
+        monotonic[0] += elapsed
         log.commit()
         assert log.fsyncs == fsyncs
         assert len(replay(path).records) == 8  # out of the process either way
