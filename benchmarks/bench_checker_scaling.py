@@ -1,22 +1,29 @@
-"""Scaling of the serialization-search engine across history lengths.
+"""Scaling of the checking engine across history lengths.
 
-PR 2 rewrote :mod:`repro.checkers.search` as an explicit-stack iterative
-engine with per-object candidate indexing.  This bench sweeps history
-length 10^2..10^4 and demonstrates the two properties the rewrite bought:
+The checkers decide every criterion with one engine: the effective-time
+order is tried first (one pass, the witness of any linearizable
+history), then constraint saturation.  This bench sweeps ``check_sc``
+over three families and races it against the recursive reference search
+(``tests/search_reference.py``):
 
-* histories past ~1000 operations check at the default recursion limit
-  (the recursive reference engine dies with ``RecursionError`` there);
-* at n=2000 the iterative engine is >= 5x faster in wall time than the
-  recursive reference (which rescans every operation at every state).
+* ``random_linearizable_history``, 10^2..10^5 ops — the time order
+  decides, with no branch node, no numpy and no recursion;
+* ``random_sc_history``, 100..1000 ops — not linearizable, so saturation
+  decides, and the branch nodes it used are reported;
+* traces of the simulated SC lifetime protocol, 20..160 ops per client —
+  saturation's per-op cost stays near-polynomial;
+* the verdict race: engine and reference must agree on
+  ``random_sc_history`` and ``random_history`` up to 400 ops, and the
+  engine must beat the reference by a floor at 200 ops.
 
 Runs two ways:
 
 * ``pytest benchmarks/bench_checker_scaling.py`` — full bench, appends
-  the table to ``latest_results.txt`` via the shared reporter;
+  the tables to ``latest_results.txt`` via the shared reporter;
 * ``python benchmarks/bench_checker_scaling.py [--smoke]`` — plain
-  script for CI (no pytest-benchmark dependency); ``--smoke`` shrinks
-  the sweep so the job stays fast, while still exercising a 5000-op
-  history and the speedup floor.
+  script for CI; ``--smoke`` shrinks the sweeps but still checks a
+  10^5-op linearizable history at the default recursion limit without
+  importing numpy, every race verdict and the speed floor.
 """
 
 import os
@@ -24,144 +31,166 @@ import random
 import sys
 import time
 
-from repro.checkers import (
-    SearchStats,
-    find_serialization,
-    find_site_ordered_serialization,
-    restrict_edges,
+from repro.checkers import check_sc
+from repro.protocol import Cluster
+from repro.workloads import (
+    random_history,
+    random_linearizable_history,
+    random_sc_history,
+    uniform_workload,
 )
-from repro.workloads import random_linearizable_history
 
-# The recursive engines are a test oracle, kept under tests/.
+# The recursive reference is a test oracle, kept under tests/.
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-from tests.search_reference import find_serialization_recursive  # noqa: E402
+from tests.search_reference import check_sc_reference  # noqa: E402
 
-COMPARE_AT = 2000  # history length of the iterative-vs-recursive race
+LIN_SIZES = (100, 1000, 10_000, 100_000)
+SC_SIZES = (100, 316, 1000)
+RACE_SIZES = (50, 100, 200, 400)
+PROTOCOL_OPS = (20, 40, 80, 160)
+RACE_AT = 200  # history length of the speed floor
 SPEEDUP_FLOOR = 5.0  # acceptance floor for the full bench
 SMOKE_SPEEDUP_FLOOR = 2.0  # noise-tolerant floor for shared CI runners
 
 
-def make_history(n_ops, seed=7):
-    rng = random.Random(seed)
-    return random_linearizable_history(
-        rng, n_sites=6, n_objects=10, n_ops=n_ops
-    )
-
-
-def general_inputs(history):
-    ops = list(history.operations)
-    preds = restrict_edges(history.immediate_program_order(), ops)
-    return ops, preds
-
-
-def time_iterative(history):
-    ops, preds = general_inputs(history)
-    stats = SearchStats()
+def timed_sc(history):
     start = time.perf_counter()
-    witness = find_serialization(
-        ops, preds, history.initial_value, stats=stats
-    )
-    seconds = time.perf_counter() - start
-    assert witness is not None
-    return seconds, stats
+    result = check_sc(history)
+    return result, time.perf_counter() - start
 
 
-def time_recursive(history):
-    ops, preds = general_inputs(history)
-    # The reference engine recurses once per operation; give it room so
-    # we measure time, not the RecursionError this bench exists to kill.
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, len(ops) + 2000))
-    try:
-        stats = SearchStats()
-        start = time.perf_counter()
-        witness = find_serialization_recursive(
-            ops, preds, history.initial_value, stats=stats
+def lin_rows(sizes):
+    """The time-order path: must need no branch node and no numpy."""
+    preloaded = "numpy" in sys.modules  # by another bench in the session
+    rows = []
+    for n in sizes:
+        history = random_linearizable_history(
+            random.Random(7), n_sites=6, n_objects=10, n_ops=n
         )
-        seconds = time.perf_counter() - start
+        result, seconds = timed_sc(history)
+        assert result.satisfied and result.states_explored == 0
+        rows.append({"family": "linearizable", "ops": n,
+                     "check_ms": round(seconds * 1000, 2),
+                     "branch_nodes": 0,
+                     "us_per_op": round(seconds * 1e6 / n, 2)})
+    assert preloaded or "numpy" not in sys.modules, "time order used numpy"
+    return rows
+
+
+def sc_rows(sizes):
+    """The saturation path on SC-by-construction, non-LIN histories."""
+    check_sc(random_sc_history(random.Random(0)))  # imports numpy, untimed
+    rows = []
+    for n in sizes:
+        history = random_sc_history(
+            random.Random(7), n_sites=4, n_objects=4, n_ops=n
+        )
+        result, seconds = timed_sc(history)
+        assert result.satisfied and result.states_explored > 0
+        rows.append({"family": "sc", "ops": n,
+                     "check_ms": round(seconds * 1000, 2),
+                     "branch_nodes": result.states_explored,
+                     "us_per_op": round(seconds * 1e6 / n, 2)})
+    return rows
+
+
+def protocol_trace(n_ops, n_clients=5, seed=8):
+    cluster = Cluster(n_clients=n_clients, n_servers=1, variant="sc", seed=seed)
+    cluster.spawn(uniform_workload(["A", "B", "C", "D"], n_ops=n_ops,
+                                   write_fraction=0.25))
+    cluster.run()
+    return cluster.history()
+
+
+def protocol_rows(sizes):
+    rows = []
+    for n_ops in sizes:
+        history = protocol_trace(n_ops)
+        result, seconds = timed_sc(history)
+        assert result.satisfied
+        rows.append({"family": "protocol", "ops": len(history),
+                     "check_ms": round(seconds * 1000, 2),
+                     "branch_nodes": result.states_explored,
+                     "us_per_op": round(seconds * 1e6 / len(history), 2)})
+    # Near-polynomial: 8x the ops must not cost more than ~400x.
+    assert rows[-1]["check_ms"] < rows[0]["check_ms"] * 400 + 500
+    return rows
+
+
+def race_rows(sizes):
+    """Engine vs recursive reference: same verdicts, and the times."""
+    limit = sys.getrecursionlimit()
+    # The reference recurses once per operation; give it room.
+    sys.setrecursionlimit(max(limit, max(sizes) + 2000))
+    rows, speedup = [], None
+    try:
+        for generator in (random_sc_history, random_history):
+            for n in sizes:
+                history = generator(
+                    random.Random(7), n_sites=4, n_objects=4, n_ops=n
+                )
+                result, seconds = timed_sc(history)
+                start = time.perf_counter()
+                reference = check_sc_reference(history)
+                ref_seconds = time.perf_counter() - start
+                assert result.satisfied == reference.satisfied, (
+                    f"{generator.__name__} n={n}: verdicts differ")
+                ratio = ref_seconds / seconds if seconds > 0 else float("inf")
+                if generator is random_sc_history and n == RACE_AT:
+                    speedup = ratio
+                rows.append({"history": generator.__name__, "ops": n,
+                             "verdict": result.satisfied,
+                             "engine_ms": round(seconds * 1000, 1),
+                             "reference_ms": round(ref_seconds * 1000, 1),
+                             "speedup": f"{ratio:.1f}x"})
     finally:
         sys.setrecursionlimit(limit)
-    assert witness is not None
-    return seconds, stats
-
-
-def run_sweep(lengths, compare_at=COMPARE_AT):
-    rows = []
-    speedup = None
-    for n in lengths:
-        history = make_history(n)
-        seconds, stats = time_iterative(history)
-        row = {
-            "ops": n,
-            "iterative_ms": round(seconds * 1000, 1),
-            "states": stats.states,
-            "states_per_sec": (
-                int(stats.states / seconds) if seconds > 0 else 0
-            ),
-            "recursive_ms": "-",
-            "speedup": "-",
-        }
-        if n == compare_at:
-            rec_seconds, _ = time_recursive(history)
-            speedup = rec_seconds / seconds if seconds > 0 else float("inf")
-            row["recursive_ms"] = round(rec_seconds * 1000, 1)
-            row["speedup"] = f"{speedup:.1f}x"
-        rows.append(row)
     return rows, speedup
 
 
-def run_site_ordered_probe(n=10000):
-    """The site-ordered entry point at net-cluster scale."""
-    history = make_history(n)
-    sequences = {s: history.site_ops(s) for s in history.sites}
-    stats = SearchStats()
-    start = time.perf_counter()
-    witness = find_site_ordered_serialization(
-        sequences, history.initial_value, stats=stats
-    )
-    seconds = time.perf_counter() - start
-    assert witness is not None
-    return seconds, stats
-
-
-NOTES = (
-    "Iterative explicit-stack engine (PR 2) vs the recursive reference "
-    "(search_reference.py).  The recursive engine needs a raised "
-    "recursion limit above ~1000 ops; the iterative engine runs at the "
-    "default limit at every size."
+SCALING_NOTES = (
+    "check_sc, one run each, seed 7.  linearizable: the effective-time "
+    "order is the witness (0 branch nodes, no numpy, no recursion).  sc "
+    "and protocol: constraint saturation over program order."
+)
+RACE_NOTES = (
+    "check_sc against the recursive reference search "
+    "(tests/search_reference.py), which needs a raised recursion limit; "
+    "the verdicts must agree at every size."
 )
 
 
-def test_checker_scaling(benchmark):
+def run_all(smoke):
+    # Before anything imports numpy: the linearizable sweep must not.
+    rows = lin_rows(LIN_SIZES if not smoke else (100, 100_000))
+    rows += sc_rows(SC_SIZES if not smoke else (100, 316))
+    if not smoke:
+        rows += protocol_rows(PROTOCOL_OPS)
+    race, speedup = race_rows(RACE_SIZES if not smoke else (50, RACE_AT))
+    return rows, race, speedup
+
+
+def report_all(rows, race):
     from _report import report
 
-    lengths = (100, 316, 1000, 2000, 3162, 10000)
+    report("Checking engine scaling: check_sc by history family", rows,
+           columns=["family", "ops", "check_ms", "branch_nodes", "us_per_op"],
+           notes=SCALING_NOTES)
+    report("Checking engine vs the recursive reference search", race,
+           columns=["history", "ops", "verdict", "engine_ms",
+                    "reference_ms", "speedup"],
+           notes=RACE_NOTES)
 
-    def run_all():
-        rows, speedup = run_sweep(lengths)
-        probe_seconds, probe_stats = run_site_ordered_probe()
-        rows.append({
-            "ops": "10000 (site-ordered)",
-            "iterative_ms": round(probe_seconds * 1000, 1),
-            "states": probe_stats.states,
-            "states_per_sec": int(probe_stats.states / probe_seconds),
-            "recursive_ms": "-",
-            "speedup": "-",
-        })
-        return rows, speedup
 
-    rows, speedup = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_checker_scaling(benchmark):
+    rows, race, speedup = benchmark.pedantic(
+        run_all, args=(False,), rounds=1, iterations=1
+    )
     assert speedup is not None and speedup >= SPEEDUP_FLOOR, (
-        f"iterative engine only {speedup:.1f}x faster at n={COMPARE_AT}"
+        f"engine only {speedup:.1f}x faster than the reference at "
+        f"n={RACE_AT}"
     )
-    report(
-        "Serialization-search engine scaling (iterative vs recursive "
-        "reference)",
-        rows,
-        columns=["ops", "iterative_ms", "recursive_ms", "speedup",
-                 "states", "states_per_sec"],
-        notes=NOTES,
-    )
+    report_all(rows, race)
 
 
 def main(argv=None):
@@ -173,48 +202,18 @@ def main(argv=None):
         help="short CI sweep: fewer sizes, relaxed speedup floor",
     )
     args = parser.parse_args(argv)
+    floor = SMOKE_SPEEDUP_FLOOR if args.smoke else SPEEDUP_FLOOR
 
-    if args.smoke:
-        lengths = (100, 1000, 2000)
-        floor = SMOKE_SPEEDUP_FLOOR
-        probe_n = 5000
-    else:
-        lengths = (100, 316, 1000, 2000, 3162, 10000)
-        floor = SPEEDUP_FLOOR
-        probe_n = 10000
-
-    rows, speedup = run_sweep(lengths)
-    probe_seconds, probe_stats = run_site_ordered_probe(probe_n)
-
-    for row in rows:
+    rows, race, speedup = run_all(args.smoke)
+    for row in rows + race:
         print(row)
-    print(f"site-ordered n={probe_n}: {probe_seconds * 1000:.1f}ms, "
-          f"{probe_stats.states} states "
-          f"(recursion limit {sys.getrecursionlimit()})")
-    print(f"speedup at n={COMPARE_AT}: {speedup:.1f}x (floor {floor}x)")
-
+    print(f"recursion limit {sys.getrecursionlimit()}; speedup over the "
+          f"reference at n={RACE_AT}: {speedup:.1f}x (floor {floor}x)")
     if speedup < floor:
         print("FAIL: speedup below floor", file=sys.stderr)
         return 1
     if not args.smoke:
-        from _report import report
-
-        rows.append({
-            "ops": f"{probe_n} (site-ordered)",
-            "iterative_ms": round(probe_seconds * 1000, 1),
-            "states": probe_stats.states,
-            "states_per_sec": int(probe_stats.states / probe_seconds),
-            "recursive_ms": "-",
-            "speedup": "-",
-        })
-        report(
-            "Serialization-search engine scaling (iterative vs recursive "
-            "reference)",
-            rows,
-            columns=["ops", "iterative_ms", "recursive_ms", "speedup",
-                     "states", "states_per_sec"],
-            notes=NOTES,
-        )
+        report_all(rows, race)
     return 0
 
 

@@ -32,20 +32,12 @@ from repro.checkers.extensions import (
 from repro.checkers.lin import check_interval_linearizability, check_lin
 from repro.checkers.result import CheckResult, SearchBudgetExceeded
 from repro.checkers.sc import check_sc
-from repro.checkers.search import (
-    DEFAULT_BUDGET,
-    PRUNE_REASONS,
-    SearchStats,
-    find_serialization,
-    find_site_ordered_serialization,
-    restrict_edges,
-)
 from repro.checkers.sessions import (
     SessionViolation,
     satisfies_session_guarantees,
     session_guarantee_report,
 )
-from repro.checkers.tcc import check_tcc, check_tcc_direct, check_tcc_logical
+from repro.checkers.tcc import check_tcc, check_tcc_logical
 from repro.checkers.transactions import (
     Transaction,
     check_serializability,
@@ -61,7 +53,7 @@ from repro.checkers.threshold import (
     threshold_report,
     tsc_threshold,
 )
-from repro.checkers.tsc import check_tsc, check_tsc_direct
+from repro.checkers.tsc import check_tsc
 
 # The WAL-to-history loader lives with the store (it understands the
 # on-disk formats) but is a checker input builder, so it is part of this
@@ -72,10 +64,7 @@ __all__ = [
     "CONTAINMENTS",
     "CheckResult",
     "Classification",
-    "DEFAULT_BUDGET",
-    "PRUNE_REASONS",
     "SearchBudgetExceeded",
-    "SearchStats",
     "SessionViolation",
     "ThresholdReport",
     "Transaction",
@@ -90,19 +79,14 @@ __all__ = [
     "check_serializability",
     "check_strict_serializability",
     "check_tcc",
-    "check_tcc_direct",
     "check_tcc_logical",
     "check_timed",
     "check_tsc",
-    "check_tsc_direct",
     "classify",
     "delta_spectrum",
-    "find_serialization",
-    "find_site_ordered_serialization",
     "hierarchy_violations",
     "history_from_wal",
     "lin_equals_tsc_zero",
-    "restrict_edges",
     "satisfies_session_guarantees",
     "sc_equals_tsc_infinity",
     "session_guarantee_report",

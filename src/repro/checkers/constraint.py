@@ -1,13 +1,18 @@
-"""Constraint-saturation checking of SC/CC for large histories.
+"""The checking engine: constraint saturation decides every criterion.
 
-The memoized backtracking engine in :mod:`repro.checkers.search` is fine
-for paper-sized examples but explodes on protocol traces with hundreds of
-operations.  This module implements the classic analysis (in the spirit of
-Gibbons & Korach's study of the problem the paper cites as NP-complete):
+Every criterion of the paper asks whether a legal serialization of some
+operations respects some order (program order for SC, causal order per
+``H_{i+w}`` for CC, the effective-time order for LIN), and deciding that
+is NP-complete (footnote 2).  The checkers first try the effective-time
+order (:func:`~repro.core.serialization.time_order_witness`): on a
+linearizable history it is the witness, found in one pass.  Otherwise
+they call :func:`find_constrained_serialization`, which runs the classic
+analysis (in the spirit of Gibbons & Korach's study of the problem):
 
-1. Build the *forced* order: program-order (or causal-order) edges plus a
-   reads-from edge ``w -> r`` for every read (written values are unique,
-   so reads-from is known).
+1. Build the *forced* order: the given edges plus a reads-from edge
+   ``w -> r`` for every read (written values are unique, so reads-from is
+   known).  A read of a value that no write produced, other than the
+   initial value, has no legal place at all.
 2. For every read ``r`` returning write ``w``, every other write ``w'`` to
    the same object must satisfy the disjunction ``w' -> w  OR  r -> w'``
    (otherwise ``w'`` would sit between ``w`` and ``r`` and ``r`` would not
@@ -17,7 +22,7 @@ Gibbons & Korach's study of the problem the paper cites as NP-complete):
 3. If saturation ends with unresolved disjunctions, branch on one and
    recurse (this is where the NP-completeness lives); protocol traces
    essentially always resolve fully, so in practice the check is
-   polynomial.
+   polynomial.  ``budget`` caps the branch nodes.
 
 Reachability is a dense boolean matrix updated incrementally on edge
 insertion (numpy when available, imported on first use; pure-Python
@@ -108,25 +113,29 @@ _Disjunction = Tuple[int, Optional[int], int]
 
 
 def find_constrained_serialization(
+    history: History,
     operations: Sequence[Operation],
     base_edges: Iterable[Tuple[Operation, Operation]],
-    reads_from: Dict[Operation, Optional[Operation]],
     budget: Optional[int] = None,
     explain: Optional[Dict[str, List[Operation]]] = None,
-) -> Optional[List[Operation]]:
-    """Find a legal serialization of ``operations`` respecting
-    ``base_edges``, or ``None`` if there is none.
+) -> Tuple[Optional[List[Operation]], int]:
+    """Find a legal serialization of ``operations`` (drawn from
+    ``history``) respecting ``base_edges``.
 
-    ``reads_from`` maps every read in ``operations`` to its writer
-    (``None`` = initial value); writers that are not in ``operations`` are
-    ignored.  Raises :class:`SearchBudgetExceeded` if more than
-    ``budget`` branch nodes (``None``: :data:`BRANCH_BUDGET`) are
-    explored.
+    Returns the serialization, or ``None`` if there is none, together
+    with the branch nodes explored.  Each read returns the write
+    ``history`` resolves it to; a read whose writer is not among
+    ``operations`` returns the initial value, or cannot be placed at all
+    when its value is another.  Raises :class:`SearchBudgetExceeded` if
+    more than ``budget`` branch nodes (``None``: :data:`BRANCH_BUDGET`)
+    are explored.
 
     When ``explain`` (a dict) is supplied and the *deterministic* part of
     the analysis finds a contradiction, ``explain["cycle"]`` receives the
-    forced cycle of operations as evidence of the violation.  (A failure
-    discovered only inside branching carries no single-cycle witness.)
+    forced cycle of operations as evidence of the violation,
+    ``explain["between"]`` a write forced between a read and its writer,
+    or ``explain["unwritten"]`` a read of a value no write produced.
+    (A failure discovered only inside branching carries no witness.)
     """
     ops = list(operations)
     index = {op: i for i, op in enumerate(ops)}
@@ -174,7 +183,7 @@ def find_constrained_serialization(
         if ia is None or ib is None or ia == ib:
             continue
         if not add(ia, ib, reach):
-            return None
+            return None, 0
 
     # Reads-from edges and the disjunction list.
     writes_by_obj: Dict[str, List[int]] = {}
@@ -186,12 +195,13 @@ def find_constrained_serialization(
     for i, op in enumerate(ops):
         if not op.is_read:
             continue
-        writer = reads_from.get(op)
-        iw: Optional[int] = None
-        if writer is not None:
-            iw = index.get(writer)
-            if iw is not None and not add(iw, i, reach):
-                return None
+        iw = index.get(history.writer_of(op))
+        if iw is None and op.value != history.initial_value:
+            if explain is not None:
+                explain["unwritten"] = [op]
+            return None, 0
+        if iw is not None and not add(iw, i, reach):
+            return None, 0
         for j in writes_by_obj.get(op.obj, ()):
             if j == iw:
                 continue
@@ -279,8 +289,9 @@ def find_constrained_serialization(
         return None
 
     extra = solve(reach, disjunctions, [])
+    nodes = cap - left[0]
     if extra is None:
-        return None
+        return None, nodes
 
     # Topological order of (base + forced + branched) edges is a witness.
     adjacency: Dict[int, List[int]] = {i: [] for i in range(n)}
@@ -310,11 +321,14 @@ def find_constrained_serialization(
             if indegree[j] == 0:
                 heapq.heappush(heap, (ops[j].time, j))
     if len(out) != n:
-        return None  # cycle (should have been caught earlier)
-    return [ops[i] for i in out]
+        return None, nodes  # cycle (should have been caught earlier)
+    return [ops[i] for i in out], nodes
 
 
 def _violation_text(explain: Dict[str, List[Operation]], what: str) -> str:
+    if "unwritten" in explain:
+        (r,) = explain["unwritten"]
+        return f"{r.label()} returns a value no write produced ({what})"
     if "cycle" in explain:
         labels = " -> ".join(op.label() for op in explain["cycle"])
         return f"forced ordering cycle: {labels} ({what})"
@@ -334,62 +348,27 @@ def _violation_text(explain: Dict[str, List[Operation]], what: str) -> str:
     return f"constraint saturation found a contradiction ({what})"
 
 
-def check_sc_constraint(
-    history: History, budget: Optional[int] = None
+def decide(
+    criterion: str,
+    history: History,
+    operations: Sequence[Operation],
+    edges: Iterable[Tuple[Operation, Operation]],
+    what: str,
+    budget: Optional[int] = None,
 ) -> CheckResult:
-    """SC via constraint saturation — the scalable checker."""
-    ops = list(history.operations)
-    reads_from = {r: history.writer_of(r) for r in history.reads}
+    """``criterion`` holds iff a legal serialization of ``operations``
+    respects ``edges``.  The result carries it as the witness, or else a
+    violation explaining why there is none, ending in ``what``;
+    ``states_explored`` is the branch nodes the engine used."""
     explain: Dict[str, List[Operation]] = {}
-    witness = find_constrained_serialization(
-        ops,
-        history.immediate_program_order(),
-        reads_from,
-        budget=budget,
-        explain=explain,
+    witness, nodes = find_constrained_serialization(
+        history, operations, edges, budget=budget, explain=explain
     )
-    if witness is not None:
-        return CheckResult("SC", True, witness=witness)
-    return CheckResult(
-        "SC",
-        False,
-        violation=_violation_text(
-            explain, "no legal serialization respects all program orders"
-        ),
-    )
-
-
-def check_cc_constraint(
-    history: History, budget: Optional[int] = None
-) -> CheckResult:
-    """CC via constraint saturation, per site over ``H_{i+w}``."""
-    closure = history.causal_predecessors()
-    site_witnesses: Dict[int, List[Operation]] = {}
-    for site in history.sites:
-        ops = history.site_plus_writes(site)
-        opset = set(ops)
-        base = [
-            (p, op)
-            for op in ops
-            for p in closure[op]
-            if p in opset
-        ]
-        reads_from = {
-            r: history.writer_of(r) for r in ops if r.is_read
-        }
-        explain: Dict[str, List[Operation]] = {}
-        witness = find_constrained_serialization(
-            ops, base, reads_from, budget=budget, explain=explain
+    if witness is None:
+        return CheckResult(
+            criterion,
+            False,
+            violation=_violation_text(explain, what),
+            states_explored=nodes,
         )
-        if witness is None:
-            return CheckResult(
-                "CC",
-                False,
-                violation=_violation_text(
-                    explain,
-                    f"no legal serialization of H_({site}+w) respects "
-                    "causal order",
-                ),
-            )
-        site_witnesses[site] = witness
-    return CheckResult("CC", True, site_witnesses=site_witnesses)
+    return CheckResult(criterion, True, witness=witness, states_explored=nodes)

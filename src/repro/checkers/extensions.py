@@ -32,7 +32,7 @@ from repro.checkers.result import CheckResult
 from repro.clocks.xi import XiMap
 from repro.core.history import History
 from repro.core.operations import Operation
-from repro.core.timed import w_r_set, w_r_set_logical
+from repro.core.timed import late_reads, w_r_set, w_r_set_logical
 
 
 def _per_writer_program_order(history: History, ops: List[Operation]):
@@ -53,9 +53,8 @@ def check_pram(history: History, budget: Optional[int] = None) -> CheckResult:
     for site in history.sites:
         ops = history.site_plus_writes(site)
         base = _per_writer_program_order(history, ops)
-        reads_from = {r: history.writer_of(r) for r in ops if r.is_read}
-        witness = find_constrained_serialization(
-            ops, base, reads_from, budget=budget
+        witness, _ = find_constrained_serialization(
+            history, ops, base, budget=budget
         )
         if witness is None:
             return CheckResult(
@@ -77,9 +76,8 @@ def check_coherence(history: History, budget: Optional[int] = None) -> CheckResu
     for obj in history.objects:
         ops = [op for op in history.operations if op.obj == obj]
         base = _per_writer_program_order(history, ops)
-        reads_from = {r: history.writer_of(r) for r in ops if r.is_read}
-        witness = find_constrained_serialization(
-            ops, base, reads_from, budget=budget
+        witness, _ = find_constrained_serialization(
+            history, ops, base, budget=budget
         )
         if witness is None:
             return CheckResult(
@@ -125,9 +123,8 @@ def check_processor(history: History, budget: Optional[int] = None) -> CheckResu
             (a, b) for a, b in write_order_edges
             if a in keep and b in keep
         ]
-        reads_from = {r: history.writer_of(r) for r in ops if r.is_read}
-        witness = find_constrained_serialization(
-            ops, base, reads_from, budget=budget
+        witness, _ = find_constrained_serialization(
+            history, ops, base, budget=budget
         )
         if witness is None:
             return CheckResult(
@@ -167,10 +164,13 @@ def check_timed(
     if xi is None:
         params = {"delta": delta, "epsilon": epsilon}
         w_r = partial(w_r_set, history, delta=delta, epsilon=epsilon)
+        # The reads whose W_r is not empty, found without building one.
+        suspects = late_reads(history, delta, epsilon)
     else:
         params = {"delta": delta}
         w_r = partial(w_r_set_logical, history, delta=delta, xi=xi)
-    for r in history.reads:
+        suspects = history.reads
+    for r in suspects:
         labels = [w.label() for w in w_r(r)]
         if not labels:
             continue
@@ -197,5 +197,4 @@ def check_timed(
         violation=base.violation,
         states_explored=base.states_explored,
         parameters=params,
-        stats=base.stats,
     )

@@ -83,7 +83,6 @@ def classify(
     delta: float,
     epsilon: float = 0.0,
     budget: Optional[int] = None,
-    method: str = "constraint",
 ) -> Classification:
     """Evaluate LIN, SC, CC, TSC(delta), TCC(delta) on one execution.
 
@@ -92,18 +91,10 @@ def classify(
     """
     return Classification(
         lin=_verdict(lambda: check_lin(history, budget=budget)),
-        sc=_verdict(lambda: check_sc(history, budget=budget, method=method)),
-        cc=_verdict(lambda: check_cc(history, budget=budget, method=method)),
-        tsc=_verdict(
-            lambda: check_tsc(
-                history, delta, epsilon, budget=budget, method=method
-            )
-        ),
-        tcc=_verdict(
-            lambda: check_tcc(
-                history, delta, epsilon, budget=budget, method=method
-            )
-        ),
+        sc=_verdict(lambda: check_sc(history, budget=budget)),
+        cc=_verdict(lambda: check_cc(history, budget=budget)),
+        tsc=_verdict(lambda: check_tsc(history, delta, epsilon, budget=budget)),
+        tcc=_verdict(lambda: check_tcc(history, delta, epsilon, budget=budget)),
         delta=delta,
         epsilon=epsilon,
     )
@@ -157,7 +148,6 @@ def census(
     delta: float,
     epsilon: float = 0.0,
     budget: Optional[int] = None,
-    method: str = "constraint",
 ) -> Dict[str, int]:
     """Count how many executions land in each Figure 4a region, plus any
     hierarchy violations (expected 0) — the bench prints this table.
@@ -167,7 +157,7 @@ def census(
     violations = 0
     unknowns = 0
     for history in histories:
-        cls = classify(history, delta, epsilon, budget, method=method)
+        cls = classify(history, delta, epsilon, budget)
         counts[cls.region()] = counts.get(cls.region(), 0) + 1
         if cls.unknown():
             unknowns += 1

@@ -3,8 +3,9 @@
 A history satisfies LIN iff there is a legal serialization that respects
 the order induced by the operations' *effective times*.  When all effective
 times are distinct there is exactly one candidate order — sort by time and
-check legality.  Ties (simultaneous effective times) are resolved by
-backtracking over the tied groups only.
+check legality.  Ties (simultaneous effective times) go to the constraint
+engine, with every operation of a tie group ordered before every
+operation of the next group.
 
 When operations carry full ``[start, end]`` intervals,
 :func:`check_interval_linearizability` implements the classical
@@ -15,41 +16,26 @@ paper is the default.
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, List, Optional
+from itertools import groupby
+from operator import attrgetter
+from typing import Optional
 
+from repro.checkers.constraint import decide
 from repro.checkers.result import CheckResult
-from repro.checkers.search import SearchStats, find_serialization
 from repro.core.history import History
 from repro.core.operations import Operation
-from repro.core.serialization import first_legality_violation
+from repro.core.serialization import first_legality_violation, time_order_witness
 
 
 def check_lin(history: History, budget: Optional[int] = None) -> CheckResult:
     """Decide LIN for ``history`` (effective-time order)."""
-    ops = sorted(history.operations, key=lambda op: op.time)
-    stats = SearchStats(budget)
-
-    # Group ties; backtrack only over permutations within a tied group.
-    groups: List[List[Operation]] = []
-    for op in ops:
-        if groups and groups[-1][0].time == op.time:
-            groups[-1].append(op)
-        else:
-            groups.append([op])
-
-    if all(len(g) == 1 for g in groups):
-        sequence = [g[0] for g in groups]
-        stats.bump()
-        bad = first_legality_violation(sequence, history.initial_value)
-        if bad is None:
-            return CheckResult(
-                "LIN",
-                True,
-                witness=sequence,
-                states_explored=stats.states,
-                stats=stats,
-            )
+    witness = time_order_witness(history)
+    if witness is not None:
+        return CheckResult("LIN", True, witness=witness)
+    ops = sorted(history.operations, key=attrgetter("time"))
+    groups = [list(g) for _, g in groupby(ops, key=attrgetter("time"))]
+    if len(groups) == len(ops):
+        bad = first_legality_violation(ops, history.initial_value)
         return CheckResult(
             "LIN",
             False,
@@ -57,55 +43,17 @@ def check_lin(history: History, budget: Optional[int] = None) -> CheckResult:
                 f"{bad.label()} at T={bad.time:g} does not return the most "
                 "recent value in real-time order"
             ),
-            states_explored=stats.states,
-            stats=stats,
         )
-
-    witness = _search_with_ties(groups, history, stats)
-    if witness is not None:
-        return CheckResult(
-            "LIN", True, witness=witness, states_explored=stats.states, stats=stats
-        )
-    return CheckResult(
+    edges = [(a, b) for g, nxt in zip(groups, groups[1:]) for a in g for b in nxt]
+    return decide(
         "LIN",
-        False,
-        violation="no legal serialization respects effective-time order "
-        "(including tie permutations)",
-        states_explored=stats.states,
-        stats=stats,
+        history,
+        ops,
+        edges,
+        "no legal serialization respects effective-time order, even "
+        "permuting ties",
+        budget,
     )
-
-
-def _search_with_ties(
-    groups: List[List[Operation]],
-    history: History,
-    stats: SearchStats,
-) -> Optional[List[Operation]]:
-    """DFS over per-group permutations, checking legality incrementally."""
-
-    def dfs(group_idx: int, prefix: List[Operation], last_vals: Dict[str, object]):
-        if group_idx == len(groups):
-            return list(prefix)
-        stats.bump()
-        for perm in itertools.permutations(groups[group_idx]):
-            vals = dict(last_vals)
-            ok = True
-            for op in perm:
-                if op.is_write:
-                    vals[op.obj] = op.value
-                elif op.value != vals.get(op.obj, history.initial_value):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            prefix.extend(perm)
-            result = dfs(group_idx + 1, prefix, vals)
-            if result is not None:
-                return result
-            del prefix[len(prefix) - len(perm) :]
-        return None
-
-    return dfs(0, [], {})
 
 
 def check_interval_linearizability(
@@ -125,28 +73,17 @@ def check_interval_linearizability(
     def end_of(op: Operation) -> float:
         return op.time if op.end is None else op.end
 
-    ops = list(history.operations)
-    preds = {
-        b: {a for a in ops if end_of(a) < start_of(b)}
-        for b in ops
-    }
-    stats = SearchStats(budget)
-    witness = find_serialization(
-        ops, preds, history.initial_value, budget=budget, stats=stats
-    )
+    witness = time_order_witness(history)
     if witness is not None:
-        return CheckResult(
-            "LIN-interval",
-            True,
-            witness=witness,
-            states_explored=stats.states,
-            stats=stats,
-        )
-    return CheckResult(
+        return CheckResult("LIN-interval", True, witness=witness)
+    ops = history.operations
+    edges = [(a, b) for a in ops for b in ops if end_of(a) < start_of(b)]
+    return decide(
         "LIN-interval",
-        False,
-        violation="no legal serialization respects the definitely-precedes "
-        "order of the execution intervals",
-        states_explored=stats.states,
-        stats=stats,
+        history,
+        ops,
+        edges,
+        "no legal serialization respects the definitely-precedes order of "
+        "the execution intervals",
+        budget,
     )

@@ -3,12 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.operations import Operation
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle with search.py
-    from repro.checkers.search import SearchStats
 
 
 @dataclass
@@ -20,9 +17,8 @@ class CheckResult:
     ``site_witnesses`` the per-site serializations (for the causal
     criteria).  When it fails, ``violation`` is a human-readable reason —
     for the timed criteria this names the late read and its ``W_r``.
-    ``states_explored`` reports search effort (for the ablation benches);
-    ``stats`` carries the full :class:`~repro.checkers.search.SearchStats`
-    instrumentation when the backtracking engine ran.  ``unknown`` marks a
+    ``states_explored`` is the branch nodes the constraint engine used (0
+    when the effective-time order decided).  ``unknown`` marks a
     budget-exhausted check: the search gave up, so ``satisfied`` is False
     but the criterion was *not* shown violated.
     """
@@ -34,7 +30,6 @@ class CheckResult:
     violation: Optional[str] = None
     states_explored: int = 0
     parameters: Dict[str, float] = field(default_factory=dict)
-    stats: Optional["SearchStats"] = None
     unknown: bool = False
 
     def __bool__(self) -> bool:
@@ -51,17 +46,18 @@ class CheckResult:
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """The serialization search exceeded its state budget.
+    """The serialization search exceeded its budget (the checking
+    engine's branch nodes, or the transactional search's states).
 
     Deciding SC is NP-complete (footnote 2 of the paper cites
     Gharachorloo & Gibbons and Taylor), so the checkers carry an explicit
-    state budget instead of silently running forever.  Catching this means
+    budget instead of silently running forever.  Catching this means
     "unknown", not "violated".
     """
 
     def __init__(self, budget: int) -> None:
         super().__init__(
-            f"serialization search exceeded its budget of {budget} states; "
+            f"serialization search exceeded its budget of {budget}; "
             "the history is too adversarial for exact checking"
         )
         self.budget = budget

@@ -6,9 +6,8 @@ TSC, the unique-values assumption decomposes the check::
 
     TCC(delta)  <=>  CC  and  every read on time
 
-which is :func:`~repro.checkers.extensions.check_timed` over CC.
-:func:`check_tcc_direct` runs the literal Definition-4 per-site search with
-an on-time read filter instead; the tests cross-validate the two.
+which is :func:`~repro.checkers.extensions.check_timed` over CC.  The
+tests cross-validate it against the literal Definition-4 per-site search.
 
 :func:`check_tcc_logical` implements the Section 5.4 variant: timedness is
 judged by Definition 6 through a xi map over logical timestamps, so the
@@ -25,8 +24,6 @@ from repro.checkers.extensions import check_timed
 from repro.checkers.result import CheckResult
 from repro.clocks.xi import XiMap
 from repro.core.history import History
-from repro.core.operations import Operation
-from repro.core.timed import read_occurs_on_time
 
 
 def check_tcc(
@@ -34,37 +31,10 @@ def check_tcc(
     delta: float,
     epsilon: float = 0.0,
     budget: Optional[int] = None,
-    method: str = "constraint",
 ) -> CheckResult:
-    """Decide TCC(delta) under clock precision ``epsilon`` (decomposed)."""
-    cc = partial(check_cc, budget=budget, method=method)
+    """Decide TCC(delta) under clock precision ``epsilon``."""
+    cc = partial(check_cc, budget=budget)
     return check_timed(history, cc, delta, epsilon, criterion="TCC")
-
-
-def check_tcc_direct(
-    history: History,
-    delta: float,
-    epsilon: float = 0.0,
-    budget: Optional[int] = None,
-) -> CheckResult:
-    """Decide TCC(delta) by the literal Definition-4 per-site search."""
-
-    def on_time(read_op: Operation, writer: Optional[Operation]) -> bool:
-        return read_occurs_on_time(history, read_op, delta, epsilon, writer)
-
-    cc = check_cc(history, budget=budget, read_filter=on_time)
-    return CheckResult(
-        "TCC-direct",
-        cc.satisfied,
-        site_witnesses=cc.site_witnesses,
-        violation=None
-        if cc.satisfied
-        else "some site has no timed legal serialization of H_(i+w) "
-        "respecting causal order",
-        states_explored=cc.states_explored,
-        parameters={"delta": delta, "epsilon": epsilon},
-        stats=cc.stats,
-    )
 
 
 def check_tcc_logical(

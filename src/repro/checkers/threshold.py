@@ -17,7 +17,6 @@ from typing import Optional
 from repro.checkers.cc import check_cc
 from repro.checkers.result import SearchBudgetExceeded
 from repro.checkers.sc import check_sc
-from repro.checkers.search import SearchStats
 from repro.clocks.xi import XiMap
 from repro.core.history import History
 from repro.core.timed import min_timed_delta, min_timed_delta_logical
@@ -33,10 +32,8 @@ class ThresholdReport:
     the smallest delta making every read on time regardless of ordering.
 
     ``sc_holds``/``cc_holds`` are ``None`` when the corresponding search
-    exhausted its state budget — the base criterion is then *unknown*, not
-    violated, and the matching threshold is ``math.nan``.  ``sc_stats`` /
-    ``cc_stats`` carry the search instrumentation when the backtracking
-    engine ran.
+    exhausted its budget — the base criterion is then *unknown*, not
+    violated, and the matching threshold is ``math.nan``.
     """
 
     timed_threshold: float
@@ -45,8 +42,6 @@ class ThresholdReport:
     tsc_threshold: float
     tcc_threshold: float
     epsilon: float = 0.0
-    sc_stats: Optional[SearchStats] = None
-    cc_stats: Optional[SearchStats] = None
 
     @property
     def unknown(self) -> bool:
@@ -68,7 +63,6 @@ def threshold_report(
     history: History,
     epsilon: float = 0.0,
     budget: Optional[int] = None,
-    method: str = "constraint",
 ) -> ThresholdReport:
     """Compute the full threshold report for one execution.
 
@@ -78,17 +72,13 @@ def threshold_report(
     """
     timed_thr = min_timed_delta(history, epsilon)
     try:
-        sc = check_sc(history, budget=budget, method=method)
-        sc_holds: Optional[bool] = sc.satisfied
-        sc_stats = sc.stats
+        sc_holds: Optional[bool] = check_sc(history, budget=budget).satisfied
     except SearchBudgetExceeded:
-        sc_holds, sc_stats = None, None
+        sc_holds = None
     try:
-        cc = check_cc(history, budget=budget, method=method)
-        cc_holds: Optional[bool] = cc.satisfied
-        cc_stats = cc.stats
+        cc_holds: Optional[bool] = check_cc(history, budget=budget).satisfied
     except SearchBudgetExceeded:
-        cc_holds, cc_stats = None, None
+        cc_holds = None
 
     def threshold_of(holds: Optional[bool]) -> float:
         if holds is None:
@@ -102,8 +92,6 @@ def threshold_report(
         tsc_threshold=threshold_of(sc_holds),
         tcc_threshold=threshold_of(cc_holds),
         epsilon=epsilon,
-        sc_stats=sc_stats,
-        cc_stats=cc_stats,
     )
 
 
@@ -146,7 +134,6 @@ def delta_spectrum(
     deltas: Optional[list] = None,
     epsilon: float = 0.0,
     budget: Optional[int] = None,
-    method: str = "constraint",
 ) -> dict:
     """Evaluate TSC/TCC satisfaction across a range of deltas.
 
@@ -154,7 +141,7 @@ def delta_spectrum(
     execution.  The default grid brackets the execution's own threshold.
     An entry is ``None`` (unknown) when the base check ran out of budget.
     """
-    report = threshold_report(history, epsilon, budget, method=method)
+    report = threshold_report(history, epsilon, budget)
     if deltas is None:
         thr = report.timed_threshold
         if thr == 0.0 or math.isinf(thr):

@@ -16,38 +16,17 @@ from repro.checkers import (
     check_tsc,
     threshold_report,
 )
+from repro.checkers.constraint import BRANCH_BUDGET
 from repro.core.io import load_history
 from repro.core.render import render_serialization, render_timeline
 
 CHECKERS = {
     "lin": lambda h, a: check_lin(h, budget=a.budget),
-    "sc": lambda h, a: check_sc(h, budget=a.budget, method=a.method),
-    "cc": lambda h, a: check_cc(h, budget=a.budget, method=a.method),
-    "tsc": lambda h, a: check_tsc(
-        h, a.delta, a.epsilon, budget=a.budget, method=a.method),
-    "tcc": lambda h, a: check_tcc(
-        h, a.delta, a.epsilon, budget=a.budget, method=a.method),
+    "sc": lambda h, a: check_sc(h, budget=a.budget),
+    "cc": lambda h, a: check_cc(h, budget=a.budget),
+    "tsc": lambda h, a: check_tsc(h, a.delta, a.epsilon, budget=a.budget),
+    "tcc": lambda h, a: check_tcc(h, a.delta, a.epsilon, budget=a.budget),
 }
-
-
-def _print_search_stats(result) -> None:
-    if result.stats is not None:
-        print("search stats:")
-        for field, value in result.stats.as_dict().items():
-            if field == "prunes":
-                pruned = ", ".join(f"{k}={v}" for k, v in value.items())
-                print(f"  prunes: {pruned}")
-            elif field == "wall_time":
-                print(f"  wall_time: {value:.6f}s")
-            else:
-                print(f"  {field}: {value}")
-    else:
-        # Constraint-saturation engine: no search instrumentation beyond
-        # the state counter.
-        print("search stats:")
-        print(f"  states: {result.states_explored}")
-        print("  (constraint engine; re-run with --method search for the "
-              "full breakdown)")
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -84,8 +63,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         }
         if args.stats:
             payload["states_explored"] = result.states_explored
-            if result.stats is not None:
-                payload["stats"] = result.stats.as_dict()
         print(json.dumps(payload))
         return 0 if result.satisfied else 1
     verdict = "SATISFIED" if result.satisfied else "VIOLATED"
@@ -93,7 +70,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     if result.violation:
         print(f"  {result.violation}")
     if args.stats:
-        _print_search_stats(result)
+        print("search stats:")
+        print(f"  states: {result.states_explored} (constraint-engine "
+              "branch nodes)")
     if args.render:
         print()
         print(render_timeline(history))
@@ -209,18 +188,12 @@ def register(sub: "argparse._SubParsersAction") -> None:
     p_check.add_argument("--criterion", choices=sorted(CHECKERS), default="sc")
     p_check.add_argument("--delta", type=float, default=None)
     p_check.add_argument("--epsilon", type=float, default=0.0)
-    p_check.add_argument("--method", choices=["constraint", "search"],
-                         default="constraint",
-                         help="checking engine for sc/cc/tsc/tcc "
-                         "(default: constraint saturation)")
     p_check.add_argument("--budget", type=int, default=None,
-                         help="search states (--method search) or branch "
-                         "nodes (constraint) before giving up; default "
-                         "each engine's own cap; exhaustion reports "
-                         "UNKNOWN and exits 3")
+                         help="branch nodes of the constraint engine before "
+                         f"giving up (default {BRANCH_BUDGET}); exhaustion "
+                         "reports UNKNOWN and exits 3")
     p_check.add_argument("--stats", action="store_true",
-                         help="print search instrumentation (states, memo "
-                         "hits, prunes by reason, depth, wall time)")
+                         help="print the branch nodes the engine used")
     p_check.add_argument("--render", action="store_true")
     p_check.add_argument("--witness", action="store_true")
     p_check.add_argument("--json", action="store_true",

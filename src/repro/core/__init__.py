@@ -13,6 +13,7 @@ from repro.core.serialization import (
     respects,
     respects_effective_times,
     respects_program_order,
+    time_order_witness,
 )
 from repro.core.timed import (
     INFINITE_DELTA,
@@ -60,6 +61,7 @@ __all__ = [
     "respects",
     "respects_effective_times",
     "respects_program_order",
+    "time_order_witness",
     "w_r_set",
     "w_r_set_logical",
     "write",

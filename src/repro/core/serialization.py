@@ -9,9 +9,10 @@ partial order ``~`` iff ``a ~ b`` implies ``a`` precedes ``b`` in ``S``.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.history import DEFAULT_INITIAL_VALUE
+from repro.core.history import DEFAULT_INITIAL_VALUE, History
 from repro.core.operations import Operation
 
 
@@ -33,6 +34,21 @@ def first_legality_violation(
             expected = last_value.get(op.obj, initial_value)
             if op.value != expected:
                 return op
+    return None
+
+
+def time_order_witness(history: History) -> Optional[List[Operation]]:
+    """The history in effective-time order if that order is legal, else
+    ``None``.
+
+    The sort is stable, so equal times keep their position and each
+    site's operations keep their program order.  A legal time order is a
+    witness for LIN, hence (Figure 4a) for SC, and, restricted to
+    ``H_{i+w}``, for CC: every checker tries it before searching.
+    """
+    order = sorted(history.operations, key=attrgetter("time"))
+    if first_legality_violation(order, history.initial_value) is None:
+        return order
     return None
 
 

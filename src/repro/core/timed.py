@@ -30,13 +30,14 @@ the key decomposition the checkers exploit::
     TSC(delta)  <=>  SC  and  every read on time
     TCC(delta)  <=>  CC  and  every read on time
 
-(`repro.checkers` also implements the direct definition-level search and the
-test suite cross-validates the two.)
+(the test suite cross-validates this against the direct definition-level
+search.)
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from operator import attrgetter
 from typing import (
     Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
@@ -103,14 +104,23 @@ def _w_r(history: History, read_op: Operation, delta: float, epsilon: float,
 def _required_deltas(
     history: History, epsilon: float, time_of: TimeOf
 ) -> Iterator[Tuple[Operation, float]]:
-    """Every read with its :func:`required_delta` under ``time_of``."""
+    """Every read with its :func:`required_delta` under ``time_of``.
+
+    The bound a write sets falls as its time grows, so only the earliest
+    write to the object after ``T(w) + epsilon`` can set the largest one:
+    that write alone is passed on, found by bisection.
+    """
     times: Dict[str, List[float]] = {}
     for w in history.writes:
         times.setdefault(w.obj, []).append(time_of(w))
+    for obj_times in times.values():
+        obj_times.sort()
     for read_op in history.reads:
         t_w = _writer_time(history.writer_of(read_op), time_of)
+        obj_times = times.get(read_op.obj, [])
+        k = bisect_right(obj_times, t_w + epsilon)
         yield read_op, required_delta(
-            time_of(read_op), t_w, times.get(read_op.obj, ()), epsilon
+            time_of(read_op), t_w, obj_times[k:k + 1], epsilon
         )
 
 

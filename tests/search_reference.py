@@ -1,28 +1,57 @@
-"""The original recursive search engines, kept as a test oracle.
+"""A recursive backtracking search, kept as the checkers' test oracle.
 
-:mod:`repro.checkers.search` was rewritten as an explicit-stack iterative
-engine with per-object candidate indexing (the recursive version hits
-Python's recursion limit at ~1000 operations and rescans every operation
-at every DFS node).  These are the pre-rewrite implementations, preserved
-verbatim so that:
+The package decides every criterion with one engine, constraint
+saturation (:mod:`repro.checkers.constraint`), after trying the
+effective-time order.  This module is an independent second way to the
+same answers: a plain depth-first search over legal serializations with
+memoized failed states, so that
 
-* ``tests/test_search_engine.py`` can cross-validate the iterative
-  engine against an independent implementation on randomized histories
-  (with and without ``read_filter``);
-* ``benchmarks/bench_checker_scaling.py`` can measure the speedup.
+* the tests can cross-validate the engine against it on randomized
+  histories (:func:`check_sc_reference`, :func:`check_cc_reference`);
+* the literal Definition 3/4 searches the decomposition
+  ``TSC = SC + on time`` rests on can run as searches with a
+  ``read_filter`` that refuses late reads (:func:`tsc_direct`,
+  :func:`tcc_direct`);
+* ``benchmarks/bench_checker_scaling.py`` can race it against the engine.
 
-They recurse once per operation and cost O(history) per search state.
-Equal effective times are tried in the order ``operations`` gives them,
-as the iterative engine does.
+It recurses once per operation and costs O(history) per search state.
+Equal effective times are tried in the order ``operations`` gives them.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
+)
 
-from repro.checkers.search import DEFAULT_BUDGET, ReadFilter, SearchStats
-from repro.core.history import DEFAULT_INITIAL_VALUE
+from repro.checkers.result import CheckResult
+from repro.core.history import DEFAULT_INITIAL_VALUE, History
 from repro.core.operations import Operation
+from repro.core.timed import read_occurs_on_time
+
+#: ``read_filter(read_op, writer_or_None) -> bool``: may this read be
+#: scheduled reading from that writer?
+ReadFilter = Callable[[Operation, Optional[Operation]], bool]
+
+#: Cap on expanded search states before the reference gives up.
+BUDGET = 2_000_000
+
+
+class ReferenceBudgetExceeded(RuntimeError):
+    """The reference search expanded more than its budget of states."""
+
+
+class StateCounter:
+    """Counts expanded states against :data:`BUDGET`."""
+
+    def __init__(self) -> None:
+        self.states = 0
+
+    def bump(self) -> None:
+        self.states += 1
+        if self.states > BUDGET:
+            raise ReferenceBudgetExceeded(BUDGET)
+
 
 _MISSING = object()
 
@@ -32,19 +61,17 @@ def find_serialization_recursive(
     predecessor_edges: Dict[Operation, Set[Operation]],
     initial_value: Any = DEFAULT_INITIAL_VALUE,
     read_filter: Optional[ReadFilter] = None,
-    budget: int = DEFAULT_BUDGET,
-    stats: Optional[SearchStats] = None,
 ) -> Optional[List[Operation]]:
-    """Reference (recursive) version of
-    :func:`repro.checkers.search.find_serialization`."""
+    """A legal serialization of ``operations`` in which every operation
+    follows its ``predecessor_edges`` (edges to operations outside
+    ``operations`` are ignored), or ``None``."""
     ops = sorted(operations, key=lambda op: op.time)
     opset = set(ops)
     preds: Dict[Operation, FrozenSet[Operation]] = {
         op: frozenset(p for p in predecessor_edges.get(op, ()) if p in opset)
         for op in ops
     }
-    if stats is None:
-        stats = SearchStats(budget)
+    stats = StateCounter()
     failed: Set[Tuple[FrozenSet[Operation], Tuple[Tuple[str, Any], ...]]] = set()
     last_writer: Dict[str, Optional[Operation]] = {}
 
@@ -105,16 +132,13 @@ def find_site_ordered_serialization_recursive(
     site_sequences: Dict[int, List[Operation]],
     initial_value: Any = DEFAULT_INITIAL_VALUE,
     read_filter: Optional[ReadFilter] = None,
-    budget: int = DEFAULT_BUDGET,
-    stats: Optional[SearchStats] = None,
 ) -> Optional[List[Operation]]:
-    """Reference (recursive) version of
-    :func:`repro.checkers.search.find_site_ordered_serialization`."""
+    """A legal serialization respecting each site's program order, or
+    ``None``; the memo key is (per-site index vector, last values)."""
     sites = sorted(site_sequences)
     seqs = [site_sequences[s] for s in sites]
     total = sum(len(seq) for seq in seqs)
-    if stats is None:
-        stats = SearchStats(budget)
+    stats = StateCounter()
     failed: Set[Tuple[Tuple[int, ...], Tuple[Tuple[str, Any], ...]]] = set()
     last_writer: Dict[str, Optional[Operation]] = {}
 
@@ -178,3 +202,60 @@ def find_site_ordered_serialization_recursive(
 
     start = tuple(0 for _ in seqs)
     return dfs(start, [], {})
+
+
+def check_sc_reference(
+    history: History, read_filter: Optional[ReadFilter] = None
+) -> CheckResult:
+    """SC by the reference search (Definition 3's search with a filter)."""
+    witness = find_site_ordered_serialization_recursive(
+        {site: history.site_ops(site) for site in history.sites},
+        history.initial_value,
+        read_filter,
+    )
+    return CheckResult("SC", witness is not None, witness=witness)
+
+
+def check_cc_reference(
+    history: History, read_filter: Optional[ReadFilter] = None
+) -> CheckResult:
+    """CC by the reference search, one ``H_{i+w}`` at a time
+    (Definition 4's search with a filter)."""
+    closure = history.causal_predecessors()
+    site_witnesses: Dict[int, List[Operation]] = {}
+    for site in history.sites:
+        ops = history.site_plus_writes(site)
+        opset = set(ops)
+        witness = find_serialization_recursive(
+            ops,
+            {op: closure[op] & opset for op in ops},
+            history.initial_value,
+            read_filter,
+        )
+        if witness is None:
+            return CheckResult("CC", False)
+        site_witnesses[site] = witness
+    return CheckResult("CC", True, site_witnesses=site_witnesses)
+
+
+def on_time_filter(
+    history: History, delta: float, epsilon: float = 0.0
+) -> ReadFilter:
+    """Definition 1/2's filter: a read may read from a writer only on time."""
+
+    def on_time(read_op: Operation, writer: Optional[Operation]) -> bool:
+        return read_occurs_on_time(history, read_op, delta, epsilon, writer)
+
+    return on_time
+
+
+def tsc_direct(history: History, delta: float, epsilon: float = 0.0) -> bool:
+    """TSC(delta) by the literal Definition-3 search."""
+    on_time = on_time_filter(history, delta, epsilon)
+    return check_sc_reference(history, on_time).satisfied
+
+
+def tcc_direct(history: History, delta: float, epsilon: float = 0.0) -> bool:
+    """TCC(delta) by the literal Definition-4 per-site search."""
+    on_time = on_time_filter(history, delta, epsilon)
+    return check_cc_reference(history, on_time).satisfied

@@ -1,14 +1,19 @@
-"""Tests for the SC and CC checkers (both engines)."""
+"""Tests for the SC and CC checkers, each case also run on the recursive
+reference search they are cross-validated against."""
 
 import pytest
 
-from repro.checkers import check_cc, check_sc
+from repro.checkers import check_cc, check_lin, check_sc
 from repro.checkers.result import SearchBudgetExceeded
 from repro.core.history import History
 from repro.core.operations import read, write
 from repro.core.serialization import is_legal, respects, respects_program_order
+from tests.search_reference import check_cc_reference, check_sc_reference
 
+#: ``constraint`` is the package's checker, ``search`` the reference.
 ENGINES = ["constraint", "search"]
+SC = {"constraint": check_sc, "search": check_sc_reference}
+CC = {"constraint": check_cc, "search": check_cc_reference}
 
 
 def dekker_style_violation():
@@ -54,7 +59,7 @@ def not_cc():
 @pytest.mark.parametrize("method", ENGINES)
 class TestSC:
     def test_dekker_not_sc(self, method):
-        assert not check_sc(dekker_style_violation(), method=method)
+        assert not SC[method](dekker_style_violation())
 
     def test_simple_sc(self, method):
         h = History(
@@ -64,43 +69,43 @@ class TestSC:
                 read(1, "X", 1, 2.0),
             ]
         )
-        result = check_sc(h, method=method)
+        result = SC[method](h)
         assert result
 
     def test_witness_is_valid(self, method, fig5):
-        result = check_sc(fig5, method=method)
+        result = SC[method](fig5)
         assert result
         assert is_legal(result.witness, fig5.initial_value)
         assert respects_program_order(result.witness)
         assert len(result.witness) == len(fig5)
 
     def test_cc_only_history_not_sc(self, method):
-        assert not check_sc(cc_not_sc(), method=method)
+        assert not SC[method](cc_not_sc())
 
     def test_empty_history(self, method):
-        assert check_sc(History([]), method=method)
+        assert SC[method](History([]))
 
     def test_write_only_history(self, method):
         h = History([write(0, "X", 1, 1.0), write(1, "X", 2, 1.5)])
-        assert check_sc(h, method=method)
+        assert SC[method](h)
 
 
 @pytest.mark.parametrize("method", ENGINES)
 class TestCC:
     def test_cc_not_sc_history(self, method):
         h = cc_not_sc()
-        assert check_cc(h, method=method)
-        assert not check_sc(h, method=method)
+        assert CC[method](h)
+        assert not SC[method](h)
 
     def test_not_cc_history(self, method):
-        assert not check_cc(not_cc(), method=method)
+        assert not CC[method](not_cc())
 
     def test_dekker_is_cc(self, method):
         # The classic non-SC execution is causally consistent.
-        assert check_cc(dekker_style_violation(), method=method)
+        assert CC[method](dekker_style_violation())
 
     def test_site_witnesses_are_valid(self, method, fig6):
-        result = check_cc(fig6, method=method)
+        result = CC[method](fig6)
         assert result
         closure_pairs = fig6.causal_pairs()
         for site, witness in result.site_witnesses.items():
@@ -110,25 +115,21 @@ class TestCC:
             assert set(witness) == expected
 
     def test_empty_history(self, method):
-        assert check_cc(History([]), method=method)
+        assert CC[method](History([]))
 
 
 class TestBudget:
     def test_search_budget_raises(self, fig5):
         with pytest.raises(SearchBudgetExceeded):
-            check_sc(fig5, budget=1, method="search")
+            check_sc(fig5, budget=0)
 
     def test_constraint_budget(self):
         from repro.checkers.constraint import find_constrained_serialization
 
         h = cc_not_sc()
-        reads_from = {r: h.writer_of(r) for r in h.reads}
         with pytest.raises(SearchBudgetExceeded):
             find_constrained_serialization(
-                list(h.operations),
-                h.immediate_program_order(),
-                reads_from,
-                budget=0,
+                h, h.operations, h.immediate_program_order(), budget=0
             )
 
     @pytest.mark.parametrize("check", [check_sc, check_cc])
@@ -176,10 +177,40 @@ class TestEngineAgreement:
             ]
             h = generator(rng)
             assert (
-                check_sc(h, method="search").satisfied
-                == check_sc(h, method="constraint").satisfied
+                check_sc_reference(h).satisfied == check_sc(h).satisfied
             ), f"SC disagreement on case {i}"
             assert (
-                check_cc(h, method="search").satisfied
-                == check_cc(h, method="constraint").satisfied
+                check_cc_reference(h).satisfied == check_cc(h).satisfied
             ), f"CC disagreement on case {i}"
+
+
+class TestUnwrittenValues:
+    """A read of a value no write produced, other than the initial value,
+    has no legal place in any serialization.  ``validate=False`` and the
+    slices of :class:`History` let such reads in."""
+
+    def unvalidated(self):
+        return History(
+            [write(0, "X", "a", 1.0), read(1, "X", "b", 2.0)], validate=False
+        )
+
+    def windowed(self):
+        h = History([write(0, "X", "a", 1.0), read(1, "X", "a", 3.0)])
+        return h.time_window(2.0, 4.0)
+
+    @pytest.mark.parametrize("name", ["unvalidated", "windowed"])
+    @pytest.mark.parametrize("check", [check_sc, check_cc, check_lin])
+    def test_the_read_is_named_as_the_violation(self, name, check):
+        history = getattr(self, name)()
+        (bad,) = history.reads
+        result = check(history)
+        assert not result
+        assert bad.label() in result.violation
+        assert check_sc_reference(history).satisfied is False
+        assert check_cc_reference(history).satisfied is False
+
+    def test_a_read_cut_off_from_its_writer_by_a_slice_fails(self):
+        h = History([write(0, "X", "a", 1.0), read(1, "X", "a", 3.0)])
+        assert check_sc(h) and check_cc(h)
+        assert not check_sc(h.restrict_sites([1]))
+        assert not check_cc(h.restrict_sites([1]))

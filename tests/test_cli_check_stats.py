@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.checkers import check_sc
 from repro.cli import main
 from repro.core.io import dump_history
 from repro.paperdata import figure1, figure5
@@ -40,8 +41,7 @@ class TestExitCodes:
 
     def test_budget_exhaustion_exits_three(self, fig5_path, capsys):
         code = main([
-            "check", fig5_path, "--criterion", "sc",
-            "--method", "search", "--budget", "1",
+            "check", fig5_path, "--criterion", "sc", "--budget", "0",
         ])
         assert code == 3
         assert "UNKNOWN" in capsys.readouterr().out
@@ -55,30 +55,26 @@ class TestExitCodes:
 class TestJsonShape:
     def test_stats_payload_shape(self, fig1_path, capsys):
         assert main([
-            "check", fig1_path, "--criterion", "sc",
-            "--method", "search", "--stats", "--json",
-        ]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["criterion"] == "sc"
-        assert payload["satisfied"] is True
-        assert payload["unknown"] is False
-        assert payload["violation"] is None
-        assert payload["states_explored"] >= 1
-        stats = payload["stats"]
-        assert stats["states"] == payload["states_explored"]
-        assert set(stats) == {
-            "states", "memo_hits", "prunes", "max_frontier_depth",
-            "wall_time", "budget",
-        }
-        assert isinstance(stats["prunes"], dict)
-        assert stats["wall_time"] >= 0.0
-
-    def test_constraint_engine_omits_search_breakdown(self, fig1_path, capsys):
-        assert main([
             "check", fig1_path, "--criterion", "sc", "--stats", "--json",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["states_explored"] >= 0
+        assert payload == {
+            "criterion": "sc",
+            "satisfied": True,
+            "unknown": False,
+            "violation": None,
+            "parameters": {},
+            "states_explored": check_sc(figure1()).states_explored,
+        }
+        # Figure 1 is not linearizable: the engine ran.
+        assert payload["states_explored"] >= 1
+
+    def test_constraint_engine_omits_search_breakdown(self, fig1_path, capsys):
+        assert main([
+            "check", fig1_path, "--criterion", "sc", "--json",
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "states_explored" not in payload
         assert "stats" not in payload
 
     def test_violated_json_carries_violation(self, fig5_path, capsys):
@@ -90,11 +86,12 @@ class TestJsonShape:
         assert payload["satisfied"] is False
         assert payload["violation"]
         assert payload["parameters"]["delta"] == 50.0
+        # A late read decides TSC before any serialization is sought.
+        assert payload["states_explored"] == 0
 
     def test_unknown_json_shape(self, fig5_path, capsys):
         assert main([
-            "check", fig5_path, "--criterion", "sc",
-            "--method", "search", "--budget", "1", "--json",
+            "check", fig5_path, "--criterion", "sc", "--budget", "0", "--json",
         ]) == 3
         payload = json.loads(capsys.readouterr().out)
         assert payload == {
@@ -102,15 +99,20 @@ class TestJsonShape:
             "satisfied": None,
             "unknown": True,
             "violation": None,
-            "budget": 1,
+            "budget": 0,
         }
 
     def test_stats_text_mode_prints_breakdown(self, fig1_path, capsys):
         assert main([
-            "check", fig1_path, "--criterion", "sc",
-            "--method", "search", "--stats",
+            "check", fig1_path, "--criterion", "sc", "--stats",
         ]) == 0
         out = capsys.readouterr().out
         assert "search stats:" in out
-        assert "states:" in out
-        assert "memo_hits:" in out
+        nodes = check_sc(figure1()).states_explored
+        assert f"  states: {nodes} (constraint-engine branch nodes)" in out
+
+    def test_the_method_option_is_gone(self, fig1_path, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["check", fig1_path, "--method", "search"])
+        assert exited.value.code == 2
+        assert "--method" in capsys.readouterr().err

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.checkers import find_serialization
 from repro.core.history import History
 from repro.core.io import history_to_dict
+from repro.core.serialization import time_order_witness
 from repro.core.operations import OpKind, Operation, read, write
 
 
@@ -22,8 +22,9 @@ class TestConstruction:
         assert op.time == 3.0 and isinstance(op.time, float)
 
     def test_simultaneous_operations_keep_their_position_not_their_age(self):
-        # Built in one order, listed in the other: a history (and a
-        # search) breaks the tie by position in what it was given.
+        # Built in one order, listed in the other: a history (and its
+        # effective-time order) breaks the tie by position in what it
+        # was given.
         late = write(1, "Y", 2, 1.0)
         early = write(0, "X", 1, 1.0)
         reads = [read(2, "X", 1, 1.0), read(2, "Y", 2, 1.0)]
@@ -31,8 +32,8 @@ class TestConstruction:
         listed = history_to_dict(History(ops))["operations"]
         assert [(op["site"], op["obj"]) for op in listed] == [
             (0, "X"), (1, "Y"), (2, "X"), (2, "Y")]
-        assert find_serialization([early, late], {}) == [early, late]
-        assert find_serialization([late, early], {}) == [late, early]
+        assert time_order_witness(History([early, late])) == [early, late]
+        assert time_order_witness(History([late, early])) == [late, early]
 
     def test_identity_equality(self):
         a = read(0, "X", 1, 1.0)

@@ -31,6 +31,7 @@ from repro.workloads import (
     random_replica_history,
     random_sc_history,
 )
+from tests.search_reference import check_cc_reference, check_sc_reference
 
 vectors = st.lists(st.integers(0, 40), min_size=3, max_size=3).map(VectorTimestamp)
 
@@ -206,18 +207,14 @@ class TestGeneratedHistoryClasses:
 
 
 class TestCheckerEngineEquivalence:
+    """The checkers against the recursive reference search."""
+
     @given(st.integers(0, 10_000), st.integers(0, 3))
     @settings(max_examples=30, deadline=None)
     def test_constraint_equals_search(self, seed, kind):
         h = HISTORY_GENERATORS[kind](random.Random(seed))
-        assert (
-            check_sc(h, method="constraint").satisfied
-            == check_sc(h, method="search").satisfied
-        )
-        assert (
-            check_cc(h, method="constraint").satisfied
-            == check_cc(h, method="search").satisfied
-        )
+        assert check_sc(h).satisfied == check_sc_reference(h).satisfied
+        assert check_cc(h).satisfied == check_cc_reference(h).satisfied
 
 
 class TestTccDeltaInfEqualsCc:

@@ -1,44 +1,40 @@
-"""The iterative serialization-search engine (repro.checkers.search).
+"""The checking engine against the recursive reference search.
 
-Covers the PR-2 engine swap:
-
-* property-based cross-validation of the explicit-stack iterative engine
-  against the kept recursive reference, with and without ``read_filter``;
-* a large-history regression: 5000 operations must check without
-  ``RecursionError`` at the default recursion limit;
-* the SearchStats instrumentation surface (states, memo hits, prunes by
-  reason, frontier depth, wall time);
-* budget exhaustion surfacing as an explicit "unknown" everywhere the
-  ISSUE audit requires (threshold_report, delta_spectrum, classify,
-  census, CLI check).
+* property-based cross-validation of the one engine (the effective-time
+  order, then constraint saturation) against the recursive reference in
+  ``tests/search_reference.py``, with and without ``read_filter``;
+* scale: a 100 000-op linearizable history decides SC, CC and TSC at the
+  default recursion limit without importing numpy (the effective-time
+  order is its witness), while the reference overflows the recursion
+  limit on 5 000 operations;
+* budget exhaustion surfacing as an explicit "unknown" everywhere
+  (threshold_report, delta_spectrum, classify, census, CLI check).
 """
 
 import math
+import os
+import pathlib
 import random
+import subprocess
 import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.checkers import (
-    PRUNE_REASONS,
-    SearchBudgetExceeded,
-    SearchStats,
     check_sc,
     check_tsc,
-    check_tsc_direct,
     classify,
     census,
     delta_spectrum,
-    find_serialization,
-    find_site_ordered_serialization,
     hierarchy_violations,
-    restrict_edges,
     threshold_report,
 )
+from repro.checkers.constraint import find_constrained_serialization
 from repro.core.serialization import is_legal, respects_program_order
-from repro.core.timed import read_occurs_on_time
 from repro.workloads import (
     random_history,
     random_linearizable_history,
@@ -47,6 +43,7 @@ from repro.workloads import (
 from tests.search_reference import (
     find_serialization_recursive,
     find_site_ordered_serialization_recursive,
+    on_time_filter,
 )
 
 seeds = st.integers(min_value=0, max_value=10**6)
@@ -54,11 +51,14 @@ seeds = st.integers(min_value=0, max_value=10**6)
 
 def _program_order_preds(history):
     ops = list(history.operations)
-    return ops, restrict_edges(history.immediate_program_order(), ops)
+    preds = {op: set() for op in ops}
+    for a, b in history.immediate_program_order():
+        preds[b].add(a)
+    return ops, preds
 
 
 class TestCrossValidation:
-    """Iterative engine == recursive reference, on randomized histories."""
+    """The engine == the recursive reference, on randomized histories."""
 
     @given(seeds)
     @settings(max_examples=60, deadline=None)
@@ -66,7 +66,9 @@ class TestCrossValidation:
         rng = random.Random(seed)
         history = random_history(rng, n_sites=3, n_objects=2, n_ops=12)
         ops, preds = _program_order_preds(history)
-        got = find_serialization(ops, preds, history.initial_value)
+        got, _ = find_constrained_serialization(
+            history, ops, history.immediate_program_order()
+        )
         ref = find_serialization_recursive(ops, preds, history.initial_value)
         assert (got is None) == (ref is None)
         if got is not None:
@@ -79,7 +81,7 @@ class TestCrossValidation:
         rng = random.Random(seed)
         history = random_history(rng, n_sites=3, n_objects=2, n_ops=12)
         sequences = {s: history.site_ops(s) for s in history.sites}
-        got = find_site_ordered_serialization(sequences, history.initial_value)
+        got = check_sc(history).witness
         ref = find_site_ordered_serialization_recursive(
             sequences, history.initial_value
         )
@@ -91,58 +93,64 @@ class TestCrossValidation:
     @given(seeds, st.sampled_from([0.0, 0.5, 2.0, math.inf]))
     @settings(max_examples=40, deadline=None)
     def test_engines_agree_under_read_filter(self, seed, delta):
+        # The decomposed TSC against both literal Definition-3 searches.
         rng = random.Random(seed)
         history = random_sc_history(rng, n_sites=3, n_objects=2, n_ops=12)
-
-        def on_time(read_op, writer):
-            return read_occurs_on_time(history, read_op, delta, 0.0, writer)
+        on_time = on_time_filter(history, delta)
+        got = check_tsc(history, delta).satisfied
 
         sequences = {s: history.site_ops(s) for s in history.sites}
-        got = find_site_ordered_serialization(
-            sequences, history.initial_value, read_filter=on_time
-        )
         ref = find_site_ordered_serialization_recursive(
             sequences, history.initial_value, read_filter=on_time
         )
-        assert (got is None) == (ref is None)
+        assert got == (ref is not None)
 
         ops, preds = _program_order_preds(history)
-        got2 = find_serialization(
-            ops, preds, history.initial_value, read_filter=on_time
-        )
         ref2 = find_serialization_recursive(
             ops, preds, history.initial_value, read_filter=on_time
         )
-        assert (got2 is None) == (ref2 is None)
+        assert got == (ref2 is not None)
+
+
+#: Run in a fresh interpreter, so that numpy is not already loaded, and
+#: with its address space capped: a dense reachability matrix over 10^5
+#: operations (10 GB) fails at once instead of filling the machine.
+LARGE_HISTORY = textwrap.dedent("""
+    import math, random, resource, sys
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    from repro.checkers import check_cc, check_sc, check_tsc
+    from repro.workloads import random_linearizable_history
+
+    assert sys.getrecursionlimit() <= 2000
+    history = random_linearizable_history(
+        random.Random(0xBEEF), n_sites=6, n_objects=8, n_ops=100_000
+    )
+    sc = check_sc(history)
+    assert sc.satisfied and len(sc.witness) == 100_000
+    assert sc.states_explored == 0
+    assert check_cc(history).satisfied
+    assert check_tsc(history, math.inf).satisfied
+    assert "numpy" not in sys.modules
+    print("ok")
+""")
 
 
 class TestLargeHistoryRegression:
-    """The old recursive engine died with RecursionError at ~1000 ops."""
+    """Scale: no recursion, no numpy, no search on a linearizable trace."""
 
-    def test_5000_op_history_checks_sc_and_tsc(self):
-        rng = random.Random(0xBEEF)
-        history = random_linearizable_history(
-            rng, n_sites=6, n_objects=8, n_ops=5000
+    def test_100k_op_history_without_numpy(self):
+        src = pathlib.Path(repro.__file__).parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", LARGE_HISTORY],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=300,
         )
-        assert sys.getrecursionlimit() <= 2000  # the regression's premise
-        sc = check_sc(history, method="search")
-        assert sc.satisfied
-        assert len(sc.witness) == 5000
-        tsc = check_tsc(history, math.inf, method="search")
-        assert tsc.satisfied
-
-    def test_1500_op_direct_timed_search(self):
-        # The Definition-3 direct search (read_filter forces the
-        # backtracking engine) also crossed the old recursion limit.
-        rng = random.Random(3)
-        history = random_linearizable_history(
-            rng, n_sites=4, n_objects=6, n_ops=1500
-        )
-        assert check_tsc_direct(history, math.inf).satisfied
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "ok"
 
     def test_recursive_reference_still_overflows(self):
         # Documents *why* the reference must never be the production
-        # engine: the same history overwhelms Python's recursion limit.
+        # engine: 5 000 operations overwhelm Python's recursion limit.
         rng = random.Random(0xBEEF)
         history = random_linearizable_history(
             rng, n_sites=6, n_objects=8, n_ops=5000
@@ -155,47 +163,18 @@ class TestLargeHistoryRegression:
 
 
 class TestSearchStats:
-    def test_stats_populated_by_search(self, fig5):
-        stats = SearchStats()
-        sequences = {s: fig5.site_ops(s) for s in fig5.sites}
-        witness = find_site_ordered_serialization(
-            sequences, fig5.initial_value, stats=stats
-        )
-        assert witness is not None
-        assert stats.states > 0
-        assert stats.max_frontier_depth == len(fig5) - 1
-        assert stats.wall_time > 0.0
-        assert tuple(stats.prunes) == PRUNE_REASONS
-
-    def test_as_dict_round_trips_every_field(self):
-        stats = SearchStats(budget=123)
-        stats.bump()
-        stats.note_prune("value_mismatch", 4)
-        stats.note_memo_hit()
-        stats.note_depth(7)
-        d = stats.as_dict()
-        assert d["states"] == 1
-        assert d["memo_hits"] == 1
-        assert d["prunes"]["value_mismatch"] == 4
-        assert d["max_frontier_depth"] == 7
-        assert d["budget"] == 123
-
     def test_check_result_carries_stats(self, fig5):
-        result = check_sc(fig5, method="search")
-        assert result.stats is not None
-        assert result.stats.states == result.states_explored
-        assert result.stats.states > 0
-
-    def test_unknown_prune_reason_rejected(self):
-        with pytest.raises(KeyError):
-            SearchStats().note_prune("not_a_reason")
+        # fig5 is not linearizable, so the engine ran and counted.
+        assert check_sc(fig5).states_explored > 0
+        lin = random_linearizable_history(random.Random(1))
+        assert check_sc(lin).states_explored == 0
 
 
 class TestBudgetUnknown:
     """Budget exhaustion must surface as 'unknown', never a traceback."""
 
     def test_threshold_report_tiny_budget(self, fig5):
-        report = threshold_report(fig5, budget=1, method="search")
+        report = threshold_report(fig5, budget=0)
         assert report.unknown
         assert report.sc_holds is None
         assert report.cc_holds is None
@@ -205,13 +184,12 @@ class TestBudgetUnknown:
         assert report.satisfies_tcc(1e9) is None
 
     def test_threshold_report_normal_budget_is_decided(self, fig5):
-        report = threshold_report(fig5, method="search")
+        report = threshold_report(fig5)
         assert not report.unknown
         assert report.sc_holds is True
-        assert report.sc_stats is not None
 
     def test_delta_spectrum_tiny_budget(self, fig5):
-        spectrum = delta_spectrum(fig5, budget=1, method="search")
+        spectrum = delta_spectrum(fig5, budget=0)
         assert spectrum  # still produced a grid
         assert all(
             tsc_ok is None and tcc_ok is None
@@ -219,7 +197,7 @@ class TestBudgetUnknown:
         )
 
     def test_classify_tiny_budget(self, fig5):
-        cls = classify(fig5, delta=1e6, budget=1, method="search")
+        cls = classify(fig5, delta=1e6, budget=0)
         assert cls.unknown()
         assert cls.sc is None and cls.cc is None
         assert cls.tsc is None and cls.tcc is None
@@ -228,7 +206,7 @@ class TestBudgetUnknown:
         assert hierarchy_violations(cls) == []
 
     def test_census_counts_unknowns(self, fig5, fig6):
-        counts = census([fig5, fig6], delta=1e6, budget=1, method="search")
+        counts = census([fig5, fig6], delta=1e6, budget=0)
         assert counts["__budget_unknown__"] == 2
         assert counts["__hierarchy_violations__"] == 0
 
@@ -240,7 +218,7 @@ class TestBudgetUnknown:
         dump_history(fig5, str(trace))
         code = main([
             "check", str(trace), "--criterion", "sc",
-            "--method", "search", "--budget", "1",
+            "--budget", "0",
         ])
         out = capsys.readouterr().out
         assert code == 3
@@ -253,11 +231,10 @@ class TestBudgetUnknown:
         trace = tmp_path / "t.json"
         dump_history(fig5, str(trace))
         code = main([
-            "check", str(trace), "--criterion", "sc",
-            "--method", "search", "--stats",
+            "check", str(trace), "--criterion", "sc", "--stats",
         ])
         out = capsys.readouterr().out
         assert code == 0
         assert "search stats:" in out
-        assert "memo_hits" in out
-        assert "value_mismatch" in out
+        nodes = check_sc(fig5).states_explored
+        assert f"states: {nodes} " in out

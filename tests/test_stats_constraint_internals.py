@@ -11,7 +11,8 @@ from repro.analysis.stats import (
     stderr,
     summarize_rows,
 )
-from repro.checkers.constraint import _Reach, check_cc_constraint, check_sc_constraint
+from repro.checkers import check_cc, check_sc
+from repro.checkers.constraint import _Reach
 from repro.paperdata import figure5, figure6
 
 
@@ -101,6 +102,6 @@ class TestPurePythonFallback:
         assert clone.has(0, 3)
 
     def test_checkers_agree_without_numpy(self, no_numpy):
-        assert check_sc_constraint(figure5()).satisfied
-        assert not check_sc_constraint(figure6()).satisfied
-        assert check_cc_constraint(figure6()).satisfied
+        assert check_sc(figure5()).satisfied
+        assert not check_sc(figure6()).satisfied
+        assert check_cc(figure6()).satisfied
