@@ -24,16 +24,20 @@ analysis (in the spirit of Gibbons & Korach's study of the problem):
    essentially always resolve fully, so in practice the check is
    polynomial.  ``budget`` caps the branch nodes.
 
-Reachability is a dense boolean matrix updated incrementally on edge
-insertion (numpy when available, imported on first use; pure-Python
-bytearrays otherwise), so a
-single edge add costs O(V^2) worst case and saturation stays comfortable
-for a few thousand operations.
+Reachability is kept transitively closed as one pure-Python structure:
+row ``i`` and column ``j`` are int bitsets (bit ``j`` of row ``i`` set iff
+``i`` reaches ``j``).  Inserting an edge ORs the new targets into the rows
+of the sources that did not yet reach them, and the sources into the
+matching columns, so an edge that adds nothing costs two bit tests and
+one that does a big-int OR per changed row or column.  A branch does not
+copy the matrix: every overwritten row or column goes on an undo trail,
+and a failed branch pops it back.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+import heapq
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.checkers.result import CheckResult, SearchBudgetExceeded
 from repro.core.history import History
@@ -42,69 +46,62 @@ from repro.core.operations import Operation
 #: Default cap on branch nodes before giving up (``budget=None``).
 BRANCH_BUDGET = 10_000
 
-#: numpy, an optional accelerator, or ``None`` without it: imported by
-#: the first :class:`_Reach`, not with this module, which every process
-#: that may check a trace imports and most never use.  ``...`` until then.
-_np: Any = ...
-
-
-def _numpy() -> Any:
-    global _np
-    if _np is ...:
-        try:
-            import numpy as _np
-        except ImportError:  # pragma: no cover - numpy is an optional accelerator
-            _np = None
-    return _np
-
 
 class _Reach:
-    """Dense strict-reachability matrix with incremental edge insertion."""
+    """Strict reachability with incremental edge insertion.
+
+    ``rows[i]`` has bit ``j`` set iff ``i`` reaches ``j``, and ``cols[j]``
+    bit ``i`` for the same pair.  While ``trail`` is a list, every row or
+    column an insertion overwrites is logged there as ``(bitsets, index,
+    old value)``, and :meth:`undo` restores the state at a mark.
+    """
+
+    __slots__ = ("rows", "cols", "trail")
 
     def __init__(self, n: int) -> None:
-        self.n = n
-        if _numpy() is not None:
-            self.m = _np.zeros((n, n), dtype=bool)
-        else:
-            self.m = [bytearray(n) for _ in range(n)]
+        self.rows = [0] * n
+        self.cols = [0] * n
+        self.trail: Optional[List[Tuple[List[int], int, int]]] = None
 
     def has(self, a: int, b: int) -> bool:
-        if _np is not None:
-            return bool(self.m[a, b])
-        return bool(self.m[a][b])
+        return bool(self.rows[a] >> b & 1)
 
     def add_edge(self, a: int, b: int) -> bool:
         """Insert a -> b and transitively close.  Returns False on a cycle
         (b already reaches a, or a == b)."""
         if a == b:
             return False
-        if self.has(b, a):
+        rows, cols = self.rows, self.cols
+        if rows[b] >> a & 1:
             return False
-        if self.has(a, b):
+        if rows[a] >> b & 1:
             return True
-        if _np is not None:
-            from_a = self.m[:, a].copy()
-            from_a[a] = True
-            to_b = self.m[b, :].copy()
-            to_b[b] = True
-            self.m |= _np.outer(from_a, to_b)
-        else:
-            sources = [i for i in range(self.n) if self.m[i][a]] + [a]
-            targets = [j for j in range(self.n) if self.m[b][j]] + [b]
-            for i in sources:
-                row = self.m[i]
-                for j in targets:
-                    row[j] = 1
+        sources = cols[a] | 1 << a
+        targets = rows[b] | 1 << b
+        # A source that already reaches b already reaches all of b's
+        # targets, and a target a already reaches is already reached by
+        # all of a's sources: only the others change.
+        new_sources = sources & ~cols[b]
+        new_targets = targets & ~rows[a]
+        for bitsets, change, add in (
+            (rows, new_sources, targets),
+            (cols, new_targets, sources),
+        ):
+            while change:
+                low = change & -change
+                change ^= low
+                i = low.bit_length() - 1
+                if self.trail is not None:
+                    self.trail.append((bitsets, i, bitsets[i]))
+                bitsets[i] |= add
         return True
 
-    def copy(self) -> "_Reach":
-        clone = _Reach.__new__(_Reach)
-        clone.n = self.n
-        if _np is not None:
-            clone.m = self.m.copy()
-        else:
-            clone.m = [bytearray(row) for row in self.m]
-        return clone
+    def undo(self, mark: int) -> None:
+        """Restore every row and column logged on the trail after ``mark``."""
+        trail = self.trail
+        while len(trail) > mark:
+            bitsets, i, old = trail.pop()
+            bitsets[i] = old
 
 
 #: A disjunction: (reader index, its writer index or None for the initial
@@ -141,6 +138,7 @@ def find_constrained_serialization(
     index = {op: i for i, op in enumerate(ops)}
     n = len(ops)
     reach = _Reach(n)
+    # Every edge inserted, in order; a failed branch truncates it.
     edges: List[Tuple[int, int]] = []
 
     def record_cycle(a: int, b: int) -> None:
@@ -151,38 +149,35 @@ def find_constrained_serialization(
         adjacency: Dict[int, List[int]] = {}
         for x, y in edges:
             adjacency.setdefault(x, []).append(y)
-        # BFS from b to a over inserted edges.
+        # BFS from b to a over inserted edges (every edge that made b
+        # reach a was inserted, and recorded, before the first branch).
         parent: Dict[int, int] = {b: -1}
         queue = [b]
-        while queue:
-            node = queue.pop(0)
+        for node in queue:
             if node == a:
                 break
             for nxt in adjacency.get(node, ()):
                 if nxt not in parent:
                     parent[nxt] = node
                     queue.append(nxt)
-        if a not in parent:
-            return  # reachability came through an edge we did not record
-        path = [a]
+        path = [a]  # a ... b, followed back through the BFS tree
         while path[-1] != b:
             path.append(parent[path[-1]])
-        path.reverse()  # b ... a
-        explain["cycle"] = [ops[i] for i in ([a] + path)]
+        explain["cycle"] = [ops[i] for i in [a] + path[::-1]]
 
-    def add(a: int, b: int, into: _Reach) -> bool:
-        ok = into.add_edge(a, b)
-        if ok and into is reach:
+    def add(a: int, b: int) -> bool:  # explains a cycle before any branch
+        if reach.add_edge(a, b):
             edges.append((a, b))
-        elif not ok and into is reach:
+            return True
+        if reach.trail is None:
             record_cycle(a, b)
-        return ok
+        return False
 
     for a, b in base_edges:
         ia, ib = index.get(a), index.get(b)
         if ia is None or ib is None or ia == ib:
             continue
-        if not add(ia, ib, reach):
+        if not add(ia, ib):
             return None, 0
 
     # Reads-from edges and the disjunction list.
@@ -200,7 +195,7 @@ def find_constrained_serialization(
             if explain is not None:
                 explain["unwritten"] = [op]
             return None, 0
-        if iw is not None and not add(iw, i, reach):
+        if iw is not None and not add(iw, i):
             return None, 0
         for j in writes_by_obj.get(op.obj, ()):
             if j == iw:
@@ -209,22 +204,11 @@ def find_constrained_serialization(
 
     cap = BRANCH_BUDGET if budget is None else budget
     left = [cap]
+    has = reach.has
 
-    def saturate(r: _Reach, pending: List[_Disjunction], local_edges: List[Tuple[int, int]]):
+    def saturate(work: List[_Disjunction]) -> Optional[List[_Disjunction]]:
         """Apply forced disjuncts to fixpoint.  Returns the still-unresolved
         disjunctions, or None on contradiction."""
-        def record(a: int, b: int) -> bool:
-            if not r.add_edge(a, b):
-                if r is reach:
-                    record_cycle(a, b)
-                return False
-            if r is reach:
-                edges.append((a, b))
-            else:
-                local_edges.append((a, b))
-            return True
-
-        work = list(pending)
         while True:
             changed = False
             remaining: List[_Disjunction] = []
@@ -232,25 +216,24 @@ def find_constrained_serialization(
                 # Disjunction: (w' -> w) or (r -> w'), with r = ops[i],
                 # w = ops[iw] (None = the initial value, which precedes
                 # everything), w' = ops[j].
-                if iw is not None and r.has(j, iw):
+                if iw is not None and has(j, iw):
                     continue  # resolved: w' before w
-                if r.has(i, j):
+                if has(i, j):
                     continue  # resolved: w' after r
-                before_w_impossible = iw is None or r.has(iw, j)
-                after_r_impossible = r.has(j, i)
+                before_w_impossible = iw is None or has(iw, j)
+                after_r_impossible = has(j, i)
                 if before_w_impossible and after_r_impossible:
                     # w' forced strictly between w and r.
-                    if explain is not None and r is reach:
+                    if explain is not None and reach.trail is None:
                         explain["between"] = [
-                            ops[x] for x in ([iw] if iw is not None else [])
-                        ] + [ops[j], ops[i]]
+                            ops[x] for x in (iw, j, i) if x is not None]
                     return None
                 if before_w_impossible:
-                    if not record(i, j):  # force r -> w'
+                    if not add(i, j):  # force r -> w'
                         return None
                     changed = True
                 elif after_r_impossible:
-                    if not record(j, iw):  # force w' -> w
+                    if not add(j, iw):  # force w' -> w
                         return None
                     changed = True
                 else:
@@ -259,59 +242,44 @@ def find_constrained_serialization(
             if not changed:
                 return work
 
-    def solve(r: _Reach, pending: List[_Disjunction], local_edges: List[Tuple[int, int]]):
+    def solve(pending: List[_Disjunction]) -> bool:
         left[0] -= 1
         if left[0] < 0:
             raise SearchBudgetExceeded(cap)
-        remaining = saturate(r, pending, local_edges)
+        remaining = saturate(pending)
         if remaining is None:
-            return None
+            return False
         if not remaining:
-            return local_edges
+            return True
         i, iw, j = remaining[0]
-        # Branch 1: w' -> w.
-        r1 = r.copy()
-        e1 = list(local_edges)
         assert iw is not None  # iw None is always forced in saturate
-        if r1.add_edge(j, iw):
-            e1.append((j, iw))
-            result = solve(r1, remaining[1:], e1)
-            if result is not None:
-                return result
-        # Branch 2: r -> w'.
-        r2 = r.copy()
-        e2 = list(local_edges)
-        if r2.add_edge(i, j):
-            e2.append((i, j))
-            result = solve(r2, remaining[1:], e2)
-            if result is not None:
-                return result
-        return None
+        if reach.trail is None:
+            reach.trail = []
+        # Branch 1: w' -> w; branch 2: r -> w'.  A failed branch undoes
+        # its reachability and its edges.
+        for a, b in ((j, iw), (i, j)):
+            mark, kept = len(reach.trail), len(edges)
+            if add(a, b) and solve(remaining[1:]):
+                return True
+            reach.undo(mark)
+            del edges[kept:]
+        return False
 
-    extra = solve(reach, disjunctions, [])
+    solved = solve(disjunctions)
     nodes = cap - left[0]
-    if extra is None:
+    if not solved:
         return None, nodes
 
-    # Topological order of (base + forced + branched) edges is a witness.
-    adjacency: Dict[int, List[int]] = {i: [] for i in range(n)}
+    # Topological order of (base + forced + branched) edges is a witness;
+    # an edge inserted twice counts twice in both directions.
+    adjacency: List[List[int]] = [[] for _ in range(n)]
     indegree = [0] * n
-    seen: Set[Tuple[int, int]] = set()
-    for a, b in edges + extra:
-        if (a, b) in seen:
-            continue
-        seen.add((a, b))
+    for a, b in edges:
         adjacency[a].append(b)
         indegree[b] += 1
     # Deterministic witness: prefer earlier effective times among ready ops.
-    ready = sorted(
-        (i for i in range(n) if indegree[i] == 0),
-        key=lambda i: (ops[i].time, i),
-    )
     out: List[int] = []
-    import heapq
-
-    heap = [(ops[i].time, i) for i in ready]
+    heap = [(ops[i].time, i) for i in range(n) if indegree[i] == 0]
     heapq.heapify(heap)
     while heap:
         _, i = heapq.heappop(heap)
@@ -320,8 +288,6 @@ def find_constrained_serialization(
             indegree[j] -= 1
             if indegree[j] == 0:
                 heapq.heappush(heap, (ops[j].time, j))
-    if len(out) != n:
-        return None, nodes  # cycle (should have been caught earlier)
     return [ops[i] for i in out], nodes
 
 

@@ -36,7 +36,8 @@ from typing import (
     Tuple, Union,
 )
 
-from repro.checkers import check_sc, check_tcc, check_tsc
+from repro.checkers import check_cc, check_sc, check_timed
+from repro.checkers.cc import restrict_to_sites
 from repro.checkers.result import CheckResult
 from repro.clocks.rebase import RebasedClock, loop_time
 from repro.core.history import History
@@ -65,11 +66,21 @@ class Judgement(NamedTuple):
 def judge(history: History, delta: float, epsilon: float) -> Judgement:
     """Offline TSC, TCC and SC verdicts plus the reads that are not on
     time (Definitions 1-2), all at the same delta and epsilon.  A read is
-    judged at its recorded time, the end of its interval."""
+    judged at its recorded time, the end of its interval.  One SC search
+    decides all three (Figure 4a, docs/THEORY.md Result 4): CC is searched
+    for only when SC fails (a derived TCC reports no branch nodes)."""
+    sc = check_sc(history)
+
+    def cc(h: History) -> CheckResult:
+        if not sc.satisfied:
+            return check_cc(h)
+        return CheckResult(
+            "CC", True, site_witnesses=restrict_to_sites(h, sc.witness))
+
     return Judgement(
-        tsc=check_tsc(history, delta, epsilon),
-        tcc=check_tcc(history, delta, epsilon),
-        sc=check_sc(history),
+        tsc=check_timed(history, lambda _: sc, delta, epsilon, criterion="TSC"),
+        tcc=check_timed(history, cc, delta, epsilon, criterion="TCC"),
+        sc=sc,
         late_reads=late_reads(history, delta, epsilon),
     )
 

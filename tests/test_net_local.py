@@ -16,6 +16,7 @@ from repro.checkers import check_sc, check_tcc, check_tsc
 from repro.cluster import ClusterConfig, SwimAgent
 from repro.core.history import History
 from repro.core.operations import read, write
+from repro.core.serialization import is_legal, respects
 from repro.core.timed import late_reads
 from repro.load import engine as load_engine
 from repro.net import local
@@ -26,6 +27,7 @@ from repro.net.workloads import RingReport, ring_cluster
 from repro.obs.metrics import Registry
 from repro.paperdata import figure5, figure6
 from repro.sim.trace import TraceRecorder
+from tests.test_verdict_digest import histories
 
 SRC = pathlib.Path(repro.__file__).parent
 
@@ -217,6 +219,16 @@ def old_call_sites(history, delta, epsilon):
             check_sc(history), late_reads(history, delta, epsilon))
 
 
+def agreement_cases():
+    """Figures 1, 5 and 6 and 48 seeded histories, each at its
+    (delta, epsilon) pairs: some with late reads, some not SC."""
+    for name, history, pairs in histories():
+        family, _, seed = name.partition("/")
+        if family in ("figure1", "figure5", "figure6") or (seed and int(seed) < 12):
+            for delta, epsilon in pairs:
+                yield history, delta, epsilon
+
+
 def assert_same_judgement(got, expected):
     for new, old in zip(got[:3], expected[:3]):
         assert (new.criterion, new.satisfied, new.violation, new.parameters) \
@@ -251,6 +263,32 @@ class TestOneJudge:
         assert_same_judgement(
             got, old_call_sites(report.history, report.delta, report.epsilon)
         )
+
+    def test_one_search_agrees_with_three_on_seeded_histories(self):
+        # judge searches for SC once and derives TSC and, when SC holds,
+        # TCC's per-site witnesses from it; the separate checkers search
+        # for each.  Same verdicts, violations and parameters, and every
+        # derived site witness is a legal serialization of H_(i+w) that
+        # respects causal order (docs/THEORY.md, Result 4).
+        seen = {"late": 0, "not sc": 0, "derived": 0}
+        for history, delta, epsilon in agreement_cases():
+            got = judge(history, delta, epsilon)
+            assert_same_judgement(got, old_call_sites(history, delta, epsilon))
+            seen["late"] += bool(got.late_reads)
+            seen["not sc"] += not got.sc.satisfied
+            if got.tcc.site_witnesses is None or not got.sc.satisfied:
+                continue
+            seen["derived"] += 1
+            causal = [
+                (p, op) for op, preds in history.causal_predecessors().items()
+                for p in preds
+            ]
+            for site, witness in got.tcc.site_witnesses.items():
+                assert sorted(map(id, witness)) == sorted(
+                    map(id, history.site_plus_writes(site)))
+                assert is_legal(witness, history.initial_value)
+                assert respects(witness, causal)
+        assert min(seen.values()) >= 10, seen
 
     def test_a_read_of_an_unrecorded_write_is_counted_and_dropped(self):
         # What a kill leaves behind: w0(x)s0.2 was installed but its

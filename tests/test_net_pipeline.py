@@ -600,9 +600,9 @@ class TestWirePath:
         assert not hasattr(read(0, "x", "v", 1.0), "uid")
 
     def test_the_live_stack_and_the_checkers_import_no_numpy(self):
-        """numpy is the constraint checker's accelerator, imported by its
-        first reachability matrix: a process that only may check a trace
-        (every timed one) does not carry it."""
+        """No module of the package imports numpy: the constraint
+        engine's reachability matrix is int bitsets, so a process that
+        may check a trace (every timed one) does not carry it."""
         assert import_footprint()["numpy"] is False
 
     def test_a_round_trip_is_three_loop_iterations(self):

@@ -1,8 +1,9 @@
 """Tests for analysis.stats and the constraint checker's internals."""
 
+import random
+
 import pytest
 
-import repro.checkers.constraint as constraint_mod
 from repro.analysis.stats import (
     confidence_interval,
     mean,
@@ -11,9 +12,7 @@ from repro.analysis.stats import (
     stderr,
     summarize_rows,
 )
-from repro.checkers import check_cc, check_sc
 from repro.checkers.constraint import _Reach
-from repro.paperdata import figure5, figure6
 
 
 class TestStats:
@@ -77,31 +76,34 @@ class TestReachMatrix:
         assert r.add_edge(0, 1)
         assert r.add_edge(0, 1)
 
-    def test_copy_is_independent(self):
-        r = _Reach(3)
-        r.add_edge(0, 1)
-        clone = r.copy()
-        clone.add_edge(1, 2)
-        assert clone.has(0, 2)
-        assert not r.has(0, 2)
-
-
-class TestPurePythonFallback:
-    """The constraint checker must work without numpy."""
-
-    @pytest.fixture
-    def no_numpy(self, monkeypatch):
-        monkeypatch.setattr(constraint_mod, "_np", None)
-
-    def test_reach_without_numpy(self, no_numpy):
+    def test_undo_restores_the_matrix(self):
         r = _Reach(4)
         r.add_edge(0, 1)
-        r.add_edge(1, 3)
-        assert r.has(0, 3)
-        clone = r.copy()
-        assert clone.has(0, 3)
+        before = (list(r.rows), list(r.cols))
+        r.trail = []
+        assert r.add_edge(1, 2)
+        assert r.add_edge(2, 3)
+        assert r.has(0, 3) and r.trail
+        r.undo(0)
+        assert (r.rows, r.cols) == before and r.trail == []
+        assert r.has(0, 1) and not r.has(0, 2) and not r.has(1, 3)
 
-    def test_checkers_agree_without_numpy(self, no_numpy):
-        assert check_sc(figure5()).satisfied
-        assert not check_sc(figure6()).satisfied
-        assert check_cc(figure6()).satisfied
+    def test_rows_and_columns_are_the_transitive_closure(self):
+        rng = random.Random(5)
+        n = 12
+        r = _Reach(n)
+        edges = set()
+        for _ in range(40):
+            a, b = rng.sample(range(n), 2)
+            if r.add_edge(a, b):
+                edges.add((a, b))
+        closure = set(edges)
+        while True:
+            more = {(a, d) for a, b in closure for c, d in closure if b == c}
+            if more <= closure:
+                break
+            closure |= more
+        for a in range(n):
+            for b in range(n):
+                assert r.has(a, b) == ((a, b) in closure)
+                assert bool(r.cols[b] >> a & 1) == ((a, b) in closure)
