@@ -19,9 +19,9 @@ over three families and races it against the recursive reference search
   n_objects=10)`` at 1000..4000 ops, each in a child process whose peak
   RSS is reported (a branch undoes through a trail, so a path that never
   backtracks costs its own edges, not a copy of the matrix per node);
-* one recorded trace: ``net.local.judge`` and ``check_cc`` on the seed-3
-  virtual-time ring soak (1 806 ops), with the engine's ``add_edge``
-  calls, branch nodes and trail entries.
+* one recorded trace: ``judge``, ``threshold_report``, ``classify`` and
+  ``check_cc`` on the seed-3 virtual-time ring soak (1 806 ops), with
+  the engine's runs, ``add_edge`` calls, branch nodes and trail entries.
 
 Runs two ways:
 
@@ -31,7 +31,7 @@ Runs two ways:
   script for CI; ``--smoke`` shrinks the sweeps but still checks a
   10^5-op linearizable history at the default recursion limit, every
   race verdict, the speed floor, the 2000-op memory bound and the
-  soak's ``judge`` row.
+  soak's rows, with ``check_cc`` under :data:`CC_EDGE_BOUND` insertions.
 """
 
 import json
@@ -41,8 +41,9 @@ import subprocess
 import sys
 import time
 
-from repro.checkers import check_cc, check_sc, constraint
-from repro.net.local import judge
+from repro.checkers import (
+    check_cc, check_sc, classify, constraint, judge, threshold_report,
+)
 from repro.net.workloads import ring_cluster
 from repro.protocol import Cluster
 from repro.sim import vtime
@@ -74,6 +75,10 @@ MEMORY_BOUND_MB = 100
 #: The soak of ROADMAP item 17, replayed in virtual time: one trace.
 SOAK = dict(n_servers=3, n_clients=3, replicas=2, rounds=600, think=0.001,
             seed=3)
+#: ``check_cc``'s ``add_edge`` calls on the soak: 6 366 measured, the
+#: transitive reduction of each site's causal order (1 424 552 when every
+#: causal pair was an edge).  Deterministic under virtual time.
+CC_EDGE_BOUND = 10_000
 
 
 def timed_sc(history):
@@ -202,10 +207,16 @@ def memory_rows(sizes):
 
 
 class CountingReach(constraint._Reach):
-    """The engine's matrix, counting its insertions and trail entries."""
+    """The engine's matrix, counting its insertions and trail entries,
+    and the engine's runs (each builds one matrix)."""
 
+    engine_runs = 0
     add_edge_calls = 0
     trail_entries = 0
+
+    def __init__(self, n):
+        CountingReach.engine_runs += 1
+        super().__init__(n)
 
     def add_edge(self, a, b):
         CountingReach.add_edge_calls += 1
@@ -218,6 +229,7 @@ class CountingReach(constraint._Reach):
 
 def counted(check, *args):
     """``check(*args)``, its seconds and the engine's counts."""
+    CountingReach.engine_runs = 0
     CountingReach.add_edge_calls = CountingReach.trail_entries = 0
     constraint._Reach = CountingReach
     try:
@@ -227,28 +239,39 @@ def counted(check, *args):
     finally:
         constraint._Reach = CountingReach.__bases__[0]
     return result, {"seconds": round(seconds, 2),
+                    "engine_runs": CountingReach.engine_runs,
                     "add_edge_calls": CountingReach.add_edge_calls,
                     "trail_entries": CountingReach.trail_entries}
 
 
-def soak_rows(smoke):
-    """``judge`` (and, outside the smoke, ``check_cc``) on one recorded
-    trace: the seed-3 ring soak in virtual time."""
+def soak_rows():
+    """The verdict front-ends and ``check_cc`` on one recorded trace: the
+    seed-3 ring soak in virtual time."""
     report = vtime.run(ring_cluster(**SOAK))
     history, delta, epsilon = report.history, report.delta, report.epsilon
+    ops = len(history)
     verdict, row = counted(judge, history, delta, epsilon)
     assert (verdict.tsc.satisfied, verdict.tcc.satisfied, verdict.sc.satisfied,
             len(verdict.late_reads)) == (True, True, True, 0)
     # The derived TCC searched nothing: SC's branch nodes are judge's.
     assert verdict.tcc.states_explored == 0
-    rows = [dict(check="judge", ops=len(history), **row,
+    rows = [dict(check="judge", ops=ops, **row,
                  branch_nodes=verdict.sc.states_explored)]
-    if not smoke:
-        cc, row = counted(check_cc, history)
-        assert cc.satisfied
-        rows.append(dict(check="check_cc", ops=len(history), **row,
-                         branch_nodes=cc.states_explored))
+    thresholds, row = counted(threshold_report, history, epsilon)
+    assert thresholds.sc_holds and thresholds.cc_holds
+    rows.append(dict(check="threshold_report", ops=ops, **row))
+    cls, row = counted(classify, history, delta, epsilon)
+    assert cls.region() == "TSC+SC+TCC+CC"
+    rows.append(dict(check="classify", ops=ops, **row))
+    cc, row = counted(check_cc, history)
+    assert cc.satisfied
+    rows.append(dict(check="check_cc", ops=ops, **row,
+                     branch_nodes=cc.states_explored))
     return rows
+
+
+def cc_edges(soak):
+    return next(r["add_edge_calls"] for r in soak if r["check"] == "check_cc")
 
 
 SCALING_NOTES = (
@@ -269,9 +292,11 @@ MEMORY_NOTES = (
 SOAK_NOTES = (
     "ring_cluster(n_servers=3, n_clients=3, replicas=2, rounds=600, "
     "think=0.001, seed=3) under repro.sim.vtime, then the check on its "
-    "merged history: one SC search gives judge's TSC, SC and TCC verdicts "
-    "(every one satisfied, no late read); trail_entries are the rows and "
-    "columns a branch logged to undo."
+    "merged history: one SC search gives judge's and threshold_report's "
+    "verdicts (every one satisfied, no late read); classify searches SC "
+    "once and CC once per site; check_cc feeds the transitive reduction of "
+    "causal order.  trail_entries are the rows and columns a branch logged "
+    "to undo; branch_nodes are reported where the result carries them."
 )
 
 
@@ -282,7 +307,7 @@ def run_all(smoke):
         rows += protocol_rows(PROTOCOL_OPS)
     race, speedup = race_rows(RACE_SIZES if not smoke else (50, RACE_AT))
     memory = memory_rows(MEMORY_SIZES if not smoke else (MEMORY_AT,))
-    soak = soak_rows(smoke)
+    soak = soak_rows()
     return rows, race, speedup, memory, soak
 
 
@@ -303,9 +328,10 @@ def report_all(rows, race, memory, soak):
     report("Checking engine memory: check_sc on random_sc_history", memory,
            columns=["ops", "check_s", "branch_nodes", "peak_rss_mb"],
            notes=MEMORY_NOTES)
-    report("One recorded trace: judge and check_cc on the seed-3 ring soak",
-           soak, columns=["check", "ops", "seconds", "add_edge_calls",
-                          "branch_nodes", "trail_entries"],
+    report("One recorded trace: the verdict front-ends and check_cc on the "
+           "seed-3 ring soak",
+           soak, columns=["check", "ops", "seconds", "engine_runs",
+                          "add_edge_calls", "branch_nodes", "trail_entries"],
            notes=SOAK_NOTES)
 
 
@@ -318,6 +344,7 @@ def test_checker_scaling(benchmark):
         f"n={RACE_AT}"
     )
     assert memory_at(memory) <= MEMORY_BOUND_MB
+    assert cc_edges(soak) <= CC_EDGE_BOUND
     report_all(rows, race, memory, soak)
 
 
@@ -338,12 +365,16 @@ def main(argv=None):
     print(f"recursion limit {sys.getrecursionlimit()}; speedup over the "
           f"reference at n={RACE_AT}: {speedup:.1f}x (floor {floor}x); "
           f"peak RSS at n={MEMORY_AT}: {memory_at(memory)} MB "
-          f"(bound {MEMORY_BOUND_MB} MB)")
+          f"(bound {MEMORY_BOUND_MB} MB); check_cc add_edge calls on the "
+          f"soak: {cc_edges(soak)} (bound {CC_EDGE_BOUND})")
     if speedup < floor:
         print("FAIL: speedup below floor", file=sys.stderr)
         return 1
     if memory_at(memory) > MEMORY_BOUND_MB:
         print("FAIL: peak memory above bound", file=sys.stderr)
+        return 1
+    if cc_edges(soak) > CC_EDGE_BOUND:
+        print("FAIL: check_cc add_edge calls above bound", file=sys.stderr)
         return 1
     if not args.smoke:
         report_all(rows, race, memory, soak)

@@ -17,9 +17,11 @@ from repro.checkers.cc import check_cc
 from repro.checkers.hierarchy import (
     CONTAINMENTS,
     Classification,
+    Judgement,
     census,
     classify,
     hierarchy_violations,
+    judge,
     lin_equals_tsc_zero,
     sc_equals_tsc_infinity,
 )
@@ -64,6 +66,7 @@ __all__ = [
     "CONTAINMENTS",
     "CheckResult",
     "Classification",
+    "Judgement",
     "SearchBudgetExceeded",
     "SessionViolation",
     "ThresholdReport",
@@ -86,6 +89,7 @@ __all__ = [
     "delta_spectrum",
     "hierarchy_violations",
     "history_from_wal",
+    "judge",
     "lin_equals_tsc_zero",
     "satisfies_session_guarantees",
     "sc_equals_tsc_infinity",

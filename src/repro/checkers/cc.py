@@ -6,13 +6,15 @@ causality relation ``->``.  Each site is checked independently; the
 witness per site is returned, mirroring Figure 6(b) of the paper.
 
 An SC witness (a legal effective-time order is one) restricted to each
-``H_{i+w}`` is that site's witness (docs/THEORY.md, Result 4); otherwise
-the engine decides site by site, fed the causal pairs in topological order.
+``H_{i+w}`` is that site's witness (docs/THEORY.md, Result 4): that is
+:func:`cc_given_sc`, which searches nothing once SC holds.  Otherwise the
+engine decides site by site, fed the transitive reduction of causal
+order on ``H_{i+w}`` in topological order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.checkers.constraint import decide
 from repro.checkers.result import CheckResult
@@ -21,24 +23,11 @@ from repro.core.operations import Operation
 from repro.core.serialization import time_order_witness
 
 
-def restrict_to_sites(
-    history: History, order: Sequence[Operation]
-) -> Dict[int, List[Operation]]:
-    """An SC witness ``order`` of ``history`` restricted to every site's
-    ``H_{i+w}``: the sites' CC witnesses."""
-    return {
-        site: [op for op in order if op.is_write or op.site == site]
-        for site in history.sites
-    }
-
-
 def check_cc(history: History, budget: Optional[int] = None) -> CheckResult:
     """Decide CC for ``history``."""
     order = time_order_witness(history)
     if order is not None:
-        return CheckResult(
-            "CC", True, site_witnesses=restrict_to_sites(history, order)
-        )
+        return cc_given_sc(history, CheckResult("SC", True, witness=order))
     closure = history.causal_predecessors()
     site_witnesses: Dict[int, List[Operation]] = {}
     nodes = 0
@@ -47,15 +36,20 @@ def check_cc(history: History, budget: Optional[int] = None) -> CheckResult:
         # Fewer causal predecessors first: a topological order.
         topo = sorted(ops, key=lambda op: len(closure[op]))
         place = {op: i for i, op in enumerate(topo)}
-        # Every causal pair, each operation after its predecessors and
-        # those latest first: the first edge into an operation then
-        # brings most of its ancestors, and the rest add nothing.
-        edges = [
-            (p, op)
-            for op in topo
-            for p in sorted((p for p in closure[op] if p in place),
-                            key=place.__getitem__, reverse=True)
-        ]
+        # The transitive reduction: a predecessor, taken latest first, is
+        # kept only when no predecessor already kept reaches it.
+        # ``below[i]`` is the bitset of topo[i]'s predecessors in H_(i+w)
+        # (causal order restricted to it is still transitive).
+        below: List[int] = []
+        edges = []
+        for op in topo:
+            covered = 0
+            for j in sorted((place[p] for p in closure[op] if p in place),
+                            reverse=True):
+                if not covered >> j & 1:
+                    edges.append((topo[j], op))
+                    covered |= below[j] | 1 << j
+            below.append(covered)
         result = decide(
             "CC",
             history,
@@ -72,3 +66,18 @@ def check_cc(history: History, budget: Optional[int] = None) -> CheckResult:
     return CheckResult(
         "CC", True, site_witnesses=site_witnesses, states_explored=nodes
     )
+
+
+def cc_given_sc(
+    history: History, sc: CheckResult, budget: Optional[int] = None
+) -> CheckResult:
+    """CC for ``history`` given SC's result on it: when SC holds, each
+    site's witness is SC's restricted to ``H_{i+w}`` (Figure 4a,
+    docs/THEORY.md Result 4), with no search and no branch nodes;
+    otherwise :func:`check_cc`."""
+    if not sc.satisfied:
+        return check_cc(history, budget)
+    return CheckResult("CC", True, site_witnesses={
+        site: [op for op in sc.witness if op.is_write or op.site == site]
+        for site in history.sites
+    })

@@ -32,7 +32,9 @@ from repro.checkers.result import CheckResult
 from repro.clocks.xi import XiMap
 from repro.core.history import History
 from repro.core.operations import Operation
-from repro.core.timed import late_reads, w_r_set, w_r_set_logical
+from repro.core.timed import (
+    _required_deltas, _xi_time, late_reads, w_r_set, w_r_set_logical,
+)
 
 
 def _per_writer_program_order(history: History, ops: List[Operation]):
@@ -164,16 +166,19 @@ def check_timed(
     if xi is None:
         params = {"delta": delta, "epsilon": epsilon}
         w_r = partial(w_r_set, history, delta=delta, epsilon=epsilon)
-        # The reads whose W_r is not empty, found without building one.
-        suspects = late_reads(history, delta, epsilon)
+        late = late_reads(history, delta, epsilon)
     else:
         params = {"delta": delta}
         w_r = partial(w_r_set_logical, history, delta=delta, xi=xi)
-        suspects = history.reads
-    for r in suspects:
+        late = [
+            r for r, need in _required_deltas(history, 0.0, _xi_time(xi))
+            if need > delta
+        ]
+    # The late reads are found without building any W_r; the first one's
+    # W_r names the violation.
+    if late:
+        r = late[0]
         labels = [w.label() for w in w_r(r)]
-        if not labels:
-            continue
         if xi is not None:
             violation = (
                 f"{r.label()} is late under xi={xi.name}: it misses {labels} "
@@ -197,4 +202,5 @@ def check_timed(
         violation=base.violation,
         states_explored=base.states_explored,
         parameters=params,
+        unknown=base.unknown,
     )

@@ -9,22 +9,51 @@ The paper proves (as execution sets, for any fixed delta):
 :func:`classify` evaluates all five criteria on one execution;
 :func:`hierarchy_violations` returns every containment broken by a
 classification (always empty if the checkers are correct — this is both a
-test invariant and the Figure 4a bench).
+test invariant and the Figure 4a bench).  :func:`judge` is the verdict
+of a recorded run: it searches SC once and takes CC from that search
+wherever Figure 4a allows it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional
 
-from repro.checkers.cc import check_cc
+from repro.checkers.cc import cc_given_sc, check_cc
+from repro.checkers.extensions import check_timed
 from repro.checkers.lin import check_lin
-from repro.checkers.result import CheckResult, SearchBudgetExceeded
+from repro.checkers.result import CheckResult, within_budget
 from repro.checkers.sc import check_sc
-from repro.checkers.tcc import check_tcc
 from repro.checkers.tsc import check_tsc
 from repro.core.history import History
+from repro.core.operations import Operation
+from repro.core.timed import late_reads
+
+
+class Judgement(NamedTuple):
+    """What :func:`judge` says about one recorded execution."""
+
+    tsc: CheckResult
+    tcc: CheckResult
+    sc: CheckResult
+    late_reads: List[Operation]
+
+
+def judge(history: History, delta: float, epsilon: float) -> Judgement:
+    """Offline TSC, TCC and SC verdicts plus the reads that are not on
+    time (Definitions 1-2), all at the same delta and epsilon.  A read is
+    judged at its recorded time, the end of its interval.  One SC search
+    decides all three (Figure 4a, docs/THEORY.md Result 4): CC is searched
+    for only when SC fails (a derived TCC reports no branch nodes)."""
+    sc = check_sc(history)
+    return Judgement(
+        tsc=check_timed(history, lambda _: sc, delta, epsilon, criterion="TSC"),
+        tcc=check_timed(history, lambda h: cc_given_sc(h, sc), delta, epsilon,
+                        criterion="TCC"),
+        sc=sc,
+        late_reads=late_reads(history, delta, epsilon),
+    )
 
 
 @dataclass(frozen=True)
@@ -70,14 +99,6 @@ class Classification:
         return label
 
 
-def _verdict(check: Callable[[], CheckResult]) -> Optional[bool]:
-    """Run one check; ``None`` when its search budget ran out."""
-    try:
-        return check().satisfied
-    except SearchBudgetExceeded:
-        return None
-
-
 def classify(
     history: History,
     delta: float,
@@ -86,15 +107,21 @@ def classify(
 ) -> Classification:
     """Evaluate LIN, SC, CC, TSC(delta), TCC(delta) on one execution.
 
-    A criterion whose search exhausts ``budget`` is recorded as ``None``
-    (unknown) instead of raising.
+    SC and CC are searched once each, independently of one another, so
+    the SC-in-CC containment stays an observation; TSC and TCC are those
+    results through :func:`~repro.checkers.check_timed`.  A criterion
+    whose search exhausts ``budget`` is recorded as ``None`` (unknown)
+    instead of raising, unless a late read already decides it.
     """
+    lin = within_budget("LIN", lambda: check_lin(history, budget=budget))
+    sc = within_budget("SC", lambda: check_sc(history, budget=budget))
+    cc = within_budget("CC", lambda: check_cc(history, budget=budget))
     return Classification(
-        lin=_verdict(lambda: check_lin(history, budget=budget)),
-        sc=_verdict(lambda: check_sc(history, budget=budget)),
-        cc=_verdict(lambda: check_cc(history, budget=budget)),
-        tsc=_verdict(lambda: check_tsc(history, delta, epsilon, budget=budget)),
-        tcc=_verdict(lambda: check_tcc(history, delta, epsilon, budget=budget)),
+        lin=lin.verdict,
+        sc=sc.verdict,
+        cc=cc.verdict,
+        tsc=check_timed(history, lambda _: sc, delta, epsilon).verdict,
+        tcc=check_timed(history, lambda _: cc, delta, epsilon).verdict,
         delta=delta,
         epsilon=epsilon,
     )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.core.operations import Operation
 
@@ -35,6 +35,11 @@ class CheckResult:
     def __bool__(self) -> bool:
         return self.satisfied
 
+    @property
+    def verdict(self) -> Optional[bool]:
+        """``satisfied``, or ``None`` when the check is ``unknown``."""
+        return None if self.unknown else self.satisfied
+
     def __repr__(self) -> str:
         if self.unknown:
             verdict = "UNKNOWN"
@@ -61,3 +66,11 @@ class SearchBudgetExceeded(RuntimeError):
             "the history is too adversarial for exact checking"
         )
         self.budget = budget
+
+
+def within_budget(criterion: str, check: Callable[[], CheckResult]) -> CheckResult:
+    """``check()``, or an ``unknown`` result if its search ran out of budget."""
+    try:
+        return check()
+    except SearchBudgetExceeded:
+        return CheckResult(criterion, False, unknown=True)

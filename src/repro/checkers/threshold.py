@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.checkers.cc import check_cc
-from repro.checkers.result import SearchBudgetExceeded
+from repro.checkers.cc import cc_given_sc, check_cc
+from repro.checkers.result import within_budget
 from repro.checkers.sc import check_sc
 from repro.clocks.xi import XiMap
 from repro.core.history import History
@@ -66,19 +66,15 @@ def threshold_report(
 ) -> ThresholdReport:
     """Compute the full threshold report for one execution.
 
+    SC is searched once; CC is taken from its witness when SC holds
+    (:func:`~repro.checkers.cc.cc_given_sc`) and searched otherwise.
     Budget exhaustion in either base check surfaces as ``sc_holds`` /
     ``cc_holds`` of ``None`` (threshold ``math.nan``) instead of an
     exception.
     """
     timed_thr = min_timed_delta(history, epsilon)
-    try:
-        sc_holds: Optional[bool] = check_sc(history, budget=budget).satisfied
-    except SearchBudgetExceeded:
-        sc_holds = None
-    try:
-        cc_holds: Optional[bool] = check_cc(history, budget=budget).satisfied
-    except SearchBudgetExceeded:
-        cc_holds = None
+    sc = within_budget("SC", lambda: check_sc(history, budget=budget))
+    cc = within_budget("CC", lambda: cc_given_sc(history, sc, budget))
 
     def threshold_of(holds: Optional[bool]) -> float:
         if holds is None:
@@ -87,10 +83,10 @@ def threshold_report(
 
     return ThresholdReport(
         timed_threshold=timed_thr,
-        sc_holds=sc_holds,
-        cc_holds=cc_holds,
-        tsc_threshold=threshold_of(sc_holds),
-        tcc_threshold=threshold_of(cc_holds),
+        sc_holds=sc.verdict,
+        cc_holds=cc.verdict,
+        tsc_threshold=threshold_of(sc.verdict),
+        tcc_threshold=threshold_of(cc.verdict),
         epsilon=epsilon,
     )
 

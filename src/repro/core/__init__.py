@@ -24,7 +24,6 @@ from repro.core.timed import (
     min_timed_delta,
     min_timed_delta_logical,
     read_occurs_on_time,
-    read_occurs_on_time_logical,
     required_delta,
     w_r_set,
     w_r_set_logical,
@@ -53,7 +52,6 @@ __all__ = [
     "min_timed_delta_logical",
     "read",
     "read_occurs_on_time",
-    "read_occurs_on_time_logical",
     "reads_from_in",
     "render_serialization",
     "render_timeline",

@@ -247,25 +247,12 @@ def w_r_set_logical(
     return _w_r(history, read_op, delta, 0.0, writer, _xi_time(xi))
 
 
-def read_occurs_on_time_logical(
-    history: History,
-    read_op: Operation,
-    delta: float,
-    xi: XiMap,
-    writer: Optional[Operation] = None,
-) -> bool:
-    """``True`` iff the Definition-6 ``W_r`` is empty."""
-    return not w_r_set_logical(history, read_op, delta, xi, writer)
-
-
-def all_reads_on_time_logical(history: History, delta: float, xi: XiMap) -> bool:
-    """``True`` iff every read occurs on time under Definition 6."""
-    return all(
-        read_occurs_on_time_logical(history, r, delta, xi) for r in history.reads
-    )
-
-
 def min_timed_delta_logical(history: History, xi: XiMap) -> float:
     """Smallest Definition-6 ``delta`` making every read on time."""
     reads = _required_deltas(history, 0.0, _xi_time(xi))
     return max((need for _, need in reads), default=0.0)
+
+
+def all_reads_on_time_logical(history: History, delta: float, xi: XiMap) -> bool:
+    """``True`` iff every read occurs on time under Definition 6."""
+    return min_timed_delta_logical(history, xi) <= delta

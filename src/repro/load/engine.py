@@ -45,6 +45,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Awaitable, Dict, List, Optional, Sequence, Tuple
 
+from repro.checkers import judge
 from repro.clocks.rebase import loop_time
 from repro.core.io import dump_history
 from repro.core.operations import Operation
@@ -53,7 +54,7 @@ from repro.load.scenario import Scenario
 from repro.load.worker import LoadWorker, PhasePlan, PhaseStats
 from repro.load.workload import DeadlineClass, make_workload
 from repro.net.client import NetError
-from repro.net.local import FaultOutcome, LocalStack, judge, merge_history
+from repro.net.local import FaultOutcome, LocalStack, merge_history
 from repro.obs.instruments import TimedInstruments
 from repro.obs.metrics import Registry
 from repro.ring.placement import PlacementError

@@ -28,8 +28,8 @@ unmodified in virtual time:
   reads, per-server clock sync composed onto one reference timescale;
 * :mod:`repro.net.local` — the one localhost fixture: ``LocalStack``
   stands the stack up (servers, ring, stores, SWIM agents, connected
-  sites), kills a primary and tears everything down; ``judge`` is the
-  one verdict function over a recorded trace;
+  sites), kills a primary and tears everything down (the verdict over a
+  recorded trace is :func:`repro.checkers.judge`);
 * :mod:`repro.net.workloads` — the in-process workloads on that fixture
   whose recorded traces are verified by the checkers: the single-server
   push-staleness scenario and random mix (``repro net-demo``) and the
@@ -59,7 +59,7 @@ from repro.net.framing import (
     encode_frame,
     listen,
 )
-from repro.net.local import FaultOutcome, Judgement, LocalStack, judge
+from repro.net.local import FaultOutcome, LocalStack
 from repro.net.ring_router import RingRouter, RouterStats
 from repro.net.server import NetObjectServer
 from repro.net.workloads import (
@@ -79,7 +79,6 @@ __all__ = [
     "FaultOutcome",
     "FrameConnection",
     "FrameError",
-    "Judgement",
     "LocalStack",
     "MAX_FRAME_BYTES",
     "NetCacheClient",
@@ -96,7 +95,6 @@ __all__ = [
     "decode_frame",
     "dial",
     "encode_frame",
-    "judge",
     "listen",
     "ring_cluster",
     "run_push_staleness_demo",

@@ -19,10 +19,11 @@ sequences they used to write out themselves:
 * teardown, agents before sites before servers
   (:meth:`LocalStack.close`).
 
-Next to it sits the one verdict function, :func:`judge`, and the one
-way a recorded trace with reads of unrecorded writes becomes a history,
-:func:`merge_history`.  ``benchmarks/layers/rep.py::build_stack`` is the
-remaining copy of the stand-up (ROADMAP item 4).
+Next to it sits the one way a recorded trace with reads of unrecorded
+writes becomes a history, :func:`merge_history`; the verdict on that
+history is :func:`repro.checkers.judge`.
+``benchmarks/layers/rep.py::build_stack`` is the remaining copy of the
+stand-up (ROADMAP item 4).
 """
 
 from __future__ import annotations
@@ -32,17 +33,12 @@ import math
 import os
 from dataclasses import dataclass
 from typing import (
-    Any, Awaitable, Callable, Dict, List, NamedTuple, Optional, Sequence,
-    Tuple, Union,
+    Any, Awaitable, Callable, Dict, List, Optional, Sequence, Tuple, Union,
 )
 
-from repro.checkers import check_cc, check_sc, check_timed
-from repro.checkers.cc import restrict_to_sites
-from repro.checkers.result import CheckResult
 from repro.clocks.rebase import RebasedClock, loop_time
 from repro.core.history import History
 from repro.core.operations import Operation
-from repro.core.timed import late_reads
 from repro.net.client import NetCacheClient, NetError
 from repro.net.faults import FaultInjector
 from repro.net.ring_router import RingRouter
@@ -52,37 +48,6 @@ from repro.ring.ring import Ring, RingBuilder
 from repro.store import DurableStore
 
 HOST = "127.0.0.1"
-
-
-class Judgement(NamedTuple):
-    """What :func:`judge` says about one recorded execution."""
-
-    tsc: CheckResult
-    tcc: CheckResult
-    sc: CheckResult
-    late_reads: List[Operation]
-
-
-def judge(history: History, delta: float, epsilon: float) -> Judgement:
-    """Offline TSC, TCC and SC verdicts plus the reads that are not on
-    time (Definitions 1-2), all at the same delta and epsilon.  A read is
-    judged at its recorded time, the end of its interval.  One SC search
-    decides all three (Figure 4a, docs/THEORY.md Result 4): CC is searched
-    for only when SC fails (a derived TCC reports no branch nodes)."""
-    sc = check_sc(history)
-
-    def cc(h: History) -> CheckResult:
-        if not sc.satisfied:
-            return check_cc(h)
-        return CheckResult(
-            "CC", True, site_witnesses=restrict_to_sites(h, sc.witness))
-
-    return Judgement(
-        tsc=check_timed(history, lambda _: sc, delta, epsilon, criterion="TSC"),
-        tcc=check_timed(history, cc, delta, epsilon, criterion="TCC"),
-        sc=sc,
-        late_reads=late_reads(history, delta, epsilon),
-    )
 
 
 def merge_history(

@@ -3,7 +3,7 @@
 The loop-closer for ``repro.net``: stand the real TCP stack up through
 :class:`~repro.net.local.LocalStack`, connect real sites (each with its
 own skewed-then-synchronized clock), drive a workload, and hand the
-*recorded* execution to :func:`~repro.net.local.judge` with the
+*recorded* execution to :func:`~repro.checkers.judge` with the
 ``epsilon`` the clock-sync layer itself reports.  Everything runs on one
 event loop so a single :class:`~repro.sim.trace.TraceRecorder` sees the
 whole cluster — the multi-process deployment (``repro serve`` / ``repro
@@ -42,6 +42,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Awaitable, Dict, List, Optional, Sequence, Tuple
 
+from repro.checkers import judge
 from repro.checkers.result import CheckResult
 from repro.clocks.rebase import loop_time
 from repro.core.history import History, HistoryError
@@ -54,7 +55,6 @@ from repro.net.local import (
     FaultOutcome,
     LocalStack,
     default_skews,
-    judge,
     merge_history,
 )
 from repro.net.ring_router import RingRouter, RouterStats
@@ -99,16 +99,12 @@ def _cluster_report(
 ) -> ClusterReport:
     history = recorder.history()
     epsilon = max(client.epsilon_bound for client in clients)
-    verdict = judge(history, delta, epsilon)
     server = stack.servers[0]
     return ClusterReport(
         history=history,
         delta=delta,
         epsilon=epsilon,
-        tsc=verdict.tsc,
-        tcc=verdict.tcc,
-        sc=verdict.sc,
-        late_reads=verdict.late_reads,
+        **judge(history, delta, epsilon)._asdict(),
         client_stats={c.client_id: c.stats for c in clients},
         client_offsets={c.client_id: c.clock.estimator.offset for c in clients},
         server_requests=server.engine.requests,
@@ -479,16 +475,12 @@ async def ring_cluster(
             "and no fault was injected"
         )
     epsilon = max(router.epsilon_bound for router in routers)
-    verdict = judge(history, delta, epsilon)
     return RingReport(
         history=history,
         ring=stack.ring,
         delta=delta,
         epsilon=epsilon,
-        tsc=verdict.tsc,
-        tcc=verdict.tcc,
-        sc=verdict.sc,
-        late_reads=verdict.late_reads,
+        **judge(history, delta, epsilon)._asdict(),
         router_stats={r.client_id: r.stats for r in routers},
         placement_stats={r.client_id: r.placement.stats for r in routers},
         server_requests={d: s.engine.requests for d, s in stack.servers.items()},

@@ -1,7 +1,8 @@
 """The one localhost fixture (``repro.net.local``): stand-up that cleans
 up after itself, one constructor path per device, teardown order, the
-shared verdict and unmatched-read path, and pins that keep the harness
-sequences from being written out a second time."""
+unmatched-read path and the verdict on what it records
+(``repro.checkers.judge``), and pins that keep the harness sequences from
+being written out a second time."""
 
 import ast
 import asyncio
@@ -12,7 +13,10 @@ import sys
 import pytest
 
 import repro
-from repro.checkers import check_sc, check_tcc, check_tsc
+import repro.net
+from repro.checkers import (
+    Judgement, check_cc, check_sc, check_tcc, check_tsc, judge, threshold_report,
+)
 from repro.cluster import ClusterConfig, SwimAgent
 from repro.core.history import History
 from repro.core.operations import read, write
@@ -20,7 +24,7 @@ from repro.core.serialization import is_legal, respects
 from repro.core.timed import late_reads
 from repro.load import engine as load_engine
 from repro.net import local
-from repro.net.local import LocalStack, judge, merge_history
+from repro.net.local import LocalStack, merge_history
 from repro.net.ring_router import RingRouter
 from repro.net.server import NetObjectServer
 from repro.net.workloads import RingReport, ring_cluster
@@ -257,7 +261,7 @@ class TestOneJudge:
         ))
         assert len(report.history) > 16
         assert report.fault is None and report.unmatched_reads == 0
-        got = local.Judgement(
+        got = Judgement(
             report.tsc, report.tcc, report.sc, report.late_reads
         )
         assert_same_judgement(
@@ -269,11 +273,14 @@ class TestOneJudge:
         # TCC's per-site witnesses from it; the separate checkers search
         # for each.  Same verdicts, violations and parameters, and every
         # derived site witness is a legal serialization of H_(i+w) that
-        # respects causal order (docs/THEORY.md, Result 4).
+        # respects causal order (docs/THEORY.md, Result 4).  threshold_report
+        # takes CC from the same derivation.
         seen = {"late": 0, "not sc": 0, "derived": 0}
         for history, delta, epsilon in agreement_cases():
             got = judge(history, delta, epsilon)
             assert_same_judgement(got, old_call_sites(history, delta, epsilon))
+            assert threshold_report(history, epsilon).cc_holds \
+                == check_cc(history).satisfied
             seen["late"] += bool(got.late_reads)
             seen["not sc"] += not got.sc.satisfied
             if got.tcc.site_witnesses is None or not got.sc.satisfied:
@@ -289,6 +296,16 @@ class TestOneJudge:
                 assert is_legal(witness, history.initial_value)
                 assert respects(witness, causal)
         assert min(seen.values()) >= 10, seen
+
+    def test_the_verdict_lives_in_the_checkers(self):
+        assert names_in(SRC / "net" / "local.py") & {
+            "judge", "Judgement", "check_sc", "check_cc", "check_timed",
+        } == set()
+        assert not hasattr(repro.net, "judge")
+        # Result 4's derivation has one home, and the front-ends call it.
+        assert callers_of("cc_given_sc") == {
+            "checkers/cc.py", "checkers/hierarchy.py", "checkers/threshold.py",
+        }
 
     def test_a_read_of_an_unrecorded_write_is_counted_and_dropped(self):
         # What a kill leaves behind: w0(x)s0.2 was installed but its

@@ -5,6 +5,9 @@ import math
 import pytest
 
 from repro.checkers import (
+    check_cc,
+    check_lin,
+    check_sc,
     check_tcc,
     check_tsc,
     classify,
@@ -119,6 +122,61 @@ class TestHierarchy:
         counts = census([fig1, fig5, fig6], delta=1e6)
         assert counts["__hierarchy_violations__"] == 0
         assert sum(v for k, v in counts.items() if not k.startswith("__")) == 3
+
+
+@pytest.fixture
+def engine_runs(monkeypatch):
+    """Every run of the checking engine from here on, one entry each."""
+    from repro.checkers import constraint
+
+    runs = []
+    search = constraint.find_constrained_serialization
+
+    def counted(*args, **kwargs):
+        runs.append(len(args[1]))  # the operations it ordered
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(constraint, "find_constrained_serialization", counted)
+    return runs
+
+
+class TestOneSearchPerBase:
+    """No front-end repeats a search whose answer it already holds."""
+
+    @pytest.mark.parametrize("figure", ["fig1", "fig5"])
+    def test_threshold_report_takes_cc_from_a_holding_sc(
+        self, figure, request, engine_runs
+    ):
+        history = request.getfixturevalue(figure)
+        assert check_sc(history) and not check_lin(history)
+        engine_runs.clear()
+        report = threshold_report(history)
+        assert report.sc_holds and report.cc_holds
+        # SC's one search; CC is its witness restricted to each H_(i+w).
+        assert len(engine_runs) == 1
+
+    def test_threshold_report_searches_cc_when_sc_fails(self, fig6, engine_runs):
+        report = threshold_report(fig6)
+        assert report.sc_holds is False and report.cc_holds is True
+        assert len(engine_runs) == 1 + len(fig6.sites)
+
+    @pytest.mark.parametrize("figure", ["fig1", "fig5", "fig6"])
+    def test_classify_searches_sc_once_and_each_site_once(
+        self, figure, request, engine_runs
+    ):
+        history = request.getfixturevalue(figure)
+        assert check_cc(history) and not check_lin(history)
+        engine_runs.clear()
+        cls = classify(history, math.inf)
+        assert cls.cc and cls.tcc and cls.tsc == cls.sc and not cls.lin
+        # LIN decides by the time order; SC once, CC once per site, and
+        # TSC/TCC at delta = inf are those results, not new searches.
+        assert len(engine_runs) == 1 + len(history.sites)
+
+    def test_a_late_read_decides_a_timed_verdict_without_a_search(self, fig5):
+        cls = classify(fig5, 50.0, budget=0)
+        assert cls.sc is None and cls.cc is None
+        assert cls.tsc is False and cls.tcc is False
 
 
 class TestGeneratorsLandWhereExpected:
