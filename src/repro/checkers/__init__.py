@@ -22,8 +22,6 @@ from repro.checkers.hierarchy import (
     classify,
     hierarchy_violations,
     judge,
-    lin_equals_tsc_zero,
-    sc_equals_tsc_infinity,
 )
 from repro.checkers.extensions import (
     check_coherence,
@@ -90,9 +88,7 @@ __all__ = [
     "hierarchy_violations",
     "history_from_wal",
     "judge",
-    "lin_equals_tsc_zero",
     "satisfies_session_guarantees",
-    "sc_equals_tsc_infinity",
     "session_guarantee_report",
     "singleton_transactions",
     "tcc_logical_threshold",

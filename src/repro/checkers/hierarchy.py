@@ -16,7 +16,6 @@ wherever Figure 4a allows it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, NamedTuple, Optional
 
@@ -25,7 +24,6 @@ from repro.checkers.extensions import check_timed
 from repro.checkers.lin import check_lin
 from repro.checkers.result import CheckResult, within_budget
 from repro.checkers.sc import check_sc
-from repro.checkers.tsc import check_tsc
 from repro.core.history import History
 from repro.core.operations import Operation
 from repro.core.timed import late_reads
@@ -194,23 +192,3 @@ def census(
     counts["__budget_unknown__"] = unknowns
     return counts
 
-
-def lin_equals_tsc_zero(
-    history: History, budget: Optional[int] = None
-) -> bool:
-    """Check the paper's claim that TSC(delta=0) coincides with LIN on this
-    execution (Section 3: "when delta is 0, timed consistency becomes
-    LIN")."""
-    lin = check_lin(history, budget=budget).satisfied
-    tsc0 = check_tsc(history, 0.0, 0.0, budget=budget).satisfied
-    return lin == tsc0
-
-
-def sc_equals_tsc_infinity(
-    history: History, budget: Optional[int] = None
-) -> bool:
-    """Check that TSC(delta=inf) coincides with SC on this execution
-    (Figure 4b's right end)."""
-    sc = check_sc(history, budget=budget).satisfied
-    tsc_inf = check_tsc(history, math.inf, 0.0, budget=budget).satisfied
-    return sc == tsc_inf

@@ -102,12 +102,6 @@ class LogicalTimestamp(ABC):
 
     # -- derived comparison helpers ------------------------------------
 
-    def happens_before(self, other: "LogicalTimestamp") -> bool:
-        return self.compare(other) is Ordering.BEFORE
-
-    def concurrent_with(self, other: "LogicalTimestamp") -> bool:
-        return self.compare(other) is Ordering.CONCURRENT
-
     def __lt__(self, other: "LogicalTimestamp") -> bool:
         return self.compare(other) is Ordering.BEFORE
 

@@ -140,9 +140,6 @@ class Serialization:
     def respects_effective_times(self) -> bool:
         return respects_effective_times(self.sequence)
 
-    def reads_from(self) -> Dict[Operation, Optional[Operation]]:
-        return reads_from_in(self.sequence, self.initial_value)
-
     def covers(self, ops: Iterable[Operation]) -> bool:
         """``True`` iff the sequence contains exactly the given operations."""
         return set(self.sequence) == set(ops)

@@ -12,9 +12,11 @@ clock and trace recording.
 
 Built with ``site=`` (a :class:`~repro.net.ring_router.RingRouter`), a
 client is one device link of that site: it drives the site's one engine,
-handing it every stamp rebased onto the site's timescale, and unasked
-only what the object's primary pushes (docs/THEORY.md, Result 3); its
-``delta`` and ``skew`` are the site's, and setting them is an error.
+handing it every stamp rebased onto the site's timescale by an offset
+its connect handshake fixes (docs/THEORY.md, Result 3).  A link pulls
+and never subscribes, so every stamp it hands the engine answers a
+request; its ``delta`` and ``skew`` are the site's, and setting them, or
+``mode="push"``, is an error.
 
 Two freshness modes:
 
@@ -127,8 +129,10 @@ class NetCacheClient:
             raise ValueError(f"mode must be one of {FRESHNESS_MODES}, got {mode!r}")
         if pipeline_depth < 1:
             raise ValueError(f"pipeline_depth must be >= 1, got {pipeline_depth}")
-        if site is not None and (delta != math.inf or skew != 0.0):
-            raise ValueError("a site's device link takes delta and skew from the site")
+        if site is not None and (delta != math.inf or skew != 0.0 or mode != "pull"):
+            raise ValueError(
+                "a site's device link pulls and takes delta and skew from the site"
+            )
         self.client_id = client_id
         self.host = host
         self.port = port
@@ -187,7 +191,7 @@ class NetCacheClient:
             kind: rtt.labels(**labels, kind=kind)
             for kind in (
                 messages.FETCH, messages.VALIDATE, messages.WRITE,
-                messages.VALIDATE_BATCH, SYNC,
+                messages.VALIDATE_BATCH,
             )
         }
         self._push_lag = self.registry.histogram(
@@ -252,6 +256,8 @@ class NetCacheClient:
         return self
 
     async def _sync_clock(self, rounds: int) -> None:
+        """The handshake's clock-sync exchanges: the only samples the
+        estimator takes, so a link's offset is fixed once connected."""
         conn = self.channel.conn
         for _ in range(rounds):
             t0 = self.clock.local()
@@ -262,13 +268,6 @@ class NetCacheClient:
                 raise ConnectionError("server closed during clock sync")
             if reply.get("kind") != SYNC_ACK:
                 raise ProtocolError(f"bad sync reply: {reply!r}")
-            self.clock.estimator.add_sample(reply["t0"], reply["t1"], reply["t2"], t3)
-
-    async def resync(self, rounds: Optional[int] = None) -> None:
-        """Run additional sync exchanges over the live connection."""
-        for _ in range(rounds if rounds is not None else SYNC_ROUNDS):
-            reply = await self._request({"kind": SYNC, "t0": self.clock.local()})
-            t3 = self.clock.local()
             self.clock.estimator.add_sample(reply["t0"], reply["t1"], reply["t2"], t3)
 
     async def close(self) -> None:
@@ -369,10 +368,8 @@ class NetCacheClient:
     def _on_frame(self, frame: Dict[str, Any]) -> None:
         """Every inbound frame once the channel has started, before the
         call it may answer resumes.  Unasked, only a push or invalidate
-        means something, and in a site only from the object's primary: a
-        replica may install one object's writes in another order, and its
-        later stamp would win over the primary's last version
-        (docs/THEORY.md, Result 3)."""
+        means something; only a standalone push-mode client subscribes,
+        so it applies every one it is sent, on its own timescale."""
         if frame.get("epoch") is not None:
             self._note_epoch(frame)
         if frame.get("req") is not None:
@@ -384,8 +381,7 @@ class NetCacheClient:
             lag = self.clock.now() - float(frame["alpha"])
             if lag >= 0.0:
                 self._push_lag.observe(lag)
-        if self.site is None or self.site.homes(self, frame["obj"]):
-            self.engine.on_server_frame(self._rebased(frame), self.now())
+        self.engine.on_server_frame(frame, self.now())
 
     # -- one site, one timescale ----------------------------------------------
 
@@ -403,8 +399,7 @@ class NetCacheClient:
             rebased["omega"] = float(frame["omega"]) + shift
         if "alpha" in frame:
             rebased["alpha"] = alpha = float(frame["alpha"]) + shift
-            if frame["kind"] != messages.INVALIDATE:
-                self._stamps[frame["obj"]] = (alpha, frame["alpha"])
+            self._stamps[frame["obj"]] = (alpha, frame["alpha"])
         return rebased
 
     def _asked(self, op: Any) -> Dict[str, Any]:

@@ -94,16 +94,6 @@ class FaultInjector:
 
     # -- partition control ---------------------------------------------------
 
-    @property
-    def partitioned(self) -> bool:
-        """True while any direction is severed."""
-        return bool(self._cut)
-
-    @property
-    def cut_directions(self) -> FrozenSet[str]:
-        """The severed directions: subset of ``{"out", "in"}``."""
-        return self._cut
-
     def partition(self, direction: str = "both") -> None:
         """Sever the link: affected frames are silently dropped.
 

@@ -30,8 +30,8 @@ write's effective time); its replica copies are bare ``write`` frames
 whose acks count toward the W-of-N quorum and touch no cache.  Reads
 route primary-first with replica fallback; failed fan-out copies are
 queued for delta-bounded anti-entropy (:meth:`start_anti_entropy`).
-In push mode every device pushes every install it makes, replica copies
-included; the engine takes only the object's primary's (:meth:`homes`).
+The links pull and never subscribe, so every stamp the engine takes
+answers a request this site made (docs/THEORY.md, Result 3).
 Reads are guarded: serving a read from a device outside the object's
 replica set is a routing bug, counted in ``off_ring_reads`` and asserted
 zero by the acceptance tests.
@@ -178,8 +178,8 @@ class RingRouter:
 
     ``registry`` (a :class:`repro.obs.metrics.Registry`) binds the
     router's, placement's and the site's ClientStats counters as pull
-    collectors and propagates to the device links (RTT / push-lag
-    histograms and clock gauges, per device).  ``instruments`` (a
+    collectors and propagates to the device links (RTT histograms and
+    clock gauges, per device).  ``instruments`` (a
     :class:`repro.obs.instruments.TimedInstruments`) feeds every routed
     read/write into the live on-time-ratio / visibility-lag monitors;
     :meth:`connect` sets its ``epsilon`` from :attr:`epsilon_bound` once
@@ -193,7 +193,6 @@ class RingRouter:
         endpoints: Dict[int, Tuple[str, int]],
         *,
         delta: float = math.inf,
-        mode: str = "pull",
         write_quorum: Optional[int] = None,
         read_policy: str = "primary",
         recorder: Optional[TraceRecorder] = None,
@@ -225,7 +224,7 @@ class RingRouter:
         # What every device link is built with, the first ones and the
         # ones that join later (_device_client).
         self._client_options = dict(
-            mode=mode, registry=registry, pipeline_depth=pipeline_depth,
+            registry=registry, pipeline_depth=pipeline_depth,
         )
         self.clients: Dict[int, NetCacheClient] = {
             dev_id: self._device_client(dev_id, *endpoints[dev_id])
@@ -354,12 +353,6 @@ class RingRouter:
         await client.connect()
         self.clients[dev_id] = client
         self.endpoints[dev_id] = (host, port)
-
-    def homes(self, link: NetCacheClient, obj: str) -> bool:
-        """Whether ``link`` reaches ``obj``'s primary under the current
-        ring: the one device whose pushes and invalidations the site's
-        engine takes (docs/THEORY.md, Result 3)."""
-        return self.clients.get(self.ring.primary_for(obj)) is link
 
     # -- epoch subscription (docs/CLUSTER.md) ---------------------------------
 

@@ -421,7 +421,7 @@ class NetObjectServer:
             installed: Sequence[PhysicalVersion] = ()
             if kind == SYNC:
                 # Never cached or deduped: a replayed timestamp would poison
-                # the client's NTP estimator.  ``req`` is echoed for resync().
+                # the client's NTP estimator.  ``req`` is echoed, as on any reply.
                 self._hold(conn, client_id, held)
                 t1 = self.clock()
                 reply = {

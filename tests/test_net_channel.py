@@ -795,7 +795,11 @@ class TestOneAnsweringEnd:
         for gone in ("_on_sync", "_stamped", "_dispatch", "_read_attempt",
                      "write-batch", "WRITE_BATCH", "_flush_batches",
                      "write_many", "batched_writes", "take_queued",
-                     "_ENDS_BURST"):
+                     "_ENDS_BURST", "def homes", "def resync",
+                     "def cut_directions", "def partitioned",
+                     "def happens_before", "def concurrent_with",
+                     "def reads_from(", "def lin_equals_tsc_zero",
+                     "def sc_equals_tsc_infinity"):
             assert [
                 str(path.relative_to(SRC)) for path in SRC.rglob("*.py")
                 if gone in path.read_text(encoding="utf-8")

@@ -1,10 +1,13 @@
 """Clock rebasing and the NTP-style offset/epsilon estimator."""
 
+import ast
 import asyncio
 import math
+import pathlib
 
 import pytest
 
+import repro
 from repro.clocks import RebasedClock
 from repro.net.clocksync import ClockSyncEstimator, SyncedClock
 
@@ -246,17 +249,25 @@ class TestAckStampedOutsideTheCallersInterval:
     widened to hold its stamp."""
 
     @staticmethod
-    async def _write_once(server_faults=None, resync=0, shape=None, **site):
+    async def _write_once(server_faults=None, ahead=0.0, shape=None):
         """One write and a read of it through a connected site; returns
-        the ack's stamp and the write as the trace holds it."""
+        the ack's stamp and the write as the trace holds it.  ``ahead``
+        replaces the site's estimate with one exchange whose request leg
+        took that long (no reply delay): its clock then runs ``ahead / 2``
+        ahead of the server's, inside the ``ahead / 2`` error it claims."""
         from repro.net.local import LocalStack
         from repro.sim.trace import TraceRecorder
 
         recorder = TraceRecorder()
         async with LocalStack(fault_factory=server_faults, **(shape or {})) as stack:
-            client = await stack.connect(0, delta=1.0, recorder=recorder, **site)
-            if resync:
-                await client.resync(resync)
+            client = await stack.connect(0, delta=1.0, recorder=recorder)
+            if ahead:
+                client.clock.estimator = ClockSyncEstimator()
+                local = client.clock.local()
+                client.clock.estimator.add_sample(*exchange(
+                    stack.servers[0].clock() - local, up=ahead, down=0.0,
+                    t0=local, server_work=0.0,
+                ))
             alpha = await client.write("x", "v1")
             assert await client.read("x") == "v1"
             held = {s.engine.store["x"].value for s in stack.servers.values()}
@@ -278,15 +289,11 @@ class TestAckStampedOutsideTheCallersInterval:
             server_faults=lambda: self._delaying("sync-ack")))
         assert write.end == alpha
 
-    def test_stamp_before_the_interval_is_recorded_not_raised(self, monkeypatch):
-        # The client->server leg delayed instead (over the live link,
-        # where a client's faults apply): the site's clock runs ahead.
-        # The handshake's clean samples would win (the estimator keeps
-        # the shortest round trip), so it runs none: every sample is a
-        # delayed resync.
-        monkeypatch.setattr("repro.net.client.SYNC_ROUNDS", 0)
-        alpha, write = asyncio.run(self._write_once(
-            faults=self._delaying("sync"), resync=4))
+    def test_stamp_before_the_interval_is_recorded_not_raised(self):
+        # The client->server leg delayed instead: the site's clock runs
+        # ahead.  A connected link takes no sample after its handshake,
+        # so the delayed exchange is fed to a fresh estimator directly.
+        alpha, write = asyncio.run(self._write_once(ahead=0.004))
         assert write.start == alpha
 
     def test_router_records_the_widened_interval_too(self):
@@ -294,3 +301,35 @@ class TestAckStampedOutsideTheCallersInterval:
             server_faults=lambda: self._delaying("sync-ack"),
             shape={"servers": 2, "replicas": 2}))
         assert write.end == alpha
+
+
+def sample_takers():
+    """Every ``Class.method`` (or function) under ``src/repro`` that calls
+    an ``add_sample``."""
+    takers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+            elif (isinstance(child, ast.Call)
+                  and isinstance(child.func, ast.Attribute)
+                  and child.func.attr == "add_sample"):
+                takers.add(".".join(scope))
+            visit(child, inner)
+
+    for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), ())
+    return takers
+
+
+class TestOffsetsAreSetOnce:
+    """A ring site rebases a device's stamps by ``offset_ref - offset_d``
+    (docs/THEORY.md, Result 3), which holds one timeline only while no
+    offset moves: an estimator takes samples in the connect handshake
+    and nowhere else."""
+
+    def test_only_the_handshake_feeds_an_estimator(self):
+        assert sample_takers() == {"NetCacheClient._sync_clock"}

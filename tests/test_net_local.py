@@ -143,10 +143,12 @@ class TestOneConstructorPath:
         async def scenario():
             async with LocalStack(servers=3, replicas=2, registry=registry,
                                   store_root=str(tmp_path)) as stack:
-                router = await stack.connect(100, delta=0.5, mode="push")
+                router = await stack.connect(100, delta=0.5, pipeline_depth=3)
                 assert await stack.add_server() == 3
                 await router.connect_device(3, *stack.endpoints[3])
-                assert {c.mode for c in router.clients.values()} == {"push"}
+                links = router.clients.values()
+                assert {c.channel.window for c in links} == {3}
+                assert not any(c.channel.subscribe for c in links)
                 return stack.servers[3].clock.offset
 
         offset = asyncio.run(scenario())

@@ -81,7 +81,7 @@ OPTIONS = {
         "metric_labels", "pipeline_depth",
     },
     "repro.net.ring_router.RingRouter": {
-        "delta", "mode", "write_quorum", "read_policy", "recorder", "skew",
+        "delta", "write_quorum", "read_policy", "recorder", "skew",
         "registry", "instruments", "pipeline_depth",
     },
     "repro.net.local.LocalStack": {

@@ -12,7 +12,6 @@ import math
 
 import pytest
 
-from repro.checkers.tsc import check_tsc
 from repro.clocks.rebase import RebasedClock
 from repro.engine import messages
 from repro.net.client import MAX_RETRIES, NetCacheClient
@@ -122,7 +121,9 @@ class TestRingRouterUnit:
         with pytest.raises(ValueError, match="not connected"):
             router.swap_ring(grown)
 
-    @pytest.mark.parametrize("option", [{"delta": 1.0}, {"skew": 0.01}])
+    @pytest.mark.parametrize(
+        "option", [{"delta": 1.0}, {"skew": 0.01}, {"mode": "push"}]
+    )
     def test_a_device_link_takes_delta_and_skew_from_its_site(self, option):
         router = RingRouter(0, uniform_ring(1, part_power=4), {0: ("h", 1)})
         with pytest.raises(ValueError, match="from the site"):
@@ -251,57 +252,6 @@ class TestOneContextPerSite:
 
         seen, one, devices = vtime.run(scenario())
         assert seen == [one] * 3 and devices == [0, 1, 2, 3]
-
-    def test_a_push_mode_site_takes_only_the_primarys_pushes(self):
-        """Two sites write one key close together, and the first one's
-        replica copy is held back 50 ms, so the replica installs the two
-        writes in the other order and its last version is the older write
-        under the later stamp.  A third site subscribes to both devices;
-        it must end on the primary's last version, and the merged trace
-        must pass TSC."""
-        delta = 0.2
-
-        async def scenario():
-            recorder = TraceRecorder()
-            async with LocalStack(
-                servers=2, replicas=2, propagation="push"
-            ) as stack:
-                a, b, c = [
-                    await stack.connect(
-                        site, delta=delta, mode="push", write_quorum=1,
-                        recorder=recorder,
-                    )
-                    for site in (1, 2, 3)
-                ]
-                await a.write("k", "v0")
-                await asyncio.sleep(delta)
-                assert await c.read("k") == "v0"
-                transport = a.placement.transport
-                start = transport.start
-
-                async def held_back(*args, **kwargs):
-                    await asyncio.sleep(0.05)
-                    return await start(*args, **kwargs)
-
-                transport.start = lambda *args, **kwargs: asyncio.ensure_future(
-                    held_back(*args, **kwargs)
-                )
-                await a.write("k", "a")
-                transport.start = start
-                await b.write("k", "b")
-                await asyncio.sleep(4 * delta)
-                primary, replica = stack.ring.replicas_for("k")
-                stores = [stack.servers[dev].engine.store["k"].value
-                          for dev in (primary, replica)]
-                values = [await site.read("k") for site in (a, b, c)]
-                epsilon = max(site.epsilon_bound for site in (a, b, c))
-                return stores, values, recorder.history(), epsilon
-
-        stores, values, history, epsilon = vtime.run(scenario())
-        assert stores == ["b", "a"]  # the replica really did reorder them
-        assert values == ["b", "b", "b"]
-        result = check_tsc(history, delta, epsilon)
-        assert result.satisfied, result.violation
 
 
 class TestRingSoakCoroutine:

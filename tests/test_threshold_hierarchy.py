@@ -13,8 +13,6 @@ from repro.checkers import (
     classify,
     delta_spectrum,
     hierarchy_violations,
-    lin_equals_tsc_zero,
-    sc_equals_tsc_infinity,
     tcc_threshold,
     threshold_report,
     tsc_threshold,
@@ -89,8 +87,9 @@ class TestHierarchy:
 
     def test_endpoint_identities(self, fig1, fig5, fig6):
         for h in (fig1, fig5, fig6):
-            assert lin_equals_tsc_zero(h)
-            assert sc_equals_tsc_infinity(h)
+            zero, infinite = classify(h, 0.0), classify(h, math.inf)
+            assert zero.lin == zero.tsc
+            assert infinite.sc == infinite.tsc
 
     def test_random_histories_respect_hierarchy(self, rng):
         from repro.core.timed import min_timed_delta
