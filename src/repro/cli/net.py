@@ -7,49 +7,17 @@ import math
 
 from repro.analysis import print_table
 
-def cmd_serve(args: argparse.Namespace) -> int:
+def run_until_signalled(start, registry=None, host="127.0.0.1",
+                        metrics_port=None) -> None:
+    """The deployment commands' one lifecycle: ``await start()`` brings
+    the service up and returns ``(health, drain)``; ``registry`` is then
+    exported on ``metrics_port`` (``/healthz`` answers ``health()``)
+    until SIGINT or SIGTERM, when ``await drain()`` runs and the metrics
+    endpoint closes."""
     import asyncio
     import signal
 
-    from repro.core.io import dump_history
-    from repro.net.server import NetObjectServer
-    from repro.sim.trace import TraceRecorder
-
-    recorder = TraceRecorder() if args.trace else None
-
-    async def _serve() -> None:
-        registry = None
-        if args.metrics_port is not None:
-            from repro.obs.metrics import Registry
-
-            registry = Registry()
-        store = None
-        if args.store_dir:
-            import os
-
-            from repro.store import DurableStore
-
-            # REPRO_STORE_CRASH_AFTER is the crash-test fault injection:
-            # SIGKILL ourselves after N WAL appends, i.e. between a
-            # write's append and its acknowledgement.
-            crash_after = os.environ.get("REPRO_STORE_CRASH_AFTER")
-            store = DurableStore(
-                args.store_dir,
-                fsync=args.fsync,
-                recovery_delta=args.recovery_delta,
-                registry=registry,
-                crash_after_appends=(
-                    int(crash_after) if crash_after else None
-                ),
-            )
-        server = NetObjectServer(
-            args.host, args.port,
-            propagation=args.propagation,
-            recorder=recorder,
-            registry=registry,
-            metric_labels={"role": "server"} if registry is not None else None,
-            store=store,
-        )
+    async def _run() -> None:
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGINT, signal.SIGTERM):
@@ -57,104 +25,148 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 loop.add_signal_handler(sig, stop.set)
             except (NotImplementedError, RuntimeError):
                 pass  # non-main thread or unsupported platform
-        await server.start()
-        if server.recovered is not None and not server.recovered.empty:
-            r = server.recovered
-            print(f"recovered {len(r.objects)} objects from {args.store_dir} "
-                  f"({r.replayed_records} log records"
-                  f"{', snapshot' if r.snapshot_loaded else ''}"
-                  f"{', clean' if r.clean_start else ''}), "
-                  f"context={r.context:.3f}, resume t={r.resume_time:.3f}, "
-                  f"{len(r.old_objects)} versions marked old")
-        agent = None
-        if args.cluster:
-            from repro.cluster import ClusterConfig, ClusterView, SwimAgent
-
-            members = {}
-            for part in args.cluster.split(","):
-                member_id, _, address = part.strip().partition("=")
-                members[int(member_id)] = address
-            members[args.member_id] = server.address
-            instruments = None
-            if registry is not None:
-                from repro.obs.instruments import ClusterInstruments
-
-                instruments = ClusterInstruments(
-                    registry, member=args.member_id
-                )
-            agent = SwimAgent(
-                args.member_id, server,
-                ClusterView.seed(members),
-                ClusterConfig(
-                    probe_period=args.probe_period,
-                    suspect_timeout=args.suspect_timeout,
-                ),
-                instruments=instruments,
-            )
-            await agent.start()
-            print(f"cluster member {args.member_id} of "
-                  f"{sorted(members)} (probe {args.probe_period:g}s, "
-                  f"suspect timeout {args.suspect_timeout:g}s)")
+        health, drain = await start()
         metrics = None
-        if registry is not None:
-            from repro.obs.expo import MetricsServer
-
-            metrics = await MetricsServer(
-                registry, args.host, args.metrics_port,
-                health=lambda: server.healthy,
-            ).start()
-            print(f"metrics on http://{metrics.address}/metrics")
-        print(f"serving on {server.address} "
-              f"(propagation={args.propagation}); SIGINT/SIGTERM to stop")
         try:
+            if metrics_port is not None:
+                from repro.obs.expo import MetricsServer
+
+                metrics = await MetricsServer(
+                    registry, host, metrics_port, health=health,
+                ).start()
+                print(f"metrics on http://{metrics.address}/metrics")
+            print("SIGINT/SIGTERM to stop")
             await stop.wait()
         finally:
-            # Graceful drain: hand queued pushes over, say bye, close;
-            # /healthz flips to 503 the moment the drain starts.
-            if agent is not None:
-                await agent.stop()
-            await server.shutdown(grace=args.grace)
+            await drain()
             if metrics is not None:
                 await metrics.close()
 
     try:
-        asyncio.run(_serve())
+        asyncio.run(_run())
     except KeyboardInterrupt:
         print("\nshutting down")
-    if recorder is not None and args.trace:
+
+
+def serve_devices(args: argparse.Namespace, devices, ring=None, peers=None,
+                  recorder=None) -> None:
+    """Serve ``devices`` (``{id: (host, port, store_dir)}``) until
+    signalled: ``repro serve`` is one device (``role=server``, no
+    ring), ``repro ring serve-set`` every device of ``ring``
+    (``device=<id>``, stores ``store=dev<id>``).  When ``args.cluster``
+    is set (serve's member list, serve-set's switch) each device gets a
+    SWIM agent seeded with ``peers`` too.  The drain stops the agents,
+    then shuts every server down gracefully, so ``/healthz`` turns 503
+    the moment it starts."""
+    import asyncio
+    import os
+
+    from repro.net.server import NetObjectServer
+
+    registry = None
+    if args.metrics_port is not None:
+        from repro.obs.metrics import Registry
+
+        registry = Registry()
+    alone = ring is None
+    # REPRO_STORE_CRASH_AFTER is ``repro serve``'s crash-test fault
+    # injection: SIGKILL ourselves after N WAL appends, i.e. between a
+    # write's append and its acknowledgement.
+    crash_after = os.environ.get("REPRO_STORE_CRASH_AFTER") if alone else None
+    servers = {}
+    agents = {}
+
+    async def start():
+        for dev_id, (host, port, store_dir) in devices.items():
+            store = None
+            if store_dir:
+                from repro.store import DurableStore
+
+                store = DurableStore(
+                    store_dir, fsync=args.fsync,
+                    recovery_delta=args.recovery_delta, registry=registry,
+                    metric_labels=None if alone else {"store": f"dev{dev_id}"},
+                    crash_after_appends=int(crash_after) if crash_after else None,
+                )
+            servers[dev_id] = server = NetObjectServer(
+                host, port, propagation=args.propagation, recorder=recorder,
+                registry=registry,
+                metric_labels={"role": "server"} if alone else {"device": dev_id},
+                store=store,
+            )
+            await server.start()
+            print(f"{'' if alone else f'device {dev_id}: '}serving on "
+                  f"{server.address} (propagation={args.propagation})")
+            r = server.recovered
+            if r is not None and not r.empty:
+                print(f"  recovered {len(r.objects)} objects from {store_dir} "
+                      f"({r.replayed_records} log records"
+                      f"{', snapshot' if r.snapshot_loaded else ''}"
+                      f"{', clean' if r.clean_start else ''}), "
+                      f"context={r.context:.3f}, resume t={r.resume_time:.3f}, "
+                      f"{len(r.old_objects)} versions marked old")
+        if args.cluster:
+            from repro.cluster import ClusterConfig
+            from repro.net.local import start_agents
+
+            config = ClusterConfig(
+                probe_period=args.probe_period,
+                suspect_timeout=args.suspect_timeout,
+            )
+            agents.update(await start_agents(
+                servers, ring, config, registry, peers
+            ))
+            members = sorted({*agents, *(peers or {})})
+            print(f"cluster: {sorted(agents)} of {members} probing every "
+                  f"{args.probe_period:g}s (suspect timeout "
+                  f"{args.suspect_timeout:g}s, detection bound "
+                  f"{config.detection_bound:g}s)")
+
+        async def drain() -> None:
+            for agent in agents.values():
+                await agent.stop()
+            await asyncio.gather(*(s.shutdown(grace=args.grace)
+                                   for s in servers.values()))
+
+        return (lambda: all(s.healthy for s in servers.values())), drain
+
+    run_until_signalled(start, registry, args.host, args.metrics_port)
+
+
+def cmd_serve(args: argparse.Namespace) -> int:
+    from repro.core.io import dump_history
+    from repro.sim.trace import TraceRecorder
+
+    peers = {}
+    for part in args.cluster.split(",") if args.cluster else ():
+        member_id, _, address = part.strip().partition("=")
+        peers[int(member_id)] = address
+    recorder = TraceRecorder() if args.trace else None
+    serve_devices(
+        args, {args.member_id: (args.host, args.port, args.store_dir)},
+        peers=peers, recorder=recorder,
+    )
+    if recorder is not None:
         dump_history(recorder.history(validate=False), args.trace)
         print(f"wrote {len(recorder)} recorded writes to {args.trace}")
     return 0
 
 
 def cmd_merge(args: argparse.Namespace) -> int:
-    """Merge per-process traces (server + clients) into one checkable file.
-
-    A write appears both in the server's trace and in its writer's trace
-    (same site, object, value and effective time), so exact duplicates
-    are collapsed; everything else is concatenated and re-sorted.
-    """
+    """Merge per-process traces (server + clients) into one checkable
+    file through :func:`repro.net.local.merge_history`."""
     from repro.core.io import dump_history, load_history
-    from repro.core.history import History
+    from repro.net.local import merge_history
 
-    seen = set()
-    operations = []
-    initial_value = None
-    for path in args.traces:
-        history = load_history(path, validate=False)
-        if initial_value is None:
-            initial_value = history.initial_value
-        for op in history.operations:
-            key = (op.kind, op.site, op.obj, op.value, op.time)
-            if op.is_write and key in seen:
-                continue
-            seen.add(key)
-            operations.append(op)
-    merged = History(operations, initial_value=initial_value or 0,
-                     validate=not args.no_validate)
+    histories = [load_history(path, validate=False) for path in args.traces]
+    merged, dropped = merge_history(
+        [h.operations for h in histories], histories[0].initial_value,
+        validate=not args.no_validate,
+    )
     dump_history(merged, args.out)
     print(f"merged {len(args.traces)} traces "
-          f"({len(operations)} operations) into {args.out}")
+          f"({len(merged.operations)} operations) into {args.out}; "
+          f"dropped {dropped} reads of writes no trace holds")
     return 0
 
 

@@ -40,36 +40,22 @@ def cmd_obs_dump(args: argparse.Namespace) -> int:
 def cmd_obs_serve(args: argparse.Namespace) -> int:
     """Serve a saved registry snapshot on a static ``/metrics`` endpoint
     (dashboard and scrape-tooling development against recorded data)."""
-    import asyncio
-    import signal
-
-    from repro.obs.expo import MetricsServer
+    from repro.cli.net import run_until_signalled
     from repro.obs.metrics import Registry, load_snapshot
 
     snapshot = load_snapshot(args.snapshot)
     registry = Registry()
     registry.register_collector(lambda: snapshot["metrics"])
 
-    async def _serve() -> None:
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-            except (NotImplementedError, RuntimeError):
-                pass
-        metrics = await MetricsServer(registry, args.host, args.port).start()
-        print(f"serving {args.snapshot} on http://{metrics.address}/metrics; "
-              "SIGINT/SIGTERM to stop")
-        try:
-            await stop.wait()
-        finally:
-            await metrics.close()
+    async def start():
+        print(f"serving {args.snapshot}")
 
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        print("\nshutting down")
+        async def drain() -> None:
+            pass
+
+        return None, drain
+
+    run_until_signalled(start, registry, args.host, args.port)
     return 0
 
 

@@ -104,106 +104,24 @@ def cmd_ring_rebalance(args: argparse.Namespace) -> int:
 def cmd_ring_serve_set(args: argparse.Namespace) -> int:
     """Serve every device of a ring file in one process (one server per
     device; ports from the device addresses, else sequential)."""
-    import asyncio
-    import signal
+    import os
 
-    from repro.net.server import NetObjectServer
+    from repro.cli.net import serve_devices
     from repro.ring import Ring
 
     ring = Ring.load_file(args.ring)
-
-    async def _serve() -> None:
-        registry = None
-        if args.metrics_port is not None:
-            from repro.obs.metrics import Registry
-
-            # One shared registry; per-device collectors differentiate
-            # by a device=<id> label.
-            registry = Registry()
-        servers = {}
-        for index, dev_id in enumerate(ring.device_ids()):
-            address = ring.device(dev_id).address
-            if address:
-                host, _, port = address.rpartition(":")
-                host, port = host or args.host, int(port)
-            else:
-                host, port = args.host, args.base_port + index
-            store = None
-            if args.store_dir:
-                import os
-
-                from repro.store import DurableStore
-
-                store = DurableStore(
-                    os.path.join(args.store_dir, f"dev{dev_id}"),
-                    fsync=args.fsync,
-                    recovery_delta=args.recovery_delta,
-                    registry=registry,
-                    metric_labels=(
-                        {"store": f"dev{dev_id}"} if registry is not None
-                        else None
-                    ),
-                )
-            server = NetObjectServer(
-                host, port, propagation=args.propagation,
-                registry=registry,
-                metric_labels={"device": dev_id} if registry is not None
-                else None,
-                store=store,
-            )
-            await server.start()
-            servers[dev_id] = server
-            recovered = ""
-            if server.recovered is not None and not server.recovered.empty:
-                recovered = (f" (recovered {len(server.recovered.objects)} "
-                             f"objects, {len(server.recovered.old_objects)} "
-                             f"old)")
-            print(f"device {dev_id}: serving on {server.address}{recovered}")
-        agents = {}
-        if args.cluster:
-            from repro.cluster import ClusterConfig
-            from repro.net.local import start_agents
-
-            config = ClusterConfig(
-                probe_period=args.probe_period,
-                suspect_timeout=args.suspect_timeout,
-            )
-            agents = await start_agents(servers, ring, config, registry)
-            print(f"cluster: {len(agents)} members probing every "
-                  f"{args.probe_period:g}s (suspect timeout "
-                  f"{args.suspect_timeout:g}s, detection bound "
-                  f"{config.detection_bound:g}s)")
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-            except (NotImplementedError, RuntimeError):
-                pass
-        metrics = None
-        if registry is not None:
-            from repro.obs.expo import MetricsServer
-
-            metrics = await MetricsServer(
-                registry, args.host, args.metrics_port,
-                health=lambda: all(s.healthy for s in servers.values()),
-            ).start()
-            print(f"metrics on http://{metrics.address}/metrics")
-        print("SIGINT/SIGTERM to stop")
-        try:
-            await stop.wait()
-        finally:
-            for agent in agents.values():
-                await agent.stop()
-            await asyncio.gather(*(s.shutdown(grace=args.grace)
-                                   for s in servers.values()))
-            if metrics is not None:
-                await metrics.close()
-
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        print("\nshutting down")
+    devices = {}
+    for index, dev_id in enumerate(ring.device_ids()):
+        address = ring.device(dev_id).address
+        if address:
+            host, _, port = address.rpartition(":")
+            host, port = host or args.host, int(port)
+        else:
+            host, port = args.host, args.base_port + index
+        store_dir = (os.path.join(args.store_dir, f"dev{dev_id}")
+                     if args.store_dir else None)
+        devices[dev_id] = (host, port, store_dir)
+    serve_devices(args, devices, ring=ring)
     return 0
 
 

@@ -94,6 +94,8 @@ CLUSTER_CLIENT_BASE = 1_000_000
 RPC_TIMEOUT = 2.0
 #: Asks of one ``promote`` before the coordinator gives the plan up.
 PROMOTE_ATTEMPTS = 3
+#: k: proxy members asked to probe a target in one ping-req round.
+INDIRECT_PROBES = 2
 
 
 @dataclass
@@ -103,8 +105,6 @@ class ClusterConfig:
 
     probe_period: float = 0.2
     suspect_timeout: float = 0.6
-    indirect_probes: int = 2  #: k proxy members for a ping-req round
-    auto_failover: bool = True  #: coordinator repairs the ring on death
     seed: Optional[int] = None  #: rotation-shuffle determinism for tests
 
     def __post_init__(self) -> None:
@@ -115,10 +115,6 @@ class ClusterConfig:
         if self.suspect_timeout < 0:
             raise ValueError(
                 f"suspect_timeout must be non-negative, got {self.suspect_timeout}"
-            )
-        if self.indirect_probes < 0:
-            raise ValueError(
-                f"indirect_probes must be non-negative, got {self.indirect_probes}"
             )
 
     @property
@@ -352,10 +348,10 @@ class SwimAgent:
             m for m in self.view.ids(ALIVE)
             if m not in (self.member_id, target)
         ]
-        if not proxies or not self.config.indirect_probes:
+        if not proxies:
             return False
         self.rng.shuffle(proxies)
-        proxies = proxies[: self.config.indirect_probes]
+        proxies = proxies[:INDIRECT_PROBES]
 
         async def ask(proxy: int) -> bool:
             self.indirect_probes_sent += 1
@@ -523,10 +519,8 @@ class SwimAgent:
                 self._suspect_deadlines.pop(member, None)
                 self.dead_detected.setdefault(member, now)
                 dead_seen = True
-        if dead_seen and self.config.auto_failover:
-            self._maybe_run_failover()
-        if join_seen:
-            self._maybe_run_failover()  # same driver handles joins
+        if dead_seen or join_seen:
+            self._maybe_run_failover()  # one driver repairs deaths and joins
 
     # -- ring catch-up (gossip said a newer epoch exists) ---------------------
 

@@ -115,9 +115,10 @@ class NetCacheClient:
         """``registry`` (a :class:`repro.obs.metrics.Registry`) turns on
         client-side telemetry: the :class:`ClientStats` struct binds as a
         pull collector, request RTTs land in
-        ``repro_net_request_rtt_seconds{kind}``, server pushes in
-        ``repro_net_push_lag_seconds`` (observed propagation delay
-        ``now - alpha`` — the quantity delta bounds), and the NTP
+        ``repro_net_request_rtt_seconds{kind}``, server pushes (push
+        mode only) in ``repro_net_push_lag_seconds`` (observed
+        propagation delay ``now - alpha`` — the quantity delta bounds),
+        and the NTP
         estimator's offset/error export as gauges.  ``metric_labels``
         adds constant labels (e.g. ``device=<id>``) next to the implicit
         ``site=<client_id>``.
@@ -194,12 +195,13 @@ class NetCacheClient:
                 messages.VALIDATE_BATCH,
             )
         }
-        self._push_lag = self.registry.histogram(
-            "repro_net_push_lag_seconds",
-            "Propagation delay of server pushes (receipt time - alpha); "
-            "the quantity TSC's delta bounds",
-            labels=tuple(labels),
-        ).labels(**labels)
+        if self.mode == "push":  # only a subscriber is sent pushes
+            self._push_lag = self.registry.histogram(
+                "repro_net_push_lag_seconds",
+                "Propagation delay of server pushes (receipt time - alpha); "
+                "the quantity TSC's delta bounds",
+                labels=tuple(labels),
+            ).labels(**labels)
 
         def clock_collector():
             est = self.clock.estimator

@@ -2,9 +2,8 @@
 
 Every harness that runs the live stack in-process — the workloads of
 :mod:`repro.net.workloads` behind ``repro net-demo`` and ``repro ring
-soak``, the scenario engine of :mod:`repro.load`, ``repro ring
-serve-set`` for its agents — goes through this module for the five
-sequences they used to write out themselves:
+soak``, the scenario engine of :mod:`repro.load` — goes through this
+module for the five sequences they used to write out themselves:
 
 * servers on skewed clocks, each with a store under
   ``<store_root>/dev<id>``, plus the ring over them
@@ -19,9 +18,12 @@ sequences they used to write out themselves:
 * teardown, agents before sites before servers
   (:meth:`LocalStack.close`).
 
-Next to it sits the one way a recorded trace with reads of unrecorded
-writes becomes a history, :func:`merge_history`; the verdict on that
-history is :func:`repro.checkers.judge`.
+The deployment commands use two of them across processes: ``repro
+serve`` and ``repro ring serve-set`` seed their agents through
+:func:`start_agents`, and ``repro merge`` turns the traces each process
+dumped into one history through :func:`merge_history`, the one way
+recorded traces with reads of unrecorded writes become a history; the
+verdict on that history is :func:`repro.checkers.judge`.
 ``benchmarks/layers/rep.py::build_stack`` is the remaining copy of the
 stand-up (ROADMAP item 4).
 """
@@ -51,24 +53,39 @@ HOST = "127.0.0.1"
 
 
 def merge_history(
-    op_lists: Sequence[Sequence[Operation]], initial_value: Any = 0
+    op_lists: Sequence[Sequence[Operation]],
+    initial_value: Any = 0,
+    validate: bool = True,
 ) -> Tuple[History, int]:
-    """One validated History from one or many partial traces.
+    """One History from one or many partial traces, and how many reads
+    it dropped.
 
-    A recorder holds only the operations its own sites completed, so a
-    read may return a value whose *write* ack raced a crash and was never
-    recorded, or a value installed by a write retry whose first attempt
-    half-landed.  Those reads cannot be attributed to any recorded write;
-    they are dropped and counted (``unmatched_reads``) rather than
-    invalidating the merge — the same tolerance ``repro merge`` applies.
+    A write recorded by two processes (the server that installed it and
+    the client that issued it: same site, object, value and time) is
+    kept once, the first copy.  A recorder holds only the operations its
+    own sites completed, so a read may return a value whose *write* ack
+    raced a crash and was never recorded, or a value installed by a
+    write retry whose first attempt half-landed.  Those reads cannot be
+    attributed to any recorded write; they are dropped and counted
+    rather than invalidating the merge.  ``validate=False`` (``repro
+    merge --no-validate``) skips the History's own checks.
     """
-    ops = [op for op_list in op_lists for op in op_list]
-    written = {op.value for op in ops if op.is_write}
+    ops: List[Operation] = []
+    seen = set()
+    for op in (op for op_list in op_lists for op in op_list):
+        if op.is_write:
+            key = (op.site, op.obj, op.value, op.time)
+            if key in seen:
+                continue
+            seen.add(key)
+        ops.append(op)
+    written = {(op.obj, op.value) for op in ops if op.is_write}
     kept = [
         op for op in ops
-        if op.is_write or op.value in written or op.value == initial_value
+        if op.is_write or (op.obj, op.value) in written
+        or op.value == initial_value
     ]
-    history = History(kept, initial_value=initial_value, validate=True)
+    history = History(kept, initial_value=initial_value, validate=validate)
     return history, len(ops) - len(kept)
 
 
@@ -107,17 +124,20 @@ class FaultOutcome:
 
 async def start_agents(
     servers: Dict[int, NetObjectServer],
-    ring: Ring,
+    ring: Optional[Ring],
     config: Any,
     registry: Optional[Any] = None,
+    peers: Optional[Dict[int, str]] = None,
 ) -> Dict[int, Any]:
     """One started :class:`~repro.cluster.SwimAgent` per server, each
-    seeded with every member's address and ``ring``; with a ``registry``
-    each gets its :class:`~repro.obs.instruments.ClusterInstruments`.
-    If one fails to start, the ones already started are stopped."""
+    seeded with every member's address (``peers`` adds members served by
+    other processes) and ``ring``; with a ``registry`` each gets its
+    :class:`~repro.obs.instruments.ClusterInstruments`.  If one fails to
+    start, the ones already started are stopped."""
     from repro.cluster import ClusterView, SwimAgent
 
-    addresses = {dev_id: srv.address for dev_id, srv in servers.items()}
+    addresses = dict(peers or {})
+    addresses.update((dev_id, srv.address) for dev_id, srv in servers.items())
     agents: Dict[int, Any] = {}
     try:
         for dev_id, server in servers.items():
@@ -127,8 +147,7 @@ async def start_agents(
 
                 instruments = ClusterInstruments(registry, member=dev_id)
             agents[dev_id] = SwimAgent(
-                dev_id, server,
-                ClusterView.seed(addresses, ring=ring.as_dict()),
+                dev_id, server, ClusterView.seed(addresses, ring=ring),
                 config, instruments=instruments,
             )
             await agents[dev_id].start()

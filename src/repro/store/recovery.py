@@ -72,7 +72,9 @@ from repro.store.snapshot import (
     state_from_versions,
     versions_from_state,
 )
-from repro.store.wal import ReplayResult, WriteAheadLog, replay
+from repro.store.wal import (
+    ReplayResult, WriteAheadLog, quarantine_tail, replay,
+)
 
 META_FILE = "meta.json"
 WAL_FILE = "wal.log"
@@ -286,10 +288,10 @@ class DurableStore:
         on_fsync = (
             self.instruments.on_fsync if self.instruments is not None else None
         )
-        self.wal, result, wal_sidecar = WriteAheadLog.open_recovered(
-            os.path.join(self.root, WAL_FILE),
-            fsync=self.fsync,
-            on_fsync=on_fsync,
+        wal_path = os.path.join(self.root, WAL_FILE)
+        wal_sidecar = quarantine_tail(wal_path, state.wal)
+        self.wal = WriteAheadLog(
+            wal_path, fsync=self.fsync, on_fsync=on_fsync,
         )
         if self.instruments is not None:
             self.instruments.wal = self.wal
@@ -316,7 +318,7 @@ class DurableStore:
             snapshot_loaded=state.snapshot_state is not None,
             snapshot_quarantined=snapshot_quarantined,
             wal_quarantined=wal_sidecar,
-            quarantined_bytes=result.tail_bytes,
+            quarantined_bytes=state.wal.tail_bytes,
             clean_start=clean_start,
             ring_epoch=int(meta.get("ring_epoch", 0)),
         )

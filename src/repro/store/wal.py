@@ -27,8 +27,8 @@ trade-off; cf. Redis AOF ``appendfsync``):
 * ``"never"``    — never fsync explicitly; the OS flushes when it
   pleases.  Fastest, weakest, and exactly what the in-memory seed did.
 
-Recovery (:func:`replay` / :meth:`WriteAheadLog.open_recovered`) reads
-the longest well-formed prefix.  On the first malformed record —
+Recovery (:func:`replay`, then :func:`quarantine_tail`) reads the
+longest well-formed prefix.  On the first malformed record —
 truncated header, truncated payload, CRC mismatch, undecodable JSON —
 the prefix is kept, the remaining bytes are moved to a ``*.quarantine``
 sidecar (never silently destroyed: a human can audit what the crash
@@ -45,7 +45,7 @@ import struct
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 _HEADER = struct.Struct(">II")  # payload length, CRC32(payload)
 
@@ -197,16 +197,6 @@ class WriteAheadLog:
         # here so that a stack without a log loads no thread machinery.
         from concurrent.futures import ThreadPoolExecutor
         self._worker = ThreadPoolExecutor(1, thread_name_prefix="wal-fsync")
-
-    @classmethod
-    def open_recovered(
-        cls, path: str, **kwargs: Any
-    ) -> Tuple["WriteAheadLog", ReplayResult, Optional[str]]:
-        """Replay ``path``, quarantine any corrupt tail, and open the
-        clean prefix for appending: ``(log, replay_result, sidecar)``."""
-        result = replay(path)
-        sidecar = quarantine_tail(path, result)
-        return cls(path, **kwargs), result, sidecar
 
     @property
     def size(self) -> int:

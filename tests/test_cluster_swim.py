@@ -34,6 +34,7 @@ from repro.cluster import (
     join_ring,
     supersedes,
 )
+from repro.cluster import swim
 from repro.cluster.swim import PROMOTE_ATTEMPTS, RPC_TIMEOUT
 from repro.net.faults import FaultConfig, FaultInjector
 from repro.net.framing import PROMOTE, PROMOTE_ACK
@@ -213,8 +214,6 @@ class TestClusterConfig:
             ClusterConfig(probe_period=0.0)
         with pytest.raises(ValueError):
             ClusterConfig(suspect_timeout=-1.0)
-        with pytest.raises(ValueError):
-            ClusterConfig(indirect_probes=-1)
 
 
 class DropWhileCut(FaultInjector):
@@ -671,7 +670,7 @@ class TestIndirectProbing:
 
     def test_severed_pair_survives_via_proxies(self):
         config = ClusterConfig(
-            probe_period=0.1, suspect_timeout=0.3, indirect_probes=2, seed=5,
+            probe_period=0.1, suspect_timeout=0.3, seed=5,
         )
 
         async def scenario():
@@ -700,14 +699,14 @@ class TestIndirectProbing:
 
         vtime.run(scenario())
 
-    def test_without_proxies_the_same_cut_is_a_false_positive(self):
+    def test_without_proxies_the_same_cut_is_a_false_positive(
+        self, monkeypatch
+    ):
         # suspect_timeout shorter than a refutation's gossip round trip
         # (suspicion → the victim → back, >= 2-3 probe periods), so the
         # direct-only detector reliably buries a live member.
-        config = ClusterConfig(
-            probe_period=0.1, suspect_timeout=0.15, indirect_probes=0, seed=5,
-            auto_failover=False,
-        )
+        monkeypatch.setattr(swim, "INDIRECT_PROBES", 0)
+        config = ClusterConfig(probe_period=0.1, suspect_timeout=0.15, seed=5)
 
         async def scenario():
             servers, agents, _ = await start_members(

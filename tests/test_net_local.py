@@ -1,12 +1,16 @@
 """The one localhost fixture (``repro.net.local``): stand-up that cleans
 up after itself, one constructor path per device, teardown order, the
 unmatched-read path and the verdict on what it records
-(``repro.checkers.judge``), and pins that keep the harness sequences from
-being written out a second time."""
+(``repro.checkers.judge``), and pins that keep the harness sequences and
+the deployment commands' serving lifecycle and trace merge from being
+written out a second time."""
 
+import argparse
 import ast
 import asyncio
+import math
 import pathlib
+import signal
 import subprocess
 import sys
 
@@ -17,8 +21,10 @@ import repro.net
 from repro.checkers import (
     Judgement, check_cc, check_sc, check_tcc, check_tsc, judge, threshold_report,
 )
+from repro.cli import build_parser, main as cli_main
 from repro.cluster import ClusterConfig, SwimAgent
 from repro.core.history import History
+from repro.core.io import dump_history, load_history
 from repro.core.operations import read, write
 from repro.core.serialization import is_legal, respects
 from repro.core.timed import late_reads
@@ -30,7 +36,9 @@ from repro.net.server import NetObjectServer
 from repro.net.workloads import RingReport, ring_cluster
 from repro.obs.metrics import Registry
 from repro.paperdata import figure5, figure6
+from repro.ring.ring import Ring, RingBuilder
 from repro.sim.trace import TraceRecorder
+from repro.store import load_state
 from tests.test_verdict_digest import histories
 
 SRC = pathlib.Path(repro.__file__).parent
@@ -396,13 +404,13 @@ class TestOneStandUp:
         assert "LocalStack" in names_in(SRC / module)
 
     def test_each_sequence_is_written_once(self):
-        assert callers_of("SwimAgent") == {"net/local.py", "cli/net.py"}
+        assert callers_of("SwimAgent") == {"net/local.py"}
         assert callers_of("RingBuilder") == {
             "net/local.py", "ring/ring.py", "cli/ring.py",
         }
         # A server crash; ``transport.abort()`` is the framing layer's.
         assert callers_of("abort", receiver_not="transport") == {"net/local.py"}
-        assert callers_of("start_agents") == {"net/local.py", "cli/ring.py"}
+        assert callers_of("start_agents") == {"net/local.py", "cli/net.py"}
         sources = {
             str(path.relative_to(SRC)): path.read_text(encoding="utf-8")
             for path in SRC.rglob("*.py")
@@ -432,6 +440,148 @@ class TestOneStandUp:
         assert not hasattr(local, "_judge")
         for path in SRC.rglob("*.py"):
             assert "_merge_history" not in path.read_text(encoding="utf-8")
+
+
+def functions_in(path):
+    """``{name: node}`` of every function a module defines."""
+    return {
+        node.name: node
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
+def called_in(node):
+    """The names ``node`` calls, as ``name(...)`` or ``<x>.name(...)``."""
+    return {
+        getattr(call.func, "attr", None) or getattr(call.func, "id", None)
+        for call in ast.walk(node) if isinstance(call, ast.Call)
+    }
+
+
+def parser_defaults(*names):
+    """``{flag or positional: default}`` of the ``repro`` subcommand
+    reached through ``names``."""
+    parser = build_parser()
+    for name in names:
+        (subparsers,) = [action for action in parser._actions
+                         if isinstance(action, argparse._SubParsersAction)]
+        parser = subparsers.choices[name]
+    return {
+        (action.option_strings or [action.dest])[0]: action.default
+        for action in parser._actions
+        if not isinstance(action, argparse._HelpAction)
+    }
+
+
+class TestOneServingLifecycle:
+    """``repro serve``, ``ring serve-set`` and ``obs serve`` run until
+    signalled through one helper, the two servers through one device
+    sequence that seeds agents via ``start_agents``, and ``repro merge``
+    is ``merge_history`` over the traces it loads."""
+
+    CLI = SRC / "cli"
+
+    def test_each_step_is_written_once_under_the_cli(self):
+        texts = [path.read_text(encoding="utf-8")
+                 for path in sorted(self.CLI.glob("*.py"))]
+        assert sum(text.count("add_signal_handler") for text in texts) == 1
+        assert sum(text.count("MetricsServer(") for text in texts) == 1
+        # TestOneStandUp pins the file; this pins the function.
+        local_functions = functions_in(SRC / "net" / "local.py")
+        assert [name for name, node in local_functions.items()
+                if "SwimAgent" in called_in(node)] == ["start_agents"]
+        merge = functions_in(self.CLI / "net.py")["cmd_merge"]
+        assert "merge_history" in called_in(merge)
+        # No dedup loop of its own: it never looks at an operation.
+        assert not any(isinstance(node, ast.For) for node in ast.walk(merge))
+        assert "is_write" not in {getattr(node, "attr", None)
+                                  for node in ast.walk(merge)}
+
+    def test_the_serving_flags_and_defaults_are_unchanged(self):
+        shared = {
+            "--host": "127.0.0.1", "--metrics-port": None, "--grace": 2.0,
+            "--store-dir": None, "--fsync": "interval",
+            "--recovery-delta": math.inf, "--probe-period": 0.2,
+            "--suspect-timeout": 0.6,
+        }
+        assert parser_defaults("serve") == {
+            **shared, "--port": 7459, "--propagation": "push",
+            "--trace": None, "--cluster": None, "--member-id": 0,
+        }
+        assert parser_defaults("ring", "serve-set") == {
+            **shared, "ring": None, "--base-port": 7459,
+            "--propagation": "none", "--cluster": False,
+        }
+        assert parser_defaults("obs", "serve") == {
+            "snapshot": None, "--host": "127.0.0.1", "--port": 9464,
+        }
+        assert parser_defaults("merge") == {
+            "out": None, "traces": None, "--no-validate": False,
+        }
+
+    def test_merge_keeps_a_shared_write_once_and_drops_an_unrecorded_read(
+        self, tmp_path, capsys
+    ):
+        # The server recorded the write it installed; the client recorded
+        # the same write and two reads, one of a value no trace holds (a
+        # write of an earlier life of the server, say).
+        server = History([write(1, "x", "s1.1", 1.0)], validate=False)
+        client = History([
+            write(1, "x", "s1.1", 1.0), read(1, "x", "s1.1", 1.2),
+            read(1, "y", "s0.9", 1.3),
+        ], validate=False)
+        paths = [str(tmp_path / name) for name in ("server.json", "client.json")]
+        dump_history(server, paths[0])
+        dump_history(client, paths[1])
+        out = str(tmp_path / "merged.json")
+        assert cli_main(["merge", out, *paths]) == 0
+        assert "dropped 1 reads" in capsys.readouterr().out
+        merged = load_history(out)
+        assert [(op.kind.value, op.value) for op in merged.operations] == [
+            ("w", "s1.1"), ("r", "s1.1"),
+        ]
+
+    @pytest.mark.net(timeout=60)
+    def test_serve_set_serves_until_sigterm_and_drains_clean(self, tmp_path):
+        ring_file, store_dir = tmp_path / "set.ring", tmp_path / "stores"
+        builder = RingBuilder(4, 2)
+        for dev_id in range(2):
+            builder.add_device(dev_id, address="127.0.0.1:0")
+        builder.rebalance()[0].save(str(ring_file))
+        proc = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro", "ring", "serve-set",
+             str(ring_file), "--store-dir", str(store_dir),
+             "--metrics-port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env={"PYTHONPATH": str(SRC.parent)},
+        )
+        try:
+            endpoints = {}
+            for line in proc.stdout:
+                if line.startswith("device ") and ": serving on " in line:
+                    _, device, _, _, address = line.split()[:5]
+                    host, _, port = address.rpartition(":")
+                    endpoints[int(device.rstrip(":"))] = (host, int(port))
+                if len(endpoints) == 2:
+                    break
+            assert sorted(endpoints) == [0, 1]
+
+            async def write_once():
+                router = RingRouter(
+                    1, Ring.load_file(str(ring_file)), endpoints, delta=1.0,
+                )
+                async with router:
+                    await router.write("x", "s1.1")
+
+            asyncio.run(write_once())
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=15) == 0
+        for dev_id in range(2):
+            state = load_state(str(store_dir / f"dev{dev_id}"))
+            assert state.clean
+            assert state.objects["x"].value == "s1.1"
 
 
 def time_reads(path):

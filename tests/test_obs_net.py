@@ -254,6 +254,39 @@ class TestServerTelemetry:
         assert clients.get("0") == 1
 
 
+class TestPushLagWhereObservable:
+    """Only a subscriber is sent pushes, so only a standalone push-mode
+    client binds ``repro_net_push_lag_seconds``; a ring site's links
+    pull and bind none."""
+
+    def test_a_ring_site_binds_no_push_lag_and_a_push_client_does(self):
+        ring_registry, push_registry = Registry(), Registry()
+
+        async def inner():
+            async with LocalStack(
+                servers=2, replicas=2, registry=ring_registry,
+            ) as stack:
+                site = await stack.connect(1, delta=0.5)
+                await site.write("x", "s1.1")
+                assert await site.read("x") == "s1.1"
+            async with LocalStack(propagation="push") as stack:
+                pusher = await stack.connect(2, delta=0.5)
+                watcher = await stack.connect(
+                    3, delta=0.5, mode="push", registry=push_registry,
+                )
+                await pusher.write("x", "s2.1")
+                for _ in range(50):
+                    if watcher.stats.pushes:
+                        break
+                    await asyncio.sleep(0.01)
+
+        vtime.run(inner())
+        assert "repro_net_push_lag_seconds" not in ring_registry.names()
+        (lag,) = [f for f in push_registry.collect()
+                  if f["name"] == "repro_net_push_lag_seconds"]
+        assert [s["count"] for s in lag["samples"]] == [1]
+
+
 class TestGracefulDrain:
     def test_new_connections_refused_after_drain(self):
         async def inner():

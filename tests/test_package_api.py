@@ -105,8 +105,7 @@ OPTIONS = {
         "max_concurrency", "op_retries", "retryable",
     },
     "repro.cluster.swim.ClusterConfig": {
-        "probe_period", "suspect_timeout", "indirect_probes", "auto_failover",
-        "seed",
+        "probe_period", "suspect_timeout", "seed",
     },
 }
 

@@ -45,6 +45,28 @@ class TestDurableStore:
             store.log_write(PhysicalVersion(obj, value, t, t, 1))
         store.close()
 
+    def test_open_decodes_the_log_once(self, tmp_path, monkeypatch):
+        """Recovery reads and CRC-checks ``wal.log`` in one pass: the
+        quarantine and the appending log work from ``load_state``'s
+        replay."""
+        from repro.store import recovery, wal
+
+        self._seeded(tmp_path)
+        replays = []
+        real = wal.replay
+
+        def counted(path):
+            replays.append(path)
+            return real(path)
+
+        monkeypatch.setattr(wal, "replay", counted)
+        monkeypatch.setattr(recovery, "replay", counted)
+        store = DurableStore(str(tmp_path), fsync="always")
+        recovered = store.open(now_wall=1001.0)
+        store.close()
+        assert sorted(recovered.objects) == ["x", "y"]
+        assert len(replays) == 1
+
     def test_group_bracket_defers_to_one_commit(self, tmp_path):
         """Inside ``group()`` a logged write is only appended and the
         caller owes the log's commit; outside it ``log_write`` is durable

@@ -279,13 +279,14 @@ class TestWalCorruption:
         self._write_records(path)
         assert quarantine_tail(path, replay(path)) is None
 
-    def test_open_recovered_resumes_on_clean_boundary(self, tmp_path):
+    def test_quarantine_then_open_resumes_on_clean_boundary(self, tmp_path):
         path = str(tmp_path / "wal.log")
         records = self._write_records(path)
         _append_raw(path, b"\xde\xad\xbe\xef")
-        log, result, sidecar = WriteAheadLog.open_recovered(path)
+        result = replay(path)
         assert result.records == records
-        assert sidecar is not None
+        assert quarantine_tail(path, result) is not None
+        log = WriteAheadLog(path)
         log.append({"k": "w", "obj": "y", "value": 1, "t": 9.0})
         log.close()
         replayed = replay(path)
