@@ -173,6 +173,7 @@ def cmd_merge(args: argparse.Namespace) -> int:
 def cmd_client(args: argparse.Namespace) -> int:
     import asyncio
     import random
+    import secrets
 
     from repro.core.io import dump_history
     from repro.net.client import NetCacheClient
@@ -180,7 +181,9 @@ def cmd_client(args: argparse.Namespace) -> int:
     from repro.sim.trace import TraceRecorder, UniqueValueFactory
 
     recorder = TraceRecorder()
-    values = UniqueValueFactory()
+    # A token per process: a second life of one --client-id against a
+    # durable server must not write values the store already holds.
+    values = UniqueValueFactory(token=secrets.token_hex(4))
     delta = math.inf if args.delta is None else args.delta
 
     async def _run() -> NetCacheClient:

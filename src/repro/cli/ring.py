@@ -146,7 +146,7 @@ def cmd_ring_soak(args: argparse.Namespace) -> int:
         server_skew=args.server_skew, seed=args.seed,
         write_quorum=args.quorum, read_policy=args.read_policy,
         add_device_midway=args.grow,
-        cluster=args.cluster or args.kill_primary,
+        cluster=args.cluster or args.kill_primary or args.grow,
         probe_period=args.probe_period,
         suspect_timeout=args.suspect_timeout,
         kill_primary_midway=args.kill_primary,
@@ -168,9 +168,9 @@ def cmd_ring_soak(args: argparse.Namespace) -> int:
                 f"delta={args.delta:g}")
     queued, done, late_repairs = report.repairs()
     if args.grow:
-        print(f"\nmid-run growth: {len(report.moves)} slots moved, "
-              f"handoff copied {report.handoff.objects_copied} objects "
-              f"across {report.handoff.partitions_touched} partitions")
+        print(f"\nmid-run growth: device {max(report.ring.devices)} "
+              f"joined at ring epoch {report.ring.epoch}; every router "
+              f"held it {report.join_seconds:.3f}s after it started")
     fault = report.fault
     if fault is not None:
         ttd = (f"{fault.time_to_detect:.3f}s"
@@ -328,8 +328,9 @@ def register(sub: "argparse._SubParsersAction") -> None:
     r_soak.add_argument("--criterion", choices=["tsc", "tcc"], default="tsc",
                         help="which timed criterion the trace must satisfy")
     r_soak.add_argument("--grow", action="store_true",
-                        help="add a server mid-run: rebalance + handoff + "
-                        "cutover, all inside the checked trace")
+                        help="add a server mid-run and let the cluster join "
+                        "it (donor handoff, promotion, epoch cutover), all "
+                        "inside the checked trace (implies --cluster)")
     r_soak.add_argument("--pipeline-depth", type=int, default=8,
                         help="per-device request pipelining depth")
     r_soak.add_argument("--seed", type=int, default=7)
@@ -345,8 +346,7 @@ def register(sub: "argparse._SubParsersAction") -> None:
                         "(implies --metrics; inspect via repro obs dump)")
     r_soak.add_argument("--store-dir", default=None,
                         help="give every server a durable store under "
-                        "<dir>/dev<id>; the --grow handoff then streams "
-                        "from the on-disk snapshots")
+                        "<dir>/dev<id>, the --grow joiner's included")
     r_soak.add_argument("--fsync", choices=["always", "interval", "never"],
                         default="interval",
                         help="WAL durability policy (default: interval)")

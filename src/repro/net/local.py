@@ -6,8 +6,8 @@ soak``, the scenario engine of :mod:`repro.load` — goes through this
 module for the five sequences they used to write out themselves:
 
 * servers on skewed clocks, each with a store under
-  ``<store_root>/dev<id>``, plus the ring over them
-  (:meth:`LocalStack.add_server`);
+  ``<store_root>/dev<id>``, plus the ring over them, and on a clustered
+  stack the join of one started later (:meth:`LocalStack.add_server`);
 * one SWIM agent per server, seeded with every address and the ring
   (:func:`start_agents`);
 * a connected site with anti-entropy every
@@ -206,13 +206,12 @@ class LocalStack:
         self.cluster = cluster
         self.registry = registry
         self.fault_factory = fault_factory
-        self.builder: Optional[RingBuilder] = None
         self.ring: Optional[Ring] = None
         if replicas is not None:
-            self.builder = RingBuilder(part_power, replicas)
+            builder = RingBuilder(part_power, replicas)
             for dev_id in range(servers):
-                self.builder.add_device(dev_id)
-            self.ring, _ = self.builder.rebalance()
+                builder.add_device(dev_id)
+            self.ring, _ = builder.rebalance()
         self._initial_servers = servers
         self.servers: Dict[int, NetObjectServer] = {}
         self.agents: Dict[int, Any] = {}
@@ -240,8 +239,12 @@ class LocalStack:
 
     async def add_server(self) -> int:
         """Start the next device (the one constructor path: skewed clock,
-        store, metric labels) and return its id.  It serves at once but
-        joins the ring only when the caller rebalances ``builder``."""
+        store, metric labels) and return its id.  It serves at once.  On
+        a clustered stack that is up it also gets its agent, seeded with
+        the others' addresses, and so joins the ring: the coordinator
+        copies the moved partitions from the donors' own stores, promotes
+        the new primaries and cuts over at a higher epoch.  Unclustered,
+        no ring names it."""
         dev_id = len(self.servers)
         labelled = self.registry is not None
         store = None
@@ -264,6 +267,12 @@ class LocalStack:
         )
         self.servers[dev_id] = server  # before start: a failed one is closed too
         await server.start()
+        if self.agents:
+            peers = {d: s.address for d, s in self.servers.items() if d != dev_id}
+            self.agents.update(await start_agents(
+                {dev_id: server}, self.ring, self.cluster, self.registry,
+                peers=peers,
+            ))
         return dev_id
 
     async def connect(

@@ -347,10 +347,19 @@ class RingRouter:
             task.add_done_callback(self._retired.discard)
 
     async def connect_device(self, dev_id: int, host: str, port: int) -> None:
-        """Open a connection to a device about to join the ring."""
+        """Open a connection to a device about to join the ring.  One that
+        fails or is cancelled is closed, and so is one that a concurrent
+        refresh (reply stamp and epoch watch) already opened."""
         client = self._device_client(dev_id, host, port)
         client.now = self.now
-        await client.connect()
+        try:
+            await client.connect()
+        except BaseException:
+            await client.close()
+            raise
+        if dev_id in self.clients:
+            await client.close()
+            return
         self.clients[dev_id] = client
         self.endpoints[dev_id] = (host, port)
 
@@ -403,6 +412,8 @@ class RingRouter:
                 )
             host, _, port = device.address.rpartition(":")
             await self.connect_device(dev_id, host, int(port))
+        if ring.epoch <= self.epoch:
+            return False  # a concurrent refresh cut over while we connected
         self.swap_ring(ring)
         return True
 

@@ -23,11 +23,12 @@ Three workloads:
 * :func:`ring_cluster` — the multi-server soak: ``n_servers`` servers on
   genuinely distinct timescales, ``n_clients`` ring-routed sites over a
   shared namespace, judged at the routers' composed epsilon
-  (``max_site 2*(err_ref + max_dev err_dev)``).  Optionally it grows the
-  ring mid-run (``add_device_midway``: a fresh server joins, the builder
-  rebalances with minimal moves, the handoff is replayed over the live
-  connections while reads continue against the old ring, then every
-  router cuts over atomically) or crashes a primary
+  (``max_site 2*(err_ref + max_dev err_dev)``).  On a clustered stack
+  it optionally grows the ring mid-run (``add_device_midway``: a fresh
+  server joins through the cluster — the donors copy the moved
+  partitions from their own stores, the new primaries run the promotion
+  rule, the epoch carries the cutover — while the routers keep reading
+  until each holds the grown ring) or crashes a primary
   (``kill_primary_midway``).  The whole trace — before, during, and
   after — must still satisfy the timed criterion at the configured
   delta; that is the acceptance bar for ``repro ring soak`` and
@@ -59,10 +60,8 @@ from repro.net.local import (
 )
 from repro.net.ring_router import RingRouter, RouterStats
 from repro.ring.placement import PlacementError, PlacementStats
-from repro.ring.rebalance import HandoffReport, PartitionMove, Rebalancer
 from repro.ring.ring import Ring
 from repro.sim.trace import TraceRecorder, UniqueValueFactory
-from repro.store import SnapshotCatalog
 
 DEFAULT_OBJECTS = ("apple", "birch", "cedar", "delta", "elm", "fir")
 
@@ -249,8 +248,10 @@ class RingReport:
     router_stats: Dict[int, RouterStats]
     placement_stats: Dict[int, PlacementStats]
     server_requests: Dict[int, int]
-    moves: List[PartitionMove] = field(default_factory=list)
-    handoff: Optional[HandoffReport] = None
+    #: Seconds from the start of ``add_device_midway``'s joiner until
+    #: every router held the grown ring (``ring``, at its epoch);
+    #: ``None`` without it.
+    join_seconds: Optional[float] = None
     #: Live on-time / visibility summary (``TimedInstruments.summary()``)
     #: when the soak ran with a registry; the online counterpart of the
     #: offline ``tsc`` verdict.
@@ -327,10 +328,9 @@ async def ring_cluster(
     post-failover phases still derive from ``rounds``).
 
     ``store_root`` gives every server a :class:`repro.store.DurableStore`
-    under ``<store_root>/dev<id>`` (WAL policy ``fsync``); the midway
-    handoff then streams moved objects from the on-disk snapshots/WALs
-    (:class:`repro.store.SnapshotCatalog`) rather than the donors' live
-    memory — the configuration that survives a donor crash.
+    under ``<store_root>/dev<id>`` (WAL policy ``fsync``), the joiner of
+    ``add_device_midway`` included: the copies it is handed arrive as
+    ordinary writes, logged before they are acknowledged.
 
     ``registry`` (a :class:`repro.obs.metrics.Registry`) instruments the
     whole cluster: every server and router binds its counters, and one
@@ -344,6 +344,8 @@ async def ring_cluster(
     """
     if kill_primary_midway and not cluster:
         raise ValueError("kill_primary_midway requires cluster=True")
+    if add_device_midway and not cluster:
+        raise ValueError("add_device_midway requires cluster=True")
     if kill_primary_midway and add_device_midway:
         raise ValueError(
             "kill_primary_midway and add_device_midway are separate soaks"
@@ -365,8 +367,7 @@ async def ring_cluster(
     recorder = TraceRecorder()
     values = UniqueValueFactory()
     client_skews = default_skews(n_clients, skew)
-    moves: List[PartitionMove] = []
-    handoff: Optional[HandoffReport] = None
+    join_seconds: Optional[float] = None
     fault: Optional[FaultOutcome] = None
 
     def mixed(router: RingRouter, rng_seed: int, **run: Any) -> Awaitable[None]:
@@ -418,46 +419,26 @@ async def ring_cluster(
             ))
 
         if add_device_midway:
-            old_ring = stack.ring
-            new_id = await stack.add_server()
-            host, port = stack.endpoints[new_id]
-            for router in routers:
-                await router.connect_device(new_id, host, port)
-            rebalancer = Rebalancer(stack.builder, old_ring)
-            new_ring, moves = rebalancer.add_device(
-                new_id, address=f"{host}:{port}"
-            )
-            # Copy moved partitions over the live connections while the
-            # routers keep reading against the OLD ring (writes pause for
-            # the copy window — the cutover discipline of docs/RING.md).
-            stop_reading = asyncio.Event()
+            # Writes pause for the copy window (docs/RING.md); reads keep
+            # flowing, each router on whichever ring it holds, until
+            # every router has cut over to the one naming the joiner.
+            joiner = await stack.add_server()
+            started = loop_time()
+            deadline = started + cluster_config.detection_bound + 10.0
 
-            async def read_through_handoff(router: RingRouter) -> None:
+            async def read_through_join(router: RingRouter) -> None:
                 rng = random.Random(seed + router.client_id)
-                while not stop_reading.is_set():
-                    await router.read(rng.choice(list(objects)))
+                while not all(joiner in r.ring.devices for r in routers):
+                    if loop_time() > deadline:
+                        raise TimeoutError(
+                            f"not every router cut over to device {joiner}"
+                        )
+                    await router.read(rng.choice(objects))
                     await asyncio.sleep(think)
 
-            readers = [
-                asyncio.ensure_future(read_through_handoff(r)) for r in routers
-            ]
-            snapshots = None
-            if store_root is not None:
-                snapshots = SnapshotCatalog({
-                    dev_id: server.durable.root
-                    for dev_id, server in stack.servers.items()
-                })
-            try:
-                handoff = await rebalancer.handoff(
-                    moves, objects, old_ring, routers[0].placement.transport,
-                    snapshots=snapshots,
-                )
-            finally:
-                stop_reading.set()
-                await asyncio.gather(*readers, return_exceptions=True)
-            for router in routers:
-                router.swap_ring(new_ring)
-            stack.ring = new_ring
+            await asyncio.gather(*(read_through_join(r) for r in routers))
+            join_seconds = loop_time() - started
+            stack.ring = routers[0].ring
             await asyncio.gather(*(
                 mixed(r, seed + 31 * r.client_id + 1, ops=max(rounds // 2, 5))
                 for r in routers
@@ -484,8 +465,7 @@ async def ring_cluster(
         router_stats={r.client_id: r.stats for r in routers},
         placement_stats={r.client_id: r.placement.stats for r in routers},
         server_requests={d: s.engine.requests for d, s in stack.servers.items()},
-        moves=list(moves),
-        handoff=handoff,
+        join_seconds=join_seconds,
         ontime=instruments.summary() if instruments is not None else None,
         fault=fault,
         unmatched_reads=unmatched,

@@ -12,11 +12,15 @@ dance:
    new ring — a moved partition whose objects were not copied would
    serve initial values, which the checkers would flag as reads of
    values older than delta allows;
-3. swap the ring atomically (routers re-read ``replicas_for`` per
-   operation, so swapping the ``ring`` attribute is the cutover).
+3. cut over: publish the new ring at a higher epoch (routers re-read
+   ``replicas_for`` per operation, so adopting the ring is the cutover).
 
-:class:`Rebalancer` packages the dance; :func:`replay_handoff` performs
-step 2 over any placement transport (memory, simulator stores, TCP).
+:class:`Rebalancer` is step 1 (``repro ring add``/``rebalance``, and
+:func:`repro.cluster.failover.join_ring`); :func:`replay_handoff` is
+step 2 over any placement transport.  A live cluster runs all three
+from its coordinator (:mod:`repro.cluster.swim`): each donor replays
+its moves from its own store, so a copy is always the authority's
+version, and the epoch carries the cutover.
 """
 
 from __future__ import annotations
@@ -52,7 +56,6 @@ class HandoffReport:
     objects_copied: int
     objects_missing: int  #: moved objects the source had never stored
     retries: int = 0  #: transient-failure retries that were attempted
-    objects_from_snapshot: int = 0  #: copies served by the snapshot catalog
 
 
 async def _with_retry(
@@ -102,7 +105,6 @@ async def replay_handoff(
     old_ring: Ring,
     transport: Any,
     *,
-    snapshots: Optional[Any] = None,
     retries: int = 3,
 ) -> HandoffReport:
     """Copy every moved object from its old device to its new one.
@@ -118,48 +120,31 @@ async def replay_handoff(
     ``MAX_BACKOFF``), so one transient connection error no longer aborts
     the whole handoff; the attempts used are summed in
     ``HandoffReport.retries``.
-
-    ``snapshots``, when given, is a
-    :class:`repro.store.SnapshotCatalog` (anything with
-    ``read(device, obj)`` raising :class:`KeyError` for never-stored
-    objects): source reads come from the durable stores instead of the
-    source's live memory, so a rebalance away from a *crashed* device
-    still copies real values.  An object the catalog lacks falls back to
-    the live transport (the store may be newer than its catalog load).
     """
     moves = list(moves)
     by_partition: Dict[int, List[PartitionMove]] = {}
     for move in moves:
         by_partition.setdefault(move.partition, []).append(move)
-    copied = missing = retried = from_snapshot = 0
+    copied = missing = retried = 0
     touched = set()
-    _absent = object()
     for obj in objects:
         part = old_ring.partition_for(obj)
         for move in by_partition.get(part, ()):
             touched.add(part)
-            value = _absent
-            if snapshots is not None:
-                try:
-                    value = snapshots.read(move.src, obj)
-                    from_snapshot += 1
-                except KeyError:
-                    pass  # not durably recorded: fall back to live memory
-            if value is _absent:
-                try:
-                    value, used = await _with_retry(
-                        lambda: transport.read(move.src, obj), retries=retries
-                    )
-                    retried += used
-                except asyncio.CancelledError:
-                    raise
-                except KeyError:
-                    missing += 1  # definitive: never stored there
-                    continue
-                except Exception:
-                    retried += retries  # exhausted the retry budget
-                    missing += 1
-                    continue
+            try:
+                value, used = await _with_retry(
+                    lambda: transport.read(move.src, obj), retries=retries
+                )
+                retried += used
+            except asyncio.CancelledError:
+                raise
+            except KeyError:
+                missing += 1  # definitive: never stored there
+                continue
+            except Exception:
+                retried += retries  # exhausted the retry budget
+                missing += 1
+                continue
             send = value  # bind for the closure below
             _, used = await _with_retry(
                 lambda: transport.write(move.dst, obj, send), retries=retries
@@ -172,16 +157,16 @@ async def replay_handoff(
         objects_copied=copied,
         objects_missing=missing,
         retries=retried,
-        objects_from_snapshot=from_snapshot,
     )
 
 
 class Rebalancer:
-    """Builder mutations + minimal-move computation + handoff, in one place.
+    """Builder mutations + minimal-move computation, in one place.
 
     Keeps the *current* ring; every mutation returns ``(new_ring,
-    moves)`` where ``moves`` is the exact slot-level diff.  The caller
-    replays the handoff and then swaps its routers onto ``new_ring``.
+    moves)`` where ``moves`` is the exact slot-level diff, for the
+    caller to hand off (:func:`replay_handoff`) before it publishes
+    ``new_ring``.
     """
 
     def __init__(self, builder: RingBuilder, ring: Optional[Ring] = None) -> None:
@@ -215,15 +200,3 @@ class Rebalancer:
 
     def set_weight(self, dev_id: int, weight: float) -> Tuple[Ring, List[PartitionMove]]:
         return self._apply(lambda b: b.set_weight(dev_id, weight))
-
-    async def handoff(
-        self,
-        moves: Iterable[PartitionMove],
-        objects: Iterable[str],
-        old_ring: Ring,
-        transport: Any,
-        **kwargs: Any,
-    ) -> HandoffReport:
-        return await replay_handoff(
-            moves, objects, old_ring, transport, **kwargs
-        )

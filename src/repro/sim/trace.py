@@ -85,12 +85,15 @@ class UniqueValueFactory:
     """Produces globally unique written values (the paper's assumption).
 
     Values encode the writing site and a per-factory counter, so traces
-    stay human-readable: ``v(site=2,n=7)`` -> ``"s2.7"``.
+    stay human-readable: ``v(site=2,n=7)`` -> ``"s2.7"``.  Factories in
+    separate processes that write to one store tell theirs apart by a
+    ``token``: ``"s2.<token>.7"``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, token: str = "") -> None:
         self._counter = 0
+        self._prefix = f"{token}." if token else ""
 
     def next_value(self, site: int) -> str:
         self._counter += 1
-        return f"s{site}.{self._counter}"
+        return f"s{site}.{self._prefix}{self._counter}"

@@ -11,7 +11,6 @@ for the on-disk formats and the recovery argument.
 from repro.store.recovery import (
     DurableStore,
     RecoveredState,
-    SnapshotCatalog,
     StoreState,
     history_from_wal,
     load_state,
@@ -44,7 +43,6 @@ __all__ = [
     "RecoveredState",
     "ReplayResult",
     "SNAPSHOT_VERSION",
-    "SnapshotCatalog",
     "SnapshotError",
     "StoreState",
     "WalError",

@@ -45,8 +45,7 @@ before the crash.  Recovery therefore restores both, conservatively:
 :class:`DurableStore` packages the log + snapshot + recovery lifecycle
 for one server; :func:`history_from_wal` turns a recovered store into
 checker input, so the offline TSC/TCC checkers can *prove* a recovery
-preserved timed consistency; :class:`SnapshotCatalog` serves object
-values straight from on-disk stores for ring handoff replay.
+preserved timed consistency.
 """
 
 from __future__ import annotations
@@ -95,8 +94,7 @@ REC_OPEN = "open"  #: a recovery/open event: t (= t_restart), context
 class StoreState:
     """A read-only view of a store directory (no mutation, no handles).
 
-    What ``repro store inspect``/``verify`` and :class:`SnapshotCatalog`
-    work from; :meth:`DurableStore.open` builds on the same load but
+    What ``repro store inspect``/``verify`` work from; :meth:`DurableStore.open` builds on the same load but
     additionally quarantines corruption and opens the WAL for appending.
     """
 
@@ -463,44 +461,6 @@ class DurableStore:
         if self._last_snapshot_wall is None:
             return math.inf
         return max(0.0, time.time() - self._last_snapshot_wall)
-
-
-class SnapshotCatalog:
-    """Object values served straight from on-disk stores.
-
-    The handoff source that survives a crashed donor:
-    :func:`repro.ring.rebalance.replay_handoff` reads moved objects from
-    here (the durable truth) instead of the donor's live memory.  States
-    are loaded lazily, once per device, read-only.
-    """
-
-    def __init__(self, roots: Dict[int, str]) -> None:
-        self.roots = dict(roots)
-        self._states: Dict[int, StoreState] = {}
-
-    def state(self, device: int) -> StoreState:
-        if device not in self._states:
-            root = self.roots.get(device)
-            if root is None:
-                raise KeyError(f"no store directory for device {device}")
-            self._states[device] = load_state(root)
-        return self._states[device]
-
-    def read(self, device: int, obj: str) -> Any:
-        """The durably recorded value of ``obj`` on ``device``; raises
-        :class:`KeyError` when the store never recorded one."""
-        version = self.state(device).objects.get(obj)
-        if version is None:
-            raise KeyError(f"device {device} has no durable record of {obj!r}")
-        return version.value
-
-    def invalidate(self, device: Optional[int] = None) -> None:
-        """Drop cached states (all, or one device's) so the next read
-        re-loads from disk."""
-        if device is None:
-            self._states.clear()
-        else:
-            self._states.pop(device, None)
 
 
 def history_from_wal(

@@ -1,5 +1,5 @@
-"""Handoff resilience: bounded retry, snapshot-catalog sources, and the
-``HandoffReport`` accounting for both (the rebalance satellite).
+"""Handoff resilience: bounded retry and its ``HandoffReport``
+accounting.
 
 A ``FlakyTransport`` wraps the in-memory one and fails a configurable
 number of times per (device, obj) before letting the call through —
@@ -9,11 +9,9 @@ definitive answer ("never stored") and must *not* burn retry budget.
 
 import pytest
 
-from repro.engine.versions import PhysicalVersion
 from repro.ring import MemoryTransport, Rebalancer, replay_handoff
 from repro.ring.ring import RingBuilder
 from repro.sim import vtime
-from repro.store import DurableStore, SnapshotCatalog
 
 
 def run(coro):
@@ -138,76 +136,3 @@ class TestRetry:
         # whole handoff must fail loudly rather than cut over silently.
         with pytest.raises(ConnectionError):
             run(scenario())
-
-
-class TestSnapshotSource:
-    def _catalog(self, tmp_path, ring, objects, devices):
-        roots = {}
-        for dev in devices:
-            root = str(tmp_path / f"dev{dev}")
-            roots[dev] = root
-            store = DurableStore(root, fsync="never")
-            store.open(now_wall=1000.0)
-            for i, obj in enumerate(objects):
-                if dev in ring.replicas_for(obj):
-                    store.log_write(PhysicalVersion(
-                        obj, f"{obj}.durable", float(i + 1), float(i + 1), dev,
-                    ))
-            store.close()
-        return SnapshotCatalog(roots)
-
-    def test_handoff_from_snapshots_survives_down_sources(self, tmp_path):
-        # Every source device is unreachable over the network; the
-        # catalog alone must feed the handoff.
-        rebalancer, old_ring = grown_ring()
-        memory = MemoryTransport([0, 1, 2, 3])
-        flaky = FlakyTransport(memory, always_down=(0, 1, 2))
-        objects = [f"o{i}" for i in range(10)]
-        catalog = self._catalog(tmp_path, old_ring, objects, (0, 1, 2))
-
-        async def scenario():
-            _, moves = rebalancer.add_device(3)
-            return moves, await replay_handoff(
-                moves, objects, old_ring, memory_dst(flaky, memory),
-                snapshots=catalog, retries=1,
-            )
-
-        def memory_dst(flaky_src, memory_inner):
-            # Reads hit the (down) sources, writes go to the live joiner.
-            class Split:
-                async def read(self, device_id, obj):
-                    return await flaky_src.read(device_id, obj)
-
-                async def write(self, device_id, obj, value):
-                    return await memory_inner.write(device_id, obj, value)
-
-            return Split()
-
-        moves, report = run(scenario())
-        assert report.objects_missing == 0
-        assert report.objects_copied > 0
-        assert report.objects_from_snapshot == report.objects_copied
-        assert report.retries == 0  # the network sources were never needed
-        for obj in objects:
-            if any(m.partition == old_ring.partition_for(obj) for m in moves):
-                assert memory.stores[3][obj][0] == f"{obj}.durable"
-
-    def test_catalog_miss_falls_back_to_live_transport(self, tmp_path):
-        rebalancer, old_ring = grown_ring()
-        memory = MemoryTransport([0, 1, 2, 3])
-        objects = [f"o{i}" for i in range(10)]
-        # The catalog knows nothing (empty stores): every read must fall
-        # back to live memory, which does have the values.
-        catalog = self._catalog(tmp_path, old_ring, [], (0, 1, 2))
-
-        async def scenario():
-            await seed(memory, old_ring, objects)
-            _, moves = rebalancer.add_device(3)
-            return await replay_handoff(
-                moves, objects, old_ring, memory, snapshots=catalog,
-            )
-
-        report = run(scenario())
-        assert report.objects_missing == 0
-        assert report.objects_from_snapshot == 0
-        assert report.objects_copied > 0

@@ -8,6 +8,7 @@ written out a second time."""
 import argparse
 import ast
 import asyncio
+import inspect
 import math
 import pathlib
 import signal
@@ -117,7 +118,10 @@ class TestStartUp:
                              kill_primary_midway=True,
                              add_device_midway=True),
         lambda: ring_cluster(n_servers=2, replicas=3, rounds=1),
-    ], ids=["kill-without-cluster", "kill-and-grow", "replicas>servers"])
+        lambda: ring_cluster(n_servers=3, replicas=2, rounds=1,
+                             add_device_midway=True),
+    ], ids=["kill-without-cluster", "kill-and-grow", "replicas>servers",
+            "grow-without-cluster"])
     def test_bad_arguments_open_no_socket(self, monkeypatch, run):
         starts = []
 
@@ -442,6 +446,29 @@ class TestOneStandUp:
             assert "_merge_history" not in path.read_text(encoding="utf-8")
 
 
+class TestOneGrowthPath:
+    """A live ring grows one way, through the cluster's join: a donor
+    hands off from its own store, never through a site's cache."""
+
+    def test_only_the_cluster_hands_off_and_only_a_router_cuts_over(self):
+        assert callers_of("replay_handoff") == {"cluster/swim.py"}
+        assert callers_of("swap_ring") == {"net/ring_router.py"}
+        assert callers_of("connect_device") == {"net/ring_router.py"}
+
+    def test_the_site_driven_handoff_is_gone(self):
+        import repro.store
+        from repro.ring.rebalance import (
+            HandoffReport, Rebalancer, replay_handoff,
+        )
+
+        assert not hasattr(repro.store, "SnapshotCatalog")
+        assert not hasattr(Rebalancer, "handoff")
+        assert "snapshots" not in inspect.signature(replay_handoff).parameters
+        assert "objects_from_snapshot" not in HandoffReport.__dataclass_fields__
+        assert {"moves", "handoff"} & set(RingReport.__dataclass_fields__) \
+            == set()
+
+
 def functions_in(path):
     """``{name: node}`` of every function a module defines."""
     return {
@@ -582,6 +609,42 @@ class TestOneServingLifecycle:
             state = load_state(str(store_dir / f"dev{dev_id}"))
             assert state.clean
             assert state.objects["x"].value == "s1.1"
+
+
+    @pytest.mark.net(timeout=60)
+    def test_two_client_lives_with_one_id_write_disjoint_values(
+        self, tmp_path
+    ):
+        with subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro", "serve", "--port", "0",
+             "--propagation", "none", "--store-dir", str(tmp_path / "store")],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env={"PYTHONPATH": str(SRC.parent)},
+        ) as proc:
+            try:
+                for line in proc.stdout:
+                    if line.startswith("serving on "):
+                        port = line.split()[2].rpartition(":")[2]
+                        break
+                written = []
+                for life in range(2):
+                    trace = tmp_path / f"client{life}.json"
+                    assert cli_main([
+                        "client", "--port", port, "--client-id", "0",
+                        "--ops", "6", "--write-fraction", "1.0",
+                        "--think", "0", "--trace", str(trace),
+                    ]) == 0
+                    written.append({
+                        op.value for op in load_history(
+                            str(trace), validate=False).operations
+                        if op.is_write
+                    })
+            finally:
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=15) == 0
+        first, second = written
+        assert len(first) == len(second) == 6
+        assert first.isdisjoint(second)
 
 
 def time_reads(path):

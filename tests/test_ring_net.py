@@ -1,6 +1,6 @@
 """The tentpole acceptance tests: a real multi-server TCP cluster,
 ring-routed and replicated, whose merged trace passes the timed
-checkers — including across a live rebalance + handoff.  The soaks run
+checkers — including across a live join.  The soaks run
 in virtual time (:mod:`repro.sim.vtime`), so each seed is one schedule;
 the one real-loop smoke is ``test_three_servers_two_replicas_trace_is_tsc``
 (``run_ring_soak`` is the ``asyncio.run`` wrapper ``repro ring soak``
@@ -12,14 +12,15 @@ import math
 
 import pytest
 
-from repro.clocks.rebase import RebasedClock
+from repro.clocks.rebase import RebasedClock, loop_time
+from repro.cluster import ClusterConfig
 from repro.engine import messages
 from repro.net.client import MAX_RETRIES, NetCacheClient
 from repro.net.local import LocalStack
 from repro.net.workloads import ring_cluster, run_ring_soak
 from repro.net.ring_router import RingRouter
 from repro.net.server import NetObjectServer
-from repro.ring import RingBuilder, uniform_ring
+from repro.ring import Ring, RingBuilder, uniform_ring
 from repro.sim import vtime
 from repro.sim.trace import TraceRecorder
 from tests.test_net_pipeline import DropFirst
@@ -88,19 +89,71 @@ class TestGrowthHandoff:
     def test_midrun_growth_keeps_the_trace_timed(self):
         report = soak(
             n_servers=3, replicas=2, n_clients=2, rounds=14, delta=0.4,
-            add_device_midway=True, seed=7,
+            add_device_midway=True, cluster=True, seed=7,
         )
-        # Minimal moves: the joiner only ever receives slots.
-        assert report.moves
-        assert all(m.dst == 3 for m in report.moves)
-        assert report.handoff is not None
-        assert report.handoff.objects_missing == 0
-        # Reads kept flowing during the copy and after the cutover, and
+        # The joiner is in the ring every router cut over to, at an
+        # epoch above the one the soak started from.
+        assert report.ring.device_ids() == [0, 1, 2, 3]
+        assert report.ring.epoch > 1
+        assert all(s.ring_swaps == 1 for s in report.router_stats.values())
+        assert report.join_seconds is not None and report.join_seconds > 0
+        # Reads kept flowing during the join and after the cutover, and
         # none of them — checker-verified — was older than delta allows.
         assert report.tsc.satisfied, report.tsc.violation
+        assert report.sc.satisfied, report.sc.violation
         assert report.off_ring_reads == 0
         assert not report.late_reads
-        assert report.ring.device_ids() == [0, 1, 2, 3]
+        assert report.unmatched_reads == 0
+
+    def test_a_joiner_holds_the_donors_version_not_a_sites_cached_one(self):
+        """A site caches every key at delta = inf, another site then
+        overwrites them all, and a device joins.  A copy read through the
+        first site would be its cached, overwritten value (a handoff that
+        read through that site's engine copied ``k1.old`` here); the
+        joiner must hold what the donor holds."""
+        keys = [f"k{i}" for i in range(24)]
+        config = ClusterConfig(probe_period=0.1, suspect_timeout=0.3, seed=1)
+
+        async def scenario():
+            async with LocalStack(servers=3, replicas=2,
+                                  cluster=config) as stack:
+                cacher = await stack.connect(1, delta=math.inf)
+                writer = await stack.connect(2, delta=math.inf)
+                for key in keys:
+                    await writer.write(key, f"{key}.old")
+                for key in keys:
+                    await cacher.read(key)
+                for key in keys:
+                    await writer.write(key, f"{key}.new")
+                cached = {key: cacher.engine.cache[key].version.value
+                          for key in keys}
+                grown_from = stack.ring.epoch
+                joiner = await stack.add_server()
+                coordinator = stack.servers[0].engine
+                deadline = loop_time() + 10.0
+                while coordinator.epoch <= grown_from:
+                    assert loop_time() < deadline, "the device never joined"
+                    await asyncio.sleep(0.05)
+                ring = Ring.from_dict(coordinator.ring)
+                received = {
+                    obj: version.value for obj, version
+                    in stack.servers[joiner].engine.store.items()
+                }
+                donors = {
+                    obj: stack.servers[stack.ring.primary_for(obj)]
+                    .engine.store[obj].value
+                    for obj in received
+                }
+                return cached, ring, joiner, received, donors
+
+        cached, ring, joiner, received, donors = vtime.run(scenario())
+        assert cached == {key: f"{key}.old" for key in keys}
+        assert joiner in ring.devices
+        assert received and set(received) == {
+            key for key in keys if joiner in ring.replicas_for(key)
+        }
+        assert received == donors
+        assert received == {key: f"{key}.new" for key in received}
 
 
 class TestRingRouterUnit:
@@ -242,9 +295,10 @@ class TestOneContextPerSite:
                 seen.append(engines())
                 adopted = await stack.add_server()
                 host, port = stack.endpoints[adopted]
-                stack.builder.add_device(joined)
-                stack.builder.add_device(adopted, address=f"{host}:{port}")
-                ring, _ = stack.builder.rebalance()
+                builder = RingBuilder.from_ring(stack.ring)
+                builder.add_device(joined)
+                builder.add_device(adopted, address=f"{host}:{port}")
+                ring, _ = builder.rebalance()
                 assert await router.adopt_ring(ring)
                 seen.append(engines())
                 one = {(id(router.engine), id(router.engine.stats))}
@@ -261,6 +315,41 @@ class TestRingSoakCoroutine:
 
 
 class TestRouterRegressions:
+    def test_concurrent_adoptions_keep_one_link_to_a_joiner(
+        self, monkeypatch
+    ):
+        """A reply stamp and the epoch watch may both adopt the ring that
+        adds a device; one cuts over, and the link the other opened is
+        closed, not left open beside the one the router keeps."""
+        made = []
+        real = RingRouter._device_client
+
+        def recording(router, *args):
+            made.append(real(router, *args))
+            return made[-1]
+
+        monkeypatch.setattr(RingRouter, "_device_client", recording)
+
+        async def scenario():
+            async with LocalStack(servers=2, replicas=1) as stack:
+                router = await stack.connect(1, delta=1.0)
+                joined = await stack.add_server()
+                host, port = stack.endpoints[joined]
+                builder = RingBuilder.from_ring(stack.ring)
+                builder.add_device(joined, address=f"{host}:{port}")
+                ring, _ = builder.rebalance()
+                adopted = await asyncio.gather(
+                    router.adopt_ring(ring), router.adopt_ring(ring),
+                )
+                links = made[2:]
+                kept = router.clients[joined]
+                return (adopted, router.stats.ring_swaps,
+                        [(c is kept, c.connected) for c in links])
+
+        adopted, swaps, links = vtime.run(scenario())
+        assert sorted(adopted) == [False, True] and swaps == 1
+        assert sorted(links) == [(False, False), (True, True)]
+
     def test_write_rebases_with_the_primary_that_served_it(self):
         """A concurrent ``swap_ring`` must not change which device's
         clock offset rebases a completed write: the link that served the

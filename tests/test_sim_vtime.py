@@ -93,13 +93,15 @@ class TestOneSeedOneTrace:
 #: ROADMAP item 2's sweep: the soak with one field changed per arm.  With
 #: one engine per device the first four arms were violated on 41, 50, 41
 #: and 50 of seeds 0..49; only the one-device arm, one engine per site by
-#: construction, read 0.
+#: construction, read 0.  The grow arm joins a fourth server mid-run
+#: through the cluster.
 SWEEP_ARMS = {
     "as-pinned": {},
     "replicas-1": {"replicas": 1},
     "no-swim": {"cluster": False},
     "replicas-1-no-swim": {"replicas": 1, "cluster": False},
     "one-device": {"n_servers": 1, "replicas": 1},
+    "grow": {"add_device_midway": True},
 }
 
 

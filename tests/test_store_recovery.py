@@ -31,7 +31,7 @@ from repro.engine.versions import PhysicalVersion
 from repro.net.client import NetCacheClient, NetError
 from repro.net.server import NetObjectServer
 from repro.sim.trace import TraceRecorder
-from repro.store import DurableStore, SnapshotCatalog, load_state
+from repro.store import DurableStore, load_state
 from repro.store.recovery import SNAPSHOT_EVERY
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -262,37 +262,6 @@ class TestHistoryFromWal:
         assert [op.value for op in history.operations] == ["s0.1"]
 
 
-class TestSnapshotCatalog:
-    def test_reads_durable_values_per_device(self, tmp_path):
-        for device, value in ((0, "s0.1"), (1, "s1.1")):
-            store = DurableStore(str(tmp_path / f"dev{device}"), fsync="never")
-            store.open(now_wall=1000.0)
-            store.log_write(PhysicalVersion("x", value, 1.0, 1.0, device))
-            store.close()
-        catalog = SnapshotCatalog({
-            0: str(tmp_path / "dev0"), 1: str(tmp_path / "dev1"),
-        })
-        assert catalog.read(0, "x") == "s0.1"
-        assert catalog.read(1, "x") == "s1.1"
-        with pytest.raises(KeyError):
-            catalog.read(0, "never-written")
-        with pytest.raises(KeyError):
-            catalog.read(9, "x")  # unknown device
-
-    def test_invalidate_reloads_from_disk(self, tmp_path):
-        root = str(tmp_path / "dev0")
-        store = DurableStore(root, fsync="always")
-        store.open(now_wall=1000.0)
-        store.log_write(PhysicalVersion("x", "s0.1", 1.0, 1.0, 0))
-        catalog = SnapshotCatalog({0: root})
-        assert catalog.read(0, "x") == "s0.1"
-        store.log_write(PhysicalVersion("x", "s0.2", 2.0, 2.0, 0))
-        store.close()
-        assert catalog.read(0, "x") == "s0.1"  # cached load
-        catalog.invalidate(0)
-        assert catalog.read(0, "x") == "s0.2"
-
-
 @pytest.mark.net
 class TestServerRecovery:
     def test_restart_preserves_values_and_timescale(self, tmp_path):
@@ -391,22 +360,23 @@ class TestServerRecovery:
         assert recovered.clean_start
         assert recovered.replayed_records == 0
 
-    def test_ring_cluster_with_stores_and_snapshot_handoff(self, tmp_path):
-        from repro.net.workloads import ring_cluster
+    def test_ring_cluster_with_stores_and_a_join(self, tmp_path):
+        from repro.net.workloads import DEFAULT_OBJECTS, ring_cluster
 
         report = asyncio.run(ring_cluster(
             n_servers=2, replicas=2, n_clients=2, rounds=8,
-            delta=math.inf, add_device_midway=True,
+            delta=math.inf, add_device_midway=True, cluster=True,
             store_root=str(tmp_path), fsync="interval",
         ))
         assert report.tsc.satisfied
-        assert report.handoff is not None
-        # Every copied object came from the durable catalogs, which is
-        # the point: the donors' live memory was never consulted.
-        assert report.handoff.objects_from_snapshot > 0
-        assert report.handoff.objects_from_snapshot == \
-            report.handoff.objects_copied
-        for dev in range(2):
+        assert report.ring.device_ids() == [0, 1, 2]
+        # The joiner's copies arrived as writes, logged before their
+        # acks: its WAL holds every object its ring slots name.
+        placed = {obj for obj in DEFAULT_OBJECTS
+                  if 2 in report.ring.replicas_for(obj)}
+        assert placed
+        assert placed <= set(load_state(str(tmp_path / "dev2")).objects)
+        for dev in range(3):
             assert os.path.isdir(tmp_path / f"dev{dev}")
 
 
