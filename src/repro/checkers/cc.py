@@ -7,9 +7,10 @@ witness per site is returned, mirroring Figure 6(b) of the paper.
 
 An SC witness (a legal effective-time order is one) restricted to each
 ``H_{i+w}`` is that site's witness (docs/THEORY.md, Result 4): that is
-:func:`cc_given_sc`, which searches nothing once SC holds.  Otherwise the
-engine decides site by site, fed the transitive reduction of causal
-order on ``H_{i+w}`` in topological order.
+:func:`cc_given_sc`, which searches nothing once SC holds.  Otherwise
+each site is decided over all of ``H`` with SC's program-order edges,
+placing only its own reads: the others keep their reads-from edges, so
+causal order passes through them and no closure is built (Result 5).
 """
 
 from __future__ import annotations
@@ -28,41 +29,29 @@ def check_cc(history: History, budget: Optional[int] = None) -> CheckResult:
     order = time_order_witness(history)
     if order is not None:
         return cc_given_sc(history, CheckResult("SC", True, witness=order))
-    closure = history.causal_predecessors()
+    program_order = history.immediate_program_order()
     site_witnesses: Dict[int, List[Operation]] = {}
     nodes = 0
     for site in history.sites:
         ops = history.site_plus_writes(site)
-        # Fewer causal predecessors first: a topological order.
-        topo = sorted(ops, key=lambda op: len(closure[op]))
-        place = {op: i for i, op in enumerate(topo)}
-        # The transitive reduction: a predecessor, taken latest first, is
-        # kept only when no predecessor already kept reaches it.
-        # ``below[i]`` is the bitset of topo[i]'s predecessors in H_(i+w)
-        # (causal order restricted to it is still transitive).
-        below: List[int] = []
-        edges = []
-        for op in topo:
-            covered = 0
-            for j in sorted((place[p] for p in closure[op] if p in place),
-                            reverse=True):
-                if not covered >> j & 1:
-                    edges.append((topo[j], op))
-                    covered |= below[j] | 1 << j
-            below.append(covered)
+        ops += [op for op in history.operations
+                if op.is_read and op.site != site]
         result = decide(
             "CC",
             history,
             ops,
-            edges,
+            program_order,
             f"no legal serialization of H_({site}+w) respects causal order",
             budget,
+            site,
         )
         nodes += result.states_explored
         if not result.satisfied:
             result.states_explored = nodes
             return result
-        site_witnesses[site] = result.witness
+        site_witnesses[site] = [
+            op for op in result.witness if op.is_write or op.site == site
+        ]
     return CheckResult(
         "CC", True, site_witnesses=site_witnesses, states_explored=nodes
     )

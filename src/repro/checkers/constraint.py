@@ -1,4 +1,4 @@
-"""The checking engine: constraint saturation decides every criterion.
+"""The checking engine: the recorded write order, then constraint saturation.
 
 Every criterion of the paper asks whether a legal serialization of some
 operations respects some order (program order for SC, causal order per
@@ -6,8 +6,10 @@ operations respects some order (program order for SC, causal order per
 is NP-complete (footnote 2).  The checkers first try the effective-time
 order (:func:`~repro.core.serialization.time_order_witness`): on a
 linearizable history it is the witness, found in one pass.  Otherwise
-they call :func:`find_constrained_serialization`, which runs the classic
-analysis (in the spirit of Gibbons & Korach's study of the problem):
+:func:`decide` fixes each object's write order as recorded and sorts
+one graph topologically (docs/THEORY.md, Result 5), which decides a
+stack trace; only on a cycle does :func:`find_constrained_serialization`
+run the classic analysis (in the spirit of Gibbons & Korach's study):
 
 1. Build the *forced* order: the given edges plus a reads-from edge
    ``w -> r`` for every read (written values are unique, so reads-from is
@@ -115,6 +117,7 @@ def find_constrained_serialization(
     base_edges: Iterable[Tuple[Operation, Operation]],
     budget: Optional[int] = None,
     explain: Optional[Dict[str, List[Operation]]] = None,
+    site: Optional[int] = None,
 ) -> Tuple[Optional[List[Operation]], int]:
     """Find a legal serialization of ``operations`` (drawn from
     ``history``) respecting ``base_edges``.
@@ -125,7 +128,8 @@ def find_constrained_serialization(
     ``operations`` returns the initial value, or cannot be placed at all
     when its value is another.  Raises :class:`SearchBudgetExceeded` if
     more than ``budget`` branch nodes (``None``: :data:`BRANCH_BUDGET`)
-    are explored.
+    are explored.  With ``site`` given, another site's read is not placed:
+    it keeps just its reads-from edge, which orders pass through.
 
     When ``explain`` (a dict) is supplied and the *deterministic* part of
     the analysis finds a contradiction, ``explain["cycle"]`` receives the
@@ -191,6 +195,10 @@ def find_constrained_serialization(
         if not op.is_read:
             continue
         iw = index.get(history.writer_of(op))
+        if site is not None and op.site != site:
+            if iw is not None and not add(iw, i):
+                return None, 0
+            continue
         if iw is None and op.value != history.initial_value:
             if explain is not None:
                 explain["unwritten"] = [op]
@@ -269,15 +277,22 @@ def find_constrained_serialization(
     nodes = cap - left[0]
     if not solved:
         return None, nodes
+    # A topological order of (base + forced + branched) edges is a witness.
+    return [ops[i] for i in _topological(ops, edges)], nodes
 
-    # Topological order of (base + forced + branched) edges is a witness;
-    # an edge inserted twice counts twice in both directions.
+
+def _topological(
+    ops: Sequence[Operation], edges: Iterable[Tuple[int, int]]
+) -> List[int]:
+    """A topological order of ``edges`` over the indices of ``ops``, the
+    least (effective time, index) first among the ready; it stops short of
+    a cycle.  An edge given twice counts twice in both directions."""
+    n = len(ops)
     adjacency: List[List[int]] = [[] for _ in range(n)]
     indegree = [0] * n
     for a, b in edges:
         adjacency[a].append(b)
         indegree[b] += 1
-    # Deterministic witness: prefer earlier effective times among ready ops.
     out: List[int] = []
     heap = [(ops[i].time, i) for i in range(n) if indegree[i] == 0]
     heapq.heapify(heap)
@@ -288,7 +303,45 @@ def find_constrained_serialization(
             indegree[j] -= 1
             if indegree[j] == 0:
                 heapq.heappush(heap, (ops[j].time, j))
-    return [ops[i] for i in out], nodes
+    return out
+
+
+def _by_write_order(
+    history: History,
+    ops: Sequence[Operation],
+    edges: Iterable[Tuple[Operation, Operation]],
+    site: Optional[int],
+) -> Optional[List[Operation]]:
+    """A topological order of ``edges``, reads-from, ``co`` (each object's
+    writes in (effective time, index) order) and ``fr`` (each placed read,
+    every read or only ``site``'s, before the ``co`` successor of the
+    write it returns): a legal witness, or ``None`` on a cycle, which
+    refutes only this ``co`` (docs/THEORY.md, Result 5)."""
+    index = {op: i for i, op in enumerate(ops)}
+    graph = [(index[a], index[b]) for a, b in edges
+             if a in index and b in index and a is not b]
+    # (object, write) -> the write after it in co; None is the initial value.
+    after: Dict[Tuple[str, Optional[int]], int] = {}
+    last: Dict[str, int] = {}
+    for i in sorted(range(len(ops)), key=lambda i: ops[i].time):  # stable
+        if ops[i].is_write:
+            obj = ops[i].obj
+            after[obj, last.get(obj)] = i
+            last[obj] = i
+    graph += [(w, i) for (_, w), i in after.items() if w is not None]
+    for i, op in enumerate(ops):
+        if not op.is_read:
+            continue
+        iw = index.get(history.writer_of(op))
+        if iw is not None:
+            graph.append((iw, i))
+        if site in (None, op.site):
+            if iw is None and op.value != history.initial_value:
+                return None
+            if (op.obj, iw) in after:
+                graph.append((i, after[op.obj, iw]))
+    order = _topological(ops, graph)
+    return [ops[i] for i in order] if len(order) == len(ops) else None
 
 
 def _violation_text(explain: Dict[str, List[Operation]], what: str) -> str:
@@ -321,14 +374,20 @@ def decide(
     edges: Iterable[Tuple[Operation, Operation]],
     what: str,
     budget: Optional[int] = None,
+    site: Optional[int] = None,
 ) -> CheckResult:
     """``criterion`` holds iff a legal serialization of ``operations``
-    respects ``edges``.  The result carries it as the witness, or else a
-    violation explaining why there is none, ending in ``what``;
-    ``states_explored`` is the branch nodes the engine used."""
+    (placing only ``site``'s reads, if given) respects ``edges``.  The
+    result carries it as the witness, or else a violation explaining why
+    there is none, ending in ``what``.  The recorded write order is tried
+    first; ``states_explored`` is the branch nodes the engine used after."""
+    edges = list(edges)
+    witness = _by_write_order(history, operations, edges, site)
+    if witness is not None:
+        return CheckResult(criterion, True, witness=witness)
     explain: Dict[str, List[Operation]] = {}
     witness, nodes = find_constrained_serialization(
-        history, operations, edges, budget=budget, explain=explain
+        history, operations, edges, budget=budget, explain=explain, site=site
     )
     if witness is None:
         return CheckResult(

@@ -38,13 +38,12 @@ from repro.core.timed import (
 
 
 def _per_writer_program_order(history: History, ops: List[Operation]):
-    """Program-order edges restricted to the given operation set."""
+    """Each site's operations among ``ops``, chained in program order (one
+    left out does not cut its site's chain)."""
     keep = set(ops)
-    return [
-        (a, b)
-        for a, b in history.immediate_program_order()
-        if a in keep and b in keep
-    ]
+    chains = [[op for op in history.site_ops(site) if op in keep]
+              for site in history.sites]
+    return [pair for chain in chains for pair in zip(chain, chain[1:])]
 
 
 def check_pram(history: History, budget: Optional[int] = None) -> CheckResult:

@@ -17,8 +17,9 @@ class CheckResult:
     ``site_witnesses`` the per-site serializations (for the causal
     criteria).  When it fails, ``violation`` is a human-readable reason —
     for the timed criteria this names the late read and its ``W_r``.
-    ``states_explored`` is the branch nodes the constraint engine used (0
-    when the effective-time order decided).  ``unknown`` marks a
+    ``states_explored`` is the branch nodes the constraint engine used: 0
+    when the effective-time order or the recorded write order decided,
+    1 or more when the write order failed and the engine decided.  ``unknown`` marks a
     budget-exhausted check: the search gave up, so ``satisfied`` is False
     but the criterion was *not* shown violated.
     """

@@ -3,8 +3,9 @@
 ``H`` satisfies SC iff there is a legal serialization of all of ``H`` that
 respects every site's program order.  Deciding this is NP-complete (paper
 footnote 2).  The effective-time order is tried first (it respects
-program order, so when it is legal it is the witness); otherwise the
-constraint engine (:mod:`repro.checkers.constraint`) decides.
+program order, so when it is legal it is the witness); otherwise
+:func:`~repro.checkers.constraint.decide` tries the recorded write order
+and then the constraint engine.
 """
 
 from __future__ import annotations

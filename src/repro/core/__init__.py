@@ -8,7 +8,6 @@ from repro.core.serialization import (
     Serialization,
     first_legality_violation,
     is_legal,
-    merge_by_time,
     reads_from_in,
     respects,
     respects_effective_times,
@@ -47,7 +46,6 @@ __all__ = [
     "late_reads",
     "load_history",
     "loads_history",
-    "merge_by_time",
     "min_timed_delta",
     "min_timed_delta_logical",
     "read",

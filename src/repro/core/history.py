@@ -20,6 +20,7 @@ initial value and no write produced it.
 
 from __future__ import annotations
 
+from graphlib import CycleError, TopologicalSorter
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.operations import Operation
@@ -145,22 +146,14 @@ class History:
             raise ValueError(f"{read_op!r} is not a read")
         return self._reads_from[read_op]
 
-    def program_order_pairs(self) -> Set[Tuple[Operation, Operation]]:
-        """All (a, b) with a before b at the same site (transitive)."""
-        pairs: Set[Tuple[Operation, Operation]] = set()
-        for site_ops in self._by_site.values():
-            for i, a in enumerate(site_ops):
-                for b in site_ops[i + 1 :]:
-                    pairs.add((a, b))
-        return pairs
-
-    def immediate_program_order(self) -> Set[Tuple[Operation, Operation]]:
-        """Adjacent (a, b) pairs in each site's program order."""
-        pairs: Set[Tuple[Operation, Operation]] = set()
-        for site_ops in self._by_site.values():
-            for a, b in zip(site_ops, site_ops[1:]):
-                pairs.add((a, b))
-        return pairs
+    def immediate_program_order(self) -> List[Tuple[Operation, Operation]]:
+        """Adjacent (a, b) pairs in each site's program order, site by
+        site."""
+        return [
+            pair
+            for site_ops in self._by_site.values()
+            for pair in zip(site_ops, site_ops[1:])
+        ]
 
     def _causal_edges(self) -> Dict[Operation, Set[Operation]]:
         """Direct causal predecessors: program-order predecessor + writer."""
@@ -177,42 +170,19 @@ class History:
         if self._causal_preds is not None:
             return self._causal_preds
         direct = self._causal_edges()
-        closure: Dict[Operation, FrozenSet[Operation]] = {}
-
-        order = self._topological_order(direct)
-        for op in order:
-            acc: Set[Operation] = set()
-            for pred in direct[op]:
-                acc.add(pred)
-                acc.update(closure[pred])
-            closure[op] = frozenset(acc)
-        self._causal_preds = closure
-        return closure
-
-    def _topological_order(
-        self, preds: Dict[Operation, Set[Operation]]
-    ) -> List[Operation]:
-        """Kahn's algorithm over the direct causal edges."""
-        indegree = {op: len(p) for op, p in preds.items()}
-        succs: Dict[Operation, List[Operation]] = {op: [] for op in preds}
-        for op, ps in preds.items():
-            for p in ps:
-                succs[p].append(op)
-        ready = [op for op, d in indegree.items() if d == 0]
-        out: List[Operation] = []
-        while ready:
-            op = ready.pop()
-            out.append(op)
-            for nxt in succs[op]:
-                indegree[nxt] -= 1
-                if indegree[nxt] == 0:
-                    ready.append(nxt)
-        if len(out) != len(preds):
+        try:
+            order = list(TopologicalSorter(direct).static_order())
+        except CycleError:
             raise HistoryError(
                 "causal order contains a cycle: some read returns a value "
                 "written causally after it"
-            )
-        return out
+            ) from None
+        closure: Dict[Operation, FrozenSet[Operation]] = {}
+        for op in order:
+            closure[op] = frozenset(direct[op]).union(
+                *(closure[pred] for pred in direct[op]))
+        self._causal_preds = closure
+        return closure
 
     def causally_precedes(self, a: Operation, b: Operation) -> bool:
         """``a -> b`` in the paper's causality relation."""
@@ -242,12 +212,6 @@ class History:
         for seq in sequences:
             ops.extend(seq)
         return History(ops, initial_value=initial_value)
-
-    def restricted_to(self, ops: Iterable[Operation]) -> List[Operation]:
-        """The given operations in this history's per-site time order
-        (useful for building serialization candidates)."""
-        keep = set(ops)
-        return [op for op in sorted(self.operations, key=lambda o: o.time) if op in keep]
 
     # -- slicing -----------------------------------------------------------
 

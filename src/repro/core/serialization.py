@@ -153,13 +153,3 @@ class Serialization:
     def __repr__(self) -> str:
         inner = " ".join(op.label() for op in self.sequence)
         return f"Serialization[{inner}]"
-
-
-def merge_by_time(groups: Iterable[Sequence[Operation]]) -> List[Operation]:
-    """Merge several already-ordered operation groups by effective time
-    (stable; a handy starting candidate for serialization searches)."""
-    ops: List[Operation] = []
-    for group in groups:
-        ops.extend(group)
-    ops.sort(key=lambda op: op.time)
-    return ops

@@ -14,6 +14,7 @@ import signal
 import pytest
 
 from repro.paperdata import figure1, figure5, figure6, figures2_3
+from repro.workloads import random_sc_history
 
 NET_TEST_TIMEOUT = 60.0  # seconds; generous — localhost runs take < 5s
 
@@ -59,6 +60,15 @@ def fig6():
 @pytest.fixture
 def fig23():
     return figures2_3()
+
+
+@pytest.fixture
+def engine_history():
+    """A 14-operation SC history whose recorded write order is no witness,
+    so the constraint engine decides it: 2 branch nodes for SC, 5 for CC,
+    with every site's CC reaching the engine.  (The paper's Figures 1 and
+    5 are decided by their write order, with no branch node.)"""
+    return random_sc_history(random.Random(2))
 
 
 @pytest.fixture

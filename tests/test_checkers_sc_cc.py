@@ -119,9 +119,9 @@ class TestCC:
 
 
 class TestBudget:
-    def test_search_budget_raises(self, fig5):
+    def test_search_budget_raises(self, engine_history):
         with pytest.raises(SearchBudgetExceeded):
-            check_sc(fig5, budget=0)
+            check_sc(engine_history, budget=0)
 
     def test_constraint_budget(self):
         from repro.checkers.constraint import find_constrained_serialization
@@ -133,13 +133,13 @@ class TestBudget:
             )
 
     @pytest.mark.parametrize("check", [check_sc, check_cc])
-    def test_the_default_engine_takes_the_budget(self, check, fig5):
+    def test_the_default_engine_takes_the_budget(self, check, engine_history):
         """``budget`` caps the constraint engine too: it used to stop
         at its own 10 000 branch nodes whatever the caller asked."""
         with pytest.raises(SearchBudgetExceeded) as raised:
-            check(fig5, budget=0)
+            check(engine_history, budget=0)
         assert raised.value.budget == 0
-        assert check(fig5, budget=None)  # None: the engine's own cap
+        assert check(engine_history, budget=None)  # None: the engine's own cap
 
 
 class TestViolationExplanations:

@@ -26,6 +26,14 @@ def fig5_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def engine_path(tmp_path, engine_history):
+    path = tmp_path / "engine.json"
+    with open(path, "w") as fh:
+        dump_history(engine_history, fh)
+    return str(path)
+
+
 class TestExitCodes:
     def test_satisfied_exits_zero(self, fig1_path):
         assert main(["check", fig1_path, "--criterion", "sc"]) == 0
@@ -39,23 +47,27 @@ class TestExitCodes:
         assert main(["check", fig5_path, "--criterion", "tsc"]) == 2
         assert "--delta" in capsys.readouterr().err
 
-    def test_budget_exhaustion_exits_three(self, fig5_path, capsys):
+    def test_budget_exhaustion_exits_three(self, engine_path, capsys):
         code = main([
-            "check", fig5_path, "--criterion", "sc", "--budget", "0",
+            "check", engine_path, "--criterion", "sc", "--budget", "0",
         ])
         assert code == 3
         assert "UNKNOWN" in capsys.readouterr().out
 
-    def test_the_budget_reaches_the_default_engine(self, fig1_path, capsys):
-        assert main(["check", fig1_path, "--criterion", "sc",
+    def test_the_budget_reaches_the_default_engine(self, engine_path, capsys):
+        assert main(["check", engine_path, "--criterion", "cc",
                      "--budget", "0"]) == 3
         assert "UNKNOWN" in capsys.readouterr().out
 
+    def test_no_budget_binds_where_the_write_order_decides(self, fig5_path):
+        assert main(["check", fig5_path, "--criterion", "sc",
+                     "--budget", "0"]) == 0
+
 
 class TestJsonShape:
-    def test_stats_payload_shape(self, fig1_path, capsys):
+    def test_stats_payload_shape(self, engine_path, engine_history, capsys):
         assert main([
-            "check", fig1_path, "--criterion", "sc", "--stats", "--json",
+            "check", engine_path, "--criterion", "sc", "--stats", "--json",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == {
@@ -64,9 +76,9 @@ class TestJsonShape:
             "unknown": False,
             "violation": None,
             "parameters": {},
-            "states_explored": check_sc(figure1()).states_explored,
+            "states_explored": check_sc(engine_history).states_explored,
         }
-        # Figure 1 is not linearizable: the engine ran.
+        # Neither the time order nor the write order decides: the engine ran.
         assert payload["states_explored"] >= 1
 
     def test_constraint_engine_omits_search_breakdown(self, fig1_path, capsys):
@@ -89,9 +101,9 @@ class TestJsonShape:
         # A late read decides TSC before any serialization is sought.
         assert payload["states_explored"] == 0
 
-    def test_unknown_json_shape(self, fig5_path, capsys):
+    def test_unknown_json_shape(self, engine_path, capsys):
         assert main([
-            "check", fig5_path, "--criterion", "sc", "--budget", "0", "--json",
+            "check", engine_path, "--criterion", "sc", "--budget", "0", "--json",
         ]) == 3
         payload = json.loads(capsys.readouterr().out)
         assert payload == {
@@ -102,13 +114,15 @@ class TestJsonShape:
             "budget": 0,
         }
 
-    def test_stats_text_mode_prints_breakdown(self, fig1_path, capsys):
+    def test_stats_text_mode_prints_breakdown(
+        self, engine_path, engine_history, capsys
+    ):
         assert main([
-            "check", fig1_path, "--criterion", "sc", "--stats",
+            "check", engine_path, "--criterion", "sc", "--stats",
         ]) == 0
         out = capsys.readouterr().out
         assert "search stats:" in out
-        nodes = check_sc(figure1()).states_explored
+        nodes = check_sc(engine_history).states_explored
         assert f"  states: {nodes} (constraint-engine branch nodes)" in out
 
     def test_the_method_option_is_gone(self, fig1_path, capsys):

@@ -70,6 +70,51 @@ def pram_not_coherent():
     )
 
 
+def cut_by_another_object():
+    """Site 0's two X writes with a read of Y between them; site 1 reads
+    X = 2 and then X = 1, so it sees site 0's writes out of order."""
+    return History(
+        [
+            write(0, "X", 1, 1.0),
+            read(0, "Y", 0, 2.0),
+            write(0, "X", 2, 3.0),
+            read(1, "X", 2, 4.0),
+            read(1, "X", 1, 5.0),
+        ]
+    )
+
+
+def own_write_reread_across_another_object():
+    """Site 0 writes X = 2 after X = 1, with a read of Y between, and
+    then reads X = 1: its own later write is lost."""
+    return History(
+        [
+            write(0, "X", 1, 1.0),
+            write(1, "Y", 5, 1.5),
+            read(0, "Y", 0, 2.0),
+            write(0, "X", 2, 3.0),
+            read(0, "X", 1, 4.0),
+        ]
+    )
+
+
+class TestProgramOrderAcrossOtherObjects:
+    """An operation outside the serialized set (a read of another object,
+    outside an object's operations or outside ``H_{i+w}``) does not cut
+    its site's program order."""
+
+    def test_pram_and_coherence_keep_the_writer_order(self):
+        h = cut_by_another_object()
+        assert not check_pram(h)
+        assert not check_coherence(h)
+        # The verdicts of the same history without the read of Y.
+        only_x = History([op for op in h if op.obj == "X"])
+        assert not check_pram(only_x) and not check_coherence(only_x)
+
+    def test_coherence_keeps_a_sites_own_order(self):
+        assert not check_coherence(own_write_reread_across_another_object())
+
+
 class TestPram:
     def test_pram_accepts_non_causal(self):
         h = pram_not_cc()

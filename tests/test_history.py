@@ -93,7 +93,6 @@ class TestProgramOrder:
         h = History(
             [write(0, "X", 1, 1.0), write(0, "Y", 2, 2.0), write(0, "Z", 3, 3.0)]
         )
-        assert len(h.program_order_pairs()) == 3  # all ordered pairs
         assert len(h.immediate_program_order()) == 2
 
 
@@ -151,12 +150,6 @@ class TestConstructors:
             ]
         )
         assert h.sites == [0, 1]
-
-    def test_restricted_to(self):
-        h = simple_history()
-        subset = [h.operations[0], h.operations[2]]
-        restricted = h.restricted_to(subset)
-        assert restricted == sorted(subset, key=lambda op: op.time)
 
     def test_repr(self):
         assert "6 ops" in repr(simple_history())

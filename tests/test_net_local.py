@@ -605,6 +605,7 @@ class TestOneServingLifecycle:
         finally:
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=15) == 0
+            proc.stdout.close()
         for dev_id in range(2):
             state = load_state(str(store_dir / f"dev{dev_id}"))
             assert state.clean

@@ -153,7 +153,9 @@ class TestExactlyOnce:
         assert retries == 0  # told at once, not after a retransmit ladder
         # The second write under the same id was executed, not replayed.
         assert logged == ["v1", "v2", "v3"] and replays == 0
-        recovered = DurableStore(str(tmp_path)).open().objects
+        store = DurableStore(str(tmp_path))
+        recovered = store.open().objects
+        store.close()
         assert {obj: version.value for obj, version in recovered.items()} == acked
 
     def test_a_retransmit_whose_ack_is_late_is_replayed(self):
@@ -1160,7 +1162,9 @@ class TestGroupCommit:
         assert [r["kind"] for r in again] == [messages.WRITE_ACK] * 8
         assert engine.dedup_replays == 0 and engine.requests == 24
         assert [r["kind"] for r in after] == [messages.WRITE_ACK] * 8
-        recovered = DurableStore(str(tmp_path)).open().objects
+        store = DurableStore(str(tmp_path))
+        recovered = store.open().objects
+        store.close()
         assert {obj: v.alpha for obj, v in recovered.items()} == {
             r["obj"]: r["alpha"] for r in again + after
         }

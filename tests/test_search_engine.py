@@ -33,8 +33,16 @@ from repro.checkers import (
     hierarchy_violations,
     threshold_report,
 )
-from repro.checkers.constraint import find_constrained_serialization
-from repro.core.serialization import is_legal, respects_program_order
+from repro.checkers.constraint import (
+    _by_write_order,
+    find_constrained_serialization,
+)
+from repro.core.serialization import (
+    is_legal,
+    respects,
+    respects_program_order,
+    time_order_witness,
+)
 from repro.workloads import (
     random_history,
     random_linearizable_history,
@@ -55,6 +63,65 @@ def _program_order_preds(history):
     for a, b in history.immediate_program_order():
         preds[b].add(a)
     return ops, preds
+
+
+def write_order_cases():
+    """(history, operations, site) for every SC and per-site CC decision
+    over the verdict digest's histories and 300 ``random_history`` seeds,
+    with the operations each decision orders."""
+    from tests.test_verdict_digest import histories
+
+    everything = [h for _, h, _ in histories()] + [
+        random_history(random.Random(seed)) for seed in range(300)
+    ]
+    for history in everything:
+        yield history, list(history.operations), None
+        for site in history.sites:
+            others = [op for op in history.operations
+                      if op.is_read and op.site != site]
+            yield history, history.site_plus_writes(site) + others, site
+
+
+class TestWriteOrder:
+    """The write-order step (docs/THEORY.md, Result 5) against the engine
+    and the causal closure it replaces."""
+
+    def test_its_witnesses_are_ones_the_engine_accepts(self):
+        for history, ops, site in write_order_cases():
+            program_order = history.immediate_program_order()
+            got = _by_write_order(history, ops, program_order, site)
+            if got is None:
+                continue
+            engine, _ = find_constrained_serialization(
+                history, ops, program_order, site=site)
+            assert engine is not None
+            assert sorted(map(id, got)) == sorted(map(id, ops))
+            assert respects(got, program_order)
+            placed = [op for op in got if site in (None, op.site) or op.is_write]
+            assert is_legal(placed, history.initial_value)
+            order = time_order_witness(history)
+            if order is not None:
+                kept = set(placed)
+                assert placed == [op for op in order if op in kept]
+            if site is not None:
+                position = {op: i for i, op in enumerate(placed)}
+                closure = history.causal_predecessors()
+                for op in placed:
+                    assert all(position[p] < position[op]
+                               for p in closure[op] if p in position)
+
+    def test_how_many_histories_it_decides(self):
+        from tests.test_verdict_digest import histories
+
+        decided = timed = sc = 0
+        for _, history, _ in histories():
+            got = _by_write_order(history, history.operations,
+                                  history.immediate_program_order(), None)
+            order = time_order_witness(history)
+            decided += got is not None
+            timed += order is not None and got == order
+            sc += check_sc(history).satisfied
+        assert (decided, timed, sc) == (151, 67, 192)
 
 
 class TestCrossValidation:
@@ -163,9 +230,12 @@ class TestLargeHistoryRegression:
 
 
 class TestSearchStats:
-    def test_check_result_carries_stats(self, fig5):
-        # fig5 is not linearizable, so the engine ran and counted.
-        assert check_sc(fig5).states_explored > 0
+    def test_check_result_carries_stats(self, fig5, engine_history):
+        # Neither the time order nor the write order is a witness here, so
+        # the engine ran and counted.
+        assert check_sc(engine_history).states_explored > 0
+        # Figure 5 is not linearizable, but its write order decides it.
+        assert check_sc(fig5).states_explored == 0
         lin = random_linearizable_history(random.Random(1))
         assert check_sc(lin).states_explored == 0
 
@@ -173,8 +243,8 @@ class TestSearchStats:
 class TestBudgetUnknown:
     """Budget exhaustion must surface as 'unknown', never a traceback."""
 
-    def test_threshold_report_tiny_budget(self, fig5):
-        report = threshold_report(fig5, budget=0)
+    def test_threshold_report_tiny_budget(self, engine_history):
+        report = threshold_report(engine_history, budget=0)
         assert report.unknown
         assert report.sc_holds is None
         assert report.cc_holds is None
@@ -183,21 +253,21 @@ class TestBudgetUnknown:
         assert report.satisfies_tsc(1e9) is None
         assert report.satisfies_tcc(1e9) is None
 
-    def test_threshold_report_normal_budget_is_decided(self, fig5):
-        report = threshold_report(fig5)
+    def test_threshold_report_normal_budget_is_decided(self, engine_history):
+        report = threshold_report(engine_history)
         assert not report.unknown
         assert report.sc_holds is True
 
-    def test_delta_spectrum_tiny_budget(self, fig5):
-        spectrum = delta_spectrum(fig5, budget=0)
+    def test_delta_spectrum_tiny_budget(self, engine_history):
+        spectrum = delta_spectrum(engine_history, budget=0)
         assert spectrum  # still produced a grid
         assert all(
             tsc_ok is None and tcc_ok is None
             for tsc_ok, tcc_ok in spectrum.values()
         )
 
-    def test_classify_tiny_budget(self, fig5):
-        cls = classify(fig5, delta=1e6, budget=0)
+    def test_classify_tiny_budget(self, engine_history):
+        cls = classify(engine_history, delta=1e6, budget=0)
         assert cls.unknown()
         assert cls.sc is None and cls.cc is None
         assert cls.tsc is None and cls.tcc is None
@@ -205,17 +275,19 @@ class TestBudgetUnknown:
         # Undecided verdicts can never witness a hierarchy violation.
         assert hierarchy_violations(cls) == []
 
-    def test_census_counts_unknowns(self, fig5, fig6):
-        counts = census([fig5, fig6], delta=1e6, budget=0)
+    def test_census_counts_unknowns(self, engine_history, fig6):
+        counts = census([engine_history, fig6], delta=1e6, budget=0)
         assert counts["__budget_unknown__"] == 2
         assert counts["__hierarchy_violations__"] == 0
 
-    def test_cli_check_reports_unknown_exit_3(self, fig5, tmp_path, capsys):
+    def test_cli_check_reports_unknown_exit_3(
+        self, engine_history, tmp_path, capsys
+    ):
         from repro.cli import main
         from repro.core.io import dump_history
 
         trace = tmp_path / "t.json"
-        dump_history(fig5, str(trace))
+        dump_history(engine_history, str(trace))
         code = main([
             "check", str(trace), "--criterion", "sc",
             "--budget", "0",

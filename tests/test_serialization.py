@@ -7,7 +7,6 @@ from repro.core.serialization import (
     Serialization,
     first_legality_violation,
     is_legal,
-    merge_by_time,
     reads_from_in,
     respects,
     respects_effective_times,
@@ -110,11 +109,3 @@ class TestSerializationWrapper:
         assert len(s) == 1
         assert list(s) == [w]
         assert "w0(X)1" in repr(s)
-
-
-class TestMergeByTime:
-    def test_merges_sorted(self):
-        a = [write(0, "X", 1, 1.0), write(0, "Y", 2, 5.0)]
-        b = [read(1, "X", 1, 3.0)]
-        merged = merge_by_time([a, b])
-        assert [op.time for op in merged] == [1.0, 3.0, 5.0]

@@ -37,6 +37,16 @@ from repro.store.recovery import SNAPSHOT_EVERY
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
+def recover(root, now_wall=None, **options):
+    """What a store over ``root`` recovers on opening; the store is
+    closed again before this returns."""
+    store = DurableStore(str(root), **options)
+    try:
+        return store.open(now_wall=now_wall)
+    finally:
+        store.close()
+
+
 class TestDurableStore:
     def _seeded(self, root, values=(("x", "s1.1", 1.0), ("y", "s1.2", 2.0))):
         store = DurableStore(str(root), fsync="always")
@@ -91,7 +101,7 @@ class TestDurableStore:
         store.log_write(PhysicalVersion("z", "s1.6", 7.0, 7.0, 1))
         assert wal.fsyncs == before + 3
         store.close(sync=False)
-        recovered = DurableStore(str(tmp_path)).open(now_wall=1001.0).objects
+        recovered = recover(tmp_path, 1001.0).objects
         assert {obj: v.value for obj, v in recovered.items()} == {
             "x": "s1.3", "y": "s1.5", "z": "s1.6",
         }
@@ -108,7 +118,7 @@ class TestDurableStore:
         self._seeded(tmp_path, values=(
             ("x", "s1.1", 1.0), ("x", "s1.2", 1.5), ("y", "s1.3", 2.0),
         ))
-        recovered = DurableStore(str(tmp_path)).open(now_wall=1000.5)
+        recovered = recover(tmp_path, 1000.5)
         assert recovered.objects["x"].value == "s1.2"
         assert recovered.objects["x"].alpha == 1.5
         assert recovered.objects["y"].value == "s1.3"
@@ -120,9 +130,9 @@ class TestDurableStore:
         # process restarted (and >= every persisted instant even if the
         # wall clock stepped backwards).
         self._seeded(tmp_path)
-        recovered = DurableStore(str(tmp_path)).open(now_wall=1007.0)
+        recovered = recover(tmp_path, 1007.0)
         assert recovered.resume_time == pytest.approx(7.0)
-        backwards = DurableStore(str(tmp_path)).open(now_wall=900.0)
+        backwards = recover(tmp_path, 900.0)
         assert backwards.resume_time >= recovered.resume_time - 1e-9
 
     def test_context_restore_rule(self, tmp_path):
@@ -131,18 +141,14 @@ class TestDurableStore:
         # older than 8 no matter what it persisted.
         self._seeded(tmp_path)
         # An infinite delta restores the persisted context untouched.
-        plain = DurableStore(str(tmp_path)).open(now_wall=1010.0)
+        plain = recover(tmp_path, 1010.0)
         assert plain.context == pytest.approx(2.0)
-        recovered = DurableStore(
-            str(tmp_path), recovery_delta=2.0
-        ).open(now_wall=1010.0)
+        recovered = recover(tmp_path, 1010.0, recovery_delta=2.0)
         assert recovered.resume_time == pytest.approx(10.0)
         assert recovered.context == pytest.approx(8.0)
         # Context is monotone and durable: the raised value was logged
         # by the recovery event, so a later open cannot regress it.
-        assert DurableStore(str(tmp_path)).open(
-            now_wall=1010.0
-        ).context == pytest.approx(8.0)
+        assert recover(tmp_path, 1010.0).context == pytest.approx(8.0)
 
     def test_old_marking_at_delta(self, tmp_path):
         # x was last known current at omega=1, y at omega=9.5; a restart
@@ -152,9 +158,7 @@ class TestDurableStore:
         store.log_write(PhysicalVersion("x", "s1.1", 1.0, 1.0, 1))
         store.log_write(PhysicalVersion("y", "s1.2", 9.5, 9.5, 1))
         store.close()
-        recovered = DurableStore(
-            str(tmp_path), recovery_delta=2.0
-        ).open(now_wall=1010.0)
+        recovered = recover(tmp_path, 1010.0, recovery_delta=2.0)
         assert recovered.old_objects == {"x"}
 
     def test_corrupt_snapshot_quarantined_and_wal_replayed(self, tmp_path):
@@ -176,7 +180,7 @@ class TestDurableStore:
         snapshot_path = str(tmp_path / "snapshot.json")
         with open(snapshot_path, "w") as fh:
             fh.write("{torn")
-        recovered = DurableStore(str(tmp_path)).open(now_wall=1000.0 + t)
+        recovered = recover(tmp_path, 1000.0 + t)
         # The corrupt snapshot is moved aside, and recovery proceeds
         # from what the log still holds (the suffix after compaction).
         assert recovered.snapshot_quarantined is not None
@@ -192,7 +196,7 @@ class TestDurableStore:
         )
         state = load_state(str(tmp_path))
         assert state.clean
-        recovered = DurableStore(str(tmp_path)).open(now_wall=1002.0)
+        recovered = recover(tmp_path, 1002.0)
         assert recovered.clean_start
         assert recovered.replayed_records == 0
         assert recovered.objects["x"].value == "s1.1"
@@ -201,7 +205,7 @@ class TestDurableStore:
         self._seeded(tmp_path)
         with open(tmp_path / "wal.log", "ab") as fh:
             fh.write(b"\xff\xfe half a record")
-        recovered = DurableStore(str(tmp_path)).open(now_wall=1001.0)
+        recovered = recover(tmp_path, 1001.0)
         assert recovered.wal_quarantined is not None
         assert recovered.quarantined_bytes > 0
         assert recovered.objects["x"].value == "s1.1"
@@ -356,7 +360,7 @@ class TestServerRecovery:
         # even under fsync="never" — so the next start replays nothing.
         assert state.clean
         assert state.objects["x"].value == "s1.1"
-        recovered = DurableStore(root).open()
+        recovered = recover(root)
         assert recovered.clean_start
         assert recovered.replayed_records == 0
 
@@ -440,6 +444,7 @@ class TestCrashRecoveryEndToEnd:
         finally:
             proc.kill()
             proc.wait(timeout=10)
+            proc.stdout.close()
         logged = [op.value for op in history_from_wal(store_dir).operations]
         assert logged == ["s1.0", "s1.1", "s1.2"]
 
@@ -466,6 +471,7 @@ class TestCrashRecoveryEndToEnd:
         finally:
             proc.kill()
             proc.wait(timeout=10)
+            proc.stdout.close()
         assert proc.returncode == -signal.SIGKILL
 
         # -- the store must verify as recoverable despite the crash.
@@ -497,6 +503,7 @@ class TestCrashRecoveryEndToEnd:
         finally:
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=15) == 0  # graceful drain
+            proc.stdout.close()
 
         # -- after the graceful exit the store is clean and still verifies.
         assert cli_main(["store", "verify", store_dir, "--strict"]) == 0

@@ -8,6 +8,7 @@ saves go through (a torn file must never be observable).
 
 import json
 import os
+import pathlib
 import struct
 import time
 import types
@@ -326,7 +327,7 @@ class TestSnapshot:
         write_snapshot(new, state)
         canonical = json.dumps(state, separators=(",", ":"), sort_keys=True)
         crc = zlib.crc32(canonical.encode("utf-8"))
-        assert open(new).read() == (
+        assert pathlib.Path(new).read_text() == (
             f'{{"crc":{crc},"state":{canonical},"version":1}}\n')
         with open(old, "w") as fh:
             json.dump({"version": 1, "crc": crc, "state": state}, fh,
@@ -340,9 +341,9 @@ class TestSnapshot:
         path = str(tmp_path / "snapshot.json")
         write_snapshot(path, state_from_versions(
             self._versions(), taken_at=1.0, context=1.0))
-        document = json.load(open(path))
+        document = json.loads(pathlib.Path(path).read_text())
         document["state"]["objects"]["x"]["value"] = "tampered"
-        json.dump(document, open(path, "w"))
+        pathlib.Path(path).write_text(json.dumps(document))
         with pytest.raises(SnapshotError, match="CRC"):
             load_snapshot(path)
 
@@ -377,7 +378,7 @@ class TestAtomicWrites:
         path = str(tmp_path / "file.txt")
         atomic_write_text(path, "one")
         atomic_write_text(path, "two")
-        assert open(path).read() == "two"
+        assert pathlib.Path(path).read_text() == "two"
         assert not os.path.exists(path + ".tmp")
 
     def test_unserializable_payload_leaves_existing_file_intact(self, tmp_path):
@@ -385,7 +386,7 @@ class TestAtomicWrites:
         atomic_write_json(path, {"ok": 1})
         with pytest.raises(TypeError):
             atomic_write_json(path, {"bad": object()})
-        assert json.load(open(path)) == {"ok": 1}  # old content survives
+        assert json.loads(pathlib.Path(path).read_text()) == {"ok": 1}  # old content survives
 
     def test_registry_save_is_atomic(self, tmp_path):
         path = str(tmp_path / "metrics.json")
