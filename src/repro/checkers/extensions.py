@@ -27,7 +27,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Dict, List, Optional
 
-from repro.checkers.constraint import find_constrained_serialization
+from repro.checkers.constraint import decide, find_constrained_serialization
 from repro.checkers.result import CheckResult
 from repro.clocks.xi import XiMap
 from repro.core.history import History
@@ -49,15 +49,17 @@ def _per_writer_program_order(history: History, ops: List[Operation]):
 def check_pram(history: History, budget: Optional[int] = None) -> CheckResult:
     """PRAM (FIFO) consistency: per site i, a legal serialization of
     ``H_{i+w}`` respecting every site's program order (but not causality
-    through reads, which is what separates it from CC)."""
+    through reads, which is what separates it from CC).  Each ``H_{i+w}``
+    is decided like SC's whole history: the recorded write order first,
+    the engine only on a cycle."""
     site_witnesses: Dict[int, List[Operation]] = {}
+    nodes = 0
     for site in history.sites:
         ops = history.site_plus_writes(site)
         base = _per_writer_program_order(history, ops)
-        witness, _ = find_constrained_serialization(
-            history, ops, base, budget=budget
-        )
-        if witness is None:
+        result = decide("PRAM", history, ops, base, "PRAM", budget=budget)
+        nodes += result.states_explored
+        if not result.satisfied:
             return CheckResult(
                 "PRAM",
                 False,
@@ -65,9 +67,12 @@ def check_pram(history: History, budget: Optional[int] = None) -> CheckResult:
                     f"no legal serialization of H_({site}+w) respects the "
                     "writers' program orders"
                 ),
+                states_explored=nodes,
             )
-        site_witnesses[site] = witness
-    return CheckResult("PRAM", True, site_witnesses=site_witnesses)
+        site_witnesses[site] = result.witness
+    return CheckResult(
+        "PRAM", True, site_witnesses=site_witnesses, states_explored=nodes
+    )
 
 
 def check_coherence(history: History, budget: Optional[int] = None) -> CheckResult:
@@ -107,6 +112,13 @@ def check_processor(history: History, budget: Optional[int] = None) -> CheckResu
     a different coherent write order, so a VIOLATED verdict means
     "not PC under the canonical write order" — exact enough for the
     hierarchy experiments, and exact whenever the write order is forced.
+    The verdict therefore depends on which coherent witness the search
+    returns: deciding coherence through the recorded write order
+    (:func:`~repro.checkers.constraint.decide`) instead moves it on 104
+    of 1 203 histories (the paper's figures 1, 5 and 6 and seeds 0–299
+    of each ``repro.workloads.random_history`` generator), 81 to
+    satisfied and 23 to violated, so coherence keeps the engine's
+    witness.
     """
     coherent = check_coherence(history, budget)
     if not coherent.satisfied:

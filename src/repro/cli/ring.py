@@ -54,50 +54,51 @@ def cmd_ring_build(args: argparse.Namespace) -> int:
 
 
 def cmd_ring_add(args: argparse.Namespace) -> int:
-    from repro.ring import Rebalancer, RingBuilder
+    from repro.ring import RingBuilder
 
     builder = RingBuilder.load_file(args.builder)
-    rebalancer = Rebalancer(builder)
-    old_load = rebalancer.ring.load()
-    new_ring, moves = rebalancer.add_device(
+    builder.rebalance()  # balance first: the count below is the join's alone
+    new_id = builder.add_device(
         args.id, weight=args.weight, zone=args.zone, address=args.address
     )
+    new_ring, moved = builder.rebalance()
     builder.save(args.builder)
     print(f"updated {args.builder}")
     if args.ring:
         new_ring.save(args.ring)
         print(f"wrote {args.ring}")
-    new_id = (set(new_ring.device_ids()) - set(old_load)).pop()
-    incoming = sum(1 for m in moves if m.dst == new_id)
-    print(f"device {new_id} joined: {len(moves)} slots moved "
-          f"({incoming} to the new device)")
-    _print_ring_summary(new_ring, len(moves))
+    # A new device held nothing: every slot it holds moved to it.
+    print(f"device {new_id} joined: {moved} slots moved "
+          f"({new_ring.load()[new_id]} to the new device)")
+    _print_ring_summary(new_ring, moved)
     return 0
 
 
 def cmd_ring_rebalance(args: argparse.Namespace) -> int:
-    from repro.ring import Rebalancer, RingBuilder
+    from repro.ring import RingBuilder
 
     builder = RingBuilder.load_file(args.builder)
-    rebalancer = Rebalancer(builder)
-    moves = []
+    ring, _ = builder.rebalance()
+    moved = 0
     for dev_id, weight in _parse_kv(args.set_weight, "set-weight").items():
-        _, batch = rebalancer.set_weight(dev_id, float(weight))
-        moves += batch
+        builder.set_weight(dev_id, float(weight))
+        ring, batch = builder.rebalance()
+        moved += batch
     for dev_id in args.remove or ():
-        _, batch = rebalancer.remove_device(dev_id)
-        moves += batch
+        builder.remove_device(dev_id)
+        ring, batch = builder.rebalance()
+        moved += batch
     if not (args.set_weight or args.remove):
-        rebalancer.ring, n = builder.rebalance()
+        ring, n = builder.rebalance()
         print(f"rebalanced in place: {n} slots moved")
     builder.save(args.builder)
     print(f"updated {args.builder}")
     if args.ring:
-        rebalancer.ring.save(args.ring)
+        ring.save(args.ring)
         print(f"wrote {args.ring}")
-    if moves:
-        print(f"{len(moves)} slots moved")
-    _print_ring_summary(rebalancer.ring)
+    if moved:
+        print(f"{moved} slots moved")
+    _print_ring_summary(ring)
     return 0
 
 

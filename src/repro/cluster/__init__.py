@@ -15,6 +15,7 @@ protocol, and the Δ-accounting of detection latency.
 
 from repro.cluster.failover import (
     FailoverPlan,
+    PartitionMove,
     cross_ring_moves,
     failover_ring,
     join_ring,
@@ -46,6 +47,7 @@ __all__ = [
     "ClusterView",
     "FailoverPlan",
     "MemberInfo",
+    "PartitionMove",
     "SwimAgent",
     "cross_ring_moves",
     "failover_ring",

@@ -1,5 +1,5 @@
 """Ring surgery on membership change: promotion-first failover, rebalance
-on join, and the moves that must be replayed before the cutover.
+on join, and the copies that must land before the cutover.
 
 **Death** (:func:`failover_ring`).  The paper's single-authority argument
 is what makes promotion sound: every partition has exactly one primary,
@@ -21,19 +21,21 @@ worst possible moment.  Instead:
 2. the surviving slot-0 replica of each orphaned partition *is* the new
    primary (no data moves for the promotion itself);
 3. rows left short are refilled with the least-loaded surviving devices,
-   each refill becoming a :class:`~repro.ring.rebalance.PartitionMove`
-   whose ``src`` is a *surviving* holder of the partition (the dead
-   device cannot be a handoff source);
+   each refill becoming a :class:`PartitionMove` whose ``src`` is the
+   partition's surviving primary (the dead device cannot be a handoff
+   source);
 4. if fewer survivors than replicas remain, the ring runs degraded at
    ``replicas = len(survivors)`` — a later join refills the rows.
 
 The epoch of the produced ring is ``old.epoch + 1``: strictly monotone,
 so every router and server recognizes the old layout as stale.
 
-**Join** (:func:`join_ring`).  A joining device is a plain rebalance:
-:class:`~repro.ring.rebalance.Rebalancer` over a builder seeded from the
-ring in force (``RingBuilder.from_ring``), which also refills rows a
-degraded failover left short.
+**Join** (:func:`join_ring`).  A joining device is a plain rebalance of
+a builder seeded from the ring in force (``RingBuilder.from_ring``),
+which also refills rows a degraded failover left short; its copies are
+:func:`cross_ring_moves`, each sourced from the partition's primary —
+the one device certain to hold every acked write (under W < N a
+displaced replica may still wait for a queued repair).
 """
 
 from __future__ import annotations
@@ -41,8 +43,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.ring.rebalance import PartitionMove, Rebalancer
 from repro.ring.ring import Ring, RingBuilder
+
+
+@dataclass(frozen=True)
+class PartitionMove:
+    """One replica slot a ring change hands to a new device."""
+
+    partition: int
+    replica: int  #: slot index within the partition (0 = primary)
+    src: int  #: device the copy is read from
+    dst: int  #: device that holds the slot now
 
 
 @dataclass
@@ -143,10 +154,10 @@ def failover_ring(ring: Ring, dead: Iterable[int]) -> FailoverPlan:
 
 def cross_ring_moves(old: Ring, new: Ring) -> List[PartitionMove]:
     """The copies a cutover from ``old`` to ``new`` requires, for rings
-    of possibly *different* replica counts (``diff_rings`` demands the
-    same shape — a degraded failover ring has fewer rows per partition).
-    One move per device newly holding a partition, sourced from a
-    holder of the old row that still exists in the new ring."""
+    of any replica counts (a degraded failover ring has fewer rows per
+    partition).  One move per device newly holding a partition, sourced
+    from the first holder of the old row that is still in the new ring —
+    the primary, unless it left."""
     if old.partitions != new.partitions:
         raise ValueError(
             f"rings differ in partition count: {old.partitions} vs {new.partitions}"
@@ -176,31 +187,24 @@ def join_ring(
 
     A plain rebalance over the ring in force; ``replicas`` restores the
     target replica count after a degraded failover (defaults to the
-    current ring's).  Promotion targets are the devices that gained
-    primary ownership of any partition — each runs the promotion rule
-    before serving writes there (a fresh device starts with no history
-    at all, the extreme case of a blind window).
+    current ring's).  Every copy is read from the partition's primary.
+    Promotion targets are the devices that gained primary ownership of
+    any partition — each runs the promotion rule before serving writes
+    there (a fresh device starts with no history at all, the extreme
+    case of a blind window).
     """
+    replicas = ring.replicas if replicas is None else replicas
+    if replicas < 1:
+        raise ValueError(f"replicas must be >= 1, got {replicas}")
     builder = RingBuilder.from_ring(ring)
-    if replicas is None or replicas == ring.replicas:
-        # Same shape: the stock Rebalancer computes the minimal diff.
-        rebalancer = Rebalancer(builder, ring)
-        new_ring, moves = rebalancer.add_device(
-            dev_id, weight=weight, zone=zone, address=address
-        )
-    else:
-        # Restoring the replica count after a degraded failover: the
-        # shapes differ, so the moves are computed cross-shape.
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas}")
-        builder.replicas = replicas
-        builder._assignment = [
-            (list(slots) + [None] * replicas)[:replicas]
-            for slots in builder._assignment
-        ]
-        builder.add_device(dev_id, weight=weight, zone=zone, address=address)
-        new_ring, _ = builder.rebalance()
-        moves = cross_ring_moves(ring, new_ring)
+    builder.replicas = replicas
+    builder._assignment = [
+        (list(slots) + [None] * replicas)[:replicas]
+        for slots in builder._assignment
+    ]
+    builder.add_device(dev_id, weight=weight, zone=zone, address=address)
+    new_ring, _ = builder.rebalance()
+    moves = cross_ring_moves(ring, new_ring)
     promoted = {
         new_slots[0]
         for old_slots, new_slots in zip(ring.assignment, new_ring.assignment)

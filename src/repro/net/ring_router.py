@@ -179,11 +179,8 @@ class RingRouter:
     ``registry`` (a :class:`repro.obs.metrics.Registry`) binds the
     router's, placement's and the site's ClientStats counters as pull
     collectors and propagates to the device links (RTT histograms and
-    clock gauges, per device).  ``instruments`` (a
-    :class:`repro.obs.instruments.TimedInstruments`) feeds every routed
-    read/write into the live on-time-ratio / visibility-lag monitors;
-    :meth:`connect` sets its ``epsilon`` from :attr:`epsilon_bound` once
-    the clock-sync handshakes have run.
+    clock gauges, per device).  A live on-time judge listens to
+    ``recorder`` (``TraceRecorder.add_listener``).
     """
 
     def __init__(
@@ -198,7 +195,6 @@ class RingRouter:
         recorder: Optional[TraceRecorder] = None,
         skew: float = 0.0,
         registry: Optional[Any] = None,
-        instruments: Optional[Any] = None,
         pipeline_depth: int = 8,
     ) -> None:
         if read_policy not in READ_POLICIES:
@@ -220,7 +216,6 @@ class RingRouter:
         # then compose across devices (module docstring).
         self.local_clock = RebasedClock(offset=skew)
         self.registry = registry
-        self.instruments = instruments
         # What every device link is built with, the first ones and the
         # ones that join later (_device_client).
         self._client_options = dict(
@@ -282,14 +277,6 @@ class RingRouter:
     async def connect(self) -> "RingRouter":
         for dev_id in sorted(self.clients):
             await self.clients[dev_id].connect()
-        if self.instruments is not None:
-            # The residual sync error is known only after the NTP
-            # exchanges.  Instruments may be shared across routers, so
-            # keep the worst bound — the epsilon the merged trace is
-            # checked with offline.
-            self.instruments.epsilon = max(
-                self.instruments.epsilon, self.epsilon_bound
-            )
         return self
 
     async def close(self) -> None:
@@ -495,8 +482,6 @@ class RingRouter:
             self.recorder.record_read(
                 self.client_id, obj, value, end, start=started, end=end
             )
-        if self.instruments is not None:
-            self.instruments.on_read(obj, value, end)
         return value
 
     async def write(self, obj: str, value: Any) -> float:
@@ -522,8 +507,6 @@ class RingRouter:
             self.recorder.record_write(
                 self.client_id, obj, value, alpha, start=start, end=end
             )
-        if self.instruments is not None:
-            self.instruments.on_write(obj, value, alpha)
         return alpha
 
     # -- anti-entropy ----------------------------------------------------------

@@ -13,9 +13,13 @@ seam with a Swift-style consistent-hash ring:
   primary-plus-replica write fan-out with W-of-N acks, primary-first
   read routing with replica fallback, and delta-bounded anti-entropy
   that re-pushes a version to lagging replicas before its lifetime
-  expires;
-* :mod:`repro.ring.rebalance` — device add/remove/reweight with the
-  minimal partition moves, plus handoff replay to copy moved objects.
+  expires.
+
+A ring change — add, remove, reweight — is a builder mutation plus
+``RingBuilder.rebalance``, which keeps every still-legal slot, so the
+moves are minimal; on a live cluster :mod:`repro.cluster` plans the
+change and copies each moved partition from its primary before the
+cutover.
 
 The simulator consumes the ring through ``ObjectDirectory`` (placement
 only: each object keeps a single authoritative primary, which is what
@@ -34,13 +38,6 @@ from repro.ring.placement import (
     ReplicatedPlacement,
     WriteOutcome,
 )
-from repro.ring.rebalance import (
-    HandoffReport,
-    PartitionMove,
-    Rebalancer,
-    diff_rings,
-    replay_handoff,
-)
 from repro.ring.ring import Device, Ring, RingBuilder, stable_hash, uniform_ring
 
 __all__ = [
@@ -56,9 +53,4 @@ __all__ = [
     "ReadOutcome",
     "WriteOutcome",
     "RepairTask",
-    "Rebalancer",
-    "PartitionMove",
-    "HandoffReport",
-    "diff_rings",
-    "replay_handoff",
 ]

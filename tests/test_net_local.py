@@ -447,24 +447,28 @@ class TestOneStandUp:
 
 
 class TestOneGrowthPath:
-    """A live ring grows one way, through the cluster's join: a donor
-    hands off from its own store, never through a site's cache."""
+    """A live ring grows one way, through the cluster's join: one plan
+    (``join_ring`` over ``cross_ring_moves``) and one copy path (a donor
+    writes from its own store), never through a site's cache."""
 
-    def test_only_the_cluster_hands_off_and_only_a_router_cuts_over(self):
-        assert callers_of("replay_handoff") == {"cluster/swim.py"}
+    def test_only_the_cluster_plans_and_copies_and_only_a_router_cuts_over(self):
+        assert callers_of("cross_ring_moves") == {"cluster/failover.py"}
+        assert callers_of("_copy_moves") == {"cluster/swim.py"}
         assert callers_of("swap_ring") == {"net/ring_router.py"}
         assert callers_of("connect_device") == {"net/ring_router.py"}
 
-    def test_the_site_driven_handoff_is_gone(self):
+    def test_the_site_driven_handoff_and_the_rebalance_module_are_gone(self):
+        import repro.ring
         import repro.store
-        from repro.ring.rebalance import (
-            HandoffReport, Rebalancer, replay_handoff,
-        )
+        from repro.cluster import swim
 
+        assert not (SRC / "ring" / "rebalance.py").exists()
         assert not hasattr(repro.store, "SnapshotCatalog")
-        assert not hasattr(Rebalancer, "handoff")
-        assert "snapshots" not in inspect.signature(replay_handoff).parameters
-        assert "objects_from_snapshot" not in HandoffReport.__dataclass_fields__
+        for name in ("Rebalancer", "diff_rings", "replay_handoff",
+                     "HandoffReport", "PartitionMove"):
+            assert not hasattr(repro.ring, name), name
+        for name in ("_LocalSourceTransport", "replay_handoff", "_with_retry"):
+            assert not hasattr(swim, name), name
         assert {"moves", "handoff"} & set(RingReport.__dataclass_fields__) \
             == set()
 

@@ -82,7 +82,7 @@ OPTIONS = {
     },
     "repro.net.ring_router.RingRouter": {
         "delta", "write_quorum", "read_policy", "recorder", "skew",
-        "registry", "instruments", "pipeline_depth",
+        "registry", "pipeline_depth",
     },
     "repro.net.local.LocalStack": {
         "servers", "replicas", "part_power", "propagation", "server_skew",

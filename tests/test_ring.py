@@ -1,16 +1,18 @@
-"""Unit tests for the consistent-hash ring and its builder."""
+"""Unit tests for the consistent-hash ring, its builder and the
+``repro ring`` commands that drive it."""
 
+import contextlib
+import hashlib
+import io
 import math
 
 import pytest
 
+from repro.cli import main
 from repro.ring import (
     Device,
-    PartitionMove,
-    Rebalancer,
     Ring,
     RingBuilder,
-    diff_rings,
     stable_hash,
 )
 from repro.ring.ring import uniform_ring
@@ -145,6 +147,17 @@ class TestRingBuilder:
         assert ring2.assignment == ring.assignment
 
 
+def slot_moves(old, new):
+    """``(partition, replica, src, dst)`` of every slot whose device
+    changed between two rings of one shape."""
+    return [
+        (part, replica, src, dst)
+        for part, (before, after) in enumerate(zip(old.assignment, new.assignment))
+        for replica, (src, dst) in enumerate(zip(before, after))
+        if src != dst
+    ]
+
+
 class TestMinimalMoves:
     """Adding/removing/reweighting moves only the partitions it must."""
 
@@ -155,56 +168,165 @@ class TestMinimalMoves:
         builder.rebalance()
         return builder
 
+    def _change(self, builder, mutate):
+        """The ring before and after ``mutate`` + rebalance, and the slot
+        diff, whose length the builder's own count must match."""
+        old, _ = builder.rebalance()
+        mutate(builder)
+        new, moved = builder.rebalance()
+        moves = slot_moves(old, new)
+        assert moved == len(moves)
+        return old, new, moves
+
     def test_add_device_moves_only_to_the_new_device(self):
-        builder = self._builder()
-        rebalancer = Rebalancer(builder)
-        new_ring, moves = rebalancer.add_device()
+        _, new_ring, moves = self._change(self._builder(), lambda b: b.add_device())
         assert moves  # the new device did receive load
-        assert all(m.dst == 3 for m in moves)
+        assert all(dst == 3 for _, _, _, dst in moves)
         assert len(moves) == new_ring.load()[3]
         # ... and no more than its fair ceiling.
         assert len(moves) <= math.ceil(128 * 2 / 4)
 
     def test_remove_device_moves_only_its_partitions(self):
-        builder = self._builder(n=4)
-        rebalancer = Rebalancer(builder)
-        held = rebalancer.ring.load()[2]
-        _, moves = rebalancer.remove_device(2)
-        assert all(m.src == 2 for m in moves)
-        assert len(moves) == held
+        old, _, moves = self._change(
+            self._builder(n=4), lambda b: b.remove_device(2)
+        )
+        assert all(src == 2 for _, _, src, _ in moves)
+        assert len(moves) == old.load()[2]
 
     def test_reweight_up_moves_only_toward_the_device(self):
-        builder = self._builder()
-        rebalancer = Rebalancer(builder)
-        _, moves = rebalancer.set_weight(1, 2.0)
+        _, _, moves = self._change(self._builder(), lambda b: b.set_weight(1, 2.0))
         assert moves
-        assert all(m.dst == 1 for m in moves)
+        assert all(dst == 1 for _, _, _, dst in moves)
 
     def test_reweight_down_moves_only_away_from_the_device(self):
-        builder = self._builder()
-        rebalancer = Rebalancer(builder)
-        _, moves = rebalancer.set_weight(1, 0.5)
+        _, _, moves = self._change(self._builder(), lambda b: b.set_weight(1, 0.5))
         assert moves
-        assert all(m.src == 1 for m in moves)
+        assert all(src == 1 for _, _, src, _ in moves)
 
     def test_moved_slot_count_matches_diff(self):
         builder = self._builder()
         ring, _ = builder.rebalance()
         builder.add_device(3)
         new_ring, moved = builder.rebalance()
-        assert moved == len(diff_rings(ring, new_ring))
+        assert moved == len(slot_moves(ring, new_ring))
 
     def test_sequential_growth_stays_minimal(self):
         builder = self._builder(n=2, replicas=1)
-        rebalancer = Rebalancer(builder)
         for next_id in (2, 3, 4):
-            _, moves = rebalancer.add_device()
-            assert all(m.dst == next_id for m in moves)
-
-    def test_diff_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            diff_rings(uniform_ring(2, part_power=4), uniform_ring(2, part_power=5))
+            _, _, moves = self._change(builder, lambda b: b.add_device())
+            assert all(dst == next_id for _, _, _, dst in moves)
 
     def test_partition_move_fields(self):
+        from repro.cluster import PartitionMove
+
         move = PartitionMove(partition=5, replica=1, src=0, dst=2)
         assert (move.partition, move.replica, move.src, move.dst) == (5, 1, 0, 2)
+
+
+#: ``repro ring build``, two ``add``s and four ``rebalance``s on one
+#: builder file, and every line they print (trailing blanks stripped):
+#: how the commands drive the builder may change, what they say may not.
+CLI_STEPS = [
+    ["build", "c.builder", "--devices", "3", "--replicas", "2",
+     "--part-power", "4", "--ring", "c.ring"],
+    ["add", "c.builder", "--ring", "c.ring"],
+    ["add", "c.builder", "--id", "7", "--weight", "2.0", "--zone", "1",
+     "--address", "127.0.0.1:9"],
+    ["rebalance", "c.builder", "--set-weight", "1=2.0", "--ring", "c.ring"],
+    ["rebalance", "c.builder", "--remove", "0"],
+    ["rebalance", "c.builder", "--set-weight", "2=0.5", "--remove", "7"],
+    ["rebalance", "c.builder"],
+]
+CLI_LINES = """\
+wrote c.builder
+wrote c.ring
+
+ring: 2^4 partitions x 2 replicas, 0 slots moved
+device  weight  zone  address  partitions
+------  ------  ----  -------  ----------
+0       1       0     -        11
+1       1       0     -        11
+2       1       0     -        10
+updated c.builder
+wrote c.ring
+device 3 joined: 8 slots moved (8 to the new device)
+
+ring: 2^4 partitions x 2 replicas, 8 slots moved
+device  weight  zone  address  partitions
+------  ------  ----  -------  ----------
+0       1       0     -        8
+1       1       0     -        8
+2       1       0     -        8
+3       1       0     -        8
+updated c.builder
+device 7 joined: 8 slots moved (8 to the new device)
+
+ring: 2^4 partitions x 2 replicas, 8 slots moved
+device  weight  zone  address      partitions
+------  ------  ----  -----------  ----------
+0       1       0     -            6
+1       1       0     -            6
+2       1       0     -            6
+3       1       0     -            6
+7       2       1     127.0.0.1:9  8
+updated c.builder
+wrote c.ring
+3 slots moved
+
+ring: 2^4 partitions x 2 replicas
+device  weight  zone  address      partitions
+------  ------  ----  -----------  ----------
+0       1       0     -            5
+1       2       0     -            9
+2       1       0     -            5
+3       1       0     -            5
+7       2       1     127.0.0.1:9  8
+updated c.builder
+5 slots moved
+
+ring: 2^4 partitions x 2 replicas
+device  weight  zone  address      partitions
+------  ------  ----  -----------  ----------
+1       2       0     -            11
+2       1       0     -            5
+3       1       0     -            5
+7       2       1     127.0.0.1:9  11
+updated c.builder
+13 slots moved
+
+ring: 2^4 partitions x 2 replicas
+device  weight  zone  address  partitions
+------  ------  ----  -------  ----------
+1       2       0     -        16
+2       0.5     0     -        6
+3       1       0     -        10
+rebalanced in place: 0 slots moved
+updated c.builder
+
+ring: 2^4 partitions x 2 replicas
+device  weight  zone  address  partitions
+------  ------  ----  -------  ----------
+1       2       0     -        16
+2       0.5     0     -        6
+3       1       0     -        10
+"""
+#: SHA-256 of the builder file the steps leave: the same slots and the
+#: same epoch, so the same sequence of rebalances.
+CLI_BUILDER_SHA256 = (
+    "9b06ce187a15b98f3576832a2846470a25f7d758b577623b841974d3549eecda"
+)
+
+
+class TestRingCli:
+    def test_build_add_and_rebalance_print_the_pinned_lines(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            for step in CLI_STEPS:
+                assert main(["ring", *step]) == 0
+        got = [line.rstrip() for line in out.getvalue().splitlines()]
+        assert got == CLI_LINES.splitlines()
+        builder = (tmp_path / "c.builder").read_bytes()
+        assert hashlib.sha256(builder).hexdigest() == CLI_BUILDER_SHA256

@@ -1,6 +1,5 @@
-"""Replicated placement: W-of-N writes, fallback reads, anti-entropy,
-and handoff replay — all over the in-memory transport (the timed cases
-in virtual time)."""
+"""Replicated placement: W-of-N writes, fallback reads and anti-entropy
+— all over the in-memory transport (the timed cases in virtual time)."""
 
 import asyncio
 
@@ -9,12 +8,10 @@ import pytest
 from repro.ring import (
     MemoryTransport,
     PlacementError,
-    Rebalancer,
     ReplicatedPlacement,
-    replay_handoff,
 )
 from repro.ring.placement import MAX_REPAIR_ATTEMPTS
-from repro.ring.ring import RingBuilder, uniform_ring
+from repro.ring.ring import uniform_ring
 from repro.sim import vtime
 
 
@@ -268,50 +265,3 @@ class TestAntiEntropy:
         assert run(scenario()) == 1  # one round short: still trying
         assert not placement.pending_repairs()
         assert placement.stats.repairs_done == 0
-
-
-class TestHandoff:
-    def _grown(self):
-        builder = RingBuilder(part_power=6, replicas=2)
-        for i in range(3):
-            builder.add_device(i)
-        rebalancer = Rebalancer(builder)
-        old_ring = rebalancer.ring
-        transport = MemoryTransport([0, 1, 2, 3])
-        return rebalancer, old_ring, transport
-
-    def test_replay_copies_every_moved_object(self):
-        rebalancer, old_ring, transport = self._grown()
-        objects = [f"o{i}" for i in range(40)]
-
-        async def scenario():
-            placement = ReplicatedPlacement(old_ring, transport)
-            for obj in objects:
-                await placement.write(obj, f"{obj}.v1")
-            await placement.drain()
-            new_ring, moves = rebalancer.add_device(3)
-            report = await replay_handoff(moves, objects, old_ring, transport)
-            return new_ring, moves, report
-
-        new_ring, moves, report = run(scenario())
-        assert all(m.dst == 3 for m in moves)  # minimal: only the joiner
-        assert report.objects_missing == 0
-        # Every object now lives on its *new* replica set.
-        for obj in objects:
-            for dev in new_ring.replicas_for(obj):
-                assert transport.stores[dev][obj][0] == f"{obj}.v1"
-
-    def test_unwritten_objects_count_as_missing(self):
-        rebalancer, old_ring, transport = self._grown()
-
-        async def scenario():
-            _, moves = rebalancer.add_device(3)
-            # Nothing was ever written: every moved object is "missing".
-            return await replay_handoff(
-                moves, ["never-written"], old_ring, transport
-            )
-
-        report = run(scenario())
-        touched = report.partitions_touched
-        assert report.objects_copied == 0
-        assert (report.objects_missing > 0) == (touched > 0)
