@@ -33,12 +33,7 @@ def run_with_monitor(variant: str, delta, seed: int = 23):
         n_clients=5, n_servers=1, variant=variant, delta=delta, seed=seed
     )
     live = TimedInstruments(Registry(), DELTA)
-
-    def on_operation(op):
-        feed = live.on_write if op.is_write else live.on_read
-        feed(op.obj, op.value, op.time)
-
-    cluster.recorder.add_listener(on_operation)
+    cluster.recorder.add_listener(live.on_op)
     cluster.spawn(read_heavy_hotspot(n_ops=80, mean_think_time=0.1,
                                      write_fraction=0.08))
     cluster.run()

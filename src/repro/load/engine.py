@@ -228,17 +228,16 @@ class OnlineJudges:
     def on_op_recorded(self, op: Operation) -> None:
         """A write goes to every judge; a read to the Δ judge and, when
         its worker planned it in a deadline class, to that class's."""
-        if op.is_write:
-            for judge in (self.ontime, *self.deadlines.values()):
-                judge.on_write(op.obj, op.value, op.time)
-            return
-        worker = self.workers.get(op.site)
-        name = worker.deadline_of(op.obj) if worker is not None else None
         judges = [self.ontime]
-        if name is not None:
-            judges.append(self.deadlines[name])
+        if op.is_write:
+            judges.extend(self.deadlines.values())
+        else:
+            worker = self.workers.get(op.site)
+            name = worker.deadline_of(op.obj) if worker is not None else None
+            if name is not None:
+                judges.append(self.deadlines[name])
         for judge in judges:
-            judge.on_read(op.obj, op.value, op.time)
+            judge.on_op(op)
 
 
 # -- the engine -----------------------------------------------------------

@@ -556,6 +556,13 @@ class TimedInstruments:
         for read_time in self._waiting.pop((obj, value), ()):
             self._judge(obj, value, read_time)
 
+    def on_op(self, op: Any) -> None:
+        """Feed one recorded :class:`~repro.core.operations.Operation` to
+        :meth:`on_write` or :meth:`on_read` — the listener a live stack
+        adds to its recorder."""
+        feed = self.on_write if op.is_write else self.on_read
+        feed(op.obj, op.value, op.time)
+
     def on_read(
         self, obj: str, value: Any, time: float
     ) -> Optional[OnTimeVerdict]:
