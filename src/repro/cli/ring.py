@@ -78,8 +78,9 @@ def cmd_ring_rebalance(args: argparse.Namespace) -> int:
     from repro.ring import RingBuilder
 
     builder = RingBuilder.load_file(args.builder)
-    ring, _ = builder.rebalance()
-    moved = 0
+    # A builder saved before its moves settled settles on load, and what
+    # that moves is moved by this command too.
+    ring, moved = builder.rebalance()
     for dev_id, weight in _parse_kv(args.set_weight, "set-weight").items():
         builder.set_weight(dev_id, float(weight))
         ring, batch = builder.rebalance()
@@ -88,15 +89,17 @@ def cmd_ring_rebalance(args: argparse.Namespace) -> int:
         builder.remove_device(dev_id)
         ring, batch = builder.rebalance()
         moved += batch
-    if not (args.set_weight or args.remove):
-        ring, n = builder.rebalance()
-        print(f"rebalanced in place: {n} slots moved")
+    in_place = not (args.set_weight or args.remove)
+    if in_place:
+        ring, batch = builder.rebalance()
+        moved += batch
+        print(f"rebalanced in place: {moved} slots moved")
     builder.save(args.builder)
     print(f"updated {args.builder}")
     if args.ring:
         ring.save(args.ring)
         print(f"wrote {args.ring}")
-    if moved:
+    if moved and not in_place:
         print(f"{moved} slots moved")
     _print_ring_summary(ring)
     return 0

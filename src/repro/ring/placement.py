@@ -13,25 +13,25 @@ read.  That is what the anti-entropy queue enforces: every fan-out copy
 that failed is re-pushed with a deadline of ``write time + delta``.
 
 The transport is duck-typed so the same engine drives the in-memory
-stores of the tests, the simulator, and the TCP stack's device links
-(:class:`~repro.net.client.NetCacheClient`):
+stores of the tests and the TCP stack's ring site
+(:class:`~repro.net.ring_router.RingRouter`):
 
-    async def write(device_id, obj, value, dedup) -> float   # install time
-    def start(device_id, obj, value, dedup) -> Future[float] # a copy, sent now
-    async def read(device_id, obj) -> value
+    async def write_to(device_id, obj, value, dedup) -> float   # install time
+    def copy_to(device_id, obj, value, dedup) -> Future[float]  # a copy, sent now
+    async def read_from(device_id, obj) -> value
 
 A write starts its replica copies first, awaits the primary's copy in
 place, then joins the replicas' acks as they arrive (docs/RING.md).
-Only the primary's copy goes through ``write``, so a caching transport
+Only the primary's copy goes through ``write_to``, so a caching transport
 runs its write protocol once per logical write; replica copies and
-anti-entropy re-pushes go through ``start``.
+anti-entropy re-pushes go through ``copy_to``.
 ``dedup`` is one token per logical write, carried by every fan-out copy
 and its anti-entropy re-pushes, so a transport can retry idempotently —
 the TCP transport maps the token to a pinned request id and the
 server's reply cache replays a lost ack instead of re-installing.
 
 Transport failures must surface as exceptions (``ConnectionError``,
-:class:`repro.net.client.NetError`, ...), raised by ``start`` or
+:class:`repro.net.client.NetError`, ...), raised by ``copy_to`` or
 carried by its future; any exception from a replica write queues a
 repair, any exception from a read triggers fallback to the next
 replica.
@@ -170,7 +170,7 @@ class ReplicatedPlacement:
         """Fan the write out to the object's replica set; W-of-N acks.
 
         The replica copies leave first, through the transport's
-        ``start``; the primary's copy is awaited in place; then replica
+        ``copy_to``; the primary's copy is awaited in place; then replica
         acks are joined in the order they arrive until W devices have
         the write."""
         self.stats.writes += 1
@@ -189,7 +189,7 @@ class ReplicatedPlacement:
         copies: Dict[asyncio.Future, int] = {}
         for dev in devices[1:]:
             try:
-                copies[self.transport.start(dev, obj, value, dedup=token)] = dev
+                copies[self.transport.copy_to(dev, obj, value, dedup=token)] = dev
             except Exception:
                 failed.append(dev)
                 self._queue_repair(dev, obj, value, started, token)
@@ -208,7 +208,7 @@ class ReplicatedPlacement:
 
         try:
             try:
-                acked[primary] = await self.transport.write(
+                acked[primary] = await self.transport.write_to(
                     primary, obj, value, dedup=token
                 )
             except Exception as exc:
@@ -296,7 +296,7 @@ class ReplicatedPlacement:
         errors: List[str] = []
         for index, dev in enumerate(devices):
             try:
-                value = await self.transport.read(dev, obj)
+                value = await self.transport.read_from(dev, obj)
             except asyncio.CancelledError:
                 raise
             except Exception as exc:  # transport failure: try the next replica
@@ -327,7 +327,7 @@ class ReplicatedPlacement:
         for task in list(self.repairs):
             task.attempts += 1
             try:
-                copy = self.transport.start(
+                copy = self.transport.copy_to(
                     task.device, task.obj, task.value, dedup=task.dedup
                 )
             except Exception as exc:  # refused at once: fails this round
@@ -390,13 +390,13 @@ class MemoryTransport:
         self.write_log: List[Tuple[int, str, Any]] = []
         self._dedup_done: Dict[Tuple[int, str], float] = {}
 
-    def start(
+    def copy_to(
         self, device_id: int, obj: str, value: Any,
         dedup: Optional[str] = None,
     ) -> "asyncio.Future[float]":
-        return asyncio.ensure_future(self.write(device_id, obj, value, dedup))
+        return asyncio.ensure_future(self.write_to(device_id, obj, value, dedup))
 
-    async def write(
+    async def write_to(
         self, device_id: int, obj: str, value: Any,
         dedup: Optional[str] = None,
     ) -> float:
@@ -420,7 +420,7 @@ class MemoryTransport:
             self._dedup_done[(device_id, dedup)] = alpha
         return alpha
 
-    async def read(self, device_id: int, obj: str) -> Any:
+    async def read_from(self, device_id: int, obj: str) -> Any:
         if device_id in self.down:
             raise ConnectionError(f"device {device_id} is down")
         entry = self.stores[device_id].get(obj)

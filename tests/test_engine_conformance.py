@@ -422,8 +422,7 @@ async def run_net_client(script):
     values = []
     try:
         await client.connect()
-        client.clock = clock
-        client.now = clock.now  # a reading is bound at construction
+        client.now = clock.now  # the site reads its clock through now()
         for step in script:
             if step[0] in ("read", "write"):
                 clock.t = step[-2]

@@ -220,6 +220,33 @@ class TestProcessor:
     def test_pc_rejects_non_pram(self):
         assert not check_processor(coherent_not_pram())
 
+    def test_a_second_coherent_write_order_finds_the_witness(self):
+        """Seed 17's linearizable history is SC, hence PC, yet the
+        engine's coherent write order admits no PC serialization; the
+        recorded write order does.  Each site's witness is legal, holds
+        exactly ``H_{i+w}``, keeps the writers' program orders, and every
+        site orders each object's writes alike."""
+        from repro.checkers.extensions import _per_writer_program_order
+        from repro.core.serialization import is_legal, respects
+        from repro.workloads import random_linearizable_history
+
+        h = random_linearizable_history(random.Random(17))
+        assert check_sc(h).satisfied
+        result = check_processor(h)
+        assert result.satisfied
+        write_orders = set()
+        for site, witness in result.site_witnesses.items():
+            ops = h.site_plus_writes(site)
+            assert sorted(map(id, witness)) == sorted(map(id, ops))
+            assert is_legal(witness, h.initial_value)
+            assert respects(witness, _per_writer_program_order(h, ops))
+            write_orders.add(tuple(
+                (obj, tuple(op.value for op in witness
+                            if op.is_write and op.obj == obj))
+                for obj in sorted(h.objects)
+            ))
+        assert len(write_orders) == 1
+
     def test_pc_implies_pram_and_coherence(self, rng):
         from repro.workloads import random_history
 

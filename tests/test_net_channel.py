@@ -405,14 +405,14 @@ class TestWindow:
                     0, server.host, server.port, pipeline_depth=2,
                 ) as client:
                     most = []
-                    on_frame = client.channel.on_frame
-                    client.channel.on_frame = lambda f: (
-                        most.append(client.channel.in_flight), on_frame(f)
+                    on_frame = client.link.channel.on_frame
+                    client.link.channel.on_frame = lambda f: (
+                        most.append(client.link.channel.in_flight), on_frame(f)
                     )
                     started = loop.time()
                     writes = [client.write(f"w{i}", i) for i in range(4)]
                     copies = [
-                        client.channel.start(
+                        client.link.channel.start(
                             {"kind": "write", "obj": f"s{i}", "value": i},
                             REQUEST_TIMEOUT,
                             finish=lambda reply: reply["alpha"],
@@ -717,7 +717,7 @@ class TestAnswer:
                         await late.write("small", 1)
                     await writer.write("small", 2)
                     return (took, REQUEST_TIMEOUT, reader.stats.retries,
-                            reader.connected, reported, server.engine.store["small"])
+                            reader.link.channel.connected, reported, server.engine.store["small"])
             finally:
                 await server.close()
 

@@ -300,7 +300,7 @@ class TestConnection:
                         await client.write(obj, value)
                     assert await client.read("x") == "héllo ⏱"
                     await client.validate_many(["a", "b", "never written"])
-                    conn = client.conn
+                    conn = client.link.channel.conn
                     ours = (conn.sent, conn.bytes_sent,
                             conn.received, conn.bytes_received)
                     return ours, server.transport_totals()

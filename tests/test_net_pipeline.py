@@ -137,7 +137,7 @@ class TestExactlyOnce:
             acked = {}
             try:
                 async with NetCacheClient(0, server.host, server.port) as client:
-                    req = client.channel.next_id()
+                    req = client.link.channel.next_id()
                     with pytest.raises(ProtocolError, match="No space left"):
                         await client.write("x", "v1", req=req)
                     retries = client.stats.retries
@@ -190,11 +190,11 @@ class TestExactlyOnce:
             await server.start()
             try:
                 async with NetCacheClient(0, server.host, server.port) as client:
-                    first = client.channel.next_id()
+                    first = client.link.channel.next_id()
                     await client.write("x", -1, req=first)
                     for i in range(REPLY_CACHE_SIZE + 8):
                         await client.write("x", i)
-                    last = client.channel.next_id() - 1
+                    last = client.link.channel.next_id() - 1
                 return server.engine.replies, (0, first), (0, last)
             finally:
                 await server.close()
@@ -280,7 +280,7 @@ class TestBatching:
             await server.start()
             try:
                 async with NetCacheClient(0, server.host, server.port) as client:
-                    req = client.channel.next_id()
+                    req = client.link.channel.next_id()
                     alpha = await client.write("x", "v", req=req)
                     replay = await client.write("x", "v2", req=req)
             finally:
@@ -379,7 +379,7 @@ class TestOrphanReplies:
                     # Let every orphan write-ack arrive and be dropped.
                     await asyncio.sleep(ladder + 2.0)
                     value = await client.read("x")
-                    pending = dict(client.channel.pending)
+                    pending = dict(client.link.channel.pending)
             finally:
                 await server.close()
             return value, pending
@@ -416,12 +416,14 @@ class LoopIterations:
 def call_counts(rounds=300):
     """Python calls into ``src/repro`` per operation, server side
     included: the median over ``rounds`` operations of the
-    ``sys.setprofile`` call events (a coroutine's resumption is one) at
-    delta 0, where every read is a validation.  Three operations: the
-    single-server validate read, and the routed read and the routed
-    write over ``uniform_ring(2, part_power=4, replicas=2)``.  A count,
-    not a time: it repeats exactly, so a wrapper more shows without a
-    bench run (CI prints these into the step summary)."""
+    ``sys.setprofile`` call events (a coroutine's resumption is one).
+    Five operations: the single-server validate read (delta 0, so every
+    read is a validation); with a recorder attached and delta infinite,
+    the single-server cache hit and write (``read_cached``'s and
+    ``write_durable``'s paths, storeless); and the routed read and the
+    routed write over ``uniform_ring(2, part_power=4, replicas=2)`` at
+    delta 0.  A count, not a time: it repeats exactly, so a wrapper more
+    shows without a bench run (CI prints these into the step summary)."""
     package = os.path.dirname(repro.__file__) + os.sep
     calls = 0
 
@@ -451,6 +453,14 @@ def call_counts(rounds=300):
             ) as client:
                 await client.write("x", "v")
                 counts["validate_read"] = await median(lambda: client.read("x"))
+            async with NetCacheClient(
+                1, server.host, server.port, recorder=TraceRecorder()
+            ) as client:
+                await client.read("x")
+                counts["hit_read"] = await median(lambda: client.read("x"))
+                values = itertools.count()
+                counts["write"] = await median(
+                    lambda: client.write("y", next(values)))
         finally:
             await server.close()
         servers = [await NetObjectServer(propagation="none").start()
@@ -554,9 +564,14 @@ class TestWirePath:
     OLD_COST = 7
 
     #: Python calls per operation (``call_counts``), pinned at what the
-    #: compiled codec, one-call clock readings and the leaner server and
-    #: routed paths reach; before them: 73 / 94 / 141.
-    CALLS = {"validate_read": 55, "routed_read": 64, "routed_write": 106}
+    #: compiled codec, one-call clock readings, the leaner server and
+    #: routed paths and a plain ``Channel.connected`` flag reach; before
+    #: them: 73 / 94 / 141 for the validate read and the routed read and
+    #: write.
+    CALLS = {
+        "validate_read": 54, "hit_read": 11, "write": 56,
+        "routed_read": 63, "routed_write": 106,
+    }
 
     def test_an_operation_makes_no_more_python_calls_than_pinned(self):
         """Fails when a wrapper, a clock indirection or a second codec
@@ -960,8 +975,8 @@ class TestBackpressure:
                 async with NetCacheClient(1, server.host, server.port) as writer:
                     await asyncio.gather(*(writer.write(f"r{i}", blob) for i in range(64)))
                 async with NetCacheClient(2, server.host, server.port) as client:
-                    here = client.conn.transport.get_extra_info("sockname")
-                    sides.append(client.conn)
+                    here = client.link.channel.conn.transport.get_extra_info("sockname")
+                    sides.append(client.link.channel.conn)
                     sides.extend(
                         c for c in server._connections
                         if c.transport.get_extra_info("peername") == here
@@ -1420,8 +1435,8 @@ class TestPipelinedWaves:
                     client_id, server.host, server.port, pipeline_depth=self.DEPTH
                 ) as client:
                     seen = replies[client_id] = []
-                    on_frame = client.channel.on_frame
-                    client.channel.on_frame = lambda f: (
+                    on_frame = client.link.channel.on_frame
+                    client.link.channel.on_frame = lambda f: (
                         seen.append(f.get("req")), on_frame(f)
                     )
                     alphas = []
@@ -1468,7 +1483,7 @@ class TestLifecycle:
                 await asyncio.wait_for(getattr(server, how)(), 1.0)
                 left = asyncio.all_tasks() - {asyncio.current_task()}
                 await asyncio.sleep(0.05)
-                return left, client.connected
+                return left, client.link.channel.connected
             finally:
                 await client.close()
 

@@ -215,7 +215,7 @@ class TestServerTelemetry:
             await server.start()
             client = NetCacheClient(
                 0, server.host, server.port,
-                registry=registry, metric_labels={"stack": "tcp"},
+                registry=registry,
             )
             await client.connect()
             try:
@@ -314,7 +314,7 @@ class TestGracefulDrain:
                 # The client saw the BYE / EOF and ended cleanly
                 # without poisoning completed requests.
                 await asyncio.sleep(0.05)
-                assert not client.connected
+                assert not client.link.channel.connected
             finally:
                 await client.close()
 

@@ -77,8 +77,8 @@ OPTIONS = {
         "registry", "metric_labels", "store",
     },
     "repro.net.client.NetCacheClient": {
-        "delta", "mode", "recorder", "skew", "faults", "site", "registry",
-        "metric_labels", "pipeline_depth",
+        "delta", "mode", "recorder", "skew", "faults", "registry",
+        "pipeline_depth",
     },
     "repro.net.ring_router.RingRouter": {
         "delta", "write_quorum", "read_policy", "recorder", "skew",

@@ -330,3 +330,37 @@ class TestRingCli:
         assert got == CLI_LINES.splitlines()
         builder = (tmp_path / "c.builder").read_bytes()
         assert hashlib.sha256(builder).hexdigest() == CLI_BUILDER_SHA256
+
+    def test_a_bare_rebalance_counts_what_settles_on_load(
+        self, tmp_path, monkeypatch
+    ):
+        """Removing a device leaves the saved builder at 37/54/37
+        partitions; the next command's load-time rebalance settles it at
+        32/64/32, and a bare ``rebalance`` reports those moves."""
+        monkeypatch.chdir(tmp_path)
+        for step in (
+            ["build", "b", "--devices", "3", "--replicas", "2",
+             "--part-power", "6"],
+            ["add", "b", "--id", "7"],
+            ["rebalance", "b", "--set-weight", "1=2.0"],
+            ["rebalance", "b", "--remove", "7"],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["ring", *step]) == 0
+        def assignment():
+            return RingBuilder.load_file("b").as_dict()["assignment"]
+
+        def loads(slots):
+            flat = [dev for row in slots for dev in row]
+            return [flat.count(dev) for dev in (0, 1, 2)]
+
+        before = assignment()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["ring", "rebalance", "b"]) == 0
+        after = assignment()
+        moved = sum(a != b for old, new in zip(before, after)
+                    for a, b in zip(old, new))
+        assert (loads(before), loads(after), moved) == (
+            [37, 54, 37], [32, 64, 32], 10)
+        assert "rebalanced in place: 10 slots moved" in out.getvalue()
