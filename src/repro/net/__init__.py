@@ -17,14 +17,15 @@ unmodified in virtual time:
 * :mod:`repro.net.channel` — the asking end of one connection: dial,
   ``hello``, request ids, reply matching and the per-attempt timeout,
   once, for the cache client, the cluster agents and the CLI;
-* :mod:`repro.net.client` — the Sections 5.1-5.2 cache client with
-  request retry/backoff and push/invalidate handling;
+* :mod:`repro.net.client` — the Sections 5.1-5.2 cache site (one
+  engine, recorder and clock) and its device links (a channel, the
+  clock-sync handshake, the server's epoch);
 * :mod:`repro.net.clocksync` — NTP-style offset/epsilon estimation so
   every client runs an approximately synchronized clock (Definition 2);
 * :mod:`repro.net.faults` — frame-level delay/drop/duplicate/partition
   injection;
-* :mod:`repro.net.ring_router` — the multi-server client: one
-  connection per ring device, W-of-N replicated writes, primary-first
+* :mod:`repro.net.ring_router` — the multi-server site: one link
+  per ring device, W-of-N replicated writes, primary-first
   reads, per-server clock sync composed onto one reference timescale;
 * :mod:`repro.net.local` — the one localhost fixture: ``LocalStack``
   stands the stack up (servers, ring, stores, SWIM agents, connected
