@@ -34,9 +34,7 @@ import asyncio
 import math
 import os
 from dataclasses import dataclass
-from typing import (
-    Any, Awaitable, Callable, Dict, List, Optional, Sequence, Tuple, Union,
-)
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.clocks.rebase import RebasedClock, loop_time
 from repro.core.history import History
@@ -215,7 +213,7 @@ class LocalStack:
         self._initial_servers = servers
         self.servers: Dict[int, NetObjectServer] = {}
         self.agents: Dict[int, Any] = {}
-        self.sites: List[Union[NetCacheClient, RingRouter]] = []
+        self.sites: List[NetCacheClient] = []
 
     async def __aenter__(self) -> "LocalStack":
         try:
@@ -277,7 +275,7 @@ class LocalStack:
 
     async def connect(
         self, site_id: int, *, delta: float, **client_options: Any
-    ) -> Union[NetCacheClient, RingRouter]:
+    ) -> NetCacheClient:
         """A connected site, closed with the stack.  ``client_options``
         go to the client's (or router's) constructor."""
         if self.ring is None:
