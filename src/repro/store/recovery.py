@@ -82,7 +82,8 @@ SNAPSHOT_FILE = "snapshot.json"
 META_VERSION = 1
 
 #: A serving store snapshots (and truncates its log) once this many
-#: appends accumulated: recovery replays at most this many records.
+#: appends, or one per object it holds if more, accumulated since the
+#: last: recovery replays about one snapshot's worth of records at most.
 SNAPSHOT_EVERY = 512
 
 #: Record kinds in the WAL.
@@ -394,7 +395,7 @@ class DurableStore:
         finally:
             self._grouped = False
 
-    def commit_soon(self) -> "Optional[asyncio.Future[None]]":
+    def commit_soon(self) -> "Optional[asyncio.Future[float]]":
         """Commit every grouped append so far, the fsync on the log's
         worker thread (:meth:`WriteAheadLog.commit_soon`).  If it fails,
         none of them may be acknowledged."""
@@ -448,9 +449,10 @@ class DurableStore:
     def maybe_snapshot(
         self, objects: Dict[str, PhysicalVersion], context: float, now: float
     ) -> bool:
-        """Snapshot iff ``SNAPSHOT_EVERY`` appends accumulated since the
-        last one; returns whether a snapshot was written."""
-        if self._appends_since_snapshot < SNAPSHOT_EVERY:
+        """Snapshot iff ``max(SNAPSHOT_EVERY, len(objects))`` appends
+        accumulated since the last one, so the log never outgrows the
+        snapshot that replaces it; returns whether one was written."""
+        if self._appends_since_snapshot < max(SNAPSHOT_EVERY, len(objects)):
             return False
         self.snapshot(objects, context, now=now)
         return True

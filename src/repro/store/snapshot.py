@@ -95,7 +95,7 @@ def write_snapshot(path: str, state: Dict[str, Any]) -> None:
     The state is serialized once: the document is written around the
     canonical text the CRC covers, ``{"crc":…,"state":<canonical>,
     "version":1}`` on one line (the live server writes a snapshot every
-    ``SNAPSHOT_EVERY`` appends).  :func:`load_snapshot` reads it as it
+    ``max(SNAPSHOT_EVERY, objects)`` appends).  :func:`load_snapshot` reads it as it
     reads the spaced form earlier versions wrote.  ``repro store
     inspect`` pretty-prints."""
     canonical = _canonical(state)

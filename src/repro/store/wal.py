@@ -39,13 +39,16 @@ at a clean boundary.
 from __future__ import annotations
 
 import asyncio
+import collections
 import json
 import os
+import socket
 import struct
+import threading
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
 _HEADER = struct.Struct(">II")  # payload length, CRC32(payload)
 
@@ -163,13 +166,68 @@ def quarantine_tail(path: str, result: ReplayResult) -> Optional[str]:
     return sidecar
 
 
+class _SyncWorker:
+    """``commit_soon``'s executor: a daemon thread, ``wal-fsync``, started
+    at the first job, woken by one byte on a socketpair per job and
+    answering with one byte on a second pair, whose read end the loop
+    watches.  It takes the GIL back three times a job (recv, job, send),
+    not once per step of ``concurrent.futures``.  :meth:`submit` returns
+    an asyncio future, which ``run_in_executor`` passes through."""
+
+    def __init__(self) -> None:
+        self._thread: Optional[threading.Thread] = None
+        self._todo: Deque[tuple] = collections.deque()  # (future, fn, args)
+        self._done: Deque[tuple] = collections.deque()  # (future, settle, outcome)
+
+    def submit(self, fn: Callable[..., Any], *args: Any) -> "asyncio.Future[Any]":
+        loop = asyncio.get_running_loop()
+        if self._thread is None:
+            self._loop = loop
+            (self._wake, self._woken), (self._answered, self._answer) = (
+                socket.socketpair(), socket.socketpair())
+            loop.add_reader(self._answered, self._resolve)
+            self._thread = threading.Thread(target=self._run, name="wal-fsync", daemon=True)
+            self._thread.start()
+        future = loop.create_future()
+        self._todo.append((future, fn, args))
+        self._wake.send(b"\0")
+        return future
+
+    def _run(self) -> None:
+        while self._woken.recv(1):
+            future, fn, args = self._todo.popleft()
+            try:
+                self._done.append((future, future.set_result, fn(*args)))
+            except Exception as exc:
+                self._done.append((future, future.set_exception, exc))
+            self._answer.send(b"\0")
+
+    def _resolve(self) -> None:
+        self._answered.recv(64)  # the answers themselves are in _done
+        while self._done:
+            future, settle, outcome = self._done.popleft()
+            future.cancelled() or settle(outcome)
+
+    def close(self) -> None:
+        """Let every job submitted finish, resolve it, close the thread."""
+        if self._thread is not None:
+            self._wake.close()  # the thread reads EOF after the last job
+            self._thread.join()
+            if self._done and not self._loop.is_closed():
+                self._resolve()  # its answer byte is still unread
+            self._loop.remove_reader(self._answered)
+            for end in (self._woken, self._answered, self._answer):
+                end.close()
+
+
 class WriteAheadLog:
     """An open, appendable WAL file with a configurable fsync policy.
 
     ``on_fsync`` (when given) is called with each fsync's duration in
     seconds — the hook :class:`repro.obs.instruments.StoreInstruments`
-    feeds its latency histogram from — on the caller's thread, before
-    any later record reaches the OS: :attr:`size` in it is on disk.
+    feeds its latency histogram from — on the caller's thread (the
+    loop's, for :meth:`commit_soon`), before any later record reaches
+    the OS: :attr:`size` in it is on disk.
     """
 
     def __init__(
@@ -193,10 +251,7 @@ class WriteAheadLog:
         self._pending: List[bytes] = []  # appended, not yet handed to the OS
         self._last_sync = time.monotonic()
         self._dirty = False  # handed to the OS, not yet synced
-        # commit_soon's fsync thread, started at its first job; imported
-        # here so that a stack without a log loads no thread machinery.
-        from concurrent.futures import ThreadPoolExecutor
-        self._worker = ThreadPoolExecutor(1, thread_name_prefix="wal-fsync")
+        self._worker = _SyncWorker()  # commit_soon's fsync thread
 
     @property
     def size(self) -> int:
@@ -246,19 +301,19 @@ class WriteAheadLog:
         """:meth:`hand_off`, then the fsync it owes: the one durability
         point.  Raises what the disk raises, still owing the records."""
         if self.hand_off():
-            self._sync()
+            self._synced(self._fsync(self._fh.fileno()))
 
-    def commit_soon(self) -> "Optional[asyncio.Future[None]]":
+    def commit_soon(self) -> "Optional[asyncio.Future[float]]":
         """:meth:`commit`, its fsync on the log's one thread: ``None`` if
-        none is owed, else its future, resolved on the loop once the
-        completion is applied.  Appends meanwhile stay in memory."""
+        none is owed, else its future (of the fsync's seconds), resolved
+        on the loop once the completion is applied.  Appends meanwhile
+        stay in memory."""
         if not self.hand_off():
             return None
-        started = time.perf_counter()
         syncing = asyncio.get_running_loop().run_in_executor(
-            self._worker, os.fsync, self._fh.fileno())
+            self._worker, self._fsync, self._fh.fileno())
         syncing.add_done_callback(lambda done: done.cancelled()
-                                  or done.exception() or self._synced(started))
+                                  or done.exception() or self._synced(done.result()))
         return syncing
 
     def flush(self, sync: bool = True) -> None:
@@ -268,19 +323,21 @@ class WriteAheadLog:
             return
         self.hand_off()
         if sync and self._dirty:
-            self._sync()
+            self._synced(self._fsync(self._fh.fileno()))
 
-    def _sync(self) -> None:
+    @staticmethod
+    def _fsync(fd: int) -> float:
+        """``os.fsync(fd)``, looked up at the call; returns its seconds."""
         started = time.perf_counter()
-        os.fsync(self._fh.fileno())
-        self._synced(started)
+        os.fsync(fd)
+        return time.perf_counter() - started
 
-    def _synced(self, started: float) -> None:
+    def _synced(self, elapsed: float) -> None:
         self._last_sync = time.monotonic()
         self._dirty = False
         self.fsyncs += 1
         if self.on_fsync is not None:
-            self.on_fsync(time.perf_counter() - started)
+            self.on_fsync(elapsed)
 
     def truncate(self) -> None:
         """Drop every record (a snapshot has superseded them)."""
@@ -296,7 +353,7 @@ class WriteAheadLog:
     def close(self, sync: bool = True) -> None:
         if self._fh.closed:
             return
-        self._worker.shutdown()  # an fsync in flight returns first
+        self._worker.close()  # an fsync in flight returns first
         self.flush(sync=sync)
         self._fh.close()
 

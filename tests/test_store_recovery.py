@@ -187,6 +187,26 @@ class TestDurableStore:
         assert "y" in recovered.objects
         assert os.path.exists(snapshot_path + ".corrupt-0")
 
+    def test_a_large_store_snapshots_after_one_append_per_object(self, tmp_path):
+        """The log never outgrows the snapshot that replaces it: a store
+        that holds 2 000 objects snapshots after 2 000 further appends,
+        not after ``SNAPSHOT_EVERY``."""
+        store = DurableStore(str(tmp_path), fsync="never")
+        store.open(now_wall=1000.0)
+        objects = {f"o{i}": PhysicalVersion(f"o{i}", 0, 1.0, 1.0, 1)
+                   for i in range(2000)}
+        store.snapshot(objects, 1.0, now=1.0)
+        for appended in range(1, 2001):
+            t = 1.0 + appended
+            version = PhysicalVersion("o0", f"s1.{appended}", t, t, 1)
+            store.log_write(version)
+            objects["o0"] = version
+            if appended in (SNAPSHOT_EVERY, 1999):
+                assert store.maybe_snapshot(objects, t, t) is False
+        assert store.maybe_snapshot(objects, t, t) is True
+        assert load_state(str(tmp_path)).wal.records == []  # truncated behind it
+        store.close()
+
     def test_clean_close_needs_no_replay(self, tmp_path):
         store = DurableStore(str(tmp_path), fsync="always")
         store.open(now_wall=1000.0)

@@ -6,10 +6,15 @@ atomic-write helper that both the snapshots and the metrics registry
 saves go through (a torn file must never be observable).
 """
 
+import ast
+import asyncio
+import errno
 import json
 import os
 import pathlib
 import struct
+import sys
+import threading
 import time
 import types
 import zlib
@@ -32,6 +37,7 @@ from repro.store import (
     versions_from_state,
     write_snapshot,
 )
+from repro.store import wal as wal_module
 from repro.store.wal import FSYNC_INTERVAL
 
 _HEADER = struct.Struct(">II")
@@ -193,6 +199,161 @@ class TestWalRoundtrip:
     def test_bad_policy_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             WriteAheadLog(str(tmp_path / "wal.log"), fsync="sometimes")
+
+
+class TestTheFsyncWorker:
+    """``commit_soon`` on a real loop: the fsync runs on the log's one
+    ``wal-fsync`` thread, and its completion is applied on the loop's."""
+
+    @staticmethod
+    def staged(tmp_path, **options):
+        log = WriteAheadLog(str(tmp_path / "wal.log"), fsync="always", **options)
+        log.append_many([{"i": 1}], commit=False)
+        return log
+
+    def test_the_future_resolves_and_on_fsync_runs_on_the_loop(
+        self, tmp_path, monkeypatch
+    ):
+        fsync, threads = os.fsync, []
+
+        def traced(fd):
+            threads.append(threading.current_thread().name)
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", traced)
+
+        async def scenario():
+            log = self.staged(tmp_path, on_fsync=lambda elapsed: hooked.append(
+                (threading.get_ident(), log.size)))
+            elapsed = await asyncio.wait_for(log.commit_soon(), 2.0)
+            assert log.commit_soon() is None  # nothing owed since
+            log.close(sync=False)
+            return log, elapsed
+
+        hooked = []
+        log, elapsed = asyncio.run(scenario())
+        assert threads == ["wal-fsync"]
+        assert isinstance(elapsed, float) and elapsed >= 0
+        assert hooked == [(threading.get_ident(), log.bytes_appended)]
+        assert log.fsyncs == 1
+
+    def test_a_failed_fsync_fails_the_future_and_the_next_commit_syncs_again(
+        self, tmp_path, monkeypatch
+    ):
+        fsync, calls = os.fsync, []
+
+        def failing_once(fd):
+            calls.append(fd)
+            if len(calls) == 1:
+                raise OSError(errno.EIO, "Input/output error")
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", failing_once)
+
+        async def scenario():
+            log = self.staged(tmp_path, on_fsync=hooked.append)
+            with pytest.raises(OSError, match="Input/output error"):
+                await asyncio.wait_for(log.commit_soon(), 2.0)
+            failed = log.fsyncs
+            again = log.commit_soon()  # the log still owes the record
+            assert again is not None
+            await asyncio.wait_for(again, 2.0)
+            log.close(sync=False)
+            return failed, log.fsyncs
+
+        hooked = []
+        assert asyncio.run(scenario()) == (0, 1)
+        assert len(calls) == 2 and len(hooked) == 1
+
+    def test_close_with_a_job_in_flight_joins_the_thread_and_closes_its_sockets(
+        self, tmp_path, monkeypatch
+    ):
+        fsync, entered, gate = os.fsync, threading.Event(), threading.Event()
+
+        def held(fd):
+            entered.set()
+            gate.wait(5.0)
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", held)
+
+        def running():
+            return [t for t in threading.enumerate() if t.name == "wal-fsync"]
+
+        async def scenario():
+            log, before = self.staged(tmp_path), running()
+            syncing = log.commit_soon()
+            while not entered.is_set():
+                await asyncio.sleep(0.001)
+            worker = log._worker
+            (thread,) = [t for t in running() if t not in before]
+            opener = threading.Timer(0.05, gate.set)
+            opener.start()
+            log.close()  # waits for the fsync in flight
+            opener.join()
+            sockets = (worker._wake, worker._woken, worker._answered, worker._answer)
+            return thread, sockets, syncing.done() and syncing.result()
+
+        thread, sockets, elapsed = asyncio.run(scenario())
+        assert thread.daemon and not thread.is_alive()
+        assert [s.fileno() for s in sockets] == [-1] * 4
+        assert elapsed >= 0.05  # resolved with the held fsync's time
+
+    def test_an_fsync_reports_its_own_duration_not_the_loops(
+        self, tmp_path, monkeypatch
+    ):
+        """A 20 ms fsync, answered while the loop is busy for 40 ms more:
+        ``on_fsync`` gets the fsync's time, not the handoff's."""
+        monkeypatch.setattr(os, "fsync", lambda fd: time.sleep(0.02))
+
+        async def scenario():
+            log = self.staged(tmp_path, on_fsync=reported.append)
+            syncing = log.commit_soon()
+            time.sleep(0.04)  # the loop is busy while the worker answers
+            await asyncio.wait_for(syncing, 2.0)
+            log.close(sync=False)
+
+        reported = []
+        asyncio.run(scenario())
+        assert len(reported) == 1 and 0.02 <= reported[0] < 0.03
+
+    def test_jobs_from_many_workers_resolve_in_order_under_a_short_switch_interval(self):
+        """Four workers (more than the cores), each handed 200 jobs at
+        once, with the thread switch interval cut to 10 µs: every
+        future gets its own job's result, in submission order."""
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            workers = [wal_module._SyncWorker() for _ in range(4)]
+            futures = [[loop.run_in_executor(worker, lambda i=i, w=w: (w, i))
+                        for i in range(200)] for w, worker in enumerate(workers)]
+            try:
+                return [await asyncio.wait_for(asyncio.gather(*jobs), 10.0)
+                        for jobs in futures]
+            finally:
+                for worker in workers:
+                    worker.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            results = asyncio.run(scenario())
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [[(w, i) for i in range(200)] for w in range(4)]
+
+    def test_the_log_imports_no_concurrent_futures(self):
+        tree = ast.parse(pathlib.Path(wal_module.__file__).read_text())
+        imported = [
+            name for node in ast.walk(tree)
+            for name in (
+                [alias.name for alias in node.names] if isinstance(node, ast.Import)
+                else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                else []
+            )
+        ]
+        assert "asyncio" in imported
+        assert not [name for name in imported if name.split(".")[0] == "concurrent"]
 
 
 class TestWalCorruption:
