@@ -204,7 +204,9 @@ class SwimAgent:
         self.last_failover_seconds: Optional[float] = None
         #: The replica count of the largest ring this member has held:
         #: what a join after a degraded failover restores.
-        self.replicas = int((view.ring or {}).get("replicas", 0))
+        self.replicas = int((server.engine.ring or {}).get("replicas", 0))
+        # Gossip announces at least the epoch of the ring the server holds.
+        view.ring_epoch = max(view.ring_epoch, server.engine.epoch)
         self.probes_sent = 0
         self.indirect_probes_sent = 0
         self.probes_failed = 0
@@ -219,8 +221,6 @@ class SwimAgent:
 
     async def start(self) -> "SwimAgent":
         self.server.agent = self
-        if self.view.ring is not None:
-            self.server.set_ring(self.view.ring)
         self._stopping = False
         self._task = asyncio.ensure_future(self._loop())
         return self
@@ -511,10 +511,7 @@ class SwimAgent:
     # -- ring catch-up (gossip said a newer epoch exists) ---------------------
 
     def _maybe_catch_up_ring(self) -> None:
-        held = int((self.view.ring or {}).get("epoch", -1))
-        if self.view.ring_epoch <= max(held, self.server.engine.epoch):
-            if self.view.ring is not None and held > self.server.engine.epoch:
-                self.server.set_ring(self.view.ring)
+        if self.view.ring_epoch <= self.server.engine.epoch:
             return
         if self._catchup_task is None or self._catchup_task.done():
             self._catchup_task = asyncio.ensure_future(self._catch_up_ring())
@@ -536,7 +533,6 @@ class SwimAgent:
                 continue
             ring = reply.get("ring")
             if isinstance(ring, dict) and int(ring.get("epoch", 0)) >= wanted:
-                self.view.install_ring(ring)
                 self.server.set_ring(ring)
                 return
 
@@ -549,7 +545,7 @@ class SwimAgent:
             self._failover_task = asyncio.ensure_future(self._run_repairs())
 
     def _ring_in_force(self) -> Optional[Ring]:
-        ring_dict = self.server.engine.ring or self.view.ring
+        ring_dict = self.server.engine.ring
         if ring_dict is None:
             return None
         ring = Ring.from_dict(ring_dict)
@@ -651,9 +647,8 @@ class SwimAgent:
                 return False
         # 3. Cutover: install + announce.  Gossip spreads the epoch;
         #    members and routers pull the layout when they see it.
-        new_dict = plan.ring.as_dict()
-        self.server.set_ring(new_dict)
-        self.view.install_ring(new_dict)
+        self.server.set_ring(plan.ring.as_dict())
+        self.view.ring_epoch = max(self.view.ring_epoch, plan.ring.epoch)
         elapsed = loop_time() - started
         self.failovers += 1
         self.last_failover_seconds = elapsed

@@ -25,12 +25,12 @@ These are exactly the SWIM rules; they form a join-semilattice per
 member, so merging is commutative, associative, and idempotent —
 convergence needs no ordering guarantees from the transport.
 
-**Ring epoch.**  ``ring_epoch`` only moves forward, and carries the
-coordinator's serialized ring (:attr:`ClusterView.ring`) when this node
-has fetched it.  Gossip spreads the *epoch* (cheap, every frame); the
-layout itself is pulled on demand with a ``ring-fetch`` frame by whoever
-notices its epoch is behind — routers and servers alike
-(docs/CLUSTER.md).
+**Ring epoch.**  ``ring_epoch`` only moves forward: it is the newest
+layout version this member has heard of.  Gossip spreads the *epoch*
+(cheap, every frame); the layout itself lives on the member's server
+(``server.engine.ring``) and is pulled on demand with a ``ring-fetch``
+frame by whoever notices its epoch is behind — routers and servers
+alike (docs/CLUSTER.md).
 """
 
 from __future__ import annotations
@@ -115,14 +115,9 @@ class ClusterView:
         self,
         members: Optional[Dict[int, MemberInfo]] = None,
         ring_epoch: int = 0,
-        ring: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.members: Dict[int, MemberInfo] = dict(members or {})
         self.ring_epoch = ring_epoch
-        #: The serialized ring (``Ring.as_dict()``) of ``ring_epoch``,
-        #: when this node holds it; gossip may advance the epoch before
-        #: the layout has been fetched, leaving this one epoch behind.
-        self.ring = ring
 
     # -- queries -------------------------------------------------------------
 
@@ -201,29 +196,15 @@ class ClusterView:
             change = self.update(info, now=now)
             if change is not None:
                 transitions.append((info.id, change[0], change[1]))
-        epoch = int(payload.get("ring_epoch", 0))
-        if epoch > self.ring_epoch:
-            self.ring_epoch = epoch
-            # self.ring is now stale (it describes an older epoch);
-            # keep it for degraded routing until the fetch lands.
+        self.ring_epoch = max(self.ring_epoch, int(payload.get("ring_epoch", 0)))
         return transitions
-
-    def install_ring(self, ring_dict: Dict[str, Any]) -> bool:
-        """Adopt a serialized ring iff its epoch is not older than what
-        gossip already promised; returns whether it was installed."""
-        epoch = int(ring_dict.get("epoch", 0))
-        if self.ring is not None and epoch < self.ring_epoch:
-            return False
-        self.ring = ring_dict
-        self.ring_epoch = max(self.ring_epoch, epoch)
-        return True
 
     # -- wire form -----------------------------------------------------------
 
     def wire_payload(self) -> Dict[str, Any]:
-        """What a probe frame piggybacks: member records + ring epoch.
-        Deliberately excludes the ring layout (pull it on demand) so
-        every gossip frame stays small."""
+        """What a probe frame piggybacks, and a status endpoint answers:
+        member records + ring epoch.  The layout is not here (pull it on
+        demand), so every gossip frame stays small."""
         return {
             "members": [
                 self.members[m].as_dict() for m in sorted(self.members)
@@ -231,37 +212,19 @@ class ClusterView:
             "ring_epoch": self.ring_epoch,
         }
 
-    def as_dict(self) -> Dict[str, Any]:
-        """Full serialization (status endpoints, tests)."""
-        payload = self.wire_payload()
-        payload["ring"] = self.ring
-        return payload
-
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ClusterView":
         view = cls(ring_epoch=int(data.get("ring_epoch", 0)))
         for record in data.get("members", []):
             info = MemberInfo.from_dict(record)
             view.members[info.id] = info
-        ring = data.get("ring")
-        if ring is not None:
-            view.ring = dict(ring)
         return view
 
     @classmethod
-    def seed(
-        cls, addresses: Dict[int, str], ring: Optional[Any] = None
-    ) -> "ClusterView":
+    def seed(cls, addresses: Dict[int, str]) -> "ClusterView":
         """The bootstrap view every member starts from: all seeds alive
-        at incarnation 0, plus the initial ring (a
-        :class:`~repro.ring.ring.Ring` or its dict form)."""
-        members = {
+        at incarnation 0."""
+        return cls({
             member_id: MemberInfo(member_id, address)
             for member_id, address in addresses.items()
-        }
-        ring_dict = None
-        epoch = 0
-        if ring is not None:
-            ring_dict = ring if isinstance(ring, dict) else ring.as_dict()
-            epoch = int(ring_dict.get("epoch", 0))
-        return cls(members, ring_epoch=epoch, ring=ring_dict)
+        })

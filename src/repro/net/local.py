@@ -97,8 +97,9 @@ def default_skews(n_clients: int, magnitude: float) -> List[float]:
 
 def anti_entropy_period(delta: float) -> float:
     """How often a router re-pushes lagging replicas: four passes inside
-    every delta, never slower than the router's own default."""
-    return 0.05 if math.isinf(delta) else min(0.05, delta / 4.0)
+    every delta, never slower than the router's own default and never
+    faster than once a millisecond (at delta 0 the loop would spin)."""
+    return 0.05 if math.isinf(delta) else max(0.001, min(0.05, delta / 4.0))
 
 
 @dataclass
@@ -129,7 +130,8 @@ async def start_agents(
 ) -> Dict[int, Any]:
     """One started :class:`~repro.cluster.SwimAgent` per server, each
     seeded with every member's address (``peers`` adds members served by
-    other processes) and ``ring``; with a ``registry`` each gets its
+    other processes), its server holding ``ring`` before the agent is
+    built; with a ``registry`` each gets its
     :class:`~repro.obs.instruments.ClusterInstruments`.  If one fails to
     start, the ones already started are stopped."""
     from repro.cluster import ClusterView, SwimAgent
@@ -139,13 +141,15 @@ async def start_agents(
     agents: Dict[int, Any] = {}
     try:
         for dev_id, server in servers.items():
+            if ring is not None:
+                server.set_ring(ring.as_dict())
             instruments = None
             if registry is not None:
                 from repro.obs.instruments import ClusterInstruments
 
                 instruments = ClusterInstruments(registry, member=dev_id)
             agents[dev_id] = SwimAgent(
-                dev_id, server, ClusterView.seed(addresses, ring=ring),
+                dev_id, server, ClusterView.seed(addresses),
                 config, instruments=instruments,
             )
             await agents[dev_id].start()

@@ -143,7 +143,6 @@ class RingRouter(NetCacheClient):
         self.ring = ring
         self.read_policy = read_policy
         self.stats = RouterStats()
-        self.epoch = ring.epoch
         self.placement = ReplicatedPlacement(
             ring, self, write_quorum=write_quorum, delta=delta, clock=self.now,
         )
@@ -195,7 +194,6 @@ class RingRouter(NetCacheClient):
         removed = set(self.clients) - set(ring.device_ids())
         self.ring = ring
         self.placement.ring = ring
-        self.epoch = max(self.epoch, ring.epoch)
         self.stats.ring_swaps += 1
         if not removed:
             return
@@ -233,7 +231,7 @@ class RingRouter(NetCacheClient):
         """A server frame carried a higher ring epoch than ours: some
         layout we don't know is in force.  Schedule one refresh (a link
         calls this from ``buffer_updated`` — never block it)."""
-        if epoch <= self.epoch:
+        if epoch <= self.ring.epoch:
             return
         if self._refresh_task is None or self._refresh_task.done():
             self._refresh_task = asyncio.ensure_future(self.refresh_ring())
@@ -242,7 +240,7 @@ class RingRouter(NetCacheClient):
         """Fetch the ring from every reachable device and adopt the
         highest-epoch layout found; returns whether a swap happened."""
         self.stats.epoch_refreshes += 1
-        best_epoch, best_ring = self.epoch, None
+        best_epoch, best_ring = self.ring.epoch, None
         for dev_id in sorted(self.clients):
             link = self.clients.get(dev_id)
             if link is None or not link.channel.connected:
@@ -263,7 +261,7 @@ class RingRouter(NetCacheClient):
         """Cut over to a strictly newer ring: connect joining devices
         (addressed by their ring ``Device.address``), swap, and let
         :meth:`swap_ring` close the departed ones."""
-        if ring.epoch <= self.epoch:
+        if ring.epoch <= self.ring.epoch:
             return False
         for dev_id in ring.device_ids():
             if dev_id in self.clients:
@@ -276,7 +274,7 @@ class RingRouter(NetCacheClient):
                 )
             host, _, port = device.address.rpartition(":")
             await self.connect_device(dev_id, host, int(port))
-        if ring.epoch <= self.epoch:
+        if ring.epoch <= self.ring.epoch:
             return False  # a concurrent refresh cut over while we connected
         self.swap_ring(ring)
         return True
@@ -427,6 +425,8 @@ class RingRouter(NetCacheClient):
     def start_anti_entropy(self, period: float = 0.05) -> None:
         """Re-push failed fan-out copies every ``period`` seconds, so a
         lagging replica receives a version before its lifetime expires."""
+        if period <= 0:
+            raise ValueError(f"anti-entropy period must be positive, got {period}")
         if self._anti_entropy_task is None:
             self._anti_entropy_task = asyncio.ensure_future(
                 self.placement.anti_entropy_loop(period)

@@ -571,7 +571,7 @@ class NetObjectServer:
                 "epoch": self.engine.epoch, "ring": self.engine.ring,
             }
         if kind == CLUSTER_STATE:
-            view = self.agent.view.as_dict() if self.agent is not None else None
+            view = self.agent.view.wire_payload() if self.agent is not None else None
             return {
                 "kind": CLUSTER_VIEW, "epoch": self.engine.epoch, "view": view,
             }

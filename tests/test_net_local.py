@@ -227,6 +227,16 @@ class TestTeardown:
         assert local.anti_entropy_period(0.4) == 0.05
         assert local.anti_entropy_period(0.1) == pytest.approx(0.025)
         assert local.anti_entropy_period(float("inf")) == 0.05
+        # At delta 0 the period has a floor: the loop must not spin.
+        assert local.anti_entropy_period(0.0) == 0.001
+
+    def test_an_anti_entropy_period_that_is_not_positive_is_refused(self):
+        ring = RingBuilder(3, 1)
+        ring.add_device(0)
+        router = RingRouter(0, ring.rebalance()[0], {0: (local.HOST, 1)})
+        with pytest.raises(ValueError, match="period"):
+            router.start_anti_entropy(period=0.0)
+        assert router._anti_entropy_task is None
 
 
 def old_call_sites(history, delta, epsilon):
@@ -456,6 +466,23 @@ class TestOneGrowthPath:
         assert callers_of("_copy_moves") == {"cluster/swim.py"}
         assert callers_of("swap_ring") == {"net/ring_router.py"}
         assert callers_of("connect_device") == {"net/ring_router.py"}
+
+    def test_every_ring_change_has_one_planner_and_each_member_one_ring(self):
+        tree = ast.parse((SRC / "cluster" / "failover.py").read_text(encoding="utf-8"))
+        calls = {
+            fn.name: {getattr(node.func, "id", None) for node in ast.walk(fn)
+                      if isinstance(node, ast.Call)}
+            for fn in tree.body if isinstance(fn, ast.FunctionDef)
+        }
+        assert "_plan" in calls["failover_ring"] & calls["join_ring"]
+        assert "Ring" not in set().union(*calls.values())
+        for path in SRC.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                assert getattr(node, "name", None) != "install_ring", path
+                if isinstance(node, ast.Attribute) and node.attr == "ring":
+                    owner = node.value
+                    assert "view" not in (getattr(owner, "attr", None),
+                                          getattr(owner, "id", None)), path
 
     def test_the_site_driven_handoff_and_the_rebalance_module_are_gone(self):
         import repro.ring
