@@ -2,23 +2,18 @@
 
 from repro.analysis.metrics import (
     StalenessReport,
-    per_site_op_counts,
     read_staleness,
     staleness_report,
     timedness_report,
 )
-from repro.analysis.charts import bar_chart, dual_chart
+from repro.analysis.charts import dual_chart
 from repro.analysis.stats import (
-    confidence_interval,
     mean,
-    replicate,
     stddev,
     stderr,
-    summarize_rows,
 )
 from repro.analysis.sweep import (
     delta_cost_sweep,
-    epsilon_sweep,
     policy_comparison,
     run_cluster_experiment,
     variant_comparison,
@@ -27,24 +22,18 @@ from repro.analysis.tables import format_cell, print_table, render_table, write_
 
 __all__ = [
     "StalenessReport",
-    "bar_chart",
-    "confidence_interval",
     "delta_cost_sweep",
     "dual_chart",
-    "epsilon_sweep",
     "format_cell",
     "mean",
-    "per_site_op_counts",
     "policy_comparison",
     "print_table",
     "read_staleness",
     "render_table",
-    "replicate",
     "run_cluster_experiment",
     "staleness_report",
     "stddev",
     "stderr",
-    "summarize_rows",
     "timedness_report",
     "variant_comparison",
     "write_csv",

@@ -23,32 +23,6 @@ def _bar(fraction: float, width: int) -> str:
     return FULL * whole + partial
 
 
-def bar_chart(
-    rows: Sequence[Dict[str, Any]],
-    label: str,
-    value: str,
-    width: int = 40,
-    title: Optional[str] = None,
-    max_value: Optional[float] = None,
-) -> str:
-    """Render one bar per row: ``label  |█████     | value``."""
-    if not rows:
-        return "(no rows)"
-    values = [float(row[value]) for row in rows]
-    top = max_value if max_value is not None else max(values) or 1.0
-    if top <= 0:
-        top = 1.0
-    labels = [format_cell(row[label]) for row in rows]
-    label_width = max(len(text) for text in labels)
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    for text, v in zip(labels, values):
-        bar = _bar(v / top, width)
-        lines.append(f"{text.rjust(label_width)} |{bar.ljust(width)}| {format_cell(v)}")
-    return "\n".join(lines)
-
-
 def dual_chart(
     rows: Sequence[Dict[str, Any]],
     label: str,

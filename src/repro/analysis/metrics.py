@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.history import History
 from repro.core.operations import Operation
@@ -85,13 +85,3 @@ def timedness_report(history: History, delta: float, epsilon: float = 0.0) -> Di
         "late_fraction": len(late) / len(reads) if reads else 0.0,
         "threshold": min_timed_delta(history, epsilon),
     }
-
-
-def per_site_op_counts(history: History) -> Dict[int, Tuple[int, int]]:
-    """{site: (reads, writes)} for quick workload sanity checks."""
-    out: Dict[int, Tuple[int, int]] = {}
-    for site in history.sites:
-        ops = history.site_ops(site)
-        reads = sum(1 for op in ops if op.is_read)
-        out[site] = (reads, len(ops) - reads)
-    return out

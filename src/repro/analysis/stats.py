@@ -8,7 +8,7 @@ uncertainty estimate; these helpers aggregate per-seed result rows into
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Iterable, List, Sequence
+from typing import Sequence
 
 
 def mean(values: Sequence[float]) -> float:
@@ -33,51 +33,3 @@ def stderr(values: Sequence[float]) -> float:
     if n < 2:
         return 0.0
     return stddev(values) / math.sqrt(n)
-
-
-def confidence_interval(values: Sequence[float], z: float = 1.96):
-    """Normal-approximation CI half-width around the mean."""
-    return mean(values), z * stderr(values)
-
-
-def summarize_rows(
-    rows: Iterable[Dict[str, Any]],
-    group_by: str,
-    metrics: Sequence[str],
-) -> List[Dict[str, Any]]:
-    """Aggregate per-seed rows into one summary row per group.
-
-    Each output row carries ``<metric>_mean`` and ``<metric>_se`` columns.
-    Non-numeric metric values are skipped.
-    """
-    groups: Dict[Any, List[Dict[str, Any]]] = {}
-    for row in rows:
-        groups.setdefault(row[group_by], []).append(row)
-    out: List[Dict[str, Any]] = []
-    for key in groups:
-        summary: Dict[str, Any] = {group_by: key, "n": len(groups[key])}
-        for metric in metrics:
-            values = [
-                float(row[metric])
-                for row in groups[key]
-                if isinstance(row.get(metric), (int, float))
-            ]
-            if not values:
-                continue
-            summary[f"{metric}_mean"] = round(mean(values), 5)
-            summary[f"{metric}_se"] = round(stderr(values), 5)
-        out.append(summary)
-    return out
-
-
-def replicate(
-    run: Callable[[int], Dict[str, Any]],
-    seeds: Sequence[int],
-) -> List[Dict[str, Any]]:
-    """Run ``run(seed)`` for each seed, tagging rows with their seed."""
-    rows = []
-    for seed in seeds:
-        row = dict(run(seed))
-        row["seed"] = seed
-        rows.append(row)
-    return rows

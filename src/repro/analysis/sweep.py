@@ -103,22 +103,6 @@ def delta_cost_sweep(
     return rows
 
 
-def epsilon_sweep(
-    epsilons: Sequence[float],
-    workload_factory: WorkloadFactory,
-    variant: str = "tsc",
-    delta: float = 0.5,
-    **kwargs: Any,
-) -> List[Dict[str, Any]]:
-    """Sweep clock precision at fixed delta (the Definition-2 axis)."""
-    return [
-        run_cluster_experiment(
-            variant, delta, workload_factory, epsilon=epsilon, **kwargs
-        )
-        for epsilon in epsilons
-    ]
-
-
 def variant_comparison(
     workload_factory: WorkloadFactory,
     delta: float = 0.5,

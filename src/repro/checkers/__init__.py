@@ -32,11 +32,7 @@ from repro.checkers.extensions import (
 from repro.checkers.lin import check_interval_linearizability, check_lin
 from repro.checkers.result import CheckResult, SearchBudgetExceeded
 from repro.checkers.sc import check_sc
-from repro.checkers.sessions import (
-    SessionViolation,
-    satisfies_session_guarantees,
-    session_guarantee_report,
-)
+from repro.checkers.sessions import SessionViolation, session_guarantee_report
 from repro.checkers.tcc import check_tcc, check_tcc_logical
 from repro.checkers.transactions import (
     Transaction,
@@ -48,7 +44,6 @@ from repro.checkers.transactions import (
 from repro.checkers.threshold import (
     ThresholdReport,
     delta_spectrum,
-    tcc_logical_threshold,
     tcc_threshold,
     threshold_report,
     tsc_threshold,
@@ -88,10 +83,8 @@ __all__ = [
     "hierarchy_violations",
     "history_from_wal",
     "judge",
-    "satisfies_session_guarantees",
     "session_guarantee_report",
     "singleton_transactions",
-    "tcc_logical_threshold",
     "tcc_threshold",
     "threshold_report",
     "transaction",

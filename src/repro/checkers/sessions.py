@@ -154,7 +154,3 @@ def session_guarantee_report(history: History) -> Dict[str, List[SessionViolatio
         "writes-follow-reads": writes_follow_reads_violations(history),
     }
 
-
-def satisfies_session_guarantees(history: History) -> bool:
-    """True iff all four guarantees hold."""
-    return not any(session_guarantee_report(history).values())

@@ -17,9 +17,8 @@ from typing import Optional
 from repro.checkers.cc import cc_given_sc, check_cc
 from repro.checkers.result import within_budget
 from repro.checkers.sc import check_sc
-from repro.clocks.xi import XiMap
 from repro.core.history import History
-from repro.core.timed import min_timed_delta, min_timed_delta_logical
+from repro.core.timed import min_timed_delta
 
 
 @dataclass
@@ -111,18 +110,6 @@ def tcc_threshold(
     if not check_cc(history, budget=budget).satisfied:
         return math.inf
     return min_timed_delta(history, epsilon)
-
-
-def tcc_logical_threshold(
-    history: History,
-    xi: XiMap,
-    budget: Optional[int] = None,
-) -> float:
-    """Smallest Definition-6 delta with logical TCC; ``math.inf`` if CC
-    fails (operations must carry logical timestamps)."""
-    if not check_cc(history, budget=budget).satisfied:
-        return math.inf
-    return min_timed_delta_logical(history, xi)
 
 
 def delta_spectrum(

@@ -11,7 +11,6 @@ from repro.clocks.base import (
     LogicalTimestamp,
     Ordering,
     compare_physical,
-    definitely_before,
 )
 from repro.clocks.lamport import LamportClock, ScalarTimestamp
 from repro.clocks.physical import (
@@ -19,11 +18,8 @@ from repro.clocks.physical import (
     ManualTime,
     PerfectClock,
     PhysicalClock,
-    SkewedClock,
     SynchronizedClock,
     TimeServer,
-    measured_epsilon,
-    pairwise_epsilon,
 )
 from repro.clocks.rebase import RebasedClock
 from repro.clocks.plausible import (
@@ -37,13 +33,11 @@ from repro.clocks.plausible import (
 from repro.clocks.vector import VectorClock, VectorTimestamp
 from repro.clocks.xi import (
     EuclideanXi,
-    FunctionXi,
     PNormXi,
     SumXi,
     WeightedXi,
     XiMap,
     figure7_examples,
-    logical_delta_elapsed,
     validate_xi,
 )
 
@@ -52,7 +46,6 @@ __all__ = [
     "CombTimestamp",
     "DriftingClock",
     "EuclideanXi",
-    "FunctionXi",
     "KLamportClock",
     "KLamportTimestamp",
     "LamportClock",
@@ -67,7 +60,6 @@ __all__ = [
     "REVTimestamp",
     "RebasedClock",
     "ScalarTimestamp",
-    "SkewedClock",
     "SumXi",
     "SynchronizedClock",
     "TimeServer",
@@ -76,10 +68,6 @@ __all__ = [
     "WeightedXi",
     "XiMap",
     "compare_physical",
-    "definitely_before",
     "figure7_examples",
-    "logical_delta_elapsed",
-    "measured_epsilon",
-    "pairwise_epsilon",
     "validate_xi",
 ]

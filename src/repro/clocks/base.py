@@ -38,14 +38,6 @@ class Ordering(enum.Enum):
     EQUAL = "equal"
     CONCURRENT = "concurrent"
 
-    def flipped(self) -> "Ordering":
-        """Return the ordering seen from the other operand's point of view."""
-        if self is Ordering.BEFORE:
-            return Ordering.AFTER
-        if self is Ordering.AFTER:
-            return Ordering.BEFORE
-        return self
-
 
 def compare_physical(t_a: float, t_b: float, epsilon: float = 0.0) -> Ordering:
     """Compare two physical timestamps under clock precision ``epsilon``.
@@ -68,11 +60,6 @@ def compare_physical(t_a: float, t_b: float, epsilon: float = 0.0) -> Ordering:
     if t_a == t_b:
         return Ordering.EQUAL
     return Ordering.CONCURRENT
-
-
-def definitely_before(t_a: float, t_b: float, epsilon: float = 0.0) -> bool:
-    """``True`` iff ``t_a`` definitely occurred before ``t_b`` (Section 3.2)."""
-    return compare_physical(t_a, t_b, epsilon) is Ordering.BEFORE
 
 
 TS = TypeVar("TS", bound="LogicalTimestamp")

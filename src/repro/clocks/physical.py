@@ -10,7 +10,6 @@ Since we run on a simulator rather than a testbed, these classes model that
 behaviour explicitly and deterministically:
 
 * :class:`PerfectClock` — reads simulated real time exactly (``epsilon = 0``).
-* :class:`SkewedClock` — constant offset from real time.
 * :class:`DriftingClock` — a rate error (drift, in seconds/second) plus an
   initial offset; the error grows linearly between resynchronizations.
 * :class:`SynchronizedClock` — a drifting clock that is resynchronized
@@ -27,7 +26,7 @@ so they plug directly into :mod:`repro.sim`.
 from __future__ import annotations
 
 import random
-from typing import Callable, List
+from typing import Callable
 
 TimeSource = Callable[[], float]
 
@@ -55,21 +54,6 @@ class PhysicalClock:
 
 class PerfectClock(PhysicalClock):
     """Reads simulated real time exactly: the Definition-1 regime."""
-
-
-class SkewedClock(PhysicalClock):
-    """A clock with a constant offset from real time."""
-
-    def __init__(self, time_source: TimeSource, offset: float) -> None:
-        super().__init__(time_source)
-        self.offset = float(offset)
-
-    def now(self) -> float:
-        return self.real_time() + self.offset
-
-    @property
-    def epsilon_bound(self) -> float:
-        return 2.0 * abs(self.offset)
 
 
 class DriftingClock(PhysicalClock):
@@ -176,14 +160,6 @@ class SynchronizedClock(PhysicalClock):
         return 2.0 * half
 
 
-def pairwise_epsilon(clocks: List[PhysicalClock]) -> float:
-    """The precision ``epsilon`` of an ensemble: max over clocks of their
-    individual ``epsilon_bound`` (each bound already covers a pair)."""
-    if not clocks:
-        return 0.0
-    return max(c.epsilon_bound for c in clocks)
-
-
 class ManualTime:
     """A trivially controllable time source for tests and doctests.
 
@@ -209,11 +185,3 @@ class ManualTime:
         if t < self._now:
             raise ValueError(f"cannot move time backwards ({t} < {self._now})")
         self._now = float(t)
-
-
-def measured_epsilon(clocks: List[PhysicalClock]) -> float:
-    """Empirical pairwise skew of an ensemble at the current instant."""
-    readings = [c.now() for c in clocks]
-    if not readings:
-        return 0.0
-    return max(readings) - min(readings)

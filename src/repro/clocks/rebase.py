@@ -39,9 +39,9 @@ class RebasedClock:
 
     ``source`` defaults to the running event loop's monotonic time; it is
     resolved lazily so a :class:`RebasedClock` may be constructed before
-    any loop exists.  ``offset`` adds a constant skew to every reading —
-    the live analogue of :class:`repro.clocks.physical.SkewedClock`, used
-    to inject imperfect synchronization into ``repro.net`` experiments.
+    any loop exists.  ``offset`` adds a constant skew to every reading,
+    used to inject imperfect synchronization into ``repro.net``
+    experiments.
 
     A reading is the one expression ``source() - t0 + offset``.  Until
     the first reading ``source`` is a stand-in that resolves the real
@@ -66,11 +66,6 @@ class RebasedClock:
         reading = source()
         self.source, self.t0 = source, reading
         return reading
-
-    def pin(self) -> None:
-        """Fix t0 now (instead of at the first :meth:`now` call)."""
-        if self.t0 is None:
-            self.source()
 
     def now(self) -> float:
         """Seconds since the first reading, plus the configured offset."""

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from abc import ABC, abstractmethod
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.clocks.base import LogicalTimestamp, Ordering
 from repro.clocks.vector import VectorTimestamp
@@ -125,21 +125,6 @@ class PNormXi(XiMap):
         return sum(abs(e) ** self.p for e in entries) ** (1.0 / self.p)
 
 
-class FunctionXi(XiMap):
-    """Wrap an arbitrary callable as a xi map (validated by the caller)."""
-
-    def __init__(self, fn: Callable[[LogicalTimestamp], float], name: str = "custom"):
-        self._fn = fn
-        self._name = name
-
-    def __call__(self, timestamp: LogicalTimestamp) -> float:
-        return float(self._fn(timestamp))
-
-    @property
-    def name(self) -> str:
-        return self._name
-
-
 def validate_xi(
     xi: XiMap,
     timestamps: Iterable[LogicalTimestamp],
@@ -161,21 +146,6 @@ def validate_xi(
         if order is Ordering.AFTER and not xu < xt:
             return f"xi not monotone: {u!r} < {t!r} but xi {xu} >= {xt}"
     return None
-
-
-def logical_delta_elapsed(
-    xi: XiMap,
-    write_ts: LogicalTimestamp,
-    reader_ts: LogicalTimestamp,
-    delta: float,
-) -> bool:
-    """Definition 6's visibility trigger: has more than ``delta`` units of
-    global activity happened (as seen by the reader) since ``write_ts``?
-
-    Timed consistency under logical clocks requires a write at logical time
-    ``t`` to be visible at site ``i`` before ``xi(t_i) - xi(t) > delta``.
-    """
-    return xi(reader_ts) - xi(write_ts) > delta
 
 
 def figure7_examples() -> dict:

@@ -1,7 +1,7 @@
 """Core model: operations, histories, serializations, and reading on time."""
 
 from repro.core.history import DEFAULT_INITIAL_VALUE, History, HistoryError
-from repro.core.io import dump_history, dumps_history, load_history, loads_history
+from repro.core.io import dump_history, dumps_history, load_history
 from repro.core.render import render_serialization, render_timeline
 from repro.core.operations import Operation, OpKind, read, write
 from repro.core.serialization import (
@@ -10,14 +10,11 @@ from repro.core.serialization import (
     is_legal,
     reads_from_in,
     respects,
-    respects_effective_times,
     respects_program_order,
     time_order_witness,
 )
 from repro.core.timed import (
     INFINITE_DELTA,
-    all_reads_on_time,
-    all_reads_on_time_logical,
     is_timed_serialization,
     late_reads,
     min_timed_delta,
@@ -36,8 +33,6 @@ __all__ = [
     "OpKind",
     "Operation",
     "Serialization",
-    "all_reads_on_time",
-    "all_reads_on_time_logical",
     "dump_history",
     "dumps_history",
     "first_legality_violation",
@@ -45,7 +40,6 @@ __all__ = [
     "is_timed_serialization",
     "late_reads",
     "load_history",
-    "loads_history",
     "min_timed_delta",
     "min_timed_delta_logical",
     "read",
@@ -55,7 +49,6 @@ __all__ = [
     "render_timeline",
     "required_delta",
     "respects",
-    "respects_effective_times",
     "respects_program_order",
     "time_order_witness",
     "w_r_set",

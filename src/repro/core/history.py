@@ -21,7 +21,7 @@ initial value and no write produced it.
 from __future__ import annotations
 
 from graphlib import CycleError, TopologicalSorter
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.core.operations import Operation
 
@@ -184,10 +184,6 @@ class History:
         self._causal_preds = closure
         return closure
 
-    def causally_precedes(self, a: Operation, b: Operation) -> bool:
-        """``a -> b`` in the paper's causality relation."""
-        return a in self.causal_predecessors()[b]
-
     def concurrent(self, a: Operation, b: Operation) -> bool:
         """Neither ``a -> b`` nor ``b -> a`` (and ``a is not b``)."""
         if a is b:
@@ -199,55 +195,3 @@ class History:
         """All (a, b) with ``a -> b``."""
         closure = self.causal_predecessors()
         return {(a, b) for b, preds in closure.items() for a in preds}
-
-    # -- convenience constructors ---------------------------------------------
-
-    @staticmethod
-    def from_site_sequences(
-        sequences: Sequence[Sequence[Operation]],
-        initial_value: Any = DEFAULT_INITIAL_VALUE,
-    ) -> "History":
-        """Build a history from explicit per-site operation sequences."""
-        ops: List[Operation] = []
-        for seq in sequences:
-            ops.extend(seq)
-        return History(ops, initial_value=initial_value)
-
-    # -- slicing -----------------------------------------------------------
-
-    def restrict_sites(self, sites: Iterable[int]) -> "History":
-        """The sub-history of the given sites' operations.
-
-        Validation is relaxed (reads may reference writes of excluded
-        sites); reads-from is still resolved against the retained writes.
-        """
-        keep = set(sites)
-        return History(
-            [op for op in self.operations if op.site in keep],
-            initial_value=self.initial_value,
-            validate=False,
-        )
-
-    def restrict_objects(self, objects: Iterable[str]) -> "History":
-        """The sub-history touching only the given objects."""
-        keep = set(objects)
-        return History(
-            [op for op in self.operations if op.obj in keep],
-            initial_value=self.initial_value,
-            validate=False,
-        )
-
-    def time_window(self, start: float, end: float) -> "History":
-        """Operations with effective times in ``[start, end]``.
-
-        Useful for zooming analysis into a phase of a long run; like the
-        other slices, validation is relaxed because a window may cut a
-        read off from its writer.
-        """
-        if end < start:
-            raise ValueError(f"empty window: [{start}, {end}]")
-        return History(
-            [op for op in self.operations if start <= op.time <= end],
-            initial_value=self.initial_value,
-            validate=False,
-        )

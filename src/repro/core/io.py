@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, IO, List, Optional, Union
+from typing import Any, Dict, IO, Optional, Union
 
 from repro.clocks.vector import VectorTimestamp
 from repro.core.history import History
@@ -162,8 +162,3 @@ def load_history(fp: Union[str, IO[str]], validate: bool = True) -> History:
 def dumps_history(history: History) -> str:
     """Serialize a history to a JSON string."""
     return json.dumps(history_to_dict(history), indent=2)
-
-
-def loads_history(text: str, validate: bool = True) -> History:
-    """Parse a history from a JSON string."""
-    return history_from_dict(json.loads(text), validate=validate)

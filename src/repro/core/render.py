@@ -81,8 +81,3 @@ def render_serialization(sequence: Sequence[Operation]) -> str:
     for i in range(0, len(labels), 6):
         lines.append("  " + "  ".join(labels[i : i + 6]))
     return "\n".join(lines)
-
-
-def describe_violation(history: History, violation: str) -> str:
-    """The timeline plus the violation text, for error reporting."""
-    return f"{render_timeline(history)}\n\nviolation: {violation}"

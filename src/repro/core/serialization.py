@@ -86,12 +86,6 @@ def respects_program_order(sequence: Sequence[Operation]) -> bool:
     return True
 
 
-def respects_effective_times(sequence: Sequence[Operation]) -> bool:
-    """``True`` iff the sequence is sorted by effective time (the real-time
-    order linearizability must respect; ties may appear in either order)."""
-    return all(a.time <= b.time for a, b in zip(sequence, sequence[1:]))
-
-
 def reads_from_in(
     sequence: Sequence[Operation],
     initial_value: Any = DEFAULT_INITIAL_VALUE,
@@ -136,9 +130,6 @@ class Serialization:
 
     def respects_program_order(self) -> bool:
         return respects_program_order(self.sequence)
-
-    def respects_effective_times(self) -> bool:
-        return respects_effective_times(self.sequence)
 
     def covers(self, ops: Iterable[Operation]) -> bool:
         """``True`` iff the sequence contains exactly the given operations."""

@@ -176,15 +176,6 @@ def late_reads(
     ]
 
 
-def all_reads_on_time(
-    history: History,
-    delta: float,
-    epsilon: float = 0.0,
-) -> bool:
-    """``True`` iff every read in the history occurs on time."""
-    return not late_reads(history, delta, epsilon)
-
-
 def is_timed_serialization(
     history: History,
     sequence: Sequence[Operation],
@@ -251,8 +242,3 @@ def min_timed_delta_logical(history: History, xi: XiMap) -> float:
     """Smallest Definition-6 ``delta`` making every read on time."""
     reads = _required_deltas(history, 0.0, _xi_time(xi))
     return max((need for _, need in reads), default=0.0)
-
-
-def all_reads_on_time_logical(history: History, delta: float, xi: XiMap) -> bool:
-    """``True`` iff every read occurs on time under Definition 6."""
-    return min_timed_delta_logical(history, xi) <= delta

@@ -54,12 +54,11 @@ class _EngineBase:
         self.clock = clock
         self.wall = wall
         self.replies = ReplyCache()
-        # Cluster plumbing (repro.cluster; docs/CLUSTER.md).  ``epoch``
-        # is the monotone ring-layout version this server acknowledges;
-        # 0 means "no cluster" and keeps every reply epoch-free: a
-        # standalone server sets no flag and sends no epoch.
-        self.epoch = 0
-        self.ring: Optional[Dict[str, Any]] = None  #: serialized Ring of ``epoch``
+        # Cluster plumbing (repro.cluster; docs/CLUSTER.md): the serialized
+        # Ring this server acknowledges, its epoch inside it.  None means
+        # "no cluster" and keeps every reply epoch-free: a standalone
+        # server sets no flag and sends no epoch.
+        self.ring: Optional[Dict[str, Any]] = None
         self.requests = 0
         self.writes_installed = 0
         self.writes_discarded = 0
@@ -132,25 +131,32 @@ class _EngineBase:
 
     # -- ring epochs (repro.cluster; docs/CLUSTER.md) -------------------------
 
+    @property
+    def epoch(self) -> int:
+        """The acknowledged ring's epoch, 0 when there is none."""
+        return self.ring["epoch"] if self.ring is not None else 0
+
     def stamp(self, reply: Dict[str, Any]) -> Dict[str, Any]:
         """Stamp a reply with this server's ring epoch — the staleness
         signal routers act on.  Epoch 0 (standalone server) stamps
         nothing: its replies set no flag and send no epoch.  Called
         by the driver at *send* time, not at execution: the epoch may
         advance between execution and a much later replay, and the
-        retransmitting router deserves the current one."""
-        if self.epoch <= 0 or "epoch" in reply:
+        retransmitting router deserves the current one.  It runs on
+        every reply, so it reads ``ring`` rather than the property."""
+        ring = self.ring
+        if ring is None or ring["epoch"] <= 0 or "epoch" in reply:
             return reply
-        return {**reply, "epoch": self.epoch}
+        return {**reply, "epoch": ring["epoch"]}
 
     def adopt_ring(self, ring_dict: Dict[str, Any]) -> bool:
-        """Adopt a serialized ring iff its epoch is not behind ours.
-        Persistence of the acknowledged epoch is the driver's effect."""
+        """Adopt a serialized ring iff none is held or its epoch is
+        strictly newer.  Persisting the acknowledged ring is the
+        driver's effect."""
         epoch = int(ring_dict.get("epoch", 0))
-        if epoch < self.epoch or (epoch == self.epoch and self.ring is not None):
+        if self.ring is not None and epoch <= self.ring["epoch"]:
             return False
-        self.ring = dict(ring_dict)
-        self.epoch = epoch
+        self.ring = {**ring_dict, "epoch": epoch}
         return True
 
 

@@ -6,8 +6,7 @@ client (sim, asyncio twin, TCP, ring router).  It is *ported onto* the
 ``int``s (the sim hot path keeps plain ``+= 1`` arithmetic), and
 :meth:`ClientStats.bind` registers the struct as a registry collector
 that materializes the Prometheus families at scrape time.
-:meth:`as_row` and :meth:`merge` remain as the thin bridge the benches
-and tests were built on.
+:meth:`merge` remains as the thin bridge the benches were built on.
 """
 
 from __future__ import annotations
@@ -66,12 +65,6 @@ class ClientStats:
             return 0.0
         return 2.0 * (self.validations + self.fetches) / self.reads
 
-    @property
-    def mean_read_latency(self) -> float:
-        if not self.read_latencies:
-            return 0.0
-        return sum(self.read_latencies) / len(self.read_latencies)
-
     def merge(self, other: "ClientStats") -> "ClientStats":
         """Aggregate counters across clients (for fleet-level reporting)."""
         merged = ClientStats()
@@ -83,20 +76,6 @@ class ClientStats:
             setattr(merged, name, getattr(self, name) + getattr(other, name))
         merged.read_latencies = self.read_latencies + other.read_latencies
         return merged
-
-    def as_row(self) -> Dict[str, float]:
-        """A flat dict for table rendering in benches."""
-        return {
-            "reads": self.reads,
-            "writes": self.writes,
-            "hit_ratio": round(self.hit_ratio, 4),
-            "msgs_per_read": round(self.messages_per_read, 4),
-            "validations": self.validations,
-            "fetches": self.fetches,
-            "invalidations": self.invalidations,
-            "retries": self.retries,
-            "mean_read_latency": round(self.mean_read_latency, 4),
-        }
 
     # -- the repro.obs port ---------------------------------------------------
 

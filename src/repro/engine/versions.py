@@ -13,7 +13,7 @@ delta bound even when lifetimes are logical (Section 5.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Optional
 
 from repro.clocks.base import LogicalTimestamp, Ordering
@@ -44,10 +44,6 @@ class PhysicalVersion:
         """Extend the known lifetime (a validation succeeded at ``until``)."""
         if until > self.omega:
             self.omega = until
-
-    def mutually_consistent(self, other: "PhysicalVersion") -> bool:
-        """Lifetimes overlap: the two values coexisted (Section 5.1)."""
-        return max(self.alpha, other.alpha) <= min(self.omega, other.omega)
 
     def copy(self) -> "PhysicalVersion":
         return PhysicalVersion(self.obj, self.value, self.alpha, self.omega, self.writer)
@@ -117,9 +113,6 @@ class CacheEntry:
     old: bool = False
     fetched_at: float = 0.0
     hits: int = 0
-
-    def mark_old(self) -> None:
-        self.old = True
 
     def refresh(self, version: Any, now: float) -> None:
         self.version = version

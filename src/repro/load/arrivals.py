@@ -49,10 +49,6 @@ class ArrivalProcess:
         """Intended start offsets in ``[0, duration)``, ascending."""
         raise NotImplementedError
 
-    def mean_rate(self, duration: float) -> float:
-        """The analytic mean arrival rate over ``duration`` (ops/s)."""
-        raise NotImplementedError
-
     def describe(self) -> Dict[str, Any]:
         raise NotImplementedError
 
@@ -74,9 +70,6 @@ class FixedRate(ArrivalProcess):
         gap = 1.0 / self.rate
         return [i * gap for i in range(int(self.rate * duration))]
 
-    def mean_rate(self, duration: float) -> float:
-        return self.rate
-
     def describe(self) -> Dict[str, Any]:
         return {"kind": self.kind, "rate": self.rate}
 
@@ -94,9 +87,6 @@ class Poisson(ArrivalProcess):
             times.append(t)
             t += rng.expovariate(self.rate)
         return times
-
-    def mean_rate(self, duration: float) -> float:
-        return self.rate
 
     def describe(self) -> Dict[str, Any]:
         return {"kind": self.kind, "rate": self.rate}
@@ -128,9 +118,6 @@ class Ramp(ArrivalProcess):
             times.append(t)
             n += 1
         return times
-
-    def mean_rate(self, duration: float) -> float:
-        return (self.start_rate + self.end_rate) / 2.0
 
     def describe(self) -> Dict[str, Any]:
         return {
@@ -190,9 +177,6 @@ class Burst(ArrivalProcess):
             cum = seg_cum
         return [t for t in times if t < duration]
 
-    def mean_rate(self, duration: float) -> float:
-        return self.duty * self.burst_rate + (1.0 - self.duty) * self.base_rate
-
     def describe(self) -> Dict[str, Any]:
         return {
             "kind": self.kind,
@@ -220,9 +204,6 @@ class ClosedLoop(ArrivalProcess):
 
     def schedule(self, duration: float, rng: random.Random) -> List[float]:
         raise ArrivalError("closed-loop arrivals have no precomputed schedule")
-
-    def mean_rate(self, duration: float) -> float:
-        return 0.0  # unknown a priori: determined by service time + think
 
     def describe(self) -> Dict[str, Any]:
         return {"kind": self.kind, "think": self.think}

@@ -223,9 +223,6 @@ class Scenario:
                 raise ScenarioError(f"{path}: invalid JSON ({exc})") from None
         return cls.from_dict(data)
 
-    def total_duration(self) -> float:
-        return sum(p.duration for p in self.phases)
-
     def describe(self) -> Dict[str, Any]:
         """The config echo that lands in reports and BENCH_load.json."""
         return {

@@ -79,12 +79,10 @@ from repro.net.framing import (
     CLUSTER_STATE,
     CLUSTER_VIEW,
     ERROR,
-    HANDOFF,
     HELLO,
     HELLO_ACK,
     PING,
     PING_ACK,
-    PING_REQ,
     PROMOTE,
     PROMOTE_ACK,
     PROTOCOL_VERSION,
@@ -189,13 +187,12 @@ class NetObjectServer:
         self.metric_labels = {
             k: str(v) for k, v in (metric_labels or {}).items()
         }
-        self._collector = None
         self.pipeline = None
         if registry is not None:
             from repro.obs.bridge import bind_net_server
             from repro.obs.instruments import PipelineInstruments
 
-            self._collector = bind_net_server(registry, self, **self.metric_labels)
+            bind_net_server(registry, self, **self.metric_labels)
             self.pipeline = PipelineInstruments(
                 registry, side="server", labels=self.metric_labels
             )
@@ -217,10 +214,11 @@ class NetObjectServer:
             self.clock()  # pin the timescale's zero to server start
             if isinstance(self.clock, RebasedClock):
                 self.clock.offset += recovered.resume_time
-            # Resume the last acknowledged ring epoch: the server must
-            # never answer with an epoch older than one it persisted, or
-            # routers would trust a layout the cluster already left.
-            self.engine.epoch = max(self.engine.epoch, recovered.ring_epoch)
+            # Resume the last acknowledged ring: the server must never
+            # answer with an epoch older than one it persisted, or routers
+            # would trust a layout the cluster already left.
+            if recovered.ring is not None:
+                self.engine.adopt_ring(recovered.ring)
         else:
             self.clock()  # pin the timescale's zero to server start
         self._server = await listen(self._serve, self.host, self.port)
@@ -230,10 +228,6 @@ class NetObjectServer:
     @property
     def address(self) -> str:
         return f"{self.host}:{self.port}"
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        await self._server.serve_forever()
 
     @property
     def healthy(self) -> bool:
@@ -294,8 +288,7 @@ class NetObjectServer:
             self.durable.close(sync=True)  # no-op after a clean shutdown
         # The collector stays registered: a registry is scoped to one
         # deployment/run, and post-run snapshots must still carry the
-        # server's final counters.  Unregister explicitly for reuse:
-        #     registry.unregister_collector(server._collector)
+        # server's final counters.
 
     async def _close_connections(self) -> None:
         """Stop accepting, close every connection, then wait for the
@@ -553,12 +546,13 @@ class NetObjectServer:
     # -- the cluster control plane (repro.cluster; docs/CLUSTER.md) -----------
 
     def set_ring(self, ring_dict: Dict[str, Any]) -> bool:
-        """Adopt a serialized ring iff its epoch is not behind ours;
-        persists the acknowledged epoch into ``meta.json`` so a restart
-        never resumes trusting a layout the cluster moved past."""
+        """Adopt a serialized ring iff none is held or it is strictly
+        newer; persists the acknowledged ring into ``meta.json`` so a
+        restart resumes it and never trusts a layout the cluster moved
+        past."""
         adopted = self.engine.adopt_ring(ring_dict)
         if adopted and self.durable is not None:
-            self.durable.save_epoch(self.engine.epoch)
+            self.durable.save_ring(self.engine.ring)
         return adopted
 
     async def _on_cluster(self, frame: Dict[str, Any]) -> Dict[str, Any]:

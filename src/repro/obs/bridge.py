@@ -9,9 +9,8 @@ function registers a *collector* that reads the struct only at
 scrape/snapshot time: the struct keeps native ``int`` arithmetic, the
 registry stays the single export surface, and no count is kept twice.
 
-Every binder returns the collector so callers can
-:meth:`~repro.obs.metrics.Registry.unregister_collector` it when the
-bound object's run ends.
+A registry is scoped to one run, so a collector stays registered for
+the registry's life.
 """
 
 from __future__ import annotations

@@ -12,10 +12,10 @@ Prometheus data model but built from scratch:
 * :class:`Registry` — one run's family store: get-or-create accessors,
   *collector* registration (pull-model bridges over the existing stat
   structs, see :mod:`repro.obs.bridge`), JSON-able
-  :meth:`Registry.snapshot`, :func:`diff_snapshots` and
-  :meth:`Registry.reset`.  There is no process-wide registry: a
-  component exports only into the registry it is handed, so one run's
-  counts never leak into the next run in the same process.
+  :meth:`Registry.snapshot` and :func:`diff_snapshots`.  There is no
+  process-wide registry: a component exports only into the registry it
+  is handed, so one run's counts never leak into the next run in the
+  same process.
 
 Every exported number has one source, by one of two update models:
 
@@ -120,9 +120,6 @@ class _GaugeChild:
 
     def inc(self, amount: float = 1.0) -> None:
         self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._value -= amount
 
     def set_function(self, fn: Callable[[], float]) -> None:
         """Read the gauge from ``fn()`` at scrape time (pull model)."""
@@ -271,9 +268,6 @@ class Metric:
     def inc(self, amount: float = 1.0) -> None:
         self._default.inc(amount)
 
-    def dec(self, amount: float = 1.0) -> None:
-        self._default.dec(amount)
-
     def set(self, value: float) -> None:
         self._default.set(value)
 
@@ -307,9 +301,6 @@ class Metric:
             else:
                 out.append({"labels": labels, "value": child.value})
         return out
-
-    def clear(self) -> None:
-        self._children.clear()
 
 
 def family(
@@ -403,10 +394,6 @@ class Registry:
         self._collectors.append(collector)
         return collector
 
-    def unregister_collector(self, collector: Collector) -> None:
-        if collector in self._collectors:
-            self._collectors.remove(collector)
-
     # Access -----------------------------------------------------------------
 
     def get(self, name: str) -> Optional[Metric]:
@@ -457,11 +444,6 @@ class Registry:
         from repro.core.io import atomic_write_json
 
         atomic_write_json(path, self.snapshot(), fsync=False)
-
-    def reset(self) -> None:
-        """Zero every direct metric (families and collectors survive)."""
-        for metric in self._metrics.values():
-            metric.clear()
 
 
 def _sample_key(sample: Dict[str, Any]) -> Tuple[Tuple[str, str], ...]:

@@ -9,13 +9,13 @@ execution trace plus protocol statistics.
     cluster.spawn(my_workload)          # one generator per client
     cluster.run(until=60.0)
     history = cluster.history()         # feed to repro.checkers
-    print(cluster.aggregate_stats().as_row())
+    print(cluster.aggregate_stats().hit_ratio)
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
 from repro.clocks.physical import PerfectClock, SynchronizedClock, TimeServer
 from repro.core.history import History
@@ -246,9 +246,6 @@ class Cluster:
         for client in self.clients:
             total = total.merge(client.stats)
         return total
-
-    def per_client_stats(self) -> Dict[int, ClientStats]:
-        return {client.node_id: client.stats for client in self.clients}
 
     @property
     def message_stats(self):

@@ -85,10 +85,6 @@ class WriteOutcome:
     failed: Tuple[int, ...]  #: devices whose copy failed and was queued
     quorum: int
 
-    @property
-    def quorum_met(self) -> bool:
-        return len(self.acked) >= self.quorum
-
 
 @dataclass
 class ReadOutcome:
@@ -310,9 +306,6 @@ class ReplicatedPlacement:
         )
 
     # -- anti-entropy ----------------------------------------------------------
-
-    def pending_repairs(self) -> List[RepairTask]:
-        return list(self.repairs)
 
     async def repair_once(self) -> int:
         """One anti-entropy round: re-push every queued copy

@@ -1,8 +1,6 @@
 """Deterministic discrete-event simulation substrate."""
 
 from repro.sim.kernel import (
-    AllOf,
-    AnyOf,
     Event,
     Process,
     SimulationError,
@@ -25,13 +23,10 @@ from repro.sim.rng import (
     bounded,
     exponential,
     lognormal,
-    weighted_choice,
 )
 from repro.sim.trace import TraceRecorder, UniqueValueFactory
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "ConstantLatency",
     "Event",
     "LatencyModel",
@@ -52,5 +47,4 @@ __all__ = [
     "bounded",
     "exponential",
     "lognormal",
-    "weighted_choice",
 ]

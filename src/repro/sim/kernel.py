@@ -70,53 +70,6 @@ class Timeout:
         self.delay = delay
 
 
-class AllOf(Event):
-    """An event that succeeds when *all* component events have succeeded.
-
-    Its value is the list of component values in the given order.
-    """
-
-    def __init__(self, sim: "Simulator", events: List[Event]) -> None:
-        super().__init__(sim)
-        if not events:
-            raise SimulationError("AllOf needs at least one event")
-        self._values: List[Any] = [None] * len(events)
-        self._remaining = len(events)
-        for i, event in enumerate(events):
-            event.add_callback(self._make_callback(i))
-
-    def _make_callback(self, index: int) -> Callable[[Event], None]:
-        def on_done(event: Event) -> None:
-            self._values[index] = event.value
-            self._remaining -= 1
-            if self._remaining == 0 and not self.triggered:
-                self.succeed(list(self._values))
-
-        return on_done
-
-
-class AnyOf(Event):
-    """An event that succeeds when the *first* component event does.
-
-    Its value is ``(index, value)`` of the winner; later completions are
-    ignored.
-    """
-
-    def __init__(self, sim: "Simulator", events: List[Event]) -> None:
-        super().__init__(sim)
-        if not events:
-            raise SimulationError("AnyOf needs at least one event")
-        for i, event in enumerate(events):
-            event.add_callback(self._make_callback(i))
-
-    def _make_callback(self, index: int) -> Callable[[Event], None]:
-        def on_done(event: Event) -> None:
-            if not self.triggered:
-                self.succeed((index, event.value))
-
-        return on_done
-
-
 ProcessGenerator = Generator[Any, Any, None]
 
 
@@ -201,14 +154,6 @@ class Simulator:
     def event(self) -> Event:
         """Create an untriggered event bound to this simulator."""
         return Event(self)
-
-    def all_of(self, events: List[Event]) -> "AllOf":
-        """Succeeds when every given event has (values in order)."""
-        return AllOf(self, events)
-
-    def any_of(self, events: List[Event]) -> "AnyOf":
-        """Succeeds with (index, value) of the first event to fire."""
-        return AnyOf(self, events)
 
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Register a generator as a process starting now."""

@@ -169,9 +169,6 @@ class Network:
         """Reconnect a previously partitioned node."""
         self._partitioned.discard(node_id)
 
-    def is_partitioned(self, node_id: int) -> bool:
-        return node_id in self._partitioned
-
     def broadcast(self, src: int, kind: str, payload=None, size: int = 1) -> int:
         """Send to every registered node except the source; returns count."""
         count = 0

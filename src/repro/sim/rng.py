@@ -15,7 +15,7 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 
 class RngRegistry:
@@ -89,19 +89,3 @@ def lognormal(rng: random.Random, median: float, sigma: float) -> float:
 def bounded(value: float, low: float, high: float) -> float:
     """Clamp ``value`` into [low, high]."""
     return max(low, min(high, value))
-
-
-def weighted_choice(rng: random.Random, items: Sequence, weights: Sequence[float]):
-    """Pick one item with the given (unnormalized) weights."""
-    if len(items) != len(weights):
-        raise ValueError("items and weights must have equal length")
-    total = sum(weights)
-    if total <= 0:
-        raise ValueError("weights must sum to a positive value")
-    u = rng.random() * total
-    acc = 0.0
-    for item, w in zip(items, weights):
-        acc += w
-        if u <= acc:
-            return item
-    return items[-1]

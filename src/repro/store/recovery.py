@@ -143,7 +143,7 @@ class RecoveredState:
     quarantined_bytes: int = 0
     clean_start: bool = False  #: previous shutdown was graceful
     recovery_seconds: float = 0.0
-    ring_epoch: int = 0  #: last ring epoch this device acknowledged
+    ring: Optional[Dict[str, Any]] = None  #: last ring this device acknowledged
 
     @property
     def empty(self) -> bool:
@@ -319,7 +319,7 @@ class DurableStore:
             wal_quarantined=wal_sidecar,
             quarantined_bytes=state.wal.tail_bytes,
             clean_start=clean_start,
-            ring_epoch=int(meta.get("ring_epoch", 0)),
+            ring=meta.get("ring"),
         )
         if not recovered.empty or not clean_start:
             # Persist the recovery event itself: the restored context and
@@ -401,19 +401,24 @@ class DurableStore:
         none of them may be acknowledged."""
         return self.wal.commit_soon() if self.wal is not None else None
 
-    # -- cluster epoch -------------------------------------------------------
+    # -- cluster ring --------------------------------------------------------
 
-    def save_epoch(self, epoch: int) -> bool:
-        """Durably record the ring epoch this device has acknowledged.
+    def save_ring(self, ring: Dict[str, Any]) -> bool:
+        """Durably record the serialized ring this device has
+        acknowledged.
 
-        Written into ``meta.json`` (atomic rename), monotone: an older
-        epoch is ignored.  On restart the server resumes from
-        ``RecoveredState.ring_epoch``, so it never re-serves a layout
-        the cluster already moved past.  Returns whether it persisted.
+        Written into ``meta.json`` (atomic rename), monotone: a ring no
+        newer than the saved one is ignored.  On restart the server
+        resumes ``RecoveredState.ring``, so it serves the layout it left
+        with and never one the cluster already moved past.  Returns
+        whether it persisted.  A store written before the ring was kept
+        held only its epoch, under ``ring_epoch``; that key is dropped.
         """
-        if epoch <= int(self._meta.get("ring_epoch", 0)):
+        saved = self._meta.get("ring")
+        if saved is not None and ring["epoch"] <= saved["epoch"]:
             return False
-        self._meta["ring_epoch"] = int(epoch)
+        self._meta["ring"] = ring
+        self._meta.pop("ring_epoch", None)
         self._meta.setdefault("version", META_VERSION)
         if self._origin_unix is not None:
             self._meta.setdefault("origin_unix", self._origin_unix)

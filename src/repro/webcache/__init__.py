@@ -4,7 +4,6 @@ from repro.webcache.documents import (
     DocumentVersion,
     ModificationProcess,
     doc_name,
-    document_names,
 )
 from repro.webcache.harness import (
     WebExperimentResult,
@@ -40,6 +39,5 @@ __all__ = [
     "WebExperimentResult",
     "compare_policies",
     "doc_name",
-    "document_names",
     "run_web_experiment",
 ]

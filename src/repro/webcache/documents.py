@@ -12,7 +12,7 @@ shape the TTL-vs-invalidation comparisons depend on).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List
+from typing import Generator
 
 from repro.sim.kernel import Simulator
 from repro.sim.rng import exponential, lognormal
@@ -74,8 +74,3 @@ class ModificationProcess:
             yield self.sim.timeout(self._interval(rank))
             self._counter += 1
             self.origin.install(name, f"{name}#v{self._counter}", self.sim.now)
-
-
-def document_names(n_docs: int) -> List[str]:
-    """The first ``n_docs`` canonical document names."""
-    return [doc_name(i) for i in range(n_docs)]

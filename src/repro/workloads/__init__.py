@@ -3,11 +3,8 @@
 from repro.workloads.access import (
     read_heavy_hotspot,
     uniform_workload,
-    zipf_workload,
 )
-from repro.workloads.collaborative import collaborative_workload, paragraph
 from repro.workloads.random_history import (
-    jitter_times,
     random_history,
     random_linearizable_history,
     random_replica_history,
@@ -20,9 +17,6 @@ __all__ = [
     "CNN",
     "DOW_JONES",
     "avatar_name",
-    "collaborative_workload",
-    "jitter_times",
-    "paragraph",
     "random_history",
     "random_linearizable_history",
     "random_replica_history",
@@ -31,5 +25,4 @@ __all__ = [
     "ticker_workload",
     "uniform_workload",
     "virtual_env_workload",
-    "zipf_workload",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Generator, List, Optional
 
-from repro.sim.rng import ZipfSampler, exponential
+from repro.sim.rng import exponential
 
 
 def uniform_workload(
@@ -31,31 +31,6 @@ def uniform_workload(
         for _ in range(n_ops):
             yield cluster.sim.timeout(exponential(rng, 1.0 / mean_think_time))
             obj = rng.choice(objects)
-            if rng.random() < write_fraction:
-                value = cluster.values.next_value(client.node_id)
-                yield client.write(obj, value)
-            else:
-                yield client.read(obj)
-
-    return workload
-
-
-def zipf_workload(
-    n_objects: int = 50,
-    n_ops: int = 100,
-    alpha: float = 0.9,
-    mean_think_time: float = 0.05,
-    write_fraction: float = 0.1,
-    prefix: str = "obj",
-):
-    """Zipf-popular objects (rank 0 hottest), mostly reads — the shape of
-    web/object-cache traffic the paper's Section 4 discusses."""
-
-    def workload(cluster, client, rng) -> Generator:
-        sampler = ZipfSampler(n_objects, alpha, rng)
-        for _ in range(n_ops):
-            yield cluster.sim.timeout(exponential(rng, 1.0 / mean_think_time))
-            obj = f"{prefix}{sampler.sample()}"
             if rng.random() < write_fraction:
                 value = cluster.values.next_value(client.node_id)
                 yield client.write(obj, value)

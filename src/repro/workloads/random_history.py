@@ -20,7 +20,7 @@ and deterministic for a given ``random.Random``.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.history import History
 from repro.core.operations import Operation, read, write
@@ -169,26 +169,3 @@ def random_history(
             pool = written[obj] + [0]
             ops.append(read(site, obj, rng.choice(pool), time))
     return History(ops)
-
-
-def jitter_times(
-    history: History,
-    rng: random.Random,
-    scale: float = 1.0,
-) -> History:
-    """Return a copy of ``history`` with effective times multiplied by
-    ``scale`` and per-site jitter added (program order preserved) — used
-    to explore how thresholds move with the time axis."""
-    ops: List[Operation] = []
-    by_site: Dict[int, List[Operation]] = {}
-    for op in history.operations:
-        by_site.setdefault(op.site, []).append(op)
-    for site_ops in by_site.values():
-        site_ops.sort(key=lambda o: o.time)
-        last = 0.0
-        for op in site_ops:
-            t = max(op.time * scale + rng.uniform(0.0, 0.5 * scale), last + 1e-6)
-            last = t
-            ctor = read if op.is_read else write
-            ops.append(ctor(op.site, op.obj, op.value, t))
-    return History(ops, initial_value=history.initial_value)

@@ -1,6 +1,6 @@
 """Tests for the ASCII chart helpers."""
 
-from repro.analysis.charts import bar_chart, dual_chart
+from repro.analysis.charts import dual_chart
 
 
 ROWS = [
@@ -8,30 +8,6 @@ ROWS = [
     {"delta": 1.0, "cost": 1.0, "stale": 0.5},
     {"delta": 4.0, "cost": 0.5, "stale": 1.0},
 ]
-
-
-class TestBarChart:
-    def test_proportional_lengths(self):
-        out = bar_chart(ROWS, label="delta", value="cost", width=10)
-        lines = out.splitlines()
-        assert lines[0].count("█") == 10  # max value fills the width
-        assert lines[1].count("█") == 5  # half of max: half the bar
-
-    def test_title_and_values_present(self):
-        out = bar_chart(ROWS, "delta", "cost", title="T")
-        assert out.splitlines()[0] == "T"
-        assert "2" in out
-
-    def test_empty(self):
-        assert bar_chart([], "x", "y") == "(no rows)"
-
-    def test_zero_values(self):
-        out = bar_chart([{"x": "a", "y": 0.0}], "x", "y", width=5)
-        assert "█" not in out
-
-    def test_max_value_override(self):
-        out = bar_chart(ROWS, "delta", "cost", width=10, max_value=4.0)
-        assert out.splitlines()[0].count("█") == 5  # 2.0 of 4.0
 
 
 class TestDualChart:

@@ -186,8 +186,9 @@ class TestEngineAgreement:
 
 class TestUnwrittenValues:
     """A read of a value no write produced, other than the initial value,
-    has no legal place in any serialization.  ``validate=False`` and the
-    slices of :class:`History` let such reads in."""
+    has no legal place in any serialization.  ``validate=False`` lets
+    such reads in, as when a slice of a history cuts a read off from its
+    writer."""
 
     def unvalidated(self):
         return History(
@@ -196,7 +197,8 @@ class TestUnwrittenValues:
 
     def windowed(self):
         h = History([write(0, "X", "a", 1.0), read(1, "X", "a", 3.0)])
-        return h.time_window(2.0, 4.0)
+        return History([op for op in h if 2.0 <= op.time <= 4.0],
+                       validate=False)
 
     @pytest.mark.parametrize("name", ["unvalidated", "windowed"])
     @pytest.mark.parametrize("check", [check_sc, check_cc, check_lin])
@@ -212,5 +214,6 @@ class TestUnwrittenValues:
     def test_a_read_cut_off_from_its_writer_by_a_slice_fails(self):
         h = History([write(0, "X", "a", 1.0), read(1, "X", "a", 3.0)])
         assert check_sc(h) and check_cc(h)
-        assert not check_sc(h.restrict_sites([1]))
-        assert not check_cc(h.restrict_sites([1]))
+        site1 = History(h.site_ops(1), validate=False)
+        assert not check_sc(site1)
+        assert not check_cc(site1)

@@ -2,16 +2,13 @@
 
 import pytest
 
-from repro.clocks.base import Ordering, compare_physical, definitely_before
+from repro.clocks.base import Ordering, compare_physical
 from repro.clocks.physical import (
     DriftingClock,
     ManualTime,
     PerfectClock,
-    SkewedClock,
     SynchronizedClock,
     TimeServer,
-    measured_epsilon,
-    pairwise_epsilon,
 )
 
 
@@ -25,10 +22,15 @@ class TestComparePhysical:
         assert compare_physical(1.0, 1.5, epsilon=1.0) is Ordering.CONCURRENT
         assert compare_physical(1.0, 2.5, epsilon=1.0) is Ordering.BEFORE
 
-    def test_definitely_before_matches_paper_rule(self):
+    def test_definitely_before_needs_a_strict_margin(self):
         # a definitely before b iff T(a) + epsilon < T(b)
-        assert definitely_before(1.0, 2.5, epsilon=1.0)
-        assert not definitely_before(1.0, 2.0, epsilon=1.0)
+        assert compare_physical(1.0, 2.0, epsilon=1.0) is Ordering.CONCURRENT
+        assert compare_physical(1.0, 2.001, epsilon=1.0) is Ordering.BEFORE
+
+    def test_swapping_the_arguments_mirrors_the_ordering(self):
+        assert compare_physical(2.5, 1.0, epsilon=1.0) is Ordering.AFTER
+        assert compare_physical(1.5, 1.0, epsilon=1.0) is Ordering.CONCURRENT
+        assert compare_physical(2.0, 1.0) is Ordering.AFTER
 
     def test_equal_times_with_epsilon_are_equal(self):
         assert compare_physical(3.0, 3.0, epsilon=1.0) is Ordering.EQUAL
@@ -36,12 +38,6 @@ class TestComparePhysical:
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError):
             compare_physical(1.0, 2.0, epsilon=-0.1)
-
-    def test_flipped(self):
-        assert Ordering.BEFORE.flipped() is Ordering.AFTER
-        assert Ordering.AFTER.flipped() is Ordering.BEFORE
-        assert Ordering.CONCURRENT.flipped() is Ordering.CONCURRENT
-        assert Ordering.EQUAL.flipped() is Ordering.EQUAL
 
 
 class TestManualTime:
@@ -66,17 +62,18 @@ class TestClockModels:
         assert clock.now() == 3.0
         assert clock.epsilon_bound == 0.0
 
-    def test_skewed_clock(self):
-        t = ManualTime(10.0)
-        clock = SkewedClock(t, offset=0.5)
-        assert clock.now() == 10.5
-        assert clock.epsilon_bound == 1.0
-
     def test_drifting_clock_grows_linearly(self):
         t = ManualTime()
         clock = DriftingClock(t, drift=0.1)
         t.advance(10.0)
         assert clock.now() == pytest.approx(11.0)
+
+    def test_drifting_clock_offset_counts_in_its_bound(self):
+        t = ManualTime(10.0)
+        clock = DriftingClock(t, offset=0.5)
+        assert clock.now() == 10.5
+        assert clock.epsilon_bound == 1.0
+        assert clock.real_time() == 10.0
 
     def test_drifting_clock_set_to(self):
         t = ManualTime()
@@ -126,21 +123,26 @@ class TestSynchronizedClock:
         clock.now()
         assert clock.sync_count >= 1
 
+    def test_maybe_sync_waits_for_the_interval(self):
+        t = ManualTime()
+        clock = SynchronizedClock(t, TimeServer(t), offset=0.3, sync_interval=1.0)
+        t.advance(0.5)
+        assert not clock.maybe_sync()
+        assert clock.now() == pytest.approx(0.8)
+        t.advance(0.5)
+        assert clock.maybe_sync()
+        assert clock.now() == pytest.approx(1.0)
+        assert not clock.maybe_sync()
+        assert clock.sync_count == 1
+
+    def test_epsilon_bound_is_twice_error_plus_drift_per_interval(self):
+        t = ManualTime()
+        server = TimeServer(t, max_error=0.05)
+        clock = SynchronizedClock(t, server, drift=-0.02, sync_interval=2.0)
+        assert clock.epsilon_bound == pytest.approx(2 * (0.05 + 0.02 * 2.0))
+
     def test_invalid_interval_rejected(self):
         t = ManualTime()
         server = TimeServer(t)
         with pytest.raises(ValueError):
             SynchronizedClock(t, server, sync_interval=0.0)
-
-
-class TestEnsembles:
-    def test_pairwise_epsilon(self):
-        t = ManualTime()
-        clocks = [PerfectClock(t), SkewedClock(t, 0.2)]
-        assert pairwise_epsilon(clocks) == pytest.approx(0.4)
-        assert pairwise_epsilon([]) == 0.0
-
-    def test_measured_epsilon(self):
-        t = ManualTime(1.0)
-        clocks = [PerfectClock(t), SkewedClock(t, 0.2), SkewedClock(t, -0.1)]
-        assert measured_epsilon(clocks) == pytest.approx(0.3)

@@ -12,7 +12,6 @@ from repro.analysis import staleness_report, timedness_report
 from repro.checkers import check_cc, check_sc
 from repro.protocol import Cluster, PushPolicy, StalenessAction
 from repro.workloads import (
-    collaborative_workload,
     ticker_workload,
     uniform_workload,
     virtual_env_workload,
@@ -102,7 +101,10 @@ class TestTCCInduction:
         cluster = Cluster(
             n_clients=4, n_servers=2, variant="tcc", delta=delta, seed=5
         )
-        cluster.spawn(collaborative_workload(n_edits=15))
+        # Collaborative editing: 8 paragraphs, one write per four reads.
+        paragraphs = [f"para{i}" for i in range(8)]
+        cluster.spawn(uniform_workload(
+            paragraphs, n_ops=75, mean_think_time=0.06, write_fraction=0.2))
         cluster.run()
         history = cluster.history()
         assert check_cc(history)
@@ -160,8 +162,7 @@ class TestClusterValidation:
         cluster.spawn(uniform_workload(["A"], n_ops=10, write_fraction=0.2))
         cluster.run()
         total = cluster.aggregate_stats()
-        per_client = cluster.per_client_stats()
-        assert total.reads == sum(s.reads for s in per_client.values())
+        assert total.reads == sum(c.stats.reads for c in cluster.clients)
         assert cluster.message_stats.messages_sent > 0
 
     def test_traces_carry_execution_intervals(self):

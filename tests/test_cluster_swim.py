@@ -40,8 +40,10 @@ from repro.cluster.swim import PROMOTE_ATTEMPTS, RPC_TIMEOUT
 from repro.engine import messages
 from repro.net.faults import FaultConfig, FaultInjector
 from repro.net.framing import PROMOTE, PROMOTE_ACK
+from repro.net.local import LocalStack, start_agents
 from repro.net.server import NetObjectServer
 from repro.ring.ring import Ring, RingBuilder
+from repro.store import DurableStore
 
 
 def make_ring(n=3, replicas=2, part_power=3, epoch=None, addresses=None):
@@ -525,6 +527,50 @@ class TestSwimLive:
                 await stop_members({0: servers[0]}, {0: agents[0]})
 
         vtime.run(scenario())
+
+
+    def test_a_crashed_durable_member_restarts_into_the_ring_it_left(
+        self, tmp_path
+    ):
+        """A joined member crashes (no clean close) and restarts on its
+        port and store directory, its agent handed the stack's starting
+        epoch-1 ring as a fresh ``start_agents`` would: it resumes the
+        epoch-2 layout it had acknowledged, replica count included."""
+        async def scenario():
+            async with LocalStack(
+                servers=3, replicas=2, part_power=3, store_root=str(tmp_path),
+                cluster=ClusterConfig(0.1, 0.3),
+            ) as stack:
+                joiner = await stack.add_server()
+                assert await wait_until(
+                    lambda: all(s.engine.epoch == 2
+                                for s in stack.servers.values()),
+                    loop_time() + 8.0,
+                )
+                layout = stack.servers[joiner].engine.ring
+                port = stack.servers[joiner].port
+                await stack.servers[joiner].abort()
+                await stack.agents[joiner].stop()
+                restarted = NetObjectServer(
+                    "127.0.0.1", port, propagation=stack.propagation,
+                    store=DurableStore(str(tmp_path / f"dev{joiner}")),
+                )
+                stack.servers[joiner] = restarted  # closed with the stack
+                await restarted.start()
+                peers = {d: s.address for d, s in stack.servers.items()
+                         if d != joiner}
+                stack.agents.update(await start_agents(
+                    {joiner: restarted}, stack.ring, stack.cluster,
+                    peers=peers,
+                ))
+                await asyncio.sleep(2.0)
+                return (stack.ring.epoch, layout, restarted.engine.ring,
+                        stack.agents[joiner].replicas)
+
+        started_at, layout, ring, replicas = vtime.run(scenario())
+        assert started_at == 1
+        assert ring["epoch"] == 2 and ring == layout
+        assert replicas == 2
 
 
 @pytest.mark.net

@@ -535,7 +535,7 @@ class TestStillValidForAVanishedEntry:
         engine = CacheEngine(
             site_id=1, delta=DELTA, staleness_action=StalenessAction.INVALIDATE)
         engine.install_fetched(PhysicalVersion("x", "v0", 1.0, 1.0, 7), 1.0)
-        engine.cache["x"].mark_old()
+        engine.cache["x"].old = True
         op = engine.begin_read("x", 2.0)
         assert op.action == "validate"
         if frame_kind == messages.INVALIDATE:

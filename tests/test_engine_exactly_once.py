@@ -17,6 +17,7 @@ import asyncio
 import pytest
 
 from repro.engine import messages
+from repro.engine.reply_cache import REPLY_CACHE_SIZE, ReplyCache
 from repro.net.client import NetCacheClient
 from repro.net.faults import FaultConfig, FaultInjector
 from repro.net.server import NetObjectServer
@@ -159,3 +160,35 @@ class TestNetStack:
         )
         assert stored["x"].alpha == ax and stored["x"].value == "v1"
         assert stored["y"].alpha == ay and stored["y"].value == "v2"
+
+
+class TestReplyCache:
+    """The LRU itself: which reply a retransmission can still find."""
+
+    def test_the_least_recently_used_reply_goes_first(self):
+        cache = ReplyCache()
+        for req in range(REPLY_CACHE_SIZE):
+            cache.put((1, req), {"req": req})
+        assert cache.get((1, 0)) == {"req": 0}  # now most recent
+        cache.put((1, REPLY_CACHE_SIZE), {"req": REPLY_CACHE_SIZE})
+        assert len(cache) == REPLY_CACHE_SIZE
+        assert cache.get((1, 1)) is None
+        assert cache.get((1, 0)) == {"req": 0}
+
+    def test_putting_a_key_again_replaces_and_refreshes_it(self):
+        cache = ReplyCache()
+        cache.put((1, 0), {"v": "old"})
+        for req in range(1, REPLY_CACHE_SIZE):
+            cache.put((1, req), {})
+        cache.put((1, 0), {"v": "new"})
+        cache.put((2, 0), {})
+        assert cache.get((1, 0)) == {"v": "new"}
+        assert cache.get((1, 1)) is None
+
+    def test_discard_forgets_a_reply_and_ignores_none(self):
+        cache = ReplyCache()
+        cache.put((3, 9), {})
+        cache.discard(None)
+        assert len(cache) == 1
+        cache.discard((3, 9))
+        assert cache.get((3, 9)) is None and len(cache) == 0

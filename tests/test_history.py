@@ -100,20 +100,20 @@ class TestCausalOrder:
     def test_program_order_is_causal(self):
         h = simple_history()
         ops = h.site_ops(0)
-        assert h.causally_precedes(ops[0], ops[1])
+        assert ops[0] in h.causal_predecessors()[ops[1]]
 
     def test_reads_from_is_causal(self):
         h = simple_history()
         w = next(op for op in h.writes if op.label() == "w0(X)1")
         r = next(op for op in h.reads if op.value == 1)
-        assert h.causally_precedes(w, r)
+        assert w in h.causal_predecessors()[r]
 
     def test_transitivity(self):
         # w0(X)1 -> r1(X)1 -> w1(Z)3 -> r2(Z)3
         h = simple_history()
         w = next(op for op in h.writes if op.label() == "w0(X)1")
         r = next(op for op in h.reads if op.value == 3)
-        assert h.causally_precedes(w, r)
+        assert w in h.causal_predecessors()[r]
 
     def test_concurrent(self):
         h = simple_history()
@@ -122,11 +122,18 @@ class TestCausalOrder:
         assert h.concurrent(early_read, w)
         assert not h.concurrent(w, w)
 
+    def test_causal_predecessors_are_never_concurrent(self):
+        h = simple_history()
+        for b, preds in h.causal_predecessors().items():
+            assert b not in preds
+            for a in preds:
+                assert not h.concurrent(a, b)
+
     def test_causal_pairs_consistent_with_predicate(self):
         h = simple_history()
-        pairs = h.causal_pairs()
-        for a, b in pairs:
-            assert h.causally_precedes(a, b)
+        closure = h.causal_predecessors()
+        for a, b in h.causal_pairs():
+            assert a in closure[b]
 
     def test_cycle_detected(self):
         # r reads v before it is written at the same site ordering that
@@ -142,14 +149,10 @@ class TestCausalOrder:
 
 
 class TestConstructors:
-    def test_from_site_sequences(self):
-        h = History.from_site_sequences(
-            [
-                [write(0, "X", 1, 1.0)],
-                [read(1, "X", 1, 2.0)],
-            ]
-        )
+    def test_operations_are_grouped_by_site(self):
+        h = History([read(1, "X", 1, 2.0), write(0, "X", 1, 1.0)])
         assert h.sites == [0, 1]
+        assert [op.label() for op in h.site_ops(0)] == ["w0(X)1"]
 
     def test_repr(self):
         assert "6 ops" in repr(simple_history())

@@ -13,7 +13,6 @@ from repro.core.io import (
     history_from_dict,
     history_to_dict,
     load_history,
-    loads_history,
     operation_from_dict,
     operation_to_dict,
 )
@@ -25,7 +24,7 @@ from repro.paperdata import figure1, figure5
 class TestHistoryIO:
     def test_roundtrip_preserves_operations(self):
         h = figure5()
-        again = loads_history(dumps_history(h))
+        again = load_history(io.StringIO(dumps_history(h)))
         assert len(again) == len(h)
         original = sorted(
             (op.kind.value, op.site, op.obj, str(op.value), op.time) for op in h
@@ -39,7 +38,7 @@ class TestHistoryIO:
         from repro.checkers import check_sc, check_tsc
 
         h = figure5()
-        again = loads_history(dumps_history(h))
+        again = load_history(io.StringIO(dumps_history(h)))
         assert check_sc(again).satisfied == check_sc(h).satisfied
         assert check_tsc(again, 50.0).satisfied == check_tsc(h, 50.0).satisfied
 
@@ -119,6 +118,13 @@ class TestRenderer:
         out = render_serialization(sorted(h.operations, key=lambda o: o.time))
         assert "w1(x)1" in out
         assert render_serialization([]) == "(empty serialization)"
+
+    def test_render_serialization_puts_six_labels_on_a_line(self):
+        ops = [write(0, "X", i, float(i)) for i in range(8)]
+        lines = render_serialization(ops).splitlines()
+        assert [line.split() for line in lines] == [
+            [f"w0(X){i}" for i in range(6)], ["w0(X)6", "w0(X)7"],
+        ]
 
 
 class TestCli:

@@ -23,8 +23,16 @@ from repro.load import (
     make_workload,
     scale_arrivals,
 )
+from repro.load.report import (
+    BENCH_SCHEMA,
+    compare_bench,
+    load_bench_json,
+    render_bench,
+    render_compare,
+    write_bench_json,
+)
 from repro.load.worker import LATENCY_BUCKETS
-from repro.load.workload import HotsetKeys, key_name
+from repro.load.workload import HotsetKeys, UniformKeys, key_name
 
 
 class TestLatencyHistogram:
@@ -118,7 +126,6 @@ class TestArrivals:
         # Per period: 40 arrivals in the burst window, 16 outside.
         assert in_burst == pytest.approx(120, abs=6)
         assert len(sched) - in_burst == pytest.approx(48, abs=6)
-        assert b.mean_rate(3.0) == pytest.approx(0.2 * 200 + 0.8 * 20)
 
     def test_burst_fractional_duration_terminates(self):
         # Regression: float-modulo segment math could produce a
@@ -206,6 +213,31 @@ class TestWorkload:
         fresh = sum(1 for op in reads if op.deadline == "fresh")
         assert fresh / len(reads) == pytest.approx(0.25, abs=0.04)
 
+    def test_uniform_keys_reach_every_key_and_no_other(self):
+        sampler = UniformKeys(5)
+        rng = random.Random(7)
+        seen = {sampler.sample(rng) for _ in range(500)}
+        assert seen == set(sampler.keys()) == {key_name(i) for i in range(5)}
+
+    @pytest.mark.parametrize("keys", [
+        {"kind": "uniform", "n": 3},
+        {"kind": "zipfian", "n": 5, "theta": 0.5},
+        {"kind": "hotset", "n": 20, "hot_fraction": 0.2, "hot_weight": 0.8},
+    ])
+    def test_describe_rebuilds_the_same_mix(self, keys):
+        spec = {
+            "write_fraction": 0.4,
+            "keys": keys,
+            "deadlines": [{"name": "d", "delta": 0.2, "weight": 2.0}],
+        }
+        mix = make_workload(spec)
+        assert mix.describe() == spec
+        again = make_workload(mix.describe())
+        a, b = random.Random(11), random.Random(11)
+        assert [mix.next_op(a) for _ in range(50)] == [
+            again.next_op(b) for _ in range(50)
+        ]
+
     def test_workload_validation(self):
         for bad in (
             {"write_fraction": 1.5},
@@ -236,7 +268,7 @@ class TestScenario:
 
     def test_roundtrips_and_totals(self):
         s = self._with()
-        assert s.total_duration() == 1.0
+        assert [p.duration for p in s.phases] == [1.0]
         assert s.max_concurrency == 1  # sequential sites by default
         echo = s.describe()
         again = Scenario.from_dict(echo)
@@ -310,7 +342,7 @@ class TestScenario:
         assert "kill_primary.json" in names
         for path in fixtures.glob("*.json"):
             scenario = Scenario.load(str(path))
-            assert scenario.total_duration() > 0
+            assert sum(p.duration for p in scenario.phases) > 0
 
     def test_invalid_json_reports_path(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -320,18 +352,55 @@ class TestScenario:
 
 
 def test_burst_schedule_covers_mean_rate():
-    # mean_rate() and the realised schedule must agree: the SLO gate's
-    # offered-vs-achieved arithmetic depends on it.
-    for spec in (
-        {"kind": "fixed", "rate": 40},
-        {"kind": "poisson", "rate": 40},
-        {"kind": "ramp", "start_rate": 20, "end_rate": 60},
-        {"kind": "burst", "base_rate": 10, "burst_rate": 100,
-         "period": 1.0, "duty": 0.25},
+    # Each process's realised schedule offers its nominal mean rate.
+    for spec, rate in (
+        ({"kind": "fixed", "rate": 40}, 40),
+        ({"kind": "poisson", "rate": 40}, 40),
+        ({"kind": "ramp", "start_rate": 20, "end_rate": 60}, 40),
+        ({"kind": "burst", "base_rate": 10, "burst_rate": 100,
+          "period": 1.0, "duty": 0.25}, 0.25 * 100 + 0.75 * 10),
     ):
-        proc = make_arrivals(spec)
-        sched = proc.schedule(5.0, random.Random(11))
-        realised = len(sched) / 5.0
-        assert realised == pytest.approx(
-            proc.mean_rate(5.0), rel=0.2
-        ), spec
+        sched = make_arrivals(spec).schedule(5.0, random.Random(11))
+        assert len(sched) / 5.0 == pytest.approx(rate, rel=0.2), spec
+
+
+class TestBenchFiles:
+    """``BENCH_<name>.json``: the writer, the loader and the diff."""
+
+    def test_write_and_load_round_trip(self, tmp_path):
+        path = str(tmp_path / "BENCH_x.json")
+        written = write_bench_json(path, "x", {"workers": 2}, {"ops": 10.5}, "n")
+        loaded = load_bench_json(path)
+        assert loaded == written
+        assert loaded["schema"] == BENCH_SCHEMA and loaded["notes"] == "n"
+
+    def test_load_rejects_a_file_without_metrics(self, tmp_path):
+        path = tmp_path / "other.json"
+        path.write_text('{"bench": "x"}')
+        with pytest.raises(ValueError, match="not a BENCH result file"):
+            load_bench_json(str(path))
+
+    def test_compare_gives_a_change_only_for_shared_numbers(self):
+        a = {"metrics": {"x": 2.0, "flag": True, "d": {}, "z": 0}}
+        b = {"metrics": {"x": 3.0, "flag": False, "d": {}, "z": 5, "new": 1}}
+        assert compare_bench(a, b) == [
+            ("flag", True, False, None),
+            ("new", None, 1, None),
+            ("x", 2.0, 3.0, 50.0),
+            ("z", 0, 5, None),
+        ]
+
+    def test_render_bench_lists_metrics_sorted(self):
+        text = render_bench({
+            "bench": "x", "schema": 1, "created": 0,
+            "metrics": {"b": 0.1234567, "a": {"k": 1}},
+        })
+        assert text.splitlines()[1:] == ["metrics:", '  a: {"k": 1}', "  b: 0.123457"]
+
+    def test_render_compare_marks_a_missing_change(self):
+        a = {"bench": "x", "metrics": {"ops": 10, "mode": "a"}}
+        b = {"bench": "x", "metrics": {"ops": 12, "mode": "b"}}
+        lines = render_compare("A.json", a, "B.json", b).splitlines()
+        assert lines[0] == "comparing 'x': A=A.json  B=B.json"
+        assert lines[3].split() == ["mode", "a", "b", "-"]
+        assert lines[4].split() == ["ops", "10", "12", "+20.0%"]

@@ -4,29 +4,45 @@ import math
 
 import pytest
 
-from repro.analysis.sweep import epsilon_sweep, run_cluster_experiment
+from repro.analysis.sweep import (
+    delta_cost_sweep,
+    policy_comparison,
+    run_cluster_experiment,
+    variant_comparison,
+)
 from repro.checkers import delta_spectrum
 from repro.clocks.plausible import CombClock, KLamportClock, REVClock
 from repro.clocks.xi import figure7_examples
 from repro.core.history import History
 from repro.core.operations import read, write
-from repro.core.render import describe_violation
 from repro.engine import messages
 from repro.workloads import uniform_workload
 
 
+def small_workload():
+    return uniform_workload(["A"], n_ops=8, write_fraction=0.2)
+
+
 class TestSweepHelpers:
-    def test_epsilon_sweep_rows(self):
-        rows = epsilon_sweep(
-            [0.0, 0.05],
-            lambda: uniform_workload(["A"], n_ops=8, write_fraction=0.2),
-            variant="tsc",
-            delta=0.5,
-            n_clients=2,
-            seed=1,
-        )
-        assert [row["epsilon"] for row in rows] == [0.0, 0.05]
-        assert all(row["variant"] == "tsc" for row in rows)
+    def test_delta_cost_sweep_ends_with_the_untimed_baseline(self):
+        rows = delta_cost_sweep([0.2, 1.0], small_workload, n_clients=2, seed=1)
+        assert [(r["variant"], r["delta"]) for r in rows] == [
+            ("tsc", 0.2), ("tsc", 1.0), ("sc", math.inf),
+        ]
+        assert all(r["reads"] + r["writes"] == 16 for r in rows)
+
+    def test_variant_comparison_times_only_the_timed_variants(self):
+        rows = variant_comparison(small_workload, delta=0.3, n_clients=2, seed=1)
+        assert [(r["variant"], r["delta"]) for r in rows] == [
+            ("sc", math.inf), ("tsc", 0.3), ("cc", math.inf), ("tcc", 0.3),
+        ]
+
+    def test_policy_comparison_labels_each_propagation_option(self):
+        rows = policy_comparison(small_workload, n_clients=2, seed=1)
+        assert [r["policy"] for r in rows] == [
+            "invalidate", "mark-old", "mark-old+push", "invalidate+server-inv",
+        ]
+        assert {(r["variant"], r["delta"]) for r in rows} == {("tsc", 0.5)}
 
     def test_run_cluster_experiment_row_fields(self):
         row = run_cluster_experiment(
@@ -80,14 +96,6 @@ class TestClockOdds:
     def test_rev_zero(self):
         z = REVClock.zero(5, 2)
         assert z.slot == 1 and z.entries == (0, 0)
-
-
-class TestRenderHelpers:
-    def test_describe_violation(self):
-        h = History([write(0, "X", 1, 1.0), read(1, "X", 1, 2.0)])
-        text = describe_violation(h, "nothing actually wrong")
-        assert "violation: nothing actually wrong" in text
-        assert "Site 0" in text
 
 
 class TestFigure7Helper:

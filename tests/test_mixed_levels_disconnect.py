@@ -119,7 +119,11 @@ class TestDisconnection:
     def test_partition_helpers(self):
         cluster = Cluster(n_clients=1, n_servers=1, variant="sc", seed=0)
         node = cluster.clients[0].node_id
+        server = cluster.servers[0].node_id
+        stats = cluster.network.stats
         cluster.network.partition(node)
-        assert cluster.network.is_partitioned(node)
+        cluster.network.send(node, server, "ping")
+        assert stats.messages_dropped == 1
         cluster.network.heal(node)
-        assert not cluster.network.is_partitioned(node)
+        cluster.network.send(node, server, "ping")
+        assert stats.messages_dropped == 1

@@ -13,7 +13,9 @@ import math
 
 import pytest
 
-from repro.engine.versions import PhysicalVersion
+from repro.clocks.vector import VectorClock, VectorTimestamp
+from repro.engine.cache import CacheEngine, CausalCacheEngine
+from repro.engine.versions import CacheEntry, LogicalVersion, PhysicalVersion
 from repro.protocol import Cluster
 from repro.workloads import uniform_workload
 
@@ -82,16 +84,46 @@ class TestMutualConsistency:
         cluster = Cluster(n_clients=1, n_servers=1, variant="sc", seed=0)
         assert cluster.clients[0].snapshot_mutually_consistent()
 
-    def test_pairwise_overlap_matches_global_test(self):
-        """max(alpha) <= min(omega) iff pairwise overlap — sanity on the
-        physical version class itself."""
-        a = PhysicalVersion("X", 1, alpha=1.0, omega=4.0)
-        b = PhysicalVersion("Y", 2, alpha=3.0, omega=6.0)
-        c = PhysicalVersion("Z", 3, alpha=5.0, omega=7.0)
-        trio = [a, b, c]
-        global_ok = max(v.alpha for v in trio) <= min(v.omega for v in trio)
-        pairwise_ok = all(
-            x.mutually_consistent(y) for x in trio for y in trio if x is not y
+
+class TestOverlapRule:
+    """The invariant's own test, on entries placed in the cache directly
+    (bypassing the rules that keep it), so a violation can be staged."""
+
+    @staticmethod
+    def physical(**lifetimes):
+        engine = CacheEngine()
+        for obj, (alpha, omega) in lifetimes.items():
+            engine.cache[obj] = CacheEntry(PhysicalVersion(obj, obj, alpha, omega))
+        return engine
+
+    def test_pairwise_overlap_is_consistent(self):
+        assert self.physical(X=(1.0, 4.0), Y=(3.0, 6.0)).snapshot_mutually_consistent()
+
+    def test_disjoint_lifetimes_are_flagged(self):
+        engine = self.physical(X=(1.0, 4.0), Y=(3.0, 6.0), Z=(5.0, 7.0))
+        assert not engine.snapshot_mutually_consistent()
+
+    def test_rule1_demotes_the_entry_a_newer_fetch_leaves_behind(self):
+        engine = CacheEngine()
+        for obj, alpha, omega in (("X", 1.0, 4.0), ("Y", 3.0, 6.0), ("Z", 5.0, 7.0)):
+            engine.install_fetched(PhysicalVersion(obj, obj, alpha, omega), alpha)
+        assert engine.cache["X"].old
+        assert set(engine.usable_snapshot()) == {"Y", "Z"}
+        assert engine.snapshot_mutually_consistent()
+
+    @staticmethod
+    def causal(**lifetimes):
+        engine = CausalCacheEngine(
+            site_id=0, vclock=VectorClock(0, 2),
+            zero_timestamp=VectorTimestamp((0, 0)),
         )
-        assert not global_ok  # a and c do not overlap
-        assert not pairwise_ok
+        for obj, entries in lifetimes.items():
+            ts = VectorTimestamp(entries)
+            engine.cache[obj] = CacheEntry(LogicalVersion(obj, obj, ts, ts))
+        return engine
+
+    def test_causal_lifetimes_may_be_concurrent(self):
+        assert self.causal(X=(1, 0), Y=(0, 1)).snapshot_mutually_consistent()
+
+    def test_causal_lifetime_ending_before_another_starts_is_flagged(self):
+        assert not self.causal(X=(1, 0), Y=(2, 1)).snapshot_mutually_consistent()

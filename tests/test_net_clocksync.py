@@ -20,10 +20,12 @@ class TestRebasedClock:
         assert clock.now() == 0.5
         assert clock() == 3.25
 
-    def test_pin_fixes_t0_early(self):
+    def test_first_reading_pins_t0(self):
         ticks = iter([100.0, 107.0])
         clock = RebasedClock(source=lambda: next(ticks))
-        clock.pin()
+        assert clock.t0 is None
+        assert clock.now() == 0.0
+        assert clock.t0 == 100.0
         assert clock.now() == 7.0
 
     def test_offset_injects_constant_skew(self):
@@ -43,7 +45,7 @@ class TestRebasedClock:
 
         async def readings():
             clock = RebasedClock()
-            clock.pin()
+            clock.now()
             await asyncio.sleep(3600)
             loop = asyncio.get_running_loop()
             return clock.now(), loop_clock() == loop.time, loop_time() - loop.time()

@@ -63,7 +63,7 @@ class TestGauges:
         g = Registry().gauge("repro_depth")
         g.set(10)
         g.inc(2)
-        g.dec(5)
+        g.inc(-5)
         assert g.value == 7.0
 
     def test_callback_backed(self):
@@ -183,24 +183,23 @@ class TestRegistry:
         got = {s["labels"]["who"]: s["value"] for s in fam["samples"]}
         assert got == {"direct": 3.0, "pulled": 7.0}
 
-    def test_unregister_collector(self):
+    def test_collectors_are_pulled_on_every_collect_after_direct_metrics(self):
         reg = Registry()
-        col = reg.register_collector(
-            lambda: [family("repro_x_total", "counter", "", [({}, 1)])]
-        )
-        assert any(f["name"] == "repro_x_total" for f in reg.collect())
-        reg.unregister_collector(col)
-        assert not any(f["name"] == "repro_x_total" for f in reg.collect())
+        reg.gauge("repro_z")
+        reg.counter("repro_a_total")
+        pulled = [1]
+        col = lambda: [family("repro_pulled", "gauge", "", [({}, pulled[0])])]
+        assert reg.register_collector(col) is col
+        reg.register_collector(lambda: [family("repro_b", "gauge", "", [])])
+        names = [f["name"] for f in reg.collect()]
+        assert names == ["repro_a_total", "repro_z", "repro_pulled", "repro_b"]
+        pulled[0] = 9
+        (fam,) = [f for f in reg.collect() if f["name"] == "repro_pulled"]
+        assert [s["value"] for s in fam["samples"]] == [9]
 
     def test_family_rejects_histogram_kind(self):
         with pytest.raises(MetricError):
             family("repro_x", "histogram")
-
-    def test_reset_zeroes_direct_metrics(self):
-        reg = Registry()
-        reg.counter("repro_a_total").inc(5)
-        reg.reset()
-        assert reg.counter("repro_a_total").samples() == []
 
 
 class TestSnapshots:

@@ -70,7 +70,8 @@ class TestFigure5:
 
     def test_figure5b_is_not_in_real_time_order(self, fig5):
         s = Serialization(figure5_serialization(fig5))
-        assert not s.respects_effective_times()
+        seq = list(s)
+        assert any(a.time > b.time for a, b in zip(seq, seq[1:]))
 
     def test_quoted_times_are_exact(self, fig5):
         labels = {op.label(): op.time for op in fig5.operations}

@@ -578,7 +578,7 @@ class TestRouterRegressions:
                 # Δ outlasts the ladder: the repair is due after it.
                 async with RingRouter(0, ring, endpoints, delta=60.0) as router:
                     await router.write(obj, "v1")
-                    queued = len(router.placement.pending_repairs())
+                    queued = len(router.placement.repairs)
                     completed = await router.placement.repair_once()
                     return (
                         queued, completed, router.placement.stats,

@@ -37,7 +37,7 @@ class TestWrites:
         outcome = run(scenario())
         replicas = ring.replicas_for("obj")
         assert sorted(outcome.acked) == sorted(replicas)
-        assert outcome.quorum_met
+        assert len(outcome.acked) >= outcome.quorum
         for dev in replicas:
             assert transport.stores[dev]["obj"][0] == "v1"
 
@@ -52,6 +52,12 @@ class TestWrites:
         outcome = run(scenario())
         primary = ring.primary_for("obj")
         assert outcome.alpha == transport.stores[primary]["obj"][1]
+
+    def test_quorum_is_every_replica_unless_capped(self):
+        _, _, placement = make_placement()
+        assert placement.quorum_for(3) == 3
+        _, _, placement = make_placement(write_quorum=2)
+        assert [placement.quorum_for(n) for n in (1, 2, 3)] == [1, 2, 2]
 
     def test_quorum_one_returns_before_slow_replica(self):
         ring, transport, placement = make_placement(write_quorum=1)
@@ -100,7 +106,7 @@ class TestWrites:
         outcome, took = vtime.run(scenario())
         assert took < 0.1
         assert sorted(outcome.acked) == sorted([devices[0], devices[2]])
-        assert outcome.quorum_met
+        assert len(outcome.acked) >= outcome.quorum
         assert placement.stats.replica_acks == 2  # the straggler's, late
 
     def test_a_lost_primary_raises_without_waiting_for_the_replicas(self):
@@ -131,12 +137,12 @@ class TestWrites:
 
         async def scenario():
             await placement.write("obj", "v1")
-            queued = len(placement.pending_repairs())
+            queued = len(placement.repairs)
             await placement.drain()
             return queued
 
         assert vtime.run(scenario()) == 0  # not yet: the copy was in flight
-        [task] = placement.pending_repairs()
+        [task] = placement.repairs
         assert (task.device, task.obj, task.value) == (replica, "obj", "v1")
         assert placement.stats.replica_acks == 0
 
@@ -151,8 +157,8 @@ class TestWrites:
             return outcome
 
         outcome = run(scenario())
-        assert outcome.quorum_met is False or replica in outcome.failed
-        [task] = placement.pending_repairs()
+        assert len(outcome.acked) < outcome.quorum or replica in outcome.failed
+        [task] = placement.repairs
         assert (task.device, task.obj, task.value) == (replica, "obj", "v1")
         assert task.deadline == pytest.approx(task.created + 0.5)
 
@@ -209,7 +215,7 @@ class TestAntiEntropy:
         assert transport.stores[replica]["obj"][0] == "v1"
         assert placement.stats.repairs_done == 1
         assert placement.stats.repairs_late == 0
-        assert not placement.pending_repairs()
+        assert not placement.repairs
 
     def test_repair_past_deadline_counts_late(self):
         now = [0.0]
@@ -241,7 +247,7 @@ class TestAntiEntropy:
             await placement.write("obj", "v1")
             await placement.write("obj", "v2")
             await placement.drain()
-            assert len(placement.pending_repairs()) == 1
+            assert len(placement.repairs) == 1
             transport.down.discard(replica)
             await placement.repair_once()
 
@@ -258,10 +264,10 @@ class TestAntiEntropy:
             await placement.drain()
             for _ in range(MAX_REPAIR_ATTEMPTS - 1):
                 await placement.repair_once()
-            still_queued = len(placement.pending_repairs())
+            still_queued = len(placement.repairs)
             await placement.repair_once()
             return still_queued
 
         assert run(scenario()) == 1  # one round short: still trying
-        assert not placement.pending_repairs()
+        assert not placement.repairs
         assert placement.stats.repairs_done == 0

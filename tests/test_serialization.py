@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.history import History
 from repro.core.operations import read, write
 from repro.core.serialization import (
     Serialization,
@@ -9,8 +10,8 @@ from repro.core.serialization import (
     is_legal,
     reads_from_in,
     respects,
-    respects_effective_times,
     respects_program_order,
+    time_order_witness,
 )
 
 
@@ -72,11 +73,23 @@ class TestRespects:
         assert respects_program_order([a, c, b])
         assert not respects_program_order([b, c, a])
 
-    def test_effective_times_predicate(self):
+
+class TestTimeOrderWitness:
+    def test_legal_time_order_is_the_witness(self):
         a = write(0, "X", 1, 1.0)
         b = read(1, "X", 1, 2.0)
-        assert respects_effective_times([a, b])
-        assert not respects_effective_times([b, a])
+        assert time_order_witness(History([b, a])) == [a, b]
+
+    def test_stale_read_in_time_order_gives_none(self):
+        h = History(
+            [write(0, "X", 1, 1.0), write(1, "X", 2, 2.0), read(2, "X", 1, 3.0)]
+        )
+        assert time_order_witness(h) is None
+
+    def test_equal_times_keep_program_order(self):
+        a = write(0, "X", 1, 1.0)
+        b = read(0, "X", 1, 1.0)
+        assert time_order_witness(History([a, b])) == [a, b]
 
 
 class TestReadsFromIn:

@@ -133,6 +133,34 @@ class TestProcesses:
         sim.run()
         assert got == [("hello", 1.5)]
 
+    def test_waiting_on_a_triggered_event_resumes_at_once(self):
+        sim = Simulator()
+        event = sim.event()
+        event.succeed("done")
+        got = []
+
+        def proc():
+            yield sim.timeout(1.0)
+            got.append(((yield event), sim.now))
+
+        sim.process(proc())
+        sim.run()
+        assert got == [("done", 1.0)]
+
+    def test_every_waiter_on_one_event_resumes_with_its_value(self):
+        sim = Simulator()
+        event = sim.event()
+        got = []
+
+        def waiter(name):
+            got.append((name, (yield event), sim.now))
+
+        for name in ("a", "b"):
+            sim.process(waiter(name))
+        sim.schedule(2.0, event.succeed, 7)
+        sim.run()
+        assert got == [("a", 7, 2.0), ("b", 7, 2.0)]
+
     def test_process_waits_for_process(self):
         sim = Simulator()
         order = []
@@ -175,6 +203,16 @@ class TestProcesses:
     def test_negative_timeout_rejected(self):
         with pytest.raises(SimulationError):
             Timeout(-1.0)
+
+    def test_step_processes_one_event_at_a_time(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        assert sim.pending == 2
+        assert sim.step() and sim.now == 1.0 and sim.pending == 1
+        assert sim.step() and sim.now == 2.0
+        assert not sim.step()
+        assert sim.events_processed == 2
 
     def test_time_source_closure(self):
         sim = Simulator()

@@ -18,7 +18,6 @@ from repro.sim.rng import (
     bounded,
     exponential,
     lognormal,
-    weighted_choice,
 )
 
 
@@ -176,14 +175,3 @@ class TestDistributions:
         assert bounded(5.0, 0.0, 1.0) == 1.0
         assert bounded(-5.0, 0.0, 1.0) == 0.0
         assert bounded(0.5, 0.0, 1.0) == 0.5
-
-    def test_weighted_choice(self):
-        rng = random.Random(0)
-        picks = [
-            weighted_choice(rng, ["a", "b"], [0.99, 0.01]) for _ in range(200)
-        ]
-        assert picks.count("a") > 150
-        with pytest.raises(ValueError):
-            weighted_choice(rng, ["a"], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            weighted_choice(rng, ["a"], [0.0])

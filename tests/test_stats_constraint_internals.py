@@ -4,14 +4,7 @@ import random
 
 import pytest
 
-from repro.analysis.stats import (
-    confidence_interval,
-    mean,
-    replicate,
-    stddev,
-    stderr,
-    summarize_rows,
-)
+from repro.analysis.stats import mean, stddev, stderr
 from repro.checkers.constraint import _Reach
 
 
@@ -30,30 +23,6 @@ class TestStats:
     def test_stderr(self):
         assert stderr([1.0, 2.0, 3.0]) == pytest.approx(stddev([1.0, 2.0, 3.0]) / 3**0.5)
         assert stderr([5.0]) == 0.0
-
-    def test_confidence_interval(self):
-        mu, half = confidence_interval([1.0, 1.0, 1.0])
-        assert mu == 1.0 and half == 0.0
-
-    def test_summarize_rows(self):
-        rows = [
-            {"delta": 0.5, "hit": 0.4},
-            {"delta": 0.5, "hit": 0.6},
-            {"delta": 1.0, "hit": 0.8},
-        ]
-        summary = {row["delta"]: row for row in summarize_rows(rows, "delta", ["hit"])}
-        assert summary[0.5]["hit_mean"] == pytest.approx(0.5)
-        assert summary[0.5]["n"] == 2
-        assert summary[1.0]["hit_se"] == 0.0
-
-    def test_summarize_skips_non_numeric(self):
-        rows = [{"k": "a", "v": "not-a-number"}]
-        summary = summarize_rows(rows, "k", ["v"])
-        assert "v_mean" not in summary[0]
-
-    def test_replicate_tags_seed(self):
-        rows = replicate(lambda seed: {"x": seed * 2}, seeds=[1, 2])
-        assert rows == [{"x": 2, "seed": 1}, {"x": 4, "seed": 2}]
 
 
 class TestReachMatrix:

@@ -16,6 +16,7 @@ Three layers of confidence:
 """
 
 import asyncio
+import json
 import math
 import os
 import signal
@@ -30,6 +31,7 @@ from repro.core.history import History
 from repro.engine.versions import PhysicalVersion
 from repro.net.client import NetCacheClient, NetError
 from repro.net.server import NetObjectServer
+from repro.ring.ring import Ring, RingBuilder
 from repro.sim.trace import TraceRecorder
 from repro.store import DurableStore, load_state
 from repro.store.recovery import SNAPSHOT_EVERY
@@ -77,6 +79,18 @@ class TestDurableStore:
         assert sorted(recovered.objects) == ["x", "y"]
         assert len(replays) == 1
 
+    def test_snapshot_age_starts_at_the_first_snapshot(self, tmp_path):
+        store = DurableStore(str(tmp_path), fsync="always")
+        store.open(now_wall=1000.0)
+        assert store.snapshot_age == math.inf
+        store.snapshot({"x": PhysicalVersion("x", "s1.0", 1.0, 1.0, 1)}, 1.0, now=2.0)
+        assert 0.0 <= store.snapshot_age < 60.0
+        store.close()
+        store = DurableStore(str(tmp_path), fsync="always")
+        store.open(now_wall=1001.0)
+        assert store.snapshot_age < 60.0  # the snapshot on disk counts
+        store.close()
+
     def test_group_bracket_defers_to_one_commit(self, tmp_path):
         """Inside ``group()`` a logged write is only appended and the
         caller owes the log's commit; outside it ``log_write`` is durable
@@ -105,6 +119,27 @@ class TestDurableStore:
         assert {obj: v.value for obj, v in recovered.items()} == {
             "x": "s1.3", "y": "s1.5", "z": "s1.6",
         }
+
+    def test_a_store_from_before_the_ring_was_kept_keeps_one_epoch(
+        self, tmp_path
+    ):
+        """A ``meta.json`` that holds only ``ring_epoch`` recovers no
+        ring, and the first ring saved replaces that key."""
+        recover(tmp_path, 1000.0)
+        meta_path = tmp_path / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta_path.write_text(json.dumps(dict(meta, ring_epoch=5)))
+        store = DurableStore(str(tmp_path))
+        try:
+            assert store.open(now_wall=1001.0).ring is None
+            ring = RingBuilder(part_power=2, replicas=1)
+            ring.add_device(0)
+            assert store.save_ring(ring.rebalance()[0].as_dict())
+        finally:
+            store.close()
+        meta = json.loads(meta_path.read_text())
+        assert "ring_epoch" not in meta and meta["ring"]["epoch"] == 1
+        assert recover(tmp_path, 1002.0).ring == meta["ring"]
 
     def test_fresh_store_is_empty(self, tmp_path):
         store = DurableStore(str(tmp_path))
@@ -328,6 +363,44 @@ class TestServerRecovery:
         # The resumed timescale must keep increasing across the restart,
         # or the new write would have lost latest-write-wins silently.
         assert new_alpha > old_alpha
+
+    def test_restart_resumes_the_acknowledged_ring(self, tmp_path):
+        """A crashed clustered member comes back with the ring it last
+        acknowledged, not just that ring's epoch, and serves it on
+        ring-fetch; the older ring it starts its agent with is refused."""
+        root = str(tmp_path / "store")
+        builder = RingBuilder(part_power=3, replicas=2)
+        for dev in (0, 1):
+            builder.add_device(dev)
+        ring1, _ = builder.rebalance()
+        builder.add_device(2)
+        ring2, _ = builder.rebalance()
+        assert (ring1.epoch, ring2.epoch) == (1, 2)
+
+        def durable_server():
+            return NetObjectServer(
+                propagation="none", store=DurableStore(root, fsync="always"))
+
+        async def first_life():
+            server = await durable_server().start()
+            assert server.set_ring(ring1.as_dict())
+            assert server.set_ring(ring2.as_dict())
+            await server.abort()
+
+        async def second_life():
+            server = await durable_server().start()
+            try:
+                assert server.engine.epoch == 2
+                assert not server.set_ring(ring1.as_dict())
+                async with NetCacheClient(1, server.host, server.port) as client:
+                    return await client.link.fetch_ring()
+            finally:
+                await server.close()
+
+        asyncio.run(first_life())
+        epoch, ring = asyncio.run(second_life())
+        assert epoch == 2
+        assert Ring.from_dict(ring).as_dict() == ring2.as_dict()
 
     def test_recovery_delta_marks_old_and_first_touch_revalidates(
         self, tmp_path

@@ -38,7 +38,7 @@ from repro.store import (
     write_snapshot,
 )
 from repro.store import wal as wal_module
-from repro.store.wal import FSYNC_INTERVAL
+from repro.store.wal import FSYNC_INTERVAL, MAX_RECORD_BYTES, decode_record
 
 _HEADER = struct.Struct(">II")
 
@@ -57,6 +57,30 @@ def monotonic(monkeypatch):
 def _append_raw(path, data: bytes) -> None:
     with open(path, "ab") as fh:
         fh.write(data)
+
+
+class TestRecordCodec:
+    def test_decode_reverses_encode(self):
+        record = {"k": "w", "obj": "x", "value": "s0.1", "t": 1.5}
+        data = encode_record(record)
+        length, crc = _HEADER.unpack_from(data)
+        assert length == len(data) - _HEADER.size
+        assert decode_record(data[_HEADER.size:], crc) == record
+
+    def test_a_changed_payload_fails_its_crc(self):
+        data = encode_record({"k": "w"})
+        _, crc = _HEADER.unpack_from(data)
+        with pytest.raises(WalError, match="CRC"):
+            decode_record(data[_HEADER.size:].replace(b"w", b"v"), crc)
+
+    @pytest.mark.parametrize("payload", [b"[1, 2]", b"\xff\xfe", b"{oops"])
+    def test_a_payload_that_is_no_json_object_is_refused(self, payload):
+        with pytest.raises(WalError):
+            decode_record(payload, zlib.crc32(payload))
+
+    def test_an_oversized_record_is_refused(self):
+        with pytest.raises(WalError, match="exceeds"):
+            encode_record({"v": "x" * MAX_RECORD_BYTES})
 
 
 class TestWalRoundtrip:

@@ -17,6 +17,8 @@ from repro.checkers import (
     threshold_report,
     tsc_threshold,
 )
+from repro.checkers.result import CheckResult, SearchBudgetExceeded, within_budget
+from repro.checkers.threshold import ThresholdReport
 from repro.clocks.vector import VectorTimestamp
 from repro.clocks.xi import SumXi
 from repro.core.history import History
@@ -46,13 +48,56 @@ class TestThresholds:
         assert report.tsc_threshold == report.timed_threshold
 
     def test_logical_threshold(self):
-        from repro.checkers import tcc_logical_threshold
+        from repro.core.timed import min_timed_delta_logical
 
         w1 = write(0, "X", "a", 1.0, ltime=VectorTimestamp((1, 0, 0)))
         w2 = write(1, "X", "b", 2.0, ltime=VectorTimestamp((1, 1, 0)))
         r = read(2, "X", "a", 3.0, ltime=VectorTimestamp((1, 1, 5)))
         h = History([w1, w2, r], initial_value=None)
-        assert tcc_logical_threshold(h, SumXi()) == pytest.approx(5.0)
+        assert check_cc(h)
+        assert min_timed_delta_logical(h, SumXi()) == pytest.approx(5.0)
+
+
+class TestThresholdReport:
+    def test_an_undecided_base_answers_none(self):
+        report = ThresholdReport(5.0, None, True, math.nan, 5.0)
+        assert report.unknown
+        assert report.satisfies_tsc(100.0) is None
+        assert report.satisfies_tcc(5.0) is True
+
+    def test_a_failed_base_is_never_satisfied(self):
+        report = ThresholdReport(5.0, False, True, math.inf, 5.0)
+        assert not report.unknown
+        assert report.satisfies_tsc(1e12) is False
+        assert report.satisfies_tcc(4.9) is False
+
+    def test_figure6_report_holds_for_tcc_only(self, fig6):
+        report = threshold_report(fig6)
+        assert report.sc_holds is False and report.cc_holds is True
+        assert math.isinf(report.tsc_threshold)
+        assert report.tcc_threshold == report.timed_threshold
+        assert report.satisfies_tcc(report.tcc_threshold)
+        assert not report.satisfies_tsc(math.inf)
+
+
+class TestCheckResult:
+    def test_within_budget_turns_an_exhausted_search_into_unknown(self):
+        def exhausted():
+            raise SearchBudgetExceeded(7)
+
+        result = within_budget("SC", exhausted)
+        assert result.unknown and not result
+        assert result.verdict is None
+        assert repr(result) == "<SC: UNKNOWN>"
+
+    def test_within_budget_passes_a_decided_result_through(self):
+        decided = CheckResult("CC", False, violation="cycle")
+        assert within_budget("CC", lambda: decided) is decided
+        assert decided.verdict is False
+
+    def test_repr_lists_the_parameters(self):
+        result = CheckResult("TSC", True, parameters={"delta": 0.5, "epsilon": 0.0})
+        assert repr(result) == "<TSC (delta=0.5, epsilon=0): SATISFIED>"
 
 
 class TestSpectrum:

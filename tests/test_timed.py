@@ -9,13 +9,12 @@ from repro.clocks.xi import SumXi
 from repro.core.history import History
 from repro.core.operations import read, write
 from repro.core.timed import (
-    all_reads_on_time,
-    all_reads_on_time_logical,
     is_timed_serialization,
     late_reads,
     min_timed_delta,
     min_timed_delta_logical,
     read_occurs_on_time,
+    required_delta,
     w_r_set,
     w_r_set_logical,
 )
@@ -130,10 +129,33 @@ class TestLateReads:
         assert [r.value for r in late_reads(h, 40.0)] == ["v"]
         assert late_reads(h, 200.0) == []
 
-    def test_all_reads_on_time(self):
+
+    def test_late_reads_rejects_negative_bounds(self):
         h = figure2_history()
-        assert not all_reads_on_time(h, 40.0)
-        assert all_reads_on_time(h, 150.0)
+        with pytest.raises(ValueError):
+            late_reads(h, -1.0)
+        with pytest.raises(ValueError):
+            late_reads(h, 1.0, epsilon=-0.1)
+
+
+class TestRequiredDelta:
+    def test_late_iff_the_bound_exceeds_delta(self):
+        # w@1 read at 10 while w'@4 exists: on time iff 10 - 4 <= delta.
+        assert required_delta(10.0, 1.0, [4.0]) == 6.0
+
+    def test_the_earliest_newer_write_sets_the_bound(self):
+        assert required_delta(10.0, 1.0, [4.0, 2.0, 8.0]) == 8.0
+
+    def test_the_writers_own_time_never_counts(self):
+        assert required_delta(10.0, 1.0, [1.0]) == 0.0
+
+    def test_epsilon_shrinks_the_bound_from_both_sides(self):
+        # T(w) + eps < T(w') excludes 1.5; 4.0 gives 10 - 4 - 0.5.
+        assert required_delta(10.0, 1.0, [1.5, 4.0], epsilon=0.5) == 5.5
+
+    def test_initial_value_reader_is_bounded_by_the_first_write(self):
+        assert required_delta(10.0, -math.inf, [3.0]) == 7.0
+        assert required_delta(10.0, -math.inf, []) == 0.0
 
 
 class TestTimedSerialization:
@@ -166,8 +188,8 @@ class TestMinTimedDelta:
         thr = min_timed_delta(h)
         # Worst miss: w2@100 vs r@200 -> 100.
         assert thr == pytest.approx(100.0)
-        assert all_reads_on_time(h, thr)
-        assert not all_reads_on_time(h, thr - 1e-6)
+        assert not late_reads(h, thr)
+        assert late_reads(h, thr - 1e-6)
 
     def test_zero_when_always_fresh(self):
         h = History([write(0, "X", 1, 1.0), read(1, "X", 1, 2.0)])
@@ -196,11 +218,11 @@ class TestDefinition6:
         # delta=6: cutoff 1, nothing between -> on time.
         assert w_r_set_logical(h, r, 6.0, xi) == []
 
-    def test_all_reads_on_time_logical(self):
+    def test_every_logical_read_on_time_from_delta_5(self):
         h = logical_history()
         xi = SumXi()
-        assert not all_reads_on_time_logical(h, 4.0, xi)
-        assert all_reads_on_time_logical(h, 5.0, xi)
+        assert any(w_r_set_logical(h, r, 4.0, xi) for r in h.reads)
+        assert not any(w_r_set_logical(h, r, 5.0, xi) for r in h.reads)
 
     def test_min_timed_delta_logical(self):
         h = logical_history()

@@ -20,14 +20,6 @@ class TestPhysicalVersion:
         v.advance_omega(3.0)  # no regression
         assert v.omega == 5.0
 
-    def test_mutual_consistency_is_overlap(self):
-        a = PhysicalVersion("X", 1, alpha=1.0, omega=4.0)
-        b = PhysicalVersion("Y", 2, alpha=3.0, omega=6.0)
-        c = PhysicalVersion("Z", 3, alpha=5.0, omega=7.0)
-        assert a.mutually_consistent(b)
-        assert b.mutually_consistent(c)
-        assert not a.mutually_consistent(c)
-
     def test_copy_is_independent(self):
         a = PhysicalVersion("X", 1, alpha=1.0, omega=2.0)
         b = a.copy()
@@ -65,8 +57,7 @@ class TestCacheEntry:
     def test_mark_and_refresh(self):
         v = PhysicalVersion("X", 1, alpha=1.0, omega=2.0)
         entry = CacheEntry(v, fetched_at=1.0)
-        entry.mark_old()
-        assert entry.old
+        entry.old = True
         entry.refresh(PhysicalVersion("X", 2, alpha=3.0, omega=3.0), now=3.0)
         assert not entry.old
         assert entry.version.value == 2

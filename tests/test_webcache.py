@@ -9,7 +9,7 @@ from repro.analysis.metrics import staleness_report
 from repro.sim.kernel import Simulator
 from repro.sim.network import ConstantLatency, Network
 from repro.sim.trace import TraceRecorder
-from repro.webcache.documents import DocumentVersion, doc_name, document_names
+from repro.webcache.documents import DocumentVersion, doc_name
 from repro.webcache.harness import compare_policies, run_web_experiment
 from repro.webcache.origin import OriginServer
 from repro.webcache.policies import (
@@ -267,7 +267,6 @@ class TestHarness:
         assert a == b
 
     def test_document_names(self):
-        assert document_names(3) == ["doc0", "doc1", "doc2"]
         assert doc_name(5) == "doc5"
 
     def test_modification_model_validation(self):
