@@ -137,10 +137,7 @@ def cmd_store_compact(args: argparse.Namespace) -> int:
     before = os.path.getsize(wal_path) if os.path.exists(wal_path) else 0
     store = DurableStore(args.dir, fsync="always")
     recovered = store.open()
-    store.snapshot(
-        recovered.objects, recovered.context,
-        now=recovered.resume_time, clean=True,
-    )
+    store.snapshot(recovered.context, now=recovered.resume_time, clean=True)
     store.close()
     after = os.path.getsize(wal_path)
     print(f"compacted {args.dir}: {len(recovered.objects)} objects "

@@ -30,20 +30,20 @@ from repro.core.history import History
 from repro.core.operations import Operation, OpKind
 
 
-def atomic_write_text(path: str, text: str, fsync: bool = True) -> None:
-    """Write ``text`` to ``path`` via tmp + rename, so a reader (or a
+def atomic_write_bytes(path: str, data: bytes, fsync: bool = True) -> None:
+    """Write ``data`` to ``path`` via tmp + rename, so a reader (or a
     crash) never observes a torn file.
 
     The payload is fully written and (by default) fsynced to a sibling
     ``<path>.tmp``, then moved over ``path`` with :func:`os.replace`,
-    which is atomic on POSIX.  Used by the store snapshots
-    (:mod:`repro.store.snapshot`) and registry snapshot saves
-    (:meth:`repro.obs.metrics.Registry.save`) — any file another process
-    may read while we rewrite it should go through here.
+    which is atomic on POSIX, and the directory is fsynced.  Used by the
+    store snapshots (:mod:`repro.store.snapshot`) and registry snapshot
+    saves (:meth:`repro.obs.metrics.Registry.save`) — any file another
+    process may read while we rewrite it should go through here.
     """
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    with open(tmp, "wb") as fh:
+        fh.write(data)
         fh.flush()
         if fsync:
             os.fsync(fh.fileno())
@@ -60,13 +60,13 @@ def atomic_write_json(
     sort_keys: bool = True,
     fsync: bool = True,
 ) -> None:
-    """Atomic (tmp + rename) JSON dump; see :func:`atomic_write_text`.
+    """Atomic (tmp + rename) JSON dump; see :func:`atomic_write_bytes`.
 
     Serialization happens *before* the file is touched, so an
     unserializable payload leaves any existing file intact.
     """
     text = json.dumps(payload, indent=indent, sort_keys=sort_keys)
-    atomic_write_text(path, text + "\n", fsync=fsync)
+    atomic_write_bytes(path, (text + "\n").encode("utf-8"), fsync=fsync)
 
 
 def _fsync_directory(path: str) -> None:

@@ -293,7 +293,8 @@ class FrameConnection(asyncio.BufferedProtocol):
     the injector is written later by a timer (frames may therefore
     reorder, as on a real network); a dropped frame is simply never
     written.  Each frame is handed to the transport whole, so concurrent
-    senders never interleave bytes mid-frame, and ``send`` writes, then
+    senders never interleave bytes mid-frame, and the frames of one
+    ``writelines`` call go in one transport write.  ``send`` writes, then
     suspends while the transport has paused writing; to a peer that is
     gone either is a no-op, never an error (the receive side reports it).
 
@@ -490,11 +491,19 @@ class FrameConnection(asyncio.BufferedProtocol):
                 self.bytes_sent += len(data)
                 transport.write(data)
         else:
-            for delay in self.faults.plan(message.get("kind", "")):
-                if delay <= 0.0:
-                    self._write(data)
-                else:
-                    self._write_later(delay, data)
+            self._write_faulty(message, data)
+
+    def writelines(self, messages: List[Dict[str, Any]]) -> None:
+        """:meth:`write` each of ``messages``, in one transport write
+        unless faults are injected (none if one is too large to frame)."""
+        frames = [encode_frame(message) for message in messages]
+        if self.faults is not None:
+            for message, data in zip(messages, frames):
+                self._write_faulty(message, data)
+        elif not self.transport.is_closing():
+            self.sent += len(frames)
+            self.bytes_sent += sum(map(len, frames))
+            self.transport.write(b"".join(frames))
 
     async def send(self, message: Dict[str, Any]) -> None:
         """:meth:`write`, then wait while the transport has paused writing."""
@@ -506,6 +515,13 @@ class FrameConnection(asyncio.BufferedProtocol):
                 await waiter
             finally:
                 self._send_waiters.remove(waiter)
+
+    def _write_faulty(self, message: Dict[str, Any], data: bytes) -> None:
+        for delay in self.faults.plan(message.get("kind", "")):
+            if delay <= 0.0:
+                self._write(data)
+            else:
+                self._write_later(delay, data)
 
     def _write(self, data: bytes) -> None:
         if self.transport.is_closing():

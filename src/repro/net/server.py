@@ -265,9 +265,7 @@ class NetObjectServer:
             # Clean-shutdown persistence, before the BYE frames: every
             # acknowledged write fsynced, a final snapshot marked clean —
             # the next start loads it and replays nothing.
-            self.durable.close_clean(
-                self.engine.store, self.engine.context, self.clock()
-            )
+            self.durable.close_clean(self.engine.context, self.clock())
         for conn in list(self._connections):
             await conn.send({"kind": BYE, "reason": "server shutdown"})
         await self.close()
@@ -382,9 +380,10 @@ class NetObjectServer:
         each frame of one ``buffer_updated`` call and run its handler, in
         arrival order; ``_release`` sends the replies.
 
-        The data-plane frames form one burst: with a store, from the first
-        reply that must wait for the log (``_waits``) on, its replies are
-        held, for one commit (``_hold``).  ``sync``, ``bye`` and the
+        The data-plane frames form one burst, whose replies leave in one
+        write at its end; with a store, once a reply must wait for the log
+        (``_waits``), those before it leave then, and it and the rest are
+        held for one commit (``_hold``).  ``sync``, ``bye`` and the
         control plane — which may wait (an indirect probe, a handoff), so
         each request runs in a task, kept in ``tasks`` — end the burst.  A
         ``sync`` held behind its connection's replies is a loose clock
@@ -397,16 +396,18 @@ class NetObjectServer:
         """
         store = self.durable
         held: List[tuple] = []  # (request, reply, versions it installed)
+        waits = False  # held[0]'s reply waits for the log, and so the rest
         for frame in frames:
             kind = str(frame.get("kind"))
             if kind == BYE:
+                (self._hold if waits else self._release)(conn, client_id, held)
                 conn.transport.pause_reading()  # no frame after it is read
-                held.append((frame, None, ()))
-                self._hold(conn, client_id, held)
+                self._hold(conn, client_id, [(frame, None, ())])
                 return
             self.requests_by_kind[kind] = self.requests_by_kind.get(kind, 0) + 1
             if kind in CLUSTER_KINDS:
-                self._hold(conn, client_id, held)
+                (self._hold if waits else self._release)(conn, client_id, held)
+                waits = False
                 task = asyncio.ensure_future(self._control(conn, client_id, frame))
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
@@ -415,7 +416,8 @@ class NetObjectServer:
             if kind == SYNC:
                 # Never cached or deduped: a replayed timestamp would poison
                 # the client's NTP estimator.  ``req`` is echoed, as on any reply.
-                self._hold(conn, client_id, held)
+                (self._hold if waits else self._release)(conn, client_id, held)
+                waits = False
                 t1 = self.clock()
                 reply = {
                     "kind": SYNC_ACK, "req": frame.get("req"),
@@ -427,12 +429,11 @@ class NetObjectServer:
                 except Exception as exc:
                     logger.exception("request %r from client %d failed", kind, client_id)
                     reply = self._refusal(client_id, frame, exc)
-            wait = store is not None and (held or self._waits(conn, reply))
+            if not waits and store is not None and self._waits(conn, reply):
+                self._release(conn, client_id, held)  # those before it leave now
+                waits = True
             held.append((frame, reply, installed))
-            if not wait:
-                self._release(conn, client_id, held)
-        if held:
-            self._hold(conn, client_id, held)
+        (self._hold if waits else self._release)(conn, client_id, held)
 
     async def _control(
         self, conn: FrameConnection, client_id: int, frame: Dict[str, Any]
@@ -468,14 +469,13 @@ class NetObjectServer:
             self._commit()
 
     def _commit(self) -> None:
-        """Snapshot if due, then hand the log to the OS and its fsync to
-        the store's thread, for every held group; the loop serves on."""
+        """Hand the log to the OS and its fsync to the store's thread, for
+        every held group, and a snapshot if one is due behind it; the loop
+        serves on."""
         self._covered = len(self._held)
         handoff = self._handed_off = self._handed_off + 1
         try:
-            self.durable.maybe_snapshot(self.engine.store, self.engine.context,
-                                        self.clock())
-            self._syncing = self.durable.commit_soon()
+            self._syncing = self.durable.commit_soon(self.engine.context, self.clock())
         except Exception as exc:
             self._committed(handoff, exc)
             return
@@ -507,21 +507,27 @@ class NetObjectServer:
             self._commit()
 
     def _release(self, conn: FrameConnection, client_id: int, held: List[tuple]) -> None:
-        """Send the replies in ``held`` and empty it, and after each reply
-        record and propagate what its request installed.  A reply too
+        """Send the replies in ``held`` in one write and empty it, then
+        record and propagate what their requests installed.  A reply too
         large to frame ends the connection; its asker fails fast."""
-        for asked, reply, installed in held:
-            if reply is None:  # a bye: the connection ends once it is reached
-                conn.transport.close()
-                continue
-            if "req" not in reply:
-                reply = {**reply, "req": asked.get("req")}
-            try:
+        replies = []
+        for asked, reply, _ in held:
+            if reply is not None:
+                if "req" not in reply:
+                    reply = {**reply, "req": asked.get("req")}
                 # The epoch of *now*, which a replayed reply's may not be;
                 # stamp copies, so a reply the engine cached is never mutated.
-                conn.write(self.engine.stamp(reply))
-            except FrameError:
-                logger.exception("reply to client %d cannot be framed", client_id)
+                replies.append(self.engine.stamp(reply))
+        try:
+            if len(replies) == 1:  # the common case, at what ``write`` costs
+                conn.write(replies[0])
+            elif replies:
+                conn.writelines(replies)
+        except FrameError:
+            logger.exception("reply to client %d cannot be framed", client_id)
+            conn.transport.close()
+        for _, reply, installed in held:
+            if reply is None:  # a bye, the last: the connection ends
                 conn.transport.close()
             for version in installed:
                 if self.recorder is not None:
@@ -605,7 +611,7 @@ class NetObjectServer:
         installed, executing it at most once: a retransmission of an
         answered request replays the original reply (same alpha) and
         executes nothing; anything else runs through the engine and
-        appends what it wrote to the log, grouped — ``_answer`` commits
+        appends what it wrote to the log, uncommitted — ``_answer`` commits
         the log before the ack leaves (an acknowledged write is always
         in the WAL, which is what makes the recovery replay complete).
 
@@ -614,11 +620,10 @@ class NetObjectServer:
         not a race.  A retransmission is therefore looked up only after
         its original has executed: it cannot race it."""
         result = self.engine.execute(client_id, frame)
-        if self.durable is not None and result.wal:
-            with self.durable.group():
-                for version in result.wal:
-                    self.durable.log_write(version)
-                    self._unsynced[version.obj] = self._handed_off + 1
+        if self.durable is not None:
+            for version in result.wal:
+                self.durable.log_write(version, commit=False)
+                self._unsynced[version.obj] = self._handed_off + 1
         if (self.pipeline is not None
                 and result.reply.get("kind") == messages.VALIDATE_BATCH_ACK):
             self.pipeline.on_batch(len(result.reply["results"]))

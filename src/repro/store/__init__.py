@@ -16,13 +16,9 @@ from repro.store.recovery import (
     load_state,
 )
 from repro.store.snapshot import (
-    SNAPSHOT_VERSION,
     SnapshotError,
     load_snapshot,
     quarantine_snapshot,
-    state_from_versions,
-    versions_from_state,
-    write_snapshot,
 )
 from repro.store.wal import (
     FSYNC_POLICIES,
@@ -42,7 +38,6 @@ __all__ = [
     "MAX_RECORD_BYTES",
     "RecoveredState",
     "ReplayResult",
-    "SNAPSHOT_VERSION",
     "SnapshotError",
     "StoreState",
     "WalError",
@@ -55,7 +50,4 @@ __all__ = [
     "quarantine_snapshot",
     "quarantine_tail",
     "replay",
-    "state_from_versions",
-    "versions_from_state",
-    "write_snapshot",
 ]

@@ -31,7 +31,8 @@ before the crash.  Recovery therefore restores both, conservatively:
 
 4. **Old-marking (the TCC invalidation rule, applied to downtime).**
    Any version whose checking time — the latest instant it was known
-   current, ``X_iᵝ``, persisted here as ``omega`` — satisfies
+   current, ``X_iᵝ``, persisted as no later than its install time
+   (a log record has no ``omega``; ``alpha ≤ omega``) — satisfies
    ``X_iᵝ < t_restart − Δ`` is marked **old**: the node cannot prove it
    was current during the blind window, so it must not serve it as
    fresh on its pre-crash evidence.  The server re-proves such a
@@ -51,29 +52,29 @@ preserved timed consistency.
 from __future__ import annotations
 
 import asyncio
-import contextlib
+import functools
 import json
+import logging
 import math
 import os
 import signal
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set
+from json.encoder import encode_basestring_ascii as _quoted
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.history import History
-from repro.core.io import atomic_write_json
+from repro.core.io import atomic_write_bytes, atomic_write_json
 from repro.core.operations import Operation, write
 from repro.engine.versions import PhysicalVersion
 from repro.store.snapshot import (
-    SnapshotError,
-    load_snapshot,
-    quarantine_snapshot,
-    state_from_versions,
-    versions_from_state,
+    SnapshotError, load_snapshot, quarantine_snapshot, snapshot_bytes,
 )
 from repro.store.wal import (
-    ReplayResult, WriteAheadLog, quarantine_tail, replay,
+    ReplayResult, WriteAheadLog, encode_record, frame_record, quarantine_tail, replay,
 )
+
+logger = logging.getLogger(__name__)
 
 META_FILE = "meta.json"
 WAL_FILE = "wal.log"
@@ -87,8 +88,21 @@ META_VERSION = 1
 SNAPSHOT_EVERY = 512
 
 #: Record kinds in the WAL.
-REC_WRITE = "w"  #: one installed write: obj, value, t (= alpha), writer
+REC_WRITE = "w"  #: one executed write: obj, value, t (= alpha), writer
 REC_OPEN = "open"  #: a recovery/open event: t (= t_restart), context
+
+_WRITE_JSON = '{"k":"w","obj":%s,"t":%r,"value":%s,"writer":%d}'
+
+
+def _encode_write(version: PhysicalVersion) -> bytes:
+    """:func:`encode_record` of ``version``'s write record, formatted
+    directly, to the same bytes, when its fields have the types a server
+    logs: a third of the encoder's time."""
+    obj, t, value, writer = version.obj, version.alpha, version.value, version.writer
+    if (type(obj) is str and type(value) is str and type(t) is float
+            and t - t == 0.0 and type(writer) is int):
+        return frame_record((_WRITE_JSON % (_quoted(obj), t, _quoted(value), writer)).encode())
+    return encode_record({"k": REC_WRITE, "t": t, "obj": obj, "value": value, "writer": writer})
 
 
 @dataclass
@@ -106,8 +120,14 @@ class StoreState:
     last_time: float  #: latest persisted instant on the store timescale
     wal: ReplayResult
     write_records: int
-    snapshot_state: Optional[Dict[str, Any]]
+    snapshot: Optional[ReplayResult]  #: its header record, then its objects'
     snapshot_error: Optional[str]
+    latest: Dict[str, Tuple[float, bytes]]  #: obj -> t and bytes of its record
+
+    @property
+    def snapshot_state(self) -> Optional[Dict[str, Any]]:
+        """The snapshot's header: ``taken_at``, ``context``, ``clean``."""
+        return self.snapshot.records[0] if self.snapshot else None
 
     @property
     def clean(self) -> bool:
@@ -163,25 +183,24 @@ def _load_meta(root: str) -> Optional[Dict[str, Any]]:
 def load_state(root: str) -> StoreState:
     """Read a store directory without touching it (inspect/verify/handoff)."""
     meta = _load_meta(root) or {}
-    snapshot_state: Optional[Dict[str, Any]] = None
+    snapshot: Optional[ReplayResult] = None
     snapshot_error: Optional[str] = None
     try:
-        snapshot_state = load_snapshot(os.path.join(root, SNAPSHOT_FILE))
+        snapshot = load_snapshot(os.path.join(root, SNAPSHOT_FILE))
     except SnapshotError as exc:
         snapshot_error = str(exc)
-    objects: Dict[str, PhysicalVersion] = (
-        versions_from_state(snapshot_state) if snapshot_state else {}
-    )
-    context = float(snapshot_state["context"]) if snapshot_state else 0.0
-    last_time = float(snapshot_state["taken_at"]) if snapshot_state else 0.0
+    header = snapshot.records[0] if snapshot else {}
+    context = float(header.get("context", 0.0))
+    last_time = float(header.get("taken_at", 0.0))
+    objects: Dict[str, PhysicalVersion] = {}
+    latest: Dict[str, Tuple[float, bytes]] = {}
     result = replay(os.path.join(root, WAL_FILE))
-    write_records = 0
-    for record in result.records:
+    for record, data in zip((snapshot.records[1:] if snapshot else []) + result.records,
+                            (snapshot.encoded[1:] if snapshot else []) + result.encoded):
         kind = record.get("k")
         t = float(record.get("t", 0.0))
         last_time = max(last_time, t)
         if kind == REC_WRITE:
-            write_records += 1
             version = PhysicalVersion(
                 str(record["obj"]), record["value"], t, t,
                 int(record.get("writer", -1)),
@@ -189,6 +208,7 @@ def load_state(root: str) -> StoreState:
             current = objects.get(version.obj)
             if current is None or t > current.alpha:
                 objects[version.obj] = version
+                latest[version.obj] = (t, data)
             context = max(context, t)
         elif kind == REC_OPEN:
             context = max(context, float(record.get("context", t)))
@@ -199,9 +219,10 @@ def load_state(root: str) -> StoreState:
         context=context,
         last_time=max(last_time, context),
         wal=result,
-        write_records=write_records,
-        snapshot_state=snapshot_state,
+        write_records=sum(record.get("k") == REC_WRITE for record in result.records),
+        snapshot=snapshot,
         snapshot_error=snapshot_error,
+        latest=latest,
     )
 
 
@@ -211,8 +232,8 @@ class DurableStore:
     ``root`` is a directory holding ``wal.log``, ``snapshot.json`` and
     ``meta.json``.  Call :meth:`open` once at startup (it recovers and
     returns the rebuilt state), :meth:`log_write` before acknowledging
-    each write, :meth:`maybe_snapshot` after installs, and
-    :meth:`close_clean` from the graceful-shutdown path.
+    each write, :meth:`commit_soon` to commit them (and snapshot when
+    due), and :meth:`close_clean` from the graceful-shutdown path.
 
     ``recovery_delta`` is the freshness bound Δ the recovery rules run
     at; ``math.inf`` (the default) restores state and timescale but
@@ -251,7 +272,7 @@ class DurableStore:
         self.wal: Optional[WriteAheadLog] = None
         self.recovered: Optional[RecoveredState] = None
         self._appends_since_snapshot = 0
-        self._grouped = False  # inside a group() bracket
+        self._latest: Dict[str, Tuple[float, bytes]] = {}  # as StoreState.latest
         self._last_snapshot_wall: Optional[float] = None
         self._origin_unix: Optional[float] = None
         self._meta: Dict[str, Any] = {}
@@ -294,6 +315,7 @@ class DurableStore:
         )
         if self.instruments is not None:
             self.instruments.wal = self.wal
+        self._latest = state.latest
 
         # Timescale resume: never earlier than anything already persisted.
         t_restart = max(now_wall - self._origin_unix, state.last_time, 0.0)
@@ -314,7 +336,7 @@ class DurableStore:
             resume_time=t_restart,
             old_objects=old,
             replayed_records=len(state.wal.records),
-            snapshot_loaded=state.snapshot_state is not None,
+            snapshot_loaded=state.snapshot is not None,
             snapshot_quarantined=snapshot_quarantined,
             wal_quarantined=wal_sidecar,
             quarantined_bytes=state.wal.tail_bytes,
@@ -332,7 +354,7 @@ class DurableStore:
         recovered.recovery_seconds = time.perf_counter() - started
         self.recovered = recovered
         self._last_snapshot_wall = (
-            time.time() if state.snapshot_state is not None else None
+            time.time() if state.snapshot is not None else None
         )
         return recovered
 
@@ -341,41 +363,41 @@ class DurableStore:
             self.wal.close(sync=sync)
             self.wal = None
 
-    def close_clean(
-        self, objects: Dict[str, PhysicalVersion], context: float, now: float
-    ) -> None:
-        """The graceful-shutdown path: final snapshot, truncate the WAL,
-        fsync everything — the next start replays nothing."""
-        self.snapshot(objects, context, now=now, clean=True)
+    def close_clean(self, context: float, now: float) -> None:
+        """The graceful-shutdown path: final snapshot (behind any job on the
+        log's thread), truncate the WAL — the next start replays nothing."""
+        self.snapshot(context, now=now, clean=True)
         self.close(sync=True)
 
     # -- the write path ------------------------------------------------------
 
-    def log_write(self, version: PhysicalVersion) -> None:
-        """Append one installed write; call *before* acknowledging it."""
-        self._log((version,))
+    def log_write(self, version: PhysicalVersion, *, commit: bool = True) -> None:
+        """Append one executed write, installed or not, and commit it;
+        call *before* acknowledging it.  With ``commit=False`` it is only
+        appended, durable under the fsync policy once the log is
+        committed (:meth:`commit_soon`, ``wal.commit()``): group commit."""
+        self._log((version,), commit)
 
-    def log_writes(self, versions: Sequence[PhysicalVersion]) -> None:
-        """Append several installed writes with a single flush/fsync;
-        call *before* acknowledging any of them.  Nothing in the package
-        calls it any more (a pipelined burst shares one fsync through
-        :meth:`group`); it stays because the layered benchmark's tracer
-        patches it by name."""
-        self._log(versions)
+    def log_writes(self, versions: Sequence[PhysicalVersion], *, commit: bool = True) -> None:
+        """:meth:`log_write` of several writes, with one commit.  Nothing in
+        the package calls it any more (a pipelined burst shares one fsync
+        through ``commit=False``); it stays because the layered
+        benchmark's tracer patches it by name."""
+        self._log(versions, commit)
 
-    def _log(self, versions: Sequence[PhysicalVersion]) -> None:
+    def _log(self, versions: Sequence[PhysicalVersion], commit: bool) -> None:
         if self.wal is None:
             raise RuntimeError("store is not open; call open() first")
-        self.wal.append_many([
-            {
-                "k": REC_WRITE,
-                "t": version.alpha,
-                "obj": version.obj,
-                "value": version.value,
-                "writer": version.writer,
-            }
-            for version in versions
-        ], commit=not self._grouped)
+        latest, encoded = self._latest, []
+        for version in versions:
+            data = _encode_write(version)
+            encoded.append(data)
+            # Replay's rule: a write that lost latest-write-wins is logged
+            # and kept by no snapshot.
+            held = latest.get(version.obj)
+            if held is None or version.alpha > held[0]:
+                latest[version.obj] = (version.alpha, data)
+        self.wal.append_encoded(encoded, commit=commit)
         self._appends_since_snapshot += len(versions)
         if self.crash_after_appends is not None:
             self.crash_after_appends -= len(versions)
@@ -383,23 +405,17 @@ class DurableStore:
                 self.wal.flush(sync=True)  # the appends must hit the disk
                 os.kill(os.getpid(), signal.SIGKILL)
 
-    @contextlib.contextmanager
-    def group(self) -> Iterator[None]:
-        """The group-commit bracket: a ``log_write``/``log_writes`` made
-        inside it only appends, and is durable, under the fsync policy,
-        once the log is committed (:meth:`commit_soon`, ``wal.commit()``).
-        Outside it each call commits itself."""
-        self._grouped = True
-        try:
-            yield
-        finally:
-            self._grouped = False
-
-    def commit_soon(self) -> "Optional[asyncio.Future[float]]":
-        """Commit every grouped append so far, the fsync on the log's
-        worker thread (:meth:`WriteAheadLog.commit_soon`).  If it fails,
-        none of them may be acknowledged."""
-        return self.wal.commit_soon() if self.wal is not None else None
+    def commit_soon(self, context: float, now: float) -> "Optional[asyncio.Future[float]]":
+        """Commit every append so far, the fsync on the log's worker thread
+        (:meth:`WriteAheadLog.commit_soon`); if it fails, none may be
+        acknowledged.  Then :meth:`snapshot` once ``max(SNAPSHOT_EVERY,
+        objects)`` appends accumulated, its I/O queued behind that fsync."""
+        if self.wal is None:
+            return None
+        syncing = self.wal.commit_soon()
+        if self._appends_since_snapshot >= max(SNAPSHOT_EVERY, len(self._latest)):
+            self.snapshot(context, now=now)
+        return syncing
 
     # -- cluster ring --------------------------------------------------------
 
@@ -427,40 +443,31 @@ class DurableStore:
 
     # -- snapshots -----------------------------------------------------------
 
-    def snapshot(
-        self,
-        objects: Dict[str, PhysicalVersion],
-        context: float,
-        *,
-        now: float,
-        clean: bool = False,
-    ) -> None:
-        """Write a compacted snapshot and truncate the WAL behind it."""
-        from repro.store.snapshot import write_snapshot
+    def snapshot(self, context: float, *, now: float, clean: bool = False) -> None:
+        """Snapshot every object's last logged write (:mod:`repro.store.snapshot`):
+        here, encode a header and join the records' bytes; the file I/O and
+        the WAL's truncation run in :meth:`WriteAheadLog.compact`.  One that
+        fails is logged, leaves the log whole and is taken when next due."""
+        write = functools.partial(
+            atomic_write_bytes, os.path.join(self.root, SNAPSHOT_FILE),
+            snapshot_bytes([data for _, data in self._latest.values()],
+                           taken_at=now, context=context, clean=clean))
+        covered, self._appends_since_snapshot = self._appends_since_snapshot, 0
 
-        write_snapshot(
-            os.path.join(self.root, SNAPSHOT_FILE),
-            state_from_versions(
-                objects, taken_at=now, context=context, clean=clean
-            ),
-        )
-        if self.wal is not None:
-            self.wal.truncate()
-        self._appends_since_snapshot = 0
-        self._last_snapshot_wall = time.time()
-        if self.instruments is not None:
-            self.instruments.on_snapshot()
+        def taken(done: "Optional[asyncio.Future[None]]" = None) -> None:
+            if done is not None and done.exception() is not None:
+                logger.error("snapshot failed", exc_info=done.exception())
+                self._appends_since_snapshot += covered
+                return
+            self._last_snapshot_wall = time.time()
+            if self.instruments is not None:
+                self.instruments.on_snapshot()
 
-    def maybe_snapshot(
-        self, objects: Dict[str, PhysicalVersion], context: float, now: float
-    ) -> bool:
-        """Snapshot iff ``max(SNAPSHOT_EVERY, len(objects))`` appends
-        accumulated since the last one, so the log never outgrows the
-        snapshot that replaces it; returns whether one was written."""
-        if self._appends_since_snapshot < max(SNAPSHOT_EVERY, len(objects)):
-            return False
-        self.snapshot(objects, context, now=now)
-        return True
+        compacting = write() if self.wal is None else self.wal.compact(write)
+        if compacting is None:
+            taken()
+        else:
+            compacting.add_done_callback(taken)
 
     @property
     def snapshot_age(self) -> float:
@@ -488,42 +495,27 @@ def history_from_wal(
     acknowledgement the crash ate.
 
     ``path`` may be a store directory or a WAL file.  For a directory,
-    writes compacted into the snapshot are reconstructed from its object
-    states, so compaction does not hide history from the checker.
+    the snapshot's records are read too, so compaction does not hide the
+    writes it kept from the checker.
     Validation defaults off: a WAL holds only writes, and reads-from
     validation needs the merged trace.
     """
-    operations: List[Operation] = []
-    seen = set()
-
-    def add_write(site: int, obj: str, value: Any, t: float) -> None:
-        key = (site, obj, value, t)
-        if key in seen:
-            return
-        seen.add(key)
-        operations.append(write(site, obj, value, t))
-
     if os.path.isdir(path):
         state = load_state(path)
-        if state.snapshot_state is not None:
-            for obj, fields in state.snapshot_state.get("objects", {}).items():
-                writer = int(fields.get("writer", -1))
-                alpha = float(fields["alpha"])
-                if writer < 0 and alpha == 0.0:
-                    continue  # the implicit initial value, not a write
-                add_write(writer, obj, fields["value"], alpha)
-        records = state.wal.records
+        records = (state.snapshot.records if state.snapshot else []) + state.wal.records
     else:
         records = replay(path).records
+    operations: List[Operation] = []
+    seen = set()
     for record in records:
         if record.get("k") != REC_WRITE:
             continue
-        add_write(
-            int(record.get("writer", -1)),
-            str(record["obj"]),
-            record["value"],
-            float(record["t"]),
-        )
+        key = (int(record.get("writer", -1)), str(record["obj"]), record["value"],
+               float(record["t"]))
+        if key in seen or (key[0] < 0 and key[3] == 0.0):
+            continue  # a copy, or the implicit initial value: not a write
+        seen.add(key)
+        operations.append(write(*key))
     return History(
         operations, initial_value=initial_value, validate=validate
     )

@@ -27,6 +27,10 @@ trade-off; cf. Redis AOF ``appendfsync``):
 * ``"never"``    — never fsync explicitly; the OS flushes when it
   pleases.  Fastest, weakest, and exactly what the in-memory seed did.
 
+A snapshot (:mod:`repro.store.snapshot`) is written in this codec too:
+:meth:`WriteAheadLog.compact` makes one durable and then empties the
+log, on the thread that runs ``commit_soon``'s fsyncs.
+
 Recovery (:func:`replay`, then :func:`quarantine_tail`) reads the
 longest well-formed prefix.  On the first malformed record —
 truncated header, truncated payload, CRC mismatch, undecodable JSON —
@@ -50,6 +54,8 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
+from repro.core.io import atomic_write_bytes
+
 _HEADER = struct.Struct(">II")  # payload length, CRC32(payload)
 
 #: A record larger than this is corruption, not data (mirrors the frame
@@ -63,13 +69,20 @@ FSYNC_POLICIES = ("always", "interval", "never")
 FSYNC_INTERVAL = 0.05
 
 
+_encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+
+
 class WalError(Exception):
     """A malformed WAL record or a misused log handle."""
 
 
 def encode_record(record: Dict[str, Any]) -> bytes:
     """Serialize one record to ``length || crc || JSON`` bytes."""
-    payload = json.dumps(record, separators=(",", ":"), sort_keys=True).encode("utf-8")
+    return frame_record(_encode(record).encode("utf-8"))
+
+
+def frame_record(payload: bytes) -> bytes:
+    """``length || crc || payload``, ``payload`` a record's JSON."""
     if len(payload) > MAX_RECORD_BYTES:
         raise WalError(f"record of {len(payload)} bytes exceeds {MAX_RECORD_BYTES}")
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
@@ -93,6 +106,7 @@ class ReplayResult:
     """What a replay recovered, and where (and why) it stopped."""
 
     records: List[Dict[str, Any]] = field(default_factory=list)
+    encoded: List[bytes] = field(default_factory=list)  #: each record, as read
     good_bytes: int = 0  #: length of the well-formed prefix
     tail_bytes: int = 0  #: bytes past the prefix (0 for a clean log)
     tail_error: Optional[str] = None  #: why the tail is unusable
@@ -134,10 +148,19 @@ def replay(path: str) -> ReplayResult:
             result.tail_error = str(exc)
             break
         result.records.append(record)
+        result.encoded.append(data[at:end])
         at = end
     result.good_bytes = at
     result.tail_bytes = len(data) - at
     return result
+
+
+def sidecar_path(path: str, kind: str) -> str:
+    """The first free ``<path>.<kind>-<n>``, where corrupt bytes are set aside."""
+    n = 0
+    while os.path.exists(f"{path}.{kind}-{n}"):
+        n += 1
+    return f"{path}.{kind}-{n}"
 
 
 def quarantine_tail(path: str, result: ReplayResult) -> Optional[str]:
@@ -149,16 +172,8 @@ def quarantine_tail(path: str, result: ReplayResult) -> Optional[str]:
     with open(path, "rb") as fh:
         fh.seek(result.good_bytes)
         tail = fh.read()
-    n = 0
-    while True:
-        sidecar = f"{path}.quarantine-{n}"
-        if not os.path.exists(sidecar):
-            break
-        n += 1
-    with open(sidecar, "wb") as fh:
-        fh.write(tail)
-        fh.flush()
-        os.fsync(fh.fileno())
+    sidecar = sidecar_path(path, "quarantine")
+    atomic_write_bytes(sidecar, tail)
     with open(path, "r+b") as fh:
         fh.truncate(result.good_bytes)
         fh.flush()
@@ -209,10 +224,12 @@ class _SyncWorker:
             future.cancelled() or settle(outcome)
 
     def close(self) -> None:
-        """Let every job submitted finish, resolve it, close the thread."""
+        """Let every job submitted finish, resolve it, close the thread;
+        a later :meth:`submit` starts a new one."""
         if self._thread is not None:
             self._wake.close()  # the thread reads EOF after the last job
             self._thread.join()
+            self._thread = None
             if self._done and not self._loop.is_closed():
                 self._resolve()  # its answer byte is still unread
             self._loop.remove_reader(self._answered)
@@ -228,6 +245,9 @@ class WriteAheadLog:
     feeds its latency histogram from — on the caller's thread (the
     loop's, for :meth:`commit_soon`), before any later record reaches
     the OS: :attr:`size` in it is on disk.
+
+    :attr:`compacting` is the future of the last :meth:`compact` run on
+    the worker: until it is done no record reaches the file.
     """
 
     def __init__(
@@ -252,6 +272,7 @@ class WriteAheadLog:
         self._last_sync = time.monotonic()
         self._dirty = False  # handed to the OS, not yet synced
         self._worker = _SyncWorker()  # commit_soon's fsync thread
+        self.compacting: "Optional[asyncio.Future[None]]" = None
 
     @property
     def size(self) -> int:
@@ -271,14 +292,16 @@ class WriteAheadLog:
         process's memory and the caller owes the :meth:`commit` — the
         seam group commit amortizes fsyncs through: under
         ``fsync="always"`` N appends pay one fsync instead of N."""
+        return self.append_encoded([encode_record(r) for r in records], commit=commit)
+
+    def append_encoded(self, encoded: Sequence[bytes], *, commit: bool = True) -> int:
+        """:meth:`append_many` of records :func:`encode_record` already
+        encoded."""
         if self._fh.closed:
             raise WalError(f"log {self.path} is closed")
-        total = 0
-        for record in records:
-            data = encode_record(record)
-            self._pending.append(data)
-            self.records_appended += 1
-            total += len(data)
+        self._pending.extend(encoded)
+        self.records_appended += len(encoded)
+        total = sum(map(len, encoded))
         self.bytes_appended += total
         if total and commit:
             self.commit()
@@ -286,7 +309,11 @@ class WriteAheadLog:
 
     def hand_off(self) -> bool:
         """Hand every appended record to the OS (a plain crash then loses
-        nothing); returns whether the policy owes an fsync now."""
+        nothing), after a :meth:`compact` in flight, which it waits for;
+        returns whether the policy owes an fsync now."""
+        if self.compacting is not None and not self.compacting.done():
+            self._worker.close()  # no record may reach the file before it is emptied
+        self.compacting = None
         if self._pending:
             self._fh.write(b"".join(self._pending))
             self._pending.clear()
@@ -307,7 +334,10 @@ class WriteAheadLog:
         """:meth:`commit`, its fsync on the log's one thread: ``None`` if
         none is owed, else its future (of the fsync's seconds), resolved
         on the loop once the completion is applied.  Appends meanwhile
-        stay in memory."""
+        stay in memory; behind a :meth:`compact` in flight, the commit
+        starts once it is done."""
+        if self.compacting is not None and not self.compacting.done():
+            return asyncio.ensure_future(self._commit_after(self.compacting))
         if not self.hand_off():
             return None
         syncing = asyncio.get_running_loop().run_in_executor(
@@ -315,6 +345,30 @@ class WriteAheadLog:
         syncing.add_done_callback(lambda done: done.cancelled()
                                   or done.exception() or self._synced(done.result()))
         return syncing
+
+    async def _commit_after(self, compacting: "asyncio.Future[None]") -> float:
+        await asyncio.wait((compacting,))
+        syncing = self.commit_soon()
+        return 0.0 if syncing is None else await syncing
+
+    def compact(self, write: Callable[[], None]) -> "Optional[asyncio.Future[None]]":
+        """Replace the log by a snapshot: ``write`` makes durable one of
+        every record appended so far, then the log is emptied, on the
+        log's thread behind any fsync queued there (:attr:`compacting`,
+        returned) or, with no loop running, here.  If ``write`` raises,
+        the log keeps every record."""
+        self.hand_off()
+        try:
+            loop = asyncio.get_running_loop()
+        except RuntimeError:
+            return self._compact(write)
+        self.compacting = loop.run_in_executor(self._worker, self._compact, write)
+        return self.compacting
+
+    def _compact(self, write: Callable[[], None]) -> None:
+        write()
+        os.ftruncate(self._fh.fileno(), 0)
+        os.fsync(self._fh.fileno())
 
     def flush(self, sync: bool = True) -> None:
         """Hand appended records to the OS; ``sync`` forces them to stable
@@ -339,21 +393,10 @@ class WriteAheadLog:
         if self.on_fsync is not None:
             self.on_fsync(elapsed)
 
-    def truncate(self) -> None:
-        """Drop every record (a snapshot has superseded them)."""
-        if self._fh.closed:
-            raise WalError(f"log {self.path} is closed")
-        self._fh.truncate(0)
-        self._fh.seek(0)
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-        self._last_sync = time.monotonic()
-        self._dirty = False
-
     def close(self, sync: bool = True) -> None:
         if self._fh.closed:
             return
-        self._worker.close()  # an fsync in flight returns first
+        self._worker.close()  # an fsync or a compact in flight returns first
         self.flush(sync=sync)
         self._fh.close()
 

@@ -126,11 +126,11 @@ class TestExactlyOnce:
             store = DurableStore(str(tmp_path), fsync="always")
             log_write, logged = store.log_write, []
 
-            def log_write_failing_once(version):
+            def log_write_failing_once(version, **options):
                 logged.append(version.value)
                 if len(logged) == 1:
                     raise OSError(errno.ENOSPC, "No space left on device")
-                log_write(version)
+                log_write(version, **options)
 
             store.log_write = log_write_failing_once
             server = await NetObjectServer(propagation="none", store=store).start()
@@ -1001,11 +1001,15 @@ class TestBackpressure:
 
 def spy_on_writes(conn, seen):
     """Call ``seen(frame)`` for every frame ``conn`` hands its transport,
-    at the moment it does."""
+    at the moment it does; one transport write may carry several."""
     write = conn.transport.write
 
     def spy(data):
-        seen(decode_frame(bytes(data[4:])))
+        at = 0
+        while at < len(data):
+            end = at + 4 + int.from_bytes(data[at:at + 4], "big")
+            seen(decode_frame(bytes(data[at + 4:end])))
+            at = end
         write(data)
 
     conn.transport.write = spy
@@ -1094,6 +1098,29 @@ class TestGroupCommit:
         logged = [r for r in replay_wal(str(tmp_path / "wal.log")).records
                   if r.get("k") == REC_WRITE]
         assert [r["t"] for r in logged[:8]] == alphas
+
+    @pytest.mark.parametrize("durable", [True, False])
+    def test_a_burst_of_eight_acks_leaves_in_one_transport_write(self, tmp_path, durable):
+        """With a store the eight acks are one held group, without one
+        ``_answer`` burst: either way one ``transport.write`` carries all."""
+        async def scenario():
+            server = await (self.durable_server(tmp_path) if durable
+                            else NetObjectServer(propagation="none").start())
+            try:
+                conn = await raw_peer(server, 7)
+                (served,) = server._connections
+                writes, write = [], served.transport.write
+                served.transport.write = lambda data: (writes.append(data), write(data))
+                replies = await exchange(conn, writes_burst(8))
+                await conn.close()
+                return replies, writes, served.sent
+            finally:
+                await server.abort()
+
+        replies, writes, sent = asyncio.run(scenario())
+        assert [r["req"] for r in replies] == list(range(8))
+        assert len(writes) == 1 and sent == 1 + 8  # the hello-ack, then the acks
+        assert writes[0] == b"".join(encode_frame(r) for r in replies)
 
     def test_every_ack_is_of_a_write_the_disk_already_has(self, tmp_path):
         """Crash the disk, not the process: at the moment an ack is

@@ -94,8 +94,7 @@ class TestVerify:
         # snapshot: the log still rebuilds part of the state.
         store = DurableStore(store_dir, fsync="always")
         recovered = store.open(now_wall=1001.0)
-        store.snapshot(recovered.objects, recovered.context,
-                       now=recovered.resume_time)
+        store.snapshot(recovered.context, now=recovered.resume_time)
         store.log_write(PhysicalVersion("z", "s1.4", 4.0, 4.0, 1))
         store.close()
         _corrupt_snapshot(store_dir)

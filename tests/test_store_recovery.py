@@ -35,6 +35,7 @@ from repro.ring.ring import Ring, RingBuilder
 from repro.sim.trace import TraceRecorder
 from repro.store import DurableStore, load_state
 from repro.store.recovery import SNAPSHOT_EVERY
+from tests.test_store_wal import write_legacy_snapshot
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -83,7 +84,8 @@ class TestDurableStore:
         store = DurableStore(str(tmp_path), fsync="always")
         store.open(now_wall=1000.0)
         assert store.snapshot_age == math.inf
-        store.snapshot({"x": PhysicalVersion("x", "s1.0", 1.0, 1.0, 1)}, 1.0, now=2.0)
+        store.log_write(PhysicalVersion("x", "s1.0", 1.0, 1.0, 1))
+        store.snapshot(1.0, now=2.0)
         assert 0.0 <= store.snapshot_age < 60.0
         store.close()
         store = DurableStore(str(tmp_path), fsync="always")
@@ -91,9 +93,9 @@ class TestDurableStore:
         assert store.snapshot_age < 60.0  # the snapshot on disk counts
         store.close()
 
-    def test_group_bracket_defers_to_one_commit(self, tmp_path):
-        """Inside ``group()`` a logged write is only appended and the
-        caller owes the log's commit; outside it ``log_write`` is durable
+    def test_an_uncommitted_log_write_defers_to_one_commit(self, tmp_path):
+        """With ``commit=False`` a logged write is only appended and the
+        caller owes the log's commit; without it ``log_write`` is durable
         on return, as it always was."""
         store = DurableStore(str(tmp_path), fsync="always")
         store.open(now_wall=1000.0)
@@ -103,12 +105,11 @@ class TestDurableStore:
         assert wal.fsyncs == before + 1
         committed = wal.size
         for i in range(1, 4):
-            with store.group():
-                store.log_write(PhysicalVersion("x", f"s1.{i}", 1.0 + i, 1.0 + i, 1))
-        with store.group():
-            store.log_writes([
-                PhysicalVersion("y", f"s1.{i}", 1.0 + i, 1.0 + i, 1) for i in (4, 5)
-            ])
+            store.log_write(PhysicalVersion("x", f"s1.{i}", 1.0 + i, 1.0 + i, 1),
+                            commit=False)
+        store.log_writes([
+            PhysicalVersion("y", f"s1.{i}", 1.0 + i, 1.0 + i, 1) for i in (4, 5)
+        ], commit=False)
         assert wal.fsyncs == before + 1 and wal.size == committed  # in memory
         wal.commit()
         assert wal.fsyncs == before + 2 and wal.size > committed
@@ -201,18 +202,20 @@ class TestDurableStore:
         store.open(now_wall=1000.0)
         xs = [PhysicalVersion("x", f"s1.{t}", float(t), float(t), 1)
               for t in range(1, SNAPSHOT_EVERY + 1)]
+        snapshot_path = str(tmp_path / "snapshot.json")
         for x in xs[:-1]:
             store.log_write(x)
         # One append short of SNAPSHOT_EVERY: no snapshot yet.
-        assert store.maybe_snapshot({"x": xs[-2]}, xs[-2].alpha, xs[-2].alpha) is False
+        store.commit_soon(xs[-2].alpha, xs[-2].alpha)
+        assert not os.path.exists(snapshot_path)
         store.log_write(xs[-1])
         # SNAPSHOT_EVERY appends: the snapshot is written and the WAL
         # truncated behind it.
-        assert store.maybe_snapshot({"x": xs[-1]}, xs[-1].alpha, xs[-1].alpha) is True
+        store.commit_soon(xs[-1].alpha, xs[-1].alpha)
+        assert os.path.exists(snapshot_path) and store.wal.size == 0
         t = xs[-1].alpha + 1.0
         store.log_write(PhysicalVersion("y", "s1.y", t, t, 1))
         store.close()
-        snapshot_path = str(tmp_path / "snapshot.json")
         with open(snapshot_path, "w") as fh:
             fh.write("{torn")
         recovered = recover(tmp_path, 1000.0 + t)
@@ -228,17 +231,17 @@ class TestDurableStore:
         not after ``SNAPSHOT_EVERY``."""
         store = DurableStore(str(tmp_path), fsync="never")
         store.open(now_wall=1000.0)
-        objects = {f"o{i}": PhysicalVersion(f"o{i}", 0, 1.0, 1.0, 1)
-                   for i in range(2000)}
-        store.snapshot(objects, 1.0, now=1.0)
+        for i in range(2000):
+            store.log_write(PhysicalVersion(f"o{i}", 0, 1.0, 1.0, 1))
+        store.commit_soon(1.0, 1.0)
+        assert load_state(str(tmp_path)).wal.records == []  # snapshotted
         for appended in range(1, 2001):
             t = 1.0 + appended
-            version = PhysicalVersion("o0", f"s1.{appended}", t, t, 1)
-            store.log_write(version)
-            objects["o0"] = version
+            store.log_write(PhysicalVersion("o0", f"s1.{appended}", t, t, 1))
             if appended in (SNAPSHOT_EVERY, 1999):
-                assert store.maybe_snapshot(objects, t, t) is False
-        assert store.maybe_snapshot(objects, t, t) is True
+                store.commit_soon(t, t)
+                assert len(load_state(str(tmp_path)).wal.records) == appended
+        store.commit_soon(t, t)
         assert load_state(str(tmp_path)).wal.records == []  # truncated behind it
         store.close()
 
@@ -246,9 +249,7 @@ class TestDurableStore:
         store = DurableStore(str(tmp_path), fsync="always")
         store.open(now_wall=1000.0)
         store.log_write(PhysicalVersion("x", "s1.1", 1.0, 1.0, 1))
-        store.close_clean(
-            {"x": PhysicalVersion("x", "s1.1", 1.0, 1.5, 1)}, 1.5, 1.5
-        )
+        store.close_clean(1.5, 1.5)
         state = load_state(str(tmp_path))
         assert state.clean
         recovered = recover(tmp_path, 1002.0)
@@ -291,9 +292,7 @@ class TestHistoryFromWal:
         store = DurableStore(str(tmp_path), fsync="never")
         recovered = store.open(now_wall=1000.0)
         store.log_write(PhysicalVersion("x", "s0.1", 1.0, 1.0, 0))
-        store.snapshot(
-            {"x": PhysicalVersion("x", "s0.1", 1.0, 1.0, 0)}, 1.0, now=1.0
-        )
+        store.snapshot(1.0, now=1.0)
         store.log_write(PhysicalVersion("x", "s0.2", 2.0, 2.0, 0))
         store.close()
         history = history_from_wal(str(tmp_path))
@@ -302,14 +301,14 @@ class TestHistoryFromWal:
         assert recovered.empty
 
     def test_initial_values_in_snapshot_are_not_writes(self, tmp_path):
-        store = DurableStore(str(tmp_path), fsync="never")
-        store.open(now_wall=1000.0)
         # The implicit initial version (writer -1 at alpha 0) a server
-        # materializes on first read is state, not history.
-        store.snapshot(
-            {"x": PhysicalVersion("x", 0, 0.0, 3.0, -1)}, 3.0, now=3.0
+        # materializes on first read is state, not history; a snapshot of
+        # the earlier JSON format holds it, one in the log's codec never
+        # does (only logged writes are).
+        write_legacy_snapshot(
+            str(tmp_path / "snapshot.json"),
+            {"x": PhysicalVersion("x", 0, 0.0, 3.0, -1)}, taken_at=3.0, context=3.0,
         )
-        store.close()
         assert len(history_from_wal(str(tmp_path)).operations) == 0
 
     def test_bare_wal_file_accepted(self, tmp_path):
@@ -363,6 +362,47 @@ class TestServerRecovery:
         # The resumed timescale must keep increasing across the restart,
         # or the new write would have lost latest-write-wins silently.
         assert new_alpha > old_alpha
+
+    def test_a_serving_store_snapshots_behind_its_commit_and_restarts_from_it(
+        self, tmp_path
+    ):
+        """Past ``SNAPSHOT_EVERY`` writes a commit takes a snapshot in the
+        log's codec, on the log's thread, and the log is emptied behind
+        it; a restart after a plain close serves every acknowledged value,
+        and one after ``shutdown()`` replays nothing."""
+        root = str(tmp_path / "store")
+
+        def durable_server():
+            return NetObjectServer(
+                propagation="none", store=DurableStore(root, fsync="always"))
+
+        async def first_life():
+            server = await durable_server().start()
+            async with NetCacheClient(1, server.host, server.port) as client:
+                for wave in range(SNAPSHOT_EVERY // 8 + 10):
+                    await asyncio.gather(*(client.write(f"k{i}", f"s1.{wave}.{i}")
+                                           for i in range(8 * (wave % 5), 8 * (wave % 5) + 8)))
+            values = {obj: v.value for obj, v in server.engine.store.items()}
+            logged, size = server.durable.wal.records_appended, server.durable.wal.size
+            await server.close()
+            return values, logged, size
+
+        async def later_life(values, clean):
+            server = await durable_server().start()
+            assert server.recovered.clean_start is clean
+            async with NetCacheClient(2, server.host, server.port) as client:
+                for obj, value in values.items():
+                    assert await client.read(obj) == value
+            await (server.shutdown() if not clean else server.close())
+            return server.recovered.replayed_records
+
+        values, logged, size = asyncio.run(first_life())
+        assert len(values) == 40 and logged > SNAPSHOT_EVERY
+        assert 0 < size < (logged - SNAPSHOT_EVERY) * 100  # emptied at the snapshot
+        with open(os.path.join(root, "snapshot.json"), "rb") as fh:
+            assert fh.read(1) == b"\0"  # a record's length, not JSON
+        assert asyncio.run(later_life(values, clean=False)) > 0
+        assert asyncio.run(later_life(values, clean=True)) == 0
 
     def test_restart_resumes_the_acknowledged_ring(self, tmp_path):
         """A crashed clustered member comes back with the ring it last

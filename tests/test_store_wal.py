@@ -12,6 +12,7 @@ import errno
 import json
 import os
 import pathlib
+import shutil
 import struct
 import sys
 import threading
@@ -21,26 +22,39 @@ import zlib
 
 import pytest
 
-from repro.core.io import atomic_write_json, atomic_write_text
+from repro.core.io import atomic_write_bytes, atomic_write_json
 from repro.engine.versions import PhysicalVersion
 from repro.obs.metrics import Registry, load_snapshot as load_metrics_snapshot
 from repro.store import (
+    DurableStore,
     SnapshotError,
     WalError,
     WriteAheadLog,
     encode_record,
     load_snapshot,
+    load_state,
     quarantine_snapshot,
     quarantine_tail,
     replay,
-    state_from_versions,
-    versions_from_state,
-    write_snapshot,
 )
 from repro.store import wal as wal_module
+from repro.store.recovery import SNAPSHOT_EVERY
+from repro.store.snapshot import snapshot_bytes
 from repro.store.wal import FSYNC_INTERVAL, MAX_RECORD_BYTES, decode_record
 
 _HEADER = struct.Struct(">II")
+
+
+def write_legacy_snapshot(path, versions, *, taken_at, context, clean=False):
+    """A ``snapshot.json`` in the earlier format: one JSON document, its
+    CRC over the canonical ``state``."""
+    state = {"taken_at": taken_at, "context": context, "clean": clean, "objects": {
+        obj: {"value": v.value, "alpha": v.alpha, "omega": v.omega, "writer": v.writer}
+        for obj, v in versions.items()}}
+    canonical = json.dumps(state, separators=(",", ":"), sort_keys=True)
+    with open(path, "w") as fh:
+        fh.write(f'{{"crc":{zlib.crc32(canonical.encode())},"state":{canonical},"version":1}}\n')
+    return state
 
 
 @pytest.fixture
@@ -66,6 +80,36 @@ class TestRecordCodec:
         length, crc = _HEADER.unpack_from(data)
         assert length == len(data) - _HEADER.size
         assert decode_record(data[_HEADER.size:], crc) == record
+
+    def test_a_record_is_pinned_to_its_bytes(self):
+        """Keys sorted, no spaces, ASCII escapes: the bytes of every log
+        record written so far, which a snapshot now copies verbatim."""
+        assert encode_record(
+            {"writer": 2, "value": "s\u00e9.1", "t": 1.5, "obj": "x", "k": "w"}
+        ) == (b'\x00\x00\x00:\xd1\xba08'
+              b'{"k":"w","obj":"x","t":1.5,"value":"s\\u00e9.1","writer":2}')
+
+    def test_a_write_record_is_the_encoders_bytes(self):
+        """The store formats a write's record itself when its fields have
+        a server's types, and encodes any other through the encoder: the
+        bytes are the encoder's either way."""
+        import random
+
+        from repro.store.recovery import _encode_write
+
+        rng = random.Random(7)
+        texts = ["", "x", "s1.2", 'q"uo\\te', "tab\tnl\n", "\u00e9\u4e2d\U0001f600",
+                 "\x00\x1f\x7f", "\ud800"]
+        values = texts + [0, -3, 2 ** 70, 1.5, True, None, float("inf")]
+        for _ in range(2000):
+            t = rng.choice([0.0, 1e-9, 12.5, 1e21, 123456.789012345, rng.random() * 1e6,
+                            float("nan"), float("-inf"), 7])
+            version = PhysicalVersion(rng.choice(texts) + str(rng.random()), rng.choice(values),
+                                      t, t, rng.choice([-1, 0, 5, True]))
+            assert _encode_write(version) == encode_record({
+                "k": "w", "obj": version.obj, "t": version.alpha,
+                "value": version.value, "writer": version.writer,
+            }), version
 
     def test_a_changed_payload_fails_its_crc(self):
         data = encode_record({"k": "w"})
@@ -200,12 +244,16 @@ class TestWalRoundtrip:
         log.close()
 
     def test_truncate_drops_everything(self, tmp_path):
+        """``compact`` with no loop running: its ``write``, then the log
+        emptied, here; an append after it starts the log again."""
         path = str(tmp_path / "wal.log")
         log = WriteAheadLog(path, fsync="never")
-        log.append({"a": 1})
-        log.truncate()
+        log.append_many([{"a": 1}], commit=False)
+        sizes = []
+        assert log.compact(lambda: sizes.append(os.path.getsize(path))) is None
         log.append({"a": 2})
         log.close()
+        assert sizes == [len(encode_record({"a": 1}))]  # handed off first
         assert [r["a"] for r in replay(path).records] == [2]
 
     def test_oversized_record_rejected(self, tmp_path):
@@ -380,6 +428,195 @@ class TestTheFsyncWorker:
         assert not [name for name in imported if name.split(".")[0] == "concurrent"]
 
 
+class TestTheSnapshotJob:
+    """``DurableStore.snapshot`` on a running loop: the loop encodes the
+    header and joins the bytes the log already encoded; the file I/O and
+    the log's truncation run on the ``wal-fsync`` thread, behind the fsync
+    of the commit that made the snapshot due."""
+
+    @staticmethod
+    def opened(root, **options):
+        store = DurableStore(str(root), fsync="always", **options)
+        store.open(now_wall=1000.0)
+        return store
+
+    @staticmethod
+    def log(store, n, prefix="o", first=1.0, objects=None):
+        """``n`` uncommitted writes, round-robin over ``objects`` (default
+        ``n``) objects, one second apart from ``first``."""
+        versions = [PhysicalVersion(f"{prefix}{i % (objects or n)}", f"{prefix}.{i}",
+                                    first + i, first + i, 1) for i in range(n)]
+        for version in versions:
+            store.log_write(version, commit=False)
+        return versions
+
+    def test_a_snapshot_encodes_one_record_on_the_loop(self, tmp_path, monkeypatch):
+        """Of a 1 024-object store: its header, counted, not timed."""
+        encoded, real = [], wal_module._encode
+
+        def counted(record):
+            encoded.append((threading.current_thread().name, record.get("k")))
+            return real(record)
+
+        async def scenario():
+            store = self.opened(tmp_path)
+            self.log(store, 1024)
+            await store.wal.commit_soon()
+            monkeypatch.setattr(wal_module, "_encode", counted)
+            store.snapshot(1024.0, now=1025.0)
+            await store.wal.compacting
+            monkeypatch.setattr(wal_module, "_encode", real)
+            store.close()
+
+        asyncio.run(scenario())
+        assert encoded == [("MainThread", "snapshot")]
+        state = load_state(str(tmp_path))
+        assert len(state.objects) == 1024 and state.wal.records == []
+
+    def test_a_discarded_write_keeps_its_objects_record(self, tmp_path):
+        """A write that lost latest-write-wins is logged (the engine's
+        ``EngineResult.wal`` carries it) but replaces no snapshot record,
+        as replay would not install it either."""
+        store = self.opened(tmp_path)
+        store.log_write(PhysicalVersion("x", "won", 2.0, 2.0, 1))
+        store.log_write(PhysicalVersion("x", "lost", 2.0, 2.0, 2))  # same stamp
+        store.log_write(PhysicalVersion("x", "older", 1.5, 1.5, 3))
+        store.log_write(PhysicalVersion("y", "y1", 1.0, 1.0, 1))
+        assert load_state(str(tmp_path)).objects["x"].value == "won"  # replay's rule
+        store.snapshot(2.0, now=3.0)
+        store.close()
+        assert {obj: v.value for obj, v in load_state(str(tmp_path)).objects.items()} == {
+            "x": "won", "y": "y1"}
+
+    def test_an_old_json_snapshot_loads_and_the_next_is_records(self, tmp_path, capsys):
+        """A store left by the earlier format recovers,
+        ``repro store inspect`` and ``history_from_wal`` read it, and its
+        next snapshot is in the log's codec and reads the same."""
+        from repro.checkers import history_from_wal
+        from repro.cli import main
+
+        write_legacy_snapshot(str(tmp_path / "snapshot.json"), {
+            "x": PhysicalVersion("x", "s1.1", 1.0, 4.0, 1),
+            "z": PhysicalVersion("z", 0, 0.0, 4.0, -1),  # an initial value
+        }, taken_at=4.0, context=4.0)
+
+        def read_back():
+            assert main(["store", "inspect", str(tmp_path), "--objects"]) == 0
+            history = history_from_wal(str(tmp_path))
+            return capsys.readouterr().out, sorted(
+                (op.obj, op.value, op.time) for op in history.operations)
+
+        before, history = read_back()
+        assert "snapshot: taken at t=4.000" in before and "3 objects" not in before
+        assert history == [("x", "s1.1", 1.0)]
+        store = self.opened(tmp_path)
+        assert store.recovered.objects["x"].omega == 1.0  # a record has no omega
+        store.log_write(PhysicalVersion("y", "s1.2", 5.0, 5.0, 1))
+        store.snapshot(5.0, now=6.0)
+        store.close()
+        assert pathlib.Path(tmp_path / "snapshot.json").read_bytes()[:1] == b"\0"
+        after, history = read_back()
+        assert "snapshot: taken at t=6.000" in after and "3 objects" in after
+        assert history == [("x", "s1.1", 1.0), ("y", "s1.2", 5.0)]
+        assert load_state(str(tmp_path)).objects["x"].value == "s1.1"
+
+    def test_a_disk_crash_at_each_step_of_the_job_keeps_every_acked_write(
+        self, tmp_path, monkeypatch
+    ):
+        """The gate's crash: copy the directory and cut ``wal.log`` at its
+        last fsynced length, after the tmp write, after the rename, before
+        the log's truncation and after it.  Every copy recovers every write
+        the commit before the snapshot fsynced; writes logged while the job
+        runs commit after it."""
+        root, copies, steps, marks = tmp_path / "store", tmp_path / "copies", [], {}
+        fsync, replace, ftruncate = os.fsync, os.replace, os.ftruncate
+
+        def synced(fd):
+            fsync(fd)
+            marks[fd] = os.fstat(fd).st_size  # what the disk holds of it
+
+        def crash(step):
+            steps.append((step, threading.current_thread().name))
+            copy = copies / step
+            shutil.copytree(root, copy)
+            fd = store.wal._fh.fileno()
+            with open(copy / "wal.log", "r+b") as fh:
+                fh.truncate(min(marks.get(fd, 0), os.fstat(fd).st_size))
+
+        def replaced(src, dst):
+            crash("after the tmp write")
+            replace(src, dst)
+            crash("after the rename")
+
+        def truncated(fd, length):
+            crash("before the truncate")
+            ftruncate(fd, length)
+            crash("after the truncate")
+
+        async def scenario():
+            first = self.log(store, SNAPSHOT_EVERY, objects=64)
+            monkeypatch.setattr(os, "fsync", synced)
+            monkeypatch.setattr(os, "replace", replaced)
+            monkeypatch.setattr(os, "ftruncate", truncated)
+            await store.commit_soon(600.0, 600.0)  # due: the job queues behind
+            compacting = store.wal.compacting
+            later = self.log(store, 8, prefix="p", first=1000.0)
+            committing = store.commit_soon(1008.0, 1008.0)  # waits for the job
+            assert not compacting.done()
+            await committing
+            assert compacting.done()
+            return first, later
+
+        store = self.opened(root)
+        first, later = asyncio.run(scenario())
+        store.close()
+        assert steps == [(step, "wal-fsync") for step in (
+            "after the tmp write", "after the rename",
+            "before the truncate", "after the truncate")]
+        newest = {v.obj: v.value for v in first}
+        for step, _ in steps:
+            recovered = DurableStore(str(copies / step))
+            objects = recovered.open().objects
+            recovered.close()
+            assert {obj: objects[obj].value for obj in newest} == newest, step
+        final = load_state(str(root))
+        assert [r["value"] for r in final.wal.records if r["k"] == "w"] == [
+            v.value for v in later]
+        assert {obj: final.objects[obj].value for obj in newest} == newest
+
+    def test_a_failed_job_leaves_the_log_whole_and_is_retried(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        replace, failures = os.replace, [OSError(errno.ENOSPC, "No space left on device")]
+
+        def failing_once(src, dst):
+            if failures:
+                raise failures.pop()
+            replace(src, dst)
+
+        async def scenario():
+            monkeypatch.setattr(os, "replace", failing_once)
+            self.log(store, SNAPSHOT_EVERY)
+            with caplog.at_level("ERROR", logger="repro.store.recovery"):
+                await store.commit_soon(600.0, 600.0)
+                await asyncio.wait((store.wal.compacting,))
+                await asyncio.sleep(0)  # the store's completion callback
+            failed = load_state(str(tmp_path))
+            self.log(store, 1, prefix="p", first=700.0)
+            await store.commit_soon(701.0, 701.0)  # due again: retried
+            await store.wal.compacting
+            return failed
+
+        store = self.opened(tmp_path)
+        failed = asyncio.run(scenario())
+        assert failed.snapshot_state is None
+        assert len(failed.wal.records) == 1 + SNAPSHOT_EVERY  # the open record too
+        assert [r.getMessage() for r in caplog.records] == ["snapshot failed"]
+        assert store.wal.size == 0
+        store.close()
+        assert len(load_state(str(tmp_path)).objects) == SNAPSHOT_EVERY + 1
+
+
 class TestWalCorruption:
     """Satellite: truncated-tail and corrupt-CRC records must yield the
     prefix, with the tail quarantined — never silently destroyed."""
@@ -487,55 +724,77 @@ class TestSnapshot:
             "y": PhysicalVersion("y", 17, 2.0, 2.0, 0),
         }
 
+    def _records(self):
+        return [encode_record({"k": "w", "obj": v.obj, "t": v.alpha,
+                               "value": v.value, "writer": v.writer})
+                for v in self._versions().values()]
+
     def test_roundtrip(self, tmp_path):
+        """A snapshot is the log's codec: ``replay`` reads its header and
+        its records, and a store recovers from it with omega = alpha."""
         path = str(tmp_path / "snapshot.json")
-        state = state_from_versions(
-            self._versions(), taken_at=5.0, context=4.0, clean=True
-        )
-        write_snapshot(path, state)
+        with open(path, "wb") as fh:
+            fh.write(snapshot_bytes(self._records(), taken_at=5.0, context=4.0, clean=True))
         loaded = load_snapshot(path)
-        assert loaded == state
-        rebuilt = versions_from_state(loaded)
+        assert loaded.clean and loaded.encoded[1:] == self._records()
+        assert loaded.records == replay(path).records
+        assert loaded.records[0] == {"k": "snapshot", "taken_at": 5.0, "context": 4.0,
+                                     "clean": True, "objects": 2}
+        rebuilt = load_state(str(tmp_path)).objects
         assert rebuilt["x"].value == "s1.4"
-        assert rebuilt["x"].alpha == 3.0
-        assert rebuilt["x"].omega == 4.5
-        assert rebuilt["y"].writer == 0
+        assert rebuilt["x"].alpha == rebuilt["x"].omega == 3.0
+        assert rebuilt["y"] == self._versions()["y"]
 
     def test_both_document_forms_load(self, tmp_path):
-        """The state is written once, verbatim, as the canonical text the
-        CRC covers; a snapshot in the spaced form of earlier versions
-        loads the same."""
-        state = state_from_versions(
-            self._versions(), taken_at=5.0, context=4.0, clean=True
-        )
-        new, old = str(tmp_path / "new.json"), str(tmp_path / "old.json")
-        write_snapshot(new, state)
-        canonical = json.dumps(state, separators=(",", ":"), sort_keys=True)
-        crc = zlib.crc32(canonical.encode("utf-8"))
-        assert pathlib.Path(new).read_text() == (
-            f'{{"crc":{crc},"state":{canonical},"version":1}}\n')
-        with open(old, "w") as fh:
-            json.dump({"version": 1, "crc": crc, "state": state}, fh,
-                      sort_keys=True)
-        assert load_snapshot(new) == load_snapshot(old) == state
+        """A snapshot of the earlier JSON format loads, in its one-line and
+        its spaced form, as the records a snapshot of the same versions
+        holds now, byte for byte: omega is dropped."""
+        old, spaced, new = (str(tmp_path / name) for name in ("old", "spaced", "new"))
+        write_legacy_snapshot(old, self._versions(), taken_at=5.0, context=4.0)
+        document = json.loads(pathlib.Path(old).read_text())
+        with open(spaced, "w") as fh:
+            json.dump(document, fh, indent=2)
+        with open(new, "wb") as fh:
+            fh.write(snapshot_bytes(self._records(), taken_at=5.0, context=4.0, clean=False))
+        for path in (old, spaced):
+            loaded = load_snapshot(path)
+            assert loaded.records == load_snapshot(new).records
+            assert loaded.encoded == load_snapshot(new).encoded
 
     def test_missing_snapshot_is_none(self, tmp_path):
         assert load_snapshot(str(tmp_path / "absent.json")) is None
 
     def test_crc_mismatch_raises(self, tmp_path):
         path = str(tmp_path / "snapshot.json")
-        write_snapshot(path, state_from_versions(
-            self._versions(), taken_at=1.0, context=1.0))
+        write_legacy_snapshot(path, self._versions(), taken_at=1.0, context=1.0)
         document = json.loads(pathlib.Path(path).read_text())
         document["state"]["objects"]["x"]["value"] = "tampered"
         pathlib.Path(path).write_text(json.dumps(document))
         with pytest.raises(SnapshotError, match="CRC"):
             load_snapshot(path)
+        data = snapshot_bytes(self._records(), taken_at=1.0, context=1.0, clean=False)
+        for torn in (data.replace(b"s1.4", b"s1.5"), data[:-1], data[:len(data) // 2],
+                     data[:len(data) - len(self._records()[-1])]):
+            pathlib.Path(path).write_bytes(torn)
+            with pytest.raises(SnapshotError, match="not a whole snapshot"):
+                load_snapshot(path)
 
     def test_undecodable_snapshot_raises(self, tmp_path):
         path = str(tmp_path / "snapshot.json")
         with open(path, "w") as fh:
             fh.write("{not json")
+        with pytest.raises(SnapshotError):
+            load_snapshot(path)
+
+    @pytest.mark.parametrize("text", [
+        "[1, 2]", '{"state": {"objects": {}}}', '{"state": []}',
+        '{"crc": 0, "state": {"taken_at": 1, "context": 1, "objects": {"x": {}}}}',
+    ])
+    def test_a_malformed_snapshot_raises(self, tmp_path, text):
+        """Refused, not a crash of the recovery that would quarantine it."""
+        path = str(tmp_path / "snapshot.json")
+        with open(path, "w") as fh:
+            fh.write(text)
         with pytest.raises(SnapshotError):
             load_snapshot(path)
 
@@ -549,21 +808,24 @@ class TestSnapshot:
         assert quarantine_snapshot(path) is None  # nothing left to move
 
     def test_write_is_atomic_no_tmp_left_behind(self, tmp_path):
-        path = str(tmp_path / "snapshot.json")
-        write_snapshot(path, state_from_versions(
-            self._versions(), taken_at=1.0, context=1.0))
-        assert not os.path.exists(path + ".tmp")
+        store = DurableStore(str(tmp_path), fsync="never")
+        store.open(now_wall=1000.0)
+        store.log_write(self._versions()["x"])
+        store.snapshot(1.0, now=1.0)
+        store.close()
+        assert os.path.exists(tmp_path / "snapshot.json")
+        assert not os.path.exists(tmp_path / "snapshot.json.tmp")
 
 
 class TestAtomicWrites:
     """The shared helper and its registry-save call site (the
     ``--metrics-snapshot`` torn-file fix)."""
 
-    def test_atomic_write_text(self, tmp_path):
+    def test_atomic_write_bytes(self, tmp_path):
         path = str(tmp_path / "file.txt")
-        atomic_write_text(path, "one")
-        atomic_write_text(path, "two")
-        assert pathlib.Path(path).read_text() == "two"
+        atomic_write_bytes(path, b"one")
+        atomic_write_bytes(path, b"two")
+        assert pathlib.Path(path).read_bytes() == b"two"
         assert not os.path.exists(path + ".tmp")
 
     def test_unserializable_payload_leaves_existing_file_intact(self, tmp_path):
